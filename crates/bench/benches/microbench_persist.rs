@@ -27,7 +27,7 @@ fn built_index() -> (InMemoryIndex, DocTable) {
 fn bench_segment_roundtrip(c: &mut Criterion) {
     let (index, docs) = built_index();
     let mut encoded = Vec::new();
-    write_segment(&index, &docs, &mut encoded).unwrap();
+    write_segment(&index, &docs, std::io::Cursor::new(&mut encoded)).unwrap();
 
     let mut group = c.benchmark_group("persist_segment");
     group.sample_size(20);
@@ -35,7 +35,7 @@ fn bench_segment_roundtrip(c: &mut Criterion) {
     group.bench_function("write", |b| {
         b.iter(|| {
             let mut buf = Vec::with_capacity(encoded.len());
-            write_segment(&index, &docs, &mut buf).unwrap();
+            write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
             black_box(buf.len())
         });
     });

@@ -96,6 +96,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
             report.dead_letters
         ));
     }
+    out.push_str(&super::peak_rss_line());
     Ok(out)
 }
 

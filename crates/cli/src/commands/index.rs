@@ -96,6 +96,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
             info.term_count,
             info.posting_count,
         ));
+        out.push_str(&super::peak_rss_line());
         return Ok(out);
     }
 
@@ -138,6 +139,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         store.segment_count(),
         store.segment_count() - segments_before
     ));
+    out.push_str(&super::peak_rss_line());
     Ok(out)
 }
 

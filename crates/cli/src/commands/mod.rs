@@ -15,6 +15,16 @@ pub mod serve;
 pub mod tables;
 pub mod tune;
 
+/// The `peak rss <MB>` line closing a build command's output: the process's
+/// own resident-set high-water mark, empty where the kernel does not report
+/// one.
+#[must_use]
+pub fn peak_rss_line() -> String {
+    dsearch::obs::peak_rss_bytes()
+        .map(|bytes| format!("  peak rss {:.1} MB\n", bytes as f64 / (1024.0 * 1024.0)))
+        .unwrap_or_default()
+}
+
 /// Formats a plain-text table: a header row, a separator and the data rows,
 /// with every column padded to its widest cell.
 #[must_use]

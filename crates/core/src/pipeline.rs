@@ -815,6 +815,8 @@ impl BuildPipeline {
     ) where
         F: FileSystem + ?Sized,
     {
+        // Each worker interns the vocabulary in its own scratch.
+        let mut extractor = extractor.clone();
         while let Some(lease) = queue.pop() {
             if self.cancel.is_cancelled() {
                 queue.close();

@@ -91,7 +91,7 @@ impl IndexGenerator {
         fs: &F,
         root: &VPath,
     ) -> Result<SequentialRun, PipelineError> {
-        let extractor = self.extractor();
+        let mut extractor = self.extractor();
 
         let sw = Stopwatch::start();
         let set = generate_filenames(fs, root)?;
@@ -237,7 +237,7 @@ impl IndexGenerator {
             let extractor_handles: Vec<_> = sources
                 .into_iter()
                 .map(|source| {
-                    let extractor = extractor_template.clone();
+                    let mut extractor = extractor_template.clone();
                     let shared = shared_index.clone();
                     let sender = update_channel.as_ref().map(|(tx, _)| tx.clone());
                     scope.spawn(

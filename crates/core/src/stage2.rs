@@ -5,6 +5,20 @@
 //! the record holds the *condensed word list* (duplicates removed inside the
 //! file); the ablation mode keeps every occurrence so the index has to do the
 //! duplicate handling instead.
+//!
+//! # Allocation contract
+//!
+//! Each [`Extractor`] owns its scratch — a token buffer and a
+//! [`WordListBuilder`] that lives as long as the extractor — which is why
+//! [`Extractor::extract_file`] takes `&mut self` and every extractor thread
+//! works on its own clone.  Under [`DedupMode::PerFileWordList`] a file costs
+//! the buffer `FileSystem::read` returns, the two vectors of its
+//! [`FileTerms`], and one `Arc<str>` per word this extractor has never met
+//! before; a word seen in an earlier file costs a reference-count bump, a
+//! repeat occurrence one hash lookup.  Those `Arc<str>`s are handed to the
+//! index, so the replica's dictionary and the extractor's builder share one
+//! copy of the vocabulary.  Only the [`DedupMode::InsertEveryOccurrence`]
+//! ablation still materialises a [`Term`] per occurrence.
 
 use serde::{Deserialize, Serialize};
 
@@ -60,19 +74,25 @@ impl Stage2Stats {
     }
 }
 
-/// A term extractor bound to a tokenizer and duplicate-handling mode.
+/// A term extractor bound to a tokenizer and duplicate-handling mode, plus
+/// the scratch it reuses from file to file.
 #[derive(Debug, Clone, Default)]
 pub struct Extractor {
     tokenizer: Tokenizer,
     dedup: DedupMode,
     formats: Option<FormatRegistry>,
+    /// The scanner's token buffer.
+    token: String,
+    /// Condenses each file's word list and interns the vocabulary across
+    /// files.
+    words: WordListBuilder,
 }
 
 impl Extractor {
     /// Creates an extractor.
     #[must_use]
     pub fn new(tokenizer: Tokenizer, dedup: DedupMode) -> Self {
-        Extractor { tokenizer, dedup, formats: None }
+        Extractor { tokenizer, dedup, formats: None, ..Extractor::default() }
     }
 
     /// Makes the extractor format-aware: each file's format is detected and
@@ -96,7 +116,7 @@ impl Extractor {
     ///
     /// Fails when the file cannot be read.
     pub fn extract_file<F: FileSystem + ?Sized>(
-        &self,
+        &mut self,
         fs: &F,
         item: &WorkItem,
     ) -> Result<FileTerms, PipelineError> {
@@ -111,19 +131,21 @@ impl Extractor {
             Some(e) => e.text_bytes(),
             None => &data,
         };
-        let (raw_terms, stats) = self.tokenizer.tokenize(text);
-        let occurrences = stats.terms_emitted;
-        let (terms, counts) = match self.dedup {
+        let (terms, counts, occurrences) = match self.dedup {
             DedupMode::PerFileWordList => {
-                let mut builder = WordListBuilder::with_capacity(raw_terms.len() / 2 + 1);
-                for t in raw_terms {
-                    builder.push(t);
+                let mut scanner = self.tokenizer.scan(text);
+                while let Some(token) = scanner.next_token(&mut self.token) {
+                    self.words.push_str(token);
                 }
-                let list = builder.finish();
-                let counts = list.counts().to_vec();
-                (list.into_terms(), counts)
+                let list = self.words.reset();
+                let occurrences = list.occurrences();
+                let (terms, counts) = list.into_parts();
+                (terms, counts, occurrences)
             }
-            DedupMode::InsertEveryOccurrence => (raw_terms, Vec::new()),
+            DedupMode::InsertEveryOccurrence => {
+                let (raw_terms, stats) = self.tokenizer.tokenize(text);
+                (raw_terms, Vec::new(), stats.terms_emitted)
+            }
         };
         Ok(FileTerms { file_id: item.file_id, terms, counts, occurrences, bytes })
     }
@@ -136,7 +158,7 @@ impl Extractor {
     ///
     /// Stops at the first unreadable file.
     pub fn extract_all<F, S>(
-        &self,
+        &mut self,
         fs: &F,
         work: &[WorkItem],
         mut sink: S,
@@ -201,7 +223,7 @@ mod tests {
     #[test]
     fn extract_file_deduplicates_per_file() {
         let (fs, items) = fixture();
-        let ex = Extractor::default();
+        let mut ex = Extractor::default();
         let ft = ex.extract_file(&fs, &items[0]).unwrap();
         assert_eq!(ft.file_id, FileId(0));
         assert_eq!(ft.occurrences, 4);
@@ -213,7 +235,7 @@ mod tests {
     #[test]
     fn insert_every_occurrence_keeps_duplicates() {
         let (fs, items) = fixture();
-        let ex = Extractor::new(Tokenizer::default(), DedupMode::InsertEveryOccurrence);
+        let mut ex = Extractor::new(Tokenizer::default(), DedupMode::InsertEveryOccurrence);
         let ft = ex.extract_file(&fs, &items[0]).unwrap();
         assert_eq!(ft.terms.len(), 4);
         assert_eq!(ft.occurrences, 4);
@@ -222,7 +244,7 @@ mod tests {
     #[test]
     fn extract_all_accumulates_stats_and_calls_sink() {
         let (fs, items) = fixture();
-        let ex = Extractor::default();
+        let mut ex = Extractor::default();
         let mut collected = Vec::new();
         let stats = ex.extract_all(&fs, &items, |ft| collected.push(ft)).unwrap();
         assert_eq!(stats.files, 2);
@@ -247,7 +269,7 @@ mod tests {
     #[test]
     fn missing_file_reports_path() {
         let (fs, _) = fixture();
-        let ex = Extractor::default();
+        let mut ex = Extractor::default();
         let bad = WorkItem { file_id: FileId(9), path: VPath::new("missing.txt"), size: 0 };
         let err = ex.extract_file(&fs, &bad).unwrap_err();
         assert!(err.to_string().contains("missing.txt"));
@@ -272,13 +294,13 @@ mod tests {
             WorkItem { file_id: FileId(1), path: VPath::new("blob.bin"), size: 4 },
         ];
 
-        let plain = Extractor::default();
+        let mut plain = Extractor::default();
         assert!(!plain.is_format_aware());
         let ft = plain.extract_file(&fs, &items[0]).unwrap();
         let words: Vec<&str> = ft.terms.iter().map(|t| t.as_str()).collect();
         assert!(words.contains(&"html"), "raw mode indexes the markup itself");
 
-        let aware = Extractor::default().with_formats(FormatRegistry::with_builtins());
+        let mut aware = Extractor::default().with_formats(FormatRegistry::with_builtins());
         assert!(aware.is_format_aware());
         let ft = aware.extract_file(&fs, &items[0]).unwrap();
         let words: Vec<&str> = ft.terms.iter().map(|t| t.as_str()).collect();

@@ -70,7 +70,9 @@ pub use doc_table::{DocTable, FileId};
 pub use join::{join_all, join_into, parallel_join, JoinPlan};
 pub use memory_index::InMemoryIndex;
 pub use posting::PostingList;
-pub use sealed::{bm25_idf, bm25_neutral_norm, bm25_score, SealedShard, BM25_B, BM25_K1};
+pub use sealed::{
+    bm25_idf, bm25_neutral_norm, bm25_score, SealedShard, SealedTerms, BM25_B, BM25_K1,
+};
 pub use serialize::{IndexSnapshot, SerializeError};
 pub use sharded::ShardedIndex;
 pub use shared::{IndexSet, SharedIndex};

@@ -25,6 +25,7 @@ use dsearch_text::Term;
 use crate::block::CompressedPostings;
 use crate::doc_table::FileId;
 use crate::memory_index::InMemoryIndex;
+use crate::posting::PostingList;
 
 /// BM25 term-frequency saturation constant.
 pub const BM25_K1: f32 = 1.2;
@@ -106,37 +107,23 @@ impl SealedShard {
     /// string storage instead of duplicating it.
     #[must_use]
     pub fn from_index(index: &InMemoryIndex) -> Self {
-        let files = index.file_count();
-        let scoring = build_norms(index.doc_lens());
-        let mut entries: Vec<(&Term, &crate::posting::PostingList)> = index.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        let mut terms = Vec::with_capacity(entries.len());
-        let mut postings = Vec::with_capacity(entries.len());
+        let mut sealing = SealedTerms::new(index);
+        let mut terms = Vec::with_capacity(sealing.len());
+        let mut postings = Vec::with_capacity(sealing.len());
         let mut posting_count = 0u64;
-        let mut scores = Vec::new();
-        for (term, list) in entries {
+        for (term, compressed) in &mut sealing {
             terms.push(term.clone());
-            posting_count += list.len() as u64;
-            let mut cp = CompressedPostings::from_list(list);
-            if let Some((base, norms, _)) = &scoring {
-                let idf = bm25_idf(files, list.len());
-                scores.clear();
-                scores.extend(
-                    list.iter_counted()
-                        .map(|(id, tf)| bm25_score(idf, tf, norm_at(*base, norms, id))),
-                );
-                cp.score_blocks(&scores);
-            }
-            postings.push(cp);
+            posting_count += compressed.len() as u64;
+            postings.push(compressed);
         }
         let lookup = build_lookup(&terms);
         let posting_bytes = postings.iter().map(CompressedPostings::byte_size).sum();
-        let (norm_base, norms, total_doc_len) = scoring.unwrap_or((0, Vec::new(), 0));
+        let (norm_base, norms, total_doc_len) = sealing.scoring.unwrap_or((0, Vec::new(), 0));
         SealedShard {
             terms,
             postings,
             lookup,
-            files,
+            files: sealing.files,
             posting_count,
             posting_bytes,
             total_doc_len,
@@ -298,6 +285,61 @@ impl SealedShard {
         self.total_doc_len
     }
 }
+
+/// Seals an index one term at a time, in dictionary order: each item is a
+/// term with its compressed postings and BM25 block bounds, exactly as
+/// [`SealedShard::from_index`] (which collects this iterator) stores them.
+/// The segment writer consumes it without collecting, so a whole sealed copy
+/// of the index never exists beside the live one.
+#[derive(Debug)]
+pub struct SealedTerms<'a> {
+    entries: std::vec::IntoIter<(&'a Term, &'a PostingList)>,
+    files: u64,
+    /// `(norm_base, norms, total_doc_len)`; `None` for an unscored index.
+    scoring: Option<(u32, Vec<f32>, u64)>,
+    /// Per-posting scores of the term being sealed, reused across terms.
+    scores: Vec<f32>,
+}
+
+impl<'a> SealedTerms<'a> {
+    /// Sorts the vocabulary of `index` and computes its length norms; no
+    /// posting list is compressed until it is asked for.
+    #[must_use]
+    pub fn new(index: &'a InMemoryIndex) -> Self {
+        let mut entries: Vec<(&Term, &PostingList)> = index.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        SealedTerms {
+            entries: entries.into_iter(),
+            files: index.file_count(),
+            scoring: build_norms(index.doc_lens()),
+            scores: Vec::new(),
+        }
+    }
+}
+
+impl<'a> Iterator for SealedTerms<'a> {
+    type Item = (&'a Term, CompressedPostings);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (term, list) = self.entries.next()?;
+        let mut compressed = CompressedPostings::from_list(list);
+        if let Some((base, norms, _)) = &self.scoring {
+            let idf = bm25_idf(self.files, list.len());
+            self.scores.clear();
+            self.scores.extend(
+                list.iter_counted().map(|(id, tf)| bm25_score(idf, tf, norm_at(*base, norms, id))),
+            );
+            compressed.score_blocks(&self.scores);
+        }
+        Some((term, compressed))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
+}
+
+impl ExactSizeIterator for SealedTerms<'_> {}
 
 /// Builds the dense BM25 norm table from `(file, document length)` pairs:
 /// `(norm_base, norms, total_doc_len)`.  Returns `None` (unscored) when no

@@ -7,6 +7,10 @@
 //! also build — or a `!metrics`-style exposition after `dsearch build` —
 //! publish them under the `dsearch_build_*` family with this adapter, so
 //! one scrape shows query and build health side by side.
+//!
+//! The process's peak resident set rides along as
+//! [`BUILD_PEAK_RSS_METRIC`]: the number the repo benchmark gates for the
+//! build workloads, read by the program about itself.
 
 use dsearch_core::pipeline::CounterSnapshot;
 
@@ -37,9 +41,55 @@ pub fn publish_build_counters(registry: &MetricsRegistry, snapshot: &CounterSnap
     }
 }
 
+/// Gauge holding the process's peak resident set in bytes.
+pub const BUILD_PEAK_RSS_METRIC: &str = "dsearch_build_peak_rss_bytes";
+
+/// The peak resident set of this process so far (`VmHWM` in
+/// `/proc/self/status`), in bytes; `None` where the kernel does not expose
+/// it.
+#[must_use]
+pub fn peak_rss_bytes() -> Option<u64> {
+    parse_vm_hwm(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+fn parse_vm_hwm(status: &str) -> Option<u64> {
+    let rest = status.lines().find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kb: u64 = rest.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    kb.checked_mul(1024)
+}
+
+/// Sets [`BUILD_PEAK_RSS_METRIC`] to the current [`peak_rss_bytes`] and
+/// returns it; leaves the registry untouched where it is unavailable.
+pub fn publish_peak_rss(registry: &MetricsRegistry) -> Option<u64> {
+    let bytes = peak_rss_bytes()?;
+    registry.gauge(BUILD_PEAK_RSS_METRIC).set(bytes);
+    Some(bytes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vm_hwm_parses_from_a_status_file_and_is_optional() {
+        let status = "Name:\tdsearch\nVmPeak:\t  200000 kB\nVmHWM:\t   87654 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(parse_vm_hwm(status), Some(87654 * 1024));
+        assert_eq!(parse_vm_hwm("Name:\tdsearch\n"), None);
+        assert_eq!(parse_vm_hwm("VmHWM:\tlots\n"), None);
+    }
+
+    #[test]
+    fn peak_rss_is_published_as_a_gauge_where_the_kernel_reports_it() {
+        let registry = MetricsRegistry::new();
+        match publish_peak_rss(&registry) {
+            Some(bytes) => {
+                assert!(bytes > 0);
+                assert_eq!(registry.gauge(BUILD_PEAK_RSS_METRIC).value(), bytes);
+                assert!(registry.render_prometheus().contains(BUILD_PEAK_RSS_METRIC));
+            }
+            None => assert!(!registry.render_prometheus().contains(BUILD_PEAK_RSS_METRIC)),
+        }
+    }
 
     #[test]
     fn publishes_every_counter_under_the_build_family() {

@@ -25,7 +25,9 @@ pub mod metrics;
 pub mod slowlog;
 pub mod trace;
 
-pub use build::{publish_build_counters, BUILD_METRICS};
+pub use build::{
+    peak_rss_bytes, publish_build_counters, publish_peak_rss, BUILD_METRICS, BUILD_PEAK_RSS_METRIC,
+};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use slowlog::{SlowLog, DEFAULT_SLOW_CAPACITY};
 pub use trace::{next_trace_id, parse_compact_stages, QueryTrace, ShardSpan, Span, Stage};

@@ -268,6 +268,8 @@ impl IncrementalIndexer {
             report.removed += 1;
         }
 
+        let mut token = String::new();
+        let mut words = WordListBuilder::new();
         let mut reindex =
             |path: &VPath, is_new: bool, report: &mut UpdateReport| -> Result<(), PersistError> {
                 let data = fs.read(path)?;
@@ -284,12 +286,11 @@ impl IncrementalIndexer {
                         id
                     }
                 };
-                let (terms, _stats) = self.tokenizer.tokenize(&data);
-                let mut builder = WordListBuilder::with_capacity(terms.len() / 2 + 1);
-                for t in terms {
-                    builder.push(t);
+                let mut scanner = self.tokenizer.scan(&data);
+                while let Some(t) = scanner.next_token(&mut token) {
+                    words.push_str(t);
                 }
-                let list = builder.finish();
+                let list = words.reset();
                 report.postings_added += list.len() as u64;
                 report.bytes_scanned += data.len() as u64;
                 index.insert_file(id, list.into_terms());

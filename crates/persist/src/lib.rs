@@ -31,7 +31,7 @@
 //! index.insert_file(id, [Term::from("hello"), Term::from("world")]);
 //!
 //! let mut buffer = Vec::new();
-//! write_segment(&index, &docs, &mut buffer)?;
+//! write_segment(&index, &docs, std::io::Cursor::new(&mut buffer))?;
 //! let (restored, restored_docs) = read_segment(&buffer[..])?;
 //! assert_eq!(restored, index);
 //! assert_eq!(restored_docs.len(), docs.len());

@@ -38,13 +38,14 @@
 //! readable.  The checksum makes a truncated or bit-flipped segment a clean
 //! [`PersistError::Corrupt`] instead of a garbage index.
 
-use std::io::{Read, Write};
+use std::hash::Hasher;
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 
 use dsearch_index::{
-    CompressedPostings, DocTable, FileId, InMemoryIndex, PostingList, SealedShard, SkipEntry,
-    BLOCK_SIZE,
+    CompressedPostings, DocTable, FileId, InMemoryIndex, PostingList, SealedShard, SealedTerms,
+    SkipEntry, BLOCK_SIZE,
 };
-use dsearch_text::fnv::fnv1a_64;
+use dsearch_text::fnv::{fnv1a_64, FnvHasher};
 use dsearch_text::Term;
 
 use crate::error::PersistError;
@@ -64,6 +65,10 @@ pub const MIN_SEGMENT_VERSION: u32 = 1;
 /// protects against corrupt length prefixes.
 const MAX_STRING_LEN: u64 = 64 * 1024;
 
+/// Fewest bytes a term entry occupies in any version: a term length and a
+/// posting count.
+const MIN_TERM_BYTES: usize = 2;
+
 /// Summary of a written segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SegmentInfo {
@@ -79,15 +84,25 @@ pub struct SegmentInfo {
 
 /// Writes `index` and `docs` as one segment.
 ///
+/// The payload streams out through a buffer one sealed term at a time —
+/// neither a sealed copy of the index nor the encoded payload is ever held
+/// whole — while its checksum accumulates; the checksum slot in the header
+/// is then patched in place, which is why `writer` must seek.  On return
+/// `writer` is positioned at the end of the segment.
+///
 /// # Errors
 ///
 /// Propagates I/O failures from `writer`.
-pub fn write_segment<W: Write>(
+pub fn write_segment<W: Write + Seek>(
     index: &InMemoryIndex,
     docs: &DocTable,
     mut writer: W,
 ) -> Result<SegmentInfo, PersistError> {
-    let mut payload: Vec<u8> = Vec::new();
+    let start = writer.stream_position()?;
+    writer.write_all(&SEGMENT_MAGIC)?;
+    writer.write_all(&[0u8; 8])?;
+
+    let mut payload = ChecksumWriter::new(BufWriter::new(&mut writer));
     varint::write_u32(&mut payload, SEGMENT_VERSION)?;
 
     varint::write_u64(&mut payload, docs.len() as u64)?;
@@ -106,27 +121,66 @@ pub fn write_segment<W: Write>(
     // Sealing computes the per-block BM25 score bounds exactly as the
     // serving path would, so persisted bounds match in-memory seals bit for
     // bit.
-    let shard = SealedShard::from_index(index);
-    varint::write_u64(&mut payload, shard.term_count() as u64)?;
-    for (term, compressed) in shard.iter() {
-        write_term_postings(&mut payload, term, compressed)?;
+    let sealed = SealedTerms::new(index);
+    let term_count = sealed.len() as u64;
+    let mut posting_count = 0u64;
+    varint::write_u64(&mut payload, term_count)?;
+    for (term, compressed) in sealed {
+        posting_count += compressed.len() as u64;
+        write_term_postings(&mut payload, term, &compressed)?;
     }
 
-    let checksum = fnv1a_64(&payload);
-    writer.write_all(&SEGMENT_MAGIC)?;
+    let (checksum, payload_len) = payload.finish()?;
+    writer.seek(SeekFrom::Start(start + SEGMENT_MAGIC.len() as u64))?;
     writer.write_all(&checksum.to_le_bytes())?;
-    writer.write_all(&payload)?;
+    writer.seek(SeekFrom::Start(start + HEADER_LEN + payload_len))?;
 
     Ok(SegmentInfo {
         doc_count: docs.len() as u64,
-        term_count: shard.term_count() as u64,
-        posting_count: shard.posting_count(),
-        bytes: (SEGMENT_MAGIC.len() + 8 + payload.len()) as u64,
+        term_count,
+        posting_count,
+        bytes: HEADER_LEN + payload_len,
     })
 }
 
-fn write_term_postings(
-    payload: &mut Vec<u8>,
+/// Magic plus checksum.
+const HEADER_LEN: u64 = SEGMENT_MAGIC.len() as u64 + 8;
+
+/// Forwards writes to `inner` while folding them into a running FNV-1a
+/// checksum and byte count.
+struct ChecksumWriter<W: Write> {
+    inner: W,
+    hasher: FnvHasher,
+    len: u64,
+}
+
+impl<W: Write> ChecksumWriter<W> {
+    fn new(inner: W) -> Self {
+        ChecksumWriter { inner, hasher: FnvHasher::new(), len: 0 }
+    }
+
+    /// Flushes `inner` and returns `(checksum, bytes written)`.
+    fn finish(mut self) -> std::io::Result<(u64, u64)> {
+        self.inner.flush()?;
+        Ok((self.hasher.finish(), self.len))
+    }
+}
+
+impl<W: Write> Write for ChecksumWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.hasher.write(&buf[..n]);
+        self.len += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+fn write_term_postings<W: Write>(
+    payload: &mut W,
     term: &Term,
     compressed: &CompressedPostings,
 ) -> Result<(), PersistError> {
@@ -143,35 +197,70 @@ fn write_term_postings(
         varint::write_u32(payload, offset)?;
     }
     varint::write_u32(payload, compressed.max_score().to_bits())?;
-    payload.extend_from_slice(compressed.block_scores());
+    payload.write_all(compressed.block_scores())?;
     Ok(())
+}
+
+/// Checks an element count taken from the file against the bytes left in
+/// the payload: every element costs at least `min_bytes`, so a larger count
+/// is corrupt and must never size an allocation.
+fn fits(count: u64, min_bytes: usize, left: &[u8], what: &str) -> Result<usize, PersistError> {
+    usize::try_from(count)
+        .ok()
+        .filter(|c| c.checked_mul(min_bytes).is_some_and(|bytes| bytes <= left.len()))
+        .ok_or_else(|| {
+            PersistError::Corrupt(format!(
+                "{what} count {count} cannot fit in the {} bytes left",
+                left.len()
+            ))
+        })
+}
+
+/// Reads an element count and [`fits`] it to what follows.
+fn read_count(cursor: &mut &[u8], min_bytes: usize, what: &str) -> Result<usize, PersistError> {
+    let count = varint::read_u64(cursor)?;
+    fits(count, min_bytes, cursor, what)
+}
+
+/// Reads a length-prefixed byte string of at most `max_len` bytes, and never
+/// more than the payload still holds.
+fn read_bytes(cursor: &mut &[u8], max_len: u64) -> Result<Vec<u8>, PersistError> {
+    varint::read_bytes(cursor, max_len.min(cursor.len() as u64))
 }
 
 fn read_term_postings(
     cursor: &mut &[u8],
     version: u32,
 ) -> Result<(Term, CompressedPostings), PersistError> {
-    let term = varint::read_bytes(cursor, MAX_STRING_LEN)?;
+    let term = read_bytes(cursor, MAX_STRING_LEN)?;
     let term = String::from_utf8(term)
         .map_err(|_| PersistError::Corrupt("term is not valid UTF-8".into()))?;
     let term = Term::from(term);
-    let posting_count = varint::read_u64(cursor)? as usize;
     if version == 1 {
         // Legacy per-id ascending deltas: decode, then compress.
-        let mut ids = Vec::with_capacity(posting_count.min(1 << 20));
+        let posting_count = read_count(cursor, 1, "posting")?;
+        let mut ids = Vec::with_capacity(posting_count);
         let mut previous = 0u64;
         for i in 0..posting_count {
             let delta = varint::read_u64(cursor)?;
-            let value = if i == 0 { delta } else { previous + delta };
-            let id = u32::try_from(value)
-                .map_err(|_| PersistError::Corrupt("file id does not fit in u32".into()))?;
+            let value = if i == 0 { Some(delta) } else { previous.checked_add(delta) };
+            let value = value
+                .filter(|&v| v <= u64::from(u32::MAX))
+                .ok_or_else(|| PersistError::Corrupt("file id does not fit in u32".into()))?;
+            let id = value as u32;
             ids.push(FileId(id));
             previous = value;
         }
         return Ok((term, CompressedPostings::from_sorted(&ids)));
     }
-    let block_count = posting_count.div_ceil(BLOCK_SIZE);
+    // A constant-gap block holds 128 ids in a few bytes, so postings can
+    // outnumber the bytes left — but every block costs at least one, and
+    // every skip entry three.
+    let posting_count = varint::read_u64(cursor)?;
+    let block_count = fits(posting_count.div_ceil(BLOCK_SIZE as u64), 1, cursor, "posting block")?;
+    let posting_count = posting_count as usize;
     let skip_count = if block_count > 1 { block_count } else { 0 };
+    fits(skip_count as u64, 3, cursor, "skip entry")?;
     let mut skips = Vec::with_capacity(skip_count);
     for _ in 0..skip_count {
         let first = FileId(varint::read_u32(cursor)?);
@@ -181,7 +270,7 @@ fn read_term_postings(
     }
     // Encoded blocks never exceed ~5 bytes/id plus per-block headers.
     let data_bound = 6 * posting_count as u64 + 2 * block_count as u64 + 16;
-    let data = varint::read_bytes(cursor, data_bound)?;
+    let data = read_bytes(cursor, data_bound)?;
     if version == 2 {
         let compressed = CompressedPostings::from_parts(posting_count, skips, data)
             .map_err(|e| PersistError::Corrupt(e.to_string()))?;
@@ -190,9 +279,10 @@ fn read_term_postings(
 
     // Version 3: term frequencies and block-max score bounds.
     let freq_bound = 5 * posting_count as u64 + 2 * block_count as u64 + 16;
-    let freqs = varint::read_bytes(cursor, freq_bound)?;
+    let freqs = read_bytes(cursor, freq_bound)?;
     let mut freq_offsets = Vec::new();
     if !freqs.is_empty() {
+        fits(block_count as u64, 1, cursor, "frequency offset")?;
         freq_offsets.reserve(block_count);
         for _ in 0..block_count {
             freq_offsets.push(varint::read_u32(cursor)?);
@@ -233,21 +323,21 @@ fn read_segment_header(
     if !(MIN_SEGMENT_VERSION..=SEGMENT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion { found: version, expected: SEGMENT_VERSION });
     }
-    let doc_count = varint::read_u64(&mut cursor)?;
-    let mut docs = DocTable::with_capacity(doc_count as usize);
+    let doc_count = read_count(&mut cursor, 1, "document")?;
+    let mut docs = DocTable::with_capacity(doc_count);
     for _ in 0..doc_count {
-        let path = varint::read_bytes(&mut cursor, MAX_STRING_LEN)?;
+        let path = read_bytes(&mut cursor, MAX_STRING_LEN)?;
         let path = String::from_utf8(path)
             .map_err(|_| PersistError::Corrupt("document path is not valid UTF-8".into()))?;
         docs.insert(path);
     }
     let mut doc_lens = Vec::new();
     if version >= 3 {
-        let len_count = varint::read_u64(&mut cursor)?;
+        let len_count = read_count(&mut cursor, 2, "document length")?;
         if len_count > doc_count {
             return Err(PersistError::Corrupt("more document lengths than documents".into()));
         }
-        doc_lens.reserve(len_count as usize);
+        doc_lens.reserve(len_count);
         let mut previous: Option<u32> = None;
         for _ in 0..len_count {
             let id = varint::read_u32(&mut cursor)?;
@@ -294,8 +384,8 @@ pub fn read_segment<R: Read>(reader: R) -> Result<(InMemoryIndex, DocTable), Per
     let payload = read_payload(reader)?;
     let (docs, doc_lens, mut cursor, version) = read_segment_header(&payload)?;
 
-    let term_count = varint::read_u64(&mut cursor)?;
-    let mut index = InMemoryIndex::with_capacity(term_count as usize);
+    let term_count = read_count(&mut cursor, MIN_TERM_BYTES, "term")?;
+    let mut index = InMemoryIndex::with_capacity(term_count);
     for _ in 0..term_count {
         let (term, compressed) = read_term_postings(&mut cursor, version)?;
         // Bulk insert: one map operation per term, never a per-id add loop.
@@ -324,8 +414,8 @@ pub fn read_segment_sealed<R: Read>(reader: R) -> Result<(SealedShard, DocTable)
     let payload = read_payload(reader)?;
     let (docs, doc_lens, mut cursor, version) = read_segment_header(&payload)?;
 
-    let term_count = varint::read_u64(&mut cursor)?;
-    let mut entries = Vec::with_capacity(term_count as usize);
+    let term_count = read_count(&mut cursor, MIN_TERM_BYTES, "term")?;
+    let mut entries = Vec::with_capacity(term_count);
     for _ in 0..term_count {
         entries.push(read_term_postings(&mut cursor, version)?);
     }
@@ -375,7 +465,7 @@ mod tests {
     fn round_trip_preserves_index_and_docs() {
         let (index, docs) = sample();
         let mut buf = Vec::new();
-        let info = write_segment(&index, &docs, &mut buf).unwrap();
+        let info = write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
         assert_eq!(info.doc_count, 3);
         assert_eq!(info.term_count, 4);
         assert_eq!(info.posting_count, 7);
@@ -400,7 +490,7 @@ mod tests {
         index.insert_file_counted(b, [(Term::from("alpha"), 1u32)]);
 
         let mut buf = Vec::new();
-        write_segment(&index, &docs, &mut buf).unwrap();
+        write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
 
         // Mutable path: tfs and doc lens restored exactly.
         let (restored, _) = read_segment(&buf[..]).unwrap();
@@ -433,10 +523,7 @@ mod tests {
         assert!(compressed.skips().is_empty());
         crate::varint::write_bytes(&mut payload, compressed.data()).unwrap();
 
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&SEGMENT_MAGIC);
-        buf.extend_from_slice(&fnv1a_64(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        let buf = forge(&payload);
 
         let (index, docs) = read_segment(&buf[..]).unwrap();
         assert_eq!(docs.len(), 2);
@@ -451,7 +538,9 @@ mod tests {
     #[test]
     fn empty_index_round_trips() {
         let mut buf = Vec::new();
-        let info = write_segment(&InMemoryIndex::new(), &DocTable::new(), &mut buf).unwrap();
+        let info =
+            write_segment(&InMemoryIndex::new(), &DocTable::new(), std::io::Cursor::new(&mut buf))
+                .unwrap();
         assert_eq!(info.term_count, 0);
         let (restored, docs) = read_segment(&buf[..]).unwrap();
         assert!(restored.is_empty());
@@ -462,7 +551,7 @@ mod tests {
     fn bad_magic_is_rejected() {
         let (index, docs) = sample();
         let mut buf = Vec::new();
-        write_segment(&index, &docs, &mut buf).unwrap();
+        write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
         buf[0] = b'X';
         assert!(matches!(read_segment(&buf[..]), Err(PersistError::Corrupt(_))));
     }
@@ -471,7 +560,7 @@ mod tests {
     fn bit_flip_in_payload_is_caught_by_checksum() {
         let (index, docs) = sample();
         let mut buf = Vec::new();
-        write_segment(&index, &docs, &mut buf).unwrap();
+        write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
         let last = buf.len() - 1;
         buf[last] ^= 0x40;
         assert!(matches!(read_segment(&buf[..]), Err(PersistError::Corrupt(_))));
@@ -481,7 +570,7 @@ mod tests {
     fn truncated_segment_is_an_error() {
         let (index, docs) = sample();
         let mut buf = Vec::new();
-        write_segment(&index, &docs, &mut buf).unwrap();
+        write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_segment(&buf[..]).is_err());
         assert!(read_segment(&buf[..6]).is_err());
@@ -493,9 +582,137 @@ mod tests {
         // corruption rather than silently ignoring the tail.
         let (index, docs) = sample();
         let mut buf = Vec::new();
-        write_segment(&index, &docs, &mut buf).unwrap();
+        write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
         buf.extend_from_slice(b"junk");
         assert!(read_segment(&buf[..]).is_err());
+    }
+
+    /// Wraps a hand-built payload in a header whose checksum matches, so the
+    /// parser — not the checksum — has to reject it.
+    fn forge(payload: &[u8]) -> Vec<u8> {
+        let mut buf = SEGMENT_MAGIC.to_vec();
+        buf.extend_from_slice(&fnv1a_64(payload).to_le_bytes());
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    /// Both readers must refuse `payload` as corrupt.  A count that reached
+    /// `with_capacity`/`reserve` unclamped would abort the test process (or
+    /// panic on capacity overflow) instead of returning.
+    fn assert_both_readers_reject(payload: &[u8]) {
+        let buf = forge(payload);
+        assert!(matches!(read_segment(&buf[..]), Err(PersistError::Corrupt(_))));
+        assert!(matches!(read_segment_sealed(&buf[..]), Err(PersistError::Corrupt(_))));
+    }
+
+    /// A v3 payload up to and including an empty doc table and empty
+    /// document-length section.
+    fn empty_front_matter() -> Vec<u8> {
+        let mut payload = Vec::new();
+        varint::write_u32(&mut payload, SEGMENT_VERSION).unwrap();
+        varint::write_u64(&mut payload, 0).unwrap();
+        varint::write_u64(&mut payload, 0).unwrap();
+        payload
+    }
+
+    #[test]
+    fn forged_counts_are_rejected_before_they_size_an_allocation() {
+        for huge in [1u64 << 40, u64::MAX] {
+            // doc count
+            let mut payload = Vec::new();
+            varint::write_u32(&mut payload, SEGMENT_VERSION).unwrap();
+            varint::write_u64(&mut payload, huge).unwrap();
+            assert_both_readers_reject(&payload);
+
+            // document-length count, behind a doc table that is honest
+            let mut payload = Vec::new();
+            varint::write_u32(&mut payload, SEGMENT_VERSION).unwrap();
+            varint::write_u64(&mut payload, 1).unwrap();
+            varint::write_bytes(&mut payload, b"a.txt").unwrap();
+            varint::write_u64(&mut payload, huge).unwrap();
+            assert_both_readers_reject(&payload);
+
+            // term count
+            let mut payload = empty_front_matter();
+            varint::write_u64(&mut payload, huge).unwrap();
+            assert_both_readers_reject(&payload);
+
+            // posting count of one term, which sizes the skip table
+            let mut payload = empty_front_matter();
+            varint::write_u64(&mut payload, 1).unwrap();
+            varint::write_bytes(&mut payload, b"alpha").unwrap();
+            varint::write_u64(&mut payload, huge).unwrap();
+            payload.extend_from_slice(&[0; 64]);
+            assert_both_readers_reject(&payload);
+        }
+    }
+
+    #[test]
+    fn counts_that_fit_the_payload_but_not_its_entries_are_still_errors() {
+        // Two documents declared, room for two one-byte entries, but the
+        // entries themselves are truncated.
+        let mut payload = Vec::new();
+        varint::write_u32(&mut payload, SEGMENT_VERSION).unwrap();
+        varint::write_u64(&mut payload, 2).unwrap();
+        payload.extend_from_slice(&[5, b'a']);
+        let buf = forge(&payload);
+        assert!(read_segment(&buf[..]).is_err());
+        assert!(read_segment_sealed(&buf[..]).is_err());
+
+        // A v1 term declaring more postings than bytes left.
+        let mut payload = Vec::new();
+        varint::write_u32(&mut payload, 1).unwrap();
+        varint::write_u64(&mut payload, 0).unwrap();
+        varint::write_u64(&mut payload, 1).unwrap();
+        varint::write_bytes(&mut payload, b"alpha").unwrap();
+        varint::write_u64(&mut payload, 1 << 40).unwrap();
+        payload.extend_from_slice(&[1, 1, 1]);
+        assert_both_readers_reject(&payload);
+
+        // A v1 delta that would carry the running id past u64.
+        let mut payload = Vec::new();
+        varint::write_u32(&mut payload, 1).unwrap();
+        varint::write_u64(&mut payload, 0).unwrap();
+        varint::write_u64(&mut payload, 1).unwrap();
+        varint::write_bytes(&mut payload, b"alpha").unwrap();
+        varint::write_u64(&mut payload, 2).unwrap();
+        varint::write_u64(&mut payload, 7).unwrap();
+        varint::write_u64(&mut payload, u64::MAX).unwrap();
+        assert_both_readers_reject(&payload);
+    }
+
+    #[test]
+    fn dense_lists_with_more_postings_than_bytes_still_load() {
+        // A term in every one of 2000 consecutive files compresses to
+        // constant-gap blocks: far fewer bytes than postings.  The clamp must
+        // count blocks, not postings.
+        let mut docs = DocTable::new();
+        let mut index = InMemoryIndex::new();
+        for i in 0..2000 {
+            let id = docs.insert(format!("f{i}"));
+            index.insert_file(id, [Term::from("everywhere")]);
+        }
+        let mut buf = Vec::new();
+        let info = write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
+        assert!(info.posting_count > buf.len() as u64 / 10);
+        let (shard, _) = read_segment_sealed(&buf[..]).unwrap();
+        assert_eq!(shard, SealedShard::from_index(&index));
+        assert_eq!(read_segment(&buf[..]).unwrap().0, index);
+    }
+
+    #[test]
+    fn streaming_writer_appends_at_the_writers_position_and_ends_after_the_segment() {
+        let (index, docs) = sample();
+        let mut alone = Vec::new();
+        write_segment(&index, &docs, std::io::Cursor::new(&mut alone)).unwrap();
+
+        let mut cursor = std::io::Cursor::new(b"prefix".to_vec());
+        cursor.set_position(6);
+        let info = write_segment(&index, &docs, &mut cursor).unwrap();
+        assert_eq!(cursor.position(), 6 + info.bytes);
+        let written = cursor.into_inner();
+        assert_eq!(&written[..6], b"prefix");
+        assert_eq!(&written[6..], &alone[..]);
     }
 
     proptest! {
@@ -518,7 +735,7 @@ mod tests {
                 index.insert_file(id, uniq.iter().map(|w| Term::from(w.as_str())));
             }
             let mut buf = Vec::new();
-            let info = write_segment(&index, &docs, &mut buf).unwrap();
+            let info = write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
             prop_assert_eq!(info.doc_count, docs.len() as u64);
             let (restored, restored_docs) = read_segment(&buf[..]).unwrap();
             prop_assert_eq!(&restored, &index);

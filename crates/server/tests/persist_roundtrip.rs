@@ -46,7 +46,7 @@ fn snapshot_from_store_matches_in_memory_searcher() {
 
     // write_segment → byte-exact read back.
     let mut buffer = Vec::new();
-    write_segment(&index, &docs, &mut buffer).unwrap();
+    write_segment(&index, &docs, std::io::Cursor::new(&mut buffer)).unwrap();
     let (restored, restored_docs) = read_segment(&buffer[..]).unwrap();
     assert_eq!(restored, index);
     assert_eq!(restored_docs.len(), docs.len());

@@ -234,6 +234,21 @@ impl<K: Hash + Eq, V, S: BuildHasher> FnvHashMap<K, V, S> {
         }
     }
 
+    /// Returns the stored key together with a mutable reference to its
+    /// value — for callers that look up by a borrowed form and need the owned
+    /// key back (e.g. to clone an interned string).
+    pub fn get_key_value_mut<Q>(&mut self, key: &Q) -> Option<(&K, &mut V)>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let idx = self.find_slot(key)?;
+        match &mut self.slots[idx] {
+            Slot::Occupied { key, value } => Some((&*key, value)),
+            _ => unreachable!(),
+        }
+    }
+
     /// Returns `true` when `key` is present.
     pub fn contains_key<Q>(&self, key: &Q) -> bool
     where

@@ -3,10 +3,21 @@
 //! The paper's term extractor reads each file and extracts *terms* —
 //! maximal runs of letters and digits — from plain ASCII text.  The
 //! [`Tokenizer`] here does the same: it walks a byte slice (or an
-//! [`std::io::Read`] stream) and yields [`Term`]s, optionally lowercased and
+//! [`std::io::Read`] stream) and yields terms, optionally lowercased and
 //! length-filtered via [`TokenizerOptions`].
 //!
-//! The tokenizer also keeps [`TokenStats`] so the pipeline can report how many
+//! # Allocation contract
+//!
+//! There is one scanning loop, [`Scanner::next_token`].  It yields each token
+//! as a `&str` borrowed from a caller-owned buffer that is overwritten by the
+//! next call, so scanning a file allocates nothing beyond that buffer's
+//! growth to the longest token.  Whoever needs an owned [`Term`] pays for it:
+//! [`Tokenizer::tokenize`] and [`Tokenizer::terms`] are thin wrappers that
+//! allocate one `Arc<str>` per *occurrence*; the build path instead feeds the
+//! borrowed tokens to [`WordListBuilder::push_str`](crate::wordlist::WordListBuilder::push_str),
+//! which allocates per *distinct* term.
+//!
+//! The scanner also keeps [`TokenStats`] so the pipeline can report how many
 //! bytes were scanned and how many raw terms were produced — these numbers
 //! feed the platform simulator's cost model.
 
@@ -189,48 +200,31 @@ impl Tokenizer {
         b.is_ascii_alphabetic() || (self.options.include_digits && b.is_ascii_digit())
     }
 
-    fn finish_token(&self, raw: &[u8], stats: &mut TokenStats) -> Option<Term> {
-        if raw.len() < self.options.min_term_len || raw.len() > self.options.max_term_len {
-            stats.terms_filtered += 1;
-            return None;
-        }
-        let mut s = String::with_capacity(raw.len());
-        for &b in raw {
-            let c = if self.options.lowercase { b.to_ascii_lowercase() } else { b };
-            s.push(c as char);
-        }
-        stats.terms_emitted += 1;
-        Some(Term::new(s))
+    /// Starts scanning `text`.  Tokens come out of
+    /// [`Scanner::next_token`]; this is the allocation-free entry point every
+    /// other method here wraps.
+    #[must_use]
+    pub fn scan<'a>(&'a self, text: &'a [u8]) -> Scanner<'a> {
+        Scanner { tokenizer: self, text, pos: 0, stats: TokenStats::default() }
     }
 
     /// Tokenises a byte slice, returning the terms and scan statistics.
     #[must_use]
     pub fn tokenize(&self, text: &[u8]) -> (Vec<Term>, TokenStats) {
-        let mut stats = TokenStats::default();
+        let mut scanner = self.scan(text);
+        let mut token = String::new();
         let mut terms = Vec::new();
-        let mut current: Vec<u8> = Vec::with_capacity(32);
-        for &b in text {
-            stats.bytes_scanned += 1;
-            if self.is_term_byte(b) {
-                current.push(b);
-            } else if !current.is_empty() {
-                if let Some(t) = self.finish_token(&current, &mut stats) {
-                    terms.push(t);
-                }
-                current.clear();
-            }
+        while let Some(t) = scanner.next_token(&mut token) {
+            terms.push(Term::from(t));
         }
-        if !current.is_empty() {
-            if let Some(t) = self.finish_token(&current, &mut stats) {
-                terms.push(t);
-            }
-        }
-        (terms, stats)
+        (terms, scanner.stats())
     }
 
     /// Convenience wrapper returning only the terms of a byte slice.
     pub fn terms<'a>(&'a self, text: &'a [u8]) -> impl Iterator<Item = Term> + 'a {
-        TermIter { tokenizer: self, text, pos: 0, stats: TokenStats::default() }
+        let mut scanner = self.scan(text);
+        let mut token = String::new();
+        std::iter::from_fn(move || scanner.next_token(&mut token).map(Term::from))
     }
 
     /// Reads a stream to the end (byte-by-byte semantics, buffered I/O) and
@@ -266,38 +260,50 @@ impl Tokenizer {
     }
 }
 
-struct TermIter<'a> {
+/// A cursor over one byte slice, created by [`Tokenizer::scan`].
+#[derive(Debug, Clone)]
+pub struct Scanner<'a> {
     tokenizer: &'a Tokenizer,
     text: &'a [u8],
     pos: usize,
     stats: TokenStats,
 }
 
-impl<'a> Iterator for TermIter<'a> {
-    type Item = Term;
-
-    fn next(&mut self) -> Option<Term> {
+impl Scanner<'_> {
+    /// The next term that passes the length filters, normalised into
+    /// `token` (cleared first) and borrowed from it; `None` at the end of
+    /// the text.
+    pub fn next_token<'b>(&mut self, token: &'b mut String) -> Option<&'b str> {
+        let tokenizer = self.tokenizer;
+        let options = &tokenizer.options;
         loop {
-            // Skip separators.
-            while self.pos < self.text.len() && !self.tokenizer.is_term_byte(self.text[self.pos]) {
-                self.pos += 1;
-                self.stats.bytes_scanned += 1;
-            }
-            if self.pos >= self.text.len() {
+            let rest = &self.text[self.pos..];
+            let Some(skipped) = rest.iter().position(|&b| tokenizer.is_term_byte(b)) else {
+                self.pos = self.text.len();
                 return None;
+            };
+            let rest = &rest[skipped..];
+            let len = rest.iter().position(|&b| !tokenizer.is_term_byte(b)).unwrap_or(rest.len());
+            self.pos += skipped + len;
+            if len < options.min_term_len || len > options.max_term_len {
+                self.stats.terms_filtered += 1;
+                continue;
             }
-            let start = self.pos;
-            while self.pos < self.text.len() && self.tokenizer.is_term_byte(self.text[self.pos]) {
-                self.pos += 1;
-                self.stats.bytes_scanned += 1;
+            let raw = std::str::from_utf8(&rest[..len]).expect("term bytes are ASCII");
+            token.clear();
+            token.push_str(raw);
+            if options.lowercase {
+                token.make_ascii_lowercase();
             }
-            if let Some(t) =
-                self.tokenizer.finish_token(&self.text[start..self.pos], &mut self.stats)
-            {
-                return Some(t);
-            }
-            // Token filtered out — continue scanning.
+            self.stats.terms_emitted += 1;
+            return Some(token);
         }
+    }
+
+    /// Counters for the part of the text scanned so far.
+    #[must_use]
+    pub fn stats(&self) -> TokenStats {
+        TokenStats { bytes_scanned: self.pos as u64, ..self.stats }
     }
 }
 

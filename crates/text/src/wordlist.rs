@@ -9,8 +9,22 @@
 //! occurrence.
 //!
 //! [`WordListBuilder`] implements exactly that: it accepts every occurrence of
-//! every term and keeps only the first, using the FNV hash set from
+//! every term and keeps only the first, using the FNV hash map from
 //! [`crate::hashtable`].
+//!
+//! # Allocation contract
+//!
+//! A builder is meant to live as long as its extractor and be
+//! [`reset`](WordListBuilder::reset) between files.  Its table remembers every
+//! term it has ever seen, so it doubles as the extractor's term interner:
+//! [`push_str`](WordListBuilder::push_str) allocates an `Arc<str>` only the
+//! first time the *builder* meets a word; the first occurrence in a later file
+//! costs a reference-count bump and repeat occurrences cost one hash lookup.
+//! Per file the builder allocates the two vectors of the [`WordList`] it hands
+//! out (plus their growth) and nothing else.  The table is never cleared, so
+//! `reset` is O(1); its size is bounded by the vocabulary the index built from
+//! these lists holds anyway — the index ends up sharing the very same
+//! `Arc<str>`s.
 
 use serde::{Deserialize, Serialize};
 
@@ -84,6 +98,13 @@ impl WordList {
         self.terms.into_iter().zip(self.counts).collect()
     }
 
+    /// Consumes the list, returning the distinct terms and their parallel
+    /// occurrence counts without copying either.
+    #[must_use]
+    pub fn into_parts(self) -> (Vec<Term>, Vec<u32>) {
+        (self.terms, self.counts)
+    }
+
     /// Builds a word list directly from a term iterator.
     pub fn from_terms<I: IntoIterator<Item = Term>>(terms: I) -> Self {
         let mut b = WordListBuilder::new();
@@ -130,12 +151,23 @@ impl<'a> IntoIterator for &'a WordList {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WordListBuilder {
-    /// Maps each seen term to its index in `terms`, so repeat occurrences
-    /// bump the count instead of being discarded.
-    seen: FnvHashMap<Term, u32>,
+    /// Every term this builder has ever been given, with where it sits in the
+    /// file being scanned.  Kept across [`reset`](WordListBuilder::reset) so
+    /// the keys intern the vocabulary.
+    seen: FnvHashMap<Term, Seen>,
+    /// Stamp of the file being scanned; a `seen` entry is current only when
+    /// it carries this stamp, which is what makes `reset` O(1).
+    file: u32,
     terms: Vec<Term>,
     counts: Vec<u32>,
     occurrences: u64,
+}
+
+/// Where a term sits in the current file's list.
+#[derive(Debug, Clone, Copy)]
+struct Seen {
+    file: u32,
+    index: u32,
 }
 
 impl WordListBuilder {
@@ -150,6 +182,7 @@ impl WordListBuilder {
     pub fn with_capacity(expected_terms: usize) -> Self {
         WordListBuilder {
             seen: FnvHashMap::with_capacity(expected_terms),
+            file: 0,
             terms: Vec::with_capacity(expected_terms),
             counts: Vec::with_capacity(expected_terms),
             occurrences: 0,
@@ -160,17 +193,39 @@ impl WordListBuilder {
     /// repeats bump its count. Returns `true` when the term was new for this
     /// file.
     pub fn push(&mut self, term: Term) -> bool {
+        self.record(term.as_str(), || term.clone())
+    }
+
+    /// Like [`push`](WordListBuilder::push) for a borrowed token: a [`Term`]
+    /// is allocated only when this builder has never seen the word, in this
+    /// file or an earlier one.
+    pub fn push_str(&mut self, term: &str) -> bool {
+        self.record(term, || Term::from(term))
+    }
+
+    fn record(&mut self, text: &str, intern: impl FnOnce() -> Term) -> bool {
         self.occurrences += 1;
-        if let Some(&index) = self.seen.get(term.as_str()) {
-            self.counts[index as usize] = self.counts[index as usize].saturating_add(1);
-            false
-        } else {
-            let index = u32::try_from(self.terms.len()).unwrap_or(u32::MAX);
-            self.seen.insert(term.clone(), index);
-            self.terms.push(term);
-            self.counts.push(1);
-            true
-        }
+        let here =
+            Seen { file: self.file, index: u32::try_from(self.terms.len()).unwrap_or(u32::MAX) };
+        let term = match self.seen.get_key_value_mut(text) {
+            Some((_, seen)) if seen.file == self.file => {
+                let count = &mut self.counts[seen.index as usize];
+                *count = count.saturating_add(1);
+                return false;
+            }
+            Some((term, seen)) => {
+                *seen = here;
+                term.clone()
+            }
+            None => {
+                let term = intern();
+                self.seen.insert(term.clone(), here);
+                term
+            }
+        };
+        self.terms.push(term);
+        self.counts.push(1);
+        true
     }
 
     /// Number of distinct terms so far.
@@ -191,15 +246,23 @@ impl WordListBuilder {
         WordList { terms: self.terms, counts: self.counts, occurrences: self.occurrences }
     }
 
-    /// Clears the builder for reuse on the next file, keeping allocations.
+    /// Hands out the current file's word list and readies the builder for
+    /// the next file, keeping the interned vocabulary.
     pub fn reset(&mut self) -> WordList {
         let list = WordList {
             terms: std::mem::take(&mut self.terms),
             counts: std::mem::take(&mut self.counts),
             occurrences: self.occurrences,
         };
-        self.seen.clear();
         self.occurrences = 0;
+        match self.file.checked_add(1) {
+            Some(next) => self.file = next,
+            // Stamps are about to repeat: forget them all and start over.
+            None => {
+                self.seen.clear();
+                self.file = 0;
+            }
+        }
         list
     }
 }
@@ -261,6 +324,42 @@ mod tests {
         assert_eq!(second.len(), 1);
         assert_eq!(second.terms()[0].as_str(), "two");
         assert_eq!(second.occurrences(), 1);
+    }
+
+    #[test]
+    fn push_str_matches_push_and_interns_across_files() {
+        let mut b = WordListBuilder::new();
+        assert!(b.push_str("fox"));
+        assert!(!b.push_str("fox"));
+        assert!(b.push(Term::from("dog")));
+        assert!(!b.push_str("dog"));
+        let first = b.reset();
+        assert_eq!(first, WordList::from_terms(["fox", "fox", "dog", "dog"].map(Term::from)));
+        let (terms, counts) = first.into_parts();
+        assert_eq!(counts, [2, 2]);
+
+        // A later file starts clean but reuses the first file's strings.
+        assert!(b.push_str("dog"));
+        assert!(b.push_str("cat"));
+        let second = b.reset();
+        assert_eq!(second, WordList::from_terms(["dog", "cat"].map(Term::from)));
+        let dog = &second.terms()[0];
+        assert!(dog.shared_count() >= 3, "builder key + both lists share one allocation");
+        assert_eq!(terms[1].as_str().as_ptr(), dog.as_str().as_ptr());
+    }
+
+    #[test]
+    fn stamp_wraparound_forgets_stale_entries() {
+        let mut b = WordListBuilder::new();
+        b.push_str("old");
+        b.file = u32::MAX;
+        b.push_str("edge");
+        assert_eq!(b.reset().len(), 2);
+        assert_eq!(b.file, 0);
+        // "old" carried stamp 0; it must not read as already seen in the
+        // file that reuses stamp 0.
+        assert!(b.push_str("old"));
+        assert_eq!(b.reset().counts(), [1]);
     }
 
     #[test]

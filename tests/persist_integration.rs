@@ -5,10 +5,13 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use dsearch::core::{Configuration, Implementation, IndexGenerator};
+use dsearch::core::{Configuration, Implementation, IndexGenerator, IndexOutcome};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::index::{DocTable, InMemoryIndex};
-use dsearch::persist::{IncrementalIndexer, IndexStore, SignatureDb};
+use dsearch::index::{DocTable, FileId, InMemoryIndex, SealedShard};
+use dsearch::persist::segment::{
+    read_segment_sealed, write_segment, SEGMENT_MAGIC, SEGMENT_VERSION,
+};
+use dsearch::persist::{varint, IncrementalIndexer, IndexStore, SignatureDb};
 use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
 use dsearch::text::Term;
 use dsearch::vfs::{MemFs, VPath};
@@ -95,6 +98,93 @@ fn implementation3_replicas_stored_as_segments_join_to_the_same_index() {
     assert_eq!(store.segment_count(), 1);
     let (joined, _) = store.load_segment(0).unwrap();
     assert_eq!(joined, reference_index);
+}
+
+/// The writer as it was before it streamed: seal the whole index into a
+/// `SealedShard`, serialise the whole payload into one buffer, checksum it,
+/// then emit header and payload.  Kept as the reference the streaming
+/// `write_segment` must match byte for byte.
+fn seal_then_serialise(index: &InMemoryIndex, docs: &DocTable) -> Vec<u8> {
+    let mut payload: Vec<u8> = Vec::new();
+    varint::write_u32(&mut payload, SEGMENT_VERSION).unwrap();
+    varint::write_u64(&mut payload, docs.len() as u64).unwrap();
+    for (_, path) in docs.iter() {
+        varint::write_bytes(&mut payload, path.as_bytes()).unwrap();
+    }
+    let mut doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
+    doc_lens.sort_unstable_by_key(|&(id, _)| id);
+    varint::write_u64(&mut payload, doc_lens.len() as u64).unwrap();
+    for &(id, len) in &doc_lens {
+        varint::write_u32(&mut payload, id.as_u32()).unwrap();
+        varint::write_u32(&mut payload, len).unwrap();
+    }
+    let shard = SealedShard::from_index(index);
+    varint::write_u64(&mut payload, shard.term_count() as u64).unwrap();
+    for (term, compressed) in shard.iter() {
+        varint::write_bytes(&mut payload, term.as_str().as_bytes()).unwrap();
+        varint::write_u64(&mut payload, compressed.len() as u64).unwrap();
+        for skip in compressed.skips() {
+            varint::write_u32(&mut payload, skip.first.as_u32()).unwrap();
+            varint::write_u32(&mut payload, skip.last.as_u32()).unwrap();
+            varint::write_u32(&mut payload, skip.offset).unwrap();
+        }
+        varint::write_bytes(&mut payload, compressed.data()).unwrap();
+        varint::write_bytes(&mut payload, compressed.freqs()).unwrap();
+        for &offset in compressed.freq_offsets() {
+            varint::write_u32(&mut payload, offset).unwrap();
+        }
+        varint::write_u32(&mut payload, compressed.max_score().to_bits()).unwrap();
+        payload.extend_from_slice(compressed.block_scores());
+    }
+    let mut bytes = SEGMENT_MAGIC.to_vec();
+    bytes.extend_from_slice(&dsearch::text::fnv1a_64(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes
+}
+
+#[test]
+fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
+    let (fs, _) = materialize_to_memfs(&CorpusSpec::tiny(), 13);
+    for implementation in Implementation::ALL {
+        for extractors in 1..=3 {
+            let join_threads = usize::from(implementation.joins());
+            let run = IndexGenerator::default()
+                .run(
+                    &fs,
+                    &VPath::root(),
+                    implementation,
+                    Configuration::new(extractors, 0, join_threads),
+                )
+                .unwrap();
+            let (indices, docs) = match run.outcome {
+                IndexOutcome::Replicas { set, docs } => (set.into_replicas(), docs),
+                single => {
+                    let (index, docs) = single.into_single_index();
+                    (vec![index], docs)
+                }
+            };
+            assert!(indices.iter().any(|index| index.posting_count() > 0));
+            for index in &indices {
+                let mut written = Vec::new();
+                let info = write_segment(index, &docs, std::io::Cursor::new(&mut written)).unwrap();
+                assert_eq!(info.bytes, written.len() as u64);
+                assert_eq!(info.posting_count, index.posting_count());
+                assert!(
+                    written == seal_then_serialise(index, &docs),
+                    "{implementation:?} x{extractors}: streamed segment differs from the reference"
+                );
+                let (shard, _) = read_segment_sealed(&written[..]).unwrap();
+                let sealed = SealedShard::from_index(index);
+                assert!(shard.iter().eq(sealed.iter()), "{implementation:?} x{extractors}");
+                // A loaded shard takes its file count from the doc table, so
+                // whole-shard equality holds for indices that cover it (every
+                // case here but Implementation 3's partial replicas).
+                if index.file_count() == docs.len() as u64 {
+                    assert!(shard == sealed, "{implementation:?} x{extractors}");
+                }
+            }
+        }
+    }
 }
 
 #[test]

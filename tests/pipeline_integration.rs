@@ -210,7 +210,7 @@ fn file_deleted_between_stage1_and_stage2_reports_a_read_error() {
     assert_eq!(set.items.len(), 2);
     fs.remove_file(&VPath::new("b.txt")).unwrap();
 
-    let extractor = dsearch::core::stage2::Extractor::default();
+    let mut extractor = dsearch::core::stage2::Extractor::default();
     let err = extractor.extract_all(&fs, &set.items, |_| {}).unwrap_err();
     assert!(matches!(err, PipelineError::Read { .. }));
     assert!(err.to_string().contains("b.txt"));

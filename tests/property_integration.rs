@@ -147,7 +147,7 @@ proptest! {
             .unwrap();
         let (index, docs) = run.outcome.into_single_index();
         let mut buf = Vec::new();
-        write_segment(&index, &docs, &mut buf).unwrap();
+        write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
         let (restored, restored_docs) = read_segment(&buf[..]).unwrap();
         prop_assert_eq!(&restored, &index);
         prop_assert_eq!(restored_docs.len(), docs.len());
