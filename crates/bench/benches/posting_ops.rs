@@ -67,8 +67,8 @@ fn bench_intersect(c: &mut Criterion) {
         let mut out = Vec::new();
         b.iter(|| {
             intersect_cursors_into(
-                PostingsCursor::Block(small_compressed.cursor()),
-                PostingsCursor::Block(large_compressed.cursor()),
+                PostingsCursor::Block(small_compressed.view().cursor()),
+                PostingsCursor::Block(large_compressed.view().cursor()),
                 &mut out,
             );
             black_box(out.len())
@@ -95,8 +95,8 @@ fn bench_intersect(c: &mut Criterion) {
         let mut out = Vec::new();
         b.iter(|| {
             intersect_cursors_into(
-                PostingsCursor::Block(even_compressed.cursor()),
-                PostingsCursor::Block(all_compressed.cursor()),
+                PostingsCursor::Block(even_compressed.view().cursor()),
+                PostingsCursor::Block(all_compressed.view().cursor()),
                 &mut out,
             );
             black_box(out.len())
@@ -150,7 +150,7 @@ fn bench_union(c: &mut Criterion) {
             let mut out = Vec::new();
             b.iter(|| {
                 let cursors: Vec<PostingsCursor<'_>> =
-                    compressed.iter().map(|cp| PostingsCursor::Block(cp.cursor())).collect();
+                    compressed.iter().map(|cp| PostingsCursor::Block(cp.view().cursor())).collect();
                 union_cursors_into(cursors, &mut out);
                 black_box(out.len())
             });

@@ -259,7 +259,7 @@ fn main() {
     // The interning satellite: dictionary text the sealed shard *shares*
     // with the vocabulary instead of duplicating (the pre-PR-4 dictionary
     // cloned every term string at snapshot build).
-    let vocab_bytes: u64 = shard.terms().iter().map(|t| t.len() as u64).sum();
+    let vocab_bytes: u64 = shard.iter().map(|(term, _)| term.len() as u64).sum();
     record("dictionary_bytes_shared_not_copied", Value::UInt(vocab_bytes));
 
     // ---- Primitive: skewed intersect (100 ids vs 100k ids) ---------------
@@ -274,8 +274,8 @@ fn main() {
     let large_cp = CompressedPostings::from_list(&large);
     let block_ns = median_ns(samples, || {
         intersect_cursors_into(
-            PostingsCursor::Block(small_cp.cursor()),
-            PostingsCursor::Block(large_cp.cursor()),
+            PostingsCursor::Block(small_cp.view().cursor()),
+            PostingsCursor::Block(large_cp.view().cursor()),
             &mut out,
         );
         black_box(out.len());
@@ -295,7 +295,7 @@ fn main() {
         union_lists.iter().map(CompressedPostings::from_list).collect();
     let union_block_ns = median_ns(samples, || {
         let cursors: Vec<PostingsCursor<'_>> =
-            union_compressed.iter().map(|cp| PostingsCursor::Block(cp.cursor())).collect();
+            union_compressed.iter().map(|cp| PostingsCursor::Block(cp.view().cursor())).collect();
         union_cursors_into(cursors, &mut out);
         black_box(out.len());
     });

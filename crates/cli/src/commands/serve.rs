@@ -125,13 +125,14 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         bound => bound.to_string(),
     };
     let banner = format!(
-        "serving {} document(s), {} shard(s), generation {} \
+        "serving {} document(s), {} shard(s) in {:.1} MB, generation {} \
          ({} workers, cache {} entries / {} shards, admission={})\n\
          batching: max_batch={} max_wait={:?} queue_bound={queue_bound} overload={}\n\
          protocol: one query per line (prefix @<hex-id> to trace, @d=<ms> for a deadline); \
          !stats, !metrics, !trace <us>, !slow, !reload, !quit\n",
         engine.snapshot_cell().load().doc_count(),
         engine.snapshot_cell().load().shard_count(),
+        engine.snapshot_cell().load().resident_bytes() as f64 / 1e6,
         engine.snapshot_cell().generation(),
         engine.config().workers,
         engine.config().cache_capacity,

@@ -1,9 +1,11 @@
 //! Block-compressed posting lists with skip-aware cursors.
 //!
 //! A [`CompressedPostings`] stores a sorted, duplicate-free sequence of file
-//! ids in fixed [`BLOCK_SIZE`]-id blocks.  Within a block the ids are
-//! delta-encoded (gaps between consecutive ids) and each block is written in
-//! whichever of two encodings is smaller:
+//! ids in fixed [`BLOCK_SIZE`]-id blocks.  It is the *encoder's* output; every
+//! reader — cursors, decoders, the query evaluator — goes through the `Copy`
+//! borrowed [`CompressedView`], which a sealed shard also hands out straight
+//! over its segment bytes.  Within a block the ids are delta-encoded and each
+//! block is written in whichever of two encodings is smaller:
 //!
 //! * **varint** — LEB128 per gap, best for sparse lists with occasional big
 //!   jumps;
@@ -26,6 +28,7 @@
 
 use crate::doc_table::FileId;
 use crate::posting::PostingList;
+use crate::varint::{read_lenient, varint_len, write_varint};
 
 /// Number of ids per compressed block (the classic inverted-index choice:
 /// big enough to amortise the skip entry, small enough that decoding one
@@ -52,7 +55,8 @@ pub struct SkipEntry {
     pub offset: u32,
 }
 
-/// A sorted, duplicate-free posting list in block-compressed form.
+/// A sorted, duplicate-free posting list in block-compressed form, as the
+/// encoder produces it.  Reading goes through [`CompressedPostings::view`].
 ///
 /// `data` is self-contained — every block opens with a varint of its first
 /// (absolute) id, so a block decodes without consulting anything else.  The
@@ -84,8 +88,8 @@ pub struct CompressedPostings {
     max_score: f32,
 }
 
-/// Structural validation failure when rebuilding a [`CompressedPostings`]
-/// from externally supplied parts (a persisted segment).
+/// Structural validation failure when a sealed shard is laid over externally
+/// supplied bytes (a persisted segment).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockFormatError(pub String);
 
@@ -97,38 +101,8 @@ impl std::fmt::Display for BlockFormatError {
 
 impl std::error::Error for BlockFormatError {}
 
-fn varint_len(mut value: u32) -> usize {
-    let mut len = 1;
-    while value >= 0x80 {
-        value >>= 7;
-        len += 1;
-    }
-    len
-}
-
-fn write_varint(out: &mut Vec<u8>, mut value: u32) {
-    while value >= 0x80 {
-        out.push((value & 0x7f) as u8 | 0x80);
-        value >>= 7;
-    }
-    out.push(value as u8);
-}
-
-/// Reads one LEB128 value, defensively: truncated input yields what was read
-/// so far (segment checksums catch real corruption before decode).
-fn read_varint(data: &[u8], pos: &mut usize) -> u32 {
-    let mut value: u32 = 0;
-    let mut shift = 0u32;
-    while *pos < data.len() && shift < 35 {
-        let byte = data[*pos];
-        *pos += 1;
-        value |= u32::from(byte & 0x7f) << shift.min(31);
-        if byte & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-    }
-    value
+pub(crate) fn corrupt(what: impl Into<String>) -> BlockFormatError {
+    BlockFormatError(what.into())
 }
 
 fn bits_needed(value: u32) -> u32 {
@@ -212,118 +186,42 @@ impl CompressedPostings {
             .collect();
     }
 
-    /// Rebuilds from persisted parts, validating the skip-table structure
-    /// (monotonic blocks, in-bounds ascending offsets, consistent length).
-    /// Payload integrity is the storage layer's checksum's job.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the parts cannot describe a well-formed posting list.
-    pub fn from_parts(
-        len: usize,
-        skips: Vec<SkipEntry>,
-        data: Vec<u8>,
-    ) -> Result<Self, BlockFormatError> {
-        let block_count = len.div_ceil(BLOCK_SIZE);
-        let expected_skips = if block_count > 1 { block_count } else { 0 };
-        if skips.len() != expected_skips {
-            return Err(BlockFormatError(format!(
-                "{} skip entries cannot cover {len} ids (expected {expected_skips})",
-                skips.len()
-            )));
+    /// The borrowed form every reader takes.
+    #[must_use]
+    pub fn view(&self) -> CompressedView<'_> {
+        CompressedView {
+            len: self.len,
+            skips: &self.skips,
+            data: &self.data,
+            freqs: &self.freqs,
+            freq_offsets: &self.freq_offsets,
+            block_scores: &self.block_scores,
+            max_score: self.max_score,
         }
-        if len > 0 && data.is_empty() {
-            return Err(BlockFormatError("non-empty list with empty payload".to_owned()));
-        }
-        let mut previous_last: Option<FileId> = None;
-        let mut previous_offset = 0u32;
-        for (i, skip) in skips.iter().enumerate() {
-            if skip.first > skip.last {
-                return Err(BlockFormatError(format!("block {i} has first > last")));
-            }
-            if let Some(prev) = previous_last {
-                if skip.first <= prev {
-                    return Err(BlockFormatError(format!("block {i} overlaps its predecessor")));
-                }
-            }
-            if i > 0 && skip.offset < previous_offset {
-                return Err(BlockFormatError(format!("block {i} offset goes backwards")));
-            }
-            if (skip.offset as usize) > data.len() {
-                return Err(BlockFormatError(format!("block {i} offset past payload end")));
-            }
-            previous_last = Some(skip.last);
-            previous_offset = skip.offset;
-        }
-        Ok(CompressedPostings {
-            len,
-            skips,
-            data,
-            freqs: Vec::new(),
-            freq_offsets: Vec::new(),
-            block_scores: Vec::new(),
-            max_score: 0.0,
-        })
     }
+}
 
-    /// Rebuilds a scored list from persisted parts (the v3 segment path),
-    /// validating the frequency and score tables against the block count.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the parts cannot describe a well-formed scored list.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts_scored(
-        len: usize,
-        skips: Vec<SkipEntry>,
-        data: Vec<u8>,
-        freqs: Vec<u8>,
-        freq_offsets: Vec<u32>,
-        block_scores: Vec<u8>,
-        max_score: f32,
-    ) -> Result<Self, BlockFormatError> {
-        let mut cp = CompressedPostings::from_parts(len, skips, data)?;
-        let block_count = cp.block_count();
-        if freqs.is_empty() != freq_offsets.is_empty() {
-            return Err(BlockFormatError(
-                "frequency payload and offsets must be both present or both absent".to_owned(),
-            ));
-        }
-        if !freq_offsets.is_empty() {
-            if freq_offsets.len() != block_count {
-                return Err(BlockFormatError(format!(
-                    "{} frequency blocks cannot cover {block_count} posting blocks",
-                    freq_offsets.len()
-                )));
-            }
-            let mut previous = 0u32;
-            for (i, &offset) in freq_offsets.iter().enumerate() {
-                if i > 0 && offset < previous {
-                    return Err(BlockFormatError(format!("freq block {i} offset goes backwards")));
-                }
-                if (offset as usize) >= freqs.len() {
-                    return Err(BlockFormatError(format!("freq block {i} offset past payload")));
-                }
-                previous = offset;
-            }
-        }
-        if !max_score.is_finite() || max_score < 0.0 {
-            return Err(BlockFormatError("max score must be finite and non-negative".to_owned()));
-        }
-        let expected_scores = if max_score > 0.0 { block_count } else { 0 };
-        if block_scores.len() != expected_scores || (max_score > 0.0 && block_count == 0) {
-            return Err(BlockFormatError(format!(
-                "{} block scores with max score {max_score} cannot cover {block_count} blocks",
-                block_scores.len()
-            )));
-        }
-        cp.freqs = freqs;
-        cp.freq_offsets = freq_offsets;
-        cp.block_scores = block_scores;
-        cp.max_score = max_score;
-        Ok(cp)
-    }
+/// A block-compressed posting list, borrowed: the parts of a
+/// [`CompressedPostings`], or the same parts found in place in a sealed
+/// shard's segment bytes.  `Copy`, so cursors and [`crate::Postings`] carry
+/// it by value.
+///
+/// Decoding is defensive — a payload that ends early or a table that is too
+/// short yields zeros or an exhausted cursor, never a panic — so a view over
+/// hostile bytes that passed the shard's structural validation is safe to
+/// evaluate.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CompressedView<'a> {
+    pub(crate) len: usize,
+    pub(crate) skips: &'a [SkipEntry],
+    pub(crate) data: &'a [u8],
+    pub(crate) freqs: &'a [u8],
+    pub(crate) freq_offsets: &'a [u32],
+    pub(crate) block_scores: &'a [u8],
+    pub(crate) max_score: f32,
+}
 
+impl<'a> CompressedView<'a> {
     /// Number of ids stored.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -336,34 +234,34 @@ impl CompressedPostings {
         self.len == 0
     }
 
-    /// The skip table (one entry per block).
+    /// The skip table (one entry per block when there are 2+ blocks).
     #[must_use]
-    pub fn skips(&self) -> &[SkipEntry] {
-        &self.skips
+    pub fn skips(&self) -> &'a [SkipEntry] {
+        self.skips
     }
 
     /// The concatenated encoded block payloads.
     #[must_use]
-    pub fn data(&self) -> &[u8] {
-        &self.data
+    pub fn data(&self) -> &'a [u8] {
+        self.data
     }
 
     /// The encoded per-posting frequency payload (empty ⇒ every tf is 1).
     #[must_use]
-    pub fn freqs(&self) -> &[u8] {
-        &self.freqs
+    pub fn freqs(&self) -> &'a [u8] {
+        self.freqs
     }
 
     /// Byte offsets of the per-block frequency payloads.
     #[must_use]
-    pub fn freq_offsets(&self) -> &[u32] {
-        &self.freq_offsets
+    pub fn freq_offsets(&self) -> &'a [u32] {
+        self.freq_offsets
     }
 
     /// The quantized per-block score upper bounds (empty ⇒ unscored).
     #[must_use]
-    pub fn block_scores(&self) -> &[u8] {
-        &self.block_scores
+    pub fn block_scores(&self) -> &'a [u8] {
+        self.block_scores
     }
 
     /// The true maximum posting score of the list (`0.0` ⇒ unscored).
@@ -388,12 +286,12 @@ impl CompressedPostings {
     /// block).  Compare with `len() * 4` for the raw `Vec<FileId>` form.
     #[must_use]
     pub fn byte_size(&self) -> usize {
-        self.data.len() + self.skips.len() * std::mem::size_of::<SkipEntry>()
+        self.data.len() + std::mem::size_of_val(self.skips)
     }
 
     /// A skip-aware cursor positioned on the first id.
     #[must_use]
-    pub fn cursor(&self) -> BlockCursor<'_> {
+    pub fn cursor(self) -> BlockCursor<'a> {
         BlockCursor::new(self)
     }
 
@@ -413,11 +311,7 @@ impl CompressedPostings {
 
     /// Byte offset of block `index` in the payload.
     fn block_offset(&self, index: usize) -> usize {
-        if self.skips.is_empty() {
-            0
-        } else {
-            self.skips[index].offset as usize
-        }
+        self.skips.get(index).map_or(0, |skip| skip.offset as usize)
     }
 
     /// Reads the cheap part of a block: its first id and, when the block is
@@ -426,13 +320,13 @@ impl CompressedPostings {
     fn block_shape(&self, index: usize) -> BlockShape {
         let count = self.block_len(index);
         let mut pos = self.block_offset(index);
-        let first = read_varint(&self.data, &mut pos);
+        let first = read_lenient(self.data, &mut pos);
         if count == 1 {
             return BlockShape::Constant { first, gap: 0 };
         }
         if self.data.get(pos).copied() == Some(ENC_CONSTANT) {
             pos += 1;
-            let gap = read_varint(&self.data, &mut pos);
+            let gap = read_lenient(self.data, &mut pos);
             return BlockShape::Constant { first, gap };
         }
         BlockShape::Packed
@@ -443,7 +337,7 @@ impl CompressedPostings {
     fn decode_block(&self, index: usize, out: &mut [FileId]) -> usize {
         let count = self.block_len(index);
         let mut pos = self.block_offset(index);
-        let mut previous = read_varint(&self.data, &mut pos);
+        let mut previous = read_lenient(self.data, &mut pos);
         out[0] = FileId(previous);
         if count == 1 {
             return 1;
@@ -457,12 +351,12 @@ impl CompressedPostings {
         };
         if header == ENC_VARINT {
             for slot in out.iter_mut().take(count).skip(1) {
-                let gap = read_varint(&self.data, &mut pos);
+                let gap = read_lenient(self.data, &mut pos);
                 previous = previous.saturating_add(gap);
                 *slot = FileId(previous);
             }
         } else if header == ENC_CONSTANT {
-            let gap = read_varint(&self.data, &mut pos);
+            let gap = read_lenient(self.data, &mut pos);
             for slot in out.iter_mut().take(count).skip(1) {
                 previous = previous.saturating_add(gap);
                 *slot = FileId(previous);
@@ -510,15 +404,15 @@ impl CompressedPostings {
     /// Untracked lists fill with 1.
     fn decode_freq_block(&self, index: usize, out: &mut [u32]) -> usize {
         let count = self.block_len(index);
-        if self.freqs.is_empty() {
+        let Some(&offset) = self.freq_offsets.get(index) else {
             out[..count].fill(1);
             return count;
-        }
-        let mut pos = self.freq_offsets[index] as usize;
+        };
+        let mut pos = offset as usize;
         let header = self.freqs.get(pos).copied().unwrap_or(ENC_CONSTANT);
         pos += 1;
         if header == ENC_CONSTANT {
-            let value = read_varint(&self.freqs, &mut pos).max(1);
+            let value = read_lenient(self.freqs, &mut pos).max(1);
             out[..count].fill(value);
         } else {
             let width = u32::from(header).min(32);
@@ -541,7 +435,7 @@ impl CompressedPostings {
     }
 
     /// Decodes every per-posting frequency into `out` (cleared first),
-    /// parallel to [`CompressedPostings::decode_into`]'s ids.
+    /// parallel to [`CompressedView::decode_into`]'s ids.
     pub fn decode_freqs_into(&self, out: &mut Vec<u32>) {
         out.clear();
         if self.freqs.is_empty() {
@@ -566,23 +460,14 @@ impl CompressedPostings {
     }
 }
 
-/// Encodes one block of term frequencies: a constant block when every value
-/// is equal (the tf=1 ocean costs two bytes per block), bitpacked at the
-/// block's maximum width otherwise.
-fn encode_freq_block(tfs: &[u32], out: &mut Vec<u8>) {
-    let max = tfs.iter().copied().max().unwrap_or(1).max(1);
-    let min = tfs.iter().copied().min().unwrap_or(1);
-    if min == max {
-        out.push(ENC_CONSTANT);
-        write_varint(out, max);
-        return;
-    }
-    let width = bits_needed(max).max(1);
-    out.push(width as u8);
+/// Appends `values` bitpacked at `width` bits each — the mirror of the
+/// decoders' streaming bit buffer: values enter a u64 accumulator `width`
+/// bits at a time and leave it as whole bytes.
+fn pack_bits(values: &[u32], width: u32, out: &mut Vec<u8>) {
     let mut acc = 0u64;
     let mut acc_bits = 0u32;
-    for &tf in tfs {
-        acc |= u64::from(tf) << acc_bits;
+    for &value in values {
+        acc |= u64::from(value) << acc_bits;
         acc_bits += width;
         while acc_bits >= 8 {
             out.push(acc as u8);
@@ -595,60 +480,48 @@ fn encode_freq_block(tfs: &[u32], out: &mut Vec<u8>) {
     }
 }
 
+/// Encodes one block of term frequencies: a constant block when every value
+/// is equal (the tf=1 ocean costs two bytes per block), bitpacked at the
+/// block's maximum width otherwise.
+fn encode_freq_block(tfs: &[u32], out: &mut Vec<u8>) {
+    let max = tfs.iter().copied().max().unwrap_or(1).max(1);
+    let min = tfs.iter().copied().min().unwrap_or(1);
+    if min == max {
+        out.push(ENC_CONSTANT);
+        write_varint(out, u64::from(max));
+        return;
+    }
+    let width = bits_needed(max).max(1);
+    out.push(width as u8);
+    pack_bits(tfs, width, out);
+}
+
 fn encode_block(block: &[FileId], data: &mut Vec<u8>) {
-    write_varint(data, block[0].as_u32());
+    write_varint(data, u64::from(block[0].as_u32()));
     if block.len() == 1 {
         return;
     }
-    let mut max_gap = 0u32;
-    let mut min_gap = u32::MAX;
-    let mut varint_bytes = 0usize;
-    let mut previous = block[0].as_u32();
-    for id in &block[1..] {
-        let gap = id.as_u32() - previous;
-        previous = id.as_u32();
-        max_gap = max_gap.max(gap);
-        min_gap = min_gap.min(gap);
-        varint_bytes += varint_len(gap);
+    let mut gaps = [0u32; BLOCK_SIZE];
+    let gaps = &mut gaps[..block.len() - 1];
+    for (gap, pair) in gaps.iter_mut().zip(block.windows(2)) {
+        *gap = pair[1].as_u32() - pair[0].as_u32();
     }
-    if min_gap == max_gap {
+    let max_gap = gaps.iter().copied().max().unwrap_or(0);
+    if gaps.iter().all(|&gap| gap == max_gap) {
         // Every gap is the same: store it once.  This is both the smallest
         // and the fastest-to-decode block shape.
         data.push(ENC_CONSTANT);
-        write_varint(data, max_gap);
+        write_varint(data, u64::from(max_gap));
         return;
     }
     let width = bits_needed(max_gap).max(1);
-    let packed_bytes = ((block.len() - 1) * width as usize).div_ceil(8);
-    if packed_bytes < varint_bytes {
+    let packed_bytes = (gaps.len() * width as usize).div_ceil(8);
+    if packed_bytes < gaps.iter().map(|&gap| varint_len(gap)).sum() {
         data.push(width as u8);
-        // Streaming bit buffer, mirror of the decoder: gaps enter a u64
-        // accumulator `width` bits at a time and leave it as whole bytes.
-        let mut acc = 0u64;
-        let mut acc_bits = 0u32;
-        let mut previous = block[0].as_u32();
-        for id in &block[1..] {
-            let gap = id.as_u32() - previous;
-            previous = id.as_u32();
-            acc |= u64::from(gap) << acc_bits;
-            acc_bits += width;
-            while acc_bits >= 8 {
-                data.push(acc as u8);
-                acc >>= 8;
-                acc_bits -= 8;
-            }
-        }
-        if acc_bits > 0 {
-            data.push(acc as u8);
-        }
+        pack_bits(gaps, width, data);
     } else {
         data.push(ENC_VARINT);
-        let mut previous = block[0].as_u32();
-        for id in &block[1..] {
-            let gap = id.as_u32() - previous;
-            previous = id.as_u32();
-            write_varint(data, gap);
-        }
+        gaps.iter().for_each(|&gap| write_varint(data, u64::from(gap)));
     }
 }
 
@@ -745,14 +618,14 @@ enum BlockShape {
     Packed,
 }
 
-/// A [`PostingCursor`] over a [`CompressedPostings`].  `seek` routes
+/// A [`PostingCursor`] over a [`CompressedView`].  `seek` routes
 /// through the skip table, so blocks between the current position and the
 /// target are never touched; arithmetic-progression blocks are served
 /// without materialising any ids, and packed blocks decode one at a time
 /// into a reusable scratch buffer.
 #[derive(Debug, Clone)]
 pub struct BlockCursor<'a> {
-    postings: &'a CompressedPostings,
+    postings: CompressedView<'a>,
     /// Index of the current block; `== block_count()` when exhausted.
     block: usize,
     /// Position within the current block.
@@ -779,7 +652,7 @@ pub struct BlockCursor<'a> {
 impl<'a> BlockCursor<'a> {
     /// Creates a cursor positioned on the first id.
     #[must_use]
-    pub fn new(postings: &'a CompressedPostings) -> Self {
+    pub fn new(postings: CompressedView<'a>) -> Self {
         let mut cursor = BlockCursor {
             postings,
             block: 0,
@@ -933,7 +806,7 @@ impl PostingCursor for BlockCursor<'_> {
             // blocks ahead, so an exponential probe beats a full binary
             // search of the table), touching nothing in between (a skip-less
             // list is one block, so it is simply exhausted).
-            let skips = &self.postings.skips;
+            let skips = self.postings.skips;
             let next = if skips.is_empty() {
                 1
             } else {
@@ -978,18 +851,18 @@ mod tests {
 
     fn decode(cp: &CompressedPostings) -> Vec<FileId> {
         let mut out = Vec::new();
-        cp.decode_into(&mut out);
+        cp.view().decode_into(&mut out);
         out
     }
 
     #[test]
     fn empty_list_compresses_to_nothing() {
         let cp = CompressedPostings::from_sorted(&[]);
-        assert!(cp.is_empty());
-        assert_eq!(cp.len(), 0);
-        assert_eq!(cp.byte_size(), 0);
+        assert!(cp.view().is_empty());
+        assert_eq!(cp.view().len(), 0);
+        assert_eq!(cp.view().byte_size(), 0);
         assert!(decode(&cp).is_empty());
-        let mut cursor = cp.cursor();
+        let mut cursor = cp.view().cursor();
         assert_eq!(cursor.current(), None);
         assert_eq!(cursor.seek(FileId(0)), None);
         cursor.advance();
@@ -1003,9 +876,9 @@ mod tests {
         assert_eq!(decode(&cp), dense);
         // Consecutive ids pack at 1 bit each plus skip/header overhead.
         assert!(
-            cp.byte_size() * 2 < dense.len(),
+            cp.view().byte_size() * 2 < dense.len(),
             "dense run should beat 0.5 bytes/id, got {} bytes for {} ids",
-            cp.byte_size(),
+            cp.view().byte_size(),
             dense.len()
         );
     }
@@ -1016,17 +889,17 @@ mod tests {
         let cp = CompressedPostings::from_sorted(&sparse);
         assert_eq!(decode(&cp), sparse);
         // Still far below the 4 bytes/id raw form.
-        assert!(cp.byte_size() < sparse.len() * 4);
+        assert!(cp.view().byte_size() < sparse.len() * 4);
     }
 
     #[test]
     fn singleton_lists_cost_one_varint_and_no_skip_entry() {
         let cp = CompressedPostings::from_sorted(&ids(&[42]));
-        assert_eq!(cp.data().len(), 1, "one varint byte for id 42");
-        assert!(cp.skips().is_empty(), "single-block lists carry no skip table");
-        assert_eq!(cp.byte_size(), 1);
+        assert_eq!(cp.view().data().len(), 1, "one varint byte for id 42");
+        assert!(cp.view().skips().is_empty(), "single-block lists carry no skip table");
+        assert_eq!(cp.view().byte_size(), 1);
         assert_eq!(decode(&cp), ids(&[42]));
-        let mut cursor = cp.cursor();
+        let mut cursor = cp.view().cursor();
         assert_eq!(cursor.seek(FileId(41)), Some(FileId(42)));
         assert_eq!(cursor.seek(FileId(43)), None);
     }
@@ -1035,10 +908,10 @@ mod tests {
     fn cursor_walks_and_seeks_across_blocks() {
         let all: Vec<FileId> = (0..1000).map(|i| FileId(i * 3)).collect();
         let cp = CompressedPostings::from_sorted(&all);
-        assert_eq!(cp.skips().len(), 1000usize.div_ceil(BLOCK_SIZE));
+        assert_eq!(cp.view().skips().len(), 1000usize.div_ceil(BLOCK_SIZE));
 
         // Full walk equals decode.
-        let mut cursor = cp.cursor();
+        let mut cursor = cp.view().cursor();
         let mut walked = Vec::new();
         while let Some(id) = cursor.current() {
             walked.push(id);
@@ -1047,7 +920,7 @@ mod tests {
         assert_eq!(walked, all);
 
         // Seeks: exact hit, between ids, across many blocks, past the end.
-        let mut cursor = cp.cursor();
+        let mut cursor = cp.view().cursor();
         assert_eq!(cursor.seek(FileId(300)), Some(FileId(300)));
         assert_eq!(cursor.seek(FileId(301)), Some(FileId(303)));
         assert_eq!(cursor.seek(FileId(2500)), Some(FileId(2502)));
@@ -1060,7 +933,7 @@ mod tests {
     fn seek_to_block_boundaries() {
         let all: Vec<FileId> = (0..(BLOCK_SIZE as u32 * 3)).map(FileId).collect();
         let cp = CompressedPostings::from_sorted(&all);
-        let mut cursor = cp.cursor();
+        let mut cursor = cp.view().cursor();
         let boundary = FileId(BLOCK_SIZE as u32);
         assert_eq!(cursor.seek(boundary), Some(boundary));
         let last = FileId(BLOCK_SIZE as u32 * 3 - 1);
@@ -1074,7 +947,7 @@ mod tests {
         let all: Vec<FileId> = (0..600).map(|i| FileId(i * 7 + i % 5)).collect();
         let cp = CompressedPostings::from_sorted(&all);
         let mut slice = SliceCursor::new(&all);
-        let mut block = cp.cursor();
+        let mut block = cp.view().cursor();
         assert_eq!(slice.len(), block.len());
         for target in [0u32, 70, 71, 400, 4000, 4194] {
             assert_eq!(slice.seek(FileId(target)), block.seek(FileId(target)), "seek {target}");
@@ -1086,44 +959,16 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_validates_structure() {
-        let cp = CompressedPostings::from_sorted(&ids(&[1, 2, 3, 200]));
-        let rebuilt =
-            CompressedPostings::from_parts(cp.len(), cp.skips().to_vec(), cp.data().to_vec())
-                .unwrap();
-        assert_eq!(rebuilt, cp);
-
-        // Wrong skip count for the length.
-        assert!(
-            CompressedPostings::from_parts(300, cp.skips().to_vec(), cp.data().to_vec()).is_err()
-        );
-        // first > last.
-        let bad = vec![SkipEntry { first: FileId(9), last: FileId(1), offset: 0 }];
-        assert!(CompressedPostings::from_parts(2, bad, vec![0u8]).is_err());
-        // Overlapping blocks.
-        let bad = vec![
-            SkipEntry { first: FileId(0), last: FileId(500), offset: 0 },
-            SkipEntry { first: FileId(400), last: FileId(900), offset: 1 },
-        ];
-        assert!(CompressedPostings::from_parts(BLOCK_SIZE + 1, bad, vec![0u8; 8]).is_err());
-        // Offset past the payload.
-        let bad = vec![SkipEntry { first: FileId(0), last: FileId(5), offset: 99 }];
-        assert!(CompressedPostings::from_parts(2, bad, vec![0u8]).is_err());
-        let err = CompressedPostings::from_parts(300, cp.skips().to_vec(), vec![]).unwrap_err();
-        assert!(err.to_string().contains("invalid compressed postings"), "{err}");
-    }
-
-    #[test]
     fn freqs_roundtrip_and_lazy_cursor_access() {
         let all: Vec<FileId> = (0..500).map(|i| FileId(i * 2)).collect();
         let tfs: Vec<u32> = (0..500).map(|i| 1 + (i % 7)).collect();
         let cp = CompressedPostings::from_counted(&all, &tfs);
         let mut decoded = Vec::new();
-        cp.decode_freqs_into(&mut decoded);
+        cp.view().decode_freqs_into(&mut decoded);
         assert_eq!(decoded, tfs);
-        assert_eq!(cp.freq_offsets().len(), 500usize.div_ceil(BLOCK_SIZE));
+        assert_eq!(cp.view().freq_offsets().len(), 500usize.div_ceil(BLOCK_SIZE));
 
-        let mut cursor = cp.cursor();
+        let mut cursor = cp.view().cursor();
         assert_eq!(cursor.current_tf(), 1);
         cursor.advance();
         assert_eq!(cursor.current_tf(), 2);
@@ -1132,10 +977,10 @@ mod tests {
 
         // All-1 frequencies stay in canonical (absent) form.
         let flat = CompressedPostings::from_counted(&all, &vec![1; 500]);
-        assert!(flat.freqs().is_empty());
-        assert!(flat.freq_offsets().is_empty());
-        assert_eq!(flat.cursor().current_tf(), 1);
-        assert_eq!(cp.to_list().tf_of(FileId(2)), Some(2));
+        assert!(flat.view().freqs().is_empty());
+        assert!(flat.view().freq_offsets().is_empty());
+        assert_eq!(flat.view().cursor().current_tf(), 1);
+        assert_eq!(cp.view().to_list().tf_of(FileId(2)), Some(2));
     }
 
     #[test]
@@ -1144,10 +989,11 @@ mod tests {
         let mut tfs = vec![3u32; 256];
         tfs[200] = 9; // second block is non-constant
         let cp = CompressedPostings::from_counted(&all, &tfs);
-        let first_block_bytes = (cp.freq_offsets()[1] - cp.freq_offsets()[0]) as usize;
+        let first_block_bytes =
+            (cp.view().freq_offsets()[1] - cp.view().freq_offsets()[0]) as usize;
         assert_eq!(first_block_bytes, 2, "constant block: header + one varint");
         let mut decoded = Vec::new();
-        cp.decode_freqs_into(&mut decoded);
+        cp.view().decode_freqs_into(&mut decoded);
         assert_eq!(decoded, tfs);
     }
 
@@ -1156,88 +1002,25 @@ mod tests {
         let all: Vec<FileId> = (0..300).map(FileId).collect();
         let scores: Vec<f32> = (0..300).map(|i| 0.1 + (i % 50) as f32 * 0.03).collect();
         let mut cp = CompressedPostings::from_counted(&all, &[]);
-        assert_eq!(cp.max_score(), 0.0);
-        assert_eq!(cp.block_score_bound(0), 0.0);
+        assert_eq!(cp.view().max_score(), 0.0);
+        assert_eq!(cp.view().block_score_bound(0), 0.0);
         cp.score_blocks(&scores);
         let list_max = scores.iter().fold(0.0f32, |a, &b| a.max(b));
-        assert_eq!(cp.max_score(), list_max);
-        assert_eq!(cp.block_scores().len(), 300usize.div_ceil(BLOCK_SIZE));
+        assert_eq!(cp.view().max_score(), list_max);
+        assert_eq!(cp.view().block_scores().len(), 300usize.div_ceil(BLOCK_SIZE));
         for (b, chunk) in scores.chunks(BLOCK_SIZE).enumerate() {
             let true_max = chunk.iter().fold(0.0f32, |a, &s| a.max(s));
-            let bound = cp.block_score_bound(b);
+            let bound = cp.view().block_score_bound(b);
             assert!(bound >= true_max, "block {b}: bound {bound} below true max {true_max}");
             assert!(bound <= list_max * 1.01, "block {b}: bound {bound} too loose");
         }
-        let mut cursor = cp.cursor();
+        let mut cursor = cp.view().cursor();
         assert!(cursor.current_block_bound() > 0.0);
         assert_eq!(cursor.current_block_last(), Some(FileId(BLOCK_SIZE as u32 - 1)));
         assert_eq!(cursor.total_blocks(), 3);
         assert_eq!(cursor.blocks_visited(), 1);
         cursor.seek(FileId(299));
         assert_eq!(cursor.blocks_visited(), 2, "middle block skipped untouched");
-    }
-
-    #[test]
-    fn scored_parts_roundtrip_and_validate() {
-        let all: Vec<FileId> = (0..300).map(|i| FileId(i * 5)).collect();
-        let tfs: Vec<u32> = (0..300).map(|i| 1 + i % 4).collect();
-        let scores: Vec<f32> = tfs.iter().map(|&tf| tf as f32 * 0.5).collect();
-        let mut cp = CompressedPostings::from_counted(&all, &tfs);
-        cp.score_blocks(&scores);
-
-        let rebuilt = CompressedPostings::from_parts_scored(
-            cp.len(),
-            cp.skips().to_vec(),
-            cp.data().to_vec(),
-            cp.freqs().to_vec(),
-            cp.freq_offsets().to_vec(),
-            cp.block_scores().to_vec(),
-            cp.max_score(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt, cp);
-
-        // Offsets without payload, short tables, bad scores all fail.
-        assert!(CompressedPostings::from_parts_scored(
-            cp.len(),
-            cp.skips().to_vec(),
-            cp.data().to_vec(),
-            Vec::new(),
-            cp.freq_offsets().to_vec(),
-            Vec::new(),
-            0.0,
-        )
-        .is_err());
-        assert!(CompressedPostings::from_parts_scored(
-            cp.len(),
-            cp.skips().to_vec(),
-            cp.data().to_vec(),
-            cp.freqs().to_vec(),
-            vec![0],
-            Vec::new(),
-            0.0,
-        )
-        .is_err());
-        assert!(CompressedPostings::from_parts_scored(
-            cp.len(),
-            cp.skips().to_vec(),
-            cp.data().to_vec(),
-            Vec::new(),
-            Vec::new(),
-            vec![255],
-            1.0,
-        )
-        .is_err());
-        assert!(CompressedPostings::from_parts_scored(
-            cp.len(),
-            cp.skips().to_vec(),
-            cp.data().to_vec(),
-            Vec::new(),
-            Vec::new(),
-            cp.block_scores().to_vec(),
-            f32::NAN,
-        )
-        .is_err());
     }
 
     proptest! {
@@ -1254,14 +1037,14 @@ mod tests {
             let tfs: Vec<u32> = sorted.iter().map(|&(_, tf)| tf).collect();
             let cp = CompressedPostings::from_counted(&all, &tfs);
             let mut decoded = Vec::new();
-            cp.decode_freqs_into(&mut decoded);
+            cp.view().decode_freqs_into(&mut decoded);
             let expect_tracked = tfs.iter().any(|&tf| tf > 1);
             if expect_tracked {
                 prop_assert_eq!(&decoded, &tfs);
             } else {
                 prop_assert!(decoded.is_empty());
             }
-            let mut cursor = cp.cursor();
+            let mut cursor = cp.view().cursor();
             for (i, &(id, tf)) in sorted.iter().enumerate() {
                 prop_assert_eq!(cursor.current(), Some(FileId(id)), "pos {}", i);
                 prop_assert_eq!(cursor.current_tf(), if expect_tracked { tf } else { 1 });
@@ -1281,13 +1064,9 @@ mod tests {
             sorted.dedup();
             let all: Vec<FileId> = sorted.into_iter().map(FileId).collect();
             let cp = CompressedPostings::from_sorted(&all);
-            prop_assert_eq!(cp.len(), all.len());
+            prop_assert_eq!(cp.view().len(), all.len());
             prop_assert_eq!(decode(&cp), all.clone());
-            prop_assert_eq!(cp.to_list().doc_ids(), all.as_slice());
-            // Round-trip again through raw parts (the persist path).
-            let rebuilt = CompressedPostings::from_parts(
-                cp.len(), cp.skips().to_vec(), cp.data().to_vec()).unwrap();
-            prop_assert_eq!(decode(&rebuilt), all);
+            prop_assert_eq!(cp.view().to_list().doc_ids(), all.as_slice());
         }
 
         /// Seeking to arbitrary targets agrees between the block cursor and
@@ -1302,7 +1081,7 @@ mod tests {
             sorted.dedup();
             let all: Vec<FileId> = sorted.into_iter().map(FileId).collect();
             let cp = CompressedPostings::from_sorted(&all);
-            let mut cursor = cp.cursor();
+            let mut cursor = cp.view().cursor();
             let mut naive_pos = 0usize;
             for (advance, target) in ops {
                 if advance {

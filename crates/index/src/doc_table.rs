@@ -83,6 +83,13 @@ impl DocTable {
         self.paths.is_empty()
     }
 
+    /// Heap bytes the table holds, from its capacities.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.paths.capacity() * std::mem::size_of::<String>()
+            + self.paths.iter().map(String::capacity).sum::<usize>()
+    }
+
     /// Iterates over `(FileId, path)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (FileId, &str)> {
         self.paths.iter().enumerate().map(|(i, p)| (FileId(i as u32), p.as_str()))

@@ -24,10 +24,13 @@
 //!   evaluates with, and the cursor-based set operations that run over
 //!   compressed and raw lists alike;
 //! * [`block`] — block-compressed posting lists ([`CompressedPostings`]:
-//!   128-id delta blocks with per-block skip metadata) and the skip-aware
+//!   128-id delta blocks with per-block skip metadata), the borrowed
+//!   [`CompressedView`] every reader takes, and the skip-aware
 //!   [`BlockCursor`]/[`SliceCursor`] cursors;
-//! * [`sealed`] — [`SealedShard`], the immutable serving form: a sorted
-//!   interned term dictionary aligned with compressed postings.
+//! * [`sealed`] — [`SealedShard`], the immutable serving form: the encoded
+//!   term entries of a segment in one buffer, indexed by flat tables;
+//! * [`varint`] — the LEB128 writer and checking reader every encoded form
+//!   shares.
 //!
 //! # Example
 //!
@@ -60,18 +63,19 @@ pub mod serialize;
 pub mod sharded;
 pub mod shared;
 pub mod stats;
+pub mod varint;
 pub mod view;
 
 pub use block::{
-    BlockCursor, BlockFormatError, CompressedPostings, PostingCursor, SkipEntry, SliceCursor,
-    BLOCK_SIZE,
+    BlockCursor, BlockFormatError, CompressedPostings, CompressedView, PostingCursor, SkipEntry,
+    SliceCursor, BLOCK_SIZE,
 };
 pub use doc_table::{DocTable, FileId};
 pub use join::{join_all, join_into, parallel_join, JoinPlan};
 pub use memory_index::InMemoryIndex;
 pub use posting::PostingList;
 pub use sealed::{
-    bm25_idf, bm25_neutral_norm, bm25_score, SealedShard, SealedTerms, BM25_B, BM25_K1,
+    bm25_idf, bm25_neutral_norm, bm25_score, encode_term, SealedShard, SealedTerms, BM25_B, BM25_K1,
 };
 pub use serialize::{IndexSnapshot, SerializeError};
 pub use sharded::ShardedIndex;

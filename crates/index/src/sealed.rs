@@ -2,35 +2,51 @@
 //!
 //! An [`InMemoryIndex`] is the *build* structure — a hash map of mutable
 //! posting vectors.  A [`SealedShard`] is what a serving snapshot actually
-//! reads: a sorted term dictionary (`Arc<str>`-interned, so sealing bumps
-//! reference counts instead of copying the vocabulary) aligned with one
-//! [`CompressedPostings`] per term.  Sealing buys three things at once:
+//! reads: **one byte buffer** holding every term's encoded entry exactly as a
+//! version-3 segment stores it, described by flat side tables — one
+//! fixed-size [`TermEntry`] per term (where its entry, its payloads and its
+//! score bounds sit in the buffer), one shard-wide skip table, one
+//! shard-wide frequency-offset table and a `u32` open-addressing table for
+//! exact-term lookups.  A shard loaded from disk *is* the segment
+//! file's bytes; a shard sealed in memory ([`SealedShard::from_index`]) is the
+//! same encoding written into a fresh buffer, so there is one representation
+//! and one reader.  That buys:
 //!
-//! * **memory** — block-compressed postings instead of 4 bytes per id, and
-//!   one shared copy of each term string;
+//! * **memory** — the postings cost their on-disk bytes plus 20 bytes of
+//!   table per term, with a constant number of heap allocations per shard;
 //! * **prefix lookups** — `word*` resolves to a contiguous dictionary range
-//!   (binary search twice, no hash-table scan, no per-term map lookups);
-//! * **skip-aware evaluation** — every posting list hands out a
-//!   [`BlockCursor`](crate::block::BlockCursor) whose `seek` hops the skip
-//!   table, so skewed intersections never decode the blocks they skip.
+//!   (one binary search, no hash-table scan);
+//! * **skip-aware evaluation** — every posting list is handed out as a
+//!   `Copy` [`CompressedView`] whose [`BlockCursor`](crate::block::BlockCursor)
+//!   hops the skip table, so skewed intersections never decode the blocks
+//!   they skip.
 //!
-//! Shards are plain data: build them once — from an index via
-//! [`SealedShard::from_index`], or decode-free from a persisted segment via
-//! [`SealedShard::from_entries`] — and share them behind an `Arc` for
-//! serving.
+//! Every structural property the readers rely on is checked once, when the
+//! tables are laid over the bytes: hostile bytes are a [`BlockFormatError`],
+//! never a panic and never an allocation sized by a count they declare.
 
-use dsearch_text::hashtable::FnvHashMap;
+use dsearch_text::fnv::fnv1a_64;
 use dsearch_text::Term;
 
-use crate::block::CompressedPostings;
+use crate::block::{
+    corrupt, BlockFormatError, CompressedPostings, CompressedView, SkipEntry, BLOCK_SIZE,
+};
 use crate::doc_table::FileId;
 use crate::memory_index::InMemoryIndex;
 use crate::posting::PostingList;
+use crate::varint::{read_lenient, write_bytes, write_varint, Reader};
 
 /// BM25 term-frequency saturation constant.
 pub const BM25_K1: f32 = 1.2;
 /// BM25 length-normalisation strength.
 pub const BM25_B: f32 = 0.75;
+
+/// Longest term (in bytes) a shard accepts from encoded bytes.
+const MAX_TERM_LEN: u64 = 64 * 1024;
+
+/// Fewest bytes one encoded term entry occupies: a term length, a posting
+/// count, two payload lengths and a max score.
+const MIN_ENTRY_BYTES: usize = 5;
 
 /// The BM25 inverse document frequency of a term with `doc_freq` postings in
 /// a shard of `total_docs` documents: `ln(1 + (N - df + 0.5)/(df + 0.5))`.
@@ -60,25 +76,56 @@ pub fn bm25_neutral_norm() -> f32 {
     BM25_K1
 }
 
-/// One immutable, compressed shard: sorted terms + compressed postings.
+/// Where one term's entry sits in the shard's buffer.  Only what cannot be
+/// read off the entry in a few varints is kept: the positions that lie
+/// behind a variable-length table, and the decoded score.  Text, posting
+/// count and payload lengths are re-read where they stand
+/// ([`SealedShard::view`]).
+#[derive(Debug, Clone, Copy)]
+struct TermEntry {
+    /// Start of the entry: the term's length prefix.
+    entry_at: u32,
+    /// The block payload's length prefix (behind the skip entries).
+    payloads_at: u32,
+    /// The block score bounds (behind the frequency offsets).
+    scores_at: u32,
+    max_score: f32,
+    /// First index of a multi-block term in the skip and frequency-offset
+    /// tables.
+    blocks_at: u32,
+}
+
+/// The frequency offsets of a single-block list: its one block starts the
+/// payload.
+const FIRST_BLOCK: &[u32] = &[0];
+
+/// What every re-read of an entry relies on.
+const LAID_OVER: &str = "validated when the tables were laid over the bytes";
+
+/// One immutable, compressed shard: encoded term entries in one buffer plus
+/// the tables that index them.
 #[derive(Debug, Clone, Default)]
 pub struct SealedShard {
-    /// Sorted ascending; the dictionary prefix lookups range over.
-    terms: Vec<Term>,
-    /// `postings[i]` belongs to `terms[i]`.
-    postings: Vec<CompressedPostings>,
-    /// Exact-term fast path: term → dictionary slot.  The keys are `Arc`
-    /// clones of the dictionary entries, so the map costs pointers, not a
-    /// second vocabulary.
-    lookup: FnvHashMap<Term, u32>,
+    /// The term count and the encoded term entries (for a loaded shard: the
+    /// segment file's bytes from its term count on).
+    bytes: Vec<u8>,
+    /// Sorted ascending by term text; the dictionary prefix lookups range
+    /// over.
+    terms: Vec<TermEntry>,
+    /// Every multi-block term's skip entries, decoded from their varints.
+    skips: Vec<SkipEntry>,
+    /// The same terms' per-block frequency offsets, parallel to `skips`
+    /// (zeros for a term that tracks no frequencies).
+    freq_offsets: Vec<u32>,
+    /// Exact-term fast path: open addressing over `terms` slots, keyed by
+    /// FNV-1a of the term text.  A power-of-two table at most two-thirds
+    /// full; `0` is empty, anything else a slot plus one.
+    lookup: Vec<u32>,
     files: u64,
     posting_count: u64,
-    /// Cached sum of `CompressedPostings::byte_size` (shards are immutable,
-    /// so `!stats` reporting need not re-sweep the vocabulary).
+    /// Sum of [`CompressedView::byte_size`] (shards are immutable, so
+    /// `!stats` reporting need not re-sweep the vocabulary).
     posting_bytes: usize,
-    /// Sum of recorded document lengths (term occurrences); 0 when the
-    /// build path carried no lengths and the shard is unscored.
-    total_doc_len: u64,
     /// `norms[i]` is the BM25 length norm of `FileId(norm_base + i)`.
     /// Empty ⇒ unscored shard (every norm reads as neutral).
     norm_base: u32,
@@ -87,106 +134,276 @@ pub struct SealedShard {
 
 impl PartialEq for SealedShard {
     fn eq(&self, other: &Self) -> bool {
-        // The lookup map is derived from the dictionary; comparing it would
-        // be redundant (and hash maps have no canonical order anyway).
-        self.terms == other.terms
-            && self.postings == other.postings
-            && self.files == other.files
+        // Term by term: the tables index the buffers, so equal buffers are
+        // neither necessary (tables) nor sufficient (lengths) on their own.
+        self.files == other.files
             && self.posting_count == other.posting_count
-            && self.total_doc_len == other.total_doc_len
             && self.norm_base == other.norm_base
             && self.norms == other.norms
+            && self.iter().eq(other.iter())
     }
 }
 
 impl Eq for SealedShard {}
 
+/// Appends one term's entry in the version-3 segment encoding:
+///
+/// ```text
+/// term                                  length-prefixed bytes
+/// posting count                         varint
+/// skip entries (only when > 1 block):   per block: first, last, offset
+/// block payload                         length-prefixed bytes
+/// frequency payload                     length-prefixed bytes
+/// frequency offsets (only when the      per block: byte offset varint
+///   frequency payload is non-empty)
+/// max score                             f32 bits as varint
+/// block score bounds (only when         one u8 per block, raw
+///   max score > 0)
+/// ```
+///
+/// The segment writer streams these; [`SealedShard::from_index`] collects
+/// them, and [`SealedShard::from_bytes`] lays its tables over them.
+pub fn encode_term(out: &mut Vec<u8>, term: &str, postings: CompressedView<'_>) {
+    write_bytes(out, term.as_bytes());
+    write_varint(out, postings.len() as u64);
+    for skip in postings.skips() {
+        write_varint(out, u64::from(skip.first.as_u32()));
+        write_varint(out, u64::from(skip.last.as_u32()));
+        write_varint(out, u64::from(skip.offset));
+    }
+    write_bytes(out, postings.data());
+    write_bytes(out, postings.freqs());
+    for &offset in postings.freq_offsets() {
+        write_varint(out, u64::from(offset));
+    }
+    write_varint(out, u64::from(postings.max_score().to_bits()));
+    out.extend_from_slice(postings.block_scores());
+}
+
 impl SealedShard {
-    /// Seals an index: sorts its vocabulary and compresses every posting
-    /// list.  Terms are interned, so the dictionary shares the index's
-    /// string storage instead of duplicating it.
+    /// Seals an index: sorts its vocabulary, compresses every posting list
+    /// and encodes the entries into one buffer — the representation a
+    /// persisted segment of the same index loads as.
     #[must_use]
     pub fn from_index(index: &InMemoryIndex) -> Self {
         let mut sealing = SealedTerms::new(index);
-        let mut terms = Vec::with_capacity(sealing.len());
-        let mut postings = Vec::with_capacity(sealing.len());
-        let mut posting_count = 0u64;
+        let mut bytes = Vec::new();
+        write_varint(&mut bytes, sealing.len() as u64);
         for (term, compressed) in &mut sealing {
-            terms.push(term.clone());
-            posting_count += compressed.len() as u64;
-            postings.push(compressed);
+            encode_term(&mut bytes, term.as_str(), compressed.view());
         }
-        let lookup = build_lookup(&terms);
-        let posting_bytes = postings.iter().map(CompressedPostings::byte_size).sum();
-        let (norm_base, norms, total_doc_len) = sealing.scoring.unwrap_or((0, Vec::new(), 0));
-        SealedShard {
-            terms,
-            postings,
-            lookup,
-            files: sealing.files,
-            posting_count,
-            posting_bytes,
-            total_doc_len,
-            norm_base,
-            norms,
-        }
+        bytes.shrink_to_fit();
+        SealedShard::lay_over(bytes, sealing.files, sealing.scoring)
+            .expect("freshly encoded terms are well-formed")
     }
 
-    /// Rebuilds a shard from already-compressed parts (the decode-free load
-    /// path from a persisted segment).  `entries` must be sorted by term;
-    /// checked here so a corrupt segment cannot produce a shard whose binary
-    /// searches silently miss.
+    /// Lays a shard over encoded bytes (the load path from a persisted
+    /// segment, which hands over the file's bytes whole): `bytes[terms_at..]`
+    /// must be exactly a term count and that many entries as [`encode_term`]
+    /// writes them, sorted strictly ascending by term.  The front matter
+    /// before them is dropped from the buffer, which is otherwise kept as it
+    /// came.  `doc_lens` holds each document's recorded length, from which
+    /// the BM25 norms are rebuilt exactly as [`SealedShard::from_index`]
+    /// computes them; `doc_count` is the size of the segment's document
+    /// table, the shard's document count when no lengths were recorded.
     ///
     /// # Errors
     ///
-    /// Fails when the terms are not strictly ascending.
-    pub fn from_entries(
-        entries: Vec<(Term, CompressedPostings)>,
-        files: u64,
-    ) -> Result<Self, String> {
-        Self::from_entries_scored(entries, files, Vec::new())
+    /// Fails when the bytes cannot describe a well-formed shard.
+    pub fn from_bytes(
+        mut bytes: Vec<u8>,
+        terms_at: usize,
+        doc_count: u64,
+        doc_lens: &[(FileId, u32)],
+    ) -> Result<Self, BlockFormatError> {
+        if terms_at > bytes.len() {
+            return Err(corrupt("terms start past the end"));
+        }
+        bytes.drain(..terms_at);
+        bytes.shrink_to_fit();
+        let files = scored_population(doc_lens.len(), doc_count);
+        SealedShard::lay_over(bytes, files, build_norms(doc_lens))
     }
 
-    /// Like [`SealedShard::from_entries`], but restoring the scoring header:
-    /// `doc_lens` holds each document's recorded length (total term
-    /// occurrences), from which the BM25 length norms are rebuilt exactly as
-    /// [`SealedShard::from_index`] computes them.  An empty `doc_lens`
-    /// yields an unscored shard (the v1/v2 segment path).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the terms are not strictly ascending.
-    pub fn from_entries_scored(
-        entries: Vec<(Term, CompressedPostings)>,
+    /// Builds the term tables over `bytes`, validating every structural
+    /// property the readers rely on.  `scoring` is `(norm_base,
+    /// norms)`, `None` for an unscored shard.
+    fn lay_over(
+        bytes: Vec<u8>,
         files: u64,
-        doc_lens: Vec<(FileId, u32)>,
-    ) -> Result<Self, String> {
-        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err("sealed shard entries must be sorted by term".to_owned());
+        scoring: Option<(u32, Vec<f32>)>,
+    ) -> Result<Self, BlockFormatError> {
+        if u32::try_from(bytes.len()).is_err() {
+            return Err(corrupt("shards over 4 GiB are not supported"));
         }
-        let mut terms = Vec::with_capacity(entries.len());
-        let mut postings = Vec::with_capacity(entries.len());
+        let mut reader = Reader::new(&bytes, 0);
+        let term_count = reader.count(MIN_ENTRY_BYTES, "term")?;
+        let mut terms: Vec<TermEntry> = Vec::with_capacity(term_count);
+        let mut skips: Vec<SkipEntry> = Vec::new();
+        let mut freq_offsets: Vec<u32> = Vec::new();
         let mut posting_count = 0u64;
-        for (term, list) in entries {
-            posting_count += list.len() as u64;
-            terms.push(term);
-            postings.push(list);
+        let mut posting_bytes = 0usize;
+        let mut previous_term: &[u8] = &[];
+        for slot in 0..term_count {
+            let entry_at = reader.pos() as u32;
+            let term = reader.bytes(MAX_TERM_LEN, "term")?;
+            if std::str::from_utf8(term).is_err() {
+                return Err(corrupt("term is not valid UTF-8"));
+            }
+            if slot > 0 && previous_term >= term {
+                return Err(corrupt("terms are not strictly ascending"));
+            }
+            previous_term = term;
+
+            let len = reader.u32()?;
+            let block_count = (len as usize).div_ceil(BLOCK_SIZE);
+            let multi_block = block_count > 1;
+            let blocks_at = skips.len() as u32;
+            let mut previous_last: Option<FileId> = None;
+            let mut previous_offset = 0u32;
+            for i in 0..if multi_block { block_count } else { 0 } {
+                let skip = SkipEntry {
+                    first: FileId(reader.u32()?),
+                    last: FileId(reader.u32()?),
+                    offset: reader.u32()?,
+                };
+                if skip.first > skip.last
+                    || previous_last.is_some_and(|prev| skip.first <= prev)
+                    || skip.offset < previous_offset
+                {
+                    return Err(corrupt(format!("skip entry {i} is out of order")));
+                }
+                previous_last = Some(skip.last);
+                previous_offset = skip.offset;
+                skips.push(skip);
+            }
+            let payloads_at = reader.pos() as u32;
+            let data_len = reader.bytes(u64::MAX, "block payload")?.len();
+            // Every block opens with at least one byte (its first id).
+            if data_len < block_count || previous_offset as usize > data_len {
+                return Err(corrupt(format!(
+                    "{data_len} payload bytes cannot hold {block_count} blocks"
+                )));
+            }
+
+            let freqs_len = reader.bytes(u64::MAX, "frequency payload")?.len();
+            if freqs_len > 0 && block_count == 0 {
+                return Err(corrupt("frequencies without postings"));
+            }
+            let mut previous = 0u32;
+            for i in 0..if freqs_len > 0 { block_count } else { 0 } {
+                let offset = reader.u32()?;
+                if offset < previous || offset as usize >= freqs_len || (i == 0 && offset != 0) {
+                    return Err(corrupt(format!("freq block {i} offset out of order")));
+                }
+                previous = offset;
+                if multi_block {
+                    freq_offsets.push(offset);
+                }
+            }
+            freq_offsets.resize(skips.len(), 0);
+
+            let max_score = f32::from_bits(reader.u32()?);
+            if !max_score.is_finite() || max_score < 0.0 {
+                return Err(corrupt("max score must be finite and non-negative"));
+            }
+            let scores_at = reader.pos() as u32;
+            if max_score > 0.0 {
+                if block_count == 0 {
+                    return Err(corrupt("score bounds without postings"));
+                }
+                reader.take(block_count as u64, "block score bounds")?;
+            }
+
+            posting_count += u64::from(len);
+            posting_bytes +=
+                data_len + (skips.len() - blocks_at as usize) * std::mem::size_of::<SkipEntry>();
+            terms.push(TermEntry { entry_at, payloads_at, scores_at, max_score, blocks_at });
         }
-        let lookup = build_lookup(&terms);
-        let posting_bytes = postings.iter().map(CompressedPostings::byte_size).sum();
-        let (norm_base, norms, total_doc_len) =
-            build_norms(doc_lens.into_iter()).unwrap_or((0, Vec::new(), 0));
-        Ok(SealedShard {
+        if reader.remaining() != 0 {
+            return Err(corrupt(format!(
+                "{} trailing bytes after the last term",
+                reader.remaining()
+            )));
+        }
+        skips.shrink_to_fit();
+        freq_offsets.shrink_to_fit();
+        let (norm_base, norms) = scoring.unwrap_or_default();
+        let mut shard = SealedShard {
+            bytes,
             terms,
-            postings,
-            lookup,
+            skips,
+            freq_offsets,
+            lookup: Vec::new(),
             files,
             posting_count,
             posting_bytes,
-            total_doc_len,
             norm_base,
             norms,
-        })
+        };
+        shard.build_lookup();
+        Ok(shard)
+    }
+
+    fn build_lookup(&mut self) {
+        if self.terms.is_empty() {
+            return;
+        }
+        let mask = (self.terms.len() * 3 / 2 + 1).next_power_of_two() - 1;
+        let mut lookup = vec![0u32; mask + 1];
+        for slot in 0..self.terms.len() {
+            let mut probe = fnv1a_64(self.term_bytes(slot)) as usize & mask;
+            while lookup[probe] != 0 {
+                probe = (probe + 1) & mask;
+            }
+            lookup[probe] = slot as u32 + 1;
+        }
+        self.lookup = lookup;
+    }
+
+    fn term_bytes(&self, slot: usize) -> &[u8] {
+        self.term_of(&self.terms[slot])
+    }
+
+    fn term_of(&self, entry: &TermEntry) -> &[u8] {
+        self.prefixed(&mut (entry.entry_at as usize))
+    }
+
+    /// The length-prefixed bytes at `pos`, which moves past them.  Only for
+    /// positions the laying-over validated.
+    fn prefixed(&self, pos: &mut usize) -> &[u8] {
+        let len = read_lenient(&self.bytes, pos) as usize;
+        let bytes = &self.bytes[*pos..][..len];
+        *pos += len;
+        bytes
+    }
+
+    /// The borrowed posting list of dictionary slot `slot`.
+    fn view(&self, slot: usize) -> CompressedView<'_> {
+        let entry = &self.terms[slot];
+        let mut pos = entry.entry_at as usize;
+        self.prefixed(&mut pos);
+        let len = read_lenient(&self.bytes, &mut pos) as usize;
+        let mut pos = entry.payloads_at as usize;
+        let data = self.prefixed(&mut pos);
+        let freqs = self.prefixed(&mut pos);
+        let block_count = len.div_ceil(BLOCK_SIZE);
+        let (skips, freq_offsets) = if block_count > 1 {
+            let blocks = entry.blocks_at as usize..entry.blocks_at as usize + block_count;
+            (&self.skips[blocks.clone()], &self.freq_offsets[blocks])
+        } else {
+            (&[][..], FIRST_BLOCK)
+        };
+        CompressedView {
+            len,
+            skips,
+            data,
+            freqs,
+            freq_offsets: if freqs.is_empty() { &[] } else { freq_offsets },
+            block_scores: &self.bytes[entry.scores_at as usize..]
+                [..if entry.max_score > 0.0 { block_count } else { 0 }],
+            max_score: entry.max_score,
+        }
     }
 
     /// Number of distinct terms.
@@ -207,39 +424,50 @@ impl SealedShard {
         self.posting_count
     }
 
-    /// Number of files this shard indexed.
+    /// Number of documents this shard scores against: the documents with a
+    /// recorded length — the population the average length is taken over —
+    /// or, when no lengths were recorded, the files the source index counted.
     #[must_use]
     pub fn file_count(&self) -> u64 {
         self.files
     }
 
-    /// The sorted term dictionary.
+    /// The compressed postings of one exact term (one hash, then text
+    /// comparisons against the probed slots only).
     #[must_use]
-    pub fn terms(&self) -> &[Term] {
-        &self.terms
-    }
-
-    /// The compressed postings of one exact term (one hash lookup, no
-    /// string binary search).
-    #[must_use]
-    pub fn postings(&self, term: &Term) -> Option<&CompressedPostings> {
-        let index = *self.lookup.get(term.as_str())?;
-        Some(&self.postings[index as usize])
+    pub fn postings(&self, term: &Term) -> Option<CompressedView<'_>> {
+        let wanted = term.as_str().as_bytes();
+        let mask = self.lookup.len().checked_sub(1)?;
+        let mut probe = fnv1a_64(wanted) as usize & mask;
+        loop {
+            let slot = (self.lookup[probe] as usize).checked_sub(1)?;
+            if self.term_bytes(slot) == wanted {
+                return Some(self.view(slot));
+            }
+            probe = (probe + 1) & mask;
+        }
     }
 
     /// The compressed postings of every term starting with `prefix`, as one
-    /// contiguous dictionary range (two binary searches, zero allocation).
-    #[must_use]
-    pub fn prefix_postings(&self, prefix: &str) -> &[CompressedPostings] {
-        let start = self.terms.partition_point(|term| term.as_str() < prefix);
-        let count =
-            self.terms[start..].iter().take_while(|term| term.as_str().starts_with(prefix)).count();
-        &self.postings[start..start + count]
+    /// contiguous dictionary range (one binary search, zero allocation).
+    pub fn prefix_postings(
+        &self,
+        prefix: &str,
+    ) -> impl ExactSizeIterator<Item = CompressedView<'_>> + '_ {
+        let prefix = prefix.as_bytes();
+        let start = self.terms.partition_point(|entry| self.term_of(entry) < prefix);
+        let count = (start..self.terms.len())
+            .take_while(|&s| self.term_bytes(s).starts_with(prefix))
+            .count();
+        (start..start + count).map(move |slot| self.view(slot))
     }
 
     /// Iterates `(term, compressed postings)` pairs in dictionary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Term, &CompressedPostings)> {
-        self.terms.iter().zip(self.postings.iter())
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, CompressedView<'_>)> + '_ {
+        (0..self.terms.len()).map(move |slot| {
+            let term = std::str::from_utf8(self.term_bytes(slot)).expect(LAID_OVER);
+            (term, self.view(slot))
+        })
     }
 
     /// Bytes the compressed postings occupy (payload + skip tables).
@@ -256,10 +484,22 @@ impl SealedShard {
         self.posting_count as usize * std::mem::size_of::<crate::doc_table::FileId>()
     }
 
+    /// Heap bytes the shard holds: its buffer plus every side table, from
+    /// their capacities (no allocator hooks).
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.bytes.capacity()
+            + self.terms.capacity() * size_of::<TermEntry>()
+            + self.skips.capacity() * size_of::<SkipEntry>()
+            + (self.freq_offsets.capacity() + self.lookup.capacity()) * size_of::<u32>()
+            + self.norms.capacity() * size_of::<f32>()
+    }
+
     /// Whether the shard carries BM25 scoring state (document length norms
     /// and per-block score bounds).  Unscored shards — sealed from indices
-    /// without recorded lengths, or loaded from v1/v2 segments — still
-    /// rank, degrading gracefully to pure-idf scores.
+    /// without recorded lengths — still rank, degrading gracefully to
+    /// pure-idf scores.
     #[must_use]
     pub fn has_scoring(&self) -> bool {
         !self.norms.is_empty()
@@ -278,25 +518,31 @@ impl SealedShard {
     pub fn idf(&self, doc_freq: usize) -> f32 {
         bm25_idf(self.files, doc_freq)
     }
+}
 
-    /// Sum of recorded document lengths (0 on unscored shards).
-    #[must_use]
-    pub fn total_doc_len(&self) -> u64 {
-        self.total_doc_len
+/// The document count BM25 scores against: the number of documents with a
+/// recorded length, so that a partial replica sealed in memory and the same
+/// replica loaded from its segment (whose document table is the whole
+/// run's) agree; `fallback` when no lengths were recorded at all.
+fn scored_population(recorded_lens: usize, fallback: u64) -> u64 {
+    if recorded_lens == 0 {
+        fallback
+    } else {
+        recorded_lens as u64
     }
 }
 
 /// Seals an index one term at a time, in dictionary order: each item is a
 /// term with its compressed postings and BM25 block bounds, exactly as
-/// [`SealedShard::from_index`] (which collects this iterator) stores them.
+/// [`SealedShard::from_index`] (which encodes this iterator) stores them.
 /// The segment writer consumes it without collecting, so a whole sealed copy
 /// of the index never exists beside the live one.
 #[derive(Debug)]
 pub struct SealedTerms<'a> {
     entries: std::vec::IntoIter<(&'a Term, &'a PostingList)>,
     files: u64,
-    /// `(norm_base, norms, total_doc_len)`; `None` for an unscored index.
-    scoring: Option<(u32, Vec<f32>, u64)>,
+    /// `(norm_base, norms)`; `None` for an unscored index.
+    scoring: Option<(u32, Vec<f32>)>,
     /// Per-posting scores of the term being sealed, reused across terms.
     scores: Vec<f32>,
 }
@@ -308,10 +554,11 @@ impl<'a> SealedTerms<'a> {
     pub fn new(index: &'a InMemoryIndex) -> Self {
         let mut entries: Vec<(&Term, &PostingList)> = index.iter().collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
         SealedTerms {
             entries: entries.into_iter(),
-            files: index.file_count(),
-            scoring: build_norms(index.doc_lens()),
+            files: scored_population(doc_lens.len(), index.file_count()),
+            scoring: build_norms(&doc_lens),
             scores: Vec::new(),
         }
     }
@@ -323,7 +570,7 @@ impl<'a> Iterator for SealedTerms<'a> {
     fn next(&mut self) -> Option<Self::Item> {
         let (term, list) = self.entries.next()?;
         let mut compressed = CompressedPostings::from_list(list);
-        if let Some((base, norms, _)) = &self.scoring {
+        if let Some((base, norms)) = &self.scoring {
             let idf = bm25_idf(self.files, list.len());
             self.scores.clear();
             self.scores.extend(
@@ -342,16 +589,12 @@ impl<'a> Iterator for SealedTerms<'a> {
 impl ExactSizeIterator for SealedTerms<'_> {}
 
 /// Builds the dense BM25 norm table from `(file, document length)` pairs:
-/// `(norm_base, norms, total_doc_len)`.  Returns `None` (unscored) when no
+/// `(norm_base, norms)`.  Returns `None` (unscored) when no
 /// lengths were recorded or they sum to zero.  Order-insensitive, so the
 /// seal path (hash-map iteration) and the segment-load path (sorted pairs)
 /// produce identical tables.  The table spans `[min_id ..= max_id]`; ids
 /// without a recorded length read as the neutral norm.
-fn build_norms<I: Iterator<Item = (FileId, u32)>>(lens: I) -> Option<(u32, Vec<f32>, u64)> {
-    let pairs: Vec<(FileId, u32)> = lens.collect();
-    if pairs.is_empty() {
-        return None;
-    }
+fn build_norms(pairs: &[(FileId, u32)]) -> Option<(u32, Vec<f32>)> {
     let total: u64 = pairs.iter().map(|&(_, len)| u64::from(len)).sum();
     if total == 0 {
         return None;
@@ -360,11 +603,11 @@ fn build_norms<I: Iterator<Item = (FileId, u32)>>(lens: I) -> Option<(u32, Vec<f
     let base = pairs.iter().map(|&(id, _)| id.as_u32()).min().expect("non-empty");
     let top = pairs.iter().map(|&(id, _)| id.as_u32()).max().expect("non-empty");
     let mut norms = vec![bm25_neutral_norm(); (top - base + 1) as usize];
-    for (id, len) in pairs {
+    for &(id, len) in pairs {
         let scale = 1.0 - f64::from(BM25_B) + f64::from(BM25_B) * (f64::from(len) / avg);
         norms[(id.as_u32() - base) as usize] = (f64::from(BM25_K1) * scale) as f32;
     }
-    Some((base, norms, total))
+    Some((base, norms))
 }
 
 /// Norm lookup against a dense table rooted at `base`; out-of-table ids
@@ -373,18 +616,10 @@ fn norm_at(base: u32, norms: &[f32], id: FileId) -> f32 {
     norms.get(id.as_u32().wrapping_sub(base) as usize).copied().unwrap_or_else(bm25_neutral_norm)
 }
 
-fn build_lookup(terms: &[Term]) -> FnvHashMap<Term, u32> {
-    let mut lookup = FnvHashMap::with_capacity(terms.len());
-    for (slot, term) in terms.iter().enumerate() {
-        lookup.insert(term.clone(), u32::try_from(slot).expect("under 4G terms per shard"));
-    }
-    lookup
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::doc_table::FileId;
+    use crate::block::PostingCursor;
     use proptest::prelude::*;
 
     fn t(s: &str) -> Term {
@@ -399,6 +634,14 @@ mod tests {
         index
     }
 
+    /// `index` as a segment carries it: the term count and entries the writer
+    /// streams, and the recorded lengths in id order.
+    fn encode(index: &InMemoryIndex) -> (Vec<u8>, Vec<(FileId, u32)>) {
+        let mut lens: Vec<(FileId, u32)> = index.doc_lens().collect();
+        lens.sort_unstable_by_key(|&(id, _)| id);
+        (SealedShard::from_index(index).bytes, lens)
+    }
+
     #[test]
     fn sealing_preserves_lookups() {
         let index = sample_index();
@@ -411,12 +654,11 @@ mod tests {
         let rust = shard.postings(&t("rust")).unwrap();
         assert_eq!(rust.to_list().doc_ids(), &[FileId(0), FileId(2)]);
         assert!(shard.postings(&t("cobol")).is_none());
+        assert!(SealedShard::default().postings(&t("rust")).is_none());
 
-        // Dictionary order and alignment.
-        let terms: Vec<&str> = shard.terms().iter().map(Term::as_str).collect();
+        // Dictionary order.
+        let terms: Vec<&str> = shard.iter().map(|(term, _)| term).collect();
         assert_eq!(terms, ["index", "indexes", "into", "rust", "zebra"]);
-        let via_iter: Vec<&str> = shard.iter().map(|(term, _)| term.as_str()).collect();
-        assert_eq!(via_iter, terms);
     }
 
     #[test]
@@ -425,33 +667,31 @@ mod tests {
         assert_eq!(shard.prefix_postings("inde").len(), 2);
         assert_eq!(shard.prefix_postings("in").len(), 3);
         assert_eq!(shard.prefix_postings("").len(), 5);
-        assert!(shard.prefix_postings("zz").is_empty());
-        assert!(shard.prefix_postings("zzzz").is_empty());
+        assert_eq!(shard.prefix_postings("zz").len(), 0);
+        assert_eq!(shard.prefix_postings("zzzz").len(), 0);
         assert_eq!(shard.prefix_postings("zebra").len(), 1);
     }
 
     #[test]
-    fn sealing_interns_rather_than_copies_terms() {
-        let index = sample_index();
-        let shard = SealedShard::from_index(&index);
-        // Each dictionary entry shares its text with the source index's key
-        // (2+ owners) instead of holding a private copy.
-        assert!(shard.terms().iter().all(|term| term.shared_count() >= 2));
-    }
-
-    #[test]
-    fn compression_beats_raw_storage_on_real_shapes() {
+    fn a_shard_is_one_buffer_and_flat_tables() {
         let mut index = InMemoryIndex::new();
         for i in 0..5_000u32 {
             index.insert_file(FileId(i), [t("common"), Term::from(format!("rare{i:05}"))]);
         }
         let shard = SealedShard::from_index(&index);
+        // >= 2x compression of the postings themselves ...
         assert!(
             shard.posting_bytes() * 2 <= shard.uncompressed_posting_bytes(),
             "expected >= 2x compression, got {} vs {}",
             shard.posting_bytes(),
             shard.uncompressed_posting_bytes()
         );
+        // ... and the whole shard is its encoded bytes plus a bounded table
+        // cost per term and per document.
+        let (bytes, _) = encode(&index);
+        let tables = shard.resident_bytes() - bytes.len();
+        let per_term = std::mem::size_of::<TermEntry>() + 3 * std::mem::size_of::<u32>();
+        assert!(tables <= 5_001 * per_term + 5_000 * 4 + 40 * 16, "tables cost {tables} bytes");
     }
 
     #[test]
@@ -461,7 +701,6 @@ mod tests {
         index.insert_file_counted(FileId(7), [(t("rust"), 1u32), (t("index"), 2)]);
         let shard = SealedShard::from_index(&index);
         assert!(shard.has_scoring());
-        assert_eq!(shard.total_doc_len(), 8);
 
         let rust = shard.postings(&t("rust")).unwrap();
         assert!(rust.max_score() > 0.0);
@@ -500,30 +739,124 @@ mod tests {
     }
 
     #[test]
-    fn scored_entries_roundtrip_matches_from_index() {
+    fn encoded_bytes_load_as_the_shard_that_was_sealed() {
         let mut index = InMemoryIndex::new();
         index.insert_file_counted(FileId(0), [(t("a"), 3u32), (t("b"), 1)]);
         index.insert_file_counted(FileId(5), [(t("b"), 7u32)]);
         let sealed = SealedShard::from_index(&index);
-        let entries: Vec<(Term, CompressedPostings)> =
-            sealed.iter().map(|(term, cp)| (term.clone(), cp.clone())).collect();
-        let mut lens: Vec<(FileId, u32)> = index.doc_lens().collect();
-        lens.sort_unstable_by_key(|&(id, _)| id);
-        let restored = SealedShard::from_entries_scored(entries, index.file_count(), lens).unwrap();
+        let (entries, lens) = encode(&index);
+        // Front matter before the terms (a segment's header and doc table)
+        // is dropped; the doc table may cover more documents than this index
+        // scored (a partial replica).
+        let mut bytes = b"front matter".to_vec();
+        bytes.extend_from_slice(&entries);
+        let restored = SealedShard::from_bytes(bytes, 12, 40, &lens).unwrap();
         assert_eq!(restored, sealed);
+        assert_eq!(restored.file_count(), 2);
         assert!(restored.has_scoring());
         assert_eq!(restored.doc_norm(FileId(5)).to_bits(), sealed.doc_norm(FileId(5)).to_bits());
+        // Without recorded lengths the doc table's size is the population.
+        let unscored = SealedShard::from_bytes(entries, 0, 40, &[]).unwrap();
+        assert_eq!(unscored.file_count(), 40);
+        assert!(!unscored.has_scoring());
+    }
+
+    /// One hand-built entry, part by part.
+    #[derive(Clone, Copy)]
+    struct Parts<'a> {
+        term: &'a [u8],
+        len: u64,
+        skips: &'a [(u32, u32, u32)],
+        data: &'a [u8],
+        freqs: &'a [u8],
+        freq_offsets: &'a [u32],
+        max_score: f32,
+        scores: &'a [u8],
+    }
+
+    impl Parts<'_> {
+        fn encode(self) -> Vec<u8> {
+            let mut out = Vec::new();
+            write_bytes(&mut out, self.term);
+            write_varint(&mut out, self.len);
+            for &(first, last, offset) in self.skips {
+                [first, last, offset].iter().for_each(|&v| write_varint(&mut out, u64::from(v)));
+            }
+            write_bytes(&mut out, self.data);
+            write_bytes(&mut out, self.freqs);
+            self.freq_offsets.iter().for_each(|&offset| write_varint(&mut out, u64::from(offset)));
+            write_varint(&mut out, u64::from(self.max_score.to_bits()));
+            out.extend_from_slice(self.scores);
+            out
+        }
+    }
+
+    fn load(entries: Vec<u8>, terms: u64) -> Result<SealedShard, BlockFormatError> {
+        let mut bytes = Vec::new();
+        write_varint(&mut bytes, terms);
+        SealedShard::from_bytes([bytes, entries].concat(), 0, 0, &[])
     }
 
     #[test]
-    fn from_entries_validates_order() {
-        let a = CompressedPostings::from_sorted(&[FileId(0)]);
-        let ok =
-            SealedShard::from_entries(vec![(t("alpha"), a.clone()), (t("beta"), a.clone())], 1)
-                .unwrap();
-        assert_eq!(ok.term_count(), 2);
-        let err = SealedShard::from_entries(vec![(t("beta"), a.clone()), (t("alpha"), a)], 1);
-        assert!(err.is_err());
+    fn malformed_entries_are_errors_not_panics() {
+        let n = BLOCK_SIZE as u64 + 1;
+        let (none, one, two): (&[u32], &[u32], &[u32]) = (&[], &[0], &[0, 2]);
+        let small = Parts {
+            term: b"a",
+            len: 2,
+            skips: &[],
+            data: &[0, 0, 1],
+            freqs: &[],
+            freq_offsets: none,
+            max_score: 0.0,
+            scores: &[],
+        };
+        let big = Parts { len: n, skips: &[(0, 500, 0), (501, 900, 1)], data: &[0; 8], ..small };
+        // The well-formed baselines load.
+        load(small.encode(), 1).unwrap();
+        load(big.encode(), 1).unwrap();
+        let full = Parts { freqs: &[0, 1, 0, 1], freq_offsets: two, max_score: 1.5, ..big };
+        load(Parts { scores: &[255, 9], ..full }.encode(), 1).unwrap();
+        let bad = [
+            ("first > last", Parts { skips: &[(9, 1, 0), (10, 11, 1)], ..big }),
+            ("overlap", Parts { skips: &[(0, 500, 0), (400, 900, 1)], ..big }),
+            ("offset backwards", Parts { skips: &[(0, 5, 4), (6, 9, 1)], ..big }),
+            ("offset past payload", Parts { skips: &[(0, 5, 0), (6, 9, 99)], ..big }),
+            ("missing skip table", Parts { skips: &[], ..big }),
+            ("postings without payload", Parts { data: &[], ..small }),
+            ("freq offsets short", Parts { freqs: &[0, 1], freq_offsets: one, ..big }),
+            ("freq offset past payload", Parts { freqs: &[0, 1], freq_offsets: &[2], ..small }),
+            ("freq offsets backwards", Parts { freqs: &[0; 4], freq_offsets: &[2, 1], ..big }),
+            ("frequencies without postings", Parts { len: 0, data: &[], freqs: &[0, 1], ..small }),
+            ("scores short", Parts { scores: &[255], ..full }),
+            ("scores without postings", Parts { len: 0, data: &[], max_score: 1.0, ..small }),
+            ("NaN max score", Parts { max_score: f32::NAN, ..small }),
+            ("negative max score", Parts { max_score: -1.0, ..small }),
+            ("term not UTF-8", Parts { term: &[0xff, 0xfe], ..small }),
+            ("trailing bytes", Parts { scores: &[7], ..small }),
+            ("forged posting count", Parts { len: u64::MAX, data: &[0; 64], ..small }),
+        ];
+        for (what, parts) in bad {
+            let err = load(parts.encode(), 1).expect_err(what);
+            assert!(err.to_string().contains("invalid compressed postings"), "{what}: {err}");
+        }
+        // A term count the bytes cannot hold never sizes the table.
+        assert!(load(small.encode(), 2).is_err());
+        assert!(load(small.encode(), u64::MAX).is_err());
+        // Terms out of order, and twice the same.
+        let named = |term| Parts { term, ..small }.encode();
+        assert!(load([named(b"alpha"), named(b"beta")].concat(), 2).is_ok());
+        assert!(load([named(b"beta"), named(b"alpha")].concat(), 2).is_err());
+        assert!(load([named(b"beta"), named(b"beta")].concat(), 2).is_err());
+        // Every truncation of a valid shard is an error.
+        let (bytes, _) = encode(&sample_index());
+        for cut in 0..bytes.len() {
+            assert!(
+                SealedShard::from_bytes(bytes[..cut].to_vec(), 0, 0, &[]).is_err(),
+                "cut {cut}"
+            );
+        }
+        assert!(SealedShard::from_bytes(bytes, usize::MAX, 0, &[]).is_err());
     }
 
     proptest! {
@@ -550,19 +883,73 @@ mod tests {
 
             // Exact lookups agree for the probe and for every indexed term.
             let probe_term = Term::from(probe.as_str());
-            match (index.postings(&probe_term), shard.postings(&probe_term)) {
-                (Some(list), Some(cp)) => prop_assert_eq!(&cp.to_list(), list),
-                (None, None) => {}
-                other => prop_assert!(false, "lookup mismatch: {other:?}"),
+            for term in index.iter().map(|(term, _)| term).chain([&probe_term]) {
+                match (index.postings(term), shard.postings(term)) {
+                    (Some(list), Some(cp)) => prop_assert_eq!(&cp.to_list(), list),
+                    (None, None) => {}
+                    other => prop_assert!(false, "lookup mismatch: {other:?}"),
+                }
             }
             // Prefix ranges cover the same multiset of lists the scan finds.
             let mut scanned: Vec<Vec<FileId>> = index.prefix_lists(&probe)
                 .iter().map(|l| l.doc_ids().to_vec()).collect();
             scanned.sort();
             let mut ranged: Vec<Vec<FileId>> = shard.prefix_postings(&probe)
-                .iter().map(|cp| cp.to_list().doc_ids().to_vec()).collect();
+                .map(|cp| cp.to_list().doc_ids().to_vec()).collect();
             ranged.sort();
             prop_assert_eq!(ranged, scanned);
+        }
+
+        /// A view found in a shard's bytes reads exactly like the view of
+        /// the owned list it was encoded from: same parts, and the same
+        /// cursor walk, seeks, frequencies, block bounds and decode.
+        #[test]
+        fn shard_views_read_like_the_owned_lists(
+            lists in proptest::collection::vec(
+                proptest::collection::vec((0u32..40_000, 1u32..9, 0u32..400), 1..400),
+                1..5,
+            ),
+            seeks in proptest::collection::vec(0u32..41_000, 1..20),
+        ) {
+            let owned: Vec<CompressedPostings> = lists.into_iter().map(|mut raw| {
+                raw.sort_unstable_by_key(|&(id, ..)| id);
+                raw.dedup_by_key(|&mut (id, ..)| id);
+                let ids: Vec<FileId> = raw.iter().map(|&(id, ..)| FileId(id)).collect();
+                let tfs: Vec<u32> = raw.iter().map(|&(_, tf, _)| tf).collect();
+                let scores: Vec<f32> = raw.iter().map(|&(.., score)| score as f32 / 100.0).collect();
+                let mut cp = CompressedPostings::from_counted(&ids, &tfs);
+                cp.score_blocks(&scores);
+                cp
+            }).collect();
+            let mut bytes = Vec::new();
+            write_varint(&mut bytes, owned.len() as u64);
+            for (i, cp) in owned.iter().enumerate() {
+                encode_term(&mut bytes, &format!("t{i}"), cp.view());
+            }
+            let shard = SealedShard::from_bytes(bytes, 0, 0, &[]).unwrap();
+            for (i, cp) in owned.iter().enumerate() {
+                let (own, found) = (cp.view(), shard.postings(&Term::from(format!("t{i}"))).unwrap());
+                prop_assert_eq!(found, own);
+                prop_assert_eq!(found.to_list(), own.to_list());
+                let (mut a, mut b) = (own.cursor(), found.cursor());
+                while a.current().is_some() {
+                    prop_assert_eq!(a.current(), b.current());
+                    prop_assert_eq!(a.current_tf(), b.current_tf());
+                    prop_assert_eq!(a.current_block_bound().to_bits(), b.current_block_bound().to_bits());
+                    prop_assert_eq!(a.current_block_last(), b.current_block_last());
+                    a.advance();
+                    b.advance();
+                }
+                prop_assert_eq!(b.current(), None);
+                let (mut a, mut b) = (own.cursor(), found.cursor());
+                let mut targets = seeks.clone();
+                targets.sort_unstable();
+                for target in targets {
+                    prop_assert_eq!(a.seek(FileId(target)), b.seek(FileId(target)));
+                    prop_assert_eq!(a.current_tf(), b.current_tf());
+                    prop_assert_eq!(a.blocks_visited(), b.blocks_visited());
+                }
+            }
         }
     }
 }

@@ -21,7 +21,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use crate::block::{BlockCursor, CompressedPostings, PostingCursor, SliceCursor};
+use crate::block::{BlockCursor, CompressedView, PostingCursor, SliceCursor};
 use crate::doc_table::FileId;
 use crate::posting::PostingList;
 
@@ -255,7 +255,7 @@ pub enum Postings<'a> {
     /// A borrow straight out of an index structure.
     Borrowed(&'a PostingList),
     /// A borrow of a sealed shard's block-compressed list.
-    Compressed(&'a CompressedPostings),
+    Compressed(CompressedView<'a>),
     /// A merge result shared behind an `Arc` (cloning bumps the count).
     Shared(Arc<PostingList>),
     /// A merge result owned by the caller.
@@ -290,10 +290,10 @@ impl<'a> Postings<'a> {
     /// `Compressed` borrow for one input and streaming a k-way cursor merge
     /// otherwise (each block decoded exactly once).
     #[must_use]
-    pub fn union_of_compressed(lists: Vec<&'a CompressedPostings>) -> Postings<'a> {
+    pub fn union_of_compressed(lists: Vec<CompressedView<'a>>) -> Postings<'a> {
         match lists.as_slice() {
             [] => Postings::empty(),
-            [only] => Postings::Compressed(only),
+            [only] => Postings::Compressed(*only),
             _ => {
                 let cursors: Vec<PostingsCursor<'_>> =
                     lists.iter().map(|cp| PostingsCursor::Block(cp.cursor())).collect();

@@ -50,6 +50,12 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
+impl From<dsearch_index::BlockFormatError> for PersistError {
+    fn from(e: dsearch_index::BlockFormatError) -> Self {
+        PersistError::Corrupt(e.0)
+    }
+}
+
 impl From<dsearch_vfs::VfsError> for PersistError {
     fn from(e: dsearch_vfs::VfsError) -> Self {
         PersistError::Vfs(e)

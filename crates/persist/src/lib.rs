@@ -47,7 +47,6 @@ pub mod error;
 pub mod incremental;
 pub mod segment;
 pub mod store;
-pub mod varint;
 
 pub use checkpoint::{BuildCheckpoint, DeadLetter, DeadLetterQueue, CHECKPOINT_FILE, DLQ_FILE};
 pub use error::PersistError;

@@ -209,6 +209,18 @@ impl IndexStore {
         self.retain_segments(|_| false)
     }
 
+    /// Opens the file of the segment at `position` in the manifest (unbuffered:
+    /// the readers take it whole, sized from its length).
+    fn open_segment(&self, position: usize) -> Result<fs::File, PersistError> {
+        let entry = self.manifest.segments.get(position).ok_or_else(|| {
+            PersistError::Corrupt(format!(
+                "segment index {position} out of range ({} segments)",
+                self.manifest.segments.len()
+            ))
+        })?;
+        Ok(fs::File::open(self.root.join(&entry.file_name))?)
+    }
+
     /// Loads one segment by its position in the manifest.
     ///
     /// # Errors
@@ -216,14 +228,7 @@ impl IndexStore {
     /// Fails when `position` is out of range or the segment file is missing
     /// or corrupt.
     pub fn load_segment(&self, position: usize) -> Result<(InMemoryIndex, DocTable), PersistError> {
-        let entry = self.manifest.segments.get(position).ok_or_else(|| {
-            PersistError::Corrupt(format!(
-                "segment index {position} out of range ({} segments)",
-                self.manifest.segments.len()
-            ))
-        })?;
-        let file = fs::File::open(self.root.join(&entry.file_name))?;
-        read_segment(std::io::BufReader::new(file))
+        read_segment(self.open_segment(position)?)
     }
 
     /// Loads every live segment.
@@ -246,23 +251,7 @@ impl IndexStore {
         &self,
         position: usize,
     ) -> Result<(SealedShard, DocTable), PersistError> {
-        let entry = self.manifest.segments.get(position).ok_or_else(|| {
-            PersistError::Corrupt(format!(
-                "segment index {position} out of range ({} segments)",
-                self.manifest.segments.len()
-            ))
-        })?;
-        let file = fs::File::open(self.root.join(&entry.file_name))?;
-        read_segment_sealed(std::io::BufReader::new(file))
-    }
-
-    /// Loads every live segment in sealed form (the snapshot reload path).
-    ///
-    /// # Errors
-    ///
-    /// Fails when any segment is missing or corrupt.
-    pub fn load_all_sealed(&self) -> Result<Vec<(SealedShard, DocTable)>, PersistError> {
-        (0..self.segment_count()).map(|i| self.load_segment_sealed(i)).collect()
+        read_segment_sealed(self.open_segment(position)?)
     }
 
     /// Loads all segments and joins them into one index.

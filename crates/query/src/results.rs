@@ -96,9 +96,19 @@ impl SearchResults {
         self.hits.iter().map(|h| &*h.path).collect()
     }
 
-    /// Truncates the results to the best `n` hits.
+    /// Truncates the results to the best `n` hits and releases the capacity
+    /// of the rest: callers cache the value, and a cached top-20 must not
+    /// keep the allocation of the thousands of hits it was cut from.
     pub fn truncate(&mut self, n: usize) {
         self.hits.truncate(n);
+        self.hits.shrink_to_fit();
+    }
+
+    /// Bytes of the hit vector's heap allocation (its capacity, not its
+    /// length).  Path text is owned per hit and comes on top.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.hits.capacity() * std::mem::size_of::<Hit>()
     }
 
     /// Converts the hits into the path-keyed form that crosses shard
@@ -256,6 +266,18 @@ mod tests {
         results.truncate(2);
         assert_eq!(results.len(), 2);
         assert_eq!(results.hits()[1].file_id, FileId(2));
+    }
+
+    #[test]
+    fn truncate_releases_the_capacity_it_cut() {
+        let mut results = SearchResults::new((0..1000).map(|i| hit(i, 1)).collect());
+        assert!(results.heap_bytes() >= 1000 * std::mem::size_of::<Hit>());
+        results.truncate(20);
+        assert_eq!(results.heap_bytes(), 20 * std::mem::size_of::<Hit>());
+        // Truncating past the end cuts nothing.
+        results.truncate(50);
+        assert_eq!(results.len(), 20);
+        assert_eq!(SearchResults::default().heap_bytes(), 0);
     }
 
     #[test]

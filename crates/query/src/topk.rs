@@ -82,11 +82,23 @@ pub fn scorable(query: &Query) -> bool {
 /// A fully scored candidate document.  `Ord` is "greater = better": higher
 /// score, then more matched terms, then *smaller* path, then smaller id —
 /// the same order [`SearchResults`] sorts by.
-struct Scored<'a> {
-    score: f32,
-    matched: usize,
-    path: &'a str,
-    id: FileId,
+pub(crate) struct Scored<'a> {
+    pub(crate) score: f32,
+    pub(crate) matched: usize,
+    pub(crate) path: &'a str,
+    pub(crate) id: FileId,
+}
+
+impl Scored<'_> {
+    /// The candidate as a hit owning its path.
+    pub(crate) fn into_hit(self) -> Hit {
+        Hit {
+            file_id: self.id,
+            path: Arc::from(self.path),
+            matched_terms: self.matched,
+            score: self.score,
+        }
+    }
 }
 
 impl PartialEq for Scored<'_> {
@@ -115,13 +127,15 @@ impl Ord for Scored<'_> {
 
 /// A bounded min-heap of the best `k` candidates seen so far.  The worst
 /// kept candidate sits at the top; its score is the pruning threshold θ.
-struct TopK<'a> {
+/// Candidates borrow their paths: only the survivors are ever given an
+/// owned one ([`TopK::into_hits`]).
+pub(crate) struct TopK<'a> {
     heap: BinaryHeap<Reverse<Scored<'a>>>,
     k: usize,
 }
 
 impl<'a> TopK<'a> {
-    fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         TopK { heap: BinaryHeap::with_capacity(k.saturating_add(1).min(1024)), k }
     }
 
@@ -134,13 +148,23 @@ impl<'a> TopK<'a> {
         }
     }
 
-    fn offer(&mut self, candidate: Scored<'a>) {
+    pub(crate) fn offer(&mut self, candidate: Scored<'a>) {
         if self.heap.len() < self.k {
             self.heap.push(Reverse(candidate));
-        } else if self.heap.peek().is_some_and(|Reverse(worst)| candidate > *worst) {
-            self.heap.pop();
-            self.heap.push(Reverse(candidate));
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if candidate > worst.0 {
+                *worst = Reverse(candidate);
+            }
         }
+    }
+
+    /// The kept candidates as hits, in no particular order.
+    pub(crate) fn into_hits(self) -> Vec<Hit> {
+        let mut hits: Vec<Hit> = self.heap.into_iter().map(|Reverse(c)| c.into_hit()).collect();
+        // Collecting may reuse the heap's (larger) allocation; the hits are
+        // what callers keep and cache.
+        hits.shrink_to_fit();
+        hits
     }
 }
 
@@ -179,16 +203,7 @@ pub fn search_topk(
             shard_scored(shard, docs, query, &terms, &mut top, &mut stats, should_cancel);
         }
     }
-    let mut hits: Vec<Hit> = top
-        .heap
-        .into_iter()
-        .map(|Reverse(c)| Hit {
-            file_id: c.id,
-            path: Arc::from(c.path),
-            matched_terms: c.matched,
-            score: c.score,
-        })
-        .collect();
+    let mut hits = top.into_hits();
     // A document id served by several shards (replicated seals) keeps its
     // best-scoring occurrence; partitioned snapshots never hit this.
     hits.sort_by(|a, b| a.file_id.cmp(&b.file_id).then_with(|| b.score.total_cmp(&a.score)));
@@ -335,8 +350,11 @@ fn shard_wand<'a>(
                 }
                 let matched = scratch.len();
                 let score = sum_contributions(&mut scratch);
-                let path = docs.path(pivot_doc).unwrap_or("<unknown>");
-                top.offer(Scored { score, matched, path, id: pivot_doc });
+                // A score below θ loses whatever its path; a tie is for `offer`.
+                if f64::from(score) >= threshold {
+                    let path = docs.path(pivot_doc).unwrap_or("<unknown>");
+                    top.offer(Scored { score, matched, path, id: pivot_doc });
+                }
             } else {
                 // Even the block maxima cannot reach θ: every aligned block
                 // is dead.  Jump past the shortest aligned block (or to the
@@ -397,7 +415,7 @@ impl SearchBackend for ShardBackend<'_> {
     fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
         // Unreachable through `search_topk` (prefix queries are not
         // scorable), implemented for trait completeness.
-        Postings::union_of_compressed(self.shard.prefix_postings(prefix).iter().collect())
+        Postings::union_of_compressed(self.shard.prefix_postings(prefix).collect())
     }
 
     fn path_of(&self, _id: FileId) -> Option<&str> {
@@ -466,6 +484,26 @@ mod tests {
         index.insert_file_counted(b, [(Term::from("rust"), 1u32)]);
         index.insert_file_counted(c, [(Term::from("index"), 2u32), (Term::from("query"), 2)]);
         (vec![SealedShard::from_index(&index)], docs)
+    }
+
+    #[test]
+    fn bounded_heap_keeps_the_best_k_whatever_the_arrival_order() {
+        let paths = ["d", "b", "e", "a", "c"];
+        let candidate = |i: usize| Scored {
+            score: 0.0,
+            matched: 1 + usize::from(paths[i] == "e"),
+            path: paths[i],
+            id: FileId(i as u32),
+        };
+        let mut top = TopK::new(3);
+        (0..paths.len()).for_each(|i| top.offer(candidate(i)));
+        let hits = top.into_hits();
+        assert_eq!(hits.capacity(), 3, "the survivors' vector holds nothing else");
+        // More matched terms first, then the smaller paths.
+        assert_eq!(SearchResults::new(hits).paths(), ["e", "a", "b"]);
+        let mut none = TopK::new(0);
+        none.offer(candidate(0));
+        assert!(none.into_hits().is_empty());
     }
 
     #[test]

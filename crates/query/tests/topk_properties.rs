@@ -3,11 +3,15 @@
 //! pruned evaluation must return bit-identical scores, in the same order,
 //! as an exhaustive evaluation that scores every posting — including tie
 //! runs of exact duplicate documents and `k` values past the match count.
+//! The boolean path's bounded form is held to the same standard:
+//! `search_limited(q, k)` is the first `k` hits of `search(q)`.
 
 use proptest::prelude::*;
 
-use dsearch_index::{DocTable, InMemoryIndex, SealedShard};
-use dsearch_query::{search_topk, Query, SearchResults};
+use dsearch_index::{DocTable, InMemoryIndex, IndexSet, SealedShard};
+use dsearch_query::{
+    search_topk, MultiIndexSearcher, Query, SearchBackend, SearchResults, SingleIndexSearcher,
+};
 use dsearch_text::Term;
 
 /// A small vocabulary so generated documents overlap on terms and score
@@ -123,6 +127,54 @@ proptest! {
                 (&a.path, a.score),
                 (&b.path, b.score)
             );
+        }
+    }
+
+    /// The bounded boolean answer is a prefix of the unbounded one, for any
+    /// mix of AND, OR, NOT and prefix terms, over one index and over
+    /// un-joined replicas.  Paths descend while ids ascend, so the path
+    /// tie-break is not the id order the matches arrive in.
+    #[test]
+    fn search_limited_is_a_prefix_of_search(
+        masks in proptest::collection::vec(1u8..32, 1..60),
+        replicas in 1usize..4,
+        groups in proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..5, any::<bool>()), 1..4),
+                proptest::collection::vec(0usize..5, 0..3),
+            ),
+            1..4,
+        ),
+        k in 0usize..24,
+    ) {
+        let mut docs = DocTable::new();
+        let mut parts: Vec<InMemoryIndex> = (0..replicas).map(|_| InMemoryIndex::new()).collect();
+        for (i, &mask) in masks.iter().enumerate() {
+            let id = docs.insert(format!("doc{:03}.txt", masks.len() - i));
+            parts[i % replicas].insert_file_counted(id, doc_terms(mask));
+        }
+        let raw = groups
+            .iter()
+            .map(|(required, excluded)| {
+                let required = required.iter().map(|&(word, prefix)| {
+                    if prefix { format!("{}*", &VOCAB[word][..2]) } else { VOCAB[word].to_owned() }
+                });
+                let excluded = excluded.iter().map(|&word| format!("NOT {}", VOCAB[word]));
+                required.chain(excluded).collect::<Vec<_>>().join(" ")
+            })
+            .collect::<Vec<_>>()
+            .join(" OR ");
+        let query = Query::parse(&raw).unwrap();
+        let set = IndexSet::new(parts);
+        let multi = MultiIndexSearcher::new(&set, &docs);
+        let full = multi.search(&query);
+        let limited = multi.search_limited(&query, k);
+        prop_assert_eq!(limited.hits(), &full.hits()[..k.min(full.len())], "{:?} k={}", raw, k);
+        prop_assert!(limited.heap_bytes() <= k * std::mem::size_of::<dsearch_query::Hit>());
+        if replicas == 1 {
+            let single = SingleIndexSearcher::new(&set.replicas()[0], &docs);
+            prop_assert_eq!(single.search_limited(&query, k), limited);
+            prop_assert_eq!(single.search(&query), full);
         }
     }
 

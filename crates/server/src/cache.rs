@@ -345,6 +345,24 @@ impl<V: Clone> QueryCache<V> {
         self.shards.iter().map(|s| s.lock().entries.len()).sum()
     }
 
+    /// Heap bytes the live entries hold: each key's text (kept once in the
+    /// entry map and once in the recency index) plus whatever `value_bytes`
+    /// reports for its value.
+    #[must_use]
+    pub fn resident_bytes(&self, value_bytes: impl Fn(&V) -> usize) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.lock();
+                shard
+                    .entries
+                    .iter()
+                    .map(|(key, (value, _))| 2 * key.query.len() + value_bytes(value))
+                    .sum::<usize>()
+            })
+            .sum()
+    }
+
     /// Returns `true` when no entries are cached.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -407,6 +425,21 @@ mod tests {
         assert!((counters.hit_rate() - 0.5).abs() < 1e-9);
         assert_eq!(cache.shard_count(), 2);
         assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn resident_bytes_follow_the_live_entries() {
+        let cache = QueryCache::new(2, 1);
+        let hits = |value: &Arc<SearchResults>| value.heap_bytes();
+        assert_eq!(cache.resident_bytes(hits), 0);
+        cache.insert(key("rust", 1), results(3));
+        cache.insert(key("search", 1), results(5));
+        let hit = std::mem::size_of::<Hit>();
+        // Each key's text twice (entry map and recency index), each value once.
+        assert_eq!(cache.resident_bytes(hits), 2 * (4 + 6) + 8 * hit);
+        // An eviction takes the evicted entry's bytes with it.
+        cache.insert(key("go", 1), results(1));
+        assert_eq!(cache.resident_bytes(hits), 2 * (6 + 2) + 6 * hit);
     }
 
     #[test]

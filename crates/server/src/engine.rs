@@ -24,6 +24,12 @@ use crate::protocol::split_request_meta;
 use crate::snapshot::{IndexSnapshot, SnapshotCell};
 use crate::stats::{DeadlineStage, ServerStats};
 
+/// Gauge: heap bytes of the served snapshot (shard buffers, tables, doc
+/// table).
+pub const SNAPSHOT_RESIDENT_METRIC: &str = "dsearch_snapshot_resident_bytes";
+/// Gauge: heap bytes of the result cache (keys, hit vectors, path text).
+pub const CACHE_RESIDENT_METRIC: &str = "dsearch_cache_resident_bytes";
+
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -221,6 +227,28 @@ impl QueryEngine {
         self.cache.counters()
     }
 
+    /// Heap bytes held by the served snapshot and by the result cache (keys,
+    /// hit vectors and path text), computed from their own lengths and
+    /// capacities — no allocator hooks.
+    #[must_use]
+    pub fn resident_bytes(&self) -> (usize, usize) {
+        let cache = self.cache.resident_bytes(|results| {
+            results.heap_bytes() + results.hits().iter().map(|hit| hit.path.len()).sum::<usize>()
+        });
+        (self.snapshot.load().resident_bytes(), cache)
+    }
+
+    /// The `!metrics` exposition, with the footprint gauges brought up to
+    /// date first.
+    #[must_use]
+    pub fn render_metrics(&self) -> String {
+        let (snapshot, cache) = self.resident_bytes();
+        let registry = self.stats.registry();
+        registry.gauge(SNAPSHOT_RESIDENT_METRIC).set(snapshot as u64);
+        registry.gauge(CACHE_RESIDENT_METRIC).set(cache as u64);
+        self.stats.render_metrics()
+    }
+
     /// The rendered stats report (the `!stats` protocol answer), including
     /// the served snapshot's compressed-index footprint.
     #[must_use]
@@ -229,12 +257,15 @@ impl QueryEngine {
         let compressed = snapshot.posting_bytes();
         let raw = snapshot.uncompressed_posting_bytes();
         let ratio = if compressed == 0 { 1.0 } else { raw as f64 / compressed as f64 };
+        let (resident, cache_bytes) = self.resident_bytes();
         format!(
             "{} index[shards={} postings={} posting_bytes={compressed} raw_bytes={raw} \
-             compression={ratio:.2}x]",
+             compression={ratio:.2}x resident_bytes={resident}] cache[entries={} \
+             bytes={cache_bytes}]",
             self.stats.render(self.cache.counters(), snapshot.generation()),
             snapshot.shard_count(),
             snapshot.posting_count(),
+            self.cache.len(),
         )
     }
 
@@ -382,8 +413,10 @@ impl QueryEngine {
                     // BM25 top-k with block-max pruning, bounded at the
                     // result limit the response would be truncated to anyway.
                     // Unscorable shapes (prefix terms, exclusions) fall back
-                    // to the exhaustive boolean path.  Both poll the same
-                    // deadline, so cancellation semantics are identical.
+                    // to the boolean path, bounded the same way: a cached
+                    // entry holds exactly what the wire can render.  Both
+                    // poll the same deadline, so cancellation semantics are
+                    // identical.
                     let ranked = snapshot.search_topk(&query, self.config.result_limit, &|| {
                         searcher.should_cancel()
                     });
@@ -393,7 +426,7 @@ impl QueryEngine {
                             self.stats.record_prune(prune);
                             results
                         }
-                        None => searcher.search(&query),
+                        None => searcher.search_limited(&query, self.config.result_limit),
                     };
                     searcher.set_deadline(None);
                     if searcher.take_cancelled() {
@@ -726,6 +759,24 @@ mod tests {
         assert_eq!(engine.stats().batched_count(), 4);
         assert_eq!(engine.stats().batch_count(), 1);
         assert_eq!(engine.stats().query_count(), 4);
+    }
+
+    #[test]
+    fn stats_and_metrics_report_one_footprint() {
+        let engine = engine(EngineConfig::default());
+        let (snapshot, empty_cache) = engine.resident_bytes();
+        assert!(snapshot > 0);
+        assert_eq!(empty_cache, 0);
+        engine.execute("rust").unwrap();
+        engine.execute("ru* NOT java").unwrap();
+        let (_, cache) = engine.resident_bytes();
+        assert!(cache > 0);
+        let stats = engine.stats_report();
+        assert!(stats.contains(&format!(" resident_bytes={snapshot}] ")), "{stats}");
+        assert!(stats.ends_with(&format!("cache[entries=2 bytes={cache}]")), "{stats}");
+        let metrics = engine.render_metrics();
+        assert!(metrics.contains(&format!("{SNAPSHOT_RESIDENT_METRIC} {snapshot}\n")), "{metrics}");
+        assert!(metrics.contains(&format!("{CACHE_RESIDENT_METRIC} {cache}\n")), "{metrics}");
     }
 
     #[test]

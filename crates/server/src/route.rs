@@ -1535,7 +1535,7 @@ impl LineHandler for RouteService {
             }
             Request::Metrics => {
                 self.requests.fetch_add(1, Ordering::Relaxed);
-                Handled::Respond(metrics_report(self.router.stats()))
+                Handled::Respond(metrics_report(&self.router.stats().render_metrics()))
             }
             Request::Trace(arg) => {
                 self.requests.fetch_add(1, Ordering::Relaxed);

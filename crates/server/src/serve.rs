@@ -29,8 +29,8 @@ use crate::stats::ServerStats;
 
 /// The rendered `!metrics` answer: the Prometheus-style exposition as the
 /// response body, one metric sample (or `# TYPE` comment) per line.
-pub(crate) fn metrics_report(stats: &ServerStats) -> String {
-    let body: Vec<String> = stats.render_metrics().lines().map(str::to_owned).collect();
+pub(crate) fn metrics_report(exposition: &str) -> String {
+    let body: Vec<String> = exposition.lines().map(str::to_owned).collect();
     render_info_with_body(&format!("metrics lines={}", body.len()), body)
 }
 
@@ -248,7 +248,7 @@ impl LineHandler for Service {
             }
             Request::Metrics => {
                 self.requests.fetch_add(1, Ordering::Relaxed);
-                Handled::Respond(metrics_report(self.engine.stats()))
+                Handled::Respond(metrics_report(&self.engine.render_metrics()))
             }
             Request::Trace(arg) => {
                 self.requests.fetch_add(1, Ordering::Relaxed);
@@ -510,6 +510,22 @@ mod tests {
         assert_eq!(service.request_count(), 3);
         // The pool served both query lines ("rust" and the failing "AND").
         assert_eq!(service.shutdown(), 2);
+    }
+
+    #[test]
+    fn metrics_scrape_brings_the_footprint_gauges_up_to_date() {
+        let service = service();
+        let mut output = Vec::new();
+        service.serve_lines(Cursor::new("rust\n!metrics\n!stats\n!quit\n"), &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        let (snapshot, cache) = service.engine().resident_bytes();
+        assert!(snapshot > 0 && cache > 0);
+        assert!(text.contains(&format!("dsearch_snapshot_resident_bytes {snapshot}\n")), "{text}");
+        assert!(text.contains(&format!("dsearch_cache_resident_bytes {cache}\n")), "{text}");
+        assert!(
+            text.contains(&format!("resident_bytes={snapshot}] cache[entries=1 bytes={cache}]"))
+        );
+        service.shutdown();
     }
 
     #[test]

@@ -14,18 +14,18 @@
 //! work the paper sketches.  A compacted (single-segment) store loads as one
 //! shard.
 //!
-//! Shards are **sealed**: at construction every shard's postings are
-//! compressed into fixed-size delta blocks behind a sorted, interned term
-//! dictionary ([`SealedShard`]).  Loading from a version-2 store is
-//! decode-free — the on-disk block payloads are lifted as-is — and queries
-//! evaluate through skip-aware cursors, so a reload costs I/O plus
-//! dictionary wiring, not a posting-by-posting rebuild.
+//! Shards are **sealed** ([`SealedShard`]): each is the bytes of its segment
+//! file — postings in fixed-size delta blocks, term by sorted term — plus
+//! flat tables locating every term in them.  Loading is decode-free and
+//! copies nothing out of the file but the doc table, and queries evaluate
+//! through skip-aware cursors over the same bytes, so a reload costs I/O
+//! plus one validating pass, not a posting-by-posting rebuild.
 
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use dsearch_index::{CompressedPostings, DocTable, FileId, InMemoryIndex, Postings, SealedShard};
+use dsearch_index::{CompressedView, DocTable, FileId, InMemoryIndex, Postings, SealedShard};
 use dsearch_persist::{IndexStore, PersistError};
 use dsearch_query::{PruneStats, Query, SearchBackend, SearchResults};
 
@@ -40,8 +40,8 @@ pub struct IndexSnapshot {
 }
 
 impl IndexSnapshot {
-    /// Loads every live segment of `store` as one sealed shard each, tagging
-    /// the image with `generation`.  Version-2 segments load decode-free.
+    /// Loads every live segment of `store` as one sealed shard each, one at
+    /// a time, tagging the image with `generation`.
     ///
     /// # Errors
     ///
@@ -49,7 +49,8 @@ impl IndexSnapshot {
     pub fn load(store: &IndexStore, generation: u64) -> Result<Self, PersistError> {
         let mut docs = DocTable::new();
         let mut shards = Vec::with_capacity(store.segment_count());
-        for (shard, segment_docs) in store.load_all_sealed()? {
+        for position in 0..store.segment_count() {
+            let (shard, segment_docs) = store.load_segment_sealed(position)?;
             // Segments written from one run share a doc table; keep the most
             // complete copy (mirrors the CLI's multi-segment search).
             if segment_docs.len() > docs.len() {
@@ -76,8 +77,7 @@ impl IndexSnapshot {
         IndexSnapshot::from_sealed(sealed, docs, generation)
     }
 
-    /// Builds a snapshot from already-sealed shards (the decode-free load
-    /// path).
+    /// Builds a snapshot from already-sealed shards.
     #[must_use]
     pub fn from_sealed(shards: Vec<SealedShard>, docs: DocTable, generation: u64) -> Self {
         IndexSnapshot { generation, shards, docs, parallel_lookup: false }
@@ -133,6 +133,13 @@ impl IndexSnapshot {
         self.shards.iter().map(SealedShard::uncompressed_posting_bytes).sum()
     }
 
+    /// Heap bytes the image holds: every shard's buffer and tables plus the
+    /// doc table, from their capacities (no allocator hooks).
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        self.shards.iter().map(SealedShard::resident_bytes).sum::<usize>() + self.docs.heap_bytes()
+    }
+
     /// The document table backing this snapshot.
     #[must_use]
     pub fn docs(&self) -> &DocTable {
@@ -143,12 +150,12 @@ impl IndexSnapshot {
     /// A term living in several shards appears once per shard; callers merge.
     pub fn terms(&self) -> impl Iterator<Item = (String, usize)> + '_ {
         self.shards.iter().flat_map(|shard| {
-            shard.iter().map(|(term, postings)| (term.as_str().to_owned(), postings.len()))
+            shard.iter().map(|(term, postings)| (term.to_owned(), postings.len()))
         })
     }
 
     /// The compressed posting lists for `term`, one per shard that knows it.
-    fn shard_postings(&self, term: &dsearch_text::Term) -> Vec<&CompressedPostings> {
+    fn shard_postings(&self, term: &dsearch_text::Term) -> Vec<CompressedView<'_>> {
         if self.parallel_lookup && self.shards.len() > 1 {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = self
@@ -186,12 +193,14 @@ impl IndexSnapshot {
     /// exactly like [`term_postings`](IndexSnapshot::term_postings).
     #[must_use]
     pub fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
-        let lists: Vec<&CompressedPostings> = if self.parallel_lookup && self.shards.len() > 1 {
+        let lists: Vec<CompressedView<'_>> = if self.parallel_lookup && self.shards.len() > 1 {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = self
                     .shards
                     .iter()
-                    .map(|shard| scope.spawn(move || shard.prefix_postings(prefix)))
+                    .map(|shard| {
+                        scope.spawn(move || shard.prefix_postings(prefix).collect::<Vec<_>>())
+                    })
                     .collect();
                 handles
                     .into_iter()
@@ -352,6 +361,28 @@ mod tests {
         let results = snapshot.search(&Query::parse("rust").unwrap());
         assert_eq!(results.paths(), vec!["a.txt", "b.txt"]);
         assert_eq!(snapshot.docs().len(), 3);
+    }
+
+    #[test]
+    fn resident_bytes_cover_every_shard_and_the_doc_table() {
+        let words: &[(&str, &[&str])] = &[("a.txt", &["rust", "index"]), ("b.txt", &["rust"])];
+        let one = snapshot_with(words, 1);
+        assert_eq!(one.resident_bytes(), one.shards[0].resident_bytes() + one.docs().heap_bytes());
+        assert!(one.docs().heap_bytes() >= "a.txtb.txt".len());
+        // The same documents over two shards hold two buffers and two sets
+        // of tables.
+        let mut docs = DocTable::new();
+        let shards: Vec<InMemoryIndex> = words
+            .iter()
+            .map(|(path, terms)| {
+                let mut index = InMemoryIndex::new();
+                index.insert_file(docs.insert(*path), terms.iter().map(|w| Term::from(*w)));
+                index
+            })
+            .collect();
+        let two = IndexSnapshot::from_shards(shards, docs, 1);
+        assert_eq!(two.shard_count(), 2);
+        assert!(two.resident_bytes() > one.resident_bytes());
     }
 
     #[test]

@@ -270,6 +270,27 @@ fn cluster_metrics_and_tracing_end_to_end() {
         );
     }
 
+    // The footprint gauges are brought up to date by the scrape itself and
+    // agree with the `!stats` line: the shard served queries above, so both
+    // its image and its cache hold bytes.
+    let gauge = |name: &str| -> u64 {
+        let line = scraped.body.iter().find(|l| l.starts_with(&format!("{name} "))).unwrap();
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    assert_eq!(families.get("dsearch_snapshot_resident_bytes").map(String::as_str), Some("gauge"));
+    assert_eq!(families.get("dsearch_cache_resident_bytes").map(String::as_str), Some("gauge"));
+    let stats = shard_client.request("!stats").status;
+    assert!(gauge("dsearch_snapshot_resident_bytes") > 0);
+    assert!(
+        stats.contains(&format!(" resident_bytes={}]", gauge("dsearch_snapshot_resident_bytes"))),
+        "{stats}"
+    );
+    assert!(gauge("dsearch_cache_resident_bytes") > 0);
+    assert!(
+        stats.contains(&format!(" bytes={}]", gauge("dsearch_cache_resident_bytes"))),
+        "{stats}"
+    );
+
     route_server.stop();
     server0.stop();
     server1.stop();

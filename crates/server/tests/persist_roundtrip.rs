@@ -149,4 +149,54 @@ proptest! {
             );
         }
     }
+
+    /// Block-max pruning stays invisible on Implementation 3's store — two
+    /// un-joined replicas, each a partial index under the whole run's doc
+    /// table — loaded from disk: the persisted bounds were sealed with each
+    /// replica's own document count, and the loaded shard must score with
+    /// the same one or pruning stops being admissible.
+    #[test]
+    fn pruned_topk_equals_exhaustive_on_a_two_replica_store_from_disk(
+        tfs in proptest::collection::vec((0u32..6, 0u32..4, 0u32..9), 260..420),
+        k in 1usize..12,
+        seed in 0u32..1000,
+    ) {
+        let mut docs = DocTable::new();
+        let mut replicas = vec![InMemoryIndex::new(), InMemoryIndex::new()];
+        for (i, &(common, mid, rare)) in tfs.iter().enumerate() {
+            let id = docs.insert(format!("doc{i:04}.txt"));
+            let mut terms = vec![(Term::from("common"), 1 + common)];
+            if mid > 0 {
+                terms.push((Term::from("mid"), mid));
+            }
+            if rare > 6 {
+                terms.push((Term::from("rare"), rare));
+            }
+            // Uneven split: the replicas disagree on document count, and
+            // both disagree with the doc table.
+            replicas[usize::from(i % 3 == 0)].insert_file_counted(id, terms);
+        }
+        let dir = TempDir::new(&format!("replicas-{seed}-{}", tfs.len()));
+        let mut store = IndexStore::open(dir.0.join("store")).unwrap();
+        for replica in &replicas {
+            store.commit(replica, &docs).unwrap();
+        }
+        let loaded = IndexSnapshot::load(&store, 1).unwrap();
+        prop_assert_eq!(loaded.shard_count(), 2);
+        prop_assert_eq!(loaded.file_count(), tfs.len() as u64);
+        let in_memory = IndexSnapshot::from_shards(replicas, docs, 1);
+        let ranking = |results: &dsearch_query::SearchResults| -> Vec<(u32, String)> {
+            results.hits().iter().map(|h| (h.score.to_bits(), h.path.to_string())).collect()
+        };
+        for raw in ["common", "common OR mid", "common OR rare", "common OR mid OR rare", "mid rare"] {
+            let query = Query::parse(raw).unwrap();
+            let (pruned, _) = loaded.search_topk(&query, k, &|| false).unwrap();
+            let (full, _) = loaded.search_topk(&query, usize::MAX, &|| false).unwrap();
+            let mut expected = ranking(&full);
+            expected.truncate(k);
+            prop_assert_eq!(ranking(&pruned), expected.clone(), "{:?} k={}", raw, k);
+            let (sealed, _) = in_memory.search_topk(&query, k, &|| false).unwrap();
+            prop_assert_eq!(ranking(&sealed), expected, "in-memory seal, {:?} k={}", raw, k);
+        }
+    }
 }

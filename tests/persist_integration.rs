@@ -7,11 +7,12 @@ use std::path::{Path, PathBuf};
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator, IndexOutcome};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
+use dsearch::index::varint::{write_bytes, write_varint};
 use dsearch::index::{DocTable, FileId, InMemoryIndex, SealedShard};
 use dsearch::persist::segment::{
-    read_segment_sealed, write_segment, SEGMENT_MAGIC, SEGMENT_VERSION,
+    read_segment, read_segment_sealed, write_segment, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
-use dsearch::persist::{varint, IncrementalIndexer, IndexStore, SignatureDb};
+use dsearch::persist::{IncrementalIndexer, IndexStore, SignatureDb};
 use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
 use dsearch::text::Term;
 use dsearch::vfs::{MemFs, VPath};
@@ -106,34 +107,34 @@ fn implementation3_replicas_stored_as_segments_join_to_the_same_index() {
 /// `write_segment` must match byte for byte.
 fn seal_then_serialise(index: &InMemoryIndex, docs: &DocTable) -> Vec<u8> {
     let mut payload: Vec<u8> = Vec::new();
-    varint::write_u32(&mut payload, SEGMENT_VERSION).unwrap();
-    varint::write_u64(&mut payload, docs.len() as u64).unwrap();
+    write_varint(&mut payload, u64::from(SEGMENT_VERSION));
+    write_varint(&mut payload, docs.len() as u64);
     for (_, path) in docs.iter() {
-        varint::write_bytes(&mut payload, path.as_bytes()).unwrap();
+        write_bytes(&mut payload, path.as_bytes());
     }
     let mut doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
     doc_lens.sort_unstable_by_key(|&(id, _)| id);
-    varint::write_u64(&mut payload, doc_lens.len() as u64).unwrap();
+    write_varint(&mut payload, doc_lens.len() as u64);
     for &(id, len) in &doc_lens {
-        varint::write_u32(&mut payload, id.as_u32()).unwrap();
-        varint::write_u32(&mut payload, len).unwrap();
+        write_varint(&mut payload, u64::from(id.as_u32()));
+        write_varint(&mut payload, u64::from(len));
     }
     let shard = SealedShard::from_index(index);
-    varint::write_u64(&mut payload, shard.term_count() as u64).unwrap();
+    write_varint(&mut payload, shard.term_count() as u64);
     for (term, compressed) in shard.iter() {
-        varint::write_bytes(&mut payload, term.as_str().as_bytes()).unwrap();
-        varint::write_u64(&mut payload, compressed.len() as u64).unwrap();
+        write_bytes(&mut payload, term.as_bytes());
+        write_varint(&mut payload, compressed.len() as u64);
         for skip in compressed.skips() {
-            varint::write_u32(&mut payload, skip.first.as_u32()).unwrap();
-            varint::write_u32(&mut payload, skip.last.as_u32()).unwrap();
-            varint::write_u32(&mut payload, skip.offset).unwrap();
+            write_varint(&mut payload, u64::from(skip.first.as_u32()));
+            write_varint(&mut payload, u64::from(skip.last.as_u32()));
+            write_varint(&mut payload, u64::from(skip.offset));
         }
-        varint::write_bytes(&mut payload, compressed.data()).unwrap();
-        varint::write_bytes(&mut payload, compressed.freqs()).unwrap();
+        write_bytes(&mut payload, compressed.data());
+        write_bytes(&mut payload, compressed.freqs());
         for &offset in compressed.freq_offsets() {
-            varint::write_u32(&mut payload, offset).unwrap();
+            write_varint(&mut payload, u64::from(offset));
         }
-        varint::write_u32(&mut payload, compressed.max_score().to_bits()).unwrap();
+        write_varint(&mut payload, u64::from(compressed.max_score().to_bits()));
         payload.extend_from_slice(compressed.block_scores());
     }
     let mut bytes = SEGMENT_MAGIC.to_vec();
@@ -173,17 +174,53 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                     written == seal_then_serialise(index, &docs),
                     "{implementation:?} x{extractors}: streamed segment differs from the reference"
                 );
+                // Implementation 3's partial replicas included: a loaded
+                // shard scores against the documents its replica indexed,
+                // not against the whole run's doc table.
                 let (shard, _) = read_segment_sealed(&written[..]).unwrap();
-                let sealed = SealedShard::from_index(index);
-                assert!(shard.iter().eq(sealed.iter()), "{implementation:?} x{extractors}");
-                // A loaded shard takes its file count from the doc table, so
-                // whole-shard equality holds for indices that cover it (every
-                // case here but Implementation 3's partial replicas).
-                if index.file_count() == docs.len() as u64 {
-                    assert!(shard == sealed, "{implementation:?} x{extractors}");
-                }
+                assert!(
+                    shard == SealedShard::from_index(index),
+                    "{implementation:?} x{extractors}"
+                );
             }
         }
+    }
+}
+
+/// BM25's document count is the number of documents with a recorded length
+/// (README "Ranked retrieval").  An en-bloc insert records one for a file
+/// without terms, so every store `dsearch index` writes counts such files;
+/// the per-occurrence ablation path does not, and there the count falls
+/// below `file_count()` — consistently, in memory and across
+/// `read_segment` → `write_segment`, so scores and bounds never drift.
+#[test]
+fn the_scored_document_count_survives_a_read_and_recommit() {
+    let mut docs = DocTable::new();
+    let ids: Vec<FileId> = (0..3).map(|i| docs.insert(format!("f{i}.txt"))).collect();
+    let words = |file: usize| if file == 1 { vec![] } else { vec!["alpha", "beta"] };
+
+    let mut en_bloc = InMemoryIndex::new();
+    let mut per_occurrence = InMemoryIndex::new();
+    for (file, &id) in ids.iter().enumerate() {
+        en_bloc.insert_file_counted(id, words(file).into_iter().map(|w| (Term::from(w), 2u32)));
+        words(file).into_iter().for_each(|w| per_occurrence.insert_occurrence(id, Term::from(w)));
+        per_occurrence.note_file_done();
+    }
+    assert_eq!((en_bloc.file_count(), per_occurrence.file_count()), (3, 3));
+
+    for (index, scored) in [(&en_bloc, 3), (&per_occurrence, 2)] {
+        let sealed = SealedShard::from_index(index);
+        assert_eq!(sealed.file_count(), scored);
+        let mut written = Vec::new();
+        write_segment(index, &docs, std::io::Cursor::new(&mut written)).unwrap();
+        assert!(read_segment_sealed(&written[..]).unwrap().0 == sealed);
+        // Load mutably, commit again: the same bytes, so the same idf, the
+        // same norms and the same block bounds.
+        let (restored, restored_docs) = read_segment(&written[..]).unwrap();
+        assert_eq!(restored.file_count(), scored);
+        let mut rewritten = Vec::new();
+        write_segment(&restored, &restored_docs, std::io::Cursor::new(&mut rewritten)).unwrap();
+        assert!(rewritten == written, "a recommit changed the segment");
     }
 }
 
