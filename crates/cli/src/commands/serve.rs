@@ -124,24 +124,30 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         0 => "unbounded".to_owned(),
         bound => bound.to_string(),
     };
-    let banner = format!(
-        "serving {} document(s), {} shard(s) in {:.1} MB, generation {} \
-         ({} workers, cache {} entries / {} shards, admission={})\n\
-         batching: max_batch={} max_wait={:?} queue_bound={queue_bound} overload={}\n\
-         protocol: one query per line (prefix @<hex-id> to trace, @d=<ms> for a deadline); \
-         !stats, !metrics, !trace <us>, !slow, !reload, !quit\n",
-        engine.snapshot_cell().load().doc_count(),
-        engine.snapshot_cell().load().shard_count(),
-        engine.snapshot_cell().load().resident_bytes() as f64 / 1e6,
-        engine.snapshot_cell().generation(),
-        engine.config().workers,
-        engine.config().cache_capacity,
-        engine.config().cache_shards,
-        engine.config().cache_admission,
-        batch.max_batch,
-        batch.max_wait,
-        batch.overload,
-    );
+    // The image is borrowed for the banner alone: held any longer it would
+    // outlive the `!reload` that replaces it.
+    let banner = {
+        let snapshot = engine.snapshot_cell().load();
+        format!(
+            "serving {} document(s), {} shard(s) in {:.1} MB, generation {} load_ms={:.1} \
+             ({} workers, cache {} entries / {} shards, admission={})\n\
+             batching: max_batch={} max_wait={:?} queue_bound={queue_bound} overload={}\n\
+             protocol: one query per line (prefix @<hex-id> to trace, @d=<ms> for a deadline); \
+             !stats, !metrics, !trace <us>, !slow, !reload, !quit\n",
+            snapshot.doc_count(),
+            snapshot.shard_count(),
+            snapshot.resident_bytes() as f64 / 1e6,
+            snapshot.generation(),
+            snapshot.load_time().as_secs_f64() * 1e3,
+            engine.config().workers,
+            engine.config().cache_capacity,
+            engine.config().cache_shards,
+            engine.config().cache_admission,
+            batch.max_batch,
+            batch.max_wait,
+            batch.overload,
+        )
+    };
     let service = Arc::new(Service::start(engine, Some(store_path)));
     // `--trace-us <n>` arms the slow-query log from the start (equivalent to
     // a client sending `!trace <n>`).

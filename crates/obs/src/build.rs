@@ -12,6 +12,8 @@
 //! [`BUILD_PEAK_RSS_METRIC`]: the number the repo benchmark gates for the
 //! build workloads, read by the program about itself.
 
+use std::time::Duration;
+
 use dsearch_core::pipeline::CounterSnapshot;
 
 use crate::metrics::MetricsRegistry;
@@ -66,9 +68,27 @@ pub fn publish_peak_rss(registry: &MetricsRegistry) -> Option<u64> {
     Some(bytes)
 }
 
+/// Gauge holding what persisting the last build's index took — seal, write,
+/// sync and manifest — in seconds: the stage `dsearch index` prints as
+/// `persist`, the one that closes its tiling of the process's wall time.
+pub const BUILD_PERSIST_METRIC: &str = "dsearch_build_persist_seconds";
+
+/// Sets [`BUILD_PERSIST_METRIC`] to `elapsed`.
+pub fn publish_persist_time(registry: &MetricsRegistry, elapsed: Duration) {
+    registry.gauge(BUILD_PERSIST_METRIC).set_duration(elapsed);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn persist_time_is_published_in_seconds() {
+        let registry = MetricsRegistry::new();
+        publish_persist_time(&registry, Duration::from_millis(85));
+        let text = registry.render_prometheus();
+        assert!(text.contains("dsearch_build_persist_seconds 0.085000\n"), "{text}");
+    }
 
     #[test]
     fn vm_hwm_parses_from_a_status_file_and_is_optional() {

@@ -82,6 +82,12 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
+    /// Sets a duration gauge — one whose family name ends in `_seconds`: it
+    /// holds whole nanoseconds and the exposition prints them as seconds.
+    pub fn set_duration(&self, d: Duration) {
+        self.set(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+    }
+
     /// Current value.
     #[must_use]
     pub fn value(&self) -> u64 {
@@ -381,7 +387,9 @@ impl MetricsRegistry {
     /// Renders Prometheus-style text exposition: one `# TYPE` line per metric
     /// family, then the samples.  Histograms emit cumulative `_bucket{le=…}`
     /// lines (non-empty buckets plus `+Inf`), `_sum` and `_count`.  All
-    /// durations are integer nanoseconds, hence the `_ns` naming convention.
+    /// durations are integer nanoseconds, hence the `_ns` naming convention;
+    /// the one exception is a gauge named `*_seconds`
+    /// ([`Gauge::set_duration`]), printed in seconds.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         self.snapshot().render_prometheus()
@@ -495,6 +503,11 @@ impl MetricsSnapshot {
                 out.push_str(&format!("# TYPE {} gauge\n", key.name));
                 previous_family = Some(key.name.as_str());
             }
+            if key.name.ends_with("_seconds") {
+                let seconds = *value as f64 / 1e9;
+                out.push_str(&format!("{}{} {seconds:.6}\n", key.name, key.sample_suffix()));
+                continue;
+            }
             out.push_str(&format!("{}{} {}\n", key.name, key.sample_suffix(), value));
         }
         let mut histograms: Vec<_> = self.histograms.iter().collect();
@@ -558,6 +571,16 @@ mod tests {
         assert_eq!(g.value(), 0);
         g.set(7);
         assert_eq!(g.value(), 7);
+    }
+
+    #[test]
+    fn duration_gauges_are_printed_in_seconds() {
+        let registry = MetricsRegistry::new();
+        registry.gauge("load_seconds").set_duration(Duration::from_micros(11_400));
+        registry.gauge("load_bytes").set(11_400);
+        let text = registry.render_prometheus();
+        assert!(text.contains("# TYPE load_seconds gauge\nload_seconds 0.011400\n"), "{text}");
+        assert!(text.contains("load_bytes 11400\n"), "{text}");
     }
 
     #[test]

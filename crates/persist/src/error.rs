@@ -19,6 +19,13 @@ pub enum PersistError {
     /// A failure reported by the virtual file system during incremental
     /// re-indexing.
     Vfs(dsearch_vfs::VfsError),
+    /// One segment of a store could not be read.
+    Segment {
+        /// The segment's file name in the store directory.
+        file_name: String,
+        /// What went wrong with it.
+        source: Box<PersistError>,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -30,6 +37,7 @@ impl fmt::Display for PersistError {
                 write!(f, "unsupported format version {found} (expected {expected})")
             }
             PersistError::Vfs(e) => write!(f, "file system error: {e}"),
+            PersistError::Segment { file_name, source } => write!(f, "{file_name}: {source}"),
         }
     }
 }
@@ -39,6 +47,7 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Io(e) => Some(e),
             PersistError::Vfs(e) => Some(e),
+            PersistError::Segment { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -83,6 +92,16 @@ mod tests {
         let vfs = PersistError::from(dsearch_vfs::VfsError::NotFound(dsearch_vfs::VPath::new("x")));
         assert!(vfs.to_string().contains("file system"));
         assert!(vfs.source().is_some());
+
+        let segment = PersistError::Segment {
+            file_name: "segment-000002.dsg".into(),
+            source: Box::new(PersistError::Corrupt("segment checksum mismatch".into())),
+        };
+        assert_eq!(
+            segment.to_string(),
+            "segment-000002.dsg: corrupt persisted data: segment checksum mismatch"
+        );
+        assert!(segment.source().is_some());
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! paper's pipeline, without changing the pipeline itself:
 //!
 //! * **Persistence** ([`segment`], [`store`]) — a compact binary segment
-//!   format (delta-encoded, varint-compressed posting lists, FNV-1a
-//!   checksummed) and an [`store::IndexStore`] directory layout that holds
-//!   any number of segments plus a manifest.  Replicas produced by
-//!   Implementation 3 can be committed as one segment each and either
-//!   searched in place or compacted into a single segment later — the on-disk
-//!   mirror of the paper's "Join Forces" decision.
+//!   format (delta-encoded, block-compressed posting lists under the
+//!   word-at-a-time [`checksum`]) and an [`store::IndexStore`] directory
+//!   layout that holds any number of segments plus a manifest.  Replicas
+//!   produced by Implementation 3 are committed as one segment each, written
+//!   concurrently and published together, and either searched in place —
+//!   loaded concurrently — or compacted into a single segment later: the
+//!   on-disk mirror of the paper's "Join Forces" decision.
 //! * **Incremental re-indexing** ([`incremental`]) — per-file signatures
 //!   (size + FNV-1a content hash) persisted in a [`incremental::SignatureDb`]
 //!   let the next run re-scan only the files that were added, modified or
@@ -43,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod checksum;
 pub mod error;
 pub mod incremental;
 pub mod segment;

@@ -15,9 +15,16 @@
 //! committed as its own segment and queries load them all; [`IndexStore::compact`]
 //! performs the join later, off the indexing critical path — the on-disk
 //! version of the paper's trade-off between Implementations 2 and 3.
+//!
+//! Segments are independent units of work on both sides of the disk: a run's
+//! replicas are sealed, written and synced concurrently and then published by
+//! **one** manifest write ([`IndexStore::commit_all`] — the run appears whole
+//! or not at all), and the segments of a store are read, verified and laid
+//! out concurrently ([`IndexStore::load_all`], [`IndexStore::load_all_sealed`]).
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -67,6 +74,38 @@ impl StoreManifest {
     pub fn total_docs(&self) -> u64 {
         self.segments.iter().map(|s| s.info.doc_count).sum()
     }
+}
+
+/// Runs `work` over `items` on at most `min(items, available_parallelism)`
+/// threads — the caller's among them, so one item spawns nothing — and
+/// returns the results in item order.  Each item is handed to `work` by
+/// value and dropped with it, as soon as that item is done.
+fn fan_out<I: Send, T: Send>(items: Vec<I>, work: impl Fn(I) -> T + Sync) -> Vec<T> {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let threads = items.len().min(cores);
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("the queue lock is held over `next` alone").next();
+            let Some((position, item)) = next else { return done };
+            done.push((position, work(item)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
+        let mut done = drain();
+        for helper in helpers {
+            done.extend(helper.join().expect("a segment worker panicked"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(position, _)| position);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+fn segment_file_name(number: u64) -> String {
+    format!("segment-{number:06}.dsg")
 }
 
 /// A directory of index segments plus a manifest.
@@ -163,15 +202,69 @@ impl IndexStore {
         index: &InMemoryIndex,
         docs: &DocTable,
     ) -> Result<(String, SegmentInfo), PersistError> {
-        let file_name = format!("segment-{:06}.dsg", self.manifest.next_segment);
-        let path = self.root.join(&file_name);
-        let mut file = fs::File::create(&path)?;
-        let info = write_segment(index, docs, &mut file)?;
-        file.sync_all()?;
+        let file_name = segment_file_name(self.manifest.next_segment);
+        let info = self.write_segment_file(&file_name, index, docs)?;
         self.manifest.next_segment += 1;
         self.manifest.segments.push(ManifestSegment { file_name: file_name.clone(), info });
         self.write_manifest()?;
         Ok((file_name, info))
+    }
+
+    /// Seals `index` into the file `file_name` of this store and syncs it.
+    fn write_segment_file(
+        &self,
+        file_name: &str,
+        index: &InMemoryIndex,
+        docs: &DocTable,
+    ) -> Result<SegmentInfo, PersistError> {
+        let mut file = fs::File::create(self.root.join(file_name))?;
+        let info = write_segment(index, docs, &mut file)?;
+        file.sync_all()?;
+        Ok(info)
+    }
+
+    /// Commits the replicas of one run, one segment each, as a whole: the
+    /// segments are sealed, written and synced concurrently (each replica is
+    /// consumed, so its memory goes as soon as its file is durable) and only
+    /// then recorded, all of them, by one atomic manifest write.  The result
+    /// is what `replicas.len()` calls of [`commit`](IndexStore::commit) leave
+    /// — same names, same bytes, same manifest — without the states in
+    /// between: a reader never sees some of the run's segments.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a segment or the manifest cannot be written.  The store
+    /// is then as it was: the manifest untouched, on disk and in memory, and
+    /// every file this call created removed.
+    pub fn commit_all(
+        &mut self,
+        replicas: Vec<InMemoryIndex>,
+        docs: &DocTable,
+    ) -> Result<Vec<SegmentInfo>, PersistError> {
+        let first = self.manifest.next_segment;
+        let names: Vec<String> = (first..).take(replicas.len()).map(segment_file_name).collect();
+        let before = self.manifest.clone();
+        let jobs: Vec<(&String, InMemoryIndex)> = names.iter().zip(replicas).collect();
+        let published =
+            fan_out(jobs, |(name, replica)| self.write_segment_file(name, &replica, docs))
+                .into_iter()
+                .collect::<Result<Vec<SegmentInfo>, PersistError>>()
+                .and_then(|infos| {
+                    for (file_name, &info) in names.iter().zip(&infos) {
+                        let file_name = file_name.clone();
+                        self.manifest.segments.push(ManifestSegment { file_name, info });
+                    }
+                    self.manifest.next_segment += names.len() as u64;
+                    self.write_manifest()?;
+                    Ok(infos)
+                });
+        if published.is_err() {
+            self.manifest = before;
+            for name in &names {
+                let _ = fs::remove_file(self.root.join(name));
+            }
+        }
+        published
     }
 
     /// Keeps only the segments whose file name satisfies `keep`; the rest are
@@ -209,16 +302,37 @@ impl IndexStore {
         self.retain_segments(|_| false)
     }
 
-    /// Opens the file of the segment at `position` in the manifest (unbuffered:
-    /// the readers take it whole, sized from its length).
-    fn open_segment(&self, position: usize) -> Result<fs::File, PersistError> {
+    /// Reads the segment at `position` in the manifest with `read`, which
+    /// gets the open file (unbuffered: the readers take it whole, sized from
+    /// its length).  A failure names the segment's file.
+    fn read_at<T>(
+        &self,
+        position: usize,
+        read: impl Fn(fs::File) -> Result<T, PersistError>,
+    ) -> Result<T, PersistError> {
         let entry = self.manifest.segments.get(position).ok_or_else(|| {
             PersistError::Corrupt(format!(
                 "segment index {position} out of range ({} segments)",
                 self.manifest.segments.len()
             ))
         })?;
-        Ok(fs::File::open(self.root.join(&entry.file_name))?)
+        fs::File::open(self.root.join(&entry.file_name))
+            .map_err(PersistError::from)
+            .and_then(read)
+            .map_err(|source| PersistError::Segment {
+                file_name: entry.file_name.clone(),
+                source: Box::new(source),
+            })
+    }
+
+    /// Reads every live segment with `read`, concurrently; the results come
+    /// back in manifest order, or the first failure in that order.
+    fn read_all<T: Send>(
+        &self,
+        read: impl Fn(fs::File) -> Result<T, PersistError> + Sync,
+    ) -> Result<Vec<T>, PersistError> {
+        let positions: Vec<usize> = (0..self.segment_count()).collect();
+        fan_out(positions, |position| self.read_at(position, &read)).into_iter().collect()
     }
 
     /// Loads one segment by its position in the manifest.
@@ -228,16 +342,27 @@ impl IndexStore {
     /// Fails when `position` is out of range or the segment file is missing
     /// or corrupt.
     pub fn load_segment(&self, position: usize) -> Result<(InMemoryIndex, DocTable), PersistError> {
-        read_segment(self.open_segment(position)?)
+        self.read_at(position, read_segment)
     }
 
-    /// Loads every live segment.
+    /// Loads every live segment, concurrently, in manifest order.
     ///
     /// # Errors
     ///
-    /// Fails when any segment is missing or corrupt.
+    /// Fails when any segment is missing or corrupt; the error is the first
+    /// in manifest order and names the segment's file.
     pub fn load_all(&self) -> Result<Vec<(InMemoryIndex, DocTable)>, PersistError> {
-        (0..self.segment_count()).map(|i| self.load_segment(i)).collect()
+        self.read_all(read_segment)
+    }
+
+    /// Loads every live segment straight into its sealed serving form,
+    /// concurrently, in manifest order.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`load_all`](IndexStore::load_all).
+    pub fn load_all_sealed(&self) -> Result<Vec<(SealedShard, DocTable)>, PersistError> {
+        self.read_all(read_segment_sealed)
     }
 
     /// Loads one segment straight into its sealed (block-compressed) serving
@@ -251,7 +376,7 @@ impl IndexStore {
         &self,
         position: usize,
     ) -> Result<(SealedShard, DocTable), PersistError> {
-        read_segment_sealed(self.open_segment(position)?)
+        self.read_at(position, read_segment_sealed)
     }
 
     /// Loads all segments and joins them into one index.
@@ -480,6 +605,115 @@ mod tests {
             .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".dsg"))
             .count();
         assert_eq!(remaining, 1);
+    }
+
+    /// Three replicas over one doc table of nine documents.
+    fn replicas() -> (Vec<InMemoryIndex>, DocTable) {
+        let mut docs = DocTable::new();
+        let mut replicas = vec![InMemoryIndex::new(); 3];
+        for i in 0..9usize {
+            let id = docs.insert(format!("doc{i}.txt"));
+            replicas[i % 3].insert_file(id, [Term::from("common"), Term::from(format!("w{i}"))]);
+        }
+        (replicas, docs)
+    }
+
+    /// Everything in the store directory, by name.
+    fn files_of(store: &IndexStore) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(store.root())
+            .unwrap()
+            .map(|entry| entry.unwrap())
+            .filter(|entry| entry.file_type().unwrap().is_file())
+            .map(|entry| {
+                (entry.file_name().into_string().unwrap(), fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn commit_all_leaves_what_one_commit_per_replica_leaves() {
+        let dir = TempDir::new("commit-all");
+        let (replicas, docs) = replicas();
+        // Behind an earlier segment, so the names do not start at 1.
+        let (earlier, earlier_docs) = sample(0);
+        let mut one_by_one = IndexStore::open(dir.path().join("a")).unwrap();
+        let mut at_once = IndexStore::open(dir.path().join("b")).unwrap();
+        one_by_one.commit(&earlier, &earlier_docs).unwrap();
+        at_once.commit(&earlier, &earlier_docs).unwrap();
+
+        let infos: Vec<SegmentInfo> =
+            replicas.iter().map(|replica| one_by_one.commit(replica, &docs).unwrap()).collect();
+        assert_eq!(at_once.commit_all(replicas, &docs).unwrap(), infos);
+        assert_eq!(at_once.manifest(), one_by_one.manifest());
+        // Same names, same bytes, the manifest file included.
+        assert_eq!(files_of(&at_once), files_of(&one_by_one));
+        assert_eq!(files_of(&at_once).len(), 5);
+        assert_eq!(at_once.commit_all(Vec::new(), &docs).unwrap(), Vec::new());
+        assert_eq!(at_once.manifest(), one_by_one.manifest());
+    }
+
+    #[test]
+    fn a_run_is_published_whole_or_not_at_all() {
+        let (replicas, docs) = replicas();
+        for failing in 0..replicas.len() {
+            let dir = TempDir::new("whole");
+            let root = dir.path().join("s");
+            let mut store = IndexStore::open(&root).unwrap();
+            let (earlier, earlier_docs) = sample(0);
+            store.commit(&earlier, &earlier_docs).unwrap();
+            let before = files_of(&store);
+            // Segment `failing` of the run cannot be created: a directory
+            // is in its place.
+            let blocked = root.join(segment_file_name(2 + failing as u64));
+            fs::create_dir(&blocked).unwrap();
+
+            assert!(store.commit_all(replicas.clone(), &docs).is_err());
+            // The manifest names the old segment alone, in memory and for
+            // whoever opens the store next, and no file of the run is left.
+            assert_eq!(store.segment_count(), 1);
+            assert_eq!(store.manifest(), IndexStore::open(&root).unwrap().manifest());
+            assert_eq!(files_of(&store), before, "failing segment {failing}");
+
+            // With the obstacle gone the same call goes through, under the
+            // names the failed one had reserved.
+            fs::remove_dir(&blocked).unwrap();
+            store.commit_all(replicas.clone(), &docs).unwrap();
+            assert_eq!(store.segment_count(), 4);
+            assert_eq!(store.manifest().segments[1].file_name, "segment-000002.dsg");
+        }
+    }
+
+    #[test]
+    fn loads_run_in_manifest_order_and_name_the_segment_that_fails() {
+        let dir = TempDir::new("load-all");
+        let mut store = IndexStore::open(dir.path().join("s")).unwrap();
+        let (replicas, docs) = replicas();
+        store.commit_all(replicas.clone(), &docs).unwrap();
+        let loaded = store.load_all().unwrap();
+        assert_eq!(loaded.iter().map(|(index, _)| index.clone()).collect::<Vec<_>>(), replicas);
+        for (position, (shard, _)) in store.load_all_sealed().unwrap().iter().enumerate() {
+            assert_eq!(shard, &SealedShard::from_index(&replicas[position]));
+        }
+
+        // Cut the middle segment short: every load of it names it.
+        let victim = store.manifest().segments[1].file_name.clone();
+        let path = store.root().join(&victim);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+        for err in [
+            store.load_all().unwrap_err(),
+            store.load_all_sealed().unwrap_err(),
+            store.load_segment(1).unwrap_err(),
+            store.load_joined().unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, PersistError::Segment { file_name, .. } if *file_name == victim),
+                "{err}"
+            );
+        }
+        assert!(store.load_segment(0).is_ok());
     }
 
     #[test]

@@ -29,6 +29,9 @@ use crate::stats::{DeadlineStage, ServerStats};
 pub const SNAPSHOT_RESIDENT_METRIC: &str = "dsearch_snapshot_resident_bytes";
 /// Gauge: heap bytes of the result cache (keys, hit vectors, path text).
 pub const CACHE_RESIDENT_METRIC: &str = "dsearch_cache_resident_bytes";
+/// Gauge: what loading the served snapshot from its store took, in seconds
+/// (a `!reload` publishes a new snapshot and with it a new value).
+pub const SNAPSHOT_LOAD_METRIC: &str = "dsearch_snapshot_load_seconds";
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -238,14 +241,15 @@ impl QueryEngine {
         (self.snapshot.load().resident_bytes(), cache)
     }
 
-    /// The `!metrics` exposition, with the footprint gauges brought up to
-    /// date first.
+    /// The `!metrics` exposition, with the footprint and load-time gauges
+    /// brought up to date first.
     #[must_use]
     pub fn render_metrics(&self) -> String {
         let (snapshot, cache) = self.resident_bytes();
         let registry = self.stats.registry();
         registry.gauge(SNAPSHOT_RESIDENT_METRIC).set(snapshot as u64);
         registry.gauge(CACHE_RESIDENT_METRIC).set(cache as u64);
+        registry.gauge(SNAPSHOT_LOAD_METRIC).set_duration(self.snapshot.load().load_time());
         self.stats.render_metrics()
     }
 
@@ -258,10 +262,11 @@ impl QueryEngine {
         let raw = snapshot.uncompressed_posting_bytes();
         let ratio = if compressed == 0 { 1.0 } else { raw as f64 / compressed as f64 };
         let (resident, cache_bytes) = self.resident_bytes();
+        let load_ms = snapshot.load_time().as_secs_f64() * 1e3;
         format!(
             "{} index[shards={} postings={} posting_bytes={compressed} raw_bytes={raw} \
-             compression={ratio:.2}x resident_bytes={resident}] cache[entries={} \
-             bytes={cache_bytes}]",
+             compression={ratio:.2}x load_ms={load_ms:.1} resident_bytes={resident}] \
+             cache[entries={} bytes={cache_bytes}]",
             self.stats.render(self.cache.counters(), snapshot.generation()),
             snapshot.shard_count(),
             snapshot.posting_count(),
@@ -774,7 +779,10 @@ mod tests {
         let stats = engine.stats_report();
         assert!(stats.contains(&format!(" resident_bytes={snapshot}] ")), "{stats}");
         assert!(stats.ends_with(&format!("cache[entries=2 bytes={cache}]")), "{stats}");
+        // An image that was never on disk took no time to load.
+        assert!(stats.contains(" load_ms=0.0 "), "{stats}");
         let metrics = engine.render_metrics();
+        assert!(metrics.contains(&format!("{SNAPSHOT_LOAD_METRIC} 0.000000\n")), "{metrics}");
         assert!(metrics.contains(&format!("{SNAPSHOT_RESIDENT_METRIC} {snapshot}\n")), "{metrics}");
         assert!(metrics.contains(&format!("{CACHE_RESIDENT_METRIC} {cache}\n")), "{metrics}");
     }

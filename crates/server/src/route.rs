@@ -375,6 +375,10 @@ impl RemoteShard {
         for addr in addrs {
             match TcpStream::connect_timeout(&addr, connect_timeout) {
                 Ok(stream) => {
+                    // A pipelined batch is one `write_all`, but the next
+                    // exchange on the pooled connection would otherwise wait
+                    // out the shard's delayed ACK of the last response.
+                    let _ = stream.set_nodelay(true);
                     let _ = stream.set_read_timeout(Some(io_timeout));
                     let _ = stream.set_write_timeout(Some(io_timeout));
                     return Ok(stream);
@@ -1908,6 +1912,13 @@ mod tests {
         assert!(!response.partial());
         assert!(!response.deadline_exceeded);
         assert_eq!(response.hits.len(), 1);
+    }
+
+    #[test]
+    fn remote_shard_streams_have_nagle_off() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let shard = RemoteShard::new(listener.local_addr().unwrap().to_string());
+        assert!(shard.connect(None).unwrap().nodelay().unwrap());
     }
 
     #[test]

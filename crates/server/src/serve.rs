@@ -330,6 +330,10 @@ impl TcpServer {
                 }
                 match stream {
                     Ok(mut stream) => {
+                        // Every response is one `write_all`; with Nagle's
+                        // algorithm on, one that follows another on the same
+                        // connection waits for the peer's delayed ACK (40 ms).
+                        let _ = stream.set_nodelay(true);
                         let stats = service.stats();
                         if config.max_conns > 0
                             && stats.active_conn_count() >= config.max_conns as u64
@@ -529,6 +533,40 @@ mod tests {
     }
 
     #[test]
+    fn load_time_is_reported_and_refreshed_by_a_reload() {
+        let dir = std::env::temp_dir().join(format!("dsearch-serve-load-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = IndexStore::open(&dir).unwrap();
+        let mut docs = DocTable::new();
+        let mut index = InMemoryIndex::new();
+        index.insert_file(docs.insert("a.txt"), [Term::from("rust")]);
+        store.commit(&index, &docs).unwrap();
+        let engine =
+            QueryEngine::new(IndexSnapshot::load(&store, 1).unwrap(), EngineConfig::default())
+                .unwrap();
+        let service = Service::start(engine, Some(dir.clone()));
+        let gauge = |service: &Service| {
+            let seconds = service.engine().snapshot_cell().load().load_time().as_secs_f64();
+            assert!(seconds > 0.0);
+            format!("dsearch_snapshot_load_seconds {seconds:.6}\n")
+        };
+
+        let mut output = Vec::new();
+        service.serve_lines(Cursor::new("!metrics\n!stats\n"), &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        assert!(text.contains(&gauge(&service)), "{text}");
+        assert!(text.contains(" load_ms="), "{text}");
+
+        let mut output = Vec::new();
+        service.serve_lines(Cursor::new("!reload\n!metrics\n!quit\n"), &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        assert!(text.contains("reloaded generation=2"), "{text}");
+        assert!(text.contains(&gauge(&service)), "{text}");
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn eof_sessions_report_eof() {
         let service = service();
         let mut output = Vec::new();
@@ -563,6 +601,15 @@ mod tests {
         assert!(response.ok);
         assert_eq!(response.hit_count(), 1);
         assert_eq!(response.generation(), Some(1));
+        // The accepted socket has Nagle's algorithm off (the accept thread
+        // registers the connection a moment after it starts serving it).
+        let accepted = loop {
+            if let Some(connection) = server.connections.lock().first() {
+                break connection.socket.as_ref().unwrap().try_clone().unwrap();
+            }
+            std::thread::yield_now();
+        };
+        assert!(accepted.nodelay().unwrap());
         writeln!(stream, "!quit").unwrap();
         drop(stream);
         server.stop();

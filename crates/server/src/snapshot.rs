@@ -19,9 +19,11 @@
 //! flat tables locating every term in them.  Loading is decode-free and
 //! copies nothing out of the file but the doc table, and queries evaluate
 //! through skip-aware cursors over the same bytes, so a reload costs I/O
-//! plus one validating pass, not a posting-by-posting rebuild.
+//! plus one validating pass, not a posting-by-posting rebuild — and the
+//! segments are independent, so a store's segments load concurrently.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
@@ -35,22 +37,25 @@ pub struct IndexSnapshot {
     generation: u64,
     shards: Vec<SealedShard>,
     docs: DocTable,
-    /// Evaluate term lookups with one thread per shard.
-    parallel_lookup: bool,
+    /// What [`load`](IndexSnapshot::load) took; zero for an image that was
+    /// never on disk.
+    load_time: Duration,
 }
 
 impl IndexSnapshot {
-    /// Loads every live segment of `store` as one sealed shard each, one at
-    /// a time, tagging the image with `generation`.
+    /// Loads every live segment of `store` as one sealed shard each — the
+    /// segments concurrently, the shards in manifest order — tagging the
+    /// image with `generation`.
     ///
     /// # Errors
     ///
-    /// Fails when a segment is missing or corrupt.
+    /// Fails when a segment is missing or corrupt, naming its file; there is
+    /// no image then, not one of the segments that did load.
     pub fn load(store: &IndexStore, generation: u64) -> Result<Self, PersistError> {
+        let started = Instant::now();
         let mut docs = DocTable::new();
         let mut shards = Vec::with_capacity(store.segment_count());
-        for position in 0..store.segment_count() {
-            let (shard, segment_docs) = store.load_segment_sealed(position)?;
+        for (shard, segment_docs) in store.load_all_sealed()? {
             // Segments written from one run share a doc table; keep the most
             // complete copy (mirrors the CLI's multi-segment search).
             if segment_docs.len() > docs.len() {
@@ -58,7 +63,9 @@ impl IndexSnapshot {
             }
             shards.push(shard);
         }
-        Ok(IndexSnapshot::from_sealed(shards, docs, generation))
+        let mut snapshot = IndexSnapshot::from_sealed(shards, docs, generation);
+        snapshot.load_time = started.elapsed();
+        Ok(snapshot)
     }
 
     /// Builds a snapshot directly from an in-memory index (tests, benches and
@@ -80,15 +87,14 @@ impl IndexSnapshot {
     /// Builds a snapshot from already-sealed shards.
     #[must_use]
     pub fn from_sealed(shards: Vec<SealedShard>, docs: DocTable, generation: u64) -> Self {
-        IndexSnapshot { generation, shards, docs, parallel_lookup: false }
+        IndexSnapshot { generation, shards, docs, load_time: Duration::ZERO }
     }
 
-    /// Makes term lookups fan out with one thread per shard (worth it only
-    /// for large shard counts; defaults to off).
+    /// How long loading this image from its store took (open, read, verify
+    /// and lay out every segment); zero for an image built in memory.
     #[must_use]
-    pub fn with_parallel_lookup(mut self, parallel: bool) -> Self {
-        self.parallel_lookup = parallel;
-        self
+    pub fn load_time(&self) -> Duration {
+        self.load_time
     }
 
     /// The generation number this image was published under.
@@ -154,62 +160,26 @@ impl IndexSnapshot {
         })
     }
 
-    /// The compressed posting lists for `term`, one per shard that knows it.
-    fn shard_postings(&self, term: &dsearch_text::Term) -> Vec<CompressedView<'_>> {
-        if self.parallel_lookup && self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || shard.postings(term)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .filter_map(|h| h.join().expect("shard lookup panicked"))
-                    .collect()
-            })
-        } else {
-            self.shards.iter().filter_map(|shard| shard.postings(term)).collect()
-        }
-    }
-
     /// The posting list for one exact term across every shard (empty when
     /// the term is unknown).  A term living in exactly one shard stays a
     /// zero-copy `Postings::Compressed` borrow; only genuine cross-shard
     /// overlap merges (and therefore decodes).  This is the raw lookup the
-    /// per-batch posting memo builds on; it honours
-    /// [`with_parallel_lookup`](IndexSnapshot::with_parallel_lookup) the same
-    /// way [`search`](IndexSnapshot::search) does.
+    /// per-batch posting memo builds on.
     #[must_use]
     pub fn term_postings(&self, term: &dsearch_text::Term) -> Postings<'_> {
-        Postings::union_of_compressed(self.shard_postings(term))
+        let lists: Vec<CompressedView<'_>> =
+            self.shards.iter().filter_map(|shard| shard.postings(term)).collect();
+        Postings::union_of_compressed(lists)
     }
 
     /// The union of the posting lists of every indexed term starting with
     /// `prefix`, merged across shards (the `word*` lookup).  Each shard
     /// resolves the prefix to a contiguous dictionary range; the union
     /// streams through block cursors, decoding each block exactly once.
-    /// Honours [`with_parallel_lookup`](IndexSnapshot::with_parallel_lookup)
-    /// exactly like [`term_postings`](IndexSnapshot::term_postings).
     #[must_use]
     pub fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
-        let lists: Vec<CompressedView<'_>> = if self.parallel_lookup && self.shards.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| {
-                        scope.spawn(move || shard.prefix_postings(prefix).collect::<Vec<_>>())
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("shard prefix lookup panicked"))
-                    .collect()
-            })
-        } else {
-            self.shards.iter().flat_map(|shard| shard.prefix_postings(prefix)).collect()
-        };
+        let lists: Vec<CompressedView<'_>> =
+            self.shards.iter().flat_map(|shard| shard.prefix_postings(prefix)).collect();
         Postings::union_of_compressed(lists)
     }
 
@@ -407,41 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_lookup_is_honoured_consistently_for_terms_and_prefixes() {
-        // Regression: prefix_postings used to ignore the parallel_lookup
-        // setting that term_postings honoured.  Both lookups must return the
-        // same answers whichever engine runs them.
-        let mut docs = DocTable::new();
-        let a = docs.insert("a.txt");
-        let b = docs.insert("b.txt");
-        let c = docs.insert("c.txt");
-        let mut shard0 = InMemoryIndex::new();
-        shard0.insert_file(a, [Term::from("index"), Term::from("rust")]);
-        let mut shard1 = InMemoryIndex::new();
-        shard1.insert_file(b, [Term::from("indexes"), Term::from("rust")]);
-        let mut shard2 = InMemoryIndex::new();
-        shard2.insert_file(c, [Term::from("into")]);
-
-        let shards = vec![shard0, shard1, shard2];
-        let sequential = IndexSnapshot::from_shards(shards.clone(), docs.clone(), 1);
-        let parallel = IndexSnapshot::from_shards(shards, docs, 1).with_parallel_lookup(true);
-        for term in ["rust", "index", "into", "missing"] {
-            assert_eq!(
-                sequential.term_postings(&Term::from(term)).into_owned(),
-                parallel.term_postings(&Term::from(term)).into_owned(),
-                "term {term:?}"
-            );
-        }
-        for prefix in ["in", "inde", "rust", "zz", ""] {
-            assert_eq!(
-                sequential.prefix_postings(prefix).into_owned(),
-                parallel.prefix_postings(prefix).into_owned(),
-                "prefix {prefix:?}"
-            );
-        }
-    }
-
-    #[test]
     fn multi_shard_snapshot_unions_shards() {
         let mut docs = DocTable::new();
         let a = docs.insert("a.txt");
@@ -451,16 +386,12 @@ mod tests {
         let mut shard1 = InMemoryIndex::new();
         shard1.insert_file(b, [Term::from("rust"), Term::from("search")]);
 
-        for parallel in [false, true] {
-            let snapshot =
-                IndexSnapshot::from_shards(vec![shard0.clone(), shard1.clone()], docs.clone(), 3)
-                    .with_parallel_lookup(parallel);
-            assert_eq!(snapshot.shard_count(), 2);
-            let results = snapshot.search(&Query::parse("rust").unwrap());
-            assert_eq!(results.paths(), vec!["a.txt", "b.txt"], "parallel={parallel}");
-            let results = snapshot.search(&Query::parse("rust search").unwrap());
-            assert_eq!(results.paths(), vec!["b.txt"], "parallel={parallel}");
-        }
+        let snapshot = IndexSnapshot::from_shards(vec![shard0, shard1], docs, 3);
+        assert_eq!(snapshot.shard_count(), 2);
+        let results = snapshot.search(&Query::parse("rust").unwrap());
+        assert_eq!(results.paths(), vec!["a.txt", "b.txt"]);
+        let results = snapshot.search(&Query::parse("rust search").unwrap());
+        assert_eq!(results.paths(), vec!["b.txt"]);
     }
 
     #[test]
@@ -537,6 +468,7 @@ mod tests {
 
         let cell = SnapshotCell::new(IndexSnapshot::load(&store, 1).unwrap());
         assert_eq!(cell.load().search(&Query::parse("alpha").unwrap()).len(), 1);
+        assert!(cell.load().load_time() > Duration::ZERO);
 
         // Re-index adds a document; reload publishes generation 2.
         let id2 = docs.insert("second.txt");
@@ -545,6 +477,7 @@ mod tests {
         let generation = cell.reload(&store).unwrap();
         assert_eq!(generation, 2);
         assert_eq!(cell.load().search(&Query::parse("alpha").unwrap()).len(), 2);
+        assert!(cell.load().load_time() > Duration::ZERO);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

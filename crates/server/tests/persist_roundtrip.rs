@@ -150,6 +150,74 @@ proptest! {
         }
     }
 
+    /// Loading a store's segments concurrently is loading them one by one:
+    /// the same shards in manifest order, the same doc table, the same
+    /// answers.  And when one segment is cut short the load fails as a
+    /// whole, naming that segment's file.
+    #[test]
+    fn concurrent_load_equals_loading_the_segments_one_by_one(
+        segments in proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec("[a-d]{1,3}", 0..6), 0..8),
+            1..7,
+        ),
+        victim in 0usize..6,
+        seed in 0u32..1000,
+    ) {
+        // Each segment is committed with the doc table as it stood then, so
+        // later segments carry longer tables (the image keeps the longest).
+        let dir = TempDir::new(&format!("concurrent-{seed}-{}", segments.len()));
+        let mut store = IndexStore::open(dir.0.join("store")).unwrap();
+        let mut docs = DocTable::new();
+        for files in &segments {
+            let mut index = InMemoryIndex::new();
+            for words in files {
+                let id = docs.insert(format!("doc{}.txt", docs.len()));
+                let mut uniq = words.clone();
+                uniq.sort();
+                uniq.dedup();
+                index.insert_file(id, uniq.iter().map(|w| Term::from(w.as_str())));
+            }
+            store.commit(&index, &docs).unwrap();
+        }
+
+        let loaded = IndexSnapshot::load(&store, 1).unwrap();
+        let mut reference_docs = DocTable::new();
+        let mut shards = Vec::new();
+        for position in 0..store.segment_count() {
+            let (shard, segment_docs) = store.load_segment_sealed(position).unwrap();
+            if segment_docs.len() > reference_docs.len() {
+                reference_docs = segment_docs;
+            }
+            shards.push(shard);
+        }
+        let reference = IndexSnapshot::from_sealed(shards, reference_docs, 1);
+        prop_assert_eq!(loaded.shard_count(), segments.len());
+        prop_assert_eq!(loaded.docs(), reference.docs());
+        prop_assert_eq!(loaded.docs(), &docs);
+        // Term by term in shard order: a permuted load would differ here.
+        prop_assert_eq!(loaded.terms().collect::<Vec<_>>(), reference.terms().collect::<Vec<_>>());
+        prop_assert_eq!(loaded.resident_bytes(), reference.resident_bytes());
+        for raw in ["a", "b", "ab", "a b", "a OR b", "a NOT b", "a*", "c d", "d*", "a b OR c"] {
+            let query = Query::parse(raw).unwrap();
+            prop_assert_eq!(loaded.search(&query), reference.search(&query), "{:?}", raw);
+            let ranked = |snapshot: &IndexSnapshot| {
+                snapshot.search_topk(&query, 5, &|| false).map(|(results, _)| results)
+            };
+            prop_assert_eq!(ranked(&loaded), ranked(&reference), "top-5 of {:?}", raw);
+        }
+
+        let victim = &store.manifest().segments[victim % segments.len()].file_name;
+        let path = store.root().join(victim);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+        match IndexSnapshot::load(&store, 2) {
+            Err(dsearch_persist::PersistError::Segment { file_name, .. }) => {
+                prop_assert_eq!(&file_name, victim);
+            }
+            other => prop_assert!(false, "expected an error naming {}: {:?}", victim, other.err()),
+        }
+    }
+
     /// Block-max pruning stays invisible on Implementation 3's store — two
     /// un-joined replicas, each a partial index under the whole run's doc
     /// table — loaded from disk: the persisted bounds were sealed with each

@@ -9,10 +9,11 @@ use dsearch::core::{Configuration, Implementation, IndexGenerator, IndexOutcome}
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch::index::varint::{write_bytes, write_varint};
 use dsearch::index::{DocTable, FileId, InMemoryIndex, SealedShard};
+use dsearch::persist::checksum::xxh64;
 use dsearch::persist::segment::{
     read_segment, read_segment_sealed, write_segment, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
-use dsearch::persist::{IncrementalIndexer, IndexStore, SignatureDb};
+use dsearch::persist::{IncrementalIndexer, IndexStore, PersistError, SignatureDb};
 use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
 use dsearch::text::Term;
 use dsearch::vfs::{MemFs, VPath};
@@ -86,9 +87,7 @@ fn implementation3_replicas_stored_as_segments_join_to_the_same_index() {
     let mut store = IndexStore::open(dir.path().join("store")).unwrap();
     match replicated.outcome {
         dsearch::core::IndexOutcome::Replicas { set, docs } => {
-            for replica in set.into_replicas() {
-                store.commit(&replica, &docs).unwrap();
-            }
+            store.commit_all(set.into_replicas(), &docs).unwrap();
         }
         _ => panic!("Implementation 3 must keep replicas"),
     }
@@ -104,10 +103,16 @@ fn implementation3_replicas_stored_as_segments_join_to_the_same_index() {
 /// The writer as it was before it streamed: seal the whole index into a
 /// `SealedShard`, serialise the whole payload into one buffer, checksum it,
 /// then emit header and payload.  Kept as the reference the streaming
-/// `write_segment` must match byte for byte.
-fn seal_then_serialise(index: &InMemoryIndex, docs: &DocTable) -> Vec<u8> {
+/// `write_segment` must match byte for byte — and, with version 3 and its
+/// FNV-1a checksum, as the writer of the files this build no longer reads.
+fn seal_then_serialise(
+    index: &InMemoryIndex,
+    docs: &DocTable,
+    version: u32,
+    checksum: fn(&[u8]) -> u64,
+) -> Vec<u8> {
     let mut payload: Vec<u8> = Vec::new();
-    write_varint(&mut payload, u64::from(SEGMENT_VERSION));
+    write_varint(&mut payload, u64::from(version));
     write_varint(&mut payload, docs.len() as u64);
     for (_, path) in docs.iter() {
         write_bytes(&mut payload, path.as_bytes());
@@ -138,7 +143,7 @@ fn seal_then_serialise(index: &InMemoryIndex, docs: &DocTable) -> Vec<u8> {
         payload.extend_from_slice(compressed.block_scores());
     }
     let mut bytes = SEGMENT_MAGIC.to_vec();
-    bytes.extend_from_slice(&dsearch::text::fnv1a_64(&payload).to_le_bytes());
+    bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
     bytes
 }
@@ -171,9 +176,22 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                 assert_eq!(info.bytes, written.len() as u64);
                 assert_eq!(info.posting_count, index.posting_count());
                 assert!(
-                    written == seal_then_serialise(index, &docs),
+                    written == seal_then_serialise(index, &docs, SEGMENT_VERSION, xxh64),
                     "{implementation:?} x{extractors}: streamed segment differs from the reference"
                 );
+                // Version 4 is version 3 under another checksum: the eight
+                // checksum bytes and the version byte differ, nothing else.
+                // And a version-3 file is refused by its version, by both
+                // readers, before its (foreign) checksum is looked at.
+                let v3 = seal_then_serialise(index, &docs, 3, dsearch::text::fnv1a_64);
+                assert_eq!((v3.len(), v3[12], written[12]), (written.len(), 3, 4));
+                assert!(v3[..4] == written[..4] && v3[13..] == written[13..]);
+                for err in [read_segment(&v3[..]).err(), read_segment_sealed(&v3[..]).err()] {
+                    assert!(
+                        matches!(err, Some(PersistError::UnsupportedVersion { found: 3, .. })),
+                        "{err:?}"
+                    );
+                }
                 // Implementation 3's partial replicas included: a loaded
                 // shard scores against the documents its replica indexed,
                 // not against the whole run's doc table.
