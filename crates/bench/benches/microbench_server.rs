@@ -174,8 +174,7 @@ fn bench_cache_effect(c: &mut Criterion) {
 }
 
 /// An engine whose cache cannot absorb the workload (one entry), so any win
-/// on repeated/shared-term queries comes from batching: in-batch dedup plus
-/// the per-batch posting memo.
+/// on repeated queries comes from batching: in-batch dedup.
 fn batching_engine(max_batch: usize) -> Arc<QueryEngine> {
     QueryEngine::new(
         build_snapshot(2000),
@@ -194,8 +193,7 @@ fn batching_engine(max_batch: usize) -> Arc<QueryEngine> {
 /// Repeated queries with heavy term sharing: 4 distinct canonical forms,
 /// all anchored on "common", cycling fast enough that a one-entry cache
 /// never helps two consecutive requests.  With 8 closed-loop clients a
-/// drained batch usually holds duplicates, so both dedup and the posting
-/// memo contribute.
+/// drained batch usually holds duplicates, which dedup evaluates once.
 fn shared_term_workload() -> Workload {
     Workload::from_queries((0..64).map(|i| format!("common w{}", i % 4)).collect())
 }

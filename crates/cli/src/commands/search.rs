@@ -1,8 +1,8 @@
 //! `dsearch-cli search` — query a persisted index.
 
-use dsearch::index::IndexSet;
 use dsearch::persist::IndexStore;
-use dsearch::query::{MultiIndexSearcher, Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::{evaluate, Query, Scorer};
+use dsearch::server::IndexSnapshot;
 
 use crate::args::ParsedArgs;
 use crate::CliError;
@@ -31,25 +31,12 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         )));
     }
 
-    // One segment → search it directly; several segments are the un-joined
-    // replicas of Implementation 3 and are searched together.
-    let mut results = if store.segment_count() == 1 {
-        let (index, docs) = store.load_segment(0).map_err(CliError::failed)?;
-        SingleIndexSearcher::new(&index, &docs).search(&query)
-    } else {
-        let segments = store.load_all().map_err(CliError::failed)?;
-        let mut docs = dsearch::index::DocTable::new();
-        let mut replicas = Vec::with_capacity(segments.len());
-        for (replica, segment_docs) in segments {
-            if segment_docs.len() > docs.len() {
-                docs = segment_docs;
-            }
-            replicas.push(replica);
-        }
-        let set = IndexSet::new(replicas);
-        MultiIndexSearcher::new(&set, &docs).search(&query)
-    };
-    results.truncate(limit);
+    // The image `dsearch serve` loads — every segment one sealed shard, the
+    // un-joined replicas of Implementation 3 searched together — answered as
+    // a boolean query.
+    let snapshot = IndexSnapshot::load(&store, 0).map_err(CliError::failed)?;
+    let (results, _) =
+        evaluate(snapshot.shards(), snapshot.docs(), &query, Scorer::Constant, limit, &|| false);
 
     let mut out = format!("query: {query}\n{} result(s)\n", results.len());
     for hit in results.hits() {

@@ -22,7 +22,7 @@
 //! ```
 //! use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 //! use dsearch::core::{Configuration, Implementation, IndexGenerator};
-//! use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+//! use dsearch::query::{Query, Searcher};
 //! use dsearch::vfs::VPath;
 //!
 //! // 1. Create (or point at) a corpus.
@@ -35,7 +35,7 @@
 //! let (index, docs) = run.outcome.into_single_index();
 //!
 //! // 3. Search it.
-//! let searcher = SingleIndexSearcher::new(&index, &docs);
+//! let searcher = Searcher::new([&index], &docs);
 //! let results = searcher.search(&Query::parse("the").unwrap_or_else(|_| Query::parse("a").unwrap()));
 //! let _ = results.len();
 //! ```

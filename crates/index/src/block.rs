@@ -22,9 +22,8 @@
 //! The [`PostingCursor`] trait abstracts "a sorted stream of ids supporting
 //! `seek`"; it is implemented both by [`BlockCursor`] (decoding one block at
 //! a time into a reusable scratch buffer) and by [`SliceCursor`] (a galloping
-//! cursor over an uncompressed `&[FileId]` slice), so the query evaluator's
-//! set operations run unchanged over compressed and raw posting lists — and
-//! over mixes of the two.
+//! cursor over an uncompressed `&[FileId]` slice — a materialised prefix
+//! union), so the query evaluator leapfrogs over either the same way.
 
 use crate::doc_table::FileId;
 use crate::posting::PostingList;
@@ -203,8 +202,7 @@ impl CompressedPostings {
 
 /// A block-compressed posting list, borrowed: the parts of a
 /// [`CompressedPostings`], or the same parts found in place in a sealed
-/// shard's segment bytes.  `Copy`, so cursors and [`crate::Postings`] carry
-/// it by value.
+/// shard's segment bytes.  `Copy`, so cursors carry it by value.
 ///
 /// Decoding is defensive — a payload that ends early or a table that is too
 /// short yields zeros or an exhausted cursor, never a panic — so a view over
@@ -387,10 +385,15 @@ impl<'a> CompressedView<'a> {
         count
     }
 
-    /// Decodes the whole list into `out` (cleared first): the "single-term
-    /// result" path, one pass, no intermediate allocation.
+    /// Decodes the whole list into `out` (cleared first): one pass, no
+    /// intermediate allocation.
     pub fn decode_into(&self, out: &mut Vec<FileId>) {
         out.clear();
+        self.decode_append(out);
+    }
+
+    /// Decodes the whole list onto the end of `out`.
+    pub fn decode_append(&self, out: &mut Vec<FileId>) {
         out.reserve(self.len);
         let mut scratch = [FileId(0); BLOCK_SIZE];
         for index in 0..self.block_count() {
@@ -564,13 +567,6 @@ impl<'a> SliceCursor<'a> {
     pub fn new(ids: &'a [FileId]) -> Self {
         SliceCursor { ids, pos: 0 }
     }
-
-    /// The ids at and after the cursor (set operations use this to fall back
-    /// to the tuned slice algorithms when both sides are uncompressed).
-    #[must_use]
-    pub fn remaining(&self) -> &'a [FileId] {
-        &self.ids[self.pos.min(self.ids.len())..]
-    }
 }
 
 impl PostingCursor for SliceCursor<'_> {
@@ -588,7 +584,7 @@ impl PostingCursor for SliceCursor<'_> {
             return Some(current);
         }
         // Exponential probe from the current position, then binary search
-        // the bracketed window — the same gallop the view intersection uses.
+        // the bracketed window — the same gallop the skip-table seek uses.
         let mut offset = 1usize;
         while self.pos + offset < self.ids.len() && self.ids[self.pos + offset] < target {
             offset <<= 1;
@@ -643,6 +639,9 @@ pub struct BlockCursor<'a> {
     freq_scratch: Vec<u32>,
     /// Whether `freq_scratch` holds the current block's frequencies.
     freqs_loaded: bool,
+    /// Dequantized score bound of the current block: block-max evaluation
+    /// asks for it once per posting, the division is paid once per block.
+    bound: f32,
     /// Blocks this cursor has entered (decoded or served arithmetically);
     /// `block_count() - blocks_visited()` is the number the skip table let
     /// it jump over entirely.
@@ -662,6 +661,7 @@ impl<'a> BlockCursor<'a> {
             scratch: Vec::new(),
             freq_scratch: Vec::new(),
             freqs_loaded: false,
+            bound: 0.0,
             visited: 0,
         };
         cursor.enter_block(0);
@@ -678,9 +678,11 @@ impl<'a> BlockCursor<'a> {
         self.freqs_loaded = false;
         if block >= self.postings.block_count() {
             self.len_in_block = 0;
+            self.bound = 0.0;
             return;
         }
         self.visited += 1;
+        self.bound = self.postings.block_score_bound(block);
         self.len_in_block = self.postings.block_len(block);
         self.shape = self.postings.block_shape(block);
         if matches!(self.shape, BlockShape::Packed) {
@@ -714,13 +716,10 @@ impl<'a> BlockCursor<'a> {
     }
 
     /// The dequantized score upper bound of the block the cursor is on
-    /// (the list maximum when exhausted or unscored).
+    /// (the list maximum when unscored, zero when exhausted).
     #[must_use]
     pub fn current_block_bound(&self) -> f32 {
-        if self.exhausted() {
-            return 0.0;
-        }
-        self.postings.block_score_bound(self.block)
+        self.bound
     }
 
     /// The true maximum posting score of the underlying list (`0.0` when

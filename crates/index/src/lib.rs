@@ -18,11 +18,6 @@
 //! * [`DocTable`] — the table mapping compact [`FileId`]s to file paths,
 //!   assigned during filename generation so the extractors need no
 //!   synchronisation to name files;
-//! * [`view`] — borrowed [`PostingView`]s over posting lists plus the
-//!   allocation-free set operations (galloping intersection, k-way heap
-//!   union), the [`Postings`] borrow-or-owned wrapper the query layer
-//!   evaluates with, and the cursor-based set operations that run over
-//!   compressed and raw lists alike;
 //! * [`block`] — block-compressed posting lists ([`CompressedPostings`]:
 //!   128-id delta blocks with per-block skip metadata), the borrowed
 //!   [`CompressedView`] every reader takes, and the skip-aware
@@ -64,7 +59,6 @@ pub mod sharded;
 pub mod shared;
 pub mod stats;
 pub mod varint;
-pub mod view;
 
 pub use block::{
     BlockCursor, BlockFormatError, CompressedPostings, CompressedView, PostingCursor, SkipEntry,
@@ -81,7 +75,3 @@ pub use serialize::{IndexSnapshot, SerializeError};
 pub use sharded::ShardedIndex;
 pub use shared::{IndexSet, SharedIndex};
 pub use stats::IndexStats;
-pub use view::{
-    difference_cursors_into, intersect_cursors_into, union_cursors_into, union_into, PostingView,
-    Postings, PostingsCursor,
-};

@@ -232,8 +232,7 @@ impl InMemoryIndex {
     ///
     /// With a valid dictionary this is a binary search to the start of the
     /// matching range plus one walk over its members; otherwise it scans the
-    /// whole table (same results, linear cost).  Callers union the returned
-    /// lists, typically through [`crate::view::union_into`].
+    /// whole table (same results, linear cost).
     #[must_use]
     pub fn prefix_lists(&self, prefix: &str) -> Vec<&PostingList> {
         if self.dictionary_valid {

@@ -9,7 +9,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::doc_table::FileId;
-use crate::view::PostingView;
 
 /// A sorted, duplicate-free list of the files containing one term.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,12 +119,6 @@ impl PostingList {
     #[must_use]
     pub fn tf_of(&self, id: FileId) -> Option<u32> {
         self.ids.binary_search(&id).ok().map(|pos| self.tf_at(pos))
-    }
-
-    /// A borrowed [`PostingView`] of this list.
-    #[must_use]
-    pub fn as_view(&self) -> PostingView<'_> {
-        PostingView::new(&self.ids)
     }
 
     /// Number of files in the list.
@@ -464,9 +457,9 @@ mod tests {
     fn from_sorted_and_views() {
         let list = PostingList::from_sorted(ids(&[2, 4, 6]));
         assert_eq!(list.doc_ids(), ids(&[2, 4, 6]).as_slice());
-        assert_eq!(list.as_view().len(), 3);
+        assert_eq!(list.len(), 3);
         assert!(PostingList::empty_ref().is_empty());
-        assert_eq!(PostingList::empty_ref().as_view().len(), 0);
+        assert!(PostingList::empty_ref().doc_ids().is_empty());
     }
 
     #[test]

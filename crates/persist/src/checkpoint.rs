@@ -26,7 +26,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use crate::error::PersistError;
-use crate::store::IndexStore;
+use crate::store::{write_atomic, IndexStore};
 
 /// File name of the build checkpoint inside a store directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.json";
@@ -36,15 +36,6 @@ pub const DLQ_FILE: &str = "dlq.json";
 
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
-
-/// Atomically writes `json` to `dir/name` via a temp file and rename, so a
-/// crash mid-write can never leave a truncated file behind.
-fn write_atomic(dir: &Path, name: &str, json: &str) -> Result<(), PersistError> {
-    let tmp = dir.join(format!("{name}.tmp"));
-    fs::write(&tmp, json)?;
-    fs::rename(&tmp, dir.join(name))?;
-    Ok(())
-}
 
 /// The durable progress record of a checkpointed index build.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -133,18 +124,25 @@ impl BuildCheckpoint {
     ///
     /// # Errors
     ///
-    /// Fails when the checkpoint references a segment the manifest lost
-    /// (store corruption) or the pruned manifest cannot be written.
+    /// Fails when the checkpoint references a segment the manifest lost, or
+    /// lists one twice (store corruption), or the pruned manifest cannot be
+    /// written.
     pub fn reconcile(&self, store: &mut IndexStore) -> Result<usize, PersistError> {
         let live: Vec<String> =
             store.manifest().segments.iter().map(|s| s.file_name.clone()).collect();
-        for name in &self.segments {
+        for (position, name) in self.segments.iter().enumerate() {
             if !live.iter().any(|l| l == name) {
                 return Err(PersistError::Corrupt(format!(
                     "checkpoint references segment {name} missing from the store manifest"
                 )));
             }
+            if self.segments[..position].contains(name) {
+                return Err(PersistError::Corrupt(format!(
+                    "checkpoint lists segment {name} twice"
+                )));
+            }
         }
+        // Distinct names, each of them live: no more than the manifest has.
         let orphans = live.len() - self.segments.len();
         if orphans > 0 {
             store.retain_segments(|name| self.segments.iter().any(|s| s == name))?;
@@ -345,5 +343,13 @@ mod tests {
         // A checkpoint referencing a segment the manifest lost is corruption.
         ckpt.segments = vec!["segment-999999.dsg".into()];
         assert!(matches!(ckpt.reconcile(&mut store), Err(PersistError::Corrupt(_))));
+        // So is one listing a live segment twice — more names than the
+        // manifest has segments, which used to underflow the orphan count.
+        ckpt.segments = vec![first.clone(), first.clone()];
+        match ckpt.reconcile(&mut store) {
+            Err(PersistError::Corrupt(message)) => assert!(message.contains("twice"), "{message}"),
+            other => panic!("a duplicated segment was accepted: {other:?}"),
+        }
+        assert_eq!(store.segment_count(), 1);
     }
 }

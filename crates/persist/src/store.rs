@@ -23,6 +23,7 @@
 //! out concurrently ([`IndexStore::load_all`], [`IndexStore::load_all_sealed`]).
 
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -108,6 +109,32 @@ fn segment_file_name(number: u64) -> String {
     format!("segment-{number:06}.dsg")
 }
 
+/// Atomically replaces `dir/name` with `contents`: written to a temp file,
+/// synced, then renamed over the old file — so a crash can neither leave a
+/// truncated file behind nor publish an empty one over segments that were
+/// already durable.  A write that fails takes its temp file with it.
+pub(crate) fn write_atomic(dir: &Path, name: &str, contents: &str) -> Result<(), PersistError> {
+    let tmp = dir.join(format!("{name}.tmp"));
+    let written = fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(contents.as_bytes())?;
+        file.sync_all()?;
+        fs::rename(&tmp, dir.join(name))
+    });
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    Ok(written?)
+}
+
+/// Whether a manifest's segment name is a plain file name.  Every loader and
+/// every `remove_file` joins it to the store root, so a separator, `..` or
+/// an absolute path would reach outside the store.
+fn is_plain_file_name(name: &str) -> bool {
+    let mut components = Path::new(name).components();
+    matches!(components.next(), Some(std::path::Component::Normal(only)) if only == name)
+        && components.next().is_none()
+}
+
 /// A directory of index segments plus a manifest.
 #[derive(Debug)]
 pub struct IndexStore {
@@ -136,6 +163,14 @@ impl IndexStore {
                     found: manifest.version,
                     expected: MANIFEST_VERSION,
                 });
+            }
+            if let Some(hostile) =
+                manifest.segments.iter().find(|s| !is_plain_file_name(&s.file_name))
+            {
+                return Err(PersistError::Corrupt(format!(
+                    "manifest: segment name {:?} is not a plain file name",
+                    hostile.file_name
+                )));
             }
             manifest
         } else {
@@ -169,12 +204,7 @@ impl IndexStore {
     fn write_manifest(&mut self) -> Result<(), PersistError> {
         let json = serde_json::to_string_pretty(&self.manifest)
             .map_err(|e| PersistError::Corrupt(format!("manifest serialisation: {e}")))?;
-        // Write-then-rename so a crash mid-write never leaves a truncated
-        // manifest behind.
-        let tmp = self.root.join("manifest.json.tmp");
-        fs::write(&tmp, json)?;
-        fs::rename(&tmp, self.root.join("manifest.json"))?;
-        Ok(())
+        write_atomic(&self.root, "manifest.json", &json)
     }
 
     /// Commits `index` (and its doc table) as a new segment.
@@ -736,6 +766,60 @@ mod tests {
             IndexStore::open(&root),
             Err(PersistError::UnsupportedVersion { found: 99, .. })
         ));
+    }
+
+    #[test]
+    fn a_manifest_naming_a_path_outside_the_store_is_refused() {
+        let dir = TempDir::new("traversal");
+        let root = dir.path().join("s");
+        let mut store = IndexStore::open(&root).unwrap();
+        let (index, docs) = sample(0);
+        store.commit(&index, &docs).unwrap();
+        // A victim beside the store, and a manifest whose segment name climbs
+        // out to it: `clear_segments` would `remove_file` it, every loader
+        // would read it.
+        let victim = dir.path().join("victim.dsg");
+        fs::write(&victim, b"not yours").unwrap();
+        for hostile in ["../victim.dsg", "", "..", ".", "/etc/passwd", "sub/segment.dsg", "x/"] {
+            let mut manifest = store.manifest().clone();
+            manifest.segments[0].file_name = hostile.to_owned();
+            fs::write(root.join("manifest.json"), serde_json::to_string(&manifest).unwrap())
+                .unwrap();
+            match IndexStore::open(&root) {
+                Err(PersistError::Corrupt(message)) => {
+                    assert!(message.contains("plain file name"), "{hostile:?}: {message}");
+                }
+                other => panic!("{hostile:?} was accepted: {:?}", other.map(|s| s.segment_count())),
+            }
+        }
+        assert_eq!(fs::read(&victim).unwrap(), b"not yours");
+        assert!(is_plain_file_name("segment-000001.dsg"));
+    }
+
+    #[test]
+    fn atomic_writes_leave_no_temp_file_behind() {
+        let dir = TempDir::new("atomic");
+        let temp_files = |root: &Path| -> Vec<String> {
+            let names = fs::read_dir(root).unwrap().map(|e| e.unwrap().file_name());
+            names
+                .map(|n| n.to_string_lossy().into_owned())
+                .filter(|n| n.ends_with(".tmp"))
+                .collect()
+        };
+        // On success: the manifest writes of an open and two commits.
+        let mut store = IndexStore::open(dir.path().join("s")).unwrap();
+        let (index, docs) = sample(0);
+        store.commit(&index, &docs).unwrap();
+        store.commit(&index, &docs).unwrap();
+        assert!(temp_files(store.root()).is_empty());
+        write_atomic(dir.path(), "plain.json", "{}").unwrap();
+        assert_eq!(fs::read_to_string(dir.path().join("plain.json")).unwrap(), "{}");
+        // On failure: the rename cannot replace a non-empty directory.
+        fs::create_dir_all(dir.path().join("taken.json").join("child")).unwrap();
+        assert!(write_atomic(dir.path(), "taken.json", "{}").is_err());
+        // Nor can the temp file be created inside a directory that is missing.
+        assert!(write_atomic(&dir.path().join("absent"), "x.json", "{}").is_err());
+        assert!(temp_files(dir.path()).is_empty());
     }
 
     #[test]

@@ -6,18 +6,19 @@
 //!
 //! * [`query::Query`] — a small boolean query language (`AND`/`OR`/`NOT`,
 //!   implicit `AND` between words, trailing-`*` prefix queries);
-//! * [`search::SingleIndexSearcher`] — evaluates queries against one joined
-//!   index (the result of Implementations 1 and 2);
-//! * [`search::MultiIndexSearcher`] — evaluates queries against the un-joined
-//!   replica set of Implementation 3, optionally fanning the replicas out to
-//!   multiple threads;
+//! * [`search::evaluate`] — the one query evaluator: document at a time over
+//!   the cursors of sealed shards, scoring by BM25 (with block-max pruning)
+//!   or by a constant;
+//! * [`search::Searcher`] — seals one joined index (Implementations 1 and 2)
+//!   or the un-joined replica set of Implementation 3 and evaluates against
+//!   it, optionally with one thread per replica;
 //! * [`results::SearchResults`] — ranked hits with their file paths.
 //!
 //! # Example
 //!
 //! ```
 //! use dsearch_index::{DocTable, InMemoryIndex};
-//! use dsearch_query::{Query, SearchBackend, SingleIndexSearcher};
+//! use dsearch_query::{Query, Searcher};
 //! use dsearch_text::Term;
 //!
 //! let mut docs = DocTable::new();
@@ -27,7 +28,7 @@
 //! index.insert_file(a, [Term::from("rust"), Term::from("search")]);
 //! index.insert_file(b, [Term::from("rust")]);
 //!
-//! let searcher = SingleIndexSearcher::new(&index, &docs);
+//! let searcher = Searcher::new([&index], &docs);
 //! let results = searcher.search(&Query::parse("rust AND search").unwrap());
 //! assert_eq!(results.len(), 1);
 //! assert_eq!(&*results.hits()[0].path, "a.txt");
@@ -39,10 +40,8 @@
 pub mod query;
 pub mod results;
 pub mod search;
-pub mod topk;
+mod topk;
 
-pub use dsearch_index::{PostingView, Postings};
 pub use query::{ParseError, Query, QueryGroup, QueryTerm};
 pub use results::{merge_ranked, Hit, RankedHit, SearchResults};
-pub use search::{MultiIndexSearcher, SearchBackend, SingleIndexSearcher};
-pub use topk::{scorable, search_topk, PruneStats};
+pub use search::{evaluate, scorable, PruneStats, Scorer, Searcher};

@@ -173,9 +173,8 @@ impl RankedHit {
 /// (descending score, then descending `matched_terms`, path ascending within
 /// a rank), keeping at most `limit` hits.
 ///
-/// This is the scatter-gather counterpart of the k-way posting-list union in
-/// `dsearch_index::union_into`: a min-heap over one cursor per shard, so each
-/// output hit costs `O(log k)`.  Shard inputs need not be pre-sorted (each
+/// A k-way merge: a min-heap over one cursor per shard, so each output hit
+/// costs `O(log k)`.  Shard inputs need not be pre-sorted (each
 /// list is normalised first).  A path reported by several shards — replicated
 /// shards, or a re-routed query racing a rebalance — is kept once with its
 /// best merge key: the heap yields hits best-first, so the first occurrence

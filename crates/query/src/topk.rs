@@ -1,87 +1,25 @@
-//! BM25 top-k ranked retrieval with block-max (WAND) pruning.
+//! The bounded candidate heap every evaluation selects its hits with.
 //!
-//! [`search_topk`] evaluates a scorable query against one or more
-//! [`SealedShard`]s and returns the `k` best-scoring documents.  Two
-//! evaluation strategies share one candidate heap:
+//! [`TopK`] keeps the best `k` [`Scored`] candidates offered to it, in the
+//! order [`SearchResults`](crate::SearchResults) sorts by.  Its worst kept
+//! score is the threshold θ the evaluator's block-max pruning compares upper
+//! bounds against.  Candidates borrow their paths, so a query matching a
+//! million documents compares paths a million times but owns only `k`.
 //!
-//! * **Block-max WAND** for pure disjunctions (every `OR` group is a single
-//!   exact term).  One [`BlockCursor`] per term forms a frontier sorted by
-//!   current document id.  Each round finds the *pivot*: the first document
-//!   whose per-list score upper bounds can sum past the heap threshold θ
-//!   (the k-th best score so far).  Documents before the pivot are provably
-//!   beaten and are skipped without touching their postings.  When the
-//!   frontier aligns on the pivot, the coarse per-list bounds are refined
-//!   with the quantized per-*block* maxima sealed next to the postings: if
-//!   even the block bounds cannot reach θ, every aligned cursor seeks past
-//!   the shortest of its current blocks — whole blocks are never decoded.
-//! * **Exhaustive scoring** for everything else scorable (multi-term `AND`
-//!   groups): the boolean evaluator enumerates matching ids, then one
-//!   forward-seeking cursor per distinct term scores each match.
-//!
-//! Both paths accumulate per-term contributions in ascending query-term
-//! order and sum them in `f64` before one final rounding to `f32`, so a
-//! pruned evaluation is bit-identical to an exhaustive one — the property
-//! the `topk_properties` suite checks.  Scoring is per shard (each shard has
-//! its own document count and average length), which makes a multi-shard
-//! snapshot score exactly like the same documents routed across separate
-//! shard processes.
-//!
-//! Queries with prefix terms or exclusions are not scorable (a prefix is
-//! many terms of wildly different rarity; `NOT` contributes no score) —
-//! [`search_topk`] returns `None` and the caller falls back to the unranked
-//! boolean path.
+//! The tests below also pin what the evaluator's ranked retrieval owes to
+//! this heap: `k` bounds, score order, and pruning against the threshold.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use dsearch_index::{
-    bm25_score, BlockCursor, DocTable, FileId, PostingCursor, Postings, SealedShard, BM25_K1,
-};
-use dsearch_text::Term;
+use dsearch_index::FileId;
 
-use crate::query::Query;
-use crate::results::{Hit, SearchResults};
-use crate::search::SearchBackend;
-
-/// Comparison slack for the floating-point pruning threshold.  Upper bounds
-/// and scores are compared in `f64`; the slack absorbs the quantization of
-/// block maxima and the one `f32` rounding so pruning never drops a document
-/// the exhaustive path would keep.
-const SLACK: f64 = 1e-5;
-
-/// Counters describing how much work block-max pruning avoided.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PruneStats {
-    /// Posting blocks entered (decoded or served arithmetically).
-    pub blocks_scored: u64,
-    /// Posting blocks the skip table and block-max bounds jumped over.
-    pub blocks_skipped: u64,
-    /// Time spent resolving dictionary entries and opening posting cursors —
-    /// the ranked path's share of the `postings` trace stage.
-    pub lookup: Duration,
-}
-
-impl PruneStats {
-    /// Accumulates another evaluation's counters into this one.
-    pub fn merge(&mut self, other: PruneStats) {
-        self.blocks_scored += other.blocks_scored;
-        self.blocks_skipped += other.blocks_skipped;
-        self.lookup += other.lookup;
-    }
-}
-
-/// Whether a query can be BM25-scored at all: at least one group, no prefix
-/// terms, no exclusions.
-#[must_use]
-pub fn scorable(query: &Query) -> bool {
-    !query.groups().is_empty() && !query.has_prefix_terms() && !query.has_exclusions()
-}
+use crate::results::Hit;
 
 /// A fully scored candidate document.  `Ord` is "greater = better": higher
 /// score, then more matched terms, then *smaller* path, then smaller id —
-/// the same order [`SearchResults`] sorts by.
+/// the same order [`SearchResults`](crate::SearchResults) sorts by.
 pub(crate) struct Scored<'a> {
     pub(crate) score: f32,
     pub(crate) matched: usize,
@@ -91,7 +29,7 @@ pub(crate) struct Scored<'a> {
 
 impl Scored<'_> {
     /// The candidate as a hit owning its path.
-    pub(crate) fn into_hit(self) -> Hit {
+    fn into_hit(self) -> Hit {
         Hit {
             file_id: self.id,
             path: Arc::from(self.path),
@@ -125,352 +63,71 @@ impl Ord for Scored<'_> {
     }
 }
 
-/// A bounded min-heap of the best `k` candidates seen so far.  The worst
-/// kept candidate sits at the top; its score is the pruning threshold θ.
-/// Candidates borrow their paths: only the survivors are ever given an
-/// owned one ([`TopK::into_hits`]).
+/// The best `k` candidates seen so far.  Until `k` have arrived they are
+/// only collected; the `k`-th turns them into a min-heap whose top is the
+/// worst kept candidate.  An unbounded `k` therefore never pays for heap
+/// order at all — ids (and so, mostly, paths) arrive ascending, the worst
+/// order for a heap that keeps everything.
 pub(crate) struct TopK<'a> {
-    heap: BinaryHeap<Reverse<Scored<'a>>>,
     k: usize,
+    filling: Vec<Reverse<Scored<'a>>>,
+    full: BinaryHeap<Reverse<Scored<'a>>>,
 }
 
 impl<'a> TopK<'a> {
     pub(crate) fn new(k: usize) -> Self {
-        TopK { heap: BinaryHeap::with_capacity(k.saturating_add(1).min(1024)), k }
+        TopK { k, filling: Vec::new(), full: BinaryHeap::new() }
     }
 
-    /// The score every further candidate has to beat (`-inf` until full).
-    fn threshold(&self) -> f64 {
-        if self.heap.len() < self.k {
-            f64::NEG_INFINITY
-        } else {
-            self.heap.peek().map_or(f64::NEG_INFINITY, |Reverse(worst)| f64::from(worst.score))
+    /// The score every further candidate has to reach (`-inf` until `k`
+    /// candidates are kept).
+    pub(crate) fn threshold(&self) -> f64 {
+        match self.full.peek() {
+            Some(Reverse(worst)) if self.full.len() == self.k => f64::from(worst.score),
+            _ => f64::NEG_INFINITY,
         }
     }
 
     pub(crate) fn offer(&mut self, candidate: Scored<'a>) {
-        if self.heap.len() < self.k {
-            self.heap.push(Reverse(candidate));
-        } else if let Some(mut worst) = self.heap.peek_mut() {
-            if candidate > worst.0 {
-                *worst = Reverse(candidate);
+        if self.full.len() == self.k {
+            if let Some(mut worst) = self.full.peek_mut() {
+                if candidate > worst.0 {
+                    *worst = Reverse(candidate);
+                }
+            }
+        } else {
+            self.filling.push(Reverse(candidate));
+            if self.filling.len() == self.k {
+                self.full = BinaryHeap::from(std::mem::take(&mut self.filling));
             }
         }
     }
 
     /// The kept candidates as hits, in no particular order.
     pub(crate) fn into_hits(self) -> Vec<Hit> {
-        let mut hits: Vec<Hit> = self.heap.into_iter().map(|Reverse(c)| c.into_hit()).collect();
-        // Collecting may reuse the heap's (larger) allocation; the hits are
-        // what callers keep and cache.
+        let kept = if self.filling.is_empty() { self.full.into_vec() } else { self.filling };
+        let mut hits: Vec<Hit> = kept.into_iter().map(|Reverse(c)| c.into_hit()).collect();
+        // Collecting may reuse the candidates' (larger) allocation; the hits
+        // are what callers keep and cache.
         hits.shrink_to_fit();
         hits
-    }
-}
-
-/// Evaluates `query` against `shards`, returning the `k` best-scoring hits
-/// and the pruning counters, or `None` when the query is not scorable (the
-/// caller then takes the unranked boolean path).  `should_cancel` is the
-/// cooperative deadline checkpoint; on cancellation the partial result is
-/// returned for the caller to discard.
-#[must_use]
-pub fn search_topk(
-    shards: &[SealedShard],
-    docs: &DocTable,
-    query: &Query,
-    k: usize,
-    should_cancel: &dyn Fn() -> bool,
-) -> Option<(SearchResults, PruneStats)> {
-    if !scorable(query) {
-        return None;
-    }
-    let mut stats = PruneStats::default();
-    if k == 0 {
-        return Some((SearchResults::default(), stats));
-    }
-    // Distinct exact query terms, sorted: contribution order is fixed by
-    // this list, which is what makes pruned and exhaustive sums identical.
-    let terms = query.terms();
-    let pure_or = query.groups().iter().all(|g| g.required().len() == 1);
-    let mut top = TopK::new(k);
-    for shard in shards {
-        if should_cancel() {
-            break;
-        }
-        if pure_or {
-            shard_wand(shard, docs, &terms, &mut top, &mut stats, should_cancel);
-        } else {
-            shard_scored(shard, docs, query, &terms, &mut top, &mut stats, should_cancel);
-        }
-    }
-    let mut hits = top.into_hits();
-    // A document id served by several shards (replicated seals) keeps its
-    // best-scoring occurrence; partitioned snapshots never hit this.
-    hits.sort_by(|a, b| a.file_id.cmp(&b.file_id).then_with(|| b.score.total_cmp(&a.score)));
-    hits.dedup_by_key(|h| h.file_id);
-    let mut results = SearchResults::new(hits);
-    results.truncate(k);
-    Some((results, stats))
-}
-
-/// One term's posting cursor plus its score bounds.
-struct WandCursor<'a> {
-    /// Index into the sorted distinct-term list (fixes summation order).
-    term: usize,
-    idf: f32,
-    /// Admissible upper bound on any single posting's score in this list.
-    list_bound: f64,
-    /// Whether the list carries sealed per-block maxima.
-    scored: bool,
-    cursor: BlockCursor<'a>,
-}
-
-impl WandCursor<'_> {
-    /// Upper bound for the cursor's *current block* (falls back to the list
-    /// bound for unscored lists).
-    fn block_bound(&self) -> f64 {
-        if self.scored {
-            f64::from(self.cursor.current_block_bound())
-        } else {
-            self.list_bound
-        }
-    }
-}
-
-/// Folds a finished cursor's visit counters into the stats.
-fn retire(stats: &mut PruneStats, cursor: &BlockCursor<'_>) {
-    let visited = cursor.blocks_visited();
-    stats.blocks_scored += visited;
-    stats.blocks_skipped += (cursor.total_blocks() as u64).saturating_sub(visited);
-}
-
-/// Builds one scoring cursor per query term present in the shard.
-fn scoring_cursors<'a>(shard: &'a SealedShard, terms: &[&Term]) -> Vec<WandCursor<'a>> {
-    terms
-        .iter()
-        .enumerate()
-        .filter_map(|(term, t)| {
-            let postings = shard.postings(t)?;
-            if postings.is_empty() {
-                return None;
-            }
-            let idf = shard.idf(postings.len());
-            let max = postings.max_score();
-            let list_bound = if max > 0.0 {
-                f64::from(max)
-            } else if shard.has_scoring() {
-                // Scored shard but unscored list (shouldn't happen with v3
-                // seals): the analytic BM25 ceiling keeps pruning admissible.
-                f64::from(idf) * f64::from(1.0 + BM25_K1)
-            } else {
-                // Unscored shard: tf = 1 and neutral norms everywhere, so
-                // every posting scores exactly idf.
-                f64::from(idf)
-            };
-            Some(WandCursor { term, idf, list_bound, scored: max > 0.0, cursor: postings.cursor() })
-        })
-        .collect()
-}
-
-/// Sums per-term contributions in term order, in `f64`, rounding once.
-fn sum_contributions(scratch: &mut [(usize, f32)]) -> f32 {
-    scratch.sort_unstable_by_key(|&(term, _)| term);
-    let mut sum = 0.0f64;
-    for &(_, s) in scratch.iter() {
-        sum += f64::from(s);
-    }
-    sum as f32
-}
-
-/// Block-max WAND over one shard: every group is a single exact term, so the
-/// query is a disjunction and the document score is the sum over the terms
-/// that contain it.
-fn shard_wand<'a>(
-    shard: &SealedShard,
-    docs: &'a DocTable,
-    terms: &[&Term],
-    top: &mut TopK<'a>,
-    stats: &mut PruneStats,
-    should_cancel: &dyn Fn() -> bool,
-) {
-    let resolve_start = Instant::now();
-    let mut live = scoring_cursors(shard, terms);
-    stats.lookup += resolve_start.elapsed();
-    let mut scratch: Vec<(usize, f32)> = Vec::with_capacity(live.len());
-    loop {
-        if should_cancel() {
-            break;
-        }
-        live.retain(|c| {
-            let alive = c.cursor.current().is_some();
-            if !alive {
-                retire(stats, &c.cursor);
-            }
-            alive
-        });
-        if live.is_empty() {
-            return;
-        }
-        // Frontier order: ascending current document id.
-        live.sort_unstable_by_key(|c| c.cursor.current());
-        let threshold = top.threshold();
-        // Pivot: first frontier position where the prefix sum of list-level
-        // upper bounds can still beat θ.  Documents before the pivot doc are
-        // beaten by construction and are never visited.
-        let mut upper = 0.0f64;
-        let mut pivot = None;
-        for (i, c) in live.iter().enumerate() {
-            upper += c.list_bound;
-            if upper + SLACK > threshold {
-                pivot = Some(i);
-                break;
-            }
-        }
-        let Some(p) = pivot else { break };
-        let pivot_doc = live[p].cursor.current().expect("live cursor");
-        if live[0].cursor.current() == Some(pivot_doc) {
-            // The frontier is aligned: cursors 0..=p (plus any further ones
-            // parked on the same doc) all sit on the pivot doc.  Refine the
-            // coarse bound with the sealed per-block maxima before paying
-            // for a full evaluation.
-            let mut aligned = p;
-            while aligned + 1 < live.len() && live[aligned + 1].cursor.current() == Some(pivot_doc)
-            {
-                aligned += 1;
-            }
-            let block_upper: f64 = live[..=aligned].iter().map(WandCursor::block_bound).sum();
-            if block_upper + SLACK > threshold {
-                // Score the pivot doc exactly and advance past it.
-                scratch.clear();
-                let norm = shard.doc_norm(pivot_doc);
-                for c in &mut live[..=aligned] {
-                    let tf = c.cursor.current_tf();
-                    scratch.push((c.term, bm25_score(c.idf, tf, norm)));
-                    c.cursor.advance();
-                }
-                let matched = scratch.len();
-                let score = sum_contributions(&mut scratch);
-                // A score below θ loses whatever its path; a tie is for `offer`.
-                if f64::from(score) >= threshold {
-                    let path = docs.path(pivot_doc).unwrap_or("<unknown>");
-                    top.offer(Scored { score, matched, path, id: pivot_doc });
-                }
-            } else {
-                // Even the block maxima cannot reach θ: every aligned block
-                // is dead.  Jump past the shortest aligned block (or to the
-                // next frontier doc, whichever is closer) without decoding.
-                let boundary = live[..=aligned]
-                    .iter()
-                    .filter_map(|c| c.cursor.current_block_last())
-                    .min()
-                    .map_or(u32::MAX, |id| id.as_u32());
-                let mut target = boundary.saturating_add(1);
-                if let Some(next) = live.get(aligned + 1).and_then(|c| c.cursor.current()) {
-                    target = target.min(next.as_u32());
-                }
-                if target > pivot_doc.as_u32() {
-                    for c in &mut live[..=aligned] {
-                        c.cursor.seek(FileId(target));
-                    }
-                } else {
-                    // Only reachable when ids saturate at u32::MAX; step
-                    // forward to guarantee progress.
-                    for c in &mut live[..=aligned] {
-                        c.cursor.advance();
-                    }
-                }
-            }
-        } else {
-            // Not aligned: everything before the pivot doc cannot win, so
-            // leapfrog the leading cursors straight to it.
-            for c in &mut live {
-                match c.cursor.current() {
-                    Some(current) if current < pivot_doc => {
-                        c.cursor.seek(pivot_doc);
-                    }
-                    _ => break,
-                }
-            }
-        }
-    }
-    for c in &live {
-        retire(stats, &c.cursor);
-    }
-}
-
-/// Boolean-match adapter over one sealed shard, used by the exhaustive
-/// scored path to enumerate matching ids without materialising paths.
-struct ShardBackend<'a> {
-    shard: &'a SealedShard,
-}
-
-impl SearchBackend for ShardBackend<'_> {
-    fn postings(&self, term: &Term) -> Postings<'_> {
-        match self.shard.postings(term) {
-            Some(list) => Postings::Compressed(list),
-            None => Postings::empty(),
-        }
-    }
-
-    fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
-        // Unreachable through `search_topk` (prefix queries are not
-        // scorable), implemented for trait completeness.
-        Postings::union_of_compressed(self.shard.prefix_postings(prefix).collect())
-    }
-
-    fn path_of(&self, _id: FileId) -> Option<&str> {
-        None
-    }
-}
-
-/// Exhaustive scored evaluation of one shard: boolean-match the query, then
-/// score every matching document with one forward-seeking cursor per term.
-fn shard_scored<'a>(
-    shard: &SealedShard,
-    docs: &'a DocTable,
-    query: &Query,
-    terms: &[&Term],
-    top: &mut TopK<'a>,
-    stats: &mut PruneStats,
-    should_cancel: &dyn Fn() -> bool,
-) {
-    // Matching ids come back ascending, so each term cursor only ever moves
-    // forward across the whole scoring sweep.
-    let matched = ShardBackend { shard }.matched_ids(query);
-    let resolve_start = Instant::now();
-    let mut cursors = scoring_cursors(shard, terms);
-    stats.lookup += resolve_start.elapsed();
-    let mut scratch: Vec<(usize, f32)> = Vec::with_capacity(cursors.len());
-    for (chunk, (id, _)) in matched.into_iter().enumerate() {
-        // The boolean pass already honoured the budget; re-check it every
-        // few hundred scored documents.
-        if chunk % 256 == 0 && should_cancel() {
-            break;
-        }
-        let norm = shard.doc_norm(id);
-        scratch.clear();
-        for c in &mut cursors {
-            if c.cursor.seek(id) == Some(id) {
-                scratch.push((c.term, bm25_score(c.idf, c.cursor.current_tf(), norm)));
-            }
-        }
-        let matched_terms = scratch.len();
-        let score = sum_contributions(&mut scratch);
-        let path = docs.path(id).unwrap_or("<unknown>");
-        top.offer(Scored { score, matched: matched_terms, path, id });
-    }
-    for c in &cursors {
-        retire(stats, &c.cursor);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsearch_index::InMemoryIndex;
+    use crate::search::{evaluate, scorable, Scorer};
+    use crate::{Query, SearchResults};
+    use dsearch_index::{DocTable, InMemoryIndex, SealedShard};
+    use dsearch_text::Term;
 
     fn no_cancel() -> bool {
         false
+    }
+
+    fn ranked(shards: &[SealedShard], docs: &DocTable, q: &Query, k: usize) -> SearchResults {
+        evaluate(shards, docs, q, Scorer::Bm25, k, &no_cancel).0
     }
 
     /// Three docs over two terms with distinct frequencies and lengths.
@@ -504,6 +161,11 @@ mod tests {
         let mut none = TopK::new(0);
         none.offer(candidate(0));
         assert!(none.into_hits().is_empty());
+        // Fewer candidates than `k`: all kept, no threshold yet.
+        let mut roomy = TopK::new(9);
+        (0..paths.len()).for_each(|i| roomy.offer(candidate(i)));
+        assert_eq!(roomy.threshold(), f64::NEG_INFINITY);
+        assert_eq!(roomy.into_hits().len(), 5);
     }
 
     #[test]
@@ -512,7 +174,10 @@ mod tests {
         for raw in ["rus*", "rust NOT index", "rust inde*"] {
             let q = Query::parse(raw).unwrap();
             assert!(!scorable(&q), "{raw}");
-            assert!(search_topk(&shards, &docs, &q, 10, &no_cancel).is_none(), "{raw}");
+            // Asked for BM25, they are evaluated by the constant scorer.
+            let results = ranked(&shards, &docs, &q, 10);
+            assert!(!results.is_empty(), "{raw}");
+            assert!(results.hits().iter().all(|h| h.score == 0.0), "{raw}");
         }
         assert!(scorable(&Query::parse("rust index").unwrap()));
     }
@@ -520,8 +185,7 @@ mod tests {
     #[test]
     fn single_term_ranks_by_term_frequency() {
         let (shards, docs) = fixture();
-        let q = Query::parse("rust").unwrap();
-        let (results, _) = search_topk(&shards, &docs, &q, 10, &no_cancel).unwrap();
+        let results = ranked(&shards, &docs, &Query::parse("rust").unwrap(), 10);
         // a.txt has tf 4 (and is only slightly longer): it outranks b.txt.
         assert_eq!(results.paths(), vec!["a.txt", "b.txt"]);
         assert!(results.hits()[0].score > results.hits()[1].score);
@@ -532,9 +196,9 @@ mod tests {
     fn or_query_sums_scores_and_respects_k() {
         let (shards, docs) = fixture();
         let q = Query::parse("rust OR index OR query").unwrap();
-        let (all, _) = search_topk(&shards, &docs, &q, 10, &no_cancel).unwrap();
+        let all = ranked(&shards, &docs, &q, 10);
         assert_eq!(all.len(), 3);
-        let (top1, _) = search_topk(&shards, &docs, &q, 1, &no_cancel).unwrap();
+        let top1 = ranked(&shards, &docs, &q, 1);
         assert_eq!(top1.len(), 1);
         assert_eq!(top1.paths()[0], all.paths()[0]);
         assert_eq!(top1.hits()[0].score.to_bits(), all.hits()[0].score.to_bits());
@@ -543,8 +207,7 @@ mod tests {
     #[test]
     fn and_query_scores_only_conjunctive_matches() {
         let (shards, docs) = fixture();
-        let q = Query::parse("rust index").unwrap();
-        let (results, _) = search_topk(&shards, &docs, &q, 10, &no_cancel).unwrap();
+        let results = ranked(&shards, &docs, &Query::parse("rust index").unwrap(), 10);
         assert_eq!(results.paths(), vec!["a.txt"]);
         assert_eq!(results.hits()[0].matched_terms, 2);
     }
@@ -552,11 +215,9 @@ mod tests {
     #[test]
     fn k_zero_and_unknown_terms_yield_empty_results() {
         let (shards, docs) = fixture();
-        let q = Query::parse("rust").unwrap();
-        let (empty, _) = search_topk(&shards, &docs, &q, 0, &no_cancel).unwrap();
-        assert!(empty.is_empty());
+        assert!(ranked(&shards, &docs, &Query::parse("rust").unwrap(), 0).is_empty());
         let missing = Query::parse("cobol OR fortran").unwrap();
-        let (none, stats) = search_topk(&shards, &docs, &missing, 5, &no_cancel).unwrap();
+        let (none, stats) = evaluate(&shards, &docs, &missing, Scorer::Bm25, 5, &no_cancel);
         assert!(none.is_empty());
         // No cursors were opened, so no blocks were touched (the lookup
         // timer still ran — only the counters are zero by construction).
@@ -567,8 +228,10 @@ mod tests {
     fn cancellation_returns_partial_results() {
         let (shards, docs) = fixture();
         let q = Query::parse("rust OR index").unwrap();
-        let cancelled = search_topk(&shards, &docs, &q, 10, &(|| true)).unwrap();
-        assert!(cancelled.0.is_empty());
+        let (partial, stats) = evaluate(&shards, &docs, &q, Scorer::Bm25, 10, &(|| true));
+        assert!(partial.is_empty());
+        assert!(stats.cancelled);
+        assert!(!evaluate(&shards, &docs, &q, Scorer::Bm25, 10, &no_cancel).1.cancelled);
     }
 
     #[test]
@@ -588,9 +251,9 @@ mod tests {
         }
         let shards = vec![SealedShard::from_index(&left), SealedShard::from_index(&right)];
         let q = Query::parse("alpha OR beta").unwrap();
-        let (combined, _) = search_topk(&shards, &docs, &q, 10, &no_cancel).unwrap();
-        let (l, _) = search_topk(&shards[..1], &docs, &q, 10, &no_cancel).unwrap();
-        let (r, _) = search_topk(&shards[1..], &docs, &q, 10, &no_cancel).unwrap();
+        let combined = ranked(&shards, &docs, &q, 10);
+        let l = ranked(&shards[..1], &docs, &q, 10);
+        let r = ranked(&shards[1..], &docs, &q, 10);
         let mut separate: Vec<Hit> = l.into_iter().chain(r).collect();
         separate.sort_by(|a, b| {
             b.score
@@ -621,7 +284,7 @@ mod tests {
         }
         let shards = vec![SealedShard::from_index(&index)];
         let q = Query::parse("common OR rare").unwrap();
-        let (results, stats) = search_topk(&shards, &docs, &q, 10, &no_cancel).unwrap();
+        let (results, stats) = evaluate(&shards, &docs, &q, Scorer::Bm25, 10, &no_cancel);
         assert_eq!(results.len(), 10);
         // Every top hit contains the rare high-scoring term.
         assert!(results.hits().iter().all(|h| h.matched_terms == 2));
@@ -650,17 +313,18 @@ mod tests {
             index.insert_file_counted(id, words);
         }
         let shards = vec![SealedShard::from_index(&index)];
-        let docs_ref = &docs;
-        let q = Query::parse("a OR b OR c").unwrap();
-        let (pruned, _) = search_topk(&shards, docs_ref, &q, 25, &no_cancel).unwrap();
-        // Exhaustive reference: force the non-WAND path through a
-        // conjunctive query shape that matches the same docs?  Simpler: use
-        // a huge k so nothing is ever pruned.
-        let (exhaustive, _) = search_topk(&shards, docs_ref, &q, usize::MAX, &no_cancel).unwrap();
-        for (p, e) in pruned.hits().iter().zip(exhaustive.hits().iter().take(25)) {
-            assert_eq!(p.score.to_bits(), e.score.to_bits());
-            assert_eq!(p.path, e.path);
-            assert_eq!(p.matched_terms, e.matched_terms);
+        for raw in ["a OR b OR c", "a b c", "b c"] {
+            let q = Query::parse(raw).unwrap();
+            let pruned = ranked(&shards, &docs, &q, 25);
+            // An unbounded k never raises the threshold, so nothing is
+            // pruned: the exhaustive reference.
+            let exhaustive = ranked(&shards, &docs, &q, usize::MAX);
+            assert_eq!(pruned.len(), 25, "{raw}");
+            for (p, e) in pruned.hits().iter().zip(exhaustive.hits()) {
+                assert_eq!(p.score.to_bits(), e.score.to_bits(), "{raw}");
+                assert_eq!(p.path, e.path, "{raw}");
+                assert_eq!(p.matched_terms, e.matched_terms, "{raw}");
+            }
         }
     }
 }

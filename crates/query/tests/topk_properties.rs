@@ -3,15 +3,13 @@
 //! pruned evaluation must return bit-identical scores, in the same order,
 //! as an exhaustive evaluation that scores every posting — including tie
 //! runs of exact duplicate documents and `k` values past the match count.
-//! The boolean path's bounded form is held to the same standard:
+//! The constant scorer's bounded form is held to the same standard:
 //! `search_limited(q, k)` is the first `k` hits of `search(q)`.
 
 use proptest::prelude::*;
 
-use dsearch_index::{DocTable, InMemoryIndex, IndexSet, SealedShard};
-use dsearch_query::{
-    search_topk, MultiIndexSearcher, Query, SearchBackend, SearchResults, SingleIndexSearcher,
-};
+use dsearch_index::{DocTable, InMemoryIndex, SealedShard};
+use dsearch_query::{evaluate, PruneStats, Query, Scorer, SearchResults, Searcher};
 use dsearch_text::Term;
 
 /// A small vocabulary so generated documents overlap on terms and score
@@ -55,15 +53,21 @@ fn keys(results: &SearchResults) -> Vec<(u32, String, usize)> {
         .collect()
 }
 
-fn no_cancel() -> bool {
-    false
+/// BM25 top-`k` through the one evaluator.
+fn search_topk(
+    shards: &[SealedShard],
+    docs: &DocTable,
+    query: &Query,
+    k: usize,
+) -> (SearchResults, PruneStats) {
+    evaluate(shards, docs, query, Scorer::Bm25, k, &|| false)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Pure disjunctions take the block-max WAND path; pruning must be
-    /// invisible next to an exhaustive reference for every `k`.
+    /// Pure disjunctions are where block-max WAND prunes most; pruning must
+    /// be invisible next to an exhaustive reference for every `k`.
     #[test]
     fn wand_pruned_topk_equals_exhaustive(
         masks in proptest::collection::vec(1u8..32, 1..60),
@@ -73,9 +77,8 @@ proptest! {
         let (shards, docs) = seal(&masks, 1);
         let raw = term_subset(qmask).join(" OR ");
         let query = Query::parse(&raw).unwrap();
-        let (pruned, _) = search_topk(&shards, &docs, &query, k, &no_cancel).unwrap();
-        let (full, full_stats) =
-            search_topk(&shards, &docs, &query, usize::MAX, &no_cancel).unwrap();
+        let (pruned, _) = search_topk(&shards, &docs, &query, k);
+        let (full, full_stats) = search_topk(&shards, &docs, &query, usize::MAX);
         // With an unbounded k the threshold never rises, so the reference
         // run provably skipped nothing: it is genuinely exhaustive.
         prop_assert_eq!(full_stats.blocks_skipped, 0);
@@ -84,8 +87,8 @@ proptest! {
         prop_assert_eq!(keys(&pruned), expected, "query {:?} k={}", raw, k);
     }
 
-    /// Multi-term `AND` groups take the exhaustive-scoring path (boolean
-    /// match, then forward-seeking score cursors); `k` must only truncate.
+    /// A multi-term `AND` group is the one-child case of the same loop: its
+    /// bounds are the sums of its terms'; `k` must only truncate.
     #[test]
     fn and_scored_topk_equals_exhaustive(
         masks in proptest::collection::vec(1u8..32, 1..60),
@@ -95,8 +98,8 @@ proptest! {
         let (shards, docs) = seal(&masks, 1);
         let raw = term_subset(qmask).join(" ");
         let query = Query::parse(&raw).unwrap();
-        let (pruned, _) = search_topk(&shards, &docs, &query, k, &no_cancel).unwrap();
-        let (full, _) = search_topk(&shards, &docs, &query, usize::MAX, &no_cancel).unwrap();
+        let (pruned, _) = search_topk(&shards, &docs, &query, k);
+        let (full, _) = search_topk(&shards, &docs, &query, usize::MAX);
         let mut expected = keys(&full);
         expected.truncate(k);
         prop_assert_eq!(keys(&pruned), expected, "query {:?} k={}", raw, k);
@@ -112,7 +115,7 @@ proptest! {
     ) {
         let (shards, docs) = seal(&masks, 1);
         let query = Query::parse("alpha OR beta").unwrap();
-        let (results, _) = search_topk(&shards, &docs, &query, k, &no_cancel).unwrap();
+        let (results, _) = search_topk(&shards, &docs, &query, k);
         for pair in results.hits().windows(2) {
             let (a, b) = (&pair[0], &pair[1]);
             let ord = b
@@ -165,17 +168,19 @@ proptest! {
             .collect::<Vec<_>>()
             .join(" OR ");
         let query = Query::parse(&raw).unwrap();
-        let set = IndexSet::new(parts);
-        let multi = MultiIndexSearcher::new(&set, &docs);
+        let multi = Searcher::new(&parts, &docs);
         let full = multi.search(&query);
         let limited = multi.search_limited(&query, k);
         prop_assert_eq!(limited.hits(), &full.hits()[..k.min(full.len())], "{:?} k={}", raw, k);
         prop_assert!(limited.heap_bytes() <= k * std::mem::size_of::<dsearch_query::Hit>());
-        if replicas == 1 {
-            let single = SingleIndexSearcher::new(&set.replicas()[0], &docs);
-            prop_assert_eq!(single.search_limited(&query, k), limited);
-            prop_assert_eq!(single.search(&query), full);
-        }
+        // Neither joining the replicas nor a thread per replica changes it.
+        let joined = dsearch_index::join_all(parts.clone());
+        let single = Searcher::new([&joined], &docs);
+        prop_assert_eq!(&single.search_limited(&query, k), &limited);
+        prop_assert_eq!(&single.search(&query), &full);
+        let parallel = Searcher::new(&parts, &docs).with_parallel_lookup(true);
+        prop_assert_eq!(parallel.search_limited(&query, k), limited);
+        prop_assert_eq!(parallel.search(&query), full);
     }
 
     /// Scoring is per shard, so evaluating a partitioned snapshot in one
@@ -191,11 +196,11 @@ proptest! {
         let (shards, docs) = seal(&masks, shard_count);
         let raw = term_subset(qmask).join(" OR ");
         let query = Query::parse(&raw).unwrap();
-        let (combined, _) = search_topk(&shards, &docs, &query, k, &no_cancel).unwrap();
+        let (combined, _) = search_topk(&shards, &docs, &query, k);
         let mut merged: Vec<(u32, String, usize)> = Vec::new();
         for s in 0..shard_count {
             let (part, _) =
-                search_topk(&shards[s..=s], &docs, &query, usize::MAX, &no_cancel).unwrap();
+                search_topk(&shards[s..=s], &docs, &query, usize::MAX);
             merged.extend(keys(&part));
         }
         merged.sort_by(|a, b| {

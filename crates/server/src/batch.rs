@@ -14,27 +14,18 @@
 //!   waiting up to [`BatchConfig::max_wait`] for the batch to fill).  All
 //!   queries of a batch execute against a single snapshot load, so the whole
 //!   batch shares one generation by construction.
-//! * [`BatchSearcher`] — a per-batch posting memo.  Queries in one batch that
-//!   share terms (or prefix patterns) fetch each posting list once; identical
-//!   canonical queries collapse to a single search fanned out to every
-//!   waiter (`dedup_hits` in the stats).
+//!   Identical canonical queries of a batch collapse to a single evaluation
+//!   fanned out to every waiter (`dedup_hits` in the stats).
 //!
 //! The scheduler favours latency when idle: with `max_wait == 0` a lone
 //! query is executed immediately as a batch of one, while a backlog drains
-//! in `max_batch`-sized groups, which is where dedup and the posting memo
-//! pay off.
+//! in `max_batch`-sized groups, which is where dedup pays off.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dsearch_index::{FileId, Postings};
-use dsearch_query::SearchBackend;
-use dsearch_text::Term;
-
 use crate::engine::ServerError;
-use crate::snapshot::IndexSnapshot;
 use crate::stats::ServerStats;
 
 /// What to do with a submission when the queue is at its depth bound.
@@ -380,137 +371,10 @@ fn expected_arrivals(arrivals: &VecDeque<Instant>, now: Instant, window: Duratio
     rate * window.as_secs_f64()
 }
 
-/// A memoizing [`SearchBackend`] over one snapshot, scoped to one batch.
-///
-/// Each distinct exact term or prefix pattern is resolved against the
-/// snapshot once; queries later in the batch that mention the same term
-/// reuse the memoized posting list.  The memo stores [`Postings`] — borrows
-/// straight into the snapshot for single-shard lookups, `Arc`-shared merge
-/// results otherwise — so a memo hit costs a pointer copy or an `Arc` bump,
-/// never a `Vec` clone.  The memo lives on the worker's stack for the
-/// duration of one batch, so it needs no locking and never holds postings
-/// beyond the batch.
-pub struct BatchSearcher<'a> {
-    snapshot: &'a IndexSnapshot,
-    terms: RefCell<HashMap<Term, Postings<'a>>>,
-    prefixes: RefCell<HashMap<String, Postings<'a>>>,
-    memo_hits: Cell<u64>,
-    memo_misses: Cell<u64>,
-    lookup_time: Cell<Duration>,
-    /// Cooperative-cancellation deadline for the evaluation in flight (set
-    /// per canonical group by the engine; `None` evaluates to completion).
-    deadline: Cell<Option<Instant>>,
-    /// Latched when an evaluation was cut off by the deadline, so the engine
-    /// knows the returned results are partial and must be discarded.
-    cancelled: Cell<bool>,
-}
-
-impl<'a> BatchSearcher<'a> {
-    /// Creates an empty memo over `snapshot`.
-    #[must_use]
-    pub fn new(snapshot: &'a IndexSnapshot) -> Self {
-        BatchSearcher {
-            snapshot,
-            terms: RefCell::new(HashMap::new()),
-            prefixes: RefCell::new(HashMap::new()),
-            memo_hits: Cell::new(0),
-            memo_misses: Cell::new(0),
-            lookup_time: Cell::new(Duration::ZERO),
-            deadline: Cell::new(None),
-            cancelled: Cell::new(false),
-        }
-    }
-
-    /// Arms (or disarms, with `None`) the cooperative-cancellation deadline
-    /// for the next evaluation.
-    pub fn set_deadline(&self, deadline: Option<Instant>) {
-        self.deadline.set(deadline);
-    }
-
-    /// Returns whether the last evaluation was cut off by its deadline,
-    /// clearing the latch for the next one.
-    pub fn take_cancelled(&self) -> bool {
-        self.cancelled.replace(false)
-    }
-
-    /// Posting lookups answered from the memo.
-    #[must_use]
-    pub fn memo_hits(&self) -> u64 {
-        self.memo_hits.get()
-    }
-
-    /// Posting lookups that had to consult the snapshot.
-    #[must_use]
-    pub fn memo_misses(&self) -> u64 {
-        self.memo_misses.get()
-    }
-
-    /// Wall time spent resolving posting lists (the batch's `postings` trace
-    /// stage; whatever remains of evaluation time is intersect/merge work).
-    #[must_use]
-    pub fn lookup_time(&self) -> Duration {
-        self.lookup_time.get()
-    }
-}
-
-impl<'a> SearchBackend for BatchSearcher<'a> {
-    fn postings(&self, term: &Term) -> Postings<'_> {
-        if let Some(postings) = self.terms.borrow().get(term) {
-            self.memo_hits.set(self.memo_hits.get() + 1);
-            return postings.clone();
-        }
-        self.memo_misses.set(self.memo_misses.get() + 1);
-        let started = Instant::now();
-        // `into_shared` turns a merged (owned) list into an `Arc` so every
-        // later memo hit shares it; borrowed lookups stay plain borrows.
-        let postings: Postings<'a> = self.snapshot.term_postings(term).into_shared();
-        self.lookup_time.set(self.lookup_time.get() + started.elapsed());
-        self.terms.borrow_mut().insert(term.clone(), postings.clone());
-        postings
-    }
-
-    fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
-        if let Some(postings) = self.prefixes.borrow().get(prefix) {
-            self.memo_hits.set(self.memo_hits.get() + 1);
-            return postings.clone();
-        }
-        self.memo_misses.set(self.memo_misses.get() + 1);
-        let started = Instant::now();
-        let postings: Postings<'a> = self.snapshot.prefix_postings(prefix).into_shared();
-        self.lookup_time.set(self.lookup_time.get() + started.elapsed());
-        self.prefixes.borrow_mut().insert(prefix.to_owned(), postings.clone());
-        postings
-    }
-
-    fn path_of(&self, id: FileId) -> Option<&str> {
-        self.snapshot.path_of(id)
-    }
-
-    fn should_cancel(&self) -> bool {
-        let Some(deadline) = self.deadline.get() else { return false };
-        if Instant::now() >= deadline {
-            self.cancelled.set(true);
-            return true;
-        }
-        false
-    }
-}
-
-impl std::fmt::Debug for BatchSearcher<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchSearcher")
-            .field("memo_hits", &self.memo_hits.get())
-            .field("memo_misses", &self.memo_misses.get())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{Job, PendingResponse};
-    use dsearch_index::{DocTable, InMemoryIndex};
-    use dsearch_query::Query;
     use std::sync::mpsc;
 
     fn job(raw: &str) -> (Job, PendingResponse) {
@@ -787,35 +651,5 @@ mod tests {
         assert!(
             format!("{:?}", QueueGovernor::<Job>::new(BatchConfig::default())).contains("depth")
         );
-    }
-
-    #[test]
-    fn batch_searcher_memoizes_terms_and_prefixes() {
-        let mut docs = DocTable::new();
-        let mut index = InMemoryIndex::new();
-        for (path, words) in [
-            ("a.txt", vec!["rust", "search"]),
-            ("b.txt", vec!["rust", "index"]),
-            ("c.txt", vec!["ruby"]),
-        ] {
-            let id = docs.insert(path);
-            index.insert_file(id, words.into_iter().map(Term::from));
-        }
-        let snapshot = IndexSnapshot::from_index(index, docs, 1);
-        let searcher = BatchSearcher::new(&snapshot);
-
-        // Two queries sharing the term "rust": the second lookup is a memo
-        // hit, and both answers match the snapshot's own evaluation.
-        for raw in ["rust search", "rust index", "ru*"] {
-            let query = Query::parse(raw).unwrap();
-            assert_eq!(searcher.search(&query), snapshot.search(&query), "query {raw:?}");
-        }
-        let query = Query::parse("rust search OR ru*").unwrap();
-        assert_eq!(searcher.search(&query), snapshot.search(&query));
-
-        assert!(searcher.memo_hits() >= 3, "hits {}", searcher.memo_hits());
-        // Distinct lookups: rust, search, index, prefix "ru".
-        assert_eq!(searcher.memo_misses(), 4);
-        assert!(format!("{searcher:?}").contains("memo_hits"));
     }
 }

@@ -2,13 +2,13 @@
 //! worker-thread pool.
 //!
 //! [`QueryEngine::execute_batch`] is the serving path (parse → dedup → cache
-//! probe → memoized snapshot search → fan-out); [`QueryEngine::execute`] is
-//! the batch-of-one convenience.  [`WorkerPool`] runs that path on a fixed
-//! set of worker threads fed through an admission-controlled
+//! probe → evaluation → fan-out); [`QueryEngine::execute`] is the
+//! batch-of-one convenience.  [`WorkerPool`] runs that path on a fixed set of
+//! worker threads fed through an admission-controlled
 //! [`QueueGovernor`](crate::batch::QueueGovernor): each worker drains up to
 //! `max_batch` queued queries at a time, so a backlog turns into shared work
-//! (one snapshot load, one posting memo, one search per distinct canonical
-//! query) instead of per-request overhead.
+//! (one snapshot load, one evaluation per distinct canonical query) instead
+//! of per-request overhead.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc;
@@ -16,9 +16,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsearch_obs::{QueryTrace, Stage};
-use dsearch_query::{ParseError, Query, SearchBackend, SearchResults};
+use dsearch_query::{evaluate, ParseError, Query, Scorer, SearchResults};
 
-use crate::batch::{BatchConfig, BatchSearcher, QueueGovernor, QueueJob};
+use crate::batch::{BatchConfig, QueueGovernor, QueueJob};
 use crate::cache::{AdmissionPolicy, CacheCounters, CacheKey, QueryCache};
 use crate::protocol::split_request_meta;
 use crate::snapshot::{IndexSnapshot, SnapshotCell};
@@ -287,10 +287,9 @@ impl QueryEngine {
     /// Serves a batch of queries against a single snapshot load.
     ///
     /// Identical canonical queries collapse to one evaluation fanned out to
-    /// every position (`dedup_hits`), and distinct queries that share terms
-    /// reuse per-batch memoized posting lists.  Responses come back in
-    /// submission order; parse failures occupy their slot as errors without
-    /// failing the rest of the batch.
+    /// every position (`dedup_hits`).  Responses come back in submission
+    /// order; parse failures occupy their slot as errors without failing the
+    /// rest of the batch.
     #[must_use]
     pub fn execute_batch(&self, raws: &[&str]) -> Vec<Result<QueryResponse, ServerError>> {
         self.execute_batch_since(raws, std::time::Instant::now())
@@ -348,7 +347,7 @@ impl QueryEngine {
         // slot, outside the canonical grouping.
         let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut executed = 0u64;
-        let mut ranked_lookups = Duration::ZERO;
+        let mut lookups = Duration::ZERO;
         for (i, raw) in raws.iter().enumerate() {
             let (meta, query_text) = split_request_meta(raw);
             trace_ids.push(meta.trace_id);
@@ -377,7 +376,6 @@ impl QueryEngine {
         // generation, and a concurrent publish cannot tear the image.
         let snapshot = self.snapshot.load();
         let generation = snapshot.generation();
-        let searcher = BatchSearcher::new(&snapshot);
         let snapshot_done = Instant::now();
         trace.record(Stage::SnapshotLoad, snapshot_done.saturating_duration_since(parse_done));
 
@@ -413,28 +411,23 @@ impl QueryEngine {
                     } else {
                         live.iter().filter_map(|&i| deadlines[i]).max()
                     };
-                    searcher.set_deadline(group_deadline);
-                    // Ranked retrieval first: scorable queries evaluate as
-                    // BM25 top-k with block-max pruning, bounded at the
-                    // result limit the response would be truncated to anyway.
-                    // Unscorable shapes (prefix terms, exclusions) fall back
-                    // to the boolean path, bounded the same way: a cached
-                    // entry holds exactly what the wire can render.  Both
-                    // poll the same deadline, so cancellation semantics are
-                    // identical.
-                    let ranked = snapshot.search_topk(&query, self.config.result_limit, &|| {
-                        searcher.should_cancel()
-                    });
-                    let mut results = match ranked {
-                        Some((results, prune)) => {
-                            ranked_lookups += prune.lookup;
-                            self.stats.record_prune(prune);
-                            results
-                        }
-                        None => searcher.search_limited(&query, self.config.result_limit),
-                    };
-                    searcher.set_deadline(None);
-                    if searcher.take_cancelled() {
+                    // One evaluator for every shape, bounded at the result
+                    // limit the response would be truncated to anyway, so a
+                    // cached entry holds exactly what the wire can render:
+                    // BM25 top-k with block-max pruning where the query can be
+                    // scored, the constant scorer for prefix terms and
+                    // exclusions.
+                    let (results, prune) = evaluate(
+                        snapshot.shards(),
+                        snapshot.docs(),
+                        &query,
+                        Scorer::Bm25,
+                        self.config.result_limit,
+                        &|| group_deadline.is_some_and(|deadline| Instant::now() >= deadline),
+                    );
+                    lookups += prune.lookup;
+                    self.stats.record_prune(prune);
+                    if prune.cancelled {
                         // The evaluation was stopped mid-flight: the partial
                         // result is dead work — never cached, never served.
                         for &i in &live {
@@ -443,7 +436,6 @@ impl QueryEngine {
                         }
                         continue;
                     }
-                    results.truncate(self.config.result_limit);
                     let results = Arc::new(results);
                     self.cache.insert(key, Arc::clone(&results));
                     (results, false)
@@ -458,11 +450,10 @@ impl QueryEngine {
                 }));
             }
         }
-        // Evaluation splits into posting-list resolution — the boolean
-        // searcher's memo plus the ranked path's cursor/dictionary lookups —
-        // and everything else: intersect/union/rank plus cache probes.
+        // Evaluation splits into posting-list resolution — dictionary
+        // lookups, cursor opening, prefix unions — and everything else:
+        // leapfrog/merge/rank plus cache probes.
         let eval = snapshot_done.elapsed();
-        let lookups = searcher.lookup_time() + ranked_lookups;
         trace.record(Stage::Postings, lookups);
         trace.record(Stage::IntersectMerge, eval.saturating_sub(lookups));
 

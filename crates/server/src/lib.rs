@@ -10,14 +10,14 @@
 //!   (one shard per segment, mirroring Implementation 3's replica set), and
 //!   [`SnapshotCell`] swaps generations atomically so a background re-index
 //!   never blocks or corrupts in-flight queries;
-//! * [`engine`] — [`QueryEngine`] runs parse → cache → search, and
+//! * [`engine`] — [`QueryEngine`] runs parse → cache → evaluate (the one
+//!   evaluator of `dsearch_query`, over the snapshot's sealed shards), and
 //!   [`WorkerPool`] executes that path on a fixed thread pool fed through an
 //!   admission-controlled queue;
 //! * [`batch`] — the scheduling layer between front ends and workers:
 //!   [`QueueGovernor`] bounds queue depth and sheds overload
 //!   (reject-new or drop-oldest), workers drain the queue in batches that
-//!   share one snapshot load, deduplicate identical canonical queries, and
-//!   evaluate shared terms once through the [`BatchSearcher`] posting memo;
+//!   share one snapshot load and deduplicate identical canonical queries;
 //! * [`cache`] — [`QueryCache`], a sharded LRU keyed by
 //!   `(normalised query, snapshot generation)` with hit/miss/eviction
 //!   counters;
@@ -80,8 +80,7 @@ pub mod snapshot;
 pub mod stats;
 
 pub use batch::{
-    BatchConfig, BatchSearcher, DrainedBatch, OverloadPolicy, QueueGovernor, QueueJob,
-    DEFAULT_AUTO_WAIT,
+    BatchConfig, DrainedBatch, OverloadPolicy, QueueGovernor, QueueJob, DEFAULT_AUTO_WAIT,
 };
 pub use cache::{AdmissionPolicy, CacheCounters, CacheKey, QueryCache};
 pub use engine::{

@@ -27,9 +27,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
-use dsearch_index::{CompressedView, DocTable, FileId, InMemoryIndex, Postings, SealedShard};
+use dsearch_index::{DocTable, InMemoryIndex, SealedShard};
 use dsearch_persist::{IndexStore, PersistError};
-use dsearch_query::{PruneStats, Query, SearchBackend, SearchResults};
+use dsearch_query::{evaluate, scorable, PruneStats, Query, Scorer, SearchResults};
 
 /// One immutable in-memory image of an index store.
 #[derive(Debug)]
@@ -160,49 +160,26 @@ impl IndexSnapshot {
         })
     }
 
-    /// The posting list for one exact term across every shard (empty when
-    /// the term is unknown).  A term living in exactly one shard stays a
-    /// zero-copy `Postings::Compressed` borrow; only genuine cross-shard
-    /// overlap merges (and therefore decodes).  This is the raw lookup the
-    /// per-batch posting memo builds on.
+    /// The sealed shards, in manifest order: with [`docs`](Self::docs), what
+    /// `dsearch_query::evaluate` takes.
     #[must_use]
-    pub fn term_postings(&self, term: &dsearch_text::Term) -> Postings<'_> {
-        let lists: Vec<CompressedView<'_>> =
-            self.shards.iter().filter_map(|shard| shard.postings(term)).collect();
-        Postings::union_of_compressed(lists)
+    pub fn shards(&self) -> &[SealedShard] {
+        &self.shards
     }
 
-    /// The union of the posting lists of every indexed term starting with
-    /// `prefix`, merged across shards (the `word*` lookup).  Each shard
-    /// resolves the prefix to a contiguous dictionary range; the union
-    /// streams through block cursors, decoding each block exactly once.
-    #[must_use]
-    pub fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
-        let lists: Vec<CompressedView<'_>> =
-            self.shards.iter().flat_map(|shard| shard.prefix_postings(prefix)).collect();
-        Postings::union_of_compressed(lists)
-    }
-
-    /// The path registered for a file id in this snapshot's doc table.
-    #[must_use]
-    pub fn path_of(&self, id: FileId) -> Option<&str> {
-        self.docs.path(id)
-    }
-
-    /// Evaluates `query` against this image through the sealed shards'
-    /// skip-aware cursors (single- and multi-shard snapshots share the path;
-    /// per-shard lookups merge before the boolean operators run).
+    /// Every match of `query` as a boolean query (the constant scorer), in
+    /// rank order.
     #[must_use]
     pub fn search(&self, query: &Query) -> SearchResults {
-        SnapshotSearcher { snapshot: self }.search(query)
+        evaluate(&self.shards, &self.docs, query, Scorer::Constant, usize::MAX, &|| false).0
     }
 
     /// Evaluates `query` as ranked retrieval: BM25-scored top-`k` with
-    /// block-max pruning, sharing one result heap across every sealed shard.
+    /// block-max pruning, one result heap across every sealed shard.
     /// Returns `None` when the query shape is not scorable (prefix terms,
-    /// exclusions, empty) — callers fall back to [`search`](Self::search).
-    /// `should_cancel` is polled between scoring steps; a cancelled call
-    /// returns the best hits found so far.
+    /// exclusions) — [`search`](Self::search) answers those.
+    /// `should_cancel` is polled as the evaluation goes; a cancelled call
+    /// says so in [`PruneStats::cancelled`].
     #[must_use]
     pub fn search_topk(
         &self,
@@ -210,28 +187,8 @@ impl IndexSnapshot {
         k: usize,
         should_cancel: &dyn Fn() -> bool,
     ) -> Option<(SearchResults, PruneStats)> {
-        dsearch_query::search_topk(&self.shards, &self.docs, query, k, should_cancel)
-    }
-}
-
-/// [`SearchBackend`] over a snapshot's sealed shards: lookups stay
-/// compressed borrows whenever one shard answers, and the generic
-/// cursor-based evaluator does the rest.
-struct SnapshotSearcher<'a> {
-    snapshot: &'a IndexSnapshot,
-}
-
-impl SearchBackend for SnapshotSearcher<'_> {
-    fn postings(&self, term: &dsearch_text::Term) -> Postings<'_> {
-        self.snapshot.term_postings(term)
-    }
-
-    fn prefix_postings(&self, prefix: &str) -> Postings<'_> {
-        self.snapshot.prefix_postings(prefix)
-    }
-
-    fn path_of(&self, id: FileId) -> Option<&str> {
-        self.snapshot.path_of(id)
+        scorable(query)
+            .then(|| evaluate(&self.shards, &self.docs, query, Scorer::Bm25, k, should_cancel))
     }
 }
 
@@ -361,16 +318,20 @@ mod tests {
             &[("a.txt", &["rust", "index"]), ("b.txt", &["rust"]), ("c.txt", &["java"])],
             1,
         );
-        assert_eq!(snapshot.term_postings(&Term::from("rust")).len(), 2);
-        assert!(snapshot.term_postings(&Term::from("cobol")).is_empty());
-        assert_eq!(snapshot.prefix_postings("ja").len(), 1);
-        assert_eq!(snapshot.prefix_postings("").len(), 3);
-        let id = snapshot.term_postings(&Term::from("java")).into_owned().iter().next().unwrap();
-        assert_eq!(snapshot.path_of(id), Some("c.txt"));
-        // Single-shard lookups stay zero-copy compressed borrows — no merge,
-        // no decode.
-        assert!(matches!(snapshot.term_postings(&Term::from("rust")), Postings::Compressed(_)));
-        assert!(matches!(snapshot.prefix_postings("ja"), Postings::Compressed(_)));
+        // Every term's document frequency is the number of hits it finds.
+        let mut terms: Vec<(String, usize)> = snapshot.terms().collect();
+        terms.sort();
+        assert_eq!(terms, [("index".into(), 1), ("java".into(), 1), ("rust".into(), 2)]);
+        for (term, doc_freq) in &terms {
+            assert_eq!(snapshot.search(&Query::parse(term).unwrap()).len(), *doc_freq, "{term}");
+        }
+        assert!(snapshot.search(&Query::parse("cobol").unwrap()).is_empty());
+        assert_eq!(snapshot.search(&Query::parse("ja*").unwrap()).len(), 1);
+        let java = snapshot.search(&Query::parse("java").unwrap());
+        assert_eq!(snapshot.docs().path(java.hits()[0].file_id), Some("c.txt"));
+        // Ranked retrieval declines what it cannot score.
+        assert!(snapshot.search_topk(&Query::parse("ja*").unwrap(), 5, &|| false).is_none());
+        assert!(snapshot.search_topk(&Query::parse("java").unwrap(), 5, &|| false).is_some());
         // Sealed snapshots report their compression win.
         assert!(snapshot.posting_count() > 0);
         assert!(snapshot.posting_bytes() < snapshot.uncompressed_posting_bytes());

@@ -7,10 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dsearch_index::{DocTable, InMemoryIndex};
-use dsearch_query::SearchBackend;
-use dsearch_server::{
-    BatchConfig, BatchSearcher, EngineConfig, IndexSnapshot, QueryEngine, WorkerPool,
-};
+use dsearch_server::{BatchConfig, EngineConfig, IndexSnapshot, QueryEngine, WorkerPool};
 use dsearch_text::Term;
 
 fn snapshot() -> IndexSnapshot {
@@ -59,21 +56,6 @@ fn a_duplicate_heavy_batch_costs_one_search_per_distinct_query() {
     let first = responses[0].as_ref().unwrap();
     let fifth = responses[4].as_ref().unwrap();
     assert!(Arc::ptr_eq(&first.results, &fifth.results));
-}
-
-#[test]
-fn shared_terms_are_fetched_once_per_batch() {
-    let snapshot = snapshot();
-    let searcher = BatchSearcher::new(&snapshot);
-    // Four distinct queries all mentioning "shared": the term is resolved
-    // against the snapshot once and memo-served three times.
-    for i in 0..4 {
-        let query = dsearch_query::Query::parse(&format!("shared w{i}")).unwrap();
-        let expected = snapshot.search(&query);
-        assert_eq!(searcher.search(&query), expected);
-    }
-    assert_eq!(searcher.memo_hits(), 3, "three repeat lookups of \"shared\"");
-    assert_eq!(searcher.memo_misses(), 5, "shared + w0..w3");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Persist → serve roundtrip: an index built by the real pipeline, written
 //! with `write_segment`, opened through `IndexStore` and loaded into an
-//! `IndexSnapshot` must answer every query exactly like the in-memory
-//! `SingleIndexSearcher` over the same corpus.
+//! `IndexSnapshot` must answer every query exactly as a naive oracle over the
+//! same corpus says it should.
 
 use std::fs;
 use std::path::PathBuf;
@@ -11,11 +11,14 @@ use dsearch_corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch_index::{DocTable, InMemoryIndex};
 use dsearch_persist::segment::{read_segment, write_segment};
 use dsearch_persist::IndexStore;
-use dsearch_query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch_query::Query;
 use dsearch_server::IndexSnapshot;
 use dsearch_text::Term;
 use dsearch_vfs::VPath;
 use proptest::prelude::*;
+
+#[path = "../../query/tests/support/oracle.rs"]
+mod oracle;
 
 struct TempDir(PathBuf);
 
@@ -63,7 +66,14 @@ fn snapshot_from_store_matches_in_memory_searcher() {
 
     // Derive queries from the indexed terms themselves so the comparison
     // covers hits, multi-term intersections, exclusions and prefixes.
-    let reference = SingleIndexSearcher::new(&index, &docs);
+    let mut words: std::collections::BTreeMap<_, Vec<&str>> = Default::default();
+    for (term, postings) in index.iter() {
+        postings.iter().for_each(|id| words.entry(id).or_default().push(term.as_str()));
+    }
+    let mut reference = oracle::Oracle::default();
+    for (id, words) in words {
+        reference.add(id, docs.path(id).unwrap(), words);
+    }
     let mut terms: Vec<String> = index.iter().map(|(t, _)| t.as_str().to_owned()).collect();
     terms.sort();
     let mut checked = 0;
@@ -78,11 +88,17 @@ fn snapshot_from_store_matches_in_memory_searcher() {
             format!("{prefix}*"),
         ] {
             let Ok(query) = Query::parse(&raw) else { continue };
-            assert_eq!(
-                snapshot.search(&query),
-                reference.search(&query),
-                "snapshot and in-memory searcher disagree on {raw:?}"
-            );
+            let got: Vec<_> = snapshot
+                .search(&query)
+                .into_iter()
+                .map(|hit| (hit.file_id, hit.path.to_string(), hit.matched_terms))
+                .collect();
+            let expected: Vec<_> = reference
+                .search(&query)
+                .into_iter()
+                .map(|hit| (hit.id, hit.path, hit.best_group))
+                .collect();
+            assert_eq!(got, expected, "snapshot and oracle disagree on {raw:?}");
             checked += 1;
         }
     }
@@ -140,14 +156,8 @@ proptest! {
                 "loaded and in-memory snapshots disagree on {:?}", raw
             );
         }
-        // Raw posting lookups agree too (what the batch memo consumes).
-        for term in ["a", "ab", "abcd", "zz"] {
-            prop_assert_eq!(
-                loaded.term_postings(&Term::from(term)).into_owned(),
-                in_memory.term_postings(&Term::from(term)).into_owned(),
-                "term_postings disagree on {:?}", term
-            );
-        }
+        // The dictionaries agree too, term by term with their frequencies.
+        prop_assert_eq!(loaded.terms().collect::<Vec<_>>(), in_memory.terms().collect::<Vec<_>>());
     }
 
     /// Loading a store's segments concurrently is loading them one by one:

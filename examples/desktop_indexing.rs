@@ -12,7 +12,7 @@
 use std::env;
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
-use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::{Query, Searcher};
 use dsearch::vfs::{OsFs, VPath};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nindex: {}", index.stats());
 
     let query = Query::parse(&query_text)?;
-    let searcher = SingleIndexSearcher::new(&index, &docs);
+    let searcher = Searcher::new([&index], &docs);
     let mut results = searcher.search(&query);
     results.truncate(10);
     println!("\ntop hits for {query_text:?}:");

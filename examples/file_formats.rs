@@ -11,7 +11,7 @@
 
 use dsearch::core::{Configuration, FormatMode, GeneratorOptions, Implementation, IndexGenerator};
 use dsearch::formats::{detect_format, WpxWriter};
-use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::{Query, Searcher};
 use dsearch::text::Term;
 use dsearch::vfs::{FileSystem, MemFs, VPath};
 
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let searcher = SingleIndexSearcher::new(&aware_index, &docs);
+    let searcher = Searcher::new([&aware_index], &docs);
     for raw_query in ["revenue growth", "run index generator", "replicated manycore OR minutes"] {
         let results = searcher.search(&Query::parse(raw_query)?);
         println!("\nquery {raw_query:?} → {} hit(s)", results.len());

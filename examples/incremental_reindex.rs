@@ -13,7 +13,7 @@ use std::fs;
 
 use dsearch::index::{DocTable, InMemoryIndex};
 use dsearch::persist::{IncrementalIndexer, IndexStore, SignatureDb};
-use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::{Query, Searcher};
 use dsearch::vfs::{OsFs, VPath};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- the updated index answers queries about the new state -----------
     let (index, docs) = store.load_joined()?;
-    let searcher = SingleIndexSearcher::new(&index, &docs);
+    let searcher = Searcher::new([&index], &docs);
     for raw in ["replicated", "budget approved", "parallelize"] {
         let results = searcher.search(&Query::parse(raw)?);
         println!("query {raw:?} → {} hit(s)", results.len());

@@ -9,7 +9,7 @@
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch::index::IndexSnapshot;
-use dsearch::query::{MultiIndexSearcher, Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::{Query, Searcher};
 use dsearch::vfs::VPath;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,9 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Search the replicas directly (sequential and parallel fan-out) and the
     // joined index; all three must agree.
-    let multi = MultiIndexSearcher::new(&set, &docs);
-    let multi_parallel = MultiIndexSearcher::new(&set, &docs).with_parallel_lookup(true);
-    let single = SingleIndexSearcher::new(&joined, &docs);
+    let multi = Searcher::new(set.replicas(), &docs);
+    let multi_parallel = Searcher::new(set.replicas(), &docs).with_parallel_lookup(true);
+    let single = Searcher::new([&joined], &docs);
 
     let from_multi = multi.search(&query);
     let from_parallel = multi_parallel.search(&query);

@@ -6,7 +6,7 @@
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::{Query, Searcher};
 use dsearch::vfs::VPath;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Search it. Query terms go through the same normalisation as indexed
     //    terms, and multiple words mean AND.
-    let searcher = SingleIndexSearcher::new(&index, &docs);
+    let searcher = Searcher::new([&index], &docs);
     // Pick two terms we know exist: the two most common terms in the index.
     let mut by_frequency: Vec<_> = index.iter().collect();
     by_frequency.sort_by_key(|(_, postings)| std::cmp::Reverse(postings.len()));

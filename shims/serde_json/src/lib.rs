@@ -41,7 +41,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 
 /// Parses JSON text into a `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut parser = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     parser.skip_ws();
     let value = parser.parse_value()?;
     parser.skip_ws();
@@ -138,9 +138,15 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Containers nested deeper than this are refused (the real crate's default
+/// limit): the parser recurses per level, and input chooses the depth.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -173,8 +179,15 @@ impl Parser<'_> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[' | b'{') if self.depth == RECURSION_LIMIT => {
+                Err(Error::new(format!("recursion limit exceeded at offset {}", self.pos)))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let value = if open == b'[' { self.parse_array() } else { self.parse_object() };
+                self.depth -= 1;
+                value
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             other => Err(Error::new(format!(
                 "unexpected {:?} at offset {}",
@@ -409,6 +422,14 @@ mod tests {
         let pretty = to_string_pretty(&v).unwrap();
         assert!(pretty.contains('\n'));
         assert_eq!(from_str::<Vec<u32>>(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_past_the_recursion_limit_is_an_error_not_a_stack_overflow() {
+        let deep = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&deep(RECURSION_LIMIT)).is_ok());
+        assert!(from_str::<Value>(&deep(RECURSION_LIMIT + 1)).is_err());
+        assert!(from_str::<Value>(&"[{\"k\":".repeat(200_000)).is_err());
     }
 
     #[test]

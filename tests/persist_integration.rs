@@ -14,7 +14,7 @@ use dsearch::persist::segment::{
     read_segment, read_segment_sealed, write_segment, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
 use dsearch::persist::{IncrementalIndexer, IndexStore, PersistError, SignatureDb};
-use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::{Query, Searcher};
 use dsearch::text::Term;
 use dsearch::vfs::{MemFs, VPath};
 
@@ -60,8 +60,8 @@ fn pipeline_output_survives_a_store_round_trip() {
     assert_eq!(restored_docs.len(), docs.len());
 
     // Queries answered from the restored index match the in-memory one.
-    let live = SingleIndexSearcher::new(&index, &docs);
-    let persisted = SingleIndexSearcher::new(&restored, &restored_docs);
+    let live = Searcher::new([&index], &docs);
+    let persisted = Searcher::new([&restored], &restored_docs);
     let mut checked = 0;
     for (term, _) in index.iter().take(20) {
         let q = Query::all_of([term.clone()]);
@@ -344,7 +344,7 @@ fn signature_db_and_store_survive_process_restart_on_disk() {
 
     let store = IndexStore::open(&store_dir).unwrap();
     let (index, docs) = store.load_joined().unwrap();
-    let searcher = SingleIndexSearcher::new(&index, &docs);
+    let searcher = Searcher::new([&index], &docs);
     assert_eq!(searcher.search(&Query::parse("delta").unwrap()).len(), 1);
     assert!(searcher.search(&Query::parse("beta").unwrap()).len() == 1);
 }

@@ -17,7 +17,7 @@ use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::index::{DocTable, InMemoryIndex};
 use dsearch::persist::segment::{read_segment, write_segment};
 use dsearch::persist::{IncrementalIndexer, SignatureDb};
-use dsearch::query::{Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::{Query, Searcher};
 use dsearch::text::Term;
 use dsearch::vfs::{MemFs, VPath};
 
@@ -112,7 +112,7 @@ proptest! {
             .run(&fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(2, 0, 0))
             .unwrap();
         let (index, docs) = run.outcome.into_single_index();
-        let searcher = SingleIndexSearcher::new(&index, &docs);
+        let searcher = Searcher::new([&index], &docs);
 
         // AND of two words.
         let expected = reference_and_query(&files, &[needle_a.as_str(), needle_b.as_str()]);

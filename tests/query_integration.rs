@@ -4,7 +4,7 @@
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator, IndexOutcome};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::query::{MultiIndexSearcher, Query, SearchBackend, SingleIndexSearcher};
+use dsearch::query::{Query, Searcher};
 use dsearch::text::Term;
 use dsearch::vfs::{MemFs, VPath};
 
@@ -37,9 +37,9 @@ fn frequent_terms(index: &dsearch::index::InMemoryIndex, n: usize) -> Vec<String
 #[test]
 fn joined_and_replicated_indices_answer_queries_identically() {
     let (joined, docs, set) = build_outcomes();
-    let single = SingleIndexSearcher::new(&joined, &docs);
-    let multi = MultiIndexSearcher::new(&set, &docs);
-    let multi_parallel = MultiIndexSearcher::new(&set, &docs).with_parallel_lookup(true);
+    let single = Searcher::new([&joined], &docs);
+    let multi = Searcher::new(set.replicas(), &docs);
+    let multi_parallel = Searcher::new(set.replicas(), &docs).with_parallel_lookup(true);
 
     let terms = frequent_terms(&joined, 6);
     let queries = [
@@ -61,7 +61,7 @@ fn joined_and_replicated_indices_answer_queries_identically() {
 #[test]
 fn search_results_agree_with_raw_postings() {
     let (joined, docs, _) = build_outcomes();
-    let single = SingleIndexSearcher::new(&joined, &docs);
+    let single = Searcher::new([&joined], &docs);
     for term_text in frequent_terms(&joined, 10) {
         let term = Term::from(term_text.as_str());
         let query = Query::parse(&term_text).unwrap();
@@ -87,7 +87,7 @@ fn queries_against_a_known_corpus_return_exactly_the_right_files() {
         .run(&fs, &VPath::root(), Implementation::SharedLocked, Configuration::new(2, 0, 0))
         .unwrap();
     let (index, docs) = run.outcome.into_single_index();
-    let searcher = SingleIndexSearcher::new(&index, &docs);
+    let searcher = Searcher::new([&index], &docs);
 
     let paths = |raw: &str| -> Vec<String> {
         let mut p: Vec<String> = searcher
@@ -118,7 +118,7 @@ fn ranking_prefers_files_matching_more_terms() {
         .run(&fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(1, 0, 0))
         .unwrap();
     let (index, docs) = run.outcome.into_single_index();
-    let searcher = SingleIndexSearcher::new(&index, &docs);
+    let searcher = Searcher::new([&index], &docs);
     let results = searcher.search(&Query::parse("rust parallel OR rust").unwrap());
     assert_eq!(results.len(), 2);
     assert_eq!(&*results.hits()[0].path, "both.txt");
