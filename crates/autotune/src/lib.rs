@@ -4,7 +4,7 @@
 //! allocations ("use an auto-tuner to speed up exploring the design space")
 //! but could not use it throughout because that tuner targeted C#.  This crate
 //! provides the equivalent capability natively: given an objective function
-//! that maps a [`Configuration`] to a cost (estimated or measured seconds),
+//! that maps a [`Configuration`](dsearch_core::Configuration) to a cost (estimated or measured seconds),
 //! a [`Tuner`] searches the [`ConfigSpace`] for the best tuple.
 //!
 //! Three strategies are provided:

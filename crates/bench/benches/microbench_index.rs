@@ -103,10 +103,25 @@ fn bench_posting_lists(c: &mut Criterion) {
     let b_list = PostingList::from_ids((0..20_000).step_by(3).map(FileId));
 
     group.bench_function("union_20k", |bch| {
-        bch.iter(|| black_box(a.union(&b_list).len()));
+        bch.iter(|| {
+            let mut union = a.clone();
+            union.union_with(&b_list);
+            black_box(union.len())
+        });
     });
-    group.bench_function("intersect_20k", |bch| {
-        bch.iter(|| black_box(a.intersect(&b_list).len()));
+    // The out-of-order contract: an id that arrives 500 postings late is
+    // spliced in from the end, whatever the length of the list before it.
+    group.bench_function("add_500_late_into_10k", |bch| {
+        bch.iter_batched(
+            || a.clone(),
+            |mut p| {
+                for late in 0..100u32 {
+                    p.add(FileId(19_001 - 2 * late));
+                }
+                black_box(p.len())
+            },
+            BatchSize::SmallInput,
+        );
     });
     group.bench_function("append_in_order_10k", |bch| {
         bch.iter(|| {

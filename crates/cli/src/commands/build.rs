@@ -96,7 +96,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
             report.dead_letters
         ));
     }
-    out.push_str(&super::peak_rss_line());
+    out.push_str(&super::memory_lines(report.index_heap_bytes));
     Ok(out)
 }
 
@@ -168,6 +168,7 @@ mod tests {
             interrupted: false,
             elapsed_seconds: 0.25,
             corpus_fingerprint: 0xabcd,
+            index_heap_bytes: 1 << 20,
         };
         let out = render_report("docs", "/tmp/store", &report);
         for needle in [

@@ -79,6 +79,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         let report = indexer
             .update(&fs, &VPath::root(), &mut index, &mut docs, &mut signatures)
             .map_err(CliError::failed)?;
+        let index_heap = index.heap_bytes() as u64;
         let info = store.replace_all(&index, &docs).map_err(CliError::failed)?;
         std::fs::write(&signatures_path, signatures.to_json().map_err(CliError::failed)?)
             .map_err(CliError::failed)?;
@@ -96,7 +97,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
             info.term_count,
             info.posting_count,
         ));
-        out.push_str(&super::peak_rss_line());
+        out.push_str(&super::memory_lines(index_heap));
         return Ok(out);
     }
 
@@ -106,6 +107,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         .run(&fs, &VPath::root(), implementation, configuration)
         .map_err(CliError::failed)?;
     let report = run.report();
+    let index_heap = run.outcome.heap_bytes() as u64;
 
     // Persist: Implementation 3 keeps one segment per replica (searched
     // together), written concurrently and published by one manifest write;
@@ -142,7 +144,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         store.segment_count(),
         store.segment_count() - segments_before
     ));
-    out.push_str(&super::peak_rss_line());
+    out.push_str(&super::memory_lines(index_heap));
     Ok(out)
 }
 

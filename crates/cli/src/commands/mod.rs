@@ -15,14 +15,18 @@ pub mod serve;
 pub mod tables;
 pub mod tune;
 
-/// The `peak rss <MB>` line closing a build command's output: the process's
-/// own resident-set high-water mark, empty where the kernel does not report
+/// The two memory lines closing a build command's output: `index heap
+/// <MB>`, the heap behind the in-memory index the command built
+/// (`heap_bytes`), and `peak rss <MB>`, the process's own resident-set
+/// high-water mark — the second left out where the kernel does not report
 /// one.
 #[must_use]
-pub fn peak_rss_line() -> String {
-    dsearch::obs::peak_rss_bytes()
-        .map(|bytes| format!("  peak rss {:.1} MB\n", bytes as f64 / (1024.0 * 1024.0)))
-        .unwrap_or_default()
+pub fn memory_lines(index_heap_bytes: u64) -> String {
+    let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+    let peak = dsearch::obs::peak_rss_bytes()
+        .map(|bytes| format!("  peak rss {:.1} MB\n", mb(bytes)))
+        .unwrap_or_default();
+    format!("  index heap {:.1} MB\n{peak}", mb(index_heap_bytes))
 }
 
 /// Formats a plain-text table: a header row, a separator and the data rows,

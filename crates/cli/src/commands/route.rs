@@ -1,9 +1,9 @@
 //! `dsearch route` — the scatter-gather coordinator over shard servers.
 //!
-//! Points the [`Router`](dsearch::server::Router) at one `--shard` per
+//! Points the [`Router`] at one `--shard` per
 //! logical shard.  A `--shard` value is a comma-separated replica group:
 //! `--shard a:7878` is a single `dsearch serve` process, `--shard
-//! a:7878,b:7878` a [`ReplicaSet`](dsearch::server::ReplicaSet) routing each
+//! a:7878,b:7878` a [`ReplicaSet`] routing each
 //! query to the least-loaded healthy replica, with circuit breaking
 //! (`--probe-ms` controls the half-open probe backoff) and hedged requests
 //! (`--hedge-ms` fixes the hedge deadline; `0` disables hedging; unset

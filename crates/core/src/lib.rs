@@ -67,3 +67,18 @@ pub use pipeline::{
 pub use report::{IndexOutcome, ParallelRun, RunReport, SequentialRun};
 pub use runner::IndexGenerator;
 pub use timing::{percentile, LatencySummary, StageTimings, Stopwatch};
+
+/// What the equivalence tests compare: an index is what it seals to.
+#[cfg(test)]
+pub(crate) mod testing {
+    use dsearch_index::{DocTable, InMemoryIndex};
+
+    /// The segment `index` is written as — postings, frequencies, lengths and
+    /// block score bounds, where `InMemoryIndex: PartialEq` sees id sets only.
+    pub(crate) fn segment_bytes(index: &InMemoryIndex, docs: &DocTable) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        dsearch_persist::write_segment(index, docs, std::io::Cursor::new(&mut bytes))
+            .expect("writing to memory does not fail");
+        bytes
+    }
+}

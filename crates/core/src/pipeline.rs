@@ -159,6 +159,9 @@ pub struct BuildReport {
     pub elapsed_seconds: f64,
     /// Fingerprint of the corpus file list the build ran over.
     pub corpus_fingerprint: u64,
+    /// The most heap the partial index held when it was sealed into a
+    /// segment ([`InMemoryIndex::heap_bytes`]).
+    pub index_heap_bytes: u64,
 }
 
 /// Outcome of a DLQ replay.
@@ -448,6 +451,8 @@ struct SinkState {
     last_seal: Instant,
     ok_total: u64,
     bytes: u64,
+    /// The most heap `pending` held at a seal.
+    index_heap_bytes: usize,
 }
 
 struct Sink {
@@ -468,13 +473,9 @@ impl Sink {
         queue: &LeaseQueue,
     ) -> Result<(), PipelineError> {
         let mut s = self.state.lock();
-        if terms.counts.is_empty() {
-            s.pending.insert_file(terms.file_id, terms.terms);
-        } else {
-            s.pending.insert_file_counted(terms.file_id, terms.terms.into_iter().zip(terms.counts));
-        }
         s.pending_ids.push(terms.file_id.as_u32());
         s.bytes += terms.bytes;
+        s.pending.insert_file_counted(terms.file_id, terms.into_counted());
         s.ok_total += 1;
         self.counters.items_ok.fetch_add(1, Ordering::Relaxed);
         // A replayed item that recovers leaves the quarantine.
@@ -522,6 +523,7 @@ impl Sink {
             return Ok(());
         }
         let index = std::mem::replace(&mut s.pending, InMemoryIndex::new());
+        s.index_heap_bytes = s.index_heap_bytes.max(index.heap_bytes());
         let ids = std::mem::take(&mut s.pending_ids);
         let (name, _info) = s.store.commit_named(&index, &self.docs)?;
         s.checkpoint.segments.push(name);
@@ -739,6 +741,7 @@ impl BuildPipeline {
                 last_seal: Instant::now(),
                 ok_total: 0,
                 bytes: 0,
+                index_heap_bytes: 0,
             }),
             docs,
             counters: Arc::clone(&counters),
@@ -802,6 +805,7 @@ impl BuildPipeline {
             interrupted,
             elapsed_seconds: started.elapsed().as_secs_f64(),
             corpus_fingerprint: s.checkpoint.corpus_fingerprint,
+            index_heap_bytes: s.index_heap_bytes.max(s.pending.heap_bytes()) as u64,
         })
     }
 

@@ -130,6 +130,18 @@ impl IndexOutcome {
         }
     }
 
+    /// Bytes of heap behind the index, or behind all the replicas
+    /// ([`InMemoryIndex::heap_bytes`]).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            IndexOutcome::Single { index, .. } => index.heap_bytes(),
+            IndexOutcome::Replicas { set, .. } => {
+                set.replicas().iter().map(InMemoryIndex::heap_bytes).sum()
+            }
+        }
+    }
+
     /// Aggregate index statistics.
     #[must_use]
     pub fn stats(&self) -> IndexStats {

@@ -415,6 +415,7 @@ impl IndexGenerator {
 mod tests {
     use super::*;
     use crate::config::{DedupMode, InsertGranularity};
+    use crate::testing::segment_bytes;
     use dsearch_corpus::{materialize_to_memfs, CorpusSpec};
     use dsearch_text::Term;
     use dsearch_vfs::{FlakyFs, MemFs};
@@ -453,6 +454,7 @@ mod tests {
         let fs = corpus();
         let generator = IndexGenerator::default();
         let sequential = generator.run_sequential(&fs, &VPath::root()).unwrap();
+        let sequential_bytes = segment_bytes(&sequential.index, &sequential.docs);
 
         for implementation in Implementation::ALL {
             for config in [
@@ -466,8 +468,11 @@ mod tests {
                 assert_eq!(run.stage2.files, sequential.stage2.files);
                 assert_eq!(run.outcome.file_count(), sequential.index.file_count());
                 let (index, docs) = run.outcome.into_single_index();
-                assert_eq!(index, sequential.index, "{implementation} {config}");
                 assert_eq!(docs, sequential.docs);
+                assert!(
+                    segment_bytes(&index, &docs) == sequential_bytes,
+                    "{implementation} {config} seals to other bytes than the sequential build"
+                );
             }
         }
     }
@@ -531,17 +536,23 @@ mod tests {
     fn alternative_options_still_produce_identical_indices() {
         let fs = corpus();
         let reference = IndexGenerator::default().run_sequential(&fs, &VPath::root()).unwrap();
+        let reference_bytes = segment_bytes(&reference.index, &reference.docs);
 
+        // However a file's occurrences reach the index — condensed or one by
+        // one, en bloc or per term, whichever thread extracted it, one index
+        // or replicas — the joined index seals to the bytes of the sequential
+        // en-bloc build: same frequencies, same lengths, same score bounds.
         let mut variations = Vec::new();
-        for distribution in DistributionStrategy::ALL {
-            let mut options = GeneratorOptions::paper_defaults();
-            options.distribution = distribution;
-            variations.push(options);
+        for dedup in [DedupMode::PerFileWordList, DedupMode::InsertEveryOccurrence] {
+            for granularity in [InsertGranularity::EnBloc, InsertGranularity::PerTerm] {
+                for distribution in DistributionStrategy::ALL {
+                    let mut options = GeneratorOptions::paper_defaults();
+                    (options.dedup, options.granularity) = (dedup, granularity);
+                    options.distribution = distribution;
+                    variations.push(options);
+                }
+            }
         }
-        let mut per_occurrence = GeneratorOptions::paper_defaults();
-        per_occurrence.dedup = DedupMode::InsertEveryOccurrence;
-        per_occurrence.granularity = InsertGranularity::PerTerm;
-        variations.push(per_occurrence);
         let mut concurrent = GeneratorOptions::paper_defaults();
         concurrent.stage1 = Stage1Mode::Concurrent;
         variations.push(concurrent);
@@ -549,16 +560,16 @@ mod tests {
         for options in variations {
             let generator = IndexGenerator::new(options.clone());
             assert_eq!(generator.options().distribution, options.distribution);
-            let run = generator
-                .run(
-                    &fs,
-                    &VPath::root(),
-                    Implementation::ReplicateJoin,
-                    Configuration::new(2, 0, 0),
-                )
-                .unwrap();
-            let (index, _) = run.outcome.into_single_index();
-            assert_eq!(index, reference.index, "options {options:?}");
+            for implementation in Implementation::ALL {
+                let run = generator
+                    .run(&fs, &VPath::root(), implementation, Configuration::new(2, 0, 0))
+                    .unwrap();
+                let (index, docs) = run.outcome.into_single_index();
+                assert!(
+                    segment_bytes(&index, &docs) == reference_bytes,
+                    "{implementation} with {options:?} seals to other bytes"
+                );
+            }
         }
     }
 

@@ -50,6 +50,14 @@ pub struct FileTerms {
     pub bytes: u64,
 }
 
+impl FileTerms {
+    /// The terms paired with their occurrence counts — 1 each where `counts`
+    /// is empty.
+    pub fn into_counted(self) -> impl Iterator<Item = (Term, u32)> {
+        self.terms.into_iter().zip(self.counts.into_iter().chain(std::iter::repeat(1)))
+    }
+}
+
 /// Counters of one extractor's work.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Stage2Stats {

@@ -72,20 +72,19 @@ impl UpdateSink for SharedSink {
     fn apply(&mut self, file: FileTerms) {
         self.stats.files += 1;
         self.stats.terms += file.terms.len() as u64;
+        let file_id = file.file_id;
         match self.granularity {
             InsertGranularity::EnBloc => {
-                if file.counts.is_empty() {
-                    self.index.insert_file(file.file_id, file.terms);
-                } else {
-                    self.index
-                        .insert_file_counted(file.file_id, file.terms.into_iter().zip(file.counts));
-                }
+                self.index.insert_file_counted(file_id, file.into_counted())
             }
             InsertGranularity::PerTerm => {
-                for term in file.terms {
-                    self.index.insert_occurrence(file.file_id, term);
+                // The file is accounted first, so that one without terms has
+                // a recorded length as it has en bloc; then one update per
+                // term, each with its count.
+                self.index.insert_file_counted(file_id, []);
+                for (term, count) in file.into_counted() {
+                    self.index.insert_occurrences(file_id, term, count);
                 }
-                self.index.note_file_done();
             }
         }
     }
@@ -127,20 +126,19 @@ impl UpdateSink for ReplicaSink {
     fn apply(&mut self, file: FileTerms) {
         self.stats.files += 1;
         self.stats.terms += file.terms.len() as u64;
+        let file_id = file.file_id;
         match self.granularity {
             InsertGranularity::EnBloc => {
-                if file.counts.is_empty() {
-                    self.index.insert_file(file.file_id, file.terms);
-                } else {
-                    self.index
-                        .insert_file_counted(file.file_id, file.terms.into_iter().zip(file.counts));
-                }
+                self.index.insert_file_counted(file_id, file.into_counted())
             }
             InsertGranularity::PerTerm => {
-                for term in file.terms {
-                    self.index.insert_occurrence(file.file_id, term);
+                // The file is accounted first, so that one without terms has
+                // a recorded length as it has en bloc; then one update per
+                // term, each with its count.
+                self.index.insert_file_counted(file_id, []);
+                for (term, count) in file.into_counted() {
+                    self.index.insert_occurrences(file_id, term, count);
                 }
-                self.index.note_file_done();
             }
         }
     }
@@ -153,7 +151,8 @@ impl UpdateSink for ReplicaSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsearch_index::FileId;
+    use crate::testing::segment_bytes;
+    use dsearch_index::{DocTable, FileId};
     use dsearch_text::Term;
 
     fn file_terms(id: u32, words: &[&str]) -> FileTerms {
@@ -201,13 +200,29 @@ mod tests {
 
     #[test]
     fn replica_sink_per_term_matches_en_bloc() {
+        // A condensed word list with counts, a file without terms and a file
+        // of raw occurrences: per term or en bloc, the replica seals to the
+        // same bytes.
+        let files = || {
+            let mut counted = file_terms(0, &["common", "other", "rare"]);
+            counted.counts = vec![3, 1, 7];
+            let raw = file_terms(2, &["common", "other", "common", "common"]);
+            [counted, file_terms(1, &[]), raw]
+        };
+        let mut docs = DocTable::new();
+        for name in ["a", "b", "c"] {
+            docs.insert(name);
+        }
         let mut a = ReplicaSink::new(InsertGranularity::EnBloc);
         let mut b = ReplicaSink::new(InsertGranularity::PerTerm);
-        for i in 0..10u32 {
-            a.apply(file_terms(i, &["common", "other"]));
-            b.apply(file_terms(i, &["common", "other"]));
+        for (for_a, for_b) in files().into_iter().zip(files()) {
+            a.apply(for_a);
+            b.apply(for_b);
         }
-        assert_eq!(a.into_index(), b.into_index());
+        let (a, b) = (a.into_index(), b.into_index());
+        assert_eq!(a.postings(&Term::from("common")).unwrap().tf_of(FileId(2)), Some(3));
+        assert_eq!((a.file_count(), b.file_count()), (3, 3));
+        assert!(segment_bytes(&a, &docs) == segment_bytes(&b, &docs));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! The [`spec::CorpusSpec`] describes a corpus; [`spec::CorpusSpec::paper`]
 //! reproduces the paper's benchmark at full scale and
 //! [`spec::CorpusSpec::paper_scaled`] produces a laptop-friendly scaled
-//! version with identical shape.  [`materialize`] writes the corpus into any
+//! version with identical shape.  [`materialize()`] writes the corpus into any
 //! file-system sink (in-memory or on disk) and returns a manifest.
 //!
 //! # Example

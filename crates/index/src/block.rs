@@ -157,12 +157,6 @@ impl CompressedPostings {
         cp
     }
 
-    /// Compresses a [`PostingList`], carrying its term frequencies.
-    #[must_use]
-    pub fn from_list(list: &PostingList) -> Self {
-        CompressedPostings::from_counted(list.doc_ids(), list.tfs())
-    }
-
     /// Records per-block score upper bounds from the per-posting scores
     /// (parallel to the ids), quantized to a u8 ceiling against the list
     /// maximum.  Non-positive maxima leave the list unscored.
@@ -459,7 +453,8 @@ impl<'a> CompressedView<'a> {
         self.decode_into(&mut ids);
         let mut tfs = Vec::new();
         self.decode_freqs_into(&mut tfs);
-        PostingList::from_sorted_counted(ids, tfs)
+        tfs.resize(ids.len(), 1);
+        ids.into_iter().zip(tfs).collect()
     }
 }
 
@@ -960,7 +955,7 @@ mod tests {
     #[test]
     fn freqs_roundtrip_and_lazy_cursor_access() {
         let all: Vec<FileId> = (0..500).map(|i| FileId(i * 2)).collect();
-        let tfs: Vec<u32> = (0..500).map(|i| 1 + (i % 7)).collect();
+        let tfs = (0..500).map(|i| 1 + (i % 7)).collect::<Vec<u32>>();
         let cp = CompressedPostings::from_counted(&all, &tfs);
         let mut decoded = Vec::new();
         cp.view().decode_freqs_into(&mut decoded);
@@ -1033,7 +1028,7 @@ mod tests {
             sorted.sort_unstable_by_key(|&(id, _)| id);
             sorted.dedup_by_key(|&mut (id, _)| id);
             let all: Vec<FileId> = sorted.iter().map(|&(id, _)| FileId(id)).collect();
-            let tfs: Vec<u32> = sorted.iter().map(|&(_, tf)| tf).collect();
+            let tfs = sorted.iter().map(|&(_, tf)| tf).collect::<Vec<u32>>();
             let cp = CompressedPostings::from_counted(&all, &tfs);
             let mut decoded = Vec::new();
             cp.view().decode_freqs_into(&mut decoded);

@@ -27,12 +27,6 @@ pub struct InMemoryIndex {
     /// inserted through the uncounted path get their distinct-term count,
     /// which is exact when every frequency is 1.
     doc_lens: std::collections::HashMap<FileId, u32>,
-    /// Sorted term dictionary for binary-searched prefix ranges; valid only
-    /// while `dictionary_valid` (any mutation invalidates it).  Built by
-    /// [`InMemoryIndex::build_dictionary`], typically once per serving
-    /// snapshot after loading.
-    dictionary: Vec<Term>,
-    dictionary_valid: bool,
 }
 
 impl InMemoryIndex {
@@ -51,17 +45,14 @@ impl InMemoryIndex {
             files_indexed: 0,
             postings: 0,
             doc_lens: std::collections::HashMap::new(),
-            dictionary: Vec::new(),
-            dictionary_valid: false,
         }
     }
 
-    /// Inserts the (already de-duplicated) terms of one file.
+    /// Inserts the terms of one file, one occurrence each.
     ///
     /// This is the en-bloc update of the paper: one call per file, no
-    /// duplicate checking inside the index.  Every term frequency is taken
-    /// as 1; extractors that track occurrence counts should use
-    /// [`InMemoryIndex::insert_file_counted`] instead.
+    /// duplicate checking inside the index.  Extractors that track occurrence
+    /// counts should use [`InMemoryIndex::insert_file_counted`] instead.
     pub fn insert_file<I>(&mut self, file: FileId, terms: I)
     where
         I: IntoIterator<Item = Term>,
@@ -69,39 +60,54 @@ impl InMemoryIndex {
         self.insert_file_counted(file, terms.into_iter().map(|t| (t, 1)));
     }
 
-    /// Inserts the de-duplicated terms of one file together with their
-    /// per-file occurrence counts, recording the document length (total
-    /// occurrences) for ranked retrieval.
+    /// Inserts the terms of one file together with their per-file occurrence
+    /// counts, recording the document length (total occurrences) for ranked
+    /// retrieval — also for a file without terms.
+    ///
+    /// An occurrence is an occurrence: a term listed again (the ablation that
+    /// disables the condensed word list passes every occurrence) adds to the
+    /// frequency already stored for `(term, file)`, so the index comes out
+    /// the same whether a file's occurrences arrive condensed or one by one.
     pub fn insert_file_counted<I>(&mut self, file: FileId, terms: I)
     where
         I: IntoIterator<Item = (Term, u32)>,
     {
-        self.dictionary_valid = false;
         let mut doc_len: u64 = 0;
         for (term, tf) in terms {
             let tf = tf.max(1);
             doc_len += u64::from(tf);
             let list = self.terms.entry_or_default(term);
-            if list.add_with_tf(file, tf) {
+            if list.add_occurrences(file, tf) {
                 self.postings += 1;
             }
         }
-        self.doc_lens.insert(file, u32::try_from(doc_len).unwrap_or(u32::MAX));
+        let len = self.doc_lens.entry(file).or_insert(0);
+        *len = len.saturating_add(u32::try_from(doc_len).unwrap_or(u32::MAX));
         self.files_indexed += 1;
     }
 
-    /// Inserts a single `(term, file)` pair.
+    /// Inserts a single occurrence of `term` in `file`.
     ///
     /// This is the *per-occurrence* update path used only by the ablation that
-    /// disables the condensed word list; it must tolerate duplicates.
+    /// disables the condensed word list; a repeat adds to the stored
+    /// frequency.
     pub fn insert_occurrence(&mut self, file: FileId, term: Term) {
-        self.dictionary_valid = false;
+        self.insert_occurrences(file, term, 1);
+    }
+
+    /// Inserts `count` occurrences of `term` in `file` — the per-term update
+    /// path over a condensed word list.  The file itself is accounted apart:
+    /// by an [`InMemoryIndex::insert_file_counted`] without terms, which also
+    /// records a length for a file that turns out to have none, or by
+    /// [`InMemoryIndex::note_file_done`], which does not.
+    pub fn insert_occurrences(&mut self, file: FileId, term: Term, count: u32) {
+        let count = count.max(1);
         let list = self.terms.entry_or_default(term);
-        if list.add(file) {
+        if list.add_occurrences(file, count) {
             self.postings += 1;
         }
         let len = self.doc_lens.entry(file).or_insert(0);
-        *len = len.saturating_add(1);
+        *len = len.saturating_add(count);
     }
 
     /// Records (or restores) the document length of `file` directly — the
@@ -147,7 +153,6 @@ impl InMemoryIndex {
         if list.is_empty() {
             return;
         }
-        self.dictionary_valid = false;
         if let Some(mine) = self.terms.get_mut(term.as_str()) {
             let before = mine.len();
             mine.union_with(&list);
@@ -199,60 +204,8 @@ impl InMemoryIndex {
         self.terms.iter()
     }
 
-    /// Builds (or rebuilds) the sorted term dictionary that turns prefix
-    /// lookups into a binary-searched range instead of a full-table scan.
-    ///
-    /// Serving-side snapshots call this once after loading a shard; mutation
-    /// invalidates the dictionary, so long-lived mutable indices simply fall
-    /// back to the scan until sealed again.  A no-op when already valid.
-    ///
-    /// The dictionary clones each term string, a deliberate trade-off: it
-    /// costs one O(vocabulary) copy per snapshot publish and a second copy
-    /// of the term text in memory, in exchange for keeping the hash map and
-    /// the range structure independent (no self-borrowing).  Interning terms
-    /// (`Arc<str>`-backed `Term`) would remove the duplication — noted as a
-    /// ROADMAP follow-up.
-    pub fn build_dictionary(&mut self) {
-        if self.dictionary_valid {
-            return;
-        }
-        self.dictionary.clear();
-        self.dictionary.extend(self.terms.iter().map(|(term, _)| term.clone()));
-        self.dictionary.sort_unstable();
-        self.dictionary_valid = true;
-    }
-
-    /// The sorted term dictionary, when built and still valid.
-    #[must_use]
-    pub fn dictionary(&self) -> Option<&[Term]> {
-        self.dictionary_valid.then_some(self.dictionary.as_slice())
-    }
-
-    /// The posting lists of every term starting with `prefix`.
-    ///
-    /// With a valid dictionary this is a binary search to the start of the
-    /// matching range plus one walk over its members; otherwise it scans the
-    /// whole table (same results, linear cost).
-    #[must_use]
-    pub fn prefix_lists(&self, prefix: &str) -> Vec<&PostingList> {
-        if self.dictionary_valid {
-            let start = self.dictionary.partition_point(|term| term.as_str() < prefix);
-            self.dictionary[start..]
-                .iter()
-                .take_while(|term| term.as_str().starts_with(prefix))
-                .filter_map(|term| self.terms.get(term.as_str()))
-                .collect()
-        } else {
-            self.iter()
-                .filter(|(term, _)| term.as_str().starts_with(prefix))
-                .map(|(_, list)| list)
-                .collect()
-        }
-    }
-
     /// Merges `other` into `self` (used by the join stage).
     pub fn merge_from(&mut self, other: &InMemoryIndex) {
-        self.dictionary_valid = false;
         for (term, list) in other.iter() {
             let mine = self.terms.entry_or_default(term.clone());
             let before = mine.len();
@@ -269,7 +222,6 @@ impl InMemoryIndex {
     /// Consumes `other` and merges it into `self`, reusing `other`'s posting
     /// lists where possible.
     pub fn absorb(&mut self, other: InMemoryIndex) {
-        self.dictionary_valid = false;
         for (file, len) in other.doc_lens {
             let mine = self.doc_lens.entry(file).or_insert(0);
             *mine = (*mine).max(len);
@@ -287,36 +239,40 @@ impl InMemoryIndex {
         self.files_indexed += other.files_indexed;
     }
 
-    /// Removes every posting of `file` from the index.
+    /// Removes every posting of every file in `files` from the index, in
+    /// one pass: each posting list is filtered once however many files go.
     ///
     /// Returns the number of postings removed.  Terms whose posting list
-    /// becomes empty are dropped entirely.  The file counter is decremented
-    /// when anything was removed.  Used by the incremental re-indexer when a
-    /// file is deleted or modified.
-    pub fn remove_file(&mut self, file: FileId) -> u64 {
-        self.dictionary_valid = false;
-        let affected: Vec<Term> = self
-            .iter()
-            .filter(|(_, list)| list.contains(file))
-            .map(|(term, _)| term.clone())
-            .collect();
+    /// becomes empty are dropped entirely, and the file counter drops by the
+    /// files that had a recorded length.  Used by the incremental re-indexer
+    /// for the files that were deleted or modified.
+    pub fn remove_files(&mut self, files: &[FileId]) -> u64 {
+        let mut files = files.to_vec();
+        files.sort_unstable();
+        files.dedup();
         let mut removed = 0u64;
-        for term in affected {
-            if let Some(list) = self.terms.get_mut(term.as_str()) {
-                if list.remove(file) {
-                    removed += 1;
-                }
-                if list.is_empty() {
-                    self.terms.remove(term.as_str());
-                }
+        let mut emptied: Vec<Term> = Vec::new();
+        for (term, list) in self.terms.iter_mut() {
+            removed += list.remove_all(&files) as u64;
+            if list.is_empty() {
+                emptied.push(term.clone());
             }
         }
-        self.postings -= removed;
-        self.doc_lens.remove(&file);
-        if removed > 0 && self.files_indexed > 0 {
-            self.files_indexed -= 1;
+        for term in emptied {
+            self.terms.remove(term.as_str());
         }
+        self.postings -= removed;
+        let known = files.iter().filter(|file| self.doc_lens.remove(file).is_some()).count();
+        self.files_indexed = self.files_indexed.saturating_sub(known as u64);
         removed
+    }
+
+    /// Bytes of heap behind the index: the term table and every posting
+    /// stream, slack included.  The term strings are shared with the
+    /// extractor that interned them and are not counted.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.terms.heap_bytes() + self.terms.values().map(PostingList::heap_bytes).sum::<usize>()
     }
 
     /// Summary statistics for reports and tests.
@@ -339,7 +295,7 @@ impl InMemoryIndex {
     #[must_use]
     pub fn to_sorted_entries(&self) -> Vec<(Term, Vec<FileId>)> {
         let mut entries: Vec<(Term, Vec<FileId>)> =
-            self.iter().map(|(t, p)| (t.clone(), p.doc_ids().to_vec())).collect();
+            self.iter().map(|(t, p)| (t.clone(), p.doc_ids())).collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries
     }
@@ -396,7 +352,7 @@ mod tests {
         assert_eq!(idx.total_doc_len(), 5);
         assert_eq!(idx.doc_lens().count(), 2);
 
-        idx.remove_file(FileId(0));
+        idx.remove_files(&[FileId(0)]);
         assert_eq!(idx.doc_len(FileId(0)), None);
         assert_eq!(idx.total_doc_len(), 1);
     }
@@ -431,6 +387,37 @@ mod tests {
         assert_eq!(idx.posting_count(), 2);
         assert_eq!(idx.file_count(), 2);
         assert_eq!(idx.postings(&t("dup")).unwrap().len(), 2);
+        // A repeat is one more occurrence of the same posting.
+        assert_eq!(idx.postings(&t("dup")).unwrap().tf_of(FileId(3)), Some(2));
+        assert_eq!((idx.doc_len(FileId(3)), idx.doc_len(FileId(4))), (Some(2), Some(1)));
+    }
+
+    #[test]
+    fn occurrences_build_the_index_of_the_condensed_list() {
+        // The same file as a condensed word list, as raw occurrences en bloc,
+        // per term with counts and per occurrence: one index, frequencies
+        // and lengths included.
+        let raw = ["b", "a", "b", "c", "b", "a"];
+        let mut condensed = InMemoryIndex::new();
+        condensed.insert_file_counted(FileId(7), [(t("b"), 3), (t("a"), 2), (t("c"), 1)]);
+        let mut en_bloc = InMemoryIndex::new();
+        en_bloc.insert_file(FileId(7), raw.map(t));
+        let mut per_term = InMemoryIndex::new();
+        per_term.insert_file(FileId(7), []);
+        for (term, count) in [("b", 3), ("a", 2), ("c", 1)] {
+            per_term.insert_occurrences(FileId(7), t(term), count);
+        }
+        let mut per_occurrence = InMemoryIndex::new();
+        raw.map(t).into_iter().for_each(|term| per_occurrence.insert_occurrence(FileId(7), term));
+        per_occurrence.note_file_done();
+        for other in [&en_bloc, &per_term, &per_occurrence] {
+            assert_eq!(other.posting_count(), 3);
+            assert_eq!(other.file_count(), 1);
+            assert_eq!(other.doc_len(FileId(7)), Some(6));
+            for (term, list) in condensed.iter() {
+                assert_eq!(other.postings(term), Some(list), "{term:?}");
+            }
+        }
     }
 
     #[test]
@@ -470,7 +457,7 @@ mod tests {
         idx.insert_file(FileId(1), [t("shared"), t("only1")]);
         assert_eq!(idx.posting_count(), 4);
 
-        let removed = idx.remove_file(FileId(0));
+        let removed = idx.remove_files(&[FileId(0)]);
         assert_eq!(removed, 2);
         assert_eq!(idx.posting_count(), 2);
         assert_eq!(idx.file_count(), 1);
@@ -478,8 +465,38 @@ mod tests {
         assert_eq!(idx.postings(&t("shared")).unwrap().doc_ids(), &[FileId(1)]);
 
         // Removing a file with no postings is a no-op.
-        assert_eq!(idx.remove_file(FileId(7)), 0);
+        assert_eq!(idx.remove_files(&[FileId(7)]), 0);
         assert_eq!(idx.file_count(), 1);
+    }
+
+    #[test]
+    fn remove_files_takes_any_number_of_files_in_one_pass() {
+        let mut idx = InMemoryIndex::new();
+        for file in 0..6u32 {
+            idx.insert_file_counted(
+                FileId(file),
+                [(t("shared"), file + 1), (Term::from(format!("only{file}")), 1)],
+            );
+        }
+        // Unsorted, repeated and unknown ids are all fine.
+        assert_eq!(idx.remove_files(&[FileId(4), FileId(1), FileId(9), FileId(4), FileId(0)]), 6);
+        assert_eq!((idx.posting_count(), idx.file_count(), idx.term_count()), (6, 3, 4));
+        let shared: Vec<_> = idx.postings(&t("shared")).unwrap().iter_counted().collect();
+        assert_eq!(shared, [(FileId(2), 3), (FileId(3), 4), (FileId(5), 6)]);
+        assert_eq!(idx.doc_lens().count(), 3);
+        assert_eq!(idx.remove_files(&[]), 0);
+    }
+
+    #[test]
+    fn heap_bytes_counts_the_table_and_the_streams() {
+        let mut idx = InMemoryIndex::new();
+        let empty = idx.heap_bytes();
+        assert!(empty > 0, "the table is allocated up front");
+        for file in 0..1000u32 {
+            idx.insert_file(FileId(file), [t("everywhere")]);
+        }
+        let grown = idx.heap_bytes() - empty;
+        assert!((2000..4096).contains(&grown), "two bytes a posting plus slack, got {grown}");
     }
 
     #[test]
@@ -487,7 +504,7 @@ mod tests {
         let mut idx = InMemoryIndex::new();
         idx.insert_file(FileId(0), [t("a"), t("b")]);
         idx.insert_file(FileId(1), [t("b"), t("c")]);
-        idx.remove_file(FileId(1));
+        idx.remove_files(&[FileId(1)]);
         idx.insert_file(FileId(1), [t("c"), t("d")]);
 
         let mut fresh = InMemoryIndex::new();
@@ -534,77 +551,7 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn dictionary_lifecycle() {
-        let mut idx = InMemoryIndex::new();
-        assert!(idx.dictionary().is_none());
-        idx.insert_file(FileId(0), [t("beta"), t("alpha"), t("alphabet")]);
-        assert!(idx.dictionary().is_none(), "mutation leaves the dictionary unbuilt");
-        idx.build_dictionary();
-        let dict = idx.dictionary().unwrap();
-        assert_eq!(dict, &[t("alpha"), t("alphabet"), t("beta")]);
-        // Mutation invalidates; rebuilding restores.
-        idx.insert_file(FileId(1), [t("gamma")]);
-        assert!(idx.dictionary().is_none());
-        idx.build_dictionary();
-        assert_eq!(idx.dictionary().unwrap().len(), 4);
-        // Rebuilding a valid dictionary is a no-op.
-        idx.build_dictionary();
-        assert_eq!(idx.dictionary().unwrap().len(), 4);
-    }
-
-    #[test]
-    fn prefix_lists_with_and_without_dictionary() {
-        let mut idx = InMemoryIndex::new();
-        idx.insert_file(FileId(0), [t("index"), t("indexes"), t("into"), t("java")]);
-        idx.insert_file(FileId(1), [t("index"), t("rust")]);
-
-        let collect = |idx: &InMemoryIndex, prefix: &str| {
-            let mut all: Vec<Vec<FileId>> =
-                idx.prefix_lists(prefix).iter().map(|l| l.doc_ids().to_vec()).collect();
-            all.sort();
-            all
-        };
-        let scanned = collect(&idx, "inde");
-        idx.build_dictionary();
-        assert_eq!(collect(&idx, "inde"), scanned);
-        assert_eq!(idx.prefix_lists("inde").len(), 2);
-        assert_eq!(idx.prefix_lists("").len(), 5);
-        assert!(idx.prefix_lists("zz").is_empty());
-        // A prefix past every term must not panic at the range boundary.
-        assert!(idx.prefix_lists("zzzz").is_empty());
-    }
-
     proptest! {
-        /// Dictionary-backed prefix ranges return exactly the lists a linear
-        /// scan finds, for arbitrary vocabularies and prefixes.
-        #[test]
-        fn dictionary_prefix_matches_scan(
-            docs in proptest::collection::vec(
-                (0u32..64, proptest::collection::vec("[a-c]{1,4}", 1..6)),
-                1..30,
-            ),
-            prefix in "[a-c]{0,3}",
-        ) {
-            let mut idx = InMemoryIndex::new();
-            for (file, words) in &docs {
-                let mut uniq = words.clone();
-                uniq.sort();
-                uniq.dedup();
-                idx.insert_file(FileId(*file), uniq.iter().map(|w| Term::from(w.as_str())));
-            }
-            let normalize = |lists: Vec<&PostingList>| {
-                let mut all: Vec<Vec<FileId>> =
-                    lists.into_iter().map(|l| l.doc_ids().to_vec()).collect();
-                all.sort();
-                all
-            };
-            let scanned = normalize(idx.prefix_lists(&prefix));
-            idx.build_dictionary();
-            let ranged = normalize(idx.prefix_lists(&prefix));
-            prop_assert_eq!(ranged, scanned);
-        }
-
         /// Splitting a stream of (file, terms) insertions across two indices
         /// and merging them equals inserting everything into one index.
         #[test]

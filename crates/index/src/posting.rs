@@ -1,26 +1,74 @@
 //! Posting lists.
 //!
-//! A posting list records which files contain a given term.  Because each
-//! extractor hands the index a de-duplicated word list per file, a file id is
-//! added to any particular term's list at most once per index, so the list is
-//! a set of file ids.  It is kept sorted to make joins (set unions) and query
-//! intersections linear.
+//! A posting list records which files contain a given term, and how often.
+//! It is the build side's accumulator: extractors append to it file by file,
+//! the join stage unions it, the seal reads it once in id order.  So it is
+//! kept the way it will be stored — one compressed, append-only byte stream
+//! per term — and costs about what its segment entry will.
+//!
+//! # Stream format
+//!
+//! Postings are in ascending id order, each a pair of LEB128 varints:
+//!
+//! ```text
+//! gap  = id − previous id   (the first posting's gap is its id)
+//! tf   = occurrences of the term in the file, ≥ 1
+//! ```
+//!
+//! Varints are written minimally, so a set of `(id, tf)` pairs has exactly
+//! one encoding and byte equality is set equality.
+//!
+//! # Out-of-order adds
+//!
+//! An id larger than every stored one is a few byte pushes.  Work stealing,
+//! dedicated updaters and reclaimed leases deliver ids a few files late, and
+//! a large straggler arrives hundreds of files late; such an add costs
+//! **O(distance from the end)**, never O(list).  LEB128 can be walked
+//! backwards — a byte below `0x80` ends a varint — so the add steps back from
+//! the last posting until it finds its slot, splices its pair in and rewrites
+//! the one gap after it.  Nothing is decoded into a scratch and nothing is
+//! re-encoded.
 
-use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::ops::Range;
 
 use crate::doc_table::FileId;
+use crate::varint::{read_lenient, write_varint};
 
-/// A sorted, duplicate-free list of the files containing one term.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// A sorted, duplicate-free list of the files containing one term, with the
+/// term's frequency in each.
+#[derive(Debug, Clone, Default)]
 pub struct PostingList {
-    ids: Vec<FileId>,
-    /// Per-posting term frequencies, parallel to `ids`.
-    ///
-    /// Canonical form: **empty means every frequency is 1** (the common case
-    /// for condensed word lists), and a non-empty vector always contains at
-    /// least one value > 1.  Every mutation re-establishes this, so the
-    /// derived equality stays set-correct.
-    tfs: Vec<u32>,
+    /// `(gap, tf)` varint pairs in ascending id order.
+    data: Vec<u8>,
+    len: u32,
+    /// The largest id; 0 while the list is empty, so that the first gap is
+    /// the first id.
+    last: u32,
+}
+
+impl PartialEq for PostingList {
+    /// Set equality over `(id, tf)` pairs: the encoding is canonical, so the
+    /// streams decide.
+    fn eq(&self, other: &Self) -> bool {
+        self.data == other.data
+    }
+}
+
+impl Eq for PostingList {}
+
+/// Where the varint that ends just before `end` starts.
+fn varint_start(data: &[u8], end: usize) -> usize {
+    let mut start = end - 1;
+    while start > 0 && data[start - 1] >= 0x80 {
+        start -= 1;
+    }
+    start
+}
+
+/// The varint at `pos`.
+fn varint_at(data: &[u8], mut pos: usize) -> u32 {
+    read_lenient(data, &mut pos)
 }
 
 impl PostingList {
@@ -30,171 +78,194 @@ impl PostingList {
         PostingList::default()
     }
 
-    /// Creates a list from an iterator of file ids (sorted and de-duplicated).
+    /// Creates a list from file ids in any order (sorted and de-duplicated
+    /// once, then appended — a descending [`PostingList::add`] loop would
+    /// splice every id in at the front).
     pub fn from_ids<I: IntoIterator<Item = FileId>>(ids: I) -> Self {
         let mut ids: Vec<FileId> = ids.into_iter().collect();
         ids.sort_unstable();
         ids.dedup();
-        PostingList { ids, tfs: Vec::new() }
-    }
-
-    /// Builds a list from an id vector in **any** order, reusing the
-    /// allocation: one sort + dedup instead of the per-element binary-search
-    /// insert a descending [`PostingList::add`] loop degrades to (O(n log n)
-    /// instead of O(n²) shifts).  Bulk build paths — segment loading,
-    /// snapshot reconstruction — should come through here or
-    /// [`PostingList::from_sorted`], never an `add` loop.
-    #[must_use]
-    pub fn from_unsorted(mut ids: Vec<FileId>) -> Self {
-        ids.sort_unstable();
-        ids.dedup();
-        PostingList { ids, tfs: Vec::new() }
-    }
-
-    /// Wraps a vector that is **already** sorted and duplicate-free (the
-    /// output shape of every set operation in [`crate::view`]), skipping the
-    /// re-sort `from_ids` would pay.  The invariant is checked in debug
-    /// builds only.
-    #[must_use]
-    pub fn from_sorted(ids: Vec<FileId>) -> Self {
-        debug_assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "from_sorted requires a sorted, duplicate-free vector"
-        );
-        PostingList { ids, tfs: Vec::new() }
-    }
-
-    /// Like [`PostingList::from_sorted`], but also records per-posting term
-    /// frequencies.  `tfs` must be parallel to `ids` (or empty for all-1);
-    /// an all-1 vector is normalised to the canonical empty form.
-    #[must_use]
-    pub fn from_sorted_counted(ids: Vec<FileId>, tfs: Vec<u32>) -> Self {
-        debug_assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "from_sorted_counted requires a sorted, duplicate-free vector"
-        );
-        debug_assert!(tfs.is_empty() || tfs.len() == ids.len());
-        let mut list = PostingList { ids, tfs };
-        list.canonicalize_tfs();
+        let mut list = PostingList::with_stream_capacity(ids.len() * 2);
+        for id in ids {
+            list.push(id.as_u32(), 1);
+        }
         list
     }
 
-    /// A static empty list, for lookup paths that must return a borrow even
-    /// when the term is unknown (no allocation).
-    #[must_use]
-    pub fn empty_ref() -> &'static PostingList {
-        static EMPTY: PostingList = PostingList { ids: Vec::new(), tfs: Vec::new() };
-        &EMPTY
-    }
-
-    /// Restores the canonical `tfs` form (empty ⇔ all frequencies are 1).
-    fn canonicalize_tfs(&mut self) {
-        if !self.tfs.is_empty() && self.tfs.iter().all(|&tf| tf <= 1) {
-            self.tfs.clear();
-        }
-    }
-
-    /// Materialises the `tfs` vector (one entry per id) prior to a mutation
-    /// that records a frequency other than 1.
-    fn materialize_tfs(&mut self) {
-        if self.tfs.is_empty() {
-            self.tfs = vec![1; self.ids.len()];
-        }
-    }
-
-    /// Raw per-posting frequencies, parallel to `doc_ids`.  Empty means every
-    /// frequency is 1.
-    #[must_use]
-    pub fn tfs(&self) -> &[u32] {
-        &self.tfs
-    }
-
-    /// The term frequency of the posting at `pos` (1 when untracked).
-    #[must_use]
-    pub fn tf_at(&self, pos: usize) -> u32 {
-        self.tfs.get(pos).copied().unwrap_or(1)
-    }
-
-    /// The term frequency recorded for `id`, or `None` when `id` is absent.
-    #[must_use]
-    pub fn tf_of(&self, id: FileId) -> Option<u32> {
-        self.ids.binary_search(&id).ok().map(|pos| self.tf_at(pos))
+    /// An empty list with room for `bytes` of stream (two a posting, for
+    /// small gaps and frequencies).
+    fn with_stream_capacity(bytes: usize) -> Self {
+        PostingList { data: Vec::with_capacity(bytes), ..Self::default() }
     }
 
     /// Number of files in the list.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.len as usize
     }
 
     /// Returns `true` when no file contains the term.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
     }
 
-    /// The file ids, sorted ascending.
+    /// Bytes of heap the list holds (its stream, slack included).
     #[must_use]
-    pub fn doc_ids(&self) -> &[FileId] {
-        &self.ids
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity()
     }
 
-    /// Returns `true` when `id` is in the list.
+    /// The file ids, ascending, decoded into a fresh vector.  Loops that
+    /// visit many lists decode through [`PostingList::decode_into`] or
+    /// [`PostingList::iter`] instead.
+    #[must_use]
+    pub fn doc_ids(&self) -> Vec<FileId> {
+        self.iter().collect()
+    }
+
+    /// Iterates over the file ids in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = FileId> + '_ {
+        self.iter_counted().map(|(id, _)| id)
+    }
+
+    /// Iterates over `(file id, term frequency)` pairs in ascending id order.
+    pub fn iter_counted(&self) -> impl ExactSizeIterator<Item = (FileId, u32)> + '_ {
+        Iter { data: &self.data, pos: 0, id: 0, left: self.len() }
+    }
+
+    /// Decodes the list into `ids` and the parallel `tfs` (both cleared
+    /// first), so that a loop over many lists reuses two buffers.
+    pub fn decode_into(&self, ids: &mut Vec<FileId>, tfs: &mut Vec<u32>) {
+        ids.clear();
+        tfs.clear();
+        ids.reserve(self.len());
+        tfs.reserve(self.len());
+        for (id, tf) in self.iter_counted() {
+            ids.push(id);
+            tfs.push(tf);
+        }
+    }
+
+    /// The term frequency recorded for `id`, or `None` when `id` is absent.
+    /// Decodes up to `id`.
+    #[must_use]
+    pub fn tf_of(&self, id: FileId) -> Option<u32> {
+        if id.as_u32() > self.last {
+            return None;
+        }
+        self.iter_counted()
+            .find(|&(found, _)| found >= id)
+            .filter(|&(found, _)| found == id)
+            .map(|p| p.1)
+    }
+
+    /// Returns `true` when `id` is in the list.  Decodes up to `id`.
     #[must_use]
     pub fn contains(&self, id: FileId) -> bool {
-        self.ids.binary_search(&id).is_ok()
+        self.tf_of(id).is_some()
     }
 
-    /// Adds a file id, keeping the list sorted; returns `true` when it was new.
-    ///
-    /// Appending ids in increasing order (the common case when one extractor
-    /// owns a contiguous slice of files) is O(1).
+    /// Adds a file id with frequency 1; returns `true` when it was new.
     pub fn add(&mut self, id: FileId) -> bool {
         self.add_with_tf(id, 1)
     }
 
-    /// Adds a file id with its term frequency, keeping the list sorted;
-    /// returns `true` when the id was new.  A duplicate id keeps the larger
-    /// of the stored and offered frequencies.
+    /// Adds a file id with its term frequency; returns `true` when the id was
+    /// new.  A duplicate id keeps the larger of the stored and offered
+    /// frequencies, so adding is idempotent.
+    ///
+    /// See the module docs for what an id costs in and out of order.
     pub fn add_with_tf(&mut self, id: FileId, tf: u32) -> bool {
-        let tf = tf.max(1);
-        if tf > 1 {
-            self.materialize_tfs();
+        self.upsert(id.as_u32(), tf.max(1), u32::max)
+    }
+
+    /// Records `count` more occurrences of the term in `id`; returns `true`
+    /// when the id was new.  Unlike [`PostingList::add_with_tf`], a repeat
+    /// of the id adds to its stored frequency.
+    pub fn add_occurrences(&mut self, id: FileId, count: u32) -> bool {
+        self.upsert(id.as_u32(), count.max(1), u32::saturating_add)
+    }
+
+    /// Appends a posting past the current end.
+    fn push(&mut self, id: u32, tf: u32) {
+        debug_assert!(self.len == 0 || id > self.last);
+        write_varint(&mut self.data, u64::from(id - self.last));
+        write_varint(&mut self.data, u64::from(tf));
+        self.last = id;
+        self.len += 1;
+    }
+
+    /// Inserts `(id, tf)`, or folds `tf` into the stored frequency of `id`
+    /// with `combine(stored, tf)`.  Returns `true` when the id was new.
+    fn upsert(&mut self, id: u32, tf: u32, combine: fn(u32, u32) -> u32) -> bool {
+        if self.len == 0 || id > self.last {
+            self.push(id, tf);
+            return true;
         }
-        // `tf > 1` keeps tracking on when the list (and thus the freshly
-        // materialised vector) is still empty.
-        let tracked = tf > 1 || !self.tfs.is_empty();
-        match self.ids.last() {
-            Some(&last) if last < id => {
-                self.ids.push(id);
-                if tracked {
-                    self.tfs.push(tf.max(1));
+        // Step back posting by posting: `next` is the id of the posting whose
+        // pair ends at `end`.
+        let (mut next, mut end) = (self.last, self.data.len());
+        loop {
+            let tf_at = varint_start(&self.data, end);
+            if id == next {
+                let stored = varint_at(&self.data, tf_at);
+                let folded = combine(stored, tf);
+                if folded != stored {
+                    self.replace(tf_at..end, &[folded]);
                 }
-                true
+                return false;
             }
-            Some(&last) if last == id => {
-                if tracked {
-                    let end = self.tfs.len() - 1;
-                    self.tfs[end] = self.tfs[end].max(tf);
-                }
-                false
+            let gap_at = varint_start(&self.data, tf_at);
+            let before = next - varint_at(&self.data, gap_at);
+            // `before` is the previous posting's id, or the 0 the first gap
+            // counts from — which is not a posting, so id 0 may go there.
+            if gap_at == 0 || id > before {
+                self.replace(gap_at..tf_at, &[id - before, tf, next - id]);
+                self.len += 1;
+                return true;
             }
-            _ => match self.ids.binary_search(&id) {
-                Ok(pos) => {
-                    if tracked {
-                        self.tfs[pos] = self.tfs[pos].max(tf);
-                    }
-                    false
-                }
-                Err(pos) => {
-                    self.ids.insert(pos, id);
-                    if tracked {
-                        self.tfs.insert(pos, tf.max(1));
-                    }
-                    true
-                }
-            },
+            (next, end) = (before, gap_at);
         }
+    }
+
+    /// Replaces the bytes at `range` with the varints of `values` (three at
+    /// most), moving the tail once and allocating only if the stream has to
+    /// grow.
+    fn replace(&mut self, range: Range<usize>, values: &[u32]) {
+        let mut bytes = [0u8; 15];
+        let mut len = 0;
+        for &value in values {
+            let mut value = value;
+            while value >= 0x80 {
+                bytes[len] = value as u8 | 0x80;
+                value >>= 7;
+                len += 1;
+            }
+            bytes[len] = value as u8;
+            len += 1;
+        }
+        // A slice iterator reports its exact length, which is what lets
+        // `splice` shift the tail in place instead of collecting it.
+        self.data.splice(range, bytes[..len].iter().copied());
+    }
+
+    /// The smallest id (the first gap) of a list that is not empty.
+    fn first(&self) -> u32 {
+        varint_at(&self.data, 0)
+    }
+
+    /// Appends the postings `other` holds from byte `from` on — `count` of
+    /// them, the first with id `first`, the last with id `last`, every one
+    /// past this list's end — as a byte copy under one rewritten gap.
+    fn append_stream(&mut self, other: &[u8], from: usize, first: u32, count: u32, last: u32) {
+        debug_assert!(self.len == 0 || first > self.last);
+        let mut after_gap = from;
+        read_lenient(other, &mut after_gap);
+        write_varint(&mut self.data, u64::from(first - self.last));
+        self.data.extend_from_slice(&other[after_gap..]);
+        self.len += count;
+        self.last = last;
     }
 
     /// Merges `other` into `self` (set union). Linear in the combined length.
@@ -204,168 +275,157 @@ impl PostingList {
             return;
         }
         if self.is_empty() {
-            self.ids = other.ids.clone();
-            self.tfs = other.tfs.clone();
+            self.clone_from(other);
             return;
         }
-        let untracked = self.tfs.is_empty() && other.tfs.is_empty();
-        // Disjoint-range fast paths: shards and join stages usually own
-        // contiguous file-id ranges, so one list often sits entirely before
-        // the other and no element-wise merge is needed.
-        if *self.ids.last().expect("non-empty") < other.ids[0] {
-            if !untracked {
-                self.materialize_tfs();
-                if other.tfs.is_empty() {
-                    self.tfs.extend(std::iter::repeat_n(1, other.ids.len()));
-                } else {
-                    self.tfs.extend_from_slice(&other.tfs);
-                }
-            }
-            self.ids.extend_from_slice(&other.ids);
+        // Disjoint-range fast paths: shards and join stages often own
+        // contiguous file-id ranges, so one list sits entirely before the
+        // other and the streams are concatenated, not merged.
+        let other_first = other.first();
+        if self.last < other_first {
+            self.append_stream(&other.data, 0, other_first, other.len, other.last);
             return;
         }
-        if *other.ids.last().expect("non-empty") < self.ids[0] {
-            if !untracked {
-                self.materialize_tfs();
-                if other.tfs.is_empty() {
-                    self.tfs.splice(0..0, std::iter::repeat_n(1, other.ids.len()));
-                } else {
-                    self.tfs.splice(0..0, other.tfs.iter().copied());
-                }
-            }
-            self.ids.splice(0..0, other.ids.iter().copied());
+        let first = self.first();
+        if other.last < first {
+            let mut joined = other.clone();
+            joined.data.reserve(self.data.len());
+            joined.append_stream(&self.data, 0, first, self.len, self.last);
+            *self = joined;
             return;
         }
-        let mut merged = Vec::with_capacity(self.ids.len() + other.ids.len());
-        let mut merged_tfs = if untracked {
-            Vec::new()
-        } else {
-            Vec::with_capacity(self.ids.len() + other.ids.len())
-        };
-        let (mut i, mut j) = (0, 0);
-        while i < self.ids.len() && j < other.ids.len() {
-            match self.ids[i].cmp(&other.ids[j]) {
-                std::cmp::Ordering::Less => {
-                    merged.push(self.ids[i]);
-                    if !untracked {
-                        merged_tfs.push(self.tf_at(i));
-                    }
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push(other.ids[j]);
-                    if !untracked {
-                        merged_tfs.push(other.tf_at(j));
-                    }
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push(self.ids[i]);
-                    if !untracked {
-                        merged_tfs.push(self.tf_at(i).max(other.tf_at(j)));
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        if !untracked {
-            merged_tfs.extend((i..self.ids.len()).map(|p| self.tf_at(p)));
-            merged_tfs.extend((j..other.ids.len()).map(|p| other.tf_at(p)));
-        }
-        merged.extend_from_slice(&self.ids[i..]);
-        merged.extend_from_slice(&other.ids[j..]);
-        self.ids = merged;
-        self.tfs = merged_tfs;
-        self.canonicalize_tfs();
+        *self = self.merged(other);
     }
 
-    /// Returns the intersection of two lists (files containing both terms).
-    #[must_use]
-    pub fn intersect(&self, other: &PostingList) -> PostingList {
-        let (mut i, mut j) = (0, 0);
-        let mut out = Vec::new();
-        let mut out_tfs = Vec::new();
-        let tracked = !self.tfs.is_empty();
-        while i < self.ids.len() && j < other.ids.len() {
-            match self.ids[i].cmp(&other.ids[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(self.ids[i]);
-                    if tracked {
-                        out_tfs.push(self.tf_at(i));
-                    }
-                    i += 1;
-                    j += 1;
-                }
+    /// The element-wise union of two overlapping lists.
+    fn merged(&self, other: &PostingList) -> PostingList {
+        let mut merged = PostingList::with_stream_capacity(self.data.len() + other.data.len());
+        let (mut mine, mut theirs) =
+            (self.iter_counted().peekable(), other.iter_counted().peekable());
+        loop {
+            let ((id, tf), advance) = match (mine.peek(), theirs.peek()) {
+                (Some(&a), Some(&b)) => match a.0.cmp(&b.0) {
+                    Ordering::Less => (a, (true, false)),
+                    Ordering::Greater => (b, (false, true)),
+                    Ordering::Equal => ((a.0, a.1.max(b.1)), (true, true)),
+                },
+                (Some(&a), None) => (a, (true, false)),
+                (None, Some(&b)) => (b, (false, true)),
+                (None, None) => break,
+            };
+            merged.push(id.as_u32(), tf);
+            if advance.0 {
+                mine.next();
+            }
+            if advance.1 {
+                theirs.next();
             }
         }
-        let mut list = PostingList { ids: out, tfs: out_tfs };
-        list.canonicalize_tfs();
-        list
+        merged
     }
 
     /// Removes a file id from the list; returns `true` when it was present.
-    ///
-    /// Used by the incremental re-indexer when a file is deleted or about to
-    /// be re-indexed after a modification.
     pub fn remove(&mut self, id: FileId) -> bool {
-        match self.ids.binary_search(&id) {
-            Ok(pos) => {
-                self.ids.remove(pos);
-                if !self.tfs.is_empty() {
-                    self.tfs.remove(pos);
-                    self.canonicalize_tfs();
-                }
-                true
-            }
-            Err(_) => false,
+        self.remove_all(&[id]) == 1
+    }
+
+    /// Removes every id of `ids` (sorted ascending) in one pass over the
+    /// list; returns how many were present.  A list that holds none of them
+    /// is decoded up to the largest of them and left as it is.
+    ///
+    /// Used by the incremental re-indexer when files are deleted or about to
+    /// be re-indexed after a modification.
+    pub fn remove_all(&mut self, ids: &[FileId]) -> usize {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        if ids.first().is_none_or(|first| first.as_u32() > self.last) {
+            return 0;
         }
-    }
-
-    /// Returns the union of two lists without modifying either.
-    #[must_use]
-    pub fn union(&self, other: &PostingList) -> PostingList {
-        let mut out = self.clone();
-        out.union_with(other);
-        out
-    }
-
-    /// Returns the files in `self` that are **not** in `other` (set
-    /// difference).  Used to evaluate `NOT` terms in queries.
-    #[must_use]
-    pub fn difference(&self, other: &PostingList) -> PostingList {
-        let mut ids = Vec::new();
-        let mut tfs = Vec::new();
-        let tracked = !self.tfs.is_empty();
-        for (pos, id) in self.ids.iter().copied().enumerate() {
-            if !other.contains(id) {
-                ids.push(id);
-                if tracked {
-                    tfs.push(self.tf_at(pos));
+        let mut doomed = ids.iter().map(|id| id.as_u32()).peekable();
+        // Started at the first removed posting: the bytes before it are kept
+        // as they are.
+        let mut kept: Option<PostingList> = None;
+        let (mut pos, mut id) = (0, 0u32);
+        let mut removed = 0;
+        for seen in 0..self.len {
+            let (start, before) = (pos, id);
+            id += read_lenient(&self.data, &mut pos);
+            let tf = read_lenient(&self.data, &mut pos);
+            while doomed.next_if(|&next| next < id).is_some() {}
+            match doomed.peek() {
+                // Nothing left to remove: the rest of the stream is kept as
+                // it is.
+                None => {
+                    if let Some(kept) = &mut kept {
+                        kept.append_stream(&self.data, start, id, self.len - seen, self.last);
+                    }
+                    break;
+                }
+                Some(&next) if next == id => {
+                    removed += 1;
+                    kept.get_or_insert_with(|| PostingList {
+                        data: self.data[..start].to_vec(),
+                        len: seen,
+                        last: before,
+                    });
+                }
+                Some(_) => {
+                    if let Some(kept) = &mut kept {
+                        kept.push(id, tf);
+                    }
                 }
             }
         }
-        let mut list = PostingList { ids, tfs };
-        list.canonicalize_tfs();
-        list
-    }
-
-    /// Iterates over `(file id, term frequency)` pairs in ascending id order.
-    pub fn iter_counted(&self) -> impl Iterator<Item = (FileId, u32)> + '_ {
-        self.ids.iter().copied().enumerate().map(|(pos, id)| (id, self.tf_at(pos)))
-    }
-
-    /// Iterates over the file ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.ids.iter().copied()
+        if let Some(kept) = kept {
+            *self = kept;
+        }
+        removed
     }
 }
+
+/// Decodes a stream front to back.
+struct Iter<'a> {
+    data: &'a [u8],
+    pos: usize,
+    id: u32,
+    left: usize,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = (FileId, u32);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        self.id += read_lenient(self.data, &mut self.pos);
+        let tf = read_lenient(self.data, &mut self.pos);
+        Some((FileId(self.id), tf))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
 
 impl FromIterator<FileId> for PostingList {
     fn from_iter<I: IntoIterator<Item = FileId>>(iter: I) -> Self {
         PostingList::from_ids(iter)
+    }
+}
+
+impl FromIterator<(FileId, u32)> for PostingList {
+    /// Collects `(id, tf)` pairs; in ascending id order (what segment loading
+    /// and decoding produce) every pair is an append.
+    fn from_iter<I: IntoIterator<Item = (FileId, u32)>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut list = PostingList::with_stream_capacity(iter.size_hint().0 * 2);
+        for (id, tf) in iter {
+            list.add_with_tf(id, tf);
+        }
+        list
     }
 }
 
@@ -378,6 +438,14 @@ mod tests {
         v.iter().map(|&i| FileId(i)).collect()
     }
 
+    fn counted(pairs: &[(u32, u32)]) -> PostingList {
+        pairs.iter().map(|&(id, tf)| (FileId(id), tf)).collect()
+    }
+
+    fn pairs(list: &PostingList) -> Vec<(u32, u32)> {
+        list.iter_counted().map(|(id, tf)| (id.as_u32(), tf)).collect()
+    }
+
     #[test]
     fn add_keeps_sorted_unique() {
         let mut p = PostingList::new();
@@ -385,10 +453,14 @@ mod tests {
         assert!(p.add(FileId(2)));
         assert!(!p.add(FileId(5)));
         assert!(p.add(FileId(9)));
-        assert_eq!(p.doc_ids(), ids(&[2, 5, 9]).as_slice());
+        assert_eq!(p.doc_ids(), ids(&[2, 5, 9]));
         assert_eq!(p.len(), 3);
         assert!(p.contains(FileId(2)));
         assert!(!p.contains(FileId(3)));
+        // Id 0 goes in front of everything, the first posting included.
+        assert!(p.add(FileId(0)));
+        assert!(!p.add(FileId(0)));
+        assert_eq!(p.doc_ids(), ids(&[0, 2, 5, 9]));
     }
 
     #[test]
@@ -399,34 +471,60 @@ mod tests {
         }
         assert_eq!(p.len(), 1000);
         assert!(!p.add(FileId(999)));
+        assert!(p.heap_bytes() < 4 * 1000, "two bytes a posting plus slack");
+    }
+
+    #[test]
+    fn late_ids_are_spliced_in_across_varint_widths() {
+        // Gaps and frequencies of one, two and three bytes on either side of
+        // the slot, so that stepping back has continuation bytes to cross.
+        let mut p = counted(&[(3, 1), (200, 300), (20_000, 1), (2_200_000, 70_000)]);
+        assert!(p.add_with_tf(FileId(2_100_000), 129));
+        assert!(p.add_with_tf(FileId(100), 1));
+        assert!(p.add_with_tf(FileId(19_999), 16_384));
+        assert!(!p.add_with_tf(FileId(200), 2), "the larger stored frequency stays");
+        assert!(!p.add_with_tf(FileId(20_000), 128), "a wider frequency is spliced in");
+        let expected = [
+            (3, 1),
+            (100, 1),
+            (200, 300),
+            (19_999, 16_384),
+            (20_000, 128),
+            (2_100_000, 129),
+            (2_200_000, 70_000),
+        ];
+        assert_eq!(pairs(&p), expected);
+        assert_eq!(p, counted(&expected));
     }
 
     #[test]
     fn remove_deletes_only_the_given_id() {
         let mut p = PostingList::from_ids(ids(&[1, 3, 5]));
         assert!(p.remove(FileId(3)));
-        assert_eq!(p.doc_ids(), ids(&[1, 5]).as_slice());
+        assert_eq!(p.doc_ids(), ids(&[1, 5]));
         assert!(!p.remove(FileId(3)));
         assert!(!p.remove(FileId(99)));
         assert!(p.remove(FileId(1)));
         assert!(p.remove(FileId(5)));
+        assert!(p.is_empty());
+        assert_eq!(p, PostingList::new());
+        assert!(p.add(FileId(0)), "an emptied list starts over");
+    }
+
+    #[test]
+    fn remove_all_filters_in_one_pass() {
+        let mut p = counted(&[(1, 2), (3, 1), (5, 9), (200, 1), (900, 4)]);
+        assert_eq!(p.remove_all(&ids(&[0, 3, 4, 200, 1000])), 2);
+        assert_eq!(pairs(&p), [(1, 2), (5, 9), (900, 4)]);
+        assert_eq!(p.remove_all(&ids(&[901])), 0);
+        assert_eq!(p.remove_all(&ids(&[1, 5, 900])), 3);
         assert!(p.is_empty());
     }
 
     #[test]
     fn from_ids_sorts_and_dedups() {
         let p = PostingList::from_ids(ids(&[3, 1, 3, 2, 1]));
-        assert_eq!(p.doc_ids(), ids(&[1, 2, 3]).as_slice());
-    }
-
-    #[test]
-    fn difference_removes_other_ids() {
-        let a = PostingList::from_ids(ids(&[1, 2, 3, 4]));
-        let b = PostingList::from_ids(ids(&[2, 4, 6]));
-        assert_eq!(a.difference(&b).doc_ids(), ids(&[1, 3]).as_slice());
-        assert_eq!(b.difference(&a).doc_ids(), ids(&[6]).as_slice());
-        assert_eq!(a.difference(&PostingList::new()), a);
-        assert!(a.difference(&a).is_empty());
+        assert_eq!(p.doc_ids(), ids(&[1, 2, 3]));
     }
 
     #[test]
@@ -434,7 +532,7 @@ mod tests {
         let mut a = PostingList::from_ids(ids(&[1, 3, 5]));
         let b = PostingList::from_ids(ids(&[2, 3, 6]));
         a.union_with(&b);
-        assert_eq!(a.doc_ids(), ids(&[1, 2, 3, 5, 6]).as_slice());
+        assert_eq!(a.doc_ids(), ids(&[1, 2, 3, 5, 6]));
     }
 
     #[test]
@@ -442,24 +540,31 @@ mod tests {
         // Append: every id of `other` is past the end of `self`.
         let mut a = PostingList::from_ids(ids(&[1, 2, 3]));
         a.union_with(&PostingList::from_ids(ids(&[5, 6])));
-        assert_eq!(a.doc_ids(), ids(&[1, 2, 3, 5, 6]).as_slice());
+        assert_eq!(a.doc_ids(), ids(&[1, 2, 3, 5, 6]));
+        assert_eq!(a, PostingList::from_ids(ids(&[1, 2, 3, 5, 6])));
         // Prepend: every id of `other` is before the start of `self`.
         let mut b = PostingList::from_ids(ids(&[10, 20]));
         b.union_with(&PostingList::from_ids(ids(&[1, 2])));
-        assert_eq!(b.doc_ids(), ids(&[1, 2, 10, 20]).as_slice());
+        assert_eq!(b.doc_ids(), ids(&[1, 2, 10, 20]));
+        assert!(b.add(FileId(30)), "the end of the joined stream is where appends go");
+        assert_eq!(b, PostingList::from_ids(ids(&[1, 2, 10, 20, 30])));
         // Touching boundary (equal edge ids) must still merge correctly.
         let mut c = PostingList::from_ids(ids(&[1, 5]));
         c.union_with(&PostingList::from_ids(ids(&[5, 9])));
-        assert_eq!(c.doc_ids(), ids(&[1, 5, 9]).as_slice());
+        assert_eq!(c.doc_ids(), ids(&[1, 5, 9]));
     }
 
     #[test]
     fn from_sorted_and_views() {
-        let list = PostingList::from_sorted(ids(&[2, 4, 6]));
-        assert_eq!(list.doc_ids(), ids(&[2, 4, 6]).as_slice());
+        let list: PostingList = ids(&[2, 4, 6]).into_iter().collect();
+        assert_eq!(list.doc_ids(), ids(&[2, 4, 6]));
+        assert_eq!(list.iter().collect::<Vec<_>>(), ids(&[2, 4, 6]));
+        assert_eq!(list.iter_counted().len(), 3);
         assert_eq!(list.len(), 3);
-        assert!(PostingList::empty_ref().is_empty());
-        assert!(PostingList::empty_ref().doc_ids().is_empty());
+        let (mut into_ids, mut into_tfs) = (ids(&[7]), vec![7]);
+        list.decode_into(&mut into_ids, &mut into_tfs);
+        assert_eq!((into_ids, into_tfs), (ids(&[2, 4, 6]), vec![1, 1, 1]));
+        assert!(PostingList::new().doc_ids().is_empty());
     }
 
     #[test]
@@ -467,18 +572,10 @@ mod tests {
         let mut a = PostingList::new();
         let b = PostingList::from_ids(ids(&[1, 2]));
         a.union_with(&b);
-        assert_eq!(a.doc_ids(), ids(&[1, 2]).as_slice());
+        assert_eq!(a.doc_ids(), ids(&[1, 2]));
         let mut c = a.clone();
         c.union_with(&PostingList::new());
         assert_eq!(c, a);
-    }
-
-    #[test]
-    fn intersect_returns_common_ids() {
-        let a = PostingList::from_ids(ids(&[1, 2, 4, 8]));
-        let b = PostingList::from_ids(ids(&[2, 3, 4, 9]));
-        assert_eq!(a.intersect(&b).doc_ids(), ids(&[2, 4]).as_slice());
-        assert!(a.intersect(&PostingList::new()).is_empty());
     }
 
     #[test]
@@ -493,47 +590,53 @@ mod tests {
         // A duplicate id keeps the larger frequency.
         assert!(!p.add_with_tf(FileId(2), 7));
         assert_eq!(p.tf_of(FileId(2)), Some(7));
-        let pairs: Vec<(FileId, u32)> = p.iter_counted().collect();
-        assert_eq!(pairs, [(FileId(0), 1), (FileId(1), 3), (FileId(2), 7)]);
+        assert_eq!(pairs(&p), [(0, 1), (1, 3), (2, 7)]);
+    }
+
+    #[test]
+    fn occurrences_add_up() {
+        let mut p = PostingList::new();
+        assert!(p.add_occurrences(FileId(4), 1));
+        assert!(p.add_occurrences(FileId(7), 2));
+        assert!(!p.add_occurrences(FileId(4), 1), "a repeat is the same posting");
+        assert!(!p.add_occurrences(FileId(7), 126), "and may outgrow its varint");
+        assert!(!p.add_occurrences(FileId(7), u32::MAX), "up to saturation");
+        assert_eq!(pairs(&p), [(4, 2), (7, u32::MAX)]);
     }
 
     #[test]
     fn tf_canonical_form() {
-        let all_one = PostingList::from_sorted_counted(ids(&[1, 2]), vec![1, 1]);
-        assert!(all_one.tfs().is_empty());
-        assert_eq!(all_one, PostingList::from_sorted(ids(&[1, 2])));
-        assert_eq!(all_one.tf_at(0), 1);
+        // One set of postings has one encoding, whichever way it was built:
+        // frequencies of 1 given or implied, in order or not, through a
+        // union or a removal.
+        let plain = PostingList::from_ids(ids(&[1, 2]));
+        assert_eq!(counted(&[(1, 1), (2, 1)]), plain);
+        assert_eq!(counted(&[(2, 0), (1, 1)]), plain, "a frequency is at least 1");
 
-        let mut p = PostingList::from_sorted_counted(ids(&[1, 2]), vec![1, 5]);
-        assert_eq!(p.tfs(), [1, 5]);
+        let mut p = counted(&[(1, 1), (2, 5), (3, 1)]);
+        assert_ne!(p, PostingList::from_ids(ids(&[1, 2, 3])));
+        p.remove(FileId(3));
         p.remove(FileId(2));
-        assert!(p.tfs().is_empty(), "dropping the only tf>1 posting restores canonical form");
+        p.add(FileId(2));
+        assert_eq!(p, plain);
+        let mut q = PostingList::from_ids(ids(&[2]));
+        q.union_with(&PostingList::from_ids(ids(&[1])));
+        assert_eq!(q, plain);
     }
 
     #[test]
     fn union_keeps_larger_tf() {
-        let mut a = PostingList::from_sorted_counted(ids(&[1, 3]), vec![2, 1]);
-        let b = PostingList::from_sorted_counted(ids(&[1, 2]), vec![1, 4]);
-        a.union_with(&b);
-        assert_eq!(a.doc_ids(), ids(&[1, 2, 3]).as_slice());
-        assert_eq!(a.tfs(), [2, 4, 1]);
+        let mut a = counted(&[(1, 2), (3, 1)]);
+        a.union_with(&counted(&[(1, 1), (2, 4)]));
+        assert_eq!(pairs(&a), [(1, 2), (2, 4), (3, 1)]);
 
         // Disjoint fast paths preserve frequencies on both sides.
-        let mut c = PostingList::from_sorted_counted(ids(&[1]), vec![3]);
-        c.union_with(&PostingList::from_sorted(ids(&[5, 6])));
-        assert_eq!(c.tfs(), [3, 1, 1]);
-        let mut d = PostingList::from_sorted(ids(&[10]));
-        d.union_with(&PostingList::from_sorted_counted(ids(&[2]), vec![9]));
-        assert_eq!(d.tfs(), [9, 1]);
-    }
-
-    #[test]
-    fn intersect_and_difference_carry_tfs() {
-        let a = PostingList::from_sorted_counted(ids(&[1, 2, 3]), vec![5, 1, 2]);
-        let b = PostingList::from_sorted(ids(&[1, 3]));
-        assert_eq!(a.intersect(&b).tfs(), [5, 2]);
-        assert_eq!(a.difference(&b).tfs(), &[] as &[u32], "all-1 remainder is canonical");
-        assert_eq!(a.difference(&PostingList::new()).tfs(), [5, 1, 2]);
+        let mut c = counted(&[(1, 3)]);
+        c.union_with(&PostingList::from_ids(ids(&[5, 6])));
+        assert_eq!(pairs(&c), [(1, 3), (5, 1), (6, 1)]);
+        let mut d = PostingList::from_ids(ids(&[10]));
+        d.union_with(&counted(&[(2, 9)]));
+        assert_eq!(pairs(&d), [(2, 9), (10, 1)]);
     }
 
     #[test]
@@ -544,23 +647,16 @@ mod tests {
     }
 
     proptest! {
-        /// union and intersect agree with the naive set implementations.
+        /// union_with agrees with the naive set implementation.
         #[test]
         fn set_semantics(a in proptest::collection::vec(0u32..200, 0..100),
                          b in proptest::collection::vec(0u32..200, 0..100)) {
             use std::collections::BTreeSet;
-            let pa = PostingList::from_ids(a.iter().map(|&i| FileId(i)));
-            let pb = PostingList::from_ids(b.iter().map(|&i| FileId(i)));
-            let sa: BTreeSet<u32> = a.iter().copied().collect();
-            let sb: BTreeSet<u32> = b.iter().copied().collect();
-
-            let union: Vec<u32> = pa.union(&pb).iter().map(FileId::as_u32).collect();
-            let expected_union: Vec<u32> = sa.union(&sb).copied().collect();
-            prop_assert_eq!(union, expected_union);
-
-            let inter: Vec<u32> = pa.intersect(&pb).iter().map(FileId::as_u32).collect();
-            let expected_inter: Vec<u32> = sa.intersection(&sb).copied().collect();
-            prop_assert_eq!(inter, expected_inter);
+            let mut union = PostingList::from_ids(a.iter().map(|&i| FileId(i)));
+            union.union_with(&PostingList::from_ids(b.iter().map(|&i| FileId(i))));
+            let expected: BTreeSet<u32> = a.iter().chain(&b).copied().collect();
+            let union: Vec<u32> = union.iter().map(FileId::as_u32).collect();
+            prop_assert_eq!(union, expected.into_iter().collect::<Vec<u32>>());
         }
 
         /// add() produces the same set as from_ids() regardless of order.

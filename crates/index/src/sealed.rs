@@ -4,7 +4,7 @@
 //! posting vectors.  A [`SealedShard`] is what a serving snapshot actually
 //! reads: **one byte buffer** holding every term's encoded entry exactly as a
 //! version-3 segment stores it, described by flat side tables — one
-//! fixed-size [`TermEntry`] per term (where its entry, its payloads and its
+//! fixed-size `TermEntry` per term (where its entry, its payloads and its
 //! score bounds sit in the buffer), one shard-wide skip table, one
 //! shard-wide frequency-offset table and a `u32` open-addressing table for
 //! exact-term lookups.  A shard loaded from disk *is* the segment
@@ -543,7 +543,10 @@ pub struct SealedTerms<'a> {
     files: u64,
     /// `(norm_base, norms)`; `None` for an unscored index.
     scoring: Option<(u32, Vec<f32>)>,
-    /// Per-posting scores of the term being sealed, reused across terms.
+    /// The ids, frequencies and scores of the term being sealed, decoded
+    /// into buffers that are reused across terms.
+    ids: Vec<FileId>,
+    freqs: Vec<u32>,
     scores: Vec<f32>,
 }
 
@@ -559,6 +562,8 @@ impl<'a> SealedTerms<'a> {
             entries: entries.into_iter(),
             files: scored_population(doc_lens.len(), index.file_count()),
             scoring: build_norms(&doc_lens),
+            ids: Vec::new(),
+            freqs: Vec::new(),
             scores: Vec::new(),
         }
     }
@@ -569,12 +574,16 @@ impl<'a> Iterator for SealedTerms<'a> {
 
     fn next(&mut self) -> Option<Self::Item> {
         let (term, list) = self.entries.next()?;
-        let mut compressed = CompressedPostings::from_list(list);
+        list.decode_into(&mut self.ids, &mut self.freqs);
+        let mut compressed = CompressedPostings::from_counted(&self.ids, &self.freqs);
         if let Some((base, norms)) = &self.scoring {
             let idf = bm25_idf(self.files, list.len());
             self.scores.clear();
             self.scores.extend(
-                list.iter_counted().map(|(id, tf)| bm25_score(idf, tf, norm_at(*base, norms, id))),
+                self.ids
+                    .iter()
+                    .zip(&self.freqs)
+                    .map(|(&id, &tf)| bm25_score(idf, tf, norm_at(*base, norms, id))),
             );
             compressed.score_blocks(&self.scores);
         }
@@ -891,11 +900,12 @@ mod tests {
                 }
             }
             // Prefix ranges cover the same multiset of lists the scan finds.
-            let mut scanned: Vec<Vec<FileId>> = index.prefix_lists(&probe)
-                .iter().map(|l| l.doc_ids().to_vec()).collect();
+            let mut scanned: Vec<Vec<FileId>> = index.iter()
+                .filter(|(term, _)| term.as_str().starts_with(probe.as_str()))
+                .map(|(_, list)| list.doc_ids()).collect();
             scanned.sort();
             let mut ranged: Vec<Vec<FileId>> = shard.prefix_postings(&probe)
-                .map(|cp| cp.to_list().doc_ids().to_vec()).collect();
+                .map(|cp| cp.to_list().doc_ids()).collect();
             ranged.sort();
             prop_assert_eq!(ranged, scanned);
         }
@@ -915,7 +925,7 @@ mod tests {
                 raw.sort_unstable_by_key(|&(id, ..)| id);
                 raw.dedup_by_key(|&mut (id, ..)| id);
                 let ids: Vec<FileId> = raw.iter().map(|&(id, ..)| FileId(id)).collect();
-                let tfs: Vec<u32> = raw.iter().map(|&(_, tf, _)| tf).collect();
+                let tfs = raw.iter().map(|&(_, tf, _)| tf).collect::<Vec<u32>>();
                 let scores: Vec<f32> = raw.iter().map(|&(.., score)| score as f32 / 100.0).collect();
                 let mut cp = CompressedPostings::from_counted(&ids, &tfs);
                 cp.score_blocks(&scores);

@@ -14,6 +14,7 @@ use dsearch_text::tokenizer::Term;
 
 use crate::doc_table::{DocTable, FileId};
 use crate::memory_index::InMemoryIndex;
+use crate::posting::PostingList;
 
 /// Errors from snapshot I/O.
 #[derive(Debug)]
@@ -82,11 +83,14 @@ impl IndexSnapshot {
     /// Builds a snapshot from an index and its document table.
     #[must_use]
     pub fn from_index(index: &InMemoryIndex, docs: &DocTable) -> Self {
-        let entries = index.to_sorted_entries();
-        let counts = entries
-            .iter()
-            .map(|(term, _)| index.postings(term).map(|l| l.tfs().to_vec()).unwrap_or_default())
-            .collect();
+        let mut lists: Vec<(&Term, &PostingList)> = index.iter().collect();
+        lists.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let (mut entries, mut counts) = (Vec::new(), Vec::new());
+        for (term, list) in lists {
+            let (ids, tfs): (Vec<FileId>, Vec<u32>) = list.iter_counted().unzip();
+            entries.push((term.clone(), ids));
+            counts.push(if tfs.iter().all(|&tf| tf == 1) { Vec::new() } else { tfs });
+        }
         let mut doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
         doc_lens.sort_unstable_by_key(|&(id, _)| id);
         IndexSnapshot { version: SNAPSHOT_VERSION, docs: docs.clone(), entries, counts, doc_lens }
@@ -102,16 +106,12 @@ impl IndexSnapshot {
         let mut counts = self.counts.into_iter();
         for (term, ids) in self.entries {
             let tfs = counts.next().unwrap_or_default();
-            let list = if tfs.len() == ids.len() && !tfs.is_empty() {
+            let list: PostingList = if tfs.len() == ids.len() && !tfs.is_empty() {
                 let mut pairs: Vec<(FileId, u32)> = ids.into_iter().zip(tfs).collect();
                 pairs.sort_unstable_by_key(|&(id, _)| id);
-                let mut list = crate::posting::PostingList::default();
-                for (id, tf) in pairs {
-                    list.add_with_tf(id, tf);
-                }
-                list
+                pairs.into_iter().collect()
             } else {
-                crate::posting::PostingList::from_unsorted(ids)
+                PostingList::from_ids(ids)
             };
             index.insert_term_list(term, list);
         }

@@ -86,6 +86,13 @@ impl SharedIndex {
         idx.insert_occurrence(file, term);
     }
 
+    /// Inserts `count` occurrences of `term` in `file` under the lock (the
+    /// per-term update over a condensed word list: one lock acquisition per
+    /// term).
+    pub fn insert_occurrences(&self, file: FileId, term: Term, count: u32) {
+        self.inner.lock().insert_occurrences(file, term, count);
+    }
+
     /// Records completion of a file processed via per-occurrence inserts.
     pub fn note_file_done(&self) {
         self.inner.lock().note_file_done();

@@ -3,7 +3,7 @@
 //!
 //! [`Reader`] is for bytes that cross a trust boundary: truncated, over-long
 //! and out-of-range input is an error.  Block payloads a shard has already
-//! validated are decoded on the query path by [`read_lenient`], which cannot
+//! validated are decoded on the query path by `read_lenient`, which cannot
 //! fail.
 
 use crate::block::{corrupt, BlockFormatError};

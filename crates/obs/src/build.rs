@@ -68,6 +68,17 @@ pub fn publish_peak_rss(registry: &MetricsRegistry) -> Option<u64> {
     Some(bytes)
 }
 
+/// Gauge holding the most heap the build's in-memory index held, in bytes:
+/// the figure `dsearch index` and `dsearch build` print as `index heap`, and
+/// the part of [`BUILD_PEAK_RSS_METRIC`] the index answers for.
+pub const BUILD_INDEX_HEAP_METRIC: &str = "dsearch_build_index_heap_bytes";
+
+/// Sets [`BUILD_INDEX_HEAP_METRIC`] to `bytes` (a `BuildReport`'s
+/// `index_heap_bytes`, or an `InMemoryIndex::heap_bytes`).
+pub fn publish_index_heap(registry: &MetricsRegistry, bytes: u64) {
+    registry.gauge(BUILD_INDEX_HEAP_METRIC).set(bytes);
+}
+
 /// Gauge holding what persisting the last build's index took — seal, write,
 /// sync and manifest — in seconds: the stage `dsearch index` prints as
 /// `persist`, the one that closes its tiling of the process's wall time.
@@ -88,6 +99,14 @@ mod tests {
         publish_persist_time(&registry, Duration::from_millis(85));
         let text = registry.render_prometheus();
         assert!(text.contains("dsearch_build_persist_seconds 0.085000\n"), "{text}");
+    }
+
+    #[test]
+    fn index_heap_is_published_as_a_gauge_beside_the_peak_rss() {
+        let registry = MetricsRegistry::new();
+        publish_index_heap(&registry, 9_437_184);
+        assert!(registry.render_prometheus().contains("dsearch_build_index_heap_bytes 9437184\n"));
+        assert!(BUILD_INDEX_HEAP_METRIC.starts_with("dsearch_build_"));
     }
 
     #[test]

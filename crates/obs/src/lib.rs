@@ -26,8 +26,9 @@ pub mod slowlog;
 pub mod trace;
 
 pub use build::{
-    peak_rss_bytes, publish_build_counters, publish_peak_rss, publish_persist_time, BUILD_METRICS,
-    BUILD_PEAK_RSS_METRIC, BUILD_PERSIST_METRIC,
+    peak_rss_bytes, publish_build_counters, publish_index_heap, publish_peak_rss,
+    publish_persist_time, BUILD_INDEX_HEAP_METRIC, BUILD_METRICS, BUILD_PEAK_RSS_METRIC,
+    BUILD_PERSIST_METRIC,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use slowlog::{SlowLog, DEFAULT_SLOW_CAPACITY};

@@ -260,10 +260,18 @@ impl IncrementalIndexer {
             known.insert(path.to_owned(), id);
         }
 
+        // Every posting that is about to be stale — of the files that are
+        // gone and of the known ones about to be re-indexed — leaves in one
+        // pass over the index, however many files changed.
+        let stale: Vec<dsearch_index::FileId> = change
+            .removed
+            .iter()
+            .map(String::as_str)
+            .chain(change.added.iter().chain(&change.modified).map(VPath::as_str))
+            .filter_map(|path| known.get(path).copied())
+            .collect();
+        report.postings_removed = index.remove_files(&stale);
         for path in &change.removed {
-            if let Some(&id) = known.get(path.as_str()) {
-                report.postings_removed += index.remove_file(id);
-            }
             signatures.forget(path);
             report.removed += 1;
         }
@@ -276,10 +284,7 @@ impl IncrementalIndexer {
                 let signature = FileSignature::from_bytes(&data);
                 let path_str = path.as_str().to_owned();
                 let id = match known.get(path_str.as_str()) {
-                    Some(&id) => {
-                        report.postings_removed += index.remove_file(id);
-                        id
-                    }
+                    Some(&id) => id,
                     None => {
                         let id = docs.insert(path_str.clone());
                         known.insert(path_str.clone(), id);

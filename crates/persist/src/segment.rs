@@ -240,16 +240,17 @@ fn read_whole<R: Read>(mut reader: R) -> Result<Vec<u8>, PersistError> {
 pub fn read_segment<R: Read>(reader: R) -> Result<(InMemoryIndex, DocTable), PersistError> {
     let (shard, FrontMatter { docs, doc_lens, .. }) = load_segment(read_whole(reader)?)?;
     let mut index = InMemoryIndex::with_capacity(shard.term_count());
+    let (mut ids, mut tfs) = (Vec::new(), Vec::new());
     for (term, compressed) in shard.iter() {
-        let mut ids = Vec::new();
         compressed.decode_into(&mut ids);
         if ids.windows(2).any(|w| w[0] >= w[1]) {
             return Err(PersistError::Corrupt("posting ids are not strictly ascending".into()));
         }
-        let mut tfs = Vec::new();
         compressed.decode_freqs_into(&mut tfs);
-        // Bulk insert: one map operation per term, never a per-id add loop.
-        index.insert_term_list(Term::from(term), PostingList::from_sorted_counted(ids, tfs));
+        tfs.resize(ids.len(), 1);
+        // Bulk insert: one map operation per term, every posting an append.
+        let list: PostingList = ids.iter().copied().zip(tfs.iter().copied()).collect();
+        index.insert_term_list(Term::from(term), list);
     }
     for (file, len) in doc_lens {
         index.note_doc_len(file, len);

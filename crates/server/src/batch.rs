@@ -7,7 +7,7 @@
 //! * [`QueueGovernor`] — the admission-controlled queue.  Submissions past a
 //!   configurable depth bound are shed according to an [`OverloadPolicy`]
 //!   (reject the new request, or drop the oldest queued one), and every shed
-//!   request is counted in [`ServerStats`](crate::stats::ServerStats) and
+//!   request is counted in [`ServerStats`] and
 //!   answered with [`ServerError::Overloaded`].
 //! * **Batch draining** — a worker does not pop one job at a time: it drains
 //!   up to [`BatchConfig::max_batch`] queued jobs in one go (optionally
@@ -157,8 +157,7 @@ struct GovernorState<J> {
 
 /// The admission-controlled MPMC queue between submitters and workers.
 ///
-/// Submitters [`submit`](QueueGovernor::submit) jobs; workers drain them in
-/// batches via [`next_batch`](QueueGovernor::next_batch).  The governor
+/// Submitters `submit` jobs; workers drain them in batches via `next_batch`.  The governor
 /// enforces [`BatchConfig::queue_bound`] at admission time and records every
 /// shed request in the shared [`ServerStats`].  It is generic over the job
 /// type so the query engine's worker pool and the scatter-gather router pool

@@ -5,7 +5,7 @@
 //! probe → evaluation → fan-out); [`QueryEngine::execute`] is the
 //! batch-of-one convenience.  [`WorkerPool`] runs that path on a fixed set of
 //! worker threads fed through an admission-controlled
-//! [`QueueGovernor`](crate::batch::QueueGovernor): each worker drains up to
+//! [`QueueGovernor`]: each worker drains up to
 //! `max_batch` queued queries at a time, so a backlog turns into shared work
 //! (one snapshot load, one evaluation per distinct canonical query) instead
 //! of per-request overhead.

@@ -23,7 +23,7 @@
 //!   [`QueueGovernor`]), so `--queue-bound`, `--overload`, `--max-batch` and
 //!   adaptive batching all apply to the coordinator too, and `dsearch
 //!   route` plugs into the stdin/TCP front ends through
-//!   [`LineHandler`](crate::serve::LineHandler).
+//!   [`LineHandler`].
 //!
 //! Shard-local file ids do not survive the wire (every `dsearch serve`
 //! process numbers its own documents from zero), so cross-shard merging keys

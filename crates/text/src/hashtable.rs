@@ -115,6 +115,13 @@ impl<K: Hash + Eq, V, S: BuildHasher> FnvHashMap<K, V, S> {
         self.slots.len()
     }
 
+    /// Bytes of heap the slot array holds (not what keys and values own
+    /// beyond their inline size).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot<K, V>>()
+    }
+
     fn hash_of<Q: Hash + ?Sized>(&self, key: &Q) -> u64 {
         self.hasher.hash_one(key)
     }
