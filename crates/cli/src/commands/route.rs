@@ -19,41 +19,28 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dsearch::server::{
-    LineHandler, RemoteShard, RemoteShardConfig, ReplicaSet, ReplicaSetConfig, RouteService,
-    Router, RouterConfig, ShardBackend, TcpServer,
+    Executor, RemoteShard, RemoteShardConfig, ReplicaSet, ReplicaSetConfig, RouteService, Router,
+    RouterConfig, ShardBackend,
 };
 
+use super::serve::{apply_shared_options, run_front_ends, SharedOptions};
 use crate::args::ParsedArgs;
 use crate::CliError;
 
 /// Builds the router configuration from the shared serve/route options.
 pub(crate) fn router_config(args: &ParsedArgs) -> Result<RouterConfig, CliError> {
     let mut config = RouterConfig::default();
-    if let Some(workers) = args.number_of::<usize>("workers")? {
-        config.workers = workers;
-    }
-    if let Some(limit) = args.number_of::<usize>("limit")? {
-        config.result_limit = limit;
-    }
-    if let Some(max_batch) = args.number_of::<usize>("max-batch")? {
-        config.batch.max_batch = max_batch;
-    }
-    super::serve::apply_batch_wait(args, &mut config.batch)?;
-    if let Some(bound) = args.number_of::<usize>("queue-bound")? {
-        config.batch.queue_bound = bound;
-    }
-    if let Some(policy) = args.value_of("overload") {
-        config.batch.overload = policy.parse().map_err(CliError::Usage)?;
-    }
-    if let Some(capacity) = args.number_of::<usize>("cache")? {
-        config.cache_capacity = capacity;
-    }
-    if let Some(shards) = args.number_of::<usize>("cache-shards")? {
-        config.cache_shards = shards;
-    }
-    if let Some(ms) = args.number_of::<u64>("default-deadline-ms")? {
-        config.default_deadline = (ms > 0).then(|| Duration::from_millis(ms));
-    }
+    apply_shared_options(
+        args,
+        SharedOptions {
+            workers: &mut config.workers,
+            result_limit: &mut config.result_limit,
+            cache_capacity: &mut config.cache_capacity,
+            cache_shards: &mut config.cache_shards,
+            batch: &mut config.batch,
+            default_deadline: &mut config.default_deadline,
+        },
+    )?;
     config.validate().map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
     Ok(config)
 }
@@ -160,41 +147,12 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         batch.overload,
     );
     let service = Arc::new(RouteService::start(router));
-    // `--trace-us <n>` arms the router's slow-query log from the start; slow
-    // entries carry the per-shard stage breakdown of the routed query.
-    if let Some(us) = args.number_of::<u64>("trace-us")? {
-        service.router().stats().slow_log().arm(Duration::from_micros(us));
-        eprintln!("slow-query log armed at {us}us (!slow to dump)");
-    }
-
-    let tcp_server = match args.value_of("tcp") {
-        Some(addr) => {
-            let tcp_config = super::serve::tcp_config(args)?;
-            let server = TcpServer::bind_with(Arc::clone(&service), addr, tcp_config)
-                .map_err(CliError::failed)?;
-            eprintln!("listening on {}", server.local_addr());
-            Some(server)
-        }
-        None => None,
-    };
-
-    eprint!("{banner}");
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let end = service.serve_lines(stdin.lock(), stdout.lock()).map_err(CliError::failed)?;
-
-    if let Some(server) = tcp_server {
-        // Same daemon semantics as `dsearch serve`: stdin EOF keeps the TCP
-        // front end routing, stdin `!quit` stops everything.
-        if end == dsearch::server::SessionEnd::Eof {
-            eprintln!("stdin closed; continuing to route TCP (Ctrl-C to stop)");
-            loop {
-                std::thread::park();
-            }
-        }
-        server.stop();
-    }
-    let report = service.stats_report();
+    // Slow entries (`--trace-us`) carry the per-shard stage breakdown of the
+    // routed query.
+    run_front_ends(args, &service, &banner, "route", |server, _| {
+        eprintln!("listening on {}", server.local_addr());
+    })?;
+    let report = service.router().stats_answer();
     Ok(format!("{report}\n"))
 }
 

@@ -10,38 +10,47 @@ use std::sync::Arc;
 
 use dsearch::persist::IndexStore;
 use dsearch::server::{
-    EngineConfig, IndexSnapshot, LineHandler, QueryEngine, Service, TcpServer, TcpServerConfig,
+    BatchConfig, EngineConfig, IndexSnapshot, LineHandler, QueryEngine, Service, SessionEnd,
+    TcpServer, TcpServerConfig,
 };
 
 use crate::args::ParsedArgs;
 use crate::CliError;
 
-/// Builds the engine configuration from the shared serve/loadgen options.
-/// Invalid combinations (zero workers, zero cache shards, empty batches) are
-/// usage errors here, before any store I/O happens.
-pub(crate) fn engine_config(args: &ParsedArgs) -> Result<EngineConfig, CliError> {
-    let mut config = EngineConfig::default();
+/// Where the options `serve`, `route` and `loadgen` share land in an
+/// [`EngineConfig`] or a [`RouterConfig`](dsearch::server::RouterConfig).
+pub(crate) struct SharedOptions<'a> {
+    pub(crate) workers: &'a mut usize,
+    pub(crate) result_limit: &'a mut usize,
+    pub(crate) cache_capacity: &'a mut usize,
+    pub(crate) cache_shards: &'a mut usize,
+    pub(crate) batch: &'a mut BatchConfig,
+    pub(crate) default_deadline: &'a mut Option<std::time::Duration>,
+}
+
+/// Applies `--workers`, `--limit`, `--cache`, `--cache-shards`, `--max-batch`,
+/// `--batch-wait-us`, `--queue-bound`, `--overload` and
+/// `--default-deadline-ms` (0 disables the budget).
+pub(crate) fn apply_shared_options(
+    args: &ParsedArgs,
+    config: SharedOptions<'_>,
+) -> Result<(), CliError> {
     if let Some(workers) = args.number_of::<usize>("workers")? {
-        config.workers = workers;
-    }
-    if let Some(capacity) = args.number_of::<usize>("cache")? {
-        config.cache_capacity = capacity;
-    }
-    if let Some(shards) = args.number_of::<usize>("cache-shards")? {
-        config.cache_shards = shards;
-    }
-    if let Some(policy) = args.value_of("cache-admission") {
-        config.cache_admission = policy
-            .parse()
-            .map_err(|e| CliError::Usage(format!("option --cache-admission: {e}")))?;
+        *config.workers = workers;
     }
     if let Some(limit) = args.number_of::<usize>("limit")? {
-        config.result_limit = limit;
+        *config.result_limit = limit;
+    }
+    if let Some(capacity) = args.number_of::<usize>("cache")? {
+        *config.cache_capacity = capacity;
+    }
+    if let Some(shards) = args.number_of::<usize>("cache-shards")? {
+        *config.cache_shards = shards;
     }
     if let Some(max_batch) = args.number_of::<usize>("max-batch")? {
         config.batch.max_batch = max_batch;
     }
-    apply_batch_wait(args, &mut config.batch)?;
+    apply_batch_wait(args, config.batch)?;
     if let Some(bound) = args.number_of::<usize>("queue-bound")? {
         config.batch.queue_bound = bound;
     }
@@ -49,7 +58,31 @@ pub(crate) fn engine_config(args: &ParsedArgs) -> Result<EngineConfig, CliError>
         config.batch.overload = policy.parse().map_err(CliError::Usage)?;
     }
     if let Some(ms) = args.number_of::<u64>("default-deadline-ms")? {
-        config.default_deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
+        *config.default_deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
+    }
+    Ok(())
+}
+
+/// Builds the engine configuration from the shared serve/loadgen options.
+/// Invalid combinations (zero workers, zero cache shards, empty batches) are
+/// usage errors here, before any store I/O happens.
+pub(crate) fn engine_config(args: &ParsedArgs) -> Result<EngineConfig, CliError> {
+    let mut config = EngineConfig::default();
+    apply_shared_options(
+        args,
+        SharedOptions {
+            workers: &mut config.workers,
+            result_limit: &mut config.result_limit,
+            cache_capacity: &mut config.cache_capacity,
+            cache_shards: &mut config.cache_shards,
+            batch: &mut config.batch,
+            default_deadline: &mut config.default_deadline,
+        },
+    )?;
+    if let Some(policy) = args.value_of("cache-admission") {
+        config.cache_admission = policy
+            .parse()
+            .map_err(|e| CliError::Usage(format!("option --cache-admission: {e}")))?;
     }
     config.validate().map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
     Ok(config)
@@ -58,10 +91,7 @@ pub(crate) fn engine_config(args: &ParsedArgs) -> Result<EngineConfig, CliError>
 /// Applies `--batch-wait-us`: a number arms a fixed fill window, `auto`
 /// turns on adaptive batching (wait for the default window only when the
 /// arrival rate suggests the batch will fill).
-pub(crate) fn apply_batch_wait(
-    args: &ParsedArgs,
-    batch: &mut dsearch::server::BatchConfig,
-) -> Result<(), CliError> {
+fn apply_batch_wait(args: &ParsedArgs, batch: &mut BatchConfig) -> Result<(), CliError> {
     match args.value_of("batch-wait-us") {
         None => {}
         Some("auto") => {
@@ -83,7 +113,7 @@ pub(crate) fn apply_batch_wait(
 
 /// Builds the TCP connection policy from `--idle-timeout-secs` /
 /// `--max-conns` (0 disables either).
-pub(crate) fn tcp_config(args: &ParsedArgs) -> Result<TcpServerConfig, CliError> {
+fn tcp_config(args: &ParsedArgs) -> Result<TcpServerConfig, CliError> {
     let mut config = TcpServerConfig::default();
     if let Some(secs) = args.number_of::<u64>("idle-timeout-secs")? {
         config.idle_timeout = (secs > 0).then(|| std::time::Duration::from_secs(secs));
@@ -149,27 +179,45 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         )
     };
     let service = Arc::new(Service::start(engine, Some(store_path)));
-    // `--trace-us <n>` arms the slow-query log from the start (equivalent to
-    // a client sending `!trace <n>`).
+    run_front_ends(args, &service, &banner, "serve", |server, config| {
+        let idle = match config.idle_timeout {
+            Some(timeout) => format!("{}s", timeout.as_secs()),
+            None => "off".to_owned(),
+        };
+        let cap = match config.max_conns {
+            0 => "unlimited".to_owned(),
+            cap => cap.to_string(),
+        };
+        eprintln!("listening on {} (idle_timeout={idle} max_conns={cap})", server.local_addr());
+    })?;
+    let report = service.engine().stats_report();
+    Ok(format!("{report}\n"))
+}
+
+/// What `serve` and `route` do once their service exists: arm the slow-query
+/// log (`--trace-us <n>`, equivalent to a client sending `!trace <n>`), bind
+/// the TCP front end (`--tcp`), print the banner, and answer stdin until EOF
+/// or `!quit`.  A daemonised server (stdin closed, e.g. `< /dev/null &`)
+/// keeps answering TCP; an explicit stdin `!quit` shuts the whole service
+/// down.  `verb` is what the service does to TCP traffic in the EOF notice,
+/// `announce` prints the listening line.
+pub(crate) fn run_front_ends<S: LineHandler>(
+    args: &ParsedArgs,
+    service: &Arc<S>,
+    banner: &str,
+    verb: &str,
+    announce: impl FnOnce(&TcpServer, &TcpServerConfig),
+) -> Result<(), CliError> {
     if let Some(us) = args.number_of::<u64>("trace-us")? {
-        service.engine().stats().slow_log().arm(std::time::Duration::from_micros(us));
+        service.stats().slow_log().arm(std::time::Duration::from_micros(us));
         eprintln!("slow-query log armed at {us}us (!slow to dump)");
     }
-
     let tcp_server = match args.value_of("tcp") {
         Some(addr) => {
             let tcp_config = tcp_config(args)?;
-            let server = TcpServer::bind_with(Arc::clone(&service), addr, tcp_config)
+            let server = TcpServer::bind_with(Arc::clone(service), addr, tcp_config)
                 .map_err(CliError::failed)?;
-            let idle = match tcp_config.idle_timeout {
-                Some(timeout) => format!("{}s", timeout.as_secs()),
-                None => "off".to_owned(),
-            };
-            let cap = match tcp_config.max_conns {
-                0 => "unlimited".to_owned(),
-                cap => cap.to_string(),
-            };
-            eprintln!("listening on {} (idle_timeout={idle} max_conns={cap})", server.local_addr());
+            announce(&server, &tcp_config);
             Some(server)
         }
         None => None,
@@ -181,19 +229,15 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let end = service.serve_lines(stdin.lock(), stdout.lock()).map_err(CliError::failed)?;
 
     if let Some(server) = tcp_server {
-        // A daemonised server (stdin closed, e.g. `< /dev/null &`) keeps
-        // serving TCP; an explicit stdin `!quit` shuts the whole service
-        // down.
-        if end == dsearch::server::SessionEnd::Eof {
-            eprintln!("stdin closed; continuing to serve TCP (Ctrl-C to stop)");
+        if end == SessionEnd::Eof {
+            eprintln!("stdin closed; continuing to {verb} TCP (Ctrl-C to stop)");
             loop {
                 std::thread::park();
             }
         }
         server.stop();
     }
-    let report = service.engine().stats_report();
-    Ok(format!("{report}\n"))
+    Ok(())
 }
 
 #[cfg(test)]

@@ -12,13 +12,15 @@
 //! * [`DistributionStrategy::SizeBalanced`] — longest-processing-time-first
 //!   bin packing on file sizes;
 //! * [`DistributionStrategy::Chunked`] — contiguous slices (the naive split);
-//! * [`WorkQueue`] — a shared lock-protected queue the extractors pop from
-//!   (dynamic load balancing paid for with per-file locking).
+//! * [`LeaseQueue`] — a shared lock-protected queue the extractors lease
+//!   from (dynamic load balancing paid for with per-file locking); the
+//!   checkpointed [`BuildPipeline`](crate::pipeline::BuildPipeline) runs on
+//!   the same queue, with its retry timer.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use dsearch_index::FileId;
@@ -89,8 +91,8 @@ impl std::fmt::Display for DistributionStrategy {
 /// Statically partitions `items` into `workers` private vectors.
 ///
 /// For [`DistributionStrategy::WorkQueue`] the partition is round-robin (the
-/// caller should use [`WorkQueue`] instead; this fallback keeps the function
-/// total).
+/// caller should use a [`LeaseQueue`] instead; this fallback keeps the
+/// function total).
 ///
 /// # Panics
 ///
@@ -173,131 +175,209 @@ pub fn balance_metrics(parts: &[Vec<WorkItem>]) -> (u64, u64, f64) {
     (max, min, imbalance)
 }
 
-/// How many times a queue item is re-leased after panic reclaims before the
-/// queue refuses to hand it out again and counts it as poisoned.
+/// How many times [`DistributionStrategy::WorkQueue`] leases an item whose
+/// holders panic before the queue refuses to hand it out again.
 pub const MAX_LEASE_ATTEMPTS: u32 = 3;
 
-/// A shared FIFO work queue for the dynamic distribution strategy.
-///
-/// Every `pop` takes the lock once — exactly the per-filename synchronisation
-/// cost the paper measured when running Stage 1 concurrently with Stage 2.
-///
-/// Plain `pop` hands the item over unconditionally: a consumer that panics
-/// between the pop and the index insert silently loses the file.  The
-/// lease/ack protocol ([`WorkQueue::lease`]) closes that hole — a
-/// [`QueueLease`] dropped without [`QueueLease::ack`] (a panic unwinding
-/// through the extractor, or the extractor thread dying outright) puts the
-/// item back at the front of the queue for another worker, up to
-/// [`MAX_LEASE_ATTEMPTS`] attempts per item.
-#[derive(Debug, Clone)]
-pub struct WorkQueue {
-    inner: Arc<Mutex<QueueInner>>,
-}
+type Attempt = (WorkItem, u32);
 
 #[derive(Debug, Default)]
 struct QueueInner {
-    items: VecDeque<(WorkItem, u32)>,
+    ready: VecDeque<Attempt>,
+    delayed: Vec<(Instant, Attempt)>,
+    leased: usize,
+    closed: bool,
+    /// Items whose lease holder died too many times; drained into the DLQ.
+    fallen: Vec<Attempt>,
     reclaims: u64,
-    poisoned: Vec<WorkItem>,
 }
 
-impl WorkQueue {
-    /// Creates a queue pre-filled with `items`.
-    #[must_use]
-    pub fn new(items: Vec<WorkItem>) -> Self {
-        let inner =
-            QueueInner { items: items.into_iter().map(|i| (i, 0)).collect(), ..Default::default() };
-        WorkQueue { inner: Arc::new(Mutex::new(inner)) }
-    }
+/// The build side's shared work queue: lease, ack, retry, reclaim.
+///
+/// Every [`pop`](LeaseQueue::pop) takes the lock once — exactly the
+/// per-filename synchronisation cost the paper measured when running Stage 1
+/// concurrently with Stage 2.  Items are handed out under a [`Lease`], so a
+/// consumer that panics between taking a file and inserting it into the
+/// index does not silently lose it.  Ready items are leased FIFO; retried
+/// items wait in a timer set until their backoff expires (workers never
+/// sleep on a retry).  The queue drains when ready, delayed and leased are
+/// all empty, and closes early on cancellation or a fatal error.
+#[derive(Debug)]
+pub struct LeaseQueue {
+    inner: StdMutex<QueueInner>,
+    available: Condvar,
+    max_attempts: u32,
+}
 
-    /// Creates an empty queue (for the concurrent Stage 1 ablation, where the
-    /// producer pushes while consumers pop).
+impl LeaseQueue {
+    /// Creates a queue over `items`; an item whose lease holders died
+    /// `max_attempts` times is not handed out again
+    /// ([`take_fallen`](LeaseQueue::take_fallen)).
     #[must_use]
-    pub fn empty() -> Self {
-        WorkQueue::new(Vec::new())
-    }
-
-    /// Adds an item to the back of the queue.
-    pub fn push(&self, item: WorkItem) {
-        self.inner.lock().items.push_back((item, 0));
-    }
-
-    /// Removes and returns the item at the front of the queue.
-    #[must_use]
-    pub fn pop(&self) -> Option<WorkItem> {
-        self.inner.lock().items.pop_front().map(|(item, _)| item)
-    }
-
-    /// Takes the front item under a lease: the item is only consumed once the
-    /// lease is [`QueueLease::ack`]ed.  Dropping the lease un-acked returns
-    /// the item to the front of the queue.
-    #[must_use]
-    pub fn lease(&self) -> Option<QueueLease> {
-        self.inner.lock().items.pop_front().map(|(item, attempts)| QueueLease {
-            queue: self.clone(),
-            slot: Some((item, attempts)),
+    pub fn new(items: Vec<WorkItem>, max_attempts: u32) -> Arc<Self> {
+        let inner = QueueInner {
+            ready: items.into_iter().map(|i| (i, 0)).collect(),
+            ..QueueInner::default()
+        };
+        Arc::new(LeaseQueue {
+            inner: StdMutex::new(inner),
+            available: Condvar::new(),
+            max_attempts: max_attempts.max(1),
         })
     }
 
-    /// Number of items currently queued.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().items.len()
+    /// Locks the queue state, recovering from a poisoned mutex — a worker
+    /// that died mid-operation must not wedge the survivors.
+    fn lock(&self) -> MutexGuard<'_, QueueInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Returns `true` when the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().items.is_empty()
+    /// Blocks until an item is available, the queue drains, or it is closed.
+    pub fn pop(self: &Arc<Self>) -> Option<Lease> {
+        let mut inner = self.lock();
+        loop {
+            if inner.closed {
+                return None;
+            }
+            let now = Instant::now();
+            // Promote delayed items whose backoff has expired.
+            let mut i = 0;
+            while i < inner.delayed.len() {
+                if inner.delayed[i].0 <= now {
+                    let (_, item) = inner.delayed.swap_remove(i);
+                    inner.ready.push_back(item);
+                } else {
+                    i += 1;
+                }
+            }
+            if let Some(slot) = inner.ready.pop_front() {
+                inner.leased += 1;
+                return Some(Lease { queue: Arc::clone(self), slot: Some(slot) });
+            }
+            if inner.delayed.is_empty() && inner.leased == 0 {
+                return None;
+            }
+            if let Some(earliest) = inner.delayed.iter().map(|(at, _)| *at).min() {
+                let wait = earliest.saturating_duration_since(now);
+                inner = self
+                    .available
+                    .wait_timeout(inner, wait)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            } else {
+                inner = self.available.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
     }
 
-    /// Times a lease was returned to the queue instead of being acked.
+    /// Closes the queue: blocked and future pops return `None`.
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.available.notify_all();
+    }
+
+    /// `true` once the queue has been closed (early stop, cancel or error).
+    #[must_use]
+    pub fn is_closed(&self) -> bool {
+        self.lock().closed
+    }
+
+    /// Leases reclaimed from dead holders so far.
     #[must_use]
     pub fn reclaims(&self) -> u64 {
-        self.inner.lock().reclaims
+        self.lock().reclaims
     }
 
-    /// Items that were reclaimed [`MAX_LEASE_ATTEMPTS`] times and refused
-    /// further leases — work that could not be completed by any consumer.
+    /// Drains the items whose holders died `max_attempts` times — work no
+    /// consumer could complete — with the attempts on their record.
     #[must_use]
-    pub fn poisoned(&self) -> Vec<WorkItem> {
-        self.inner.lock().poisoned.clone()
+    pub fn take_fallen(&self) -> Vec<(WorkItem, u32)> {
+        std::mem::take(&mut self.lock().fallen)
+    }
+
+    fn finish_lease(&self) {
+        let mut inner = self.lock();
+        inner.leased -= 1;
+        drop(inner);
+        self.available.notify_all();
+    }
+
+    fn schedule_retry(&self, item: WorkItem, attempts: u32, not_before: Instant) {
+        let mut inner = self.lock();
+        inner.leased -= 1;
+        inner.delayed.push((not_before, (item, attempts)));
+        drop(inner);
+        self.available.notify_all();
+    }
+
+    fn release(&self, slot: Attempt) {
+        let mut inner = self.lock();
+        inner.leased -= 1;
+        inner.ready.push_front(slot);
+        drop(inner);
+        self.available.notify_all();
     }
 
     fn reclaim(&self, item: WorkItem, attempts: u32) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
+        inner.leased -= 1;
         inner.reclaims += 1;
-        if attempts + 1 >= MAX_LEASE_ATTEMPTS {
-            inner.poisoned.push(item);
+        if attempts + 1 >= self.max_attempts {
+            inner.fallen.push((item, attempts + 1));
         } else {
-            inner.items.push_front((item, attempts + 1));
+            inner.ready.push_front((item, attempts + 1));
         }
+        drop(inner);
+        self.available.notify_all();
     }
 }
 
-/// A leased [`WorkItem`]: the holder must [`QueueLease::ack`] after the item
-/// has been fully processed.  Dropping the lease — including a panic
-/// unwinding through the holder — puts the item back on the queue.
+/// RAII lease on one work item.  Dropping the lease without acknowledging it
+/// (a panic, a dead worker) returns the item to the queue with one more
+/// failed attempt on its record.
 #[derive(Debug)]
-pub struct QueueLease {
-    queue: WorkQueue,
-    slot: Option<(WorkItem, u32)>,
+pub struct Lease {
+    queue: Arc<LeaseQueue>,
+    slot: Option<Attempt>,
 }
 
-impl QueueLease {
-    /// The leased item.
+impl Lease {
+    /// The leased work item.
     #[must_use]
     pub fn item(&self) -> &WorkItem {
         &self.slot.as_ref().expect("lease not yet resolved").0
     }
 
-    /// Marks the item as fully processed, consuming the lease.
-    pub fn ack(mut self) {
-        self.slot = None;
+    /// Failed attempts already on this item's record.
+    #[must_use]
+    pub fn attempts(&self) -> u32 {
+        self.slot.as_ref().expect("lease not yet resolved").1
+    }
+
+    /// Acknowledges the item as done (or dead-lettered); it will not be
+    /// handed out again.
+    pub fn ack(mut self) -> WorkItem {
+        let (item, _) = self.slot.take().expect("lease not yet resolved");
+        self.queue.finish_lease();
+        item
+    }
+
+    /// Reschedules the item after a transient failure; it becomes leasable
+    /// again at `not_before`.
+    pub fn retry_at(mut self, not_before: Instant) {
+        let (item, attempts) = self.slot.take().expect("lease not yet resolved");
+        self.queue.schedule_retry(item, attempts + 1, not_before);
+    }
+
+    /// Returns the item untouched (no attempt recorded) — used when a worker
+    /// observes cancellation after leasing.
+    pub fn release(mut self) {
+        let slot = self.slot.take().expect("lease not yet resolved");
+        self.queue.release(slot);
     }
 }
 
-impl Drop for QueueLease {
+impl Drop for Lease {
     fn drop(&mut self) {
         if let Some((item, attempts)) = self.slot.take() {
             self.queue.reclaim(item, attempts);
@@ -384,6 +464,7 @@ pub fn stealing_pool(items: Vec<WorkItem>, workers: usize) -> Vec<StealWorker> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use proptest::prelude::*;
 
     fn items(sizes: &[u64]) -> Vec<WorkItem> {
@@ -523,86 +604,60 @@ mod tests {
         let _ = stealing_pool(Vec::new(), 0);
     }
 
-    #[test]
-    fn work_queue_is_fifo_and_thread_safe() {
-        let queue = WorkQueue::new(items(&[1, 2, 3, 4, 5, 6, 7, 8]));
-        assert_eq!(queue.len(), 8);
-        assert!(!queue.is_empty());
-
-        let consumed = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let queue = queue.clone();
-            let consumed = Arc::clone(&consumed);
-            handles.push(std::thread::spawn(move || {
-                while let Some(item) = queue.pop() {
-                    consumed.lock().push(item.file_id.as_u32());
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut seen = consumed.lock().clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..8).collect::<Vec<_>>());
-        assert!(queue.is_empty());
-
-        let empty = WorkQueue::empty();
-        assert!(empty.pop().is_none());
-        empty.push(WorkItem { file_id: FileId(42), path: VPath::new("x"), size: 1 });
-        assert_eq!(empty.pop().unwrap().file_id, FileId(42));
+    /// Items ready to be leased right now.
+    fn ready(queue: &LeaseQueue) -> usize {
+        queue.lock().ready.len()
     }
 
     #[test]
     fn dropped_lease_returns_the_item_to_the_front() {
-        let queue = WorkQueue::new(items(&[1, 2]));
+        let queue = LeaseQueue::new(items(&[1, 2]), MAX_LEASE_ATTEMPTS);
         {
-            let lease = queue.lease().unwrap();
+            let lease = queue.pop().unwrap();
             assert_eq!(lease.item().file_id, FileId(0));
-            assert_eq!(queue.len(), 1);
+            assert_eq!(ready(&queue), 1);
             // Dropped without ack — e.g. a panic unwound through the holder.
         }
         assert_eq!(queue.reclaims(), 1);
-        assert_eq!(queue.len(), 2, "the item is back");
-        let lease = queue.lease().unwrap();
+        assert_eq!(ready(&queue), 2, "the item is back");
+        let lease = queue.pop().unwrap();
         assert_eq!(lease.item().file_id, FileId(0), "reclaimed item keeps its place at the front");
         lease.ack();
-        assert_eq!(queue.lease().unwrap().item().file_id, FileId(1));
+        assert_eq!(queue.pop().unwrap().item().file_id, FileId(1));
     }
 
     #[test]
     fn acked_lease_consumes_the_item() {
-        let queue = WorkQueue::new(items(&[1]));
-        queue.lease().unwrap().ack();
-        assert!(queue.is_empty());
-        assert!(queue.lease().is_none());
+        let queue = LeaseQueue::new(items(&[1]), MAX_LEASE_ATTEMPTS);
+        queue.pop().unwrap().ack();
+        assert_eq!(ready(&queue), 0);
+        assert!(queue.pop().is_none());
         assert_eq!(queue.reclaims(), 0);
-        assert!(queue.poisoned().is_empty());
+        assert!(queue.take_fallen().is_empty());
     }
 
     #[test]
     fn repeatedly_reclaimed_item_is_poisoned_not_looped() {
-        let queue = WorkQueue::new(items(&[7]));
+        let queue = LeaseQueue::new(items(&[7]), MAX_LEASE_ATTEMPTS);
         for _ in 0..MAX_LEASE_ATTEMPTS {
-            let lease = queue.lease().expect("item still leasable");
+            let lease = queue.pop().expect("item still leasable");
             drop(lease);
         }
-        assert!(queue.lease().is_none(), "poisoned item is not handed out again");
+        assert!(queue.pop().is_none(), "poisoned item is not handed out again");
         assert_eq!(queue.reclaims(), u64::from(MAX_LEASE_ATTEMPTS));
-        let poisoned = queue.poisoned();
+        let poisoned = queue.take_fallen();
         assert_eq!(poisoned.len(), 1);
-        assert_eq!(poisoned[0].file_id, FileId(0));
+        assert_eq!(poisoned[0].0.file_id, FileId(0));
     }
 
     #[test]
     fn panicking_lease_holder_does_not_lose_the_item() {
-        let queue = WorkQueue::new(items(&[1, 2, 3]));
+        let queue = LeaseQueue::new(items(&[1, 2, 3]), MAX_LEASE_ATTEMPTS);
         let consumed = Arc::new(Mutex::new(Vec::new()));
         let mut first = true;
         // One consumer panics on the first item; the catch_unwind drops the
         // lease, which reclaims it — draining afterwards still sees all 3.
-        while let Some(lease) = queue.lease() {
+        while let Some(lease) = queue.pop() {
             let panics = first && lease.item().file_id == FileId(0);
             first = false;
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

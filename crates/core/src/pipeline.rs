@@ -27,11 +27,11 @@
 //! store answers queries exactly like a batch build's — the equivalence the
 //! resume proptest in `tests/pipeline_resume.rs` pins down.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex as StdMutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -42,7 +42,7 @@ use dsearch_index::InMemoryIndex;
 use dsearch_persist::{BuildCheckpoint, DeadLetter, DeadLetterQueue, IndexStore};
 use dsearch_vfs::{FileSystem, VPath, VfsError};
 
-use crate::distribute::WorkItem;
+use crate::distribute::{Lease, LeaseQueue, WorkItem};
 use crate::error::PipelineError;
 use crate::stage1::generate_filenames;
 use crate::stage2::Extractor;
@@ -240,204 +240,6 @@ pub fn backoff_delay(base: Duration, cap: Duration, attempts: u32, file_id: u32)
     x ^= x << 17;
     let half = exp / 2;
     Duration::from_nanos(half + x % (exp - half + 1))
-}
-
-type Attempt = (WorkItem, u32);
-
-#[derive(Debug, Default)]
-struct QueueInner {
-    ready: VecDeque<Attempt>,
-    delayed: Vec<(Instant, Attempt)>,
-    leased: usize,
-    closed: bool,
-    /// Items whose lease holder died too many times; drained into the DLQ.
-    fallen: Vec<Attempt>,
-    reclaims: u64,
-}
-
-/// The pipeline's lease/retry queue.
-///
-/// Ready items are leased FIFO; retried items wait in a timer set until
-/// their backoff expires (workers never sleep on a retry).  The queue drains
-/// when ready, delayed and leased are all empty, and closes early on
-/// cancellation or a fatal error.
-#[derive(Debug)]
-pub struct LeaseQueue {
-    inner: StdMutex<QueueInner>,
-    available: Condvar,
-    max_attempts: u32,
-}
-
-impl LeaseQueue {
-    /// Creates a queue over `items` with the given retry budget.
-    #[must_use]
-    pub fn new(items: Vec<WorkItem>, max_attempts: u32) -> Arc<Self> {
-        let inner = QueueInner {
-            ready: items.into_iter().map(|i| (i, 0)).collect(),
-            ..QueueInner::default()
-        };
-        Arc::new(LeaseQueue {
-            inner: StdMutex::new(inner),
-            available: Condvar::new(),
-            max_attempts: max_attempts.max(1),
-        })
-    }
-
-    /// Locks the queue state, recovering from a poisoned mutex — a worker
-    /// that died mid-operation must not wedge the survivors.
-    fn lock(&self) -> MutexGuard<'_, QueueInner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Blocks until an item is available, the queue drains, or it is closed.
-    pub fn pop(self: &Arc<Self>) -> Option<PipelineLease> {
-        let mut inner = self.lock();
-        loop {
-            if inner.closed {
-                return None;
-            }
-            let now = Instant::now();
-            // Promote delayed items whose backoff has expired.
-            let mut i = 0;
-            while i < inner.delayed.len() {
-                if inner.delayed[i].0 <= now {
-                    let (_, item) = inner.delayed.swap_remove(i);
-                    inner.ready.push_back(item);
-                } else {
-                    i += 1;
-                }
-            }
-            if let Some(slot) = inner.ready.pop_front() {
-                inner.leased += 1;
-                return Some(PipelineLease { queue: Arc::clone(self), slot: Some(slot) });
-            }
-            if inner.delayed.is_empty() && inner.leased == 0 {
-                return None;
-            }
-            if let Some(earliest) = inner.delayed.iter().map(|(at, _)| *at).min() {
-                let wait = earliest.saturating_duration_since(now);
-                inner = self
-                    .available
-                    .wait_timeout(inner, wait)
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .0;
-            } else {
-                inner = self.available.wait(inner).unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-    }
-
-    /// Closes the queue: blocked and future pops return `None`.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.available.notify_all();
-    }
-
-    /// `true` once the queue has been closed (early stop, cancel or error).
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
-    /// Leases reclaimed from dead holders so far.
-    #[must_use]
-    pub fn reclaims(&self) -> u64 {
-        self.lock().reclaims
-    }
-
-    /// Drains the items whose holders died more than `max_attempts` times.
-    fn take_fallen(&self) -> Vec<Attempt> {
-        std::mem::take(&mut self.lock().fallen)
-    }
-
-    fn finish_lease(&self) {
-        let mut inner = self.lock();
-        inner.leased -= 1;
-        drop(inner);
-        self.available.notify_all();
-    }
-
-    fn schedule_retry(&self, item: WorkItem, attempts: u32, not_before: Instant) {
-        let mut inner = self.lock();
-        inner.leased -= 1;
-        inner.delayed.push((not_before, (item, attempts)));
-        drop(inner);
-        self.available.notify_all();
-    }
-
-    fn release(&self, slot: Attempt) {
-        let mut inner = self.lock();
-        inner.leased -= 1;
-        inner.ready.push_front(slot);
-        drop(inner);
-        self.available.notify_all();
-    }
-
-    fn reclaim(&self, item: WorkItem, attempts: u32) {
-        let mut inner = self.lock();
-        inner.leased -= 1;
-        inner.reclaims += 1;
-        if attempts + 1 >= self.max_attempts {
-            inner.fallen.push((item, attempts + 1));
-        } else {
-            inner.ready.push_front((item, attempts + 1));
-        }
-        drop(inner);
-        self.available.notify_all();
-    }
-}
-
-/// RAII lease on one work item.  Dropping the lease without acknowledging it
-/// (a panic, a dead worker) returns the item to the queue with one more
-/// failed attempt on its record.
-#[derive(Debug)]
-pub struct PipelineLease {
-    queue: Arc<LeaseQueue>,
-    slot: Option<Attempt>,
-}
-
-impl PipelineLease {
-    /// The leased work item.
-    #[must_use]
-    pub fn item(&self) -> &WorkItem {
-        &self.slot.as_ref().expect("lease not yet resolved").0
-    }
-
-    /// Failed attempts already on this item's record.
-    #[must_use]
-    pub fn attempts(&self) -> u32 {
-        self.slot.as_ref().expect("lease not yet resolved").1
-    }
-
-    /// Acknowledges the item as done (or dead-lettered); it will not be
-    /// handed out again.
-    pub fn ack(mut self) -> WorkItem {
-        let (item, _) = self.slot.take().expect("lease not yet resolved");
-        self.queue.finish_lease();
-        item
-    }
-
-    /// Reschedules the item after a transient failure; it becomes leasable
-    /// again at `not_before`.
-    pub fn retry_at(mut self, not_before: Instant) {
-        let (item, attempts) = self.slot.take().expect("lease not yet resolved");
-        self.queue.schedule_retry(item, attempts + 1, not_before);
-    }
-
-    /// Returns the item untouched (no attempt recorded) — used when a worker
-    /// observes cancellation after leasing.
-    pub fn release(mut self) {
-        let slot = self.slot.take().expect("lease not yet resolved");
-        self.queue.release(slot);
-    }
-}
-
-impl Drop for PipelineLease {
-    fn drop(&mut self) {
-        if let Some((item, attempts)) = self.slot.take() {
-            self.queue.reclaim(item, attempts);
-        }
-    }
 }
 
 /// Everything the workers write to: the partial index, the store, the
@@ -862,7 +664,7 @@ impl BuildPipeline {
     /// the error's nature allow, dead-letter otherwise.
     fn handle_failure(
         &self,
-        lease: PipelineLease,
+        lease: Lease,
         sink: &Sink,
         permanent: bool,
         error: String,

@@ -7,6 +7,8 @@
 //! sequential baseline ([`IndexGenerator::run_sequential`]) whose per-stage
 //! times are the paper's Table 1.
 
+use std::sync::Arc;
+
 use crossbeam::channel::{bounded, Receiver, Sender};
 
 use dsearch_index::{join_all, parallel_join, InMemoryIndex, IndexSet, SharedIndex};
@@ -15,7 +17,8 @@ use dsearch_vfs::{FileSystem, VPath};
 
 use crate::config::{Configuration, FormatMode, GeneratorOptions, Implementation, Stage1Mode};
 use crate::distribute::{
-    partition, stealing_pool, DistributionStrategy, StealWorker, WorkItem, WorkQueue,
+    partition, stealing_pool, DistributionStrategy, LeaseQueue, StealWorker, WorkItem,
+    MAX_LEASE_ATTEMPTS,
 };
 use crate::error::PipelineError;
 use crate::report::{IndexOutcome, ParallelRun, SequentialRun, SequentialTimings};
@@ -45,7 +48,7 @@ enum WorkSource {
     /// A private, statically assigned vector (no synchronisation).
     Static(Vec<WorkItem>),
     /// The shared dynamic queue (one lock operation per file).
-    Queue(WorkQueue),
+    Queue(Arc<LeaseQueue>),
     /// A private deque with work stealing from the other extractors.
     Stealing(StealWorker),
     /// A channel fed by the concurrent Stage 1 producer.
@@ -160,7 +163,7 @@ impl IndexGenerator {
         let y = configuration.update_threads;
 
         // Build the per-extractor work sources.
-        let mut queue_handle: Option<WorkQueue> = None;
+        let mut queue_handle: Option<Arc<LeaseQueue>> = None;
         let sources: Vec<WorkSource> = match (self.options.stage1, self.options.distribution) {
             (Stage1Mode::Concurrent, _) => {
                 // The producer re-sends the already generated filenames one by
@@ -178,7 +181,7 @@ impl IndexGenerator {
                 (0..x).map(|_| WorkSource::Channel(rx.clone())).collect()
             }
             (Stage1Mode::UpFront, DistributionStrategy::WorkQueue) => {
-                let queue = WorkQueue::new(items.clone());
+                let queue = LeaseQueue::new(items.clone(), MAX_LEASE_ATTEMPTS);
                 queue_handle = Some(queue.clone());
                 (0..x).map(|_| WorkSource::Queue(queue.clone())).collect()
             }
@@ -288,7 +291,7 @@ impl IndexGenerator {
                                         // reclaims the item for another
                                         // worker instead of silently
                                         // dropping the file.
-                                        while let Some(lease) = queue.lease() {
+                                        while let Some(lease) = queue.pop() {
                                             let extracted = std::panic::catch_unwind(
                                                 std::panic::AssertUnwindSafe(|| {
                                                     extractor.extract_file(fs, lease.item())
@@ -358,8 +361,7 @@ impl IndexGenerator {
 
         // An item every lease holder panicked on is permanently lost work —
         // surface it as the panic it is instead of an index missing a file.
-        if worker_panic.is_none() && queue_handle.as_ref().is_some_and(|q| !q.poisoned().is_empty())
-        {
+        if worker_panic.is_none() && queue_handle.is_some_and(|q| !q.take_fallen().is_empty()) {
             worker_panic = Some("extraction");
         }
         if let Some(stage) = worker_panic {

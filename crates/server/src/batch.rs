@@ -1,32 +1,36 @@
-//! Batched query execution and admission control.
+//! The serving skeleton `dsearch serve` and `dsearch route` share.
 //!
-//! PR 1's worker pool executed every queued query independently and accepted
-//! unbounded load.  This module puts a scheduling layer between the front
-//! ends and the workers:
-//!
-//! * [`QueueGovernor`] — the admission-controlled queue.  Submissions past a
+//! * [`Executor`] — what the skeleton needs of the thing that answers
+//!   queries; [`QueryEngine`](crate::engine::QueryEngine) and
+//!   [`Router`](crate::route::Router) implement it.
+//! * `QueueGovernor` — the admission-controlled queue.  Submissions past a
 //!   configurable depth bound are shed according to an [`OverloadPolicy`]
-//!   (reject the new request, or drop the oldest queued one), and every shed
-//!   request is counted in [`ServerStats`] and
-//!   answered with [`ServerError::Overloaded`].
-//! * **Batch draining** — a worker does not pop one job at a time: it drains
-//!   up to [`BatchConfig::max_batch`] queued jobs in one go (optionally
-//!   waiting up to [`BatchConfig::max_wait`] for the batch to fill).  All
-//!   queries of a batch execute against a single snapshot load, so the whole
-//!   batch shares one generation by construction.
-//!   Identical canonical queries of a batch collapse to a single evaluation
-//!   fanned out to every waiter (`dedup_hits` in the stats).
+//!   (reject the new request, or drop the oldest queued one), counted in
+//!   [`ServerStats`] and answered with [`ServerError::Overloaded`].  A worker
+//!   drains up to [`BatchConfig::max_batch`] queued jobs in one go
+//!   (optionally waiting up to [`BatchConfig::max_wait`] for the batch to
+//!   fill).
+//! * [`Pool`] — the worker threads draining those batches into
+//!   [`Executor::run_batch`]; [`Pending`] is what a submitter waits on.
+//! * `BatchFrame` — what every `run_batch` opens and closes with, so that
+//!   an executor writes only what is its own: cache probe and evaluation, or
+//!   cache probe, scatter and merge.
 //!
 //! The scheduler favours latency when idle: with `max_wait == 0` a lone
 //! query is executed immediately as a batch of one, while a backlog drains
 //! in `max_batch`-sized groups, which is where dedup pays off.
 
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use dsearch_obs::{QueryTrace, Stage};
+use dsearch_query::Query;
+
 use crate::engine::ServerError;
-use crate::stats::ServerStats;
+use crate::protocol::split_request_meta;
+use crate::stats::{DeadlineStage, ServerStats};
 
 /// What to do with a submission when the queue is at its depth bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -107,48 +111,116 @@ impl Default for BatchConfig {
     }
 }
 
-/// Anything the governor can queue.  Shedding consumes the job; the
-/// implementation must answer the job's waiter with an overload error so a
-/// dropped request is a fast failure, never a hang.
-pub trait QueueJob: Send {
-    /// Consumes the job, answering its waiter with "overloaded".
-    fn shed(self);
+/// What [`Pool`], `BatchFrame` and
+/// [`LineService`](crate::serve::LineService) need of the thing that answers
+/// queries.
+pub trait Executor: Send + Sync + 'static {
+    /// One answered query.
+    type Response: Answer;
 
-    /// The absolute instant the job's answer stops being useful (`None`:
-    /// no deadline).  The governor sheds already-expired jobs at dequeue
-    /// time — executing dead work is strictly worse than dropping it — and
-    /// never lingers a fill window past the earliest deadline in the batch.
-    fn deadline(&self) -> Option<Instant> {
-        None
-    }
+    /// The serving counters (`!stats`, `!metrics`, the slow-query log).
+    fn stats(&self) -> &ServerStats;
 
-    /// Consumes the job, answering its waiter with "deadline exceeded".
-    /// Defaults to the overload answer for job types without deadlines.
-    fn expire(self)
-    where
-        Self: Sized,
-    {
-        self.shed();
+    /// Batching and admission control for the pool's queue.
+    fn batch_config(&self) -> BatchConfig;
+
+    /// Worker threads the pool spawns.
+    fn workers(&self) -> usize;
+
+    /// Deadline applied to queries that carry no `@d=<ms>` budget.
+    fn default_deadline(&self) -> Option<Duration>;
+
+    /// Answers a drained batch, one result per raw line in order.  `started`
+    /// is when the batch's oldest job was submitted, `fill_wait` how long the
+    /// worker lingered for the batch to fill.
+    fn run_batch(
+        &self,
+        raws: &[&str],
+        started: Instant,
+        fill_wait: Duration,
+    ) -> Vec<Result<Self::Response, ServerError>>;
+
+    /// The rendered `!stats` answer.
+    fn stats_answer(&self) -> String;
+
+    /// The rendered `!reload` answer.
+    fn reload_answer(&self) -> String;
+
+    /// The `!metrics` exposition.
+    fn metrics_exposition(&self) -> String {
+        self.stats().render_metrics()
     }
 }
 
-/// One drained batch plus the timing facts a worker needs to attribute
-/// latency: when the drain happened (each job's `queue_wait` is the span
-/// from its submission to this instant) and how long the worker then
-/// lingered for late arrivals (the batch's shared `batch_fill` span).
-#[derive(Debug)]
-pub struct DrainedBatch<J> {
+/// What the skeleton reads from and writes to an [`Executor::Response`].
+pub trait Answer: Clone + Send + 'static {
+    /// Canonical (parsed-and-rendered) query text.
+    fn query(&self) -> &str;
+
+    /// Wall-clock service time, queue wait included.
+    fn latency(&self) -> Duration;
+
+    /// The stage timing record of the batch that answered.
+    fn trace(&self) -> &QueryTrace;
+
+    /// Sets the two fields only the end of the batch knows.
+    fn stamp(&mut self, latency: Duration, trace: Arc<QueryTrace>);
+
+    /// The response as it goes on the wire.
+    fn render(&self) -> String;
+}
+
+/// A queued query plus the channel its answer travels back on.
+pub(crate) struct Job<R> {
+    raw: String,
+    respond: mpsc::Sender<Result<R, ServerError>>,
+    /// When the job entered the queue; served queries are timed from here so
+    /// queueing delay shows up in the latency percentiles.
+    submitted: Instant,
+    /// Absolute deadline from the request's `@d=<ms>` prefix (or the
+    /// executor's default), anchored at submission.  The governor sheds
+    /// already-expired jobs at dequeue time — executing dead work is strictly
+    /// worse than dropping it.
+    deadline: Option<Instant>,
+}
+
+impl<R> Job<R> {
+    /// Consumes the job, answering its waiter with `error` so a dropped
+    /// request is a fast failure, never a hang.
+    fn refuse(self, error: ServerError) {
+        // The waiter may have given up; that is not an error.
+        let _ = self.respond.send(Err(error));
+    }
+}
+
+/// A submitted query waiting for its worker.
+pub struct Pending<R> {
+    receiver: mpsc::Receiver<Result<R, ServerError>>,
+}
+
+impl<R> Pending<R> {
+    /// Blocks until the worker answers.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the worker's error; reports `ShuttingDown` when the pool
+    /// died before answering.
+    pub fn wait(self) -> Result<R, ServerError> {
+        self.receiver.recv().unwrap_or(Err(ServerError::ShuttingDown))
+    }
+}
+
+/// One drained batch plus how long the worker lingered for late arrivals
+/// (the batch's shared `batch_fill` span).
+pub(crate) struct DrainedBatch<R> {
     /// The drained jobs, oldest first.
-    pub jobs: Vec<J>,
-    /// When the worker drained the queue.
-    pub drained_at: Instant,
-    /// How long the worker lingered for the batch to fill (zero unless a
-    /// fill window was armed and taken).
-    pub fill_wait: Duration,
+    jobs: Vec<Job<R>>,
+    /// Zero unless a fill window was armed and taken.
+    fill_wait: Duration,
 }
 
-struct GovernorState<J> {
-    queue: VecDeque<J>,
+struct GovernorState<R> {
+    queue: VecDeque<Job<R>>,
     closed: bool,
     /// Timestamps of the most recent submissions (newest at the back), the
     /// adaptive controller's arrival-rate window.
@@ -159,19 +231,17 @@ struct GovernorState<J> {
 ///
 /// Submitters `submit` jobs; workers drain them in batches via `next_batch`.  The governor
 /// enforces [`BatchConfig::queue_bound`] at admission time and records every
-/// shed request in the shared [`ServerStats`].  It is generic over the job
-/// type so the query engine's worker pool and the scatter-gather router pool
-/// share one scheduling layer.
-pub struct QueueGovernor<J: QueueJob> {
-    state: Mutex<GovernorState<J>>,
+/// shed request in the shared [`ServerStats`].  It is generic over what a
+/// job is answered with, so one scheduling layer serves every [`Executor`].
+pub(crate) struct QueueGovernor<R> {
+    state: Mutex<GovernorState<R>>,
     available: Condvar,
     config: BatchConfig,
 }
 
-impl<J: QueueJob> QueueGovernor<J> {
+impl<R> QueueGovernor<R> {
     /// Creates an open governor enforcing `config`.
-    #[must_use]
-    pub fn new(config: BatchConfig) -> Self {
+    pub(crate) fn new(config: BatchConfig) -> Self {
         QueueGovernor {
             state: Mutex::new(GovernorState {
                 queue: VecDeque::new(),
@@ -183,15 +253,8 @@ impl<J: QueueJob> QueueGovernor<J> {
         }
     }
 
-    /// The configuration this governor enforces.
-    #[must_use]
-    pub fn config(&self) -> &BatchConfig {
-        &self.config
-    }
-
     /// Number of jobs currently queued (a point-in-time gauge).
-    #[must_use]
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).queue.len()
     }
 
@@ -203,7 +266,7 @@ impl<J: QueueJob> QueueGovernor<J> {
     /// Returns [`ServerError::Overloaded`] when the job is rejected under
     /// [`OverloadPolicy::RejectNew`], and [`ServerError::ShuttingDown`] after
     /// [`close`](QueueGovernor::close).
-    pub(crate) fn submit(&self, job: J, stats: &ServerStats) -> Result<(), ServerError> {
+    pub(crate) fn submit(&self, job: Job<R>, stats: &ServerStats) -> Result<(), ServerError> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if state.closed {
             return Err(ServerError::ShuttingDown);
@@ -218,8 +281,7 @@ impl<J: QueueJob> QueueGovernor<J> {
                 OverloadPolicy::DropOldest => {
                     while state.queue.len() >= bound {
                         let victim = state.queue.pop_front().expect("len >= bound >= 1");
-                        // The waiter may have given up; that is not an error.
-                        victim.shed();
+                        victim.refuse(ServerError::Overloaded);
                         stats.record_shed();
                     }
                 }
@@ -246,7 +308,7 @@ impl<J: QueueJob> QueueGovernor<J> {
     ///
     /// Returns `None` only when the governor is closed *and* drained, so
     /// shutdown never discards admitted work.
-    pub(crate) fn next_batch(&self, stats: &ServerStats) -> Option<DrainedBatch<J>> {
+    pub(crate) fn next_batch(&self, stats: &ServerStats) -> Option<DrainedBatch<R>> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         'refill: loop {
             loop {
@@ -260,7 +322,7 @@ impl<J: QueueJob> QueueGovernor<J> {
             }
             let drained = Instant::now();
             let take = self.config.max_batch.min(state.queue.len());
-            let mut batch: Vec<J> = Vec::with_capacity(take);
+            let mut batch: Vec<Job<R>> = Vec::with_capacity(take);
             admit_live(state.queue.drain(..take), drained, &mut batch, stats);
             if batch.is_empty() {
                 // Everything drained had already expired; go back to waiting
@@ -287,7 +349,7 @@ impl<J: QueueJob> QueueGovernor<J> {
                     // the whole batch's answers into dead work.
                     let cap = batch
                         .iter()
-                        .filter_map(QueueJob::deadline)
+                        .filter_map(|job| job.deadline)
                         .min()
                         .map_or(window_end, |d| window_end.min(d));
                     let Some(left) = cap.checked_duration_since(Instant::now()) else { break };
@@ -303,7 +365,7 @@ impl<J: QueueJob> QueueGovernor<J> {
                 }
                 fill_wait = drained.elapsed();
             }
-            return Some(DrainedBatch { jobs: batch, drained_at: drained, fill_wait });
+            return Some(DrainedBatch { jobs: batch, fill_wait });
         }
     }
 
@@ -315,30 +377,21 @@ impl<J: QueueJob> QueueGovernor<J> {
     }
 }
 
-impl<J: QueueJob> std::fmt::Debug for QueueGovernor<J> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueueGovernor")
-            .field("config", &self.config)
-            .field("depth", &self.depth())
-            .finish()
-    }
-}
-
 /// Moves drained jobs into `batch`, shedding the ones whose deadline has
 /// already passed (answered with "deadline exceeded" and counted as
 /// `expired=` sheds).  Surviving deadline-carrying jobs record their
 /// remaining budget at dequeue — the queue-pressure signal an operator tunes
 /// deadlines against.
-fn admit_live<J: QueueJob>(
-    jobs: impl Iterator<Item = J>,
+fn admit_live<R>(
+    jobs: impl Iterator<Item = Job<R>>,
     now: Instant,
-    batch: &mut Vec<J>,
+    batch: &mut Vec<Job<R>>,
     stats: &ServerStats,
 ) {
     for job in jobs {
-        match job.deadline() {
+        match job.deadline {
             Some(deadline) if deadline <= now => {
-                job.expire();
+                job.refuse(ServerError::DeadlineExceeded);
                 stats.record_expired_shed();
             }
             deadline => {
@@ -370,25 +423,312 @@ fn expected_arrivals(arrivals: &VecDeque<Instant>, now: Instant, window: Duratio
     rate * window.as_secs_f64()
 }
 
+/// One canonical query of a batch and every position that spelled it:
+/// "RUST  search" and "rust AND search" are one group.
+pub(crate) struct Group {
+    /// The parsed query (the first spelling's; all parse to the same tree).
+    pub(crate) query: Query,
+    /// Positions of the batch that asked it.
+    pub(crate) positions: Vec<usize>,
+}
+
+/// The part of serving a batch that does not depend on who answers it.
+///
+/// [`open`](BatchFrame::open) attributes everything between submission and
+/// execution that is not the fill window — queueing plus the dispatch hop to
+/// this worker — to the `queue_wait` stage, so the recorded stages tile the
+/// measured latency without holes.  The `@<hex>` trace id and the `@d=<ms>`
+/// budget ride along per position, outside the canonical grouping;
+/// deadlines are anchored at the batch's earliest submission — conservative
+/// for later arrivals, and it keeps the whole batch on one clock.  Parse
+/// failures occupy their slot without failing the rest.
+pub(crate) struct BatchFrame<'a, R> {
+    stats: &'a ServerStats,
+    started: Instant,
+    /// The batch's stage record: one pass serves every query in it.
+    pub(crate) trace: QueryTrace,
+    /// When parsing ended (where the executor's own first span starts).
+    pub(crate) parse_done: Instant,
+    /// Positions by canonical query text; the executor takes them.
+    pub(crate) groups: BTreeMap<String, Group>,
+    /// The client's trace id per position, zero when untraced.
+    pub(crate) trace_ids: Vec<u64>,
+    deadlines: Vec<Option<Instant>>,
+    slots: Vec<Option<Result<R, ServerError>>>,
+    /// Queries that parsed: only those count toward the batching stats —
+    /// parse-error slots never shared any work.
+    executed: u64,
+    /// What responses carry as their trace until `close` knows the real one.
+    pub(crate) unfinished: Arc<QueryTrace>,
+}
+
+impl<'a, R: Answer> BatchFrame<'a, R> {
+    pub(crate) fn open(
+        raws: &[&str],
+        started: Instant,
+        fill_wait: Duration,
+        default_deadline: Option<Duration>,
+        stats: &'a ServerStats,
+    ) -> Self {
+        let exec_started = Instant::now();
+        let queue_wait = exec_started.saturating_duration_since(started).saturating_sub(fill_wait);
+        let mut trace = QueryTrace::default();
+        if !queue_wait.is_zero() {
+            trace.record(Stage::QueueWait, queue_wait);
+        }
+        if !fill_wait.is_zero() {
+            trace.record(Stage::BatchFill, fill_wait);
+        }
+        let mut slots: Vec<Option<Result<R, ServerError>>> = raws.iter().map(|_| None).collect();
+        let mut trace_ids = Vec::with_capacity(raws.len());
+        let mut deadlines = Vec::with_capacity(raws.len());
+        let mut groups: BTreeMap<String, Group> = BTreeMap::new();
+        let mut executed = 0u64;
+        for (i, raw) in raws.iter().enumerate() {
+            let (meta, query_text) = split_request_meta(raw);
+            trace_ids.push(meta.trace_id);
+            deadlines.push(meta.deadline(started, default_deadline));
+            match Query::parse(query_text) {
+                Ok(query) => {
+                    groups
+                        .entry(query.to_string())
+                        .or_insert_with(|| Group { query, positions: Vec::new() })
+                        .positions
+                        .push(i);
+                    executed += 1;
+                }
+                Err(e) => {
+                    stats.record_error();
+                    slots[i] = Some(Err(ServerError::Parse(e)));
+                }
+            }
+        }
+        let parse_done = Instant::now();
+        trace.record(Stage::Parse, parse_done.saturating_duration_since(exec_started));
+        BatchFrame {
+            stats,
+            started,
+            trace,
+            parse_done,
+            groups,
+            trace_ids,
+            deadlines,
+            slots,
+            executed,
+            unfinished: Arc::new(QueryTrace::default()),
+        }
+    }
+
+    /// Deadline checkpoint, to run ahead of a cache probe: a hit cannot
+    /// resurrect a dead query, and a dead query never influences what gets
+    /// cached.  Returns the positions whose budget is not gone by `now`.
+    pub(crate) fn live(
+        &mut self,
+        positions: &[usize],
+        now: Instant,
+        at: DeadlineStage,
+    ) -> Vec<usize> {
+        let (live, dead): (Vec<usize>, Vec<usize>) =
+            positions.iter().partition(|&&i| self.deadlines[i].is_none_or(|d| d > now));
+        self.expire(&dead, at);
+        live
+    }
+
+    /// Answers `positions` with `DeadlineExceeded`, counted per position.
+    pub(crate) fn expire(&mut self, positions: &[usize], at: DeadlineStage) {
+        for &i in positions {
+            self.stats.record_deadline_exceeded(at);
+            self.slots[i] = Some(Err(ServerError::DeadlineExceeded));
+        }
+    }
+
+    /// The deadline a group is worked on under: its most patient position's
+    /// (any position that can still use the answer justifies finishing it),
+    /// none when one was promised unlimited time.
+    pub(crate) fn group_deadline<'p>(
+        &self,
+        positions: impl IntoIterator<Item = &'p usize>,
+    ) -> Option<Instant> {
+        let mut latest: Option<Instant> = None;
+        for &i in positions {
+            let deadline = self.deadlines[i]?;
+            latest = Some(latest.map_or(deadline, |l| l.max(deadline)));
+        }
+        latest
+    }
+
+    /// Answers every one of `positions` (one group's) with `result`; all but
+    /// the first piggybacked on its work.
+    pub(crate) fn answer(&mut self, positions: &[usize], result: Result<R, ServerError>) {
+        self.stats.record_dedup_hits((positions.len() - 1) as u64);
+        for &i in &positions[1..] {
+            self.slots[i] = Some(result.clone());
+        }
+        self.slots[positions[0]] = Some(result);
+    }
+
+    /// Records the batch and its trace (once: the spans describe the shared
+    /// pass), then stamps every answer with the latency the client saw and
+    /// the trace — its own copy under the client's id when it sent one.
+    pub(crate) fn close(self) -> Vec<Result<R, ServerError>> {
+        self.stats.record_batch(self.executed);
+        self.stats.record_trace(&self.trace);
+        let latency = self.started.elapsed();
+        let shared_trace = Arc::new(self.trace);
+        self.slots
+            .into_iter()
+            .zip(self.trace_ids)
+            .map(|(slot, trace_id)| {
+                let mut result = slot.expect("every position answered");
+                if let Ok(response) = &mut result {
+                    self.stats.record_query(latency);
+                    let trace = if trace_id == 0 {
+                        Arc::clone(&shared_trace)
+                    } else {
+                        let mut own = (*shared_trace).clone();
+                        own.set_id(trace_id);
+                        Arc::new(own)
+                    };
+                    response.stamp(latency, trace);
+                }
+                result
+            })
+            .collect()
+    }
+}
+
+/// A fixed pool of worker threads draining query batches from a
+/// `QueueGovernor` into one [`Executor`]: queries arriving on many
+/// connections coalesce into batches, and a batch shares its work.
+pub struct Pool<E: Executor> {
+    executor: Arc<E>,
+    governor: Arc<QueueGovernor<E::Response>>,
+    handles: Vec<std::thread::JoinHandle<u64>>,
+}
+
+impl<E: Executor> Pool<E> {
+    /// Spawns `executor.workers()` workers behind a `QueueGovernor`
+    /// configured from `executor.batch_config()`.
+    #[must_use]
+    pub fn start(executor: Arc<E>) -> Self {
+        let governor = Arc::new(QueueGovernor::new(executor.batch_config()));
+        let handles = (0..executor.workers())
+            .map(|_| {
+                let governor = Arc::clone(&governor);
+                let executor = Arc::clone(&executor);
+                std::thread::spawn(move || {
+                    let mut served = 0u64;
+                    while let Some(batch) = governor.next_batch(executor.stats()) {
+                        // Time the batch from its earliest submission, so
+                        // queueing delay and the fill window both land in
+                        // the recorded latency (and in the trace, as the
+                        // queue_wait and batch_fill stages).
+                        let started = batch
+                            .jobs
+                            .iter()
+                            .map(|job| job.submitted)
+                            .min()
+                            .expect("batches are never empty");
+                        let raws: Vec<&str> =
+                            batch.jobs.iter().map(|job| job.raw.as_str()).collect();
+                        // A panicking executor must not take the thread with
+                        // it: once every worker had gone that way, `submit`
+                        // would keep admitting jobs nobody answers.
+                        let responses = catch_unwind(AssertUnwindSafe(|| {
+                            executor.run_batch(&raws, started, batch.fill_wait)
+                        }))
+                        .unwrap_or_else(|_| {
+                            raws.iter().for_each(|_| executor.stats().record_error());
+                            vec![Err(ServerError::Panicked); raws.len()]
+                        });
+                        for (job, response) in batch.jobs.iter().zip(responses) {
+                            // A client that gave up is not an error.
+                            let _ = job.respond.send(response);
+                            served += 1;
+                        }
+                    }
+                    served
+                })
+            })
+            .collect();
+        Pool { executor, governor, handles }
+    }
+
+    /// Number of worker threads.
+    #[must_use]
+    pub fn worker_count(&self) -> usize {
+        self.handles.len()
+    }
+
+    /// Jobs currently waiting in the admission queue.
+    #[must_use]
+    pub fn queue_depth(&self) -> usize {
+        self.governor.depth()
+    }
+
+    /// Enqueues a query; the result is collected through the returned handle.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`ServerError::Overloaded`] when admission control rejects
+    /// the request, and [`ServerError::ShuttingDown`] when the pool is
+    /// stopping.
+    pub fn submit(&self, raw: impl Into<String>) -> Result<Pending<E::Response>, ServerError> {
+        let raw = raw.into();
+        let (respond, receiver) = mpsc::channel();
+        let submitted = Instant::now();
+        // Parsed here so the governor can shed the job without re-parsing
+        // the request line.
+        let deadline =
+            split_request_meta(&raw).0.deadline(submitted, self.executor.default_deadline());
+        let job = Job { raw, respond, submitted, deadline };
+        self.governor.submit(job, self.executor.stats())?;
+        Ok(Pending { receiver })
+    }
+
+    /// Submits and waits: the closed-loop client path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates submit and execution errors.
+    pub fn execute(&self, raw: &str) -> Result<E::Response, ServerError> {
+        self.submit(raw)?.wait()
+    }
+
+    /// Drains the queue and joins every worker, returning the total number of
+    /// jobs served.
+    pub fn shutdown(mut self) -> u64 {
+        self.governor.close();
+        self.handles.drain(..).map(|h| h.join().unwrap_or(0)).sum()
+    }
+}
+
+impl<E: Executor> Drop for Pool<E> {
+    fn drop(&mut self) {
+        self.governor.close();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Job, PendingResponse};
-    use std::sync::mpsc;
 
-    fn job(raw: &str) -> (Job, PendingResponse) {
+    fn job(raw: &str) -> (Job<()>, Pending<()>) {
         job_with_deadline(raw, None)
     }
 
-    fn job_with_deadline(raw: &str, deadline: Option<Instant>) -> (Job, PendingResponse) {
+    fn job_with_deadline(raw: &str, deadline: Option<Instant>) -> (Job<()>, Pending<()>) {
         let (respond, receiver) = mpsc::channel();
         (
             Job { raw: raw.to_owned(), respond, submitted: Instant::now(), deadline },
-            PendingResponse::from_receiver(receiver),
+            Pending { receiver },
         )
     }
 
-    fn governor(config: BatchConfig) -> (QueueGovernor<Job>, ServerStats) {
+    fn governor(config: BatchConfig) -> (QueueGovernor<()>, ServerStats) {
         (QueueGovernor::new(config), ServerStats::new())
     }
 
@@ -401,7 +741,6 @@ mod tests {
         }
         assert_eq!(governor.depth(), 100);
         assert_eq!(stats.shed_count(), 0);
-        assert_eq!(governor.config().queue_bound, 0);
     }
 
     #[test]
@@ -453,7 +792,6 @@ mod tests {
         assert_eq!(first.jobs.len(), 3);
         // No fill window armed: the drain reports no batch-fill linger.
         assert_eq!(first.fill_wait, Duration::ZERO);
-        assert!(first.drained_at.elapsed() < Duration::from_secs(5));
         assert_eq!(governor.next_batch(&stats).unwrap().jobs.len(), 2);
         governor.close();
         assert!(governor.next_batch(&stats).is_none());
@@ -647,8 +985,177 @@ mod tests {
         assert_eq!("drop-oldest".parse::<OverloadPolicy>().unwrap(), OverloadPolicy::DropOldest);
         assert!("sideways".parse::<OverloadPolicy>().is_err());
         assert_eq!(OverloadPolicy::DropOldest.to_string(), "drop-oldest");
-        assert!(
-            format!("{:?}", QueueGovernor::<Job>::new(BatchConfig::default())).contains("depth")
-        );
+    }
+
+    /// An executor that does what `inner` does, except that a batch holding
+    /// the query `wedge` first reports in and waits to be released, and one
+    /// holding `explode` panics.
+    struct Scripted<E> {
+        inner: Arc<E>,
+        entered: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl<E: Executor> Executor for Scripted<E> {
+        type Response = E::Response;
+
+        fn stats(&self) -> &ServerStats {
+            self.inner.stats()
+        }
+
+        fn batch_config(&self) -> BatchConfig {
+            self.inner.batch_config()
+        }
+
+        fn workers(&self) -> usize {
+            self.inner.workers()
+        }
+
+        fn default_deadline(&self) -> Option<Duration> {
+            self.inner.default_deadline()
+        }
+
+        fn run_batch(
+            &self,
+            raws: &[&str],
+            started: Instant,
+            fill_wait: Duration,
+        ) -> Vec<Result<E::Response, ServerError>> {
+            assert!(!raws.contains(&"explode"), "scripted panic");
+            if raws.contains(&"wedge") {
+                self.entered.lock().unwrap().send(()).unwrap();
+                self.release.lock().unwrap().recv().unwrap();
+            }
+            self.inner.run_batch(raws, started, fill_wait)
+        }
+
+        fn stats_answer(&self) -> String {
+            self.inner.stats_answer()
+        }
+
+        fn reload_answer(&self) -> String {
+            self.inner.reload_answer()
+        }
+    }
+
+    /// A scripted pool over `inner`, the receiver its wedged workers report
+    /// on, and the sender that releases one of them per message.
+    type ScriptedPool<E> = (Pool<Scripted<E>>, mpsc::Receiver<()>, mpsc::Sender<()>);
+
+    fn scripted<E: Executor>(inner: Arc<E>) -> ScriptedPool<E> {
+        let (entered, entered_rx) = mpsc::channel();
+        let (release_tx, release) = mpsc::channel();
+        let executor =
+            Scripted { inner, entered: Mutex::new(entered), release: Mutex::new(release) };
+        (Pool::start(Arc::new(executor)), entered_rx, release_tx)
+    }
+
+    /// What a [`Pool`] promises whatever it runs; `make(workers, batch)`
+    /// builds a fresh executor that answers `rust` and `search`.
+    fn pool_contract<E: Executor>(make: impl Fn(usize, BatchConfig) -> Arc<E>) {
+        // A full bounded queue sheds, under either policy, and what was
+        // admitted is served.
+        for overload in [OverloadPolicy::RejectNew, OverloadPolicy::DropOldest] {
+            let batch =
+                BatchConfig { max_batch: 1, queue_bound: 1, overload, ..BatchConfig::default() };
+            let inner = make(1, batch);
+            let (pool, entered, release) = scripted(Arc::clone(&inner));
+            let wedged = pool.submit("wedge").unwrap();
+            entered.recv().unwrap();
+            // The one worker is busy and the queue empty: one job fits.
+            let first = pool.submit("rust").unwrap();
+            assert_eq!(pool.queue_depth(), 1);
+            let second = pool.submit("search");
+            release.send(()).unwrap();
+            match overload {
+                OverloadPolicy::RejectNew => {
+                    assert_eq!(second.err(), Some(ServerError::Overloaded));
+                    assert!(first.wait().is_ok());
+                }
+                OverloadPolicy::DropOldest => {
+                    assert_eq!(first.wait().err(), Some(ServerError::Overloaded));
+                    assert!(second.unwrap().wait().is_ok());
+                }
+            }
+            assert!(wedged.wait().is_ok());
+            assert_eq!(inner.stats().shed_count(), 1, "{overload}");
+            assert_eq!(pool.shutdown(), 2, "{overload}: the wedge and the job that stayed");
+        }
+
+        // An expired job is answered at dequeue, without executing.
+        let inner = make(1, BatchConfig::default());
+        let (pool, entered, release) = scripted(Arc::clone(&inner));
+        assert_eq!(pool.execute("@d=0 rust").err(), Some(ServerError::DeadlineExceeded));
+        assert_eq!(inner.stats().expired_count(), 1);
+        assert_eq!(inner.stats().batch_count(), 0);
+        assert_eq!(inner.stats().error_count(), 0);
+
+        // Closing stops admission, not service: what was admitted before is
+        // drained, and `shutdown` reports all of it.
+        let wedged = pool.submit("wedge").unwrap();
+        entered.recv().unwrap();
+        let queued: Vec<_> = ["rust", "search", "rust"].map(|raw| pool.submit(raw).unwrap()).into();
+        pool.governor.close();
+        assert_eq!(pool.submit("rust").err(), Some(ServerError::ShuttingDown));
+        release.send(()).unwrap();
+        assert!(wedged.wait().is_ok());
+        for pending in queued {
+            assert!(pending.wait().is_ok());
+        }
+        assert_eq!(pool.shutdown(), 4);
+
+        // A batch whose executor panics is answered, counted as an error,
+        // and costs no thread.
+        for workers in [1, 2] {
+            // One job per batch, so that two wedges take two threads.
+            let inner = make(workers, BatchConfig { max_batch: 1, ..BatchConfig::default() });
+            let (pool, entered, release) = scripted(Arc::clone(&inner));
+            for _ in 0..=workers {
+                assert_eq!(pool.execute("explode").err(), Some(ServerError::Panicked));
+            }
+            assert_eq!(inner.stats().error_count(), workers as u64 + 1);
+            // Every worker is still there to be wedged at the same time.
+            let wedged: Vec<_> = (0..workers).map(|_| pool.submit("wedge").unwrap()).collect();
+            for _ in 0..workers {
+                entered.recv().unwrap();
+            }
+            for pending in wedged {
+                release.send(()).unwrap();
+                assert!(pending.wait().is_ok());
+            }
+            assert!(pool.execute("rust").is_ok());
+            assert_eq!(pool.shutdown(), 2 * workers as u64 + 2);
+        }
+    }
+
+    fn small_engine(config: crate::engine::EngineConfig) -> Arc<crate::engine::QueryEngine> {
+        let mut docs = dsearch_index::DocTable::new();
+        let mut index = dsearch_index::InMemoryIndex::new();
+        for (path, words) in [("a.txt", ["rust", "index"]), ("b.txt", ["rust", "search"])] {
+            let id = docs.insert(path);
+            index.insert_file(id, words.into_iter().map(dsearch_text::Term::from));
+        }
+        let snapshot = crate::snapshot::IndexSnapshot::from_index(index, docs, 1);
+        crate::engine::QueryEngine::new(snapshot, config).unwrap()
+    }
+
+    #[test]
+    fn pool_contract_holds_for_the_engine() {
+        pool_contract(|workers, batch| {
+            small_engine(crate::engine::EngineConfig { workers, batch, ..Default::default() })
+        });
+    }
+
+    #[test]
+    fn pool_contract_holds_for_the_router() {
+        use crate::route::{LocalShards, Router, RouterConfig};
+        pool_contract(|workers, batch| {
+            let shard = LocalShards::new(small_engine(crate::engine::EngineConfig::default()));
+            Router::new(
+                vec![Box::new(shard)],
+                RouterConfig { workers, batch, ..Default::default() },
+            )
+            .unwrap()
+        });
     }
 }

@@ -1,26 +1,24 @@
-//! The query engine: snapshot + cache + stats behind a batch-scheduled
-//! worker-thread pool.
+//! The query engine: snapshot + cache + stats, the [`Executor`] behind
+//! `dsearch serve`.
 //!
-//! [`QueryEngine::execute_batch`] is the serving path (parse → dedup → cache
-//! probe → evaluation → fan-out); [`QueryEngine::execute`] is the
-//! batch-of-one convenience.  [`WorkerPool`] runs that path on a fixed set of
-//! worker threads fed through an admission-controlled
-//! [`QueueGovernor`]: each worker drains up to
-//! `max_batch` queued queries at a time, so a backlog turns into shared work
-//! (one snapshot load, one evaluation per distinct canonical query) instead
-//! of per-request overhead.
+//! [`QueryEngine::execute_batch`] is the serving path (the shared
+//! `BatchFrame` around cache probe → evaluation); [`QueryEngine::execute`]
+//! is the batch-of-one convenience.  [`WorkerPool`] is the shared [`Pool`]
+//! over an engine: each worker drains up to `max_batch` queued queries at a
+//! time, so a backlog turns into shared work (one snapshot load, one
+//! evaluation per distinct canonical query) instead of per-request overhead.
 
-use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::path::PathBuf;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use dsearch_obs::{QueryTrace, Stage};
-use dsearch_query::{evaluate, ParseError, Query, Scorer, SearchResults};
+use dsearch_persist::{IndexStore, PersistError};
+use dsearch_query::{evaluate, ParseError, Scorer, SearchResults};
 
-use crate::batch::{BatchConfig, QueueGovernor, QueueJob};
+use crate::batch::{Answer, BatchConfig, BatchFrame, Executor, Pending, Pool};
 use crate::cache::{AdmissionPolicy, CacheCounters, CacheKey, QueryCache};
-use crate::protocol::split_request_meta;
+use crate::protocol::{render_error_text, render_info, render_response};
 use crate::snapshot::{IndexSnapshot, SnapshotCell};
 use crate::stats::{DeadlineStage, ServerStats};
 
@@ -132,6 +130,9 @@ pub enum ServerError {
     /// Reported distinctly from errors: the server was healthy, the caller's
     /// time budget was not.
     DeadlineExceeded,
+    /// Answering the query's batch panicked.  The worker caught it and lives
+    /// on; the failure is counted in `errors=`.
+    Panicked,
 }
 
 impl std::fmt::Display for ServerError {
@@ -144,6 +145,7 @@ impl std::fmt::Display for ServerError {
             ServerError::DeadlineExceeded => {
                 f.write_str("deadline_exceeded: query budget exhausted")
             }
+            ServerError::Panicked => f.write_str("internal error: query execution panicked"),
         }
     }
 }
@@ -183,6 +185,8 @@ pub struct QueryEngine {
     cache: QueryCache,
     stats: ServerStats,
     config: EngineConfig,
+    /// Store directory `!reload` re-reads; unset disables reloads.
+    store_path: OnceLock<PathBuf>,
 }
 
 impl QueryEngine {
@@ -203,7 +207,21 @@ impl QueryEngine {
             ),
             stats: ServerStats::new(),
             config,
+            store_path: OnceLock::new(),
         }))
+    }
+
+    /// Names the store [`reload`](QueryEngine::reload) re-reads.  The first
+    /// caller decides; an engine serves one store.
+    pub fn reload_from(&self, store_path: PathBuf) {
+        let _ = self.store_path.set(store_path);
+    }
+
+    /// Re-reads the store and publishes it as the next snapshot generation,
+    /// returning that generation; `None` when no store path was given.
+    pub fn reload(&self) -> Option<Result<u64, PersistError>> {
+        let path = self.store_path.get()?;
+        Some(IndexStore::open(path).and_then(|store| self.snapshot.reload(&store)))
     }
 
     /// The engine's configuration.
@@ -292,109 +310,50 @@ impl QueryEngine {
     /// rest of the batch.
     #[must_use]
     pub fn execute_batch(&self, raws: &[&str]) -> Vec<Result<QueryResponse, ServerError>> {
-        self.execute_batch_since(raws, std::time::Instant::now())
+        self.run_batch(raws, Instant::now(), Duration::ZERO)
+    }
+}
+
+impl Executor for QueryEngine {
+    type Response = QueryResponse;
+
+    fn stats(&self) -> &ServerStats {
+        &self.stats
     }
 
-    /// [`execute_batch`](QueryEngine::execute_batch) with an explicit start
-    /// instant: the worker pool passes the batch's earliest submission time,
-    /// so queueing delay and any `max_wait` fill window are charged to the
-    /// served queries' latency rather than hidden from it.
-    pub(crate) fn execute_batch_since(
-        &self,
-        raws: &[&str],
-        started: Instant,
-    ) -> Vec<Result<QueryResponse, ServerError>> {
-        self.execute_batch_timed(raws, started, Duration::ZERO)
+    fn batch_config(&self) -> BatchConfig {
+        self.config.batch
     }
 
-    /// The full serving path with queue timing attached: `started` is when
-    /// the batch's oldest job was submitted, `fill_wait` how long the worker
-    /// lingered for the batch to fill.  Everything between submission and
-    /// execution that is not the fill window — queueing plus the dispatch
-    /// hop to this worker — is attributed to the `queue_wait` stage, so the
-    /// recorded stages tile the measured latency without holes.
-    pub(crate) fn execute_batch_timed(
+    fn workers(&self) -> usize {
+        self.config.workers
+    }
+
+    fn default_deadline(&self) -> Option<Duration> {
+        self.config.default_deadline
+    }
+
+    fn run_batch(
         &self,
         raws: &[&str],
         started: Instant,
         fill_wait: Duration,
     ) -> Vec<Result<QueryResponse, ServerError>> {
-        struct Answered {
-            query: String,
-            results: Arc<SearchResults>,
-            cached: bool,
-        }
-        let exec_started = Instant::now();
-        let queue_wait = exec_started.saturating_duration_since(started).saturating_sub(fill_wait);
-        let mut trace = QueryTrace::default();
-        if !queue_wait.is_zero() {
-            trace.record(Stage::QueueWait, queue_wait);
-        }
-        if !fill_wait.is_zero() {
-            trace.record(Stage::BatchFill, fill_wait);
-        }
-
-        let mut slots: Vec<Option<Result<Answered, ServerError>>> =
-            raws.iter().map(|_| None).collect();
-        let mut parsed: Vec<Option<Query>> = raws.iter().map(|_| None).collect();
-        let mut trace_ids: Vec<u64> = Vec::with_capacity(raws.len());
-        let mut deadlines: Vec<Option<Instant>> = Vec::with_capacity(raws.len());
-
-        // Group positions by canonical query text: "RUST  search" and
-        // "rust AND search" are one evaluation.  A `@<hex>` prefix is the
-        // router's trace id, a `@d=<ms>` prefix the query's deadline budget
-        // (anchored at the batch's submission instant): both ride along per
-        // slot, outside the canonical grouping.
-        let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let mut executed = 0u64;
-        let mut lookups = Duration::ZERO;
-        for (i, raw) in raws.iter().enumerate() {
-            let (meta, query_text) = split_request_meta(raw);
-            trace_ids.push(meta.trace_id);
-            deadlines.push(
-                meta.deadline_ms
-                    .map(Duration::from_millis)
-                    .or(self.config.default_deadline)
-                    .map(|budget| started + budget),
-            );
-            match Query::parse(query_text) {
-                Ok(query) => {
-                    groups.entry(query.to_string()).or_default().push(i);
-                    parsed[i] = Some(query);
-                    executed += 1;
-                }
-                Err(e) => {
-                    self.stats.record_error();
-                    slots[i] = Some(Err(ServerError::Parse(e)));
-                }
-            }
-        }
-        let parse_done = Instant::now();
-        trace.record(Stage::Parse, parse_done.saturating_duration_since(exec_started));
-
+        let mut frame =
+            BatchFrame::open(raws, started, fill_wait, self.config.default_deadline, &self.stats);
         // One snapshot load for the whole batch: every query in it shares a
         // generation, and a concurrent publish cannot tear the image.
         let snapshot = self.snapshot.load();
         let generation = snapshot.generation();
         let snapshot_done = Instant::now();
-        trace.record(Stage::SnapshotLoad, snapshot_done.saturating_duration_since(parse_done));
+        frame
+            .trace
+            .record(Stage::SnapshotLoad, snapshot_done.saturating_duration_since(frame.parse_done));
 
-        for (canonical, positions) in groups {
-            // Deadline checkpoint between batch members: positions whose
-            // budget is already gone answer `DeadlineExceeded` without
-            // touching the cache — a cache hit cannot resurrect a dead
-            // query, and a dead query never pollutes the cache.
-            let now = Instant::now();
-            let mut live: Vec<usize> = Vec::with_capacity(positions.len());
-            for &i in &positions {
-                match deadlines[i] {
-                    Some(deadline) if deadline <= now => {
-                        self.stats.record_deadline_exceeded(DeadlineStage::Exec);
-                        slots[i] = Some(Err(ServerError::DeadlineExceeded));
-                    }
-                    _ => live.push(i),
-                }
-            }
+        let mut lookups = Duration::ZERO;
+        for (canonical, group) in std::mem::take(&mut frame.groups) {
+            // Deadline checkpoint between batch members.
+            let live = frame.live(&group.positions, Instant::now(), DeadlineStage::Exec);
             if live.is_empty() {
                 continue;
             }
@@ -402,15 +361,7 @@ impl QueryEngine {
             let (results, cached) = match self.cache.get(&key) {
                 Some(results) => (results, true),
                 None => {
-                    let query = parsed[positions[0]].take().expect("grouped position parsed");
-                    // The most patient live position drives cancellation: any
-                    // position that can still use the answer justifies
-                    // finishing the evaluation.
-                    let group_deadline = if live.iter().any(|&i| deadlines[i].is_none()) {
-                        None
-                    } else {
-                        live.iter().filter_map(|&i| deadlines[i]).max()
-                    };
+                    let deadline = frame.group_deadline(&live);
                     // One evaluator for every shape, bounded at the result
                     // limit the response would be truncated to anyway, so a
                     // cached entry holds exactly what the wire can render:
@@ -420,20 +371,17 @@ impl QueryEngine {
                     let (results, prune) = evaluate(
                         snapshot.shards(),
                         snapshot.docs(),
-                        &query,
+                        &group.query,
                         Scorer::Bm25,
                         self.config.result_limit,
-                        &|| group_deadline.is_some_and(|deadline| Instant::now() >= deadline),
+                        &|| deadline.is_some_and(|deadline| Instant::now() >= deadline),
                     );
                     lookups += prune.lookup;
                     self.stats.record_prune(prune);
                     if prune.cancelled {
                         // The evaluation was stopped mid-flight: the partial
                         // result is dead work — never cached, never served.
-                        for &i in &live {
-                            self.stats.record_deadline_exceeded(DeadlineStage::Exec);
-                            slots[i] = Some(Err(ServerError::DeadlineExceeded));
-                        }
+                        frame.expire(&live, DeadlineStage::Exec);
                         continue;
                     }
                     let results = Arc::new(results);
@@ -441,215 +389,72 @@ impl QueryEngine {
                     (results, false)
                 }
             };
-            self.stats.record_dedup_hits((live.len() - 1) as u64);
-            for &i in &live {
-                slots[i] = Some(Ok(Answered {
-                    query: canonical.clone(),
-                    results: Arc::clone(&results),
-                    cached,
-                }));
-            }
+            let response = QueryResponse {
+                query: canonical,
+                results,
+                generation,
+                cached,
+                latency: Duration::ZERO,
+                trace: Arc::clone(&frame.unfinished),
+            };
+            frame.answer(&live, Ok(response));
         }
         // Evaluation splits into posting-list resolution — dictionary
         // lookups, cursor opening, prefix unions — and everything else:
         // leapfrog/merge/rank plus cache probes.
         let eval = snapshot_done.elapsed();
-        trace.record(Stage::Postings, lookups);
-        trace.record(Stage::IntersectMerge, eval.saturating_sub(lookups));
-
-        // Only queries that actually executed count toward the batching
-        // stats; parse-error slots never shared any work.  The trace is
-        // recorded once per batch: its spans describe the shared pass.
-        self.stats.record_batch(executed);
-        self.stats.record_trace(&trace);
-        let latency = started.elapsed();
-        let shared_trace = Arc::new(trace);
-        slots
-            .into_iter()
-            .zip(trace_ids)
-            .map(|(slot, trace_id)| match slot.expect("every position answered") {
-                Ok(answered) => {
-                    self.stats.record_query(latency);
-                    let trace = if trace_id == 0 {
-                        Arc::clone(&shared_trace)
-                    } else {
-                        let mut own = (*shared_trace).clone();
-                        own.set_id(trace_id);
-                        Arc::new(own)
-                    };
-                    Ok(QueryResponse {
-                        query: answered.query,
-                        results: answered.results,
-                        generation,
-                        cached: answered.cached,
-                        latency,
-                        trace,
-                    })
-                }
-                Err(e) => Err(e),
-            })
-            .collect()
-    }
-}
-
-/// A submitted query waiting for its worker.
-pub struct PendingResponse {
-    receiver: mpsc::Receiver<Result<QueryResponse, ServerError>>,
-}
-
-impl PendingResponse {
-    /// Wraps a raw response channel (crate-internal plumbing).
-    pub(crate) fn from_receiver(
-        receiver: mpsc::Receiver<Result<QueryResponse, ServerError>>,
-    ) -> Self {
-        PendingResponse { receiver }
+        frame.trace.record(Stage::Postings, lookups);
+        frame.trace.record(Stage::IntersectMerge, eval.saturating_sub(lookups));
+        frame.close()
     }
 
-    /// Blocks until the worker answers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the worker's error; reports `ShuttingDown` when the pool
-    /// died before answering.
-    pub fn wait(self) -> Result<QueryResponse, ServerError> {
-        self.receiver.recv().unwrap_or(Err(ServerError::ShuttingDown))
-    }
-}
-
-/// A queued query plus the channel its answer travels back on.
-pub(crate) struct Job {
-    pub(crate) raw: String,
-    pub(crate) respond: mpsc::Sender<Result<QueryResponse, ServerError>>,
-    /// When the job entered the queue; served queries are timed from here so
-    /// queueing delay shows up in the latency percentiles.
-    pub(crate) submitted: std::time::Instant,
-    /// Absolute deadline from the request's `@d=<ms>` prefix (or the
-    /// engine's default), anchored at submission.
-    pub(crate) deadline: Option<std::time::Instant>,
-}
-
-impl QueueJob for Job {
-    fn shed(self) {
-        // The waiter may have given up; that is not an error.
-        let _ = self.respond.send(Err(ServerError::Overloaded));
+    fn stats_answer(&self) -> String {
+        render_info(&self.stats_report())
     }
 
-    fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    fn expire(self) {
-        let _ = self.respond.send(Err(ServerError::DeadlineExceeded));
-    }
-}
-
-/// A fixed pool of worker threads draining query batches from an
-/// admission-controlled queue.
-pub struct WorkerPool {
-    engine: Arc<QueryEngine>,
-    governor: Arc<QueueGovernor<Job>>,
-    handles: Vec<std::thread::JoinHandle<u64>>,
-}
-
-impl WorkerPool {
-    /// Spawns `engine.config().workers` workers behind a
-    /// [`QueueGovernor`] configured from `engine.config().batch`.
-    #[must_use]
-    pub fn start(engine: Arc<QueryEngine>) -> Self {
-        let workers = engine.config().workers;
-        let governor = Arc::new(QueueGovernor::<Job>::new(engine.config().batch));
-        let handles = (0..workers)
-            .map(|_| {
-                let governor = Arc::clone(&governor);
-                let engine = Arc::clone(&engine);
-                std::thread::spawn(move || {
-                    let mut served = 0u64;
-                    while let Some(batch) = governor.next_batch(engine.stats()) {
-                        // Time the batch from its earliest submission, so
-                        // queueing delay and the fill window both land in
-                        // the recorded latency (and in the trace, as the
-                        // queue_wait and batch_fill stages).
-                        let started = batch
-                            .jobs
-                            .iter()
-                            .map(|job| job.submitted)
-                            .min()
-                            .expect("batches are never empty");
-                        let raws: Vec<&str> =
-                            batch.jobs.iter().map(|job| job.raw.as_str()).collect();
-                        let responses = engine.execute_batch_timed(&raws, started, batch.fill_wait);
-                        for (job, response) in batch.jobs.iter().zip(responses) {
-                            // A client that gave up is not an error.
-                            let _ = job.respond.send(response);
-                            served += 1;
-                        }
-                    }
-                    served
-                })
-            })
-            .collect();
-        WorkerPool { engine, governor, handles }
-    }
-
-    /// Number of worker threads.
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Jobs currently waiting in the admission queue.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.governor.depth()
-    }
-
-    /// Enqueues a query; the result is collected through the returned handle.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`ServerError::Overloaded`] when admission control rejects
-    /// the request, and [`ServerError::ShuttingDown`] when the pool is
-    /// stopping.
-    pub fn submit(&self, raw: impl Into<String>) -> Result<PendingResponse, ServerError> {
-        let raw = raw.into();
-        let (respond, receiver) = mpsc::channel();
-        let submitted = std::time::Instant::now();
-        let (meta, _) = split_request_meta(&raw);
-        let deadline = meta
-            .deadline_ms
-            .map(Duration::from_millis)
-            .or(self.engine.config().default_deadline)
-            .map(|budget| submitted + budget);
-        let job = Job { raw, respond, submitted, deadline };
-        self.governor.submit(job, self.engine.stats())?;
-        Ok(PendingResponse::from_receiver(receiver))
-    }
-
-    /// Submits and waits: the closed-loop client path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates submit and execution errors.
-    pub fn execute(&self, raw: &str) -> Result<QueryResponse, ServerError> {
-        self.submit(raw)?.wait()
-    }
-
-    /// Drains the queue and joins every worker, returning the total number of
-    /// jobs served.
-    pub fn shutdown(mut self) -> u64 {
-        self.governor.close();
-        self.handles.drain(..).map(|h| h.join().unwrap_or(0)).sum()
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.governor.close();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+    fn reload_answer(&self) -> String {
+        match self.reload() {
+            None => {
+                render_error_text("reload unavailable: service was started without a store path")
+            }
+            Some(Ok(generation)) => render_info(&format!("reloaded generation={generation}")),
+            Some(Err(e)) => render_error_text(&format!("reload failed: {e}")),
         }
     }
+
+    fn metrics_exposition(&self) -> String {
+        self.render_metrics()
+    }
 }
+
+impl Answer for QueryResponse {
+    fn query(&self) -> &str {
+        &self.query
+    }
+
+    fn latency(&self) -> Duration {
+        self.latency
+    }
+
+    fn trace(&self) -> &QueryTrace {
+        &self.trace
+    }
+
+    fn stamp(&mut self, latency: Duration, trace: Arc<QueryTrace>) {
+        self.latency = latency;
+        self.trace = trace;
+    }
+
+    fn render(&self) -> String {
+        render_response(self)
+    }
+}
+
+/// The shared [`Pool`] over a [`QueryEngine`].
+pub type WorkerPool = Pool<QueryEngine>;
+
+/// A query submitted to a [`WorkerPool`], waiting for its worker.
+pub type PendingResponse = Pending<QueryResponse>;
 
 #[cfg(test)]
 mod tests {

@@ -10,14 +10,16 @@
 //!   (one shard per segment, mirroring Implementation 3's replica set), and
 //!   [`SnapshotCell`] swaps generations atomically so a background re-index
 //!   never blocks or corrupts in-flight queries;
-//! * [`engine`] — [`QueryEngine`] runs parse → cache → evaluate (the one
-//!   evaluator of `dsearch_query`, over the snapshot's sealed shards), and
-//!   [`WorkerPool`] executes that path on a fixed thread pool fed through an
-//!   admission-controlled queue;
-//! * [`batch`] — the scheduling layer between front ends and workers:
-//!   [`QueueGovernor`] bounds queue depth and sheds overload
-//!   (reject-new or drop-oldest), workers drain the queue in batches that
-//!   share one snapshot load and deduplicate identical canonical queries;
+//! * [`batch`] — the serving skeleton, written once: the [`Executor`] trait
+//!   (stats, batch config, worker count, default deadline, `run_batch`, and
+//!   the `!stats` / `!reload` / render answers), the admission-controlled
+//!   queue that bounds depth and sheds overload (reject-new or drop-oldest),
+//!   the [`Pool`] of workers draining it in batches, and the frame around a
+//!   batch (prefixes, deadlines, one parse per line, identical canonical
+//!   queries grouped; then accounting and per-client trace ids);
+//! * [`engine`] — [`QueryEngine`], the executor of `dsearch serve`: cache
+//!   probe → evaluate (the one evaluator of `dsearch_query`, over the
+//!   snapshot's sealed shards); [`WorkerPool`] is `Pool<QueryEngine>`;
 //! * [`cache`] — [`QueryCache`], a sharded LRU keyed by
 //!   `(normalised query, snapshot generation)` with hit/miss/eviction
 //!   counters;
@@ -27,12 +29,13 @@
 //!   and the `!metrics` exposition;
 //! * [`protocol`] / [`serve`] — the line protocol (queries, `@id` trace
 //!   prefixes, `@d=<ms>` deadline budgets, `stages=` breakdowns,
-//!   `!stats`/`!metrics`/`!trace`/`!slow`)
-//!   and the stdin/TCP front ends behind `dsearch serve` (generic over a
-//!   [`serve::LineHandler`]);
+//!   `!stats`/`!metrics`/`!trace`/`!slow`), the one [`LineService`] that
+//!   answers it for any executor ([`Service`], [`RouteService`]), and the
+//!   stdin/TCP front ends;
 //! * [`route`] — distributed scatter-gather serving behind `dsearch route`:
 //!   the [`route::ShardBackend`] seam ([`route::LocalShards`] in-process,
-//!   [`route::RemoteShard`] over TCP) and the [`route::Router`] that fans
+//!   [`route::RemoteShard`] over TCP), one persistent worker thread per
+//!   backend, and the [`route::Router`] — the other executor — that fans
 //!   queries out, merges rankings and tolerates missing shards;
 //! * [`replica`] — [`replica::ReplicaSet`]: N replicas behind one logical
 //!   shard, with a least-loaded healthy pick, a per-replica circuit breaker
@@ -79,9 +82,7 @@ pub mod serve;
 pub mod snapshot;
 pub mod stats;
 
-pub use batch::{
-    BatchConfig, DrainedBatch, OverloadPolicy, QueueGovernor, QueueJob, DEFAULT_AUTO_WAIT,
-};
+pub use batch::{Answer, BatchConfig, Executor, OverloadPolicy, Pending, Pool, DEFAULT_AUTO_WAIT};
 pub use cache::{AdmissionPolicy, CacheCounters, CacheKey, QueryCache};
 pub use engine::{
     ConfigError, EngineConfig, PendingResponse, QueryEngine, QueryResponse, ServerError, WorkerPool,
@@ -90,9 +91,12 @@ pub use loadgen::{LoadConfig, LoadMode, LoadReport, Workload};
 pub use protocol::{prefix_deadline_ms, split_request_meta, RequestMeta};
 pub use replica::{ReplicaSet, ReplicaSetConfig, ReplicaState};
 pub use route::{
-    LocalShards, RemoteShard, RemoteShardConfig, RouteService, RoutedResponse, Router,
+    LocalShards, PendingRoutedResponse, RemoteShard, RemoteShardConfig, RoutedResponse, Router,
     RouterConfig, RouterPool, ShardBackend, ShardError, ShardReply,
 };
-pub use serve::{Handled, LineHandler, Service, SessionEnd, TcpServer, TcpServerConfig};
+pub use serve::{
+    Handled, LineHandler, LineService, RouteService, Service, SessionEnd, TcpServer,
+    TcpServerConfig,
+};
 pub use snapshot::{IndexSnapshot, SnapshotCell};
 pub use stats::{DeadlineStage, ServerStats};

@@ -122,6 +122,15 @@ pub struct RequestMeta {
     pub deadline_ms: Option<u64>,
 }
 
+impl RequestMeta {
+    /// The absolute deadline of a request submitted at `anchor`: its own
+    /// budget, else `default`'s.
+    #[must_use]
+    pub fn deadline(&self, anchor: Instant, default: Option<Duration>) -> Option<Instant> {
+        self.deadline_ms.map(Duration::from_millis).or(default).map(|budget| anchor + budget)
+    }
+}
+
 /// Splits the optional `@<hex id>` trace and `@d=<ms>` deadline prefixes off
 /// a query line, in either order.  Like [`split_trace_id`], malformed
 /// prefixes come back as part of the query text with default metadata, so no

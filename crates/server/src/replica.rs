@@ -28,7 +28,9 @@
 //!   [`hedge_min_samples`](ReplicaSetConfig::hedge_min_samples) calls have
 //!   been observed — the call is re-issued to the next least-loaded healthy
 //!   replica and the first answer wins.  The loser's reply is drained by its
-//!   replica worker and dropped; `hedges=`/`hedge_wins=` count both sides.
+//!   replica's `BackendWorker` — the same per-backend worker thread the
+//!   router fans out through — and dropped; `hedges=`/`hedge_wins=` count
+//!   both sides.
 //!
 //! Errors fail over immediately (no deadline needed): a replica whose whole
 //! batch failed marks a failure against its breaker and the call retries the
@@ -52,7 +54,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -62,7 +63,9 @@ use parking_lot::Mutex;
 use dsearch_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::engine::ConfigError;
-use crate::route::{ShardBackend, ShardError, ShardReply};
+use crate::route::{
+    control_fanout, BackendWorker, GatherSender, ShardBackend, ShardError, ShardReply, TimedReplies,
+};
 
 /// Per-replica health-state gauge (0 = closed, 1 = half-open, 2 = open).
 pub const REPLICA_STATE_METRIC: &str = "dsearch_replica_state";
@@ -211,7 +214,8 @@ struct BoundReplica {
     recoveries: Arc<Counter>,
 }
 
-/// Everything a replica's worker thread and the set share about one replica.
+/// Everything a replica's worker thread (through its completion hook) and
+/// the set share about one replica.
 struct ReplicaShared {
     backend: Arc<dyn ShardBackend>,
     id: String,
@@ -290,6 +294,21 @@ impl ReplicaShared {
         }
     }
 
+    /// The worker's completion hook: one call less in flight, and the
+    /// breaker's verdict on it.  An empty batch proves nothing; a batch where
+    /// every query failed is a replica failure (per-query rejections leave
+    /// the breaker alone).
+    fn complete(&self, (replies, rtt): &TimedReplies) {
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        if replies.is_empty() || replies.iter().any(Result::is_ok) {
+            self.note_success();
+            self.rtt.record(*rtt);
+            self.set_rtt.record(*rtt);
+        } else {
+            self.note_failure();
+        }
+    }
+
     /// Moves an open replica whose backoff elapsed to half-open, returning
     /// `true` exactly once per probe window (the caller dispatches the
     /// probe).
@@ -309,83 +328,6 @@ impl ReplicaShared {
     }
 }
 
-/// The gather side of a call: `(replica index, whole-batch replies)`.
-type GatherSender = mpsc::Sender<(usize, Vec<Result<ShardReply, ShardError>>)>;
-
-/// One call handed to a replica's worker thread.  `respond: None` marks a
-/// probe: the reply only updates health and is dropped.
-struct ReplicaTask {
-    canonicals: Arc<Vec<String>>,
-    ids: Arc<Vec<u64>>,
-    respond: Option<GatherSender>,
-    replica_index: usize,
-}
-
-/// A persistent worker thread owning the calls to one replica, mirroring the
-/// router's fan-out workers: dispatch is a channel send, and a hedge loser's
-/// reply is drained here without anyone waiting on it.
-struct ReplicaWorker {
-    /// `None` only while dropping (closing the channel ends the thread).
-    tasks: Option<mpsc::Sender<ReplicaTask>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ReplicaWorker {
-    fn spawn(shared: Arc<ReplicaShared>) -> Self {
-        let (tasks, receiver) = mpsc::channel::<ReplicaTask>();
-        let handle = std::thread::spawn(move || {
-            while let Ok(task) = receiver.recv() {
-                let started = Instant::now();
-                // A panicking backend must not kill the worker: callers
-                // count outstanding dispatches and would wait forever on a
-                // reply that never comes.
-                let replies = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    shared.backend.search_batch_traced(&task.canonicals, &task.ids)
-                }))
-                .unwrap_or_else(|_| {
-                    task.canonicals
-                        .iter()
-                        .map(|_| {
-                            Err(ShardError::Unavailable("replica backend panicked".to_owned()))
-                        })
-                        .collect()
-                });
-                let rtt = started.elapsed();
-                shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-                // An empty batch proves nothing; a batch where every query
-                // failed is a replica failure (per-query rejections leave
-                // the breaker alone).
-                if replies.is_empty() || replies.iter().any(Result::is_ok) {
-                    shared.note_success();
-                    shared.rtt.record(rtt);
-                    shared.set_rtt.record(rtt);
-                } else {
-                    shared.note_failure();
-                }
-                if let Some(respond) = task.respond {
-                    // The caller may have taken the other side's answer; a
-                    // closed channel just means the hedge lost.
-                    let _ = respond.send((task.replica_index, replies));
-                }
-            }
-        });
-        ReplicaWorker { tasks: Some(tasks), handle: Some(handle) }
-    }
-
-    fn send(&self, task: ReplicaTask) -> bool {
-        self.tasks.as_ref().is_some_and(|tasks| tasks.send(task).is_ok())
-    }
-}
-
-impl Drop for ReplicaWorker {
-    fn drop(&mut self) {
-        self.tasks.take();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// Registry-bound set-wide counters, attached on
 /// [`ShardBackend::bind_metrics`].
 struct BoundSet {
@@ -399,7 +341,7 @@ struct BoundSet {
 pub struct ReplicaSet {
     id: String,
     replicas: Vec<Arc<ReplicaShared>>,
-    workers: Vec<ReplicaWorker>,
+    workers: Vec<BackendWorker>,
     config: ReplicaSetConfig,
     /// Set-wide rolling round trips; feeds the adaptive hedge deadline.
     set_rtt: Arc<Histogram>,
@@ -450,7 +392,15 @@ impl ReplicaSet {
                 })
             })
             .collect();
-        let workers = replicas.iter().map(|r| ReplicaWorker::spawn(Arc::clone(r))).collect();
+        let workers = replicas
+            .iter()
+            .map(|replica| {
+                let shared = Arc::clone(replica);
+                BackendWorker::spawn(Arc::clone(&replica.backend), move |timed| {
+                    shared.complete(timed);
+                })
+            })
+            .collect();
         Ok(ReplicaSet {
             id: id.into(),
             replicas,
@@ -536,12 +486,7 @@ impl ReplicaSet {
         respond: Option<&GatherSender>,
     ) -> bool {
         self.replicas[index].in_flight.fetch_add(1, Ordering::Relaxed);
-        let sent = self.workers[index].send(ReplicaTask {
-            canonicals: Arc::clone(canonicals),
-            ids: Arc::clone(ids),
-            respond: respond.cloned(),
-            replica_index: index,
-        });
+        let sent = self.workers[index].dispatch(canonicals, ids, respond, index);
         if !sent {
             self.replicas[index].in_flight.fetch_sub(1, Ordering::Relaxed);
         }
@@ -678,7 +623,7 @@ impl ReplicaSet {
             };
             // Workers never drop a task without responding (panics are
             // caught), so a disconnect here means shutdown raced the call.
-            let Some((index, replies)) = received else {
+            let Some((index, (replies, _rtt))) = received else {
                 return last_failure
                     .unwrap_or_else(|| self.all_unavailable(&canonicals, "replica set shut down"));
             };
@@ -713,10 +658,7 @@ impl ReplicaSet {
         canonicals: &[String],
         why: &str,
     ) -> Vec<Result<ShardReply, ShardError>> {
-        canonicals
-            .iter()
-            .map(|_| Err(ShardError::Unavailable(format!("{}: {why}", self.id))))
-            .collect()
+        vec![Err(ShardError::Unavailable(format!("{}: {why}", self.id))); canonicals.len()]
     }
 }
 
@@ -769,26 +711,11 @@ impl ShardBackend for ReplicaSet {
     }
 
     fn reload_detailed(&self) -> Vec<(String, Result<String, ShardError>)> {
-        // Concurrent: one slow or dead replica costs the report one timeout,
-        // not one per replica in sequence.
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .replicas
-                .iter()
-                .map(|replica| scope.spawn(move || (replica.id.clone(), replica.backend.reload())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle.join().unwrap_or_else(|_| {
-                        (
-                            "unknown".to_owned(),
-                            Err(ShardError::Unavailable("replica backend panicked".to_owned())),
-                        )
-                    })
-                })
-                .collect()
-        })
+        control_fanout(
+            self.replicas.iter().map(|replica| &replica.backend),
+            |backend| backend.reload(),
+            || Err(ShardError::Unavailable("replica backend panicked".to_owned())),
+        )
     }
 
     fn replica_status(&self) -> Vec<String> {

@@ -1,16 +1,14 @@
 //! Distributed scatter-gather serving: the [`ShardBackend`] seam and the
 //! [`Router`] behind `dsearch route`.
 //!
-//! PRs 1–4 built a single-process serving stack: one `IndexSnapshot`, one
-//! worker pool, one line-protocol front end.  This module makes query
-//! execution generic over *where the shards live*:
+//! This module makes query execution generic over *where the shards live*:
 //!
 //! * [`ShardBackend`] — anything that can answer a canonical query with
 //!   ranked hits and report a stats line.  Two implementations:
-//!   [`LocalShards`] (today's sealed-snapshot path through a
-//!   [`QueryEngine`], unchanged semantics) and [`RemoteShard`] (a pooled TCP
-//!   client speaking the existing line protocol to a `dsearch serve`
-//!   process — the same bytes a human types at the prompt).
+//!   [`LocalShards`] (the sealed-snapshot path through a [`QueryEngine`])
+//!   and [`RemoteShard`] (a pooled TCP client speaking the line protocol to
+//!   a `dsearch serve` process — the same bytes a human types at the
+//!   prompt).
 //! * [`Router`] — fans each query (and each drained batch) out to every
 //!   backend concurrently, merges the per-shard rankings through the k-way
 //!   machinery in [`dsearch_query::merge_ranked`], and degrades gracefully:
@@ -18,12 +16,18 @@
 //!   the answer is flagged `partial=true` and the failure is counted as
 //!   `shard_errors=` in `!stats`.  Only when *every* shard fails does the
 //!   client see an error.
-//! * [`RouterPool`] / [`RouteService`] — the same admission-controlled
-//!   batch-draining front end the single-store engine uses (shared
-//!   [`QueueGovernor`]), so `--queue-bound`, `--overload`, `--max-batch` and
-//!   adaptive batching all apply to the coordinator too, and `dsearch
-//!   route` plugs into the stdin/TCP front ends through
-//!   [`LineHandler`].
+//! * `BackendWorker` — the persistent thread that owns the calls to one
+//!   backend: the router keeps one per shard, a
+//!   [`ReplicaSet`](crate::replica::ReplicaSet) one per replica, each with
+//!   its own completion hook (round-trip histogram; breaker and in-flight
+//!   bookkeeping).  A backend that panics fails the batch it was answering
+//!   (`unavailable: … panicked`), never the thread.
+//! * The router is an [`Executor`]: [`RouterPool`] and
+//!   [`RouteService`](crate::serve::RouteService) are the shared
+//!   [`Pool`] and [`LineService`](crate::serve::LineService) over it, so
+//!   `--queue-bound`, `--overload`, `--max-batch` and adaptive batching all
+//!   apply to the coordinator too, and `dsearch route` plugs into the same
+//!   stdin/TCP front ends as `dsearch serve`.
 //!
 //! Shard-local file ids do not survive the wire (every `dsearch serve`
 //! process numbers its own documents from zero), so cross-shard merging keys
@@ -32,27 +36,22 @@
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use dsearch_obs::{next_trace_id, Histogram, MetricsRegistry, QueryTrace, ShardSpan, Span, Stage};
-use dsearch_persist::IndexStore;
-use dsearch_query::{merge_ranked, Query, RankedHit};
+use dsearch_obs::{next_trace_id, MetricsRegistry, QueryTrace, ShardSpan, Span, Stage};
+use dsearch_query::{merge_ranked, RankedHit};
 
-use crate::batch::{BatchConfig, QueueGovernor, QueueJob};
+use crate::batch::{Answer, BatchConfig, BatchFrame, Executor, Pending, Pool};
 use crate::cache::{CacheCounters, CacheKey, QueryCache};
 use crate::engine::{ConfigError, QueryEngine, ServerError};
 use crate::protocol::{
-    parse_hit_line, parse_request, prefix_deadline_ms, prefix_trace_id, read_response,
-    render_error, render_error_text, render_info_with_body, render_routed_response,
-    split_request_meta, Request,
-};
-use crate::serve::{
-    metrics_report, observe_slow, slow_report, trace_control, Handled, LineHandler,
+    parse_hit_line, prefix_deadline_ms, prefix_trace_id, read_response, render_error_text,
+    render_info_with_body, render_routed_response, split_request_meta,
 };
 use crate::stats::{DeadlineStage, ServerStats};
 
@@ -176,8 +175,6 @@ pub trait ShardBackend: Send + Sync {
 /// [`QueryEngine`], searched with unchanged semantics.
 pub struct LocalShards {
     engine: Arc<QueryEngine>,
-    /// Store directory `reload` re-reads; `None` disables reloads.
-    store_path: Option<PathBuf>,
     id: String,
 }
 
@@ -185,20 +182,13 @@ impl LocalShards {
     /// Wraps `engine` as the backend named `"local"`.
     #[must_use]
     pub fn new(engine: Arc<QueryEngine>) -> Self {
-        LocalShards { engine, store_path: None, id: "local".to_owned() }
+        LocalShards { engine, id: "local".to_owned() }
     }
 
     /// Sets the backend id (useful when several local backends coexist).
     #[must_use]
     pub fn with_id(mut self, id: impl Into<String>) -> Self {
         self.id = id.into();
-        self
-    }
-
-    /// Enables `reload` from `path`.
-    #[must_use]
-    pub fn with_store_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.store_path = Some(path.into());
         self
     }
 
@@ -269,14 +259,10 @@ impl ShardBackend for LocalShards {
     }
 
     fn reload(&self) -> Result<String, ShardError> {
-        let Some(path) = &self.store_path else {
-            return Err(ShardError::Rejected("reload unavailable: no store path".to_owned()));
-        };
-        let result =
-            IndexStore::open(path).and_then(|store| self.engine.snapshot_cell().reload(&store));
-        match result {
-            Ok(generation) => Ok(format!("reloaded generation={generation}")),
-            Err(e) => Err(ShardError::Rejected(format!("reload failed: {e}"))),
+        match self.engine.reload() {
+            None => Err(ShardError::Rejected("reload unavailable: no store path".to_owned())),
+            Some(Ok(generation)) => Ok(format!("reloaded generation={generation}")),
+            Some(Err(e)) => Err(ShardError::Rejected(format!("reload failed: {e}"))),
         }
     }
 }
@@ -533,7 +519,7 @@ impl ShardBackend for RemoteShard {
     fn search_batch(&self, canonicals: &[String]) -> Vec<Result<ShardReply, ShardError>> {
         match self.exchange(canonicals) {
             Ok(responses) => responses.into_iter().map(|r| self.reply_from(r)).collect(),
-            Err(e) => canonicals.iter().map(|_| Err(e.clone())).collect(),
+            Err(e) => vec![Err(e); canonicals.len()],
         }
     }
 
@@ -547,10 +533,7 @@ impl ShardBackend for RemoteShard {
         }
         let lines: Vec<String> =
             canonicals.iter().zip(ids).map(|(c, &id)| prefix_trace_id(id, c)).collect();
-        match self.exchange(&lines) {
-            Ok(responses) => responses.into_iter().map(|r| self.reply_from(r)).collect(),
-            Err(e) => canonicals.iter().map(|_| Err(e.clone())).collect(),
-        }
+        self.search_batch(&lines)
     }
 
     fn stats_line(&self) -> Result<String, ShardError> {
@@ -681,52 +664,104 @@ impl RoutedResponse {
     }
 }
 
-/// One backend's answers for a whole scatter, plus the round trip the
-/// fan-out worker observed around the call.
-type TimedReplies = (Vec<Result<ShardReply, ShardError>>, Duration);
-
-/// One batch handed to a fan-out worker: the canonical queries plus the
-/// channel the per-shard results travel back on, tagged with the backend's
-/// position so the gather can line results up.
-struct FanoutTask {
-    canonicals: Arc<Vec<String>>,
-    /// One trace id per canonical (zeroes on the untraced path).
-    ids: Arc<Vec<u64>>,
-    respond: mpsc::Sender<(usize, TimedReplies)>,
-    backend_index: usize,
+/// What a query reads of a backend whose call panicked.
+fn backend_panicked() -> ShardError {
+    ShardError::Unavailable("shard backend panicked".to_owned())
 }
+
+/// One backend's answers for a whole batch, plus the round trip its
+/// [`BackendWorker`] observed around the call.
+pub(crate) type TimedReplies = (Vec<Result<ShardReply, ShardError>>, Duration);
+
+/// The gather side of a fan-out: `(backend index, timed replies)`.
+pub(crate) type GatherSender = mpsc::Sender<(usize, TimedReplies)>;
+
+/// One batch handed to a [`BackendWorker`]'s thread.
+struct BackendTask {
+    canonicals: Arc<Vec<String>>,
+    ids: Arc<Vec<u64>>,
+    respond: Option<GatherSender>,
+    index: usize,
+}
+
+/// The guarded call to one backend, shared by its worker thread and callers
+/// that run it on their own thread.
+type BackendCall = dyn Fn(&[String], &[u64]) -> TimedReplies + Send + Sync;
 
 /// A persistent worker thread owning the calls to one backend.  Spawning a
 /// thread per scatter would cost tens of microseconds per query; a
-/// long-lived worker per backend makes the fan-out a channel send.
-struct FanoutWorker {
+/// long-lived worker per backend makes the fan-out a channel send, and a
+/// reply nobody waits for any more (a scatter past its deadline, a hedge
+/// that lost) is drained here.
+pub(crate) struct BackendWorker {
+    call: Arc<BackendCall>,
     /// `None` only while dropping (closing the channel ends the thread).
-    tasks: Option<mpsc::Sender<FanoutTask>>,
+    tasks: Option<mpsc::Sender<BackendTask>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-impl FanoutWorker {
-    fn spawn(backend: Arc<dyn ShardBackend>) -> Self {
-        let (tasks, receiver) = mpsc::channel::<FanoutTask>();
+impl BackendWorker {
+    /// Starts the worker for `backend`.  `on_complete` sees every finished
+    /// call — answered, failed or abandoned — before its replies are sent.
+    pub(crate) fn spawn(
+        backend: Arc<dyn ShardBackend>,
+        on_complete: impl Fn(&TimedReplies) + Send + Sync + 'static,
+    ) -> Self {
+        let call: Arc<BackendCall> = Arc::new(move |canonicals, ids| {
+            let sent = Instant::now();
+            // A panicking backend must not kill the worker: gathers count
+            // outstanding dispatches, and the shard would read "worker died"
+            // on every later query.
+            let replies =
+                catch_unwind(AssertUnwindSafe(|| backend.search_batch_traced(canonicals, ids)))
+                    .unwrap_or_else(|_| vec![Err(backend_panicked()); canonicals.len()]);
+            let timed = (replies, sent.elapsed());
+            on_complete(&timed);
+            timed
+        });
+        let (tasks, receiver) = mpsc::channel::<BackendTask>();
+        let on_thread = Arc::clone(&call);
         let handle = std::thread::spawn(move || {
             while let Ok(task) = receiver.recv() {
-                let sent = Instant::now();
-                let replies = backend.search_batch_traced(&task.canonicals, &task.ids);
-                // The router may have given up on this scatter; fine.
-                let _ = task.respond.send((task.backend_index, (replies, sent.elapsed())));
+                let timed = on_thread(&task.canonicals, &task.ids);
+                if let Some(respond) = task.respond {
+                    // The gather may have given up on this call; fine.
+                    let _ = respond.send((task.index, timed));
+                }
             }
         });
-        FanoutWorker { tasks: Some(tasks), handle: Some(handle) }
+        BackendWorker { call, tasks: Some(tasks), handle: Some(handle) }
     }
 
-    /// Queues one scatter; `false` when the worker has died (its backend
-    /// panicked mid-batch).
-    fn send(&self, task: FanoutTask) -> bool {
+    /// Queues one call: the canonical queries, one trace id per canonical
+    /// (zeroes on the untraced path), and the channel the replies travel
+    /// back on, tagged `index` so the gather can line results up.  With
+    /// `respond: None` nobody waits (a replica probe) and only the completion
+    /// hook sees the replies.  `false` when the worker is gone (only while
+    /// dropping).
+    pub(crate) fn dispatch(
+        &self,
+        canonicals: &Arc<Vec<String>>,
+        ids: &Arc<Vec<u64>>,
+        respond: Option<&GatherSender>,
+        index: usize,
+    ) -> bool {
+        let task = BackendTask {
+            canonicals: Arc::clone(canonicals),
+            ids: Arc::clone(ids),
+            respond: respond.cloned(),
+            index,
+        };
         self.tasks.as_ref().is_some_and(|tasks| tasks.send(task).is_ok())
+    }
+
+    /// The same guarded call, hook included, on the caller's own thread.
+    pub(crate) fn call_inline(&self, canonicals: &[String], ids: &[u64]) -> TimedReplies {
+        (self.call)(canonicals, ids)
     }
 }
 
-impl Drop for FanoutWorker {
+impl Drop for BackendWorker {
     fn drop(&mut self) {
         // Close the channel first so the thread observes the end of the
         // stream, then join it.
@@ -741,12 +776,11 @@ impl Drop for FanoutWorker {
 /// [`ShardBackend`], merges the rankings, and tolerates missing shards.
 pub struct Router {
     backends: Vec<Arc<dyn ShardBackend>>,
-    /// One persistent fan-out worker per backend (same order).
-    fanout: Vec<FanoutWorker>,
-    /// One `dsearch_shard_rtt_ns{shard=…}` histogram per backend (same
-    /// order), interned once so the scatter hot path never touches the
+    /// One persistent worker per backend (same order).  Each feeds every
+    /// round trip it observes to its backend's `dsearch_shard_rtt_ns{shard=…}`
+    /// histogram, interned once so the scatter hot path never touches the
     /// registry lock.
-    rtt_hists: Vec<Arc<Histogram>>,
+    fanout: Vec<BackendWorker>,
     /// Merged complete answers keyed by canonical query and the router's
     /// reload epoch; `None` when disabled.  Partial answers are never
     /// inserted, so a recovered shard is always re-asked.
@@ -773,23 +807,20 @@ impl Router {
             return Err(ConfigError::NoShards);
         }
         let backends: Vec<Arc<dyn ShardBackend>> = backends.into_iter().map(Arc::from).collect();
-        let fanout = backends.iter().map(|b| FanoutWorker::spawn(Arc::clone(b))).collect();
         let stats = ServerStats::new();
         for backend in &backends {
             backend.bind_metrics(stats.registry());
         }
-        let rtt_hists = backends.iter().map(|b| stats.shard_rtt_histogram(&b.id())).collect();
+        let fanout = backends
+            .iter()
+            .map(|backend| {
+                let rtt_hist = stats.shard_rtt_histogram(&backend.id());
+                BackendWorker::spawn(Arc::clone(backend), move |(_, rtt)| rtt_hist.record(*rtt))
+            })
+            .collect();
         let cache = (config.cache_capacity > 0)
             .then(|| QueryCache::new(config.cache_capacity, config.cache_shards));
-        Ok(Arc::new(Router {
-            backends,
-            fanout,
-            rtt_hists,
-            cache,
-            epoch: AtomicU64::new(1),
-            config,
-            stats,
-        }))
+        Ok(Arc::new(Router { backends, fanout, cache, epoch: AtomicU64::new(1), config, stats }))
     }
 
     /// The current reload epoch (part of every cache key).
@@ -843,140 +874,194 @@ impl Router {
     /// canonical queries deduplicated exactly like the single-store engine.
     #[must_use]
     pub fn route_batch(&self, raws: &[&str]) -> Vec<Result<RoutedResponse, ServerError>> {
-        self.route_batch_since(raws, Instant::now())
+        self.run_batch(raws, Instant::now(), Duration::ZERO)
     }
 
-    pub(crate) fn route_batch_since(
+    /// One `search_batch_traced` per backend, concurrently: the scatter.
+    /// Each backend's persistent worker receives the batch over a channel
+    /// and reports its round trip; a single backend with no deadline to
+    /// watch is called on this thread instead.
+    ///
+    /// With a `deadline`, the gather never waits past it: backends that
+    /// have not answered by then count as unavailable and the second return
+    /// value is `true` — the scatter degraded instead of hanging.  The
+    /// abandoned worker finishes (and discards) its reply in the
+    /// background, so a stalled shard delays its own next scatter, never
+    /// this one.
+    fn scatter(
         &self,
-        raws: &[&str],
-        started: Instant,
-    ) -> Vec<Result<RoutedResponse, ServerError>> {
-        self.route_batch_timed(raws, started, Duration::ZERO)
+        lines: &[String],
+        ids: &[u64],
+        deadline: Option<Instant>,
+    ) -> (Vec<TimedReplies>, bool) {
+        if self.backends.len() == 1 && deadline.is_none() {
+            return (vec![self.fanout[0].call_inline(lines, ids)], false);
+        }
+        let lines = Arc::new(lines.to_vec());
+        let ids = Arc::new(ids.to_vec());
+        let (respond, gathered) = mpsc::channel();
+        let mut pending = 0usize;
+        let mut replies: Vec<Option<TimedReplies>> = self.backends.iter().map(|_| None).collect();
+        for (index, worker) in self.fanout.iter().enumerate() {
+            if worker.dispatch(&lines, &ids, Some(&respond), index) {
+                pending += 1;
+            }
+        }
+        drop(respond);
+        let mut expired = false;
+        for _ in 0..pending {
+            let received = match deadline {
+                None => gathered.recv().ok(),
+                Some(deadline) => {
+                    let budget = deadline.saturating_duration_since(Instant::now());
+                    if budget.is_zero() {
+                        expired = true;
+                        break;
+                    }
+                    match gathered.recv_timeout(budget) {
+                        Ok(received) => Some(received),
+                        Err(mpsc::RecvTimeoutError::Timeout) => {
+                            expired = true;
+                            break;
+                        }
+                        Err(mpsc::RecvTimeoutError::Disconnected) => None,
+                    }
+                }
+            };
+            let Some((index, timed)) = received else { break };
+            replies[index] = Some(timed);
+        }
+        let missing =
+            if expired { "deadline exceeded waiting for shard" } else { "shard worker died" };
+        let missing = vec![Err(ShardError::Unavailable(missing.to_owned())); lines.len()];
+        let replies = replies
+            .into_iter()
+            .map(|slot| slot.unwrap_or_else(|| (missing.clone(), Duration::ZERO)))
+            .collect();
+        (replies, expired)
+    }
+}
+
+impl std::fmt::Debug for Router {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Router")
+            .field("backends", &self.backends.len())
+            .field("config", &self.config)
+            .finish()
+    }
+}
+
+/// The shared [`Pool`] over a [`Router`]: each batch costs one scatter per
+/// backend instead of one per query.
+pub type RouterPool = Pool<Router>;
+
+/// A query submitted to a [`RouterPool`], waiting for its worker.
+pub type PendingRoutedResponse = Pending<RoutedResponse>;
+
+/// The stats-line fields summed across shards into the router's `!stats`
+/// report.
+const AGGREGATED_FIELDS: &[&str] = &["queries", "errors", "shed", "batched", "dedup_hits"];
+
+/// One control-plane call per backend, concurrently: a down shard costs the
+/// report one connect timeout, not one per shard in sequence.  `on_panic`
+/// supplies the result for a backend that panicked mid-call.
+pub(crate) fn control_fanout<'a, R: Send>(
+    backends: impl Iterator<Item = &'a Arc<dyn ShardBackend>>,
+    call: impl Fn(&dyn ShardBackend) -> R + Sync,
+    on_panic: impl Fn() -> R,
+) -> Vec<(String, R)> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = backends
+            .map(|backend| {
+                let call = &call;
+                scope.spawn(move || (backend.id(), call(&**backend)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or_else(|_| ("unknown".to_owned(), on_panic())))
+            .collect()
+    })
+}
+
+impl Executor for Router {
+    type Response = RoutedResponse;
+
+    fn stats(&self) -> &ServerStats {
+        &self.stats
     }
 
-    /// The full routing path with queue timing attached — same stage
-    /// accounting as [`QueryEngine::execute_batch_timed`]: everything
-    /// between `started` and execution that is not the fill window lands in
-    /// `queue_wait`, so the stages tile the measured latency without holes.
-    pub(crate) fn route_batch_timed(
+    fn batch_config(&self) -> BatchConfig {
+        self.config.batch
+    }
+
+    fn workers(&self) -> usize {
+        self.config.workers
+    }
+
+    fn default_deadline(&self) -> Option<Duration> {
+        self.config.default_deadline
+    }
+
+    /// Parses once at the router — shards only ever see canonical queries,
+    /// and identical spellings collapse to one scatter — then: cache probe,
+    /// one scatter per backend for what is left, merge.
+    fn run_batch(
         &self,
         raws: &[&str],
         started: Instant,
         fill_wait: Duration,
     ) -> Vec<Result<RoutedResponse, ServerError>> {
-        let exec_started = Instant::now();
-        let queue_wait = exec_started.saturating_duration_since(started).saturating_sub(fill_wait);
-        let mut trace = QueryTrace::default();
-        if !queue_wait.is_zero() {
-            trace.record(Stage::QueueWait, queue_wait);
-        }
-        if !fill_wait.is_zero() {
-            trace.record(Stage::BatchFill, fill_wait);
-        }
-        let mut slots: Vec<Option<Result<RoutedResponse, ServerError>>> =
-            raws.iter().map(|_| None).collect();
-        let mut client_ids: Vec<u64> = Vec::with_capacity(raws.len());
-        // RoutedResponse needs a trace at construction time, but the batch
-        // trace is only complete after the merge; slots start on this
-        // placeholder and are re-pointed at the finished trace below.
-        let placeholder: Arc<QueryTrace> = Arc::new(QueryTrace::default());
-
-        // Parse once at the router: shards only ever see canonical queries,
-        // and identical spellings collapse to one scatter.  Deadlines are
-        // anchored at the batch's earliest submission — conservative for
-        // later arrivals, and it keeps the whole batch on one clock.
-        let mut groups: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        let mut deadlines: Vec<Option<Instant>> = Vec::with_capacity(raws.len());
-        let mut executed = 0u64;
-        for (i, raw) in raws.iter().enumerate() {
-            let (meta, query_text) = split_request_meta(raw);
-            client_ids.push(meta.trace_id);
-            deadlines.push(
-                meta.deadline_ms
-                    .map(Duration::from_millis)
-                    .or(self.config.default_deadline)
-                    .map(|budget| started + budget),
-            );
-            match Query::parse(query_text) {
-                Ok(query) => {
-                    groups.entry(query.to_string()).or_default().push(i);
-                    executed += 1;
-                }
-                Err(e) => {
-                    self.stats.record_error();
-                    slots[i] = Some(Err(ServerError::Parse(e)));
-                }
-            }
-        }
-        let parse_done = Instant::now();
-        trace.record(Stage::Parse, parse_done.saturating_duration_since(exec_started));
-        // Answer already-expired positions before the cache probe: an
-        // expired query must observe its deadline even when the answer would
-        // have been free, and must never influence what gets cached.
-        groups.retain(|_, positions| {
-            positions.retain(|&i| {
-                let expired = deadlines[i].is_some_and(|deadline| deadline <= parse_done);
-                if expired {
-                    self.stats.record_deadline_exceeded(DeadlineStage::Scatter);
-                    slots[i] = Some(Err(ServerError::DeadlineExceeded));
-                }
-                !expired
-            });
-            !positions.is_empty()
+        let mut frame =
+            BatchFrame::open(raws, started, fill_wait, self.config.default_deadline, &self.stats);
+        let parse_done = frame.parse_done;
+        // Deadline checkpoint ahead of the cache probe, for every group.
+        let mut groups = std::mem::take(&mut frame.groups);
+        groups.retain(|_, group| {
+            group.positions = frame.live(&group.positions, parse_done, DeadlineStage::Scatter);
+            !group.positions.is_empty()
         });
+        let unfinished = Arc::clone(&frame.unfinished);
+        let respond = |query: &str, hits, shard_failures, deadline_exceeded| RoutedResponse {
+            query: query.to_owned(),
+            hits,
+            shards_total: self.backends.len(),
+            shard_failures,
+            deadline_exceeded,
+            latency: Duration::ZERO,
+            trace: Arc::clone(&unfinished),
+        };
         // Serve whole groups from the result cache before scattering: a
         // cached group costs no shard traffic at all.  Only complete merges
         // ever enter the cache, so a hit is never a stale partial answer.
         let epoch = self.epoch();
         if let Some(cache) = &self.cache {
-            let mut cached: Vec<(String, Arc<Vec<RankedHit>>)> = Vec::new();
-            for canonical in groups.keys() {
+            groups.retain(|canonical, group| {
                 let key = CacheKey { query: canonical.clone(), generation: epoch };
-                if let Some(hits) = cache.get(&key) {
-                    cached.push((canonical.clone(), hits));
-                }
-            }
-            for (canonical, hits) in cached {
-                let positions = groups.remove(&canonical).expect("key came from groups");
-                self.stats.record_dedup_hits((positions.len() - 1) as u64);
-                let result = Ok(RoutedResponse {
-                    query: canonical,
-                    hits: (*hits).clone(),
-                    shards_total: self.backends.len(),
-                    shard_failures: Vec::new(),
-                    deadline_exceeded: false,
-                    latency: Duration::ZERO,
-                    trace: Arc::clone(&placeholder),
-                });
-                for &i in &positions {
-                    slots[i] = Some(result.clone());
-                }
-            }
+                let Some(hits) = cache.get(&key) else { return true };
+                let response = respond(canonical, (*hits).clone(), Vec::new(), false);
+                frame.answer(&group.positions, Ok(response));
+                false
+            });
         }
-        let canonicals: Vec<String> = groups.keys().cloned().collect();
-        if !canonicals.is_empty() {
+        if !groups.is_empty() {
+            let canonicals: Vec<&String> = groups.keys().collect();
             // Trace ids travel to the shards only when someone will read
             // them — the client sent an `@<hex id>` prefix or the router's
             // slow-query log is armed — so the untraced hot path never pays
             // for id generation or per-shard span collection.
-            let traced =
-                client_ids.iter().any(|&id| id != 0) || self.stats.slow_log().threshold().is_some();
+            let traced = frame.trace_ids.iter().any(|&id| id != 0)
+                || self.stats.slow_log().threshold().is_some();
             let shard_ids: Vec<u64> = if traced {
                 canonicals.iter().map(|_| next_trace_id()).collect()
             } else {
                 vec![0; canonicals.len()]
             };
-            // The deadline a group travels under is its most patient live
-            // position's (an unlimited position lifts the whole group); the
-            // gather waits until the most patient group's deadline.
+            // The gather waits until the most patient group's deadline.
             let group_deadlines: Vec<Option<Instant>> =
-                groups.values().map(|positions| group_deadline(&deadlines, positions)).collect();
-            let batch_deadline = group_deadlines
-                .iter()
-                .try_fold(None::<Instant>, |latest, gd| {
-                    gd.map(|d| Some(latest.map_or(d, |l| l.max(d))))
-                })
-                .flatten();
+                groups.values().map(|group| frame.group_deadline(&group.positions)).collect();
+            let batch_deadline =
+                frame.group_deadline(groups.values().flat_map(|group| &group.positions));
             // Forward each group's *remaining* budget to the shards as the
             // same `@d=<ms>` wire prefix the client used, so a shard sheds
             // or cancels work the router would discard anyway.
@@ -991,13 +1076,13 @@ impl Router {
                         let ms = remaining.as_millis().max(1) as u64;
                         prefix_deadline_ms(ms, canonical)
                     }
-                    None => canonical.clone(),
+                    None => (*canonical).clone(),
                 })
                 .collect();
             let (mut per_backend, scatter_expired) =
                 self.scatter(&wire_lines, &shard_ids, batch_deadline);
             let scatter_done = Instant::now();
-            trace.record(Stage::Scatter, scatter_done.saturating_duration_since(parse_done));
+            frame.trace.record(Stage::Scatter, scatter_done.saturating_duration_since(parse_done));
             if traced {
                 // One timing block per backend.  Shard-side stage spans are
                 // batch-shared, so the first reply represents the batch.
@@ -1006,12 +1091,12 @@ impl Router {
                         Some(Ok(reply)) => reply.stages.clone(),
                         _ => Vec::new(),
                     };
-                    trace.push_shard(ShardSpan { shard: backend.id(), rtt: *rtt, stages });
+                    frame.trace.push_shard(ShardSpan { shard: backend.id(), rtt: *rtt, stages });
                 }
             }
             // Walk the groups back-to-front so each backend's reply for the
             // current query can be popped (moved, not cloned) off its vec.
-            for ((canonical, positions), group_deadline) in
+            for ((canonical, group), group_deadline) in
                 groups.iter().rev().zip(group_deadlines.iter().rev())
             {
                 let mut parts: Vec<Vec<RankedHit>> = Vec::with_capacity(self.backends.len());
@@ -1023,7 +1108,6 @@ impl Router {
                     }
                 }
                 self.stats.record_shard_errors(failures.len() as u64);
-                self.stats.record_dedup_hits((positions.len() - 1) as u64);
                 let deadline_expired = scatter_expired && group_deadline.is_some();
                 let result = if failures.len() == self.backends.len() {
                     if deadline_expired {
@@ -1052,380 +1136,31 @@ impl Router {
                                 Arc::new(hits.clone()),
                             );
                         }
-                    }
-                    Ok(RoutedResponse {
-                        query: canonical.clone(),
-                        hits,
-                        shards_total: self.backends.len(),
-                        shard_failures: failures,
-                        deadline_exceeded,
-                        latency: Duration::ZERO,
-                        trace: Arc::clone(&placeholder),
-                    })
-                };
-                for &i in positions {
-                    slots[i] = Some(result.clone());
-                }
-            }
-            trace.record(Stage::Merge, scatter_done.elapsed());
-        }
-        self.stats.record_batch(executed);
-        self.stats.record_trace(&trace);
-        let latency = started.elapsed();
-        let shared_trace = Arc::new(trace);
-        slots
-            .into_iter()
-            .zip(client_ids)
-            .map(|(slot, client_id)| {
-                let mut result = slot.expect("every position answered");
-                if let Ok(response) = &mut result {
-                    response.latency = latency;
-                    // Traced responses get their own copy branded with the
-                    // client's id; untraced ones share the batch trace.
-                    response.trace = if client_id == 0 {
-                        Arc::clone(&shared_trace)
                     } else {
-                        let mut own = (*shared_trace).clone();
-                        own.set_id(client_id);
-                        Arc::new(own)
-                    };
-                    self.stats.record_query(latency);
-                    if response.partial() {
-                        self.stats.record_partial_response();
+                        self.stats.record_partial_responses(group.positions.len() as u64);
                     }
-                }
-                result
-            })
-            .collect()
-    }
-
-    /// One `search_batch_traced` per backend, concurrently: the scatter.
-    /// Each backend's persistent fan-out worker receives the batch over a
-    /// channel and reports its round trip; a worker that died (its backend
-    /// panicked) counts as unavailable for the whole batch.  Every observed
-    /// round trip feeds the backend's `dsearch_shard_rtt_ns` histogram.
-    ///
-    /// With a `deadline`, the gather never waits past it: backends that
-    /// have not answered by then count as unavailable and the second return
-    /// value is `true` — the scatter degraded instead of hanging.  The
-    /// abandoned worker finishes (and discards) its reply in the
-    /// background, so a stalled shard delays its own next scatter, never
-    /// this one.
-    fn scatter(
-        &self,
-        lines: &[String],
-        ids: &[u64],
-        deadline: Option<Instant>,
-    ) -> (Vec<TimedReplies>, bool) {
-        if self.backends.len() == 1 && deadline.is_none() {
-            let sent = Instant::now();
-            let replies = self.backends[0].search_batch_traced(lines, ids);
-            let rtt = sent.elapsed();
-            self.rtt_hists[0].record(rtt);
-            return (vec![(replies, rtt)], false);
-        }
-        let lines = Arc::new(lines.to_vec());
-        let ids = Arc::new(ids.to_vec());
-        let (respond, gathered) = mpsc::channel();
-        let mut pending = 0usize;
-        let mut replies: Vec<Option<TimedReplies>> = self.backends.iter().map(|_| None).collect();
-        for (backend_index, worker) in self.fanout.iter().enumerate() {
-            let task = FanoutTask {
-                canonicals: Arc::clone(&lines),
-                ids: Arc::clone(&ids),
-                respond: respond.clone(),
-                backend_index,
-            };
-            if worker.send(task) {
-                pending += 1;
+                    Ok(respond(canonical, hits, failures, deadline_exceeded))
+                };
+                frame.answer(&group.positions, result);
             }
+            frame.trace.record(Stage::Merge, scatter_done.elapsed());
         }
-        drop(respond);
-        let mut expired = false;
-        for _ in 0..pending {
-            let received = match deadline {
-                None => gathered.recv().ok(),
-                Some(deadline) => {
-                    let budget = deadline.saturating_duration_since(Instant::now());
-                    if budget.is_zero() {
-                        expired = true;
-                        break;
-                    }
-                    match gathered.recv_timeout(budget) {
-                        Ok(received) => Some(received),
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            expired = true;
-                            break;
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                    }
-                }
-            };
-            let Some((backend_index, (reply, rtt))) = received else { break };
-            self.rtt_hists[backend_index].record(rtt);
-            replies[backend_index] = Some((reply, rtt));
-        }
-        let missing =
-            if expired { "deadline exceeded waiting for shard" } else { "shard worker died" };
-        let replies = replies
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    let failed = lines
-                        .iter()
-                        .map(|_| Err(ShardError::Unavailable(missing.to_owned())))
-                        .collect();
-                    (failed, Duration::ZERO)
-                })
-            })
-            .collect();
-        (replies, expired)
-    }
-}
-
-/// The deadline a deduplicated query group travels under: its most patient
-/// live position's.  Any position without a deadline lifts the whole
-/// group's — cancelling the scatter would fail a query that was promised
-/// unlimited time.
-fn group_deadline(deadlines: &[Option<Instant>], positions: &[usize]) -> Option<Instant> {
-    let mut latest: Option<Instant> = None;
-    for &i in positions {
-        let deadline = deadlines[i]?;
-        latest = Some(latest.map_or(deadline, |l| l.max(deadline)));
-    }
-    latest
-}
-
-impl std::fmt::Debug for Router {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Router")
-            .field("backends", &self.backends.len())
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-/// A queued routed query plus its answer channel.
-pub(crate) struct RouteJob {
-    raw: String,
-    respond: mpsc::Sender<Result<RoutedResponse, ServerError>>,
-    submitted: Instant,
-    /// Absolute deadline parsed at submission, so the governor can shed the
-    /// job without re-parsing the request line.
-    deadline: Option<Instant>,
-}
-
-impl QueueJob for RouteJob {
-    fn shed(self) {
-        // The waiter may have given up; that is not an error.
-        let _ = self.respond.send(Err(ServerError::Overloaded));
+        frame.close()
     }
 
-    fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
-    fn expire(self) {
-        let _ = self.respond.send(Err(ServerError::DeadlineExceeded));
-    }
-}
-
-/// A submitted routed query waiting for its worker.
-pub struct PendingRoutedResponse {
-    receiver: mpsc::Receiver<Result<RoutedResponse, ServerError>>,
-}
-
-impl PendingRoutedResponse {
-    /// Blocks until the worker answers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the worker's error; reports `ShuttingDown` when the pool
-    /// died before answering.
-    pub fn wait(self) -> Result<RoutedResponse, ServerError> {
-        self.receiver.recv().unwrap_or(Err(ServerError::ShuttingDown))
-    }
-}
-
-/// A fixed pool of router workers draining query batches from the same
-/// admission-controlled [`QueueGovernor`] the single-store engine uses:
-/// queries arriving on many connections coalesce into batches, and each
-/// batch costs one scatter per backend instead of one per query.
-pub struct RouterPool {
-    router: Arc<Router>,
-    governor: Arc<QueueGovernor<RouteJob>>,
-    handles: Vec<std::thread::JoinHandle<u64>>,
-}
-
-impl RouterPool {
-    /// Spawns `router.config().workers` workers behind a governor
-    /// configured from `router.config().batch`.
-    #[must_use]
-    pub fn start(router: Arc<Router>) -> Self {
-        let workers = router.config().workers;
-        let governor = Arc::new(QueueGovernor::<RouteJob>::new(router.config().batch));
-        let handles = (0..workers)
-            .map(|_| {
-                let governor = Arc::clone(&governor);
-                let router = Arc::clone(&router);
-                std::thread::spawn(move || {
-                    let mut served = 0u64;
-                    while let Some(batch) = governor.next_batch(router.stats()) {
-                        let started = batch
-                            .jobs
-                            .iter()
-                            .map(|job| job.submitted)
-                            .min()
-                            .expect("batches are never empty");
-                        let raws: Vec<&str> =
-                            batch.jobs.iter().map(|job| job.raw.as_str()).collect();
-                        let responses = router.route_batch_timed(&raws, started, batch.fill_wait);
-                        for (job, response) in batch.jobs.iter().zip(responses) {
-                            // A client that gave up is not an error.
-                            let _ = job.respond.send(response);
-                            served += 1;
-                        }
-                    }
-                    served
-                })
-            })
-            .collect();
-        RouterPool { router, governor, handles }
-    }
-
-    /// Jobs currently waiting in the admission queue.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.governor.depth()
-    }
-
-    /// Enqueues a query; the result is collected through the returned
-    /// handle.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`ServerError::Overloaded`] when admission control rejects
-    /// the request, and [`ServerError::ShuttingDown`] when the pool is
-    /// stopping.
-    pub fn submit(&self, raw: impl Into<String>) -> Result<PendingRoutedResponse, ServerError> {
-        let (respond, receiver) = mpsc::channel();
-        let raw = raw.into();
-        let submitted = Instant::now();
-        let (meta, _) = split_request_meta(&raw);
-        let deadline = meta
-            .deadline_ms
-            .map(Duration::from_millis)
-            .or(self.router.config().default_deadline)
-            .map(|budget| submitted + budget);
-        let job = RouteJob { raw, respond, submitted, deadline };
-        self.governor.submit(job, self.router.stats())?;
-        Ok(PendingRoutedResponse { receiver })
-    }
-
-    /// Submits and waits: the closed-loop client path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates submit and routing errors.
-    pub fn execute(&self, raw: &str) -> Result<RoutedResponse, ServerError> {
-        self.submit(raw)?.wait()
-    }
-
-    /// Drains the queue and joins every worker, returning the total number
-    /// of jobs served.
-    pub fn shutdown(mut self) -> u64 {
-        self.governor.close();
-        self.handles.drain(..).map(|h| h.join().unwrap_or(0)).sum()
-    }
-}
-
-impl Drop for RouterPool {
-    fn drop(&mut self) {
-        self.governor.close();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The stats-line fields summed across shards into the router's `!stats`
-/// report.
-const AGGREGATED_FIELDS: &[&str] = &["queries", "errors", "shed", "batched", "dedup_hits"];
-
-/// The routed counterpart of [`Service`](crate::serve::Service): answers the
-/// line protocol by scatter-gathering over the router's backends, so
-/// `dsearch route` plugs into the same stdin/TCP front ends as
-/// `dsearch serve`.
-pub struct RouteService {
-    router: Arc<Router>,
-    pool: RouterPool,
-    requests: AtomicU64,
-}
-
-impl RouteService {
-    /// Starts the router pool for `router`.
-    #[must_use]
-    pub fn start(router: Arc<Router>) -> Self {
-        let pool = RouterPool::start(Arc::clone(&router));
-        RouteService { router, pool, requests: AtomicU64::new(0) }
-    }
-
-    /// The router this service fronts.
-    #[must_use]
-    pub fn router(&self) -> &Arc<Router> {
-        &self.router
-    }
-
-    /// The router pool this service executes queries on.
-    #[must_use]
-    pub fn pool(&self) -> &RouterPool {
-        &self.pool
-    }
-
-    /// Total request lines handled (all connections).
-    #[must_use]
-    pub fn request_count(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// One control-plane call per backend, concurrently: a down shard costs
-    /// the report one connect timeout, not one per shard in sequence.
-    /// `on_panic` supplies the result for a backend that panicked mid-call.
-    fn fanout_control<R: Send>(
-        &self,
-        call: impl Fn(&dyn ShardBackend) -> R + Sync,
-        on_panic: impl Fn() -> R,
-    ) -> Vec<(String, R)> {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .router
-                .backends()
-                .iter()
-                .map(|backend| {
-                    let call = &call;
-                    scope.spawn(move || (backend.id(), call(&**backend)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().unwrap_or_else(|_| ("unknown".to_owned(), on_panic())))
-                .collect()
-        })
-    }
-
-    /// The rendered `!stats` answer: the router's own counters on the
-    /// status line (including `shard_errors=` and `partial=`), per-shard
-    /// stats aggregated into `shards_*=` sums, and one body line per shard
-    /// (`shard <id> <stats>` or `shard <id> DOWN <why>`).
-    #[must_use]
-    pub fn stats_report(&self) -> String {
-        let stats = self.router.stats();
+    /// The router's own counters on the status line (including
+    /// `shard_errors=` and `partial=`), per-shard stats aggregated into
+    /// `shards_*=` sums, and one body line per shard (`shard <id> <stats>` or
+    /// `shard <id> DOWN <why>`).
+    fn stats_answer(&self) -> String {
+        let stats = &self.stats;
         let mut sums: BTreeMap<&str, u64> = AGGREGATED_FIELDS.iter().map(|f| (*f, 0)).collect();
         let mut down = 0usize;
-        let mut body = Vec::with_capacity(self.router.backends().len());
-        let reports = self.fanout_control(
+        let mut body = Vec::with_capacity(self.backends.len());
+        let reports = control_fanout(
+            self.backends.iter(),
             |backend| (backend.stats_line(), backend.replica_status()),
-            || (Err(ShardError::Unavailable("shard backend panicked".to_owned())), Vec::new()),
+            || (Err(backend_panicked()), Vec::new()),
         );
         for (id, (result, replicas)) in reports {
             match result {
@@ -1451,7 +1186,7 @@ impl RouteService {
             .iter()
             .map(|field| format!("shards_{field}={}", sums[*field]))
             .collect();
-        let cache = self.router.cache_counters();
+        let cache = self.cache_counters();
         let status = format!(
             "router queries={} errors={} shed={} expired={} deadline_exceeded={} \
              retry_exhausted={} dedup_hits={} shard_errors={} partial={} \
@@ -1468,29 +1203,25 @@ impl RouteService {
             cache.hits,
             cache.misses,
             stats.qps(),
-            self.router.backends().len(),
+            self.backends.len(),
             aggregated.join(" "),
             stats.latency_summary(),
         );
         render_info_with_body(&status, body)
     }
 
-    /// The rendered `!reload` answer: one `# shard <id> reload ok|err=` body
-    /// line per underlying backend (replica-set members individually), and a
-    /// summary counting both sides — a member whose reload was refused is
-    /// never folded into an aggregate success.
-    fn reload_report(&self) -> String {
-        let mut body = Vec::with_capacity(self.router.backends().len());
+    /// One `# shard <id> reload ok|err=` body line per underlying backend
+    /// (replica-set members individually), and a summary counting both
+    /// sides — a member whose reload was refused is never folded into an
+    /// aggregate success.
+    fn reload_answer(&self) -> String {
+        let mut body = Vec::with_capacity(self.backends.len());
         let mut ok = 0usize;
         let mut failed = 0usize;
-        let outcomes = self.fanout_control(
+        let outcomes = control_fanout(
+            self.backends.iter(),
             |backend| backend.reload_detailed(),
-            || {
-                vec![(
-                    "unknown".to_owned(),
-                    Err(ShardError::Unavailable("shard backend panicked".to_owned())),
-                )]
-            },
+            || vec![("unknown".to_owned(), Err(backend_panicked()))],
         );
         for (_, members) in outcomes {
             for (id, result) in members {
@@ -1511,65 +1242,34 @@ impl RouteService {
         }
         // What the shards would answer may have changed: retire cached
         // merges from before the reload.
-        self.router.bump_epoch();
+        self.bump_epoch();
         render_info_with_body(
             &format!("reloaded shards={ok}/{} failed={failed}", ok + failed),
             body,
         )
     }
-
-    /// Shuts the pool down, returning how many queries the workers served.
-    pub fn shutdown(self) -> u64 {
-        self.pool.shutdown()
-    }
 }
 
-impl LineHandler for RouteService {
-    fn handle(&self, line: &str) -> Handled {
-        match parse_request(line) {
-            Request::Empty => Handled::Ignore,
-            Request::Quit => Handled::Close,
-            Request::Stats => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                Handled::Respond(self.stats_report())
-            }
-            Request::Reload => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                Handled::Respond(self.reload_report())
-            }
-            Request::Metrics => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                Handled::Respond(metrics_report(&self.router.stats().render_metrics()))
-            }
-            Request::Trace(arg) => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                Handled::Respond(trace_control(self.router.stats(), &arg))
-            }
-            Request::Slow => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                Handled::Respond(slow_report(self.router.stats()))
-            }
-            Request::Query(raw) => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                match self.pool.execute(&raw) {
-                    Ok(response) => {
-                        let text = render_routed_response(&response);
-                        observe_slow(
-                            self.router.stats(),
-                            &response.query,
-                            response.latency,
-                            &response.trace,
-                        );
-                        Handled::Respond(text)
-                    }
-                    Err(e) => Handled::Respond(render_error(&e)),
-                }
-            }
-        }
+impl Answer for RoutedResponse {
+    fn query(&self) -> &str {
+        &self.query
     }
 
-    fn stats(&self) -> &ServerStats {
-        self.router.stats()
+    fn latency(&self) -> Duration {
+        self.latency
+    }
+
+    fn trace(&self) -> &QueryTrace {
+        &self.trace
+    }
+
+    fn stamp(&mut self, latency: Duration, trace: Arc<QueryTrace>) {
+        self.latency = latency;
+        self.trace = trace;
+    }
+
+    fn render(&self) -> String {
+        render_routed_response(self)
     }
 }
 
@@ -1577,6 +1277,7 @@ impl LineHandler for RouteService {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::serve::{Handled, LineHandler, RouteService};
     use crate::snapshot::IndexSnapshot;
     use dsearch_index::{DocTable, InMemoryIndex};
     use dsearch_text::Term;
@@ -1762,6 +1463,62 @@ mod tests {
         assert_eq!(router.stats().shard_error_count(), 2);
         assert_eq!(router.stats().error_count(), 1);
         assert_eq!(router.stats().query_count(), 0);
+    }
+
+    /// A backend that panics on its first call and answers like `inner`
+    /// from then on.
+    struct PanicsOnce {
+        inner: LocalShards,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl ShardBackend for PanicsOnce {
+        fn id(&self) -> String {
+            self.inner.id()
+        }
+
+        fn search(&self, canonical: &str) -> Result<ShardReply, ShardError> {
+            assert!(!self.armed.swap(false, Ordering::SeqCst), "scripted panic");
+            self.inner.search(canonical)
+        }
+
+        fn stats_line(&self) -> Result<String, ShardError> {
+            self.inner.stats_line()
+        }
+
+        fn reload(&self) -> Result<String, ShardError> {
+            self.inner.reload()
+        }
+    }
+
+    #[test]
+    fn a_backend_that_panics_once_costs_one_answer_not_its_worker() {
+        for healthy in [0, 1] {
+            let mut backends: Vec<Box<dyn ShardBackend>> = vec![Box::new(PanicsOnce {
+                inner: LocalShards::new(engine_over(&[("a.txt", &["rust", "search"])])),
+                armed: std::sync::atomic::AtomicBool::new(true),
+            })];
+            for _ in 0..healthy {
+                backends.push(local(&[("b.txt", &["rust", "search"])], "healthy"));
+            }
+            let shards = backends.len();
+            let router = Router::new(backends, RouterConfig::default()).unwrap();
+            // The panic is the shard's failure for that one query: with
+            // nobody else to answer it the query fails, otherwise it is
+            // partial.
+            match router.route("rust") {
+                Ok(response) => {
+                    assert_eq!(shards, 2);
+                    assert_eq!(response.shard_failures.len(), 1);
+                    let why = response.shard_failures[0].1.to_string();
+                    assert!(why.contains("panicked"), "{why}");
+                }
+                Err(e) => assert_eq!((shards, e), (1, ServerError::AllShardsFailed)),
+            }
+            let after = router.route("search").unwrap();
+            assert!(!after.partial(), "{shards} shard(s): {:?}", after.shard_failures);
+            assert_eq!(after.hits.len(), shards);
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Serving front ends: a line loop for stdin/tests and a TCP listener.
 //!
 //! The front ends are generic over a [`LineHandler`]: anything that can
-//! answer protocol lines and expose serving stats.  [`Service`] (a single
-//! store behind a [`WorkerPool`]) and
-//! [`RouteService`](crate::route::RouteService) (the scatter-gather
-//! coordinator over many shards) both serve stdin and TCP through the same
-//! code, so every front-end feature — idle timeouts, connection caps,
-//! connection accounting — applies to single-store and routed serving alike.
+//! answer protocol lines and expose serving stats.  There is one: a
+//! [`LineService`] — an [`Executor`] behind its [`Pool`] — instantiated as
+//! [`Service`] (a single store) and as [`RouteService`] (the scatter-gather
+//! coordinator over many shards).  Both answer every protocol line through
+//! the same `handle`, and serve stdin and TCP through the same code, so every
+//! front-end feature — idle timeouts, connection caps, connection
+//! accounting — applies to single-store and routed serving alike.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -18,26 +19,19 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use dsearch_obs::{trace::render_spans_compact, QueryTrace};
-use dsearch_persist::IndexStore;
 
-use crate::engine::{QueryEngine, WorkerPool};
+use crate::batch::{Answer, Executor, Pool};
+use crate::engine::QueryEngine;
 use crate::protocol::{
-    parse_request, render_error, render_error_text, render_info, render_info_with_body,
-    render_response, Request,
+    parse_request, render_error, render_error_text, render_info, render_info_with_body, Request,
 };
+use crate::route::Router;
 use crate::stats::ServerStats;
-
-/// The rendered `!metrics` answer: the Prometheus-style exposition as the
-/// response body, one metric sample (or `# TYPE` comment) per line.
-pub(crate) fn metrics_report(exposition: &str) -> String {
-    let body: Vec<String> = exposition.lines().map(str::to_owned).collect();
-    render_info_with_body(&format!("metrics lines={}", body.len()), body)
-}
 
 /// Handles a `!trace` control line: `on` arms the slow-query log for every
 /// query, `off` disarms it, `<n>` / `<n>us` / `<n>µs` arms it at a microsecond
 /// threshold, and an empty argument reports the current state.
-pub(crate) fn trace_control(stats: &ServerStats, arg: &str) -> String {
+fn trace_control(stats: &ServerStats, arg: &str) -> String {
     let slow = stats.slow_log();
     let armed = |threshold: Duration| {
         render_info(&format!(
@@ -74,7 +68,7 @@ pub(crate) fn trace_control(stats: &ServerStats, arg: &str) -> String {
 }
 
 /// The rendered `!slow` answer: retained slow-query reports, oldest first.
-pub(crate) fn slow_report(stats: &ServerStats) -> String {
+fn slow_report(stats: &ServerStats) -> String {
     let entries = stats.slow_log().dump();
     let status = match stats.slow_log().threshold() {
         Some(threshold) => {
@@ -88,7 +82,7 @@ pub(crate) fn slow_report(stats: &ServerStats) -> String {
 /// Feeds one finished query to the slow-query log.  The report renders only
 /// when `total` exceeds the armed threshold, so the fast path costs one
 /// atomic load.
-pub(crate) fn observe_slow(stats: &ServerStats, query: &str, total: Duration, trace: &QueryTrace) {
+fn observe_slow(stats: &ServerStats, query: &str, total: Duration, trace: &QueryTrace) {
     stats.slow_log().observe(total, || {
         let mut entry = format!(
             "{}us query={:?} trace={:x} stages={}",
@@ -141,14 +135,20 @@ pub trait LineHandler: Send + Sync + 'static {
     }
 }
 
-/// A running service: engine + worker pool + optional reload source.
-pub struct Service {
-    engine: Arc<QueryEngine>,
-    pool: WorkerPool,
-    /// Store directory `!reload` re-reads; `None` disables reloads.
-    store_path: Option<PathBuf>,
+/// A running service: an [`Executor`] and the [`Pool`] its queries run on,
+/// answering the line protocol.
+pub struct LineService<E: Executor> {
+    executor: Arc<E>,
+    pool: Pool<E>,
     requests: AtomicU64,
 }
+
+/// `dsearch serve`: a single store behind its worker pool.
+pub type Service = LineService<QueryEngine>;
+
+/// `dsearch route`: the scatter-gather coordinator behind its router pool, so
+/// it plugs into the same stdin/TCP front ends as `dsearch serve`.
+pub type RouteService = LineService<Router>;
 
 /// What a handled request asks the connection to do next.
 #[derive(Debug, PartialEq, Eq)]
@@ -186,24 +186,16 @@ pub struct TcpServerConfig {
     pub max_conns: usize,
 }
 
-impl Service {
-    /// Starts the worker pool for `engine`.
-    #[must_use]
-    pub fn start(engine: Arc<QueryEngine>, store_path: Option<PathBuf>) -> Self {
-        let pool = WorkerPool::start(Arc::clone(&engine));
-        Service { engine, pool, store_path, requests: AtomicU64::new(0) }
+impl<E: Executor> LineService<E> {
+    fn over(executor: Arc<E>) -> Self {
+        let pool = Pool::start(Arc::clone(&executor));
+        LineService { executor, pool, requests: AtomicU64::new(0) }
     }
 
-    /// The engine this service fronts.
+    /// The pool this service executes queries on (load generators can drive
+    /// it directly while `!stats` observes the same counters).
     #[must_use]
-    pub fn engine(&self) -> &Arc<QueryEngine> {
-        &self.engine
-    }
-
-    /// The worker pool this service executes queries on (load generators can
-    /// drive it directly while `!stats` observes the same counters).
-    #[must_use]
-    pub fn pool(&self) -> &WorkerPool {
+    pub fn pool(&self) -> &Pool<E> {
         &self.pool
     }
 
@@ -213,72 +205,75 @@ impl Service {
         self.requests.load(Ordering::Relaxed)
     }
 
-    fn reload(&self) -> String {
-        let Some(path) = &self.store_path else {
-            return render_error_text(
-                "reload unavailable: service was started without a store path",
-            );
-        };
-        let result =
-            IndexStore::open(path).and_then(|store| self.engine.snapshot_cell().reload(&store));
-        match result {
-            Ok(generation) => render_info(&format!("reloaded generation={generation}")),
-            Err(e) => render_error_text(&format!("reload failed: {e}")),
-        }
-    }
-
     /// Shuts the pool down, returning how many queries the workers served.
     pub fn shutdown(self) -> u64 {
         self.pool.shutdown()
     }
 }
 
-impl LineHandler for Service {
-    fn handle(&self, line: &str) -> Handled {
-        match parse_request(line) {
-            Request::Empty => Handled::Ignore,
-            Request::Quit => Handled::Close,
-            Request::Stats => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                Handled::Respond(render_info(&self.engine.stats_report()))
-            }
-            Request::Reload => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                Handled::Respond(self.reload())
-            }
-            Request::Metrics => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                Handled::Respond(metrics_report(&self.engine.render_metrics()))
-            }
-            Request::Trace(arg) => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                Handled::Respond(trace_control(self.engine.stats(), &arg))
-            }
-            Request::Slow => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                Handled::Respond(slow_report(self.engine.stats()))
-            }
-            Request::Query(raw) => {
-                self.requests.fetch_add(1, Ordering::Relaxed);
-                match self.pool.execute(&raw) {
-                    Ok(response) => {
-                        let text = render_response(&response);
-                        observe_slow(
-                            self.engine.stats(),
-                            &response.query,
-                            response.latency,
-                            &response.trace,
-                        );
-                        Handled::Respond(text)
-                    }
-                    Err(e) => Handled::Respond(render_error(&e)),
-                }
-            }
+impl Service {
+    /// Starts the worker pool for `engine`; `!reload` re-reads `store_path`
+    /// (`None` disables reloads).
+    #[must_use]
+    pub fn start(engine: Arc<QueryEngine>, store_path: Option<PathBuf>) -> Self {
+        if let Some(path) = store_path {
+            engine.reload_from(path);
         }
+        LineService::over(engine)
+    }
+
+    /// The engine this service fronts.
+    #[must_use]
+    pub fn engine(&self) -> &Arc<QueryEngine> {
+        &self.executor
+    }
+}
+
+impl RouteService {
+    /// Starts the router pool for `router`.
+    #[must_use]
+    pub fn start(router: Arc<Router>) -> Self {
+        LineService::over(router)
+    }
+
+    /// The router this service fronts.
+    #[must_use]
+    pub fn router(&self) -> &Arc<Router> {
+        &self.executor
+    }
+}
+
+impl<E: Executor> LineHandler for LineService<E> {
+    fn handle(&self, line: &str) -> Handled {
+        let stats = self.executor.stats();
+        let response = match parse_request(line) {
+            Request::Empty => return Handled::Ignore,
+            Request::Quit => return Handled::Close,
+            Request::Stats => self.executor.stats_answer(),
+            Request::Reload => self.executor.reload_answer(),
+            // The body is the exposition: a sample or `# TYPE` comment per line.
+            Request::Metrics => {
+                let exposition = self.executor.metrics_exposition();
+                let body: Vec<&str> = exposition.lines().collect();
+                render_info_with_body(&format!("metrics lines={}", body.len()), body)
+            }
+            Request::Trace(arg) => trace_control(stats, &arg),
+            Request::Slow => slow_report(stats),
+            Request::Query(raw) => match self.pool.execute(&raw) {
+                Ok(response) => {
+                    let text = response.render();
+                    observe_slow(stats, response.query(), response.latency(), response.trace());
+                    text
+                }
+                Err(e) => render_error(&e),
+            },
+        };
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        Handled::Respond(response)
     }
 
     fn stats(&self) -> &ServerStats {
-        self.engine.stats()
+        self.executor.stats()
     }
 }
 
@@ -478,6 +473,7 @@ mod tests {
     use crate::engine::EngineConfig;
     use crate::snapshot::IndexSnapshot;
     use dsearch_index::{DocTable, InMemoryIndex};
+    use dsearch_persist::IndexStore;
     use dsearch_text::Term;
     use std::io::Cursor;
 

@@ -258,9 +258,10 @@ impl ServerStats {
         }
     }
 
-    /// Records one routed response served with at least one shard missing.
-    pub fn record_partial_response(&self) {
-        self.partial_responses.inc();
+    /// Records `count` routed responses served with at least one shard
+    /// missing.
+    pub fn record_partial_responses(&self, count: u64) {
+        self.partial_responses.add(count);
     }
 
     /// Records one blown deadline, attributed to the lifecycle stage where
@@ -602,7 +603,7 @@ mod tests {
         stats.record_adaptive_decision(false);
         stats.record_shard_errors(0);
         stats.record_shard_errors(2);
-        stats.record_partial_response();
+        stats.record_partial_responses(1);
         assert_eq!(stats.adaptive_wait_count(), 1);
         assert_eq!(stats.adaptive_skip_count(), 2);
         assert_eq!(stats.shard_error_count(), 2);
