@@ -144,6 +144,11 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         store.segment_count(),
         store.segment_count() - segments_before
     ));
+    let bytes = store.written();
+    out.push_str(&format!(
+        "  bytes: ids {} tfs {} skips {} scores {} dictionary {} docs {}\n",
+        bytes.ids, bytes.tfs, bytes.skips, bytes.scores, bytes.dictionary, bytes.docs
+    ));
     out.push_str(&super::memory_lines(index_heap));
     Ok(out)
 }

@@ -3,7 +3,7 @@
 //! An [`InMemoryIndex`] is the *build* structure — a hash map of mutable
 //! posting vectors.  A [`SealedShard`] is what a serving snapshot actually
 //! reads: **one byte buffer** holding every term's encoded entry exactly as a
-//! version-3 segment stores it, described by flat side tables — one
+//! segment stores it ([`encode_term`]), described by flat side tables — one
 //! fixed-size `TermEntry` per term (where its entry, its payloads and its
 //! score bounds sit in the buffer), one shard-wide skip table, one
 //! shard-wide frequency-offset table and a `u32` open-addressing table for
@@ -45,8 +45,8 @@ pub const BM25_B: f32 = 0.75;
 const MAX_TERM_LEN: u64 = 64 * 1024;
 
 /// Fewest bytes one encoded term entry occupies: a term length, a posting
-/// count, two payload lengths and a max score.
-const MIN_ENTRY_BYTES: usize = 5;
+/// count, two payload lengths and the two bytes of a max score.
+const MIN_ENTRY_BYTES: usize = 6;
 
 /// The BM25 inverse document frequency of a term with `doc_freq` postings in
 /// a shard of `total_docs` documents: `ln(1 + (N - df + 0.5)/(df + 0.5))`.
@@ -146,38 +146,109 @@ impl PartialEq for SealedShard {
 
 impl Eq for SealedShard {}
 
-/// Appends one term's entry in the version-3 segment encoding:
+/// Encoded bytes by what they hold: the census `dsearch index` prints of the
+/// segments it wrote.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SectionBytes {
+    /// Block payloads: first ids and gaps.
+    pub ids: u64,
+    /// Frequency payloads and their block offsets.
+    pub tfs: u64,
+    /// Skip entries.
+    pub skips: u64,
+    /// List maxima and block score bounds.
+    pub scores: u64,
+    /// Term text and posting counts.
+    pub dictionary: u64,
+    /// What a segment holds before its first term entry — header, document
+    /// table, document lengths, term count; [`encode_term`] leaves it zero.
+    pub docs: u64,
+}
+
+impl SectionBytes {
+    /// All sections together.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.ids + self.tfs + self.skips + self.scores + self.dictionary + self.docs
+    }
+}
+
+impl std::ops::AddAssign for SectionBytes {
+    fn add_assign(&mut self, other: Self) {
+        self.ids += other.ids;
+        self.tfs += other.tfs;
+        self.skips += other.skips;
+        self.scores += other.scores;
+        self.dictionary += other.dictionary;
+        self.docs += other.docs;
+    }
+}
+
+/// Appends one term's entry in the segment encoding (version 5), and says
+/// how many bytes each part of it took:
 ///
 /// ```text
 /// term                                  length-prefixed bytes
 /// posting count                         varint
-/// skip entries (only when > 1 block):   per block: first, last, offset
-/// block payload                         length-prefixed bytes
-/// frequency payload                     length-prefixed bytes
-/// frequency offsets (only when the      per block: byte offset varint
-///   frequency payload is non-empty)
-/// max score                             f32 bits as varint
+/// skip entries (only when > 1 block):   per block: its last id less the
+///                                       block before's (the first block: its
+///                                       last id), then — not for the first
+///                                       block, which starts the payload —
+///                                       its byte offset less the block
+///                                       before's
+/// block payload                         length-prefixed bytes; per block the
+///                                       first id as a varint, then (when it
+///                                       holds more ids) one codec block of
+///                                       the gaps less one
+/// frequency payload                     length-prefixed bytes; per block one
+///                                       codec block of the frequencies less
+///                                       one (empty: every frequency is 1)
+/// frequency offsets (only when the      per block but the first: its byte
+///   frequency payload is non-empty)     offset less the block before's
+/// max score                             the high two bytes of the f32,
+///                                       little-endian (the low two are zero:
+///                                       `CompressedPostings::score_blocks`)
 /// block score bounds (only when         one u8 per block, raw
 ///   max score > 0)
 /// ```
 ///
+/// A codec block is the patched frame of reference of [`crate::block`]: a
+/// header byte (width, flags), an optional base, the packed low bits, the
+/// exceptions.  A block's first id is stored once, in the payload;
+/// [`SkipEntry::first`] is read from there when the tables are laid over.
+///
 /// The segment writer streams these; [`SealedShard::from_index`] collects
 /// them, and [`SealedShard::from_bytes`] lays its tables over them.
-pub fn encode_term(out: &mut Vec<u8>, term: &str, postings: CompressedView<'_>) {
+pub fn encode_term(out: &mut Vec<u8>, term: &str, postings: CompressedView<'_>) -> SectionBytes {
+    let mut mark = out.len();
+    let mut section = |end: usize| {
+        let bytes = (end - mark) as u64;
+        mark = end;
+        bytes
+    };
     write_bytes(out, term.as_bytes());
     write_varint(out, postings.len() as u64);
-    for skip in postings.skips() {
-        write_varint(out, u64::from(skip.first.as_u32()));
-        write_varint(out, u64::from(skip.last.as_u32()));
-        write_varint(out, u64::from(skip.offset));
+    let dictionary = section(out.len());
+    let (mut last, mut offset) = (0, 0);
+    for (i, skip) in postings.skips().iter().enumerate() {
+        write_varint(out, u64::from(skip.last.as_u32() - last));
+        if i > 0 {
+            write_varint(out, u64::from(skip.offset - offset));
+        }
+        (last, offset) = (skip.last.as_u32(), skip.offset);
     }
+    let skips = section(out.len());
     write_bytes(out, postings.data());
+    let ids = section(out.len());
     write_bytes(out, postings.freqs());
-    for &offset in postings.freq_offsets() {
-        write_varint(out, u64::from(offset));
+    for pair in postings.freq_offsets().windows(2) {
+        write_varint(out, u64::from(pair[1] - pair[0]));
     }
-    write_varint(out, u64::from(postings.max_score().to_bits()));
+    let tfs = section(out.len());
+    out.extend_from_slice(&postings.max_score().to_bits().to_le_bytes()[2..]);
     out.extend_from_slice(postings.block_scores());
+    let scores = section(out.len());
+    SectionBytes { ids, tfs, skips, scores, dictionary, docs: 0 }
 }
 
 impl SealedShard {
@@ -259,52 +330,58 @@ impl SealedShard {
             let block_count = (len as usize).div_ceil(BLOCK_SIZE);
             let multi_block = block_count > 1;
             let blocks_at = skips.len() as u32;
-            let mut previous_last: Option<FileId> = None;
-            let mut previous_offset = 0u32;
+            let (mut last, mut offset) = (0u32, 0u32);
             for i in 0..if multi_block { block_count } else { 0 } {
-                let skip = SkipEntry {
-                    first: FileId(reader.u32()?),
-                    last: FileId(reader.u32()?),
-                    offset: reader.u32()?,
-                };
-                if skip.first > skip.last
-                    || previous_last.is_some_and(|prev| skip.first <= prev)
-                    || skip.offset < previous_offset
-                {
+                let past_u32 = || corrupt(format!("skip entry {i} lies past the last id"));
+                last = last.checked_add(reader.u32()?).ok_or_else(past_u32)?;
+                if i > 0 {
+                    offset = offset.checked_add(reader.u32()?).ok_or_else(past_u32)?;
+                }
+                skips.push(SkipEntry { first: FileId(0), last: FileId(last), offset });
+            }
+            let payloads_at = reader.pos() as u32;
+            let data = reader.bytes(u64::MAX, "block payload")?;
+            // Every block opens with at least one byte (its first id).
+            if data.len() < block_count {
+                return Err(corrupt(format!(
+                    "{} payload bytes cannot hold {block_count} blocks",
+                    data.len()
+                )));
+            }
+            // A block's first id is the varint its offset points at: inside
+            // the payload, not past its own last id, behind the block before.
+            let mut previous_last: Option<FileId> = None;
+            for (i, skip) in skips[blocks_at as usize..].iter_mut().enumerate() {
+                skip.first = FileId(Reader::new(data, skip.offset as usize).u32()?);
+                if skip.first > skip.last || previous_last.is_some_and(|prev| skip.first <= prev) {
                     return Err(corrupt(format!("skip entry {i} is out of order")));
                 }
                 previous_last = Some(skip.last);
-                previous_offset = skip.offset;
-                skips.push(skip);
-            }
-            let payloads_at = reader.pos() as u32;
-            let data_len = reader.bytes(u64::MAX, "block payload")?.len();
-            // Every block opens with at least one byte (its first id).
-            if data_len < block_count || previous_offset as usize > data_len {
-                return Err(corrupt(format!(
-                    "{data_len} payload bytes cannot hold {block_count} blocks"
-                )));
             }
 
             let freqs_len = reader.bytes(u64::MAX, "frequency payload")?.len();
             if freqs_len > 0 && block_count == 0 {
                 return Err(corrupt("frequencies without postings"));
             }
-            let mut previous = 0u32;
+            let mut offset = 0u32;
             for i in 0..if freqs_len > 0 { block_count } else { 0 } {
-                let offset = reader.u32()?;
-                if offset < previous || offset as usize >= freqs_len || (i == 0 && offset != 0) {
-                    return Err(corrupt(format!("freq block {i} offset out of order")));
+                if i > 0 {
+                    offset = offset
+                        .checked_add(reader.u32()?)
+                        .filter(|&offset| (offset as usize) < freqs_len)
+                        .ok_or_else(|| {
+                            corrupt(format!("freq block {i} starts past the payload"))
+                        })?;
                 }
-                previous = offset;
                 if multi_block {
                     freq_offsets.push(offset);
                 }
             }
             freq_offsets.resize(skips.len(), 0);
 
-            let max_score = f32::from_bits(reader.u32()?);
-            if !max_score.is_finite() || max_score < 0.0 {
+            let high = reader.take(2, "max score")?;
+            let max_score = f32::from_bits(u32::from(u16::from_le_bytes([high[0], high[1]])) << 16);
+            if !max_score.is_finite() || max_score.is_sign_negative() {
                 return Err(corrupt("max score must be finite and non-negative"));
             }
             let scores_at = reader.pos() as u32;
@@ -317,7 +394,7 @@ impl SealedShard {
 
             posting_count += u64::from(len);
             posting_bytes +=
-                data_len + (skips.len() - blocks_at as usize) * std::mem::size_of::<SkipEntry>();
+                data.len() + (skips.len() - blocks_at as usize) * std::mem::size_of::<SkipEntry>();
             terms.push(TermEntry { entry_at, payloads_at, scores_at, max_score, blocks_at });
         }
         if reader.remaining() != 0 {
@@ -744,7 +821,10 @@ mod tests {
             1,
             shard.doc_norm(FileId(2)),
         ));
-        assert_eq!(rust.max_score().to_bits(), expected.to_bits());
+        // Rounded up to what two bytes of a segment hold: never below the
+        // best score, at most 2^-7 above it.
+        assert_eq!(rust.max_score().to_bits() & 0xffff, 0);
+        assert!(rust.max_score() >= expected && rust.max_score() <= expected * (1.0 + 1.0 / 128.0));
     }
 
     #[test]
@@ -775,7 +855,8 @@ mod tests {
     struct Parts<'a> {
         term: &'a [u8],
         len: u64,
-        skips: &'a [(u32, u32, u32)],
+        /// Per block `(last id, byte offset)`, as absolute values.
+        skips: &'a [(u32, u32)],
         data: &'a [u8],
         freqs: &'a [u8],
         freq_offsets: &'a [u32],
@@ -788,13 +869,20 @@ mod tests {
             let mut out = Vec::new();
             write_bytes(&mut out, self.term);
             write_varint(&mut out, self.len);
-            for &(first, last, offset) in self.skips {
-                [first, last, offset].iter().for_each(|&v| write_varint(&mut out, u64::from(v)));
+            let (mut last, mut offset) = (0, 0);
+            for (i, &skip) in self.skips.iter().enumerate() {
+                write_varint(&mut out, u64::from(skip.0.wrapping_sub(last)));
+                if i > 0 {
+                    write_varint(&mut out, u64::from(skip.1.wrapping_sub(offset)));
+                }
+                (last, offset) = skip;
             }
             write_bytes(&mut out, self.data);
             write_bytes(&mut out, self.freqs);
-            self.freq_offsets.iter().for_each(|&offset| write_varint(&mut out, u64::from(offset)));
-            write_varint(&mut out, u64::from(self.max_score.to_bits()));
+            for pair in self.freq_offsets.windows(2) {
+                write_varint(&mut out, u64::from(pair[1].wrapping_sub(pair[0])));
+            }
+            out.extend_from_slice(&self.max_score.to_bits().to_le_bytes()[2..]);
             out.extend_from_slice(self.scores);
             out
         }
@@ -809,33 +897,39 @@ mod tests {
     #[test]
     fn malformed_entries_are_errors_not_panics() {
         let n = BLOCK_SIZE as u64 + 1;
-        let (none, one, two): (&[u32], &[u32], &[u32]) = (&[], &[0], &[0, 2]);
+        let (none, two): (&[u32], &[u32]) = (&[], &[0, 2]);
         let small = Parts {
             term: b"a",
             len: 2,
             skips: &[],
-            data: &[0, 0, 1],
+            data: &[0, 0],
             freqs: &[],
             freq_offsets: none,
             max_score: 0.0,
             scores: &[],
         };
-        let big = Parts { len: n, skips: &[(0, 500, 0), (501, 900, 1)], data: &[0; 8], ..small };
-        // The well-formed baselines load.
+        // Two blocks: ids 0..=127 (first id 0, width-0 gaps) and id 200.
+        let big = Parts { len: n, skips: &[(127, 0), (200, 2)], data: &[0, 0, 200, 1], ..small };
+        // The well-formed baselines load, first ids read out of the payload.
         load(small.encode(), 1).unwrap();
-        load(big.encode(), 1).unwrap();
-        let full = Parts { freqs: &[0, 1, 0, 1], freq_offsets: two, max_score: 1.5, ..big };
+        let shard = load(big.encode(), 1).unwrap();
+        let skips = shard.postings(&t("a")).unwrap().skips().to_vec();
+        assert_eq!(skips.iter().map(|s| s.first).collect::<Vec<_>>(), [FileId(0), FileId(200)]);
+        assert_eq!(skips.iter().map(|s| s.offset).collect::<Vec<_>>(), [0, 2]);
+        let full = Parts { freqs: &[0x40, 1, 0, 0], freq_offsets: two, max_score: 1.5, ..big };
         load(Parts { scores: &[255, 9], ..full }.encode(), 1).unwrap();
         let bad = [
-            ("first > last", Parts { skips: &[(9, 1, 0), (10, 11, 1)], ..big }),
-            ("overlap", Parts { skips: &[(0, 500, 0), (400, 900, 1)], ..big }),
-            ("offset backwards", Parts { skips: &[(0, 5, 4), (6, 9, 1)], ..big }),
-            ("offset past payload", Parts { skips: &[(0, 5, 0), (6, 9, 99)], ..big }),
+            ("first > last", Parts { skips: &[(127, 0), (199, 2)], ..big }),
+            ("overlap", Parts { skips: &[(127, 0), (200, 2)], data: &[0, 0, 127, 0], ..big }),
+            ("last backwards", Parts { skips: &[(127, 0), (100, 2)], ..big }),
+            ("last past u32", Parts { skips: &[(u32::MAX, 0), (0, 2)], ..big }),
+            ("offset past payload", Parts { skips: &[(127, 0), (200, 99)], ..big }),
+            ("first id cut short", Parts { data: &[0, 0, 0x80], ..big }),
             ("missing skip table", Parts { skips: &[], ..big }),
             ("postings without payload", Parts { data: &[], ..small }),
-            ("freq offsets short", Parts { freqs: &[0, 1], freq_offsets: one, ..big }),
-            ("freq offset past payload", Parts { freqs: &[0, 1], freq_offsets: &[2], ..small }),
-            ("freq offsets backwards", Parts { freqs: &[0; 4], freq_offsets: &[2, 1], ..big }),
+            ("fewer payload bytes than blocks", Parts { data: &[0], ..big }),
+            ("freq offsets short", Parts { freqs: &[0, 0], freq_offsets: &[0], ..big }),
+            ("freq offset past payload", Parts { freqs: &[0, 0], freq_offsets: two, ..big }),
             ("frequencies without postings", Parts { len: 0, data: &[], freqs: &[0, 1], ..small }),
             ("scores short", Parts { scores: &[255], ..full }),
             ("scores without postings", Parts { len: 0, data: &[], max_score: 1.0, ..small }),

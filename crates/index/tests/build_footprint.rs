@@ -2,9 +2,15 @@
 //! no RSS.
 //!
 //! * A replica holds its postings at about the size of the segment it will
-//!   be sealed into: the live heap behind an `InMemoryIndex` is at most 2.5 ×
-//!   the bytes of its sealed term entries (two `Vec<u32>` per list were
-//!   8.3 × on this input).
+//!   be sealed into: the live heap behind an `InMemoryIndex` is at most 3.67
+//!   bytes a posting — what 2.5 × the bytes of its sealed term entries came
+//!   to while a segment packed every block at its widest value (two
+//!   `Vec<u32>` per list were 12.2 bytes a posting on this input).  The
+//!   sealed bytes have their own bound, so that neither side of the old
+//!   ratio can grow behind the other.
+//! * A sealed posting costs what its values need, not what the largest
+//!   value of its block needs: term frequencies, mostly 1 with a few large,
+//!   seal to at most 2.5 bits each where packing at the widest takes 4.
 //! * An id that arrives late is spliced in from the end of its list: no
 //!   scratch to decode into, no re-encoding, so no allocation beyond the
 //!   stream's own growth — the O(distance) contract, as a count.
@@ -15,8 +21,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dsearch_index::varint::write_varint;
-use dsearch_index::{encode_term, FileId, InMemoryIndex, PostingList, SealedTerms};
+use dsearch_index::{
+    encode_term, FileId, InMemoryIndex, PostingList, SealedTerms, SectionBytes, BLOCK_SIZE,
+};
 use dsearch_text::Term;
 
 thread_local! {
@@ -84,23 +91,14 @@ const FILES: u32 = 2_500;
 const MEDIAN_WORDS: f64 = 280.0;
 const LARGE_FILE_WORDS: usize = 150_000;
 
-/// The sealed term entries of `index`, as a segment carries them.
-fn sealed_bytes(index: &InMemoryIndex) -> usize {
-    let terms = SealedTerms::new(index);
-    let mut bytes = Vec::new();
-    write_varint(&mut bytes, terms.len() as u64);
-    for (term, postings) in terms {
-        encode_term(&mut bytes, term.as_str(), postings.view());
-    }
-    bytes.len()
+/// The vocabulary, which exists before the index does, as the extractor's
+/// interner holds it in a build: the index shares the strings.
+fn vocabulary() -> Vec<Term> {
+    (0..VOCABULARY).map(|rank| Term::from(format!("w{rank}"))).collect()
 }
 
-#[test]
-fn a_replica_holds_its_postings_at_the_size_of_its_segment() {
-    // The vocabulary exists before the index does, as the extractor's
-    // interner holds it in a build: the index shares the strings.
-    let vocabulary: Vec<Term> =
-        (0..VOCABULARY).map(|rank| Term::from(format!("w{rank}"))).collect();
+/// The replica: everything it leaves allocated is the index's.
+fn replica(vocabulary: &[Term]) -> InMemoryIndex {
     // Zipf, exponent 1.05: the cumulative weights to draw ranks from.
     let mut cumulative = Vec::with_capacity(VOCABULARY);
     let mut total = 0.0f64;
@@ -113,7 +111,6 @@ fn a_replica_holds_its_postings_at_the_size_of_its_segment() {
     let mut counts = vec![0u32; VOCABULARY];
     let mut ranks: Vec<usize> = Vec::with_capacity(VOCABULARY);
 
-    let live_before = LIVE_BYTES.with(Cell::get);
     let mut index = InMemoryIndex::new();
     for file in 0..FILES {
         let words = if file == FILES / 2 {
@@ -137,6 +134,14 @@ fn a_replica_holds_its_postings_at_the_size_of_its_segment() {
             ranks.iter().map(|&rank| (vocabulary[rank].clone(), std::mem::take(&mut counts[rank]))),
         );
     }
+    index
+}
+
+#[test]
+fn a_replica_holds_its_postings_at_the_size_of_its_segment() {
+    let vocabulary = vocabulary();
+    let live_before = LIVE_BYTES.with(Cell::get);
+    let index = replica(&vocabulary);
     let live = usize::try_from(LIVE_BYTES.with(Cell::get) - live_before).unwrap();
 
     let postings = index.posting_count();
@@ -147,11 +152,10 @@ fn a_replica_holds_its_postings_at_the_size_of_its_segment() {
         (postings / 10..postings * 9 / 10).contains(&(counted as u64)),
         "frequencies are not mixed: {counted} of {postings} above 1"
     );
-    let sealed = sealed_bytes(&index);
     assert!(
-        live * 2 <= sealed * 5,
-        "{live} bytes live behind {postings} postings that seal to {sealed} bytes ({:.2} x)",
-        live as f64 / sealed as f64
+        live as u64 * 100 <= postings * 367,
+        "{live} bytes live behind {postings} postings ({:.2} a posting)",
+        live as f64 / postings as f64
     );
     // What `dsearch index` prints as `index heap` is that figure, but for
     // the per-file length table.
@@ -159,6 +163,44 @@ fn a_replica_holds_its_postings_at_the_size_of_its_segment() {
     assert!(
         reported <= live && live - reported <= 64 * FILES as usize,
         "heap_bytes() says {reported}, the allocator {live}"
+    );
+}
+
+#[test]
+fn a_sealed_posting_costs_what_its_values_need_not_what_the_widest_needs() {
+    let index = replica(&vocabulary());
+    let postings = index.posting_count();
+    let mut sealed = SectionBytes::default();
+    // What the frequency payloads take when every block is packed at the
+    // width of its largest value (a block of equal values: two bytes).
+    let mut at_the_widest = 0u64;
+    let (mut entry, mut tfs) = (Vec::new(), Vec::new());
+    for (term, list) in SealedTerms::new(&index) {
+        entry.clear();
+        sealed += encode_term(&mut entry, term.as_str(), list.view());
+        list.view().decode_freqs_into(&mut tfs);
+        for block in tfs.chunks(BLOCK_SIZE) {
+            let (least, most) = (*block.iter().min().unwrap(), *block.iter().max().unwrap());
+            let width = (32 - most.leading_zeros()) as usize;
+            at_the_widest +=
+                if least == most { 2 } else { 1 + (block.len() * width).div_ceil(8) as u64 };
+        }
+    }
+    let bits = |bytes: u64| bytes as f64 * 8.0 / postings as f64;
+    assert!(bits(at_the_widest) >= 4.0, "the input is too easy: {:.2}", bits(at_the_widest));
+    assert!(
+        bits(sealed.tfs) <= 2.5,
+        "{} frequency bytes behind {postings} postings: {:.2} bits each, {:.2} at the widest",
+        sealed.tfs,
+        bits(sealed.tfs),
+        bits(at_the_widest)
+    );
+    // And the whole entry: ids, frequencies, skips, bounds, term text.
+    assert!(
+        sealed.total() * 100 <= postings * 112,
+        "{} sealed bytes behind {postings} postings ({:.3} a posting)",
+        sealed.total(),
+        sealed.total() as f64 / postings as f64
     );
 }
 

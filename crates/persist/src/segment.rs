@@ -1,7 +1,7 @@
 //! The binary segment format.
 //!
 //! One segment stores one complete index (terms, block-compressed posting
-//! lists) together with its document table.  The version-4 layout is:
+//! lists) together with its document table.  The version-5 layout is:
 //!
 //! ```text
 //! magic   "DSG1"                            4 bytes
@@ -9,7 +9,9 @@
 //! payload:
 //!   version                                 varint
 //!   doc count                               varint
-//!   per doc: path                           length-prefixed bytes
+//!   per doc: path, front-coded              bytes shared with the path
+//!                                           before (varint), then the rest
+//!                                           as length-prefixed bytes
 //!   doc-length count                        varint
 //!   per length (id ascending):              file id, length as varints
 //!   term count                              varint
@@ -18,19 +20,17 @@
 //! ```
 //!
 //! The term entries are **exactly** what a [`SealedShard`] reads in place
-//! (delta blocks, varint or bitpacked, the term-frequency payload and the
-//! quantized per-block BM25 score bounds), so serving a segment is
+//! (the id and term-frequency blocks of one patched frame-of-reference codec
+//! and the quantized per-block BM25 score bounds), so serving a segment is
 //! decode-free: the file's bytes become the shard's one buffer and ranked
 //! queries prune with the persisted bounds.  A shard scores against the
 //! documents with a recorded length, so a partial replica of Implementation 3
 //! — whose doc table is the whole run's — loads as the shard its index seals
 //! to.
 //!
-//! The payload is version 3's byte for byte but for the version varint; what
-//! changed is the checksum over it ([`crate::checksum`]: word-at-a-time, so
-//! verifying a file costs about a tenth of what the byte-serial FNV-1a of
-//! versions 1–3 did).  The readers look at the version *before* they verify,
-//! so a file of an older version is a clean
+//! There is one readable version.  The readers look at the version *before*
+//! they verify the checksum ([`crate::checksum`]: versions 1–3 were summed
+//! with another function), so a file of any other version is a clean
 //! [`PersistError::UnsupportedVersion`] — re-indexing is the migration — and
 //! never a checksum mismatch.  The checksum makes a truncated, torn or
 //! bit-flipped segment a clean [`PersistError::Corrupt`] instead of a garbage
@@ -44,6 +44,7 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use dsearch_index::varint::{write_bytes, write_varint, Reader};
 use dsearch_index::{
     encode_term, DocTable, FileId, InMemoryIndex, PostingList, SealedShard, SealedTerms,
+    SectionBytes,
 };
 use dsearch_text::Term;
 
@@ -53,12 +54,12 @@ use crate::error::PersistError;
 /// Magic bytes identifying a segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"DSG1";
 
-/// Current segment format version (term frequencies, document lengths and
-/// block-max score bounds under an XXH64 checksum).
-pub const SEGMENT_VERSION: u32 = 4;
+/// Current segment format version (patched frame-of-reference id and
+/// frequency blocks, delta-coded skip entries, a front-coded document table).
+pub const SEGMENT_VERSION: u32 = 5;
 
 /// Oldest version the readers still understand.
-pub const MIN_SEGMENT_VERSION: u32 = 4;
+pub const MIN_SEGMENT_VERSION: u32 = 5;
 
 /// Longest path (in bytes) a segment will accept when reading; protects
 /// against corrupt length prefixes.
@@ -91,8 +92,18 @@ pub struct SegmentInfo {
 pub fn write_segment<W: Write + Seek>(
     index: &InMemoryIndex,
     docs: &DocTable,
-    mut writer: W,
+    writer: W,
 ) -> Result<SegmentInfo, PersistError> {
+    write_segment_tallied(index, docs, writer).map(|(info, _)| info)
+}
+
+/// [`write_segment`], which also says how many of the segment's bytes each
+/// section took (they add up to [`SegmentInfo::bytes`]).
+pub(crate) fn write_segment_tallied<W: Write + Seek>(
+    index: &InMemoryIndex,
+    docs: &DocTable,
+    mut writer: W,
+) -> Result<(SegmentInfo, SectionBytes), PersistError> {
     let start = writer.stream_position()?;
     writer.write_all(&SEGMENT_MAGIC)?;
     writer.write_all(&[0u8; 8])?;
@@ -113,8 +124,13 @@ pub fn write_segment<W: Write + Seek>(
     let mut piece = Vec::new();
     write_varint(&mut piece, u64::from(SEGMENT_VERSION));
     write_varint(&mut piece, docs.len() as u64);
+    let mut previous: &[u8] = &[];
     for (_, path) in docs.iter() {
-        write_bytes(&mut piece, path.as_bytes());
+        let path = path.as_bytes();
+        let shared = previous.iter().zip(path).take_while(|(a, b)| a == b).count();
+        write_varint(&mut piece, shared as u64);
+        write_bytes(&mut piece, &path[shared..]);
+        previous = path;
     }
     let mut doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
     doc_lens.sort_unstable_by_key(|&(id, _)| id);
@@ -131,10 +147,11 @@ pub fn write_segment<W: Write + Seek>(
     let term_count = sealed.len() as u64;
     let mut posting_count = 0u64;
     write_varint(&mut piece, term_count);
+    let mut sections = SectionBytes { docs: HEADER_LEN + piece.len() as u64, ..Default::default() };
     for (term, compressed) in sealed {
         emit(&mut piece)?;
         posting_count += compressed.view().len() as u64;
-        encode_term(&mut piece, term.as_str(), compressed.view());
+        sections += encode_term(&mut piece, term.as_str(), compressed.view());
     }
     emit(&mut piece)?;
     out.flush()?;
@@ -144,12 +161,13 @@ pub fn write_segment<W: Write + Seek>(
     writer.write_all(&checksum.finish().to_le_bytes())?;
     writer.seek(SeekFrom::Start(start + HEADER_LEN + payload_len))?;
 
-    Ok(SegmentInfo {
+    let info = SegmentInfo {
         doc_count: docs.len() as u64,
         term_count,
         posting_count,
         bytes: HEADER_LEN + payload_len,
-    })
+    };
+    Ok((info, sections))
 }
 
 /// Magic plus checksum.
@@ -187,12 +205,24 @@ fn read_front_matter(bytes: &[u8]) -> Result<FrontMatter, PersistError> {
     if xxh64(&bytes[header..]) != expected {
         return Err(PersistError::Corrupt("segment checksum mismatch".into()));
     }
-    let doc_count = reader.count(1, "document")?;
+    let doc_count = reader.count(2, "document")?;
     let mut docs = DocTable::with_capacity(doc_count);
+    // Front-coded: each path is the start of the one before and a suffix.
+    let mut path: Vec<u8> = Vec::new();
     for _ in 0..doc_count {
-        let path = std::str::from_utf8(reader.bytes(MAX_STRING_LEN, "document path")?)
-            .map_err(|_| PersistError::Corrupt("document path is not valid UTF-8".into()))?;
-        docs.insert(path);
+        let shared = reader.u64()?;
+        if shared > path.len() as u64 {
+            return Err(PersistError::Corrupt(format!(
+                "document path shares {shared} bytes with one of {}",
+                path.len()
+            )));
+        }
+        path.truncate(shared as usize);
+        path.extend_from_slice(reader.bytes(MAX_STRING_LEN - shared, "document path")?);
+        docs.insert(
+            std::str::from_utf8(&path)
+                .map_err(|_| PersistError::Corrupt("document path is not valid UTF-8".into()))?,
+        );
     }
     let len_count = reader.count(2, "document length")?;
     if len_count > doc_count {
@@ -302,6 +332,13 @@ mod tests {
         assert_eq!(info.term_count, 4);
         assert_eq!(info.posting_count, 7);
         assert_eq!(info.bytes, buf.len() as u64);
+        // The tally accounts for every byte, section by section.
+        let (tallied, sections) =
+            write_segment_tallied(&index, &docs, std::io::Cursor::new(Vec::new())).unwrap();
+        assert_eq!((tallied, sections.total()), (info, info.bytes));
+        assert_eq!(sections.scores, 4 * (2 + 1), "a max score and one block bound per term");
+        assert_eq!(sections.dictionary, 4 * 2 + "alphabetagammadelta".len() as u64);
+        assert_eq!((sections.skips, sections.tfs), (0, 4), "single blocks, every tf 1");
 
         let (restored, restored_docs) = read_segment(&buf[..]).unwrap();
         assert_eq!(restored, index);
@@ -314,7 +351,7 @@ mod tests {
 
     #[test]
     fn other_versions_are_a_clean_unsupported_version() {
-        for version in [1, 2, 3, SEGMENT_VERSION + 1] {
+        for version in [1, 2, 3, 4, SEGMENT_VERSION + 1] {
             // Under this version's checksum, and under one it would refuse
             // (a real file of versions 1–3 carries another function's): the
             // version decides first.
@@ -423,20 +460,42 @@ mod tests {
             // The doc count; the document-length count, behind an honest
             // one-document table; the term count, behind empty tables.
             assert_both_readers_reject(&varints(&[version, huge]));
-            assert_both_readers_reject(&varints(&[version, 1, 1, b'a'.into(), huge]));
+            assert_both_readers_reject(&varints(&[version, 1, 0, 1, b'a'.into(), huge]));
             assert_both_readers_reject(&varints(&[version, 0, 0, huge]));
+            // The bytes a path claims to share with the one before it.
+            assert_both_readers_reject(&varints(&[version, 1, huge, 0]));
         }
         // A count that fits the payload but not its entries: two documents
-        // declared, room for two one-byte entries, the entries truncated.
-        let buf = forge(&varints(&[version, 2, 5, b'a'.into()]));
+        // declared, room for two two-byte entries, the entries truncated.
+        let buf = forge(&varints(&[version, 2, 0, 5, b'a'.into(), b'b'.into()]));
         assert!(read_segment(&buf[..]).is_err());
         assert!(read_segment_sealed(&buf[..]).is_err());
     }
 
     #[test]
+    fn front_coded_paths_are_rebuilt_under_the_hostile_input_rules() {
+        let version = u64::from(SEGMENT_VERSION);
+        // `ab`, then `a` + `c`: an honest table, no lengths, no terms.
+        let honest = [version, 2, 0, 2, b'a'.into(), b'b'.into(), 1, 1, b'c'.into(), 0, 0];
+        let (_, docs) = read_segment_sealed(&forge(&varints(&honest))[..]).unwrap();
+        assert_eq!(docs.iter().map(|(_, path)| path).collect::<Vec<_>>(), ["ab", "ac"]);
+        // More shared bytes than the path before has (the first has none).
+        assert_both_readers_reject(&varints(&[version, 1, 1, 0, 0, 0]));
+        assert_both_readers_reject(&varints(&[version, 2, 0, 1, b'a'.into(), 2, 0, 0, 0]));
+        // Each half valid on its own terms, the rebuilt path not UTF-8: the
+        // first byte of `é`, then `a`.
+        assert_both_readers_reject(&varints(&[version, 2, 0, 2, 0xc3, 0xa9, 1, 1, b'a'.into()]));
+        // A rebuilt path over the limit, from two parts under it.
+        let mut long = varints(&[version, 2, 0, MAX_STRING_LEN]);
+        long.extend(std::iter::repeat_n(b'a', MAX_STRING_LEN as usize));
+        long.extend(varints(&[MAX_STRING_LEN, 1, b'a'.into(), 0, 0]));
+        assert_both_readers_reject(&long);
+    }
+
+    #[test]
     fn dense_lists_with_more_postings_than_bytes_still_load() {
         // A term in every one of 2000 consecutive files compresses to
-        // constant-gap blocks: far fewer bytes than postings.  The clamp must
+        // width-0 blocks: far fewer bytes than postings.  The clamp must
         // count blocks, not postings.
         let mut docs = DocTable::new();
         let mut index = InMemoryIndex::new();

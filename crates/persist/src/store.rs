@@ -29,10 +29,10 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use dsearch_index::{join_all, DocTable, InMemoryIndex, SealedShard};
+use dsearch_index::{join_all, DocTable, InMemoryIndex, SealedShard, SectionBytes};
 
 use crate::error::PersistError;
-use crate::segment::{read_segment, read_segment_sealed, write_segment, SegmentInfo};
+use crate::segment::{read_segment, read_segment_sealed, write_segment_tallied, SegmentInfo};
 
 /// Current manifest format version.
 pub const MANIFEST_VERSION: u32 = 1;
@@ -140,6 +140,8 @@ fn is_plain_file_name(name: &str) -> bool {
 pub struct IndexStore {
     root: PathBuf,
     manifest: StoreManifest,
+    /// The bytes of every segment written through this handle, by section.
+    written: SectionBytes,
 }
 
 impl IndexStore {
@@ -176,7 +178,7 @@ impl IndexStore {
         } else {
             StoreManifest::default()
         };
-        let mut store = IndexStore { root, manifest };
+        let mut store = IndexStore { root, manifest, written: SectionBytes::default() };
         if !manifest_path.exists() {
             store.write_manifest()?;
         }
@@ -193,6 +195,14 @@ impl IndexStore {
     #[must_use]
     pub fn manifest(&self) -> &StoreManifest {
         &self.manifest
+    }
+
+    /// What the segments written through this handle are made of: their
+    /// bytes by section, summed (a census for the one who wrote them; the
+    /// manifest does not record it).
+    #[must_use]
+    pub fn written(&self) -> SectionBytes {
+        self.written
     }
 
     /// Number of live segments.
@@ -233,7 +243,8 @@ impl IndexStore {
         docs: &DocTable,
     ) -> Result<(String, SegmentInfo), PersistError> {
         let file_name = segment_file_name(self.manifest.next_segment);
-        let info = self.write_segment_file(&file_name, index, docs)?;
+        let (info, sections) = self.write_segment_file(&file_name, index, docs)?;
+        self.written += sections;
         self.manifest.next_segment += 1;
         self.manifest.segments.push(ManifestSegment { file_name: file_name.clone(), info });
         self.write_manifest()?;
@@ -246,11 +257,11 @@ impl IndexStore {
         file_name: &str,
         index: &InMemoryIndex,
         docs: &DocTable,
-    ) -> Result<SegmentInfo, PersistError> {
+    ) -> Result<(SegmentInfo, SectionBytes), PersistError> {
         let mut file = fs::File::create(self.root.join(file_name))?;
-        let info = write_segment(index, docs, &mut file)?;
+        let written = write_segment_tallied(index, docs, &mut file)?;
         file.sync_all()?;
-        Ok(info)
+        Ok(written)
     }
 
     /// Commits the replicas of one run, one segment each, as a whole: the
@@ -278,14 +289,17 @@ impl IndexStore {
         let published =
             fan_out(jobs, |(name, replica)| self.write_segment_file(name, &replica, docs))
                 .into_iter()
-                .collect::<Result<Vec<SegmentInfo>, PersistError>>()
-                .and_then(|infos| {
+                .collect::<Result<Vec<(SegmentInfo, SectionBytes)>, PersistError>>()
+                .and_then(|written| {
+                    let (infos, sections): (Vec<SegmentInfo>, Vec<SectionBytes>) =
+                        written.into_iter().unzip();
                     for (file_name, &info) in names.iter().zip(&infos) {
                         let file_name = file_name.clone();
                         self.manifest.segments.push(ManifestSegment { file_name, info });
                     }
                     self.manifest.next_segment += names.len() as u64;
                     self.write_manifest()?;
+                    sections.into_iter().for_each(|sections| self.written += sections);
                     Ok(infos)
                 });
         if published.is_err() {

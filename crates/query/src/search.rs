@@ -65,7 +65,7 @@ const CANCEL_STRIDE: usize = 64;
 /// touched, and whether it ran to completion.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PruneStats {
-    /// Posting blocks entered (decoded or served arithmetically).
+    /// Posting blocks entered (and decoded).
     pub blocks_scored: u64,
     /// Posting blocks the skip table and block-max bounds jumped over.
     pub blocks_skipped: u64,

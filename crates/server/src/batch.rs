@@ -391,8 +391,10 @@ fn admit_live<R>(
     for job in jobs {
         match job.deadline {
             Some(deadline) if deadline <= now => {
-                job.refuse(ServerError::DeadlineExceeded);
+                // Counted before it is answered: whoever waits on the answer
+                // may read the count next.
                 stats.record_expired_shed();
+                job.refuse(ServerError::DeadlineExceeded);
             }
             deadline => {
                 if let Some(deadline) = deadline {
@@ -1119,8 +1121,12 @@ mod tests {
             for _ in 0..workers {
                 entered.recv().unwrap();
             }
-            for pending in wedged {
+            // Released all at once: which worker takes which release is not
+            // the order the jobs were submitted in.
+            for _ in 0..workers {
                 release.send(()).unwrap();
+            }
+            for pending in wedged {
                 assert!(pending.wait().is_ok());
             }
             assert!(pool.execute("rust").is_ok());

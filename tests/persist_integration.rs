@@ -103,8 +103,10 @@ fn implementation3_replicas_stored_as_segments_join_to_the_same_index() {
 /// The writer as it was before it streamed: seal the whole index into a
 /// `SealedShard`, serialise the whole payload into one buffer, checksum it,
 /// then emit header and payload.  Kept as the reference the streaming
-/// `write_segment` must match byte for byte — and, with version 3 and its
-/// FNV-1a checksum, as the writer of the files this build no longer reads.
+/// `write_segment` must match byte for byte: the version-5 layout spelled out
+/// a second time, part by part, over the parts a `CompressedView` hands out
+/// — and, stamped with another version, as the writer of the files this
+/// build no longer reads.
 fn seal_then_serialise(
     index: &InMemoryIndex,
     docs: &DocTable,
@@ -114,8 +116,16 @@ fn seal_then_serialise(
     let mut payload: Vec<u8> = Vec::new();
     write_varint(&mut payload, u64::from(version));
     write_varint(&mut payload, docs.len() as u64);
+    // Front-coded paths: the bytes shared with the path before, then the rest.
+    let mut previous = "";
     for (_, path) in docs.iter() {
-        write_bytes(&mut payload, path.as_bytes());
+        let shared = (0..=previous.len().min(path.len()))
+            .rev()
+            .find(|&n| previous.as_bytes()[..n] == path.as_bytes()[..n])
+            .unwrap();
+        write_varint(&mut payload, shared as u64);
+        write_bytes(&mut payload, &path.as_bytes()[shared..]);
+        previous = path;
     }
     let mut doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
     doc_lens.sort_unstable_by_key(|&(id, _)| id);
@@ -129,17 +139,29 @@ fn seal_then_serialise(
     for (term, compressed) in shard.iter() {
         write_bytes(&mut payload, term.as_bytes());
         write_varint(&mut payload, compressed.len() as u64);
-        for skip in compressed.skips() {
-            write_varint(&mut payload, u64::from(skip.first.as_u32()));
-            write_varint(&mut payload, u64::from(skip.last.as_u32()));
-            write_varint(&mut payload, u64::from(skip.offset));
+        // Skip entries: last ids and offsets as deltas, the first offset (0)
+        // left out; a block's first id lives in the payload only.
+        let skips = compressed.skips();
+        for (i, skip) in skips.iter().enumerate() {
+            let before = i.checked_sub(1).map(|i| skips[i]);
+            let last_before = before.map_or(0, |b| b.last.as_u32());
+            write_varint(&mut payload, u64::from(skip.last.as_u32() - last_before));
+            if let Some(before) = before {
+                write_varint(&mut payload, u64::from(skip.offset - before.offset));
+            }
+            let mut first = Vec::new();
+            write_varint(&mut first, u64::from(skip.first.as_u32()));
+            assert!(compressed.data()[skip.offset as usize..].starts_with(&first));
         }
         write_bytes(&mut payload, compressed.data());
         write_bytes(&mut payload, compressed.freqs());
-        for &offset in compressed.freq_offsets() {
-            write_varint(&mut payload, u64::from(offset));
+        for offset in compressed.freq_offsets().windows(2) {
+            write_varint(&mut payload, u64::from(offset[1] - offset[0]));
         }
-        write_varint(&mut payload, u64::from(compressed.max_score().to_bits()));
+        // The list maximum has sixteen zero low bits; the other two bytes.
+        let max_score = compressed.max_score().to_bits();
+        assert_eq!(max_score & 0xffff, 0);
+        payload.extend_from_slice(&((max_score >> 16) as u16).to_le_bytes());
         payload.extend_from_slice(compressed.block_scores());
     }
     let mut bytes = SEGMENT_MAGIC.to_vec();
@@ -179,18 +201,20 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                     written == seal_then_serialise(index, &docs, SEGMENT_VERSION, xxh64),
                     "{implementation:?} x{extractors}: streamed segment differs from the reference"
                 );
-                // Version 4 is version 3 under another checksum: the eight
-                // checksum bytes and the version byte differ, nothing else.
-                // And a version-3 file is refused by its version, by both
-                // readers, before its (foreign) checksum is looked at.
-                let v3 = seal_then_serialise(index, &docs, 3, dsearch::text::fnv1a_64);
-                assert_eq!((v3.len(), v3[12], written[12]), (written.len(), 3, 4));
-                assert!(v3[..4] == written[..4] && v3[13..] == written[13..]);
-                for err in [read_segment(&v3[..]).err(), read_segment_sealed(&v3[..]).err()] {
-                    assert!(
-                        matches!(err, Some(PersistError::UnsupportedVersion { found: 3, .. })),
-                        "{err:?}"
-                    );
+                // There is one readable version: the same payload stamped 4
+                // (under this build's checksum) or 3 (under the FNV-1a of
+                // versions 1–3) is refused by its version, by both readers,
+                // before its checksum is looked at.
+                let fnv1a: fn(&[u8]) -> u64 = dsearch::text::fnv1a_64;
+                for (version, checksum) in [(4, xxh64 as fn(&[u8]) -> u64), (3, fnv1a)] {
+                    let old = seal_then_serialise(index, &docs, version, checksum);
+                    assert_eq!((old[12], written[12]), (version as u8, 5));
+                    for err in [read_segment(&old[..]).err(), read_segment_sealed(&old[..]).err()] {
+                        assert!(
+                            matches!(err, Some(PersistError::UnsupportedVersion { found, .. }) if found == version),
+                            "{err:?}"
+                        );
+                    }
                 }
                 // Implementation 3's partial replicas included: a loaded
                 // shard scores against the documents its replica indexed,
