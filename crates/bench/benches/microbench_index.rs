@@ -4,10 +4,10 @@
 //! a shared lock per file versus per term, the cost of replica joins, and the
 //! raw insert throughput of the index structure.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use dsearch::index::{FileId, InMemoryIndex, PostingList, ShardedIndex, SharedIndex};
+use dsearch::index::{FileId, InMemoryIndex, PostingList, SharedIndex};
 use dsearch::text::Term;
 
 fn word_lists(docs: u32, terms_per_doc: u32, vocab: u32) -> Vec<(FileId, Vec<Term>)> {
@@ -73,25 +73,6 @@ fn bench_insert_paths(c: &mut Criterion) {
         );
     });
 
-    for shards in [4usize, 16] {
-        group.bench_with_input(
-            BenchmarkId::new("sharded_index_en_bloc", shards),
-            &shards,
-            |b, &shards| {
-                b.iter_batched(
-                    || docs.clone(),
-                    |docs| {
-                        let index = ShardedIndex::new(shards);
-                        for (id, terms) in docs {
-                            index.insert_file(id, terms);
-                        }
-                        black_box(index.stats().postings)
-                    },
-                    BatchSize::SmallInput,
-                );
-            },
-        );
-    }
     group.finish();
 }
 
@@ -99,8 +80,8 @@ fn bench_posting_lists(c: &mut Criterion) {
     let mut group = c.benchmark_group("posting_lists");
     group.sample_size(20);
 
-    let a = PostingList::from_ids((0..20_000).step_by(2).map(FileId));
-    let b_list = PostingList::from_ids((0..20_000).step_by(3).map(FileId));
+    let every = |step| (0..20_000).step_by(step).map(|id| (FileId(id), 1)).collect::<PostingList>();
+    let (a, b_list) = (every(2), every(3));
 
     group.bench_function("union_20k", |bch| {
         bch.iter(|| {

@@ -45,14 +45,6 @@ fn bench_segment_roundtrip(c: &mut Criterion) {
             black_box(restored.term_count())
         });
     });
-    group.bench_function("json_snapshot_write_for_comparison", |b| {
-        b.iter(|| {
-            let snapshot = dsearch::index::IndexSnapshot::from_index(&index, &docs);
-            let mut buf = Vec::new();
-            snapshot.write_json(&mut buf).unwrap();
-            black_box(buf.len())
-        });
-    });
     group.finish();
 }
 

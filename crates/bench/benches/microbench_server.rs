@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use dsearch::index::{DocTable, InMemoryIndex};
 use dsearch::server::{
-    loadgen, BatchConfig, EngineConfig, IndexSnapshot, LoadConfig, LoadMode, QueryEngine,
+    loadgen, BatchConfig, EngineConfig, IndexSnapshot, LoadConfig, LoadMode, Metric, QueryEngine,
     WorkerPool, Workload,
 };
 use dsearch::text::Term;
@@ -221,8 +221,8 @@ fn bench_batching(c: &mut Criterion) {
             "{label}: qps {:.0}  p99 {:?}  batched {}  dedup_hits {}",
             report.qps,
             report.latency.p99,
-            stats.batched_count(),
-            stats.dedup_hit_count()
+            stats.get(Metric::Batched),
+            stats.get(Metric::DedupHits)
         );
         pool.shutdown();
     }

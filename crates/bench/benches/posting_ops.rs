@@ -5,48 +5,84 @@
 //!
 //! Each shape runs as the engine runs it: BM25 (the constant scorer where
 //! the shape cannot be scored), bounded at the default result limit.
+//!
+//! The index is built the way a store is: the corpus generator's seeded Zipf
+//! text (in memory, no files on disk) through the real extraction pipeline,
+//! so gaps and frequencies are distributed like a store's.  A hand-made index
+//! of arithmetic progressions (every id, every other, every 200th) measures a
+//! case production does not have: every block the same width-0 run.  The
+//! queries are picked from the vocabulary by document frequency, and the list
+//! lengths are printed once so a reader can tell what was measured.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use dsearch::core::{Configuration, Implementation, IndexGenerator};
+use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch::index::{DocTable, InMemoryIndex, SealedShard};
 use dsearch::query::{evaluate, Query, Scorer};
-use dsearch::text::Term;
+use dsearch::vfs::VPath;
 
-/// An index over a synthetic vocabulary: `docs` documents, each holding one
-/// ubiquitous term, a handful of mid-frequency terms, and one rare term.
-fn synthetic_index(docs: u32) -> (InMemoryIndex, DocTable) {
-    let mut index = InMemoryIndex::new();
-    let mut table = DocTable::new();
-    for d in 0..docs {
-        let id = table.insert(format!("doc{d:06}.txt"));
-        let mut terms = vec![
-            (Term::from("common"), 1 + d % 3),
-            (Term::from(format!("mid{:03}", d % 200)), 1 + d % 5),
-            (Term::from(format!("rare{d:06}")), 1),
-        ];
-        if d % 2 == 0 {
-            terms.push((Term::from("even"), 2));
-        }
-        index.insert_file_counted(id, terms);
-    }
-    (index, table)
+/// ~20 k short documents (12 MB of text) over a 30 k-word Zipf vocabulary.
+fn zipf_index() -> (InMemoryIndex, DocTable) {
+    let spec = CorpusSpec {
+        small_files: 20_000,
+        small_file_median_bytes: 500,
+        small_file_sigma: 0.6,
+        large_files: 0,
+        vocabulary_size: 30_000,
+        directories: 64,
+        ..CorpusSpec::paper()
+    };
+    let (fs, _) = materialize_to_memfs(&spec, 0x5eed);
+    IndexGenerator::default()
+        .run(&fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(2, 0, 0))
+        .expect("the in-memory corpus indexes")
+        .outcome
+        .into_single_index()
+}
+
+/// The five shapes over terms chosen by document frequency: the most
+/// frequent term, one in every other document or so, three around every
+/// two-hundredth, one of a single document.
+fn queries(index: &InMemoryIndex, docs: usize) -> Vec<(&'static str, String)> {
+    let mut by_df: Vec<(&str, usize)> =
+        index.iter().map(|(t, list)| (t.as_str(), list.len())).collect();
+    by_df.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+    // The first `n` terms (by falling frequency) in at most `df` documents.
+    let at_most = |df: usize, n: usize| -> Vec<(&str, usize)> {
+        by_df.iter().filter(|(_, len)| *len <= df).take(n).copied().collect()
+    };
+    let (top, half) = (by_df[0], at_most(docs / 2, 1)[0]);
+    let mid = at_most(docs / 200, 3);
+    let rare = *by_df.last().expect("a non-empty index");
+    let prefix: String = mid[0].0.chars().take(3).collect();
+    let matched: Vec<usize> =
+        by_df.iter().filter(|(t, _)| t.starts_with(&prefix)).map(|(_, len)| *len).collect();
+    println!(
+        "query_eval index: {docs} documents, {} terms; list lengths: {top:?} {half:?} {mid:?} \
+         {rare:?}; prefix {prefix}* = {} terms, {} postings",
+        by_df.len(),
+        matched.len(),
+        matched.iter().sum::<usize>(),
+    );
+    vec![
+        ("term", mid[0].0.to_owned()),
+        ("and", format!("{} {} {}", mid[0].0, half.0, top.0)),
+        ("or", format!("{} OR {} OR {}", mid[1].0, mid[2].0, rare.0)),
+        ("prefix", format!("{prefix}*")),
+        ("not", format!("{} NOT {}", mid[0].0, half.0)),
+    ]
 }
 
 fn bench_query_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_eval");
     group.sample_size(10);
 
-    let (index, docs) = synthetic_index(20_000);
+    let (index, docs) = zipf_index();
     let shards = [SealedShard::from_index(&index)];
-    for (shape, raw) in [
-        ("term", "mid042"),
-        ("and", "mid042 even common"),
-        ("or", "mid001 OR mid002 OR rare012345"),
-        ("prefix", "mid04*"),
-        ("not", "mid042 NOT even"),
-    ] {
-        let query = Query::parse(raw).expect("bench query parses");
+    for (shape, raw) in queries(&index, docs.len()) {
+        let query = Query::parse(&raw).expect("bench query parses");
         group.bench_function(shape, |b| {
             b.iter(|| {
                 let (results, _) = evaluate(&shards, &docs, &query, Scorer::Bm25, 20, &|| false);

@@ -9,9 +9,6 @@ use dsearch::vfs::{OsFs, VPath};
 use crate::args::ParsedArgs;
 use crate::CliError;
 
-/// Name of the signature-database file inside the index store directory.
-const SIGNATURES_FILE: &str = "signatures.json";
-
 fn implementation_from(args: &ParsedArgs) -> Result<Implementation, CliError> {
     match args.value_of("implementation").unwrap_or("3") {
         "1" => Ok(Implementation::SharedLocked),
@@ -67,13 +64,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         } else {
             (dsearch::index::InMemoryIndex::new(), dsearch::index::DocTable::new())
         };
-        let signatures_path = store.root().join(SIGNATURES_FILE);
-        let mut signatures = if signatures_path.exists() {
-            let json = std::fs::read_to_string(&signatures_path).map_err(CliError::failed)?;
-            SignatureDb::from_json(&json).map_err(CliError::failed)?
-        } else {
-            SignatureDb::new()
-        };
+        let mut signatures = SignatureDb::load(store.root()).map_err(CliError::failed)?;
 
         let indexer = IncrementalIndexer::new();
         let report = indexer
@@ -81,8 +72,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
             .map_err(CliError::failed)?;
         let index_heap = index.heap_bytes() as u64;
         let info = store.replace_all(&index, &docs).map_err(CliError::failed)?;
-        std::fs::write(&signatures_path, signatures.to_json().map_err(CliError::failed)?)
-            .map_err(CliError::failed)?;
+        // Index first, signatures second: see `SignatureDb::save`.
+        signatures.save(store.root()).map_err(CliError::failed)?;
 
         out.push_str(&format!(
             "incremental update of {dir}\n  added {} / modified {} / removed {} / unchanged {}\n  \

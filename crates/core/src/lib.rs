@@ -66,7 +66,7 @@ pub use pipeline::{
 };
 pub use report::{IndexOutcome, ParallelRun, RunReport, SequentialRun};
 pub use runner::IndexGenerator;
-pub use timing::{percentile, LatencySummary, StageTimings, Stopwatch};
+pub use timing::{StageTimings, Stopwatch};
 
 /// What the equivalence tests compare: an index is what it seals to.
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! | [`text`] | `dsearch-text` | FNV hashing, hash containers, tokenizer, word lists |
 //! | [`vfs`] | `dsearch-vfs` | file-system abstraction (memory, OS, counting) and the directory walker |
 //! | [`corpus`] | `dsearch-corpus` | synthetic benchmark corpus generator (the paper's 51 000-file / 869 MB workload) |
-//! | [`index`] | `dsearch-index` | inverted index: shared/locked, replicated, joined, sharded |
+//! | [`index`] | `dsearch-index` | inverted index: shared/locked, replicated, joined, sealed |
 //! | [`core`] | `dsearch-core` | the three-stage parallel index generator and its three implementations |
 //! | [`query`] | `dsearch-query` | boolean search over single or replicated indices |
 //! | [`obs`] | `dsearch-obs` | observability: metrics registry, query tracing, slow-query log |

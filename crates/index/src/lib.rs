@@ -13,8 +13,6 @@
 //!   (**Implementation 2**, the "Join Forces" pattern);
 //! * [`IndexSet`] — a collection of un-joined replicas that can be searched
 //!   together (**Implementation 3**);
-//! * [`ShardedIndex`] — a term-sharded index with one lock per shard, used by
-//!   the ablation benchmarks as a fourth design point;
 //! * [`DocTable`] — the table mapping compact [`FileId`]s to file paths,
 //!   assigned during filename generation so the extractors need no
 //!   synchronisation to name files;
@@ -54,8 +52,6 @@ pub mod join;
 pub mod memory_index;
 pub mod posting;
 pub mod sealed;
-pub mod serialize;
-pub mod sharded;
 pub mod shared;
 pub mod stats;
 pub mod varint;
@@ -72,7 +68,5 @@ pub use sealed::{
     bm25_idf, bm25_neutral_norm, bm25_score, encode_term, SealedShard, SealedTerms, SectionBytes,
     BM25_B, BM25_K1,
 };
-pub use serialize::{IndexSnapshot, SerializeError};
-pub use sharded::ShardedIndex;
 pub use shared::{IndexSet, SharedIndex};
 pub use stats::IndexStats;

@@ -78,20 +78,6 @@ impl PostingList {
         PostingList::default()
     }
 
-    /// Creates a list from file ids in any order (sorted and de-duplicated
-    /// once, then appended — a descending [`PostingList::add`] loop would
-    /// splice every id in at the front).
-    pub fn from_ids<I: IntoIterator<Item = FileId>>(ids: I) -> Self {
-        let mut ids: Vec<FileId> = ids.into_iter().collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let mut list = PostingList::with_stream_capacity(ids.len() * 2);
-        for id in ids {
-            list.push(id.as_u32(), 1);
-        }
-        list
-    }
-
     /// An empty list with room for `bytes` of stream (two a posting, for
     /// small gaps and frequencies).
     fn with_stream_capacity(bytes: usize) -> Self {
@@ -410,12 +396,6 @@ impl Iterator for Iter<'_> {
 
 impl ExactSizeIterator for Iter<'_> {}
 
-impl FromIterator<FileId> for PostingList {
-    fn from_iter<I: IntoIterator<Item = FileId>>(iter: I) -> Self {
-        PostingList::from_ids(iter)
-    }
-}
-
 impl FromIterator<(FileId, u32)> for PostingList {
     /// Collects `(id, tf)` pairs; in ascending id order (what segment loading
     /// and decoding produce) every pair is an append.
@@ -432,6 +412,18 @@ impl FromIterator<(FileId, u32)> for PostingList {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PostingList {
+        /// A list from file ids in any order: sorted and de-duplicated once,
+        /// then appended.  The tests' shorthand; production builds lists by
+        /// `add` or from `(id, tf)` pairs.
+        fn from_ids<I: IntoIterator<Item = FileId>>(ids: I) -> Self {
+            let mut ids: Vec<FileId> = ids.into_iter().collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids.into_iter().map(|id| (id, 1)).collect()
+        }
+    }
     use proptest::prelude::*;
 
     fn ids(v: &[u32]) -> Vec<FileId> {
@@ -556,7 +548,7 @@ mod tests {
 
     #[test]
     fn from_sorted_and_views() {
-        let list: PostingList = ids(&[2, 4, 6]).into_iter().collect();
+        let list = PostingList::from_ids(ids(&[2, 4, 6]));
         assert_eq!(list.doc_ids(), ids(&[2, 4, 6]));
         assert_eq!(list.iter().collect::<Vec<_>>(), ids(&[2, 4, 6]));
         assert_eq!(list.iter_counted().len(), 3);
@@ -641,7 +633,7 @@ mod tests {
 
     #[test]
     fn iterator_and_collect() {
-        let p: PostingList = ids(&[4, 1, 4]).into_iter().collect();
+        let p = PostingList::from_ids(ids(&[4, 1, 4]));
         let back: Vec<FileId> = p.iter().collect();
         assert_eq!(back, ids(&[1, 4]));
     }

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use dsearch_core::timing::LatencySummary;
+use crate::timing::LatencySummary;
 
 /// Number of histogram buckets: one per possible bit length of a `u64`
 /// nanosecond value, plus bucket 0 for exact zeros.
@@ -285,6 +285,12 @@ impl Key {
 /// idempotent: asking for the same name twice returns the same underlying
 /// metric, so independent subsystems can share families.  Registration takes
 /// a mutex; the returned `Arc` is then used lock-free.
+///
+/// A subsystem that counts before it knows its registry (a replica set is
+/// built first and bound later) hands over the handles it already increments
+/// with [`adopt_counter`](MetricsRegistry::adopt_counter) /
+/// [`adopt_gauge`](MetricsRegistry::adopt_gauge): the registry then exposes
+/// those very atomics, and a series with several handles reads as their sum.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Mutex<Vec<(Key, Arc<Counter>)>>,
@@ -302,6 +308,29 @@ fn intern<T: Default>(table: &Mutex<Vec<(Key, Arc<T>)>>, key: Key) -> Arc<T> {
     created
 }
 
+fn adopt<T>(table: &Mutex<Vec<(Key, Arc<T>)>>, key: Key, handle: &Arc<T>) {
+    let mut table = table.lock().expect("metrics registry poisoned");
+    if !table.iter().any(|(k, h)| *k == key && Arc::ptr_eq(h, handle)) {
+        table.push((key, Arc::clone(handle)));
+    }
+}
+
+/// Reads a table into `(key, value)` pairs, summing the handles of a key.
+fn read<T>(table: &Mutex<Vec<(Key, Arc<T>)>>, value: impl Fn(&T) -> u64) -> Vec<(Key, u64)> {
+    let mut out: Vec<(Key, u64)> = Vec::new();
+    for (key, metric) in table.lock().expect("metrics registry poisoned").iter() {
+        match out.iter_mut().find(|(k, _)| k == key) {
+            Some((_, sum)) => *sum = sum.saturating_add(value(metric)),
+            None => out.push((key.clone(), value(metric))),
+        }
+    }
+    out
+}
+
+fn key(name: &str, label: Option<(&str, &str)>) -> Key {
+    Key { name: name.to_owned(), label: label.map(|(k, v)| (k.to_owned(), v.to_owned())) }
+}
+
 impl MetricsRegistry {
     /// Creates an empty registry.
     #[must_use]
@@ -312,68 +341,51 @@ impl MetricsRegistry {
     /// Registers (or looks up) a counter.
     #[must_use]
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        intern(&self.counters, Key { name: name.to_owned(), label: None })
+        intern(&self.counters, key(name, None))
     }
 
     /// Registers (or looks up) one member of a labeled counter family,
     /// e.g. `replica_opens_total{replica="127.0.0.1:7471"}`.
     #[must_use]
     pub fn labeled_counter(&self, name: &str, label: &str, value: &str) -> Arc<Counter> {
-        intern(
-            &self.counters,
-            Key { name: name.to_owned(), label: Some((label.to_owned(), value.to_owned())) },
-        )
+        intern(&self.counters, key(name, Some((label, value))))
+    }
+
+    /// Exposes `counter` — a handle its owner already increments — under
+    /// `name` (and one optional label pair).  Adopting the same handle twice
+    /// is a no-op; distinct handles under one key are summed on read.
+    pub fn adopt_counter(&self, name: &str, label: Option<(&str, &str)>, counter: &Arc<Counter>) {
+        adopt(&self.counters, key(name, label), counter);
     }
 
     /// Registers (or looks up) a gauge.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        intern(&self.gauges, Key { name: name.to_owned(), label: None })
+        intern(&self.gauges, key(name, None))
     }
 
-    /// Registers (or looks up) one member of a labeled gauge family,
-    /// e.g. `replica_state{replica="127.0.0.1:7471"}`.
-    #[must_use]
-    pub fn labeled_gauge(&self, name: &str, label: &str, value: &str) -> Arc<Gauge> {
-        intern(
-            &self.gauges,
-            Key { name: name.to_owned(), label: Some((label.to_owned(), value.to_owned())) },
-        )
+    /// Exposes `gauge` under `name`, as [`adopt_counter`](Self::adopt_counter)
+    /// does for counters.
+    pub fn adopt_gauge(&self, name: &str, label: Option<(&str, &str)>, gauge: &Arc<Gauge>) {
+        adopt(&self.gauges, key(name, label), gauge);
     }
 
     /// Registers (or looks up) an unlabeled histogram.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        intern(&self.histograms, Key { name: name.to_owned(), label: None })
+        intern(&self.histograms, key(name, None))
     }
 
     /// Registers (or looks up) one member of a labeled histogram family,
     /// e.g. `stage_latency_ns{stage="parse"}`.
     #[must_use]
     pub fn labeled_histogram(&self, name: &str, label: &str, value: &str) -> Arc<Histogram> {
-        intern(
-            &self.histograms,
-            Key { name: name.to_owned(), label: Some((label.to_owned(), value.to_owned())) },
-        )
+        intern(&self.histograms, key(name, Some((label, value))))
     }
 
     /// Point-in-time snapshot of every registered metric.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .lock()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|(k, c)| (k.clone(), c.value()))
-            .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|(k, g)| (k.clone(), g.value()))
-            .collect();
         let histograms = self
             .histograms
             .lock()
@@ -381,7 +393,11 @@ impl MetricsRegistry {
             .iter()
             .map(|(k, h)| (k.clone(), h.snapshot()))
             .collect();
-        MetricsSnapshot { counters, gauges, histograms }
+        MetricsSnapshot {
+            counters: read(&self.counters, Counter::value),
+            gauges: read(&self.gauges, Gauge::value),
+            histograms,
+        }
     }
 
     /// Renders Prometheus-style text exposition: one `# TYPE` line per metric
@@ -404,56 +420,45 @@ pub struct MetricsSnapshot {
     histograms: Vec<(Key, HistogramSnapshot)>,
 }
 
+/// The entry of `series` called `name` with exactly the label pair `label`.
+fn lookup<'a, V>(series: &'a [(Key, V)], name: &str, label: Option<(&str, &str)>) -> Option<&'a V> {
+    series
+        .iter()
+        .find(|(k, _)| {
+            k.name == name && k.label.as_ref().map(|(lk, lv)| (lk.as_str(), lv.as_str())) == label
+        })
+        .map(|(_, v)| v)
+}
+
 impl MetricsSnapshot {
     /// Value of a named counter (zero when absent).
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k.name == name && k.label.is_none())
-            .map_or(0, |(_, v)| *v)
+        lookup(&self.counters, name, None).copied().unwrap_or(0)
     }
 
     /// Value of a named gauge (zero when absent).
     #[must_use]
     pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges.iter().find(|(k, _)| k.name == name && k.label.is_none()).map_or(0, |(_, v)| *v)
+        lookup(&self.gauges, name, None).copied().unwrap_or(0)
     }
 
     /// Value of one member of a labeled counter family (zero when absent).
     #[must_use]
     pub fn labeled_counter(&self, name: &str, label: (&str, &str)) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| {
-                k.name == name
-                    && k.label.as_ref().map(|(lk, lv)| (lk.as_str(), lv.as_str())) == Some(label)
-            })
-            .map_or(0, |(_, v)| *v)
+        lookup(&self.counters, name, Some(label)).copied().unwrap_or(0)
     }
 
     /// Value of one member of a labeled gauge family (zero when absent).
     #[must_use]
     pub fn labeled_gauge(&self, name: &str, label: (&str, &str)) -> u64 {
-        self.gauges
-            .iter()
-            .find(|(k, _)| {
-                k.name == name
-                    && k.label.as_ref().map(|(lk, lv)| (lk.as_str(), lv.as_str())) == Some(label)
-            })
-            .map_or(0, |(_, v)| *v)
+        lookup(&self.gauges, name, Some(label)).copied().unwrap_or(0)
     }
 
     /// Snapshot of a named histogram, honouring an optional label pair.
     #[must_use]
     pub fn histogram(&self, name: &str, label: Option<(&str, &str)>) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(k, _)| {
-                k.name == name
-                    && k.label.as_ref().map(|(lk, lv)| (lk.as_str(), lv.as_str())) == label
-            })
-            .map(|(_, h)| h)
+        lookup(&self.histograms, name, label)
     }
 
     /// The counter increments and histogram samples recorded between
@@ -485,39 +490,17 @@ impl MetricsSnapshot {
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        let mut counters: Vec<_> = self.counters.iter().collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut previous_family = None::<&str>;
-        for (key, value) in counters {
-            if previous_family != Some(key.name.as_str()) {
-                out.push_str(&format!("# TYPE {} counter\n", key.name));
-                previous_family = Some(key.name.as_str());
-            }
-            out.push_str(&format!("{}{} {}\n", key.name, key.sample_suffix(), value));
-        }
-        let mut gauges: Vec<_> = self.gauges.iter().collect();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut previous_family = None::<&str>;
-        for (key, value) in gauges {
-            if previous_family != Some(key.name.as_str()) {
-                out.push_str(&format!("# TYPE {} gauge\n", key.name));
-                previous_family = Some(key.name.as_str());
-            }
+        let scalar = |out: &mut String, key: &Key, value: &u64| {
             if key.name.ends_with("_seconds") {
                 let seconds = *value as f64 / 1e9;
                 out.push_str(&format!("{}{} {seconds:.6}\n", key.name, key.sample_suffix()));
-                continue;
+            } else {
+                out.push_str(&format!("{}{} {value}\n", key.name, key.sample_suffix()));
             }
-            out.push_str(&format!("{}{} {}\n", key.name, key.sample_suffix(), value));
-        }
-        let mut histograms: Vec<_> = self.histograms.iter().collect();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut previous_family = None::<&str>;
-        for (key, hist) in histograms {
-            if previous_family != Some(key.name.as_str()) {
-                out.push_str(&format!("# TYPE {} histogram\n", key.name));
-                previous_family = Some(key.name.as_str());
-            }
+        };
+        render_families(&mut out, "counter", &self.counters, scalar);
+        render_families(&mut out, "gauge", &self.gauges, scalar);
+        render_families(&mut out, "histogram", &self.histograms, |out, key, hist| {
             let label_prefix = match &key.label {
                 None => String::new(),
                 Some((k, v)) => format!("{k}=\"{v}\","),
@@ -542,8 +525,28 @@ impl MetricsSnapshot {
             ));
             out.push_str(&format!("{}_sum{} {}\n", key.name, key.sample_suffix(), hist.sum_ns));
             out.push_str(&format!("{}_count{} {}\n", key.name, key.sample_suffix(), hist.count));
-        }
+        });
         out
+    }
+}
+
+/// Walks `series` in key order, writing one `# TYPE` line ahead of each
+/// family and `sample`'s lines for each member.
+fn render_families<V>(
+    out: &mut String,
+    kind: &str,
+    series: &[(Key, V)],
+    sample: impl Fn(&mut String, &Key, &V),
+) {
+    let mut sorted: Vec<_> = series.iter().collect();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut previous_family = None::<&str>;
+    for (key, value) in sorted {
+        if previous_family != Some(key.name.as_str()) {
+            out.push_str(&format!("# TYPE {} {kind}\n", key.name));
+            previous_family = Some(key.name.as_str());
+        }
+        sample(out, key, value);
     }
 }
 
@@ -676,8 +679,10 @@ mod tests {
         let registry = MetricsRegistry::new();
         registry.labeled_counter("replica_opens_total", "replica", "a").add(2);
         registry.labeled_counter("replica_opens_total", "replica", "b").inc();
-        registry.labeled_gauge("replica_state", "replica", "a").set(2);
-        registry.labeled_gauge("replica_state", "replica", "b").set(0);
+        let state = Arc::new(Gauge::new());
+        registry.adopt_gauge("replica_state", Some(("replica", "a")), &state);
+        registry.adopt_gauge("replica_state", Some(("replica", "b")), &Arc::default());
+        state.set(2);
         // Idempotent per (name, label value); distinct values are distinct.
         assert_eq!(registry.labeled_counter("replica_opens_total", "replica", "a").value(), 2);
         assert_eq!(registry.labeled_counter("replica_opens_total", "replica", "b").value(), 1);
@@ -720,5 +725,26 @@ mod tests {
             let (_, value) = line.rsplit_once(' ').expect("sample line has a value");
             value.parse::<u64>().unwrap_or_else(|_| panic!("unparseable value in {line:?}"));
         }
+    }
+
+    #[test]
+    fn adopted_handles_are_the_exposed_series_and_sum_per_key() {
+        let registry = MetricsRegistry::new();
+        let eager = registry.counter("retries_total");
+        let (a, b) = (Arc::new(Counter::new()), Arc::new(Counter::new()));
+        a.add(2); // counted before the owner knew its registry
+        registry.adopt_counter("retries_total", None, &a);
+        registry.adopt_counter("retries_total", None, &a); // same handle: no-op
+        registry.adopt_counter("retries_total", None, &b);
+        b.inc();
+        eager.inc();
+        assert_eq!(registry.snapshot().counter("retries_total"), 4);
+        let state = Arc::new(Gauge::new());
+        registry.adopt_gauge("replica_state", Some(("replica", "a")), &state);
+        state.set(2);
+        assert_eq!(registry.snapshot().labeled_gauge("replica_state", ("replica", "a")), 2);
+        let text = registry.render_prometheus();
+        assert_eq!(text.matches("retries_total 4\n").count(), 1, "{text}");
+        assert!(text.contains("replica_state{replica=\"a\"} 2\n"), "{text}");
     }
 }

@@ -11,6 +11,8 @@
 //! that at 2–5 % of the runtime, so re-walking is cheap — but Stage 2 (term
 //! extraction, the dominant cost) now runs only on the changed subset.
 
+use std::path::Path;
+
 use serde::{Deserialize, Serialize};
 
 use dsearch_index::{DocTable, InMemoryIndex};
@@ -21,6 +23,10 @@ use dsearch_text::FnvHashMap;
 use dsearch_vfs::{FileSystem, VPath, Walker};
 
 use crate::error::PersistError;
+use crate::store::write_atomic;
+
+/// Name of the signature-database file inside an index store directory.
+pub const SIGNATURES_FILE: &str = "signatures.json";
 
 /// The signature used to decide whether a file changed between runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -83,6 +89,37 @@ impl SignatureDb {
     /// Iterates over `(path, signature)` pairs in path order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, FileSignature)> {
         self.entries.iter().map(|(p, s)| (p.as_str(), *s))
+    }
+
+    /// Loads the database from a store directory (empty when absent: a
+    /// first run).
+    ///
+    /// # Errors
+    ///
+    /// Fails when the file exists but is unreadable or corrupt.
+    pub fn load(store_root: &Path) -> Result<Self, PersistError> {
+        let path = store_root.join(SIGNATURES_FILE);
+        if !path.exists() {
+            return Ok(SignatureDb::new());
+        }
+        SignatureDb::from_json(&std::fs::read_to_string(&path)?)
+    }
+
+    /// Atomically writes the database into a store directory: a crash
+    /// mid-write leaves the previous file, never truncated JSON.
+    ///
+    /// Save it *after* the index it describes.  A crash between the two then
+    /// leaves new segments beside old signatures: the next `--incremental`
+    /// run sees the changed files as changed once more and re-scans them
+    /// (their postings are replaced, not doubled).  The other order would
+    /// leave new signatures beside an old index, and the changed files would
+    /// be skipped as unchanged for good.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the file cannot be written.
+    pub fn save(&self, store_root: &Path) -> Result<(), PersistError> {
+        write_atomic(store_root, SIGNATURES_FILE, &self.to_json()?)
     }
 
     /// Serialises the database as JSON.

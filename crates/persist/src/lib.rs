@@ -52,6 +52,8 @@ pub mod store;
 
 pub use checkpoint::{BuildCheckpoint, DeadLetter, DeadLetterQueue, CHECKPOINT_FILE, DLQ_FILE};
 pub use error::PersistError;
-pub use incremental::{ChangeSet, FileSignature, IncrementalIndexer, SignatureDb, UpdateReport};
+pub use incremental::{
+    ChangeSet, FileSignature, IncrementalIndexer, SignatureDb, UpdateReport, SIGNATURES_FILE,
+};
 pub use segment::{read_segment, read_segment_sealed, write_segment, SegmentInfo};
 pub use store::{IndexStore, StoreManifest};

@@ -1,6 +1,7 @@
-//! `checkpoint.json` and `dlq.json` cross a trust boundary: whatever bytes a
-//! store directory holds, loading them yields a value or an `Err` — never a
-//! panic, a stack overflow or a value that does not survive its own save.
+//! `checkpoint.json`, `dlq.json` and `signatures.json` cross a trust
+//! boundary: whatever bytes a store directory holds, loading them yields a
+//! value or an `Err` — never a panic, a stack overflow or a value that does
+//! not survive its own save.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -8,8 +9,11 @@ use std::path::{Path, PathBuf};
 use proptest::prelude::*;
 
 use dsearch_persist::{
-    BuildCheckpoint, DeadLetter, DeadLetterQueue, PersistError, CHECKPOINT_FILE, DLQ_FILE,
+    BuildCheckpoint, DeadLetter, DeadLetterQueue, FileSignature, PersistError, SignatureDb,
+    CHECKPOINT_FILE, DLQ_FILE, SIGNATURES_FILE,
 };
+
+const FILES: [&str; 3] = [CHECKPOINT_FILE, DLQ_FILE, SIGNATURES_FILE];
 
 struct TempDir(PathBuf);
 
@@ -29,9 +33,9 @@ impl Drop for TempDir {
     }
 }
 
-/// Loads both files from `dir`.  Whatever loads must save and load back
+/// Loads all three files from `dir`.  Whatever loads must save and load back
 /// equal; returns whether each load succeeded.
-fn load_both(dir: &Path) -> (bool, bool) {
+fn load_all(dir: &Path) -> (bool, bool, bool) {
     let checkpoint = BuildCheckpoint::load(dir);
     if let Ok(Some(checkpoint)) = &checkpoint {
         checkpoint.save(dir).unwrap();
@@ -42,7 +46,12 @@ fn load_both(dir: &Path) -> (bool, bool) {
         dlq.save(dir).unwrap();
         assert_eq!(&DeadLetterQueue::load(dir).unwrap(), dlq);
     }
-    (checkpoint.is_ok(), dlq.is_ok())
+    let signatures = SignatureDb::load(dir);
+    if let Ok(signatures) = &signatures {
+        signatures.save(dir).unwrap();
+        assert_eq!(&SignatureDb::load(dir).unwrap(), signatures);
+    }
+    (checkpoint.is_ok(), dlq.is_ok(), signatures.is_ok())
 }
 
 /// Fragments that steer a byte soup into the parser's deeper states.
@@ -71,6 +80,8 @@ const TOKENS: &[&str] = &[
     "entries",
     "path",
     "file_id",
+    "size",
+    "content_hash",
     "\u{e9}",
     "18446744073709551616",
     "[[[[[[[[",
@@ -88,9 +99,10 @@ proptest! {
         let dir = TempDir::new("bytes");
         let soup: String = tokens.iter().map(|&t| TOKENS[t]).collect();
         for content in [bytes.as_slice(), soup.as_bytes()] {
-            fs::write(dir.0.join(CHECKPOINT_FILE), content).unwrap();
-            fs::write(dir.0.join(DLQ_FILE), content).unwrap();
-            load_both(&dir.0);
+            for name in FILES {
+                fs::write(dir.0.join(name), content).unwrap();
+            }
+            load_all(&dir.0);
         }
     }
 
@@ -99,6 +111,7 @@ proptest! {
         completed in proptest::collection::vec(any::<u32>(), 0..20),
         segments in proptest::collection::vec("[a-z0-9.-]{1,12}", 0..4),
         letters in proptest::collection::vec(("[ -~]{0,16}", any::<u32>(), "[ -~]{0,24}"), 1..4),
+        signed in proptest::collection::vec(("[ -~]{0,16}", any::<u64>(), any::<u64>()), 0..4),
         flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
     ) {
         let dir = TempDir::new("flips");
@@ -111,8 +124,13 @@ proptest! {
             .map(|(path, file_id, error)| DeadLetter { path, file_id, attempts: 3, error })
             .collect();
         DeadLetterQueue { entries }.save(&dir.0).unwrap();
-        prop_assert_eq!(load_both(&dir.0), (true, true));
-        for name in [CHECKPOINT_FILE, DLQ_FILE] {
+        let mut signatures = SignatureDb::new();
+        for (path, size, content_hash) in signed {
+            signatures.record(path, FileSignature { size, content_hash });
+        }
+        signatures.save(&dir.0).unwrap();
+        prop_assert_eq!(load_all(&dir.0), (true, true, true));
+        for name in FILES {
             let mut bytes = fs::read(dir.0.join(name)).unwrap();
             for &(position, bit) in &flips {
                 let position = position % bytes.len();
@@ -120,7 +138,7 @@ proptest! {
             }
             fs::write(dir.0.join(name), &bytes).unwrap();
         }
-        load_both(&dir.0);
+        load_all(&dir.0);
     }
 }
 
@@ -132,8 +150,14 @@ fn hostile_shapes_are_errors() {
     for content in
         [deep.as_str(), huge.as_str(), "", "null", "[]", "{}", "{\"entries\":7}", "\u{feff}{}"]
     {
-        fs::write(dir.0.join(CHECKPOINT_FILE), content).unwrap();
-        fs::write(dir.0.join(DLQ_FILE), content).unwrap();
+        for name in FILES {
+            fs::write(dir.0.join(name), content).unwrap();
+        }
+        assert!(
+            matches!(SignatureDb::load(&dir.0), Err(PersistError::Corrupt(_))),
+            "signatures accepted {:.40}",
+            content
+        );
         assert!(
             matches!(BuildCheckpoint::load(&dir.0), Err(PersistError::Corrupt(_))),
             "checkpoint accepted {:.40}",
@@ -148,4 +172,23 @@ fn hostile_shapes_are_errors() {
     // Not text at all: an I/O error, still not a panic.
     fs::write(dir.0.join(CHECKPOINT_FILE), [0xff, 0xfe, 0x00]).unwrap();
     assert!(BuildCheckpoint::load(&dir.0).is_err());
+}
+
+#[test]
+fn signatures_save_whole_or_not_at_all_and_a_torn_file_is_an_error() {
+    let dir = TempDir::new("signatures");
+    // Absent: a first run, not an error.
+    assert!(SignatureDb::load(&dir.0).unwrap().is_empty());
+    let mut signatures = SignatureDb::new();
+    signatures.record("notes/a.txt", FileSignature::from_bytes(b"alpha"));
+    signatures.save(&dir.0).unwrap();
+    assert_eq!(SignatureDb::load(&dir.0).unwrap(), signatures);
+    // Written through a temporary file and a rename: nothing else is left.
+    let names: Vec<_> = fs::read_dir(&dir.0).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(names, [SIGNATURES_FILE]);
+    // What a crash inside the old bare `fs::write` left behind: refused, so a
+    // run never mistakes it for "nothing indexed yet".
+    let json = fs::read(dir.0.join(SIGNATURES_FILE)).unwrap();
+    fs::write(dir.0.join(SIGNATURES_FILE), &json[..json.len() / 2]).unwrap();
+    assert!(matches!(SignatureDb::load(&dir.0), Err(PersistError::Corrupt(_))));
 }

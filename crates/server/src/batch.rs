@@ -30,7 +30,7 @@ use dsearch_query::Query;
 
 use crate::engine::ServerError;
 use crate::protocol::split_request_meta;
-use crate::stats::{DeadlineStage, ServerStats};
+use crate::stats::{DeadlineStage, Metric, ServerStats};
 
 /// What to do with a submission when the queue is at its depth bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,10 +146,9 @@ pub trait Executor: Send + Sync + 'static {
     /// The rendered `!reload` answer.
     fn reload_answer(&self) -> String;
 
-    /// The `!metrics` exposition.
-    fn metrics_exposition(&self) -> String {
-        self.stats().render_metrics()
-    }
+    /// Brings the gauges that are computed on demand (what is served, the
+    /// cache's footprint) up to date: `!stats` and `!metrics` do this first.
+    fn refresh_gauges(&self) {}
 }
 
 /// What the skeleton reads from and writes to an [`Executor::Response`].
@@ -275,14 +274,14 @@ impl<R> QueueGovernor<R> {
         if bound > 0 && state.queue.len() >= bound {
             match self.config.overload {
                 OverloadPolicy::RejectNew => {
-                    stats.record_shed();
+                    stats.inc(Metric::Shed);
                     return Err(ServerError::Overloaded);
                 }
                 OverloadPolicy::DropOldest => {
                     while state.queue.len() >= bound {
                         let victim = state.queue.pop_front().expect("len >= bound >= 1");
                         victim.refuse(ServerError::Overloaded);
-                        stats.record_shed();
+                        stats.inc(Metric::Shed);
                     }
                 }
             }
@@ -338,7 +337,7 @@ impl<R> QueueGovernor<R> {
                 let needed = self.config.max_batch - batch.len();
                 let expected = expected_arrivals(&state.arrivals, drained, self.config.max_wait);
                 linger = expected >= needed as f64;
-                stats.record_adaptive_decision(linger);
+                stats.inc(if linger { Metric::AdaptiveWaits } else { Metric::AdaptiveSkips });
             }
             let mut fill_wait = Duration::ZERO;
             if linger {
@@ -398,7 +397,7 @@ fn admit_live<R>(
             }
             deadline => {
                 if let Some(deadline) = deadline {
-                    stats.record_remaining_budget(deadline.duration_since(now));
+                    stats.remaining_budget_histogram().record(deadline.duration_since(now));
                 }
                 batch.push(job);
             }
@@ -500,7 +499,7 @@ impl<'a, R: Answer> BatchFrame<'a, R> {
                     executed += 1;
                 }
                 Err(e) => {
-                    stats.record_error();
+                    stats.inc(Metric::Errors);
                     slots[i] = Some(Err(ServerError::Parse(e)));
                 }
             }
@@ -562,7 +561,9 @@ impl<'a, R: Answer> BatchFrame<'a, R> {
     /// Answers every one of `positions` (one group's) with `result`; all but
     /// the first piggybacked on its work.
     pub(crate) fn answer(&mut self, positions: &[usize], result: Result<R, ServerError>) {
-        self.stats.record_dedup_hits((positions.len() - 1) as u64);
+        if positions.len() > 1 {
+            self.stats.add(Metric::DedupHits, (positions.len() - 1) as u64);
+        }
         for &i in &positions[1..] {
             self.slots[i] = Some(result.clone());
         }
@@ -640,7 +641,7 @@ impl<E: Executor> Pool<E> {
                             executor.run_batch(&raws, started, batch.fill_wait)
                         }))
                         .unwrap_or_else(|_| {
-                            raws.iter().for_each(|_| executor.stats().record_error());
+                            executor.stats().add(Metric::Errors, raws.len() as u64);
                             vec![Err(ServerError::Panicked); raws.len()]
                         });
                         for (job, response) in batch.jobs.iter().zip(responses) {
@@ -742,7 +743,7 @@ mod tests {
             governor.submit(j, &stats).unwrap();
         }
         assert_eq!(governor.depth(), 100);
-        assert_eq!(stats.shed_count(), 0);
+        assert_eq!(stats.get(Metric::Shed), 0);
     }
 
     #[test]
@@ -755,7 +756,7 @@ mod tests {
         governor.submit(b, &stats).unwrap();
         assert_eq!(governor.submit(c, &stats).unwrap_err(), ServerError::Overloaded);
         assert_eq!(governor.depth(), 2);
-        assert_eq!(stats.shed_count(), 1);
+        assert_eq!(stats.get(Metric::Shed), 1);
     }
 
     #[test]
@@ -772,7 +773,7 @@ mod tests {
         governor.submit(b, &stats).unwrap();
         governor.submit(c, &stats).unwrap();
         assert_eq!(governor.depth(), 2);
-        assert_eq!(stats.shed_count(), 1);
+        assert_eq!(stats.get(Metric::Shed), 1);
         // The dropped job's waiter got the overload answer.
         assert_eq!(pa.wait().unwrap_err(), ServerError::Overloaded);
         // The surviving queue is b, c.
@@ -860,8 +861,8 @@ mod tests {
             "idle adaptive drain waited {:?}",
             started.elapsed()
         );
-        assert_eq!(stats.adaptive_skip_count(), 1);
-        assert_eq!(stats.adaptive_wait_count(), 0);
+        assert_eq!(stats.get(Metric::AdaptiveSkips), 1);
+        assert_eq!(stats.get(Metric::AdaptiveWaits), 0);
     }
 
     #[test]
@@ -886,7 +887,7 @@ mod tests {
             "a lone pair bought a linger: {:?}",
             started.elapsed()
         );
-        assert_eq!(stats.adaptive_skip_count(), 1);
+        assert_eq!(stats.get(Metric::AdaptiveSkips), 1);
     }
 
     #[test]
@@ -909,8 +910,8 @@ mod tests {
         // All 40 drain at once (< max_batch), and the decision to linger for
         // more was taken and counted.
         assert_eq!(batch.jobs.len(), 40);
-        assert_eq!(stats.adaptive_wait_count(), 1);
-        assert_eq!(stats.adaptive_skip_count(), 0);
+        assert_eq!(stats.get(Metric::AdaptiveWaits), 1);
+        assert_eq!(stats.get(Metric::AdaptiveSkips), 0);
     }
 
     #[test]
@@ -923,7 +924,7 @@ mod tests {
         let (a, _pa) = job("a");
         governor.submit(a, &stats).unwrap();
         let _ = governor.next_batch(&stats).unwrap();
-        assert_eq!(stats.adaptive_wait_count() + stats.adaptive_skip_count(), 0);
+        assert_eq!(stats.get(Metric::AdaptiveWaits) + stats.get(Metric::AdaptiveSkips), 0);
     }
 
     #[test]
@@ -943,8 +944,8 @@ mod tests {
         // The expired job's waiter got a deadline answer, not a hang, and
         // the shed was attributed to expiry.
         assert_eq!(dead_pending.wait().unwrap_err(), ServerError::DeadlineExceeded);
-        assert_eq!(stats.expired_count(), 1);
-        assert_eq!(stats.shed_count(), 1);
+        assert_eq!(stats.deadline_exceeded(DeadlineStage::Queue), 1);
+        assert_eq!(stats.get(Metric::Shed), 1);
     }
 
     #[test]
@@ -957,7 +958,7 @@ mod tests {
         // The only queued job expires at drain: the worker sees the closed
         // end of the stream, never an empty batch.
         assert!(governor.next_batch(&stats).is_none());
-        assert_eq!(stats.expired_count(), 1);
+        assert_eq!(stats.deadline_exceeded(DeadlineStage::Queue), 1);
     }
 
     #[test]
@@ -1080,7 +1081,7 @@ mod tests {
                 }
             }
             assert!(wedged.wait().is_ok());
-            assert_eq!(inner.stats().shed_count(), 1, "{overload}");
+            assert_eq!(inner.stats().get(Metric::Shed), 1, "{overload}");
             assert_eq!(pool.shutdown(), 2, "{overload}: the wedge and the job that stayed");
         }
 
@@ -1088,9 +1089,9 @@ mod tests {
         let inner = make(1, BatchConfig::default());
         let (pool, entered, release) = scripted(Arc::clone(&inner));
         assert_eq!(pool.execute("@d=0 rust").err(), Some(ServerError::DeadlineExceeded));
-        assert_eq!(inner.stats().expired_count(), 1);
-        assert_eq!(inner.stats().batch_count(), 0);
-        assert_eq!(inner.stats().error_count(), 0);
+        assert_eq!(inner.stats().deadline_exceeded(DeadlineStage::Queue), 1);
+        assert_eq!(inner.stats().get(Metric::Batches), 0);
+        assert_eq!(inner.stats().get(Metric::Errors), 0);
 
         // Closing stops admission, not service: what was admitted before is
         // drained, and `shutdown` reports all of it.
@@ -1115,7 +1116,7 @@ mod tests {
             for _ in 0..=workers {
                 assert_eq!(pool.execute("explode").err(), Some(ServerError::Panicked));
             }
-            assert_eq!(inner.stats().error_count(), workers as u64 + 1);
+            assert_eq!(inner.stats().get(Metric::Errors), workers as u64 + 1);
             // Every worker is still there to be wedged at the same time.
             let wedged: Vec<_> = (0..workers).map(|_| pool.submit("wedge").unwrap()).collect();
             for _ in 0..workers {

@@ -18,12 +18,14 @@
 //! `Arc<Vec<RankedHit>>` responses keyed by its own reload epoch.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use dsearch_obs::Counter;
 use dsearch_query::SearchResults;
+
+use crate::stats::{Metric, ServerStats};
 
 /// A cache key: the canonical query text plus the generation it was answered
 /// from.
@@ -230,11 +232,11 @@ pub struct QueryCache<V = Arc<SearchResults>> {
     shards: Vec<Mutex<Shard<V>>>,
     capacity_per_shard: usize,
     admission: AdmissionPolicy,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    insertions: AtomicU64,
-    rejections: AtomicU64,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    insertions: Arc<Counter>,
+    rejections: Arc<Counter>,
 }
 
 /// FNV-1a (the system-wide hash) over the query text, continued over the
@@ -275,12 +277,25 @@ impl<V: Clone> QueryCache<V> {
                 .collect(),
             capacity_per_shard,
             admission,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            rejections: AtomicU64::new(0),
+            hits: Arc::default(),
+            misses: Arc::default(),
+            evictions: Arc::default(),
+            insertions: Arc::default(),
+            rejections: Arc::default(),
         }
+    }
+
+    /// Counts this cache's events straight into `stats`' five cache series
+    /// from here on (called once, before the cache is shared): each event is
+    /// counted once, by one relaxed `fetch_add` on the registered handle.
+    #[must_use]
+    pub fn counting_into(mut self, stats: &ServerStats) -> Self {
+        self.hits = Arc::clone(stats.counter(Metric::CacheHits));
+        self.misses = Arc::clone(stats.counter(Metric::CacheMisses));
+        self.evictions = Arc::clone(stats.counter(Metric::CacheEvictions));
+        self.insertions = Arc::clone(stats.counter(Metric::CacheInsertions));
+        self.rejections = Arc::clone(stats.counter(Metric::CacheRejected));
+        self
     }
 
     /// The admission policy this cache inserts under.
@@ -307,9 +322,9 @@ impl<V: Clone> QueryCache<V> {
         let result = shard.touch(key);
         drop(shard);
         match &result {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
         result
     }
 
@@ -327,7 +342,7 @@ impl<V: Clone> QueryCache<V> {
                 if let Some((_, victim)) = shard.recency.first_key_value() {
                     if sketch.estimate(hash) <= sketch.estimate(key_hash(victim)) {
                         drop(shard);
-                        self.rejections.fetch_add(1, Ordering::Relaxed);
+                        self.rejections.inc();
                         return;
                     }
                 }
@@ -335,8 +350,8 @@ impl<V: Clone> QueryCache<V> {
         }
         let evicted = shard.insert(key, value, self.capacity_per_shard);
         drop(shard);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.insertions.inc();
+        self.evictions.add(evicted);
     }
 
     /// Number of live entries across all shards.
@@ -379,11 +394,11 @@ impl<V: Clone> QueryCache<V> {
     #[must_use]
     pub fn counters(&self) -> CacheCounters {
         CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            rejections: self.rejections.load(Ordering::Relaxed),
+            hits: self.hits.value(),
+            misses: self.misses.value(),
+            evictions: self.evictions.value(),
+            insertions: self.insertions.value(),
+            rejections: self.rejections.value(),
         }
     }
 }

@@ -20,16 +20,7 @@ use crate::batch::{Answer, BatchConfig, BatchFrame, Executor, Pending, Pool};
 use crate::cache::{AdmissionPolicy, CacheCounters, CacheKey, QueryCache};
 use crate::protocol::{render_error_text, render_info, render_response};
 use crate::snapshot::{IndexSnapshot, SnapshotCell};
-use crate::stats::{DeadlineStage, ServerStats};
-
-/// Gauge: heap bytes of the served snapshot (shard buffers, tables, doc
-/// table).
-pub const SNAPSHOT_RESIDENT_METRIC: &str = "dsearch_snapshot_resident_bytes";
-/// Gauge: heap bytes of the result cache (keys, hit vectors, path text).
-pub const CACHE_RESIDENT_METRIC: &str = "dsearch_cache_resident_bytes";
-/// Gauge: what loading the served snapshot from its store took, in seconds
-/// (a `!reload` publishes a new snapshot and with it a new value).
-pub const SNAPSHOT_LOAD_METRIC: &str = "dsearch_snapshot_load_seconds";
+use crate::stats::{DeadlineStage, Metric, ServerStats};
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -198,14 +189,16 @@ impl QueryEngine {
     /// shards, empty batches) — see [`EngineConfig::validate`].
     pub fn new(snapshot: IndexSnapshot, config: EngineConfig) -> Result<Arc<Self>, ConfigError> {
         config.validate()?;
+        let stats = ServerStats::with_index();
         Ok(Arc::new(QueryEngine {
             snapshot: SnapshotCell::new(snapshot),
             cache: QueryCache::with_admission(
                 config.cache_capacity,
                 config.cache_shards,
                 config.cache_admission,
-            ),
-            stats: ServerStats::new(),
+            )
+            .counting_into(&stats),
+            stats,
             config,
             store_path: OnceLock::new(),
         }))
@@ -259,37 +252,12 @@ impl QueryEngine {
         (self.snapshot.load().resident_bytes(), cache)
     }
 
-    /// The `!metrics` exposition, with the footprint and load-time gauges
-    /// brought up to date first.
-    #[must_use]
-    pub fn render_metrics(&self) -> String {
-        let (snapshot, cache) = self.resident_bytes();
-        let registry = self.stats.registry();
-        registry.gauge(SNAPSHOT_RESIDENT_METRIC).set(snapshot as u64);
-        registry.gauge(CACHE_RESIDENT_METRIC).set(cache as u64);
-        registry.gauge(SNAPSHOT_LOAD_METRIC).set_duration(self.snapshot.load().load_time());
-        self.stats.render_metrics()
-    }
-
     /// The rendered stats report (the `!stats` protocol answer), including
     /// the served snapshot's compressed-index footprint.
     #[must_use]
     pub fn stats_report(&self) -> String {
-        let snapshot = self.snapshot.load();
-        let compressed = snapshot.posting_bytes();
-        let raw = snapshot.uncompressed_posting_bytes();
-        let ratio = if compressed == 0 { 1.0 } else { raw as f64 / compressed as f64 };
-        let (resident, cache_bytes) = self.resident_bytes();
-        let load_ms = snapshot.load_time().as_secs_f64() * 1e3;
-        format!(
-            "{} index[shards={} postings={} posting_bytes={compressed} raw_bytes={raw} \
-             compression={ratio:.2}x load_ms={load_ms:.1} resident_bytes={resident}] \
-             cache[entries={} bytes={cache_bytes}]",
-            self.stats.render(self.cache.counters(), snapshot.generation()),
-            snapshot.shard_count(),
-            snapshot.posting_count(),
-            self.cache.len(),
-        )
+        self.refresh_gauges();
+        self.stats.render()
     }
 
     /// Serves one query synchronously (a batch of one).
@@ -408,6 +376,21 @@ impl Executor for QueryEngine {
         frame.close()
     }
 
+    fn refresh_gauges(&self) {
+        let snapshot = self.snapshot.load();
+        let (resident, cache_bytes) = self.resident_bytes();
+        let set = |metric, value: u64| self.stats.gauge(metric).set(value);
+        set(Metric::Generation, snapshot.generation());
+        set(Metric::SnapshotShards, snapshot.shard_count() as u64);
+        set(Metric::SnapshotPostings, snapshot.posting_count());
+        set(Metric::SnapshotPostingBytes, snapshot.posting_bytes() as u64);
+        set(Metric::SnapshotRawBytes, snapshot.uncompressed_posting_bytes() as u64);
+        self.stats.gauge(Metric::SnapshotLoad).set_duration(snapshot.load_time());
+        set(Metric::SnapshotResident, resident as u64);
+        set(Metric::CacheEntries, self.cache.len() as u64);
+        set(Metric::CacheResident, cache_bytes as u64);
+    }
+
     fn stats_answer(&self) -> String {
         render_info(&self.stats_report())
     }
@@ -420,10 +403,6 @@ impl Executor for QueryEngine {
             Some(Ok(generation)) => render_info(&format!("reloaded generation={generation}")),
             Some(Err(e)) => render_error_text(&format!("reload failed: {e}")),
         }
-    }
-
-    fn metrics_exposition(&self) -> String {
-        self.render_metrics()
     }
 }
 
@@ -520,7 +499,7 @@ mod tests {
         assert!(second.cached);
         assert_eq!(second.results.paths(), vec!["b.txt"]);
         assert_eq!(engine.cache_counters().hits, 1);
-        assert_eq!(engine.stats().query_count(), 2);
+        assert_eq!(engine.stats().get(Metric::Queries), 2);
     }
 
     #[test]
@@ -529,8 +508,8 @@ mod tests {
         let err = engine.execute("AND").unwrap_err();
         assert!(matches!(err, ServerError::Parse(_)));
         assert!(err.to_string().contains("invalid query"));
-        assert_eq!(engine.stats().error_count(), 1);
-        assert_eq!(engine.stats().query_count(), 0);
+        assert_eq!(engine.stats().get(Metric::Errors), 1);
+        assert_eq!(engine.stats().get(Metric::Queries), 0);
     }
 
     #[test]
@@ -556,10 +535,10 @@ mod tests {
         let counters = engine.cache_counters();
         assert_eq!(counters.misses, 2, "one probe per distinct canonical query");
         assert_eq!(counters.hits, 0);
-        assert_eq!(engine.stats().dedup_hit_count(), 2);
-        assert_eq!(engine.stats().batched_count(), 4);
-        assert_eq!(engine.stats().batch_count(), 1);
-        assert_eq!(engine.stats().query_count(), 4);
+        assert_eq!(engine.stats().get(Metric::DedupHits), 2);
+        assert_eq!(engine.stats().get(Metric::Batched), 4);
+        assert_eq!(engine.stats().get(Metric::Batches), 1);
+        assert_eq!(engine.stats().get(Metric::Queries), 4);
     }
 
     #[test]
@@ -577,10 +556,12 @@ mod tests {
         assert!(stats.ends_with(&format!("cache[entries=2 bytes={cache}]")), "{stats}");
         // An image that was never on disk took no time to load.
         assert!(stats.contains(" load_ms=0.0 "), "{stats}");
-        let metrics = engine.render_metrics();
-        assert!(metrics.contains(&format!("{SNAPSHOT_LOAD_METRIC} 0.000000\n")), "{metrics}");
-        assert!(metrics.contains(&format!("{SNAPSHOT_RESIDENT_METRIC} {snapshot}\n")), "{metrics}");
-        assert!(metrics.contains(&format!("{CACHE_RESIDENT_METRIC} {cache}\n")), "{metrics}");
+        engine.refresh_gauges();
+        let metrics = engine.stats().registry().render_prometheus();
+        let series = |metric: Metric| metric.row().series;
+        assert!(metrics.contains(&format!("{} 0.000000\n", series(Metric::SnapshotLoad))));
+        assert!(metrics.contains(&format!("{} {snapshot}\n", series(Metric::SnapshotResident))));
+        assert!(metrics.contains(&format!("{} {cache}\n", series(Metric::CacheResident))));
     }
 
     #[test]
@@ -591,8 +572,8 @@ mod tests {
         assert!(responses[0].is_ok());
         assert!(matches!(responses[1], Err(ServerError::Parse(_))));
         assert!(responses[2].is_ok());
-        assert_eq!(engine.stats().error_count(), 1);
-        assert_eq!(engine.stats().query_count(), 2);
+        assert_eq!(engine.stats().get(Metric::Errors), 1);
+        assert_eq!(engine.stats().get(Metric::Queries), 2);
     }
 
     #[test]
@@ -639,12 +620,9 @@ mod tests {
         assert_eq!(err, ServerError::DeadlineExceeded);
         assert!(err.to_string().starts_with("deadline_exceeded"), "{err}");
         assert_eq!(engine.cache_counters().insertions, 0, "dead work must not be cached");
-        assert_eq!(
-            engine.stats().deadline_exceeded_stage_count(crate::stats::DeadlineStage::Exec),
-            1
-        );
+        assert_eq!(engine.stats().deadline_exceeded(crate::stats::DeadlineStage::Exec), 1);
         // Deadline misses are not errors.
-        assert_eq!(engine.stats().error_count(), 0);
+        assert_eq!(engine.stats().get(Metric::Errors), 0);
         // A generous budget answers normally and caches.
         let ok = engine.execute("@d=60000 rust").unwrap();
         assert_eq!(ok.results.len(), 2);
@@ -681,7 +659,7 @@ mod tests {
         assert!(responses[1].is_ok());
         assert!(responses[2].is_ok());
         // The live positions shared one evaluation.
-        assert_eq!(engine.stats().dedup_hit_count(), 1);
+        assert_eq!(engine.stats().get(Metric::DedupHits), 1);
     }
 
     #[test]
@@ -714,11 +692,11 @@ mod tests {
         assert_eq!(pool.queue_depth(), 0);
         let pool = Arc::try_unwrap(pool).ok().expect("all clients done");
         assert_eq!(pool.shutdown(), 300);
-        assert_eq!(engine.stats().query_count(), 300);
+        assert_eq!(engine.stats().get(Metric::Queries), 300);
         // Every query either probed the cache once (hit or miss) or
         // piggybacked on an identical query in its batch.
         let counters = engine.cache_counters();
-        assert_eq!(counters.hits + counters.misses + engine.stats().dedup_hit_count(), 300);
+        assert_eq!(counters.hits + counters.misses + engine.stats().get(Metric::DedupHits), 300);
         // 2 distinct queries × 1 generation: only the first evaluations can
         // miss (racing workers may each miss once).
         assert!(counters.misses >= 2, "{counters:?}");
@@ -755,7 +733,7 @@ mod tests {
             }
         }
         assert!(shed > 0, "200 instant submissions through a depth-1 queue never shed");
-        assert_eq!(engine.stats().shed_count(), shed);
+        assert_eq!(engine.stats().get(Metric::Shed), shed);
         for pending in pendings {
             pending.wait().unwrap();
         }

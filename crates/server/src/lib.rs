@@ -99,4 +99,4 @@ pub use serve::{
     TcpServerConfig,
 };
 pub use snapshot::{IndexSnapshot, SnapshotCell};
-pub use stats::{DeadlineStage, ServerStats};
+pub use stats::{DeadlineStage, Metric, ServerStats};

@@ -13,8 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use dsearch_core::timing::LatencySummary;
-use dsearch_obs::Stage;
+use dsearch_obs::{LatencySummary, Stage};
 
 use crate::engine::{ServerError, WorkerPool};
 use crate::snapshot::IndexSnapshot;

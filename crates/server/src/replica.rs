@@ -50,7 +50,10 @@
 //! `dsearch_replica_state{replica=…}` gauge (0 = closed, 1 = half-open,
 //! 2 = open), `dsearch_replica_opens_total` / `dsearch_replica_recoveries_total`
 //! transition counters, and set-wide `dsearch_hedges_total` /
-//! `dsearch_hedge_wins_total`.
+//! `dsearch_hedge_wins_total`.  Each is kept once: the set counts into its
+//! own handles from construction, and binding hands those same handles to
+//! the registry (`adopt_counter` / `adopt_gauge`), so the getters below and a
+//! `!metrics` scrape read the same atomics.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -66,6 +69,7 @@ use crate::engine::ConfigError;
 use crate::route::{
     control_fanout, BackendWorker, GatherSender, ShardBackend, ShardError, ShardReply, TimedReplies,
 };
+use crate::stats::Metric;
 
 /// Per-replica health-state gauge (0 = closed, 1 = half-open, 2 = open).
 pub const REPLICA_STATE_METRIC: &str = "dsearch_replica_state";
@@ -206,14 +210,6 @@ struct Health {
     backoff: Duration,
 }
 
-/// Registry-bound per-replica metrics, attached on
-/// [`ShardBackend::bind_metrics`].
-struct BoundReplica {
-    state: Arc<Gauge>,
-    opens: Arc<Counter>,
-    recoveries: Arc<Counter>,
-}
-
 /// Everything a replica's worker thread (through its completion hook) and
 /// the set share about one replica.
 struct ReplicaShared {
@@ -227,24 +223,20 @@ struct ReplicaShared {
     rtt: Histogram,
     /// The set-wide round-trip histogram feeding the adaptive hedge deadline.
     set_rtt: Arc<Histogram>,
-    /// Local transition counters, live before (and independent of) any
-    /// registry binding.
-    opens: Counter,
-    recoveries: Counter,
+    /// `health.state` as the `dsearch_replica_state` gauge, written where
+    /// the state is, under the health lock.
+    state_gauge: Arc<Gauge>,
+    /// Transition counters, live from construction; `bind_metrics` exposes
+    /// these same handles.
+    opens: Arc<Counter>,
+    recoveries: Arc<Counter>,
     probes: Counter,
-    bound: Mutex<Option<BoundReplica>>,
     config: ReplicaSetConfig,
 }
 
 impl ReplicaShared {
     fn state(&self) -> ReplicaState {
         self.health.lock().state
-    }
-
-    fn set_bound_state(&self, state: ReplicaState) {
-        if let Some(bound) = &*self.bound.lock() {
-            bound.state.set(state.as_gauge());
-        }
     }
 
     /// A whole-batch success: reset the failure streak, and close the
@@ -256,12 +248,8 @@ impl ReplicaShared {
             health.state = ReplicaState::Closed;
             health.backoff = self.config.probe_backoff;
             health.probe_at = None;
+            self.state_gauge.set(ReplicaState::Closed.as_gauge());
             self.recoveries.inc();
-            drop(health);
-            if let Some(bound) = &*self.bound.lock() {
-                bound.state.set(ReplicaState::Closed.as_gauge());
-                bound.recoveries.inc();
-            }
         }
     }
 
@@ -285,12 +273,8 @@ impl ReplicaShared {
         if opened {
             health.state = ReplicaState::Open;
             health.probe_at = Some(Instant::now() + health.backoff);
+            self.state_gauge.set(ReplicaState::Open.as_gauge());
             self.opens.inc();
-            drop(health);
-            if let Some(bound) = &*self.bound.lock() {
-                bound.state.set(ReplicaState::Open.as_gauge());
-                bound.opens.inc();
-            }
         }
     }
 
@@ -321,19 +305,11 @@ impl ReplicaShared {
         }
         health.state = ReplicaState::HalfOpen;
         health.probe_at = None;
+        self.state_gauge.set(ReplicaState::HalfOpen.as_gauge());
         drop(health);
         self.probes.inc();
-        self.set_bound_state(ReplicaState::HalfOpen);
         true
     }
-}
-
-/// Registry-bound set-wide counters, attached on
-/// [`ShardBackend::bind_metrics`].
-struct BoundSet {
-    hedges: Arc<Counter>,
-    hedge_wins: Arc<Counter>,
-    retry_exhausted: Arc<Counter>,
 }
 
 /// N replicas behind one logical shard: least-loaded healthy pick, circuit
@@ -345,12 +321,11 @@ pub struct ReplicaSet {
     config: ReplicaSetConfig,
     /// Set-wide rolling round trips; feeds the adaptive hedge deadline.
     set_rtt: Arc<Histogram>,
-    hedges: Counter,
-    hedge_wins: Counter,
+    hedges: Arc<Counter>,
+    hedge_wins: Arc<Counter>,
     /// Token bucket bounding hedge + failover traffic.
     retry_budget: RetryBudget,
-    retry_exhausted: Counter,
-    bound: Mutex<Option<BoundSet>>,
+    retry_exhausted: Arc<Counter>,
 }
 
 impl ReplicaSet {
@@ -384,10 +359,10 @@ impl ReplicaSet {
                     }),
                     rtt: Histogram::new(),
                     set_rtt: Arc::clone(&set_rtt),
-                    opens: Counter::new(),
-                    recoveries: Counter::new(),
+                    state_gauge: Arc::default(),
+                    opens: Arc::default(),
+                    recoveries: Arc::default(),
                     probes: Counter::new(),
-                    bound: Mutex::new(None),
                     config,
                 })
             })
@@ -407,11 +382,10 @@ impl ReplicaSet {
             workers,
             config,
             set_rtt,
-            hedges: Counter::new(),
-            hedge_wins: Counter::new(),
+            hedges: Arc::default(),
+            hedge_wins: Arc::default(),
             retry_budget: RetryBudget::new(config.retry_budget_pct),
-            retry_exhausted: Counter::new(),
-            bound: Mutex::new(None),
+            retry_exhausted: Arc::default(),
         })
     }
 
@@ -529,20 +503,6 @@ impl ReplicaSet {
             .collect()
     }
 
-    fn record_hedge(&self) {
-        self.hedges.inc();
-        if let Some(bound) = &*self.bound.lock() {
-            bound.hedges.inc();
-        }
-    }
-
-    fn record_hedge_win(&self) {
-        self.hedge_wins.inc();
-        if let Some(bound) = &*self.bound.lock() {
-            bound.hedge_wins.inc();
-        }
-    }
-
     /// Charges the retry budget for one extra dispatch; on an empty bucket
     /// records the refusal and returns `false` — the caller fails fast.
     fn charge_retry(&self) -> bool {
@@ -550,9 +510,6 @@ impl ReplicaSet {
             return true;
         }
         self.retry_exhausted.inc();
-        if let Some(bound) = &*self.bound.lock() {
-            bound.retry_exhausted.inc();
-        }
         false
     }
 
@@ -606,7 +563,7 @@ impl ReplicaSet {
                                     if self.dispatch(next, &canonicals, &ids, Some(&respond)) {
                                         hedge_index = Some(next);
                                         dispatched += 1;
-                                        self.record_hedge();
+                                        self.hedges.inc();
                                         break;
                                     }
                                 }
@@ -630,7 +587,7 @@ impl ReplicaSet {
             completed += 1;
             if replies.iter().any(Result::is_ok) {
                 if hedge_index == Some(index) {
-                    self.record_hedge_win();
+                    self.hedge_wins.inc();
                 }
                 return replies;
             }
@@ -736,26 +693,18 @@ impl ShardBackend for ReplicaSet {
 
     fn bind_metrics(&self, registry: &MetricsRegistry) {
         for replica in &self.replicas {
-            let bound = BoundReplica {
-                state: registry.labeled_gauge(REPLICA_STATE_METRIC, "replica", &replica.id),
-                opens: registry.labeled_counter(REPLICA_OPENS_METRIC, "replica", &replica.id),
-                recoveries: registry.labeled_counter(
-                    REPLICA_RECOVERIES_METRIC,
-                    "replica",
-                    &replica.id,
-                ),
-            };
-            bound.state.set(replica.state().as_gauge());
-            *replica.bound.lock() = Some(bound);
+            let label = Some(("replica", replica.id.as_str()));
+            registry.adopt_gauge(REPLICA_STATE_METRIC, label, &replica.state_gauge);
+            registry.adopt_counter(REPLICA_OPENS_METRIC, label, &replica.opens);
+            registry.adopt_counter(REPLICA_RECOVERIES_METRIC, label, &replica.recoveries);
         }
-        // The registry dedupes by name, so this resolves to the same
-        // counter the router's `ServerStats` registered eagerly: replica-set
-        // refusals surface in the router's `!stats` and `!metrics` directly.
-        *self.bound.lock() = Some(BoundSet {
-            hedges: registry.counter(HEDGES_METRIC),
-            hedge_wins: registry.counter(HEDGE_WINS_METRIC),
-            retry_exhausted: registry.counter(crate::stats::RETRY_BUDGET_METRIC),
-        });
+        // Unlabelled: every set bound to one registry adds into the same
+        // series, the last beside the handle the router's `ServerStats`
+        // registered eagerly — so refusals surface in the router's `!stats`
+        // (`retry_exhausted=`) and `!metrics` directly.
+        registry.adopt_counter(HEDGES_METRIC, None, &self.hedges);
+        registry.adopt_counter(HEDGE_WINS_METRIC, None, &self.hedge_wins);
+        registry.adopt_counter(Metric::RetryExhausted.row().series, None, &self.retry_exhausted);
     }
 }
 
@@ -928,6 +877,64 @@ mod tests {
         assert_eq!(set.retry_exhausted_count(), 1);
         let line = set.stats_line().unwrap();
         assert!(line.contains("retry_exhausted=1"), "{line}");
+    }
+
+    #[test]
+    fn getters_and_registry_read_the_same_atomics_bound_or_not() {
+        // `retry_budget_pct: 0` banks one token: the first failover spends
+        // it, every later one is refused and counted.
+        let set = ReplicaSet::new(
+            "s",
+            vec![Box::new(DownShard), Box::new(FixedShard::new("up"))],
+            ReplicaSetConfig { retry_budget_pct: 0, ..no_hedge() },
+        )
+        .unwrap();
+        // Before binding the getters already count.
+        assert!(set.search("rust").is_ok());
+        assert!(set.search("rust").is_err());
+        assert_eq!(set.retry_exhausted_count(), 1);
+
+        let registry = MetricsRegistry::new();
+        let eager = registry.counter(Metric::RetryExhausted.row().series);
+        set.bind_metrics(&registry);
+        set.bind_metrics(&registry); // binding twice exposes each handle once
+        let agree = |set: &ReplicaSet| {
+            let snapshot = registry.snapshot();
+            let per_replica = |name| -> u64 {
+                set.replicas
+                    .iter()
+                    .map(|r| snapshot.labeled_counter(name, ("replica", &r.id)))
+                    .sum()
+            };
+            assert_eq!(snapshot.counter(HEDGES_METRIC), set.hedge_count());
+            assert_eq!(snapshot.counter(HEDGE_WINS_METRIC), set.hedge_win_count());
+            assert_eq!(per_replica(REPLICA_OPENS_METRIC), set.open_count());
+            assert_eq!(per_replica(REPLICA_RECOVERIES_METRIC), set.recovery_count());
+            assert_eq!(
+                snapshot.counter(Metric::RetryExhausted.row().series),
+                set.retry_exhausted_count() + eager.value()
+            );
+            for replica in &set.replicas {
+                assert_eq!(
+                    snapshot.labeled_gauge(REPLICA_STATE_METRIC, ("replica", &replica.id)),
+                    replica.state().as_gauge()
+                );
+            }
+        };
+        // What was counted before the binding is exposed by it.
+        agree(&set);
+        assert_eq!(registry.snapshot().counter(Metric::RetryExhausted.row().series), 1);
+        // One more refused failover opens the dead replica (its third
+        // failure in a row); from then on the live one is the primary.
+        assert!(set.search("rust").is_err());
+        assert!(set.search("rust").is_ok());
+        assert_eq!((set.open_count(), set.retry_exhausted_count()), (1, 2));
+        agree(&set);
+        // The same atomics, not copies kept in step: whoever adds, both read.
+        set.hedges.add(40);
+        set.hedge_wins.add(4);
+        set.replicas[0].recoveries.add(2);
+        agree(&set);
     }
 
     #[test]

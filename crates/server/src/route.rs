@@ -37,7 +37,6 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -53,7 +52,7 @@ use crate::protocol::{
     parse_hit_line, prefix_deadline_ms, prefix_trace_id, read_response, render_error_text,
     render_info_with_body, render_routed_response, split_request_meta,
 };
-use crate::stats::{DeadlineStage, ServerStats};
+use crate::stats::{DeadlineStage, Metric, ServerStats};
 
 /// Why a shard could not answer a query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -785,9 +784,6 @@ pub struct Router {
     /// reload epoch; `None` when disabled.  Partial answers are never
     /// inserted, so a recovered shard is always re-asked.
     cache: Option<QueryCache<Arc<Vec<RankedHit>>>>,
-    /// Bumped by `!reload` so cached merges from before the reload stop
-    /// being served and age out.
-    epoch: AtomicU64,
     config: RouterConfig,
     stats: ServerStats,
 }
@@ -818,21 +814,24 @@ impl Router {
                 BackendWorker::spawn(Arc::clone(backend), move |(_, rtt)| rtt_hist.record(*rtt))
             })
             .collect();
-        let cache = (config.cache_capacity > 0)
-            .then(|| QueryCache::new(config.cache_capacity, config.cache_shards));
-        Ok(Arc::new(Router { backends, fanout, cache, epoch: AtomicU64::new(1), config, stats }))
+        let cache = (config.cache_capacity > 0).then(|| {
+            QueryCache::new(config.cache_capacity, config.cache_shards).counting_into(&stats)
+        });
+        stats.gauge(Metric::Generation).set(1);
+        Ok(Arc::new(Router { backends, fanout, cache, config, stats }))
     }
 
-    /// The current reload epoch (part of every cache key).
+    /// The current reload epoch (part of every cache key): the router's
+    /// `generation=`, kept in that gauge and nowhere else.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        self.stats.get(Metric::Generation)
     }
 
     /// Invalidates the result cache by moving to a fresh epoch (after a
     /// reload changed what the shards would answer).
     pub fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
+        self.stats.gauge(Metric::Generation).inc();
     }
 
     /// Result-cache counters (zeros when the cache is disabled).
@@ -1107,7 +1106,9 @@ impl Executor for Router {
                         Err(e) => failures.push((backend.id(), e)),
                     }
                 }
-                self.stats.record_shard_errors(failures.len() as u64);
+                if !failures.is_empty() {
+                    self.stats.add(Metric::ShardErrors, failures.len() as u64);
+                }
                 let deadline_expired = scatter_expired && group_deadline.is_some();
                 let result = if failures.len() == self.backends.len() {
                     if deadline_expired {
@@ -1116,7 +1117,7 @@ impl Executor for Router {
                         self.stats.record_deadline_exceeded(DeadlineStage::Scatter);
                         Err(ServerError::DeadlineExceeded)
                     } else {
-                        self.stats.record_error();
+                        self.stats.inc(Metric::Errors);
                         Err(ServerError::AllShardsFailed)
                     }
                 } else {
@@ -1137,7 +1138,7 @@ impl Executor for Router {
                             );
                         }
                     } else {
-                        self.stats.record_partial_responses(group.positions.len() as u64);
+                        self.stats.add(Metric::Partial, group.positions.len() as u64);
                     }
                     Ok(respond(canonical, hits, failures, deadline_exceeded))
                 };
@@ -1148,12 +1149,22 @@ impl Executor for Router {
         frame.close()
     }
 
-    /// The router's own counters on the status line (including
-    /// `shard_errors=` and `partial=`), per-shard stats aggregated into
-    /// `shards_*=` sums, and one body line per shard (`shard <id> <stats>` or
-    /// `shard <id> DOWN <why>`).
+    fn refresh_gauges(&self) {
+        let Some(cache) = &self.cache else { return };
+        let bytes = cache.resident_bytes(|hits| {
+            hits.capacity() * std::mem::size_of::<RankedHit>()
+                + hits.iter().map(|hit| hit.path.len()).sum::<usize>()
+        });
+        self.stats.gauge(Metric::CacheEntries).set(cache.len() as u64);
+        self.stats.gauge(Metric::CacheResident).set(bytes as u64);
+    }
+
+    /// The router's own counters on the status line — the same rendering of
+    /// the same table as a shard's (`shard_errors=` and `partial=` count
+    /// here) — then per-shard stats aggregated into `shards_*=` sums, and one
+    /// body line per shard (`shard <id> <stats>` or `shard <id> DOWN <why>`).
     fn stats_answer(&self) -> String {
-        let stats = &self.stats;
+        self.refresh_gauges();
         let mut sums: BTreeMap<&str, u64> = AGGREGATED_FIELDS.iter().map(|f| (*f, 0)).collect();
         let mut down = 0usize;
         let mut body = Vec::with_capacity(self.backends.len());
@@ -1186,26 +1197,11 @@ impl Executor for Router {
             .iter()
             .map(|field| format!("shards_{field}={}", sums[*field]))
             .collect();
-        let cache = self.cache_counters();
         let status = format!(
-            "router queries={} errors={} shed={} expired={} deadline_exceeded={} \
-             retry_exhausted={} dedup_hits={} shard_errors={} partial={} \
-             cache_hits={} cache_misses={} qps={:.1} shards={} shards_down={down} {} latency[{}]",
-            stats.query_count(),
-            stats.error_count(),
-            stats.shed_count(),
-            stats.expired_count(),
-            stats.deadline_exceeded_count(),
-            stats.retry_budget_exhausted_count(),
-            stats.dedup_hit_count(),
-            stats.shard_error_count(),
-            stats.partial_response_count(),
-            cache.hits,
-            cache.misses,
-            stats.qps(),
+            "router {} shards={} shards_down={down} {}",
+            self.stats.render(),
             self.backends.len(),
             aggregated.join(" "),
-            stats.latency_summary(),
         );
         render_info_with_body(&status, body)
     }
@@ -1399,8 +1395,8 @@ mod tests {
             response.hits
         );
         assert!(response.hits.iter().all(|h| h.score > 0.0), "local shards score their hits");
-        assert_eq!(router.stats().query_count(), 1);
-        assert_eq!(router.stats().shard_error_count(), 0);
+        assert_eq!(router.stats().get(Metric::Queries), 1);
+        assert_eq!(router.stats().get(Metric::ShardErrors), 0);
     }
 
     #[test]
@@ -1416,7 +1412,7 @@ mod tests {
         assert_eq!(second.hits, first.hits);
         let third = responses[2].as_ref().unwrap();
         assert_eq!(&*third.hits[0].path, "c.txt");
-        assert_eq!(router.stats().dedup_hit_count(), 1);
+        assert_eq!(router.stats().get(Metric::DedupHits), 1);
     }
 
     #[test]
@@ -1429,10 +1425,10 @@ mod tests {
         .unwrap();
         let err = router.route("AND").unwrap_err();
         assert!(matches!(err, ServerError::Parse(_)));
-        assert_eq!(router.stats().error_count(), 1);
+        assert_eq!(router.stats().get(Metric::Errors), 1);
         // The malformed query never reached the shard.
-        assert_eq!(engine.stats().query_count(), 0);
-        assert_eq!(engine.stats().error_count(), 0);
+        assert_eq!(engine.stats().get(Metric::Queries), 0);
+        assert_eq!(engine.stats().get(Metric::Errors), 0);
     }
 
     #[test]
@@ -1448,8 +1444,8 @@ mod tests {
         assert_eq!(response.shard_failures.len(), 1);
         assert_eq!(response.shard_failures[0].0, "dead");
         assert_eq!(response.hits.len(), 1);
-        assert_eq!(router.stats().shard_error_count(), 1);
-        assert_eq!(router.stats().partial_response_count(), 1);
+        assert_eq!(router.stats().get(Metric::ShardErrors), 1);
+        assert_eq!(router.stats().get(Metric::Partial), 1);
     }
 
     #[test]
@@ -1460,9 +1456,9 @@ mod tests {
         let err = router.route("rust").unwrap_err();
         assert_eq!(err, ServerError::AllShardsFailed);
         assert!(err.to_string().contains("all shards"));
-        assert_eq!(router.stats().shard_error_count(), 2);
-        assert_eq!(router.stats().error_count(), 1);
-        assert_eq!(router.stats().query_count(), 0);
+        assert_eq!(router.stats().get(Metric::ShardErrors), 2);
+        assert_eq!(router.stats().get(Metric::Errors), 1);
+        assert_eq!(router.stats().get(Metric::Queries), 0);
     }
 
     /// A backend that panics on its first call and answers like `inner`
@@ -1478,7 +1474,7 @@ mod tests {
         }
 
         fn search(&self, canonical: &str) -> Result<ShardReply, ShardError> {
-            assert!(!self.armed.swap(false, Ordering::SeqCst), "scripted panic");
+            assert!(!self.armed.swap(false, std::sync::atomic::Ordering::SeqCst), "scripted panic");
             self.inner.search(canonical)
         }
 
@@ -1601,11 +1597,8 @@ mod tests {
         assert!(response.deadline_exceeded);
         assert_eq!(response.shards_ok(), 1);
         assert_eq!(response.hits.len(), 1, "the fast shard's hits survive");
-        assert_eq!(router.stats().deadline_exceeded_count(), 1);
-        assert_eq!(
-            router.stats().deadline_exceeded_stage_count(crate::stats::DeadlineStage::Scatter),
-            1
-        );
+        assert!(router.stats().render().contains(" deadline_exceeded=1 "));
+        assert_eq!(router.stats().deadline_exceeded(DeadlineStage::Scatter), 1);
         // The degraded merge must not have been cached.
         assert_eq!(router.cache_counters().insertions, 0);
     }
@@ -1624,9 +1617,9 @@ mod tests {
         let err = router.route("@d=20 rust").unwrap_err();
         assert!(started.elapsed() < Duration::from_millis(250));
         assert!(matches!(err, ServerError::DeadlineExceeded), "{err}");
-        assert_eq!(router.stats().deadline_exceeded_count(), 1);
+        assert!(router.stats().render().contains(" deadline_exceeded=1 "));
         // The deadline miss is not counted as an ordinary error.
-        assert_eq!(router.stats().error_count(), 0);
+        assert_eq!(router.stats().get(Metric::Errors), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::protocol::{
     parse_request, render_error, render_error_text, render_info, render_info_with_body, Request,
 };
 use crate::route::Router;
-use crate::stats::ServerStats;
+use crate::stats::{Metric, ServerStats};
 
 /// Handles a `!trace` control line: `on` arms the slow-query log for every
 /// query, `off` disarms it, `<n>` / `<n>us` / `<n>µs` arms it at a microsecond
@@ -253,7 +253,8 @@ impl<E: Executor> LineHandler for LineService<E> {
             Request::Reload => self.executor.reload_answer(),
             // The body is the exposition: a sample or `# TYPE` comment per line.
             Request::Metrics => {
-                let exposition = self.executor.metrics_exposition();
+                self.executor.refresh_gauges();
+                let exposition = stats.registry().render_prometheus();
                 let body: Vec<&str> = exposition.lines().collect();
                 render_info_with_body(&format!("metrics lines={}", body.len()), body)
             }
@@ -331,10 +332,10 @@ impl TcpServer {
                         let _ = stream.set_nodelay(true);
                         let stats = service.stats();
                         if config.max_conns > 0
-                            && stats.active_conn_count() >= config.max_conns as u64
+                            && stats.get(Metric::ConnsActive) >= config.max_conns as u64
                         {
                             // Accept-time rejection: answer, count, close.
-                            stats.record_conn_rejected();
+                            stats.inc(Metric::ConnsRejected);
                             let _ = stream
                                 .write_all(render_error_text("too many connections").as_bytes());
                             continue;
@@ -352,7 +353,7 @@ impl TcpServer {
                             let _guard = guard;
                             let end = serve_connection(&*service, stream, config.idle_timeout);
                             if matches!(end, Ok(SessionEnd::IdleTimeout)) {
-                                service.stats().record_idle_disconnect();
+                                service.stats().inc(Metric::IdleClosed);
                             }
                         });
                         let mut connections = accept_connections.lock();
@@ -425,14 +426,14 @@ struct ConnGuard<S: LineHandler> {
 
 impl<S: LineHandler> ConnGuard<S> {
     fn open(service: &Arc<S>) -> Self {
-        service.stats().record_conn_open();
+        service.stats().gauge(Metric::ConnsActive).inc();
         ConnGuard { service: Arc::clone(service) }
     }
 }
 
 impl<S: LineHandler> Drop for ConnGuard<S> {
     fn drop(&mut self) {
-        self.service.stats().record_conn_close();
+        self.service.stats().gauge(Metric::ConnsActive).dec();
     }
 }
 
@@ -647,7 +648,7 @@ mod tests {
 
         // The disconnect shows up in the stats the `!stats` report renders.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while service.engine().stats().idle_disconnect_count() == 0 {
+        while service.engine().stats().get(Metric::IdleClosed) == 0 {
             assert!(std::time::Instant::now() < deadline, "idle disconnect never counted");
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
@@ -675,7 +676,7 @@ mod tests {
         line.clear();
         second_reader.read_line(&mut line).unwrap();
         assert!(line.starts_with("ERR too many connections"), "{line}");
-        assert_eq!(service.engine().stats().rejected_conn_count(), 1);
+        assert_eq!(service.engine().stats().get(Metric::ConnsRejected), 1);
         assert!(service.engine().stats_report().contains("conns_rejected=1"));
 
         // Releasing the slot admits a new connection.
@@ -683,7 +684,7 @@ mod tests {
         drop(first);
         drop(first_reader);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while service.engine().stats().active_conn_count() > 0 {
+        while service.engine().stats().get(Metric::ConnsActive) > 0 {
             assert!(std::time::Instant::now() < deadline, "slot never released");
             std::thread::sleep(std::time::Duration::from_millis(5));
         }

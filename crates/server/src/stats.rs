@@ -1,23 +1,24 @@
-//! Serving metrics: QPS, latency percentiles, cache hit rate, generation.
+//! Serving metrics: every number the server reports, declared once.
 //!
-//! `ServerStats` is a thin facade over a `dsearch_obs::MetricsRegistry`:
-//! every counter, gauge and latency histogram it reports is a registered
-//! metric, so the same numbers back the human-readable `!stats` line, the
-//! Prometheus-style `!metrics` exposition and any future subsystem that
-//! wants to hang its own series off the shared registry.  Latency
-//! percentiles come from `dsearch_core::timing::LatencySummary` so the
-//! server, the load generator and the benches all agree on one percentile
-//! definition; here they are derived from a lock-free log₂-bucketed
-//! histogram (never an underestimate, at most 2× over — see
-//! `dsearch_obs::metrics`).
+//! The `metrics!` list below is the one place an unlabelled serving counter
+//! or gauge is declared: its id ([`Metric`]), its `!metrics` series name and
+//! kind, and — if `!stats` shows it — its key there.  Everything else reads
+//! the resulting [`TABLE`]: [`ServerStats`] is a `dsearch_obs::MetricsRegistry`
+//! plus one handle per row (incremented by index: one relaxed `fetch_add`, no
+//! name lookup, no lock), and the `!stats` status line of `serve` and of
+//! `route` alike is [`ServerStats::render`] walking the table over a snapshot
+//! of that registry.  `!stats` is thus a rendering of a subset of `!metrics`
+//! by construction; the keys that are not series themselves (`expired`,
+//! `deadline_exceeded`, `qps`, `cache_hit_rate`, `compression`) are computed
+//! from series.  Adding a metric is one row plus its increment site.
+//!
+//! The labelled families (per-stage latency, per-stage deadline misses,
+//! per-shard round trips) and the two plain histograms sit beside the table.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dsearch_core::timing::LatencySummary;
 use dsearch_obs::{Counter, Gauge, Histogram, MetricsRegistry, QueryTrace, SlowLog, Stage};
-
-use crate::cache::CacheCounters;
 
 /// Metric name of the end-to-end query latency histogram.
 pub const QUERY_LATENCY_METRIC: &str = "dsearch_query_latency_ns";
@@ -28,18 +29,9 @@ pub const SHARD_RTT_METRIC: &str = "dsearch_shard_rtt_ns";
 /// Metric name of the blown-deadline counter family (`stage` label:
 /// where in the request lifecycle the budget ran out).
 pub const DEADLINE_EXCEEDED_METRIC: &str = "dsearch_deadline_exceeded_total";
-/// Metric name of the retry-budget exhaustion counter (hedges/failovers
-/// suppressed because the token bucket was empty).
-pub const RETRY_BUDGET_METRIC: &str = "dsearch_retry_budget_exhausted_total";
 /// Metric name of the remaining-budget-at-dequeue histogram: how much of its
 /// deadline a query still had when a worker picked it up.
 pub const REMAINING_BUDGET_METRIC: &str = "dsearch_remaining_budget_ns";
-/// Metric name of the posting blocks decoded and scored by ranked
-/// (block-max) evaluation.
-pub const BLOCKS_SCORED_METRIC: &str = "dsearch_blocks_scored_total";
-/// Metric name of the posting blocks skipped by block-max pruning (their
-/// score ceiling could not beat the top-k threshold).
-pub const BLOCKS_SKIPPED_METRIC: &str = "dsearch_blocks_skipped_total";
 
 /// Where in the request lifecycle a deadline was exceeded (the `stage` label
 /// of [`DEADLINE_EXCEEDED_METRIC`]).
@@ -54,7 +46,7 @@ pub enum DeadlineStage {
 }
 
 impl DeadlineStage {
-    /// Every stage, in slot order.
+    /// Every stage, in declaration order.
     pub const ALL: [DeadlineStage; 3] =
         [DeadlineStage::Queue, DeadlineStage::Exec, DeadlineStage::Scatter];
 
@@ -67,111 +59,221 @@ impl DeadlineStage {
             DeadlineStage::Scatter => "scatter",
         }
     }
+}
 
-    fn slot(self) -> usize {
-        match self {
-            DeadlineStage::Queue => 0,
-            DeadlineStage::Exec => 1,
-            DeadlineStage::Scatter => 2,
+/// Whether a row's series only goes up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone; `inc`/`add`.
+    Counter,
+    /// Goes up and down, or is set; a gauge named `*_seconds` holds
+    /// nanoseconds (`!metrics` prints seconds, `!stats` milliseconds).
+    Gauge,
+}
+
+/// Whether `!stats` shows a row, where on the line, and under which key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shown {
+    /// `!metrics` only.
+    Nowhere,
+    /// Bare `key=value`, ahead of `latency[…]`.
+    Line(&'static str),
+    /// Inside `index[…]`: the served snapshot.  A router serves none, so
+    /// its stats neither register nor print these rows.
+    Index(&'static str),
+    /// Inside `cache[…]`: the result cache's footprint.
+    Cache(&'static str),
+}
+
+/// One declared metric.
+#[derive(Debug)]
+pub struct Row {
+    /// The id handles are indexed by.
+    pub metric: Metric,
+    /// The `!metrics` series name.
+    pub series: &'static str,
+    /// Counter or gauge.
+    pub kind: Kind,
+    /// Its place on the `!stats` line.
+    pub shown: Shown,
+}
+
+/// Declares [`Metric`] and [`TABLE`] from one list, so an id and its row
+/// cannot fall out of step: `Id = Kind "series", Shown;`, in `!stats` order.
+macro_rules! metrics {
+    ($($(#[$doc:meta])* $id:ident = $kind:ident $series:literal, $shown:expr;)*) => {
+        /// Id of one unlabelled serving metric: the index of its row in [`TABLE`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Metric {
+            $($(#[$doc])* $id,)*
         }
+
+        /// Every unlabelled serving metric, in [`Metric`] order — which is
+        /// also the order of the `!stats` line.
+        pub const TABLE: &[Row] = {
+            use Shown::*;
+            &[$(Row { metric: Metric::$id, series: $series, kind: Kind::$kind, shown: $shown },)*]
+        };
+    };
+}
+
+metrics! {
+    /// Queries answered.
+    Queries = Counter "dsearch_queries_total", Line("queries");
+    /// Failed requests (parse errors, all shards failed, panics).
+    Errors = Counter "dsearch_errors_total", Line("errors");
+    /// Requests shed by admission control (expired sheds included).
+    Shed = Counter "dsearch_shed_total", Line("shed");
+    /// Hedges/failovers a replica set refused on an empty retry budget.
+    RetryExhausted = Counter "dsearch_retry_budget_exhausted_total", Line("retry_exhausted");
+    /// Multi-query batches executed.
+    Batches = Counter "dsearch_batches_total", Nowhere;
+    /// Queries served inside multi-query batches.
+    Batched = Counter "dsearch_batched_queries_total", Line("batched");
+    /// Queries answered by deduplication inside a batch.
+    DedupHits = Counter "dsearch_dedup_hits_total", Line("dedup_hits");
+    /// Adaptive-batching decisions to linger for the fill window.
+    AdaptiveWaits = Counter "dsearch_adaptive_waits_total", Line("adaptive_waits");
+    /// Adaptive-batching decisions to drain at once.
+    AdaptiveSkips = Counter "dsearch_adaptive_skips_total", Line("adaptive_skips");
+    /// Per-query shard failures seen by the router.
+    ShardErrors = Counter "dsearch_shard_errors_total", Line("shard_errors");
+    /// Routed responses served with at least one shard missing.
+    Partial = Counter "dsearch_partial_responses_total", Line("partial");
+    /// Generation of the served snapshot (for a router: its reload epoch).
+    Generation = Gauge "dsearch_snapshot_generation", Line("generation");
+    /// Posting blocks decoded and scored by ranked evaluation.
+    BlocksScored = Counter "dsearch_blocks_scored_total", Line("blocks_scored");
+    /// Posting blocks skipped by block-max pruning.
+    BlocksSkipped = Counter "dsearch_blocks_skipped_total", Line("blocks_skipped");
+    /// Result-cache lookups that found a live entry.
+    CacheHits = Counter "dsearch_cache_hits_total", Line("cache_hits");
+    /// Result-cache lookups that missed.
+    CacheMisses = Counter "dsearch_cache_misses_total", Line("cache_misses");
+    /// Result-cache entries displaced to make room.
+    CacheEvictions = Counter "dsearch_cache_evictions_total", Line("cache_evictions");
+    /// Result-cache inserts the admission filter turned away.
+    CacheRejected = Counter "dsearch_cache_rejected_total", Line("cache_rejected");
+    /// Result-cache entries inserted.
+    CacheInsertions = Counter "dsearch_cache_insertions_total", Nowhere;
+    /// TCP connections currently open.
+    ConnsActive = Gauge "dsearch_conns_active", Line("conns");
+    /// TCP connections refused by the `--max-conns` cap.
+    ConnsRejected = Counter "dsearch_conns_rejected_total", Line("conns_rejected");
+    /// TCP connections closed by the idle timeout.
+    IdleClosed = Counter "dsearch_idle_disconnects_total", Line("idle_closed");
+    /// Segments (sealed shards) of the served snapshot.
+    SnapshotShards = Gauge "dsearch_snapshot_shards", Index("shards");
+    /// Postings of the served snapshot.
+    SnapshotPostings = Gauge "dsearch_snapshot_postings", Index("postings");
+    /// Compressed posting bytes of the served snapshot.
+    SnapshotPostingBytes = Gauge "dsearch_snapshot_posting_bytes", Index("posting_bytes");
+    /// What those postings would take as plain `u32` ids.
+    SnapshotRawBytes = Gauge "dsearch_snapshot_raw_bytes", Index("raw_bytes");
+    /// What loading the served snapshot from its store took.
+    SnapshotLoad = Gauge "dsearch_snapshot_load_seconds", Index("load_ms");
+    /// Heap bytes of the served snapshot.
+    SnapshotResident = Gauge "dsearch_snapshot_resident_bytes", Index("resident_bytes");
+    /// Live result-cache entries.
+    CacheEntries = Gauge "dsearch_cache_entries", Cache("entries");
+    /// Heap bytes of the result cache (keys, hit vectors, path text).
+    CacheResident = Gauge "dsearch_cache_resident_bytes", Cache("bytes");
+}
+
+impl Metric {
+    /// The row declaring this metric.
+    #[must_use]
+    pub fn row(self) -> &'static Row {
+        &TABLE[self as usize]
     }
 }
 
-fn stage_slot(stage: Stage) -> usize {
-    match stage {
-        Stage::Parse => 0,
-        Stage::QueueWait => 1,
-        Stage::BatchFill => 2,
-        Stage::SnapshotLoad => 3,
-        Stage::Postings => 4,
-        Stage::IntersectMerge => 5,
-        Stage::Serialize => 6,
-        Stage::Scatter => 7,
-        Stage::ShardRtt => 8,
-        Stage::Merge => 9,
+#[derive(Debug)]
+enum Handle {
+    Counter(Arc<Counter>),
+    Gauge(Arc<Gauge>),
+}
+
+fn ratio(numerator: u64, denominator: u64, when_empty: f64) -> f64 {
+    if denominator == 0 {
+        when_empty
+    } else {
+        numerator as f64 / denominator as f64
     }
 }
 
 /// Live serving metrics, updated by every worker.
 ///
-/// All mutation paths are lock-free (relaxed atomics in the underlying
-/// registry metrics); the registry's mutex is only taken at construction and
-/// by cold readers (`!metrics`, lazy per-shard registration).
+/// All mutation paths are lock-free (relaxed atomics on handles held by
+/// index); the registry's mutex is only taken at construction, when a
+/// backend binds its own series, and by the cold readers `!stats` and
+/// `!metrics`.
 #[derive(Debug)]
 pub struct ServerStats {
     started: Instant,
     registry: Arc<MetricsRegistry>,
     slow: SlowLog,
-    queries: Arc<Counter>,
-    errors: Arc<Counter>,
-    shed: Arc<Counter>,
-    batches: Arc<Counter>,
-    batched: Arc<Counter>,
-    dedup_hits: Arc<Counter>,
-    adaptive_waits: Arc<Counter>,
-    adaptive_skips: Arc<Counter>,
-    shard_errors: Arc<Counter>,
-    partial_responses: Arc<Counter>,
-    conns_active: Arc<Gauge>,
-    conns_rejected: Arc<Counter>,
-    idle_disconnects: Arc<Counter>,
+    /// One handle per [`TABLE`] row, in row order.
+    handles: Vec<Handle>,
+    serves_index: bool,
     latency: Arc<Histogram>,
     stages: [Arc<Histogram>; Stage::ALL.len()],
     deadline_exceeded: [Arc<Counter>; DeadlineStage::ALL.len()],
-    retry_budget_exhausted: Arc<Counter>,
     remaining_budget: Arc<Histogram>,
-    blocks_scored: Arc<Counter>,
-    blocks_skipped: Arc<Counter>,
 }
 
 impl Default for ServerStats {
     fn default() -> Self {
-        let registry = Arc::new(MetricsRegistry::new());
-        // Every stage histogram is registered eagerly so `!metrics` exposes
-        // the full family from the first scrape, traffic or not.
-        let stages = std::array::from_fn(|i| {
-            registry.labeled_histogram(STAGE_LATENCY_METRIC, "stage", Stage::ALL[i].as_str())
-        });
-        let deadline_exceeded = std::array::from_fn(|i| {
-            registry.labeled_counter(
-                DEADLINE_EXCEEDED_METRIC,
-                "stage",
-                DeadlineStage::ALL[i].as_str(),
-            )
-        });
-        ServerStats {
-            started: Instant::now(),
-            slow: SlowLog::default(),
-            queries: registry.counter("dsearch_queries_total"),
-            errors: registry.counter("dsearch_errors_total"),
-            shed: registry.counter("dsearch_shed_total"),
-            batches: registry.counter("dsearch_batches_total"),
-            batched: registry.counter("dsearch_batched_queries_total"),
-            dedup_hits: registry.counter("dsearch_dedup_hits_total"),
-            adaptive_waits: registry.counter("dsearch_adaptive_waits_total"),
-            adaptive_skips: registry.counter("dsearch_adaptive_skips_total"),
-            shard_errors: registry.counter("dsearch_shard_errors_total"),
-            partial_responses: registry.counter("dsearch_partial_responses_total"),
-            conns_active: registry.gauge("dsearch_conns_active"),
-            conns_rejected: registry.counter("dsearch_conns_rejected_total"),
-            idle_disconnects: registry.counter("dsearch_idle_disconnects_total"),
-            latency: registry.histogram(QUERY_LATENCY_METRIC),
-            stages,
-            deadline_exceeded,
-            retry_budget_exhausted: registry.counter(RETRY_BUDGET_METRIC),
-            remaining_budget: registry.histogram(REMAINING_BUDGET_METRIC),
-            blocks_scored: registry.counter(BLOCKS_SCORED_METRIC),
-            blocks_skipped: registry.counter(BLOCKS_SKIPPED_METRIC),
-            registry,
-        }
+        ServerStats::build(false)
     }
 }
 
 impl ServerStats {
-    /// Creates zeroed stats anchored at "now".
+    /// Creates zeroed stats anchored at "now", without the [`Shown::Index`]
+    /// rows: the stats of a process that serves no snapshot (a router).
     #[must_use]
     pub fn new() -> Self {
         ServerStats::default()
+    }
+
+    /// Creates zeroed stats with every row of the table: the stats of an
+    /// engine serving a snapshot.
+    #[must_use]
+    pub fn with_index() -> Self {
+        ServerStats::build(true)
+    }
+
+    /// Walks the table.  Everything is registered eagerly, so `!metrics`
+    /// exposes each series and family member from the first scrape, traffic
+    /// or not; a row left out gets its handle from a registry no one reads.
+    fn build(serves_index: bool) -> Self {
+        let (registry, unexposed) = (Arc::new(MetricsRegistry::new()), MetricsRegistry::new());
+        let handles = TABLE
+            .iter()
+            .map(|row| {
+                let exposed = serves_index || !matches!(row.shown, Shown::Index(_));
+                let home = if exposed { &*registry } else { &unexposed };
+                match row.kind {
+                    Kind::Counter => Handle::Counter(home.counter(row.series)),
+                    Kind::Gauge => Handle::Gauge(home.gauge(row.series)),
+                }
+            })
+            .collect();
+        ServerStats {
+            started: Instant::now(),
+            slow: SlowLog::default(),
+            handles,
+            serves_index,
+            latency: registry.histogram(QUERY_LATENCY_METRIC),
+            stages: Stage::ALL.map(|stage| {
+                registry.labeled_histogram(STAGE_LATENCY_METRIC, "stage", stage.as_str())
+            }),
+            deadline_exceeded: DeadlineStage::ALL.map(|stage| {
+                registry.labeled_counter(DEADLINE_EXCEEDED_METRIC, "stage", stage.as_str())
+            }),
+            remaining_budget: registry.histogram(REMAINING_BUDGET_METRIC),
+            registry,
+        }
     }
 
     /// The metrics registry behind these stats.  Other subsystems register
@@ -187,9 +289,52 @@ impl ServerStats {
         &self.slow
     }
 
+    pub(crate) fn counter(&self, metric: Metric) -> &Arc<Counter> {
+        match &self.handles[metric as usize] {
+            Handle::Counter(counter) => counter,
+            Handle::Gauge(_) => panic!("{metric:?} is declared a gauge"),
+        }
+    }
+
+    /// The gauge behind `metric`, to `set`, `inc` or `dec`.
+    ///
+    /// # Panics
+    ///
+    /// When the table declares `metric` a counter.
+    #[must_use]
+    pub fn gauge(&self, metric: Metric) -> &Gauge {
+        match &self.handles[metric as usize] {
+            Handle::Gauge(gauge) => gauge,
+            Handle::Counter(_) => panic!("{metric:?} is declared a counter"),
+        }
+    }
+
+    /// Adds one to the counter `metric`.
+    ///
+    /// # Panics
+    ///
+    /// When the table declares `metric` a gauge (as for [`add`](Self::add)).
+    pub fn inc(&self, metric: Metric) {
+        self.counter(metric).inc();
+    }
+
+    /// Adds `n` to the counter `metric`.
+    pub fn add(&self, metric: Metric, n: u64) {
+        self.counter(metric).add(n);
+    }
+
+    /// Current value of this process's own handle for `metric`.
+    #[must_use]
+    pub fn get(&self, metric: Metric) -> u64 {
+        match &self.handles[metric as usize] {
+            Handle::Counter(counter) => counter.value(),
+            Handle::Gauge(gauge) => gauge.value(),
+        }
+    }
+
     /// Records one successfully answered query.
     pub fn record_query(&self, latency: Duration) {
-        self.queries.inc();
+        self.inc(Metric::Queries);
         self.latency.record(latency);
     }
 
@@ -197,14 +342,8 @@ impl ServerStats {
     /// histogram family.
     pub fn record_trace(&self, trace: &QueryTrace) {
         for span in trace.spans() {
-            self.stages[stage_slot(span.stage)].record(span.dur);
+            self.stages[span.stage as usize].record(span.dur);
         }
-    }
-
-    /// The histogram of one pipeline stage.
-    #[must_use]
-    pub fn stage_histogram(&self, stage: Stage) -> &Histogram {
-        &self.stages[stage_slot(stage)]
     }
 
     /// Registers (or looks up) the round-trip histogram of one shard.
@@ -215,306 +354,128 @@ impl ServerStats {
         self.registry.labeled_histogram(SHARD_RTT_METRIC, "shard", shard)
     }
 
-    /// Records one failed request (parse error, protocol error).
-    pub fn record_error(&self) {
-        self.errors.inc();
-    }
-
-    /// Records one request shed by admission control.
-    pub fn record_shed(&self) {
-        self.shed.inc();
-    }
-
     /// Records one executed batch of `size` queries.  Batches of one are the
     /// unbatched fast path and are not counted.
     pub fn record_batch(&self, size: u64) {
         if size >= 2 {
-            self.batches.inc();
-            self.batched.add(size);
+            self.inc(Metric::Batches);
+            self.add(Metric::Batched, size);
         }
-    }
-
-    /// Records `count` queries answered by deduplication inside one batch.
-    pub fn record_dedup_hits(&self, count: u64) {
-        if count > 0 {
-            self.dedup_hits.add(count);
-        }
-    }
-
-    /// Records one adaptive-batching decision: `waited` says whether the
-    /// worker lingered for the fill window or drained immediately.
-    pub fn record_adaptive_decision(&self, waited: bool) {
-        if waited {
-            self.adaptive_waits.inc();
-        } else {
-            self.adaptive_skips.inc();
-        }
-    }
-
-    /// Records `count` per-query shard failures seen by the router.
-    pub fn record_shard_errors(&self, count: u64) {
-        if count > 0 {
-            self.shard_errors.add(count);
-        }
-    }
-
-    /// Records `count` routed responses served with at least one shard
-    /// missing.
-    pub fn record_partial_responses(&self, count: u64) {
-        self.partial_responses.add(count);
     }
 
     /// Records one blown deadline, attributed to the lifecycle stage where
     /// the budget ran out.
     pub fn record_deadline_exceeded(&self, stage: DeadlineStage) {
-        self.deadline_exceeded[stage.slot()].inc();
+        self.deadline_exceeded[stage as usize].inc();
     }
 
     /// Records one job shed at dequeue because its deadline had already
     /// passed: an `expired=` shed, counted both as a shed and as a
     /// queue-stage deadline miss.
     pub fn record_expired_shed(&self) {
-        self.shed.inc();
+        self.inc(Metric::Shed);
         self.record_deadline_exceeded(DeadlineStage::Queue);
-    }
-
-    /// Records how much of its budget a deadline-carrying job still had when
-    /// a worker dequeued it.
-    pub fn record_remaining_budget(&self, remaining: Duration) {
-        self.remaining_budget.record(remaining);
-    }
-
-    /// Records one hedge or failover suppressed by an empty retry budget.
-    pub fn record_retry_budget_exhausted(&self) {
-        self.retry_budget_exhausted.inc();
     }
 
     /// Records one ranked (block-max) evaluation's pruning outcome: how many
     /// posting blocks were decoded and scored versus skipped outright.
     pub fn record_prune(&self, prune: dsearch_query::PruneStats) {
         if prune.blocks_scored > 0 {
-            self.blocks_scored.add(prune.blocks_scored);
+            self.add(Metric::BlocksScored, prune.blocks_scored);
         }
         if prune.blocks_skipped > 0 {
-            self.blocks_skipped.add(prune.blocks_skipped);
+            self.add(Metric::BlocksSkipped, prune.blocks_skipped);
         }
     }
 
-    /// Posting blocks decoded and scored by ranked evaluation so far.
+    /// Deadline misses attributed to one lifecycle stage so far
+    /// ([`DeadlineStage::Queue`]: the `expired=` sheds).
     #[must_use]
-    pub fn blocks_scored_count(&self) -> u64 {
-        self.blocks_scored.value()
+    pub fn deadline_exceeded(&self, stage: DeadlineStage) -> u64 {
+        self.deadline_exceeded[stage as usize].value()
     }
 
-    /// Posting blocks skipped by block-max pruning so far.
-    #[must_use]
-    pub fn blocks_skipped_count(&self) -> u64 {
-        self.blocks_skipped.value()
-    }
-
-    /// Deadline misses attributed to one lifecycle stage so far.
-    #[must_use]
-    pub fn deadline_exceeded_stage_count(&self, stage: DeadlineStage) -> u64 {
-        self.deadline_exceeded[stage.slot()].value()
-    }
-
-    /// Deadline misses across every lifecycle stage so far.
-    #[must_use]
-    pub fn deadline_exceeded_count(&self) -> u64 {
-        self.deadline_exceeded.iter().map(|c| c.value()).sum()
-    }
-
-    /// Jobs shed at dequeue because their deadline had already passed.
-    #[must_use]
-    pub fn expired_count(&self) -> u64 {
-        self.deadline_exceeded_stage_count(DeadlineStage::Queue)
-    }
-
-    /// Hedges/failovers suppressed by an empty retry budget so far.
-    #[must_use]
-    pub fn retry_budget_exhausted_count(&self) -> u64 {
-        self.retry_budget_exhausted.value()
-    }
-
-    /// The remaining-budget-at-dequeue histogram.
+    /// The remaining-budget-at-dequeue histogram: how much of its budget a
+    /// deadline-carrying job still had when a worker picked it up.
     #[must_use]
     pub fn remaining_budget_histogram(&self) -> &Histogram {
         &self.remaining_budget
     }
 
-    /// Number of queries answered so far.
+    /// Renders the `!stats` status line: the keyed rows of the table, in
+    /// table order, read from one snapshot of the registry — so a series
+    /// other handles were adopted into (a replica set's refusals under
+    /// `retry_exhausted=`) shows their sum — with the derived keys placed
+    /// after the series they are computed from.
     #[must_use]
-    pub fn query_count(&self) -> u64 {
-        self.queries.value()
-    }
-
-    /// Number of failed requests so far.
-    #[must_use]
-    pub fn error_count(&self) -> u64 {
-        self.errors.value()
-    }
-
-    /// Number of requests shed by admission control so far.
-    #[must_use]
-    pub fn shed_count(&self) -> u64 {
-        self.shed.value()
-    }
-
-    /// Number of multi-query batches executed so far.
-    #[must_use]
-    pub fn batch_count(&self) -> u64 {
-        self.batches.value()
-    }
-
-    /// Number of queries served inside multi-query batches so far.
-    #[must_use]
-    pub fn batched_count(&self) -> u64 {
-        self.batched.value()
-    }
-
-    /// Number of queries answered by in-batch deduplication so far.
-    #[must_use]
-    pub fn dedup_hit_count(&self) -> u64 {
-        self.dedup_hits.value()
-    }
-
-    /// Adaptive-batching decisions to wait for the fill window so far.
-    #[must_use]
-    pub fn adaptive_wait_count(&self) -> u64 {
-        self.adaptive_waits.value()
-    }
-
-    /// Adaptive-batching decisions to skip the fill window so far.
-    #[must_use]
-    pub fn adaptive_skip_count(&self) -> u64 {
-        self.adaptive_skips.value()
-    }
-
-    /// Per-query shard failures observed by the router so far.
-    #[must_use]
-    pub fn shard_error_count(&self) -> u64 {
-        self.shard_errors.value()
-    }
-
-    /// Routed responses served with at least one shard missing so far.
-    #[must_use]
-    pub fn partial_response_count(&self) -> u64 {
-        self.partial_responses.value()
-    }
-
-    /// Records a TCP connection opening.
-    pub fn record_conn_open(&self) {
-        self.conns_active.inc();
-    }
-
-    /// Records a TCP connection closing (for any reason).  The gauge
-    /// saturates at zero: close without open would underflow only on a
-    /// caller bug, and a huge bogus gauge is worse than a clamped one.
-    pub fn record_conn_close(&self) {
-        self.conns_active.dec();
-    }
-
-    /// Records a connection refused by the `--max-conns` cap.
-    pub fn record_conn_rejected(&self) {
-        self.conns_rejected.inc();
-    }
-
-    /// Records a connection closed by the idle timeout.
-    pub fn record_idle_disconnect(&self) {
-        self.idle_disconnects.inc();
-    }
-
-    /// TCP connections currently open.
-    #[must_use]
-    pub fn active_conn_count(&self) -> u64 {
-        self.conns_active.value()
-    }
-
-    /// TCP connections refused by the connection cap so far.
-    #[must_use]
-    pub fn rejected_conn_count(&self) -> u64 {
-        self.conns_rejected.value()
-    }
-
-    /// TCP connections closed by the idle timeout so far.
-    #[must_use]
-    pub fn idle_disconnect_count(&self) -> u64 {
-        self.idle_disconnects.value()
-    }
-
-    /// Wall-clock time since the stats were created.
-    #[must_use]
-    pub fn uptime(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Queries per second over the whole uptime.
-    #[must_use]
-    pub fn qps(&self) -> f64 {
-        let secs = self.uptime().as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.query_count() as f64 / secs
+    pub fn render(&self) -> String {
+        let snapshot = self.registry.snapshot();
+        let value = |metric: Metric| match metric.row().kind {
+            Kind::Counter => snapshot.counter(metric.row().series),
+            Kind::Gauge => snapshot.gauge(metric.row().series),
+        };
+        let deadline_misses = |stage: DeadlineStage| {
+            snapshot.labeled_counter(DEADLINE_EXCEEDED_METRIC, ("stage", stage.as_str()))
+        };
+        let (mut line, mut index, mut cache) = (Vec::new(), Vec::new(), Vec::new());
+        for row in TABLE {
+            let (fields, key) = match row.shown {
+                Shown::Nowhere => continue,
+                Shown::Line(key) => (&mut line, key),
+                Shown::Index(key) => (&mut index, key),
+                Shown::Cache(key) => (&mut cache, key),
+            };
+            let v = value(row.metric);
+            if row.metric == Metric::CacheHits {
+                let rate = ratio(v, v + value(Metric::CacheMisses), 0.0);
+                fields.push(format!("cache_hit_rate={rate:.3}"));
+            }
+            fields.push(if row.series.ends_with("_seconds") {
+                format!("{key}={:.1}", v as f64 / 1e6)
+            } else {
+                format!("{key}={v}")
+            });
+            match row.metric {
+                Metric::Shed => {
+                    fields.push(format!("expired={}", deadline_misses(DeadlineStage::Queue)));
+                    let all: u64 = DeadlineStage::ALL.into_iter().map(deadline_misses).sum();
+                    fields.push(format!("deadline_exceeded={all}"));
+                }
+                Metric::Partial => {
+                    let uptime = self.started.elapsed().as_secs_f64().max(1e-9);
+                    let qps = value(Metric::Queries) as f64 / uptime;
+                    fields.push(format!("qps={qps:.1}"));
+                }
+                Metric::SnapshotRawBytes => {
+                    let compression = ratio(v, value(Metric::SnapshotPostingBytes), 1.0);
+                    fields.push(format!("compression={compression:.2}x"));
+                }
+                _ => {}
+            }
         }
-    }
-
-    /// Percentile summary (p50/p95/p99/p99.9) of every query latency
-    /// recorded so far, derived from the atomic histogram.
-    #[must_use]
-    pub fn latency_summary(&self) -> LatencySummary {
-        self.latency.summary()
-    }
-
-    /// Renders the Prometheus-style text exposition of every registered
-    /// metric (the `!metrics` protocol command).
-    #[must_use]
-    pub fn render_metrics(&self) -> String {
-        self.registry.render_prometheus()
-    }
-
-    /// Renders a one-stop report (used by the `!stats` protocol command).
-    #[must_use]
-    pub fn render(&self, cache: CacheCounters, generation: u64) -> String {
-        let latency = self.latency_summary();
-        format!(
-            "queries={} errors={} shed={} expired={} deadline_exceeded={} retry_exhausted={} \
-             batched={} dedup_hits={} adaptive_waits={} \
-             adaptive_skips={} shard_errors={} partial={} qps={:.1} generation={} \
-             blocks_scored={} blocks_skipped={} \
-             cache_hit_rate={:.3} cache_hits={} cache_misses={} cache_evictions={} \
-             cache_rejected={} conns={} conns_rejected={} idle_closed={} latency[{latency}]",
-            self.query_count(),
-            self.error_count(),
-            self.shed_count(),
-            self.expired_count(),
-            self.deadline_exceeded_count(),
-            self.retry_budget_exhausted_count(),
-            self.batched_count(),
-            self.dedup_hit_count(),
-            self.adaptive_wait_count(),
-            self.adaptive_skip_count(),
-            self.shard_error_count(),
-            self.partial_response_count(),
-            self.qps(),
-            generation,
-            self.blocks_scored_count(),
-            self.blocks_skipped_count(),
-            cache.hit_rate(),
-            cache.hits,
-            cache.misses,
-            cache.evictions,
-            cache.rejections,
-            self.active_conn_count(),
-            self.rejected_conn_count(),
-            self.idle_disconnect_count(),
-        )
+        let (line, cache) = (line.join(" "), cache.join(" "));
+        let latency = self.latency.summary();
+        if self.serves_index {
+            format!("{line} latency[{latency}] index[{}] cache[{cache}]", index.join(" "))
+        } else {
+            format!("{line} latency[{latency}] cache[{cache}]")
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsearch_obs::{HistogramSnapshot, LatencySummary};
+
+    fn histogram(stats: &ServerStats, name: &str, stage: Option<Stage>) -> HistogramSnapshot {
+        let label = stage.map(|stage| ("stage", stage.as_str()));
+        stats.registry().snapshot().histogram(name, label).expect("registered eagerly").clone()
+    }
+
+    fn latency_summary(stats: &ServerStats) -> LatencySummary {
+        histogram(stats, QUERY_LATENCY_METRIC, None).summary()
+    }
 
     #[test]
     fn counters_and_percentiles_accumulate() {
@@ -522,10 +483,10 @@ mod tests {
         for i in 1..=100u64 {
             stats.record_query(Duration::from_micros(i));
         }
-        stats.record_error();
-        assert_eq!(stats.query_count(), 100);
-        assert_eq!(stats.error_count(), 1);
-        let summary = stats.latency_summary();
+        stats.inc(Metric::Errors);
+        assert_eq!(stats.get(Metric::Queries), 100);
+        assert_eq!(stats.get(Metric::Errors), 1);
+        let summary = latency_summary(&stats);
         assert_eq!(summary.samples, 100);
         // Histogram percentiles report bucket upper bounds: never below the
         // exact percentile, at most 2x over.
@@ -533,8 +494,8 @@ mod tests {
         assert!(summary.p50 <= Duration::from_micros(100), "p50 {:?}", summary.p50);
         assert!(summary.p99 >= Duration::from_micros(99), "p99 {:?}", summary.p99);
         assert_eq!(summary.max, Duration::from_micros(100));
-        assert!(stats.qps() > 0.0);
-        let report = stats.render(CacheCounters::default(), 7);
+        stats.gauge(Metric::Generation).set(7);
+        let report = stats.render();
         assert!(report.contains("generation=7"), "{report}");
         assert!(report.contains("queries=100"), "{report}");
         assert!(report.contains("shed=0"), "{report}");
@@ -560,7 +521,7 @@ mod tests {
             exact_ring.push(sample);
         }
         exact_ring.sort_unstable();
-        let summary = stats.latency_summary();
+        let summary = latency_summary(&stats);
         let exact = LatencySummary::from_samples(&exact_ring);
         for (name, hist, exact) in [
             ("p50", summary.p50, exact.p50),
@@ -578,41 +539,58 @@ mod tests {
     #[test]
     fn batching_counters_accumulate_and_render() {
         let stats = ServerStats::new();
-        stats.record_shed();
-        stats.record_shed();
+        stats.inc(Metric::Shed);
+        stats.inc(Metric::Shed);
         stats.record_batch(1); // unbatched fast path: not counted
         stats.record_batch(4);
         stats.record_batch(3);
-        stats.record_dedup_hits(0);
-        stats.record_dedup_hits(5);
-        assert_eq!(stats.shed_count(), 2);
-        assert_eq!(stats.batch_count(), 2);
-        assert_eq!(stats.batched_count(), 7);
-        assert_eq!(stats.dedup_hit_count(), 5);
-        let report = stats.render(CacheCounters::default(), 1);
+        stats.add(Metric::DedupHits, 5);
+        assert_eq!(stats.get(Metric::Shed), 2);
+        assert_eq!(stats.get(Metric::Batches), 2);
+        assert_eq!(stats.get(Metric::Batched), 7);
+        assert_eq!(stats.get(Metric::DedupHits), 5);
+        let report = stats.render();
         assert!(report.contains("shed=2"), "{report}");
         assert!(report.contains("batched=7"), "{report}");
         assert!(report.contains("dedup_hits=5"), "{report}");
     }
 
     #[test]
-    fn adaptive_and_router_counters_accumulate_and_render() {
-        let stats = ServerStats::new();
-        stats.record_adaptive_decision(true);
-        stats.record_adaptive_decision(false);
-        stats.record_adaptive_decision(false);
-        stats.record_shard_errors(0);
-        stats.record_shard_errors(2);
-        stats.record_partial_responses(1);
-        assert_eq!(stats.adaptive_wait_count(), 1);
-        assert_eq!(stats.adaptive_skip_count(), 2);
-        assert_eq!(stats.shard_error_count(), 2);
-        assert_eq!(stats.partial_response_count(), 1);
-        let report = stats.render(CacheCounters::default(), 1);
-        assert!(report.contains("adaptive_waits=1"), "{report}");
-        assert!(report.contains("adaptive_skips=2"), "{report}");
-        assert!(report.contains("shard_errors=2"), "{report}");
-        assert!(report.contains("partial=1"), "{report}");
+    fn every_row_counts_reads_and_renders_under_its_key() {
+        let stats = ServerStats::with_index();
+        for (i, row) in TABLE.iter().enumerate() {
+            assert_eq!(row.metric as usize, i, "{:?} is out of enum order", row.metric);
+            assert_eq!(TABLE.iter().filter(|r| r.series == row.series).count(), 1);
+            match row.kind {
+                Kind::Counter => stats.inc(row.metric),
+                Kind::Gauge => stats.gauge(row.metric).inc(),
+            }
+            assert_eq!(stats.get(row.metric), 1, "{:?}", row.metric);
+        }
+        let (report, metrics) = (stats.render(), stats.registry().render_prometheus());
+        for row in TABLE {
+            let kind = if row.kind == Kind::Counter { "counter" } else { "gauge" };
+            assert!(metrics.contains(&format!("# TYPE {} {kind}\n", row.series)), "{metrics}");
+            let key = match row.shown {
+                Shown::Nowhere => continue,
+                Shown::Line(key) | Shown::Index(key) | Shown::Cache(key) => key,
+            };
+            // One nanosecond of load time is 0.0 ms.
+            let value = if row.series.ends_with("_seconds") { "0.0" } else { "1" };
+            let keyed = format!("{key}={value}");
+            let found = report.split([' ', '[', ']']).filter(|field| *field == keyed).count();
+            assert_eq!(found, 1, "{keyed} in {report}");
+        }
+        // The derived keys, each from the series beside it.
+        for derived in ["expired=0", "deadline_exceeded=0", "cache_hit_rate=0.500", "qps="] {
+            assert!(report.contains(derived), "{derived} in {report}");
+        }
+        assert!(report.contains("compression=1.00x"), "{report}");
+        // A router's stats declare no snapshot: no series, no `index[…]`.
+        let router = ServerStats::new();
+        assert!(!router.render().contains("index["), "{}", router.render());
+        assert!(!router.registry().render_prometheus().contains("dsearch_snapshot_shards"));
+        assert!(router.render().contains("generation=0"), "{}", router.render());
     }
 
     #[test]
@@ -622,22 +600,21 @@ mod tests {
         stats.record_deadline_exceeded(DeadlineStage::Exec);
         stats.record_deadline_exceeded(DeadlineStage::Scatter);
         stats.record_deadline_exceeded(DeadlineStage::Scatter);
-        stats.record_retry_budget_exhausted();
-        stats.record_remaining_budget(Duration::from_millis(3));
-        assert_eq!(stats.expired_count(), 1);
-        assert_eq!(stats.shed_count(), 1, "an expired shed is still a shed");
-        assert_eq!(stats.deadline_exceeded_stage_count(DeadlineStage::Exec), 1);
-        assert_eq!(stats.deadline_exceeded_stage_count(DeadlineStage::Scatter), 2);
-        assert_eq!(stats.deadline_exceeded_count(), 4);
-        assert_eq!(stats.retry_budget_exhausted_count(), 1);
+        stats.inc(Metric::RetryExhausted);
+        stats.remaining_budget_histogram().record(Duration::from_millis(3));
+        assert_eq!(stats.deadline_exceeded(DeadlineStage::Queue), 1);
+        assert_eq!(stats.get(Metric::Shed), 1, "an expired shed is still a shed");
+        assert_eq!(stats.deadline_exceeded(DeadlineStage::Exec), 1);
+        assert_eq!(stats.deadline_exceeded(DeadlineStage::Scatter), 2);
+        assert_eq!(stats.get(Metric::RetryExhausted), 1);
         assert_eq!(stats.remaining_budget_histogram().count(), 1);
-        let report = stats.render(CacheCounters::default(), 1);
+        let report = stats.render();
         assert!(report.contains("expired=1"), "{report}");
         assert!(report.contains("deadline_exceeded=4"), "{report}");
         assert!(report.contains("retry_exhausted=1"), "{report}");
         // The full stage family and the budget metrics are registered
         // eagerly, traffic or not.
-        let text = ServerStats::new().render_metrics();
+        let text = ServerStats::new().registry().render_prometheus();
         for stage in DeadlineStage::ALL {
             assert!(
                 text.contains(&format!("stage=\"{}\"", stage.as_str())),
@@ -645,7 +622,7 @@ mod tests {
                 stage.as_str()
             );
         }
-        assert!(text.contains(RETRY_BUDGET_METRIC), "{text}");
+        assert!(text.contains(Metric::RetryExhausted.row().series), "{text}");
         assert!(text.contains(REMAINING_BUDGET_METRIC), "{text}");
     }
 
@@ -660,15 +637,15 @@ mod tests {
         stats.record_prune(prune(12, 88));
         stats.record_prune(prune(0, 0));
         stats.record_prune(prune(3, 2));
-        assert_eq!(stats.blocks_scored_count(), 15);
-        assert_eq!(stats.blocks_skipped_count(), 90);
-        let report = stats.render(CacheCounters::default(), 1);
+        assert_eq!(stats.get(Metric::BlocksScored), 15);
+        assert_eq!(stats.get(Metric::BlocksSkipped), 90);
+        let report = stats.render();
         assert!(report.contains("blocks_scored=15"), "{report}");
         assert!(report.contains("blocks_skipped=90"), "{report}");
         // Registered eagerly: the exposition lists both series pre-traffic.
-        let text = ServerStats::new().render_metrics();
-        assert!(text.contains(BLOCKS_SCORED_METRIC), "{text}");
-        assert!(text.contains(BLOCKS_SKIPPED_METRIC), "{text}");
+        let text = ServerStats::new().registry().render_prometheus();
+        assert!(text.contains(Metric::BlocksScored.row().series), "{text}");
+        assert!(text.contains(Metric::BlocksSkipped.row().series), "{text}");
     }
 
     #[test]
@@ -679,12 +656,13 @@ mod tests {
         trace.record(Stage::Postings, Duration::from_micros(9));
         stats.record_trace(&trace);
         stats.record_trace(&trace);
-        assert_eq!(stats.stage_histogram(Stage::Parse).count(), 2);
-        assert_eq!(stats.stage_histogram(Stage::Postings).count(), 2);
-        assert_eq!(stats.stage_histogram(Stage::Merge).count(), 0);
+        let count = |stage| histogram(&stats, STAGE_LATENCY_METRIC, Some(stage)).count;
+        assert_eq!(count(Stage::Parse), 2);
+        assert_eq!(count(Stage::Postings), 2);
+        assert_eq!(count(Stage::Merge), 0);
         // Every stage family member is registered eagerly, so the exposition
         // lists them all even without traffic.
-        let text = stats.render_metrics();
+        let text = stats.registry().render_prometheus();
         for stage in Stage::ALL {
             assert!(
                 text.contains(&format!("stage=\"{stage}\"")),
@@ -701,7 +679,7 @@ mod tests {
         rtt.record(Duration::from_micros(12));
         // Same shard resolves to the same histogram.
         assert_eq!(stats.shard_rtt_histogram("127.0.0.1:7471").count(), 1);
-        let text = stats.render_metrics();
+        let text = stats.registry().render_prometheus();
         assert!(text.contains("shard=\"127.0.0.1:7471\""), "{text}");
     }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dsearch_index::{DocTable, InMemoryIndex};
-use dsearch_server::{BatchConfig, EngineConfig, IndexSnapshot, QueryEngine, WorkerPool};
+use dsearch_server::{BatchConfig, EngineConfig, IndexSnapshot, Metric, QueryEngine, WorkerPool};
 use dsearch_text::Term;
 
 fn snapshot() -> IndexSnapshot {
@@ -47,10 +47,10 @@ fn a_duplicate_heavy_batch_costs_one_search_per_distinct_query() {
     let counters = engine.cache_counters();
     assert_eq!(counters.misses, 4);
     assert_eq!(counters.hits, 0);
-    assert_eq!(engine.stats().dedup_hit_count(), 28);
-    assert_eq!(engine.stats().batched_count(), 32);
-    assert_eq!(engine.stats().batch_count(), 1);
-    assert_eq!(engine.stats().query_count(), 32);
+    assert_eq!(engine.stats().get(Metric::DedupHits), 28);
+    assert_eq!(engine.stats().get(Metric::Batched), 32);
+    assert_eq!(engine.stats().get(Metric::Batches), 1);
+    assert_eq!(engine.stats().get(Metric::Queries), 32);
 
     // Duplicates share the result allocation, not just equal contents.
     let first = responses[0].as_ref().unwrap();
@@ -89,15 +89,15 @@ fn a_waiting_worker_collects_a_backlog_into_batches() {
     }
 
     let stats = engine.stats();
-    assert_eq!(stats.query_count(), 64);
-    assert!(stats.batch_count() >= 1, "the backlog formed no batch");
+    assert_eq!(stats.get(Metric::Queries), 64);
+    assert!(stats.get(Metric::Batches) >= 1, "the backlog formed no batch");
     assert!(
-        stats.dedup_hit_count() > 0,
+        stats.get(Metric::DedupHits) > 0,
         "64 submissions of 8 distinct queries deduplicated nothing"
     );
     // Accounting invariant: every query either probed the cache or
     // piggybacked on an identical one in its batch.
     let counters = engine.cache_counters();
-    assert_eq!(counters.hits + counters.misses + stats.dedup_hit_count(), 64);
+    assert_eq!(counters.hits + counters.misses + stats.get(Metric::DedupHits), 64);
     assert_eq!(pool.shutdown(), 64);
 }

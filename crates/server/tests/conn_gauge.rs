@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use dsearch_index::{DocTable, InMemoryIndex};
 use dsearch_server::protocol::END;
 use dsearch_server::{
-    EngineConfig, IndexSnapshot, QueryEngine, Service, TcpServer, TcpServerConfig,
+    EngineConfig, IndexSnapshot, Metric, QueryEngine, Service, TcpServer, TcpServerConfig,
 };
 use dsearch_text::Term;
 
@@ -49,11 +49,11 @@ fn drain_response<R: BufRead>(reader: &mut R) -> Vec<String> {
 /// Waits (bounded) for the connection gauge to settle at `expected`.
 fn wait_for_gauge(service: &Service, expected: u64) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    while service.engine().stats().active_conn_count() != expected {
+    while service.engine().stats().get(Metric::ConnsActive) != expected {
         assert!(
             Instant::now() < deadline,
             "gauge stuck at {} (expected {expected})",
-            service.engine().stats().active_conn_count()
+            service.engine().stats().get(Metric::ConnsActive)
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -95,10 +95,10 @@ fn gauge_returns_to_zero_on_every_disconnect_path() {
     drop(idle);
 
     wait_for_gauge(&service, 0);
-    assert!(service.engine().stats().idle_disconnect_count() >= 1);
+    assert!(service.engine().stats().get(Metric::IdleClosed) >= 1);
 
     // The exposition agrees with the typed accessor.
-    let metrics = service.engine().stats().render_metrics();
+    let metrics = service.engine().stats().registry().render_prometheus();
     assert!(metrics.contains("dsearch_conns_active 0"), "{metrics}");
     server.stop();
     wait_for_gauge(&service, 0);
@@ -125,9 +125,9 @@ fn cap_rejection_never_touches_the_gauge() {
         reader.read_line(&mut line).unwrap();
         assert!(line.starts_with("ERR too many connections"), "{line}");
     }
-    assert_eq!(service.engine().stats().rejected_conn_count(), 3);
+    assert_eq!(service.engine().stats().get(Metric::ConnsRejected), 3);
     // Rejections counted, but the gauge still reflects the one live session.
-    assert_eq!(service.engine().stats().active_conn_count(), 1);
+    assert_eq!(service.engine().stats().get(Metric::ConnsActive), 1);
 
     writeln!(holder, "!quit").unwrap();
     drop(holder);

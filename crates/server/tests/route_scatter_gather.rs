@@ -10,8 +10,8 @@ use std::time::Duration;
 use dsearch_index::{DocTable, InMemoryIndex};
 use dsearch_query::Query;
 use dsearch_server::{
-    EngineConfig, Handled, IndexSnapshot, LineHandler, QueryEngine, RemoteShard, RemoteShardConfig,
-    RouteService, Router, RouterConfig, Service, ShardBackend, TcpServer,
+    EngineConfig, Handled, IndexSnapshot, LineHandler, Metric, QueryEngine, RemoteShard,
+    RemoteShardConfig, RouteService, Router, RouterConfig, Service, ShardBackend, TcpServer,
 };
 use dsearch_text::Term;
 
@@ -127,8 +127,8 @@ fn router_over_two_tcp_shards_matches_the_union_snapshot() {
         assert!(!routed.partial(), "query {raw:?}: {:?}", routed.shard_failures);
         assert_eq!(routed.hits, expected_hits(&union, raw), "query {raw:?}");
     }
-    assert_eq!(router.stats().query_count(), QUERIES.len() as u64);
-    assert_eq!(router.stats().shard_error_count(), 0);
+    assert_eq!(router.stats().get(Metric::Queries), QUERIES.len() as u64);
+    assert_eq!(router.stats().get(Metric::ShardErrors), 0);
 
     // Batched routing pipelines the whole batch per shard and answers in
     // submission order with identical results.

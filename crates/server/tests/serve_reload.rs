@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use dsearch_index::{DocTable, InMemoryIndex};
 use dsearch_persist::IndexStore;
-use dsearch_server::{EngineConfig, IndexSnapshot, QueryEngine, WorkerPool};
+use dsearch_server::{EngineConfig, IndexSnapshot, Metric, QueryEngine, WorkerPool};
 use dsearch_text::Term;
 
 struct TempDir(PathBuf);
@@ -162,8 +162,8 @@ fn queries_survive_a_concurrent_snapshot_reload() {
     // publish, but generation 2 must definitely have been observed).
     assert!(observed.contains(&2), "new generation was never served: {observed:?}");
     assert_eq!(engine.snapshot_cell().generation(), 2);
-    assert_eq!(engine.stats().error_count(), 0);
-    assert!(engine.stats().query_count() > 0);
+    assert_eq!(engine.stats().get(Metric::Errors), 0);
+    assert!(engine.stats().get(Metric::Queries) > 0);
 
     // The displaced generation's cache entries can no longer serve: a fresh
     // "stable" query on generation 2 returns the 30-document answer.

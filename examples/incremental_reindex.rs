@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut store = IndexStore::open(&store_dir)?;
     store.replace_all(&index, &docs)?;
-    fs::write(store_dir.join("signatures.json"), signatures.to_json()?)?;
+    signatures.save(&store_dir)?;
     println!("persisted  : {} segment(s) in {}", store.segment_count(), store_dir.display());
 
     // ---- some time later: one file edited, one added, one deleted --------
@@ -56,8 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- second run: load the persisted state and update it --------------
     let mut store = IndexStore::open(&store_dir)?;
     let (mut index, mut docs) = store.load_joined()?;
-    let mut signatures =
-        SignatureDb::from_json(&fs::read_to_string(store_dir.join("signatures.json"))?)?;
+    let mut signatures = SignatureDb::load(&store_dir)?;
 
     let changes = indexer.diff(&fs_view, &VPath::root(), &signatures)?;
     println!(
@@ -78,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.rescan_ratio() * 100.0
     );
     store.replace_all(&index, &docs)?;
-    fs::write(store_dir.join("signatures.json"), signatures.to_json()?)?;
+    signatures.save(&store_dir)?;
 
     // ---- the updated index answers queries about the new state -----------
     let (index, docs) = store.load_joined()?;

@@ -8,7 +8,7 @@
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::index::IndexSnapshot;
+use dsearch::persist::segment::{read_segment, write_segment};
 use dsearch::query::{Query, Searcher};
 use dsearch::vfs::VPath;
 
@@ -63,14 +63,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Persist the joined index and load it back — the desktop-search engine
     // does this between indexing runs.
-    let snapshot = IndexSnapshot::from_index(&joined, &docs);
     let mut buffer = Vec::new();
-    snapshot.write_json(&mut buffer)?;
-    let restored = IndexSnapshot::read_json(&buffer[..])?;
-    let (restored_index, _) = restored.into_index();
+    write_segment(&joined, &docs, std::io::Cursor::new(&mut buffer))?;
+    let (restored_index, _) = read_segment(&buffer[..])?;
     assert_eq!(restored_index, joined);
     println!(
-        "\nsnapshot round-trip OK ({} terms, {} bytes of JSON)",
+        "\nsegment round-trip OK ({} terms, {} bytes)",
         restored_index.term_count(),
         buffer.len()
     );

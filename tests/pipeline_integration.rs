@@ -7,7 +7,7 @@ use dsearch::core::{
     Configuration, GeneratorOptions, Implementation, IndexGenerator, IndexOutcome, PipelineError,
 };
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::index::IndexSnapshot;
+use dsearch::persist::segment::{read_segment, write_segment};
 use dsearch::text::Term;
 use dsearch::vfs::{CountingFs, MemFs, VPath};
 
@@ -167,10 +167,9 @@ fn snapshot_of_parallel_run_round_trips() {
         .run(&fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(3, 0, 2))
         .unwrap();
     let (index, docs) = run.outcome.into_single_index();
-    let snapshot = IndexSnapshot::from_index(&index, &docs);
     let mut buffer = Vec::new();
-    snapshot.write_json(&mut buffer).unwrap();
-    let (restored, restored_docs) = IndexSnapshot::read_json(&buffer[..]).unwrap().into_index();
+    write_segment(&index, &docs, std::io::Cursor::new(&mut buffer)).unwrap();
+    let (restored, restored_docs) = read_segment(&buffer[..]).unwrap();
     assert_eq!(restored, index);
     assert_eq!(restored_docs, docs);
 }
