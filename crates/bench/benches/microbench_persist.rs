@@ -4,16 +4,18 @@
 //! how fast can an index be written to / read back from disk (segment
 //! encode/decode), and how much work does the incremental re-indexer save
 //! compared to a full rebuild when only a small fraction of the corpus
-//! changed.
+//! changed.  And one this repository's store adds: what merging the replicas
+//! of an Implementation 3 run into one segment costs against writing them
+//! apart, and what sealing over term ranges on every core gains.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::index::{DocTable, InMemoryIndex};
+use dsearch::index::{DocTable, InMemoryIndex, SealedTerms};
 use dsearch::persist::segment::{read_segment, write_segment};
-use dsearch::persist::{IncrementalIndexer, SignatureDb};
+use dsearch::persist::{IncrementalIndexer, IndexStore, SignatureDb};
 use dsearch::vfs::{MemFs, VPath};
 
 fn built_index() -> (InMemoryIndex, DocTable) {
@@ -46,6 +48,52 @@ fn bench_segment_roundtrip(c: &mut Criterion) {
         });
     });
     group.finish();
+}
+
+/// A two-replica Implementation 3 run, persisted apart (one segment a
+/// replica, as the store did before it merged) and merged; and the merged
+/// seal alone, on one thread and on all.
+fn bench_run_of_two_replicas(c: &mut Criterion) {
+    let (fs, _) = materialize_to_memfs(&CorpusSpec::paper_scaled(0.03), 31);
+    let run = IndexGenerator::default()
+        .run(&fs, &VPath::root(), Implementation::ReplicateNoJoin, Configuration::new(2, 0, 0))
+        .expect("index build succeeds");
+    let (replicas, docs) = (run.outcome.replicas(), run.outcome.docs());
+    let dir = std::env::temp_dir().join(format!("dsearch-bench-persist-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = IndexStore::open(&dir).expect("the store opens");
+    let apart = store.replace_all(&replicas[0], docs).unwrap().bytes
+        + store.commit(&replicas[1], docs).unwrap().bytes;
+    let merged = store.replace_with(replicas, docs).unwrap();
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    println!(
+        "persist_run_of_two_replicas: {} postings; two segments {apart} B, merged {} B; {cores} core(s)",
+        merged.posting_count, merged.bytes
+    );
+
+    let mut group = c.benchmark_group("persist_run_of_two_replicas");
+    group.sample_size(10);
+    group.bench_function("write_two_segments", |b| {
+        b.iter(|| {
+            store.replace_all(&replicas[0], docs).unwrap();
+            black_box(store.commit(&replicas[1], docs).unwrap().bytes)
+        });
+    });
+    group.bench_function("write_merged", |b| {
+        b.iter(|| black_box(store.replace_with(replicas, docs).unwrap().bytes));
+    });
+    let seal = |threads: usize| {
+        let mut bytes = 0;
+        let Ok(()) = SealedTerms::new(replicas).encode_on(threads, |chunk| {
+            bytes += chunk.bytes.len();
+            Ok::<(), std::convert::Infallible>(())
+        });
+        bytes
+    };
+    group.bench_function("seal_1_thread", |b| b.iter(|| black_box(seal(1))));
+    group.bench_function("seal_n_threads", |b| b.iter(|| black_box(seal(cores))));
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Builds a corpus, indexes it, then mutates `changed_files` files.
@@ -97,5 +145,10 @@ fn bench_incremental_vs_full(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_segment_roundtrip, bench_incremental_vs_full);
+criterion_group!(
+    benches,
+    bench_segment_roundtrip,
+    bench_run_of_two_replicas,
+    bench_incremental_vs_full
+);
 criterion_main!(benches);

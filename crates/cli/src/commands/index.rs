@@ -100,20 +100,12 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let report = run.report();
     let index_heap = run.outcome.heap_bytes() as u64;
 
-    // Persist: Implementation 3 keeps one segment per replica (searched
-    // together), written concurrently and published by one manifest write;
-    // the others store a single joined segment.
-    let segments_before = store.segment_count();
+    // Persist: whatever the run built — one index, or Implementation 3's
+    // un-joined replicas — is merged as it is sealed into one segment, which
+    // takes the place of whatever the store held (a full rebuild owns it).
+    let replaced = store.segment_count();
     let persist_started = std::time::Instant::now();
-    match run.outcome {
-        dsearch::core::IndexOutcome::Replicas { set, docs } => {
-            store.commit_all(set.into_replicas(), &docs).map_err(CliError::failed)?;
-        }
-        single => {
-            let (index, docs) = single.into_single_index();
-            store.commit(&index, &docs).map_err(CliError::failed)?;
-        }
-    }
+    store.replace_with(run.outcome.replicas(), run.outcome.docs()).map_err(CliError::failed)?;
     let persist_seconds = persist_started.elapsed().as_secs_f64();
     // The generator's total ends where persisting starts, so the stages
     // listed tile the total.
@@ -131,9 +123,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         persist_seconds,
     ));
     out.push_str(&format!(
-        "  store {store_path}: {} segment(s) (+{})\n",
-        store.segment_count(),
-        store.segment_count() - segments_before
+        "  store {store_path}: {} segment(s) (replaced {replaced})\n",
+        store.segment_count()
     ));
     let bytes = store.written();
     out.push_str(&format!(

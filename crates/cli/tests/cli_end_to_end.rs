@@ -84,30 +84,76 @@ fn index_then_search_finds_documents() {
     assert!(out.contains("report.txt"), "{out}");
 }
 
+fn index_args(docs: &Path, store: &str, extra: &[&str]) -> Vec<String> {
+    let mut args =
+        vec!["index".to_owned(), docs.to_string_lossy().into_owned(), "--store".to_owned()];
+    args.push(store.to_owned());
+    args.extend(extra.iter().map(|&arg| arg.to_owned()));
+    args
+}
+
+fn search(store: &str, query: &str) -> String {
+    run(["search".to_owned(), "--store".to_owned(), store.to_owned(), query.to_owned()]).unwrap()
+}
+
 #[test]
-fn implementation_three_stores_replicas_and_searches_them_together() {
+fn a_store_does_not_say_how_it_was_built() {
     let dir = TempDir::new("replicas");
     let docs = dir.path().join("docs");
     fs::create_dir_all(&docs).unwrap();
     write_docs(&docs);
+
+    // Implementation 3's replicas are merged into one segment as they are
+    // persisted: the file one extractor writes, and Implementation 1.
+    let segments: Vec<Vec<u8>> = [
+        &["--extractors", "3", "--implementation", "3"][..],
+        &["--extractors", "1"],
+        &["--implementation", "1"],
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, how)| {
+        let store = dir.sub(&format!("store{i}"));
+        let out = run(index_args(&docs, &store, how)).unwrap();
+        assert!(out.contains("1 segment(s) (replaced 0)"), "{out}");
+        let out = search(&store, "index");
+        assert!(out.contains("result(s)"), "{out}");
+        assert!(out.contains("todo.txt"), "{out}");
+        fs::read(Path::new(&store).join("segment-000001.dsg")).unwrap()
+    })
+    .collect();
+    assert!(segments[0] == segments[1] && segments[0] == segments[2]);
+}
+
+#[test]
+fn a_second_full_index_takes_the_store_over() {
+    let dir = TempDir::new("reindex");
+    let docs = dir.path().join("docs");
+    fs::create_dir_all(&docs).unwrap();
+    fs::write(docs.join("a.txt"), "alpha beta").unwrap();
+    fs::write(docs.join("b.txt"), "beta gamma").unwrap();
     let store = dir.sub("store");
+    let first = run(index_args(&docs, &store, &["--extractors", "2"])).unwrap();
+    assert!(first.starts_with("indexed 2 files"), "{first}");
 
-    let out = run([
-        "index".to_owned(),
-        docs.to_string_lossy().into_owned(),
-        "--store".to_owned(),
-        store.clone(),
-        "--extractors".to_owned(),
-        "3".to_owned(),
-        "--implementation".to_owned(),
-        "3".to_owned(),
-    ])
-    .unwrap();
-    assert!(out.contains("3 segment(s)"), "{out}");
+    fs::remove_file(docs.join("a.txt")).unwrap();
+    fs::write(docs.join("0.txt"), "delta beta").unwrap();
+    let second = run(index_args(&docs, &store, &["--extractors", "2"])).unwrap();
+    assert!(second.starts_with("indexed 2 files"), "{second}");
+    assert!(second.contains("1 segment(s) (replaced 1)"), "{second}");
 
-    let out = run(["search".to_owned(), "--store".to_owned(), store, "index".to_owned()]).unwrap();
-    assert!(out.contains("result(s)"), "{out}");
-    assert!(out.contains("todo.txt"), "{out}");
+    // The store is the second run's: the deleted file is gone from every
+    // answer, the new one is found, and one segment file is left.
+    let beta = search(&store, "beta");
+    assert!(beta.contains("2 result(s)"), "{beta}");
+    assert!(beta.contains("0.txt") && beta.contains("b.txt") && !beta.contains("a.txt"), "{beta}");
+    assert!(search(&store, "alpha").contains("0 result(s)"));
+    assert!(search(&store, "delta").contains("0.txt"));
+    let segments = fs::read_dir(&store)
+        .unwrap()
+        .filter(|entry| entry.as_ref().unwrap().file_name().to_string_lossy().ends_with(".dsg"))
+        .count();
+    assert_eq!(segments, 1);
 }
 
 #[test]

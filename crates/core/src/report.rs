@@ -111,6 +111,16 @@ impl IndexOutcome {
         }
     }
 
+    /// The indexes as the run built them: the one index, or the un-joined
+    /// replicas (what a store seals into one segment without joining).
+    #[must_use]
+    pub fn replicas(&self) -> &[InMemoryIndex] {
+        match self {
+            IndexOutcome::Single { index, .. } => std::slice::from_ref(index),
+            IndexOutcome::Replicas { set, .. } => set.replicas(),
+        }
+    }
+
     /// Collapses the outcome into a single index (joining replicas if needed)
     /// plus the document table.
     #[must_use]
@@ -134,12 +144,7 @@ impl IndexOutcome {
     /// ([`InMemoryIndex::heap_bytes`]).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        match self {
-            IndexOutcome::Single { index, .. } => index.heap_bytes(),
-            IndexOutcome::Replicas { set, .. } => {
-                set.replicas().iter().map(InMemoryIndex::heap_bytes).sum()
-            }
-        }
+        self.replicas().iter().map(InMemoryIndex::heap_bytes).sum()
     }
 
     /// Aggregate index statistics.

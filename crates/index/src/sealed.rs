@@ -25,6 +25,8 @@
 //! tables are laid over the bytes: hostile bytes are a [`BlockFormatError`],
 //! never a panic and never an allocation sized by a count they declare.
 
+use std::sync::{Condvar, Mutex};
+
 use dsearch_text::fnv::fnv1a_64;
 use dsearch_text::Term;
 
@@ -257,12 +259,13 @@ impl SealedShard {
     /// persisted segment of the same index loads as.
     #[must_use]
     pub fn from_index(index: &InMemoryIndex) -> Self {
-        let mut sealing = SealedTerms::new(index);
+        let sealing = SealedTerms::new(std::slice::from_ref(index));
         let mut bytes = Vec::new();
-        write_varint(&mut bytes, sealing.len() as u64);
-        for (term, compressed) in &mut sealing {
-            encode_term(&mut bytes, term.as_str(), compressed.view());
-        }
+        write_varint(&mut bytes, sealing.term_count() as u64);
+        let Ok(()) = sealing.encode(|chunk| {
+            bytes.extend_from_slice(&chunk.bytes);
+            Ok::<(), std::convert::Infallible>(())
+        });
         bytes.shrink_to_fit();
         SealedShard::lay_over(bytes, sealing.files, sealing.scoring)
             .expect("freshly encoded terms are well-formed")
@@ -609,70 +612,397 @@ fn scored_population(recorded_lens: usize, fallback: u64) -> u64 {
     }
 }
 
-/// Seals an index one term at a time, in dictionary order: each item is a
-/// term with its compressed postings and BM25 block bounds, exactly as
-/// [`SealedShard::from_index`] (which encodes this iterator) stores them.
-/// The segment writer consumes it without collecting, so a whole sealed copy
-/// of the index never exists beside the live one.
+/// One source's posting list of one term.  Sorted by term, the entries of
+/// every source line up: a run of equal terms is one term of the seal.
+#[derive(Debug, Clone, Copy)]
+struct Entry<'a> {
+    /// The term's first eight bytes, big-endian (zeros past its end), which
+    /// order as the terms do.  With the length beside it this decides most
+    /// comparisons — all of them between terms of at most eight bytes —
+    /// without following `term` to its text, which for the same term in two
+    /// sources is two cache misses.
+    prefix: u64,
+    term: &'a str,
+    list: &'a PostingList,
+}
+
+impl<'a> Entry<'a> {
+    fn new((term, list): (&'a Term, &'a PostingList)) -> Self {
+        let term = term.as_str();
+        let mut prefix = [0u8; 8];
+        let shared = term.len().min(8);
+        prefix[..shared].copy_from_slice(&term.as_bytes()[..shared]);
+        Entry { prefix: u64::from_be_bytes(prefix), term, list }
+    }
+
+    /// The order of the terms' bytes.
+    fn cmp_term(&self, other: &Self) -> std::cmp::Ordering {
+        self.prefix.cmp(&other.prefix).then_with(|| {
+            if self.term.len().max(other.term.len()) <= 8 {
+                // Equal prefixes: one term is the other plus NUL bytes.
+                self.term.len().cmp(&other.term.len())
+            } else {
+                self.term.cmp(other.term)
+            }
+        })
+    }
+
+    fn same_term(&self, other: &Self) -> bool {
+        self.cmp_term(other).is_eq()
+    }
+}
+
+/// The terms of sorted entries: each a run of one term's lists.
+fn runs<'e, 'a>(entries: &'e [Entry<'a>]) -> impl Iterator<Item = &'e [Entry<'a>]> {
+    entries.chunk_by(Entry::same_term)
+}
+
+/// Postings a chunk of the seal aims at: about 40 kB of entries, so that a
+/// large index is many chunks and a handful of them in flight is a small
+/// share of it.
+const CHUNK_WEIGHT: usize = 1 << 15;
+
+/// What a term weighs in its chunk besides its postings (its allocations and
+/// its dictionary bytes cost about this many postings' encoding).
+const TERM_WEIGHT: usize = 16;
+
+/// The seal: *k ≥ 1* source indexes — one index, or the un-joined replicas
+/// of one run — as the term entries of **one** shard, in dictionary order.
+///
+/// **One merge.**  The `(term, list)` entries of every source are sorted by
+/// term once.  A term's lists are decoded and merged by document id — the
+/// sources of one run hold disjoint files; an id present twice keeps the
+/// larger frequency, which is what [`PostingList::union_with`] keeps, so the
+/// seal of the replicas is the seal of their join
+/// ([`join_all`](crate::join_all)) for any input — and block-encoded once,
+/// scored against the whole population: the file counts summed, the norm
+/// table built from the union of the recorded lengths.  No hash table is
+/// built and no index is joined.
+///
+/// **Sealed in parallel, emitted in order.**  No state crosses a term
+/// ([`encode_term`]), so the sorted entries are cut at term boundaries into
+/// chunks of comparable posting counts, the chunks are encoded concurrently
+/// and handed out in term order ([`SealedTerms::encode`]).  A chunk's bytes
+/// are the concatenation of its terms' entries, so the shard's bytes depend
+/// neither on where the cuts fall nor on how many threads encode.
 #[derive(Debug)]
 pub struct SealedTerms<'a> {
-    entries: std::vec::IntoIter<(&'a Term, &'a PostingList)>,
+    entries: Vec<Entry<'a>>,
+    /// Distinct terms: the runs of `entries`.
+    terms: usize,
     files: u64,
+    /// Every recorded document length, id ascending.
+    doc_lens: Vec<(FileId, u32)>,
     /// `(norm_base, norms)`; `None` for an unscored index.
     scoring: Option<(u32, Vec<f32>)>,
-    /// The ids, frequencies and scores of the term being sealed, decoded
-    /// into buffers that are reused across terms.
+}
+
+/// A stretch of consecutive terms, sealed: what [`SealedTerms::encode`]
+/// hands out.
+#[derive(Debug, Default)]
+pub struct SealedChunk {
+    /// The terms' entries, as [`encode_term`] writes them, in term order.
+    pub bytes: Vec<u8>,
+    /// Postings behind them.
+    pub postings: u64,
+    /// `bytes` by section.
+    pub sections: SectionBytes,
+}
+
+/// One encoding thread's buffers, reused from term to term.
+#[derive(Default)]
+struct Scratch {
+    /// The term's ids, frequencies and scores, decoded.
     ids: Vec<FileId>,
     freqs: Vec<u32>,
     scores: Vec<f32>,
+    /// Where a term with several lists is merged, list by list.
+    merged_ids: Vec<FileId>,
+    merged_freqs: Vec<u32>,
+}
+
+impl Scratch {
+    /// Decodes the union of one term's lists into `ids` and `freqs`: the
+    /// first two merged as they are decoded, each further one folded in.
+    fn decode(&mut self, run: &[Entry<'_>]) {
+        let [first, rest @ ..] = run else { return };
+        let [second, rest @ ..] = rest else {
+            return first.list.decode_into(&mut self.ids, &mut self.freqs);
+        };
+        unite(first.list.iter_counted(), second.list, &mut self.ids, &mut self.freqs);
+        for Entry { list, .. } in rest {
+            let held = self.ids.iter().copied().zip(self.freqs.iter().copied());
+            unite(held, list, &mut self.merged_ids, &mut self.merged_freqs);
+            std::mem::swap(&mut self.ids, &mut self.merged_ids);
+            std::mem::swap(&mut self.freqs, &mut self.merged_freqs);
+        }
+    }
+}
+
+/// Makes `ids` and `freqs` the union of `held` (ascending by id) and `list`;
+/// an id on both sides keeps the larger frequency.
+fn unite(
+    held: impl ExactSizeIterator<Item = (FileId, u32)>,
+    list: &PostingList,
+    ids: &mut Vec<FileId>,
+    freqs: &mut Vec<u32>,
+) {
+    ids.clear();
+    freqs.clear();
+    ids.reserve(held.len() + list.len());
+    freqs.reserve(held.len() + list.len());
+    let mut held = held.peekable();
+    for (id, mut tf) in list.iter_counted() {
+        while let Some((before, its_tf)) = held.next_if(|&(held, _)| held < id) {
+            ids.push(before);
+            freqs.push(its_tf);
+        }
+        if let Some((_, its_tf)) = held.next_if(|&(held, _)| held == id) {
+            tf = tf.max(its_tf);
+        }
+        ids.push(id);
+        freqs.push(tf);
+    }
+    for (id, tf) in held {
+        ids.push(id);
+        freqs.push(tf);
+    }
 }
 
 impl<'a> SealedTerms<'a> {
-    /// Sorts the vocabulary of `index` and computes its length norms; no
-    /// posting list is compressed until it is asked for.
+    /// Sorts the vocabularies of `sources` into one and computes the length
+    /// norms of their union; no posting list is touched until
+    /// [`encode`](SealedTerms::encode).
     #[must_use]
-    pub fn new(index: &'a InMemoryIndex) -> Self {
-        let mut entries: Vec<(&Term, &PostingList)> = index.iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
+    pub fn new(sources: &'a [InMemoryIndex]) -> Self {
+        let mut entries: Vec<Entry<'a>> =
+            sources.iter().flat_map(InMemoryIndex::iter).map(Entry::new).collect();
+        entries.sort_unstable_by(Entry::cmp_term);
+        let terms = runs(&entries).count();
+        // A file two sources measured keeps the larger length, as a join
+        // does: sorted by id then length, the last of an id's pairs.
+        let mut doc_lens: Vec<(FileId, u32)> =
+            sources.iter().flat_map(InMemoryIndex::doc_lens).collect();
+        doc_lens.sort_unstable();
+        doc_lens.dedup_by(|later, kept| {
+            let same_file = later.0 == kept.0;
+            if same_file {
+                kept.1 = later.1;
+            }
+            same_file
+        });
+        let counted = sources.iter().map(InMemoryIndex::file_count).sum();
         SealedTerms {
-            entries: entries.into_iter(),
-            files: scored_population(doc_lens.len(), index.file_count()),
+            entries,
+            terms,
+            files: scored_population(doc_lens.len(), counted),
             scoring: build_norms(&doc_lens),
-            ids: Vec::new(),
-            freqs: Vec::new(),
-            scores: Vec::new(),
+            doc_lens,
         }
+    }
+
+    /// Number of distinct terms.
+    #[must_use]
+    pub fn term_count(&self) -> usize {
+        self.terms
+    }
+
+    /// Every document length the sources recorded, id ascending.
+    #[must_use]
+    pub fn doc_lens(&self) -> &[(FileId, u32)] {
+        &self.doc_lens
+    }
+
+    /// Seals every term and hands the encoded chunks to `sink` in term
+    /// order, on the calling thread.  Chunks are encoded on as many threads
+    /// as the machine has cores, the caller's among them; at most two a
+    /// thread exist at a time, so the encoded shard is never held whole
+    /// unless `sink` keeps it.
+    ///
+    /// # Errors
+    ///
+    /// The first error of `sink`, after which nothing more is handed out.
+    pub fn encode<E>(&self, sink: impl FnMut(SealedChunk) -> Result<(), E>) -> Result<(), E> {
+        self.encode_on(std::thread::available_parallelism().map_or(1, usize::from), sink)
+    }
+
+    /// [`encode`](SealedTerms::encode) on `threads` threads.
+    ///
+    /// # Errors
+    ///
+    /// As [`encode`](SealedTerms::encode).
+    pub fn encode_on<E>(
+        &self,
+        threads: usize,
+        sink: impl FnMut(SealedChunk) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.encode_chunked(threads, CHUNK_WEIGHT, sink)
+    }
+
+    fn encode_chunked<E>(
+        &self,
+        threads: usize,
+        chunk_weight: usize,
+        sink: impl FnMut(SealedChunk) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let chunks = self.chunks(chunk_weight);
+        let encode =
+            |chunk: usize, scratch: &mut Scratch| self.encode_chunk(chunks[chunk], scratch);
+        in_order(chunks.len(), threads.clamp(1, chunks.len().max(1)), encode, sink)
+    }
+
+    /// Cuts the entries at term boundaries into stretches of about
+    /// `chunk_weight` postings.
+    fn chunks(&self, chunk_weight: usize) -> Vec<&[Entry<'a>]> {
+        let mut chunks = Vec::new();
+        let (mut start, mut end, mut weight) = (0, 0, 0);
+        for run in runs(&self.entries) {
+            end += run.len();
+            weight += TERM_WEIGHT + run.iter().map(|entry| entry.list.len()).sum::<usize>();
+            if weight >= chunk_weight {
+                chunks.push(&self.entries[start..end]);
+                (start, weight) = (end, 0);
+            }
+        }
+        if start < end {
+            chunks.push(&self.entries[start..]);
+        }
+        chunks
+    }
+
+    /// Seals the terms of one chunk: each term's postings merged, compressed
+    /// and given their BM25 block bounds, then encoded.
+    fn encode_chunk(&self, chunk: &[Entry<'a>], scratch: &mut Scratch) -> SealedChunk {
+        let mut sealed = SealedChunk::default();
+        for run in runs(chunk) {
+            scratch.decode(run);
+            let (ids, freqs) = (&scratch.ids, &scratch.freqs);
+            let mut compressed = CompressedPostings::from_counted(ids, freqs);
+            if let Some((base, norms)) = &self.scoring {
+                let idf = bm25_idf(self.files, ids.len());
+                scratch.scores.clear();
+                scratch.scores.extend(
+                    ids.iter()
+                        .zip(freqs)
+                        .map(|(&id, &tf)| bm25_score(idf, tf, norm_at(*base, norms, id))),
+                );
+                compressed.score_blocks(&scratch.scores);
+            }
+            sealed.postings += ids.len() as u64;
+            sealed.sections += encode_term(&mut sealed.bytes, run[0].term, compressed.view());
+        }
+        sealed
     }
 }
 
-impl<'a> Iterator for SealedTerms<'a> {
-    type Item = (&'a Term, CompressedPostings);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (term, list) = self.entries.next()?;
-        list.decode_into(&mut self.ids, &mut self.freqs);
-        let mut compressed = CompressedPostings::from_counted(&self.ids, &self.freqs);
-        if let Some((base, norms)) = &self.scoring {
-            let idf = bm25_idf(self.files, list.len());
-            self.scores.clear();
-            self.scores.extend(
-                self.ids
-                    .iter()
-                    .zip(&self.freqs)
-                    .map(|(&id, &tf)| bm25_score(idf, tf, norm_at(*base, norms, id))),
-            );
-            compressed.score_blocks(&self.scores);
-        }
-        Some((term, compressed))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.entries.size_hint()
-    }
+/// What [`in_order`]'s threads share: which items are taken, which results
+/// wait, how far the caller has consumed them.
+struct Line<T> {
+    /// Items `..claimed` are made or being made.
+    claimed: usize,
+    /// Results `..consumed` went to the sink.
+    consumed: usize,
+    /// Result `i` waits at `i % waiting.len()`; only items
+    /// `consumed..consumed + waiting.len()` may be claimed, so no two share
+    /// a place.
+    waiting: Vec<Option<T>>,
+    /// The sink failed or a thread panicked: nothing more is made.
+    stopped: bool,
 }
 
-impl ExactSizeIterator for SealedTerms<'_> {}
+/// What a thread of [`in_order`] does next.
+enum Turn<T> {
+    Make(usize),
+    Consume(T),
+    Done,
+}
+
+/// Makes `make(i, &mut scratch)` for every `i` in `0..count` on `threads`
+/// threads — the caller's among them, each with a scratch of its own — and
+/// hands the results to `sink` in order of `i`, on the caller's thread.  At
+/// most `2 * threads` results are made and not yet consumed at any time.
+fn in_order<S: Default, T: Send, E>(
+    count: usize,
+    threads: usize,
+    make: impl Fn(usize, &mut S) -> T + Sync,
+    mut sink: impl FnMut(T) -> Result<(), E>,
+) -> Result<(), E> {
+    let window = 2 * threads;
+    let line = Mutex::new(Line {
+        claimed: 0,
+        consumed: 0,
+        waiting: (0..window).map(|_| None).collect(),
+        stopped: false,
+    });
+    let moved = Condvar::new();
+    let lock = || line.lock().expect("nothing under the line's lock panics");
+    // A thread that unwinds will never deliver what it claimed, or consume
+    // what the others wait to hand over: it stops the line on its way out,
+    // the others return, and the scope raises the panic.
+    struct StopIfUnwinding<'l, T>(&'l Mutex<Line<T>>, &'l Condvar);
+    impl<T> Drop for StopIfUnwinding<'_, T> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                if let Ok(mut line) = self.0.lock() {
+                    line.stopped = true;
+                }
+                self.1.notify_all();
+            }
+        }
+    }
+    // The caller consumes before it makes; the others only make.
+    let turn = |consumes: bool| -> Turn<T> {
+        let mut line = lock();
+        loop {
+            let finished = if consumes { line.consumed } else { line.claimed } == count;
+            if line.stopped || finished {
+                return Turn::Done;
+            }
+            let next = line.consumed % window;
+            if let Some(made) = line.waiting[next].take_if(|_| consumes) {
+                return Turn::Consume(made);
+            }
+            if line.claimed < count.min(line.consumed + window) {
+                line.claimed += 1;
+                return Turn::Make(line.claimed - 1);
+            }
+            line = moved.wait(line).expect("nothing under the line's lock panics");
+        }
+    };
+    let make = |item: usize, scratch: &mut S| {
+        let made = make(item, scratch);
+        lock().waiting[item % window] = Some(made);
+        moved.notify_all();
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(|| {
+                let _stop = StopIfUnwinding(&line, &moved);
+                let mut scratch = S::default();
+                while let Turn::Make(item) = turn(false) {
+                    make(item, &mut scratch);
+                }
+            });
+        }
+        let _stop = StopIfUnwinding(&line, &moved);
+        let mut scratch = S::default();
+        loop {
+            match turn(true) {
+                Turn::Make(item) => make(item, &mut scratch),
+                Turn::Consume(made) => {
+                    let sunk = sink(made);
+                    let mut line = lock();
+                    line.consumed += 1;
+                    line.stopped |= sunk.is_err();
+                    drop(line);
+                    moved.notify_all();
+                    sunk?;
+                }
+                Turn::Done => return Ok(()),
+            }
+        }
+    })
+}
 
 /// Builds the dense BM25 norm table from `(file, document length)` pairs:
 /// `(norm_base, norms)`.  Returns `None` (unscored) when no
@@ -825,6 +1155,143 @@ mod tests {
         // best score, at most 2^-7 above it.
         assert_eq!(rust.max_score().to_bits() & 0xffff, 0);
         assert!(rust.max_score() >= expected && rust.max_score() <= expected * (1.0 + 1.0 / 128.0));
+    }
+
+    /// The term entries `sources` seal to, through `threads` threads and
+    /// chunks of `chunk_weight`.
+    fn sealed_entries(sources: &[InMemoryIndex], threads: usize, chunk_weight: usize) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let sealing = SealedTerms::new(sources);
+        let Ok(()) = sealing.encode_chunked(threads, chunk_weight, |chunk| {
+            bytes.extend_from_slice(&chunk.bytes);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        bytes
+    }
+
+    #[test]
+    fn sealed_bytes_depend_neither_on_the_cuts_nor_on_the_threads() {
+        // 140 terms of 20 postings each, so that a chunk weight counts terms.
+        let mut index = InMemoryIndex::new();
+        for file in 0..20u32 {
+            let terms = (0..140).map(|i| (Term::from(format!("t{i:03}")), file % 3 + i % 2 + 1));
+            index.insert_file_counted(FileId(3 * file), terms);
+        }
+        let sources = std::slice::from_ref(&index);
+        let term_weight = TERM_WEIGHT + 20;
+        let whole = sealed_entries(sources, 1, usize::MAX);
+        for (terms_a_chunk, chunks) in [(140, 1), (70, 2), (20, 7)] {
+            let weight = terms_a_chunk * term_weight;
+            assert_eq!(SealedTerms::new(sources).chunks(weight).len(), chunks);
+            for threads in [1, 3] {
+                assert_eq!(sealed_entries(sources, threads, weight), whole, "{chunks}/{threads}");
+            }
+        }
+        // And they are the shard's: what `from_index` collects.
+        assert_eq!(SealedShard::from_index(&index).bytes[2..], whole[..]);
+        // Nothing to seal is nothing handed out, on any number of threads.
+        assert!(sealed_entries(&[], 3, 1).is_empty());
+        assert!(sealed_entries(&[InMemoryIndex::new()], 0, 1).is_empty());
+    }
+
+    #[test]
+    fn results_come_in_order_and_a_bounded_number_wait() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let (threads, count) = (3, 50);
+        let window = 2 * threads;
+        // Made and not yet consumed, and the most there ever were.
+        let (live, most, made) = (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+        let make = |item: usize, _: &mut ()| {
+            most.fetch_max(live.fetch_add(1, SeqCst) + 1, SeqCst);
+            made.fetch_add(1, SeqCst);
+            item
+        };
+        let mut seen = Vec::new();
+        let consumed = in_order(count, threads, make, |item| {
+            // The first result is held until the others have filled the
+            // window: they may not run further ahead than that.
+            while seen.is_empty() && made.load(SeqCst) < window {
+                std::thread::yield_now();
+            }
+            seen.push(item);
+            live.fetch_sub(1, SeqCst);
+            Ok::<(), ()>(())
+        });
+        assert_eq!(consumed, Ok(()));
+        assert_eq!(seen, (0..count).collect::<Vec<_>>());
+        assert_eq!(most.load(SeqCst), window);
+
+        // A failing sink is the result, is not called again, and stops the
+        // making within the window.
+        let made = AtomicUsize::new(0);
+        let mut calls = 0;
+        let failed = in_order(
+            count,
+            threads,
+            |item, _: &mut ()| {
+                made.fetch_add(1, SeqCst);
+                item
+            },
+            |item| {
+                calls += 1;
+                if item == 3 {
+                    Err("full")
+                } else {
+                    Ok(())
+                }
+            },
+        );
+        assert_eq!((failed, calls), (Err("full"), 4));
+        assert!(made.load(SeqCst) <= 4 + window);
+
+        // A panic while making, on whichever thread, is raised — not waited
+        // for by the others.
+        let panicked = std::panic::catch_unwind(|| {
+            let make = |item: usize, _: &mut ()| assert_ne!(item, 20, "unmakeable");
+            in_order(count, threads, make, |()| Ok::<(), ()>(()))
+        });
+        assert!(panicked.is_err());
+    }
+
+    proptest! {
+        /// Replicas seal to what their join seals to, byte for byte — ids
+        /// dealt to any number of replicas in any way, some of them to two
+        /// replicas with different frequencies — and to a shard that scores
+        /// against the whole population.
+        #[test]
+        fn replicas_seal_to_the_seal_of_their_join(
+            docs in proptest::collection::vec(
+                (0u32..300, 0usize..5, proptest::collection::vec(("[a-c]{1,3}", 1u32..6), 0..6)),
+                0..60,
+            ),
+            replicas in 1usize..=5,
+        ) {
+            // The same file twice is one file seen by two replicas (or one
+            // replica twice, which adds up there as it does in the join).
+            let mut sources = vec![InMemoryIndex::new(); replicas];
+            for (file, replica, words) in &docs {
+                let mut words = words.clone();
+                words.sort();
+                words.dedup_by(|a, b| a.0 == b.0);
+                sources[replica % replicas].insert_file_counted(
+                    FileId(*file),
+                    words.iter().map(|(word, tf)| (Term::from(word.as_str()), *tf)),
+                );
+            }
+            let joined = crate::join_all(sources.clone());
+            let merged = sealed_entries(&sources, 2, 64);
+            prop_assert_eq!(&merged, &sealed_entries(std::slice::from_ref(&joined), 1, usize::MAX));
+            let sealing = SealedTerms::new(&sources);
+            let mut lens: Vec<(FileId, u32)> = joined.doc_lens().collect();
+            lens.sort_unstable();
+            prop_assert_eq!(sealing.doc_lens(), &lens[..]);
+            prop_assert_eq!(sealing.term_count(), joined.term_count());
+            let mut bytes = Vec::new();
+            write_varint(&mut bytes, sealing.term_count() as u64);
+            bytes.extend_from_slice(&merged);
+            let shard = SealedShard::lay_over(bytes, sealing.files, sealing.scoring).unwrap();
+            prop_assert_eq!(shard, SealedShard::from_index(&joined));
+        }
     }
 
     #[test]

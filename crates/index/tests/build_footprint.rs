@@ -15,6 +15,11 @@
 //!   scratch to decode into, no re-encoding, so no allocation beyond the
 //!   stream's own growth — the O(distance) contract, as a count.
 //!
+//! * Two replicas sealed into one shard are merged in the encoding thread's
+//!   reused buffers — no allocation a term or a posting beyond what sealing
+//!   their join performs — and handed out a chunk at a time: what is in
+//!   flight is a small share of the encoded shard.
+//!
 //! The counters are thread-local, so the tests of this binary do not see
 //! each other's allocations.
 
@@ -22,7 +27,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dsearch_index::{
-    encode_term, FileId, InMemoryIndex, PostingList, SealedTerms, SectionBytes, BLOCK_SIZE,
+    join_all, FileId, InMemoryIndex, PostingList, SealedShard, SealedTerms, SectionBytes,
+    BLOCK_SIZE,
 };
 use dsearch_text::Term;
 
@@ -99,6 +105,11 @@ fn vocabulary() -> Vec<Term> {
 
 /// The replica: everything it leaves allocated is the index's.
 fn replica(vocabulary: &[Term]) -> InMemoryIndex {
+    replica_of(vocabulary, 18, 0)
+}
+
+/// A replica drawn from `seed` that holds the file ids `2 * file + odd`.
+fn replica_of(vocabulary: &[Term], seed: u64, odd: u32) -> InMemoryIndex {
     // Zipf, exponent 1.05: the cumulative weights to draw ranks from.
     let mut cumulative = Vec::with_capacity(VOCABULARY);
     let mut total = 0.0f64;
@@ -106,7 +117,7 @@ fn replica(vocabulary: &[Term]) -> InMemoryIndex {
         total += 1.0 / (rank as f64).powf(1.05);
         cumulative.push(total);
     }
-    let mut rng = Rng(18);
+    let mut rng = Rng(seed);
     // One file's condensed word list, reused from file to file.
     let mut counts = vec![0u32; VOCABULARY];
     let mut ranks: Vec<usize> = Vec::with_capacity(VOCABULARY);
@@ -130,7 +141,7 @@ fn replica(vocabulary: &[Term]) -> InMemoryIndex {
             counts[rank] += 1;
         }
         index.insert_file_counted(
-            FileId(2 * file),
+            FileId(2 * file + odd),
             ranks.iter().map(|&rank| (vocabulary[rank].clone(), std::mem::take(&mut counts[rank]))),
         );
     }
@@ -175,10 +186,10 @@ fn a_sealed_posting_costs_what_its_values_need_not_what_the_widest_needs() {
     // width of its largest value (a block of equal values: two bytes).
     let mut at_the_widest = 0u64;
     let (mut entry, mut tfs) = (Vec::new(), Vec::new());
-    for (term, list) in SealedTerms::new(&index) {
+    for (term, list) in SealedShard::from_index(&index).iter() {
         entry.clear();
-        sealed += encode_term(&mut entry, term.as_str(), list.view());
-        list.view().decode_freqs_into(&mut tfs);
+        sealed += dsearch_index::encode_term(&mut entry, term, list);
+        list.decode_freqs_into(&mut tfs);
         for block in tfs.chunks(BLOCK_SIZE) {
             let (least, most) = (*block.iter().min().unwrap(), *block.iter().max().unwrap());
             let width = (32 - most.leading_zeros()) as usize;
@@ -201,6 +212,50 @@ fn a_sealed_posting_costs_what_its_values_need_not_what_the_widest_needs() {
         "{} sealed bytes behind {postings} postings ({:.3} a posting)",
         sealed.total(),
         sealed.total() as f64 / postings as f64
+    );
+}
+
+/// Seals `sources` on this thread alone (so that this thread's counters see
+/// all of it): the encoded bytes, the allocations made, and the most bytes
+/// the encoding held — buffers and chunks in flight — while a chunk was
+/// handed over.
+fn seal_counted(sources: &[InMemoryIndex]) -> (u64, u64, i64) {
+    let (mut bytes, mut most_live) = (0u64, 0i64);
+    let ((), allocations) = allocations_during(|| {
+        let sealing = SealedTerms::new(sources);
+        let live_before = LIVE_BYTES.with(Cell::get);
+        let Ok(()) = sealing.encode_on(1, |chunk| {
+            bytes += chunk.bytes.len() as u64;
+            most_live = most_live.max(LIVE_BYTES.with(Cell::get) - live_before);
+            Ok::<(), std::convert::Infallible>(())
+        });
+    });
+    (bytes, allocations, most_live)
+}
+
+#[test]
+fn replicas_merge_in_the_seals_buffers_and_leave_a_chunk_at_a_time() {
+    let vocabulary = vocabulary();
+    let replicas = [replica_of(&vocabulary, 18, 0), replica_of(&vocabulary, 81, 1)];
+    let postings: u64 = replicas.iter().map(InMemoryIndex::posting_count).sum();
+    assert!(postings >= 400_000, "only {postings} postings");
+    let shared = replicas[0].iter().filter(|(term, _)| replicas[1].contains_term(term)).count();
+    assert!(shared >= VOCABULARY / 5, "only {shared} terms need merging");
+
+    let (merged_bytes, merged_allocations, merged_live) = seal_counted(&replicas);
+    let joined = join_all(replicas.to_vec());
+    let (joined_bytes, joined_allocations, _) = seal_counted(std::slice::from_ref(&joined));
+    assert_eq!(merged_bytes, joined_bytes);
+    // Merging allocates what its few buffers take to grow to the longest
+    // list, once — not per term, not per posting.
+    assert!(
+        merged_allocations <= joined_allocations + 64,
+        "{merged_allocations} allocations to seal the replicas, {joined_allocations} their join"
+    );
+    // In flight: the buffers and a chunk — never the shard.
+    assert!(
+        (merged_live as u64) < merged_bytes / 4,
+        "{merged_live} bytes live while a chunk of {merged_bytes} sealed bytes was handed over"
     );
 }
 

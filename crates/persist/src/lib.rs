@@ -8,11 +8,11 @@
 //! * **Persistence** ([`segment`], [`store`]) — a compact binary segment
 //!   format (delta-encoded, block-compressed posting lists under the
 //!   word-at-a-time [`checksum`]) and an [`store::IndexStore`] directory
-//!   layout that holds any number of segments plus a manifest.  Replicas
-//!   produced by Implementation 3 are committed as one segment each, written
-//!   concurrently and published together, and either searched in place —
-//!   loaded concurrently — or compacted into a single segment later: the
-//!   on-disk mirror of the paper's "Join Forces" decision.
+//!   layout that holds any number of segments plus a manifest.  The
+//!   replicas Implementation 3 leaves un-joined are merged as they are
+//!   sealed and committed as one segment — the file their join would have
+//!   been written as, without the join — so a store does not say how many
+//!   threads built it.
 //! * **Incremental re-indexing** ([`incremental`]) — per-file signatures
 //!   (size + FNV-1a content hash) persisted in a [`incremental::SignatureDb`]
 //!   let the next run re-scan only the files that were added, modified or
@@ -55,5 +55,7 @@ pub use error::PersistError;
 pub use incremental::{
     ChangeSet, FileSignature, IncrementalIndexer, SignatureDb, UpdateReport, SIGNATURES_FILE,
 };
-pub use segment::{read_segment, read_segment_sealed, write_segment, SegmentInfo};
+pub use segment::{
+    read_segment, read_segment_sealed, write_segment, write_segment_merged, SegmentInfo,
+};
 pub use store::{IndexStore, StoreManifest};

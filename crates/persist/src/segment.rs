@@ -24,9 +24,11 @@
 //! and the quantized per-block BM25 score bounds), so serving a segment is
 //! decode-free: the file's bytes become the shard's one buffer and ranked
 //! queries prune with the persisted bounds.  A shard scores against the
-//! documents with a recorded length, so a partial replica of Implementation 3
-//! — whose doc table is the whole run's — loads as the shard its index seals
-//! to.
+//! documents with a recorded length, so a segment that holds part of a run —
+//! what a resumable build seals between two checkpoints, under the whole
+//! run's doc table — loads as the shard its index seals to.  (The replicas of
+//! an Implementation 3 run are not such parts: [`write_segment_merged`] seals
+//! them into one segment, scored against the whole run.)
 //!
 //! There is one readable version.  The readers look at the version *before*
 //! they verify the checksum ([`crate::checksum`]: versions 1–3 were summed
@@ -43,8 +45,7 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 
 use dsearch_index::varint::{write_bytes, write_varint, Reader};
 use dsearch_index::{
-    encode_term, DocTable, FileId, InMemoryIndex, PostingList, SealedShard, SealedTerms,
-    SectionBytes,
+    DocTable, FileId, InMemoryIndex, PostingList, SealedShard, SealedTerms, SectionBytes,
 };
 use dsearch_text::Term;
 
@@ -78,13 +79,8 @@ pub struct SegmentInfo {
     pub bytes: u64,
 }
 
-/// Writes `index` and `docs` as one segment.
-///
-/// The payload streams out through a buffer one sealed term at a time —
-/// neither a sealed copy of the index nor the encoded payload is ever held
-/// whole — while its checksum accumulates; the checksum slot in the header
-/// is then patched in place, which is why `writer` must seek.  On return
-/// `writer` is positioned at the end of the segment.
+/// Writes `index` and `docs` as one segment: [`write_segment_merged`] of one
+/// source.
 ///
 /// # Errors
 ///
@@ -94,13 +90,35 @@ pub fn write_segment<W: Write + Seek>(
     docs: &DocTable,
     writer: W,
 ) -> Result<SegmentInfo, PersistError> {
-    write_segment_tallied(index, docs, writer).map(|(info, _)| info)
+    write_segment_merged(std::slice::from_ref(index), docs, writer)
 }
 
-/// [`write_segment`], which also says how many of the segment's bytes each
-/// section took (they add up to [`SegmentInfo::bytes`]).
+/// Writes `sources` — one index, or the un-joined replicas of one run over
+/// the document table `docs` — as **one** segment: the segment of their join
+/// ([`dsearch_index::join_all`]), byte for byte, merged in the seal
+/// ([`SealedTerms`]) without joining anything.
+///
+/// The payload streams out through a buffer one sealed chunk of terms at a
+/// time — neither a sealed copy of the index nor the encoded payload is ever
+/// held whole — while its checksum accumulates; the checksum slot in the
+/// header is then patched in place, which is why `writer` must seek.  On
+/// return `writer` is positioned at the end of the segment.
+///
+/// # Errors
+///
+/// Propagates I/O failures from `writer`.
+pub fn write_segment_merged<W: Write + Seek>(
+    sources: &[InMemoryIndex],
+    docs: &DocTable,
+    writer: W,
+) -> Result<SegmentInfo, PersistError> {
+    write_segment_tallied(sources, docs, writer).map(|(info, _)| info)
+}
+
+/// [`write_segment_merged`], which also says how many of the segment's bytes
+/// each section took (they add up to [`SegmentInfo::bytes`]).
 pub(crate) fn write_segment_tallied<W: Write + Seek>(
-    index: &InMemoryIndex,
+    sources: &[InMemoryIndex],
     docs: &DocTable,
     mut writer: W,
 ) -> Result<(SegmentInfo, SectionBytes), PersistError> {
@@ -108,52 +126,48 @@ pub(crate) fn write_segment_tallied<W: Write + Seek>(
     writer.write_all(&SEGMENT_MAGIC)?;
     writer.write_all(&[0u8; 8])?;
 
-    // The payload is encoded one piece at a time into a reused buffer — the
-    // front matter, then each term's entry — and streamed out from there,
-    // folding each piece into the running checksum.
+    // The payload is streamed out a piece at a time — the front matter, then
+    // each chunk of term entries as the seal hands it over — folding each
+    // piece into the running checksum.
     let mut out = BufWriter::new(&mut writer);
     let mut checksum = Xxh64::new();
     let mut payload_len = 0u64;
-    let mut emit = |piece: &mut Vec<u8>| -> std::io::Result<()> {
+    let mut emit = |piece: &[u8]| -> std::io::Result<()> {
         checksum.update(piece);
         payload_len += piece.len() as u64;
-        out.write_all(piece)?;
-        piece.clear();
-        Ok(())
+        out.write_all(piece)
     };
-    let mut piece = Vec::new();
-    write_varint(&mut piece, u64::from(SEGMENT_VERSION));
-    write_varint(&mut piece, docs.len() as u64);
+    // Sealing computes the per-block BM25 score bounds exactly as the
+    // serving path would, so persisted bounds match in-memory seals bit for
+    // bit.
+    let sealed = SealedTerms::new(sources);
+    let mut front = Vec::new();
+    write_varint(&mut front, u64::from(SEGMENT_VERSION));
+    write_varint(&mut front, docs.len() as u64);
     let mut previous: &[u8] = &[];
     for (_, path) in docs.iter() {
         let path = path.as_bytes();
         let shared = previous.iter().zip(path).take_while(|(a, b)| a == b).count();
-        write_varint(&mut piece, shared as u64);
-        write_bytes(&mut piece, &path[shared..]);
+        write_varint(&mut front, shared as u64);
+        write_bytes(&mut front, &path[shared..]);
         previous = path;
     }
-    let mut doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
-    doc_lens.sort_unstable_by_key(|&(id, _)| id);
-    write_varint(&mut piece, doc_lens.len() as u64);
-    for &(id, len) in &doc_lens {
-        write_varint(&mut piece, u64::from(id.as_u32()));
-        write_varint(&mut piece, u64::from(len));
+    write_varint(&mut front, sealed.doc_lens().len() as u64);
+    for &(id, len) in sealed.doc_lens() {
+        write_varint(&mut front, u64::from(id.as_u32()));
+        write_varint(&mut front, u64::from(len));
     }
+    let term_count = sealed.term_count() as u64;
+    write_varint(&mut front, term_count);
+    emit(&front)?;
 
-    // Sealing computes the per-block BM25 score bounds exactly as the
-    // serving path would, so persisted bounds match in-memory seals bit for
-    // bit.
-    let sealed = SealedTerms::new(index);
-    let term_count = sealed.len() as u64;
+    let mut sections = SectionBytes { docs: HEADER_LEN + front.len() as u64, ..Default::default() };
     let mut posting_count = 0u64;
-    write_varint(&mut piece, term_count);
-    let mut sections = SectionBytes { docs: HEADER_LEN + piece.len() as u64, ..Default::default() };
-    for (term, compressed) in sealed {
-        emit(&mut piece)?;
-        posting_count += compressed.view().len() as u64;
-        sections += encode_term(&mut piece, term.as_str(), compressed.view());
-    }
-    emit(&mut piece)?;
+    sealed.encode(|chunk| {
+        posting_count += chunk.postings;
+        sections += chunk.sections;
+        emit(&chunk.bytes)
+    })?;
     out.flush()?;
     drop(out);
 
@@ -333,8 +347,12 @@ mod tests {
         assert_eq!(info.posting_count, 7);
         assert_eq!(info.bytes, buf.len() as u64);
         // The tally accounts for every byte, section by section.
-        let (tallied, sections) =
-            write_segment_tallied(&index, &docs, std::io::Cursor::new(Vec::new())).unwrap();
+        let (tallied, sections) = write_segment_tallied(
+            std::slice::from_ref(&index),
+            &docs,
+            std::io::Cursor::new(Vec::new()),
+        )
+        .unwrap();
         assert_eq!((tallied, sections.total()), (info, info.bytes));
         assert_eq!(sections.scores, 4 * (2 + 1), "a max score and one block bound per term");
         assert_eq!(sections.dictionary, 4 * 2 + "alphabetagammadelta".len() as u64);
@@ -370,10 +388,10 @@ mod tests {
 
     #[test]
     fn partial_replicas_load_as_the_shard_their_index_seals_to() {
-        // Implementation 3: each replica indexes some of the files but its
-        // segment carries the whole run's doc table.  Block-max bounds were
-        // sealed with the replica's own document count, so the loaded shard
-        // must score against that count too.
+        // A segment of part of a run (a resumable build's seal) indexes some
+        // of the files but carries the whole run's doc table.  Block-max
+        // bounds were sealed with the part's own document count, so the
+        // loaded shard must score against that count too.
         let mut docs = DocTable::new();
         let ids: Vec<FileId> = (0..6).map(|i| docs.insert(format!("f{i}.txt"))).collect();
         let mut replica = InMemoryIndex::new();

@@ -10,17 +10,20 @@
 //!   segment-000002.dsg
 //! ```
 //!
-//! Each call to [`IndexStore::commit`] writes one segment.  Implementation 3
-//! (replicate, never join) maps naturally onto this layout: every replica is
-//! committed as its own segment and queries load them all; [`IndexStore::compact`]
-//! performs the join later, off the indexing critical path — the on-disk
-//! version of the paper's trade-off between Implementations 2 and 3.
+//! Each commit writes one segment, and a run is one commit however it was
+//! built: Implementation 3 (replicate, never join) leaves one replica per
+//! extractor in memory, and [`IndexStore::commit_all`] merges them as they
+//! are sealed into the one segment their join would be written as — no hash
+//! table is joined, and the store does not say how many threads built it.
+//! [`IndexStore::commit`] is the same call with one source.  A full rebuild
+//! ([`IndexStore::replace_with`]) publishes its segment and retires every
+//! earlier one by the same manifest write.
 //!
-//! Segments are independent units of work on both sides of the disk: a run's
-//! replicas are sealed, written and synced concurrently and then published by
-//! **one** manifest write ([`IndexStore::commit_all`] — the run appears whole
-//! or not at all), and the segments of a store are read, verified and laid
-//! out concurrently ([`IndexStore::load_all`], [`IndexStore::load_all_sealed`]).
+//! A segment is published whole or not at all: its file is sealed (over term
+//! ranges, on every core), written and synced, and only then named by **one**
+//! atomic manifest write.  The segments of a store — a resumable build seals
+//! one per checkpoint — are read, verified and laid out concurrently
+//! ([`IndexStore::load_all`], [`IndexStore::load_all_sealed`]).
 
 use std::fs;
 use std::io::Write;
@@ -221,13 +224,13 @@ impl IndexStore {
     ///
     /// # Errors
     ///
-    /// Fails when the segment or the updated manifest cannot be written.
+    /// Fails like [`commit_all`](IndexStore::commit_all).
     pub fn commit(
         &mut self,
         index: &InMemoryIndex,
         docs: &DocTable,
     ) -> Result<SegmentInfo, PersistError> {
-        self.commit_named(index, docs).map(|(_, info)| info)
+        self.commit_all(std::slice::from_ref(index), docs)
     }
 
     /// Commits `index` as a new segment and also returns the segment's file
@@ -236,79 +239,112 @@ impl IndexStore {
     ///
     /// # Errors
     ///
-    /// Fails when the segment or the updated manifest cannot be written.
+    /// Fails like [`commit_all`](IndexStore::commit_all).
     pub fn commit_named(
         &mut self,
         index: &InMemoryIndex,
         docs: &DocTable,
     ) -> Result<(String, SegmentInfo), PersistError> {
-        let file_name = segment_file_name(self.manifest.next_segment);
-        let (info, sections) = self.write_segment_file(&file_name, index, docs)?;
-        self.written += sections;
-        self.manifest.next_segment += 1;
-        self.manifest.segments.push(ManifestSegment { file_name: file_name.clone(), info });
-        self.write_manifest()?;
-        Ok((file_name, info))
+        self.publish(std::slice::from_ref(index), docs, false)
     }
 
-    /// Seals `index` into the file `file_name` of this store and syncs it.
-    fn write_segment_file(
-        &self,
-        file_name: &str,
-        index: &InMemoryIndex,
-        docs: &DocTable,
-    ) -> Result<(SegmentInfo, SectionBytes), PersistError> {
-        let mut file = fs::File::create(self.root.join(file_name))?;
-        let written = write_segment_tallied(index, docs, &mut file)?;
-        file.sync_all()?;
-        Ok(written)
-    }
-
-    /// Commits the replicas of one run, one segment each, as a whole: the
-    /// segments are sealed, written and synced concurrently (each replica is
-    /// consumed, so its memory goes as soon as its file is durable) and only
-    /// then recorded, all of them, by one atomic manifest write.  The result
-    /// is what `replicas.len()` calls of [`commit`](IndexStore::commit) leave
-    /// — same names, same bytes, same manifest — without the states in
-    /// between: a reader never sees some of the run's segments.
+    /// Commits the un-joined replicas of one run as **one** new segment: the
+    /// segment of their join, merged as it is sealed
+    /// ([`write_segment_merged`](crate::segment::write_segment_merged)) —
+    /// so what a run stores does not say how many threads built it.
     ///
     /// # Errors
     ///
-    /// Fails when a segment or the manifest cannot be written.  The store
+    /// Fails when the segment or the manifest cannot be written.  The store
     /// is then as it was: the manifest untouched, on disk and in memory, and
-    /// every file this call created removed.
+    /// the file this call created removed.
     pub fn commit_all(
         &mut self,
-        replicas: Vec<InMemoryIndex>,
+        replicas: &[InMemoryIndex],
         docs: &DocTable,
-    ) -> Result<Vec<SegmentInfo>, PersistError> {
-        let first = self.manifest.next_segment;
-        let names: Vec<String> = (first..).take(replicas.len()).map(segment_file_name).collect();
+    ) -> Result<SegmentInfo, PersistError> {
+        self.publish(replicas, docs, false).map(|(_, info)| info)
+    }
+
+    /// Replaces every live segment with a single segment holding `index`:
+    /// [`replace_with`](IndexStore::replace_with) of one source.  This is the
+    /// incremental-indexing commit: the caller loaded the joined index,
+    /// brought it up to date, and stores the result as the new sole segment.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`replace_with`](IndexStore::replace_with).
+    pub fn replace_all(
+        &mut self,
+        index: &InMemoryIndex,
+        docs: &DocTable,
+    ) -> Result<SegmentInfo, PersistError> {
+        self.replace_with(std::slice::from_ref(index), docs)
+    }
+
+    /// A full run taking ownership of the store: the run's replicas become
+    /// the one live segment ([`commit_all`](IndexStore::commit_all)) and
+    /// every earlier segment is retired by the **same** manifest write; the
+    /// old files are deleted after it is durable.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`commit_all`](IndexStore::commit_all); the old segments
+    /// are live and untouched in that case.
+    pub fn replace_with(
+        &mut self,
+        replicas: &[InMemoryIndex],
+        docs: &DocTable,
+    ) -> Result<SegmentInfo, PersistError> {
+        self.publish(replicas, docs, true).map(|(_, info)| info)
+    }
+
+    /// Seals `sources` into one segment file under the next name, syncs it
+    /// and publishes it by one manifest write — beside the live segments,
+    /// or, with `alone`, in their place (their files are removed once the
+    /// manifest no longer names them).  Published whole or not at all: on
+    /// failure the manifest is as it was and the new file is removed.
+    fn publish(
+        &mut self,
+        sources: &[InMemoryIndex],
+        docs: &DocTable,
+        alone: bool,
+    ) -> Result<(String, SegmentInfo), PersistError> {
+        let file_name = segment_file_name(self.manifest.next_segment);
+        let path = self.root.join(&file_name);
         let before = self.manifest.clone();
-        let jobs: Vec<(&String, InMemoryIndex)> = names.iter().zip(replicas).collect();
-        let published =
-            fan_out(jobs, |(name, replica)| self.write_segment_file(name, &replica, docs))
-                .into_iter()
-                .collect::<Result<Vec<(SegmentInfo, SectionBytes)>, PersistError>>()
-                .and_then(|written| {
-                    let (infos, sections): (Vec<SegmentInfo>, Vec<SectionBytes>) =
-                        written.into_iter().unzip();
-                    for (file_name, &info) in names.iter().zip(&infos) {
-                        let file_name = file_name.clone();
-                        self.manifest.segments.push(ManifestSegment { file_name, info });
-                    }
-                    self.manifest.next_segment += names.len() as u64;
-                    self.write_manifest()?;
-                    sections.into_iter().for_each(|sections| self.written += sections);
-                    Ok(infos)
-                });
-        if published.is_err() {
-            self.manifest = before;
-            for name in &names {
-                let _ = fs::remove_file(self.root.join(name));
+        let published = fs::File::create(&path)
+            .map_err(PersistError::from)
+            .and_then(|mut file| {
+                let written = write_segment_tallied(sources, docs, &mut file)?;
+                file.sync_all()?;
+                Ok(written)
+            })
+            .and_then(|(info, sections)| {
+                if alone {
+                    self.manifest.segments.clear();
+                }
+                self.manifest.segments.push(ManifestSegment { file_name: file_name.clone(), info });
+                self.manifest.next_segment += 1;
+                self.write_manifest()?;
+                self.written += sections;
+                Ok(info)
+            });
+        match published {
+            Ok(info) => {
+                // Best effort: a file that cannot be removed is orphaned but
+                // harmless (the manifest no longer names it).
+                for retired in if alone { &before.segments[..] } else { &[] } {
+                    let _ = fs::remove_file(self.root.join(&retired.file_name));
+                }
+                Ok((file_name, info))
+            }
+            Err(e) => {
+                self.manifest = before;
+                let _ = fs::remove_file(&path);
+                Err(e)
             }
         }
-        published
     }
 
     /// Keeps only the segments whose file name satisfies `keep`; the rest are
@@ -443,59 +479,6 @@ impl IndexStore {
         }
         Ok((join_all(indices), docs))
     }
-
-    /// Replaces every live segment with a single segment holding `index`.
-    ///
-    /// This is the incremental-indexing commit: the caller loaded the joined
-    /// index, brought it up to date, and stores the result as the new sole
-    /// segment.  Old segment files are deleted after the new one is safely on
-    /// disk.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the new segment or the manifest cannot be written; the old
-    /// segments are left untouched in that case.
-    pub fn replace_all(
-        &mut self,
-        index: &InMemoryIndex,
-        docs: &DocTable,
-    ) -> Result<SegmentInfo, PersistError> {
-        let old_segments = std::mem::take(&mut self.manifest.segments);
-        match self.commit(index, docs) {
-            Ok(info) => {
-                for entry in &old_segments {
-                    let _ = fs::remove_file(self.root.join(&entry.file_name));
-                }
-                Ok(info)
-            }
-            Err(e) => {
-                // Restore the manifest view of the old segments.
-                self.manifest.segments = old_segments;
-                Err(e)
-            }
-        }
-    }
-
-    /// Replaces every live segment with one joined segment.
-    ///
-    /// Returns the new segment's summary.  The replaced segment files are
-    /// deleted from disk.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a segment cannot be read or the new segment cannot be
-    /// written; in that case the old segments are left untouched.
-    pub fn compact(&mut self) -> Result<SegmentInfo, PersistError> {
-        let (joined, docs) = self.load_joined()?;
-        let old_segments = std::mem::take(&mut self.manifest.segments);
-        let info = self.commit(&joined, &docs)?;
-        for entry in old_segments {
-            // Best effort: a segment that cannot be removed is orphaned but
-            // harmless (it is no longer referenced by the manifest).
-            let _ = fs::remove_file(self.root.join(&entry.file_name));
-        }
-        Ok(info)
-    }
 }
 
 #[cfg(test)]
@@ -610,11 +593,12 @@ mod tests {
         assert_eq!(joined.postings(&Term::from("common")).unwrap().len(), 8);
         assert_eq!(joined_docs.len(), 8);
 
-        let info = store.compact().unwrap();
+        // The same replicas committed as one run are one segment: that join.
+        let info = store.replace_with(&[replica_a, replica_b], &docs).unwrap();
         assert_eq!(store.segment_count(), 1);
         assert_eq!(info.doc_count, 8);
-        let (compacted, _) = store.load_segment(0).unwrap();
-        assert_eq!(compacted, joined);
+        let (merged, _) = store.load_segment(0).unwrap();
+        assert_eq!(merged, joined);
         // Old segment files are gone.
         let remaining: Vec<_> = fs::read_dir(store.root())
             .unwrap()
@@ -677,56 +661,114 @@ mod tests {
     }
 
     #[test]
-    fn commit_all_leaves_what_one_commit_per_replica_leaves() {
+    fn commit_all_leaves_what_committing_the_join_leaves() {
         let dir = TempDir::new("commit-all");
         let (replicas, docs) = replicas();
-        // Behind an earlier segment, so the names do not start at 1.
+        // Behind an earlier segment, so the name is not the first.
         let (earlier, earlier_docs) = sample(0);
-        let mut one_by_one = IndexStore::open(dir.path().join("a")).unwrap();
-        let mut at_once = IndexStore::open(dir.path().join("b")).unwrap();
-        one_by_one.commit(&earlier, &earlier_docs).unwrap();
-        at_once.commit(&earlier, &earlier_docs).unwrap();
+        let mut joined = IndexStore::open(dir.path().join("a")).unwrap();
+        let mut merged = IndexStore::open(dir.path().join("b")).unwrap();
+        joined.commit(&earlier, &earlier_docs).unwrap();
+        merged.commit(&earlier, &earlier_docs).unwrap();
 
-        let infos: Vec<SegmentInfo> =
-            replicas.iter().map(|replica| one_by_one.commit(replica, &docs).unwrap()).collect();
-        assert_eq!(at_once.commit_all(replicas, &docs).unwrap(), infos);
-        assert_eq!(at_once.manifest(), one_by_one.manifest());
+        let info = joined.commit(&join_all(replicas.clone()), &docs).unwrap();
+        assert_eq!(merged.commit_all(&replicas, &docs).unwrap(), info);
+        assert_eq!(merged.manifest(), joined.manifest());
         // Same names, same bytes, the manifest file included.
-        assert_eq!(files_of(&at_once), files_of(&one_by_one));
-        assert_eq!(files_of(&at_once).len(), 5);
-        assert_eq!(at_once.commit_all(Vec::new(), &docs).unwrap(), Vec::new());
-        assert_eq!(at_once.manifest(), one_by_one.manifest());
+        assert_eq!(files_of(&merged), files_of(&joined));
+        assert_eq!(files_of(&merged).len(), 3);
+        assert_eq!(merged.written(), joined.written());
+        // A run without replicas is the empty index.
+        let empty = joined.commit(&InMemoryIndex::new(), &docs).unwrap();
+        assert_eq!(merged.commit_all(&[], &docs).unwrap(), empty);
+        assert_eq!(files_of(&merged), files_of(&joined));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 32,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// However a run's files were dealt to its replicas — some replicas
+        /// empty, a file in two of them with different frequencies — the
+        /// segment file `commit_all` writes is the one their join is
+        /// committed as, and the one a sequential build of the same files is.
+        #[test]
+        fn a_run_is_stored_as_its_join_however_its_files_were_dealt(
+            files in proptest::collection::vec(
+                (0usize..5, proptest::collection::vec(("[a-d]{1,3}", 1u32..6), 0..8)),
+                0..40,
+            ),
+            replicas in 1usize..=5,
+        ) {
+            let dir = TempDir::new("dealt");
+            let segment_of = |name: &str, sources: &[InMemoryIndex], docs: &DocTable| {
+                let mut store = IndexStore::open(dir.path().join(name)).unwrap();
+                store.commit_all(sources, docs).unwrap();
+                fs::read(store.root().join(segment_file_name(1))).unwrap()
+            };
+            let counted = |words: &[(String, u32)], more: u32| {
+                let mut words = words.to_vec();
+                words.sort();
+                words.dedup_by(|a, b| a.0 == b.0);
+                words.into_iter().map(move |(word, tf)| (Term::from(word), tf + more))
+            };
+            let mut docs = DocTable::new();
+            let mut sequential = InMemoryIndex::new();
+            let mut dealt = vec![InMemoryIndex::new(); replicas];
+            for (i, (replica, words)) in files.iter().enumerate() {
+                let id = docs.insert(format!("dir{}/f{i}.txt", i % 3));
+                sequential.insert_file_counted(id, counted(words, 0));
+                dealt[replica % replicas].insert_file_counted(id, counted(words, 0));
+            }
+            let merged = segment_of("merged", &dealt, &docs);
+            proptest::prop_assert_eq!(&merged, &segment_of("joined", &[join_all(dealt.clone())], &docs));
+            proptest::prop_assert_eq!(&merged, &segment_of("sequential", &[sequential], &docs));
+
+            // The first file again, in the next replica, more often.
+            if let Some((replica, words)) = files.first() {
+                dealt[(replica + 1) % replicas].insert_file_counted(FileId(0), counted(words, 2));
+                proptest::prop_assert_eq!(
+                    segment_of("merged-twice", &dealt, &docs),
+                    segment_of("joined-twice", &[join_all(dealt.clone())], &docs)
+                );
+            }
+        }
     }
 
     #[test]
     fn a_run_is_published_whole_or_not_at_all() {
         let (replicas, docs) = replicas();
-        for failing in 0..replicas.len() {
-            let dir = TempDir::new("whole");
-            let root = dir.path().join("s");
-            let mut store = IndexStore::open(&root).unwrap();
-            let (earlier, earlier_docs) = sample(0);
-            store.commit(&earlier, &earlier_docs).unwrap();
-            let before = files_of(&store);
-            // Segment `failing` of the run cannot be created: a directory
-            // is in its place.
-            let blocked = root.join(segment_file_name(2 + failing as u64));
-            fs::create_dir(&blocked).unwrap();
+        let dir = TempDir::new("whole");
+        let root = dir.path().join("s");
+        let mut store = IndexStore::open(&root).unwrap();
+        let (earlier, earlier_docs) = sample(0);
+        store.commit(&earlier, &earlier_docs).unwrap();
+        let before = files_of(&store);
+        // The run's segment cannot be created: a directory is in its place.
+        let blocked = root.join(segment_file_name(2));
+        fs::create_dir(&blocked).unwrap();
 
-            assert!(store.commit_all(replicas.clone(), &docs).is_err());
-            // The manifest names the old segment alone, in memory and for
-            // whoever opens the store next, and no file of the run is left.
-            assert_eq!(store.segment_count(), 1);
-            assert_eq!(store.manifest(), IndexStore::open(&root).unwrap().manifest());
-            assert_eq!(files_of(&store), before, "failing segment {failing}");
+        // Beside the old segment or in its place, a run that fails leaves
+        // the manifest naming the old segment alone, in memory and for
+        // whoever opens the store next, and the old file where it was.
+        assert!(store.commit_all(&replicas, &docs).is_err());
+        assert!(store.replace_with(&replicas, &docs).is_err());
+        assert_eq!(store.segment_count(), 1);
+        assert_eq!(store.manifest(), IndexStore::open(&root).unwrap().manifest());
+        fs::remove_dir(&blocked).unwrap();
+        assert_eq!(files_of(&store), before);
 
-            // With the obstacle gone the same call goes through, under the
-            // names the failed one had reserved.
-            fs::remove_dir(&blocked).unwrap();
-            store.commit_all(replicas.clone(), &docs).unwrap();
-            assert_eq!(store.segment_count(), 4);
-            assert_eq!(store.manifest().segments[1].file_name, "segment-000002.dsg");
-        }
+        // With the obstacle gone the same call goes through, under the
+        // name the failed one had reserved.
+        store.commit_all(&replicas, &docs).unwrap();
+        assert_eq!(store.segment_count(), 2);
+        assert_eq!(store.manifest().segments[1].file_name, "segment-000002.dsg");
+        // And a run that takes the store over leaves its one file.
+        store.replace_with(&replicas, &docs).unwrap();
+        let names: Vec<String> = files_of(&store).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["manifest.json", "segment-000003.dsg"]);
     }
 
     #[test]
@@ -734,7 +776,9 @@ mod tests {
         let dir = TempDir::new("load-all");
         let mut store = IndexStore::open(dir.path().join("s")).unwrap();
         let (replicas, docs) = replicas();
-        store.commit_all(replicas.clone(), &docs).unwrap();
+        for replica in &replicas {
+            store.commit(replica, &docs).unwrap();
+        }
         let loaded = store.load_all().unwrap();
         assert_eq!(loaded.iter().map(|(index, _)| index.clone()).collect::<Vec<_>>(), replicas);
         for (position, (shard, _)) in store.load_all_sealed().unwrap().iter().enumerate() {

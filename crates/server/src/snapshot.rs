@@ -8,11 +8,10 @@
 //! flight — readers on the old generation finish on the old image, new
 //! queries pick up the new one.
 //!
-//! The shard layout mirrors the paper's Implementation 3: a store holding the
-//! un-joined replica segments of a parallel run is served replica-per-shard,
-//! exactly the "search can work with multiple indices in parallel" future
-//! work the paper sketches.  A compacted (single-segment) store loads as one
-//! shard.
+//! A store of several segments — a resumable build seals one per checkpoint —
+//! is served segment-per-shard, the "search can work with multiple indices
+//! in parallel" future work the paper sketches.  `dsearch index` stores a run
+//! as one segment however many replicas built it, which loads as one shard.
 //!
 //! Shards are **sealed** ([`SealedShard`]): each is the bytes of its segment
 //! file — postings in fixed-size delta blocks, term by sorted term — plus

@@ -177,8 +177,8 @@ fn multi_segment_store_serves_as_sharded_snapshot() {
     let dir = TempDir::new("shards");
     let store_dir = dir.path().join("store");
 
-    // One shared doc table, three replica segments — Implementation 3's
-    // on-disk layout.
+    // One shared doc table, three segments that each hold part of the run —
+    // a resumable build's on-disk layout.
     let mut docs = DocTable::new();
     let mut replicas: Vec<InMemoryIndex> = (0..3).map(|_| InMemoryIndex::new()).collect();
     for i in 0..30u32 {

@@ -15,6 +15,7 @@ use dsearch::persist::segment::{
 };
 use dsearch::persist::{IncrementalIndexer, IndexStore, PersistError, SignatureDb};
 use dsearch::query::{Query, Searcher};
+use dsearch::server::IndexSnapshot;
 use dsearch::text::Term;
 use dsearch::vfs::{MemFs, VPath};
 
@@ -81,23 +82,85 @@ fn implementation3_replicas_stored_as_segments_join_to_the_same_index() {
     let reference = generator
         .run(&fs, &VPath::root(), Implementation::SharedLocked, Configuration::new(2, 0, 0))
         .unwrap();
-    let (reference_index, _) = reference.outcome.into_single_index();
+    let (reference_index, reference_docs) = reference.outcome.into_single_index();
 
     let dir = TempDir::new("replicas");
     let mut store = IndexStore::open(dir.path().join("store")).unwrap();
-    match replicated.outcome {
-        dsearch::core::IndexOutcome::Replicas { set, docs } => {
-            store.commit_all(set.into_replicas(), &docs).unwrap();
-        }
-        _ => panic!("Implementation 3 must keep replicas"),
-    }
-    assert_eq!(store.segment_count(), 4);
+    let IndexOutcome::Replicas { set, docs } = &replicated.outcome else {
+        panic!("Implementation 3 must keep replicas");
+    };
+    assert_eq!(set.replica_count(), 4);
+    store.commit_all(set.replicas(), docs).unwrap();
 
-    // The on-disk compaction is the deferred "Join Forces" step.
-    store.compact().unwrap();
+    // The replicas are merged as they are sealed: one segment, the index
+    // "Join Forces" would have built — and the file it would have stored.
     assert_eq!(store.segment_count(), 1);
-    let (joined, _) = store.load_segment(0).unwrap();
-    assert_eq!(joined, reference_index);
+    let (merged, _) = store.load_segment(0).unwrap();
+    assert_eq!(merged, reference_index);
+    let mut joined = IndexStore::open(dir.path().join("joined")).unwrap();
+    joined.commit(&reference_index, &reference_docs).unwrap();
+    let segment = |store: &IndexStore| {
+        fs::read(store.root().join(&store.manifest().segments[0].file_name)).unwrap()
+    };
+    assert_eq!(segment(&store), segment(&joined));
+}
+
+/// Ranked answers — hits, order, scores to the bit — are the corpus's, not
+/// the indexing machine's: each shard scores BM25 against its own document
+/// count and average length, so a store of one segment per extractor ranked
+/// differently for every thread count.
+#[test]
+fn ranked_answers_do_not_depend_on_how_many_threads_indexed() {
+    let (fs, _) = materialize_to_memfs(&CorpusSpec::tiny(), 7);
+    let dir = TempDir::new("ranking");
+    let snapshots: Vec<IndexSnapshot> = [1, 2, 4]
+        .into_iter()
+        .map(|extractors| {
+            let run = IndexGenerator::default()
+                .run(
+                    &fs,
+                    &VPath::root(),
+                    Implementation::ReplicateNoJoin,
+                    Configuration::new(extractors, 0, 0),
+                )
+                .unwrap();
+            assert_eq!(run.outcome.replica_count(), extractors);
+            let mut store = IndexStore::open(dir.path().join(format!("x{extractors}"))).unwrap();
+            store.replace_with(run.outcome.replicas(), run.outcome.docs()).unwrap();
+            IndexSnapshot::load(&store, 1).unwrap()
+        })
+        .collect();
+
+    // The most frequent terms alone, and each with its neighbour in an OR.
+    let mut by_frequency: Vec<(usize, Term)> = {
+        let (index, _) = IndexStore::open(dir.path().join("x1")).unwrap().load_joined().unwrap();
+        index.iter().map(|(term, list)| (list.len(), term.clone())).collect()
+    };
+    by_frequency.sort_by(|a, b| b.cmp(a));
+    let terms: Vec<Term> = by_frequency.into_iter().take(12).map(|(_, term)| term).collect();
+    let queries = terms
+        .iter()
+        .map(|term| Query::any_of([term.clone()]))
+        .chain(terms.windows(2).map(|pair| Query::any_of(pair.to_vec())));
+    let mut ranked = 0;
+    for query in queries {
+        let answers: Vec<Vec<(String, u32)>> = snapshots
+            .iter()
+            .map(|snapshot| {
+                let (results, _) = snapshot.search_topk(&query, 10, &|| false).unwrap();
+                results
+                    .hits()
+                    .iter()
+                    .map(|hit| (hit.path.to_string(), hit.score.to_bits()))
+                    .collect()
+            })
+            .collect();
+        assert!(answers[0].len() > 1, "{query:?} ranks nothing");
+        assert_eq!(answers[1], answers[0], "{query:?}: 2 extractors");
+        assert_eq!(answers[2], answers[0], "{query:?}: 4 extractors");
+        ranked += 1;
+    }
+    assert_eq!(ranked, 23);
 }
 
 /// The writer as it was before it streamed: seal the whole index into a

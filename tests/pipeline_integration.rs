@@ -7,7 +7,8 @@ use dsearch::core::{
     Configuration, GeneratorOptions, Implementation, IndexGenerator, IndexOutcome, PipelineError,
 };
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::persist::segment::{read_segment, write_segment};
+use dsearch::index::{DocTable, InMemoryIndex};
+use dsearch::persist::segment::{read_segment, write_segment, write_segment_merged};
 use dsearch::text::Term;
 use dsearch::vfs::{CountingFs, MemFs, VPath};
 
@@ -16,12 +17,21 @@ fn corpus() -> (MemFs, u64) {
     (fs, manifest.file_count())
 }
 
+/// The segment a store writes for what a run built: one index, or the
+/// un-joined replicas of Implementation 3.
+fn persisted(built: &[InMemoryIndex], docs: &DocTable) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_segment_merged(built, docs, std::io::Cursor::new(&mut bytes)).unwrap();
+    bytes
+}
+
 #[test]
 fn every_implementation_and_configuration_builds_the_same_index() {
     let (fs, file_count) = corpus();
     let generator = IndexGenerator::default();
     let sequential = generator.run_sequential(&fs, &VPath::root()).unwrap();
     assert_eq!(sequential.index.file_count(), file_count);
+    let stored = persisted(std::slice::from_ref(&sequential.index), &sequential.docs);
 
     let configs = [
         Configuration::new(1, 0, 0),
@@ -39,6 +49,11 @@ fn every_implementation_and_configuration_builds_the_same_index() {
             let run = generator.run(&fs, &VPath::root(), implementation, config).unwrap();
             assert_eq!(run.stage2.files, file_count, "{implementation} {config}");
             assert_eq!(run.stage1.files, file_count);
+            // What is stored does not say how it was built, to the byte.
+            assert!(
+                persisted(run.outcome.replicas(), run.outcome.docs()) == stored,
+                "{implementation} {config}"
+            );
             let (index, docs) = run.outcome.into_single_index();
             assert_eq!(index, sequential.index, "{implementation} {config}");
             assert_eq!(docs, sequential.docs);
@@ -76,6 +91,7 @@ fn sequential_baseline_reads_files_twice_for_the_measurement_passes() {
 fn all_option_combinations_produce_the_reference_index() {
     let (fs, _) = corpus();
     let reference = IndexGenerator::default().run_sequential(&fs, &VPath::root()).unwrap();
+    let stored = persisted(std::slice::from_ref(&reference.index), &reference.docs);
 
     for distribution in DistributionStrategy::ALL {
         for (dedup, granularity) in [
@@ -100,11 +116,12 @@ fn all_option_combinations_produce_the_reference_index() {
                         Configuration::new(2, 1, 0),
                     )
                     .unwrap();
-                let (index, _) = run.outcome.into_single_index();
-                assert_eq!(
-                    index, reference.index,
+                let what = format!(
                     "distribution={distribution:?} dedup={dedup:?} granularity={granularity:?} stage1={stage1:?}"
                 );
+                assert!(persisted(run.outcome.replicas(), run.outcome.docs()) == stored, "{what}");
+                let (index, _) = run.outcome.into_single_index();
+                assert_eq!(index, reference.index, "{what}");
             }
         }
     }
