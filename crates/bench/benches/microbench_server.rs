@@ -1,7 +1,10 @@
 //! Server microbenchmarks: query throughput through the worker pool at
 //! 1/4/8 workers, with a cold cache (every request distinct) versus a warm
-//! cache (small repeated workload), and batched versus unbatched execution
-//! on a repeated/shared-term workload the cache cannot absorb.
+//! cache (small repeated workload), batched versus unbatched execution
+//! on a repeated/shared-term workload the cache cannot absorb, and the
+//! hand-off alone (`pool_execute`: cache hits through `Pool::execute` from one
+//! caller, who always finds an execution slot, versus twice as many callers as
+//! slots).
 //!
 //! Run with `cargo bench --bench microbench_server`.
 
@@ -256,5 +259,54 @@ fn bench_batching(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_worker_scaling, bench_cache_effect, bench_batching);
+/// What getting a request to the engine and its answer back costs: every
+/// request is a cache hit (3 µs of engine work), so the rest of an iteration
+/// is `Pool::execute`.  `idle`: one closed-loop caller, granted a slot every
+/// time, runs on its own thread.  `contended`: `2 × workers` callers, so a
+/// request may find the slots taken, queue, and be handed to a worker and
+/// back; how many did not is printed (with hits this short and two cores,
+/// most still find a slot).
+fn bench_pool_execute(c: &mut Criterion) {
+    const WORKERS: usize = 2;
+    let mut group = c.benchmark_group("pool_execute");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(REQUESTS_PER_ITER as u64));
+    let workload = warm_workload();
+    for (name, callers) in [("idle", 1), ("contended", 2 * WORKERS)] {
+        let engine = engine_with(WORKERS, 4096);
+        let pool = WorkerPool::start(Arc::clone(&engine));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let report = loadgen::run(
+                    &pool,
+                    &workload,
+                    &LoadConfig {
+                        requests: REQUESTS_PER_ITER,
+                        mode: LoadMode::Closed { clients: callers },
+                        stage_report: false,
+                        deadline_ms: None,
+                    },
+                );
+                assert_eq!(report.errors, 0);
+                report.latency.p50
+            });
+        });
+        let stats = engine.stats();
+        println!(
+            "pool_execute/{name}: {} of {} queries ran where they arrived",
+            stats.get(Metric::Inline),
+            stats.get(Metric::Queries)
+        );
+        pool.shutdown();
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_worker_scaling,
+    bench_cache_effect,
+    bench_batching,
+    bench_pool_execute
+);
 criterion_main!(benches);

@@ -209,6 +209,53 @@ fn incremental_update_rescans_only_changes() {
 }
 
 #[test]
+fn a_full_index_retires_the_signatures_of_the_store_it_replaces() {
+    let dir = TempDir::new("retire-signatures");
+    let docs = dir.path().join("docs");
+    fs::create_dir_all(&docs).unwrap();
+    write_docs(&docs);
+    let store = dir.sub("store");
+    let incremental = |store: &str| run(index_args(&docs, store, &["--incremental"])).unwrap();
+    let signatures = Path::new(&store).join("signatures.json");
+
+    // Signatures recorded over the first contents of `todo.txt` …
+    assert!(incremental(&store).contains("added 3"));
+    assert!(signatures.exists());
+    // … a full index over its second contents …
+    fs::write(docs.join("todo.txt"), "rewrite the sequential baseline").unwrap();
+    let full = run(index_args(&docs, &store, &[])).unwrap();
+    assert!(full.contains("1 segment(s) (replaced 1)"), "{full}");
+    assert!(!signatures.exists(), "they describe the segment that went");
+    // … and an incremental run once the file is back to what it first held:
+    // with the old signatures still there it would read "unchanged" and keep
+    // the postings of the contents in between.
+    fs::write(docs.join("todo.txt"), "review the parallel index generator").unwrap();
+    let third = incremental(&store);
+    assert!(third.contains("unchanged 0"), "{third}");
+
+    // The store answers as one built from scratch over the same files does.
+    let fresh = dir.sub("fresh");
+    run(index_args(&docs, &fresh, &[])).unwrap();
+    let hits = |store: &str, query: &str| {
+        let out = search(store, query);
+        let mut paths: Vec<String> = out
+            .lines()
+            .filter(|line| line.starts_with("  "))
+            .filter_map(|line| line.split_whitespace().next().map(str::to_owned))
+            .collect();
+        paths.sort();
+        (out.lines().next().unwrap_or_default().to_owned(), paths)
+    };
+    for query in ["generator", "sequential", "baseline", "parallel", "revenue", "review"] {
+        assert_eq!(hits(&store, query), hits(&fresh, query), "{query}");
+    }
+    assert!(search(&store, "generator").contains("todo.txt"));
+    assert!(search(&store, "sequential").contains("0 result(s)"));
+    // And the signatures are this run's again.
+    assert!(incremental(&store).contains("added 0 / modified 0 / removed 0 / unchanged 3"));
+}
+
+#[test]
 fn loadgen_reports_qps_and_percentiles() {
     let dir = TempDir::new("loadgen");
     let docs = dir.path().join("docs");

@@ -247,19 +247,6 @@ impl HistogramSnapshot {
             max: Duration::from_nanos(self.max_ns),
         }
     }
-
-    /// The samples recorded between `earlier` and this snapshot.  The delta's
-    /// `max_ns` is this snapshot's (the true window maximum is not
-    /// recoverable from two cumulative states).
-    #[must_use]
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i])),
-            count: self.count.saturating_sub(earlier.count),
-            sum_ns: self.sum_ns.saturating_sub(earlier.sum_ns),
-            max_ns: self.max_ns,
-        }
-    }
 }
 
 /// One registered metric's identity: a name plus at most one label pair
@@ -461,31 +448,6 @@ impl MetricsSnapshot {
         lookup(&self.histograms, name, label)
     }
 
-    /// The counter increments and histogram samples recorded between
-    /// `earlier` and this snapshot.  Gauges keep their current value (a gauge
-    /// delta is not meaningful).  Metrics absent from `earlier` are treated
-    /// as having started at zero.
-    #[must_use]
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| {
-                let base = earlier.counters.iter().find(|(ek, _)| ek == k).map_or(0, |(_, ev)| *ev);
-                (k.clone(), v.saturating_sub(base))
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| match earlier.histograms.iter().find(|(ek, _)| ek == k) {
-                Some((_, base)) => (k.clone(), h.delta_since(base)),
-                None => (k.clone(), h.clone()),
-            })
-            .collect();
-        MetricsSnapshot { counters, gauges: self.gauges.clone(), histograms }
-    }
-
     /// Renders the snapshot as Prometheus-style text exposition.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
@@ -641,21 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_deltas_subtract_windows() {
-        let h = Histogram::new();
-        h.record_ns(10);
-        h.record_ns(20);
-        let first = h.snapshot();
-        h.record_ns(1_000_000);
-        let second = h.snapshot();
-        let delta = second.delta_since(&first);
-        assert_eq!(delta.count, 1);
-        assert_eq!(delta.sum_ns, 1_000_000);
-        assert_eq!(delta.percentile(50.0), Duration::from_nanos(1_000_000));
-    }
-
-    #[test]
-    fn registry_snapshot_reads_and_deltas() {
+    fn registry_snapshot_reads() {
         let registry = MetricsRegistry::new();
         registry.counter("queries_total").add(10);
         registry.gauge("conns_active").set(3);
@@ -664,11 +612,12 @@ mod tests {
         registry.counter("queries_total").add(5);
         registry.labeled_histogram("stage_ns", "stage", "parse").record_ns(700);
         let second = registry.snapshot();
+        // A snapshot is a copy: later increments do not reach it.
+        assert_eq!(first.counter("queries_total"), 10);
+        assert_eq!(first.histogram("stage_ns", Some(("stage", "parse"))).unwrap().count, 1);
         assert_eq!(second.counter("queries_total"), 15);
         assert_eq!(second.gauge("conns_active"), 3);
-        let delta = second.delta_since(&first);
-        assert_eq!(delta.counter("queries_total"), 5);
-        assert_eq!(delta.histogram("stage_ns", Some(("stage", "parse"))).unwrap().count, 1);
+        assert_eq!(second.histogram("stage_ns", Some(("stage", "parse"))).unwrap().count, 2);
         assert!(second.histogram("stage_ns", Some(("stage", "merge"))).is_none());
         assert!(second.histogram("stage_ns", None).is_none());
         assert_eq!(second.counter("missing"), 0);

@@ -108,7 +108,9 @@ impl SignatureDb {
     /// Atomically writes the database into a store directory: a crash
     /// mid-write leaves the previous file, never truncated JSON.
     ///
-    /// Save it *after* the index it describes.  A crash between the two then
+    /// The ordering rule: a signature on disk never vouches for contents the
+    /// index beside it does not hold.  So save the database *after* the index
+    /// it describes.  A crash between the two then
     /// leaves new segments beside old signatures: the next `--incremental`
     /// run sees the changed files as changed once more and re-scans them
     /// (their postings are replaced, not doubled).  The other order would
@@ -120,6 +122,25 @@ impl SignatureDb {
     /// Fails when the file cannot be written.
     pub fn save(&self, store_root: &Path) -> Result<(), PersistError> {
         write_atomic(store_root, SIGNATURES_FILE, &self.to_json()?)
+    }
+
+    /// Removes the database from a store directory whose segments are about
+    /// to be replaced by an index it does not describe.  By the rule of
+    /// [`save`](SignatureDb::save) it goes *before* them: a crash between the
+    /// two leaves old segments beside no signatures, and the next
+    /// `--incremental` run re-scans every file (replacing its postings).  The
+    /// other order would leave the old signatures vouching for the new
+    /// segments, and a file that went back to its recorded contents would be
+    /// skipped as unchanged over postings of what it held in between.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the file exists and cannot be removed.
+    pub fn retire(store_root: &Path) -> Result<(), PersistError> {
+        match std::fs::remove_file(store_root.join(SIGNATURES_FILE)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+            _ => Ok(()),
+        }
     }
 
     /// Serialises the database as JSON.

@@ -35,6 +35,7 @@ use serde::{Deserialize, Serialize};
 use dsearch_index::{join_all, DocTable, InMemoryIndex, SealedShard, SectionBytes};
 
 use crate::error::PersistError;
+use crate::incremental::SignatureDb;
 use crate::segment::{read_segment, read_segment_sealed, write_segment_tallied, SegmentInfo};
 
 /// Current manifest format version.
@@ -285,12 +286,16 @@ impl IndexStore {
     /// A full run taking ownership of the store: the run's replicas become
     /// the one live segment ([`commit_all`](IndexStore::commit_all)) and
     /// every earlier segment is retired by the **same** manifest write; the
-    /// old files are deleted after it is durable.
+    /// old files are deleted after it is durable.  The signatures an
+    /// `--incremental` run left describe the segments that go, so they go
+    /// too ([`SignatureDb::retire`]); a caller whose new segment they still
+    /// describe saves them again afterwards.
     ///
     /// # Errors
     ///
     /// Fails like [`commit_all`](IndexStore::commit_all); the old segments
-    /// are live and untouched in that case.
+    /// are live and untouched in that case (the signatures are not restored:
+    /// the next `--incremental` run re-scans).
     pub fn replace_with(
         &mut self,
         replicas: &[InMemoryIndex],
@@ -302,14 +307,18 @@ impl IndexStore {
     /// Seals `sources` into one segment file under the next name, syncs it
     /// and publishes it by one manifest write — beside the live segments,
     /// or, with `alone`, in their place (their files are removed once the
-    /// manifest no longer names them).  Published whole or not at all: on
-    /// failure the manifest is as it was and the new file is removed.
+    /// manifest no longer names them; the signatures that describe them are
+    /// removed first).  Published whole or not at all: on failure the
+    /// manifest is as it was and the new file is removed.
     fn publish(
         &mut self,
         sources: &[InMemoryIndex],
         docs: &DocTable,
         alone: bool,
     ) -> Result<(String, SegmentInfo), PersistError> {
+        if alone {
+            SignatureDb::retire(&self.root)?;
+        }
         let file_name = segment_file_name(self.manifest.next_segment);
         let path = self.root.join(&file_name);
         let before = self.manifest.clone();
@@ -614,8 +623,12 @@ mod tests {
         let mut store = IndexStore::open(dir.path().join("s")).unwrap();
         let (first, first_docs) = sample(0);
         store.commit(&first, &first_docs).unwrap();
+        // Signatures describe the segments beside them: a commit beside them
+        // keeps them, a replacement retires them with what it replaces.
+        SignatureDb::new().save(store.root()).unwrap();
         store.commit(&first, &first_docs).unwrap();
         assert_eq!(store.segment_count(), 2);
+        assert!(store.root().join(crate::SIGNATURES_FILE).exists());
 
         let mut new_docs = DocTable::new();
         new_docs.insert("only.txt");
@@ -633,6 +646,7 @@ mod tests {
             .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".dsg"))
             .count();
         assert_eq!(remaining, 1);
+        assert!(!store.root().join(crate::SIGNATURES_FILE).exists());
     }
 
     /// Three replicas over one doc table of nine documents.

@@ -3,25 +3,32 @@
 //! * [`Executor`] — what the skeleton needs of the thing that answers
 //!   queries; [`QueryEngine`](crate::engine::QueryEngine) and
 //!   [`Router`](crate::route::Router) implement it.
-//! * `QueueGovernor` — the admission-controlled queue.  Submissions past a
-//!   configurable depth bound are shed according to an [`OverloadPolicy`]
+//! * `QueueGovernor` — the execution slots and the admission-controlled
+//!   queue behind them.  At most [`Executor::workers`] executions are in
+//!   flight; a request that arrives while a slot is free and nothing is
+//!   queued is granted the slot and never enters the queue.  Submissions past
+//!   a configurable depth bound are shed according to an [`OverloadPolicy`]
 //!   (reject the new request, or drop the oldest queued one), counted in
 //!   [`ServerStats`] and answered with [`ServerError::Overloaded`].  A worker
-//!   drains up to [`BatchConfig::max_batch`] queued jobs in one go
-//!   (optionally waiting up to [`BatchConfig::max_wait`] for the batch to
-//!   fill).
-//! * [`Pool`] — the worker threads draining those batches into
-//!   [`Executor::run_batch`]; [`Pending`] is what a submitter waits on.
+//!   takes a slot and drains up to [`BatchConfig::max_batch`] queued jobs in
+//!   one go (optionally waiting up to [`BatchConfig::max_wait`] for the batch
+//!   to fill).
+//! * [`Pool`] — [`Pool::execute`] answers a request on the caller's thread
+//!   when it is granted a slot; the worker threads drain what had to queue
+//!   into [`Executor::run_batch`], and [`Pending`] is what a submitter waits
+//!   on.
 //! * `BatchFrame` — what every `run_batch` opens and closes with, so that
 //!   an executor writes only what is its own: cache probe and evaluation, or
 //!   cache probe, scatter and merge.
 //!
-//! The scheduler favours latency when idle: with `max_wait == 0` a lone
-//! query is executed immediately as a batch of one, while a backlog drains
-//! in `max_batch`-sized groups, which is where dedup pays off.
+//! The scheduler favours latency when idle: a lone query is a batch of one
+//! on the thread it arrived on, with no hand-off and no fill window, while a
+//! backlog — requests beyond the slots — drains in `max_batch`-sized groups,
+//! which is where dedup pays off.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -124,7 +131,8 @@ pub trait Executor: Send + Sync + 'static {
     /// Batching and admission control for the pool's queue.
     fn batch_config(&self) -> BatchConfig;
 
-    /// Worker threads the pool spawns.
+    /// Executions the pool lets run at once — on callers' threads and on its
+    /// own — which is also how many worker threads it spawns.
     fn workers(&self) -> usize;
 
     /// Deadline applied to queries that carry no `@d=<ms>` budget.
@@ -184,6 +192,11 @@ pub(crate) struct Job<R> {
 }
 
 impl<R> Job<R> {
+    fn new(raw: String, submitted: Instant, deadline: Option<Instant>) -> (Self, Pending<R>) {
+        let (respond, receiver) = mpsc::channel();
+        (Job { raw, respond, submitted, deadline }, Pending { receiver })
+    }
+
     /// Consumes the job, answering its waiter with `error` so a dropped
     /// request is a fast failure, never a hang.
     fn refuse(self, error: ServerError) {
@@ -209,46 +222,81 @@ impl<R> Pending<R> {
     }
 }
 
-/// One drained batch plus how long the worker lingered for late arrivals
-/// (the batch's shared `batch_fill` span).
-pub(crate) struct DrainedBatch<R> {
+/// One drained batch, how long the worker lingered for late arrivals (the
+/// batch's shared `batch_fill` span) and the execution slot it runs under.
+pub(crate) struct DrainedBatch<'a, R> {
     /// The drained jobs, oldest first.
     jobs: Vec<Job<R>>,
     /// Zero unless a fill window was armed and taken.
     fill_wait: Duration,
+    slot: Slot<'a, R>,
+}
+
+/// One of the governor's execution slots, held for as long as an execution is
+/// in flight and given back on drop, whichever way the execution ends.
+pub(crate) struct Slot<'a, R> {
+    governor: &'a QueueGovernor<R>,
+}
+
+impl<R> Drop for Slot<'_, R> {
+    fn drop(&mut self) {
+        let mut state = self.governor.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.running -= 1;
+        // Only a worker kept from a queued job by the slots is worth waking:
+        // on an empty queue (every uncontended request) this is no system call.
+        let wanted = !state.queue.is_empty();
+        drop(state);
+        if wanted {
+            self.governor.available.notify_all();
+        }
+    }
 }
 
 struct GovernorState<R> {
     queue: VecDeque<Job<R>>,
     closed: bool,
+    /// Executions in flight, callers' inline runs and workers' batches alike;
+    /// never above the governor's `slots`.
+    running: usize,
     /// Timestamps of the most recent submissions (newest at the back), the
     /// adaptive controller's arrival-rate window.
     arrivals: VecDeque<Instant>,
 }
 
-/// The admission-controlled MPMC queue between submitters and workers.
+/// The execution slots, and the admission-controlled MPMC queue between
+/// submitters and workers for what finds no slot.
 ///
-/// Submitters `submit` jobs; workers drain them in batches via `next_batch`.  The governor
-/// enforces [`BatchConfig::queue_bound`] at admission time and records every
-/// shed request in the shared [`ServerStats`].  It is generic over what a
-/// job is answered with, so one scheduling layer serves every [`Executor`].
+/// Requests are `admit`ted: onto the caller's own thread under a [`Slot`], or
+/// into the queue, which workers drain in batches via `next_batch`, a slot
+/// per batch.  The governor enforces [`BatchConfig::queue_bound`] at
+/// admission time and records every shed request in the shared
+/// [`ServerStats`].  It is generic over what a job is answered with, so one
+/// scheduling layer serves every [`Executor`].
 pub(crate) struct QueueGovernor<R> {
     state: Mutex<GovernorState<R>>,
+    /// Waited on by workers with nothing to drain or no slot to drain under
+    /// (and, with a timeout, by one filling its batch); notified by every
+    /// queued job, by a slot given back while jobs are queued, and by `close`.
     available: Condvar,
     config: BatchConfig,
+    /// Most executions in flight at once.
+    slots: usize,
 }
 
 impl<R> QueueGovernor<R> {
-    /// Creates an open governor enforcing `config`.
-    pub(crate) fn new(config: BatchConfig) -> Self {
+    /// Creates an open governor enforcing `config` over `slots` execution
+    /// slots.
+    pub(crate) fn new(config: BatchConfig, slots: usize) -> Self {
         QueueGovernor {
             state: Mutex::new(GovernorState {
                 queue: VecDeque::new(),
                 closed: false,
+                running: 0,
                 arrivals: VecDeque::new(),
             }),
             available: Condvar::new(),
             config,
+            slots,
         }
     }
 
@@ -257,18 +305,32 @@ impl<R> QueueGovernor<R> {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).queue.len()
     }
 
-    /// Admits one job, shedding according to the overload policy when the
-    /// queue is at its bound.
+    /// Admits one request: the inline-or-queue decision, taken once, under
+    /// the lock.  A caller that can run the request itself (`inline`) is
+    /// granted an execution slot when nothing is queued — so it overtakes
+    /// nobody — and a slot is free; it gets the [`Slot`] back and `job` is
+    /// never called.  Otherwise `job()` is queued for the workers (`None`),
+    /// shedding according to the overload policy when the queue is at its
+    /// bound.
     ///
     /// # Errors
     ///
     /// Returns [`ServerError::Overloaded`] when the job is rejected under
     /// [`OverloadPolicy::RejectNew`], and [`ServerError::ShuttingDown`] after
     /// [`close`](QueueGovernor::close).
-    pub(crate) fn submit(&self, job: Job<R>, stats: &ServerStats) -> Result<(), ServerError> {
+    pub(crate) fn admit(
+        &self,
+        inline: bool,
+        job: impl FnOnce() -> Job<R>,
+        stats: &ServerStats,
+    ) -> Result<Option<Slot<'_, R>>, ServerError> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if state.closed {
             return Err(ServerError::ShuttingDown);
+        }
+        if inline && state.queue.is_empty() && state.running < self.slots {
+            state.running += 1;
+            return Ok(Some(Slot { governor: self }));
         }
         let bound = self.config.queue_bound;
         if bound > 0 && state.queue.len() >= bound {
@@ -286,7 +348,7 @@ impl<R> QueueGovernor<R> {
                 }
             }
         }
-        state.queue.push_back(job);
+        state.queue.push_back(job());
         if self.config.adaptive {
             if state.arrivals.len() == ARRIVAL_SAMPLES {
                 state.arrivals.pop_front();
@@ -295,11 +357,12 @@ impl<R> QueueGovernor<R> {
         }
         drop(state);
         self.available.notify_one();
-        Ok(())
+        Ok(None)
     }
 
-    /// Blocks until at least one job is available (or the governor closes),
-    /// then drains up to `max_batch` jobs.  With a nonzero `max_wait` the
+    /// Blocks until at least one job is queued and an execution slot is free
+    /// (or the governor closes), then takes the slot and drains up to
+    /// `max_batch` jobs under it.  With a nonzero `max_wait` the
     /// worker lingers for late arrivals until the batch fills or the window
     /// expires; in [`adaptive`](BatchConfig::adaptive) mode it lingers only
     /// when the recent arrival rate suggests the batch would actually fill,
@@ -307,14 +370,13 @@ impl<R> QueueGovernor<R> {
     ///
     /// Returns `None` only when the governor is closed *and* drained, so
     /// shutdown never discards admitted work.
-    pub(crate) fn next_batch(&self, stats: &ServerStats) -> Option<DrainedBatch<R>> {
+    pub(crate) fn next_batch(&self, stats: &ServerStats) -> Option<DrainedBatch<'_, R>> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         'refill: loop {
-            loop {
-                if !state.queue.is_empty() {
-                    break;
-                }
-                if state.closed {
+            // Inline runs may hold every slot: the queue then waits for one
+            // of them to finish, so executions never exceed `slots`.
+            while state.queue.is_empty() || state.running >= self.slots {
+                if state.closed && state.queue.is_empty() {
                     return None;
                 }
                 state = self.available.wait(state).unwrap_or_else(|e| e.into_inner());
@@ -328,6 +390,8 @@ impl<R> QueueGovernor<R> {
                 // rather than hand a worker an empty batch.
                 continue 'refill;
             }
+            // Held through the fill window: the batch runs as soon as it ends.
+            state.running += 1;
 
             let mut linger = !self.config.max_wait.is_zero() && batch.len() < self.config.max_batch;
             if linger && self.config.adaptive {
@@ -364,7 +428,7 @@ impl<R> QueueGovernor<R> {
                 }
                 fill_wait = drained.elapsed();
             }
-            return Some(DrainedBatch { jobs: batch, fill_wait });
+            return Some(DrainedBatch { jobs: batch, fill_wait, slot: Slot { governor: self } });
         }
     }
 
@@ -376,11 +440,28 @@ impl<R> QueueGovernor<R> {
     }
 }
 
-/// Moves drained jobs into `batch`, shedding the ones whose deadline has
-/// already passed (answered with "deadline exceeded" and counted as
-/// `expired=` sheds).  Surviving deadline-carrying jobs record their
-/// remaining budget at dequeue — the queue-pressure signal an operator tunes
+/// The deadline check every request passes as it is admitted to execution,
+/// whether dequeued or run where it arrived: one whose deadline has already
+/// passed is counted as an `expired=` shed and must be answered "deadline
+/// exceeded" without executing (`false`); a live one that carries a deadline
+/// records its remaining budget — the queue-pressure signal an operator tunes
 /// deadlines against.
+fn live_at(deadline: Option<Instant>, now: Instant, stats: &ServerStats) -> bool {
+    match deadline {
+        Some(deadline) if deadline <= now => {
+            stats.record_expired_shed();
+            false
+        }
+        Some(deadline) => {
+            stats.remaining_budget_histogram().record(deadline.duration_since(now));
+            true
+        }
+        None => true,
+    }
+}
+
+/// Moves drained jobs into `batch`, shedding the ones that are not
+/// [`live_at`] `now`.
 fn admit_live<R>(
     jobs: impl Iterator<Item = Job<R>>,
     now: Instant,
@@ -388,21 +469,33 @@ fn admit_live<R>(
     stats: &ServerStats,
 ) {
     for job in jobs {
-        match job.deadline {
-            Some(deadline) if deadline <= now => {
-                // Counted before it is answered: whoever waits on the answer
-                // may read the count next.
-                stats.record_expired_shed();
-                job.refuse(ServerError::DeadlineExceeded);
-            }
-            deadline => {
-                if let Some(deadline) = deadline {
-                    stats.remaining_budget_histogram().record(deadline.duration_since(now));
-                }
-                batch.push(job);
-            }
+        // Counted (in `live_at`) before it is answered: whoever waits on the
+        // answer may read the count next.
+        if live_at(job.deadline, now, stats) {
+            batch.push(job);
+        } else {
+            job.refuse(ServerError::DeadlineExceeded);
         }
     }
+}
+
+/// Runs one batch on the calling thread.  A panicking executor must not take
+/// the thread with it — once every worker had gone that way, `submit` would
+/// keep admitting jobs nobody answers, and a connection thread would drop its
+/// client — so a panic is one `Panicked` answer per query, counted in
+/// `errors=`.
+fn run_guarded<E: Executor>(
+    executor: &E,
+    raws: &[&str],
+    started: Instant,
+    fill_wait: Duration,
+) -> Vec<Result<E::Response, ServerError>> {
+    catch_unwind(AssertUnwindSafe(|| executor.run_batch(raws, started, fill_wait))).unwrap_or_else(
+        |_| {
+            executor.stats().add(Metric::Errors, raws.len() as u64);
+            vec![Err(ServerError::Panicked); raws.len()]
+        },
+    )
 }
 
 /// Projects the recent arrival rate over `window`: how many submissions the
@@ -600,64 +693,62 @@ impl<'a, R: Answer> BatchFrame<'a, R> {
     }
 }
 
-/// A fixed pool of worker threads draining query batches from a
-/// `QueueGovernor` into one [`Executor`]: queries arriving on many
-/// connections coalesce into batches, and a batch shares its work.
+/// The one way into an [`Executor`]: at most `executor.workers()` executions
+/// at once, a request run on the thread that brought it while one of those
+/// slots is free, and a fixed pool of worker threads draining what had to
+/// queue — so queries arriving on more connections than there are slots
+/// coalesce into batches, and a batch shares its work.
 pub struct Pool<E: Executor> {
     executor: Arc<E>,
     governor: Arc<QueueGovernor<E::Response>>,
-    handles: Vec<std::thread::JoinHandle<u64>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+    /// Queries executed, inline and from the queue alike.
+    served: Arc<AtomicU64>,
 }
 
 impl<E: Executor> Pool<E> {
-    /// Spawns `executor.workers()` workers behind a `QueueGovernor`
-    /// configured from `executor.batch_config()`.
+    /// Spawns `executor.workers()` workers behind a `QueueGovernor` with as
+    /// many execution slots, configured from `executor.batch_config()`.
     #[must_use]
     pub fn start(executor: Arc<E>) -> Self {
-        let governor = Arc::new(QueueGovernor::new(executor.batch_config()));
+        let governor = Arc::new(QueueGovernor::new(executor.batch_config(), executor.workers()));
+        let served = Arc::new(AtomicU64::new(0));
         let handles = (0..executor.workers())
             .map(|_| {
                 let governor = Arc::clone(&governor);
                 let executor = Arc::clone(&executor);
+                let served = Arc::clone(&served);
                 std::thread::spawn(move || {
-                    let mut served = 0u64;
                     while let Some(batch) = governor.next_batch(executor.stats()) {
+                        let DrainedBatch { jobs, fill_wait, slot } = batch;
                         // Time the batch from its earliest submission, so
                         // queueing delay and the fill window both land in
                         // the recorded latency (and in the trace, as the
                         // queue_wait and batch_fill stages).
-                        let started = batch
-                            .jobs
+                        let started = jobs
                             .iter()
                             .map(|job| job.submitted)
                             .min()
                             .expect("batches are never empty");
-                        let raws: Vec<&str> =
-                            batch.jobs.iter().map(|job| job.raw.as_str()).collect();
-                        // A panicking executor must not take the thread with
-                        // it: once every worker had gone that way, `submit`
-                        // would keep admitting jobs nobody answers.
-                        let responses = catch_unwind(AssertUnwindSafe(|| {
-                            executor.run_batch(&raws, started, batch.fill_wait)
-                        }))
-                        .unwrap_or_else(|_| {
-                            executor.stats().add(Metric::Errors, raws.len() as u64);
-                            vec![Err(ServerError::Panicked); raws.len()]
-                        });
-                        for (job, response) in batch.jobs.iter().zip(responses) {
+                        let raws: Vec<&str> = jobs.iter().map(|job| job.raw.as_str()).collect();
+                        let responses = run_guarded(&*executor, &raws, started, fill_wait);
+                        // Given back before anyone is answered: a client
+                        // that sends its next request the moment it reads
+                        // this answer finds the slot free.
+                        drop(slot);
+                        served.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+                        for (job, response) in jobs.iter().zip(responses) {
                             // A client that gave up is not an error.
                             let _ = job.respond.send(response);
-                            served += 1;
                         }
                     }
-                    served
                 })
             })
             .collect();
-        Pool { executor, governor, handles }
+        Pool { executor, governor, handles, served }
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads, which is also the number of execution slots.
     #[must_use]
     pub fn worker_count(&self) -> usize {
         self.handles.len()
@@ -669,7 +760,17 @@ impl<E: Executor> Pool<E> {
         self.governor.depth()
     }
 
-    /// Enqueues a query; the result is collected through the returned handle.
+    /// When `raw` was submitted (now) and the deadline it carries: parsed
+    /// here so the governor can shed the request without re-parsing the line.
+    fn submission(&self, raw: &str) -> (Instant, Option<Instant>) {
+        let submitted = Instant::now();
+        let deadline =
+            split_request_meta(raw).0.deadline(submitted, self.executor.default_deadline());
+        (submitted, deadline)
+    }
+
+    /// Enqueues a query for the workers; the result is collected through the
+    /// returned handle.
     ///
     /// # Errors
     ///
@@ -678,40 +779,63 @@ impl<E: Executor> Pool<E> {
     /// stopping.
     pub fn submit(&self, raw: impl Into<String>) -> Result<Pending<E::Response>, ServerError> {
         let raw = raw.into();
-        let (respond, receiver) = mpsc::channel();
-        let submitted = Instant::now();
-        // Parsed here so the governor can shed the job without re-parsing
-        // the request line.
-        let deadline =
-            split_request_meta(&raw).0.deadline(submitted, self.executor.default_deadline());
-        let job = Job { raw, respond, submitted, deadline };
-        self.governor.submit(job, self.executor.stats())?;
-        Ok(Pending { receiver })
+        let (submitted, deadline) = self.submission(&raw);
+        let (job, pending) = Job::new(raw, submitted, deadline);
+        self.governor.admit(false, || job, self.executor.stats())?;
+        Ok(pending)
     }
 
-    /// Submits and waits: the closed-loop client path.
+    /// Answers one query, waiting for the answer: the closed-loop client
+    /// path.  Granted an execution slot — nothing queued, fewer than
+    /// `workers` executions in flight — the query runs here, on the caller's
+    /// thread, as a batch of one under the admission accounting a dequeued
+    /// job gets; otherwise it queues behind what is already there and this
+    /// thread waits for a worker.
     ///
     /// # Errors
     ///
-    /// Propagates submit and execution errors.
+    /// Propagates admission and execution errors.
     pub fn execute(&self, raw: &str) -> Result<E::Response, ServerError> {
-        self.submit(raw)?.wait()
+        let stats = self.executor.stats();
+        let (submitted, deadline) = self.submission(raw);
+        let mut pending = None;
+        let queued = || {
+            let (job, waiter) = Job::new(raw.to_owned(), submitted, deadline);
+            pending = Some(waiter);
+            job
+        };
+        let Some(_slot) = self.governor.admit(true, queued, stats)? else {
+            return pending.expect("no slot granted: the job was queued").wait();
+        };
+        // Admitted the instant it was submitted.
+        if !live_at(deadline, submitted, stats) {
+            return Err(ServerError::DeadlineExceeded);
+        }
+        stats.inc(Metric::Inline);
+        self.served.fetch_add(1, Ordering::Relaxed);
+        run_guarded(&*self.executor, &[raw], submitted, Duration::ZERO)
+            .pop()
+            .expect("one query in, one response out")
     }
 
     /// Drains the queue and joins every worker, returning the total number of
-    /// jobs served.
+    /// queries executed, on callers' threads and on the workers'.
     pub fn shutdown(mut self) -> u64 {
+        self.stop();
+        self.served.load(Ordering::Relaxed)
+    }
+
+    fn stop(&mut self) {
         self.governor.close();
-        self.handles.drain(..).map(|h| h.join().unwrap_or(0)).sum()
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
     }
 }
 
 impl<E: Executor> Drop for Pool<E> {
     fn drop(&mut self) {
-        self.governor.close();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        self.stop();
     }
 }
 
@@ -724,15 +848,19 @@ mod tests {
     }
 
     fn job_with_deadline(raw: &str, deadline: Option<Instant>) -> (Job<()>, Pending<()>) {
-        let (respond, receiver) = mpsc::channel();
-        (
-            Job { raw: raw.to_owned(), respond, submitted: Instant::now(), deadline },
-            Pending { receiver },
-        )
+        Job::new(raw.to_owned(), Instant::now(), deadline)
     }
 
+    /// A governor with slots to spare: these tests drain by hand.
     fn governor(config: BatchConfig) -> (QueueGovernor<()>, ServerStats) {
-        (QueueGovernor::new(config), ServerStats::new())
+        (QueueGovernor::new(config, usize::MAX), ServerStats::new())
+    }
+
+    impl<R> QueueGovernor<R> {
+        /// Queues `job`, as `Pool::submit` does.
+        fn submit(&self, job: Job<R>, stats: &ServerStats) -> Result<(), ServerError> {
+            self.admit(false, || job, stats).map(|_| ())
+        }
     }
 
     #[test]
@@ -992,11 +1120,15 @@ mod tests {
 
     /// An executor that does what `inner` does, except that a batch holding
     /// the query `wedge` first reports in and waits to be released, and one
-    /// holding `explode` panics.
+    /// holding `explode` panics.  It keeps the most batches it ever ran at
+    /// once and the order its queries finished in.
     struct Scripted<E> {
         inner: Arc<E>,
         entered: Mutex<mpsc::Sender<()>>,
         release: Mutex<mpsc::Receiver<()>>,
+        in_flight: AtomicU64,
+        high_water: AtomicU64,
+        finished: Mutex<Vec<String>>,
     }
 
     impl<E: Executor> Executor for Scripted<E> {
@@ -1025,11 +1157,16 @@ mod tests {
             fill_wait: Duration,
         ) -> Vec<Result<E::Response, ServerError>> {
             assert!(!raws.contains(&"explode"), "scripted panic");
+            let running = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            self.high_water.fetch_max(running, Ordering::SeqCst);
             if raws.contains(&"wedge") {
                 self.entered.lock().unwrap().send(()).unwrap();
                 self.release.lock().unwrap().recv().unwrap();
             }
-            self.inner.run_batch(raws, started, fill_wait)
+            let responses = self.inner.run_batch(raws, started, fill_wait);
+            self.finished.lock().unwrap().extend(raws.iter().map(|raw| (*raw).to_owned()));
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            responses
         }
 
         fn stats_answer(&self) -> String {
@@ -1048,14 +1185,77 @@ mod tests {
     fn scripted<E: Executor>(inner: Arc<E>) -> ScriptedPool<E> {
         let (entered, entered_rx) = mpsc::channel();
         let (release_tx, release) = mpsc::channel();
-        let executor =
-            Scripted { inner, entered: Mutex::new(entered), release: Mutex::new(release) };
+        let executor = Scripted {
+            inner,
+            entered: Mutex::new(entered),
+            release: Mutex::new(release),
+            in_flight: AtomicU64::new(0),
+            high_water: AtomicU64::new(0),
+            finished: Mutex::new(Vec::new()),
+        };
         (Pool::start(Arc::new(executor)), entered_rx, release_tx)
+    }
+
+    fn slots_held<E: Executor>(pool: &Pool<E>) -> usize {
+        pool.governor.state.lock().unwrap().running
+    }
+
+    /// Yields until `depth` jobs are queued: the only way a test learns that
+    /// another thread's `execute` found no slot.
+    fn await_depth<E: Executor>(pool: &Pool<E>, depth: usize) {
+        while pool.queue_depth() < depth {
+            std::thread::yield_now();
+        }
     }
 
     /// What a [`Pool`] promises whatever it runs; `make(workers, batch)`
     /// builds a fresh executor that answers `rust` and `search`.
     fn pool_contract<E: Executor>(make: impl Fn(usize, BatchConfig) -> Arc<E>) {
+        // A request runs where it arrives while a slot is free, queues when
+        // none is, and is then neither started early nor overtaken.
+        let workers = 2;
+        // One job per batch, so that queued jobs finish one after another.
+        let inner = make(workers, BatchConfig { max_batch: 1, ..BatchConfig::default() });
+        let (pool, entered, release) = scripted(Arc::clone(&inner));
+        std::thread::scope(|scope| {
+            let wedged: Vec<_> =
+                (0..workers).map(|_| scope.spawn(|| pool.execute("wedge"))).collect();
+            for _ in 0..workers {
+                entered.recv().unwrap();
+            }
+            assert_eq!(inner.stats().get(Metric::Inline), workers as u64);
+            assert_eq!(slots_held(&pool), workers);
+            // Every slot is held inline: a further `execute` queues, a
+            // submitted job behind it, an `execute` issued later behind both.
+            let third = scope.spawn(|| pool.execute("rust"));
+            await_depth(&pool, 1);
+            let fourth = pool.submit("search").unwrap();
+            let fifth = scope.spawn(|| pool.execute("rust search"));
+            await_depth(&pool, 3);
+            // No worker started any of them, though both are idle.
+            assert_eq!(slots_held(&pool), workers);
+            assert_eq!(pool.executor.in_flight.load(Ordering::SeqCst), workers as u64);
+            assert!(pool.executor.finished.lock().unwrap().is_empty());
+            assert!(!third.is_finished());
+            // One slot comes back: the queue drains through it, in order.
+            release.send(()).unwrap();
+            assert!(third.join().unwrap().is_ok());
+            assert!(fourth.wait().is_ok());
+            assert!(fifth.join().unwrap().is_ok());
+            let finished = pool.executor.finished.lock().unwrap().clone();
+            assert_eq!(finished, ["wedge", "rust", "search", "rust search"]);
+            release.send(()).unwrap();
+            for wedge in wedged {
+                assert!(wedge.join().unwrap().is_ok());
+            }
+        });
+        assert_eq!(inner.stats().get(Metric::Inline), workers as u64, "the rest queued");
+        // With the slots back, the next request runs where it arrives again.
+        assert!(pool.execute("rust").is_ok());
+        assert_eq!(inner.stats().get(Metric::Inline), workers as u64 + 1);
+        assert_eq!(pool.executor.high_water.load(Ordering::SeqCst), workers as u64);
+        assert_eq!(pool.shutdown(), 6, "three inline and three queued");
+
         // A full bounded queue sheds, under either policy, and what was
         // admitted is served.
         for overload in [OverloadPolicy::RejectNew, OverloadPolicy::DropOldest] {
@@ -1085,13 +1285,17 @@ mod tests {
             assert_eq!(pool.shutdown(), 2, "{overload}: the wedge and the job that stayed");
         }
 
-        // An expired job is answered at dequeue, without executing.
+        // An expired request is answered at admission — here on an idle
+        // pool, so under a slot on this thread — without executing.
         let inner = make(1, BatchConfig::default());
         let (pool, entered, release) = scripted(Arc::clone(&inner));
         assert_eq!(pool.execute("@d=0 rust").err(), Some(ServerError::DeadlineExceeded));
         assert_eq!(inner.stats().deadline_exceeded(DeadlineStage::Queue), 1);
         assert_eq!(inner.stats().get(Metric::Batches), 0);
         assert_eq!(inner.stats().get(Metric::Errors), 0);
+        assert_eq!(inner.stats().get(Metric::Inline), 0);
+        assert!(pool.executor.finished.lock().unwrap().is_empty());
+        assert_eq!(slots_held(&pool), 0);
 
         // Closing stops admission, not service: what was admitted before is
         // drained, and `shutdown` reports all of it.
@@ -1100,6 +1304,7 @@ mod tests {
         let queued: Vec<_> = ["rust", "search", "rust"].map(|raw| pool.submit(raw).unwrap()).into();
         pool.governor.close();
         assert_eq!(pool.submit("rust").err(), Some(ServerError::ShuttingDown));
+        assert_eq!(pool.execute("rust").err(), Some(ServerError::ShuttingDown));
         release.send(()).unwrap();
         assert!(wedged.wait().is_ok());
         for pending in queued {
@@ -1115,8 +1320,11 @@ mod tests {
             let (pool, entered, release) = scripted(Arc::clone(&inner));
             for _ in 0..=workers {
                 assert_eq!(pool.execute("explode").err(), Some(ServerError::Panicked));
+                assert_eq!(slots_held(&pool), 0);
             }
             assert_eq!(inner.stats().get(Metric::Errors), workers as u64 + 1);
+            // Each found the slot the one before it gave back.
+            assert_eq!(inner.stats().get(Metric::Inline), workers as u64 + 1);
             // Every worker is still there to be wedged at the same time.
             let wedged: Vec<_> = (0..workers).map(|_| pool.submit("wedge").unwrap()).collect();
             for _ in 0..workers {

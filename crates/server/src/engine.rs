@@ -4,9 +4,11 @@
 //! [`QueryEngine::execute_batch`] is the serving path (the shared
 //! `BatchFrame` around cache probe → evaluation); [`QueryEngine::execute`]
 //! is the batch-of-one convenience.  [`WorkerPool`] is the shared [`Pool`]
-//! over an engine: each worker drains up to `max_batch` queued queries at a
-//! time, so a backlog turns into shared work (one snapshot load, one
-//! evaluation per distinct canonical query) instead of per-request overhead.
+//! over an engine: a query that finds an execution slot free runs on the
+//! thread that brought it; each worker drains up to `max_batch` of the
+//! queries that had to queue at a time, so a backlog turns into shared work
+//! (one snapshot load, one evaluation per distinct canonical query) instead
+//! of per-request overhead.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -25,7 +27,8 @@ use crate::stats::{DeadlineStage, Metric, ServerStats};
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads the pool spawns.
+    /// Queries (or batches) the pool executes at once — its execution slots,
+    /// and the worker threads it spawns for what has to queue.
     pub workers: usize,
     /// Total cached query results across all shards.
     pub cache_capacity: usize,
@@ -154,13 +157,16 @@ pub struct QueryResponse {
     pub generation: u64,
     /// Whether the result was served from cache.
     pub cached: bool,
-    /// Wall-clock service time.  For pool-served queries this runs from the
-    /// batch's earliest submission until the whole batch finished, so queue
-    /// wait and any `max_wait` fill window are included; every query in a
-    /// batch shares the value — no response is released before its batch
-    /// completes, so this approximates what the client observes, not the
-    /// query's share of the evaluation work.  Direct
-    /// [`QueryEngine::execute`] calls time only the engine itself.
+    /// Wall-clock service time, from submission to the end of the batch that
+    /// answered.  A query the pool ran where it arrived (a slot was free) is
+    /// a batch of one submitted the instant it ran: this is its own engine
+    /// time.  For a query that had to queue it runs from the batch's earliest
+    /// submission until the whole batch finished, so queue wait and any
+    /// `max_wait` fill window are included; every query in a batch shares
+    /// the value — no response is released before its batch completes, so
+    /// this approximates what the client observes, not the query's share of
+    /// the evaluation work.  Direct [`QueryEngine::execute`] calls time only
+    /// the engine itself.
     pub latency: Duration,
     /// The query's stage timing record.  Spans are shared by the whole batch
     /// (one parse/snapshot/eval pass serves every query in it); the id is

@@ -572,7 +572,8 @@ impl std::fmt::Debug for RemoteShard {
 pub struct RouterConfig {
     /// Cap on merged hits kept per response.
     pub result_limit: usize,
-    /// Router worker threads draining the admission queue.
+    /// Scatters the router's pool runs at once — its execution slots, and
+    /// the worker threads draining the admission queue.
     pub workers: usize,
     /// Batching and admission control for the router's queue (the same
     /// knobs `dsearch serve` exposes).
@@ -878,12 +879,15 @@ impl Router {
 
     /// One `search_batch_traced` per backend, concurrently: the scatter.
     /// Each backend's persistent worker receives the batch over a channel
-    /// and reports its round trip; a single backend with no deadline to
-    /// watch is called on this thread instead.
+    /// and reports its round trip.  With no deadline to watch, the first
+    /// backend is called on this thread instead, while the others' workers
+    /// call theirs: one hand-off fewer per scatter, none at all over a single
+    /// backend.
     ///
-    /// With a `deadline`, the gather never waits past it: backends that
-    /// have not answered by then count as unavailable and the second return
-    /// value is `true` — the scatter degraded instead of hanging.  The
+    /// With a `deadline` every backend is dispatched — a call on this thread
+    /// could not be abandoned — and the gather never waits past it: backends
+    /// that have not answered by then count as unavailable and the second
+    /// return value is `true` — the scatter degraded instead of hanging.  The
     /// abandoned worker finishes (and discards) its reply in the
     /// background, so a stalled shard delays its own next scatter, never
     /// this one.
@@ -893,18 +897,23 @@ impl Router {
         ids: &[u64],
         deadline: Option<Instant>,
     ) -> (Vec<TimedReplies>, bool) {
-        if self.backends.len() == 1 && deadline.is_none() {
-            return (vec![self.fanout[0].call_inline(lines, ids)], false);
-        }
-        let lines = Arc::new(lines.to_vec());
-        let ids = Arc::new(ids.to_vec());
+        // Backends from this one on go to their workers; the one before it,
+        // if there is one, is called here.
+        let first_dispatched = usize::from(deadline.is_none());
         let (respond, gathered) = mpsc::channel();
         let mut pending = 0usize;
         let mut replies: Vec<Option<TimedReplies>> = self.backends.iter().map(|_| None).collect();
-        for (index, worker) in self.fanout.iter().enumerate() {
-            if worker.dispatch(&lines, &ids, Some(&respond), index) {
-                pending += 1;
+        if first_dispatched < self.fanout.len() {
+            let lines = Arc::new(lines.to_vec());
+            let ids = Arc::new(ids.to_vec());
+            for (index, worker) in self.fanout.iter().enumerate().skip(first_dispatched) {
+                if worker.dispatch(&lines, &ids, Some(&respond), index) {
+                    pending += 1;
+                }
             }
+        }
+        if first_dispatched == 1 {
+            replies[0] = Some(self.fanout[0].call_inline(lines, ids));
         }
         drop(respond);
         let mut expired = false;

@@ -126,6 +126,9 @@ metrics! {
     Shed = Counter "dsearch_shed_total", Line("shed");
     /// Hedges/failovers a replica set refused on an empty retry budget.
     RetryExhausted = Counter "dsearch_retry_budget_exhausted_total", Line("retry_exhausted");
+    /// Queries run on the thread they arrived on, under an execution slot
+    /// and past the queue.
+    Inline = Counter "dsearch_inline_total", Line("inline");
     /// Multi-query batches executed.
     Batches = Counter "dsearch_batches_total", Nowhere;
     /// Queries served inside multi-query batches.

@@ -23,7 +23,9 @@ use dsearch_server::{
 use dsearch_text::Term;
 
 /// The keys of `dsearch serve`'s status line at the parent of the PR that
-/// introduced the metric table, in line order (`name[` opens a group).
+/// introduced the metric table, in line order (`name[` opens a group), and
+/// `inline` (`dsearch_inline_total`), which joined the batching keys with the
+/// execution slots.
 const SERVE_KEYS: &[&str] = &[
     "queries",
     "errors",
@@ -31,6 +33,7 @@ const SERVE_KEYS: &[&str] = &[
     "expired",
     "deadline_exceeded",
     "retry_exhausted",
+    "inline",
     "batched",
     "dedup_hits",
     "adaptive_waits",
@@ -71,6 +74,7 @@ const ROUTE_KEYS: &[&str] = &[
     "expired",
     "deadline_exceeded",
     "retry_exhausted",
+    "inline",
     "dedup_hits",
     "shard_errors",
     "partial",
@@ -238,6 +242,9 @@ fn serve_stats_is_a_rendering_of_its_metrics() {
     assert_eq!(field(&status, "cache_evictions"), 1.0, "{status}");
     assert_eq!((field(&status, "errors"), field(&status, "shed")), (1.0, 1.0), "{status}");
     assert_eq!(field(&status, "expired"), 1.0, "{status}");
+    // One connection never waits for a slot: everything but the shed ran
+    // where it arrived.
+    assert_eq!(field(&status, "inline"), 7.0, "{status}");
 }
 
 #[test]
@@ -280,4 +287,5 @@ fn route_stats_is_the_same_rendering_over_the_routers_registry() {
     }
     assert_eq!((field(status, "errors"), field(status, "shed")), (1.0, 1.0), "{status}");
     assert_eq!(field(status, "shards_queries"), 6.0, "three scatters to two shards: {status}");
+    assert_eq!(field(status, "inline"), 7.0, "{status}");
 }
