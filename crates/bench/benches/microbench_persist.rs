@@ -2,7 +2,7 @@
 //!
 //! Two questions a desktop deployment cares about beyond the paper's scope:
 //! how fast can an index be written to / read back from disk (segment
-//! encode/decode), and how much work does the incremental re-indexer save
+//! encode/decode), and how much work does an incremental update save
 //! compared to a full rebuild when only a small fraction of the corpus
 //! changed.  And one this repository's store adds: what merging the replicas
 //! of an Implementation 3 run into one segment costs against writing them
@@ -15,8 +15,8 @@ use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch::index::{DocTable, InMemoryIndex, SealedTerms};
 use dsearch::persist::segment::{read_segment, write_segment};
-use dsearch::persist::{IncrementalIndexer, IndexStore, SignatureDb};
-use dsearch::vfs::{MemFs, VPath};
+use dsearch::persist::IndexStore;
+use dsearch::vfs::{FileSystem, VPath};
 
 fn built_index() -> (InMemoryIndex, DocTable) {
     let (fs, _) = materialize_to_memfs(&CorpusSpec::paper_scaled(0.001), 31);
@@ -62,7 +62,7 @@ fn bench_run_of_two_replicas(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("dsearch-bench-persist-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut store = IndexStore::open(&dir).expect("the store opens");
-    let apart = store.replace_all(&replicas[0], docs).unwrap().bytes
+    let apart = store.replace_with(&replicas[..1], docs).unwrap().bytes
         + store.commit(&replicas[1], docs).unwrap().bytes;
     let merged = store.replace_with(replicas, docs).unwrap();
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
@@ -75,7 +75,7 @@ fn bench_run_of_two_replicas(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("write_two_segments", |b| {
         b.iter(|| {
-            store.replace_all(&replicas[0], docs).unwrap();
+            store.replace_with(&replicas[..1], docs).unwrap();
             black_box(store.commit(&replicas[1], docs).unwrap().bytes)
         });
     });
@@ -96,53 +96,62 @@ fn bench_run_of_two_replicas(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Builds a corpus, indexes it, then mutates `changed_files` files.
-fn mutated_corpus(changed_files: usize) -> (MemFs, InMemoryIndex, DocTable, SignatureDb) {
-    let (fs, manifest) = materialize_to_memfs(&CorpusSpec::paper_scaled(0.001), 77);
-    let indexer = IncrementalIndexer::new();
-    let mut index = InMemoryIndex::new();
-    let mut docs = DocTable::new();
-    let mut signatures = SignatureDb::new();
-    indexer.update(&fs, &VPath::root(), &mut index, &mut docs, &mut signatures).unwrap();
-    for (i, path) in manifest.paths().into_iter().take(changed_files).enumerate() {
-        fs.remove_file(&path).unwrap();
-        fs.add_file(&path, format!("rewritten document number {i} with fresh terms").into_bytes())
-            .unwrap();
-    }
-    (fs, index, docs, signatures)
-}
-
+/// What an incremental update costs against a full run into the same store,
+/// on the corpus above: every iteration appends a revision marker to
+/// `changed` of its files (so exactly that many read as modified and the
+/// corpus keeps its size), then runs one `update_store` — load the segment,
+/// walk and sign every file, drop the stale postings, extract the changed
+/// files on every core, seal, write, save the signatures.
 fn bench_incremental_vs_full(c: &mut Criterion) {
+    let (fs, manifest) = materialize_to_memfs(&CorpusSpec::paper_scaled(0.03), 31);
+    let paths = manifest.paths();
+    let originals: Vec<Vec<u8>> = paths.iter().map(|path| fs.read(path).unwrap()).collect();
+    let dir =
+        std::env::temp_dir().join(format!("dsearch-bench-incremental-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = IndexStore::open(&dir).expect("the store opens");
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let generator = IndexGenerator::default();
+    let (implementation, configuration) =
+        (Implementation::ReplicateNoJoin, Configuration::new(cores, 0, 0));
+    let first = generator
+        .update_store(&fs, &VPath::root(), &mut store, implementation, configuration)
+        .expect("the first update succeeds");
+    println!(
+        "persist_incremental_vs_full_rebuild: {} files, {} postings, {cores} extractor(s)",
+        first.changes.added.len(),
+        first.info.posting_count
+    );
+
     let mut group = c.benchmark_group("persist_incremental_vs_full_rebuild");
     group.sample_size(10);
-    for changed in [1usize, 8, 32] {
-        let (fs, index, docs, signatures) = mutated_corpus(changed);
+    let mut revision = 0u64;
+    for changed in [1usize, 16, 256] {
         group.bench_with_input(BenchmarkId::new("incremental", changed), &changed, |b, _| {
-            let indexer = IncrementalIndexer::new();
             b.iter(|| {
-                let mut index = index.clone();
-                let mut docs = docs.clone();
-                let mut signatures = signatures.clone();
-                let report = indexer
-                    .update(&fs, &VPath::root(), &mut index, &mut docs, &mut signatures)
+                revision += 1;
+                for (path, original) in paths.iter().zip(&originals).take(changed) {
+                    let mut contents = original.clone();
+                    contents.extend_from_slice(format!(" revision{revision}").as_bytes());
+                    fs.remove_file(path).unwrap();
+                    fs.add_file(path, contents).unwrap();
+                }
+                let report = generator
+                    .update_store(&fs, &VPath::root(), &mut store, implementation, configuration)
                     .unwrap();
-                black_box(report.postings_added)
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("full_rebuild", changed), &changed, |b, _| {
-            let indexer = IncrementalIndexer::new();
-            b.iter(|| {
-                let mut index = InMemoryIndex::new();
-                let mut docs = DocTable::new();
-                let mut signatures = SignatureDb::new();
-                let report = indexer
-                    .update(&fs, &VPath::root(), &mut index, &mut docs, &mut signatures)
-                    .unwrap();
-                black_box(report.postings_added)
+                assert_eq!(report.changes.modified.len(), changed);
+                black_box(report.info.bytes)
             });
         });
     }
+    group.bench_function("full_rebuild", |b| {
+        b.iter(|| {
+            let run = generator.run(&fs, &VPath::root(), implementation, configuration).unwrap();
+            black_box(store.replace_with(run.outcome.replicas(), run.outcome.docs()).unwrap().bytes)
+        });
+    });
     group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 criterion_group!(

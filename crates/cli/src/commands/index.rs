@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 
 use dsearch::core::{Configuration, FormatMode, GeneratorOptions, Implementation, IndexGenerator};
-use dsearch::persist::{IncrementalIndexer, IndexStore, SignatureDb};
+use dsearch::persist::IndexStore;
 use dsearch::vfs::{OsFs, VPath};
 
 use crate::args::ParsedArgs;
@@ -54,84 +54,73 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
 
     let fs = OsFs::new(PathBuf::from(dir));
     let mut store = IndexStore::open(store_path).map_err(CliError::failed)?;
-    let mut out = String::new();
+    let generator = IndexGenerator::new(options);
+    let replaced = store.segment_count();
 
-    if args.flag("incremental") {
-        // Load the previous state (joined index + signatures), update only
-        // what changed, and replace the store contents.
-        let (mut index, mut docs) = if store.segment_count() > 0 {
-            store.load_joined().map_err(CliError::failed)?
-        } else {
-            (dsearch::index::InMemoryIndex::new(), dsearch::index::DocTable::new())
-        };
-        let mut signatures = SignatureDb::load(store.root()).map_err(CliError::failed)?;
-
-        let indexer = IncrementalIndexer::new();
-        let report = indexer
-            .update(&fs, &VPath::root(), &mut index, &mut docs, &mut signatures)
+    // Either way the paper's pipeline runs and one segment takes the place
+    // of whatever the store held.  A full run walks the tree and owns the
+    // store; `--incremental` keeps what the store's signatures still vouch
+    // for and runs the pipeline over the files that changed.
+    let (headline, run, persist) = if args.flag("incremental") {
+        let update = generator
+            .update_store(&fs, &VPath::root(), &mut store, implementation, configuration)
             .map_err(CliError::failed)?;
-        let index_heap = index.heap_bytes() as u64;
-        let info = store.replace_all(&index, &docs).map_err(CliError::failed)?;
-        // Index first, signatures second: see `SignatureDb::save`.
-        signatures.save(store.root()).map_err(CliError::failed)?;
-
-        out.push_str(&format!(
+        let headline = format!(
             "incremental update of {dir}\n  added {} / modified {} / removed {} / unchanged {}\n  \
              re-scanned {:.2} MB ({:.0}% of tracked files)\n  store now holds {} docs, {} terms, {} postings\n",
-            report.added,
-            report.modified,
-            report.removed,
-            report.unchanged,
-            report.bytes_scanned as f64 / 1e6,
-            report.rescan_ratio() * 100.0,
-            info.doc_count,
-            info.term_count,
-            info.posting_count,
-        ));
-        out.push_str(&super::memory_lines(index_heap));
-        return Ok(out);
-    }
+            update.changes.added.len(),
+            update.changes.modified.len(),
+            update.changes.removed.len(),
+            update.changes.unchanged,
+            update.run.stage2.bytes as f64 / 1e6,
+            update.rescan_ratio() * 100.0,
+            update.run.outcome.file_count(),
+            update.info.term_count,
+            update.info.posting_count,
+        );
+        (headline, update.run, update.persist)
+    } else {
+        let run = generator
+            .run(&fs, &VPath::root(), implementation, configuration)
+            .map_err(CliError::failed)?;
+        // Whatever the run built — one index, or Implementation 3's
+        // un-joined replicas — is merged as it is sealed.
+        let persist_started = std::time::Instant::now();
+        store.replace_with(run.outcome.replicas(), run.outcome.docs()).map_err(CliError::failed)?;
+        let headline = format!(
+            "indexed {} files ({:.2} MB) from {dir}\n",
+            run.stage2.files,
+            run.stage2.bytes as f64 / 1e6
+        );
+        (headline, run, persist_started.elapsed())
+    };
 
-    // Full rebuild through the paper's parallel pipeline.
-    let generator = IndexGenerator::new(options);
-    let run = generator
-        .run(&fs, &VPath::root(), implementation, configuration)
-        .map_err(CliError::failed)?;
-    let report = run.report();
-    let index_heap = run.outcome.heap_bytes() as u64;
-
-    // Persist: whatever the run built — one index, or Implementation 3's
-    // un-joined replicas — is merged as it is sealed into one segment, which
-    // takes the place of whatever the store held (a full rebuild owns it).
-    let replaced = store.segment_count();
-    let persist_started = std::time::Instant::now();
-    store.replace_with(run.outcome.replicas(), run.outcome.docs()).map_err(CliError::failed)?;
-    let persist_seconds = persist_started.elapsed().as_secs_f64();
-    // The generator's total ends where persisting starts, so the stages
-    // listed tile the total.
+    // The run's total ends where persisting starts, so the stages listed
+    // tile the total.
+    let (timings, persist_seconds) = (run.timings, persist.as_secs_f64());
+    let bytes = store.written();
+    let mut out = headline;
     out.push_str(&format!(
-        "indexed {} files ({:.2} MB) from {dir}\n  {} with configuration {}\n  \
-         total {:.3} s (stage 1 {:.3} s, extraction {:.3} s, join {:.3} s, persist {:.3} s)\n",
-        report.files,
-        report.bytes as f64 / 1e6,
+        "  {} with configuration {}\n  \
+         total {:.3} s (stage 1 {:.3} s, extraction {:.3} s, join {:.3} s, persist {:.3} s)\n  \
+         store {store_path}: {} segment(s) (replaced {replaced})\n  \
+         bytes: ids {} tfs {} skips {} scores {} dictionary {} docs {}\n",
         implementation.paper_name(),
         configuration,
-        report.total_seconds + persist_seconds,
-        report.filename_generation_seconds,
-        report.extraction_seconds,
-        report.join_seconds,
+        timings.total.as_secs_f64() + persist_seconds,
+        timings.filename_generation.as_secs_f64(),
+        timings.extraction.as_secs_f64(),
+        timings.join.as_secs_f64(),
         persist_seconds,
+        store.segment_count(),
+        bytes.ids,
+        bytes.tfs,
+        bytes.skips,
+        bytes.scores,
+        bytes.dictionary,
+        bytes.docs
     ));
-    out.push_str(&format!(
-        "  store {store_path}: {} segment(s) (replaced {replaced})\n",
-        store.segment_count()
-    ));
-    let bytes = store.written();
-    out.push_str(&format!(
-        "  bytes: ids {} tfs {} skips {} scores {} dictionary {} docs {}\n",
-        bytes.ids, bytes.tfs, bytes.skips, bytes.scores, bytes.dictionary, bytes.docs
-    ));
-    out.push_str(&super::memory_lines(index_heap));
+    out.push_str(&super::memory_lines(run.outcome.heap_bytes() as u64));
     Ok(out)
 }
 

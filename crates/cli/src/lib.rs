@@ -68,7 +68,9 @@ COMMANDS:
           [--implementation 1|2|3] [--formats] [--incremental]
         Index the files under <dir> and persist the result in <path>
         (the paper's batch pipeline; see `build` for the fault-tolerant,
-        resumable variant).
+        resumable variant).  With --incremental the same pipeline, under the
+        same flags, runs over the files added or modified since the store's
+        signatures were saved, and what the store held of the others is kept.
 
     build <dir> --store <path> [--resume] [--extractors N] [--max-retries N]
           [--checkpoint-every SECS] [--throttle-ms N] [--formats]

@@ -1,5 +1,6 @@
 //! End-to-end tests of the CLI: corpus → index → search → incremental update,
-//! all through the library-level `run` entry point (no subprocess needed).
+//! through the library-level `run` entry point — and, where ranked answers
+//! are compared, through the real `dsearch serve` on a pipe.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -206,6 +207,129 @@ fn incremental_update_rescans_only_changes() {
     let out =
         run(["search".to_owned(), "--store".to_owned(), store, "generator".to_owned()]).unwrap();
     assert!(out.contains("0 result(s)"), "removed file must not be found: {out}");
+}
+
+/// The hit lines — path, matched terms, `score=` — the real `dsearch serve`
+/// answers `query` with, in rank order.
+fn served(store: &str, query: &str) -> Vec<String> {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_dsearch"))
+        .args(["serve", "--store", store])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    serve.stdin.take().unwrap().write_all(format!("{query}\n!quit\n").as_bytes()).unwrap();
+    let output = serve.wait_with_output().unwrap();
+    assert!(output.status.success());
+    let answer = String::from_utf8(output.stdout).unwrap();
+    let mut lines = answer.lines().skip_while(|line| !line.starts_with("OK "));
+    assert!(lines.next().is_some(), "{answer}");
+    lines.take_while(|&line| line != "END").map(str::to_owned).collect()
+}
+
+fn segment(store: &str) -> Vec<u8> {
+    fs::read(Path::new(store).join("segment-000001.dsg")).unwrap()
+}
+
+/// An incremental run is the paper's pipeline behind a filter: into an empty
+/// store it writes the file a full run writes — frequencies, lengths and
+/// walk-order ids included — and ranks as a full run ranks.  (It used to
+/// seal `tf = 1` and a length of the distinct terms: `c, b, a`.)
+#[test]
+fn an_incremental_run_stores_what_a_full_run_stores() {
+    let dir = TempDir::new("incremental-equals-full");
+    let docs = dir.path().join("docs");
+    fs::create_dir_all(&docs).unwrap();
+    fs::write(docs.join("a.txt"), "apple apple apple apple banana").unwrap();
+    fs::write(docs.join("b.txt"), "apple banana banana cherry durian elder fig grape").unwrap();
+    fs::write(docs.join("c.txt"), "cherry cherry").unwrap();
+    let (full, incremental) = (dir.sub("full"), dir.sub("incremental"));
+    let first = run(index_args(&docs, &full, &[])).unwrap();
+    let second = run(index_args(&docs, &incremental, &["--incremental"])).unwrap();
+    assert!(segment(&full) == segment(&incremental));
+
+    let hits = served(&full, "banana OR cherry");
+    let paths: Vec<&str> = hits.iter().filter_map(|hit| hit.split_whitespace().next()).collect();
+    assert_eq!(paths, ["b.txt", "c.txt", "a.txt"]);
+    assert!(hits.iter().all(|hit| hit.contains("score=")), "{hits:?}");
+    assert_eq!(served(&incremental, "banana OR cherry"), hits);
+
+    // One report after the headline: the configuration, the stages that tile
+    // the total, the store and the census of the bytes written.
+    let line = |out: &str, with: &str| {
+        out.lines().find(|line| line.contains(with)).unwrap_or_else(|| panic!("{with}: {out}"));
+    };
+    for with in [" with configuration (", "(stage 1 ", ", persist ", "1 segment(s) (replaced 0)"] {
+        line(&first, with);
+        line(&second, with);
+    }
+    let census = first.lines().find(|line| line.contains("bytes: ids")).unwrap();
+    assert!(second.contains(census), "{second}");
+
+    // The documents a store holds are the ones with a length — BM25's
+    // population — not the table's tombstones.
+    fs::remove_file(docs.join("c.txt")).unwrap();
+    let third = run(index_args(&docs, &incremental, &["--incremental"])).unwrap();
+    assert!(third.contains("removed 1 / unchanged 2"), "{third}");
+    assert!(third.contains("store now holds 2 docs"), "{third}");
+    run(index_args(&docs, &full, &[])).unwrap();
+    assert_eq!(served(&incremental, "banana OR cherry"), served(&full, "banana OR cherry"));
+}
+
+/// `--formats`, `--implementation` and the thread counts mean under
+/// `--incremental` what they mean without it.
+#[test]
+fn an_incremental_run_honours_the_format_and_thread_flags() {
+    let dir = TempDir::new("incremental-flags");
+    let docs = dir.path().join("docs");
+    fs::create_dir_all(&docs).unwrap();
+    write_docs(&docs);
+    fs::write(docs.join("page.html"), "<html><body><p>inverted index</p></body></html>").unwrap();
+
+    let full = dir.sub("full");
+    run(index_args(&docs, &full, &["--formats"])).unwrap();
+    assert!(search(&full, "body").contains("0 result(s)"));
+    let plain = dir.sub("plain");
+    run(index_args(&docs, &plain, &["--incremental"])).unwrap();
+    assert!(search(&plain, "body").contains("page.html"), "without --formats tags are words");
+
+    // One change set — everything, then one file rewritten and one removed —
+    // through every implementation and thread count: one segment file.
+    let rewrite = |contents: &str| fs::write(docs.join("todo.txt"), contents).unwrap();
+    let mut stores = Vec::new();
+    for implementation in ["1", "2", "3"] {
+        for extractors in ["1", "2", "4"] {
+            rewrite("review the parallel index generator");
+            fs::write(docs.join("notes/report.txt"), "quarterly revenue grew strongly").unwrap();
+            let store = dir.sub(&format!("store-{implementation}-{extractors}"));
+            let flags =
+                ["--incremental", "--formats", "--implementation", implementation, "--extractors"];
+            let how: Vec<&str> = flags.into_iter().chain([extractors]).collect();
+            let first = run(index_args(&docs, &store, &how)).unwrap();
+            assert!(first.contains(&format!("Implementation {implementation} with")), "{first}");
+            assert!(first.contains(&format!("({extractors}, 0, ")), "{first}");
+            assert!(segment(&store) == segment(&full), "{how:?}");
+
+            rewrite("rewrite the sequential baseline baseline");
+            fs::remove_file(docs.join("notes/report.txt")).unwrap();
+            let second = run(index_args(&docs, &store, &how)).unwrap();
+            assert!(second.contains("added 0 / modified 1 / removed 1 / unchanged 2"), "{second}");
+            assert!(search(&store, "body").contains("0 result(s)"));
+            assert!(search(&store, "inverted").contains("page.html"));
+            stores.push(fs::read(Path::new(&store).join("segment-000002.dsg")).unwrap());
+        }
+    }
+    assert!(stores.windows(2).all(|pair| pair[0] == pair[1]));
+    // Updaters and joiners reach the run too.
+    let store = dir.sub("store-updaters");
+    let how = ["--incremental", "--implementation", "2", "--updaters", "2", "--joiners", "2"];
+    let out = run(index_args(&docs, &store, &how)).unwrap();
+    assert!(out.contains(", 2, 2)"), "{out}");
+    let err = run(index_args(&docs, &store, &["--incremental", "--joiners", "2"])).unwrap_err();
+    assert!(matches!(err, CliError::Usage(_)), "{err}");
 }
 
 #[test]

@@ -701,31 +701,8 @@ fn is_permanent(error: &PipelineError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{stored, TempDir};
     use dsearch_vfs::{FlakyFs, MemFs};
-    use std::path::PathBuf;
-
-    struct TempDir(PathBuf);
-
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let mut path = std::env::temp_dir();
-            let unique = format!(
-                "dsearch-pipeline-{tag}-{}-{:?}",
-                std::process::id(),
-                std::thread::current().id()
-            );
-            path.push(unique.replace(['(', ')', ' '], ""));
-            let _ = std::fs::remove_dir_all(&path);
-            std::fs::create_dir_all(&path).unwrap();
-            TempDir(path)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
 
     fn corpus() -> MemFs {
         let fs = MemFs::new();
@@ -792,8 +769,7 @@ mod tests {
         assert_eq!(report.dead_letters, 0);
         assert!(report.segments >= 1);
 
-        let store = IndexStore::open(&dir.0).unwrap();
-        let (index, docs) = store.load_joined().unwrap();
+        let (index, docs) = stored(&dir.0);
         let batch =
             crate::runner::IndexGenerator::default().run_sequential(&fs, &VPath::root()).unwrap();
         assert_eq!(index, batch.index);
@@ -851,8 +827,7 @@ mod tests {
         assert_eq!(replay.missing, 0);
         assert!(DeadLetterQueue::load(&dir.0).unwrap().is_empty());
 
-        let store = IndexStore::open(&dir.0).unwrap();
-        let (index, _) = store.load_joined().unwrap();
+        let (index, _) = stored(&dir.0);
         let batch =
             crate::runner::IndexGenerator::default().run_sequential(&fs, &VPath::root()).unwrap();
         assert_eq!(index, batch.index, "replayed store matches a clean batch build");
@@ -885,8 +860,7 @@ mod tests {
         assert_eq!(report.skipped + report.counters.items_ok, 4);
         assert!(report.skipped >= 2);
 
-        let store = IndexStore::open(&dir.0).unwrap();
-        let (index, _) = store.load_joined().unwrap();
+        let (index, _) = stored(&dir.0);
         let batch =
             crate::runner::IndexGenerator::default().run_sequential(&fs, &VPath::root()).unwrap();
         assert_eq!(index, batch.index, "resumed store equals a batch build");

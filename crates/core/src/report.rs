@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use dsearch_index::{DocTable, InMemoryIndex, IndexSet, IndexStats, PostingList};
+use dsearch_index::{join_all, DocTable, InMemoryIndex, IndexSet, IndexStats, PostingList};
 use dsearch_text::Term;
 
 use crate::config::{Configuration, Implementation};
@@ -121,14 +121,22 @@ impl IndexOutcome {
         }
     }
 
+    /// Takes the outcome apart: [`replicas`](IndexOutcome::replicas), owned,
+    /// plus the document table.
+    #[must_use]
+    pub fn into_replicas(self) -> (Vec<InMemoryIndex>, DocTable) {
+        match self {
+            IndexOutcome::Single { index, docs } => (vec![index], docs),
+            IndexOutcome::Replicas { set, docs } => (set.into_replicas(), docs),
+        }
+    }
+
     /// Collapses the outcome into a single index (joining replicas if needed)
     /// plus the document table.
     #[must_use]
     pub fn into_single_index(self) -> (InMemoryIndex, DocTable) {
-        match self {
-            IndexOutcome::Single { index, docs } => (index, docs),
-            IndexOutcome::Replicas { set, docs } => (set.join(), docs),
-        }
+        let (replicas, docs) = self.into_replicas();
+        (join_all(replicas), docs)
     }
 
     /// Number of replicas (1 for a single index).

@@ -22,7 +22,7 @@ use crate::distribute::{
 };
 use crate::error::PipelineError;
 use crate::report::{IndexOutcome, ParallelRun, SequentialRun, SequentialTimings};
-use crate::stage1::generate_filenames;
+use crate::stage1::{generate_filenames, FilenameSet};
 use crate::stage2::{Extractor, FileTerms, Stage2Stats};
 use crate::stage3::{ReplicaSink, SharedSink, UpdateSink};
 use crate::timing::{StageTimings, Stopwatch};
@@ -131,13 +131,13 @@ impl IndexGenerator {
     }
 
     /// Runs the parallel generator with the given implementation and
-    /// `(x, y, z)` configuration.
+    /// `(x, y, z)` configuration: Stage 1 over the tree under `root`, then
+    /// [`run_items`](IndexGenerator::run_items) over everything it found.
     ///
     /// # Errors
     ///
-    /// Fails when the configuration is invalid for the implementation, the
-    /// tree cannot be walked, a file cannot be read, or a worker thread
-    /// panics.
+    /// Fails when the tree cannot be walked, or like
+    /// [`run_items`](IndexGenerator::run_items).
     pub fn run<F: FileSystem + ?Sized>(
         &self,
         fs: &F,
@@ -145,17 +145,36 @@ impl IndexGenerator {
         implementation: Implementation,
         configuration: Configuration,
     ) -> Result<ParallelRun, PipelineError> {
-        configuration.validate(implementation).map_err(PipelineError::InvalidConfiguration)?;
-
-        let total_sw = Stopwatch::start();
-
-        // ---- Stage 1: filename generation -------------------------------
         let sw = Stopwatch::start();
         let set = generate_filenames(fs, root)?;
         let filename_generation = sw.elapsed();
-        let stage1_stats = set.stats;
-        let docs = set.docs;
-        let items = set.items;
+        let mut run = self.run_items(fs, set, implementation, configuration)?;
+        run.timings.filename_generation = filename_generation;
+        run.timings.total += filename_generation;
+        Ok(run)
+    }
+
+    /// Stages 2 and 3 (and the join) over the files of `set` — all that
+    /// Stage 1 found, or the ones an incremental update
+    /// ([`update_store`](IndexGenerator::update_store)) kept of them.  The
+    /// run's timings start here: its `filename_generation` is zero and is the
+    /// caller's to fill in.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the configuration is invalid for the implementation, a
+    /// file cannot be read, or a worker thread panics.
+    pub fn run_items<F: FileSystem + ?Sized>(
+        &self,
+        fs: &F,
+        set: FilenameSet,
+        implementation: Implementation,
+        configuration: Configuration,
+    ) -> Result<ParallelRun, PipelineError> {
+        configuration.validate(implementation).map_err(PipelineError::InvalidConfiguration)?;
+
+        let total_sw = Stopwatch::start();
+        let FilenameSet { items, docs, stats: stage1_stats } = set;
 
         // ---- Stages 2+3: extraction and index update ---------------------
         let sw = Stopwatch::start();
@@ -399,13 +418,7 @@ impl IndexGenerator {
         Ok(ParallelRun {
             implementation,
             configuration,
-            timings: StageTimings {
-                filename_generation,
-                extraction,
-                index_update: std::time::Duration::ZERO,
-                join,
-                total,
-            },
+            timings: StageTimings { extraction, join, total, ..StageTimings::default() },
             stage1: stage1_stats,
             stage2,
             outcome,

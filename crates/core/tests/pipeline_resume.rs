@@ -15,6 +15,7 @@ use proptest::prelude::*;
 
 use dsearch_core::pipeline::{BuildOptions, BuildPipeline};
 use dsearch_core::runner::IndexGenerator;
+use dsearch_index::{join_all, DocTable, InMemoryIndex};
 use dsearch_persist::{BuildCheckpoint, IndexStore};
 use dsearch_vfs::{MemFs, VPath};
 
@@ -39,6 +40,13 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// Everything the store holds, joined, over the document table its segments
+/// share.
+fn stored(store: &IndexStore) -> (InMemoryIndex, DocTable) {
+    let (indexes, tables): (Vec<_>, Vec<DocTable>) = store.load_all().unwrap().into_iter().unzip();
+    (join_all(indexes), tables.into_iter().next().unwrap_or_default())
 }
 
 /// Deterministic synthetic corpus: `files` documents with word counts and
@@ -122,7 +130,7 @@ proptest! {
         prop_assert_eq!(checkpoint.completed.len(), files);
 
         let store = IndexStore::open(&dir.0).unwrap();
-        let (resumed_index, resumed_docs) = store.load_joined().unwrap();
+        let (resumed_index, resumed_docs) = stored(&store);
         let batch = IndexGenerator::default().run_sequential(&fs, &VPath::root()).unwrap();
         prop_assert_eq!(&resumed_index, &batch.index);
         prop_assert_eq!(resumed_docs.len(), batch.docs.len());
@@ -147,7 +155,7 @@ proptest! {
         let report = pipeline.build(&fs, &VPath::root(), &dir.0).unwrap();
         prop_assert!(report.complete);
         let store = IndexStore::open(&dir.0).unwrap();
-        let (index_before, _) = store.load_joined().unwrap();
+        let (index_before, _) = stored(&store);
         let segments_before = store.segment_count();
 
         let mut again = options(2, Duration::ZERO);
@@ -159,7 +167,7 @@ proptest! {
 
         let store = IndexStore::open(&dir.0).unwrap();
         prop_assert_eq!(store.segment_count(), segments_before);
-        let (index_after, _) = store.load_joined().unwrap();
+        let (index_after, _) = stored(&store);
         prop_assert_eq!(index_after, index_before);
     }
 }

@@ -244,7 +244,7 @@ impl InMemoryIndex {
     ///
     /// Returns the number of postings removed.  Terms whose posting list
     /// becomes empty are dropped entirely, and the file counter drops by the
-    /// files that had a recorded length.  Used by the incremental re-indexer
+    /// files that had a recorded length.  Used by the incremental update
     /// for the files that were deleted or modified.
     pub fn remove_files(&mut self, files: &[FileId]) -> u64 {
         let mut files = files.to_vec();

@@ -319,7 +319,7 @@ impl PostingList {
     /// list; returns how many were present.  A list that holds none of them
     /// is decoded up to the largest of them and left as it is.
     ///
-    /// Used by the incremental re-indexer when files are deleted or about to
+    /// Used by the incremental update when files are deleted or about to
     /// be re-indexed after a modification.
     pub fn remove_all(&mut self, ids: &[FileId]) -> usize {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));

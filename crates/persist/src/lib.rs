@@ -13,10 +13,13 @@
 //!   sealed and committed as one segment — the file their join would have
 //!   been written as, without the join — so a store does not say how many
 //!   threads built it.
-//! * **Incremental re-indexing** ([`incremental`]) — per-file signatures
-//!   (size + FNV-1a content hash) persisted in a [`incremental::SignatureDb`]
-//!   let the next run re-scan only the files that were added, modified or
-//!   removed since the previous run.
+//! * **Change detection for incremental re-indexing** ([`incremental`]) —
+//!   per-file signatures (size + FNV-1a content hash) persisted in a
+//!   [`incremental::SignatureDb`], whose `diff` tells the next run which
+//!   files were added, modified or removed since.  No file is tokenized
+//!   here: the changed ones go through the paper's pipeline
+//!   (`dsearch_core::IndexGenerator::update_store`), and what the store
+//!   held is merged with what that run built by the same k-source seal.
 //!
 //! # Example
 //!
@@ -52,9 +55,7 @@ pub mod store;
 
 pub use checkpoint::{BuildCheckpoint, DeadLetter, DeadLetterQueue, CHECKPOINT_FILE, DLQ_FILE};
 pub use error::PersistError;
-pub use incremental::{
-    ChangeSet, FileSignature, IncrementalIndexer, SignatureDb, UpdateReport, SIGNATURES_FILE,
-};
+pub use incremental::{ChangeSet, FileSignature, SignatureDb, SIGNATURES_FILE};
 pub use segment::{
     read_segment, read_segment_sealed, write_segment, write_segment_merged, SegmentInfo,
 };

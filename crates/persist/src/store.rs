@@ -32,7 +32,7 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use dsearch_index::{join_all, DocTable, InMemoryIndex, SealedShard, SectionBytes};
+use dsearch_index::{DocTable, InMemoryIndex, SealedShard, SectionBytes};
 
 use crate::error::PersistError;
 use crate::incremental::SignatureDb;
@@ -267,29 +267,15 @@ impl IndexStore {
         self.publish(replicas, docs, false).map(|(_, info)| info)
     }
 
-    /// Replaces every live segment with a single segment holding `index`:
-    /// [`replace_with`](IndexStore::replace_with) of one source.  This is the
-    /// incremental-indexing commit: the caller loaded the joined index,
-    /// brought it up to date, and stores the result as the new sole segment.
-    ///
-    /// # Errors
-    ///
-    /// Fails like [`replace_with`](IndexStore::replace_with).
-    pub fn replace_all(
-        &mut self,
-        index: &InMemoryIndex,
-        docs: &DocTable,
-    ) -> Result<SegmentInfo, PersistError> {
-        self.replace_with(std::slice::from_ref(index), docs)
-    }
-
-    /// A full run taking ownership of the store: the run's replicas become
-    /// the one live segment ([`commit_all`](IndexStore::commit_all)) and
-    /// every earlier segment is retired by the **same** manifest write; the
-    /// old files are deleted after it is durable.  The signatures an
-    /// `--incremental` run left describe the segments that go, so they go
-    /// too ([`SignatureDb::retire`]); a caller whose new segment they still
-    /// describe saves them again afterwards.
+    /// A run taking ownership of the store: `replicas` become the one live
+    /// segment ([`commit_all`](IndexStore::commit_all)) and every earlier
+    /// segment is retired by the **same** manifest write; the old files are
+    /// deleted after it is durable.  A full run passes what it built; an
+    /// incremental update passes the indexes it loaded from this store, the
+    /// stale postings removed, followed by what it built — the seal merges
+    /// them all.  The signatures an `--incremental` run left describe the
+    /// segments that go, so they go too ([`SignatureDb::retire`]); a caller
+    /// whose new segment they describe saves them again afterwards.
     ///
     /// # Errors
     ///
@@ -467,33 +453,12 @@ impl IndexStore {
     ) -> Result<(SealedShard, DocTable), PersistError> {
         self.read_at(position, read_segment_sealed)
     }
-
-    /// Loads all segments and joins them into one index.
-    ///
-    /// Document tables are concatenated in segment order; document ids are
-    /// only meaningful when every segment was produced from the same doc
-    /// table (the normal case: replicas of one run).
-    ///
-    /// # Errors
-    ///
-    /// Fails when any segment is missing or corrupt.
-    pub fn load_joined(&self) -> Result<(InMemoryIndex, DocTable), PersistError> {
-        let mut indices = Vec::with_capacity(self.segment_count());
-        let mut docs = DocTable::new();
-        for (i, (index, segment_docs)) in self.load_all()?.into_iter().enumerate() {
-            indices.push(index);
-            if i == 0 || docs.is_empty() || segment_docs.len() > docs.len() {
-                docs = segment_docs;
-            }
-        }
-        Ok((join_all(indices), docs))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsearch_index::FileId;
+    use dsearch_index::{join_all, FileId};
     use dsearch_text::Term;
 
     /// Minimal scoped temp dir (std-only, no extra dependency).
@@ -598,9 +563,9 @@ mod tests {
         store.commit(&replica_b, &docs).unwrap();
         assert_eq!(store.segment_count(), 2);
 
-        let (joined, joined_docs) = store.load_joined().unwrap();
+        let joined =
+            join_all(store.load_all().unwrap().into_iter().map(|(index, _)| index).collect());
         assert_eq!(joined.postings(&Term::from("common")).unwrap().len(), 8);
-        assert_eq!(joined_docs.len(), 8);
 
         // The same replicas committed as one run are one segment: that join.
         let info = store.replace_with(&[replica_a, replica_b], &docs).unwrap();
@@ -618,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn replace_all_swaps_the_store_contents() {
+    fn replace_with_swaps_the_store_contents() {
         let dir = TempDir::new("replace");
         let mut store = IndexStore::open(dir.path().join("s")).unwrap();
         let (first, first_docs) = sample(0);
@@ -634,7 +599,7 @@ mod tests {
         new_docs.insert("only.txt");
         let mut new_index = InMemoryIndex::new();
         new_index.insert_file(FileId(0), [Term::from("fresh")]);
-        let info = store.replace_all(&new_index, &new_docs).unwrap();
+        let info = store.replace_with(std::slice::from_ref(&new_index), &new_docs).unwrap();
         assert_eq!(info.doc_count, 1);
         assert_eq!(store.segment_count(), 1);
         let (loaded, loaded_docs) = store.load_segment(0).unwrap();
@@ -808,7 +773,6 @@ mod tests {
             store.load_all().unwrap_err(),
             store.load_all_sealed().unwrap_err(),
             store.load_segment(1).unwrap_err(),
-            store.load_joined().unwrap_err(),
         ] {
             assert!(
                 matches!(&err, PersistError::Segment { file_name, .. } if *file_name == victim),
@@ -902,6 +866,6 @@ mod tests {
         store.commit(&index, &docs).unwrap();
         fs::remove_file(store.root().join(&store.manifest().segments[0].file_name)).unwrap();
         assert!(store.load_segment(0).is_err());
-        assert!(store.load_joined().is_err());
+        assert!(store.load_all().is_err());
     }
 }

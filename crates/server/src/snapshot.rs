@@ -433,7 +433,7 @@ mod tests {
         // Re-index adds a document; reload publishes generation 2.
         let id2 = docs.insert("second.txt");
         index.insert_file(id2, [Term::from("alpha"), Term::from("beta")]);
-        store.replace_all(&index, &docs).unwrap();
+        store.replace_with(std::slice::from_ref(&index), &docs).unwrap();
         let generation = cell.reload(&store).unwrap();
         assert_eq!(generation, 2);
         assert_eq!(cell.load().search(&Query::parse("alpha").unwrap()).len(), 2);

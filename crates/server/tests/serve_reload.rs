@@ -142,7 +142,7 @@ fn queries_survive_a_concurrent_snapshot_reload() {
                 build_v1(&mut docs, &mut index);
                 extend_to_v2(&mut docs, &mut index);
                 let mut store = IndexStore::open(&store_dir).unwrap();
-                store.replace_all(&index, &docs).unwrap();
+                store.replace_with(std::slice::from_ref(&index), &docs).unwrap();
                 let generation = engine.snapshot_cell().reload(&store).unwrap();
                 assert_eq!(generation, 2);
                 reload_done.store(true, Ordering::SeqCst);

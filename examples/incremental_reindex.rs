@@ -1,9 +1,10 @@
 //! Incremental re-indexing with a persistent on-disk store.
 //!
 //! A real desktop-search engine does not rebuild the index from scratch on
-//! every run.  This example materialises a small corpus on disk, indexes it,
-//! persists the index (binary segments + per-file signatures), then modifies
-//! a few files and shows that the second run only re-scans the changes.
+//! every run.  This example materialises a small corpus on disk, indexes it
+//! into a store (one binary segment + per-file signatures), then modifies a
+//! few files and shows that the second run only extracts the changes — with
+//! the same generator, implementation and thread counts as a full run.
 //!
 //! ```text
 //! cargo run --example incremental_reindex
@@ -11,8 +12,8 @@
 
 use std::fs;
 
-use dsearch::index::{DocTable, InMemoryIndex};
-use dsearch::persist::{IncrementalIndexer, IndexStore, SignatureDb};
+use dsearch::core::{Configuration, Implementation, IndexGenerator};
+use dsearch::persist::{IndexStore, SignatureDb};
 use dsearch::query::{Query, Searcher};
 use dsearch::vfs::{OsFs, VPath};
 
@@ -30,22 +31,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- first run: everything is new -----------------------------------
     let fs_view = OsFs::new(&docs_dir);
-    let indexer = IncrementalIndexer::new();
-    let mut index = InMemoryIndex::new();
-    let mut docs = DocTable::new();
-    let mut signatures = SignatureDb::new();
-
-    let report =
-        indexer.update(&fs_view, &VPath::root(), &mut index, &mut docs, &mut signatures)?;
-    println!(
-        "first run : added {} files, re-scanned {:.1} kB",
-        report.added,
-        report.bytes_scanned as f64 / 1e3
-    );
+    let generator = IndexGenerator::default();
+    let (implementation, configuration) =
+        (Implementation::ReplicateNoJoin, Configuration::new(2, 0, 0));
 
     let mut store = IndexStore::open(&store_dir)?;
-    store.replace_all(&index, &docs)?;
-    signatures.save(&store_dir)?;
+    let first = generator.update_store(
+        &fs_view,
+        &VPath::root(),
+        &mut store,
+        implementation,
+        configuration,
+    )?;
+    println!(
+        "first run : added {} files, extracted {:.1} kB",
+        first.changes.added.len(),
+        first.run.stage2.bytes as f64 / 1e3
+    );
     println!("persisted  : {} segment(s) in {}", store.segment_count(), store_dir.display());
 
     // ---- some time later: one file edited, one added, one deleted --------
@@ -53,34 +55,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     fs::write(docs_dir.join("projects/gamma.txt"), "gamma prototype uses the replicated index")?;
     fs::remove_file(docs_dir.join("inbox.txt"))?;
 
-    // ---- second run: load the persisted state and update it --------------
+    // ---- second run: only the disk is shared with the first ---------------
     let mut store = IndexStore::open(&store_dir)?;
-    let (mut index, mut docs) = store.load_joined()?;
-    let mut signatures = SignatureDb::load(&store_dir)?;
-
-    let changes = indexer.diff(&fs_view, &VPath::root(), &signatures)?;
+    let changes = SignatureDb::load(&store_dir)?.diff(&fs_view, &VPath::root())?;
     println!(
-        "\nsecond run: {} added, {} modified, {} removed, {} unchanged (re-scanning {} of {} files)",
+        "\nsecond run: {} added, {} modified, {} removed, {} unchanged (extracting {} of {} files)",
         changes.added.len(),
         changes.modified.len(),
         changes.removed.len(),
         changes.unchanged,
         changes.files_to_scan(),
-        changes.files_to_scan() as u64 + changes.unchanged,
+        changes.walk.files,
     );
-    let report =
-        indexer.update(&fs_view, &VPath::root(), &mut index, &mut docs, &mut signatures)?;
+    let second = generator.update_store(
+        &fs_view,
+        &VPath::root(),
+        &mut store,
+        implementation,
+        configuration,
+    )?;
     println!(
         "            postings removed {}, postings added {}, rescan ratio {:.0}%",
-        report.postings_removed,
-        report.postings_added,
-        report.rescan_ratio() * 100.0
+        second.postings_removed,
+        second.run.stage2.terms_emitted,
+        second.rescan_ratio() * 100.0
     );
-    store.replace_all(&index, &docs)?;
-    signatures.save(&store_dir)?;
 
-    // ---- the updated index answers queries about the new state -----------
-    let (index, docs) = store.load_joined()?;
+    // ---- the updated store answers queries about the new state -----------
+    let (index, docs) = store.load_segment(0)?;
     let searcher = Searcher::new([&index], &docs);
     for raw in ["replicated", "budget approved", "parallelize"] {
         let results = searcher.search(&Query::parse(raw)?);

@@ -1,11 +1,17 @@
 //! Integration tests spanning the parallel pipeline, the on-disk store and
-//! the incremental re-indexer: the state a desktop-search engine keeps
+//! the incremental update: the state a desktop-search engine keeps
 //! between runs must reproduce exactly what a fresh run would build.
 
-use std::fs;
-use std::path::{Path, PathBuf};
+mod common;
 
-use dsearch::core::{Configuration, Implementation, IndexGenerator, IndexOutcome};
+use std::fs;
+use std::time::Duration;
+
+use common::{frequent_queries, said, TempDir};
+use dsearch::core::{
+    BuildOptions, BuildPipeline, Configuration, Implementation, IncrementalRun, IndexGenerator,
+    IndexOutcome,
+};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch::index::varint::{write_bytes, write_varint};
 use dsearch::index::{DocTable, FileId, InMemoryIndex, SealedShard};
@@ -13,33 +19,11 @@ use dsearch::persist::checksum::xxh64;
 use dsearch::persist::segment::{
     read_segment, read_segment_sealed, write_segment, SEGMENT_MAGIC, SEGMENT_VERSION,
 };
-use dsearch::persist::{IncrementalIndexer, IndexStore, PersistError, SignatureDb};
+use dsearch::persist::{IndexStore, PersistError, SignatureDb};
 use dsearch::query::{Query, Searcher};
 use dsearch::server::IndexSnapshot;
 use dsearch::text::Term;
-use dsearch::vfs::{MemFs, VPath};
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> Self {
-        let path =
-            std::env::temp_dir().join(format!("dsearch-persist-it-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&path);
-        fs::create_dir_all(&path).unwrap();
-        TempDir(path)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
+use dsearch::vfs::{FileSystem, MemFs, VPath};
 
 #[test]
 fn pipeline_output_survives_a_store_round_trip() {
@@ -133,7 +117,7 @@ fn ranked_answers_do_not_depend_on_how_many_threads_indexed() {
 
     // The most frequent terms alone, and each with its neighbour in an OR.
     let mut by_frequency: Vec<(usize, Term)> = {
-        let (index, _) = IndexStore::open(dir.path().join("x1")).unwrap().load_joined().unwrap();
+        let (index, _) = IndexStore::open(dir.path().join("x1")).unwrap().load_segment(0).unwrap();
         index.iter().map(|(term, list)| (list.len(), term.clone())).collect()
     };
     by_frequency.sort_by(|a, b| b.cmp(a));
@@ -329,64 +313,117 @@ fn the_scored_document_count_survives_a_read_and_recommit() {
     }
 }
 
+/// One incremental update of the store at `dir` from `fs`.
+fn update<F: FileSystem>(
+    fs: &F,
+    dir: &std::path::Path,
+    implementation: Implementation,
+    extractors: usize,
+) -> IncrementalRun {
+    let mut store = IndexStore::open(dir).unwrap();
+    let configuration = Configuration::new(extractors, 0, usize::from(implementation.joins()));
+    IndexGenerator::default()
+        .update_store(fs, &VPath::root(), &mut store, implementation, configuration)
+        .unwrap()
+}
+
+/// Files added, modified, removed, unchanged.
+fn counts(report: &IncrementalRun) -> (usize, usize, usize, u64) {
+    let changes = &report.changes;
+    (changes.added.len(), changes.modified.len(), changes.removed.len(), changes.unchanged)
+}
+
+/// The oracle: the paper's pipeline over the tree as it stands, stored.
+fn rebuild<F: FileSystem>(fs: &F, dir: &std::path::Path) -> IndexStore {
+    let run = IndexGenerator::default()
+        .run(fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(2, 0, 1))
+        .unwrap();
+    let mut store = IndexStore::open(dir).unwrap();
+    store.replace_with(run.outcome.replicas(), run.outcome.docs()).unwrap();
+    store
+}
+
 #[test]
 fn incremental_update_matches_a_full_rebuild_on_a_mutated_corpus() {
-    // Start from a generated corpus in memory.
-    let (fs, manifest) = materialize_to_memfs(&CorpusSpec::tiny(), 7);
-    let indexer = IncrementalIndexer::new();
+    for implementation in Implementation::ALL {
+        // Start from a generated corpus in memory.
+        let (fs, manifest) = materialize_to_memfs(&CorpusSpec::tiny(), 7);
+        let paths = manifest.paths();
+        let dir = TempDir::new("incremental");
+        let first = update(&fs, &dir.path().join("store"), implementation, 2);
+        let files = manifest.file_count() as usize;
+        assert_eq!(counts(&first), (files, 0, 0, 0));
 
-    let mut index = InMemoryIndex::new();
-    let mut docs = DocTable::new();
-    let mut signatures = SignatureDb::new();
-    let first =
-        indexer.update(&fs, &VPath::root(), &mut index, &mut docs, &mut signatures).unwrap();
-    assert_eq!(first.added, manifest.file_count());
-
-    // Mutate the corpus: delete a few files, rewrite one, add new ones.
-    let paths = manifest.paths();
-    fs.remove_file(&paths[0]).unwrap();
-    fs.remove_file(&paths[3]).unwrap();
-    fs.remove_file(&paths[5]).unwrap();
-    fs.add_file(&paths[5], b"completely rewritten contents about tuning".to_vec()).unwrap();
-    fs.add_file(&VPath::new("extra/new_one.txt"), b"freshly added document".to_vec()).unwrap();
-    fs.add_file(&VPath::new("extra/new_two.txt"), b"another new file with unique wording".to_vec())
+        // Mutate the corpus: delete a few files, rewrite one, add new ones.
+        fs.remove_file(&paths[0]).unwrap();
+        fs.remove_file(&paths[3]).unwrap();
+        fs.remove_file(&paths[5]).unwrap();
+        fs.add_file(&paths[5], b"completely rewritten contents about tuning tuning".to_vec())
+            .unwrap();
+        fs.add_file(&VPath::new("extra/new_one.txt"), b"freshly added document".to_vec()).unwrap();
+        fs.add_file(
+            &VPath::new("extra/new_two.txt"),
+            b"another new file with unique wording".to_vec(),
+        )
         .unwrap();
 
-    let second =
-        indexer.update(&fs, &VPath::root(), &mut index, &mut docs, &mut signatures).unwrap();
-    assert_eq!(second.added, 2);
-    assert_eq!(second.modified, 1);
-    assert_eq!(second.removed, 2);
-    assert!(second.unchanged > 0);
-    assert!(second.rescan_ratio() < 0.25, "most files must not be re-scanned");
+        let second = update(&fs, &dir.path().join("store"), implementation, 3);
+        assert_eq!(counts(&second), (2, 1, 2, files as u64 - 3));
+        assert_eq!(second.run.stage2.files, 3, "only the changed files are extracted");
+        assert!(second.rescan_ratio() < 0.25, "most files must not be re-scanned");
 
-    // A full rebuild over the final tree must agree term-by-term (compare by
-    // path because doc ids can differ).
-    let mut full_index = InMemoryIndex::new();
-    let mut full_docs = DocTable::new();
-    let mut full_sigs = SignatureDb::new();
-    indexer.update(&fs, &VPath::root(), &mut full_index, &mut full_docs, &mut full_sigs).unwrap();
-
-    let paths_for = |idx: &InMemoryIndex, table: &DocTable, term: &Term| -> Vec<String> {
-        idx.postings(term)
-            .map(|p| {
-                let mut v: Vec<String> =
-                    p.iter().filter_map(|id| table.path(id).map(str::to_owned)).collect();
-                v.sort();
-                v
-            })
-            .unwrap_or_default()
-    };
-    assert_eq!(full_index.term_count(), index.term_count());
-    for (term, _) in full_index.iter() {
-        assert_eq!(
-            paths_for(&index, &docs, term),
-            paths_for(&full_index, &full_docs, term),
-            "postings diverge for {term}"
-        );
+        // A full rebuild over the final tree says the same by path (doc ids
+        // differ): postings with their frequencies, lengths, ranked answers.
+        let store = IndexStore::open(dir.path().join("store")).unwrap();
+        assert_eq!(store.segment_count(), 1);
+        let full = rebuild(&fs, &dir.path().join("full"));
+        let mut queries = frequent_queries(&full);
+        queries.push("tuning OR freshly OR wording".to_owned());
+        let incremental = said(&store, &queries);
+        assert_eq!(incremental, said(&full, &queries));
+        assert_eq!(incremental.postings[&("tuning".to_owned(), paths[5].as_str().to_owned())], 2);
+        assert!(incremental.ranked.iter().all(|hits| hits.len() > 1), "{:?}", incremental.ranked);
     }
-    assert!(index.contains_term(&Term::from("freshly")));
-    assert!(index.contains_term(&Term::from("tuning")));
+}
+
+/// The case the old API could not reach: a store of several segments, as a
+/// checkpointed `dsearch build` leaves it, updated incrementally, ends as one
+/// segment that says what a full rebuild says.
+#[test]
+fn incremental_update_of_a_multi_segment_build_ends_as_one_segment() {
+    let (fs, manifest) = materialize_to_memfs(&CorpusSpec::tiny(), 21);
+    let dir = TempDir::new("multi-segment");
+    let store_dir = dir.path().join("store");
+    let options =
+        BuildOptions { extractors: 2, checkpoint_every: Duration::ZERO, ..BuildOptions::default() };
+    let report = BuildPipeline::new(options).build(&fs, &VPath::root(), &store_dir).unwrap();
+    assert!(report.complete && report.segments > 1, "{} segment(s)", report.segments);
+
+    let paths = manifest.paths();
+    fs.remove_file(&paths[1]).unwrap();
+    fs.remove_file(&paths[2]).unwrap();
+    fs.add_file(&paths[2], b"the rewritten one of the two".to_vec()).unwrap();
+    fs.add_file(&VPath::new("extra/new.txt"), b"a new document in the index".to_vec()).unwrap();
+
+    // The build left no signatures: everything is extracted once, under the
+    // ids the build's table gave — and the file that went is not kept.
+    let first = update(&fs, &store_dir, Implementation::ReplicateNoJoin, 2);
+    let files = manifest.file_count() as usize;
+    assert_eq!(counts(&first), (files, 0, 0, 0));
+    let store = IndexStore::open(&store_dir).unwrap();
+    assert_eq!(store.segment_count(), 1);
+    let full = rebuild(&fs, &dir.path().join("full"));
+    let queries = frequent_queries(&full);
+    assert_eq!(said(&store, &queries), said(&full, &queries));
+
+    // From here on it is an ordinary incremental store.
+    fs.remove_file(&paths[4]).unwrap();
+    let second = update(&fs, &store_dir, Implementation::SharedLocked, 1);
+    assert_eq!(counts(&second), (0, 0, 1, files as u64 - 1));
+    let store = IndexStore::open(&store_dir).unwrap();
+    let full = rebuild(&fs, &dir.path().join("full"));
+    let queries = frequent_queries(&full);
+    assert_eq!(said(&store, &queries), said(&full, &queries));
 }
 
 #[test]
@@ -398,60 +435,47 @@ fn signature_db_and_store_survive_process_restart_on_disk() {
     fs::write(docs_dir.join("a.txt"), "alpha beta").unwrap();
     fs::write(docs_dir.join("b.txt"), "beta gamma").unwrap();
     let store_dir = dir.path().join("store");
-    let sig_path = dir.path().join("signatures.json");
 
     {
         let fs_view = dsearch::vfs::OsFs::new(&docs_dir);
-        let indexer = IncrementalIndexer::new();
-        let mut index = InMemoryIndex::new();
-        let mut docs = DocTable::new();
-        let mut signatures = SignatureDb::new();
-        indexer.update(&fs_view, &VPath::root(), &mut index, &mut docs, &mut signatures).unwrap();
-        let mut store = IndexStore::open(&store_dir).unwrap();
-        store.replace_all(&index, &docs).unwrap();
-        fs::write(&sig_path, signatures.to_json().unwrap()).unwrap();
+        let report = update(&fs_view, &store_dir, Implementation::ReplicateNoJoin, 2);
+        assert_eq!(counts(&report), (2, 0, 0, 0));
     }
+    assert_eq!(SignatureDb::load(&store_dir).unwrap().len(), 2);
 
-    // "Second process": change one file, reload everything from disk.
+    // "Second process": change one file; everything else comes from disk.
     fs::write(docs_dir.join("a.txt"), "alpha delta").unwrap();
     {
         let fs_view = dsearch::vfs::OsFs::new(&docs_dir);
-        let indexer = IncrementalIndexer::new();
-        let mut store = IndexStore::open(&store_dir).unwrap();
-        let (mut index, mut docs) = store.load_joined().unwrap();
-        let mut signatures =
-            SignatureDb::from_json(&fs::read_to_string(&sig_path).unwrap()).unwrap();
-        let report = indexer
-            .update(&fs_view, &VPath::root(), &mut index, &mut docs, &mut signatures)
-            .unwrap();
-        assert_eq!(report.modified, 1);
-        assert_eq!(report.unchanged, 1);
-        store.replace_all(&index, &docs).unwrap();
+        let report = update(&fs_view, &store_dir, Implementation::ReplicateNoJoin, 2);
+        assert_eq!(counts(&report), (0, 1, 0, 1));
+        assert_eq!(report.run.stage2.files, 1);
     }
 
     let store = IndexStore::open(&store_dir).unwrap();
-    let (index, docs) = store.load_joined().unwrap();
+    let (index, docs) = store.load_segment(0).unwrap();
     let searcher = Searcher::new([&index], &docs);
     assert_eq!(searcher.search(&Query::parse("delta").unwrap()).len(), 1);
     assert!(searcher.search(&Query::parse("beta").unwrap()).len() == 1);
+    let fs_view = dsearch::vfs::OsFs::new(&docs_dir);
+    let queries = ["alpha OR beta", "beta AND gamma", "delta"];
+    assert_eq!(
+        said(&store, &queries),
+        said(&rebuild(&fs_view, &dir.path().join("full")), &queries)
+    );
 }
 
 #[test]
 fn empty_memfs_corpus_is_handled_gracefully() {
     let fs = MemFs::new();
     fs.add_dir(&VPath::new("empty/nested")).unwrap();
-    let indexer = IncrementalIndexer::new();
-    let mut index = InMemoryIndex::new();
-    let mut docs = DocTable::new();
-    let mut signatures = SignatureDb::new();
-    let report =
-        indexer.update(&fs, &VPath::root(), &mut index, &mut docs, &mut signatures).unwrap();
-    assert_eq!(report.added + report.modified + report.removed, 0);
-    assert!(index.is_empty());
-
     let dir = TempDir::new("empty");
-    let mut store = IndexStore::open(dir.path().join("store")).unwrap();
-    store.commit(&index, &docs).unwrap();
-    let (restored, _) = store.load_joined().unwrap();
+    let report = update(&fs, &dir.path().join("store"), Implementation::ReplicateNoJoin, 2);
+    assert_eq!(counts(&report), (0, 0, 0, 0));
+    assert_eq!(report.run.outcome.file_count(), 0);
+
+    let store = IndexStore::open(dir.path().join("store")).unwrap();
+    assert_eq!(store.segment_count(), 1);
+    let (restored, _) = store.load_segment(0).unwrap();
     assert!(restored.is_empty());
 }

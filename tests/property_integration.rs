@@ -10,15 +10,17 @@
 //! * persisted segments reproduce pipeline output exactly;
 //! * incremental re-indexing after arbitrary mutations matches a rebuild.
 
+mod common;
+
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+
+use common::{said, TempDir};
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
-use dsearch::index::{DocTable, InMemoryIndex};
 use dsearch::persist::segment::{read_segment, write_segment};
-use dsearch::persist::{IncrementalIndexer, SignatureDb};
+use dsearch::persist::IndexStore;
 use dsearch::query::{Query, Searcher};
-use dsearch::text::Term;
 use dsearch::vfs::{MemFs, VPath};
 
 /// A randomly generated tiny corpus: up to 12 files of lowercase words spread
@@ -156,9 +158,12 @@ proptest! {
         }
     }
 
-    /// Incrementally updating an index through an arbitrary sequence of
-    /// mutations ends in the same term → path mapping as rebuilding from
-    /// scratch over the final tree.
+    /// Incrementally updating a store through an arbitrary sequence of
+    /// mutations — in two rounds, an update after each — ends in what the
+    /// paper's pipeline builds from scratch over the final tree: by path, the
+    /// same postings with the same frequencies, the same document lengths and
+    /// the same ranked answers, whichever implementation and however many
+    /// extractors ran the updates.
     #[test]
     fn incremental_update_equals_rebuild_after_random_mutations(
         initial in corpus_strategy(),
@@ -167,52 +172,62 @@ proptest! {
                 "(alpha|beta|gamma|delta|fresh|новое)?(index|search|lock|join)", 1..10))),
             0..8,
         ),
+        implementation in 0usize..3,
+        extractors in 1usize..4,
     ) {
+        let implementation = Implementation::ALL[implementation];
         let fs = memfs_from(&initial);
-        let indexer = IncrementalIndexer::new();
-        let mut index = InMemoryIndex::new();
-        let mut docs = DocTable::new();
-        let mut sigs = SignatureDb::new();
-        indexer.update(&fs, &VPath::root(), &mut index, &mut docs, &mut sigs).unwrap();
+        let dir = TempDir::new("incremental");
+        let generator = IndexGenerator::default();
+        let configuration = Configuration::new(extractors, 0, usize::from(implementation.joins()));
+        let update = || {
+            let mut store = IndexStore::open(dir.path().join("store")).unwrap();
+            generator
+                .update_store(&fs, &VPath::root(), &mut store, implementation, configuration)
+                .unwrap()
+        };
+        let first = update();
+        prop_assert_eq!(first.changes.added.len(), initial.len());
 
-        // Apply mutations: delete the chosen file, or rewrite/create it.
-        let mut paths: Vec<String> = initial.iter().map(|(p, _)| p.clone()).collect();
-        for (slot, rewrite) in &mutations {
-            match rewrite {
-                None => {
-                    if let Some(path) = paths.get(slot % paths.len().max(1)) {
-                        let _ = fs.remove_file(&VPath::new(path.as_str()));
+        // Apply mutations: delete the chosen file, rewrite it (or bring it
+        // back), or write one of a few new ones.
+        let paths: Vec<&str> = initial.iter().map(|(p, _)| p.as_str()).collect();
+        let (early, late) = mutations.split_at(mutations.len() / 2);
+        for round in [early, late] {
+            for (slot, rewrite) in round {
+                let existing = VPath::new(paths[slot % paths.len()]);
+                match rewrite {
+                    None => {
+                        let _ = fs.remove_file(&existing);
                     }
-                }
-                Some(words) => {
-                    let path = format!("mut/m{slot}.txt");
-                    let _ = fs.remove_file(&VPath::new(path.as_str()));
-                    fs.add_file(&VPath::new(path.as_str()), words.join(" ").into_bytes()).unwrap();
-                    if !paths.contains(&path) {
-                        paths.push(path);
+                    Some(words) => {
+                        let path =
+                            if *slot < 6 { existing } else { VPath::new(format!("mut/m{slot}.txt")) };
+                        let _ = fs.remove_file(&path);
+                        fs.add_file(&path, words.join(" ").into_bytes()).unwrap();
                     }
                 }
             }
+            let report = update();
+            prop_assert!(report.run.stage2.files <= round.len() as u64);
         }
-        indexer.update(&fs, &VPath::root(), &mut index, &mut docs, &mut sigs).unwrap();
 
         // Rebuild from scratch over the final tree.
-        let mut fresh_index = InMemoryIndex::new();
-        let mut fresh_docs = DocTable::new();
-        let mut fresh_sigs = SignatureDb::new();
-        indexer.update(&fs, &VPath::root(), &mut fresh_index, &mut fresh_docs, &mut fresh_sigs).unwrap();
+        let run = generator
+            .run(&fs, &VPath::root(), Implementation::SharedLocked, Configuration::new(1, 0, 0))
+            .unwrap();
+        let mut fresh = IndexStore::open(dir.path().join("fresh")).unwrap();
+        fresh.replace_with(run.outcome.replicas(), run.outcome.docs()).unwrap();
 
-        let by_paths = |idx: &InMemoryIndex, table: &DocTable| -> BTreeMap<Term, BTreeSet<String>> {
-            idx.iter()
-                .map(|(term, postings)| {
-                    let paths: BTreeSet<String> = postings
-                        .iter()
-                        .filter_map(|id| table.path(id).map(str::to_owned))
-                        .collect();
-                    (term.clone(), paths)
-                })
-                .collect()
-        };
-        prop_assert_eq!(by_paths(&index, &docs), by_paths(&fresh_index, &fresh_docs));
+        let store = IndexStore::open(dir.path().join("store")).unwrap();
+        prop_assert_eq!(store.segment_count(), 1);
+        let queries = [
+            "alpha OR beta",
+            "index AND search",
+            "lock OR join OR core OR disk",
+            "gamma AND delta",
+            "alphaindex OR freshsearch OR новоеlock OR index",
+        ];
+        prop_assert_eq!(said(&store, &queries), said(&fresh, &queries));
     }
 }
