@@ -4,20 +4,58 @@
 //! on a repeated/shared-term workload the cache cannot absorb, and the
 //! hand-off alone (`pool_execute`: cache hits through `Pool::execute` from one
 //! caller, who always finds an execution slot, versus twice as many callers as
-//! slots).
+//! slots), and a cache hit with nothing around it (`hit_path`: execute and
+//! render on the bench's own thread, with the allocations it makes printed).
 //!
 //! Run with `cargo bench --bench microbench_server`.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use dsearch::index::{DocTable, InMemoryIndex};
+use dsearch::server::protocol::render_response;
 use dsearch::server::{
     loadgen, BatchConfig, EngineConfig, IndexSnapshot, LoadConfig, LoadMode, Metric, QueryEngine,
     WorkerPool, Workload,
 };
 use dsearch::text::Term;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts the allocations of the thread that makes them, for `hit_path`.
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter bump
+// that neither allocates (const-initialised `Cell`, no destructor) nor
+// unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 /// A deterministic synthetic index: `docs` documents over a vocabulary with
 /// Zipf-ish sharing ("common" everywhere, `w{k}` spread over k-sized strata).
@@ -302,11 +340,40 @@ fn bench_pool_execute(c: &mut Criterion) {
     group.finish();
 }
 
+/// A cache hit and its rendering, on this thread, with no pool, socket or
+/// second caller: what a request costs the engine and the protocol once its
+/// answer is cached.  Prints the allocations one such request makes.
+fn bench_hit_path(c: &mut Criterion) {
+    let engine = engine_with(1, 4096);
+    let queries: Vec<String> =
+        (0..16).map(|i| format!("common w{} OR m{}", i % 10, i % 100)).collect();
+    let serve = |raw: &str| render_response(&engine.execute(raw).expect("bench query")).len();
+    for raw in &queries {
+        serve(raw);
+    }
+    let before = ALLOCATIONS.with(Cell::get);
+    for raw in &queries {
+        black_box(serve(raw));
+    }
+    let per_request = (ALLOCATIONS.with(Cell::get) - before) as f64 / queries.len() as f64;
+    println!(
+        "hit_path: {per_request:.1} allocations per request (execute + render of a cached answer)"
+    );
+    let mut group = c.benchmark_group("hit_path");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(queries.len() as u64));
+    group.bench_function("execute_render", |b| {
+        b.iter(|| queries.iter().map(|raw| serve(raw)).sum::<usize>());
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_worker_scaling,
     bench_cache_effect,
     bench_batching,
-    bench_pool_execute
+    bench_pool_execute,
+    bench_hit_path
 );
 criterion_main!(benches);

@@ -12,10 +12,13 @@
 //! of arithmetic progressions (every id, every other, every 200th) measures a
 //! case production does not have: every block the same width-0 run.  The
 //! queries are picked from the vocabulary by document frequency, and the list
-//! lengths are printed once so a reader can tell what was measured.
+//! lengths are printed once so a reader can tell what was measured — with,
+//! per shape, the merge loop's rounds, the documents it scored and the
+//! nanoseconds per round.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::time::Instant;
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
@@ -83,6 +86,22 @@ fn bench_query_eval(c: &mut Criterion) {
     let shards = [SealedShard::from_index(&index)];
     for (shape, raw) in queries(&index, docs.len()) {
         let query = Query::parse(&raw).expect("bench query parses");
+        // How much merging a query is — its rounds, the documents it scored —
+        // and the evaluation's time spread over those rounds (informational:
+        // the fixed setup is in it).
+        let run = || evaluate(&shards, &docs, &query, Scorer::Bm25, 20, &|| false);
+        let (_, prune) = run();
+        const TIMED: u32 = 200;
+        let started = Instant::now();
+        (0..TIMED).for_each(|_| drop(black_box(run())));
+        let per_query = started.elapsed() / TIMED;
+        println!(
+            "query_eval/{shape}: {} merge rounds, {} documents scored, {:.1} ns per round \
+             ({per_query:?} per query)",
+            prune.rounds,
+            prune.scored,
+            per_query.as_nanos() as f64 / prune.rounds.max(1) as f64,
+        );
         group.bench_function(shape, |b| {
             b.iter(|| {
                 let (results, _) = evaluate(&shards, &docs, &query, Scorer::Bm25, 20, &|| false);

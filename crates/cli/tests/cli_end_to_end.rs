@@ -230,6 +230,70 @@ fn served(store: &str, query: &str) -> Vec<String> {
     lines.take_while(|&line| line != "END").map(str::to_owned).collect()
 }
 
+/// A cached answer is rendered once and copied after that: on the wire the
+/// second asking of a query says `cached=true` and carries the very body the
+/// first did.
+#[test]
+fn a_repeated_query_is_answered_from_cache_with_the_same_body() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let dir = TempDir::new("cached-body");
+    let docs = dir.path().join("docs");
+    fs::create_dir_all(&docs).unwrap();
+    write_docs(&docs);
+    let store = dir.sub("store");
+    run(index_args(&docs, &store, &[])).unwrap();
+
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_dsearch"))
+        .args(["serve", "--store", &store])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let script = "parallel OR revenue\nparallel   OR REVENUE\n!quit\n";
+    serve.stdin.take().unwrap().write_all(script.as_bytes()).unwrap();
+    let output = serve.wait_with_output().unwrap();
+    assert!(output.status.success());
+    let answer = String::from_utf8(output.stdout).unwrap();
+    let mut responses = answer.split_inclusive("END\n").map(|response| {
+        let (status, body) = response.split_once('\n').unwrap();
+        (status.to_owned(), body.to_owned())
+    });
+    let (first, first_body) = responses.next().unwrap();
+    let (second, second_body) = responses.next().unwrap();
+    assert!(first.starts_with("OK 3 generation=1 cached=false "), "{answer}");
+    assert!(second.starts_with("OK 3 generation=1 cached=true "), "{answer}");
+    assert_eq!(first_body, second_body);
+    assert_eq!(first_body.lines().count(), 4, "three hits and END: {answer}");
+}
+
+/// Output to a reader that has gone away ends a command quietly: no panic,
+/// no backtrace, not the exit code of one.
+#[test]
+fn a_closed_stdout_ends_a_command_quietly() {
+    use std::process::{Command, Stdio};
+    let dir = TempDir::new("closed-stdout");
+    let docs = dir.path().join("docs");
+    fs::create_dir_all(&docs).unwrap();
+    write_docs(&docs);
+    let store = dir.sub("store");
+    run(index_args(&docs, &store, &[])).unwrap();
+
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let output = Command::new(env!("CARGO_BIN_EXE_dsearch"))
+        .args(["search", "--store", &store, "parallel"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_ne!(output.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(output.status.success(), "{:?}: {stderr}", output.status);
+}
+
 fn segment(store: &str) -> Vec<u8> {
     fs::read(Path::new(store).join("segment-000001.dsg")).unwrap()
 }

@@ -621,29 +621,31 @@ impl PostingCursor for SliceCursor<'_> {
 /// A [`PostingCursor`] over a [`CompressedView`].  `seek` routes
 /// through the skip table, so blocks between the current position and the
 /// target are never touched; the blocks it enters decode one at a time into
-/// a reusable scratch buffer.
+/// a block-sized buffer of the cursor's own, so opening one allocates
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct BlockCursor<'a> {
     postings: CompressedView<'a>,
-    /// Index of the current block; `== block_count()` when exhausted.
+    /// Blocks the list spans.
+    blocks: usize,
+    /// Index of the current block; `== blocks` when exhausted.
     block: usize,
     /// Position within the current block.
     pos: usize,
     /// Ids in the current block (0 when exhausted).
     len_in_block: usize,
-    /// The current block's ids, in a buffer sized by the first block (no
-    /// later one is longer) and reused across every block the cursor visits.
-    scratch: Vec<u32>,
+    /// The current block's ids, reused across every block the cursor visits.
+    scratch: [u32; BLOCK_SIZE],
     /// Frequency decode buffer; filled lazily, only for blocks whose
     /// frequencies are actually read.
-    freq_scratch: Vec<u32>,
+    freq_scratch: [u32; BLOCK_SIZE],
     /// Whether `freq_scratch` holds the current block's frequencies.
     freqs_loaded: bool,
     /// Dequantized score bound of the current block: block-max evaluation
     /// asks for it once per posting, the division is paid once per block.
     bound: f32,
     /// Blocks this cursor has entered (and decoded);
-    /// `block_count() - blocks_visited()` is the number the skip table let
+    /// `blocks - blocks_visited()` is the number the skip table let
     /// it jump over entirely.
     visited: u64,
 }
@@ -654,11 +656,12 @@ impl<'a> BlockCursor<'a> {
     pub fn new(postings: CompressedView<'a>) -> Self {
         let mut cursor = BlockCursor {
             postings,
+            blocks: postings.block_count(),
             block: 0,
             pos: 0,
             len_in_block: 0,
-            scratch: Vec::new(),
-            freq_scratch: Vec::new(),
+            scratch: [0; BLOCK_SIZE],
+            freq_scratch: [0; BLOCK_SIZE],
             freqs_loaded: false,
             bound: 0.0,
             visited: 0,
@@ -668,14 +671,14 @@ impl<'a> BlockCursor<'a> {
     }
 
     fn exhausted(&self) -> bool {
-        self.block >= self.postings.block_count()
+        self.block >= self.blocks
     }
 
     fn enter_block(&mut self, block: usize) {
         self.block = block;
         self.pos = 0;
         self.freqs_loaded = false;
-        if block >= self.postings.block_count() {
+        if block >= self.blocks {
             self.len_in_block = 0;
             self.bound = 0.0;
             return;
@@ -683,9 +686,6 @@ impl<'a> BlockCursor<'a> {
         self.visited += 1;
         self.bound = self.postings.block_score_bound(block);
         self.len_in_block = self.postings.block_len(block);
-        if self.scratch.len() < self.len_in_block {
-            self.scratch.resize(self.len_in_block, 0);
-        }
         self.postings.block_ids(block, &mut self.scratch);
     }
 
@@ -694,16 +694,11 @@ impl<'a> BlockCursor<'a> {
     /// payload on first access; blocks the skip table jumps over never pay.
     #[must_use]
     pub fn current_tf(&mut self) -> u32 {
-        if self.exhausted() || self.pos >= self.len_in_block {
-            return 1;
-        }
-        if self.postings.freqs.is_empty() {
+        // An exhausted cursor has no block: `len_in_block` is zero.
+        if self.pos >= self.len_in_block || self.postings.freqs.is_empty() {
             return 1;
         }
         if !self.freqs_loaded {
-            if self.freq_scratch.len() < self.len_in_block {
-                self.freq_scratch.resize(self.len_in_block, 1);
-            }
             self.postings.block_tfs(self.block, &mut self.freq_scratch);
             self.freqs_loaded = true;
         }
@@ -741,7 +736,7 @@ impl<'a> BlockCursor<'a> {
     /// Total blocks in the underlying list.
     #[must_use]
     pub fn total_blocks(&self) -> usize {
-        self.postings.block_count()
+        self.blocks
     }
 
     fn block_last(&self) -> FileId {
@@ -795,12 +790,21 @@ impl PostingCursor for BlockCursor<'_> {
             if self.block_last() < target {
                 // Only possible when a (corrupt) skip table lies about a
                 // block's last id; exhaust instead of asserting.
-                self.enter_block(self.postings.block_count());
+                self.enter_block(self.blocks);
                 return None;
             }
         }
-        self.pos +=
-            self.scratch[self.pos..self.len_in_block].partition_point(|&id| id < target.as_u32());
+        // Gallop within the block too: most seeks of a merge land a few ids
+        // on, where a binary search of the rest of the block is mostly wasted
+        // probes.
+        let (ids, target) = (&self.scratch[..self.len_in_block], target.as_u32());
+        let mut offset = 1usize;
+        while self.pos + offset < ids.len() && ids[self.pos + offset] < target {
+            offset <<= 1;
+        }
+        let lo = self.pos + (offset >> 1);
+        let hi = (self.pos + offset + 1).min(ids.len());
+        self.pos = lo + ids[lo..hi].partition_point(|&id| id < target);
         debug_assert!(self.pos < self.len_in_block, "skip table guaranteed containment");
         self.current()
     }

@@ -5,6 +5,8 @@
 //! (filename generation), so no synchronisation is needed later: every
 //! extractor thread already knows the id of each file it scans.
 
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 
 /// Compact identifier of an indexed file.
@@ -36,10 +38,24 @@ impl std::fmt::Display for FileId {
 /// Construction happens in Stage 1 on a single thread; afterwards the table is
 /// only read, so it can be shared freely (`Arc<DocTable>`) between extractor
 /// threads, index updaters and the query engine.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Paths are shared `Arc<str>`s, so a search hit holds its path by a
+/// reference-count bump ([`DocTable::shared_path`]), never by a copy.
+#[derive(Debug, Clone, Default)]
 pub struct DocTable {
-    paths: Vec<String>,
+    paths: Vec<Arc<str>>,
+    /// [`DocTable::path_ranks`], computed on first use and dropped by every
+    /// insert.
+    ranks: OnceLock<Box<[u32]>>,
 }
+
+impl PartialEq for DocTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.paths == other.paths
+    }
+}
+
+impl Eq for DocTable {}
 
 impl DocTable {
     /// Creates an empty table.
@@ -51,7 +67,7 @@ impl DocTable {
     /// Creates a table with the given capacity hint.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        DocTable { paths: Vec::with_capacity(capacity) }
+        DocTable { paths: Vec::with_capacity(capacity), ranks: OnceLock::new() }
     }
 
     /// Registers a file path and returns its id.
@@ -59,16 +75,44 @@ impl DocTable {
     /// Paths are not de-duplicated: Stage 1 produces each filename exactly
     /// once, so checking would be wasted work (this mirrors the paper's
     /// "each file is scanned exactly once" argument).
-    pub fn insert(&mut self, path: impl Into<String>) -> FileId {
+    pub fn insert(&mut self, path: impl AsRef<str>) -> FileId {
         let id = FileId(u32::try_from(self.paths.len()).expect("more than u32::MAX files"));
-        self.paths.push(path.into());
+        self.paths.push(Arc::from(path.as_ref()));
+        self.ranks.take();
         id
     }
 
     /// The path registered under `id`, if any.
     #[must_use]
     pub fn path(&self, id: FileId) -> Option<&str> {
-        self.paths.get(id.as_usize()).map(String::as_str)
+        self.paths.get(id.as_usize()).map(|path| &**path)
+    }
+
+    /// The path registered under `id` as the table's own shared string: a
+    /// clone is a reference-count bump.
+    #[must_use]
+    pub fn shared_path(&self, id: FileId) -> Option<&Arc<str>> {
+        self.paths.get(id.as_usize())
+    }
+
+    /// Every id's position in the table sorted by `(path, id)`: comparing
+    /// two ids' ranks is comparing their paths, ids breaking ties — the order
+    /// search results take — without touching a string.  Computed once per
+    /// table (a sort that is linear when Stage 1 already inserted the paths
+    /// in order), on first use.
+    #[must_use]
+    pub fn path_ranks(&self) -> &[u32] {
+        self.ranks.get_or_init(|| {
+            let mut order: Vec<u32> = (0..self.paths.len() as u32).collect();
+            order.sort_unstable_by(|&a, &b| {
+                self.paths[a as usize].cmp(&self.paths[b as usize]).then(a.cmp(&b))
+            });
+            let mut ranks = vec![0u32; order.len()].into_boxed_slice();
+            for (rank, &id) in order.iter().enumerate() {
+                ranks[id as usize] = rank as u32;
+            }
+            ranks
+        })
     }
 
     /// Number of registered files.
@@ -83,29 +127,45 @@ impl DocTable {
         self.paths.is_empty()
     }
 
-    /// Heap bytes the table holds, from its capacities.
+    /// Heap bytes the table holds, from its capacities: the path slots, each
+    /// path's shared allocation (two reference counts and the text) and the
+    /// ranks once computed.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.paths.capacity() * std::mem::size_of::<String>()
-            + self.paths.iter().map(String::capacity).sum::<usize>()
+        let counts = 2 * std::mem::size_of::<usize>();
+        self.paths.capacity() * std::mem::size_of::<Arc<str>>()
+            + self.paths.iter().map(|path| counts + path.len()).sum::<usize>()
+            + self.ranks.get().map_or(0, |ranks| std::mem::size_of_val(&**ranks))
     }
 
     /// Iterates over `(FileId, path)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (FileId, &str)> {
-        self.paths.iter().enumerate().map(|(i, p)| (FileId(i as u32), p.as_str()))
+        self.paths.iter().enumerate().map(|(i, p)| (FileId(i as u32), &**p))
     }
 
     /// Linear search for the id of `path` (test/debug helper; production code
     /// keeps ids from Stage 1).
     #[must_use]
     pub fn find(&self, path: &str) -> Option<FileId> {
-        self.paths.iter().position(|p| p == path).map(|i| FileId(i as u32))
+        self.paths.iter().position(|p| &**p == path).map(|i| FileId(i as u32))
     }
 }
 
 impl FromIterator<String> for DocTable {
     fn from_iter<I: IntoIterator<Item = String>>(iter: I) -> Self {
-        DocTable { paths: iter.into_iter().collect() }
+        DocTable { paths: iter.into_iter().map(Arc::from).collect(), ranks: OnceLock::new() }
+    }
+}
+
+impl Serialize for DocTable {
+    fn serialize(&self) -> serde::Value {
+        self.paths.serialize()
+    }
+}
+
+impl Deserialize for DocTable {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::DeError> {
+        Ok(DocTable { paths: Vec::deserialize(value)?, ranks: OnceLock::new() })
     }
 }
 
@@ -147,6 +207,18 @@ mod tests {
         assert_eq!(id.to_string(), "#7");
         assert_eq!(id.as_u32(), 7);
         assert_eq!(id.as_usize(), 7);
+    }
+
+    #[test]
+    fn path_ranks_order_ids_as_their_paths_then_ids_and_follow_inserts() {
+        let mut t: DocTable = ["b", "a/x", "c", "a"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(t.path_ranks(), [2, 1, 3, 0]);
+        let again = t.insert("a");
+        assert_eq!(again, FileId(4));
+        // A duplicate path ranks right after its first occurrence.
+        assert_eq!(t.path_ranks(), [3, 2, 4, 0, 1]);
+        assert!(Arc::ptr_eq(t.shared_path(again).unwrap(), t.shared_path(again).unwrap()));
+        assert_eq!(t.shared_path(FileId(9)), None);
     }
 
     #[test]

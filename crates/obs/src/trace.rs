@@ -193,29 +193,32 @@ impl QueryTrace {
     pub fn shards(&self) -> &[ShardSpan] {
         &self.shards
     }
-
-    /// Renders the top-level spans in the compact wire form:
-    /// `parse:412;queue_wait:1200` (integer nanoseconds, no spaces, so the
-    /// whole breakdown fits in one `stages=` status-line field).
-    #[must_use]
-    pub fn render_compact(&self) -> String {
-        render_spans_compact(self.spans())
-    }
 }
 
-/// Renders spans in the compact `stage:ns;stage:ns` wire form.
-#[must_use]
-pub fn render_spans_compact(spans: impl IntoIterator<Item = Span>) -> String {
-    let mut out = String::new();
-    for span in spans {
-        if !out.is_empty() {
-            out.push(';');
+/// Writes spans in the compact wire form, `parse:412;queue_wait:1200`
+/// (integer nanoseconds, no spaces, so a whole breakdown fits in one
+/// `stages=` status-line field), straight into `out`: no string per span.
+///
+/// # Errors
+///
+/// Propagates `out`'s.
+pub fn write_spans_compact(
+    out: &mut impl std::fmt::Write,
+    spans: impl IntoIterator<Item = Span>,
+) -> std::fmt::Result {
+    for (i, span) in spans.into_iter().enumerate() {
+        if i > 0 {
+            out.write_char(';')?;
         }
-        out.push_str(span.stage.as_str());
-        out.push(':');
-        out.push_str(&u64::try_from(span.dur.as_nanos()).unwrap_or(u64::MAX).to_string());
+        write!(out, "{}:{}", span.stage.as_str(), nanos(span.dur))?;
     }
-    out
+    Ok(())
+}
+
+/// A span's duration in the wire's unit: whole nanoseconds, saturating.
+#[must_use]
+pub fn nanos(dur: Duration) -> u64 {
+    u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Parses the compact `stage:ns;stage:ns` form back into spans.  Unknown
@@ -299,7 +302,8 @@ mod tests {
         let mut trace = QueryTrace::new(1);
         trace.record(Stage::Parse, Duration::from_nanos(412));
         trace.record(Stage::QueueWait, Duration::from_nanos(1_200));
-        let text = trace.render_compact();
+        let mut text = String::new();
+        write_spans_compact(&mut text, trace.spans()).unwrap();
         assert_eq!(text, "parse:412;queue_wait:1200");
         let spans = parse_compact_stages(&text);
         assert_eq!(spans.len(), 2);

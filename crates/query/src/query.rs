@@ -56,17 +56,6 @@ pub enum QueryTerm {
     Prefix(String),
 }
 
-impl QueryTerm {
-    /// Renders the term the way the user typed it.
-    #[must_use]
-    pub fn display_text(&self) -> String {
-        match self {
-            QueryTerm::Exact(t) => t.as_str().to_owned(),
-            QueryTerm::Prefix(p) => format!("{p}*"),
-        }
-    }
-}
-
 /// One `AND` group of a query: every required term must match and no excluded
 /// term may match.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -131,7 +120,7 @@ impl Query {
         let normalizer = Normalizer::default();
         let mut groups: Vec<QueryGroup> = Vec::new();
         let mut current = QueryGroup::default();
-        let mut pending_operator: Option<String> = None;
+        let mut pending_operator: Option<&'static str> = None;
         let mut negate_next = false;
 
         let finish_group =
@@ -154,7 +143,7 @@ impl Query {
                         return Err(ParseError::DanglingOperator("OR".into()));
                     }
                     finish_group(&mut current, &mut groups)?;
-                    pending_operator = Some("OR".into());
+                    pending_operator = Some("OR");
                 }
                 "AND" => {
                     // Bare leading `AND`, and doubled operators (`a AND AND b`),
@@ -164,11 +153,11 @@ impl Query {
                     {
                         return Err(ParseError::DanglingOperator("AND".into()));
                     }
-                    pending_operator = Some("AND".into());
+                    pending_operator = Some("AND");
                 }
                 "NOT" => {
                     negate_next = true;
-                    pending_operator = Some("NOT".into());
+                    pending_operator = Some("NOT");
                 }
                 word => {
                     let mut negated = negate_next;
@@ -196,7 +185,7 @@ impl Query {
             return Err(ParseError::DanglingOperator("NOT".into()));
         }
         if let Some(op) = pending_operator {
-            return Err(ParseError::DanglingOperator(op));
+            return Err(ParseError::DanglingOperator(op.into()));
         }
         if !current.required.is_empty() || !current.excluded.is_empty() {
             finish_group(&mut current, &mut groups)?;
@@ -254,21 +243,51 @@ impl Query {
     pub fn has_exclusions(&self) -> bool {
         self.groups.iter().any(|g| !g.excluded.is_empty())
     }
+
+    /// The canonical text (the [`Display`](std::fmt::Display) form) in a
+    /// string allocated once, at its exact length: the serving cache keys
+    /// every request by it.
+    #[must_use]
+    pub fn canonical(&self) -> String {
+        use std::fmt::Write;
+        struct Length(usize);
+        impl Write for Length {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                self.0 += s.len();
+                Ok(())
+            }
+        }
+        let mut length = Length(0);
+        let _ = write!(length, "{self}");
+        let mut text = String::with_capacity(length.0);
+        let _ = write!(text, "{self}");
+        text
+    }
 }
 
+/// Groups joined by ` OR `, a group's terms by ` AND `, its exclusions last
+/// as `NOT <term>`, prefixes with their `*`.
 impl std::fmt::Display for Query {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let rendered: Vec<String> = self
-            .groups
-            .iter()
-            .map(|g| {
-                let mut parts: Vec<String> =
-                    g.required.iter().map(QueryTerm::display_text).collect();
-                parts.extend(g.excluded.iter().map(|t| format!("NOT {}", t.as_str())));
-                parts.join(" AND ")
-            })
-            .collect();
-        f.write_str(&rendered.join(" OR "))
+        for (g, group) in self.groups.iter().enumerate() {
+            if g > 0 {
+                f.write_str(" OR ")?;
+            }
+            let excluded = group.excluded.iter().map(|term| ("NOT ", term.as_str(), ""));
+            let required = group.required.iter().map(|term| match term {
+                QueryTerm::Exact(term) => ("", term.as_str(), ""),
+                QueryTerm::Prefix(prefix) => ("", prefix.as_str(), "*"),
+            });
+            for (i, (before, text, after)) in required.chain(excluded).enumerate() {
+                if i > 0 {
+                    f.write_str(" AND ")?;
+                }
+                f.write_str(before)?;
+                f.write_str(text)?;
+                f.write_str(after)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -301,9 +320,7 @@ mod tests {
     #[test]
     fn words_are_normalised() {
         let q = Query::parse("RuSt, (Search)").unwrap();
-        let words: Vec<String> =
-            q.groups()[0].required().iter().map(QueryTerm::display_text).collect();
-        assert_eq!(words, ["rust", "search"]);
+        assert_eq!(q.to_string(), "rust AND search");
     }
 
     #[test]
@@ -408,6 +425,21 @@ mod tests {
         // terms() lists exact terms (required and excluded), not prefixes.
         let names: Vec<&str> = q.terms().iter().map(|t| t.as_str()).collect();
         assert_eq!(names, ["alpha", "beta"]);
+    }
+
+    #[test]
+    fn canonical_text_is_the_display_form() {
+        for raw in ["rust", "a b OR c", "rust NOT java NOT go OR py*", "-x y*", "a OR b OR c"] {
+            let q = Query::parse(raw).unwrap();
+            let canonical = q.canonical();
+            assert_eq!(canonical, q.to_string(), "{raw}");
+            assert_eq!(canonical.capacity(), canonical.len(), "{raw}");
+            assert_eq!(Query::parse(&canonical).unwrap(), q, "{raw}");
+        }
+        assert_eq!(
+            Query::parse("rust NOT java NOT go OR py*").unwrap().to_string(),
+            "rust AND NOT java AND NOT go OR py*"
+        );
     }
 
     #[test]

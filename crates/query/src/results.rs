@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -11,9 +11,9 @@ use dsearch_index::FileId;
 
 /// One matching file.
 ///
-/// The path is an `Arc<str>` so converting results to their cross-shard
-/// [`RankedHit`] form ([`SearchResults::ranked`]) is a reference-count bump
-/// per hit, not a string copy.
+/// The path is the doc table's own `Arc<str>`, so producing a hit and
+/// converting results to their cross-shard [`RankedHit`] form
+/// ([`SearchResults::ranked`]) are reference-count bumps, not string copies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Hit {
     /// The matching file's id.
@@ -28,13 +28,18 @@ pub struct Hit {
 
 /// Maps a score to a `u32` whose unsigned order equals [`f32::total_cmp`]
 /// order, so float-keyed heap entries and hash-map keys stay `Ord`/`Eq`.
-fn score_rank_bits(score: f32) -> u32 {
+pub(crate) fn score_rank_bits(score: f32) -> u32 {
     let bits = score.to_bits();
     if bits & 0x8000_0000 == 0 {
         bits | 0x8000_0000
     } else {
         !bits
     }
+}
+
+/// The score [`score_rank_bits`] mapped to `bits`.
+pub(crate) fn score_from_rank_bits(bits: u32) -> f32 {
+    f32::from_bits(if bits & 0x8000_0000 == 0 { !bits } else { bits & 0x7fff_ffff })
 }
 
 /// The shared result order: descending score, then descending
@@ -53,9 +58,21 @@ fn rank_cmp(a: &Hit, b: &Hit) -> std::cmp::Ordering {
 /// Hits are sorted by descending score, then descending `matched_terms`,
 /// ties broken by ascending path (then file id) so results are deterministic
 /// and agree with the cross-shard [`merge_ranked`] order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Results also keep the text they were rendered to the first time
+/// ([`SearchResults::render_once`]): a cached answer shared behind an `Arc`
+/// is formatted once, however many requests it answers.  Equality is the
+/// hits' alone.
+#[derive(Debug, Clone, Default)]
 pub struct SearchResults {
     hits: Vec<Hit>,
+    rendered: OnceLock<String>,
+}
+
+impl PartialEq for SearchResults {
+    fn eq(&self, other: &Self) -> bool {
+        self.hits == other.hits
+    }
 }
 
 impl SearchResults {
@@ -63,7 +80,15 @@ impl SearchResults {
     #[must_use]
     pub fn new(mut hits: Vec<Hit>) -> Self {
         hits.sort_by(rank_cmp);
-        SearchResults { hits }
+        SearchResults { hits, rendered: OnceLock::new() }
+    }
+
+    /// The hits as rendered by `render`, which runs on the first call only;
+    /// every later call returns the same text.  Every caller of one value
+    /// must therefore pass the same renderer — the serving protocol's body
+    /// lines are the one.
+    pub fn render_once(&self, render: impl FnOnce(&[Hit]) -> String) -> &str {
+        self.rendered.get_or_init(|| render(&self.hits))
     }
 
     /// The hits, best first.
@@ -98,17 +123,21 @@ impl SearchResults {
 
     /// Truncates the results to the best `n` hits and releases the capacity
     /// of the rest: callers cache the value, and a cached top-20 must not
-    /// keep the allocation of the thousands of hits it was cut from.
+    /// keep the allocation of the thousands of hits it was cut from.  A
+    /// rendering of the longer list is dropped with them.
     pub fn truncate(&mut self, n: usize) {
+        self.rendered.take();
         self.hits.truncate(n);
         self.hits.shrink_to_fit();
     }
 
     /// Bytes of the hit vector's heap allocation (its capacity, not its
-    /// length).  Path text is owned per hit and comes on top.
+    /// length) and of the rendered text, once there is one.  Path text is
+    /// the doc table's, shared, and not counted here.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
         self.hits.capacity() * std::mem::size_of::<Hit>()
+            + self.rendered.get().map_or(0, String::capacity)
     }
 
     /// Converts the hits into the path-keyed form that crosses shard
@@ -280,6 +309,20 @@ mod tests {
     }
 
     #[test]
+    fn a_rendering_is_kept_until_truncate_and_counted() {
+        let mut results = SearchResults::new(vec![hit(1, 3), hit(2, 2)]);
+        let render = |hits: &[Hit]| hits.iter().map(|h| format!("{}\n", h.path)).collect();
+        assert_eq!(results.render_once(render), "f1.txt\nf2.txt\n");
+        // Later calls return the first rendering without running theirs.
+        assert_eq!(results.render_once(|_| unreachable!()), "f1.txt\nf2.txt\n");
+        assert!(results.heap_bytes() >= 2 * std::mem::size_of::<Hit>() + 14);
+        // Equality is the hits', rendered or not.
+        assert_eq!(results, SearchResults::new(vec![hit(2, 2), hit(1, 3)]));
+        results.truncate(1);
+        assert_eq!(results.render_once(render), "f1.txt\n");
+    }
+
+    #[test]
     fn into_iterator_yields_sorted_hits() {
         let results = SearchResults::new(vec![hit(2, 1), hit(1, 5)]);
         let collected: Vec<Hit> = results.into_iter().collect();
@@ -379,6 +422,7 @@ mod tests {
     fn score_rank_bits_orders_like_total_cmp() {
         let values = [f32::NEG_INFINITY, -1.5, -0.0, 0.0, 0.25, 1.0, f32::INFINITY];
         for a in values {
+            assert_eq!(score_from_rank_bits(score_rank_bits(a)).to_bits(), a.to_bits());
             for b in values {
                 assert_eq!(
                     score_rank_bits(a).cmp(&score_rank_bits(b)),

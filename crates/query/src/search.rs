@@ -39,7 +39,17 @@
 //! Shards are evaluated one after another into one heap, each scored with
 //! its own statistics — exactly how the same documents score when routed
 //! across separate shard processes.
+//!
+//! What one shard's evaluation allocates does not depend on its groups or
+//! cursors: every group's cursors live in two shared arenas (a cursor
+//! decodes into buffers of its own, inline), the frontier is the group list
+//! itself, kept in document order by re-inserting only the groups a round
+//! moved, and a document's BM25 terms meet in one slot per query term.  A
+//! group that leads the frontier alone goes on to its next match without the
+//! frontier being looked at again, for as long as that match is still the
+//! pivot — every round of a one-group query, most rounds of a sparse `OR`.
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use dsearch_index::{
@@ -50,7 +60,7 @@ use dsearch_text::Term;
 
 use crate::query::{Query, QueryGroup, QueryTerm};
 use crate::results::{Hit, SearchResults};
-use crate::topk::{Scored, TopK};
+use crate::topk::TopK;
 
 /// Comparison slack for the floating-point pruning threshold.  Upper bounds
 /// and scores are compared in `f64`; the slack absorbs the quantization of
@@ -75,6 +85,12 @@ pub struct PruneStats {
     /// `should_cancel` returned `true` at a checkpoint: the hits are whatever
     /// had been found by then, and only good for discarding.
     pub cancelled: bool,
+    /// Rounds of the `OR` node's merge loop: one per pivot the frontier was
+    /// aligned on, moved to, or jumped past.
+    pub rounds: u64,
+    /// Documents scored (every group agreed on them and no bound ruled them
+    /// out) and offered to the result heap if they reached its threshold.
+    pub scored: u64,
 }
 
 impl PruneStats {
@@ -84,6 +100,8 @@ impl PruneStats {
         self.blocks_skipped += other.blocks_skipped;
         self.lookup += other.lookup;
         self.cancelled |= other.cancelled;
+        self.rounds += other.rounds;
+        self.scored += other.scored;
     }
 
     /// Folds a finished cursor's visit counters in.
@@ -143,13 +161,14 @@ pub fn evaluate(
         ranked: scorer == Scorer::Bm25 && scorable(query),
         mixed: groups.len() > 1 && groups.iter().any(|group| group.len() > 1),
     };
-    let mut top = TopK::new(k);
+    let mut top = TopK::new(k, docs);
+    let mut sum = TermSum::new(plan.terms.len());
     for shard in shards {
         stats.cancelled = stats.cancelled || should_cancel();
         if stats.cancelled {
             break;
         }
-        evaluate_shard(shard, docs, &plan, &mut top, &mut stats, should_cancel);
+        evaluate_shard(shard, &plan, &mut top, &mut sum, &mut stats, should_cancel);
     }
     (collect(top.into_hits(), shards.len(), k), stats)
 }
@@ -235,11 +254,12 @@ impl<'a> TermCursor<'a> {
 }
 
 /// The union of the posting lists of every term of `shard` starting with
-/// `prefix`.  Each list is decoded once, back to back into one buffer; the
-/// run-adaptive sort then merges the runs (a range of many few-posting terms
-/// is the common case, where it beat a k-way heap merge).
+/// `prefix`.  Each list is decoded once, back to back into one buffer sized
+/// for all of them; the run-adaptive sort then merges the runs (a range of
+/// many few-posting terms is the common case, where it beat a k-way heap
+/// merge).
 fn prefix_union(shard: &SealedShard, prefix: &str, stats: &mut PruneStats) -> Vec<FileId> {
-    let mut union = Vec::new();
+    let mut union = Vec::with_capacity(shard.prefix_postings(prefix).map(|list| list.len()).sum());
     for list in shard.prefix_postings(prefix) {
         stats.blocks_scored += list.len().div_ceil(BLOCK_SIZE) as u64;
         list.decode_append(&mut union);
@@ -249,7 +269,11 @@ fn prefix_union(shard: &SealedShard, prefix: &str, stats: &mut PruneStats) -> Ve
     union
 }
 
-/// One required cursor of a group.
+/// One required cursor of a group.  An exact term's cursor carries its block
+/// buffers inline and a prefix's borrows its union, hence the sizes; leaves
+/// sit in their shard's arena and are not moved once the merge starts, and
+/// boxing the large one would be an allocation per cursor again.
+#[allow(clippy::large_enum_variant)]
 enum Leaf<'a> {
     /// An exact term: its sealed list, with its score bounds.
     Term(TermCursor<'a>),
@@ -290,16 +314,24 @@ impl PostingCursor for Leaf<'_> {
     }
 }
 
+/// Every cursor of one shard's evaluation: the groups' required cursors in
+/// one arena, their `NOT` cursors in another, each group owning a range of
+/// both.
+struct Cursors<'a> {
+    leaves: Vec<Leaf<'a>>,
+    excluded: Vec<BlockCursor<'a>>,
+}
+
 /// One `AND` group over one shard: the documents every required cursor
 /// reaches and no excluded cursor does, in ascending order.
-struct Group<'a> {
-    /// The shortest required list: it drives the leapfrog.
-    lead: Leaf<'a>,
-    /// The other required lists (one cursor per distinct term), ascending
-    /// by length.
-    rest: Vec<Leaf<'a>>,
-    /// `NOT` terms: only ever seeked to a candidate.
-    excluded: Vec<BlockCursor<'a>>,
+struct Group {
+    /// Its required cursors in [`Cursors::leaves`], one per distinct term,
+    /// ascending by list length: the first, the shortest, drives the
+    /// leapfrog.
+    leaves: Range<usize>,
+    /// Its `NOT` cursors in [`Cursors::excluded`]: only ever seeked to a
+    /// candidate.
+    excluded: Range<usize>,
     /// The query group's length: what the constant scorer reports as
     /// `matched_terms`.
     weight: usize,
@@ -309,55 +341,65 @@ struct Group<'a> {
     current: Option<FileId>,
 }
 
-impl<'a> Group<'a> {
-    /// Opens `group` over `shard`, taking one union per prefix term from
-    /// `unions`; `None` when some required term matches nothing there.
-    fn open(
+impl Group {
+    /// Opens `group` over `shard` into `cursors`, taking one union per prefix
+    /// term from `unions`; `None` (and nothing left in `cursors`) when some
+    /// required term matches nothing there.
+    fn open<'a>(
         shard: &'a SealedShard,
         plan: &Plan<'_>,
         group: &QueryGroup,
         unions: &mut std::slice::Iter<'a, Vec<FileId>>,
+        cursors: &mut Cursors<'a>,
     ) -> Option<Self> {
-        let mut terms: Vec<TermCursor<'a>> = Vec::new();
-        let mut required: Vec<Leaf<'a>> = Vec::with_capacity(group.len());
+        let start = cursors.leaves.len();
+        let mut list_bound = 0.0;
         let mut alive = true;
         for term in group.required() {
             match term {
                 QueryTerm::Exact(term) => match TermCursor::open(shard, plan, term) {
-                    Some(cursor) if terms.iter().all(|c| c.term != cursor.term) => {
-                        terms.push(cursor);
+                    Some(cursor) => {
+                        let seen = cursors.leaves[start..]
+                            .iter()
+                            .any(|leaf| matches!(leaf, Leaf::Term(c) if c.term == cursor.term));
+                        if !seen {
+                            list_bound += cursor.list_bound;
+                            cursors.leaves.push(Leaf::Term(cursor));
+                        }
                     }
-                    Some(_) => {}
                     None => alive = false,
                 },
                 QueryTerm::Prefix(_) => {
                     let union = unions.next().expect("one union per prefix term");
                     alive &= !union.is_empty();
-                    required.push(Leaf::Prefix(SliceCursor::new(union)));
+                    cursors.leaves.push(Leaf::Prefix(SliceCursor::new(union)));
                 }
             }
         }
         if !alive {
+            cursors.leaves.truncate(start);
             return None;
         }
-        let list_bound = terms.iter().map(|c| c.list_bound).sum();
-        required.extend(terms.into_iter().map(Leaf::Term));
         // Selectivity ordering: the rarest list drives, so no candidate set
-        // can exceed it.
-        required.sort_by_key(Leaf::len);
-        let mut rest = required.into_iter();
-        let lead = rest.next().expect("a query group requires at least one term");
-        let excluded = group
-            .excluded()
-            .iter()
-            .filter_map(|term| shard.postings(term))
-            .filter(|list| !list.is_empty())
-            .map(|list| list.cursor())
-            .collect();
-        let weight = group.len();
-        let mut group =
-            Group { lead, rest: rest.collect(), excluded, weight, list_bound, current: None };
-        group.current = group.settle();
+        // can exceed it (prefixes ahead of exact terms of the same length).
+        cursors.leaves[start..].sort_by_key(|leaf| (leaf.len(), matches!(leaf, Leaf::Term(_))));
+        let excluded = cursors.excluded.len();
+        cursors.excluded.extend(
+            group
+                .excluded()
+                .iter()
+                .filter_map(|term| shard.postings(term))
+                .filter(|list| !list.is_empty())
+                .map(|list| list.cursor()),
+        );
+        let mut group = Group {
+            leaves: start..cursors.leaves.len(),
+            excluded: excluded..cursors.excluded.len(),
+            weight: group.len(),
+            list_bound,
+            current: None,
+        };
+        group.current = group.settle(cursors);
         Some(group)
     }
 
@@ -366,19 +408,25 @@ impl<'a> Group<'a> {
     /// there, and an excluded cursor that lands on it sends the lead on.
     /// Returns the first id all agree on.
     #[inline]
-    fn settle(&mut self) -> Option<FileId> {
-        let mut candidate = self.lead.current()?;
+    fn settle(&self, cursors: &mut Cursors<'_>) -> Option<FileId> {
+        if self.leaves.len() == 1 && self.excluded.is_empty() {
+            // A lone cursor agrees with itself.
+            return cursors.leaves[self.leaves.start].current();
+        }
+        let (lead, rest) = cursors.leaves[self.leaves.clone()].split_first_mut()?;
+        let excluded = &mut cursors.excluded[self.excluded.clone()];
+        let mut candidate = lead.current()?;
         'candidate: loop {
-            for leaf in &mut self.rest {
+            for leaf in rest.iter_mut() {
                 let at = leaf.seek(candidate)?;
                 if at != candidate {
-                    candidate = self.lead.seek(at)?;
+                    candidate = lead.seek(at)?;
                     continue 'candidate;
                 }
             }
-            if self.excluded.iter_mut().any(|c| c.seek(candidate) == Some(candidate)) {
-                self.lead.advance();
-                candidate = self.lead.current()?;
+            if excluded.iter_mut().any(|c| c.seek(candidate) == Some(candidate)) {
+                lead.advance();
+                candidate = lead.current()?;
                 continue;
             }
             return Some(candidate);
@@ -387,16 +435,16 @@ impl<'a> Group<'a> {
 
     /// Moves past the current match.
     #[inline]
-    fn advance(&mut self) {
-        self.lead.advance();
-        self.current = self.settle();
+    fn advance(&mut self, cursors: &mut Cursors<'_>) {
+        cursors.leaves[self.leaves.start].advance();
+        self.current = self.settle(cursors);
     }
 
     /// Moves to the first match at or after `target`.
-    fn seek(&mut self, target: FileId) {
+    fn seek(&mut self, target: FileId, cursors: &mut Cursors<'_>) {
         if self.current.is_some_and(|doc| doc < target) {
-            self.lead.seek(target);
-            self.current = self.settle();
+            cursors.leaves[self.leaves.start].seek(target);
+            self.current = self.settle(cursors);
         }
     }
 
@@ -404,43 +452,92 @@ impl<'a> Group<'a> {
     /// merge loop runs this per document, and a `once().chain().filter_map()`
     /// adaptor stack measured 5 % slower on single-term queries.)
     #[inline]
-    fn for_each_term(&mut self, mut f: impl FnMut(&mut TermCursor<'a>)) {
-        if let Leaf::Term(term) = &mut self.lead {
-            f(term);
-        }
-        for leaf in &mut self.rest {
+    fn for_each_term<'a>(&self, cursors: &mut Cursors<'a>, mut f: impl FnMut(&mut TermCursor<'a>)) {
+        for leaf in &mut cursors.leaves[self.leaves.clone()] {
             if let Leaf::Term(term) = leaf {
                 f(term);
             }
         }
     }
 
-    fn retire(&mut self, stats: &mut PruneStats) {
-        self.for_each_term(|c| stats.retire(&c.cursor));
-        self.excluded.iter().for_each(|c| stats.retire(c));
+    fn retire(&self, cursors: &mut Cursors<'_>, stats: &mut PruneStats) {
+        self.for_each_term(cursors, |c| stats.retire(&c.cursor));
+        cursors.excluded[self.excluded.clone()].iter().for_each(|c| stats.retire(c));
     }
 }
 
-/// Sums per-term contributions in term order, in `f64`, rounding once; a
-/// term two aligned groups both carry counts once.  Returns the score and
-/// the number of distinct terms.
-fn sum_contributions(contributions: &mut Vec<(usize, f32)>) -> (f32, usize) {
-    contributions.sort_unstable_by_key(|&(term, _)| term);
-    contributions.dedup_by_key(|&mut (term, _)| term);
-    let mut sum = 0.0f64;
-    for &(_, s) in contributions.iter() {
-        sum += f64::from(s);
+/// Puts the frontier back in document order after a round moved its first
+/// `moved` groups forward (the rest still ascend): each is re-inserted where
+/// it now belongs, from the last moved one back, and one with no match left
+/// is retired and leaves.
+fn restore_order(
+    groups: &mut Vec<Group>,
+    moved: usize,
+    cursors: &mut Cursors<'_>,
+    stats: &mut PruneStats,
+) {
+    for i in (0..moved).rev() {
+        let Some(doc) = groups[i].current else {
+            groups.remove(i).retire(cursors, stats);
+            continue;
+        };
+        let mut at = i;
+        while groups.get(at + 1).is_some_and(|next| next.current < Some(doc)) {
+            groups.swap(at, at + 1);
+            at += 1;
+        }
     }
-    (sum as f32, contributions.len())
+}
+
+/// One document's BM25 score, summed over one slot per query term: a term
+/// two aligned groups both carry fills its slot once, and the filled slots
+/// are summed in ascending term order, in `f64`, rounding once.
+struct TermSum {
+    slots: Vec<f32>,
+    /// Which slots hold a contribution, one bit each.
+    filled: Vec<u64>,
+}
+
+impl TermSum {
+    fn new(terms: usize) -> Self {
+        TermSum { slots: vec![0.0; terms], filled: vec![0; terms.div_ceil(64)] }
+    }
+
+    #[inline]
+    fn add(&mut self, (term, score): (usize, f32)) {
+        let bit = 1u64 << (term % 64);
+        let word = &mut self.filled[term / 64];
+        if *word & bit == 0 {
+            *word |= bit;
+            self.slots[term] = score;
+        }
+    }
+
+    /// The score and the number of distinct terms that made it; empties
+    /// every slot.
+    #[inline]
+    fn take(&mut self) -> (f32, usize) {
+        let mut sum = 0.0f64;
+        let mut terms = 0;
+        for (w, word) in self.filled.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                sum += f64::from(self.slots[w * 64 + bits.trailing_zeros() as usize]);
+                terms += 1;
+                bits &= bits - 1;
+            }
+        }
+        (sum as f32, terms)
+    }
 }
 
 /// The `OR` node over one shard: merges the groups' matches in document
 /// order into `top`, pruning by block-max bounds when the plan allows.
 fn evaluate_shard<'a>(
     shard: &'a SealedShard,
-    docs: &'a DocTable,
     plan: &Plan<'_>,
-    top: &mut TopK<'a>,
+    top: &mut TopK<'_>,
+    sum: &mut TermSum,
     stats: &mut PruneStats,
     should_cancel: &dyn Fn() -> bool,
 ) {
@@ -454,43 +551,44 @@ fn evaluate_shard<'a>(
         })
         .collect();
     let mut next_union = unions.iter();
-    // Boxed: the frontier is re-sorted every round, and a group is some 300
-    // bytes of cursor state (a pure `OR` ran 12 % faster moving pointers).
-    let mut groups: Vec<Box<Group<'_>>> = plan
-        .query
-        .groups()
-        .iter()
-        .filter_map(|group| Group::open(shard, plan, group, &mut next_union))
-        .map(Box::new)
-        .collect();
+    let required = plan.query.groups().iter().map(QueryGroup::len).sum();
+    let mut cursors: Cursors<'_> =
+        Cursors { leaves: Vec::with_capacity(required), excluded: Vec::new() };
+    let mut groups: Vec<Group> = Vec::with_capacity(plan.query.groups().len());
+    for group in plan.query.groups() {
+        if let Some(group) = Group::open(shard, plan, group, &mut next_union, &mut cursors) {
+            groups.push(group);
+        }
+    }
+    // The frontier: ascending next match; groups with none leave.
+    groups.sort_unstable_by_key(|group| group.current);
+    let exhausted = groups.partition_point(|group| group.current.is_none());
+    groups.drain(..exhausted).for_each(|group| group.retire(&mut cursors, stats));
     // A document matched through one group of a mixed query may hold terms
     // of another, whose cursors have leapt past it: score such a query
     // through cursors of its own, and never prune it.
     let prune = plan.ranked && !plan.mixed;
-    let mut scorers: Vec<TermCursor<'_>> = if plan.ranked && plan.mixed {
+    let mut scorers: Vec<TermCursor<'a>> = if plan.ranked && plan.mixed {
         plan.terms.iter().filter_map(|term| TermCursor::open(shard, plan, term)).collect()
     } else {
         Vec::new()
     };
     stats.lookup += opening.elapsed();
 
-    let mut contributions: Vec<(usize, f32)> = Vec::with_capacity(plan.terms.len());
-    for round in 1usize.. {
-        if round % CANCEL_STRIDE == 0 && should_cancel() {
+    let mut rounds = 0usize;
+    // Counts a round of the merge; `true` when the deadline checkpoint it
+    // reached says stop.
+    let mut round = |stats: &mut PruneStats| {
+        rounds += 1;
+        stats.rounds += 1;
+        rounds.is_multiple_of(CANCEL_STRIDE) && should_cancel()
+    };
+    'frontier: while !groups.is_empty() {
+        if round(stats) {
             stats.cancelled = true;
             break;
         }
-        // Frontier order: ascending next match.  Exhausted groups sort to
-        // the front (`None < Some`) and leave.
-        groups.sort_unstable_by_key(|group| group.current);
-        while let Some(done) = groups.first_mut().filter(|group| group.current.is_none()) {
-            done.retire(stats);
-            groups.remove(0);
-        }
-        if groups.is_empty() {
-            break;
-        }
-        let threshold = top.threshold();
+        let mut threshold = top.threshold();
         // Pivot: the first frontier position where the prefix sum of list
         // bounds can still reach θ.  Documents before the pivot's are beaten
         // by construction and are never visited.
@@ -504,11 +602,13 @@ fn evaluate_shard<'a>(
             let Some(reachable) = reachable else { break };
             pivot = reachable;
         }
-        let doc = groups[pivot].current.expect("live group");
+        let mut doc = groups[pivot].current.expect("live group");
         if groups[0].current != Some(doc) {
             // Nothing before the pivot's document can win: the leading
             // groups leap straight to it.
-            groups.iter_mut().take_while(|g| g.current < Some(doc)).for_each(|g| g.seek(doc));
+            let behind = groups.iter().take_while(|g| g.current < Some(doc)).count();
+            groups[..behind].iter_mut().for_each(|g| g.seek(doc, &mut cursors));
+            restore_order(&mut groups, behind, &mut cursors, stats);
             continue;
         }
         // The frontier is aligned on `doc`: groups 0..=pivot, and any
@@ -518,60 +618,82 @@ fn evaluate_shard<'a>(
             aligned += 1;
         }
         let next = groups.get(aligned).and_then(|group| group.current);
-        let aligned = &mut groups[..aligned];
-        if prune {
-            // Refine the list bounds with the sealed per-block maxima before
-            // paying for an evaluation.
-            let mut upper = 0.0f64;
-            for group in aligned.iter_mut() {
-                group.for_each_term(|c| upper += c.block_bound());
-            }
-            if upper + SLACK <= threshold {
-                // Every aligned block is dead: jump past the shortest of
-                // them (or to the next frontier document, whichever is
-                // closer) without decoding.
-                let mut boundary = next.map_or(u32::MAX, FileId::as_u32);
-                for group in aligned.iter_mut() {
-                    group.for_each_term(|c| {
-                        let last = c.cursor.current_block_last().map_or(u32::MAX, FileId::as_u32);
-                        boundary = boundary.min(last.saturating_add(1));
-                    });
-                }
-                if boundary > doc.as_u32() {
-                    aligned.iter_mut().for_each(|group| group.seek(FileId(boundary)));
-                } else {
-                    // Only reachable when ids saturate at u32::MAX.
-                    aligned.iter_mut().for_each(|group| group.advance());
-                }
-                continue;
-            }
-        }
-        // One pass over the aligned groups: take what the scorer needs from
-        // their cursors, then move them on.
-        contributions.clear();
-        let norm = if plan.ranked { shard.doc_norm(doc) } else { 0.0 };
-        let mut weight = 0;
-        for group in aligned.iter_mut() {
-            weight = weight.max(group.weight);
+        // Score the aligned groups at `doc` and move them on.  While the
+        // first group is aligned alone and its next match still comes before
+        // the rest of the frontier's and can reach θ, that match is the next
+        // round's pivot: take it here, with the frontier left as it is.
+        loop {
             if prune {
-                group.for_each_term(|c| contributions.push(c.contribution(norm)));
+                // Refine the list bounds with the sealed per-block maxima
+                // before paying for an evaluation.
+                let mut upper = 0.0f64;
+                for group in &groups[..aligned] {
+                    group.for_each_term(&mut cursors, |c| upper += c.block_bound());
+                }
+                if upper + SLACK <= threshold {
+                    // Every aligned block is dead: jump past the shortest of
+                    // them (or to the next frontier document, whichever is
+                    // closer) without decoding.
+                    let mut boundary = next.map_or(u32::MAX, FileId::as_u32);
+                    for group in &groups[..aligned] {
+                        group.for_each_term(&mut cursors, |c| {
+                            let last =
+                                c.cursor.current_block_last().map_or(u32::MAX, FileId::as_u32);
+                            boundary = boundary.min(last.saturating_add(1));
+                        });
+                    }
+                    for group in &mut groups[..aligned] {
+                        if boundary > doc.as_u32() {
+                            group.seek(FileId(boundary), &mut cursors);
+                        } else {
+                            // Only reachable when ids saturate at u32::MAX.
+                            group.advance(&mut cursors);
+                        }
+                    }
+                    break;
+                }
             }
-            group.advance();
-        }
-        for c in scorers.iter_mut() {
-            if c.cursor.seek(doc) == Some(doc) {
-                contributions.push(c.contribution(norm));
+            // One pass over the aligned groups: take what the scorer needs
+            // from their cursors, then move them on.
+            let norm = if plan.ranked { shard.doc_norm(doc) } else { 0.0 };
+            let mut weight = 0;
+            for group in &mut groups[..aligned] {
+                weight = weight.max(group.weight);
+                if prune {
+                    group.for_each_term(&mut cursors, |c| sum.add(c.contribution(norm)));
+                }
+                group.advance(&mut cursors);
             }
+            for c in &mut scorers {
+                if c.cursor.seek(doc) == Some(doc) {
+                    sum.add(c.contribution(norm));
+                }
+            }
+            let (score, matched) = if plan.ranked { sum.take() } else { (0.0, weight) };
+            stats.scored += 1;
+            // A score below θ loses whatever its path; a tie is for `offer`.
+            if f64::from(score) >= threshold {
+                top.offer(doc, score, matched);
+            }
+            let lead = &groups[0];
+            let Some(following) =
+                lead.current.filter(|&d| aligned == 1 && next.is_none_or(|n| d < n))
+            else {
+                break;
+            };
+            threshold = top.threshold();
+            if prune && lead.list_bound + SLACK <= threshold {
+                break;
+            }
+            if round(stats) {
+                stats.cancelled = true;
+                break 'frontier;
+            }
+            doc = following;
         }
-        let (score, matched) =
-            if plan.ranked { sum_contributions(&mut contributions) } else { (0.0, weight) };
-        // A score below θ loses whatever its path; a tie is for `offer`.
-        if f64::from(score) >= threshold {
-            let path = docs.path(doc).unwrap_or("<unknown>");
-            top.offer(Scored { score, matched, path, id: doc });
-        }
+        restore_order(&mut groups, aligned, &mut cursors, stats);
     }
-    groups.iter_mut().for_each(|group| group.retire(stats));
+    groups.iter().for_each(|group| group.retire(&mut cursors, stats));
     scorers.iter().for_each(|c| stats.retire(&c.cursor));
 }
 

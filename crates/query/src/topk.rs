@@ -1,65 +1,60 @@
 //! The bounded candidate heap every evaluation selects its hits with.
 //!
-//! [`TopK`] keeps the best `k` [`Scored`] candidates offered to it, in the
+//! [`TopK`] keeps the best `k` `Scored` candidates offered to it, in the
 //! order [`SearchResults`](crate::SearchResults) sorts by.  Its worst kept
 //! score is the threshold θ the evaluator's block-max pruning compares upper
-//! bounds against.  Candidates borrow their paths, so a query matching a
-//! million documents compares paths a million times but owns only `k`.
+//! bounds against.  A candidate is its id, score and matched-term count plus
+//! its path's rank in the doc table ([`DocTable::path_ranks`]), so a score
+//! tie — every offer of a boolean query is one — is settled by comparing two
+//! integers, never two paths; only the `k` survivors take their paths, as
+//! shared strings.
 //!
 //! The tests below also pin what the evaluator's ranked retrieval owes to
 //! this heap: `k` bounds, score order, and pruning against the threshold.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use dsearch_index::FileId;
+use dsearch_index::{DocTable, FileId};
 
-use crate::results::Hit;
+use crate::results::{score_from_rank_bits, score_rank_bits, Hit};
 
-/// A fully scored candidate document.  `Ord` is "greater = better": higher
-/// score, then more matched terms, then *smaller* path, then smaller id —
-/// the same order [`SearchResults`](crate::SearchResults) sorts by.
-pub(crate) struct Scored<'a> {
-    pub(crate) score: f32,
-    pub(crate) matched: usize,
-    pub(crate) path: &'a str,
-    pub(crate) id: FileId,
-}
+/// Most candidate slots reserved up front: a heap that keeps more grows as
+/// candidates arrive.
+const PRESIZED: usize = 1024;
 
-impl Scored<'_> {
-    /// The candidate as a hit owning its path.
-    fn into_hit(self) -> Hit {
-        Hit {
-            file_id: self.id,
-            path: Arc::from(self.path),
-            matched_terms: self.matched,
-            score: self.score,
-        }
+/// A fully scored candidate document, packed into one integer whose order is
+/// "greater = better": higher score (its bits in total order), then more
+/// matched terms, then the *smaller* path rank — the smaller path, then the
+/// smaller id — then the smaller id; the order
+/// [`SearchResults`](crate::SearchResults) sorts by, in one comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Scored(u128);
+
+impl Scored {
+    /// `rank` is the id's position in the doc table's path order
+    /// (`u32::MAX` for an id the table does not know).
+    fn new(id: FileId, score: f32, matched: usize, rank: u32) -> Self {
+        let matched = u32::try_from(matched).unwrap_or(u32::MAX);
+        Scored(
+            u128::from(score_rank_bits(score)) << 96
+                | u128::from(matched) << 64
+                | u128::from(!rank) << 32
+                | u128::from(!id.as_u32()),
+        )
     }
-}
 
-impl PartialEq for Scored<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
+    fn score(self) -> f32 {
+        score_from_rank_bits((self.0 >> 96) as u32)
     }
-}
 
-impl Eq for Scored<'_> {}
-
-impl PartialOrd for Scored<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    fn matched(self) -> usize {
+        (self.0 >> 64) as u32 as usize
     }
-}
 
-impl Ord for Scored<'_> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.score
-            .total_cmp(&other.score)
-            .then_with(|| self.matched.cmp(&other.matched))
-            .then_with(|| other.path.cmp(self.path))
-            .then_with(|| other.id.cmp(&self.id))
+    fn id(self) -> FileId {
+        FileId(!(self.0 as u32))
     }
 }
 
@@ -70,25 +65,37 @@ impl Ord for Scored<'_> {
 /// order for a heap that keeps everything.
 pub(crate) struct TopK<'a> {
     k: usize,
-    filling: Vec<Reverse<Scored<'a>>>,
-    full: BinaryHeap<Reverse<Scored<'a>>>,
+    docs: &'a DocTable,
+    ranks: &'a [u32],
+    filling: Vec<Reverse<Scored>>,
+    full: BinaryHeap<Reverse<Scored>>,
+    /// The worst kept score once `k` are kept, `-inf` until then.
+    threshold: f64,
 }
 
 impl<'a> TopK<'a> {
-    pub(crate) fn new(k: usize) -> Self {
-        TopK { k, filling: Vec::new(), full: BinaryHeap::new() }
+    /// An empty heap for `k` candidates whose paths `docs` holds.
+    pub(crate) fn new(k: usize, docs: &'a DocTable) -> Self {
+        TopK {
+            k,
+            docs,
+            ranks: docs.path_ranks(),
+            filling: Vec::with_capacity(k.min(PRESIZED)),
+            full: BinaryHeap::new(),
+            threshold: f64::NEG_INFINITY,
+        }
     }
 
     /// The score every further candidate has to reach (`-inf` until `k`
     /// candidates are kept).
     pub(crate) fn threshold(&self) -> f64 {
-        match self.full.peek() {
-            Some(Reverse(worst)) if self.full.len() == self.k => f64::from(worst.score),
-            _ => f64::NEG_INFINITY,
-        }
+        self.threshold
     }
 
-    pub(crate) fn offer(&mut self, candidate: Scored<'a>) {
+    /// Offers document `id`, scored `score` with `matched` terms.
+    pub(crate) fn offer(&mut self, id: FileId, score: f32, matched: usize) {
+        let rank = self.ranks.get(id.as_usize()).copied().unwrap_or(u32::MAX);
+        let candidate = Scored::new(id, score, matched, rank);
         if self.full.len() == self.k {
             if let Some(mut worst) = self.full.peek_mut() {
                 if candidate > worst.0 {
@@ -101,17 +108,29 @@ impl<'a> TopK<'a> {
                 self.full = BinaryHeap::from(std::mem::take(&mut self.filling));
             }
         }
+        if let Some(Reverse(worst)) = self.full.peek() {
+            self.threshold = f64::from(worst.score());
+        }
     }
 
     /// The kept candidates as hits, in no particular order.
     pub(crate) fn into_hits(self) -> Vec<Hit> {
         let kept = if self.filling.is_empty() { self.full.into_vec() } else { self.filling };
-        let mut hits: Vec<Hit> = kept.into_iter().map(|Reverse(c)| c.into_hit()).collect();
-        // Collecting may reuse the candidates' (larger) allocation; the hits
-        // are what callers keep and cache.
-        hits.shrink_to_fit();
+        let mut hits = Vec::with_capacity(kept.len());
+        hits.extend(kept.into_iter().map(|Reverse(c)| Hit {
+            file_id: c.id(),
+            path: self.docs.shared_path(c.id()).map_or_else(unknown_path, Arc::clone),
+            matched_terms: c.matched(),
+            score: c.score(),
+        }));
         hits
     }
+}
+
+/// The path reported for an id the doc table does not know.
+fn unknown_path() -> Arc<str> {
+    static UNKNOWN: OnceLock<Arc<str>> = OnceLock::new();
+    Arc::clone(UNKNOWN.get_or_init(|| Arc::from("<unknown>")))
 }
 
 #[cfg(test)]
@@ -146,26 +165,61 @@ mod tests {
     #[test]
     fn bounded_heap_keeps_the_best_k_whatever_the_arrival_order() {
         let paths = ["d", "b", "e", "a", "c"];
-        let candidate = |i: usize| Scored {
-            score: 0.0,
-            matched: 1 + usize::from(paths[i] == "e"),
-            path: paths[i],
-            id: FileId(i as u32),
+        let docs: DocTable = paths.iter().map(|p| p.to_string()).collect();
+        let offer_all = |top: &mut TopK<'_>| {
+            for (i, path) in paths.iter().enumerate() {
+                top.offer(FileId(i as u32), 0.0, 1 + usize::from(*path == "e"));
+            }
         };
-        let mut top = TopK::new(3);
-        (0..paths.len()).for_each(|i| top.offer(candidate(i)));
+        let mut top = TopK::new(3, &docs);
+        offer_all(&mut top);
         let hits = top.into_hits();
         assert_eq!(hits.capacity(), 3, "the survivors' vector holds nothing else");
+        // The hits share the doc table's path strings.
+        assert!(hits.iter().all(|h| Arc::ptr_eq(&h.path, docs.shared_path(h.file_id).unwrap())));
         // More matched terms first, then the smaller paths.
         assert_eq!(SearchResults::new(hits).paths(), ["e", "a", "b"]);
-        let mut none = TopK::new(0);
-        none.offer(candidate(0));
+        let mut none = TopK::new(0, &docs);
+        none.offer(FileId(0), 0.0, 1);
         assert!(none.into_hits().is_empty());
         // Fewer candidates than `k`: all kept, no threshold yet.
-        let mut roomy = TopK::new(9);
-        (0..paths.len()).for_each(|i| roomy.offer(candidate(i)));
+        let mut roomy = TopK::new(9, &docs);
+        offer_all(&mut roomy);
         assert_eq!(roomy.threshold(), f64::NEG_INFINITY);
         assert_eq!(roomy.into_hits().len(), 5);
+    }
+
+    #[test]
+    fn ties_rank_by_path_then_id_as_results_sort() {
+        // Duplicate and interleaved paths, inserted out of order: the heap
+        // keeps the first `k` of exactly the order `SearchResults` sorts by.
+        let paths = ["b", "a", "b", "c", "a", "a/b", "a"];
+        let docs: DocTable = paths.iter().map(|p| p.to_string()).collect();
+        let offered = |k: usize| {
+            let mut top = TopK::new(k, &docs);
+            for i in (0..paths.len()).rev() {
+                top.offer(FileId(i as u32), 1.5, 2);
+            }
+            top.offer(FileId(99), 1.5, 2);
+            SearchResults::new(top.into_hits())
+        };
+        let all = offered(usize::MAX);
+        let keys: Vec<(&str, u32)> = all.hits().iter().map(|h| (&*h.path, h.file_id.0)).collect();
+        let expected = [
+            ("<unknown>", 99),
+            ("a", 1),
+            ("a", 4),
+            ("a", 6),
+            ("a/b", 5),
+            ("b", 0),
+            ("b", 2),
+            ("c", 3),
+        ];
+        assert_eq!(keys, expected);
+        // An id the table does not know is the last to be kept.
+        for k in 1..=7 {
+            assert_eq!(offered(k).hits(), &all.hits()[1..=k], "k={k}");
+        }
     }
 
     #[test]

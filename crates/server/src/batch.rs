@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use dsearch_obs::{QueryTrace, Stage};
@@ -526,6 +526,23 @@ pub(crate) struct Group {
     pub(crate) positions: Vec<usize>,
 }
 
+/// One request of a batch: where its answer goes and what its `@` prefixes
+/// asked for.
+struct Position<R> {
+    answer: Option<Result<R, ServerError>>,
+    /// The client's trace id, zero when untraced.
+    trace_id: u64,
+    deadline: Option<Instant>,
+}
+
+/// The trace every response carries until the batch closes and stamps its
+/// own: one value shared by all, so a response costs no allocation before it
+/// has its real trace.
+fn unfinished_trace() -> Arc<QueryTrace> {
+    static UNFINISHED: OnceLock<Arc<QueryTrace>> = OnceLock::new();
+    Arc::clone(UNFINISHED.get_or_init(Arc::default))
+}
+
 /// The part of serving a batch that does not depend on who answers it.
 ///
 /// [`open`](BatchFrame::open) attributes everything between submission and
@@ -545,10 +562,7 @@ pub(crate) struct BatchFrame<'a, R> {
     pub(crate) parse_done: Instant,
     /// Positions by canonical query text; the executor takes them.
     pub(crate) groups: BTreeMap<String, Group>,
-    /// The client's trace id per position, zero when untraced.
-    pub(crate) trace_ids: Vec<u64>,
-    deadlines: Vec<Option<Instant>>,
-    slots: Vec<Option<Result<R, ServerError>>>,
+    positions: Vec<Position<R>>,
     /// Queries that parsed: only those count toward the batching stats —
     /// parse-error slots never shared any work.
     executed: u64,
@@ -573,19 +587,20 @@ impl<'a, R: Answer> BatchFrame<'a, R> {
         if !fill_wait.is_zero() {
             trace.record(Stage::BatchFill, fill_wait);
         }
-        let mut slots: Vec<Option<Result<R, ServerError>>> = raws.iter().map(|_| None).collect();
-        let mut trace_ids = Vec::with_capacity(raws.len());
-        let mut deadlines = Vec::with_capacity(raws.len());
+        let mut positions = Vec::with_capacity(raws.len());
         let mut groups: BTreeMap<String, Group> = BTreeMap::new();
         let mut executed = 0u64;
         for (i, raw) in raws.iter().enumerate() {
             let (meta, query_text) = split_request_meta(raw);
-            trace_ids.push(meta.trace_id);
-            deadlines.push(meta.deadline(started, default_deadline));
+            let mut position = Position {
+                answer: None,
+                trace_id: meta.trace_id,
+                deadline: meta.deadline(started, default_deadline),
+            };
             match Query::parse(query_text) {
                 Ok(query) => {
                     groups
-                        .entry(query.to_string())
+                        .entry(query.canonical())
                         .or_insert_with(|| Group { query, positions: Vec::new() })
                         .positions
                         .push(i);
@@ -593,9 +608,10 @@ impl<'a, R: Answer> BatchFrame<'a, R> {
                 }
                 Err(e) => {
                     stats.inc(Metric::Errors);
-                    slots[i] = Some(Err(ServerError::Parse(e)));
+                    position.answer = Some(Err(ServerError::Parse(e)));
                 }
             }
+            positions.push(position);
         }
         let parse_done = Instant::now();
         trace.record(Stage::Parse, parse_done.saturating_duration_since(exec_started));
@@ -605,34 +621,41 @@ impl<'a, R: Answer> BatchFrame<'a, R> {
             trace,
             parse_done,
             groups,
-            trace_ids,
-            deadlines,
-            slots,
+            positions,
             executed,
-            unfinished: Arc::new(QueryTrace::default()),
+            unfinished: unfinished_trace(),
         }
+    }
+
+    /// Whether any request of the batch carried a trace id.
+    pub(crate) fn traced(&self) -> bool {
+        self.positions.iter().any(|position| position.trace_id != 0)
     }
 
     /// Deadline checkpoint, to run ahead of a cache probe: a hit cannot
     /// resurrect a dead query, and a dead query never influences what gets
-    /// cached.  Returns the positions whose budget is not gone by `now`.
-    pub(crate) fn live(
+    /// cached.  Keeps in `positions` those whose budget is not gone by `now`
+    /// and answers the others.
+    pub(crate) fn retain_live(
         &mut self,
-        positions: &[usize],
+        positions: &mut Vec<usize>,
         now: Instant,
         at: DeadlineStage,
-    ) -> Vec<usize> {
-        let (live, dead): (Vec<usize>, Vec<usize>) =
-            positions.iter().partition(|&&i| self.deadlines[i].is_none_or(|d| d > now));
-        self.expire(&dead, at);
-        live
+    ) {
+        positions.retain(|&i| {
+            let live = self.positions[i].deadline.is_none_or(|d| d > now);
+            if !live {
+                self.expire(&[i], at);
+            }
+            live
+        });
     }
 
     /// Answers `positions` with `DeadlineExceeded`, counted per position.
     pub(crate) fn expire(&mut self, positions: &[usize], at: DeadlineStage) {
         for &i in positions {
             self.stats.record_deadline_exceeded(at);
-            self.slots[i] = Some(Err(ServerError::DeadlineExceeded));
+            self.positions[i].answer = Some(Err(ServerError::DeadlineExceeded));
         }
     }
 
@@ -645,7 +668,7 @@ impl<'a, R: Answer> BatchFrame<'a, R> {
     ) -> Option<Instant> {
         let mut latest: Option<Instant> = None;
         for &i in positions {
-            let deadline = self.deadlines[i]?;
+            let deadline = self.positions[i].deadline?;
             latest = Some(latest.map_or(deadline, |l| l.max(deadline)));
         }
         latest
@@ -658,9 +681,9 @@ impl<'a, R: Answer> BatchFrame<'a, R> {
             self.stats.add(Metric::DedupHits, (positions.len() - 1) as u64);
         }
         for &i in &positions[1..] {
-            self.slots[i] = Some(result.clone());
+            self.positions[i].answer = Some(result.clone());
         }
-        self.slots[positions[0]] = Some(result);
+        self.positions[positions[0]].answer = Some(result);
     }
 
     /// Records the batch and its trace (once: the spans describe the shared
@@ -671,11 +694,10 @@ impl<'a, R: Answer> BatchFrame<'a, R> {
         self.stats.record_trace(&self.trace);
         let latency = self.started.elapsed();
         let shared_trace = Arc::new(self.trace);
-        self.slots
+        self.positions
             .into_iter()
-            .zip(self.trace_ids)
-            .map(|(slot, trace_id)| {
-                let mut result = slot.expect("every position answered");
+            .map(|Position { answer, trace_id, .. }| {
+                let mut result = answer.expect("every position answered");
                 if let Ok(response) = &mut result {
                     self.stats.record_query(latency);
                     let trace = if trace_id == 0 {

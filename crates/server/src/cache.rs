@@ -17,7 +17,9 @@
 //! `Arc<SearchResults>` (the default), the router caches merged
 //! `Arc<Vec<RankedHit>>` responses keyed by its own reload epoch.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -29,12 +31,76 @@ use crate::stats::{Metric, ServerStats};
 
 /// A cache key: the canonical query text plus the generation it was answered
 /// from.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
     /// Canonical (parsed-and-rendered) query text.
     pub query: String,
     /// Snapshot generation the cached results came from.
     pub generation: u64,
+}
+
+/// A [`CacheKey`] borrowed from the request being answered: what
+/// [`QueryCache::get`] probes with, so a lookup copies nothing — a key is
+/// owned only by the entry an insert creates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheKeyRef<'a> {
+    /// Canonical (parsed-and-rendered) query text.
+    pub query: &'a str,
+    /// Snapshot generation the cached results came from.
+    pub generation: u64,
+}
+
+impl<'a> From<&'a CacheKey> for CacheKeyRef<'a> {
+    fn from(key: &'a CacheKey) -> Self {
+        CacheKeyRef { query: &key.query, generation: key.generation }
+    }
+}
+
+/// A key as hashing and comparing see it, owned or borrowed: the entry map
+/// holds [`CacheKey`]s and is probed with a `dyn KeyView` of either.
+trait KeyView {
+    fn view(&self) -> CacheKeyRef<'_>;
+}
+
+impl KeyView for CacheKey {
+    fn view(&self) -> CacheKeyRef<'_> {
+        self.into()
+    }
+}
+
+impl KeyView for CacheKeyRef<'_> {
+    fn view(&self) -> CacheKeyRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for CacheKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let key = self.view();
+        key.query.hash(state);
+        key.generation.hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.view() == other.view()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+/// Hashes as its view does, which `Borrow` requires.
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn KeyView).hash(state);
+    }
 }
 
 /// How the cache decides whether a freshly computed result may displace a
@@ -196,14 +262,16 @@ impl<V> Default for Shard<V> {
 }
 
 impl<V: Clone> Shard<V> {
-    fn touch(&mut self, key: &CacheKey) -> Option<V> {
+    /// The value under `key`, now the most recently used: its recency entry
+    /// moves to the new tick, key and all, so a hit copies no key.
+    fn touch(&mut self, key: CacheKeyRef<'_>) -> Option<V> {
         let tick = self.tick;
         self.tick += 1;
-        let (value, old_tick) = self.entries.get_mut(key)?;
+        let (value, old_tick) = self.entries.get_mut(&key as &dyn KeyView)?;
         let value = value.clone();
         let previous = std::mem::replace(old_tick, tick);
-        self.recency.remove(&previous);
-        self.recency.insert(tick, key.clone());
+        let owned = self.recency.remove(&previous).expect("recency tracks entries");
+        self.recency.insert(tick, owned);
         Some(value)
     }
 
@@ -242,8 +310,7 @@ pub struct QueryCache<V = Arc<SearchResults>> {
 /// FNV-1a (the system-wide hash) over the query text, continued over the
 /// generation so the same query maps to fresh shards per image.  The same
 /// hash indexes the frequency sketch.
-fn key_hash(key: &CacheKey) -> u64 {
-    use std::hash::Hasher;
+fn key_hash(key: CacheKeyRef<'_>) -> u64 {
     let mut hasher = dsearch_text::fnv::FnvHasher::new();
     hasher.write(key.query.as_bytes());
     hasher.write(&key.generation.to_le_bytes());
@@ -311,9 +378,10 @@ impl<V: Clone> QueryCache<V> {
     /// Looks up a cached result, refreshing its recency on hit.  Every
     /// lookup — hit or miss — feeds the frequency sketch, so the admission
     /// filter sees how often a key is *requested*, not how often it is
-    /// cached.
+    /// cached.  The key may be borrowed ([`CacheKeyRef`]) or a `&`[`CacheKey`].
     #[must_use]
-    pub fn get(&self, key: &CacheKey) -> Option<V> {
+    pub fn get<'k>(&self, key: impl Into<CacheKeyRef<'k>>) -> Option<V> {
+        let key = key.into();
         let hash = key_hash(key);
         let mut shard = self.shard_for(hash).lock();
         if let Some(sketch) = &mut shard.sketch {
@@ -333,14 +401,14 @@ impl<V: Clone> QueryCache<V> {
     /// LRU victim in the frequency sketch or the insert is rejected (the
     /// victim stays).
     pub fn insert(&self, key: CacheKey, value: V) {
-        let hash = key_hash(&key);
+        let hash = key_hash((&key).into());
         let mut shard = self.shard_for(hash).lock();
         if let Some(sketch) = &shard.sketch {
             let challenging =
                 shard.entries.len() >= self.capacity_per_shard && !shard.entries.contains_key(&key);
             if challenging {
                 if let Some((_, victim)) = shard.recency.first_key_value() {
-                    if sketch.estimate(hash) <= sketch.estimate(key_hash(victim)) {
+                    if sketch.estimate(hash) <= sketch.estimate(key_hash(victim.into())) {
                         drop(shard);
                         self.rejections.inc();
                         return;

@@ -19,7 +19,7 @@ use dsearch_persist::{IndexStore, PersistError};
 use dsearch_query::{evaluate, ParseError, Scorer, SearchResults};
 
 use crate::batch::{Answer, BatchConfig, BatchFrame, Executor, Pending, Pool};
-use crate::cache::{AdmissionPolicy, CacheCounters, CacheKey, QueryCache};
+use crate::cache::{AdmissionPolicy, CacheCounters, CacheKey, CacheKeyRef, QueryCache};
 use crate::protocol::{render_error_text, render_info, render_response};
 use crate::snapshot::{IndexSnapshot, SnapshotCell};
 use crate::stats::{DeadlineStage, Metric, ServerStats};
@@ -327,12 +327,13 @@ impl Executor for QueryEngine {
         let mut lookups = Duration::ZERO;
         for (canonical, group) in std::mem::take(&mut frame.groups) {
             // Deadline checkpoint between batch members.
-            let live = frame.live(&group.positions, Instant::now(), DeadlineStage::Exec);
+            let mut live = group.positions;
+            frame.retain_live(&mut live, Instant::now(), DeadlineStage::Exec);
             if live.is_empty() {
                 continue;
             }
-            let key = CacheKey { query: canonical.clone(), generation };
-            let (results, cached) = match self.cache.get(&key) {
+            let probe = CacheKeyRef { query: &canonical, generation };
+            let (results, cached) = match self.cache.get(probe) {
                 Some(results) => (results, true),
                 None => {
                     let deadline = frame.group_deadline(&live);
@@ -359,6 +360,7 @@ impl Executor for QueryEngine {
                         continue;
                     }
                     let results = Arc::new(results);
+                    let key = CacheKey { query: canonical.clone(), generation };
                     self.cache.insert(key, Arc::clone(&results));
                     (results, false)
                 }

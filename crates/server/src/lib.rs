@@ -83,7 +83,7 @@ pub mod snapshot;
 pub mod stats;
 
 pub use batch::{Answer, BatchConfig, Executor, OverloadPolicy, Pending, Pool, DEFAULT_AUTO_WAIT};
-pub use cache::{AdmissionPolicy, CacheCounters, CacheKey, QueryCache};
+pub use cache::{AdmissionPolicy, CacheCounters, CacheKey, CacheKeyRef, QueryCache};
 pub use engine::{
     ConfigError, EngineConfig, PendingResponse, QueryEngine, QueryResponse, ServerError, WorkerPool,
 };

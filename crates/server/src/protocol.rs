@@ -36,10 +36,12 @@
 //! scatter that ran out of budget degrades to a normal `OK` status carrying
 //! `partial=true deadline=exceeded` with whatever shards answered in time.
 
+use std::fmt::Write;
 use std::time::{Duration, Instant};
 
+use dsearch_obs::trace::{nanos, write_spans_compact};
 use dsearch_obs::QueryTrace;
-use dsearch_query::RankedHit;
+use dsearch_query::{Hit, RankedHit};
 
 use crate::engine::{QueryResponse, ServerError};
 use crate::route::RoutedResponse;
@@ -47,18 +49,26 @@ use crate::route::RoutedResponse;
 /// Terminator line of every response.
 pub const END: &str = "END";
 
-/// A parsed request line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+/// Bytes reserved for a status line ahead of its body: counts, generation or
+/// shard health, `micros=`, a trace id and a full trace's `stages=` fit.
+const STATUS_CAPACITY: usize = 384;
+
+/// Bytes reserved per body line beyond its path: ` (<n> terms) score=<s>`
+/// with a BM25-sized score.
+const HIT_LINE_CAPACITY: usize = 32;
+
+/// A parsed request line, borrowing its arguments from the line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Request<'a> {
     /// Evaluate a query.
-    Query(String),
+    Query(&'a str),
     /// Report serving metrics.
     Stats,
     /// Report the Prometheus-style metrics exposition.
     Metrics,
     /// Arm or disarm the slow-query log: the argument is `on`, `off` or a
     /// threshold in microseconds.
-    Trace(String),
+    Trace(&'a str),
     /// Dump the retained slow-query traces.
     Slow,
     /// Reload the snapshot from the store.
@@ -71,11 +81,11 @@ pub enum Request {
 
 /// Parses one request line.
 #[must_use]
-pub fn parse_request(line: &str) -> Request {
+pub fn parse_request(line: &str) -> Request<'_> {
     let trimmed = line.trim();
     if let Some(arg) = trimmed.strip_prefix("!trace") {
         if arg.is_empty() || arg.starts_with(' ') {
-            return Request::Trace(arg.trim().to_string());
+            return Request::Trace(arg.trim());
         }
     }
     match trimmed {
@@ -85,7 +95,7 @@ pub fn parse_request(line: &str) -> Request {
         "!slow" => Request::Slow,
         "!reload" => Request::Reload,
         "!quit" => Request::Quit,
-        query => Request::Query(query.to_string()),
+        query => Request::Query(query),
     }
 }
 
@@ -180,48 +190,43 @@ pub fn prefix_deadline_ms(ms: u64, query: &str) -> String {
     format!("@d={ms} {query}")
 }
 
-fn trace_field(id: u64) -> String {
-    if id == 0 {
-        String::new()
-    } else {
-        format!(" trace={id:x}")
+/// Ends a status line: the ` trace=<hex>` field of a traced response, then
+/// ` stages=…` — the trace's spans plus the `serialize` span the caller
+/// measured while producing the body (the one stage that cannot be inside
+/// the trace, because the status line that reports it precedes the body) —
+/// and the newline.
+fn finish_status(out: &mut String, trace: &QueryTrace, serialize: Duration) {
+    if trace.id() != 0 {
+        let _ = write!(out, " trace={:x}", trace.id());
     }
+    out.push_str(" stages=");
+    let _ = write_spans_compact(out, trace.spans());
+    if trace.spans().next().is_some() {
+        out.push(';');
+    }
+    let _ = writeln!(out, "serialize:{}", nanos(serialize));
 }
 
-/// Renders the ` stages=…` status-line field: the trace's spans plus the
-/// `serialize` span measured by the caller while formatting the body (the
-/// one stage that cannot be inside the trace, because the status line that
-/// reports it is built after it).
-fn stages_field(trace: &QueryTrace, serialize: Duration) -> String {
-    let mut stages = trace.render_compact();
-    if !stages.is_empty() {
-        stages.push(';');
-    }
-    stages.push_str("serialize:");
-    stages.push_str(&u64::try_from(serialize.as_nanos()).unwrap_or(u64::MAX).to_string());
-    format!(" stages={stages}")
-}
-
-/// Renders a successful query response.  The body formatting is timed and
-/// reported as the `serialize` span of the `stages=` field.
+/// Renders a successful query response.  The body is the hit lines, rendered
+/// into the results the first time any response carries them and only copied
+/// after that — a cached answer is formatted once, however many requests it
+/// answers; producing it is timed as the `serialize` span of `stages=`.
 #[must_use]
 pub fn render_response(response: &QueryResponse) -> String {
     let serialize_started = Instant::now();
-    let mut body = String::new();
-    for hit in response.results.hits() {
-        body.push_str(&hit_line(&hit.path, hit.matched_terms, hit.score));
-    }
+    let body = response.results.render_once(render_hits);
     let serialize = serialize_started.elapsed();
-    let mut out = format!(
-        "OK {} generation={} cached={} micros={}{}{}\n",
+    let mut out = String::with_capacity(STATUS_CAPACITY + body.len() + END.len() + 1);
+    let _ = write!(
+        out,
+        "OK {} generation={} cached={} micros={}",
         response.results.len(),
         response.generation,
         response.cached,
         response.latency.as_micros(),
-        trace_field(response.trace.id()),
-        stages_field(&response.trace, serialize),
     );
-    out.push_str(&body);
+    finish_status(&mut out, &response.trace, serialize);
+    out.push_str(body);
     out.push_str(END);
     out.push('\n');
     out
@@ -236,48 +241,60 @@ pub fn render_response(response: &QueryResponse) -> String {
 #[must_use]
 pub fn render_routed_response(response: &RoutedResponse) -> String {
     let serialize_started = Instant::now();
-    let mut body = String::new();
+    let mut body = String::with_capacity(body_capacity(response.hits.iter().map(|h| &h.path)));
     for hit in &response.hits {
-        body.push_str(&hit_line(&hit.path, hit.matched_terms, hit.score));
+        write_hit_line(&mut body, &hit.path, hit.matched_terms, hit.score);
     }
     for shard in response.trace.shards() {
-        body.push_str(&format!(
-            "# shard {} rtt={} stages={}\n",
-            shard.shard,
-            u64::try_from(shard.rtt.as_nanos()).unwrap_or(u64::MAX),
-            dsearch_obs::trace::render_spans_compact(shard.stages.iter().copied()),
-        ));
+        let _ = write!(body, "# shard {} rtt={} stages=", shard.shard, nanos(shard.rtt));
+        let _ = write_spans_compact(&mut body, shard.stages.iter().copied());
+        body.push('\n');
     }
     let serialize = serialize_started.elapsed();
     let deadline = if response.deadline_exceeded { " deadline=exceeded" } else { "" };
-    let mut out = format!(
-        "OK {} shards={}/{} partial={}{} micros={}{}{}\n",
+    let mut out = String::with_capacity(STATUS_CAPACITY + body.len() + END.len() + 1);
+    let _ = write!(
+        out,
+        "OK {} shards={}/{} partial={}{} micros={}",
         response.hits.len(),
         response.shards_ok(),
         response.shards_total,
         response.partial(),
         deadline,
         response.latency.as_micros(),
-        trace_field(response.trace.id()),
-        stages_field(&response.trace, serialize),
     );
+    finish_status(&mut out, &response.trace, serialize);
     out.push_str(&body);
     out.push_str(END);
     out.push('\n');
     out
 }
 
-/// Renders one response body line: `<path> (<n> terms)`, with a trailing
+/// A body's hit lines, in one buffer sized for them.
+fn render_hits(hits: &[Hit]) -> String {
+    let mut body = String::with_capacity(body_capacity(hits.iter().map(|h| &h.path)));
+    for hit in hits {
+        write_hit_line(&mut body, &hit.path, hit.matched_terms, hit.score);
+    }
+    body
+}
+
+/// Bytes to reserve for the hit lines of hits with these paths.
+fn body_capacity<'a>(paths: impl Iterator<Item = &'a std::sync::Arc<str>>) -> usize {
+    paths.map(|path| path.len() + HIT_LINE_CAPACITY).sum()
+}
+
+/// Writes one response body line: `<path> (<n> terms)`, with a trailing
 /// ` score=<s>` field when the hit is scored (unranked evaluation leaves
 /// scores at zero and the field off the wire, so pre-ranking shards and
 /// clients interoperate unchanged).  `f32` `Display` is shortest-roundtrip,
 /// so the score a shard prints is the score the router parses, bit for bit.
-fn hit_line(path: &str, matched_terms: usize, score: f32) -> String {
-    if score == 0.0 {
-        format!("{path} ({matched_terms} terms)\n")
+fn write_hit_line(out: &mut String, path: &str, matched_terms: usize, score: f32) {
+    let _ = if score == 0.0 {
+        writeln!(out, "{path} ({matched_terms} terms)")
     } else {
-        format!("{path} ({matched_terms} terms) score={score}\n")
-    }
+        writeln!(out, "{path} ({matched_terms} terms) score={score}")
+    };
 }
 
 /// Parses one response body line of the `<path> (<n> terms)[ score=<s>]`
@@ -466,21 +483,21 @@ mod tests {
 
     #[test]
     fn requests_parse() {
-        assert_eq!(parse_request("rust AND search"), Request::Query("rust AND search".into()));
+        assert_eq!(parse_request("rust AND search"), Request::Query("rust AND search"));
         assert_eq!(parse_request("  !stats  "), Request::Stats);
         assert_eq!(parse_request("!reload"), Request::Reload);
         assert_eq!(parse_request("!quit"), Request::Quit);
         assert_eq!(parse_request("   "), Request::Empty);
         assert_eq!(parse_request("!metrics"), Request::Metrics);
         assert_eq!(parse_request("!slow"), Request::Slow);
-        assert_eq!(parse_request("!trace"), Request::Trace(String::new()));
-        assert_eq!(parse_request("!trace on"), Request::Trace("on".into()));
-        assert_eq!(parse_request("!trace 1500"), Request::Trace("1500".into()));
+        assert_eq!(parse_request("!trace"), Request::Trace(""));
+        assert_eq!(parse_request("!trace on"), Request::Trace("on"));
+        assert_eq!(parse_request("!trace 1500"), Request::Trace("1500"));
         // `!tracer` is not a `!trace` with an argument; unknown bangs stay
         // queries (and fail parse downstream like any bad query).
-        assert_eq!(parse_request("!tracer"), Request::Query("!tracer".into()));
+        assert_eq!(parse_request("!tracer"), Request::Query("!tracer"));
         // Traced queries keep their prefix: the engine strips it.
-        assert_eq!(parse_request("@a3f rust"), Request::Query("@a3f rust".into()));
+        assert_eq!(parse_request("@a3f rust"), Request::Query("@a3f rust"));
     }
 
     #[test]
@@ -593,6 +610,12 @@ mod tests {
         assert!(parse_hit_line("queries=3 qps=1.0").is_none());
         assert!(parse_hit_line("x (many terms)").is_none());
         assert!(parse_hit_line("").is_none());
+    }
+
+    fn hit_line(path: &str, matched_terms: usize, score: f32) -> String {
+        let mut line = String::new();
+        write_hit_line(&mut line, path, matched_terms, score);
+        line
     }
 
     #[test]

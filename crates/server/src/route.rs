@@ -46,7 +46,7 @@ use dsearch_obs::{next_trace_id, MetricsRegistry, QueryTrace, ShardSpan, Span, S
 use dsearch_query::{merge_ranked, RankedHit};
 
 use crate::batch::{Answer, BatchConfig, BatchFrame, Executor, Pending, Pool};
-use crate::cache::{CacheCounters, CacheKey, QueryCache};
+use crate::cache::{CacheCounters, CacheKey, CacheKeyRef, QueryCache};
 use crate::engine::{ConfigError, QueryEngine, ServerError};
 use crate::protocol::{
     parse_hit_line, prefix_deadline_ms, prefix_trace_id, read_response, render_error_text,
@@ -1026,7 +1026,7 @@ impl Executor for Router {
         // Deadline checkpoint ahead of the cache probe, for every group.
         let mut groups = std::mem::take(&mut frame.groups);
         groups.retain(|_, group| {
-            group.positions = frame.live(&group.positions, parse_done, DeadlineStage::Scatter);
+            frame.retain_live(&mut group.positions, parse_done, DeadlineStage::Scatter);
             !group.positions.is_empty()
         });
         let unfinished = Arc::clone(&frame.unfinished);
@@ -1045,8 +1045,8 @@ impl Executor for Router {
         let epoch = self.epoch();
         if let Some(cache) = &self.cache {
             groups.retain(|canonical, group| {
-                let key = CacheKey { query: canonical.clone(), generation: epoch };
-                let Some(hits) = cache.get(&key) else { return true };
+                let key = CacheKeyRef { query: canonical, generation: epoch };
+                let Some(hits) = cache.get(key) else { return true };
                 let response = respond(canonical, (*hits).clone(), Vec::new(), false);
                 frame.answer(&group.positions, Ok(response));
                 false
@@ -1058,8 +1058,7 @@ impl Executor for Router {
             // them — the client sent an `@<hex id>` prefix or the router's
             // slow-query log is armed — so the untraced hot path never pays
             // for id generation or per-shard span collection.
-            let traced = frame.trace_ids.iter().any(|&id| id != 0)
-                || self.stats.slow_log().threshold().is_some();
+            let traced = frame.traced() || self.stats.slow_log().threshold().is_some();
             let shard_ids: Vec<u64> = if traced {
                 canonicals.iter().map(|_| next_trace_id()).collect()
             } else {

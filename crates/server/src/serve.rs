@@ -9,6 +9,7 @@
 //! front-end feature — idle timeouts, connection caps, connection
 //! accounting — applies to single-store and routed serving alike.
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -18,7 +19,8 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use dsearch_obs::{trace::render_spans_compact, QueryTrace};
+use dsearch_obs::trace::{nanos, write_spans_compact};
+use dsearch_obs::QueryTrace;
 
 use crate::batch::{Answer, Executor, Pool};
 use crate::engine::QueryEngine;
@@ -84,20 +86,12 @@ fn slow_report(stats: &ServerStats) -> String {
 /// atomic load.
 fn observe_slow(stats: &ServerStats, query: &str, total: Duration, trace: &QueryTrace) {
     stats.slow_log().observe(total, || {
-        let mut entry = format!(
-            "{}us query={:?} trace={:x} stages={}",
-            total.as_micros(),
-            query,
-            trace.id(),
-            trace.render_compact()
-        );
+        let mut entry =
+            format!("{}us query={:?} trace={:x} stages=", total.as_micros(), query, trace.id());
+        let _ = write_spans_compact(&mut entry, trace.spans());
         for shard in trace.shards() {
-            entry.push_str(&format!(
-                " | shard {} rtt={} stages={}",
-                shard.shard,
-                shard.rtt.as_nanos(),
-                render_spans_compact(shard.stages.iter().copied())
-            ));
+            let _ = write!(entry, " | shard {} rtt={} stages=", shard.shard, nanos(shard.rtt));
+            let _ = write_spans_compact(&mut entry, shard.stages.iter().copied());
         }
         entry
     });
@@ -114,15 +108,26 @@ pub trait LineHandler: Send + Sync + 'static {
     fn stats(&self) -> &ServerStats;
 
     /// Serves one line-oriented connection (stdin, a socket, a test buffer)
-    /// until EOF or `!quit`, reporting which of the two ended it.
+    /// until EOF or `!quit`, reporting which of the two ended it.  Lines are
+    /// read into one buffer the session reuses; each response is one write.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures on the output side.
-    fn serve_lines<R: BufRead, W: Write>(&self, input: R, mut output: W) -> io::Result<SessionEnd> {
-        for line in input.lines() {
-            let line = line?;
-            match self.handle(&line) {
+    /// Propagates I/O failures, and input that is not UTF-8.
+    fn serve_lines<R: BufRead, W: Write>(
+        &self,
+        mut input: R,
+        mut output: W,
+    ) -> io::Result<SessionEnd> {
+        let mut buffer = String::new();
+        loop {
+            buffer.clear();
+            if input.read_line(&mut buffer)? == 0 {
+                return Ok(SessionEnd::Eof);
+            }
+            let line = buffer.strip_suffix('\n').unwrap_or(&buffer);
+            let line = line.strip_suffix('\r').unwrap_or(line);
+            match self.handle(line) {
                 Handled::Respond(response) => {
                     output.write_all(response.as_bytes())?;
                     output.flush()?;
@@ -131,7 +136,6 @@ pub trait LineHandler: Send + Sync + 'static {
                 Handled::Close => return Ok(SessionEnd::Quit),
             }
         }
-        Ok(SessionEnd::Eof)
     }
 }
 
@@ -258,9 +262,9 @@ impl<E: Executor> LineHandler for LineService<E> {
                 let body: Vec<&str> = exposition.lines().collect();
                 render_info_with_body(&format!("metrics lines={}", body.len()), body)
             }
-            Request::Trace(arg) => trace_control(stats, &arg),
+            Request::Trace(arg) => trace_control(stats, arg),
             Request::Slow => slow_report(stats),
-            Request::Query(raw) => match self.pool.execute(&raw) {
+            Request::Query(raw) => match self.pool.execute(raw) {
                 Ok(response) => {
                     let text = response.render();
                     observe_slow(stats, response.query(), response.latency(), response.trace());

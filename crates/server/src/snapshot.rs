@@ -83,9 +83,13 @@ impl IndexSnapshot {
         IndexSnapshot::from_sealed(sealed, docs, generation)
     }
 
-    /// Builds a snapshot from already-sealed shards.
+    /// Builds a snapshot from already-sealed shards.  The doc table's path
+    /// ranks, which every evaluation's result heap orders ties by, are
+    /// computed here rather than by the first query, so the image's
+    /// footprint is what it is before it serves.
     #[must_use]
     pub fn from_sealed(shards: Vec<SealedShard>, docs: DocTable, generation: u64) -> Self {
+        let _ = docs.path_ranks();
         IndexSnapshot { generation, shards, docs, load_time: Duration::ZERO }
     }
 

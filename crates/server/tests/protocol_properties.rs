@@ -62,6 +62,102 @@ fn response_strategy() -> impl Strategy<Value = QueryResponse> {
         })
 }
 
+/// Line-safe paths with spaces, brackets and characters beyond ASCII.
+fn tricky_path_strategy() -> impl Strategy<Value = String> {
+    "[a-z0-9 ./()_éüß漢字-]{1,24}"
+}
+
+/// Every kind of score a hit can carry: zero (no `score=` field), a
+/// subnormal, the largest finite value, any positive finite value, and a
+/// BM25-sized one.
+fn tricky_score_strategy() -> impl Strategy<Value = f32> {
+    (0u32..5, any::<u32>()).prop_map(|(kind, bits)| match kind {
+        0 => 0.0,
+        1 => f32::from_bits(bits % 0x0080_0000),
+        2 => f32::MAX,
+        3 => f32::from_bits(bits & 0x7f7f_ffff),
+        _ => (bits % 10_000) as f32 / 64.0,
+    })
+}
+
+/// The body as it was rendered before answers were memoized: one `format!`
+/// per hit line.
+fn per_line_body(results: &SearchResults) -> String {
+    let line = |hit: &Hit| {
+        if hit.score == 0.0 {
+            format!("{} ({} terms)\n", hit.path, hit.matched_terms)
+        } else {
+            format!("{} ({} terms) score={}\n", hit.path, hit.matched_terms, hit.score)
+        }
+    };
+    results.hits().iter().map(line).collect()
+}
+
+fn response_over(results: SearchResults, cached: bool) -> QueryResponse {
+    QueryResponse {
+        query: "canonical query".into(),
+        results: Arc::new(results),
+        generation: 1,
+        cached,
+        latency: Duration::from_micros(7),
+        trace: Arc::new(dsearch_obs::QueryTrace::default()),
+    }
+}
+
+/// The body lines of a rendered response (between the status line and END).
+fn body_of(text: &str) -> &str {
+    let (_, rest) = text.split_once('\n').unwrap();
+    rest.strip_suffix(&format!("{END}\n")).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The body a response carries is rendered once into its results and
+    /// reused: it equals, byte for byte, what rendering every line afresh
+    /// gives, every line parses back to its hit's exact score, and cutting
+    /// the results drops the rendering of the longer list.
+    #[test]
+    fn a_memoized_body_is_the_per_line_rendering_byte_for_byte(
+        raw_hits in proptest::collection::vec(
+            (tricky_path_strategy(), 1usize..10, tricky_score_strategy()),
+            0..25,
+        ),
+        cut in 0usize..30,
+    ) {
+        let hits: Vec<Hit> = raw_hits
+            .into_iter()
+            .enumerate()
+            .map(|(i, (path, matched_terms, score))| Hit {
+                file_id: FileId(i as u32),
+                path: path.into(),
+                matched_terms,
+                score,
+            })
+            .collect();
+        let response = response_over(SearchResults::new(hits), false);
+        let expected = per_line_body(&response.results);
+        let first = render_response(&response);
+        prop_assert_eq!(body_of(&first), expected.as_str());
+        prop_assert!(first.starts_with(&format!("OK {} generation=1 ", response.results.len())));
+        // The second answer copies the stored rendering: nothing renders it
+        // again, and the bytes are the same.
+        prop_assert_eq!(response.results.render_once(|_| unreachable!()), expected.as_str());
+        let again = response_over((*response.results).clone(), true);
+        prop_assert_eq!(body_of(&render_response(&again)), expected.as_str());
+        for (line, hit) in expected.lines().zip(response.results.hits()) {
+            let back = dsearch_server::protocol::parse_hit_line(line).unwrap();
+            prop_assert_eq!(&*back.path, &*hit.path);
+            prop_assert_eq!(back.matched_terms, hit.matched_terms);
+            prop_assert_eq!(back.score.to_bits(), hit.score.to_bits());
+        }
+        let mut shorter = (*response.results).clone();
+        shorter.truncate(cut);
+        let cut_body = per_line_body(&shorter);
+        prop_assert_eq!(body_of(&render_response(&response_over(shorter, true))), cut_body.as_str());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -82,9 +178,9 @@ proptest! {
                 Request::Slow => prop_assert_eq!(line.trim(), "!slow"),
                 Request::Trace(arg) => {
                     prop_assert!(line.trim().starts_with("!trace"));
-                    prop_assert_eq!(arg.as_str(), line.trim().strip_prefix("!trace").unwrap().trim());
+                    prop_assert_eq!(arg, line.trim().strip_prefix("!trace").unwrap().trim());
                 }
-                Request::Query(q) => prop_assert_eq!(q.as_str(), line.trim()),
+                Request::Query(q) => prop_assert_eq!(q, line.trim()),
             }
         }
         // The response reader consumes any line stream without panicking,

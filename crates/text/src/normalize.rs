@@ -64,16 +64,29 @@ impl Normalizer {
     }
 
     /// Normalises a raw string into a term, or `None` when nothing indexable
-    /// remains.
+    /// remains.  A word the folding leaves as it is (ASCII, and lowercase and
+    /// digit-free where those are asked for) is not copied on the way: the
+    /// term is the one allocation.
     #[must_use]
     pub fn normalize(&self, raw: &str) -> Option<Term> {
-        let mut s: String = raw.chars().filter(|c| c.is_ascii()).collect();
-        if self.options.lowercase {
-            s.make_ascii_lowercase();
-        }
-        if self.options.strip_digits {
-            s.retain(|c| !c.is_ascii_digit());
-        }
+        let folds = |b: u8| {
+            (self.options.lowercase && b.is_ascii_uppercase())
+                || (self.options.strip_digits && b.is_ascii_digit())
+        };
+        let folded: String;
+        let s = if raw.is_ascii() && !raw.bytes().any(folds) {
+            raw
+        } else {
+            let mut s: String = raw.chars().filter(char::is_ascii).collect();
+            if self.options.lowercase {
+                s.make_ascii_lowercase();
+            }
+            if self.options.strip_digits {
+                s.retain(|c| !c.is_ascii_digit());
+            }
+            folded = s;
+            &folded
+        };
         let trimmed: &str = if self.options.trim_punctuation {
             s.trim_matches(|c: char| !c.is_ascii_alphanumeric())
         } else {
@@ -82,11 +95,7 @@ impl Normalizer {
         if trimmed.is_empty() {
             return None;
         }
-        let mut out = trimmed.to_owned();
-        if out.len() > self.options.max_len {
-            out.truncate(self.options.max_len);
-        }
-        Some(Term::new(out))
+        Some(Term::from(&trimmed[..trimmed.len().min(self.options.max_len)]))
     }
 
     /// Normalises a whitespace-separated list of raw words, dropping the ones

@@ -73,6 +73,10 @@ pub mod channel {
         fn drop(&mut self) {
             if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
                 // Last sender gone: wake receivers so they observe shutdown.
+                // Under the queue's lock: a receiver that read the count as
+                // non-zero holds the lock until it waits, so the wake-up
+                // cannot fall between its check and its wait.
+                let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
                 self.shared.not_empty.notify_all();
             }
         }
@@ -88,7 +92,9 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             if self.shared.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-                // Last receiver gone: wake blocked senders so sends fail.
+                // Last receiver gone: wake blocked senders so sends fail
+                // (under the lock, as for the last sender).
+                let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
                 self.shared.not_full.notify_all();
             }
         }
