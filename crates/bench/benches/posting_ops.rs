@@ -1,4 +1,4 @@
-//! The query-evaluation layer in isolation: five query shapes through the
+//! The query-evaluation layer in isolation: six query shapes through the
 //! one evaluator (`dsearch::query::evaluate`) over one sealed shard, no
 //! engine, no cache, no wire — the criterion counterpart of the repo
 //! benchmark's `query.eval_{term,and,or,prefix,not}_ns`.
@@ -13,8 +13,11 @@
 //! case production does not have: every block the same width-0 run.  The
 //! queries are picked from the vocabulary by document frequency, and the list
 //! lengths are printed once so a reader can tell what was measured — with,
-//! per shape, the merge loop's rounds, the documents it scored and the
-//! nanoseconds per round.
+//! per shape, the candidates the MaxScore loop took, the documents it scored
+//! in full, its seeks of non-essential groups and the nanoseconds per
+//! candidate.  `or12` is a twelve-group disjunction: each candidate is the
+//! smallest next match of the essential groups, found by a linear scan, and
+//! this shape is where that scan would show.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -45,9 +48,10 @@ fn zipf_index() -> (InMemoryIndex, DocTable) {
         .into_single_index()
 }
 
-/// The five shapes over terms chosen by document frequency: the most
-/// frequent term, one in every other document or so, three around every
-/// two-hundredth, one of a single document.
+/// The shapes over terms chosen by document frequency: the most frequent
+/// term, one in every other document or so, three around every
+/// two-hundredth, one of a single document, and twelve of at most every
+/// fiftieth.
 fn queries(index: &InMemoryIndex, docs: usize) -> Vec<(&'static str, String)> {
     let mut by_df: Vec<(&str, usize)> =
         index.iter().map(|(t, list)| (t.as_str(), list.len())).collect();
@@ -58,13 +62,14 @@ fn queries(index: &InMemoryIndex, docs: usize) -> Vec<(&'static str, String)> {
     };
     let (top, half) = (by_df[0], at_most(docs / 2, 1)[0]);
     let mid = at_most(docs / 200, 3);
+    let many = at_most(docs / 50, 12);
     let rare = *by_df.last().expect("a non-empty index");
     let prefix: String = mid[0].0.chars().take(3).collect();
     let matched: Vec<usize> =
         by_df.iter().filter(|(t, _)| t.starts_with(&prefix)).map(|(_, len)| *len).collect();
     println!(
         "query_eval index: {docs} documents, {} terms; list lengths: {top:?} {half:?} {mid:?} \
-         {rare:?}; prefix {prefix}* = {} terms, {} postings",
+         {rare:?} {many:?}; prefix {prefix}* = {} terms, {} postings",
         by_df.len(),
         matched.len(),
         matched.iter().sum::<usize>(),
@@ -73,6 +78,7 @@ fn queries(index: &InMemoryIndex, docs: usize) -> Vec<(&'static str, String)> {
         ("term", mid[0].0.to_owned()),
         ("and", format!("{} {} {}", mid[0].0, half.0, top.0)),
         ("or", format!("{} OR {} OR {}", mid[1].0, mid[2].0, rare.0)),
+        ("or12", many.iter().map(|(term, _)| *term).collect::<Vec<_>>().join(" OR ")),
         ("prefix", format!("{prefix}*")),
         ("not", format!("{} NOT {}", mid[0].0, half.0)),
     ]
@@ -86,9 +92,9 @@ fn bench_query_eval(c: &mut Criterion) {
     let shards = [SealedShard::from_index(&index)];
     for (shape, raw) in queries(&index, docs.len()) {
         let query = Query::parse(&raw).expect("bench query parses");
-        // How much merging a query is — its rounds, the documents it scored —
-        // and the evaluation's time spread over those rounds (informational:
-        // the fixed setup is in it).
+        // How much work a query is — its candidates, the documents scored in
+        // full, the non-essential seeks — and the evaluation's time spread
+        // over the candidates (informational: the fixed setup is in it).
         let run = || evaluate(&shards, &docs, &query, Scorer::Bm25, 20, &|| false);
         let (_, prune) = run();
         const TIMED: u32 = 200;
@@ -96,10 +102,11 @@ fn bench_query_eval(c: &mut Criterion) {
         (0..TIMED).for_each(|_| drop(black_box(run())));
         let per_query = started.elapsed() / TIMED;
         println!(
-            "query_eval/{shape}: {} merge rounds, {} documents scored, {:.1} ns per round \
-             ({per_query:?} per query)",
+            "query_eval/{shape}: {} candidates, {} documents scored, {} non-essential seeks, \
+             {:.1} ns per candidate ({per_query:?} per query)",
             prune.rounds,
             prune.scored,
+            prune.seeks,
             per_query.as_nanos() as f64 / prune.rounds.max(1) as f64,
         );
         group.bench_function(shape, |b| {

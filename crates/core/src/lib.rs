@@ -107,7 +107,7 @@ pub(crate) mod testing {
     }
 
     /// The segment `index` is written as — postings, frequencies, lengths and
-    /// block score bounds, where `InMemoryIndex: PartialEq` sees id sets only.
+    /// list bounds, where `InMemoryIndex: PartialEq` sees id sets only.
     pub(crate) fn segment_bytes(index: &InMemoryIndex, docs: &DocTable) -> Vec<u8> {
         let mut bytes = Vec::new();
         dsearch_persist::write_segment(index, docs, std::io::Cursor::new(&mut bytes))

@@ -556,7 +556,7 @@ mod tests {
         // However a file's occurrences reach the index — condensed or one by
         // one, en bloc or per term, whichever thread extracted it, one index
         // or replicas — the joined index seals to the bytes of the sequential
-        // en-bloc build: same frequencies, same lengths, same score bounds.
+        // en-bloc build: same frequencies, same lengths, same list bounds.
         let mut variations = Vec::new();
         for dedup in [DedupMode::PerFileWordList, DedupMode::InsertEveryOccurrence] {
             for granularity in [InsertGranularity::EnBloc, InsertGranularity::PerTerm] {

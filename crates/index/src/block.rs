@@ -84,16 +84,9 @@ pub struct CompressedPostings {
     /// Byte offset of each block's frequency payload in `freqs`; one entry
     /// per block iff `freqs` is non-empty.
     freq_offsets: Vec<u32>,
-    /// Per-block upper bound on the posting score, quantized as
-    /// `ceil(bound / max_score * 255)` — one entry per block iff the list is
-    /// scored.  Quantizing with `ceil` keeps the dequantized bound
-    /// admissible (never below the true block maximum).
-    block_scores: Vec<u8>,
-    /// An upper bound on every posting score of the list, and the
-    /// quantization scale of `block_scores`: the true maximum rounded up to
-    /// the next `f32` whose low 16 bits are zero, which is what a segment
-    /// stores of it.  `0.0` means the list is unscored.
-    max_score: f32,
+    /// The list's score bound byte (`0`: none recorded); see
+    /// [`CompressedView::bound`].
+    bound: u8,
 }
 
 /// Structural validation failure when a sealed shard is laid over externally
@@ -150,8 +143,7 @@ impl CompressedPostings {
             data,
             freqs: Vec::new(),
             freq_offsets: Vec::new(),
-            block_scores: Vec::new(),
-            max_score: 0.0,
+            bound: 0,
         }
     }
 
@@ -175,32 +167,9 @@ impl CompressedPostings {
         cp
     }
 
-    /// Records per-block score upper bounds from the per-posting scores
-    /// (parallel to the ids), quantized to a u8 ceiling against the list
-    /// maximum — itself rounded **up** to 16 significant bits (at most 0.8 %
-    /// loose, still admissible), once, here, so that the scale of the block
-    /// bounds, an in-memory seal and a loaded segment agree bit for bit.
-    /// Non-positive maxima leave the list unscored.
-    pub fn score_blocks(&mut self, scores: &[f32]) {
-        debug_assert_eq!(scores.len(), self.len);
-        let true_max = scores.iter().fold(0.0f32, |acc, &s| acc.max(s));
-        // Positive floats order as their bits do, so the next value with
-        // sixteen zero low bits is a carry away.
-        let list_max = f32::from_bits((true_max.to_bits() + 0xffff) & !0xffff);
-        if true_max <= 0.0 || !list_max.is_finite() {
-            self.block_scores.clear();
-            self.max_score = 0.0;
-            return;
-        }
-        self.max_score = list_max;
-        self.block_scores = scores
-            .chunks(BLOCK_SIZE)
-            .map(|chunk| {
-                let block_max = chunk.iter().fold(0.0f32, |acc, &s| acc.max(s));
-                let quantized = (f64::from(block_max) / f64::from(list_max) * 255.0).ceil();
-                quantized.clamp(1.0, 255.0) as u8
-            })
-            .collect();
+    /// Records the list's score bound byte (see [`CompressedView::bound`]).
+    pub(crate) fn set_bound(&mut self, bound: u8) {
+        self.bound = bound;
     }
 
     /// The borrowed form every reader takes.
@@ -212,8 +181,7 @@ impl CompressedPostings {
             data: &self.data,
             freqs: &self.freqs,
             freq_offsets: &self.freq_offsets,
-            block_scores: &self.block_scores,
-            max_score: self.max_score,
+            bound: self.bound,
         }
     }
 }
@@ -233,8 +201,7 @@ pub struct CompressedView<'a> {
     pub(crate) data: &'a [u8],
     pub(crate) freqs: &'a [u8],
     pub(crate) freq_offsets: &'a [u32],
-    pub(crate) block_scores: &'a [u8],
-    pub(crate) max_score: f32,
+    pub(crate) bound: u8,
 }
 
 impl<'a> CompressedView<'a> {
@@ -274,28 +241,14 @@ impl<'a> CompressedView<'a> {
         self.freq_offsets
     }
 
-    /// The quantized per-block score upper bounds (empty ⇒ unscored).
+    /// The list's score bound byte: `⌈255 · s⌉` for the largest saturation
+    /// `s = tf / (tf + norm)` among its postings, so that `idf · (1 + k1) ·
+    /// bound / 255` bounds every posting's BM25 score whatever the idf
+    /// ([`bm25_bound`](crate::bm25_bound)).  `0` when none was recorded (a
+    /// shard without document lengths).
     #[must_use]
-    pub fn block_scores(&self) -> &'a [u8] {
-        self.block_scores
-    }
-
-    /// The true maximum posting score of the list (`0.0` ⇒ unscored).
-    #[must_use]
-    pub fn max_score(&self) -> f32 {
-        self.max_score
-    }
-
-    /// Dequantized score upper bound of block `index`; the list maximum when
-    /// no per-block table exists.  Admissible: never below the true block
-    /// maximum (callers still add a small slack before comparing against a
-    /// threshold to absorb float rounding).
-    #[must_use]
-    pub fn block_score_bound(&self, index: usize) -> f32 {
-        match self.block_scores.get(index) {
-            Some(&q) => (f64::from(self.max_score) * f64::from(q) / 255.0) as f32,
-            None => self.max_score,
-        }
+    pub fn bound(&self) -> u8 {
+        self.bound
     }
 
     /// Bytes this list occupies: payload plus skip table (12 bytes per
@@ -641,9 +594,6 @@ pub struct BlockCursor<'a> {
     freq_scratch: [u32; BLOCK_SIZE],
     /// Whether `freq_scratch` holds the current block's frequencies.
     freqs_loaded: bool,
-    /// Dequantized score bound of the current block: block-max evaluation
-    /// asks for it once per posting, the division is paid once per block.
-    bound: f32,
     /// Blocks this cursor has entered (and decoded);
     /// `blocks - blocks_visited()` is the number the skip table let
     /// it jump over entirely.
@@ -663,7 +613,6 @@ impl<'a> BlockCursor<'a> {
             scratch: [0; BLOCK_SIZE],
             freq_scratch: [0; BLOCK_SIZE],
             freqs_loaded: false,
-            bound: 0.0,
             visited: 0,
         };
         cursor.enter_block(0);
@@ -680,11 +629,9 @@ impl<'a> BlockCursor<'a> {
         self.freqs_loaded = false;
         if block >= self.blocks {
             self.len_in_block = 0;
-            self.bound = 0.0;
             return;
         }
         self.visited += 1;
-        self.bound = self.postings.block_score_bound(block);
         self.len_in_block = self.postings.block_len(block);
         self.postings.block_ids(block, &mut self.scratch);
     }
@@ -703,28 +650,6 @@ impl<'a> BlockCursor<'a> {
             self.freqs_loaded = true;
         }
         self.freq_scratch[self.pos]
-    }
-
-    /// The dequantized score upper bound of the block the cursor is on
-    /// (the list maximum when unscored, zero when exhausted).
-    #[must_use]
-    pub fn current_block_bound(&self) -> f32 {
-        self.bound
-    }
-
-    /// The true maximum posting score of the underlying list (`0.0` when
-    /// the list is unscored).
-    #[must_use]
-    pub fn list_max_score(&self) -> f32 {
-        self.postings.max_score
-    }
-
-    /// The last id of the block the cursor is on, or `None` when exhausted.
-    /// Block-max evaluation uses this as the boundary to seek past when the
-    /// current block's bound cannot reach the heap threshold.
-    #[must_use]
-    pub fn current_block_last(&self) -> Option<FileId> {
-        (!self.exhausted() && self.len_in_block > 0).then(|| self.block_last())
     }
 
     /// Blocks this cursor actually entered so far.
@@ -931,6 +856,12 @@ mod tests {
         assert_eq!(cursor.seek(FileId(2997)), Some(FileId(2997)));
         assert_eq!(cursor.seek(FileId(3000)), None);
         assert_eq!(cursor.current(), None);
+
+        // A seek enters only the block it lands in.
+        let mut cursor = cp.view().cursor();
+        assert_eq!((cursor.total_blocks(), cursor.blocks_visited()), (8, 1));
+        cursor.seek(FileId(2997));
+        assert_eq!(cursor.blocks_visited(), 2, "the blocks in between skipped untouched");
     }
 
     #[test]
@@ -999,35 +930,6 @@ mod tests {
         let mut decoded = Vec::new();
         cp.view().decode_freqs_into(&mut decoded);
         assert_eq!(decoded, tfs);
-    }
-
-    #[test]
-    fn block_score_bounds_are_admissible() {
-        let all: Vec<FileId> = (0..300).map(FileId).collect();
-        let scores: Vec<f32> = (0..300).map(|i| 0.1 + (i % 50) as f32 * 0.03).collect();
-        let mut cp = CompressedPostings::from_counted(&all, &[]);
-        assert_eq!(cp.view().max_score(), 0.0);
-        assert_eq!(cp.view().block_score_bound(0), 0.0);
-        cp.score_blocks(&scores);
-        // The list maximum is kept to 16 significant bits, rounded up.
-        let true_max = scores.iter().fold(0.0f32, |a, &b| a.max(b));
-        let list_max = cp.view().max_score();
-        assert_eq!(list_max.to_bits() & 0xffff, 0);
-        assert!(list_max >= true_max && list_max <= true_max * (1.0 + 1.0 / 128.0));
-        assert_eq!(cp.view().block_scores().len(), 300usize.div_ceil(BLOCK_SIZE));
-        for (b, chunk) in scores.chunks(BLOCK_SIZE).enumerate() {
-            let true_max = chunk.iter().fold(0.0f32, |a, &s| a.max(s));
-            let bound = cp.view().block_score_bound(b);
-            assert!(bound >= true_max, "block {b}: bound {bound} below true max {true_max}");
-            assert!(bound <= true_max * 1.02, "block {b}: bound {bound} too loose");
-        }
-        let mut cursor = cp.view().cursor();
-        assert!(cursor.current_block_bound() > 0.0);
-        assert_eq!(cursor.current_block_last(), Some(FileId(BLOCK_SIZE as u32 - 1)));
-        assert_eq!(cursor.total_blocks(), 3);
-        assert_eq!(cursor.blocks_visited(), 1);
-        cursor.seek(FileId(299));
-        assert_eq!(cursor.blocks_visited(), 2, "middle block skipped untouched");
     }
 
     /// Mostly small values, a few up to `u32::MAX`; now and then all equal,

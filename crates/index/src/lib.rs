@@ -65,8 +65,8 @@ pub use join::{join_all, join_into, parallel_join, JoinPlan};
 pub use memory_index::InMemoryIndex;
 pub use posting::PostingList;
 pub use sealed::{
-    bm25_idf, bm25_neutral_norm, bm25_score, encode_term, SealedChunk, SealedShard, SealedTerms,
-    SectionBytes, BM25_B, BM25_K1,
+    bm25_bound, bm25_idf, bm25_neutral_norm, bm25_score, encode_term, SealedChunk, SealedShard,
+    SealedTerms, SectionBytes, BM25_B, BM25_K1,
 };
 pub use shared::{IndexSet, SharedIndex};
 pub use stats::IndexStats;

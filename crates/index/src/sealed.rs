@@ -4,15 +4,15 @@
 //! posting vectors.  A [`SealedShard`] is what a serving snapshot actually
 //! reads: **one byte buffer** holding every term's encoded entry exactly as a
 //! segment stores it ([`encode_term`]), described by flat side tables — one
-//! fixed-size `TermEntry` per term (where its entry, its payloads and its
-//! score bounds sit in the buffer), one shard-wide skip table, one
-//! shard-wide frequency-offset table and a `u32` open-addressing table for
-//! exact-term lookups.  A shard loaded from disk *is* the segment
+//! fixed-size `TermEntry` per term (where its entry and its payloads sit in
+//! the buffer, where its skip entries sit in the skip table), one shard-wide
+//! skip table, one shard-wide frequency-offset table and a `u32`
+//! open-addressing table for exact-term lookups.  A shard loaded from disk *is* the segment
 //! file's bytes; a shard sealed in memory ([`SealedShard::from_index`]) is the
 //! same encoding written into a fresh buffer, so there is one representation
 //! and one reader.  That buys:
 //!
-//! * **memory** — the postings cost their on-disk bytes plus 20 bytes of
+//! * **memory** — the postings cost their on-disk bytes plus 12 bytes of
 //!   table per term, with a constant number of heap allocations per shard;
 //! * **prefix lookups** — `word*` resolves to a contiguous dictionary range
 //!   (one binary search, no hash-table scan);
@@ -24,6 +24,11 @@
 //! Every structural property the readers rely on is checked once, when the
 //! tables are laid over the bytes: hostile bytes are a [`BlockFormatError`],
 //! never a panic and never an allocation sized by a count they declare.
+//!
+//! Ranked evaluation prunes with one bound per list and nothing finer: the
+//! byte a seal writes quantizes the largest saturation `tf / (tf + norm)`
+//! of the list's postings, and [`bm25_bound`] turns it into a score bound
+//! under whatever idf the query scores with.
 
 use std::sync::{Condvar, Mutex};
 
@@ -47,8 +52,13 @@ pub const BM25_B: f32 = 0.75;
 const MAX_TERM_LEN: u64 = 64 * 1024;
 
 /// Fewest bytes one encoded term entry occupies: a term length, a posting
-/// count, two payload lengths and the two bytes of a max score.
-const MIN_ENTRY_BYTES: usize = 6;
+/// count, a bound byte and two payload lengths.
+const MIN_ENTRY_BYTES: usize = 5;
+
+/// What [`bm25_bound_byte`] raises a saturation by before quantizing it:
+/// more than the relative rounding error of an `f32` BM25 score (four
+/// roundings, 2⁻²² at most).
+const BOUND_MARGIN: f64 = 1.0 / (1u32 << 20) as f64;
 
 /// The BM25 inverse document frequency of a term with `doc_freq` postings in
 /// a shard of `total_docs` documents: `ln(1 + (N - df + 0.5)/(df + 0.5))`.
@@ -63,12 +73,38 @@ pub fn bm25_idf(total_docs: u64, doc_freq: usize) -> f32 {
 
 /// One posting's BM25 contribution: `idf · tf(k1+1)/(tf + norm)` where
 /// `norm = k1 · (1 - b + b · dl/avgdl)` is the document's precomputed
-/// length norm.  The single shared expression keeps seal-time block bounds
-/// and query-time scores identical.
+/// length norm.
 #[must_use]
 pub fn bm25_score(idf: f32, tf: u32, norm: f32) -> f32 {
     let tf = tf as f32;
     idf * (tf * (BM25_K1 + 1.0)) / (tf + norm)
+}
+
+/// A posting's saturation `tf / (tf + norm)`, over the `f32` values
+/// [`bm25_score`] computes with: its score is `idf · (1 + k1)` times this,
+/// up to rounding.
+fn saturation(tf: u32, norm: f32) -> f64 {
+    let tf = f64::from(tf as f32);
+    tf / (tf + f64::from(norm))
+}
+
+/// The bound byte of a list whose postings' largest saturation is `peak`:
+/// `⌈255 · peak⌉`, taken over `peak` raised by a margin that covers an `f32`
+/// score's rounding; `1..=255` for any saturation, which is below 1.
+fn bm25_bound_byte(peak: f64) -> u8 {
+    (255.0 * peak * (1.0 + BOUND_MARGIN)).ceil().clamp(1.0, 255.0) as u8
+}
+
+/// The largest score a posting of a list with bound byte `bound` reaches
+/// under `idf`: `idf · (1 + k1) · bound / 255`.  The byte holds no idf, so
+/// the bound is admissible whatever idf the query scores with — for every
+/// tf below 2¹⁸, exactly; above that (one word hundreds of thousands of
+/// times in one document) the byte can stop at 255 with the score a few
+/// units in its last place past the bound, which the evaluator's
+/// comparison slack absorbs.
+#[must_use]
+pub fn bm25_bound(idf: f32, bound: u8) -> f64 {
+    f64::from(idf) * f64::from(BM25_K1 + 1.0) * f64::from(bound) / 255.0
 }
 
 /// The neutral length norm (`dl == avgdl`), used for documents without a
@@ -80,18 +116,14 @@ pub fn bm25_neutral_norm() -> f32 {
 
 /// Where one term's entry sits in the shard's buffer.  Only what cannot be
 /// read off the entry in a few varints is kept: the positions that lie
-/// behind a variable-length table, and the decoded score.  Text, posting
-/// count and payload lengths are re-read where they stand
-/// ([`SealedShard::view`]).
+/// behind a variable-length table.  Text, posting count, bound byte and
+/// payload lengths are re-read where they stand ([`SealedShard::view`]).
 #[derive(Debug, Clone, Copy)]
 struct TermEntry {
     /// Start of the entry: the term's length prefix.
     entry_at: u32,
     /// The block payload's length prefix (behind the skip entries).
     payloads_at: u32,
-    /// The block score bounds (behind the frequency offsets).
-    scores_at: u32,
-    max_score: f32,
     /// First index of a multi-block term in the skip and frequency-offset
     /// tables.
     blocks_at: u32,
@@ -158,7 +190,7 @@ pub struct SectionBytes {
     pub tfs: u64,
     /// Skip entries.
     pub skips: u64,
-    /// List maxima and block score bounds.
+    /// List bounds: one byte a term.
     pub scores: u64,
     /// Term text and posting counts.
     pub dictionary: u64,
@@ -186,12 +218,15 @@ impl std::ops::AddAssign for SectionBytes {
     }
 }
 
-/// Appends one term's entry in the segment encoding (version 5), and says
+/// Appends one term's entry in the segment encoding (version 6), and says
 /// how many bytes each part of it took:
 ///
 /// ```text
 /// term                                  length-prefixed bytes
 /// posting count                         varint
+/// bound                                 one byte: `bm25_bound_byte` of the
+///                                       postings' largest saturation, 0 when
+///                                       the shard records no lengths
 /// skip entries (only when > 1 block):   per block: its last id less the
 ///                                       block before's (the first block: its
 ///                                       last id), then — not for the first
@@ -207,11 +242,6 @@ impl std::ops::AddAssign for SectionBytes {
 ///                                       one (empty: every frequency is 1)
 /// frequency offsets (only when the      per block but the first: its byte
 ///   frequency payload is non-empty)     offset less the block before's
-/// max score                             the high two bytes of the f32,
-///                                       little-endian (the low two are zero:
-///                                       `CompressedPostings::score_blocks`)
-/// block score bounds (only when         one u8 per block, raw
-///   max score > 0)
 /// ```
 ///
 /// A codec block is the patched frame of reference of [`crate::block`]: a
@@ -231,6 +261,8 @@ pub fn encode_term(out: &mut Vec<u8>, term: &str, postings: CompressedView<'_>) 
     write_bytes(out, term.as_bytes());
     write_varint(out, postings.len() as u64);
     let dictionary = section(out.len());
+    out.push(postings.bound());
+    let scores = section(out.len());
     let (mut last, mut offset) = (0, 0);
     for (i, skip) in postings.skips().iter().enumerate() {
         write_varint(out, u64::from(skip.last.as_u32() - last));
@@ -247,9 +279,6 @@ pub fn encode_term(out: &mut Vec<u8>, term: &str, postings: CompressedView<'_>) 
         write_varint(out, u64::from(pair[1] - pair[0]));
     }
     let tfs = section(out.len());
-    out.extend_from_slice(&postings.max_score().to_bits().to_le_bytes()[2..]);
-    out.extend_from_slice(postings.block_scores());
-    let scores = section(out.len());
     SectionBytes { ids, tfs, skips, scores, dictionary, docs: 0 }
 }
 
@@ -330,6 +359,7 @@ impl SealedShard {
             previous_term = term;
 
             let len = reader.u32()?;
+            reader.take(1, "list bound")?;
             let block_count = (len as usize).div_ceil(BLOCK_SIZE);
             let multi_block = block_count > 1;
             let blocks_at = skips.len() as u32;
@@ -382,23 +412,10 @@ impl SealedShard {
             }
             freq_offsets.resize(skips.len(), 0);
 
-            let high = reader.take(2, "max score")?;
-            let max_score = f32::from_bits(u32::from(u16::from_le_bytes([high[0], high[1]])) << 16);
-            if !max_score.is_finite() || max_score.is_sign_negative() {
-                return Err(corrupt("max score must be finite and non-negative"));
-            }
-            let scores_at = reader.pos() as u32;
-            if max_score > 0.0 {
-                if block_count == 0 {
-                    return Err(corrupt("score bounds without postings"));
-                }
-                reader.take(block_count as u64, "block score bounds")?;
-            }
-
             posting_count += u64::from(len);
             posting_bytes +=
                 data.len() + (skips.len() - blocks_at as usize) * std::mem::size_of::<SkipEntry>();
-            terms.push(TermEntry { entry_at, payloads_at, scores_at, max_score, blocks_at });
+            terms.push(TermEntry { entry_at, payloads_at, blocks_at });
         }
         if reader.remaining() != 0 {
             return Err(corrupt(format!(
@@ -464,6 +481,7 @@ impl SealedShard {
         let mut pos = entry.entry_at as usize;
         self.prefixed(&mut pos);
         let len = read_lenient(&self.bytes, &mut pos) as usize;
+        let bound = self.bytes[pos];
         let mut pos = entry.payloads_at as usize;
         let data = self.prefixed(&mut pos);
         let freqs = self.prefixed(&mut pos);
@@ -480,9 +498,7 @@ impl SealedShard {
             data,
             freqs,
             freq_offsets: if freqs.is_empty() { &[] } else { freq_offsets },
-            block_scores: &self.bytes[entry.scores_at as usize..]
-                [..if entry.max_score > 0.0 { block_count } else { 0 }],
-            max_score: entry.max_score,
+            bound,
         }
     }
 
@@ -577,7 +593,7 @@ impl SealedShard {
     }
 
     /// Whether the shard carries BM25 scoring state (document length norms
-    /// and per-block score bounds).  Unscored shards — sealed from indices
+    /// and list bounds).  Unscored shards — sealed from indices
     /// without recorded lengths — still rank, degrading gracefully to
     /// pure-idf scores.
     #[must_use]
@@ -712,10 +728,9 @@ pub struct SealedChunk {
 /// One encoding thread's buffers, reused from term to term.
 #[derive(Default)]
 struct Scratch {
-    /// The term's ids, frequencies and scores, decoded.
+    /// The term's ids and frequencies, decoded.
     ids: Vec<FileId>,
     freqs: Vec<u32>,
-    scores: Vec<f32>,
     /// Where a term with several lists is merged, list by list.
     merged_ids: Vec<FileId>,
     merged_freqs: Vec<u32>,
@@ -871,7 +886,7 @@ impl<'a> SealedTerms<'a> {
     }
 
     /// Seals the terms of one chunk: each term's postings merged, compressed
-    /// and given their BM25 block bounds, then encoded.
+    /// and given their bound byte, then encoded.
     fn encode_chunk(&self, chunk: &[Entry<'a>], scratch: &mut Scratch) -> SealedChunk {
         let mut sealed = SealedChunk::default();
         for run in runs(chunk) {
@@ -879,14 +894,11 @@ impl<'a> SealedTerms<'a> {
             let (ids, freqs) = (&scratch.ids, &scratch.freqs);
             let mut compressed = CompressedPostings::from_counted(ids, freqs);
             if let Some((base, norms)) = &self.scoring {
-                let idf = bm25_idf(self.files, ids.len());
-                scratch.scores.clear();
-                scratch.scores.extend(
-                    ids.iter()
-                        .zip(freqs)
-                        .map(|(&id, &tf)| bm25_score(idf, tf, norm_at(*base, norms, id))),
-                );
-                compressed.score_blocks(&scratch.scores);
+                let saturations = ids
+                    .iter()
+                    .zip(freqs)
+                    .map(|(&id, &tf)| saturation(tf, norm_at(*base, norms, id)));
+                compressed.set_bound(bm25_bound_byte(saturations.fold(0.0, f64::max)));
             }
             sealed.postings += ids.len() as u64;
             sealed.sections += encode_term(&mut sealed.bytes, run[0].term, compressed.view());
@@ -1119,7 +1131,7 @@ mod tests {
         assert!(shard.has_scoring());
 
         let rust = shard.postings(&t("rust")).unwrap();
-        assert!(rust.max_score() > 0.0);
+        assert!(rust.bound() > 0);
         // The stored bound is admissible: at least the true best score.
         let idf = shard.idf(2);
         let best = bm25_score(idf, 4, shard.doc_norm(FileId(3))).max(bm25_score(
@@ -1127,7 +1139,7 @@ mod tests {
             1,
             shard.doc_norm(FileId(7)),
         ));
-        assert!(rust.block_score_bound(0) >= best);
+        assert!(bm25_bound(idf, rust.bound()) >= f64::from(best));
         // tf survives sealing.
         assert_eq!(rust.to_list().tf_of(FileId(3)), Some(4));
 
@@ -1141,20 +1153,30 @@ mod tests {
     #[test]
     fn uncounted_seal_is_scored_with_tf_one() {
         // insert_file records each distinct term once, so tf = 1 everywhere
-        // and the list max is the best tf=1 score across its documents.
+        // and the bound is that of the best tf=1 score across its documents.
         let shard = SealedShard::from_index(&sample_index());
         assert!(shard.has_scoring());
         let rust = shard.postings(&t("rust")).unwrap();
+        let (short, long) = (shard.doc_norm(FileId(2)), shard.doc_norm(FileId(0)));
+        assert!(short < long);
+        assert_eq!(rust.bound(), bm25_bound_byte(saturation(1, short)));
+        // Quantized up: never below the best score, at most one step of
+        // 1/255 of the ceiling above it.
         let idf = shard.idf(2);
-        let expected = bm25_score(idf, 1, shard.doc_norm(FileId(0))).max(bm25_score(
-            idf,
-            1,
-            shard.doc_norm(FileId(2)),
-        ));
-        // Rounded up to what two bytes of a segment hold: never below the
-        // best score, at most 2^-7 above it.
-        assert_eq!(rust.max_score().to_bits() & 0xffff, 0);
-        assert!(rust.max_score() >= expected && rust.max_score() <= expected * (1.0 + 1.0 / 128.0));
+        let (best, bound) = (f64::from(bm25_score(idf, 1, short)), bm25_bound(idf, rust.bound()));
+        assert!(bound >= best && bound <= best + bm25_bound(idf, 1), "{bound} vs {best}");
+    }
+
+    #[test]
+    fn a_saturation_on_a_quantization_step_still_bounds_its_f32_score() {
+        // tf 1 under norm 254 saturates at exactly 1/255: quantized without
+        // the margin the byte would be 1, a bound the f32 score passes by a
+        // unit in its last place.
+        let (tf, norm, idf) = (1, 254.0, f32::from_bits(0x3f80_1379));
+        assert!(bm25_score(idf, tf, norm) > bm25_bound(idf, 1) as f32);
+        let bound = bm25_bound_byte(saturation(tf, norm));
+        assert_eq!(bound, 2);
+        assert!(bm25_score(idf, tf, norm) <= bm25_bound(idf, bound) as f32);
     }
 
     /// The term entries `sources` seal to, through `threads` threads and
@@ -1327,8 +1349,10 @@ mod tests {
         data: &'a [u8],
         freqs: &'a [u8],
         freq_offsets: &'a [u32],
-        max_score: f32,
-        scores: &'a [u8],
+        /// What stands where the bound byte goes.
+        bound: &'a [u8],
+        /// What follows the entry.
+        tail: &'a [u8],
     }
 
     impl Parts<'_> {
@@ -1336,6 +1360,7 @@ mod tests {
             let mut out = Vec::new();
             write_bytes(&mut out, self.term);
             write_varint(&mut out, self.len);
+            out.extend_from_slice(self.bound);
             let (mut last, mut offset) = (0, 0);
             for (i, &skip) in self.skips.iter().enumerate() {
                 write_varint(&mut out, u64::from(skip.0.wrapping_sub(last)));
@@ -1349,8 +1374,7 @@ mod tests {
             for pair in self.freq_offsets.windows(2) {
                 write_varint(&mut out, u64::from(pair[1].wrapping_sub(pair[0])));
             }
-            out.extend_from_slice(&self.max_score.to_bits().to_le_bytes()[2..]);
-            out.extend_from_slice(self.scores);
+            out.extend_from_slice(self.tail);
             out
         }
     }
@@ -1372,8 +1396,8 @@ mod tests {
             data: &[0, 0],
             freqs: &[],
             freq_offsets: none,
-            max_score: 0.0,
-            scores: &[],
+            bound: &[0],
+            tail: &[],
         };
         // Two blocks: ids 0..=127 (first id 0, width-0 gaps) and id 200.
         let big = Parts { len: n, skips: &[(127, 0), (200, 2)], data: &[0, 0, 200, 1], ..small };
@@ -1383,8 +1407,9 @@ mod tests {
         let skips = shard.postings(&t("a")).unwrap().skips().to_vec();
         assert_eq!(skips.iter().map(|s| s.first).collect::<Vec<_>>(), [FileId(0), FileId(200)]);
         assert_eq!(skips.iter().map(|s| s.offset).collect::<Vec<_>>(), [0, 2]);
-        let full = Parts { freqs: &[0x40, 1, 0, 0], freq_offsets: two, max_score: 1.5, ..big };
-        load(Parts { scores: &[255, 9], ..full }.encode(), 1).unwrap();
+        let full = Parts { freqs: &[0x40, 1, 0, 0], freq_offsets: two, bound: &[200], ..big };
+        let shard = load(full.encode(), 1).unwrap();
+        assert_eq!(shard.postings(&t("a")).unwrap().bound(), 200);
         let bad = [
             ("first > last", Parts { skips: &[(127, 0), (199, 2)], ..big }),
             ("overlap", Parts { skips: &[(127, 0), (200, 2)], data: &[0, 0, 127, 0], ..big }),
@@ -1398,12 +1423,11 @@ mod tests {
             ("freq offsets short", Parts { freqs: &[0, 0], freq_offsets: &[0], ..big }),
             ("freq offset past payload", Parts { freqs: &[0, 0], freq_offsets: two, ..big }),
             ("frequencies without postings", Parts { len: 0, data: &[], freqs: &[0, 1], ..small }),
-            ("scores short", Parts { scores: &[255], ..full }),
-            ("scores without postings", Parts { len: 0, data: &[], max_score: 1.0, ..small }),
-            ("NaN max score", Parts { max_score: f32::NAN, ..small }),
-            ("negative max score", Parts { max_score: -1.0, ..small }),
+            ("missing bound byte", Parts { bound: &[], ..small }),
+            ("missing bound byte, multi-block", Parts { bound: &[], ..full }),
             ("term not UTF-8", Parts { term: &[0xff, 0xfe], ..small }),
-            ("trailing bytes", Parts { scores: &[7], ..small }),
+            ("trailing bytes", Parts { tail: &[7], ..small }),
+            ("trailing bytes, multi-block", Parts { tail: &[200, 1], ..full }),
             ("forged posting count", Parts { len: u64::MAX, data: &[0; 64], ..small }),
         ];
         for (what, parts) in bad {
@@ -1472,24 +1496,23 @@ mod tests {
         }
 
         /// A view found in a shard's bytes reads exactly like the view of
-        /// the owned list it was encoded from: same parts, and the same
-        /// cursor walk, seeks, frequencies, block bounds and decode.
+        /// the owned list it was encoded from: same parts and bound byte, and
+        /// the same cursor walk, seeks, frequencies and decode.
         #[test]
         fn shard_views_read_like_the_owned_lists(
             lists in proptest::collection::vec(
-                proptest::collection::vec((0u32..40_000, 1u32..9, 0u32..400), 1..400),
+                (proptest::collection::vec((0u32..40_000, 1u32..9), 1..400), any::<u8>()),
                 1..5,
             ),
             seeks in proptest::collection::vec(0u32..41_000, 1..20),
         ) {
-            let owned: Vec<CompressedPostings> = lists.into_iter().map(|mut raw| {
-                raw.sort_unstable_by_key(|&(id, ..)| id);
-                raw.dedup_by_key(|&mut (id, ..)| id);
-                let ids: Vec<FileId> = raw.iter().map(|&(id, ..)| FileId(id)).collect();
-                let tfs = raw.iter().map(|&(_, tf, _)| tf).collect::<Vec<u32>>();
-                let scores: Vec<f32> = raw.iter().map(|&(.., score)| score as f32 / 100.0).collect();
+            let owned: Vec<CompressedPostings> = lists.into_iter().map(|(mut raw, bound)| {
+                raw.sort_unstable_by_key(|&(id, _)| id);
+                raw.dedup_by_key(|&mut (id, _)| id);
+                let ids: Vec<FileId> = raw.iter().map(|&(id, _)| FileId(id)).collect();
+                let tfs = raw.iter().map(|&(_, tf)| tf).collect::<Vec<u32>>();
                 let mut cp = CompressedPostings::from_counted(&ids, &tfs);
-                cp.score_blocks(&scores);
+                cp.set_bound(bound);
                 cp
             }).collect();
             let mut bytes = Vec::new();
@@ -1506,8 +1529,6 @@ mod tests {
                 while a.current().is_some() {
                     prop_assert_eq!(a.current(), b.current());
                     prop_assert_eq!(a.current_tf(), b.current_tf());
-                    prop_assert_eq!(a.current_block_bound().to_bits(), b.current_block_bound().to_bits());
-                    prop_assert_eq!(a.current_block_last(), b.current_block_last());
                     a.advance();
                     b.advance();
                 }
@@ -1519,6 +1540,41 @@ mod tests {
                     prop_assert_eq!(a.seek(FileId(target)), b.seek(FileId(target)));
                     prop_assert_eq!(a.current_tf(), b.current_tf());
                     prop_assert_eq!(a.blocks_visited(), b.blocks_visited());
+                }
+            }
+        }
+
+        /// A list's bound byte bounds every posting's score in `f32`, under
+        /// any idf — not only the one the seal's document count gives — for
+        /// any frequencies and any document lengths, the bound computed
+        /// as the evaluator computes it.
+        #[test]
+        fn list_bounds_are_admissible_under_any_idf(
+            docs in proptest::collection::vec(
+                (proptest::collection::vec((0usize..4, 1u32..(1 << 18)), 1..5), 0u32..5_000_000),
+                1..40,
+            ),
+            thousandths in 1u32..30_000,
+        ) {
+            let idf = thousandths as f32 / 1000.0;
+            let mut index = InMemoryIndex::new();
+            for (file, (words, len)) in docs.iter().enumerate() {
+                let mut words = words.clone();
+                words.sort_unstable();
+                words.dedup_by_key(|&mut (word, _)| word);
+                let file = FileId(file as u32);
+                let words = words.into_iter().map(|(word, tf)| (Term::from(["a", "b", "c", "d"][word]), tf));
+                index.insert_file_counted(file, words);
+                index.note_doc_len(file, *len);
+            }
+            let shard = SealedShard::from_index(&index);
+            // Lengths that sum to zero leave the shard unscored: no bounds.
+            prop_assume!(shard.has_scoring());
+            for (term, list) in shard.iter() {
+                let bound = bm25_bound(idf, list.bound()) as f32;
+                for (id, tf) in list.to_list().iter_counted() {
+                    let score = bm25_score(idf, tf, shard.doc_norm(id));
+                    prop_assert!(score <= bound, "{term}: tf {tf}, score {score} > bound {bound}");
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! The binary segment format.
 //!
 //! One segment stores one complete index (terms, block-compressed posting
-//! lists) together with its document table.  The version-5 layout is:
+//! lists) together with its document table.  The version-6 layout is:
 //!
 //! ```text
 //! magic   "DSG1"                            4 bytes
@@ -13,17 +13,20 @@
 //!                                           before (varint), then the rest
 //!                                           as length-prefixed bytes
 //!   doc-length count                        varint
-//!   per length (id ascending):              file id, length as varints
+//!   per length (id ascending):              the file id less the one before
+//!                                           (the first: its id), then the
+//!                                           length, as varints
 //!   term count                              varint
 //!   per term (sorted ascending):            one entry, see
 //!                                           `dsearch_index::encode_term`
 //! ```
 //!
 //! The term entries are **exactly** what a [`SealedShard`] reads in place
-//! (the id and term-frequency blocks of one patched frame-of-reference codec
-//! and the quantized per-block BM25 score bounds), so serving a segment is
-//! decode-free: the file's bytes become the shard's one buffer and ranked
-//! queries prune with the persisted bounds.  A shard scores against the
+//! (the id and term-frequency blocks of one patched frame-of-reference codec,
+//! and one bound byte per list — the quantized largest `tf / (tf + norm)` of
+//! its postings, which holds no idf), so serving a segment is decode-free:
+//! the file's bytes become the shard's one buffer and ranked queries prune
+//! with the persisted bounds.  A shard scores against the
 //! documents with a recorded length, so a segment that holds part of a run —
 //! what a resumable build seals between two checkpoints, under the whole
 //! run's doc table — loads as the shard its index seals to.  (The replicas of
@@ -56,11 +59,12 @@ use crate::error::PersistError;
 pub const SEGMENT_MAGIC: [u8; 4] = *b"DSG1";
 
 /// Current segment format version (patched frame-of-reference id and
-/// frequency blocks, delta-coded skip entries, a front-coded document table).
-pub const SEGMENT_VERSION: u32 = 5;
+/// frequency blocks, delta-coded skip entries, a front-coded document table,
+/// document lengths under id gaps, one bound byte per list).
+pub const SEGMENT_VERSION: u32 = 6;
 
 /// Oldest version the readers still understand.
-pub const MIN_SEGMENT_VERSION: u32 = 5;
+pub const MIN_SEGMENT_VERSION: u32 = 6;
 
 /// Longest path (in bytes) a segment will accept when reading; protects
 /// against corrupt length prefixes.
@@ -137,9 +141,8 @@ pub(crate) fn write_segment_tallied<W: Write + Seek>(
         payload_len += piece.len() as u64;
         out.write_all(piece)
     };
-    // Sealing computes the per-block BM25 score bounds exactly as the
-    // serving path would, so persisted bounds match in-memory seals bit for
-    // bit.
+    // Sealing computes the list bounds exactly as the serving path would, so
+    // persisted bounds match in-memory seals bit for bit.
     let sealed = SealedTerms::new(sources);
     let mut front = Vec::new();
     write_varint(&mut front, u64::from(SEGMENT_VERSION));
@@ -153,9 +156,11 @@ pub(crate) fn write_segment_tallied<W: Write + Seek>(
         previous = path;
     }
     write_varint(&mut front, sealed.doc_lens().len() as u64);
+    let mut previous = 0;
     for &(id, len) in sealed.doc_lens() {
-        write_varint(&mut front, u64::from(id.as_u32()));
+        write_varint(&mut front, u64::from(id.as_u32() - previous));
         write_varint(&mut front, u64::from(len));
+        previous = id.as_u32();
     }
     let term_count = sealed.term_count() as u64;
     write_varint(&mut front, term_count);
@@ -243,17 +248,19 @@ fn read_front_matter(bytes: &[u8]) -> Result<FrontMatter, PersistError> {
         return Err(PersistError::Corrupt("more document lengths than documents".into()));
     }
     let mut doc_lens = Vec::with_capacity(len_count);
-    for _ in 0..len_count {
-        let (id, len) = (reader.u32()?, reader.u32()?);
+    let mut previous = 0u64;
+    for i in 0..len_count {
+        let (gap, len) = (reader.u32()?, reader.u32()?);
         // Ids index the doc table (which also bounds the norm table the
         // shard sizes from them) and ascend strictly.
-        if id as usize >= doc_count || doc_lens.last().is_some_and(|&(last, _)| last >= FileId(id))
-        {
+        let id = previous + u64::from(gap);
+        if id >= doc_count as u64 || (i > 0 && gap == 0) {
             return Err(PersistError::Corrupt(
                 "document lengths are not strictly ascending ids of the doc table".into(),
             ));
         }
-        doc_lens.push((FileId(id), len));
+        doc_lens.push((FileId(id as u32), len));
+        previous = id;
     }
     Ok(FrontMatter { docs, doc_lens, terms_at: reader.pos() })
 }
@@ -354,7 +361,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!((tallied, sections.total()), (info, info.bytes));
-        assert_eq!(sections.scores, 4 * (2 + 1), "a max score and one block bound per term");
+        assert_eq!(sections.scores, 4, "one bound byte per term");
         assert_eq!(sections.dictionary, 4 * 2 + "alphabetagammadelta".len() as u64);
         assert_eq!((sections.skips, sections.tfs), (0, 4), "single blocks, every tf 1");
 
@@ -369,7 +376,7 @@ mod tests {
 
     #[test]
     fn other_versions_are_a_clean_unsupported_version() {
-        for version in [1, 2, 3, 4, SEGMENT_VERSION + 1] {
+        for version in [1, 2, 3, 4, 5, SEGMENT_VERSION + 1] {
             // Under this version's checksum, and under one it would refuse
             // (a real file of versions 1–3 carries another function's): the
             // version decides first.
@@ -389,9 +396,9 @@ mod tests {
     #[test]
     fn partial_replicas_load_as_the_shard_their_index_seals_to() {
         // A segment of part of a run (a resumable build's seal) indexes some
-        // of the files but carries the whole run's doc table.  Block-max
-        // bounds were sealed with the part's own document count, so the
-        // loaded shard must score against that count too.
+        // of the files but carries the whole run's doc table.  Its norms and
+        // idfs come from the part's own lengths and document count, so the
+        // loaded shard must score against that population too.
         let mut docs = DocTable::new();
         let ids: Vec<FileId> = (0..6).map(|i| docs.insert(format!("f{i}.txt"))).collect();
         let mut replica = InMemoryIndex::new();
@@ -400,13 +407,13 @@ mod tests {
         let mut buf = Vec::new();
         write_segment(&replica, &docs, std::io::Cursor::new(&mut buf)).unwrap();
         // Sealed path: identical to sealing the source index, including the
-        // persisted block-max score bounds and rebuilt norms.
+        // persisted list bounds and rebuilt norms.
         let (shard, loaded_docs) = read_segment_sealed(&buf[..]).unwrap();
         assert_eq!(loaded_docs.len(), 6);
         assert_eq!(shard.file_count(), 2);
         assert_eq!(shard, SealedShard::from_index(&replica));
         assert!(shard.has_scoring());
-        assert!(shard.postings(&Term::from("alpha")).unwrap().max_score() > 0.0);
+        assert!(shard.postings(&Term::from("alpha")).unwrap().bound() > 0);
         // Mutable path: tfs and doc lens restored exactly.
         let (restored, _) = read_segment(&buf[..]).unwrap();
         assert_eq!(restored, replica);
@@ -508,6 +515,31 @@ mod tests {
         long.extend(std::iter::repeat_n(b'a', MAX_STRING_LEN as usize));
         long.extend(varints(&[MAX_STRING_LEN, 1, b'a'.into(), 0, 0]));
         assert_both_readers_reject(&long);
+    }
+
+    #[test]
+    fn document_lengths_are_id_gaps_under_the_hostile_input_rules() {
+        let version = u64::from(SEGMENT_VERSION);
+        // Three documents `a`, `b`, `c`; lengths for some of them as (gap,
+        // length) pairs; no terms.
+        let front = |lens: &[u64]| {
+            let mut values =
+                vec![version, 3, 0, 1, b'a'.into(), 0, 1, b'b'.into(), 0, 1, b'c'.into()];
+            values.push(lens.len() as u64 / 2);
+            values.extend_from_slice(lens);
+            values.push(0);
+            varints(&values)
+        };
+        let lens = |payload: &[u8]| -> Vec<(FileId, u32)> {
+            read_front_matter(&forge(payload)).map(|front| front.doc_lens).unwrap()
+        };
+        assert_eq!(lens(&front(&[0, 5, 2, 7])), [(FileId(0), 5), (FileId(2), 7)]);
+        assert_eq!(lens(&front(&[1, 5, 1, 7])), [(FileId(1), 5), (FileId(2), 7)]);
+        // A repeated id, and an id past the doc table.
+        assert_both_readers_reject(&front(&[1, 5, 0, 7]));
+        assert_both_readers_reject(&front(&[1, 5, 2, 7]));
+        assert_both_readers_reject(&front(&[3, 5]));
+        assert_both_readers_reject(&front(&[1, 5, u64::from(u32::MAX), 7]));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   [`SliceCursor`];
 //! * a **`NOT` term** is a cursor that is only ever `seek`ed: a candidate it
 //!   lands on is dropped, blocks it never has to look into stay undecoded;
-//! * the **`OR` node** merges the groups' matches in document order and
+//! * the **`OR` node** takes the groups' matches in document order and
 //!   offers each matching document exactly once to the shared `TopK`.
 //!
 //! What a document is offered *with* is the [`Scorer`]'s business.  The
@@ -27,14 +27,22 @@
 //! way, so a pruned evaluation is bit-identical to an exhaustive one.
 //!
 //! With BM25 the `OR` node has a threshold θ (the `k`-th best score so far)
-//! and upper bounds (each list's sealed maximum, each block's quantized
-//! maximum), and the merge is block-max WAND: the *pivot* is the first
-//! document whose groups' bounds can sum past θ; groups behind it seek
-//! straight to it, and when the aligned blocks' own bounds cannot reach θ
-//! every aligned group jumps past the shortest of them.  A single `AND`
-//! group is the one-child case of the same loop.  A group's bounds cover its
-//! own terms only, so a query mixing several groups with a multi-term one is
-//! scored through separate forward-seeking cursors and never pruned.
+//! and one upper bound per group (its terms' list bounds summed, each from
+//! the list's sealed bound byte), and the loop is MaxScore (Turtle & Flood,
+//! 1995).  The groups are ordered by bound; the longest prefix whose bounds
+//! together cannot reach θ is *non-essential*: a document matched by none of
+//! the other, *essential*, groups cannot make the heap, so candidates come
+//! from the essential groups alone — each the smallest of their next
+//! matches.  A non-essential group is only ever `seek`ed to a candidate,
+//! highest bound first, and only while the candidate's exact partial score
+//! plus the bounds of the non-essential groups not yet looked at can still
+//! reach θ.  When θ rises the boundary moves right; once every group is
+//! non-essential the shard is done.  A single `AND` group is the one-group
+//! case of the same loop.  A group's bounds cover its own terms only, so a
+//! query mixing several groups with a multi-term one is scored through
+//! separate forward-seeking cursors and never pruned; it, and every query
+//! the constant scorer answers, runs the same loop with every group
+//! essential.
 //!
 //! Shards are evaluated one after another into one heap, each scored with
 //! its own statistics — exactly how the same documents score when routed
@@ -42,19 +50,17 @@
 //!
 //! What one shard's evaluation allocates does not depend on its groups or
 //! cursors: every group's cursors live in two shared arenas (a cursor
-//! decodes into buffers of its own, inline), the frontier is the group list
-//! itself, kept in document order by re-inserting only the groups a round
-//! moved, and a document's BM25 terms meet in one slot per query term.  A
-//! group that leads the frontier alone goes on to its next match without the
-//! frontier being looked at again, for as long as that match is still the
-//! pivot — every round of a one-group query, most rounds of a sparse `OR`.
+//! decodes into buffers of its own, inline), and a document's BM25 terms
+//! meet in one slot per query term.  A lone essential group — every
+//! candidate of a one-group query, most of a sparse `OR` once θ has risen —
+//! hands out its next match without the others being looked at.
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use dsearch_index::{
-    bm25_score, BlockCursor, DocTable, FileId, InMemoryIndex, PostingCursor, SealedShard,
-    SliceCursor, BLOCK_SIZE, BM25_K1,
+    bm25_bound, bm25_score, BlockCursor, DocTable, FileId, InMemoryIndex, PostingCursor,
+    SealedShard, SliceCursor, BLOCK_SIZE, BM25_K1,
 };
 use dsearch_text::Term;
 
@@ -63,13 +69,13 @@ use crate::results::{Hit, SearchResults};
 use crate::topk::TopK;
 
 /// Comparison slack for the floating-point pruning threshold.  Upper bounds
-/// and scores are compared in `f64`; the slack absorbs the quantization of
-/// block maxima and the one `f32` rounding so pruning never drops a document
-/// an exhaustive evaluation would keep.
+/// and scores are compared in `f64`; the slack absorbs the `f32` rounding of
+/// a score so pruning never drops a document an exhaustive evaluation would
+/// keep.
 const SLACK: f64 = 1e-5;
 
-/// Rounds of the merge loop between two polls of `should_cancel`.
-const CANCEL_STRIDE: usize = 64;
+/// Candidates between two polls of `should_cancel`.
+const CANCEL_STRIDE: u64 = 64;
 
 /// What an evaluation reports besides its hits: the posting blocks it
 /// touched, and whether it ran to completion.
@@ -77,7 +83,8 @@ const CANCEL_STRIDE: usize = 64;
 pub struct PruneStats {
     /// Posting blocks entered (and decoded).
     pub blocks_scored: u64,
-    /// Posting blocks the skip table and block-max bounds jumped over.
+    /// Posting blocks never entered: jumped over by a skip-table seek, or
+    /// left behind when the shard was done before its lists were.
     pub blocks_skipped: u64,
     /// Time spent resolving dictionary entries, opening posting cursors and
     /// materialising prefix unions — the `postings` trace stage.
@@ -85,12 +92,14 @@ pub struct PruneStats {
     /// `should_cancel` returned `true` at a checkpoint: the hits are whatever
     /// had been found by then, and only good for discarding.
     pub cancelled: bool,
-    /// Rounds of the `OR` node's merge loop: one per pivot the frontier was
-    /// aligned on, moved to, or jumped past.
+    /// Candidates: documents the essential groups matched, one per round of
+    /// the `OR` node's loop.
     pub rounds: u64,
-    /// Documents scored (every group agreed on them and no bound ruled them
-    /// out) and offered to the result heap if they reached its threshold.
+    /// Candidates scored in full (no bound ruled them out on the way) and
+    /// offered to the result heap if they reached its threshold.
     pub scored: u64,
+    /// Non-essential groups `seek`ed to a candidate.
+    pub seeks: u64,
 }
 
 impl PruneStats {
@@ -102,6 +111,7 @@ impl PruneStats {
         self.cancelled |= other.cancelled;
         self.rounds += other.rounds;
         self.scored += other.scored;
+        self.seeks += other.seeks;
     }
 
     /// Folds a finished cursor's visit counters in.
@@ -155,11 +165,14 @@ pub fn evaluate(
         return (SearchResults::default(), stats);
     }
     let groups = query.groups();
+    let terms = query.terms();
+    let ranked = scorer == Scorer::Bm25 && scorable(query);
     let plan = Plan {
         query,
-        terms: query.terms(),
-        ranked: scorer == Scorer::Bm25 && scorable(query),
+        ranked,
         mixed: groups.len() > 1 && groups.iter().any(|group| group.len() > 1),
+        one_term: ranked && groups.len() == 1 && terms.len() == 1,
+        terms,
     };
     let mut top = TopK::new(k, docs);
     let mut sum = TermSum::new(plan.terms.len());
@@ -168,7 +181,11 @@ pub fn evaluate(
         if stats.cancelled {
             break;
         }
-        evaluate_shard(shard, &plan, &mut top, &mut sum, &mut stats, should_cancel);
+        if plan.ranked {
+            evaluate_shard::<true>(shard, &plan, &mut top, &mut sum, &mut stats, should_cancel);
+        } else {
+            evaluate_shard::<false>(shard, &plan, &mut top, &mut sum, &mut stats, should_cancel);
+        }
     }
     (collect(top.into_hits(), shards.len(), k), stats)
 }
@@ -196,17 +213,18 @@ struct Plan<'q> {
     /// Several groups, one of them with several terms: a document matched
     /// through one group may contain terms of another.
     mixed: bool,
+    /// Ranked, one group of one exact term: a document's score is its one
+    /// contribution, with no slots to sum.
+    one_term: bool,
 }
 
-/// One exact term's posting cursor plus its score bounds.
+/// One exact term's posting cursor plus its score bound.
 struct TermCursor<'a> {
     /// Index into [`Plan::terms`].
     term: usize,
     idf: f32,
     /// Admissible upper bound on any single posting's score in this list.
     list_bound: f64,
-    /// Whether the list carries sealed per-block maxima.
-    scored: bool,
     cursor: BlockCursor<'a>,
 }
 
@@ -216,11 +234,10 @@ impl<'a> TermCursor<'a> {
     fn open(shard: &'a SealedShard, plan: &Plan<'_>, term: &Term) -> Option<Self> {
         let postings = shard.postings(term).filter(|list| !list.is_empty())?;
         let idf = shard.idf(postings.len());
-        let max = postings.max_score();
-        let list_bound = if max > 0.0 {
-            f64::from(max)
+        let list_bound = if postings.bound() > 0 {
+            bm25_bound(idf, postings.bound())
         } else if shard.has_scoring() {
-            // Scored shard but unscored list (no current seal writes one):
+            // Scored shard but a list without a bound (no seal writes one):
             // the analytic BM25 ceiling keeps pruning admissible.
             f64::from(idf) * f64::from(1.0 + BM25_K1)
         } else {
@@ -232,19 +249,8 @@ impl<'a> TermCursor<'a> {
             term: plan.terms.binary_search(&term).expect("Query::terms lists every exact term"),
             idf,
             list_bound,
-            scored: max > 0.0,
             cursor: postings.cursor(),
         })
-    }
-
-    /// Upper bound for the cursor's *current block* (the list bound for an
-    /// unscored list).
-    fn block_bound(&self) -> f64 {
-        if self.scored {
-            f64::from(self.cursor.current_block_bound())
-        } else {
-            self.list_bound
-        }
     }
 
     /// This term's share of the score of the document the cursor is on.
@@ -275,7 +281,7 @@ fn prefix_union(shard: &SealedShard, prefix: &str, stats: &mut PruneStats) -> Ve
 /// boxing the large one would be an allocation per cursor again.
 #[allow(clippy::large_enum_variant)]
 enum Leaf<'a> {
-    /// An exact term: its sealed list, with its score bounds.
+    /// An exact term: its sealed list, with its score bound.
     Term(TermCursor<'a>),
     /// A prefix term: its materialised union.
     Prefix(SliceCursor<'a>),
@@ -337,6 +343,9 @@ struct Group {
     weight: usize,
     /// Sum of the terms' list bounds.
     list_bound: f64,
+    /// Its list bound and those of the groups before it, summed: what the
+    /// groups up to this one can add to a score.
+    upto: f64,
     /// The group's next match; `None` once it has none left.
     current: Option<FileId>,
 }
@@ -397,6 +406,7 @@ impl Group {
             excluded: excluded..cursors.excluded.len(),
             weight: group.len(),
             list_bound,
+            upto: 0.0,
             current: None,
         };
         group.current = group.settle(cursors);
@@ -449,7 +459,7 @@ impl Group {
     }
 
     /// Calls `f` on every exact term's cursor.  (Internal iteration: the
-    /// merge loop runs this per document, and a `once().chain().filter_map()`
+    /// loop runs this per document, and a `once().chain().filter_map()`
     /// adaptor stack measured 5 % slower on single-term queries.)
     #[inline]
     fn for_each_term<'a>(&self, cursors: &mut Cursors<'a>, mut f: impl FnMut(&mut TermCursor<'a>)) {
@@ -466,31 +476,8 @@ impl Group {
     }
 }
 
-/// Puts the frontier back in document order after a round moved its first
-/// `moved` groups forward (the rest still ascend): each is re-inserted where
-/// it now belongs, from the last moved one back, and one with no match left
-/// is retired and leaves.
-fn restore_order(
-    groups: &mut Vec<Group>,
-    moved: usize,
-    cursors: &mut Cursors<'_>,
-    stats: &mut PruneStats,
-) {
-    for i in (0..moved).rev() {
-        let Some(doc) = groups[i].current else {
-            groups.remove(i).retire(cursors, stats);
-            continue;
-        };
-        let mut at = i;
-        while groups.get(at + 1).is_some_and(|next| next.current < Some(doc)) {
-            groups.swap(at, at + 1);
-            at += 1;
-        }
-    }
-}
-
 /// One document's BM25 score, summed over one slot per query term: a term
-/// two aligned groups both carry fills its slot once, and the filled slots
+/// two matching groups both carry fills its slot once, and the filled slots
 /// are summed in ascending term order, in `f64`, rounding once.
 struct TermSum {
     slots: Vec<f32>,
@@ -503,14 +490,31 @@ impl TermSum {
         TermSum { slots: vec![0.0; terms], filled: vec![0; terms.div_ceil(64)] }
     }
 
+    /// Fills `term`'s slot unless it is filled; returns what it added.
     #[inline]
-    fn add(&mut self, (term, score): (usize, f32)) {
+    fn add(&mut self, (term, score): (usize, f32)) -> f32 {
         let bit = 1u64 << (term % 64);
         let word = &mut self.filled[term / 64];
-        if *word & bit == 0 {
-            *word |= bit;
-            self.slots[term] = score;
+        if *word & bit != 0 {
+            return 0.0;
         }
+        *word |= bit;
+        self.slots[term] = score;
+        score
+    }
+
+    /// The filled slots summed: what pruning compares, never what is
+    /// reported.
+    fn partial(&self) -> f64 {
+        let mut sum = 0.0;
+        for (w, &word) in self.filled.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                sum += f64::from(self.slots[w * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
+        sum
     }
 
     /// The score and the number of distinct terms that made it; empties
@@ -531,10 +535,10 @@ impl TermSum {
     }
 }
 
-/// The `OR` node over one shard: merges the groups' matches in document
-/// order into `top`, pruning by block-max bounds when the plan allows.
-fn evaluate_shard<'a>(
-    shard: &'a SealedShard,
+/// The `OR` node over one shard: MaxScore over the groups' matches, into
+/// `top`.  Compiled once per scorer: `RANKED` is `plan.ranked`.
+fn evaluate_shard<const RANKED: bool>(
+    shard: &SealedShard,
     plan: &Plan<'_>,
     top: &mut TopK<'_>,
     sum: &mut TermSum,
@@ -560,141 +564,131 @@ fn evaluate_shard<'a>(
             groups.push(group);
         }
     }
-    // The frontier: ascending next match; groups with none leave.
-    groups.sort_unstable_by_key(|group| group.current);
-    let exhausted = groups.partition_point(|group| group.current.is_none());
-    groups.drain(..exhausted).for_each(|group| group.retire(&mut cursors, stats));
     // A document matched through one group of a mixed query may hold terms
     // of another, whose cursors have leapt past it: score such a query
     // through cursors of its own, and never prune it.
-    let prune = plan.ranked && !plan.mixed;
-    let mut scorers: Vec<TermCursor<'a>> = if plan.ranked && plan.mixed {
+    let prune = RANKED && !plan.mixed;
+    let mut scorers: Vec<TermCursor<'_>> = if RANKED && plan.mixed {
         plan.terms.iter().filter_map(|term| TermCursor::open(shard, plan, term)).collect()
     } else {
         Vec::new()
     };
+    if prune {
+        // Ascending bound: the non-essential groups are always a prefix.
+        groups.sort_by(|a, b| a.list_bound.total_cmp(&b.list_bound));
+    }
     stats.lookup += opening.elapsed();
 
-    let mut rounds = 0usize;
-    // Counts a round of the merge; `true` when the deadline checkpoint it
-    // reached says stop.
-    let mut round = |stats: &mut PruneStats| {
-        rounds += 1;
-        stats.rounds += 1;
-        rounds.is_multiple_of(CANCEL_STRIDE) && should_cancel()
-    };
-    'frontier: while !groups.is_empty() {
-        if round(stats) {
+    // Groups leave once they have no match left; the groups before
+    // `essential` are the non-essential ones.
+    let mut essential = 0;
+    let mut threshold = top.threshold();
+    let mut changed = true;
+    let (mut candidates, mut scored, mut seeks) = (0u64, 0u64, 0u64);
+    loop {
+        if changed {
+            groups.retain(|group| {
+                let live = group.current.is_some();
+                if !live {
+                    group.retire(&mut cursors, stats);
+                }
+                live
+            });
+            let mut upto = 0.0;
+            for group in &mut groups {
+                upto += group.list_bound;
+                group.upto = upto;
+            }
+            essential = if prune { first_essential(&groups, 0, threshold) } else { 0 };
+            changed = false;
+        }
+        let doc = match &groups[essential..] {
+            [] => break,
+            [lone] => lone.current,
+            live => live.iter().filter_map(|group| group.current).min(),
+        };
+        let doc = doc.expect("groups with no match left have left");
+        candidates += 1;
+        if candidates.is_multiple_of(CANCEL_STRIDE) && should_cancel() {
             stats.cancelled = true;
             break;
         }
-        let mut threshold = top.threshold();
-        // Pivot: the first frontier position where the prefix sum of list
-        // bounds can still reach θ.  Documents before the pivot's are beaten
-        // by construction and are never visited.
-        let mut pivot = 0;
-        if prune {
-            let mut upper = 0.0f64;
-            let reachable = groups.iter().position(|group| {
-                upper += group.list_bound;
-                upper + SLACK > threshold
-            });
-            let Some(reachable) = reachable else { break };
-            pivot = reachable;
-        }
-        let mut doc = groups[pivot].current.expect("live group");
-        if groups[0].current != Some(doc) {
-            // Nothing before the pivot's document can win: the leading
-            // groups leap straight to it.
-            let behind = groups.iter().take_while(|g| g.current < Some(doc)).count();
-            groups[..behind].iter_mut().for_each(|g| g.seek(doc, &mut cursors));
-            restore_order(&mut groups, behind, &mut cursors, stats);
-            continue;
-        }
-        // The frontier is aligned on `doc`: groups 0..=pivot, and any
-        // further ones parked on it.
-        let mut aligned = pivot + 1;
-        while aligned < groups.len() && groups[aligned].current == Some(doc) {
-            aligned += 1;
-        }
-        let next = groups.get(aligned).and_then(|group| group.current);
-        // Score the aligned groups at `doc` and move them on.  While the
-        // first group is aligned alone and its next match still comes before
-        // the rest of the frontier's and can reach θ, that match is the next
-        // round's pivot: take it here, with the frontier left as it is.
-        loop {
-            if prune {
-                // Refine the list bounds with the sealed per-block maxima
-                // before paying for an evaluation.
-                let mut upper = 0.0f64;
-                for group in &groups[..aligned] {
-                    group.for_each_term(&mut cursors, |c| upper += c.block_bound());
-                }
-                if upper + SLACK <= threshold {
-                    // Every aligned block is dead: jump past the shortest of
-                    // them (or to the next frontier document, whichever is
-                    // closer) without decoding.
-                    let mut boundary = next.map_or(u32::MAX, FileId::as_u32);
-                    for group in &groups[..aligned] {
-                        group.for_each_term(&mut cursors, |c| {
-                            let last =
-                                c.cursor.current_block_last().map_or(u32::MAX, FileId::as_u32);
-                            boundary = boundary.min(last.saturating_add(1));
-                        });
-                    }
-                    for group in &mut groups[..aligned] {
-                        if boundary > doc.as_u32() {
-                            group.seek(FileId(boundary), &mut cursors);
-                        } else {
-                            // Only reachable when ids saturate at u32::MAX.
-                            group.advance(&mut cursors);
-                        }
-                    }
-                    break;
-                }
-            }
-            // One pass over the aligned groups: take what the scorer needs
-            // from their cursors, then move them on.
-            let norm = if plan.ranked { shard.doc_norm(doc) } else { 0.0 };
-            let mut weight = 0;
-            for group in &mut groups[..aligned] {
+        // The essential groups on the candidate: take what the scorer needs
+        // from their cursors, then move them on.
+        let norm = if RANKED { shard.doc_norm(doc) } else { 0.0 };
+        let mut weight = 0;
+        let mut lone = 0.0;
+        for group in &mut groups[essential..] {
+            if group.current == Some(doc) {
                 weight = weight.max(group.weight);
-                if prune {
-                    group.for_each_term(&mut cursors, |c| sum.add(c.contribution(norm)));
+                if RANKED && plan.one_term {
+                    group.for_each_term(&mut cursors, |c| lone = c.contribution(norm).1);
+                } else if prune {
+                    group.for_each_term(&mut cursors, |c| {
+                        sum.add(c.contribution(norm));
+                    });
                 }
                 group.advance(&mut cursors);
+                changed |= group.current.is_none();
             }
-            for c in &mut scorers {
-                if c.cursor.seek(doc) == Some(doc) {
-                    sum.add(c.contribution(norm));
-                }
+        }
+        // The non-essential groups, highest bound first, while the partial
+        // score plus the bounds not yet looked at can reach θ.
+        let mut reachable = true;
+        let mut partial = if essential > 0 { sum.partial() } else { 0.0 };
+        for i in (0..essential).rev() {
+            if partial + groups[i].upto + SLACK <= threshold {
+                reachable = false;
+                break;
             }
-            let (score, matched) = if plan.ranked { sum.take() } else { (0.0, weight) };
-            stats.scored += 1;
-            // A score below θ loses whatever its path; a tie is for `offer`.
+            seeks += 1;
+            let group = &mut groups[i];
+            group.seek(doc, &mut cursors);
+            if group.current == Some(doc) {
+                group.for_each_term(&mut cursors, |c| {
+                    partial += f64::from(sum.add(c.contribution(norm)));
+                });
+            }
+            changed |= group.current.is_none();
+        }
+        for c in &mut scorers {
+            if c.cursor.seek(doc) == Some(doc) {
+                sum.add(c.contribution(norm));
+            }
+        }
+        let (score, matched) = if RANKED && plan.one_term {
+            (lone, 1)
+        } else if RANKED {
+            sum.take()
+        } else {
+            (0.0, weight)
+        };
+        // A score below θ loses whatever its path; a tie is for `offer`.
+        if reachable {
+            scored += 1;
             if f64::from(score) >= threshold {
                 top.offer(doc, score, matched);
+                if RANKED {
+                    threshold = top.threshold();
+                    if prune {
+                        essential = first_essential(&groups, essential, threshold);
+                    }
+                }
             }
-            let lead = &groups[0];
-            let Some(following) =
-                lead.current.filter(|&d| aligned == 1 && next.is_none_or(|n| d < n))
-            else {
-                break;
-            };
-            threshold = top.threshold();
-            if prune && lead.list_bound + SLACK <= threshold {
-                break;
-            }
-            if round(stats) {
-                stats.cancelled = true;
-                break 'frontier;
-            }
-            doc = following;
         }
-        restore_order(&mut groups, aligned, &mut cursors, stats);
     }
+    stats.rounds += candidates;
+    stats.scored += scored;
+    stats.seeks += seeks;
     groups.iter().for_each(|group| group.retire(&mut cursors, stats));
     scorers.iter().for_each(|c| stats.retire(&c.cursor));
+}
+
+/// Where the essential groups start once θ is `threshold`: past `from`, and
+/// past every group whose bound, summed with the bounds before it, cannot
+/// reach θ.  θ only rises, so the boundary only moves right.
+fn first_essential(groups: &[Group], from: usize, threshold: f64) -> usize {
+    from + groups[from..].iter().take_while(|group| group.upto + SLACK <= threshold).count()
 }
 
 /// Sealed shards plus their doc table: what examples and tests hold to
@@ -976,6 +970,35 @@ mod tests {
         let wider = searcher.search(&parse("mid even common"));
         assert!(wider.paths().contains(&"doc0000.txt"));
         assert_eq!(wider.len(), 9, "mid ∩ even: d % 62 == 0");
+    }
+
+    #[test]
+    fn a_list_stops_proposing_candidates_once_theta_passes_its_bound() {
+        // `common` is in every document, `rare` in four: once the heap holds
+        // two documents with both, θ is past `common`'s bound, and only
+        // `rare` proposes candidates — a document holding `common` alone is
+        // never scored, and `common` is only seeked to `rare`'s documents.
+        let mut docs = DocTable::new();
+        let mut index = InMemoryIndex::new();
+        for d in 0..2_000u32 {
+            let id = docs.insert(format!("doc{d:04}.txt"));
+            let mut words = vec![(Term::from("common"), 1)];
+            if [0, 1, 700, 1500].contains(&d) {
+                words.push((Term::from("rare"), 5));
+            }
+            index.insert_file_counted(id, words);
+        }
+        let shards = vec![SealedShard::from_index(&index)];
+        let query = parse("rare OR common");
+        let run = |k| evaluate(&shards, &docs, &query, Scorer::Bm25, k, &|| false);
+        let (results, stats) = run(2);
+        assert_eq!(results.paths(), ["doc0000.txt", "doc0001.txt"]);
+        assert_eq!((stats.rounds, stats.scored, stats.seeks), (4, 4, 2), "{stats:?}");
+        assert!(stats.blocks_skipped >= 12, "{stats:?}");
+        // Unbounded, θ never rises: every document is a candidate.
+        let (all, stats) = run(usize::MAX);
+        assert_eq!((all.len(), stats.rounds, stats.seeks), (2_000, 2_000, 0));
+        assert_eq!(all.hits()[..2], results.hits()[..]);
     }
 
     #[test]

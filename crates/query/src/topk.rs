@@ -2,7 +2,7 @@
 //!
 //! [`TopK`] keeps the best `k` `Scored` candidates offered to it, in the
 //! order [`SearchResults`](crate::SearchResults) sorts by.  Its worst kept
-//! score is the threshold θ the evaluator's block-max pruning compares upper
+//! score is the threshold θ the evaluator's MaxScore pruning compares upper
 //! bounds against.  A candidate is its id, score and matched-term count plus
 //! its path's rank in the doc table ([`DocTable::path_ranks`]), so a score
 //! tie — every offer of a boolean query is one — is settled by comparing two
@@ -325,7 +325,9 @@ mod tests {
     #[test]
     fn pruning_skips_blocks_on_skewed_lists() {
         // A long common list where one rare term concentrates the top
-        // scores: WAND should skip most of the common list's blocks.
+        // scores: once θ passes the common list's bound, only the rare list
+        // proposes candidates and most of the common list's blocks are
+        // never entered.
         let mut docs = DocTable::new();
         let mut index = InMemoryIndex::new();
         for i in 0..20_000u32 {
@@ -350,8 +352,8 @@ mod tests {
 
     #[test]
     fn wand_matches_exhaustive_on_dense_overlap() {
-        // Dense overlapping lists keep the frontier aligned constantly —
-        // the worst case for pruning; results must still match the
+        // Dense overlapping lists put most candidates in several groups at
+        // once — the worst case for pruning; results must still match the
         // exhaustive evaluation exactly.
         let mut docs = DocTable::new();
         let mut index = InMemoryIndex::new();

@@ -340,7 +340,7 @@ impl Executor for QueryEngine {
                     // One evaluator for every shape, bounded at the result
                     // limit the response would be truncated to anyway, so a
                     // cached entry holds exactly what the wire can render:
-                    // BM25 top-k with block-max pruning where the query can be
+                    // BM25 top-k with MaxScore pruning where the query can be
                     // scored, the constant scorer for prefix terms and
                     // exclusions.
                     let (results, prune) = evaluate(

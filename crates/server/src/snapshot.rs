@@ -178,7 +178,7 @@ impl IndexSnapshot {
     }
 
     /// Evaluates `query` as ranked retrieval: BM25-scored top-`k` with
-    /// block-max pruning, one result heap across every sealed shard.
+    /// MaxScore pruning, one result heap across every sealed shard.
     /// Returns `None` when the query shape is not scorable (prefix terms,
     /// exclusions) — [`search`](Self::search) answers those.
     /// `should_cancel` is polled as the evaluation goes; a cancelled call

@@ -147,7 +147,8 @@ metrics! {
     Generation = Gauge "dsearch_snapshot_generation", Line("generation");
     /// Posting blocks decoded and scored by ranked evaluation.
     BlocksScored = Counter "dsearch_blocks_scored_total", Line("blocks_scored");
-    /// Posting blocks skipped by block-max pruning.
+    /// Posting blocks never entered: jumped over by skip-table seeks, or
+    /// left behind when the evaluation stopped before them.
     BlocksSkipped = Counter "dsearch_blocks_skipped_total", Line("blocks_skipped");
     /// Result-cache lookups that found a live entry.
     CacheHits = Counter "dsearch_cache_hits_total", Line("cache_hits");
@@ -380,8 +381,8 @@ impl ServerStats {
         self.record_deadline_exceeded(DeadlineStage::Queue);
     }
 
-    /// Records one ranked (block-max) evaluation's pruning outcome: how many
-    /// posting blocks were decoded and scored versus skipped outright.
+    /// Records one evaluation's block counters: how many posting blocks were
+    /// decoded versus never entered.
     pub fn record_prune(&self, prune: dsearch_query::PruneStats) {
         if prune.blocks_scored > 0 {
             self.add(Metric::BlocksScored, prune.blocks_scored);

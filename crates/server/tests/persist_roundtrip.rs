@@ -228,11 +228,11 @@ proptest! {
         }
     }
 
-    /// Block-max pruning stays invisible on Implementation 3's store — two
-    /// un-joined replicas, each a partial index under the whole run's doc
-    /// table — loaded from disk: the persisted bounds were sealed with each
-    /// replica's own document count, and the loaded shard must score with
-    /// the same one or pruning stops being admissible.
+    /// Pruning stays invisible on Implementation 3's store — two un-joined
+    /// replicas, each a partial index under the whole run's doc table —
+    /// loaded from disk: the persisted bounds were sealed with the norms of
+    /// each replica's own lengths, and the loaded shard must score with the
+    /// same ones or pruning stops being admissible.
     #[test]
     fn pruned_topk_equals_exhaustive_on_a_two_replica_store_from_disk(
         tfs in proptest::collection::vec((0u32..6, 0u32..4, 0u32..9), 260..420),

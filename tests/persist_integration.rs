@@ -150,7 +150,7 @@ fn ranked_answers_do_not_depend_on_how_many_threads_indexed() {
 /// The writer as it was before it streamed: seal the whole index into a
 /// `SealedShard`, serialise the whole payload into one buffer, checksum it,
 /// then emit header and payload.  Kept as the reference the streaming
-/// `write_segment` must match byte for byte: the version-5 layout spelled out
+/// `write_segment` must match byte for byte: the version-6 layout spelled out
 /// a second time, part by part, over the parts a `CompressedView` hands out
 /// — and, stamped with another version, as the writer of the files this
 /// build no longer reads.
@@ -177,8 +177,10 @@ fn seal_then_serialise(
     let mut doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
     doc_lens.sort_unstable_by_key(|&(id, _)| id);
     write_varint(&mut payload, doc_lens.len() as u64);
-    for &(id, len) in &doc_lens {
-        write_varint(&mut payload, u64::from(id.as_u32()));
+    // Ids as gaps from the id before (the first from 0).
+    let ids = doc_lens.iter().map(|&(id, _)| id.as_u32());
+    for (&(id, len), before) in doc_lens.iter().zip(std::iter::once(0).chain(ids)) {
+        write_varint(&mut payload, u64::from(id.as_u32() - before));
         write_varint(&mut payload, u64::from(len));
     }
     let shard = SealedShard::from_index(index);
@@ -186,6 +188,9 @@ fn seal_then_serialise(
     for (term, compressed) in shard.iter() {
         write_bytes(&mut payload, term.as_bytes());
         write_varint(&mut payload, compressed.len() as u64);
+        // One bound byte a list, and no bounds per block.
+        assert!(compressed.bound() > 0);
+        payload.push(compressed.bound());
         // Skip entries: last ids and offsets as deltas, the first offset (0)
         // left out; a block's first id lives in the payload only.
         let skips = compressed.skips();
@@ -205,11 +210,6 @@ fn seal_then_serialise(
         for offset in compressed.freq_offsets().windows(2) {
             write_varint(&mut payload, u64::from(offset[1] - offset[0]));
         }
-        // The list maximum has sixteen zero low bits; the other two bytes.
-        let max_score = compressed.max_score().to_bits();
-        assert_eq!(max_score & 0xffff, 0);
-        payload.extend_from_slice(&((max_score >> 16) as u16).to_le_bytes());
-        payload.extend_from_slice(compressed.block_scores());
     }
     let mut bytes = SEGMENT_MAGIC.to_vec();
     bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
@@ -248,14 +248,15 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                     written == seal_then_serialise(index, &docs, SEGMENT_VERSION, xxh64),
                     "{implementation:?} x{extractors}: streamed segment differs from the reference"
                 );
-                // There is one readable version: the same payload stamped 4
-                // (under this build's checksum) or 3 (under the FNV-1a of
-                // versions 1–3) is refused by its version, by both readers,
-                // before its checksum is looked at.
+                // There is one readable version: the same payload stamped 5
+                // or 4 (under this build's checksum) or 3 (under the FNV-1a
+                // of versions 1–3) is refused by its version, by both
+                // readers, before its checksum is looked at.
                 let fnv1a: fn(&[u8]) -> u64 = dsearch::text::fnv1a_64;
-                for (version, checksum) in [(4, xxh64 as fn(&[u8]) -> u64), (3, fnv1a)] {
+                let xxh64: fn(&[u8]) -> u64 = xxh64;
+                for (version, checksum) in [(5, xxh64), (4, xxh64), (3, fnv1a)] {
                     let old = seal_then_serialise(index, &docs, version, checksum);
-                    assert_eq!((old[12], written[12]), (version as u8, 5));
+                    assert_eq!((old[12], written[12]), (version as u8, 6));
                     for err in [read_segment(&old[..]).err(), read_segment_sealed(&old[..]).err()] {
                         assert!(
                             matches!(err, Some(PersistError::UnsupportedVersion { found, .. }) if found == version),
@@ -304,7 +305,7 @@ fn the_scored_document_count_survives_a_read_and_recommit() {
         write_segment(index, &docs, std::io::Cursor::new(&mut written)).unwrap();
         assert!(read_segment_sealed(&written[..]).unwrap().0 == sealed);
         // Load mutably, commit again: the same bytes, so the same idf, the
-        // same norms and the same block bounds.
+        // same norms and the same list bounds.
         let (restored, restored_docs) = read_segment(&written[..]).unwrap();
         assert_eq!(restored.file_count(), scored);
         let mut rewritten = Vec::new();
