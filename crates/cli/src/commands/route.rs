@@ -1,9 +1,9 @@
 //! `dsearch route` — the scatter-gather coordinator over shard servers.
 //!
-//! Points the [`Router`] at one `--shard` per
-//! logical shard.  A `--shard` value is a comma-separated replica group:
-//! `--shard a:7878` is a single `dsearch serve` process, `--shard
-//! a:7878,b:7878` a [`ReplicaSet`] routing each
+//! Points the [`Router`] at one `--shard` per logical shard, each a
+//! [`ReplicaSet`].  A `--shard` value is a comma-separated replica group:
+//! `--shard a:7878` is a set of one `dsearch serve` process, `--shard
+//! a:7878,b:7878` a set routing each
 //! query to the least-loaded healthy replica, with circuit breaking
 //! (`--probe-ms` controls the half-open probe backoff) and hedged requests
 //! (`--hedge-ms` fixes the hedge deadline; `0` disables hedging; unset
@@ -78,9 +78,9 @@ pub(crate) fn shard_config(args: &ParsedArgs) -> Result<RemoteShardConfig, CliEr
     Ok(config)
 }
 
-/// Builds the router over one backend per `--shard` value: a single
-/// [`RemoteShard`] for a plain address, a [`ReplicaSet`] of remote shards
-/// for a comma-separated replica group.
+/// Builds the router over one [`ReplicaSet`] of [`RemoteShard`]s per
+/// `--shard` value: a plain address is a set of one, a comma-separated
+/// replica group a set of several.
 pub(crate) fn build_router(args: &ParsedArgs) -> Result<Arc<Router>, CliError> {
     let groups = args.values_of("shard");
     if groups.is_empty() {
@@ -90,30 +90,23 @@ pub(crate) fn build_router(args: &ParsedArgs) -> Result<Arc<Router>, CliError> {
     }
     let shard_config = shard_config(args)?;
     let replica_config = replica_config(args)?;
-    let mut backends: Vec<Box<dyn ShardBackend>> = Vec::with_capacity(groups.len());
+    let config = router_config(args)?;
+    let invalid = |e| CliError::Usage(format!("invalid configuration: {e}"));
+    let mut shards = Vec::with_capacity(groups.len());
     for group in &groups {
         let addrs: Vec<&str> = group.split(',').map(str::trim).filter(|a| !a.is_empty()).collect();
-        match addrs.as_slice() {
-            [] => {
-                return Err(CliError::Usage(format!("--shard {group:?} names no addresses")));
-            }
-            [addr] => backends.push(Box::new(RemoteShard::with_config(*addr, shard_config))),
-            many => {
-                let replicas: Vec<Box<dyn ShardBackend>> = many
-                    .iter()
-                    .map(|addr| {
-                        Box::new(RemoteShard::with_config(*addr, shard_config))
-                            as Box<dyn ShardBackend>
-                    })
-                    .collect();
-                let set = ReplicaSet::new(*group, replicas, replica_config)
-                    .map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
-                backends.push(Box::new(set));
-            }
-        }
+        let id = match addrs.as_slice() {
+            [] => return Err(CliError::Usage(format!("--shard {group:?} names no addresses"))),
+            [addr] => *addr,
+            _ => *group,
+        };
+        let replicas: Vec<Box<dyn ShardBackend>> = addrs
+            .iter()
+            .map(|addr| Box::new(RemoteShard::with_config(*addr, shard_config)) as _)
+            .collect();
+        shards.push(ReplicaSet::new(id, replicas, replica_config).map_err(invalid)?);
     }
-    Router::new(backends, router_config(args)?)
-        .map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))
+    Router::new(shards, config).map_err(invalid)
 }
 
 /// Runs the `route` command.
@@ -126,7 +119,7 @@ pub(crate) fn build_router(args: &ParsedArgs) -> Result<Arc<Router>, CliError> {
 /// <addr> DOWN` until they return.
 pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let router = build_router(args)?;
-    let shard_list: Vec<String> = router.backends().iter().map(|b| b.id()).collect();
+    let shard_list: Vec<&str> = router.shards().iter().map(ReplicaSet::id).collect();
     let batch = &router.config().batch;
     let wait = if batch.adaptive { "auto".to_owned() } else { format!("{:?}", batch.max_wait) };
     let banner = format!(
@@ -221,7 +214,7 @@ mod tests {
         let args =
             ParsedArgs::parse(["route", "--shard", "h1:7878", "--shard", "h2:7878"]).unwrap();
         let router = build_router(&args).unwrap();
-        let ids: Vec<String> = router.backends().iter().map(|b| b.id()).collect();
+        let ids: Vec<&str> = router.shards().iter().map(ReplicaSet::id).collect();
         assert_eq!(ids, ["h1:7878", "h2:7878"]);
     }
 
@@ -230,12 +223,11 @@ mod tests {
         let args = ParsedArgs::parse(["route", "--shard", "h1:7878,h2:7878", "--shard", "h3:7878"])
             .unwrap();
         let router = build_router(&args).unwrap();
-        let ids: Vec<String> = router.backends().iter().map(|b| b.id()).collect();
+        let ids: Vec<&str> = router.shards().iter().map(ReplicaSet::id).collect();
         assert_eq!(ids, ["h1:7878,h2:7878", "h3:7878"]);
-        // The replica group reports per-replica status lines; the plain
-        // shard has none.
-        assert_eq!(router.backends()[0].replica_status().len(), 2);
-        assert!(router.backends()[1].replica_status().is_empty());
+        // The replica group is a set of two; the plain shard a set of one.
+        assert_eq!(router.shards()[0].replica_count(), 2);
+        assert_eq!(router.shards()[1].replica_count(), 1);
     }
 
     #[test]

@@ -34,14 +34,16 @@
 //!   stdin/TCP front ends;
 //! * [`route`] — distributed scatter-gather serving behind `dsearch route`:
 //!   the [`route::ShardBackend`] seam ([`route::LocalShards`] in-process,
-//!   [`route::RemoteShard`] over TCP), one persistent worker thread per
-//!   backend, and the [`route::Router`] — the other executor — that fans
-//!   queries out, merges rankings and tolerates missing shards;
-//! * [`replica`] — [`replica::ReplicaSet`]: N replicas behind one logical
-//!   shard, with a least-loaded healthy pick, a per-replica circuit breaker
+//!   [`route::RemoteShard`] over TCP) and the [`route::Router`] — the other
+//!   executor — that fans queries out, merges rankings and tolerates
+//!   missing shards;
+//! * [`replica`] — [`replica::ReplicaSet`], what every shard of a router
+//!   is (a plain backend is a set of one): one persistent worker thread per
+//!   backend, a least-loaded healthy pick, a per-replica circuit breaker
 //!   (closed → open → half-open probe with backoff), hedged requests
-//!   against the set's rolling round-trip p99, and a token-bucket retry
-//!   budget that keeps hedges and failovers a bounded fraction of traffic;
+//!   against the set's rolling round-trip p99, a token-bucket retry budget
+//!   that keeps hedges and failovers a bounded fraction of traffic, and the
+//!   one gather that runs scatter, hedge, failover and deadline;
 //! * [`loadgen`] — closed- and open-loop load generation behind
 //!   `dsearch loadgen`.
 //!

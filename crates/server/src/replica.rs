@@ -1,42 +1,47 @@
-//! Replicated shard backends: health gating, load-aware replica pick, and
-//! hedged requests.
+//! Every shard is a replica set, and one gather dispatches them all.
 //!
-//! A [`ReplicaSet`] puts N replicas — any mix of
+//! A [`ReplicaSet`] puts N interchangeable members — any mix of
 //! [`LocalShards`](crate::route::LocalShards) and
-//! [`RemoteShard`](crate::route::RemoteShard) — behind one logical
-//! [`ShardBackend`], so the [`Router`](crate::route::Router) keeps treating
-//! the shard as a single participant in every scatter while the set handles
-//! fault tolerance underneath:
+//! [`RemoteShard`](crate::route::RemoteShard) — behind one logical shard; a
+//! plain shard is a set of one.  The set keeps one row per member: its
+//! backend, the one worker thread that makes its calls, its in-flight count,
+//! its circuit breaker and its round-trip histogram.  `gather` is the one
+//! dispatcher: the [`Router`](crate::route::Router)'s scatter is a gather
+//! over all its sets, [`ReplicaSet::search`] a gather over one, and a single
+//! loop waits for every reply, hedge timer and deadline.
 //!
-//! * **Least-loaded pick.**  Each call routes to the healthy replica with the
-//!   fewest requests in flight (queued included), chosen through a min-heap
-//!   over per-replica in-flight counts — the load-aware executor pattern.
-//!   Ties break toward the lowest replica index, so a single-client workload
-//!   is deterministic.
-//! * **Health gating.**  Every replica carries a circuit-breaker state
+//! * **Least-loaded pick.**  A call orders the members once: by breaker
+//!   state (closed, half-open, open), then by requests in flight (queued
+//!   included), then by index, so a single-client workload is
+//!   deterministic.  While any member is closed, only closed members are
+//!   candidates.  The primary is the first; failovers and the hedge take the
+//!   next ones in that order.
+//! * **Health gating.**  Every member carries a circuit-breaker state
 //!   machine: `closed` (serving) → `open` after
 //!   [`failure_threshold`](ReplicaSetConfig::failure_threshold) consecutive
 //!   failed calls → `half-open` once the probe backoff elapses, at which
-//!   point one live query is mirrored to the replica as a probe.  A probe
-//!   success closes the replica again; a probe failure re-opens it with the
-//!   backoff doubled (capped at [`max_backoff`](ReplicaSetConfig::max_backoff)).
-//!   Open replicas are skipped by the pick, so a known-dead backend costs
-//!   zero connect timeouts on the hot path.
-//! * **Hedged requests.**  When the chosen replica has not answered within a
+//!   point one live batch is mirrored to the member as a probe — or, when no
+//!   member is closed and it comes first in the pick, the primary dispatch
+//!   is its probe.  Every due member is probed once per call.  A probe success
+//!   closes the member again; a probe failure re-opens it with the backoff
+//!   doubled (capped at [`max_backoff`](ReplicaSetConfig::max_backoff)).
+//!   Open members are skipped while a closed one exists, so a known-dead
+//!   backend costs zero connect timeouts on the hot path.
+//! * **Hedged requests.**  When the primary has not answered within a
 //!   deadline — fixed via [`hedge_after`](ReplicaSetConfig::hedge_after), or
 //!   derived from the set's rolling round-trip p99 once
 //!   [`hedge_min_samples`](ReplicaSetConfig::hedge_min_samples) calls have
-//!   been observed — the call is re-issued to the next least-loaded healthy
-//!   replica and the first answer wins.  The loser's reply is drained by its
-//!   replica's `BackendWorker` — the same per-backend worker thread the
-//!   router fans out through — and dropped; `hedges=`/`hedge_wins=` count
-//!   both sides.
+//!   been observed — the call is re-issued to the next member in pick order
+//!   and the first answer wins.  The loser's reply is dropped once its
+//!   worker thread has done the breaker bookkeeping; `hedges=`/`hedge_wins=`
+//!   count both sides.  The gather sleeps until the earlier of the hedge
+//!   timer and the query's deadline, so no hedge is sent past the deadline.
 //!
-//! Errors fail over immediately (no deadline needed): a replica whose whole
-//! batch failed marks a failure against its breaker and the call retries the
-//! next untried replica.  Only when every replica has failed does the caller
-//! see an error — so with one of two replicas down, zero queries fail and
-//! none are `partial=true`.
+//! Errors fail over immediately (no timer needed): a member whose whole
+//! batch failed marks a failure against its breaker and the call moves to
+//! the next member in pick order.  Only when every member tried has failed
+//! does the caller see an error — so with one of two replicas down, zero
+//! queries fail and none are `partial=true`.
 //!
 //! Hedges and failovers both draw from a **retry budget** — a token bucket
 //! deposited [`retry_budget_pct`](ReplicaSetConfig::retry_budget_pct)
@@ -46,19 +51,22 @@
 //! the replica count exactly when the shard is least able to absorb it;
 //! each refused dispatch increments `dsearch_retry_budget_exhausted_total`.
 //!
-//! Metrics surface through [`ShardBackend::bind_metrics`]: a
+//! Metrics surface through [`ReplicaSet::bind_metrics`]: a
 //! `dsearch_replica_state{replica=…}` gauge (0 = closed, 1 = half-open,
 //! 2 = open), `dsearch_replica_opens_total` / `dsearch_replica_recoveries_total`
 //! transition counters, and set-wide `dsearch_hedges_total` /
 //! `dsearch_hedge_wins_total`.  Each is kept once: the set counts into its
 //! own handles from construction, and binding hands those same handles to
 //! the registry (`adopt_counter` / `adopt_gauge`), so the getters below and a
-//! `!metrics` scrape read the same atomics.
+//! `!metrics` scrape read the same atomics.  Binding also interns the
+//! shard's `dsearch_shard_rtt_ns{shard=…}`, the time until the set's answer,
+//! which the gather records from then on.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cell::OnceCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -66,10 +74,8 @@ use parking_lot::Mutex;
 use dsearch_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::engine::ConfigError;
-use crate::route::{
-    control_fanout, BackendWorker, GatherSender, ShardBackend, ShardError, ShardReply, TimedReplies,
-};
-use crate::stats::Metric;
+use crate::route::{backend_panicked, Replies, ShardBackend, ShardError, ShardReply};
+use crate::stats::{Metric, SHARD_RTT_METRIC};
 
 /// Per-replica health-state gauge (0 = closed, 1 = half-open, 2 = open).
 pub const REPLICA_STATE_METRIC: &str = "dsearch_replica_state";
@@ -104,7 +110,8 @@ impl ReplicaState {
         }
     }
 
-    /// The state encoded for the `dsearch_replica_state` gauge.
+    /// The state encoded for the `dsearch_replica_state` gauge — also the
+    /// order in which the pick prefers states.
     #[must_use]
     pub fn as_gauge(self) -> u64 {
         match self {
@@ -183,10 +190,8 @@ impl RetryBudget {
 
     /// Credits one primary request.
     fn deposit(&self) {
-        let cap = self.cap;
-        let deposit = self.deposit;
         let _ = self.balance.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |balance| {
-            Some((balance + deposit).min(cap))
+            Some((balance + self.deposit).min(self.cap))
         });
     }
 
@@ -210,16 +215,38 @@ struct Health {
     backoff: Duration,
 }
 
-/// Everything a replica's worker thread (through its completion hook) and
-/// the set share about one replica.
-struct ReplicaShared {
-    backend: Arc<dyn ShardBackend>,
+/// A batch as the worker threads share it: the canonical queries and one
+/// trace id per query (zero meaning untraced).
+type Batch = Arc<(Vec<String>, Vec<u64>)>;
+
+/// What a worker thread sends back to a gather: `(shard, member, replies,
+/// when they were ready)`.
+type Reply = (usize, usize, Replies, Instant);
+
+/// One call queued on a member's thread, with the gather its replies go to
+/// (and the shard's index there); `None` for a probe nobody waits for.
+struct Task {
+    batch: Batch,
+    respond: Option<(mpsc::Sender<Reply>, usize)>,
+}
+
+/// Whether a batch's replies clear the member: an empty batch proves
+/// nothing, and per-query rejections leave the breaker alone — only a batch
+/// where every query failed is a member failure.
+fn answered(replies: &Replies) -> bool {
+    replies.is_empty() || replies.iter().any(Result::is_ok)
+}
+
+/// One member of a set: its backend and everything the set knows about it,
+/// shared with the member's worker thread.
+struct Member {
+    backend: Box<dyn ShardBackend>,
     id: String,
-    /// Requests dispatched but not yet completed (queued included), the load
+    /// Calls dispatched but not yet completed (queued included), the load
     /// signal for the pick.
     in_flight: AtomicU64,
     health: Mutex<Health>,
-    /// This replica's own round trips (successful calls only).
+    /// This member's own round trips (answered calls only).
     rtt: Histogram,
     /// The set-wide round-trip histogram feeding the adaptive hedge deadline.
     set_rtt: Arc<Histogram>,
@@ -234,7 +261,7 @@ struct ReplicaShared {
     config: ReplicaSetConfig,
 }
 
-impl ReplicaShared {
+impl Member {
     fn state(&self) -> ReplicaState {
         self.health.lock().state
     }
@@ -278,24 +305,8 @@ impl ReplicaShared {
         }
     }
 
-    /// The worker's completion hook: one call less in flight, and the
-    /// breaker's verdict on it.  An empty batch proves nothing; a batch where
-    /// every query failed is a replica failure (per-query rejections leave
-    /// the breaker alone).
-    fn complete(&self, (replies, rtt): &TimedReplies) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        if replies.is_empty() || replies.iter().any(Result::is_ok) {
-            self.note_success();
-            self.rtt.record(*rtt);
-            self.set_rtt.record(*rtt);
-        } else {
-            self.note_failure();
-        }
-    }
-
     /// Moves an open replica whose backoff elapsed to half-open, returning
-    /// `true` exactly once per probe window (the caller dispatches the
-    /// probe).
+    /// `true` exactly once per probe window.
     fn begin_probe(&self) -> bool {
         let mut health = self.health.lock();
         let due = health.state == ReplicaState::Open
@@ -310,17 +321,42 @@ impl ReplicaShared {
         self.probes.inc();
         true
     }
+
+    /// The one call to the backend, made by the member's thread or inline by
+    /// a gather: a panicking backend fails the batch (`unavailable: …
+    /// panicked`), never the thread.  Then one call less in flight, and the
+    /// breaker's verdict on it.
+    fn call(&self, canonicals: &[String], ids: &[u64]) -> Replies {
+        let sent = Instant::now();
+        let replies = catch_unwind(AssertUnwindSafe(|| self.backend.search_batch(canonicals, ids)))
+            .unwrap_or_else(|_| vec![Err(backend_panicked()); canonicals.len()]);
+        let rtt = sent.elapsed();
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        if answered(&replies) {
+            self.note_success();
+            self.rtt.record(rtt);
+            self.set_rtt.record(rtt);
+        } else {
+            self.note_failure();
+        }
+        replies
+    }
 }
 
-/// N replicas behind one logical shard: least-loaded healthy pick, circuit
+/// N members behind one logical shard: least-loaded healthy pick, circuit
 /// breaking, and hedged requests.  See the module docs for the full model.
 pub struct ReplicaSet {
     id: String,
-    replicas: Vec<Arc<ReplicaShared>>,
-    workers: Vec<BackendWorker>,
+    members: Vec<Arc<Member>>,
+    /// Each member's task queue and the one thread draining it (same
+    /// order).
+    workers: Vec<(mpsc::Sender<Task>, JoinHandle<()>)>,
     config: ReplicaSetConfig,
     /// Set-wide rolling round trips; feeds the adaptive hedge deadline.
     set_rtt: Arc<Histogram>,
+    /// The time until the set's answer, as `dsearch_shard_rtt_ns{shard=…}`
+    /// of the first registry it is bound to; the gather records it.
+    rtt: OnceLock<Arc<Histogram>>,
     hedges: Arc<Counter>,
     hedge_wins: Arc<Counter>,
     /// Token bucket bounding hedge + failover traffic.
@@ -343,11 +379,10 @@ impl ReplicaSet {
             return Err(ConfigError::NoShards);
         }
         let set_rtt = Arc::new(Histogram::new());
-        let replicas: Vec<Arc<ReplicaShared>> = replicas
+        let members: Vec<Arc<Member>> = replicas
             .into_iter()
             .map(|backend| {
-                let backend: Arc<dyn ShardBackend> = Arc::from(backend);
-                Arc::new(ReplicaShared {
+                Arc::new(Member {
                     id: backend.id(),
                     backend,
                     in_flight: AtomicU64::new(0),
@@ -367,21 +402,31 @@ impl ReplicaSet {
                 })
             })
             .collect();
-        let workers = replicas
+        let workers = members
             .iter()
-            .map(|replica| {
-                let shared = Arc::clone(replica);
-                BackendWorker::spawn(Arc::clone(&replica.backend), move |timed| {
-                    shared.complete(timed);
-                })
+            .enumerate()
+            .map(|(index, member)| {
+                let (tasks, queue) = mpsc::channel::<Task>();
+                let member = Arc::clone(member);
+                let thread = std::thread::spawn(move || {
+                    while let Ok(Task { batch, respond }) = queue.recv() {
+                        let replies = member.call(&batch.0, &batch.1);
+                        if let Some((gather, shard)) = respond {
+                            // The gather may have finished without it; fine.
+                            let _ = gather.send((shard, index, replies, Instant::now()));
+                        }
+                    }
+                });
+                (tasks, thread)
             })
             .collect();
         Ok(ReplicaSet {
             id: id.into(),
-            replicas,
+            members,
             workers,
             config,
             set_rtt,
+            rtt: OnceLock::new(),
             hedges: Arc::default(),
             hedge_wins: Arc::default(),
             retry_budget: RetryBudget::new(config.retry_budget_pct),
@@ -389,16 +434,22 @@ impl ReplicaSet {
         })
     }
 
+    /// The set's id: the shard's name in errors, `!stats` and traces.
+    #[must_use]
+    pub fn id(&self) -> &str {
+        &self.id
+    }
+
     /// Number of replicas in the set.
     #[must_use]
     pub fn replica_count(&self) -> usize {
-        self.replicas.len()
+        self.members.len()
     }
 
     /// Each replica's id and current breaker state.
     #[must_use]
     pub fn replica_states(&self) -> Vec<(String, ReplicaState)> {
-        self.replicas.iter().map(|r| (r.id.clone(), r.state())).collect()
+        self.members.iter().map(|m| (m.id.clone(), m.state())).collect()
     }
 
     /// Hedged dispatches so far.
@@ -423,84 +474,139 @@ impl ReplicaSet {
     /// Closed→open transitions across all replicas.
     #[must_use]
     pub fn open_count(&self) -> u64 {
-        self.replicas.iter().map(|r| r.opens.value()).sum()
+        self.members.iter().map(|m| m.opens.value()).sum()
     }
 
     /// Recoveries (→closed from open/half-open) across all replicas.
     #[must_use]
     pub fn recovery_count(&self) -> u64 {
-        self.replicas.iter().map(|r| r.recoveries.value()).sum()
+        self.members.iter().map(|m| m.recoveries.value()).sum()
     }
 
     /// Probes dispatched across all replicas.
     #[must_use]
     pub fn probe_count(&self) -> u64 {
-        self.replicas.iter().map(|r| r.probes.value()).sum()
+        self.members.iter().map(|m| m.probes.value()).sum()
+    }
+
+    /// Answers one canonical query: the gather over this set alone.
+    ///
+    /// # Errors
+    ///
+    /// Reports the last failure when every replica tried failed.
+    pub fn search(&self, canonical: &str) -> Result<ShardReply, ShardError> {
+        let mut answer = gather(std::slice::from_ref(self), &[canonical.to_owned()], &[0], None);
+        let (mut replies, _) = answer.pop().flatten().expect("with no deadline every set answers");
+        replies.pop().expect("one query in, one reply out")
+    }
+
+    /// Interns this set's metrics — replica health gauges, transition and
+    /// hedge counters, retry-budget refusals, the shard's round trip — into
+    /// `registry`, so they surface through its `!metrics`.
+    pub fn bind_metrics(&self, registry: &MetricsRegistry) {
+        self.rtt.get_or_init(|| registry.labeled_histogram(SHARD_RTT_METRIC, "shard", &self.id));
+        for member in &self.members {
+            let label = Some(("replica", member.id.as_str()));
+            registry.adopt_gauge(REPLICA_STATE_METRIC, label, &member.state_gauge);
+            registry.adopt_counter(REPLICA_OPENS_METRIC, label, &member.opens);
+            registry.adopt_counter(REPLICA_RECOVERIES_METRIC, label, &member.recoveries);
+        }
+        // Unlabelled: every set bound to one registry adds into the same
+        // series, the last beside the handle the router's `ServerStats`
+        // registered eagerly — so refusals surface in the router's `!stats`
+        // (`retry_exhausted=`) and `!metrics` directly.
+        registry.adopt_counter(HEDGES_METRIC, None, &self.hedges);
+        registry.adopt_counter(HEDGE_WINS_METRIC, None, &self.hedge_wins);
+        registry.adopt_counter(Metric::RetryExhausted.row().series, None, &self.retry_exhausted);
+    }
+
+    /// The members' backends, in member order (for control-plane calls).
+    pub(crate) fn backends(&self) -> impl Iterator<Item = &dyn ShardBackend> {
+        self.members.iter().map(|member| &*member.backend)
+    }
+
+    /// The set's `!stats` summary: health, transitions, hedges.
+    pub(crate) fn summary_line(&self) -> String {
+        let healthy = self.members.iter().filter(|m| m.state() == ReplicaState::Closed).count();
+        format!(
+            "replicas={} healthy={healthy} opens={} recoveries={} probes={} hedges={} \
+             hedge_wins={} retry_exhausted={}",
+            self.members.len(),
+            self.open_count(),
+            self.recovery_count(),
+            self.probe_count(),
+            self.hedge_count(),
+            self.hedge_win_count(),
+            self.retry_exhausted_count(),
+        )
+    }
+
+    /// One `!stats` line per replica, with its breaker state and load.
+    pub(crate) fn replica_lines(&self) -> Vec<String> {
+        self.members
+            .iter()
+            .map(|member| {
+                format!(
+                    "replica {} state={} in_flight={} rtt_p99={}us calls={}",
+                    member.id,
+                    member.state(),
+                    member.in_flight.load(Ordering::Relaxed),
+                    member.rtt.percentile(99.0).as_micros(),
+                    member.rtt.count(),
+                )
+            })
+            .collect()
     }
 
     /// The hedge deadline for one call, or `None` when hedging is off (or
     /// the adaptive estimate has not armed yet).
     fn hedge_delay(&self) -> Option<Duration> {
-        if let Some(fixed) = self.config.hedge_after {
-            return Some(fixed);
-        }
-        if !self.config.adaptive_hedge || self.set_rtt.count() < self.config.hedge_min_samples {
-            return None;
-        }
-        Some(self.set_rtt.percentile(99.0))
+        let armed =
+            self.config.adaptive_hedge && self.set_rtt.count() >= self.config.hedge_min_samples;
+        self.config.hedge_after.or_else(|| armed.then(|| self.set_rtt.percentile(99.0)))
     }
 
-    /// Queues a call on `index`'s worker, counting it in flight.  `false`
-    /// when the worker is gone (only during shutdown).
+    /// Begins one call and returns its pick order: closed members while any
+    /// exists, else everyone, ordered by `(state, in flight, index)` — the
+    /// policy is the sort key.  Every open member whose backoff elapsed
+    /// turns half-open and is probed once: if it comes first (no member is
+    /// closed), the primary dispatch is its probe; otherwise `probe` mirrors
+    /// the batch to it and it leaves the order, so no call sends it the
+    /// batch twice.  The primary request funds future retries.
+    fn pick(&self, mut probe: impl FnMut(usize)) -> Vec<usize> {
+        let due: Vec<bool> = self.members.iter().map(|member| member.begin_probe()).collect();
+        let mut keys: Vec<(u64, u64, usize)> = self
+            .members
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.state().as_gauge(), m.in_flight.load(Ordering::Relaxed), i))
+            .collect();
+        keys.sort_unstable();
+        let closed = ReplicaState::Closed.as_gauge();
+        let (first_state, _, primary) = keys[0];
+        keys.retain(|&(state, _, index)| {
+            let mirrored = due[index] && index != primary;
+            if mirrored {
+                probe(index);
+            }
+            !mirrored && (first_state != closed || state == closed)
+        });
+        self.retry_budget.deposit();
+        keys.into_iter().map(|key| key.2).collect()
+    }
+
+    /// Queues one call on member `index`'s thread, counting it in flight.
     fn dispatch(
         &self,
         index: usize,
-        canonicals: &Arc<Vec<String>>,
-        ids: &Arc<Vec<u64>>,
-        respond: Option<&GatherSender>,
-    ) -> bool {
-        self.replicas[index].in_flight.fetch_add(1, Ordering::Relaxed);
-        let sent = self.workers[index].dispatch(canonicals, ids, respond, index);
-        if !sent {
-            self.replicas[index].in_flight.fetch_sub(1, Ordering::Relaxed);
-        }
-        sent
-    }
-
-    /// Mirrors the live batch to every open replica whose backoff elapsed,
-    /// as a half-open probe (reply dropped; only health updates).
-    fn dispatch_due_probes(&self, canonicals: &Arc<Vec<String>>, ids: &Arc<Vec<u64>>) {
-        if canonicals.is_empty() {
-            return;
-        }
-        for (index, replica) in self.replicas.iter().enumerate() {
-            if replica.begin_probe() && !self.dispatch(index, canonicals, ids, None) {
-                // Worker gone (shutdown): undo the half-open transition.
-                replica.note_failure();
-            }
-        }
-    }
-
-    /// Candidate replicas as a min-heap of `(in_flight, index)`: healthy
-    /// (closed) replicas when any exist, otherwise everyone — a set with no
-    /// healthy replica still tries rather than refusing outright, and a
-    /// success closes the breaker again.
-    fn candidates(&self) -> BinaryHeap<Reverse<(u64, usize)>> {
-        let closed: BinaryHeap<Reverse<(u64, usize)>> = self
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.state() == ReplicaState::Closed)
-            .map(|(i, r)| Reverse((r.in_flight.load(Ordering::Relaxed), i)))
-            .collect();
-        if !closed.is_empty() {
-            return closed;
-        }
-        self.replicas
-            .iter()
-            .enumerate()
-            .map(|(i, r)| Reverse((r.in_flight.load(Ordering::Relaxed), i)))
-            .collect()
+        batch: &Batch,
+        respond: Option<(&mpsc::Sender<Reply>, usize)>,
+    ) {
+        self.members[index].in_flight.fetch_add(1, Ordering::Relaxed);
+        let respond = respond.map(|(gather, shard)| (gather.clone(), shard));
+        let task = Task { batch: Arc::clone(batch), respond };
+        // A member's thread ends only when the set drops its queue.
+        self.workers[index].0.send(task).expect("a member's thread outlives its set's calls");
     }
 
     /// Charges the retry budget for one extra dispatch; on an empty bucket
@@ -512,199 +618,30 @@ impl ReplicaSet {
         self.retry_exhausted.inc();
         false
     }
+}
 
-    /// The serving path: probe, pick, dispatch, hedge, fail over.
-    fn call(&self, canonicals: &[String], ids: &[u64]) -> Vec<Result<ShardReply, ShardError>> {
-        if canonicals.is_empty() {
-            return Vec::new();
+impl Drop for ReplicaSet {
+    fn drop(&mut self) {
+        // Close every queue first: each thread ends after the call in hand.
+        let threads: Vec<_> = self.workers.drain(..).map(|(_, thread)| thread).collect();
+        for thread in threads {
+            let _ = thread.join();
         }
-        let canonicals = Arc::new(canonicals.to_vec());
-        let ids = Arc::new(ids.to_vec());
-        self.dispatch_due_probes(&canonicals, &ids);
-
-        let (respond, gathered) = mpsc::channel();
-        let mut heap = self.candidates();
-        let mut dispatched = 0usize;
-        let mut completed = 0usize;
-        while let Some(Reverse((_, primary))) = heap.pop() {
-            if self.dispatch(primary, &canonicals, &ids, Some(&respond)) {
-                dispatched = 1;
-                break;
-            }
-        }
-        if dispatched == 0 {
-            return self.all_unavailable(&canonicals, "no replica worker available");
-        }
-        // The primary dispatch funds future retries; hedges and failovers
-        // below each cost a whole token.
-        self.retry_budget.deposit();
-
-        // The hedge timer arms only while a second candidate exists; once the
-        // hedge fires (or there is nothing to hedge to) waits are plain
-        // blocking receives.
-        let mut hedge_at: Option<Instant> = if heap.is_empty() {
-            None
-        } else {
-            self.hedge_delay().map(|delay| Instant::now() + delay)
-        };
-        let mut hedge_index: Option<usize> = None;
-        let mut last_failure: Option<Vec<Result<ShardReply, ShardError>>> = None;
-        loop {
-            let received = match hedge_at {
-                Some(at) if hedge_index.is_none() => {
-                    match gathered.recv_timeout(at.saturating_duration_since(Instant::now())) {
-                        Ok(reply) => Some(reply),
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            // A hedge is an extra dispatch: it must be paid
-                            // for.  An empty budget disarms the timer and
-                            // the call simply keeps waiting on the primary.
-                            if self.charge_retry() {
-                                while let Some(Reverse((_, next))) = heap.pop() {
-                                    if self.dispatch(next, &canonicals, &ids, Some(&respond)) {
-                                        hedge_index = Some(next);
-                                        dispatched += 1;
-                                        self.hedges.inc();
-                                        break;
-                                    }
-                                }
-                            }
-                            if hedge_index.is_none() {
-                                hedge_at = None;
-                            }
-                            continue;
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                    }
-                }
-                _ => gathered.recv().ok(),
-            };
-            // Workers never drop a task without responding (panics are
-            // caught), so a disconnect here means shutdown raced the call.
-            let Some((index, (replies, _rtt))) = received else {
-                return last_failure
-                    .unwrap_or_else(|| self.all_unavailable(&canonicals, "replica set shut down"));
-            };
-            completed += 1;
-            if replies.iter().any(Result::is_ok) {
-                if hedge_index == Some(index) {
-                    self.hedge_wins.inc();
-                }
-                return replies;
-            }
-            last_failure = Some(replies);
-            // Fast failover: an error needs no deadline, just the next
-            // untried replica — if the retry budget can still fund one.
-            // An empty budget fails the call fast with the failure in hand
-            // instead of walking every remaining replica.
-            if !heap.is_empty() && self.charge_retry() {
-                while let Some(Reverse((_, next))) = heap.pop() {
-                    if self.dispatch(next, &canonicals, &ids, Some(&respond)) {
-                        dispatched += 1;
-                        break;
-                    }
-                }
-            }
-            if completed == dispatched {
-                return last_failure.expect("at least one reply observed");
-            }
-        }
-    }
-
-    fn all_unavailable(
-        &self,
-        canonicals: &[String],
-        why: &str,
-    ) -> Vec<Result<ShardReply, ShardError>> {
-        vec![Err(ShardError::Unavailable(format!("{}: {why}", self.id))); canonicals.len()]
     }
 }
 
-impl ShardBackend for ReplicaSet {
-    fn id(&self) -> String {
-        self.id.clone()
+/// A plain shard: a set of one, named after its backend, with
+/// [`ReplicaSetConfig::default`].
+impl From<Box<dyn ShardBackend>> for ReplicaSet {
+    fn from(backend: Box<dyn ShardBackend>) -> Self {
+        let id = backend.id();
+        ReplicaSet::new(id, vec![backend], ReplicaSetConfig::default()).expect("one member")
     }
+}
 
-    fn search(&self, canonical: &str) -> Result<ShardReply, ShardError> {
-        self.call(std::slice::from_ref(&canonical.to_owned()), &[0])
-            .pop()
-            .expect("one query in, one reply out")
-    }
-
-    fn search_batch(&self, canonicals: &[String]) -> Vec<Result<ShardReply, ShardError>> {
-        self.call(canonicals, &vec![0; canonicals.len()])
-    }
-
-    fn search_batch_traced(
-        &self,
-        canonicals: &[String],
-        ids: &[u64],
-    ) -> Vec<Result<ShardReply, ShardError>> {
-        self.call(canonicals, ids)
-    }
-
-    fn stats_line(&self) -> Result<String, ShardError> {
-        let healthy = self.replicas.iter().filter(|r| r.state() == ReplicaState::Closed).count();
-        Ok(format!(
-            "replicas={} healthy={healthy} opens={} recoveries={} probes={} hedges={} \
-             hedge_wins={} retry_exhausted={}",
-            self.replicas.len(),
-            self.open_count(),
-            self.recovery_count(),
-            self.probe_count(),
-            self.hedge_count(),
-            self.hedge_win_count(),
-            self.retry_exhausted_count(),
-        ))
-    }
-
-    fn reload(&self) -> Result<String, ShardError> {
-        let outcomes = self.reload_detailed();
-        let ok = outcomes.iter().filter(|(_, r)| r.is_ok()).count();
-        if ok == 0 {
-            let (_, first) = outcomes.into_iter().next().expect("sets are never empty");
-            return first;
-        }
-        Ok(format!("reloaded replicas={ok}/{}", self.replicas.len()))
-    }
-
-    fn reload_detailed(&self) -> Vec<(String, Result<String, ShardError>)> {
-        control_fanout(
-            self.replicas.iter().map(|replica| &replica.backend),
-            |backend| backend.reload(),
-            || Err(ShardError::Unavailable("replica backend panicked".to_owned())),
-        )
-    }
-
-    fn replica_status(&self) -> Vec<String> {
-        self.replicas
-            .iter()
-            .map(|replica| {
-                format!(
-                    "replica {} state={} in_flight={} rtt_p99={}us calls={}",
-                    replica.id,
-                    replica.state(),
-                    replica.in_flight.load(Ordering::Relaxed),
-                    replica.rtt.percentile(99.0).as_micros(),
-                    replica.rtt.count(),
-                )
-            })
-            .collect()
-    }
-
-    fn bind_metrics(&self, registry: &MetricsRegistry) {
-        for replica in &self.replicas {
-            let label = Some(("replica", replica.id.as_str()));
-            registry.adopt_gauge(REPLICA_STATE_METRIC, label, &replica.state_gauge);
-            registry.adopt_counter(REPLICA_OPENS_METRIC, label, &replica.opens);
-            registry.adopt_counter(REPLICA_RECOVERIES_METRIC, label, &replica.recoveries);
-        }
-        // Unlabelled: every set bound to one registry adds into the same
-        // series, the last beside the handle the router's `ServerStats`
-        // registered eagerly — so refusals surface in the router's `!stats`
-        // (`retry_exhausted=`) and `!metrics` directly.
-        registry.adopt_counter(HEDGES_METRIC, None, &self.hedges);
-        registry.adopt_counter(HEDGE_WINS_METRIC, None, &self.hedge_wins);
-        registry.adopt_counter(Metric::RetryExhausted.row().series, None, &self.retry_exhausted);
+impl<B: ShardBackend + 'static> From<Box<B>> for ReplicaSet {
+    fn from(backend: Box<B>) -> Self {
+        ReplicaSet::from(backend as Box<dyn ShardBackend>)
     }
 }
 
@@ -718,10 +655,154 @@ impl std::fmt::Debug for ReplicaSet {
     }
 }
 
+/// One set's part in a [`gather`].
+struct Call<'a> {
+    set: &'a ReplicaSet,
+    shard: usize,
+    /// The untried members, in pick order.
+    order: std::vec::IntoIter<usize>,
+    /// Dispatched calls whose replies have not arrived.
+    outstanding: usize,
+    /// When the hedge fires, while it is armed.
+    hedge_at: Option<Instant>,
+    /// The member the hedge went to.
+    hedged: Option<usize>,
+    /// The shard's replies and the time until they were ready, once it has
+    /// them.
+    answer: Option<(Replies, Duration)>,
+}
+
+impl Call<'_> {
+    fn untried(&self) -> bool {
+        self.order.len() > 0
+    }
+
+    /// Takes the shard's answer, `rtt` after the gather began.
+    fn finish(&mut self, replies: Replies, rtt: Duration) {
+        if let Some(histogram) = self.set.rtt.get() {
+            histogram.record(rtt);
+        }
+        self.answer = Some((replies, rtt));
+        self.hedge_at = None;
+    }
+
+    /// Dispatches to the next untried member in pick order, returning it.
+    fn dispatch_next(&mut self, batch: &Batch, gather: &mpsc::Sender<Reply>) -> Option<usize> {
+        let member = self.order.next()?;
+        self.outstanding += 1;
+        self.set.dispatch(member, batch, Some((gather, self.shard)));
+        Some(member)
+    }
+}
+
+/// Asks every set for `canonicals` (with their trace `ids`) at once: the one
+/// dispatcher behind the router's scatter and [`ReplicaSet::search`].
+///
+/// Each set's primary goes to the first member in its pick order, all
+/// replies come back on one channel tagged `(shard, member)`, and one loop
+/// sleeps until the next reply, the earliest armed hedge timer or
+/// `deadline`.  A success finishes its shard (a loser's later reply is
+/// dropped); a failure fails over to the next member if the retry budget
+/// pays; a hedge timer charges the budget and dispatches.  With no deadline
+/// and every set of one member, the first set is called on this thread
+/// instead: then nothing can hedge or fail over while the call runs, and no
+/// deadline would need it abandoned.
+///
+/// One entry per set: its replies and the time until they were ready (on
+/// the thread that called the backend, however late this loop reads them),
+/// or `None` for a set that had not answered by `deadline`.
+pub(crate) fn gather(
+    sets: &[ReplicaSet],
+    canonicals: &[String],
+    ids: &[u64],
+    deadline: Option<Instant>,
+) -> Vec<Option<(Replies, Duration)>> {
+    let started = Instant::now();
+    // Copied for the worker threads only if a call leaves this one.
+    let shared = OnceCell::new();
+    let batch = || shared.get_or_init(|| Arc::new((canonicals.to_vec(), ids.to_vec())));
+    let (respond, replies) = mpsc::channel();
+    let inline = deadline.is_none() && sets.iter().all(|set| set.members.len() == 1);
+    let mut calls: Vec<Call> = sets
+        .iter()
+        .enumerate()
+        .map(|(shard, set)| {
+            let order = set.pick(|index| set.dispatch(index, batch(), None)).into_iter();
+            let mut call = Call {
+                set,
+                shard,
+                order,
+                outstanding: 0,
+                hedge_at: None,
+                hedged: None,
+                answer: None,
+            };
+            if !(inline && shard == 0) {
+                call.dispatch_next(batch(), &respond);
+                if call.untried() {
+                    call.hedge_at = set.hedge_delay().map(|delay| started + delay);
+                }
+            }
+            call
+        })
+        .collect();
+    if let Some(call) = calls.first_mut().filter(|_| inline) {
+        let member = &call.set.members[0];
+        member.in_flight.fetch_add(1, Ordering::Relaxed);
+        let replies = member.call(canonicals, ids);
+        call.finish(replies, started.elapsed());
+    }
+    let mut waiting = calls.iter().filter(|call| call.answer.is_none()).count();
+    while waiting > 0 {
+        let wake = calls.iter().filter_map(|call| call.hedge_at).chain(deadline).min();
+        let reply = match wake {
+            Some(at) => replies.recv_timeout(at.saturating_duration_since(Instant::now())),
+            None => Ok(replies.recv().expect("the gather holds a sender")),
+        };
+        let Ok((shard, member, answer, ready)) = reply else {
+            // A timer: the deadline wins a tie, so no hedge leaves after it.
+            let now = Instant::now();
+            if deadline.is_some_and(|deadline| now >= deadline) {
+                break;
+            }
+            for call in calls.iter_mut().filter(|call| call.hedge_at.is_some_and(|at| now >= at)) {
+                call.hedge_at = None;
+                // A hedge is an extra dispatch and must be paid for; an
+                // empty budget leaves the call waiting on its primary.
+                if call.untried() && call.set.charge_retry() {
+                    call.hedged = call.dispatch_next(batch(), &respond);
+                    call.set.hedges.inc();
+                }
+            }
+            continue;
+        };
+        let call = &mut calls[shard];
+        call.outstanding -= 1;
+        if call.answer.is_some() {
+            continue;
+        }
+        let ok = answered(&answer);
+        if ok && call.hedged == Some(member) {
+            call.set.hedge_wins.inc();
+        }
+        // Fast failover: an error needs no timer, only the next member — if
+        // the retry budget can still fund one.
+        if !ok && call.untried() && call.set.charge_retry() {
+            call.dispatch_next(batch(), &respond);
+        }
+        if ok || call.outstanding == 0 {
+            call.finish(answer, ready.saturating_duration_since(started));
+            waiting -= 1;
+        }
+    }
+    calls.into_iter().map(|call| call.answer).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dsearch_query::RankedHit;
+    use std::sync::atomic::AtomicBool;
 
     /// A backend answering every query with one fixed hit, optionally after
     /// a delay.
@@ -875,7 +956,7 @@ mod tests {
         let err = set.search("rust").unwrap_err();
         assert!(matches!(err, ShardError::Unavailable(_)), "{err}");
         assert_eq!(set.retry_exhausted_count(), 1);
-        let line = set.stats_line().unwrap();
+        let line = set.summary_line();
         assert!(line.contains("retry_exhausted=1"), "{line}");
     }
 
@@ -901,10 +982,7 @@ mod tests {
         let agree = |set: &ReplicaSet| {
             let snapshot = registry.snapshot();
             let per_replica = |name| -> u64 {
-                set.replicas
-                    .iter()
-                    .map(|r| snapshot.labeled_counter(name, ("replica", &r.id)))
-                    .sum()
+                set.members.iter().map(|r| snapshot.labeled_counter(name, ("replica", &r.id))).sum()
             };
             assert_eq!(snapshot.counter(HEDGES_METRIC), set.hedge_count());
             assert_eq!(snapshot.counter(HEDGE_WINS_METRIC), set.hedge_win_count());
@@ -914,7 +992,7 @@ mod tests {
                 snapshot.counter(Metric::RetryExhausted.row().series),
                 set.retry_exhausted_count() + eager.value()
             );
-            for replica in &set.replicas {
+            for replica in &set.members {
                 assert_eq!(
                     snapshot.labeled_gauge(REPLICA_STATE_METRIC, ("replica", &replica.id)),
                     replica.state().as_gauge()
@@ -933,7 +1011,7 @@ mod tests {
         // The same atomics, not copies kept in step: whoever adds, both read.
         set.hedges.add(40);
         set.hedge_wins.add(4);
-        set.replicas[0].recoveries.add(2);
+        set.members[0].recoveries.add(2);
         agree(&set);
     }
 
@@ -960,28 +1038,114 @@ mod tests {
             no_hedge(),
         )
         .unwrap();
-        let line = set.stats_line().unwrap();
+        let line = set.summary_line();
         assert!(line.starts_with("replicas=2 healthy=2"), "{line}");
-        let status = set.replica_status();
+        let status = set.replica_lines();
         assert_eq!(status.len(), 2);
         assert!(status[0].starts_with("replica a state=closed"), "{}", status[0]);
     }
 
     #[test]
     fn reload_reports_per_replica_outcomes() {
+        use crate::batch::Executor;
+        use crate::route::{Router, RouterConfig};
         let set = ReplicaSet::new(
             "s",
             vec![Box::new(FixedShard::new("a")), Box::new(DownShard)],
             no_hedge(),
         )
         .unwrap();
-        let detailed = set.reload_detailed();
-        assert_eq!(detailed.len(), 2);
-        assert!(detailed.iter().any(|(id, r)| id == "a" && r.is_ok()));
-        assert!(detailed.iter().any(|(id, r)| id == "down" && r.is_err()));
+        let detailed = Router::new(vec![set], RouterConfig::default()).unwrap().reload_answer();
+        assert!(detailed.contains("# shard a reload ok: "), "{detailed}");
+        assert!(detailed.contains("# shard down reload err="), "{detailed}");
         // Mixed outcome: the aggregate succeeds with a count.
-        assert_eq!(set.reload().unwrap(), "reloaded replicas=1/2");
+        assert!(detailed.starts_with("OK reloaded shards=1/2 failed=1"), "{detailed}");
         let all_down = ReplicaSet::new("s", vec![Box::new(DownShard)], no_hedge()).unwrap();
-        assert!(all_down.reload().is_err());
+        let answer = Router::new(vec![all_down], RouterConfig::default()).unwrap().reload_answer();
+        assert!(answer.starts_with("ERR "), "{answer}");
+    }
+
+    /// A backend that fails while `down` is set, counting the calls that
+    /// reach it.
+    struct SwitchShard {
+        id: &'static str,
+        down: Arc<AtomicBool>,
+        calls: Arc<AtomicU64>,
+    }
+
+    impl ShardBackend for SwitchShard {
+        fn id(&self) -> String {
+            self.id.to_owned()
+        }
+
+        fn search(&self, canonical: &str) -> Result<ShardReply, ShardError> {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            if self.down.load(Ordering::SeqCst) {
+                return Err(ShardError::Unavailable("down".to_owned()));
+            }
+            FixedShard::new(self.id).search(canonical)
+        }
+
+        fn stats_line(&self) -> Result<String, ShardError> {
+            Ok("queries=0".to_owned())
+        }
+
+        fn reload(&self) -> Result<String, ShardError> {
+            Ok("reloaded generation=1".to_owned())
+        }
+    }
+
+    /// A set of `SwitchShard`s sharing one switch and one call counter;
+    /// breakers open on the first failure and may be probed at once.
+    fn switched(ids: &[&'static str]) -> (ReplicaSet, Arc<AtomicBool>, Arc<AtomicU64>) {
+        let (down, calls) = (Arc::new(AtomicBool::new(true)), Arc::new(AtomicU64::new(0)));
+        let members = ids
+            .iter()
+            .map(|&id| {
+                let (down, calls) = (Arc::clone(&down), Arc::clone(&calls));
+                Box::new(SwitchShard { id, down, calls }) as Box<dyn ShardBackend>
+            })
+            .collect();
+        let config =
+            ReplicaSetConfig { failure_threshold: 1, probe_backoff: Duration::ZERO, ..no_hedge() };
+        (ReplicaSet::new("s", members, config).unwrap(), down, calls)
+    }
+
+    /// Waits until no member has a call in flight (a mirrored probe's
+    /// reply is nobody's to wait for).
+    fn drain(set: &ReplicaSet) {
+        let started = Instant::now();
+        while set.members.iter().any(|m| m.in_flight.load(Ordering::SeqCst) > 0) {
+            assert!(started.elapsed() < Duration::from_secs(2), "a call never completed");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_lone_open_member_is_probed_by_the_primary_not_called_twice() {
+        let (set, _down, calls) = switched(&["a"]);
+        assert!(set.search("rust").is_err());
+        assert_eq!(set.replica_states()[0].1, ReplicaState::Open);
+        // The backoff has elapsed: this call is the probe, and the one call.
+        assert!(set.search("rust").is_err());
+        drain(&set);
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "the probe doubled as a second call");
+        assert_eq!(set.probe_count(), 1);
+    }
+
+    #[test]
+    fn with_no_member_closed_every_due_member_is_probed_once() {
+        let (set, down, calls) = switched(&["a", "b"]);
+        // The primary fails, the failover fails: both members open.
+        assert!(set.search("rust").is_err());
+        assert!(set.replica_states().iter().all(|(_, s)| *s == ReplicaState::Open));
+        // Both are back.  One query: the primary is `a`'s probe, and the
+        // batch is mirrored to `b` as its probe.
+        down.store(false, Ordering::SeqCst);
+        assert!(set.search("rust").is_ok());
+        drain(&set);
+        let states = set.replica_states();
+        assert!(states.iter().all(|(_, s)| *s == ReplicaState::Closed), "{states:?}");
+        assert_eq!((set.probe_count(), calls.load(Ordering::SeqCst)), (2, 4));
     }
 }

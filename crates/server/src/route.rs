@@ -10,18 +10,17 @@
 //!   a `dsearch serve` process — the same bytes a human types at the
 //!   prompt).
 //! * [`Router`] — fans each query (and each drained batch) out to every
-//!   backend concurrently, merges the per-shard rankings through the k-way
+//!   shard concurrently, merges the per-shard rankings through the k-way
 //!   machinery in [`dsearch_query::merge_ranked`], and degrades gracefully:
 //!   a shard that is down or times out costs its hits, not the response —
 //!   the answer is flagged `partial=true` and the failure is counted as
 //!   `shard_errors=` in `!stats`.  Only when *every* shard fails does the
 //!   client see an error.
-//! * `BackendWorker` — the persistent thread that owns the calls to one
-//!   backend: the router keeps one per shard, a
-//!   [`ReplicaSet`](crate::replica::ReplicaSet) one per replica, each with
-//!   its own completion hook (round-trip histogram; breaker and in-flight
-//!   bookkeeping).  A backend that panics fails the batch it was answering
-//!   (`unavailable: … panicked`), never the thread.
+//! * Every shard is a [`ReplicaSet`] — a plain backend is a set of one —
+//!   and the scatter is the replica module's one gather over all of them:
+//!   one worker thread per backend, one pick, and one loop that waits for
+//!   replies, hedge timers and the query's deadline together.  `!stats`
+//!   and `!reload` reach every member directly.
 //! * The router is an [`Executor`]: [`RouterPool`] and
 //!   [`RouteService`](crate::serve::RouteService) are the shared
 //!   [`Pool`] and [`LineService`](crate::serve::LineService) over it, so
@@ -33,16 +32,16 @@
 //! process numbers its own documents from zero), so cross-shard merging keys
 //! on paths — see [`RankedHit`].
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use dsearch_obs::{next_trace_id, MetricsRegistry, QueryTrace, ShardSpan, Span, Stage};
+use dsearch_obs::{next_trace_id, QueryTrace, ShardSpan, Span, Stage};
 use dsearch_query::{merge_ranked, RankedHit};
 
 use crate::batch::{Answer, BatchConfig, BatchFrame, Executor, Pending, Pool};
@@ -52,6 +51,7 @@ use crate::protocol::{
     parse_hit_line, prefix_deadline_ms, prefix_trace_id, read_response, render_error_text,
     render_info_with_body, render_routed_response, split_request_meta,
 };
+use crate::replica::{gather, ReplicaSet};
 use crate::stats::{DeadlineStage, Metric, ServerStats};
 
 /// Why a shard could not answer a query.
@@ -91,6 +91,9 @@ pub struct ShardReply {
     pub stages: Vec<Span>,
 }
 
+/// One backend's replies to a batch, one per query in order.
+pub(crate) type Replies = Vec<Result<ShardReply, ShardError>>;
+
 /// Where a set of index shards lives and how to query it.
 ///
 /// The router treats every backend identically: queries are sent in
@@ -110,25 +113,15 @@ pub trait ShardBackend: Send + Sync {
     fn search(&self, canonical: &str) -> Result<ShardReply, ShardError>;
 
     /// Answers a batch of canonical queries, one result per input in order.
-    /// The default fans out one call per query; remote shards override this
-    /// to pipeline the whole batch over one connection.
-    fn search_batch(&self, canonicals: &[String]) -> Vec<Result<ShardReply, ShardError>> {
-        canonicals.iter().map(|c| self.search(c)).collect()
-    }
-
-    /// Answers a batch of canonical queries carrying trace ids — `ids[i]`
-    /// belongs to `canonicals[i]`, zero meaning untraced — so a distributed
-    /// trace can be joined across the router's and the shard's slow-query
-    /// logs.  The default ignores the ids and delegates to
-    /// [`search_batch`](ShardBackend::search_batch); backends that understand
-    /// tracing also return their stage breakdowns in the replies.
-    fn search_batch_traced(
-        &self,
-        canonicals: &[String],
-        ids: &[u64],
-    ) -> Vec<Result<ShardReply, ShardError>> {
+    /// `ids[i]` is the trace id of `canonicals[i]`, zero meaning untraced,
+    /// so a distributed trace can be joined across the router's and the
+    /// shard's slow-query logs; backends that understand tracing also return
+    /// their stage breakdowns in the replies.  The default ignores the ids
+    /// and makes one call per query; local and remote shards override it to
+    /// answer the whole batch at once.
+    fn search_batch(&self, canonicals: &[String], ids: &[u64]) -> Replies {
         let _ = ids;
-        self.search_batch(canonicals)
+        canonicals.iter().map(|c| self.search(c)).collect()
     }
 
     /// The shard's one-line stats report (the `!stats` status line).
@@ -144,29 +137,15 @@ pub trait ShardBackend: Send + Sync {
     ///
     /// Reports transport failures and shard-side refusals.
     fn reload(&self) -> Result<String, ShardError>;
+}
 
-    /// Per-member reload outcomes, one per underlying backend, so a member
-    /// whose reload fails is never indistinguishable from success in an
-    /// aggregate line.  The default reports the backend as its own single
-    /// member; composite backends (a replica set) fan out.
-    fn reload_detailed(&self) -> Vec<(String, Result<String, ShardError>)> {
-        vec![(self.id(), self.reload())]
+/// `canonicals` with their trace ids as `@<hex id>` prefixes, or as they are
+/// when none is traced — the untraced hot path copies nothing.
+fn with_trace_ids<'a>(canonicals: &'a [String], ids: &[u64]) -> Cow<'a, [String]> {
+    if ids.iter().all(|&id| id == 0) {
+        return Cow::Borrowed(canonicals);
     }
-
-    /// Extra `!stats` body lines describing this backend's internal members
-    /// (one line per replica, with breaker state, for a replica set).  The
-    /// default has none.
-    fn replica_status(&self) -> Vec<String> {
-        Vec::new()
-    }
-
-    /// Interns this backend's own metrics — replica health gauges, hedge
-    /// counters — into `registry`, the router's, so they surface through the
-    /// router's `!metrics`.  Called once at router construction; the default
-    /// does nothing.
-    fn bind_metrics(&self, registry: &MetricsRegistry) {
-        let _ = registry;
-    }
+    Cow::Owned(canonicals.iter().zip(ids).map(|(c, &id)| prefix_trace_id(id, c)).collect())
 }
 
 /// Today's in-process serving path as a [`ShardBackend`]: a sealed
@@ -226,30 +205,14 @@ impl ShardBackend for LocalShards {
         LocalShards::convert(self.engine.execute(canonical), false)
     }
 
-    fn search_batch(&self, canonicals: &[String]) -> Vec<Result<ShardReply, ShardError>> {
-        let raws: Vec<&str> = canonicals.iter().map(String::as_str).collect();
-        self.engine
-            .execute_batch(&raws)
-            .into_iter()
-            .map(|r| LocalShards::convert(r, false))
-            .collect()
-    }
-
-    fn search_batch_traced(
-        &self,
-        canonicals: &[String],
-        ids: &[u64],
-    ) -> Vec<Result<ShardReply, ShardError>> {
-        if ids.iter().all(|&id| id == 0) {
-            return self.search_batch(canonicals);
-        }
-        let lines: Vec<String> =
-            canonicals.iter().zip(ids).map(|(c, &id)| prefix_trace_id(id, c)).collect();
+    fn search_batch(&self, canonicals: &[String], ids: &[u64]) -> Replies {
+        let lines = with_trace_ids(canonicals, ids);
+        let traced = matches!(lines, Cow::Owned(_));
         let raws: Vec<&str> = lines.iter().map(String::as_str).collect();
         self.engine
             .execute_batch(&raws)
             .into_iter()
-            .map(|r| LocalShards::convert(r, true))
+            .map(|r| LocalShards::convert(r, traced))
             .collect()
     }
 
@@ -475,6 +438,17 @@ impl RemoteShard {
         Ok(responses)
     }
 
+    /// Sends one control line (`!stats`, `!reload`) and returns its status.
+    fn control(&self, line: &str) -> Result<String, ShardError> {
+        let response =
+            self.exchange(&[line.to_owned()])?.pop().expect("one request in, one response out");
+        if response.ok {
+            Ok(response.status)
+        } else {
+            Err(ShardError::Rejected(response.status))
+        }
+    }
+
     fn reply_from(
         &self,
         response: crate::protocol::ParsedResponse,
@@ -510,51 +484,22 @@ impl ShardBackend for RemoteShard {
     }
 
     fn search(&self, canonical: &str) -> Result<ShardReply, ShardError> {
-        self.search_batch(std::slice::from_ref(&canonical.to_owned()))
-            .pop()
-            .expect("one query in, one reply out")
+        self.search_batch(&[canonical.to_owned()], &[0]).pop().expect("one query in, one reply out")
     }
 
-    fn search_batch(&self, canonicals: &[String]) -> Vec<Result<ShardReply, ShardError>> {
-        match self.exchange(canonicals) {
+    fn search_batch(&self, canonicals: &[String], ids: &[u64]) -> Replies {
+        match self.exchange(&with_trace_ids(canonicals, ids)) {
             Ok(responses) => responses.into_iter().map(|r| self.reply_from(r)).collect(),
             Err(e) => vec![Err(e); canonicals.len()],
         }
     }
 
-    fn search_batch_traced(
-        &self,
-        canonicals: &[String],
-        ids: &[u64],
-    ) -> Vec<Result<ShardReply, ShardError>> {
-        if ids.iter().all(|&id| id == 0) {
-            return self.search_batch(canonicals);
-        }
-        let lines: Vec<String> =
-            canonicals.iter().zip(ids).map(|(c, &id)| prefix_trace_id(id, c)).collect();
-        self.search_batch(&lines)
-    }
-
     fn stats_line(&self) -> Result<String, ShardError> {
-        let response =
-            self.exchange(&["!stats".to_owned()])?.pop().expect("one request in, one response out");
-        if response.ok {
-            Ok(response.status)
-        } else {
-            Err(ShardError::Rejected(response.status))
-        }
+        self.control("!stats")
     }
 
     fn reload(&self) -> Result<String, ShardError> {
-        let response = self
-            .exchange(&["!reload".to_owned()])?
-            .pop()
-            .expect("one request in, one response out");
-        if response.ok {
-            Ok(response.status)
-        } else {
-            Err(ShardError::Rejected(response.status))
-        }
+        self.control("!reload")
     }
 }
 
@@ -665,122 +610,19 @@ impl RoutedResponse {
 }
 
 /// What a query reads of a backend whose call panicked.
-fn backend_panicked() -> ShardError {
+pub(crate) fn backend_panicked() -> ShardError {
     ShardError::Unavailable("shard backend panicked".to_owned())
 }
 
-/// One backend's answers for a whole batch, plus the round trip its
-/// [`BackendWorker`] observed around the call.
-pub(crate) type TimedReplies = (Vec<Result<ShardReply, ShardError>>, Duration);
-
-/// The gather side of a fan-out: `(backend index, timed replies)`.
-pub(crate) type GatherSender = mpsc::Sender<(usize, TimedReplies)>;
-
-/// One batch handed to a [`BackendWorker`]'s thread.
-struct BackendTask {
-    canonicals: Arc<Vec<String>>,
-    ids: Arc<Vec<u64>>,
-    respond: Option<GatherSender>,
-    index: usize,
+/// What a query reads of a shard that had not answered by its deadline.
+fn missed_deadline() -> ShardError {
+    ShardError::Unavailable("deadline exceeded waiting for shard".to_owned())
 }
 
-/// The guarded call to one backend, shared by its worker thread and callers
-/// that run it on their own thread.
-type BackendCall = dyn Fn(&[String], &[u64]) -> TimedReplies + Send + Sync;
-
-/// A persistent worker thread owning the calls to one backend.  Spawning a
-/// thread per scatter would cost tens of microseconds per query; a
-/// long-lived worker per backend makes the fan-out a channel send, and a
-/// reply nobody waits for any more (a scatter past its deadline, a hedge
-/// that lost) is drained here.
-pub(crate) struct BackendWorker {
-    call: Arc<BackendCall>,
-    /// `None` only while dropping (closing the channel ends the thread).
-    tasks: Option<mpsc::Sender<BackendTask>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl BackendWorker {
-    /// Starts the worker for `backend`.  `on_complete` sees every finished
-    /// call — answered, failed or abandoned — before its replies are sent.
-    pub(crate) fn spawn(
-        backend: Arc<dyn ShardBackend>,
-        on_complete: impl Fn(&TimedReplies) + Send + Sync + 'static,
-    ) -> Self {
-        let call: Arc<BackendCall> = Arc::new(move |canonicals, ids| {
-            let sent = Instant::now();
-            // A panicking backend must not kill the worker: gathers count
-            // outstanding dispatches, and the shard would read "worker died"
-            // on every later query.
-            let replies =
-                catch_unwind(AssertUnwindSafe(|| backend.search_batch_traced(canonicals, ids)))
-                    .unwrap_or_else(|_| vec![Err(backend_panicked()); canonicals.len()]);
-            let timed = (replies, sent.elapsed());
-            on_complete(&timed);
-            timed
-        });
-        let (tasks, receiver) = mpsc::channel::<BackendTask>();
-        let on_thread = Arc::clone(&call);
-        let handle = std::thread::spawn(move || {
-            while let Ok(task) = receiver.recv() {
-                let timed = on_thread(&task.canonicals, &task.ids);
-                if let Some(respond) = task.respond {
-                    // The gather may have given up on this call; fine.
-                    let _ = respond.send((task.index, timed));
-                }
-            }
-        });
-        BackendWorker { call, tasks: Some(tasks), handle: Some(handle) }
-    }
-
-    /// Queues one call: the canonical queries, one trace id per canonical
-    /// (zeroes on the untraced path), and the channel the replies travel
-    /// back on, tagged `index` so the gather can line results up.  With
-    /// `respond: None` nobody waits (a replica probe) and only the completion
-    /// hook sees the replies.  `false` when the worker is gone (only while
-    /// dropping).
-    pub(crate) fn dispatch(
-        &self,
-        canonicals: &Arc<Vec<String>>,
-        ids: &Arc<Vec<u64>>,
-        respond: Option<&GatherSender>,
-        index: usize,
-    ) -> bool {
-        let task = BackendTask {
-            canonicals: Arc::clone(canonicals),
-            ids: Arc::clone(ids),
-            respond: respond.cloned(),
-            index,
-        };
-        self.tasks.as_ref().is_some_and(|tasks| tasks.send(task).is_ok())
-    }
-
-    /// The same guarded call, hook included, on the caller's own thread.
-    pub(crate) fn call_inline(&self, canonicals: &[String], ids: &[u64]) -> TimedReplies {
-        (self.call)(canonicals, ids)
-    }
-}
-
-impl Drop for BackendWorker {
-    fn drop(&mut self) {
-        // Close the channel first so the thread observes the end of the
-        // stream, then join it.
-        self.tasks.take();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The scatter-gather coordinator: fans queries out to every
-/// [`ShardBackend`], merges the rankings, and tolerates missing shards.
+/// The scatter-gather coordinator: fans queries out to every shard (a
+/// [`ReplicaSet`]), merges the rankings, and tolerates missing shards.
 pub struct Router {
-    backends: Vec<Arc<dyn ShardBackend>>,
-    /// One persistent worker per backend (same order).  Each feeds every
-    /// round trip it observes to its backend's `dsearch_shard_rtt_ns{shard=…}`
-    /// histogram, interned once so the scatter hot path never touches the
-    /// registry lock.
-    fanout: Vec<BackendWorker>,
+    shards: Vec<ReplicaSet>,
     /// Merged complete answers keyed by canonical query and the router's
     /// reload epoch; `None` when disabled.  Partial answers are never
     /// inserted, so a recovered shard is always re-asked.
@@ -790,36 +632,30 @@ pub struct Router {
 }
 
 impl Router {
-    /// Builds a router over `backends`.
+    /// Builds a router over `shards`: replica sets, or plain backends (each
+    /// a set of one).
     ///
     /// # Errors
     ///
-    /// Fails when `backends` is empty or the configuration is invalid.
-    pub fn new(
-        backends: Vec<Box<dyn ShardBackend>>,
+    /// Fails when `shards` is empty or the configuration is invalid.
+    pub fn new<S: Into<ReplicaSet>>(
+        shards: Vec<S>,
         config: RouterConfig,
     ) -> Result<Arc<Self>, ConfigError> {
         config.validate()?;
-        if backends.is_empty() {
+        if shards.is_empty() {
             return Err(ConfigError::NoShards);
         }
-        let backends: Vec<Arc<dyn ShardBackend>> = backends.into_iter().map(Arc::from).collect();
+        let shards: Vec<ReplicaSet> = shards.into_iter().map(Into::into).collect();
         let stats = ServerStats::new();
-        for backend in &backends {
-            backend.bind_metrics(stats.registry());
+        for set in &shards {
+            set.bind_metrics(stats.registry());
         }
-        let fanout = backends
-            .iter()
-            .map(|backend| {
-                let rtt_hist = stats.shard_rtt_histogram(&backend.id());
-                BackendWorker::spawn(Arc::clone(backend), move |(_, rtt)| rtt_hist.record(*rtt))
-            })
-            .collect();
         let cache = (config.cache_capacity > 0).then(|| {
             QueryCache::new(config.cache_capacity, config.cache_shards).counting_into(&stats)
         });
         stats.gauge(Metric::Generation).set(1);
-        Ok(Arc::new(Router { backends, fanout, cache, config, stats }))
+        Ok(Arc::new(Router { shards, cache, config, stats }))
     }
 
     /// The current reload epoch (part of every cache key): the router's
@@ -841,10 +677,15 @@ impl Router {
         self.cache.as_ref().map(QueryCache::counters).unwrap_or_default()
     }
 
-    /// The configured backends.
+    /// The shards, in `--shard` order.
     #[must_use]
-    pub fn backends(&self) -> &[Arc<dyn ShardBackend>] {
-        &self.backends
+    pub fn shards(&self) -> &[ReplicaSet] {
+        &self.shards
+    }
+
+    /// Every member of every shard, in shard order.
+    fn members(&self) -> impl Iterator<Item = &dyn ShardBackend> {
+        self.shards.iter().flat_map(ReplicaSet::backends)
     }
 
     /// The router's configuration.
@@ -876,84 +717,12 @@ impl Router {
     pub fn route_batch(&self, raws: &[&str]) -> Vec<Result<RoutedResponse, ServerError>> {
         self.run_batch(raws, Instant::now(), Duration::ZERO)
     }
-
-    /// One `search_batch_traced` per backend, concurrently: the scatter.
-    /// Each backend's persistent worker receives the batch over a channel
-    /// and reports its round trip.  With no deadline to watch, the first
-    /// backend is called on this thread instead, while the others' workers
-    /// call theirs: one hand-off fewer per scatter, none at all over a single
-    /// backend.
-    ///
-    /// With a `deadline` every backend is dispatched — a call on this thread
-    /// could not be abandoned — and the gather never waits past it: backends
-    /// that have not answered by then count as unavailable and the second
-    /// return value is `true` — the scatter degraded instead of hanging.  The
-    /// abandoned worker finishes (and discards) its reply in the
-    /// background, so a stalled shard delays its own next scatter, never
-    /// this one.
-    fn scatter(
-        &self,
-        lines: &[String],
-        ids: &[u64],
-        deadline: Option<Instant>,
-    ) -> (Vec<TimedReplies>, bool) {
-        // Backends from this one on go to their workers; the one before it,
-        // if there is one, is called here.
-        let first_dispatched = usize::from(deadline.is_none());
-        let (respond, gathered) = mpsc::channel();
-        let mut pending = 0usize;
-        let mut replies: Vec<Option<TimedReplies>> = self.backends.iter().map(|_| None).collect();
-        if first_dispatched < self.fanout.len() {
-            let lines = Arc::new(lines.to_vec());
-            let ids = Arc::new(ids.to_vec());
-            for (index, worker) in self.fanout.iter().enumerate().skip(first_dispatched) {
-                if worker.dispatch(&lines, &ids, Some(&respond), index) {
-                    pending += 1;
-                }
-            }
-        }
-        if first_dispatched == 1 {
-            replies[0] = Some(self.fanout[0].call_inline(lines, ids));
-        }
-        drop(respond);
-        let mut expired = false;
-        for _ in 0..pending {
-            let received = match deadline {
-                None => gathered.recv().ok(),
-                Some(deadline) => {
-                    let budget = deadline.saturating_duration_since(Instant::now());
-                    if budget.is_zero() {
-                        expired = true;
-                        break;
-                    }
-                    match gathered.recv_timeout(budget) {
-                        Ok(received) => Some(received),
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            expired = true;
-                            break;
-                        }
-                        Err(mpsc::RecvTimeoutError::Disconnected) => None,
-                    }
-                }
-            };
-            let Some((index, timed)) = received else { break };
-            replies[index] = Some(timed);
-        }
-        let missing =
-            if expired { "deadline exceeded waiting for shard" } else { "shard worker died" };
-        let missing = vec![Err(ShardError::Unavailable(missing.to_owned())); lines.len()];
-        let replies = replies
-            .into_iter()
-            .map(|slot| slot.unwrap_or_else(|| (missing.clone(), Duration::ZERO)))
-            .collect();
-        (replies, expired)
-    }
 }
 
 impl std::fmt::Debug for Router {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
-            .field("backends", &self.backends.len())
+            .field("shards", &self.shards.len())
             .field("config", &self.config)
             .finish()
     }
@@ -970,24 +739,20 @@ pub type PendingRoutedResponse = Pending<RoutedResponse>;
 /// report.
 const AGGREGATED_FIELDS: &[&str] = &["queries", "errors", "shed", "batched", "dedup_hits"];
 
-/// One control-plane call per backend, concurrently: a down shard costs the
-/// report one connect timeout, not one per shard in sequence.  `on_panic`
-/// supplies the result for a backend that panicked mid-call.
-pub(crate) fn control_fanout<'a, R: Send>(
-    backends: impl Iterator<Item = &'a Arc<dyn ShardBackend>>,
-    call: impl Fn(&dyn ShardBackend) -> R + Sync,
-    on_panic: impl Fn() -> R,
-) -> Vec<(String, R)> {
+/// One control-plane call per member, concurrently: a down member costs the
+/// report one connect timeout, not one per member in sequence.  A member
+/// whose call panicked reads as [`backend_panicked`].
+fn control_fanout<'a>(
+    members: impl Iterator<Item = &'a dyn ShardBackend>,
+    call: impl Fn(&dyn ShardBackend) -> Result<String, ShardError> + Sync,
+) -> Vec<(String, Result<String, ShardError>)> {
+    let call = &call;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = backends
-            .map(|backend| {
-                let call = &call;
-                scope.spawn(move || (backend.id(), call(&**backend)))
-            })
-            .collect();
+        let handles: Vec<_> =
+            members.map(|member| (member.id(), scope.spawn(move || call(member)))).collect();
         handles
             .into_iter()
-            .map(|handle| handle.join().unwrap_or_else(|_| ("unknown".to_owned(), on_panic())))
+            .map(|(id, handle)| (id, handle.join().unwrap_or_else(|_| Err(backend_panicked()))))
             .collect()
     })
 }
@@ -1033,7 +798,7 @@ impl Executor for Router {
         let respond = |query: &str, hits, shard_failures, deadline_exceeded| RoutedResponse {
             query: query.to_owned(),
             hits,
-            shards_total: self.backends.len(),
+            shards_total: self.shards.len(),
             shard_failures,
             deadline_exceeded,
             latency: Duration::ZERO,
@@ -1086,39 +851,52 @@ impl Executor for Router {
                     None => (*canonical).clone(),
                 })
                 .collect();
-            let (mut per_backend, scatter_expired) =
-                self.scatter(&wire_lines, &shard_ids, batch_deadline);
+            // The scatter: one gather over every shard, which never waits
+            // past the batch deadline.  A shard with no answer by then counts
+            // as unavailable — the scatter degrades instead of hanging — and
+            // its call finishes (and is discarded) on its member's thread.
+            let gathered = gather(&self.shards, &wire_lines, &shard_ids, batch_deadline);
             let scatter_done = Instant::now();
             frame.trace.record(Stage::Scatter, scatter_done.saturating_duration_since(parse_done));
+            let scatter_expired = gathered.iter().any(Option::is_none);
+            let mut per_shard: Vec<(Replies, Duration)> = gathered
+                .into_iter()
+                .map(|answer| {
+                    answer.unwrap_or_else(|| {
+                        (vec![Err(missed_deadline()); wire_lines.len()], Duration::ZERO)
+                    })
+                })
+                .collect();
             if traced {
-                // One timing block per backend.  Shard-side stage spans are
+                // One timing block per shard.  Shard-side stage spans are
                 // batch-shared, so the first reply represents the batch.
-                for (backend, (replies, rtt)) in self.backends.iter().zip(&per_backend) {
+                for (set, (replies, rtt)) in self.shards.iter().zip(&per_shard) {
                     let stages = match replies.first() {
                         Some(Ok(reply)) => reply.stages.clone(),
                         _ => Vec::new(),
                     };
-                    frame.trace.push_shard(ShardSpan { shard: backend.id(), rtt: *rtt, stages });
+                    let shard = set.id().to_owned();
+                    frame.trace.push_shard(ShardSpan { shard, rtt: *rtt, stages });
                 }
             }
-            // Walk the groups back-to-front so each backend's reply for the
+            // Walk the groups back-to-front so each shard's reply for the
             // current query can be popped (moved, not cloned) off its vec.
             for ((canonical, group), group_deadline) in
                 groups.iter().rev().zip(group_deadlines.iter().rev())
             {
-                let mut parts: Vec<Vec<RankedHit>> = Vec::with_capacity(self.backends.len());
+                let mut parts: Vec<Vec<RankedHit>> = Vec::with_capacity(self.shards.len());
                 let mut failures: Vec<(String, ShardError)> = Vec::new();
-                for (backend, (replies, _)) in self.backends.iter().zip(&mut per_backend) {
-                    match replies.pop().expect("one reply per canonical per backend") {
+                for (set, (replies, _)) in self.shards.iter().zip(&mut per_shard) {
+                    match replies.pop().expect("one reply per canonical per shard") {
                         Ok(reply) => parts.push(reply.hits),
-                        Err(e) => failures.push((backend.id(), e)),
+                        Err(e) => failures.push((set.id().to_owned(), e)),
                     }
                 }
                 if !failures.is_empty() {
                     self.stats.add(Metric::ShardErrors, failures.len() as u64);
                 }
                 let deadline_expired = scatter_expired && group_deadline.is_some();
-                let result = if failures.len() == self.backends.len() {
+                let result = if failures.len() == self.shards.len() {
                     if deadline_expired {
                         // No shard made the budget: the deadline, not the
                         // shards, is what failed the query.
@@ -1169,36 +947,38 @@ impl Executor for Router {
 
     /// The router's own counters on the status line — the same rendering of
     /// the same table as a shard's (`shard_errors=` and `partial=` count
-    /// here) — then per-shard stats aggregated into `shards_*=` sums, and one
-    /// body line per shard (`shard <id> <stats>` or `shard <id> DOWN <why>`).
+    /// here) — then every member's stats summed into `shards_*=`, and one
+    /// body line per shard: a set of one shows its member's line, a larger
+    /// set its summary and then one line per replica, and a shard none of
+    /// whose members answered is `shard <id> DOWN <why>`.
     fn stats_answer(&self) -> String {
         self.refresh_gauges();
         let mut sums: BTreeMap<&str, u64> = AGGREGATED_FIELDS.iter().map(|f| (*f, 0)).collect();
         let mut down = 0usize;
-        let mut body = Vec::with_capacity(self.backends.len());
-        let reports = control_fanout(
-            self.backends.iter(),
-            |backend| (backend.stats_line(), backend.replica_status()),
-            || (Err(backend_panicked()), Vec::new()),
-        );
-        for (id, (result, replicas)) in reports {
-            match result {
-                Ok(line) => {
-                    for token in line.split_whitespace() {
-                        let Some((name, value)) = token.split_once('=') else { continue };
-                        if let (Some(sum), Ok(value)) = (sums.get_mut(name), value.parse::<u64>()) {
-                            *sum += value;
-                        }
-                    }
-                    body.push(format!("shard {id} {line}"));
-                }
-                Err(e) => {
-                    down += 1;
-                    body.push(format!("shard {id} DOWN {e}"));
+        let mut body = Vec::with_capacity(self.shards.len());
+        let mut reports = control_fanout(self.members(), |member| member.stats_line()).into_iter();
+        for set in &self.shards {
+            let lines: Vec<_> =
+                reports.by_ref().take(set.replica_count()).map(|(_, r)| r).collect();
+            let answered: Vec<&String> = lines.iter().flatten().collect();
+            for token in answered.iter().flat_map(|line| line.split_whitespace()) {
+                let Some((name, value)) = token.split_once('=') else { continue };
+                if let (Some(sum), Ok(value)) = (sums.get_mut(name), value.parse::<u64>()) {
+                    *sum += value;
                 }
             }
-            for line in replicas {
-                body.push(format!("shard {id} {line}"));
+            let head = match (&answered[..], &lines[..]) {
+                ([], [Err(e), ..]) => {
+                    down += 1;
+                    format!("DOWN {e}")
+                }
+                ([line], [_]) => (*line).clone(),
+                _ => set.summary_line(),
+            };
+            let id = set.id();
+            body.push(format!("shard {id} {head}"));
+            if lines.len() > 1 {
+                body.extend(set.replica_lines().iter().map(|line| format!("shard {id} {line}")));
             }
         }
         let aggregated: Vec<String> = AGGREGATED_FIELDS
@@ -1208,36 +988,28 @@ impl Executor for Router {
         let status = format!(
             "router {} shards={} shards_down={down} {}",
             self.stats.render(),
-            self.backends.len(),
+            self.shards.len(),
             aggregated.join(" "),
         );
         render_info_with_body(&status, body)
     }
 
-    /// One `# shard <id> reload ok|err=` body line per underlying backend
-    /// (replica-set members individually), and a summary counting both
-    /// sides — a member whose reload was refused is never folded into an
-    /// aggregate success.
+    /// One `# shard <id> reload ok|err=` body line per member, and a summary
+    /// counting both sides — a member whose reload was refused is never
+    /// folded into an aggregate success.
     fn reload_answer(&self) -> String {
-        let mut body = Vec::with_capacity(self.backends.len());
+        let mut body = Vec::with_capacity(self.shards.len());
         let mut ok = 0usize;
         let mut failed = 0usize;
-        let outcomes = control_fanout(
-            self.backends.iter(),
-            |backend| backend.reload_detailed(),
-            || vec![("unknown".to_owned(), Err(backend_panicked()))],
-        );
-        for (_, members) in outcomes {
-            for (id, result) in members {
-                match result {
-                    Ok(line) => {
-                        ok += 1;
-                        body.push(format!("# shard {id} reload ok: {line}"));
-                    }
-                    Err(e) => {
-                        failed += 1;
-                        body.push(format!("# shard {id} reload err={e}"));
-                    }
+        for (id, result) in control_fanout(self.members(), |member| member.reload()) {
+            match result {
+                Ok(line) => {
+                    ok += 1;
+                    body.push(format!("# shard {id} reload ok: {line}"));
+                }
+                Err(e) => {
+                    failed += 1;
+                    body.push(format!("# shard {id} reload err={e}"));
                 }
             }
         }
@@ -1281,8 +1053,10 @@ impl Answer for RoutedResponse {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::replica::ReplicaSetConfig;
     use crate::serve::{Handled, LineHandler, RouteService};
     use crate::snapshot::IndexSnapshot;
+    use crate::stats::SHARD_RTT_METRIC;
     use dsearch_index::{DocTable, InMemoryIndex};
     use dsearch_text::Term;
 
@@ -1367,7 +1141,7 @@ mod tests {
     #[test]
     fn router_requires_backends_and_valid_config() {
         assert_eq!(
-            Router::new(vec![], RouterConfig::default()).unwrap_err(),
+            Router::new(Vec::<ReplicaSet>::new(), RouterConfig::default()).unwrap_err(),
             ConfigError::NoShards
         );
         let config = RouterConfig { workers: 0, ..RouterConfig::default() };
@@ -1670,6 +1444,143 @@ mod tests {
         assert!(!response.partial());
         assert!(!response.deadline_exceeded);
         assert_eq!(response.hits.len(), 1);
+    }
+
+    #[test]
+    fn the_routers_gather_hedges_within_the_deadline_and_never_after_it() {
+        let set = ReplicaSet::new(
+            "set",
+            vec![
+                Box::new(SlowShard { delay: Duration::from_millis(300) }),
+                local(&[("fast.txt", &["rust", "a", "b"])], "fast"),
+            ],
+            ReplicaSetConfig {
+                hedge_after: Some(Duration::from_millis(20)),
+                ..ReplicaSetConfig::default()
+            },
+        )
+        .unwrap();
+        let router = Router::new(vec![set], RouterConfig::default()).unwrap();
+        let service = RouteService::start(Arc::clone(&router));
+        let ask = |line: &str| match service.handle(line) {
+            Handled::Respond(text) => text,
+            other => panic!("{line:?} answered {other:?}"),
+        };
+        // Both members idle again: the slow one is the primary once more.
+        let drain = || {
+            let started = Instant::now();
+            while !["slow", "fast"].iter().all(|member| {
+                ask("!stats").contains(&format!("replica {member} state=closed in_flight=0 "))
+            }) {
+                assert!(started.elapsed() < Duration::from_secs(2), "{}", ask("!stats"));
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+
+        // No deadline: the slow primary is hedged, and the hedge answers.
+        let response = router.route("rust").unwrap();
+        let paths: Vec<&str> = response.hits.iter().map(|h| &*h.path).collect();
+        assert_eq!(paths, ["fast.txt"]);
+        assert!(!response.partial());
+        let metrics = ask("!metrics");
+        assert!(metrics.contains("\ndsearch_hedges_total 1\n"), "{metrics}");
+
+        // A budget past the hedge timer: the hedge fires inside it, and its
+        // answer makes the budget (a complete answer is one that did).
+        drain();
+        let hedges = router.shards()[0].hedge_count();
+        let response = router.route("@d=150 rust OR a").unwrap();
+        assert!(!response.partial() && !response.deadline_exceeded, "{response:?}");
+        assert_eq!(router.shards()[0].hedge_count(), hedges + 1);
+
+        // A budget shorter than the hedge timer: the deadline wins the wait,
+        // and no hedge is sent once the router has given up.
+        drain();
+        let hedges = router.shards()[0].hedge_count();
+        let err = router.route("@d=10 rust OR b").unwrap_err();
+        assert!(matches!(err, ServerError::DeadlineExceeded), "{err}");
+        drain();
+        assert_eq!(router.shards()[0].hedge_count(), hedges, "hedged past the deadline");
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_plain_shards_call_never_holds_up_another_sets_hedge() {
+        // Shard 0 is plain and answers at 300 ms; shard 1's primary hangs
+        // and its hedge takes 300 ms.  Side by side both are done by about
+        // 320 ms; a hedge held up behind shard 0's call would end near 600.
+        let set = ReplicaSet::new(
+            "set",
+            vec![
+                Box::new(SlowShard { delay: Duration::from_millis(900) }),
+                Box::new(SlowShard { delay: Duration::from_millis(300) }),
+            ],
+            ReplicaSetConfig {
+                hedge_after: Some(Duration::from_millis(20)),
+                ..ReplicaSetConfig::default()
+            },
+        )
+        .unwrap();
+        let plain = ReplicaSet::from(Box::new(SlowShard { delay: Duration::from_millis(300) }));
+        let router = Router::new(vec![plain, set], RouterConfig::default()).unwrap();
+        let started = Instant::now();
+        let response = router.route("rust").unwrap();
+        let elapsed = started.elapsed();
+        assert!(!response.partial(), "{response:?}");
+        assert_eq!(router.shards()[1].hedge_count(), 1);
+        assert!(elapsed < Duration::from_millis(500), "took {elapsed:?}, not ~320 ms");
+    }
+
+    #[test]
+    fn a_shards_rtt_is_when_its_answer_was_ready_not_when_the_gather_read_it() {
+        // Both shards are plain, so the slow first one is called on this
+        // thread and the gather reads the fast one's reply 200 ms late.
+        let shards: Vec<Box<dyn ShardBackend>> = vec![
+            Box::new(SlowShard { delay: Duration::from_millis(200) }),
+            local(&[("a.txt", &["rust"])], "fast"),
+        ];
+        let router = Router::new(shards, RouterConfig::default()).unwrap();
+        router.route("rust").unwrap();
+        let snapshot = router.stats().registry().snapshot();
+        let rtt = |shard| {
+            let histogram = snapshot.histogram(SHARD_RTT_METRIC, Some(("shard", shard))).unwrap();
+            (histogram.count, Duration::from_nanos(histogram.max_ns))
+        };
+        let (slow, fast) = (rtt("slow"), rtt("fast"));
+        assert_eq!((slow.0, fast.0), (1, 1));
+        assert!(slow.1 >= Duration::from_millis(200), "{slow:?}");
+        assert!(fast.1 < slow.1 / 2, "fast shard timed at {fast:?}, slow at {slow:?}");
+    }
+
+    #[test]
+    fn stats_sums_every_member_and_a_shard_is_down_only_with_all_of_them() {
+        let files: &[(&str, &[&str])] = &[("a.txt", &["rust", "index", "search"])];
+        let set = ReplicaSet::new(
+            "set",
+            vec![local(files, "r0"), local(files, "r1")],
+            ReplicaSetConfig::default(),
+        )
+        .unwrap();
+        let dead = ReplicaSet::new(
+            "dead-set",
+            vec![Box::new(DeadShard), Box::new(DeadShard)],
+            ReplicaSetConfig::default(),
+        )
+        .unwrap();
+        let service =
+            RouteService::start(Router::new(vec![set, dead], RouterConfig::default()).unwrap());
+        for query in ["rust", "index", "search"] {
+            assert!(matches!(service.handle(query), Handled::Respond(_)));
+        }
+        let Handled::Respond(stats) = service.handle("!stats") else {
+            panic!("stats should respond");
+        };
+        assert!(stats.contains("shards=2 shards_down=1 shards_queries=3 "), "{stats}");
+        assert!(stats.contains("\nshard set replicas=2 healthy=2 "), "{stats}");
+        assert!(stats.contains("\nshard set replica r1 state=closed "), "{stats}");
+        assert!(stats.contains("\nshard dead-set DOWN "), "{stats}");
+        assert!(stats.contains("\nshard dead-set replica dead state="), "{stats}");
+        service.shutdown();
     }
 
     #[test]
