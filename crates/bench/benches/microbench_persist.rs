@@ -4,12 +4,14 @@
 //! how fast can an index be written to / read back from disk (segment
 //! encode/decode), and how much work does an incremental update save
 //! compared to a full rebuild when only a small fraction of the corpus
-//! changed.  And one this repository's store adds: what merging the replicas
+//! changed.  And two this repository's store adds: what merging the replicas
 //! of an Implementation 3 run into one segment costs against writing them
-//! apart, and what sealing over term ranges on every core gains.
+//! apart, and what sealing over term ranges on every core gains; and what the
+//! load at the heart of a server's boot costs per megabyte of segment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::time::Instant;
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
@@ -96,6 +98,45 @@ fn bench_run_of_two_replicas(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The boot's load alone: [`IndexStore::load_all_sealed`] of a one-segment
+/// store of the corpus above — the file read in parts, its checksum and doc
+/// table verified beside its term tables, on every core — printed as
+/// milliseconds per MB of segment.
+fn bench_load_sealed(c: &mut Criterion) {
+    let (fs, _) = materialize_to_memfs(&CorpusSpec::paper_scaled(0.03), 31);
+    let run = IndexGenerator::default()
+        .run(&fs, &VPath::root(), Implementation::ReplicateNoJoin, Configuration::new(2, 0, 0))
+        .expect("index build succeeds");
+    let dir = std::env::temp_dir().join(format!("dsearch-bench-load-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = IndexStore::open(&dir).expect("the store opens");
+    let info = store.replace_with(run.outcome.replicas(), run.outcome.docs()).unwrap();
+    let mb = info.bytes as f64 / f64::from(1 << 20);
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let loads = 20;
+    let started = Instant::now();
+    for _ in 0..loads {
+        black_box(store.load_all_sealed().unwrap());
+    }
+    let ms = started.elapsed().as_secs_f64() * 1e3 / f64::from(loads);
+    println!(
+        "persist_load_sealed: one segment of {mb:.2} MB ({} documents, {} terms), \
+         {ms:.2} ms a load = {:.2} ms per MB on {cores} core(s)",
+        info.doc_count,
+        info.term_count,
+        ms / mb
+    );
+
+    let mut group = c.benchmark_group("persist_load_sealed");
+    group.sample_size(20);
+    group.throughput(Throughput::Bytes(info.bytes));
+    group.bench_function("load_all_sealed", |b| {
+        b.iter(|| black_box(store.load_all_sealed().unwrap().len()));
+    });
+    group.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// What an incremental update costs against a full run into the same store,
 /// on the corpus above: every iteration appends a revision marker to
 /// `changed` of its files (so exactly that many read as modified and the
@@ -158,6 +199,7 @@ criterion_group!(
     benches,
     bench_segment_roundtrip,
     bench_run_of_two_replicas,
+    bench_load_sealed,
     bench_incremental_vs_full
 );
 criterion_main!(benches);

@@ -24,8 +24,8 @@
 //! them; a block of equal values (a dense run, a stride, the tf = 1 ocean)
 //! is width 0 — a header byte and at most a base.
 //!
-//! Each block carries a [`SkipEntry`] — `(first_id, last_id, byte offset)` —
-//! so a reader can decide whether a block can possibly contain a target id
+//! Each block carries a [`SkipEntry`] — `(last_id, byte offset)` — so a
+//! reader can decide whether a block can possibly contain a target id
 //! *without decoding it*.  That is what makes skewed intersections cheap:
 //! [`BlockCursor::seek`] binary-searches the skip table, decodes at most one
 //! block, and skips every block in between untouched.
@@ -55,8 +55,6 @@ const HAS_EXCEPTIONS: u8 = 0x80;
 /// Skip metadata for one block: enough to route a `seek` without decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkipEntry {
-    /// First (smallest) id stored in the block.
-    pub first: FileId,
     /// Last (largest) id stored in the block.
     pub last: FileId,
     /// Byte offset of the block's payload in the data buffer.
@@ -128,7 +126,7 @@ impl CompressedPostings {
         for block in ids.chunks(BLOCK_SIZE) {
             if block_count > 1 {
                 let offset = u32::try_from(data.len()).expect("posting data under 4 GiB");
-                skips.push(SkipEntry { first: block[0], last: block[block.len() - 1], offset });
+                skips.push(SkipEntry { last: block[block.len() - 1], offset });
             }
             write_varint(&mut data, u64::from(block[0].as_u32()));
             let gaps = &mut gaps[..block.len() - 1];
@@ -251,7 +249,7 @@ impl<'a> CompressedView<'a> {
         self.bound
     }
 
-    /// Bytes this list occupies: payload plus skip table (12 bytes per
+    /// Bytes this list occupies: payload plus skip table (8 bytes per
     /// block).  Compare with `len() * 4` for the raw `Vec<FileId>` form.
     #[must_use]
     pub fn byte_size(&self) -> usize {

@@ -141,7 +141,7 @@ const LAID_OVER: &str = "validated when the tables were laid over the bytes";
 #[derive(Debug, Clone, Default)]
 pub struct SealedShard {
     /// The term count and the encoded term entries (for a loaded shard: the
-    /// segment file's bytes from its term count on).
+    /// whole segment file, the entries behind its front matter).
     bytes: Vec<u8>,
     /// Sorted ascending by term text; the dictionary prefix lookups range
     /// over.
@@ -246,8 +246,8 @@ impl std::ops::AddAssign for SectionBytes {
 ///
 /// A codec block is the patched frame of reference of [`crate::block`]: a
 /// header byte (width, flags), an optional base, the packed low bits, the
-/// exceptions.  A block's first id is stored once, in the payload;
-/// [`SkipEntry::first`] is read from there when the tables are laid over.
+/// exceptions.  A block's first id is stored once, in the payload, and
+/// checked against the skip entries when the tables are laid over.
 ///
 /// The segment writer streams these; [`SealedShard::from_index`] collects
 /// them, and [`SealedShard::from_bytes`] lays its tables over them.
@@ -296,166 +296,84 @@ impl SealedShard {
             Ok::<(), std::convert::Infallible>(())
         });
         bytes.shrink_to_fit();
-        SealedShard::lay_over(bytes, sealing.files, sealing.scoring)
+        SealedShard::lay_over(bytes, 0, sealing.files, sealing.scoring)
             .expect("freshly encoded terms are well-formed")
     }
 
     /// Lays a shard over encoded bytes (the load path from a persisted
     /// segment, which hands over the file's bytes whole): `bytes[terms_at..]`
     /// must be exactly a term count and that many entries as [`encode_term`]
-    /// writes them, sorted strictly ascending by term.  The front matter
-    /// before them is dropped from the buffer, which is otherwise kept as it
-    /// came.  `doc_lens` holds each document's recorded length, from which
-    /// the BM25 norms are rebuilt exactly as [`SealedShard::from_index`]
-    /// computes them; `doc_count` is the size of the segment's document
-    /// table, the shard's document count when no lengths were recorded.
+    /// writes them, sorted strictly ascending by term.  The buffer is kept as
+    /// it came, front matter and all — a loaded shard's buffer *is* its
+    /// segment file — and the tables are laid over it from `terms_at` on.
+    /// `doc_lens` holds each document's recorded length, from which the BM25
+    /// norms are rebuilt exactly as [`SealedShard::from_index`] computes
+    /// them; `doc_count` is the size of the segment's document table, the
+    /// shard's document count when no lengths were recorded.
     ///
     /// # Errors
     ///
     /// Fails when the bytes cannot describe a well-formed shard.
     pub fn from_bytes(
-        mut bytes: Vec<u8>,
+        bytes: Vec<u8>,
         terms_at: usize,
         doc_count: u64,
         doc_lens: &[(FileId, u32)],
     ) -> Result<Self, BlockFormatError> {
-        if terms_at > bytes.len() {
-            return Err(corrupt("terms start past the end"));
-        }
-        bytes.drain(..terms_at);
-        bytes.shrink_to_fit();
-        let files = scored_population(doc_lens.len(), doc_count);
-        SealedShard::lay_over(bytes, files, build_norms(doc_lens))
+        SealedShard::from_bytes_beside(bytes, terms_at, doc_count, doc_lens, false, |_| ()).0
     }
 
-    /// Builds the term tables over `bytes`, validating every structural
-    /// property the readers rely on.  `scoring` is `(norm_base,
-    /// norms)`, `None` for an unscored shard.
+    /// [`SealedShard::from_bytes`], while `beside` reads the same bytes — on
+    /// a scoped helper thread when `helper` is set, on this one after the
+    /// tables otherwise — and returns its result beside the shard's: no
+    /// shard exists before `beside` has returned.  A segment load verifies
+    /// the file's checksum and decodes its document table there while the
+    /// term tables are laid over the file.
+    ///
+    /// Whichever thread gets to `beside` first runs it: a helper that has
+    /// not started by the time the tables are laid (a busy machine) leaves
+    /// it to this thread instead of making it wait.
+    ///
+    /// # Errors
+    ///
+    /// The shard fails like [`SealedShard::from_bytes`].
+    pub fn from_bytes_beside<T: Send>(
+        bytes: Vec<u8>,
+        terms_at: usize,
+        doc_count: u64,
+        doc_lens: &[(FileId, u32)],
+        helper: bool,
+        beside: impl FnOnce(&[u8]) -> T + Send,
+    ) -> (Result<Self, BlockFormatError>, T) {
+        let beside = Mutex::new(Some(beside));
+        let run_beside = || {
+            let beside = beside.lock().expect("nothing runs under this lock").take();
+            beside.map(|beside| beside(&bytes))
+        };
+        let (tables, beside) = std::thread::scope(|scope| {
+            let helper = helper.then(|| scope.spawn(run_beside));
+            let tables = Tables::lay_over(&bytes, terms_at);
+            let mine = run_beside();
+            let theirs = helper.and_then(|helper| {
+                helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            });
+            (tables, mine.or(theirs).expect("one of the threads ran it"))
+        });
+        let files = scored_population(doc_lens.len(), doc_count);
+        let shard = tables.map(|tables| tables.into_shard(bytes, files, build_norms(doc_lens)));
+        (shard, beside)
+    }
+
+    /// Builds the term tables over `bytes[terms_at..]` and keeps the bytes
+    /// as the shard's buffer.  `scoring` is `(norm_base, norms)`, `None` for
+    /// an unscored shard.
     fn lay_over(
         bytes: Vec<u8>,
+        terms_at: usize,
         files: u64,
         scoring: Option<(u32, Vec<f32>)>,
     ) -> Result<Self, BlockFormatError> {
-        if u32::try_from(bytes.len()).is_err() {
-            return Err(corrupt("shards over 4 GiB are not supported"));
-        }
-        let mut reader = Reader::new(&bytes, 0);
-        let term_count = reader.count(MIN_ENTRY_BYTES, "term")?;
-        let mut terms: Vec<TermEntry> = Vec::with_capacity(term_count);
-        let mut skips: Vec<SkipEntry> = Vec::new();
-        let mut freq_offsets: Vec<u32> = Vec::new();
-        let mut posting_count = 0u64;
-        let mut posting_bytes = 0usize;
-        let mut previous_term: &[u8] = &[];
-        for slot in 0..term_count {
-            let entry_at = reader.pos() as u32;
-            let term = reader.bytes(MAX_TERM_LEN, "term")?;
-            if std::str::from_utf8(term).is_err() {
-                return Err(corrupt("term is not valid UTF-8"));
-            }
-            if slot > 0 && previous_term >= term {
-                return Err(corrupt("terms are not strictly ascending"));
-            }
-            previous_term = term;
-
-            let len = reader.u32()?;
-            reader.take(1, "list bound")?;
-            let block_count = (len as usize).div_ceil(BLOCK_SIZE);
-            let multi_block = block_count > 1;
-            let blocks_at = skips.len() as u32;
-            let (mut last, mut offset) = (0u32, 0u32);
-            for i in 0..if multi_block { block_count } else { 0 } {
-                let past_u32 = || corrupt(format!("skip entry {i} lies past the last id"));
-                last = last.checked_add(reader.u32()?).ok_or_else(past_u32)?;
-                if i > 0 {
-                    offset = offset.checked_add(reader.u32()?).ok_or_else(past_u32)?;
-                }
-                skips.push(SkipEntry { first: FileId(0), last: FileId(last), offset });
-            }
-            let payloads_at = reader.pos() as u32;
-            let data = reader.bytes(u64::MAX, "block payload")?;
-            // Every block opens with at least one byte (its first id).
-            if data.len() < block_count {
-                return Err(corrupt(format!(
-                    "{} payload bytes cannot hold {block_count} blocks",
-                    data.len()
-                )));
-            }
-            // A block's first id is the varint its offset points at: inside
-            // the payload, not past its own last id, behind the block before.
-            let mut previous_last: Option<FileId> = None;
-            for (i, skip) in skips[blocks_at as usize..].iter_mut().enumerate() {
-                skip.first = FileId(Reader::new(data, skip.offset as usize).u32()?);
-                if skip.first > skip.last || previous_last.is_some_and(|prev| skip.first <= prev) {
-                    return Err(corrupt(format!("skip entry {i} is out of order")));
-                }
-                previous_last = Some(skip.last);
-            }
-
-            let freqs_len = reader.bytes(u64::MAX, "frequency payload")?.len();
-            if freqs_len > 0 && block_count == 0 {
-                return Err(corrupt("frequencies without postings"));
-            }
-            let mut offset = 0u32;
-            for i in 0..if freqs_len > 0 { block_count } else { 0 } {
-                if i > 0 {
-                    offset = offset
-                        .checked_add(reader.u32()?)
-                        .filter(|&offset| (offset as usize) < freqs_len)
-                        .ok_or_else(|| {
-                            corrupt(format!("freq block {i} starts past the payload"))
-                        })?;
-                }
-                if multi_block {
-                    freq_offsets.push(offset);
-                }
-            }
-            freq_offsets.resize(skips.len(), 0);
-
-            posting_count += u64::from(len);
-            posting_bytes +=
-                data.len() + (skips.len() - blocks_at as usize) * std::mem::size_of::<SkipEntry>();
-            terms.push(TermEntry { entry_at, payloads_at, blocks_at });
-        }
-        if reader.remaining() != 0 {
-            return Err(corrupt(format!(
-                "{} trailing bytes after the last term",
-                reader.remaining()
-            )));
-        }
-        skips.shrink_to_fit();
-        freq_offsets.shrink_to_fit();
-        let (norm_base, norms) = scoring.unwrap_or_default();
-        let mut shard = SealedShard {
-            bytes,
-            terms,
-            skips,
-            freq_offsets,
-            lookup: Vec::new(),
-            files,
-            posting_count,
-            posting_bytes,
-            norm_base,
-            norms,
-        };
-        shard.build_lookup();
-        Ok(shard)
-    }
-
-    fn build_lookup(&mut self) {
-        if self.terms.is_empty() {
-            return;
-        }
-        let mask = (self.terms.len() * 3 / 2 + 1).next_power_of_two() - 1;
-        let mut lookup = vec![0u32; mask + 1];
-        for slot in 0..self.terms.len() {
-            let mut probe = fnv1a_64(self.term_bytes(slot)) as usize & mask;
-            while lookup[probe] != 0 {
-                probe = (probe + 1) & mask;
-            }
-            lookup[probe] = slot as u32 + 1;
-        }
-        self.lookup = lookup;
+        Ok(Tables::lay_over(&bytes, terms_at)?.into_shard(bytes, files, scoring))
     }
 
     fn term_bytes(&self, slot: usize) -> &[u8] {
@@ -613,6 +531,160 @@ impl SealedShard {
     #[must_use]
     pub fn idf(&self, doc_freq: usize) -> f32 {
         bm25_idf(self.files, doc_freq)
+    }
+}
+
+/// A shard's term tables, laid over its bytes: everything of a
+/// [`SealedShard`] but the buffer and the scoring state.
+struct Tables {
+    terms: Vec<TermEntry>,
+    skips: Vec<SkipEntry>,
+    freq_offsets: Vec<u32>,
+    lookup: Vec<u32>,
+    posting_count: u64,
+    posting_bytes: usize,
+}
+
+impl Tables {
+    /// Builds the tables over the term count and entries at
+    /// `bytes[terms_at..]` in one pass, validating every structural property
+    /// the readers rely on and filling the exact-term lookup while each
+    /// term's bytes are at hand.
+    fn lay_over(bytes: &[u8], terms_at: usize) -> Result<Self, BlockFormatError> {
+        if terms_at > bytes.len() {
+            return Err(corrupt("terms start past the end"));
+        }
+        if u32::try_from(bytes.len()).is_err() {
+            return Err(corrupt("shards over 4 GiB are not supported"));
+        }
+        let mut reader = Reader::new(bytes, terms_at);
+        let term_count = reader.count(MIN_ENTRY_BYTES, "term")?;
+        let mut terms: Vec<TermEntry> = Vec::with_capacity(term_count);
+        let mut lookup = vec![0u32; lookup_len(term_count)];
+        let mask = lookup.len().wrapping_sub(1);
+        let mut skips: Vec<SkipEntry> = Vec::new();
+        let mut freq_offsets: Vec<u32> = Vec::new();
+        let mut posting_count = 0u64;
+        let mut posting_bytes = 0usize;
+        let mut previous_term: &[u8] = &[];
+        for slot in 0..term_count {
+            let entry_at = reader.pos() as u32;
+            let term = reader.bytes(MAX_TERM_LEN, "term")?;
+            // Most terms are ASCII, which is checked a word at a time.
+            if !term.is_ascii() && std::str::from_utf8(term).is_err() {
+                return Err(corrupt("term is not valid UTF-8"));
+            }
+            if slot > 0 && previous_term >= term {
+                return Err(corrupt("terms are not strictly ascending"));
+            }
+            previous_term = term;
+            let mut probe = fnv1a_64(term) as usize & mask;
+            while lookup[probe] != 0 {
+                probe = (probe + 1) & mask;
+            }
+            lookup[probe] = slot as u32 + 1;
+
+            let len = reader.u32()?;
+            reader.take(1, "list bound")?;
+            let block_count = (len as usize).div_ceil(BLOCK_SIZE);
+            let multi_block = block_count > 1;
+            let blocks_at = skips.len() as u32;
+            let (mut last, mut offset) = (0u32, 0u32);
+            for i in 0..if multi_block { block_count } else { 0 } {
+                let past_u32 = || corrupt(format!("skip entry {i} lies past the last id"));
+                last = last.checked_add(reader.u32()?).ok_or_else(past_u32)?;
+                if i > 0 {
+                    offset = offset.checked_add(reader.u32()?).ok_or_else(past_u32)?;
+                }
+                skips.push(SkipEntry { last: FileId(last), offset });
+            }
+            let payloads_at = reader.pos() as u32;
+            let data = reader.bytes(u64::MAX, "block payload")?;
+            // Every block opens with at least one byte (its first id).
+            if data.len() < block_count {
+                return Err(corrupt(format!(
+                    "{} payload bytes cannot hold {block_count} blocks",
+                    data.len()
+                )));
+            }
+            // A block's first id is the varint its offset points at: inside
+            // the payload, not past its own last id, behind the block before.
+            let mut previous_last: Option<FileId> = None;
+            for (i, skip) in skips[blocks_at as usize..].iter().enumerate() {
+                let first = FileId(Reader::new(data, skip.offset as usize).u32()?);
+                if first > skip.last || previous_last.is_some_and(|prev| first <= prev) {
+                    return Err(corrupt(format!("skip entry {i} is out of order")));
+                }
+                previous_last = Some(skip.last);
+            }
+
+            let freqs_len = reader.bytes(u64::MAX, "frequency payload")?.len();
+            if freqs_len > 0 && block_count == 0 {
+                return Err(corrupt("frequencies without postings"));
+            }
+            let mut offset = 0u32;
+            for i in 0..if freqs_len > 0 { block_count } else { 0 } {
+                if i > 0 {
+                    offset = offset
+                        .checked_add(reader.u32()?)
+                        .filter(|&offset| (offset as usize) < freqs_len)
+                        .ok_or_else(|| {
+                            corrupt(format!("freq block {i} starts past the payload"))
+                        })?;
+                }
+                if multi_block {
+                    freq_offsets.push(offset);
+                }
+            }
+            freq_offsets.resize(skips.len(), 0);
+
+            posting_count += u64::from(len);
+            posting_bytes +=
+                data.len() + (skips.len() - blocks_at as usize) * std::mem::size_of::<SkipEntry>();
+            terms.push(TermEntry { entry_at, payloads_at, blocks_at });
+        }
+        if reader.remaining() != 0 {
+            return Err(corrupt(format!(
+                "{} trailing bytes after the last term",
+                reader.remaining()
+            )));
+        }
+        skips.shrink_to_fit();
+        freq_offsets.shrink_to_fit();
+        Ok(Tables { terms, skips, freq_offsets, lookup, posting_count, posting_bytes })
+    }
+
+    /// The shard of these tables over the `bytes` they were laid over.
+    fn into_shard(
+        self,
+        bytes: Vec<u8>,
+        files: u64,
+        scoring: Option<(u32, Vec<f32>)>,
+    ) -> SealedShard {
+        let Tables { terms, skips, freq_offsets, lookup, posting_count, posting_bytes } = self;
+        let (norm_base, norms) = scoring.unwrap_or_default();
+        SealedShard {
+            bytes,
+            terms,
+            skips,
+            freq_offsets,
+            lookup,
+            files,
+            posting_count,
+            posting_bytes,
+            norm_base,
+            norms,
+        }
+    }
+}
+
+/// Slots of the exact-term lookup of `terms` terms: a power of two at least
+/// half again as many, none for none.
+fn lookup_len(terms: usize) -> usize {
+    if terms == 0 {
+        0
+    } else {
+        (terms * 3 / 2 + 1).next_power_of_two()
     }
 }
 
@@ -1311,7 +1383,7 @@ mod tests {
             let mut bytes = Vec::new();
             write_varint(&mut bytes, sealing.term_count() as u64);
             bytes.extend_from_slice(&merged);
-            let shard = SealedShard::lay_over(bytes, sealing.files, sealing.scoring).unwrap();
+            let shard = SealedShard::lay_over(bytes, 0, sealing.files, sealing.scoring).unwrap();
             prop_assert_eq!(shard, SealedShard::from_index(&joined));
         }
     }
@@ -1324,8 +1396,8 @@ mod tests {
         let sealed = SealedShard::from_index(&index);
         let (entries, lens) = encode(&index);
         // Front matter before the terms (a segment's header and doc table)
-        // is dropped; the doc table may cover more documents than this index
-        // scored (a partial replica).
+        // stays in the buffer, unread; the doc table may cover more documents
+        // than this index scored (a partial replica).
         let mut bytes = b"front matter".to_vec();
         bytes.extend_from_slice(&entries);
         let restored = SealedShard::from_bytes(bytes, 12, 40, &lens).unwrap();
@@ -1337,6 +1409,38 @@ mod tests {
         let unscored = SealedShard::from_bytes(entries, 0, 40, &[]).unwrap();
         assert_eq!(unscored.file_count(), 40);
         assert!(!unscored.has_scoring());
+    }
+
+    #[test]
+    fn what_runs_beside_the_tables_runs_once_and_sees_the_same_bytes() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let mut index = InMemoryIndex::new();
+        index.insert_file_counted(FileId(1), [(t("a"), 2u32), (t("b"), 1)]);
+        let (entries, lens) = encode(&index);
+        let bytes = [b"front".to_vec(), entries].concat();
+        for helper in [false, true] {
+            let runs = AtomicUsize::new(0);
+            let (shard, seen) = SealedShard::from_bytes_beside(
+                bytes.clone(),
+                5,
+                2,
+                &lens,
+                helper,
+                |seen: &[u8]| {
+                    runs.fetch_add(1, SeqCst);
+                    seen.to_vec()
+                },
+            );
+            assert_eq!((runs.load(SeqCst), &seen), (1, &bytes));
+            assert_eq!(shard.unwrap(), SealedShard::from_index(&index));
+            // Damaged tables still wait for it, and report their own error.
+            let (shard, ()) =
+                SealedShard::from_bytes_beside(bytes.clone(), 4, 2, &lens, helper, |_| {
+                    runs.fetch_add(1, SeqCst);
+                });
+            assert!(shard.is_err());
+            assert_eq!(runs.load(SeqCst), 2);
+        }
     }
 
     /// One hand-built entry, part by part.
@@ -1401,11 +1505,12 @@ mod tests {
         };
         // Two blocks: ids 0..=127 (first id 0, width-0 gaps) and id 200.
         let big = Parts { len: n, skips: &[(127, 0), (200, 2)], data: &[0, 0, 200, 1], ..small };
-        // The well-formed baselines load, first ids read out of the payload.
+        // The well-formed baselines load: first ids in the payload, last ids
+        // and offsets in the skip table.
         load(small.encode(), 1).unwrap();
         let shard = load(big.encode(), 1).unwrap();
         let skips = shard.postings(&t("a")).unwrap().skips().to_vec();
-        assert_eq!(skips.iter().map(|s| s.first).collect::<Vec<_>>(), [FileId(0), FileId(200)]);
+        assert_eq!(skips.iter().map(|s| s.last).collect::<Vec<_>>(), [FileId(127), FileId(200)]);
         assert_eq!(skips.iter().map(|s| s.offset).collect::<Vec<_>>(), [0, 2]);
         let full = Parts { freqs: &[0x40, 1, 0, 0], freq_offsets: two, bound: &[200], ..big };
         let shard = load(full.encode(), 1).unwrap();

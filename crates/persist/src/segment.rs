@@ -44,7 +44,9 @@
 //! hostile input (every count is checked against the bytes left before it
 //! sizes anything).
 
+use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::sync::Mutex;
 
 use dsearch_index::varint::{write_bytes, write_varint, Reader};
 use dsearch_index::{
@@ -192,9 +194,10 @@ pub(crate) fn write_segment_tallied<W: Write + Seek>(
 /// Magic plus checksum.
 const HEADER_LEN: u64 = SEGMENT_MAGIC.len() as u64 + 8;
 
-/// What a segment file holds besides its terms.
+/// What a segment file says before its terms, besides its documents' paths.
 struct FrontMatter {
-    docs: DocTable,
+    /// Documents in the doc table.
+    doc_count: usize,
     /// Recorded document lengths, id ascending.
     doc_lens: Vec<(FileId, u32)>,
     /// Where the term count, and behind it the term entries, start in the
@@ -202,9 +205,9 @@ struct FrontMatter {
     terms_at: usize,
 }
 
-/// Verifies magic, version and checksum of a whole segment file held in
-/// `bytes`, and reads everything up to the term count.
-fn read_front_matter(bytes: &[u8]) -> Result<FrontMatter, PersistError> {
+/// Checks what a segment file must say before its checksum is believed —
+/// magic, then version — and returns where its document table starts.
+fn check_header(bytes: &[u8]) -> Result<usize, PersistError> {
     let header = HEADER_LEN as usize;
     if bytes.len() < header {
         return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
@@ -220,10 +223,18 @@ fn read_front_matter(bytes: &[u8]) -> Result<FrontMatter, PersistError> {
     if !(MIN_SEGMENT_VERSION..=SEGMENT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion { found: version, expected: SEGMENT_VERSION });
     }
+    Ok(reader.pos())
+}
+
+/// Verifies the checksum of a whole segment file held in `bytes`, then
+/// decodes the document table at `docs_at` under the hostile-input rules.
+fn verify_and_read_docs(bytes: &[u8], docs_at: usize) -> Result<DocTable, PersistError> {
+    let header = HEADER_LEN as usize;
     let expected = u64::from_le_bytes(bytes[SEGMENT_MAGIC.len()..header].try_into().expect("8"));
     if xxh64(&bytes[header..]) != expected {
         return Err(PersistError::Corrupt("segment checksum mismatch".into()));
     }
+    let mut reader = Reader::new(bytes, docs_at);
     let doc_count = reader.count(2, "document")?;
     let mut docs = DocTable::with_capacity(doc_count);
     // Front-coded: each path is the start of the one before and a suffix.
@@ -242,6 +253,19 @@ fn read_front_matter(bytes: &[u8]) -> Result<FrontMatter, PersistError> {
             std::str::from_utf8(&path)
                 .map_err(|_| PersistError::Corrupt("document path is not valid UTF-8".into()))?,
         );
+    }
+    Ok(docs)
+}
+
+/// Steps over the document table at `docs_at` — its paths are
+/// [`verify_and_read_docs`]'s, which fails wherever this does — and reads
+/// the document lengths behind it.
+fn read_front_matter(bytes: &[u8], docs_at: usize) -> Result<FrontMatter, PersistError> {
+    let mut reader = Reader::new(bytes, docs_at);
+    let doc_count = reader.count(2, "document")?;
+    for _ in 0..doc_count {
+        reader.u64()?;
+        reader.bytes(u64::MAX, "document path")?;
     }
     let len_count = reader.count(2, "document length")?;
     if len_count > doc_count {
@@ -262,16 +286,107 @@ fn read_front_matter(bytes: &[u8]) -> Result<FrontMatter, PersistError> {
         doc_lens.push((FileId(id as u32), len));
         previous = id;
     }
-    Ok(FrontMatter { docs, doc_lens, terms_at: reader.pos() })
+    Ok(FrontMatter { doc_count, doc_lens, terms_at: reader.pos() })
 }
 
-/// The shard laid over a whole segment file's bytes, and the front matter
-/// read out of them.
-fn load_segment(bytes: Vec<u8>) -> Result<(SealedShard, FrontMatter), PersistError> {
-    let front = read_front_matter(&bytes)?;
-    let doc_count = front.docs.len() as u64;
-    let shard = SealedShard::from_bytes(bytes, front.terms_at, doc_count, &front.doc_lens)?;
-    Ok((shard, front))
+/// The shard laid over a whole segment file's bytes, its doc table and its
+/// recorded document lengths.  With `helper`, the checksum and the doc table
+/// are verified and decoded on a helper thread while this one lays the term
+/// tables over the same bytes.  Errors come as a reader meets them front to
+/// back — magic, version, the checksum (which wins over any parse error),
+/// doc table, lengths, terms — and there is no shard before the checksum is
+/// in.
+fn load_segment(bytes: Vec<u8>, helper: bool) -> Result<Loaded, PersistError> {
+    let docs_at = check_header(&bytes)?;
+    let verify = |bytes: &[u8]| verify_and_read_docs(bytes, docs_at);
+    let front = match read_front_matter(&bytes, docs_at) {
+        Ok(front) => front,
+        Err(error) => {
+            verify(&bytes)?;
+            return Err(error);
+        }
+    };
+    let (doc_count, terms_at) = (front.doc_count as u64, front.terms_at);
+    let (shard, docs) =
+        SealedShard::from_bytes_beside(bytes, terms_at, doc_count, &front.doc_lens, helper, verify);
+    let docs = docs?;
+    Ok(Loaded { shard: shard?, docs, doc_lens: front.doc_lens })
+}
+
+/// A segment file, loaded.
+struct Loaded {
+    shard: SealedShard,
+    docs: DocTable,
+    /// Recorded document lengths, id ascending.
+    doc_lens: Vec<(FileId, u32)>,
+}
+
+/// Threads this machine runs at once.
+pub(crate) fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// The size of the parts a file is read in: a file of one part is read by
+/// one thread.
+const PART: usize = if cfg!(test) { 64 } else { 1 << 20 };
+
+/// A segment file's bytes, read by up to `threads` threads at once (the
+/// caller's among them) into one buffer sized from the file's length, so
+/// that the fresh buffer's page faults and the copy run on every thread.  A
+/// file that grew since is read on to its end; one that shrank is an error,
+/// never a short buffer.
+fn read_file(file: &File, threads: usize) -> std::io::Result<Vec<u8>> {
+    let len = usize::try_from(file.metadata()?.len())
+        .map_err(|_| std::io::Error::from(std::io::ErrorKind::OutOfMemory))?;
+    read_in_parts(file, len, PART, threads)
+}
+
+/// [`read_file`] of a file `len` bytes long, in parts of `part` bytes.  The
+/// threads take the parts one at a time, so a thread the machine is slow to
+/// start leaves its share to the others.
+#[cfg(unix)]
+fn read_in_parts(
+    mut file: &File,
+    len: usize,
+    part: usize,
+    threads: usize,
+) -> std::io::Result<Vec<u8>> {
+    use std::os::unix::fs::FileExt;
+    let mut bytes = vec![0; len];
+    let parts = Mutex::new(bytes.chunks_mut(part).zip((0..).step_by(part)));
+    let read_parts = || -> std::io::Result<()> {
+        loop {
+            let next = parts.lock().expect("nothing panics under this lock").next();
+            let Some((part, at)) = next else { return Ok(()) };
+            file.read_exact_at(part, at)?;
+        }
+    };
+    std::thread::scope(|scope| {
+        let others: Vec<_> =
+            (1..threads.min(len.div_ceil(part))).map(|_| scope.spawn(read_parts)).collect();
+        others.into_iter().fold(read_parts(), |read, other| {
+            read.and(other.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        })
+    })?;
+    file.seek(SeekFrom::Start(len as u64))?;
+    file.read_to_end(&mut bytes)?;
+    Ok(bytes)
+}
+
+/// [`read_file`] of a file `len` bytes long, in one part.
+#[cfg(not(unix))]
+fn read_in_parts(
+    mut file: &File,
+    len: usize,
+    _part: usize,
+    _threads: usize,
+) -> std::io::Result<Vec<u8>> {
+    let mut bytes = Vec::with_capacity(len);
+    file.read_to_end(&mut bytes)?;
+    if bytes.len() < len {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(bytes)
 }
 
 fn read_whole<R: Read>(mut reader: R) -> Result<Vec<u8>, PersistError> {
@@ -280,16 +395,10 @@ fn read_whole<R: Read>(mut reader: R) -> Result<Vec<u8>, PersistError> {
     Ok(bytes)
 }
 
-/// Reads one segment, reconstructing the mutable index and its document
-/// table (the incremental re-indexing path; serving should prefer
-/// [`read_segment_sealed`]).
-///
-/// # Errors
-///
-/// Fails on I/O errors, a wrong magic number, a checksum mismatch, an
-/// unsupported version or any malformed length/delta.
-pub fn read_segment<R: Read>(reader: R) -> Result<(InMemoryIndex, DocTable), PersistError> {
-    let (shard, FrontMatter { docs, doc_lens, .. }) = load_segment(read_whole(reader)?)?;
+/// The mutable index of a loaded segment.
+fn into_index(
+    Loaded { shard, docs, doc_lens }: Loaded,
+) -> Result<(InMemoryIndex, DocTable), PersistError> {
     let mut index = InMemoryIndex::with_capacity(shard.term_count());
     let (mut ids, mut tfs) = (Vec::new(), Vec::new());
     for (term, compressed) in shard.iter() {
@@ -313,17 +422,49 @@ pub fn read_segment<R: Read>(reader: R) -> Result<(InMemoryIndex, DocTable), Per
     Ok((index, docs))
 }
 
+/// Reads one segment, reconstructing the mutable index and its document
+/// table (the incremental re-indexing path; serving should prefer
+/// [`read_segment_sealed`]).
+///
+/// # Errors
+///
+/// Fails on I/O errors, a wrong magic number, a checksum mismatch, an
+/// unsupported version or any malformed length/delta.
+pub fn read_segment<R: Read>(reader: R) -> Result<(InMemoryIndex, DocTable), PersistError> {
+    into_index(load_segment(read_whole(reader)?, cores() > 1)?)
+}
+
 /// Reads one segment straight into a [`SealedShard`] — the serving load
-/// path: the file's bytes are read once (a `File` reader sizes the buffer
-/// from the file's length) and become the shard's one buffer; no posting is
-/// decoded and nothing is copied out but the doc table.
+/// path: the file's bytes are read once and become the shard's one buffer;
+/// no posting is decoded and nothing is copied out but the doc table, which
+/// is decoded beside the term tables, on a helper thread where there is a
+/// second core.
 ///
 /// # Errors
 ///
 /// Fails like [`read_segment`].
 pub fn read_segment_sealed<R: Read>(reader: R) -> Result<(SealedShard, DocTable), PersistError> {
-    let (shard, front) = load_segment(read_whole(reader)?)?;
-    Ok((shard, front.docs))
+    let Loaded { shard, docs, .. } = load_segment(read_whole(reader)?, cores() > 1)?;
+    Ok((shard, docs))
+}
+
+/// [`read_segment`] of a segment file, on `threads` threads: the file read
+/// in parts ([`read_file`]), verified beside the term tables.
+pub(crate) fn read_segment_file(
+    file: File,
+    threads: usize,
+) -> Result<(InMemoryIndex, DocTable), PersistError> {
+    into_index(load_segment(read_file(&file, threads)?, threads > 1)?)
+}
+
+/// [`read_segment_sealed`] of a segment file, on `threads` threads: the
+/// file read in parts ([`read_file`]), verified beside the term tables.
+pub(crate) fn read_sealed_file(
+    file: File,
+    threads: usize,
+) -> Result<(SealedShard, DocTable), PersistError> {
+    let Loaded { shard, docs, .. } = load_segment(read_file(&file, threads)?, threads > 1)?;
+    Ok((shard, docs))
 }
 
 #[cfg(test)]
@@ -452,6 +593,111 @@ mod tests {
         }
     }
 
+    /// The error of loading `bytes`, the same with a helper thread as without.
+    fn load_error(bytes: &[u8]) -> String {
+        let [beside, alone] =
+            [true, false].map(|helper| match load_segment(bytes.to_vec(), helper) {
+                Ok(_) => panic!("damaged bytes loaded"),
+                Err(error) => error.to_string(),
+            });
+        assert_eq!(beside, alone);
+        beside
+    }
+
+    #[test]
+    fn a_stale_checksum_wins_over_every_parse_error() {
+        let (index, docs) = sample();
+        let mut good = Vec::new();
+        write_segment(&index, &docs, std::io::Cursor::new(&mut good)).unwrap();
+        let header = HEADER_LEN as usize;
+        let at = |needle: &[u8]| good.windows(needle.len()).rposition(|w| w == needle).unwrap();
+        // The first path shares bytes with a path before it, which it lacks;
+        // a length names a document past the table; a term is not UTF-8.
+        let doc_table = (header + 2, 5);
+        let doc_lens = (at(&[3, 0, 2]) + 1, 7);
+        let term = (at(b"alpha"), 0xff);
+        let damage = |flips: &[(usize, u8)]| {
+            let mut bytes = good.clone();
+            flips.iter().for_each(|&(at, value)| bytes[at] = value);
+            bytes
+        };
+        for (flip, parse_error) in [
+            (doc_table, "shares 5 bytes with one of 0"),
+            (doc_lens, "not strictly ascending ids"),
+            (term, "term is not valid UTF-8"),
+        ] {
+            let stale = damage(&[flip]);
+            assert_eq!(load_error(&stale), "corrupt persisted data: segment checksum mismatch");
+            assert!(matches!(read_segment_sealed(&stale[..]), Err(PersistError::Corrupt(_))));
+            // The same bytes under a checksum that matches are the parse
+            // error the checksum hid.
+            let forged = forge(&stale[header..]);
+            assert!(load_error(&forged).contains(parse_error), "{}", load_error(&forged));
+        }
+        // Several parse errors: the first in the file is the one reported,
+        // as a reader front to back would meet them.
+        let forged = |flips: &[(usize, u8)]| load_error(&forge(&damage(flips)[header..]));
+        assert!(forged(&[doc_table, doc_lens, term]).contains("shares 5 bytes"));
+        assert!(forged(&[doc_lens, term]).contains("not strictly ascending ids"));
+    }
+
+    /// A file of `bytes` in the temp directory, removed on drop.
+    struct TempFile(std::path::PathBuf);
+
+    impl TempFile {
+        fn new(bytes: &[u8]) -> Self {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let name = format!(
+                "dsearch-segment-read-{}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            );
+            let path = std::env::temp_dir().join(name);
+            std::fs::write(&path, bytes).unwrap();
+            TempFile(path)
+        }
+
+        fn open(&self) -> File {
+            File::open(&self.0).unwrap()
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    #[test]
+    fn a_file_shorter_than_its_length_is_an_error_and_a_longer_one_is_read_whole() {
+        let bytes: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
+        let file = TempFile::new(&bytes);
+        for (part, threads) in [(1, 3), (64, 2), (333, 4), (1000, 2), (4096, 1)] {
+            for short_by in [1, 64, 500] {
+                let read = read_in_parts(&file.open(), bytes.len() + short_by, part, threads);
+                assert_eq!(read.unwrap_err().kind(), std::io::ErrorKind::UnexpectedEof);
+            }
+            // Grown since its length was taken: read on to its end.
+            for len in [0, 1, 999] {
+                assert_eq!(read_in_parts(&file.open(), len, part, threads).unwrap(), bytes);
+            }
+        }
+        assert_eq!(read_file(&file.open(), 4).unwrap(), bytes);
+        // Through the readers: a cut file is an error, not a short shard.
+        let (index, docs) = sample();
+        let mut segment = Vec::new();
+        write_segment(&index, &docs, std::io::Cursor::new(&mut segment)).unwrap();
+        let cut = TempFile::new(&segment[..segment.len() - 1]);
+        assert!(read_sealed_file(cut.open(), 2).is_err());
+        assert!(read_segment_file(cut.open(), 2).is_err());
+        let whole = TempFile::new(&segment);
+        assert_eq!(
+            read_sealed_file(whole.open(), 3).unwrap(),
+            read_segment_sealed(&segment[..]).unwrap()
+        );
+    }
+
     /// Wraps a hand-built payload in a header whose checksum matches, so the
     /// parser — not the checksum — has to reject it.
     fn forge(payload: &[u8]) -> Vec<u8> {
@@ -531,7 +777,8 @@ mod tests {
             varints(&values)
         };
         let lens = |payload: &[u8]| -> Vec<(FileId, u32)> {
-            read_front_matter(&forge(payload)).map(|front| front.doc_lens).unwrap()
+            let bytes = forge(payload);
+            read_front_matter(&bytes, check_header(&bytes).unwrap()).unwrap().doc_lens
         };
         assert_eq!(lens(&front(&[0, 5, 2, 7])), [(FileId(0), 5), (FileId(2), 7)]);
         assert_eq!(lens(&front(&[1, 5, 1, 7])), [(FileId(1), 5), (FileId(2), 7)]);
@@ -574,6 +821,30 @@ mod tests {
         let written = cursor.into_inner();
         assert_eq!(&written[..6], b"prefix");
         assert_eq!(&written[6..], &alone[..]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// A file read in parts is the file read whole, byte for byte: no
+        /// bytes, one, a part less or more one, several parts.
+        #[test]
+        fn reading_in_parts_reads_what_reading_whole_reads(
+            len in (0usize..10, 66usize..2000)
+                .prop_map(|(pick, many)| [0, 1, 63, 64, 65].get(pick).copied().unwrap_or(many)),
+            seed in any::<u8>(),
+        ) {
+            let bytes: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+            let file = TempFile::new(&bytes);
+            let mut whole = Vec::new();
+            file.open().read_to_end(&mut whole).unwrap();
+            for (part, threads) in [(PART, 2), (1, 3), (len.max(1), 2), (7, 1)] {
+                prop_assert_eq!(&read_in_parts(&file.open(), len, part, threads).unwrap(), &whole);
+            }
+            for threads in [1, 2, 5] {
+                prop_assert_eq!(&read_file(&file.open(), threads).unwrap(), &whole);
+            }
+        }
     }
 
     proptest! {

@@ -23,7 +23,10 @@
 //! ranges, on every core), written and synced, and only then named by **one**
 //! atomic manifest write.  The segments of a store — a resumable build seals
 //! one per checkpoint — are read, verified and laid out concurrently
-//! ([`IndexStore::load_all`], [`IndexStore::load_all_sealed`]).
+//! ([`IndexStore::load_all`], [`IndexStore::load_all_sealed`]), and the cores
+//! that fewer segments leave idle work inside them: each file is read in
+//! parts at once, and its checksum and doc table are verified beside its
+//! term tables.
 
 use std::fs;
 use std::io::Write;
@@ -36,7 +39,9 @@ use dsearch_index::{DocTable, InMemoryIndex, SealedShard, SectionBytes};
 
 use crate::error::PersistError;
 use crate::incremental::SignatureDb;
-use crate::segment::{read_segment, read_segment_sealed, write_segment_tallied, SegmentInfo};
+use crate::segment::{
+    cores, read_sealed_file, read_segment_file, write_segment_tallied, SegmentInfo,
+};
 
 /// Current manifest format version.
 pub const MANIFEST_VERSION: u32 = 1;
@@ -81,12 +86,11 @@ impl StoreManifest {
     }
 }
 
-/// Runs `work` over `items` on at most `min(items, available_parallelism)`
-/// threads — the caller's among them, so one item spawns nothing — and
-/// returns the results in item order.  Each item is handed to `work` by
-/// value and dropped with it, as soon as that item is done.
-fn fan_out<I: Send, T: Send>(items: Vec<I>, work: impl Fn(I) -> T + Sync) -> Vec<T> {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+/// Runs `work` over `items` on at most `min(items, cores)` threads — the
+/// caller's among them, so one item spawns nothing — and returns the results
+/// in item order.  Each item is handed to `work` by value and dropped with
+/// it, as soon as that item is done.
+fn fan_out<I: Send, T: Send>(items: Vec<I>, cores: usize, work: impl Fn(I) -> T + Sync) -> Vec<T> {
     let threads = items.len().min(cores);
     let queue = Mutex::new(items.into_iter().enumerate());
     let drain = || {
@@ -379,11 +383,13 @@ impl IndexStore {
 
     /// Reads the segment at `position` in the manifest with `read`, which
     /// gets the open file (unbuffered: the readers take it whole, sized from
-    /// its length).  A failure names the segment's file.
+    /// its length) and the threads it may run on.  A failure names the
+    /// segment's file.
     fn read_at<T>(
         &self,
         position: usize,
-        read: impl Fn(fs::File) -> Result<T, PersistError>,
+        threads: usize,
+        read: impl Fn(fs::File, usize) -> Result<T, PersistError>,
     ) -> Result<T, PersistError> {
         let entry = self.manifest.segments.get(position).ok_or_else(|| {
             PersistError::Corrupt(format!(
@@ -393,21 +399,28 @@ impl IndexStore {
         })?;
         fs::File::open(self.root.join(&entry.file_name))
             .map_err(PersistError::from)
-            .and_then(read)
+            .and_then(|file| read(file, threads))
             .map_err(|source| PersistError::Segment {
                 file_name: entry.file_name.clone(),
                 source: Box::new(source),
             })
     }
 
-    /// Reads every live segment with `read`, concurrently; the results come
-    /// back in manifest order, or the first failure in that order.
+    /// Reads every live segment with `read` on `cores` threads in all: the
+    /// segments concurrently, one a thread, and each segment on its share of
+    /// the threads that leaves (none when there are as many segments as
+    /// threads).  The results come back in manifest order, or the first
+    /// failure in that order.
     fn read_all<T: Send>(
         &self,
-        read: impl Fn(fs::File) -> Result<T, PersistError> + Sync,
+        cores: usize,
+        read: impl Fn(fs::File, usize) -> Result<T, PersistError> + Sync,
     ) -> Result<Vec<T>, PersistError> {
         let positions: Vec<usize> = (0..self.segment_count()).collect();
-        fan_out(positions, |position| self.read_at(position, &read)).into_iter().collect()
+        let each = (cores / positions.len().max(1)).max(1);
+        fan_out(positions, cores, |position| self.read_at(position, each, &read))
+            .into_iter()
+            .collect()
     }
 
     /// Loads one segment by its position in the manifest.
@@ -417,7 +430,7 @@ impl IndexStore {
     /// Fails when `position` is out of range or the segment file is missing
     /// or corrupt.
     pub fn load_segment(&self, position: usize) -> Result<(InMemoryIndex, DocTable), PersistError> {
-        self.read_at(position, read_segment)
+        self.read_at(position, cores(), read_segment_file)
     }
 
     /// Loads every live segment, concurrently, in manifest order.
@@ -427,7 +440,7 @@ impl IndexStore {
     /// Fails when any segment is missing or corrupt; the error is the first
     /// in manifest order and names the segment's file.
     pub fn load_all(&self) -> Result<Vec<(InMemoryIndex, DocTable)>, PersistError> {
-        self.read_all(read_segment)
+        self.read_all(cores(), read_segment_file)
     }
 
     /// Loads every live segment straight into its sealed serving form,
@@ -437,7 +450,7 @@ impl IndexStore {
     ///
     /// Fails like [`load_all`](IndexStore::load_all).
     pub fn load_all_sealed(&self) -> Result<Vec<(SealedShard, DocTable)>, PersistError> {
-        self.read_all(read_segment_sealed)
+        self.read_all(cores(), read_sealed_file)
     }
 
     /// Loads one segment straight into its sealed (block-compressed) serving
@@ -451,7 +464,7 @@ impl IndexStore {
         &self,
         position: usize,
     ) -> Result<(SealedShard, DocTable), PersistError> {
-        self.read_at(position, read_segment_sealed)
+        self.read_at(position, cores(), read_sealed_file)
     }
 }
 
@@ -780,6 +793,39 @@ mod tests {
             );
         }
         assert!(store.load_segment(0).is_ok());
+    }
+
+    #[test]
+    fn a_load_on_every_core_is_the_load_on_one() {
+        // Big enough to be read in several parts, and scored.
+        let mut docs = DocTable::new();
+        let mut replicas = vec![InMemoryIndex::new(); 4];
+        for i in 0..400u32 {
+            let id = docs.insert(format!("dir{}/doc{i}.txt", i % 7));
+            let terms = (0..i % 9 + 1).map(|t| (Term::from(format!("w{}", (i * t) % 97)), t + 1));
+            replicas[i as usize % 4].insert_file_counted(id, terms);
+        }
+        let dir = TempDir::new("every-core");
+        let mut one = IndexStore::open(dir.path().join("one")).unwrap();
+        one.commit_all(&replicas, &docs).unwrap();
+        let mut four = IndexStore::open(dir.path().join("four")).unwrap();
+        for replica in &replicas {
+            four.commit(replica, &docs).unwrap();
+        }
+        for store in [&one, &four] {
+            let alone = store.read_all(1, read_sealed_file).unwrap();
+            assert_eq!(alone.len(), store.segment_count());
+            for cores in [2, 3, 8] {
+                assert_eq!(store.read_all(cores, read_sealed_file).unwrap(), alone);
+            }
+            assert_eq!(store.load_all_sealed().unwrap(), alone);
+            let alone = store.read_all(1, read_segment_file).unwrap();
+            assert_eq!(store.read_all(8, read_segment_file).unwrap(), alone);
+            assert_eq!(store.load_all().unwrap(), alone);
+        }
+        let (shard, loaded_docs) = one.load_segment_sealed(0).unwrap();
+        assert_eq!(shard, SealedShard::from_index(&join_all(replicas)));
+        assert_eq!(loaded_docs, docs);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! copies nothing out of the file but the doc table, and queries evaluate
 //! through skip-aware cursors over the same bytes, so a reload costs I/O
 //! plus one validating pass, not a posting-by-posting rebuild — and the
-//! segments are independent, so a store's segments load concurrently.
+//! segments are independent, so a store's segments load concurrently, each
+//! on the cores the others leave idle.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -14,7 +14,7 @@ use dsearch::core::{
 };
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch::index::varint::{write_bytes, write_varint};
-use dsearch::index::{DocTable, FileId, InMemoryIndex, SealedShard};
+use dsearch::index::{DocTable, FileId, InMemoryIndex, SealedShard, BLOCK_SIZE};
 use dsearch::persist::checksum::xxh64;
 use dsearch::persist::segment::{
     read_segment, read_segment_sealed, write_segment, SEGMENT_MAGIC, SEGMENT_VERSION,
@@ -194,6 +194,8 @@ fn seal_then_serialise(
         // Skip entries: last ids and offsets as deltas, the first offset (0)
         // left out; a block's first id lives in the payload only.
         let skips = compressed.skips();
+        let mut ids = Vec::new();
+        compressed.decode_into(&mut ids);
         for (i, skip) in skips.iter().enumerate() {
             let before = i.checked_sub(1).map(|i| skips[i]);
             let last_before = before.map_or(0, |b| b.last.as_u32());
@@ -202,7 +204,7 @@ fn seal_then_serialise(
                 write_varint(&mut payload, u64::from(skip.offset - before.offset));
             }
             let mut first = Vec::new();
-            write_varint(&mut first, u64::from(skip.first.as_u32()));
+            write_varint(&mut first, u64::from(ids[i * BLOCK_SIZE].as_u32()));
             assert!(compressed.data()[skip.offset as usize..].starts_with(&first));
         }
         write_bytes(&mut payload, compressed.data());
