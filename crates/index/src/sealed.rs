@@ -330,10 +330,6 @@ impl SealedShard {
     /// the file's checksum and decodes its document table there while the
     /// term tables are laid over the file.
     ///
-    /// Whichever thread gets to `beside` first runs it: a helper that has
-    /// not started by the time the tables are laid (a busy machine) leaves
-    /// it to this thread instead of making it wait.
-    ///
     /// # Errors
     ///
     /// The shard fails like [`SealedShard::from_bytes`].
@@ -345,20 +341,15 @@ impl SealedShard {
         helper: bool,
         beside: impl FnOnce(&[u8]) -> T + Send,
     ) -> (Result<Self, BlockFormatError>, T) {
-        let beside = Mutex::new(Some(beside));
-        let run_beside = || {
-            let beside = beside.lock().expect("nothing runs under this lock").take();
-            beside.map(|beside| beside(&bytes))
+        let (tables, beside) = if helper {
+            std::thread::scope(|scope| {
+                let helper = scope.spawn(|| beside(&bytes));
+                let tables = Tables::lay_over(&bytes, terms_at);
+                (tables, helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            })
+        } else {
+            (Tables::lay_over(&bytes, terms_at), beside(&bytes))
         };
-        let (tables, beside) = std::thread::scope(|scope| {
-            let helper = helper.then(|| scope.spawn(run_beside));
-            let tables = Tables::lay_over(&bytes, terms_at);
-            let mine = run_beside();
-            let theirs = helper.and_then(|helper| {
-                helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            });
-            (tables, mine.or(theirs).expect("one of the threads ran it"))
-        });
         let files = scored_population(doc_lens.len(), doc_count);
         let shard = tables.map(|tables| tables.into_shard(bytes, files, build_norms(doc_lens)));
         (shard, beside)

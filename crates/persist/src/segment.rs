@@ -46,7 +46,6 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
-use std::sync::Mutex;
 
 use dsearch_index::varint::{write_bytes, write_varint, Reader};
 use dsearch_index::{
@@ -326,9 +325,9 @@ pub(crate) fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// The size of the parts a file is read in: a file of one part is read by
-/// one thread.
-const PART: usize = if cfg!(test) { 64 } else { 1 << 20 };
+/// The smallest part a file is read in: a file of one part is read by one
+/// thread.
+const PART: usize = 1 << 20;
 
 /// A segment file's bytes, read by up to `threads` threads at once (the
 /// caller's among them) into one buffer sized from the file's length, so
@@ -341,9 +340,8 @@ fn read_file(file: &File, threads: usize) -> std::io::Result<Vec<u8>> {
     read_in_parts(file, len, PART, threads)
 }
 
-/// [`read_file`] of a file `len` bytes long, in parts of `part` bytes.  The
-/// threads take the parts one at a time, so a thread the machine is slow to
-/// start leaves its share to the others.
+/// [`read_file`] of a file `len` bytes long, cut into one part a thread, each
+/// at least `part` bytes long.
 #[cfg(unix)]
 fn read_in_parts(
     mut file: &File,
@@ -353,18 +351,14 @@ fn read_in_parts(
 ) -> std::io::Result<Vec<u8>> {
     use std::os::unix::fs::FileExt;
     let mut bytes = vec![0; len];
-    let parts = Mutex::new(bytes.chunks_mut(part).zip((0..).step_by(part)));
-    let read_parts = || -> std::io::Result<()> {
-        loop {
-            let next = parts.lock().expect("nothing panics under this lock").next();
-            let Some((part, at)) = next else { return Ok(()) };
-            file.read_exact_at(part, at)?;
-        }
-    };
+    let part = len.div_ceil(threads.max(1)).max(part).max(1);
     std::thread::scope(|scope| {
+        let mut parts = bytes.chunks_mut(part).zip((0..).step_by(part));
+        let mine = parts.next();
         let others: Vec<_> =
-            (1..threads.min(len.div_ceil(part))).map(|_| scope.spawn(read_parts)).collect();
-        others.into_iter().fold(read_parts(), |read, other| {
+            parts.map(|(part, at)| scope.spawn(move || file.read_exact_at(part, at))).collect();
+        let read = mine.map_or(Ok(()), |(part, at)| file.read_exact_at(part, at));
+        others.into_iter().fold(read, |read, other| {
             read.and(other.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
         })
     })?;
@@ -838,7 +832,7 @@ mod tests {
             let file = TempFile::new(&bytes);
             let mut whole = Vec::new();
             file.open().read_to_end(&mut whole).unwrap();
-            for (part, threads) in [(PART, 2), (1, 3), (len.max(1), 2), (7, 1)] {
+            for (part, threads) in [(64, 2), (1, 3), (len.max(1), 2), (7, 5), (PART, 2)] {
                 prop_assert_eq!(&read_in_parts(&file.open(), len, part, threads).unwrap(), &whole);
             }
             for threads in [1, 2, 5] {

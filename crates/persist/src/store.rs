@@ -797,7 +797,7 @@ mod tests {
 
     #[test]
     fn a_load_on_every_core_is_the_load_on_one() {
-        // Big enough to be read in several parts, and scored.
+        // Scored, and loaded whole and as four segments.
         let mut docs = DocTable::new();
         let mut replicas = vec![InMemoryIndex::new(); 4];
         for i in 0..400u32 {

@@ -168,7 +168,10 @@ fn loading_allocates_per_document_and_holds_under_four_bytes_a_posting() {
         let (snapshot, allocations) =
             allocations_during(|| IndexSnapshot::load(store, 1).expect("the store loads"));
         let terms = snapshot.terms().count() as u64;
-        assert!(terms >= 15_000, "only {terms} term entries");
+        // Entries are counted per shard: the two segments repeat most terms,
+        // the one segment holds each once, at most the vocabulary.
+        let floor = if segments == 2 { 20_000 } else { 15_000 };
+        assert!(terms >= floor, "only {terms} term entries");
         let budget = segments * (docs.len() as u64 + FIXED_ALLOCATIONS_PER_SEGMENT);
         eprintln!("{allocations} allocations to load {segments} segment(s) (budget {budget})");
         assert!(
