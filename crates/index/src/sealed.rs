@@ -1113,6 +1113,15 @@ mod tests {
     use crate::block::PostingCursor;
     use proptest::prelude::*;
 
+    /// The list decoded into an owned [`PostingList`], frequencies included.
+    fn to_list(view: CompressedView<'_>) -> PostingList {
+        let (mut ids, mut tfs) = (Vec::new(), Vec::new());
+        view.decode_into(&mut ids);
+        view.decode_freqs_into(&mut tfs);
+        tfs.resize(ids.len(), 1);
+        ids.into_iter().zip(tfs).collect()
+    }
+
     fn t(s: &str) -> Term {
         Term::from(s)
     }
@@ -1143,7 +1152,7 @@ mod tests {
         assert!(!shard.is_empty());
 
         let rust = shard.postings(&t("rust")).unwrap();
-        assert_eq!(rust.to_list().doc_ids(), &[FileId(0), FileId(2)]);
+        assert_eq!(to_list(rust).doc_ids(), &[FileId(0), FileId(2)]);
         assert!(shard.postings(&t("cobol")).is_none());
         assert!(SealedShard::default().postings(&t("rust")).is_none());
 
@@ -1204,7 +1213,7 @@ mod tests {
         ));
         assert!(bm25_bound(idf, rust.bound()) >= f64::from(best));
         // tf survives sealing.
-        assert_eq!(rust.to_list().tf_of(FileId(3)), Some(4));
+        assert_eq!(to_list(rust).tf_of(FileId(3)), Some(4));
 
         // Longer-than-average docs get a norm above neutral, shorter below.
         assert!(shard.doc_norm(FileId(3)) > bm25_neutral_norm());
@@ -1575,7 +1584,7 @@ mod tests {
             let probe_term = Term::from(probe.as_str());
             for term in index.iter().map(|(term, _)| term).chain([&probe_term]) {
                 match (index.postings(term), shard.postings(term)) {
-                    (Some(list), Some(cp)) => prop_assert_eq!(&cp.to_list(), list),
+                    (Some(list), Some(cp)) => prop_assert_eq!(&to_list(cp), list),
                     (None, None) => {}
                     other => prop_assert!(false, "lookup mismatch: {other:?}"),
                 }
@@ -1586,7 +1595,7 @@ mod tests {
                 .map(|(_, list)| list.doc_ids()).collect();
             scanned.sort();
             let mut ranged: Vec<Vec<FileId>> = shard.prefix_postings(&probe)
-                .map(|cp| cp.to_list().doc_ids()).collect();
+                .map(|cp| to_list(cp).doc_ids()).collect();
             ranged.sort();
             prop_assert_eq!(ranged, scanned);
         }
@@ -1620,7 +1629,7 @@ mod tests {
             for (i, cp) in owned.iter().enumerate() {
                 let (own, found) = (cp.view(), shard.postings(&Term::from(format!("t{i}"))).unwrap());
                 prop_assert_eq!(found, own);
-                prop_assert_eq!(found.to_list(), own.to_list());
+                prop_assert_eq!(to_list(found), to_list(own));
                 let (mut a, mut b) = (own.cursor(), found.cursor());
                 while a.current().is_some() {
                     prop_assert_eq!(a.current(), b.current());
@@ -1668,7 +1677,7 @@ mod tests {
             prop_assume!(shard.has_scoring());
             for (term, list) in shard.iter() {
                 let bound = bm25_bound(idf, list.bound()) as f32;
-                for (id, tf) in list.to_list().iter_counted() {
+                for (id, tf) in to_list(list).iter_counted() {
                     let score = bm25_score(idf, tf, shard.doc_norm(id));
                     prop_assert!(score <= bound, "{term}: tf {tf}, score {score} > bound {bound}");
                 }

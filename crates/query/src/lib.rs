@@ -6,9 +6,9 @@
 //!
 //! * [`query::Query`] — a small boolean query language (`AND`/`OR`/`NOT`,
 //!   implicit `AND` between words, trailing-`*` prefix queries);
-//! * [`search::evaluate`] — the one query evaluator: document at a time over
-//!   the cursors of sealed shards, scoring by BM25 (with MaxScore pruning)
-//!   or by a constant;
+//! * [`search::evaluate`] — the one query evaluator: a window of decoded
+//!   blocks at a time over the cursors of sealed shards, scoring by BM25
+//!   (with MaxScore pruning) or by a constant;
 //! * [`search::Searcher`] — seals one joined index (Implementations 1 and 2)
 //!   or the un-joined replica set of Implementation 3 and evaluates against
 //!   it, optionally with one thread per replica;

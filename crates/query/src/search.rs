@@ -1,4 +1,4 @@
-//! Query evaluation: one document-at-a-time evaluator over sealed shards.
+//! Query evaluation: one window-at-a-time evaluator over sealed shards.
 //!
 //! [`evaluate`] is the only function in the workspace that answers a query.
 //! The serving engine, `IndexSnapshot`, the `dsearch search` command, the
@@ -7,16 +7,29 @@
 //!
 //! Per shard the query (an `OR` of `AND` groups) becomes a small cursor tree:
 //!
-//! * an **`AND` group** leapfrogs over one [`BlockCursor`] per required
-//!   term, shortest list first, so the rarest term drives and whole blocks
-//!   of the longer lists are skipped through their skip tables undecoded;
-//! * a **prefix term** (`word*`) is a node that unions the posting lists of
-//!   its dictionary range once, into a buffer the group then walks with a
-//!   [`SliceCursor`];
+//! * an **`AND` group** walks the decoded block of its rarest required
+//!   cursor, the *lead*, and filters it by every other required cursor in
+//!   turn — forward seeks only, so whole blocks of the longer lists are
+//!   skipped through their skip tables undecoded — and by its `NOT` cursors.
+//!   Before the lead decodes its next block it jumps to where the others
+//!   stand, so the blocks a leapfrog would skip stay skipped;
+//! * a **prefix term** (`word*`) is the union of the posting lists of its
+//!   dictionary range, decoded once into a buffer a [`SliceCursor`] walks as
+//!   one block;
 //! * a **`NOT` term** is a cursor that is only ever `seek`ed: a candidate it
 //!   lands on is dropped, blocks it never has to look into stay undecoded;
-//! * the **`OR` node** takes the groups' matches in document order and
-//!   offers each matching document exactly once to the shared `TopK`.
+//! * the **`OR` node** works through the ids a *window* at a time and offers
+//!   each matching document exactly once to the shared `TopK`.
+//!
+//! A window runs from the lowest next id of the essential groups (below) to
+//! the lowest last id of their current blocks, at most 4 096 ids wide,
+//! so every essential group hands out its matches in the window from one
+//! decoded block.  When one group is essential — every one-group query, most
+//! of a disjunction once θ has risen — its matches are walked directly.
+//! When several are, each writes its matches into the window: per document
+//! one slot per query term and a term mask (BM25), or the best group weight
+//! (the constant scorer); the window's documents are then walked in id
+//! order.
 //!
 //! What a document is offered *with* is the [`Scorer`]'s business.  The
 //! constant scorer gives every match score `0.0` and the length of its best
@@ -31,29 +44,28 @@
 //! the list's sealed bound byte), and the loop is MaxScore (Turtle & Flood,
 //! 1995).  The groups are ordered by bound; the longest prefix whose bounds
 //! together cannot reach θ is *non-essential*: a document matched by none of
-//! the other, *essential*, groups cannot make the heap, so candidates come
-//! from the essential groups alone — each the smallest of their next
-//! matches.  A non-essential group is only ever `seek`ed to a candidate,
-//! highest bound first, and only while the candidate's exact partial score
-//! plus the bounds of the non-essential groups not yet looked at can still
-//! reach θ.  When θ rises the boundary moves right; once every group is
-//! non-essential the shard is done.  A single `AND` group is the one-group
-//! case of the same loop.  A group's bounds cover its own terms only, so a
-//! query mixing several groups with a multi-term one is scored through
-//! separate forward-seeking cursors and never pruned; it, and every query
-//! the constant scorer answers, runs the same loop with every group
-//! essential.
+//! the other, *essential*, groups cannot make the heap, so windows are made
+//! of the essential groups' matches alone.  The boundary is drawn at each
+//! window's start; inside a window θ may rise, and each candidate is held
+//! against it: its exact partial score plus the bounds of the non-essential
+//! groups must still reach θ before the non-essential groups — only ever
+//! `seek`ed — are looked at, highest bound first, and only while that stays
+//! so.  Once every group is non-essential the shard is done.  A single `AND`
+//! group is the one-group case of the same loop.  A group's bounds cover its
+//! own terms only, so a query mixing several groups with a multi-term one is
+//! never pruned: one cursor per query term walks each window beside the
+//! groups and fills the slots of the documents a group matched.  It, and
+//! every query the constant scorer answers, runs the same loop with every
+//! group essential.
 //!
 //! Shards are evaluated one after another into one heap, each scored with
 //! its own statistics — exactly how the same documents score when routed
 //! across separate shard processes.
 //!
-//! What one shard's evaluation allocates does not depend on its groups or
-//! cursors: every group's cursors live in two shared arenas (a cursor
-//! decodes into buffers of its own, inline), and a document's BM25 terms
-//! meet in one slot per query term.  A lone essential group — every
-//! candidate of a one-group query, most of a sparse `OR` once θ has risen —
-//! hands out its next match without the others being looked at.
+//! What an evaluation allocates does not depend on its groups, cursors or
+//! postings: the window's buffers are allocated once per evaluation and
+//! shared by its shards, and every group's cursors live in two arenas per
+//! shard (a cursor decodes into buffers of its own, inline).
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -77,6 +89,10 @@ const SLACK: f64 = 1e-5;
 /// Candidates between two polls of `should_cancel`.
 const CANCEL_STRIDE: u64 = 64;
 
+/// The widest window, in ids: what a window's slots and marks are sized for.
+/// Most windows end sooner, at the end of an essential group's block.
+const WINDOW: usize = 4096;
+
 /// What an evaluation reports besides its hits: the posting blocks it
 /// touched, and whether it ran to completion.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -92,9 +108,12 @@ pub struct PruneStats {
     /// `should_cancel` returned `true` at a checkpoint: the hits are whatever
     /// had been found by then, and only good for discarding.
     pub cancelled: bool,
-    /// Candidates: documents the essential groups matched, one per round of
-    /// the `OR` node's loop.
+    /// Candidates: documents the essential groups matched.
     pub rounds: u64,
+    /// The candidates of windows with one essential group, walked straight
+    /// off its matches; the rest (`rounds - lone`) were walked through a
+    /// window's slots.
+    pub lone: u64,
     /// Candidates scored in full (no bound ruled them out on the way) and
     /// offered to the result heap if they reached its threshold.
     pub scored: u64,
@@ -110,6 +129,7 @@ impl PruneStats {
         self.lookup += other.lookup;
         self.cancelled |= other.cancelled;
         self.rounds += other.rounds;
+        self.lone += other.lone;
         self.scored += other.scored;
         self.seeks += other.seeks;
     }
@@ -165,26 +185,24 @@ pub fn evaluate(
         return (SearchResults::default(), stats);
     }
     let groups = query.groups();
-    let terms = query.terms();
-    let ranked = scorer == Scorer::Bm25 && scorable(query);
     let plan = Plan {
         query,
-        ranked,
+        terms: query.terms(),
+        ranked: scorer == Scorer::Bm25 && scorable(query),
         mixed: groups.len() > 1 && groups.iter().any(|group| group.len() > 1),
-        one_term: ranked && groups.len() == 1 && terms.len() == 1,
-        terms,
     };
     let mut top = TopK::new(k, docs);
-    let mut sum = TermSum::new(plan.terms.len());
+    let mut window = Window::new(&plan);
     for shard in shards {
         stats.cancelled = stats.cancelled || should_cancel();
         if stats.cancelled {
             break;
         }
+        let sink = Sink::new(&mut top, should_cancel);
         if plan.ranked {
-            evaluate_shard::<true>(shard, &plan, &mut top, &mut sum, &mut stats, should_cancel);
+            evaluate_shard::<true>(shard, &plan, sink, &mut window, &mut stats);
         } else {
-            evaluate_shard::<false>(shard, &plan, &mut top, &mut sum, &mut stats, should_cancel);
+            evaluate_shard::<false>(shard, &plan, sink, &mut window, &mut stats);
         }
     }
     (collect(top.into_hits(), shards.len(), k), stats)
@@ -213,15 +231,167 @@ struct Plan<'q> {
     /// Several groups, one of them with several terms: a document matched
     /// through one group may contain terms of another.
     mixed: bool,
-    /// Ranked, one group of one exact term: a document's score is its one
-    /// contribution, with no slots to sum.
-    one_term: bool,
+}
+
+/// The buffers an evaluation's windows work in, allocated once and shared
+/// by its shards.
+struct Window {
+    /// One group's matches in the window, ascending: at most a block, or a
+    /// window's worth when a prefix union leads.
+    ids: Vec<FileId>,
+    /// Ranked: the matches' term frequencies, one row of [`BLOCK_SIZE`] per
+    /// required term of the group, the rows in ascending term order.
+    tfs: Vec<u32>,
+    /// Ranked: each row's idf.
+    idfs: Vec<f32>,
+    /// Several groups: the window's documents some group matched, a bit each.
+    seen: Vec<u64>,
+    /// Several groups, per document of the window: ranked, which query terms
+    /// its slots hold, `words` words of bits; constant, its best group weight.
+    marks: Vec<u64>,
+    /// Ranked, several groups: per document of the window, one contribution
+    /// per query term.
+    slots: Vec<f32>,
+    /// Words of marks a document.
+    words: usize,
+    /// Slots a document: the query's terms.
+    terms: usize,
+}
+
+impl Window {
+    fn new(plan: &Plan<'_>) -> Self {
+        let groups = plan.query.groups();
+        let several = groups.len() > 1;
+        let matches = if plan.query.has_prefix_terms() { WINDOW } else { BLOCK_SIZE };
+        let rows =
+            if plan.ranked { groups.iter().map(QueryGroup::len).max().unwrap_or(0) } else { 0 };
+        let terms = plan.terms.len();
+        let words = if plan.ranked { terms.div_ceil(64).max(1) } else { 1 };
+        Window {
+            ids: vec![FileId(0); matches],
+            tfs: vec![0; rows * BLOCK_SIZE],
+            idfs: vec![0.0; rows],
+            seen: if several { vec![0; WINDOW / 64] } else { Vec::new() },
+            marks: if several { vec![0; WINDOW * words] } else { Vec::new() },
+            slots: if several && plan.ranked { vec![0.0; WINDOW * terms] } else { Vec::new() },
+            words,
+            terms,
+        }
+    }
+
+    /// Marks document `at` as matched by a group.
+    fn see(&mut self, at: usize) {
+        self.seen[at / 64] |= 1 << (at % 64);
+    }
+
+    fn is_seen(&self, at: usize) -> bool {
+        self.seen[at / 64] & (1 << (at % 64)) != 0
+    }
+
+    /// Stores `score` as `term`'s contribution to document `at` unless it
+    /// holds one already; returns what it added.
+    fn put(&mut self, at: usize, term: usize, score: f32) -> f64 {
+        let word = &mut self.marks[at * self.words + term / 64];
+        let bit = 1u64 << (term % 64);
+        if *word & bit != 0 {
+            return 0.0;
+        }
+        *word |= bit;
+        self.slots[at * self.terms + term] = score;
+        f64::from(score)
+    }
+
+    /// Document `at`'s contributions summed in ascending term order: what
+    /// pruning compares, never what is reported.
+    fn partial(&self, at: usize) -> f64 {
+        let mut sum = 0.0;
+        for (w, &word) in self.marks[at * self.words..][..self.words].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                sum += f64::from(
+                    self.slots[at * self.terms + w * 64 + bits.trailing_zeros() as usize],
+                );
+                bits &= bits - 1;
+            }
+        }
+        sum
+    }
+
+    /// Document `at`'s score and the number of distinct terms that made it;
+    /// empties its slots.
+    fn take(&mut self, at: usize) -> (f32, usize) {
+        let score = self.partial(at) as f32;
+        let marks = &mut self.marks[at * self.words..][..self.words];
+        let terms = marks.iter().map(|word| word.count_ones() as usize).sum();
+        marks.fill(0);
+        (score, terms)
+    }
+
+    /// Empties document `at`'s slots.
+    fn clear(&mut self, at: usize) {
+        self.marks[at * self.words..][..self.words].fill(0);
+    }
+}
+
+/// Where one shard's candidates go: the heap and its threshold, and the
+/// counters of what the windows did.
+struct Sink<'t, 'd, 'c> {
+    top: &'t mut TopK<'d>,
+    /// θ: what a score has to reach to be offered.
+    threshold: f64,
+    should_cancel: &'c dyn Fn() -> bool,
+    cancelled: bool,
+    candidates: u64,
+    lone: u64,
+    scored: u64,
+    seeks: u64,
+}
+
+impl<'t, 'd, 'c> Sink<'t, 'd, 'c> {
+    fn new(top: &'t mut TopK<'d>, should_cancel: &'c dyn Fn() -> bool) -> Self {
+        let threshold = top.threshold();
+        Sink {
+            top,
+            threshold,
+            should_cancel,
+            cancelled: false,
+            candidates: 0,
+            lone: 0,
+            scored: 0,
+            seeks: 0,
+        }
+    }
+
+    /// Counts a candidate, polling `should_cancel` every
+    /// [`CANCEL_STRIDE`]; `false` once the evaluation is cancelled.
+    #[inline]
+    fn candidate(&mut self) -> bool {
+        self.candidates += 1;
+        if self.candidates.is_multiple_of(CANCEL_STRIDE) && (self.should_cancel)() {
+            self.cancelled = true;
+        }
+        !self.cancelled
+    }
+
+    /// A candidate scored in full.  A score below θ loses whatever its path;
+    /// a tie is for `offer`.
+    #[inline]
+    fn offer(&mut self, doc: FileId, score: f32, matched: usize) {
+        self.scored += 1;
+        if f64::from(score) >= self.threshold {
+            self.top.offer(doc, score, matched);
+            self.threshold = self.top.threshold();
+        }
+    }
 }
 
 /// One exact term's posting cursor plus its score bound.
 struct TermCursor<'a> {
     /// Index into [`Plan::terms`].
     term: usize,
+    /// Its rank among its group's exact terms in ascending term order: the
+    /// row of [`Window::tfs`] its frequencies go to.
+    row: usize,
     idf: f32,
     /// Admissible upper bound on any single posting's score in this list.
     list_bound: f64,
@@ -247,6 +417,7 @@ impl<'a> TermCursor<'a> {
         };
         Some(TermCursor {
             term: plan.terms.binary_search(&term).expect("Query::terms lists every exact term"),
+            row: 0,
             idf,
             list_bound,
             cursor: postings.cursor(),
@@ -254,8 +425,8 @@ impl<'a> TermCursor<'a> {
     }
 
     /// This term's share of the score of the document the cursor is on.
-    fn contribution(&mut self, norm: f32) -> (usize, f32) {
-        (self.term, bm25_score(self.idf, self.cursor.current_tf(), norm))
+    fn contribution(&mut self, norm: f32) -> f32 {
+        bm25_score(self.idf, self.cursor.current_tf(), norm)
     }
 }
 
@@ -277,7 +448,7 @@ fn prefix_union(shard: &SealedShard, prefix: &str, stats: &mut PruneStats) -> Ve
 
 /// One required cursor of a group.  An exact term's cursor carries its block
 /// buffers inline and a prefix's borrows its union, hence the sizes; leaves
-/// sit in their shard's arena and are not moved once the merge starts, and
+/// sit in their shard's arena and are not moved once the windows start, and
 /// boxing the large one would be an allocation per cursor again.
 #[allow(clippy::large_enum_variant)]
 enum Leaf<'a> {
@@ -285,6 +456,25 @@ enum Leaf<'a> {
     Term(TermCursor<'a>),
     /// A prefix term: its materialised union.
     Prefix(SliceCursor<'a>),
+}
+
+impl Leaf<'_> {
+    /// The row of [`Window::tfs`] an exact term's frequencies go to.
+    fn row(&self) -> usize {
+        match self {
+            Leaf::Term(term) => term.row,
+            Leaf::Prefix(_) => 0,
+        }
+    }
+
+    /// The rest of the current block and, for an exact term, each id's
+    /// frequency beside it (a query with a prefix term is never ranked).
+    fn block_tfs(&mut self) -> (&[FileId], &[u32]) {
+        match self {
+            Leaf::Term(term) => term.cursor.block_tfs(),
+            Leaf::Prefix(union) => (union.block(), &[]),
+        }
+    }
 }
 
 impl PostingCursor for Leaf<'_> {
@@ -298,10 +488,7 @@ impl PostingCursor for Leaf<'_> {
 
     #[inline]
     fn advance(&mut self) {
-        match self {
-            Leaf::Term(term) => term.cursor.advance(),
-            Leaf::Prefix(union) => union.advance(),
-        }
+        self.advance_by(1);
     }
 
     #[inline]
@@ -318,6 +505,22 @@ impl PostingCursor for Leaf<'_> {
             Leaf::Prefix(union) => union.len(),
         }
     }
+
+    #[inline]
+    fn block(&self) -> &[FileId] {
+        match self {
+            Leaf::Term(term) => term.cursor.block(),
+            Leaf::Prefix(union) => union.block(),
+        }
+    }
+
+    #[inline]
+    fn advance_by(&mut self, n: usize) {
+        match self {
+            Leaf::Term(term) => term.cursor.advance_by(n),
+            Leaf::Prefix(union) => union.advance_by(n),
+        }
+    }
 }
 
 /// Every cursor of one shard's evaluation: the groups' required cursors in
@@ -332,8 +535,7 @@ struct Cursors<'a> {
 /// reaches and no excluded cursor does, in ascending order.
 struct Group {
     /// Its required cursors in [`Cursors::leaves`], one per distinct term,
-    /// ascending by list length: the first, the shortest, drives the
-    /// leapfrog.
+    /// ascending by list length: the first, the shortest, leads.
     leaves: Range<usize>,
     /// Its `NOT` cursors in [`Cursors::excluded`]: only ever seeked to a
     /// candidate.
@@ -346,7 +548,8 @@ struct Group {
     /// Its list bound and those of the groups before it, summed: what the
     /// groups up to this one can add to a score.
     upto: f64,
-    /// The group's next match; `None` once it has none left.
+    /// No match of the group lies below this id (the lead's position);
+    /// `None` once it has none left.
     current: Option<FileId>,
 }
 
@@ -367,11 +570,21 @@ impl Group {
         for term in group.required() {
             match term {
                 QueryTerm::Exact(term) => match TermCursor::open(shard, plan, term) {
-                    Some(cursor) => {
+                    Some(mut cursor) => {
                         let seen = cursors.leaves[start..]
                             .iter()
                             .any(|leaf| matches!(leaf, Leaf::Term(c) if c.term == cursor.term));
                         if !seen {
+                            // Rows in ascending term order.
+                            for leaf in &mut cursors.leaves[start..] {
+                                if let Leaf::Term(other) = leaf {
+                                    if other.term > cursor.term {
+                                        other.row += 1;
+                                    } else {
+                                        cursor.row += 1;
+                                    }
+                                }
+                            }
                             list_bound += cursor.list_bound;
                             cursors.leaves.push(Leaf::Term(cursor));
                         }
@@ -389,8 +602,9 @@ impl Group {
             cursors.leaves.truncate(start);
             return None;
         }
-        // Selectivity ordering: the rarest list drives, so no candidate set
-        // can exceed it (prefixes ahead of exact terms of the same length).
+        // Selectivity ordering: the rarest list leads, so no window can hold
+        // more candidates than its block (prefixes ahead of exact terms of
+        // the same length).
         cursors.leaves[start..].sort_by_key(|leaf| (leaf.len(), matches!(leaf, Leaf::Term(_))));
         let excluded = cursors.excluded.len();
         cursors.excluded.extend(
@@ -409,141 +623,154 @@ impl Group {
             upto: 0.0,
             current: None,
         };
-        group.current = group.settle(cursors);
+        group.current = group.align(cursors);
         Some(group)
     }
 
-    /// Leapfrog from where the lead stands: every other required cursor
-    /// seeks to the lead's id, one that lands beyond it sends the lead
-    /// there, and an excluded cursor that lands on it sends the lead on.
-    /// Returns the first id all agree on.
-    #[inline]
-    fn settle(&self, cursors: &mut Cursors<'_>) -> Option<FileId> {
-        if self.leaves.len() == 1 && self.excluded.is_empty() {
-            // A lone cursor agrees with itself.
-            return cursors.leaves[self.leaves.start].current();
-        }
+    /// Moves the lead up to the furthest of the other required cursors'
+    /// positions, none of which is sought: a lower bound on the group's next
+    /// match, `None` once some required cursor has nothing left.
+    fn align(&self, cursors: &mut Cursors<'_>) -> Option<FileId> {
         let (lead, rest) = cursors.leaves[self.leaves.clone()].split_first_mut()?;
+        let mut furthest = lead.current()?;
+        for leaf in rest.iter() {
+            furthest = furthest.max(leaf.current()?);
+        }
+        lead.seek(furthest)
+    }
+
+    /// The last id of the lead's current block: the group's matches up to it
+    /// come from the block it has decoded.
+    fn block_end(&self, cursors: &Cursors<'_>) -> FileId {
+        cursors.leaves[self.leaves.start].block().last().copied().unwrap_or(FileId(u32::MAX))
+    }
+
+    /// Writes the group's matches up to `hi` to `window.ids` — with `TFS`,
+    /// each term's frequency to its row of `window.tfs` — moves the group
+    /// past them, and returns how many there are.  Only the lead's current
+    /// block is walked: `hi` is at most its last id.
+    fn collect<const TFS: bool>(
+        &mut self,
+        cursors: &mut Cursors<'_>,
+        hi: FileId,
+        window: &mut Window,
+    ) -> usize {
+        let Some((lead, rest)) = cursors.leaves[self.leaves.clone()].split_first_mut() else {
+            self.current = None;
+            return 0;
+        };
         let excluded = &mut cursors.excluded[self.excluded.clone()];
-        let mut candidate = lead.current()?;
-        'candidate: loop {
-            for leaf in rest.iter_mut() {
-                let at = leaf.seek(candidate)?;
-                if at != candidate {
-                    candidate = lead.seek(at)?;
-                    continue 'candidate;
+        let lead_row = lead.row() * BLOCK_SIZE;
+        let (ids, tfs) = if TFS { lead.block_tfs() } else { (lead.block(), &[][..]) };
+        let upto = ids.partition_point(|&id| id <= hi);
+        let (whole, last) = (upto == ids.len(), upto.checked_sub(1).map(|at| ids[at]));
+        let mut found = 0;
+        if rest.is_empty() && excluded.is_empty() {
+            window.ids[..upto].copy_from_slice(&ids[..upto]);
+            if TFS {
+                window.tfs[lead_row..][..upto].copy_from_slice(&tfs[..upto]);
+            }
+            found = upto;
+        } else {
+            // Each lead id is held against every other required cursor in
+            // turn; one that lands past it skips the lead ids before.
+            let mut i = 0;
+            'ids: while i < upto {
+                let id = ids[i];
+                for leaf in rest.iter_mut() {
+                    match leaf.seek(id) {
+                        Some(at) if at == id => {
+                            if let (true, Leaf::Term(term)) = (TFS, leaf) {
+                                window.tfs[term.row * BLOCK_SIZE + found] =
+                                    term.cursor.current_tf();
+                            }
+                        }
+                        Some(at) => {
+                            i += ids[i..upto].partition_point(|&id| id < at);
+                            continue 'ids;
+                        }
+                        None => {
+                            self.current = None;
+                            return found;
+                        }
+                    }
                 }
+                i += 1;
+                if excluded.iter_mut().any(|c| c.seek(id) == Some(id)) {
+                    continue;
+                }
+                window.ids[found] = id;
+                if TFS {
+                    window.tfs[lead_row + found] = tfs[i - 1];
+                }
+                found += 1;
             }
-            if excluded.iter_mut().any(|c| c.seek(candidate) == Some(candidate)) {
-                lead.advance();
-                candidate = lead.current()?;
-                continue;
+        }
+        match last {
+            // Its block done, the lead stays on the block's last id and the
+            // group's next match lies past it and past every other required
+            // cursor: the next block is decoded by `enter`, if the group is
+            // still essential then, at the first of those ids.
+            Some(last) if whole => {
+                lead.advance_by(upto - 1);
+                let next = last.as_u32().checked_add(1).map(FileId);
+                self.current = next.and_then(|next| {
+                    rest.iter().try_fold(next, |next, leaf| leaf.current().map(|at| next.max(at)))
+                });
             }
-            return Some(candidate);
+            _ => {
+                lead.advance_by(upto);
+                self.current = self.align(cursors);
+            }
+        }
+        found
+    }
+
+    /// Decodes the block the group's next match can be in: a lead that
+    /// stays on a block it has handed out seeks on to the group's bound.
+    fn enter(&mut self, cursors: &mut Cursors<'_>) {
+        let Some(next) = self.current else { return };
+        let lead = &mut cursors.leaves[self.leaves.start];
+        if lead.current().is_some_and(|at| at < next) {
+            lead.seek(next);
+            self.current = self.align(cursors);
         }
     }
 
-    /// Moves past the current match.
-    #[inline]
-    fn advance(&mut self, cursors: &mut Cursors<'_>) {
-        cursors.leaves[self.leaves.start].advance();
-        self.current = self.settle(cursors);
+    /// A non-essential group — one exact term — sought to `doc`: that term
+    /// and its contribution when it holds `doc`.
+    fn seek_term(
+        &mut self,
+        doc: FileId,
+        norm: f32,
+        cursors: &mut Cursors<'_>,
+    ) -> Option<(usize, f32)> {
+        let Leaf::Term(term) = &mut cursors.leaves[self.leaves.start] else {
+            unreachable!("only a pure disjunction has non-essential groups");
+        };
+        self.current = term.cursor.seek(doc);
+        (self.current == Some(doc)).then(|| (term.term, term.contribution(norm)))
     }
 
-    /// Moves to the first match at or after `target`.
-    fn seek(&mut self, target: FileId, cursors: &mut Cursors<'_>) {
-        if self.current.is_some_and(|doc| doc < target) {
-            cursors.leaves[self.leaves.start].seek(target);
-            self.current = self.settle(cursors);
-        }
-    }
-
-    /// Calls `f` on every exact term's cursor.  (Internal iteration: the
-    /// loop runs this per document, and a `once().chain().filter_map()`
-    /// adaptor stack measured 5 % slower on single-term queries.)
-    #[inline]
-    fn for_each_term<'a>(&self, cursors: &mut Cursors<'a>, mut f: impl FnMut(&mut TermCursor<'a>)) {
-        for leaf in &mut cursors.leaves[self.leaves.clone()] {
+    fn retire(&self, cursors: &Cursors<'_>, stats: &mut PruneStats) {
+        for leaf in &cursors.leaves[self.leaves.clone()] {
             if let Leaf::Term(term) = leaf {
-                f(term);
+                stats.retire(&term.cursor);
             }
         }
-    }
-
-    fn retire(&self, cursors: &mut Cursors<'_>, stats: &mut PruneStats) {
-        self.for_each_term(cursors, |c| stats.retire(&c.cursor));
         cursors.excluded[self.excluded.clone()].iter().for_each(|c| stats.retire(c));
     }
 }
 
-/// One document's BM25 score, summed over one slot per query term: a term
-/// two matching groups both carry fills its slot once, and the filled slots
-/// are summed in ascending term order, in `f64`, rounding once.
-struct TermSum {
-    slots: Vec<f32>,
-    /// Which slots hold a contribution, one bit each.
-    filled: Vec<u64>,
-}
-
-impl TermSum {
-    fn new(terms: usize) -> Self {
-        TermSum { slots: vec![0.0; terms], filled: vec![0; terms.div_ceil(64)] }
-    }
-
-    /// Fills `term`'s slot unless it is filled; returns what it added.
-    #[inline]
-    fn add(&mut self, (term, score): (usize, f32)) -> f32 {
-        let bit = 1u64 << (term % 64);
-        let word = &mut self.filled[term / 64];
-        if *word & bit != 0 {
-            return 0.0;
-        }
-        *word |= bit;
-        self.slots[term] = score;
-        score
-    }
-
-    /// The filled slots summed: what pruning compares, never what is
-    /// reported.
-    fn partial(&self) -> f64 {
-        let mut sum = 0.0;
-        for (w, &word) in self.filled.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                sum += f64::from(self.slots[w * 64 + bits.trailing_zeros() as usize]);
-                bits &= bits - 1;
-            }
-        }
-        sum
-    }
-
-    /// The score and the number of distinct terms that made it; empties
-    /// every slot.
-    #[inline]
-    fn take(&mut self) -> (f32, usize) {
-        let mut sum = 0.0f64;
-        let mut terms = 0;
-        for (w, word) in self.filled.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                sum += f64::from(self.slots[w * 64 + bits.trailing_zeros() as usize]);
-                terms += 1;
-                bits &= bits - 1;
-            }
-        }
-        (sum as f32, terms)
-    }
-}
-
-/// The `OR` node over one shard: MaxScore over the groups' matches, into
-/// `top`.  Compiled once per scorer: `RANKED` is `plan.ranked`.
+/// The `OR` node over one shard: MaxScore over the groups' matches, a window
+/// at a time, into the sink's heap.  Compiled once per scorer: `RANKED` is
+/// `plan.ranked`.
 fn evaluate_shard<const RANKED: bool>(
     shard: &SealedShard,
     plan: &Plan<'_>,
-    top: &mut TopK<'_>,
-    sum: &mut TermSum,
+    mut sink: Sink<'_, '_, '_>,
+    window: &mut Window,
     stats: &mut PruneStats,
-    should_cancel: &dyn Fn() -> bool,
 ) {
     let opening = Instant::now();
     // The prefix unions first: the groups' cursors borrow them.
@@ -567,128 +794,245 @@ fn evaluate_shard<const RANKED: bool>(
     // A document matched through one group of a mixed query may hold terms
     // of another, whose cursors have leapt past it: score such a query
     // through cursors of its own, and never prune it.
-    let prune = RANKED && !plan.mixed;
     let mut scorers: Vec<TermCursor<'_>> = if RANKED && plan.mixed {
         plan.terms.iter().filter_map(|term| TermCursor::open(shard, plan, term)).collect()
     } else {
         Vec::new()
     };
+    let prune = RANKED && !plan.mixed;
     if prune {
         // Ascending bound: the non-essential groups are always a prefix.
         groups.sort_by(|a, b| a.list_bound.total_cmp(&b.list_bound));
     }
     stats.lookup += opening.elapsed();
 
-    // Groups leave once they have no match left; the groups before
-    // `essential` are the non-essential ones.
-    let mut essential = 0;
-    let mut threshold = top.threshold();
-    let mut changed = true;
-    let (mut candidates, mut scored, mut seeks) = (0u64, 0u64, 0u64);
-    loop {
-        if changed {
-            groups.retain(|group| {
-                let live = group.current.is_some();
-                if !live {
-                    group.retire(&mut cursors, stats);
-                }
-                live
-            });
-            let mut upto = 0.0;
-            for group in &mut groups {
-                upto += group.list_bound;
-                group.upto = upto;
+    while !sink.cancelled {
+        // A window's start: the groups with no match left leave, and the
+        // boundary between non-essential and essential groups is drawn.
+        groups.retain(|group| {
+            let live = group.current.is_some();
+            if !live {
+                group.retire(&cursors, stats);
             }
-            essential = if prune { first_essential(&groups, 0, threshold) } else { 0 };
-            changed = false;
+            live
+        });
+        let mut upto = 0.0;
+        for group in &mut groups {
+            upto += group.list_bound;
+            group.upto = upto;
         }
-        let doc = match &groups[essential..] {
-            [] => break,
-            [lone] => lone.current,
-            live => live.iter().filter_map(|group| group.current).min(),
-        };
-        let doc = doc.expect("groups with no match left have left");
-        candidates += 1;
-        if candidates.is_multiple_of(CANCEL_STRIDE) && should_cancel() {
-            stats.cancelled = true;
+        let essential = if prune { first_essential(&groups, sink.threshold) } else { 0 };
+        let (behind, live) = groups.split_at_mut(essential);
+        if live.is_empty() {
             break;
         }
-        // The essential groups on the candidate: take what the scorer needs
-        // from their cursors, then move them on.
-        let norm = if RANKED { shard.doc_norm(doc) } else { 0.0 };
-        let mut weight = 0;
-        let mut lone = 0.0;
-        for group in &mut groups[essential..] {
-            if group.current == Some(doc) {
-                weight = weight.max(group.weight);
-                if RANKED && plan.one_term {
-                    group.for_each_term(&mut cursors, |c| lone = c.contribution(norm).1);
-                } else if prune {
-                    group.for_each_term(&mut cursors, |c| {
-                        sum.add(c.contribution(norm));
-                    });
-                }
-                group.advance(&mut cursors);
-                changed |= group.current.is_none();
-            }
-        }
-        // The non-essential groups, highest bound first, while the partial
-        // score plus the bounds not yet looked at can reach θ.
-        let mut reachable = true;
-        let mut partial = if essential > 0 { sum.partial() } else { 0.0 };
-        for i in (0..essential).rev() {
-            if partial + groups[i].upto + SLACK <= threshold {
-                reachable = false;
-                break;
-            }
-            seeks += 1;
-            let group = &mut groups[i];
-            group.seek(doc, &mut cursors);
-            if group.current == Some(doc) {
-                group.for_each_term(&mut cursors, |c| {
-                    partial += f64::from(sum.add(c.contribution(norm)));
-                });
-            }
-            changed |= group.current.is_none();
-        }
-        for c in &mut scorers {
-            if c.cursor.seek(doc) == Some(doc) {
-                sum.add(c.contribution(norm));
-            }
-        }
-        let (score, matched) = if RANKED && plan.one_term {
-            (lone, 1)
-        } else if RANKED {
-            sum.take()
-        } else {
-            (0.0, weight)
+        live.iter_mut().for_each(|group| group.enter(&mut cursors));
+        let Some(lo) = live.iter().map(|group| group.current).min().flatten() else {
+            // A group found it had no match left: the boundary moves.
+            continue;
         };
-        // A score below θ loses whatever its path; a tie is for `offer`.
-        if reachable {
-            scored += 1;
-            if f64::from(score) >= threshold {
-                top.offer(doc, score, matched);
-                if RANKED {
-                    threshold = top.threshold();
-                    if prune {
-                        essential = first_essential(&groups, essential, threshold);
+        let widest = FileId(lo.as_u32().saturating_add(WINDOW as u32 - 1));
+        let hi = live.iter().map(|group| group.block_end(&cursors)).fold(widest, FileId::min);
+        let mut run = Run { shard, lo, hi, cursors: &mut cursors, window, sink: &mut sink };
+        match live {
+            // A mixed query's candidates always take their terms' slots.
+            [lone] if scorers.is_empty() => run.lone::<RANKED>(lone, behind),
+            live => run.several::<RANKED>(live, behind, &mut scorers, prune),
+        }
+    }
+    stats.cancelled |= sink.cancelled;
+    stats.rounds += sink.candidates;
+    stats.lone += sink.lone;
+    stats.scored += sink.scored;
+    stats.seeks += sink.seeks;
+    groups.iter().for_each(|group| group.retire(&cursors, stats));
+    scorers.iter().for_each(|c| stats.retire(&c.cursor));
+}
+
+/// Where the essential groups start once θ is `threshold`: past every group
+/// whose bound, summed with the bounds before it, cannot reach θ.
+fn first_essential(groups: &[Group], threshold: f64) -> usize {
+    groups.iter().take_while(|group| group.upto + SLACK <= threshold).count()
+}
+
+/// One window, `lo..=hi`, of one shard.
+struct Run<'r, 's, 'a, 't, 'd, 'c> {
+    shard: &'s SealedShard,
+    lo: FileId,
+    hi: FileId,
+    cursors: &'r mut Cursors<'a>,
+    window: &'r mut Window,
+    sink: &'r mut Sink<'t, 'd, 'c>,
+}
+
+impl Run<'_, '_, '_, '_, '_, '_> {
+    /// Document `doc`'s place in the window.
+    fn at(&self, doc: FileId) -> usize {
+        (doc.as_u32() - self.lo.as_u32()) as usize
+    }
+
+    /// One essential group: its matches are the candidates, walked as they
+    /// come.
+    fn lone<const RANKED: bool>(&mut self, group: &mut Group, behind: &mut [Group]) {
+        let found = group.collect::<RANKED>(self.cursors, self.hi, self.window);
+        self.sink.lone += found as u64;
+        if !RANKED {
+            for i in 0..found {
+                if !self.sink.candidate() {
+                    return;
+                }
+                self.sink.offer(self.window.ids[i], 0.0, group.weight);
+            }
+            return;
+        }
+        let rows = group.leaves.len();
+        let mut term = 0;
+        for leaf in &self.cursors.leaves[group.leaves.clone()] {
+            if let Leaf::Term(leaf) = leaf {
+                self.window.idfs[leaf.row] = leaf.idf;
+                term = leaf.term;
+            }
+        }
+        // What the non-essential groups can add; they exist only in a pure
+        // disjunction, where the lone group is one exact term.
+        let reach = behind.last().map_or(0.0, |group| group.upto);
+        for i in 0..found {
+            if !self.sink.candidate() {
+                return;
+            }
+            let doc = self.window.ids[i];
+            let norm = self.shard.doc_norm(doc);
+            let mut sum = 0.0f64;
+            for row in 0..rows {
+                let tf = self.window.tfs[row * BLOCK_SIZE + i];
+                sum += f64::from(bm25_score(self.window.idfs[row], tf, norm));
+            }
+            if behind.is_empty() {
+                self.sink.offer(doc, sum as f32, rows);
+            } else if sum + reach + SLACK > self.sink.threshold {
+                let at = self.at(doc);
+                self.window.put(at, term, sum as f32);
+                self.finish(doc, at, sum, norm, behind);
+            }
+        }
+    }
+
+    /// Several essential groups: each writes its matches into the window,
+    /// whose documents are then walked in id order.
+    fn several<const RANKED: bool>(
+        &mut self,
+        live: &mut [Group],
+        behind: &mut [Group],
+        scorers: &mut [TermCursor<'_>],
+        prune: bool,
+    ) {
+        for group in live.iter_mut() {
+            if group.current.is_none_or(|doc| doc > self.hi) {
+                continue;
+            }
+            let found = if prune {
+                group.collect::<true>(self.cursors, self.hi, self.window)
+            } else {
+                group.collect::<false>(self.cursors, self.hi, self.window)
+            };
+            // A pruned query's groups are one exact term each.
+            let term = match &self.cursors.leaves[group.leaves.start] {
+                Leaf::Term(term) if prune => Some((term.term, term.idf)),
+                _ => None,
+            };
+            for i in 0..found {
+                let doc = self.window.ids[i];
+                let at = self.at(doc);
+                self.window.see(at);
+                if !RANKED {
+                    let best = &mut self.window.marks[at];
+                    *best = (*best).max(group.weight as u64);
+                } else if let Some((term, idf)) = term {
+                    let score = bm25_score(idf, self.window.tfs[i], self.shard.doc_norm(doc));
+                    self.window.put(at, term, score);
+                }
+            }
+        }
+        for scorer in scorers {
+            self.scatter(scorer);
+        }
+        let span = self.at(self.hi) + 1;
+        for w in 0..span.div_ceil(64) {
+            let mut bits = std::mem::take(&mut self.window.seen[w]);
+            while bits != 0 {
+                let at = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if !self.sink.candidate() {
+                    return;
+                }
+                let doc = FileId(self.lo.as_u32() + at as u32);
+                if !RANKED {
+                    let weight = std::mem::take(&mut self.window.marks[at]);
+                    self.sink.offer(doc, 0.0, weight as usize);
+                } else if behind.is_empty() {
+                    // θ may have risen past what the window's groups can add.
+                    let (score, matched) = self.window.take(at);
+                    if f64::from(score) + SLACK > self.sink.threshold {
+                        self.sink.offer(doc, score, matched);
                     }
+                } else {
+                    let norm = self.shard.doc_norm(doc);
+                    self.finish(doc, at, self.window.partial(at), norm, behind);
                 }
             }
         }
     }
-    stats.rounds += candidates;
-    stats.scored += scored;
-    stats.seeks += seeks;
-    groups.iter().for_each(|group| group.retire(&mut cursors, stats));
-    scorers.iter().for_each(|c| stats.retire(&c.cursor));
-}
 
-/// Where the essential groups start once θ is `threshold`: past `from`, and
-/// past every group whose bound, summed with the bounds before it, cannot
-/// reach θ.  θ only rises, so the boundary only moves right.
-fn first_essential(groups: &[Group], from: usize, threshold: f64) -> usize {
-    from + groups[from..].iter().take_while(|group| group.upto + SLACK <= threshold).count()
+    /// A mixed query's term `scorer` over the window: its contribution to
+    /// every document a group matched.
+    fn scatter(&mut self, scorer: &mut TermCursor<'_>) {
+        if scorer.cursor.seek(self.lo).is_none() {
+            return;
+        }
+        loop {
+            let (ids, tfs) = scorer.cursor.block_tfs();
+            let upto = ids.partition_point(|&id| id <= self.hi);
+            for (&doc, &tf) in ids[..upto].iter().zip(tfs) {
+                // `checked_sub`: only a hostile list's next block starts below.
+                let Some(at) = doc.as_u32().checked_sub(self.lo.as_u32()) else { continue };
+                if self.window.is_seen(at as usize) {
+                    let score = bm25_score(scorer.idf, tf, self.shard.doc_norm(doc));
+                    self.window.put(at as usize, scorer.term, score);
+                }
+            }
+            let whole = upto == ids.len();
+            scorer.cursor.advance_by(upto);
+            if !whole || scorer.cursor.current().is_none() {
+                return;
+            }
+        }
+    }
+
+    /// The non-essential groups on candidate `doc`, highest bound first,
+    /// while its partial score plus the bounds of those not yet looked at
+    /// can reach θ; then its score, from the slots of `at`, which it
+    /// empties.
+    fn finish(
+        &mut self,
+        doc: FileId,
+        at: usize,
+        mut partial: f64,
+        norm: f32,
+        behind: &mut [Group],
+    ) {
+        for group in behind.iter_mut().rev() {
+            if partial + group.upto + SLACK <= self.sink.threshold {
+                self.window.clear(at);
+                return;
+            }
+            self.sink.seeks += 1;
+            if let Some((term, score)) = group.seek_term(doc, norm, self.cursors) {
+                partial += self.window.put(at, term, score);
+            }
+        }
+        let (score, matched) = self.window.take(at);
+        self.sink.offer(doc, score, matched);
+    }
 }
 
 /// Sealed shards plus their doc table: what examples and tests hold to
@@ -974,10 +1318,12 @@ mod tests {
 
     #[test]
     fn a_list_stops_proposing_candidates_once_theta_passes_its_bound() {
-        // `common` is in every document, `rare` in four: once the heap holds
-        // two documents with both, θ is past `common`'s bound, and only
-        // `rare` proposes candidates — a document holding `common` alone is
-        // never scored, and `common` is only seeked to `rare`'s documents.
+        // `common` is in every document, `rare` in four.  The first window
+        // ends with `common`'s first block: its documents are candidates, and
+        // once the heap holds the two with both, θ is past `common`'s bound —
+        // the rest, holding `common` alone, are never scored.  From the next
+        // window on only `rare` proposes candidates, and `common` is only
+        // seeked to `rare`'s documents.
         let mut docs = DocTable::new();
         let mut index = InMemoryIndex::new();
         for d in 0..2_000u32 {
@@ -993,7 +1339,8 @@ mod tests {
         let run = |k| evaluate(&shards, &docs, &query, Scorer::Bm25, k, &|| false);
         let (results, stats) = run(2);
         assert_eq!(results.paths(), ["doc0000.txt", "doc0001.txt"]);
-        assert_eq!((stats.rounds, stats.scored, stats.seeks), (4, 4, 2), "{stats:?}");
+        let counted = (stats.rounds, stats.lone, stats.scored, stats.seeks);
+        assert_eq!(counted, (BLOCK_SIZE as u64 + 2, 2, 4, 2), "{stats:?}");
         assert!(stats.blocks_skipped >= 12, "{stats:?}");
         // Unbounded, θ never rises: every document is a candidate.
         let (all, stats) = run(usize::MAX);

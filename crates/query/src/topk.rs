@@ -113,9 +113,12 @@ impl<'a> TopK<'a> {
         }
     }
 
-    /// The kept candidates as hits, in no particular order.
+    /// The kept candidates as hits, best first: sorted as integers, so the
+    /// sort [`SearchResults::new`](crate::SearchResults::new) makes of them
+    /// finds one run and compares no path.
     pub(crate) fn into_hits(self) -> Vec<Hit> {
-        let kept = if self.filling.is_empty() { self.full.into_vec() } else { self.filling };
+        let mut kept = if self.filling.is_empty() { self.full.into_vec() } else { self.filling };
+        kept.sort_unstable();
         let mut hits = Vec::with_capacity(kept.len());
         hits.extend(kept.into_iter().map(|Reverse(c)| Hit {
             file_id: c.id(),
@@ -351,10 +354,11 @@ mod tests {
     }
 
     #[test]
-    fn wand_matches_exhaustive_on_dense_overlap() {
+    fn maxscore_matches_exhaustive_on_dense_overlap() {
         // Dense overlapping lists put most candidates in several groups at
-        // once — the worst case for pruning; results must still match the
-        // exhaustive evaluation exactly.
+        // once, each group's bound close to what it adds — the worst case
+        // for MaxScore, which can rule out little; results must still match
+        // the exhaustive evaluation exactly.
         let mut docs = DocTable::new();
         let mut index = InMemoryIndex::new();
         for i in 0..3_000u32 {

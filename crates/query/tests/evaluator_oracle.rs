@@ -6,6 +6,11 @@
 //! same ids, same `matched_terms`, same order; a bounded `k` is a prefix of
 //! the unbounded answer down to the score bits; and an evaluation that was
 //! cancelled says so and returns nothing it would not have returned anyway.
+//!
+//! The same holds at block scale — hundreds to thousands of documents, so
+//! lists span many blocks and the evaluator's windows open and close — where
+//! BM25 is also held, score bit for score bit, against an oracle that scores
+//! each document from its frequencies and length alone.
 
 use std::cell::Cell;
 
@@ -18,6 +23,10 @@ use dsearch_text::Term;
 #[path = "support/oracle.rs"]
 mod oracle;
 use oracle::Oracle;
+
+#[path = "support/block.rs"]
+mod block;
+use block::block_corpus;
 
 /// Words sharing two-letter prefixes, so `al*` and `be*` expand to several
 /// terms and overlap with exact ones.
@@ -137,6 +146,93 @@ proptest! {
             prop_assert!(keys(&partial).iter().all(|hit| full.contains(hit)), "{:?}", raw);
         } else {
             prop_assert_eq!(&partial, &constant);
+        }
+    }
+}
+
+/// A group strategy over [`VOCAB`]: required words (some as prefixes) and
+/// excluded ones.
+fn groups() -> impl Strategy<Value = Vec<GroupSpec>> {
+    proptest::collection::vec(
+        (
+            proptest::collection::vec((0usize..7, any::<bool>()), 1..4),
+            proptest::collection::vec(0usize..7, 0..3),
+        ),
+        1..4,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Block-scale corpora — lists of many blocks, id runs that jump past the
+    /// window width, the densest list running out mid-corpus — against both
+    /// oracles, for a disjunction, a conjunction and a random shape: the
+    /// constant scorer finds the boolean oracle's documents in its order;
+    /// BM25 finds the same documents, each scored to the bit of
+    /// `Bm25Oracle`, ranked as those scores say; a bounded `k` — θ rising
+    /// mid-window — only truncates; and a cancellation, polled mid-window,
+    /// is reported exactly when it happened and returns only what the full
+    /// answer holds, scored alike.
+    #[test]
+    fn block_scale_evaluation_agrees_with_both_oracles(
+        draws in proptest::collection::vec(any::<u64>(), 300..3000),
+        dense_percent in 0usize..=100,
+        jumps in proptest::collection::vec((0usize..3000, 4097u32..12_000), 0..3),
+        shard_count in 1usize..3,
+        any_of in proptest::collection::vec(0usize..7, 2..5),
+        all_of in proptest::collection::vec(0usize..7, 2..4),
+        shape in groups(),
+        k in 1usize..40,
+        cancel_after in 1usize..30,
+    ) {
+        let (shards, docs, oracle, bm25) = block_corpus(&draws, dense_percent, &jumps, shard_count);
+        let words = |picks: &[usize], joiner: &str| {
+            picks.iter().map(|&w| VOCAB[w]).collect::<Vec<_>>().join(joiner)
+        };
+        for raw in [words(&any_of, " OR "), words(&all_of, " "), query_text(&shape)] {
+            let query = Query::parse(&raw).unwrap();
+            let expected = oracle.search(&query);
+            let run = |scorer, k| evaluate(&shards, &docs, &query, scorer, k, &|| false);
+
+            let (constant, _) = run(Scorer::Constant, usize::MAX);
+            let want: Vec<_> = expected.iter().map(|e| (e.id, e.best_group, 0f32.to_bits())).collect();
+            prop_assert_eq!(keys(&constant), want, "constant scorer, {:?}", raw);
+
+            let (ranked, _) = run(Scorer::Bm25, usize::MAX);
+            if scorable(&query) {
+                let mut want: Vec<_> = expected
+                    .iter()
+                    .map(|e| {
+                        let (score, held) = bm25.score(e.id, &query);
+                        (score, held, e.path.as_str(), e.id)
+                    })
+                    .collect();
+                want.sort_by(|a, b| {
+                    b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)).then(a.2.cmp(b.2)).then(a.3.cmp(&b.3))
+                });
+                let want: Vec<_> = want.iter().map(|w| (w.3, w.1, w.0.to_bits())).collect();
+                prop_assert_eq!(keys(&ranked), want, "bm25, {:?}", raw);
+            } else {
+                prop_assert_eq!(&ranked, &constant, "unscorable {:?}", raw);
+            }
+
+            for (scorer, full) in [(Scorer::Constant, &constant), (Scorer::Bm25, &ranked)] {
+                let (bounded, _) = run(scorer, k);
+                let mut want = keys(full);
+                want.truncate(k);
+                prop_assert_eq!(keys(&bounded), want, "{:?} k={} {:?}", scorer, k, raw);
+
+                let polls = Cell::new(0usize);
+                let cancel = || {
+                    polls.set(polls.get() + 1);
+                    polls.get() > cancel_after
+                };
+                let (partial, stats) = evaluate(&shards, &docs, &query, scorer, k, &cancel);
+                prop_assert_eq!(stats.cancelled, polls.get() > cancel_after);
+                let full = keys(full);
+                prop_assert!(keys(&partial).iter().all(|hit| full.contains(hit)), "{:?}", raw);
+            }
         }
     }
 }

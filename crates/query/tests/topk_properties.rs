@@ -1,16 +1,27 @@
-//! Properties of BM25 top-k ranked retrieval: block-max (WAND) pruning is
+//! Properties of BM25 top-k ranked retrieval: MaxScore pruning is
 //! invisible.  For any corpus, any scorable query shape and any `k`, the
 //! pruned evaluation must return bit-identical scores, in the same order,
 //! as an exhaustive evaluation that scores every posting — including tie
-//! runs of exact duplicate documents and `k` values past the match count.
-//! The constant scorer's bounded form is held to the same standard:
-//! `search_limited(q, k)` is the first `k` hits of `search(q)`.
+//! runs of exact duplicate documents, `k` values past the match count, and
+//! corpora large enough that lists span many blocks and θ rises inside the
+//! evaluator's windows.  The constant scorer's bounded form is held to the
+//! same standard: `search_limited(q, k)` is the first `k` hits of
+//! `search(q)`.
 
 use proptest::prelude::*;
 
 use dsearch_index::{DocTable, InMemoryIndex, SealedShard};
 use dsearch_query::{evaluate, PruneStats, Query, Scorer, SearchResults, Searcher};
 use dsearch_text::Term;
+
+// The block-scale corpus builds the boolean oracle too; only its BM25
+// counterpart is asked here.
+#[path = "support/block.rs"]
+mod block;
+#[allow(dead_code)]
+#[path = "support/oracle.rs"]
+mod oracle;
+use block::block_corpus;
 
 /// A small vocabulary so generated documents overlap on terms and score
 /// ties are common.
@@ -66,10 +77,11 @@ fn search_topk(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// Pure disjunctions are where block-max WAND prunes most; pruning must
-    /// be invisible next to an exhaustive reference for every `k`.
+    /// Pure disjunctions are where MaxScore prunes most — terms whose bounds
+    /// cannot reach θ only ever seeked; pruning must be invisible next to an
+    /// exhaustive reference for every `k`.
     #[test]
-    fn wand_pruned_topk_equals_exhaustive(
+    fn maxscore_pruned_topk_equals_exhaustive(
         masks in proptest::collection::vec(1u8..32, 1..60),
         qmask in 1u8..32,
         k in 0usize..16,
@@ -217,5 +229,46 @@ proptest! {
             raw,
             shard_count
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Disjunctions over block-scale corpora: lists of many blocks, id runs
+    /// jumping past the window width, and the densest list — the first to
+    /// turn non-essential — running out mid-corpus, so non-essential groups
+    /// run out inside windows; a small `k` makes θ rise inside them.  The
+    /// pruned answer is the exhaustive one cut at `k`, to the bit, and both
+    /// score every hit as the frequency-and-length oracle does.
+    #[test]
+    fn block_scale_pruned_topk_equals_exhaustive(
+        draws in proptest::collection::vec(any::<u64>(), 300..3000),
+        dense_percent in 0usize..=100,
+        jumps in proptest::collection::vec((0usize..3000, 4097u32..12_000), 0..3),
+        qmask in 1u8..128,
+        k in 1usize..30,
+    ) {
+        let (shards, docs, _, bm25) = block_corpus(&draws, dense_percent, &jumps, 1);
+        let words: Vec<&str> = block::BLOCK_VOCAB
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| qmask & (1 << i) != 0)
+            .map(|(_, (word, _))| *word)
+            .collect();
+        let raw = words.join(" OR ");
+        let query = Query::parse(&raw).unwrap();
+        let (pruned, stats) = search_topk(&shards, &docs, &query, k);
+        let (full, full_stats) = search_topk(&shards, &docs, &query, usize::MAX);
+        prop_assert_eq!(full_stats.blocks_skipped, 0);
+        prop_assert!(stats.rounds <= full_stats.rounds, "{:?} {:?}", stats, full_stats);
+        let mut expected = keys(&full);
+        expected.truncate(k);
+        prop_assert_eq!(keys(&pruned), expected, "query {:?} k={}", raw, k);
+        let query = &query;
+        for hit in full.hits() {
+            let (score, held) = bm25.score(hit.file_id, query);
+            prop_assert_eq!((hit.score.to_bits(), hit.matched_terms), (score.to_bits(), held));
+        }
     }
 }
