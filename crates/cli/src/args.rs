@@ -6,14 +6,14 @@
 //! * `--name value` and `--name=value` set an option;
 //! * `--flag` with no value sets a boolean flag (a token starting with `--`
 //!   following it is not consumed as its value);
+//! * any other `--name` is a usage error;
 //! * everything else is a positional argument.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::CliError;
 
-/// Option names that take a value (everything else starting with `--` is a
-/// boolean flag).
+/// Option names that take a value.
 const VALUE_OPTIONS: &[&str] = &[
     "store",
     "extractors",
@@ -40,9 +40,7 @@ const VALUE_OPTIONS: &[&str] = &[
     "queries",
     "mode",
     "max-batch",
-    "batch-wait-us",
     "queue-bound",
-    "overload",
     "shard",
     "shard-timeout-ms",
     "connect-timeout-ms",
@@ -57,6 +55,9 @@ const VALUE_OPTIONS: &[&str] = &[
     "checkpoint-every",
     "throttle-ms",
 ];
+
+/// Boolean flags: option names that take no value.
+const FLAGS: &[&str] = &["incremental", "formats", "resume", "stage-report", "help"];
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -76,7 +77,8 @@ impl ParsedArgs {
     ///
     /// # Errors
     ///
-    /// Fails when an option that requires a value is missing one.
+    /// Fails on an unknown option, a flag given a value, and an option that
+    /// requires a value but is missing one.
     pub fn parse<I, S>(raw: I) -> Result<Self, CliError>
     where
         I: IntoIterator<Item = S>,
@@ -87,6 +89,9 @@ impl ParsedArgs {
         while let Some(token) = iter.next() {
             if let Some(name) = token.strip_prefix("--") {
                 if let Some((name, value)) = name.split_once('=') {
+                    if !VALUE_OPTIONS.contains(&name) {
+                        return Err(unknown_or_flag(name));
+                    }
                     parsed.options.entry(name.to_owned()).or_default().push(value.to_owned());
                     continue;
                 }
@@ -102,8 +107,10 @@ impl ParsedArgs {
                             )))
                         }
                     }
-                } else {
+                } else if FLAGS.contains(&name) {
                     parsed.flags.insert(name.to_owned());
+                } else {
+                    return Err(unknown_or_flag(name));
                 }
             } else if parsed.command.is_none() {
                 parsed.command = Some(token);
@@ -167,6 +174,15 @@ impl ParsedArgs {
     }
 }
 
+/// The usage error for `--name` given a value it cannot take.
+fn unknown_or_flag(name: &str) -> CliError {
+    CliError::Usage(if FLAGS.contains(&name) {
+        format!("flag --{name} takes no value")
+    } else {
+        format!("unknown option --{name}")
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,6 +243,21 @@ mod tests {
         assert!(err.to_string().contains("--store"));
         let err = ParsedArgs::parse(["search", "--limit"]).unwrap_err();
         assert!(err.to_string().contains("--limit"));
+        // An option no command knows is an error too, in either spelling,
+        // never a flag that swallows nothing and leaves its value behind as
+        // a positional.
+        for (tokens, name) in [
+            (&["serve", "--frobnicate"][..], "--frobnicate"),
+            (&["serve", "--batch-wait-us", "200"][..], "--batch-wait-us"),
+            (&["search", "--store", "s", "--overload=drop", "rust"][..], "--overload"),
+            (&["index", "dir", "--incremental=yes"][..], "--incremental"),
+        ] {
+            let err = ParsedArgs::parse(tokens.iter().copied()).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(msg) if msg.contains(name)),
+                "{tokens:?}: {err}"
+            );
+        }
     }
 
     #[test]

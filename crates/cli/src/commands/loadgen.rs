@@ -5,11 +5,11 @@
 //! frequent terms), so it exercises realistic hit patterns without needing a
 //! separate query log.  `--mode closed` models `--clients` synchronous users;
 //! `--mode open` submits at a fixed `--rate` regardless of completions —
-//! combined with `--queue-bound`/`--overload` this is how load shedding is
-//! observed (the report's `shed` column and the server's `shed=` counter).
-//! `--max-batch`/`--batch-wait-us` control how aggressively workers batch
-//! the backlog.  `--stage-report` adds per-stage latency percentiles from
-//! the servers' query traces: where the wall time of a query actually went.
+//! combined with `--queue-bound` this is how load shedding is observed (the
+//! report's `shed` column and the server's `shed=` counter).  `--max-batch`
+//! caps how much of the backlog a worker drains at once.  `--stage-report`
+//! adds per-stage latency percentiles from the servers' query traces: where
+//! the wall time of a query actually went.
 //! `--deadline-ms` stamps every request with a `@d=<ms>` budget; the report
 //! then separates goodput (on-time completions) from raw throughput and
 //! counts `deadline_exceeded` answers apart from errors.

@@ -121,10 +121,9 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let router = build_router(args)?;
     let shard_list: Vec<&str> = router.shards().iter().map(ReplicaSet::id).collect();
     let batch = &router.config().batch;
-    let wait = if batch.adaptive { "auto".to_owned() } else { format!("{:?}", batch.max_wait) };
     let banner = format!(
         "routing over {} shard(s): {} ({} workers, limit {})\n\
-         batching: max_batch={} max_wait={wait} queue_bound={} overload={}\n\
+         batching: max_batch={} queue_bound={}\n\
          protocol: one query per line (prefix @<hex-id> to trace, @d=<ms> for a deadline); \
          !stats aggregates shards, \
          !metrics, !trace <us>, !slow, !reload fans out, !quit\n",
@@ -137,7 +136,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
             0 => "unbounded".to_owned(),
             bound => bound.to_string(),
         },
-        batch.overload,
     );
     let service = Arc::new(RouteService::start(router));
     // Slow entries (`--trace-us`) carry the per-shard stage breakdown of the
@@ -172,12 +170,8 @@ mod tests {
             "7",
             "--max-batch",
             "8",
-            "--batch-wait-us",
-            "auto",
             "--queue-bound",
             "32",
-            "--overload",
-            "drop",
             "--default-deadline-ms",
             "75",
         ])
@@ -186,9 +180,7 @@ mod tests {
         assert_eq!(config.workers, 2);
         assert_eq!(config.result_limit, 7);
         assert_eq!(config.batch.max_batch, 8);
-        assert!(config.batch.adaptive);
         assert_eq!(config.batch.queue_bound, 32);
-        assert_eq!(config.batch.overload, dsearch::server::OverloadPolicy::DropOldest);
         assert_eq!(config.default_deadline, Some(Duration::from_millis(75)));
     }
 

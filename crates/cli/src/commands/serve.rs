@@ -29,8 +29,7 @@ pub(crate) struct SharedOptions<'a> {
 }
 
 /// Applies `--workers`, `--limit`, `--cache`, `--cache-shards`, `--max-batch`,
-/// `--batch-wait-us`, `--queue-bound`, `--overload` and
-/// `--default-deadline-ms` (0 disables the budget).
+/// `--queue-bound` and `--default-deadline-ms` (0 disables the budget).
 pub(crate) fn apply_shared_options(
     args: &ParsedArgs,
     config: SharedOptions<'_>,
@@ -50,12 +49,8 @@ pub(crate) fn apply_shared_options(
     if let Some(max_batch) = args.number_of::<usize>("max-batch")? {
         config.batch.max_batch = max_batch;
     }
-    apply_batch_wait(args, config.batch)?;
     if let Some(bound) = args.number_of::<usize>("queue-bound")? {
         config.batch.queue_bound = bound;
-    }
-    if let Some(policy) = args.value_of("overload") {
-        config.batch.overload = policy.parse().map_err(CliError::Usage)?;
     }
     if let Some(ms) = args.number_of::<u64>("default-deadline-ms")? {
         *config.default_deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
@@ -86,29 +81,6 @@ pub(crate) fn engine_config(args: &ParsedArgs) -> Result<EngineConfig, CliError>
     }
     config.validate().map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
     Ok(config)
-}
-
-/// Applies `--batch-wait-us`: a number arms a fixed fill window, `auto`
-/// turns on adaptive batching (wait for the default window only when the
-/// arrival rate suggests the batch will fill).
-fn apply_batch_wait(args: &ParsedArgs, batch: &mut BatchConfig) -> Result<(), CliError> {
-    match args.value_of("batch-wait-us") {
-        None => {}
-        Some("auto") => {
-            batch.adaptive = true;
-            batch.max_wait = dsearch::server::DEFAULT_AUTO_WAIT;
-        }
-        Some(raw) => {
-            let wait_us: u64 = raw.parse().map_err(|e| {
-                CliError::Usage(format!(
-                    "option --batch-wait-us: invalid value {raw:?} ({e}); \
-                     expected a duration in microseconds or \"auto\""
-                ))
-            })?;
-            batch.max_wait = std::time::Duration::from_micros(wait_us);
-        }
-    }
-    Ok(())
 }
 
 /// Builds the TCP connection policy from `--idle-timeout-secs` /
@@ -161,7 +133,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         format!(
             "serving {} document(s), {} shard(s) in {:.1} MB, generation {} load_ms={:.1} \
              ({} workers, cache {} entries / {} shards, admission={})\n\
-             batching: max_batch={} max_wait={:?} queue_bound={queue_bound} overload={}\n\
+             batching: max_batch={} queue_bound={queue_bound}\n\
              protocol: one query per line (prefix @<hex-id> to trace, @d=<ms> for a deadline); \
              !stats, !metrics, !trace <us>, !slow, !reload, !quit\n",
             snapshot.doc_count(),
@@ -174,8 +146,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
             engine.config().cache_shards,
             engine.config().cache_admission,
             batch.max_batch,
-            batch.max_wait,
-            batch.overload,
         )
     };
     let service = Arc::new(Service::start(engine, Some(store_path)));
@@ -295,12 +265,8 @@ mod tests {
             "5",
             "--max-batch",
             "16",
-            "--batch-wait-us",
-            "250",
             "--queue-bound",
             "64",
-            "--overload",
-            "drop-oldest",
             "--default-deadline-ms",
             "40",
         ])
@@ -312,10 +278,7 @@ mod tests {
         assert_eq!(config.cache_admission, dsearch::server::AdmissionPolicy::TinyLfu);
         assert_eq!(config.result_limit, 5);
         assert_eq!(config.batch.max_batch, 16);
-        assert_eq!(config.batch.max_wait, std::time::Duration::from_micros(250));
-        assert!(!config.batch.adaptive);
         assert_eq!(config.batch.queue_bound, 64);
-        assert_eq!(config.batch.overload, dsearch::server::OverloadPolicy::DropOldest);
         assert_eq!(config.default_deadline, Some(std::time::Duration::from_millis(40)));
     }
 
@@ -324,18 +287,6 @@ mod tests {
         let args = ParsedArgs::parse(["serve", "--default-deadline-ms", "0"]).unwrap();
         let config = engine_config(&args).unwrap();
         assert_eq!(config.default_deadline, None);
-    }
-
-    #[test]
-    fn batch_wait_auto_arms_adaptive_batching() {
-        let args = ParsedArgs::parse(["serve", "--batch-wait-us", "auto"]).unwrap();
-        let config = engine_config(&args).unwrap();
-        assert!(config.batch.adaptive);
-        assert_eq!(config.batch.max_wait, dsearch::server::DEFAULT_AUTO_WAIT);
-        // Anything that is neither a number nor "auto" is a usage error.
-        let args = ParsedArgs::parse(["serve", "--batch-wait-us", "sometimes"]).unwrap();
-        let err = engine_config(&args).unwrap_err();
-        assert!(err.to_string().contains("auto"), "{err}");
     }
 
     #[test]
@@ -349,9 +300,6 @@ mod tests {
                 "{flags:?}: {err}"
             );
         }
-        let args = ParsedArgs::parse(["serve", "--overload", "sideways"]).unwrap();
-        let err = engine_config(&args).unwrap_err();
-        assert!(err.to_string().contains("sideways"), "{err}");
         let args = ParsedArgs::parse(["serve", "--cache-admission", "clairvoyant"]).unwrap();
         let err = engine_config(&args).unwrap_err();
         assert!(err.to_string().contains("clairvoyant"), "{err}");

@@ -92,8 +92,7 @@ COMMANDS:
         Query a persisted index.  Supports AND/OR/NOT and trailing-* prefixes.
 
     serve --store <path> [--tcp ADDR] [--workers N] [--cache N]
-          [--cache-shards N] [--limit N] [--max-batch N]
-          [--batch-wait-us N|auto] [--queue-bound N] [--overload reject|drop]
+          [--cache-shards N] [--limit N] [--max-batch N] [--queue-bound N]
           [--trace-us N]
         Run the query service: line protocol on stdin (and ADDR when --tcp is
         given).  One query per line (prefix @<hex-id> for a traced response
@@ -103,13 +102,12 @@ COMMANDS:
         the store as a new snapshot generation, !quit disconnects.  With --tcp,
         closing stdin leaves the TCP listener serving (daemon mode); !quit on
         stdin stops everything.  Workers drain up to --max-batch queued queries
-        per wakeup (waiting up to --batch-wait-us for a fuller batch); with a
-        nonzero --queue-bound, excess load is shed per --overload (reject the
-        new request, or drop the oldest queued one).
+        per wakeup, whatever is queued, without waiting for more; with a
+        nonzero --queue-bound, a request that finds the queue full is
+        rejected (ERR server overloaded).
 
     route --shard HOST:PORT [--shard HOST:PORT …] [--tcp ADDR] [--limit N]
-          [--workers N] [--max-batch N] [--batch-wait-us N|auto]
-          [--queue-bound N] [--overload reject|drop]
+          [--workers N] [--max-batch N] [--queue-bound N]
           [--shard-timeout-ms N] [--connect-timeout-ms N] [--trace-us N]
         Run the scatter-gather coordinator over one or more `dsearch serve`
         shard servers.  Every query fans out to all shards concurrently over
@@ -123,8 +121,7 @@ COMMANDS:
 
     loadgen --store <path> [--requests N] [--queries N] [--seed N]
             [--mode closed|open] [--clients N] [--rate QPS] [--workers N]
-            [--max-batch N] [--batch-wait-us N] [--queue-bound N]
-            [--overload reject|drop] [--stage-report]
+            [--max-batch N] [--queue-bound N] [--stage-report]
         Replay a query workload derived from the indexed terms and report QPS,
         p50/p95/p99/p99.9 latency and shed/batched/dedup counts; with
         --stage-report, also per-stage latency percentiles from the servers'

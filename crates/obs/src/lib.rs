@@ -14,7 +14,7 @@
 //! * [`timing`] — [`LatencySummary`] and [`percentile`], the one definition
 //!   of "p99", beside the histogram that summarises into it.
 //! * [`trace`] — a cheap per-query [`QueryTrace`]: a fixed-capacity stack of
-//!   `(stage, duration)` spans (parse, queue_wait, batch_fill, …) threaded
+//!   `(stage, duration)` spans (parse, queue_wait, postings, …) threaded
 //!   from admission through evaluation to serialization, plus per-shard
 //!   timing blocks at the router so a scatter-gathered response can report
 //!   where time went shard by shard.

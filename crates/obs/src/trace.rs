@@ -27,8 +27,6 @@ pub enum Stage {
     /// Time between submission to the admission queue and a worker draining
     /// the job.
     QueueWait,
-    /// Time a drained batch lingered waiting for more jobs to arrive.
-    BatchFill,
     /// Acquiring the index snapshot for the batch.
     SnapshotLoad,
     /// Posting-list lookups (term and prefix resolution, decode).
@@ -50,10 +48,9 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 9] = [
         Stage::Parse,
         Stage::QueueWait,
-        Stage::BatchFill,
         Stage::SnapshotLoad,
         Stage::Postings,
         Stage::IntersectMerge,
@@ -69,7 +66,6 @@ impl Stage {
         match self {
             Stage::Parse => "parse",
             Stage::QueueWait => "queue_wait",
-            Stage::BatchFill => "batch_fill",
             Stage::SnapshotLoad => "snapshot_load",
             Stage::Postings => "postings",
             Stage::IntersectMerge => "intersect_merge",

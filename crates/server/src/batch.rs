@@ -6,13 +6,11 @@
 //! * `QueueGovernor` — the execution slots and the admission-controlled
 //!   queue behind them.  At most [`Executor::workers`] executions are in
 //!   flight; a request that arrives while a slot is free and nothing is
-//!   queued is granted the slot and never enters the queue.  Submissions past
-//!   a configurable depth bound are shed according to an [`OverloadPolicy`]
-//!   (reject the new request, or drop the oldest queued one), counted in
+//!   queued is granted the slot and never enters the queue.  A submission
+//!   past the configurable depth bound is rejected, counted in
 //!   [`ServerStats`] and answered with [`ServerError::Overloaded`].  A worker
 //!   takes a slot and drains up to [`BatchConfig::max_batch`] queued jobs in
-//!   one go (optionally waiting up to [`BatchConfig::max_wait`] for the batch
-//!   to fill).
+//!   one go.
 //! * [`Pool`] — [`Pool::execute`] answers a request on the caller's thread
 //!   when it is granted a slot; the worker threads drain what had to queue
 //!   into [`Executor::run_batch`], and [`Pending`] is what a submitter waits
@@ -22,9 +20,9 @@
 //!   cache probe, scatter and merge.
 //!
 //! The scheduler favours latency when idle: a lone query is a batch of one
-//! on the thread it arrived on, with no hand-off and no fill window, while a
-//! backlog — requests beyond the slots — drains in `max_batch`-sized groups,
-//! which is where dedup pays off.
+//! on the thread it arrived on, with no hand-off, while a backlog — requests
+//! beyond the slots — drains in `max_batch`-sized groups, which is where
+//! dedup pays off.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,82 +37,21 @@ use crate::engine::ServerError;
 use crate::protocol::split_request_meta;
 use crate::stats::{DeadlineStage, Metric, ServerStats};
 
-/// What to do with a submission when the queue is at its depth bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverloadPolicy {
-    /// Refuse the new request (the submitter sees
-    /// [`ServerError::Overloaded`] immediately).
-    #[default]
-    RejectNew,
-    /// Admit the new request and shed the oldest queued one (its waiter sees
-    /// [`ServerError::Overloaded`]).
-    DropOldest,
-}
-
-impl std::str::FromStr for OverloadPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reject" | "reject-new" => Ok(OverloadPolicy::RejectNew),
-            "drop" | "drop-oldest" => Ok(OverloadPolicy::DropOldest),
-            other => Err(format!("unknown overload policy {other:?}; expected reject or drop")),
-        }
-    }
-}
-
-impl std::fmt::Display for OverloadPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OverloadPolicy::RejectNew => f.write_str("reject-new"),
-            OverloadPolicy::DropOldest => f.write_str("drop-oldest"),
-        }
-    }
-}
-
-/// The fill window `--batch-wait-us auto` arms (the adaptive controller
-/// decides per batch whether lingering that long is worth it).
-pub const DEFAULT_AUTO_WAIT: Duration = Duration::from_micros(200);
-
-/// How far back the adaptive controller looks when estimating the arrival
-/// rate.  Arrivals older than this say nothing about whether the *next* fill
-/// window will see traffic.
-const ARRIVAL_LOOKBACK: Duration = Duration::from_millis(100);
-
-/// Most arrival timestamps the governor retains for rate estimation.
-const ARRIVAL_SAMPLES: usize = 64;
-
-/// Batching and admission-control parameters.
+/// Batching and admission-control parameters.  A worker drains what is
+/// queued, up to `max_batch`, the moment a slot is free: batches form from
+/// backlog alone, and an idle server adds no latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Most jobs one worker drains per batch (must be at least 1).
     pub max_batch: usize,
-    /// How long a worker may wait for a partially filled batch to grow.
-    /// Zero (the default) means "batch whatever is already queued": no
-    /// latency is added when the server is idle, and batches form naturally
-    /// from backlog under load.
-    pub max_wait: Duration,
-    /// Adaptive batching (`--batch-wait-us auto`): linger for `max_wait`
-    /// only when the recent arrival rate suggests the partially filled
-    /// batch would actually fill within the window; otherwise drain
-    /// immediately, skipping the idle-latency tax.  Every decision is
-    /// counted (`adaptive_waits=` / `adaptive_skips=` in `!stats`).
-    pub adaptive: bool,
-    /// Queue-depth bound; `0` disables admission control (unbounded queue).
+    /// Queue-depth bound past which a new request is rejected; `0` disables
+    /// admission control (unbounded queue).
     pub queue_bound: usize,
-    /// What to shed when the queue is at its bound.
-    pub overload: OverloadPolicy,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            max_batch: 32,
-            max_wait: Duration::ZERO,
-            adaptive: false,
-            queue_bound: 0,
-            overload: OverloadPolicy::RejectNew,
-        }
+        BatchConfig { max_batch: 32, queue_bound: 0 }
     }
 }
 
@@ -139,13 +76,11 @@ pub trait Executor: Send + Sync + 'static {
     fn default_deadline(&self) -> Option<Duration>;
 
     /// Answers a drained batch, one result per raw line in order.  `started`
-    /// is when the batch's oldest job was submitted, `fill_wait` how long the
-    /// worker lingered for the batch to fill.
+    /// is when the batch's oldest job was submitted.
     fn run_batch(
         &self,
         raws: &[&str],
         started: Instant,
-        fill_wait: Duration,
     ) -> Vec<Result<Self::Response, ServerError>>;
 
     /// The rendered `!stats` answer.
@@ -196,13 +131,6 @@ impl<R> Job<R> {
         let (respond, receiver) = mpsc::channel();
         (Job { raw, respond, submitted, deadline }, Pending { receiver })
     }
-
-    /// Consumes the job, answering its waiter with `error` so a dropped
-    /// request is a fast failure, never a hang.
-    fn refuse(self, error: ServerError) {
-        // The waiter may have given up; that is not an error.
-        let _ = self.respond.send(Err(error));
-    }
 }
 
 /// A submitted query waiting for its worker.
@@ -222,13 +150,10 @@ impl<R> Pending<R> {
     }
 }
 
-/// One drained batch, how long the worker lingered for late arrivals (the
-/// batch's shared `batch_fill` span) and the execution slot it runs under.
+/// One drained batch and the execution slot it runs under.
 pub(crate) struct DrainedBatch<'a, R> {
     /// The drained jobs, oldest first.
     jobs: Vec<Job<R>>,
-    /// Zero unless a fill window was armed and taken.
-    fill_wait: Duration,
     slot: Slot<'a, R>,
 }
 
@@ -258,9 +183,6 @@ struct GovernorState<R> {
     /// Executions in flight, callers' inline runs and workers' batches alike;
     /// never above the governor's `slots`.
     running: usize,
-    /// Timestamps of the most recent submissions (newest at the back), the
-    /// adaptive controller's arrival-rate window.
-    arrivals: VecDeque<Instant>,
 }
 
 /// The execution slots, and the admission-controlled MPMC queue between
@@ -274,9 +196,9 @@ struct GovernorState<R> {
 /// scheduling layer serves every [`Executor`].
 pub(crate) struct QueueGovernor<R> {
     state: Mutex<GovernorState<R>>,
-    /// Waited on by workers with nothing to drain or no slot to drain under
-    /// (and, with a timeout, by one filling its batch); notified by every
-    /// queued job, by a slot given back while jobs are queued, and by `close`.
+    /// Waited on by workers with nothing to drain or no slot to drain under;
+    /// notified by every queued job, by a slot given back while jobs are
+    /// queued, and by `close`.
     available: Condvar,
     config: BatchConfig,
     /// Most executions in flight at once.
@@ -288,12 +210,7 @@ impl<R> QueueGovernor<R> {
     /// slots.
     pub(crate) fn new(config: BatchConfig, slots: usize) -> Self {
         QueueGovernor {
-            state: Mutex::new(GovernorState {
-                queue: VecDeque::new(),
-                closed: false,
-                running: 0,
-                arrivals: VecDeque::new(),
-            }),
+            state: Mutex::new(GovernorState { queue: VecDeque::new(), closed: false, running: 0 }),
             available: Condvar::new(),
             config,
             slots,
@@ -310,13 +227,12 @@ impl<R> QueueGovernor<R> {
     /// granted an execution slot when nothing is queued — so it overtakes
     /// nobody — and a slot is free; it gets the [`Slot`] back and `job` is
     /// never called.  Otherwise `job()` is queued for the workers (`None`),
-    /// shedding according to the overload policy when the queue is at its
-    /// bound.
+    /// unless the queue is at its bound.
     ///
     /// # Errors
     ///
-    /// Returns [`ServerError::Overloaded`] when the job is rejected under
-    /// [`OverloadPolicy::RejectNew`], and [`ServerError::ShuttingDown`] after
+    /// Returns [`ServerError::Overloaded`] when the queue is at its bound,
+    /// and [`ServerError::ShuttingDown`] after
     /// [`close`](QueueGovernor::close).
     pub(crate) fn admit(
         &self,
@@ -334,27 +250,10 @@ impl<R> QueueGovernor<R> {
         }
         let bound = self.config.queue_bound;
         if bound > 0 && state.queue.len() >= bound {
-            match self.config.overload {
-                OverloadPolicy::RejectNew => {
-                    stats.inc(Metric::Shed);
-                    return Err(ServerError::Overloaded);
-                }
-                OverloadPolicy::DropOldest => {
-                    while state.queue.len() >= bound {
-                        let victim = state.queue.pop_front().expect("len >= bound >= 1");
-                        victim.refuse(ServerError::Overloaded);
-                        stats.inc(Metric::Shed);
-                    }
-                }
-            }
+            stats.inc(Metric::Shed);
+            return Err(ServerError::Overloaded);
         }
         state.queue.push_back(job());
-        if self.config.adaptive {
-            if state.arrivals.len() == ARRIVAL_SAMPLES {
-                state.arrivals.pop_front();
-            }
-            state.arrivals.push_back(Instant::now());
-        }
         drop(state);
         self.available.notify_one();
         Ok(None)
@@ -362,17 +261,14 @@ impl<R> QueueGovernor<R> {
 
     /// Blocks until at least one job is queued and an execution slot is free
     /// (or the governor closes), then takes the slot and drains up to
-    /// `max_batch` jobs under it.  With a nonzero `max_wait` the
-    /// worker lingers for late arrivals until the batch fills or the window
-    /// expires; in [`adaptive`](BatchConfig::adaptive) mode it lingers only
-    /// when the recent arrival rate suggests the batch would actually fill,
-    /// recording every decision in `stats`.
+    /// `max_batch` jobs under it — whatever is queued, without waiting for
+    /// more.
     ///
     /// Returns `None` only when the governor is closed *and* drained, so
     /// shutdown never discards admitted work.
     pub(crate) fn next_batch(&self, stats: &ServerStats) -> Option<DrainedBatch<'_, R>> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        'refill: loop {
+        loop {
             // Inline runs may hold every slot: the queue then waits for one
             // of them to finish, so executions never exceed `slots`.
             while state.queue.is_empty() || state.running >= self.slots {
@@ -381,54 +277,26 @@ impl<R> QueueGovernor<R> {
                 }
                 state = self.available.wait(state).unwrap_or_else(|e| e.into_inner());
             }
-            let drained = Instant::now();
+            let now = Instant::now();
             let take = self.config.max_batch.min(state.queue.len());
             let mut batch: Vec<Job<R>> = Vec::with_capacity(take);
-            admit_live(state.queue.drain(..take), drained, &mut batch, stats);
-            if batch.is_empty() {
-                // Everything drained had already expired; go back to waiting
-                // rather than hand a worker an empty batch.
-                continue 'refill;
-            }
-            // Held through the fill window: the batch runs as soon as it ends.
-            state.running += 1;
-
-            let mut linger = !self.config.max_wait.is_zero() && batch.len() < self.config.max_batch;
-            if linger && self.config.adaptive {
-                // Wait only when the batch is likely to fill: project the recent
-                // arrival rate over the fill window and compare against the
-                // number of free slots.
-                let needed = self.config.max_batch - batch.len();
-                let expected = expected_arrivals(&state.arrivals, drained, self.config.max_wait);
-                linger = expected >= needed as f64;
-                stats.inc(if linger { Metric::AdaptiveWaits } else { Metric::AdaptiveSkips });
-            }
-            let mut fill_wait = Duration::ZERO;
-            if linger {
-                let window_end = drained + self.config.max_wait;
-                while batch.len() < self.config.max_batch && !state.closed {
-                    // The window never outlives the most urgent job already
-                    // in the batch: lingering past its deadline would turn
-                    // the whole batch's answers into dead work.
-                    let cap = batch
-                        .iter()
-                        .filter_map(|job| job.deadline)
-                        .min()
-                        .map_or(window_end, |d| window_end.min(d));
-                    let Some(left) = cap.checked_duration_since(Instant::now()) else { break };
-                    let (next, timeout) =
-                        self.available.wait_timeout(state, left).unwrap_or_else(|e| e.into_inner());
-                    state = next;
-                    let take = (self.config.max_batch - batch.len()).min(state.queue.len());
-                    let now = Instant::now();
-                    admit_live(state.queue.drain(..take), now, &mut batch, stats);
-                    if timeout.timed_out() {
-                        break;
-                    }
+            for job in state.queue.drain(..take) {
+                // Counted (in `live_at`) before it is answered: whoever waits
+                // on the answer may read the count next.  An expired job's
+                // waiter is answered at once, never left hanging (it may
+                // have given up; that is not an error).
+                if live_at(job.deadline, now, stats) {
+                    batch.push(job);
+                } else {
+                    let _ = job.respond.send(Err(ServerError::DeadlineExceeded));
                 }
-                fill_wait = drained.elapsed();
             }
-            return Some(DrainedBatch { jobs: batch, fill_wait, slot: Slot { governor: self } });
+            // Everything drained may have expired already: then go back to
+            // waiting rather than hand a worker an empty batch.
+            if !batch.is_empty() {
+                state.running += 1;
+                return Some(DrainedBatch { jobs: batch, slot: Slot { governor: self } });
+            }
         }
     }
 
@@ -460,25 +328,6 @@ fn live_at(deadline: Option<Instant>, now: Instant, stats: &ServerStats) -> bool
     }
 }
 
-/// Moves drained jobs into `batch`, shedding the ones that are not
-/// [`live_at`] `now`.
-fn admit_live<R>(
-    jobs: impl Iterator<Item = Job<R>>,
-    now: Instant,
-    batch: &mut Vec<Job<R>>,
-    stats: &ServerStats,
-) {
-    for job in jobs {
-        // Counted (in `live_at`) before it is answered: whoever waits on the
-        // answer may read the count next.
-        if live_at(job.deadline, now, stats) {
-            batch.push(job);
-        } else {
-            job.refuse(ServerError::DeadlineExceeded);
-        }
-    }
-}
-
 /// Runs one batch on the calling thread.  A panicking executor must not take
 /// the thread with it — once every worker had gone that way, `submit` would
 /// keep admitting jobs nobody answers, and a connection thread would drop its
@@ -488,33 +337,11 @@ fn run_guarded<E: Executor>(
     executor: &E,
     raws: &[&str],
     started: Instant,
-    fill_wait: Duration,
 ) -> Vec<Result<E::Response, ServerError>> {
-    catch_unwind(AssertUnwindSafe(|| executor.run_batch(raws, started, fill_wait))).unwrap_or_else(
-        |_| {
-            executor.stats().add(Metric::Errors, raws.len() as u64);
-            vec![Err(ServerError::Panicked); raws.len()]
-        },
-    )
-}
-
-/// Projects the recent arrival rate over `window`: how many submissions the
-/// fill window can be expected to see, judged from the arrivals inside
-/// [`ARRIVAL_LOOKBACK`].  The rate is *intervals* over the span from the
-/// oldest recent arrival to now — silence since the last arrival drags the
-/// estimate down — and fewer than three recent arrivals estimate zero: one
-/// stray pair of back-to-back queries on an idle server is no evidence of
-/// traffic and must not buy a fill-window linger.
-fn expected_arrivals(arrivals: &VecDeque<Instant>, now: Instant, window: Duration) -> f64 {
-    let horizon = now.checked_sub(ARRIVAL_LOOKBACK);
-    let recent: Vec<Instant> =
-        arrivals.iter().copied().filter(|&t| horizon.is_none_or(|h| t >= h) && t <= now).collect();
-    if recent.len() < 3 {
-        return 0.0;
-    }
-    let span = now.duration_since(recent[0]).max(Duration::from_micros(1));
-    let rate = (recent.len() - 1) as f64 / span.as_secs_f64();
-    rate * window.as_secs_f64()
+    catch_unwind(AssertUnwindSafe(|| executor.run_batch(raws, started))).unwrap_or_else(|_| {
+        executor.stats().add(Metric::Errors, raws.len() as u64);
+        vec![Err(ServerError::Panicked); raws.len()]
+    })
 }
 
 /// One canonical query of a batch and every position that spelled it:
@@ -546,13 +373,13 @@ fn unfinished_trace() -> Arc<QueryTrace> {
 /// The part of serving a batch that does not depend on who answers it.
 ///
 /// [`open`](BatchFrame::open) attributes everything between submission and
-/// execution that is not the fill window — queueing plus the dispatch hop to
-/// this worker — to the `queue_wait` stage, so the recorded stages tile the
-/// measured latency without holes.  The `@<hex>` trace id and the `@d=<ms>`
-/// budget ride along per position, outside the canonical grouping;
-/// deadlines are anchored at the batch's earliest submission — conservative
-/// for later arrivals, and it keeps the whole batch on one clock.  Parse
-/// failures occupy their slot without failing the rest.
+/// execution — queueing plus the dispatch hop to this worker — to the
+/// `queue_wait` stage, so the recorded stages tile the measured latency
+/// without holes.  The `@<hex>` trace id and the `@d=<ms>` budget ride along
+/// per position, outside the canonical grouping; deadlines are anchored at
+/// the batch's earliest submission — conservative for later arrivals, and it
+/// keeps the whole batch on one clock.  Parse failures occupy their slot
+/// without failing the rest.
 pub(crate) struct BatchFrame<'a, R> {
     stats: &'a ServerStats,
     started: Instant,
@@ -574,18 +401,14 @@ impl<'a, R: Answer> BatchFrame<'a, R> {
     pub(crate) fn open(
         raws: &[&str],
         started: Instant,
-        fill_wait: Duration,
         default_deadline: Option<Duration>,
         stats: &'a ServerStats,
     ) -> Self {
         let exec_started = Instant::now();
-        let queue_wait = exec_started.saturating_duration_since(started).saturating_sub(fill_wait);
+        let queue_wait = exec_started.saturating_duration_since(started);
         let mut trace = QueryTrace::default();
         if !queue_wait.is_zero() {
             trace.record(Stage::QueueWait, queue_wait);
-        }
-        if !fill_wait.is_zero() {
-            trace.record(Stage::BatchFill, fill_wait);
         }
         let mut positions = Vec::with_capacity(raws.len());
         let mut groups: BTreeMap<String, Group> = BTreeMap::new();
@@ -742,18 +565,17 @@ impl<E: Executor> Pool<E> {
                 let served = Arc::clone(&served);
                 std::thread::spawn(move || {
                     while let Some(batch) = governor.next_batch(executor.stats()) {
-                        let DrainedBatch { jobs, fill_wait, slot } = batch;
+                        let DrainedBatch { jobs, slot } = batch;
                         // Time the batch from its earliest submission, so
-                        // queueing delay and the fill window both land in
-                        // the recorded latency (and in the trace, as the
-                        // queue_wait and batch_fill stages).
+                        // queueing delay lands in the recorded latency (and
+                        // in the trace, as the queue_wait stage).
                         let started = jobs
                             .iter()
                             .map(|job| job.submitted)
                             .min()
                             .expect("batches are never empty");
                         let raws: Vec<&str> = jobs.iter().map(|job| job.raw.as_str()).collect();
-                        let responses = run_guarded(&*executor, &raws, started, fill_wait);
+                        let responses = run_guarded(&*executor, &raws, started);
                         // Given back before anyone is answered: a client
                         // that sends its next request the moment it reads
                         // this answer finds the slot free.
@@ -835,7 +657,7 @@ impl<E: Executor> Pool<E> {
         }
         stats.inc(Metric::Inline);
         self.served.fetch_add(1, Ordering::Relaxed);
-        run_guarded(&*self.executor, &[raw], submitted, Duration::ZERO)
+        run_guarded(&*self.executor, &[raw], submitted)
             .pop()
             .expect("one query in, one response out")
     }
@@ -910,29 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_oldest_sheds_the_head_and_answers_its_waiter() {
-        let (governor, stats) = governor(BatchConfig {
-            queue_bound: 2,
-            overload: OverloadPolicy::DropOldest,
-            ..BatchConfig::default()
-        });
-        let (a, pa) = job("a");
-        let (b, _pb) = job("b");
-        let (c, _pc) = job("c");
-        governor.submit(a, &stats).unwrap();
-        governor.submit(b, &stats).unwrap();
-        governor.submit(c, &stats).unwrap();
-        assert_eq!(governor.depth(), 2);
-        assert_eq!(stats.get(Metric::Shed), 1);
-        // The dropped job's waiter got the overload answer.
-        assert_eq!(pa.wait().unwrap_err(), ServerError::Overloaded);
-        // The surviving queue is b, c.
-        let batch = governor.next_batch(&stats).unwrap();
-        let raws: Vec<&str> = batch.jobs.iter().map(|j| j.raw.as_str()).collect();
-        assert_eq!(raws, ["b", "c"]);
-    }
-
-    #[test]
     fn batches_drain_up_to_max_batch() {
         let (governor, stats) = governor(BatchConfig { max_batch: 3, ..BatchConfig::default() });
         let mut pendings = Vec::new();
@@ -943,8 +742,6 @@ mod tests {
         }
         let first = governor.next_batch(&stats).unwrap();
         assert_eq!(first.jobs.len(), 3);
-        // No fill window armed: the drain reports no batch-fill linger.
-        assert_eq!(first.fill_wait, Duration::ZERO);
         assert_eq!(governor.next_batch(&stats).unwrap().jobs.len(), 2);
         governor.close();
         assert!(governor.next_batch(&stats).is_none());
@@ -964,120 +761,6 @@ mod tests {
     }
 
     #[test]
-    fn max_wait_fills_a_batch_from_late_arrivals() {
-        let (governor, stats) = governor(BatchConfig {
-            max_batch: 2,
-            max_wait: Duration::from_millis(200),
-            ..BatchConfig::default()
-        });
-        let (a, _pa) = job("a");
-        governor.submit(a, &stats).unwrap();
-        let second = std::thread::spawn({
-            let (b, pb) = job("b");
-            move || (b, pb)
-        });
-        let (b, _pb) = second.join().unwrap();
-        // Submit the second job from another thread shortly after the worker
-        // starts waiting.
-        std::thread::scope(|scope| {
-            let submitter = scope.spawn(|| {
-                std::thread::sleep(Duration::from_millis(20));
-                governor.submit(b, &stats).unwrap();
-            });
-            let batch = governor.next_batch(&stats).unwrap();
-            assert_eq!(batch.jobs.len(), 2, "late arrival joined the waiting batch");
-            assert!(batch.fill_wait > Duration::ZERO, "linger time was recorded");
-            submitter.join().unwrap();
-        });
-    }
-
-    #[test]
-    fn adaptive_governor_skips_the_window_when_idle() {
-        let (governor, stats) = governor(BatchConfig {
-            max_batch: 32,
-            max_wait: Duration::from_millis(250),
-            adaptive: true,
-            ..BatchConfig::default()
-        });
-        // A single queued job with no recent arrival history: the controller
-        // must drain immediately instead of sitting out the fill window.
-        let (a, _pa) = job("a");
-        governor.submit(a, &stats).unwrap();
-        let started = Instant::now();
-        let batch = governor.next_batch(&stats).unwrap();
-        assert_eq!(batch.jobs.len(), 1);
-        assert!(
-            started.elapsed() < Duration::from_millis(200),
-            "idle adaptive drain waited {:?}",
-            started.elapsed()
-        );
-        assert_eq!(stats.get(Metric::AdaptiveSkips), 1);
-        assert_eq!(stats.get(Metric::AdaptiveWaits), 0);
-    }
-
-    #[test]
-    fn adaptive_governor_ignores_a_lone_pair_of_arrivals() {
-        let (governor, stats) = governor(BatchConfig {
-            max_batch: 32,
-            max_wait: Duration::from_millis(250),
-            adaptive: true,
-            ..BatchConfig::default()
-        });
-        // Two back-to-back queries on an otherwise idle server: too little
-        // evidence of traffic to pay the fill-window linger for.
-        for raw in ["a", "b"] {
-            let (j, _p) = job(raw);
-            governor.submit(j, &stats).unwrap();
-        }
-        let started = Instant::now();
-        let batch = governor.next_batch(&stats).unwrap();
-        assert_eq!(batch.jobs.len(), 2);
-        assert!(
-            started.elapsed() < Duration::from_millis(200),
-            "a lone pair bought a linger: {:?}",
-            started.elapsed()
-        );
-        assert_eq!(stats.get(Metric::AdaptiveSkips), 1);
-    }
-
-    #[test]
-    fn adaptive_governor_waits_when_arrivals_suggest_a_fill() {
-        let (governor, stats) = governor(BatchConfig {
-            max_batch: 64,
-            max_wait: Duration::from_millis(20),
-            adaptive: true,
-            ..BatchConfig::default()
-        });
-        // A burst of arrivals: the measured rate projects far more than the
-        // free slots over the window, so the worker lingers.
-        let mut pendings = Vec::new();
-        for i in 0..40 {
-            let (j, p) = job(&format!("q{i}"));
-            governor.submit(j, &stats).unwrap();
-            pendings.push(p);
-        }
-        let batch = governor.next_batch(&stats).unwrap();
-        // All 40 drain at once (< max_batch), and the decision to linger for
-        // more was taken and counted.
-        assert_eq!(batch.jobs.len(), 40);
-        assert_eq!(stats.get(Metric::AdaptiveWaits), 1);
-        assert_eq!(stats.get(Metric::AdaptiveSkips), 0);
-    }
-
-    #[test]
-    fn fixed_window_governors_never_record_adaptive_decisions() {
-        let (governor, stats) = governor(BatchConfig {
-            max_batch: 4,
-            max_wait: Duration::from_millis(5),
-            ..BatchConfig::default()
-        });
-        let (a, _pa) = job("a");
-        governor.submit(a, &stats).unwrap();
-        let _ = governor.next_batch(&stats).unwrap();
-        assert_eq!(stats.get(Metric::AdaptiveWaits) + stats.get(Metric::AdaptiveSkips), 0);
-    }
-
-    #[test]
     fn expired_jobs_are_shed_at_dequeue_with_a_distinct_count() {
         let (governor, stats) = governor(BatchConfig::default());
         let (dead, dead_pending) = job_with_deadline("dead", Some(Instant::now()));
@@ -1087,7 +770,6 @@ mod tests {
         governor.submit(dead, &stats).unwrap();
         governor.submit(live, &stats).unwrap();
         governor.submit(plain, &stats).unwrap();
-        std::thread::sleep(Duration::from_millis(2));
         let batch = governor.next_batch(&stats).unwrap();
         let raws: Vec<&str> = batch.jobs.iter().map(|j| j.raw.as_str()).collect();
         assert_eq!(raws, ["live", "plain"]);
@@ -1103,41 +785,11 @@ mod tests {
         let (governor, stats) = governor(BatchConfig::default());
         let (dead, _p) = job_with_deadline("dead", Some(Instant::now()));
         governor.submit(dead, &stats).unwrap();
-        std::thread::sleep(Duration::from_millis(2));
         governor.close();
         // The only queued job expires at drain: the worker sees the closed
         // end of the stream, never an empty batch.
         assert!(governor.next_batch(&stats).is_none());
         assert_eq!(stats.deadline_exceeded(DeadlineStage::Queue), 1);
-    }
-
-    #[test]
-    fn fill_window_never_lingers_past_the_earliest_deadline() {
-        let (governor, stats) = governor(BatchConfig {
-            max_batch: 8,
-            max_wait: Duration::from_millis(400),
-            ..BatchConfig::default()
-        });
-        // One job due in 30ms: the 400ms fill window must be cut short.
-        let (urgent, _p) =
-            job_with_deadline("urgent", Some(Instant::now() + Duration::from_millis(30)));
-        governor.submit(urgent, &stats).unwrap();
-        let started = Instant::now();
-        let batch = governor.next_batch(&stats).unwrap();
-        assert_eq!(batch.jobs.len(), 1);
-        assert!(
-            started.elapsed() < Duration::from_millis(200),
-            "linger outlived the deadline: {:?}",
-            started.elapsed()
-        );
-    }
-
-    #[test]
-    fn overload_policy_parses_and_renders() {
-        assert_eq!("reject".parse::<OverloadPolicy>().unwrap(), OverloadPolicy::RejectNew);
-        assert_eq!("drop-oldest".parse::<OverloadPolicy>().unwrap(), OverloadPolicy::DropOldest);
-        assert!("sideways".parse::<OverloadPolicy>().is_err());
-        assert_eq!(OverloadPolicy::DropOldest.to_string(), "drop-oldest");
     }
 
     /// An executor that does what `inner` does, except that a batch holding
@@ -1176,7 +828,6 @@ mod tests {
             &self,
             raws: &[&str],
             started: Instant,
-            fill_wait: Duration,
         ) -> Vec<Result<E::Response, ServerError>> {
             assert!(!raws.contains(&"explode"), "scripted panic");
             let running = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
@@ -1185,7 +836,7 @@ mod tests {
                 self.entered.lock().unwrap().send(()).unwrap();
                 self.release.lock().unwrap().recv().unwrap();
             }
-            let responses = self.inner.run_batch(raws, started, fill_wait);
+            let responses = self.inner.run_batch(raws, started);
             self.finished.lock().unwrap().extend(raws.iter().map(|raw| (*raw).to_owned()));
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
             responses
@@ -1278,34 +929,45 @@ mod tests {
         assert_eq!(pool.executor.high_water.load(Ordering::SeqCst), workers as u64);
         assert_eq!(pool.shutdown(), 6, "three inline and three queued");
 
-        // A full bounded queue sheds, under either policy, and what was
-        // admitted is served.
-        for overload in [OverloadPolicy::RejectNew, OverloadPolicy::DropOldest] {
-            let batch =
-                BatchConfig { max_batch: 1, queue_bound: 1, overload, ..BatchConfig::default() };
-            let inner = make(1, batch);
-            let (pool, entered, release) = scripted(Arc::clone(&inner));
-            let wedged = pool.submit("wedge").unwrap();
-            entered.recv().unwrap();
-            // The one worker is busy and the queue empty: one job fits.
-            let first = pool.submit("rust").unwrap();
-            assert_eq!(pool.queue_depth(), 1);
-            let second = pool.submit("search");
-            release.send(()).unwrap();
-            match overload {
-                OverloadPolicy::RejectNew => {
-                    assert_eq!(second.err(), Some(ServerError::Overloaded));
-                    assert!(first.wait().is_ok());
-                }
-                OverloadPolicy::DropOldest => {
-                    assert_eq!(first.wait().err(), Some(ServerError::Overloaded));
-                    assert!(second.unwrap().wait().is_ok());
-                }
-            }
-            assert!(wedged.wait().is_ok());
-            assert_eq!(inner.stats().get(Metric::Shed), 1, "{overload}");
-            assert_eq!(pool.shutdown(), 2, "{overload}: the wedge and the job that stayed");
+        // A backlog drains as one batch, with no timer: the jobs that queued
+        // behind the wedged slot are all there when it comes back, and each
+        // distinct query in them is worked once.
+        let inner = make(1, BatchConfig { max_batch: 8, ..BatchConfig::default() });
+        let (pool, entered, release) = scripted(Arc::clone(&inner));
+        let wedged = pool.submit("wedge").unwrap();
+        entered.recv().unwrap();
+        let backlog: Vec<_> = ["rust", "search", "rust", "rust search", "search", "rust"]
+            .map(|raw| pool.submit(raw).unwrap())
+            .into();
+        release.send(()).unwrap();
+        assert!(wedged.wait().is_ok());
+        for pending in backlog {
+            assert!(pending.wait().is_ok());
         }
+        assert_eq!(
+            inner.stats().get(Metric::Batches),
+            1,
+            "the wedge ran alone, the backlog as one"
+        );
+        assert_eq!(inner.stats().get(Metric::DedupHits), 6 - 3);
+        assert_eq!(inner.stats().get(Metric::Batched), 6);
+        assert_eq!(pool.shutdown(), 7);
+
+        // A full bounded queue rejects the new request, and what was
+        // admitted is served.
+        let inner = make(1, BatchConfig { max_batch: 1, queue_bound: 1 });
+        let (pool, entered, release) = scripted(Arc::clone(&inner));
+        let wedged = pool.submit("wedge").unwrap();
+        entered.recv().unwrap();
+        // The one worker is busy and the queue empty: one job fits.
+        let first = pool.submit("rust").unwrap();
+        assert_eq!(pool.queue_depth(), 1);
+        assert_eq!(pool.submit("search").err(), Some(ServerError::Overloaded));
+        release.send(()).unwrap();
+        assert!(first.wait().is_ok());
+        assert!(wedged.wait().is_ok());
+        assert_eq!(inner.stats().get(Metric::Shed), 1);
+        assert_eq!(pool.shutdown(), 2, "the wedge and the job that stayed");
 
         // An expired request is answered at admission — here on an idle
         // pool, so under a slot on this thread — without executing.

@@ -161,8 +161,8 @@ pub struct QueryResponse {
     /// answered.  A query the pool ran where it arrived (a slot was free) is
     /// a batch of one submitted the instant it ran: this is its own engine
     /// time.  For a query that had to queue it runs from the batch's earliest
-    /// submission until the whole batch finished, so queue wait and any
-    /// `max_wait` fill window are included; every query in a batch shares
+    /// submission until the whole batch finished, so queue wait is
+    /// included; every query in a batch shares
     /// the value — no response is released before its batch completes, so
     /// this approximates what the client observes, not the query's share of
     /// the evaluation work.  Direct [`QueryEngine::execute`] calls time only
@@ -284,7 +284,7 @@ impl QueryEngine {
     /// rest of the batch.
     #[must_use]
     pub fn execute_batch(&self, raws: &[&str]) -> Vec<Result<QueryResponse, ServerError>> {
-        self.run_batch(raws, Instant::now(), Duration::ZERO)
+        self.run_batch(raws, Instant::now())
     }
 }
 
@@ -311,10 +311,8 @@ impl Executor for QueryEngine {
         &self,
         raws: &[&str],
         started: Instant,
-        fill_wait: Duration,
     ) -> Vec<Result<QueryResponse, ServerError>> {
-        let mut frame =
-            BatchFrame::open(raws, started, fill_wait, self.config.default_deadline, &self.stats);
+        let mut frame = BatchFrame::open(raws, started, self.config.default_deadline, &self.stats);
         // One snapshot load for the whole batch: every query in it shares a
         // generation, and a concurrent publish cannot tear the image.
         let snapshot = self.snapshot.load();
@@ -446,7 +444,6 @@ pub type PendingResponse = Pending<QueryResponse>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::OverloadPolicy;
     use dsearch_index::{DocTable, InMemoryIndex};
     use dsearch_text::Term;
 
@@ -718,12 +715,7 @@ mod tests {
         let engine = engine(EngineConfig {
             workers: 1,
             cache_capacity: 1,
-            batch: BatchConfig {
-                max_batch: 1,
-                queue_bound: 1,
-                overload: OverloadPolicy::RejectNew,
-                ..BatchConfig::default()
-            },
+            batch: BatchConfig { max_batch: 1, queue_bound: 1 },
             ..EngineConfig::default()
         });
         let pool = WorkerPool::start(Arc::clone(&engine));

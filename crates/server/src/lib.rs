@@ -13,8 +13,8 @@
 //! * [`batch`] — the serving skeleton, written once: the [`Executor`] trait
 //!   (stats, batch config, worker count, default deadline, `run_batch`, and
 //!   the `!stats` / `!reload` / render answers), the admission-controlled
-//!   queue that bounds depth and sheds overload (reject-new or drop-oldest),
-//!   the [`Pool`] of workers draining it in batches, and the frame around a
+//!   queue that bounds depth and rejects what finds it full, the [`Pool`] of
+//!   workers draining whatever is queued in batches, and the frame around a
 //!   batch (prefixes, deadlines, one parse per line, identical canonical
 //!   queries grouped; then accounting and per-client trace ids);
 //! * [`engine`] — [`QueryEngine`], the executor of `dsearch serve`: cache
@@ -84,7 +84,7 @@ pub mod serve;
 pub mod snapshot;
 pub mod stats;
 
-pub use batch::{Answer, BatchConfig, Executor, OverloadPolicy, Pending, Pool, DEFAULT_AUTO_WAIT};
+pub use batch::{Answer, BatchConfig, Executor, Pending, Pool};
 pub use cache::{AdmissionPolicy, CacheCounters, CacheKey, CacheKeyRef, QueryCache};
 pub use engine::{
     ConfigError, EngineConfig, PendingResponse, QueryEngine, QueryResponse, ServerError, WorkerPool,

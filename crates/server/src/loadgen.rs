@@ -322,7 +322,6 @@ fn run_open(
                             collected.collect_stages(&response.trace);
                         }
                     }
-                    Err(ServerError::Overloaded) => collected.shed += 1,
                     Err(ServerError::DeadlineExceeded) => collected.deadline_exceeded += 1,
                     Err(_) => collected.errors += 1,
                 }

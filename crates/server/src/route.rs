@@ -24,9 +24,9 @@
 //! * The router is an [`Executor`]: [`RouterPool`] and
 //!   [`RouteService`](crate::serve::RouteService) are the shared
 //!   [`Pool`] and [`LineService`](crate::serve::LineService) over it, so
-//!   `--queue-bound`, `--overload`, `--max-batch` and adaptive batching all
-//!   apply to the coordinator too, and `dsearch route` plugs into the same
-//!   stdin/TCP front ends as `dsearch serve`.
+//!   `--queue-bound` and `--max-batch` apply to the coordinator too, and
+//!   `dsearch route` plugs into the same stdin/TCP front ends as `dsearch
+//!   serve`.
 //!
 //! Shard-local file ids do not survive the wire (every `dsearch serve`
 //! process numbers its own documents from zero), so cross-shard merging keys
@@ -715,7 +715,7 @@ impl Router {
     /// canonical queries deduplicated exactly like the single-store engine.
     #[must_use]
     pub fn route_batch(&self, raws: &[&str]) -> Vec<Result<RoutedResponse, ServerError>> {
-        self.run_batch(raws, Instant::now(), Duration::ZERO)
+        self.run_batch(raws, Instant::now())
     }
 }
 
@@ -783,10 +783,8 @@ impl Executor for Router {
         &self,
         raws: &[&str],
         started: Instant,
-        fill_wait: Duration,
     ) -> Vec<Result<RoutedResponse, ServerError>> {
-        let mut frame =
-            BatchFrame::open(raws, started, fill_wait, self.config.default_deadline, &self.stats);
+        let mut frame = BatchFrame::open(raws, started, self.config.default_deadline, &self.stats);
         let parse_done = frame.parse_done;
         // Deadline checkpoint ahead of the cache probe, for every group.
         let mut groups = std::mem::take(&mut frame.groups);

@@ -135,10 +135,6 @@ metrics! {
     Batched = Counter "dsearch_batched_queries_total", Line("batched");
     /// Queries answered by deduplication inside a batch.
     DedupHits = Counter "dsearch_dedup_hits_total", Line("dedup_hits");
-    /// Adaptive-batching decisions to linger for the fill window.
-    AdaptiveWaits = Counter "dsearch_adaptive_waits_total", Line("adaptive_waits");
-    /// Adaptive-batching decisions to drain at once.
-    AdaptiveSkips = Counter "dsearch_adaptive_skips_total", Line("adaptive_skips");
     /// Per-query shard failures seen by the router.
     ShardErrors = Counter "dsearch_shard_errors_total", Line("shard_errors");
     /// Routed responses served with at least one shard missing.

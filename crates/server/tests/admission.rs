@@ -9,8 +9,8 @@ use dsearch_index::{DocTable, InMemoryIndex};
 use dsearch_server::protocol::read_response;
 use dsearch_server::LineHandler;
 use dsearch_server::{
-    loadgen, BatchConfig, EngineConfig, Handled, IndexSnapshot, LoadConfig, LoadMode,
-    OverloadPolicy, QueryEngine, Service, Workload,
+    loadgen, BatchConfig, EngineConfig, Handled, IndexSnapshot, LoadConfig, LoadMode, QueryEngine,
+    Service, Workload,
 };
 use dsearch_text::Term;
 
@@ -38,7 +38,7 @@ fn scan_workload(distinct: usize) -> Workload {
     Workload::from_queries((0..distinct).map(|i| format!("w* OR w{:03}*", i % 1000)).collect())
 }
 
-fn bounded_engine(queue_bound: usize, overload: OverloadPolicy) -> Arc<QueryEngine> {
+fn bounded_engine(queue_bound: usize) -> Arc<QueryEngine> {
     QueryEngine::new(
         wide_snapshot(),
         EngineConfig {
@@ -46,7 +46,7 @@ fn bounded_engine(queue_bound: usize, overload: OverloadPolicy) -> Arc<QueryEngi
             cache_capacity: 1,
             cache_shards: 1,
             result_limit: 10,
-            batch: BatchConfig { max_batch: 1, queue_bound, overload, ..BatchConfig::default() },
+            batch: BatchConfig { max_batch: 1, queue_bound },
             ..EngineConfig::default()
         },
     )
@@ -69,7 +69,7 @@ fn stats_field(service: &Service, name: &str) -> u64 {
 
 #[test]
 fn open_loop_overload_sheds_and_reports_via_stats() {
-    let engine = bounded_engine(2, OverloadPolicy::RejectNew);
+    let engine = bounded_engine(2);
     let service = Arc::new(Service::start(Arc::clone(&engine), None));
 
     // 500 submissions at 200k qps against one worker doing full-vocabulary
@@ -100,31 +100,8 @@ fn open_loop_overload_sheds_and_reports_via_stats() {
 }
 
 #[test]
-fn drop_oldest_sheds_queued_waiters_not_submitters() {
-    let engine = bounded_engine(1, OverloadPolicy::DropOldest);
-    let service = Arc::new(Service::start(Arc::clone(&engine), None));
-
-    let report = loadgen::run(
-        service.pool(),
-        &scan_workload(400),
-        &LoadConfig {
-            requests: 400,
-            mode: LoadMode::Open { rate_qps: 200_000.0 },
-            stage_report: false,
-            deadline_ms: None,
-        },
-    );
-
-    // Under drop-oldest the submission always succeeds; the overload answer
-    // lands on the dropped job's waiter instead.
-    assert!(report.shed > 0, "drop-oldest under overload must shed: {report}");
-    assert_eq!(report.errors, 0, "{report}");
-    assert_eq!(stats_field(&service, "shed"), report.shed as u64);
-}
-
-#[test]
 fn closed_loop_under_the_bound_sheds_nothing() {
-    let engine = bounded_engine(4, OverloadPolicy::RejectNew);
+    let engine = bounded_engine(4);
     let service = Arc::new(Service::start(Arc::clone(&engine), None));
 
     // Two synchronous clients can keep at most two requests outstanding —

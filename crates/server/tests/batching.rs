@@ -1,13 +1,12 @@
-//! Batched-execution acceptance tests: a backlog of queries drains as
-//! batches that share one snapshot generation, deduplicate identical
-//! canonical queries, and reuse posting lookups, with the savings visible in
-//! the engine counters.
+//! Batched-execution acceptance tests: a batch of queries shares one
+//! snapshot generation, deduplicates identical canonical queries, and reuses
+//! posting lookups, with the savings visible in the engine counters.  How a
+//! backlog becomes such a batch is `batch.rs`'s `pool_contract`.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use dsearch_index::{DocTable, InMemoryIndex};
-use dsearch_server::{BatchConfig, EngineConfig, IndexSnapshot, Metric, QueryEngine, WorkerPool};
+use dsearch_server::{EngineConfig, IndexSnapshot, Metric, QueryEngine};
 use dsearch_text::Term;
 
 fn snapshot() -> IndexSnapshot {
@@ -56,48 +55,4 @@ fn a_duplicate_heavy_batch_costs_one_search_per_distinct_query() {
     let first = responses[0].as_ref().unwrap();
     let fifth = responses[4].as_ref().unwrap();
     assert!(Arc::ptr_eq(&first.results, &fifth.results));
-}
-
-#[test]
-fn a_waiting_worker_collects_a_backlog_into_batches() {
-    // One worker, a large batch window: the worker takes the first job,
-    // then waits out `max_wait` while the remaining submissions queue up,
-    // so the backlog is guaranteed to drain as multi-query batches.
-    let engine = QueryEngine::new(
-        snapshot(),
-        EngineConfig {
-            workers: 1,
-            cache_capacity: 1,
-            cache_shards: 1,
-            batch: BatchConfig {
-                max_batch: 64,
-                max_wait: Duration::from_millis(300),
-                ..BatchConfig::default()
-            },
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    let pool = WorkerPool::start(Arc::clone(&engine));
-
-    // 64 submissions, 8 distinct queries, issued without waiting.
-    let pendings: Vec<_> =
-        (0..64).map(|i| pool.submit(format!("shared w{}", i % 8)).unwrap()).collect();
-    for pending in pendings {
-        let response = pending.wait().unwrap();
-        assert_eq!(response.generation, 1);
-    }
-
-    let stats = engine.stats();
-    assert_eq!(stats.get(Metric::Queries), 64);
-    assert!(stats.get(Metric::Batches) >= 1, "the backlog formed no batch");
-    assert!(
-        stats.get(Metric::DedupHits) > 0,
-        "64 submissions of 8 distinct queries deduplicated nothing"
-    );
-    // Accounting invariant: every query either probed the cache or
-    // piggybacked on an identical one in its batch.
-    let counters = engine.cache_counters();
-    assert_eq!(counters.hits + counters.misses + stats.get(Metric::DedupHits), 64);
-    assert_eq!(pool.shutdown(), 64);
 }

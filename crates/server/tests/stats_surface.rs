@@ -36,8 +36,6 @@ const SERVE_KEYS: &[&str] = &[
     "inline",
     "batched",
     "dedup_hits",
-    "adaptive_waits",
-    "adaptive_skips",
     "shard_errors",
     "partial",
     "qps",
