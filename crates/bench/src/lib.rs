@@ -1,13 +1,5 @@
-//! Shared helpers for the `dsearch` benchmark harness.
-//!
-//! The real work lives in the Criterion benches (`benches/`) and the
-//! `reproduce_tables` binary (`src/bin/`); this library holds the formatting
-//! and measurement helpers they share so every table is rendered the same
-//! way.
+//! The `dsearch` Criterion benches live in `benches/`; this empty library is
+//! only the target Cargo needs to build them.  The paper's tables are
+//! printed by `dsearch tables`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod tables;
-
-pub use tables::{format_table, TableRow};

@@ -1,19 +1,112 @@
-//! `dsearch-cli tables` — print the paper's tables from the platform models.
+//! `dsearch-cli tables` — print the paper's tables from the platform models,
+//! with this host's measured run beside them.
 
-use dsearch::core::Implementation;
+use dsearch::core::report::SequentialTimings;
+use dsearch::core::{Configuration, Implementation, IndexGenerator, SequentialRun};
+use dsearch::corpus::{materialize_to_memfs, CorpusManifest, CorpusSpec};
 use dsearch::sim::paper;
 use dsearch::sim::sweep::SweepRanges;
 use dsearch::sim::{
     best_configuration, estimate_run, sequential_stages, PlatformModel, WorkloadModel,
 };
+use dsearch::vfs::{MemFs, VPath};
 
 use crate::args::ParsedArgs;
 use crate::commands::format_table;
 use crate::CliError;
 
-fn table1() -> String {
+/// The measured corpus is the paper's scaled to 0.2 % (about 1.4 MB), held
+/// in memory so the runs time the pipeline and not the disk.
+const MEASURED_SCALE: f64 = 0.002;
+/// One seed, so every measured run indexes the same files.
+const MEASURED_SEED: u64 = 2010;
+
+/// Seconds as the measured rows print them: milliseconds, because this
+/// host's stages take a few of them.
+fn ms(seconds: f64) -> String {
+    format!("{:.2} ms", seconds * 1e3)
+}
+
+/// This host's side of the tables: one in-memory corpus and the sequential
+/// run over it, the baseline every measured speed-up divides.
+struct ThisHost {
+    fs: MemFs,
+    manifest: CorpusManifest,
+    sequential: SequentialRun,
+}
+
+impl ThisHost {
+    fn measure() -> Result<Self, CliError> {
+        let spec = CorpusSpec::paper_scaled(MEASURED_SCALE);
+        let (fs, manifest) = materialize_to_memfs(&spec, MEASURED_SEED);
+        let sequential = IndexGenerator::default()
+            .run_sequential(&fs, &VPath::root())
+            .map_err(CliError::failed)?;
+        Ok(ThisHost { fs, manifest, sequential })
+    }
+
+    /// The closing section: the sequential run and Implementations 1–3, all
+    /// at `(cores, 0, 0)` over the same corpus.  The sequential total leaves
+    /// out the read-only pass, as a production run would.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a run fails or indexes a different number of files from
+    /// the sequential run.
+    fn implementations(&self) -> Result<String, CliError> {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let configuration = Configuration::new(cores, 0, 0);
+        let t = &self.sequential.timings;
+        let sequential_s = t.total().as_secs_f64();
+        let mut rows = vec![vec![
+            "Sequential".to_owned(),
+            "-".to_owned(),
+            ms(sequential_s),
+            ms((t.read_and_extract + t.index_update).as_secs_f64()),
+            "-".to_owned(),
+            "1.00".to_owned(),
+        ]];
+        let generator = IndexGenerator::default();
+        for implementation in Implementation::ALL {
+            let report = generator
+                .run(&self.fs, &VPath::root(), implementation, configuration)
+                .map_err(CliError::failed)?
+                .report();
+            if report.files != self.sequential.stage2.files {
+                return Err(CliError::Failed(format!(
+                    "{} indexed {} files, the sequential run {}",
+                    implementation.paper_name(),
+                    report.files,
+                    self.sequential.stage2.files
+                )));
+            }
+            rows.push(vec![
+                implementation.paper_name().to_owned(),
+                configuration.to_string(),
+                ms(report.total_seconds),
+                ms(report.extraction_seconds),
+                ms(report.join_seconds),
+                format!("{:.2}", report.speedup_vs_seconds(sequential_s)),
+            ]);
+        }
+        Ok(format!(
+            "Measured on this host — {cores} core(s), {} files, {:.1} MB in memory \
+             (paper corpus × {MEASURED_SCALE}, seed {MEASURED_SEED})\n{}",
+            self.manifest.file_count(),
+            self.manifest.total_bytes() as f64 / 1e6,
+            format_table(
+                &["implementation", "(x, y, z)", "total", "extract + update", "join", "speed-up"],
+                &rows
+            )
+        ))
+    }
+}
+
+/// Table 1: the model's stages for the paper's machines, and the four stages
+/// of this host's sequential run as measured.
+fn table1(measured: &SequentialTimings) -> String {
     let workload = WorkloadModel::paper();
-    let rows: Vec<Vec<String>> = PlatformModel::paper_platforms()
+    let mut rows: Vec<Vec<String>> = PlatformModel::paper_platforms()
         .iter()
         .zip(paper::table1())
         .map(|(platform, expected)| {
@@ -27,6 +120,13 @@ fn table1() -> String {
             ]
         })
         .collect();
+    rows.push(vec![
+        "this host (measured)".to_owned(),
+        ms(measured.filename_generation.as_secs_f64()),
+        ms(measured.read_files.as_secs_f64()),
+        ms(measured.read_and_extract.as_secs_f64()),
+        ms(measured.index_update.as_secs_f64()),
+    ]);
     format!(
         "Table 1 — sequential stage times in seconds, model (paper)\n{}",
         format_table(
@@ -75,20 +175,24 @@ fn best_config_table(platform: &PlatformModel, table: &paper::BestConfigTable) -
 ///
 /// # Errors
 ///
-/// Fails when `--table` names anything other than 1–4.
+/// Fails when `--table` names anything other than 1–4, or when a measured
+/// run fails.
 pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let which = args.value_of("table");
     let platforms = PlatformModel::paper_platforms();
     let best_tables = [paper::table2(), paper::table3(), paper::table4()];
     let mut sections: Vec<String> = Vec::new();
+    let mut closing = None;
     match which {
         None => {
-            sections.push(table1());
+            let host = ThisHost::measure()?;
+            sections.push(table1(&host.sequential.timings));
             for (platform, table) in platforms.iter().zip(&best_tables) {
                 sections.push(best_config_table(platform, table));
             }
+            closing = Some(host);
         }
-        Some("1") => sections.push(table1()),
+        Some("1") => sections.push(table1(&ThisHost::measure()?.sequential.timings)),
         Some("2") => sections.push(best_config_table(&platforms[0], &best_tables[0])),
         Some("3") => sections.push(best_config_table(&platforms[1], &best_tables[1])),
         Some("4") => sections.push(best_config_table(&platforms[2], &best_tables[2])),
@@ -113,6 +217,9 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         .collect::<Vec<_>>()
         .join("; ");
     sections.push(format!("({winner_note})\n"));
+    if let Some(host) = closing {
+        sections.push(host.implementations()?);
+    }
     Ok(sections.join("\n"))
 }
 
@@ -128,6 +235,14 @@ mod tests {
             assert!(out.contains(needle), "missing {needle}");
         }
         assert!(out.contains("winner"));
+        let (_, host) = out.split_once("Measured on this host").expect("this host section");
+        assert!(host.contains("Sequential"));
+        for implementation in Implementation::ALL {
+            assert!(
+                host.contains(implementation.paper_name()),
+                "missing measured {implementation:?}"
+            );
+        }
     }
 
     #[test]
@@ -136,6 +251,13 @@ mod tests {
         let out = run(&args).unwrap();
         assert!(out.contains("Table 3"));
         assert!(!out.contains("Table 2"));
+        let args = ParsedArgs::parse(["tables", "--table", "1"]).unwrap();
+        let out = run(&args).unwrap();
+        assert!(out.contains("this host (measured)"));
+        assert!(!out.contains("Measured on this host"));
+        let args = ParsedArgs::parse(["tables", "--table", "2"]).unwrap();
+        let out = run(&args).unwrap();
+        assert!(!out.contains("this host"));
         let args = ParsedArgs::parse(["tables", "--table", "9"]).unwrap();
         assert!(matches!(run(&args).unwrap_err(), CliError::Usage(_)));
     }

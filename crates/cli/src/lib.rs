@@ -12,7 +12,7 @@
 //! | `serve --store <path> [--tcp addr]` | run the concurrent query service (line protocol, snapshot reloads) |
 //! | `loadgen --store <path>` | replay a derived query workload and report QPS + latency percentiles |
 //! | `corpus <dir> --scale 0.01` | materialise a synthetic benchmark corpus with the paper's shape |
-//! | `tables` | print the paper's Tables 1–4 regenerated from the calibrated platform models |
+//! | `tables` | print the paper's Tables 1–4 from the calibrated platform models, with this host's measured run beside them |
 //! | `curves --platform 32` | print speed-up-vs-threads curves for the three implementations |
 //!
 //! The command functions all return their output as a `String` so they can be
@@ -131,7 +131,10 @@ COMMANDS:
         Materialise a synthetic benchmark corpus with the paper's shape.
 
     tables [--table 1|2|3|4]
-        Print the paper's tables regenerated from the calibrated platform models.
+        Print the paper's tables regenerated from the calibrated platform
+        models, with this host's measured run: Table 1's sequential stages
+        and, without --table, the sequential run and Implementations 1-3 at
+        (cores, 0, 0) over one in-memory corpus.
 
     curves [--platform 4|8|32] [--max-threads N]
         Print speed-up-vs-thread-count curves for the three implementations.

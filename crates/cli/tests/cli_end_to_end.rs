@@ -510,6 +510,7 @@ fn searching_an_empty_store_fails_cleanly() {
 fn tables_and_curves_commands_run_without_a_corpus() {
     let out = run(["tables", "--table", "4"]).unwrap();
     assert!(out.contains("32-core"));
+    assert!(!out.contains("this host"), "--table 4 runs nothing: {out}");
     let out = run(["curves", "--platform", "4", "--max-threads", "4"]).unwrap();
     assert!(out.contains("Implementation 3"));
 }

@@ -22,7 +22,7 @@
 //! [`GeneratorOptions`]: crate::config::GeneratorOptions
 
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dsearch_index::{DocTable, FileId, IndexSet};
 use dsearch_persist::{ChangeSet, IndexStore, SegmentInfo, SignatureDb};
@@ -34,7 +34,6 @@ use crate::error::PipelineError;
 use crate::report::{IndexOutcome, ParallelRun};
 use crate::runner::IndexGenerator;
 use crate::stage1::FilenameSet;
-use crate::timing::Stopwatch;
 
 /// Result of one incremental update.
 #[derive(Debug)]
@@ -94,7 +93,7 @@ impl IndexGenerator {
         implementation: Implementation,
         configuration: Configuration,
     ) -> Result<IncrementalRun, PipelineError> {
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         // The segments of one build share a document table; where they do
         // not (a build that was cut short), the longest knows every id.
         let mut sources = Vec::with_capacity(store.segment_count());
@@ -143,7 +142,7 @@ impl IndexGenerator {
         run.timings.filename_generation = filename_generation;
         run.timings.total += filename_generation;
 
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let (built, docs) = run.outcome.into_replicas();
         sources.extend(built);
         let info = store.replace_with(&sources, &docs)?;

@@ -70,7 +70,7 @@ pub use pipeline::{
 };
 pub use report::{IndexOutcome, ParallelRun, RunReport, SequentialRun};
 pub use runner::IndexGenerator;
-pub use timing::{StageTimings, Stopwatch};
+pub use timing::StageTimings;
 
 /// What the tests share: a scratch directory, and the two ways they compare
 /// indexes — an index is what it seals to, or, where ids differ, what it

@@ -8,6 +8,7 @@
 //! times are the paper's Table 1.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 
@@ -25,7 +26,7 @@ use crate::report::{IndexOutcome, ParallelRun, SequentialRun, SequentialTimings}
 use crate::stage1::{generate_filenames, FilenameSet};
 use crate::stage2::{Extractor, FileTerms, Stage2Stats};
 use crate::stage3::{ReplicaSink, SharedSink, UpdateSink};
-use crate::timing::{StageTimings, Stopwatch};
+use crate::timing::StageTimings;
 
 /// The configurable index generator.
 ///
@@ -96,20 +97,20 @@ impl IndexGenerator {
     ) -> Result<SequentialRun, PipelineError> {
         let mut extractor = self.extractor();
 
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let set = generate_filenames(fs, root)?;
         let filename_generation = sw.elapsed();
 
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         extractor.scan_only(fs, &set.items)?;
         let read_files = sw.elapsed();
 
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let mut collected: Vec<FileTerms> = Vec::with_capacity(set.items.len());
         let stage2 = extractor.extract_all(fs, &set.items, |ft| collected.push(ft))?;
         let read_and_extract = sw.elapsed();
 
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let mut sink = ReplicaSink::new(self.options.granularity);
         for ft in collected {
             sink.apply(ft);
@@ -145,7 +146,7 @@ impl IndexGenerator {
         implementation: Implementation,
         configuration: Configuration,
     ) -> Result<ParallelRun, PipelineError> {
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let set = generate_filenames(fs, root)?;
         let filename_generation = sw.elapsed();
         let mut run = self.run_items(fs, set, implementation, configuration)?;
@@ -173,11 +174,11 @@ impl IndexGenerator {
     ) -> Result<ParallelRun, PipelineError> {
         configuration.validate(implementation).map_err(PipelineError::InvalidConfiguration)?;
 
-        let total_sw = Stopwatch::start();
+        let total_sw = Instant::now();
         let FilenameSet { items, docs, stats: stage1_stats } = set;
 
         // ---- Stages 2+3: extraction and index update ---------------------
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let x = configuration.extraction_threads;
         let y = configuration.update_threads;
 
@@ -393,7 +394,7 @@ impl IndexGenerator {
         let extraction = sw.elapsed();
 
         // ---- Join stage (Implementation 2 only) --------------------------
-        let sw = Stopwatch::start();
+        let sw = Instant::now();
         let outcome = match implementation {
             Implementation::SharedLocked => {
                 let index =
