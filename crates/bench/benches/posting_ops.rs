@@ -23,7 +23,9 @@
 //!
 //! `block_decode` isolates the block codec's unpack kernel: every id-gap and
 //! frequency block of a `paper_scaled` store, encoded as a seal encodes it,
-//! decoded again — ns per value for each width that occurs, and in all.
+//! decoded again — ns per value for each width that occurs, and in all —
+//! and prints beside the timings what the store's id and frequency payloads
+//! take a posting, so one run shows both sides of a codec trade.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -132,10 +134,15 @@ fn bench_query_eval(c: &mut Criterion) {
 /// A store's codec blocks of one kind, as its lists lay them out: each
 /// list's blocks back to back in one buffer, so a block decodes from a
 /// payload that runs on to the list's end, as in a segment.
+#[derive(Default)]
 struct Blocks {
     lists: Vec<Vec<u8>>,
     /// `(list, offset, values)` per block.
     blocks: Vec<(usize, usize, usize)>,
+    /// The store's payload bytes of this kind (ids: first ids included) and
+    /// the postings they hold.
+    stored: usize,
+    postings: usize,
 }
 
 impl Blocks {
@@ -171,7 +178,8 @@ impl Blocks {
 
 /// Every block of `spec`'s store as the seal encodes it: per list, its id
 /// gaps less one (each block's first id is a varint of its own, outside the
-/// codec) and its frequencies less one — `[ids, tfs]`.
+/// codec) and its frequencies less one — `[ids, tfs]`.  A list whose
+/// frequencies are all 1 stores none, and counts its postings at no bytes.
 fn store_blocks(spec: &CorpusSpec) -> [Blocks; 2] {
     let (fs, _) = materialize_to_memfs(spec, 0x5eed);
     let (index, _) = IndexGenerator::default()
@@ -181,7 +189,7 @@ fn store_blocks(spec: &CorpusSpec) -> [Blocks; 2] {
         .into_single_index();
     let shard = SealedShard::from_index(&index);
     let (mut ids, mut tfs) = (Vec::new(), Vec::new());
-    let mut kinds = [(); 2].map(|()| Blocks { lists: Vec::new(), blocks: Vec::new() });
+    let mut kinds = [(); 2].map(|()| Blocks::default());
     for (_, list) in shard.iter() {
         list.decode_into(&mut ids);
         list.decode_freqs_into(&mut tfs);
@@ -189,6 +197,10 @@ fn store_blocks(spec: &CorpusSpec) -> [Blocks; 2] {
         kinds[0].push_list(gaps.map(|pair| pair[1].0 - pair[0].0 - 1));
         if !tfs.is_empty() {
             kinds[1].push_list(tfs.iter().map(|tf| tf - 1));
+        }
+        for (kind, stored) in kinds.iter_mut().zip([list.data(), list.freqs()]) {
+            kind.stored += stored.len();
+            kind.postings += list.len();
         }
     }
     kinds
@@ -200,7 +212,14 @@ fn bench_block_decode(c: &mut Criterion) {
     let [ids, tfs] = store_blocks(&CorpusSpec::paper_scaled(0.05));
     for (kind, blocks) in [("ids", ids), ("tfs", tfs)] {
         // Width by width, each timed over enough rounds to pass ~2 M values.
-        let mut line = format!("block_decode/{kind}: {} blocks;", blocks.blocks.len());
+        let mut line = format!(
+            "block_decode/{kind}: {} B for {} postings, {:.3} B ({:.2} bits) a posting; {} blocks;",
+            blocks.stored,
+            blocks.postings,
+            blocks.stored as f64 / blocks.postings as f64,
+            8.0 * blocks.stored as f64 / blocks.postings as f64,
+            blocks.blocks.len()
+        );
         for width in 0..=32 {
             let of_width = blocks.of_width(width);
             if of_width.is_empty() {

@@ -5,8 +5,10 @@
 //! reader — cursors, decoders, the query evaluator — goes through the `Copy`
 //! borrowed [`CompressedView`], which a sealed shard also hands out straight
 //! over its segment bytes.  A block of ids is its first id and the gaps
-//! behind it (less one: ids ascend strictly); a block of term frequencies is
-//! the frequencies (less one: a frequency is at least 1).  Both go through
+//! behind it (less one: ids ascend strictly) — the first id of every block
+//! after a list's first itself a gap, from the last id of the block before,
+//! which the skip table holds; a block of term frequencies is the
+//! frequencies (less one: a frequency is at least 1).  Both go through
 //! **one** codec, a patched frame of reference ([`encode`] / [`decode`]):
 //!
 //! ```text
@@ -14,18 +16,21 @@
 //!              follows", 0x80 "exceptions follow"
 //! base         varint, subtracted from every value      (only when flagged)
 //! packed       the low b bits of every value: ⌈n·b / 8⌉ bytes
-//! exceptions   a count byte, then per value that does not fit b bits its
-//!              position (one byte) and its bits above b (a varint)
-//!                                                       (only when flagged)
+//! exceptions   (only when flagged) for the e values that do not fit b bits,
+//!              1 ≤ e ≤ 32, whose bits above b fit h bits, 1 ≤ h ≤ 8:
+//!   count      1 byte: bits 0..=4 e − 1, bits 5..=7 h − 1
+//!   positions  each exception's index in the block, 7 bits: ⌈7e / 8⌉ bytes
+//!   highs      each exception's bits above b, h bits:    ⌈h·e / 8⌉ bytes
 //! ```
 //!
 //! `b` is whichever width makes the block smallest, so one outlier among 128
-//! values costs its own two or three bytes and not a wider slot for all of
-//! them; a block of equal values (a dense run, a stride, the tf = 1 ocean)
-//! is width 0 — a header byte and at most a base.  Eight values of width `b`
-//! fill exactly `b` bytes, so [`decode`] unpacks them eight at a time with a
+//! values costs its own two bytes and not a wider slot for all of them; a
+//! block of equal values (a dense run, a stride, the tf = 1 ocean) is width
+//! 0 — a header byte and at most a base.  Eight values of width `b` fill
+//! exactly `b` bytes, so [`decode`] unpacks them eight at a time with a
 //! kernel compiled for each width, in which every shift and offset is a
-//! constant.
+//! constant.  The exceptions are bit-packed as NewPFD packs them (Yan, Ding
+//! & Suel, WWW 2009) and read one unaligned load a field.
 //!
 //! Each block carries a [`SkipEntry`] — `(last_id, byte offset)` — so a
 //! reader can decide whether a block can possibly contain a target id
@@ -54,6 +59,15 @@ const WIDTH_BITS: u8 = 0x3f;
 const HAS_BASE: u8 = 0x40;
 /// Header flag: exceptions follow the packed values.
 const HAS_EXCEPTIONS: u8 = 0x80;
+/// Most exceptions a block patches: their count less one fills five bits.
+const MAX_EXCEPTIONS: usize = 32;
+/// Widest part of an exception above the block's width: that width less one
+/// fills three bits.
+const MAX_HIGH_WIDTH: usize = 8;
+/// Bits an exception's position takes: a block holds 128 values.
+const POSITION_BITS: usize = 7;
+/// The most bytes a block's exception positions and high parts take.
+const EXCEPTION_BYTES: usize = (MAX_EXCEPTIONS * (POSITION_BITS + MAX_HIGH_WIDTH)).div_ceil(8);
 
 /// Skip metadata for one block: enough to route a `seek` without decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,12 +81,14 @@ pub struct SkipEntry {
 /// A sorted, duplicate-free posting list in block-compressed form, as the
 /// encoder produces it.  Reading goes through [`CompressedPostings::view`].
 ///
-/// `data` is self-contained — every block opens with a varint of its first
-/// (absolute) id, followed (when it holds more ids) by the codec block of
-/// its gaps less one — so a block decodes without consulting anything else.
-/// The skip table is pure acceleration and is only materialised for lists
-/// spanning more than one block: a singleton term (the long tail of every
-/// real vocabulary) costs one varint, typically 1–3 bytes against 4 raw.
+/// Every block of `data` opens with a varint of its first id — for the
+/// list's first block the id itself, for every later one its gap less one
+/// from the last id of the block before — followed (when it holds more ids)
+/// by the codec block of its gaps less one, so a block decodes from its own
+/// bytes and the skip entry before its own.  The skip table is only
+/// materialised for lists spanning more than one block: a singleton term
+/// (the long tail of every real vocabulary) costs one varint, typically 1–3
+/// bytes against 4 raw.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompressedPostings {
     len: usize,
@@ -123,15 +139,20 @@ impl CompressedPostings {
             "compressed postings require sorted, duplicate-free ids"
         );
         let block_count = ids.len().div_ceil(BLOCK_SIZE);
-        let mut skips = Vec::with_capacity(if block_count > 1 { block_count } else { 0 });
+        let mut skips: Vec<SkipEntry> =
+            Vec::with_capacity(if block_count > 1 { block_count } else { 0 });
         let mut data = Vec::new();
         let mut gaps = [0u32; BLOCK_SIZE];
         for block in ids.chunks(BLOCK_SIZE) {
+            let first = match skips.last() {
+                Some(before) => block[0].as_u32() - before.last.as_u32() - 1,
+                None => block[0].as_u32(),
+            };
             if block_count > 1 {
                 let offset = u32::try_from(data.len()).expect("posting data under 4 GiB");
                 skips.push(SkipEntry { last: block[block.len() - 1], offset });
             }
-            write_varint(&mut data, u64::from(block[0].as_u32()));
+            write_varint(&mut data, u64::from(first));
             let gaps = &mut gaps[..block.len() - 1];
             for (gap, pair) in gaps.iter_mut().zip(block.windows(2)) {
                 *gap = pair[1].as_u32() - pair[0].as_u32() - 1;
@@ -294,14 +315,17 @@ impl<'a> CompressedView<'a> {
     ) -> usize {
         let count = self.block_len(index);
         let mut pos = self.block_offset(index);
-        let first = read_lenient(self.data, &mut pos);
+        let first = u64::from(read_lenient(self.data, &mut pos));
         let gaps = &mut gaps[..count - 1];
         decode(self.data.get(pos..).unwrap_or(&[]), gaps);
-        // Summed in 64 bits, where 128 gaps cannot overflow, and clamped off
-        // the chain of additions: hostile gaps saturate, honest ones pay one
-        // add each.
-        out[0] = FileId(first);
-        let mut id = u64::from(first);
+        // Summed in 64 bits, where the block before's last id and 128 gaps
+        // cannot overflow, and clamped off the chain of additions: hostile
+        // gaps saturate, honest ones pay one add each.
+        let mut id = match index.checked_sub(1).and_then(|before| self.skips.get(before)) {
+            Some(before) => u64::from(before.last.as_u32()) + first + 1,
+            None => first,
+        };
+        out[0] = FileId(id.min(u64::from(u32::MAX)) as u32);
         for (slot, &gap) in out[1..count].iter_mut().zip(gaps.iter()) {
             id += u64::from(gap) + 1;
             *slot = FileId(id.min(u64::from(u32::MAX)) as u32);
@@ -358,14 +382,26 @@ impl<'a> CompressedView<'a> {
     }
 }
 
-/// The width at which `values`, each less `base`, encode smallest: `(width,
-/// exceptions, bytes)`, the values that do not fit the width and the bytes
-/// the packed and exception sections take.  A value `d` bits longer than the
-/// width costs a position byte and `⌈d / 7⌉` varint bytes, one for every
-/// seventh bit it reaches past the width — so from a histogram of bit
-/// lengths, summed from the top, a width is priced in a handful of lookups:
-/// the cost is the block's length plus a constant, not their product.
-fn cheapest_width(values: &[u32], base: u32) -> (usize, usize, usize) {
+/// How [`encode`] lays out one block: its `width`, the `high` width of its
+/// exceptions' bits above it, how many `exceptions` there are, and the
+/// `bytes` the packed and exception sections take.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    width: usize,
+    high: usize,
+    exceptions: usize,
+    bytes: usize,
+}
+
+/// The layout in which `values`, each less `base`, encode smallest.  With
+/// the width `b` below the longest value's `L` bits, the values longer than
+/// `b` are exceptions: a count byte, seven bits of position each and `L − b`
+/// bits of high part each.  A width that leaves more than 32 of them or high
+/// parts wider than 8 bits is no candidate; `L` itself, with none, always
+/// is.  From a histogram of bit lengths, summed from the top, a width is
+/// priced in a lookup: the cost is the block's length plus a constant, not
+/// their product.
+fn cheapest_width(values: &[u32], base: u32) -> Layout {
     // `longer[w]`: how many values need more than `w` bits (none past 32).
     // Counted in four tables, one value in four each: neighbours are mostly
     // of one length, and a counter bumped again before its last store has
@@ -381,43 +417,35 @@ fn cheapest_width(values: &[u32], base: u32) -> (usize, usize, usize) {
     for bits in (0..=longest).rev() {
         above += std::mem::replace(&mut longer[bits], above);
     }
-    let mut best = (longest, 0, (values.len() * longest).div_ceil(8));
-    for width in (0..longest).rev() {
+    let packed = |width: usize| (values.len() * width).div_ceil(8);
+    let mut best = Layout { width: longest, high: 0, exceptions: 0, bytes: packed(longest) };
+    for width in (longest.saturating_sub(MAX_HIGH_WIDTH)..longest).rev() {
+        // Narrower widths only leave more exceptions.
         let exceptions = longer[width];
-        let varints: usize = (width..longest).step_by(7).map(|reached| longer[reached]).sum();
-        let bytes = (values.len() * width).div_ceil(8) + 1 + exceptions + varints;
-        if bytes < best.2 {
-            best = (width, exceptions, bytes);
+        if exceptions > MAX_EXCEPTIONS {
+            break;
+        }
+        let high = longest - width;
+        let bytes = packed(width)
+            + 1
+            + (exceptions * POSITION_BITS).div_ceil(8)
+            + (exceptions * high).div_ceil(8);
+        if bytes < best.bytes {
+            best = Layout { width, high, exceptions, bytes };
         }
     }
     best
 }
 
-/// Appends `values` (at most [`BLOCK_SIZE`] of them; none writes nothing) as
-/// one block of the codec the module documentation lays out.
-pub fn encode(values: &[u32], out: &mut Vec<u8>) {
-    debug_assert!(values.len() <= BLOCK_SIZE, "positions and the exception count are bytes");
-    let Some(&least) = values.iter().min() else { return };
-    let (mut base, (mut width, mut exceptions, bytes)) = (0, cheapest_width(values, 0));
-    if least > 0 {
-        let rebased = cheapest_width(values, least);
-        if rebased.2 + varint_len(least) < bytes {
-            (base, (width, exceptions, _)) = (least, rebased);
-        }
-    }
-    let flags =
-        if base > 0 { HAS_BASE } else { 0 } | if exceptions > 0 { HAS_EXCEPTIONS } else { 0 };
-    out.push(width as u8 | flags);
-    if base > 0 {
-        write_varint(out, u64::from(base));
-    }
-    // Values enter a u64 accumulator `width` bits at a time, lowest bits
-    // first, and leave it as whole bytes.
+/// Appends the low `width` bits of every value, packed: values enter a u64
+/// accumulator `width` bits at a time, lowest bits first, and leave it as
+/// whole bytes — ⌈n·width / 8⌉ of them.
+fn pack(width: usize, values: impl Iterator<Item = u32>, out: &mut Vec<u8>) {
     let mask = (1u64 << width) - 1;
     let mut acc = 0u64;
     let mut acc_bits = 0;
-    for &value in values {
-        acc |= (u64::from(value - base) & mask) << acc_bits;
+    for value in values {
+        acc |= (u64::from(value) & mask) << acc_bits;
         acc_bits += width;
         if acc_bits >= 32 {
             out.extend_from_slice(&(acc as u32).to_le_bytes());
@@ -426,15 +454,40 @@ pub fn encode(values: &[u32], out: &mut Vec<u8>) {
         }
     }
     out.extend_from_slice(&acc.to_le_bytes()[..acc_bits.div_ceil(8)]);
-    if exceptions > 0 {
-        out.push(exceptions as u8);
-        for (position, &value) in values.iter().enumerate() {
-            let high = u64::from(value - base) >> width;
-            if high > 0 {
-                out.push(position as u8);
-                write_varint(out, high);
-            }
+}
+
+/// Appends `values` (at most [`BLOCK_SIZE`] of them; none writes nothing) as
+/// one block of the codec the module documentation lays out.
+pub fn encode(values: &[u32], out: &mut Vec<u8>) {
+    debug_assert!(values.len() <= BLOCK_SIZE, "positions take seven bits");
+    let Some(&least) = values.iter().min() else { return };
+    let (mut base, mut layout) = (0, cheapest_width(values, 0));
+    if least > 0 {
+        let rebased = cheapest_width(values, least);
+        if rebased.bytes + varint_len(least) < layout.bytes {
+            (base, layout) = (least, rebased);
         }
+    }
+    let Layout { width, high, exceptions, .. } = layout;
+    let flags =
+        if base > 0 { HAS_BASE } else { 0 } | if exceptions > 0 { HAS_EXCEPTIONS } else { 0 };
+    out.push(width as u8 | flags);
+    if base > 0 {
+        write_varint(out, u64::from(base));
+    }
+    pack(width, values.iter().map(|&value| value - base), out);
+    if exceptions > 0 {
+        // An exception's bits above the width are all it needs: `width` is
+        // below 32 whenever there is one.
+        let (mut positions, mut highs) = ([0u32; MAX_EXCEPTIONS], [0u32; MAX_EXCEPTIONS]);
+        let patched = values.iter().map(|&value| (value - base) >> width);
+        let found = patched.enumerate().filter(|&(_, high)| high > 0);
+        for (slot, (position, high)) in found.enumerate() {
+            (positions[slot], highs[slot]) = (position as u32, high);
+        }
+        out.push((exceptions - 1) as u8 | ((high - 1) as u8) << 5);
+        pack(POSITION_BITS, positions[..exceptions].iter().copied(), out);
+        pack(high, highs[..exceptions].iter().copied(), out);
     }
 }
 
@@ -459,19 +512,41 @@ pub fn decode(block: &[u8], out: &mut [u32]) {
     }
     if header & HAS_EXCEPTIONS != 0 {
         let count = block.get(pos).copied().unwrap_or(0);
-        pos += 1;
-        for _ in 0..count {
-            let position = block.get(pos).copied().unwrap_or(u8::MAX);
-            pos += 1;
-            let high = read_lenient(block, &mut pos);
-            if let Some(slot) = out.get_mut(usize::from(position)) {
-                *slot |= high.checked_shl(width as u32).unwrap_or(0);
+        let exceptions = usize::from(count & 0x1f) + 1;
+        let high = usize::from(count >> 5) + 1;
+        // The positions and the high parts, with eight bytes behind the most
+        // they take, so every field is one unaligned load: read in place, or
+        // from a zero-padded copy where the payload ends sooner.
+        let section = block.get(pos + 1..).unwrap_or(&[]);
+        let padded: [u8; EXCEPTION_BYTES + 8];
+        let fields = match section.first_chunk() {
+            Some(fields) => fields,
+            None => {
+                let mut copy = [0u8; EXCEPTION_BYTES + 8];
+                copy[..section.len()].copy_from_slice(section);
+                padded = copy;
+                &padded
+            }
+        };
+        let highs_at = (exceptions * POSITION_BITS).div_ceil(8) * 8;
+        for k in 0..exceptions {
+            let position = field(fields, k * POSITION_BITS, POSITION_BITS);
+            let patch = field(fields, highs_at + k * high, high);
+            if let Some(slot) = out.get_mut(position as usize) {
+                *slot |= patch.checked_shl(width as u32).unwrap_or(0);
             }
         }
     }
     if base > 0 {
         out.iter_mut().for_each(|value| *value = value.wrapping_add(base));
     }
+}
+
+/// The `bits` (at most 8) from bit `at` of `fields` on, which holds eight
+/// bytes past the last it is asked for.
+fn field(fields: &[u8; EXCEPTION_BYTES + 8], at: usize, bits: usize) -> u32 {
+    let word = u64::from_le_bytes(fields[at / 8..at / 8 + 8].try_into().expect("eight bytes"));
+    ((word >> (at % 8)) & ((1 << bits) - 1)) as u32
 }
 
 /// The width, in bits, of the values of the block that opens `block`: what
@@ -893,27 +968,81 @@ mod tests {
 
     #[test]
     fn one_outlier_is_patched_not_paid_for_by_the_whole_block() {
-        // 127 gaps of 1..=4 and one of a million: two bits each, and the
-        // outlier's high bits as an exception.
-        let mut id = 0u32;
-        let all: Vec<FileId> = (0..BLOCK_SIZE as u32)
-            .map(|i| {
-                id += if i == 77 { 1_000_000 } else { 1 + i % 4 };
-                FileId(id)
-            })
-            .collect();
+        // 127 gaps of 1..=4 and one of a thousand: two bits each, and the
+        // outlier's eight bits above them as an exception.
+        let block = |outlier: u32| -> Vec<FileId> {
+            let mut id = 0u32;
+            (0..BLOCK_SIZE as u32)
+                .map(|i| {
+                    id += if i == 77 { outlier } else { 1 + i % 4 };
+                    FileId(id)
+                })
+                .collect()
+        };
+        let all = block(1_000);
         let cp = CompressedPostings::from_sorted(&all);
         assert_eq!(ids_of(&cp), all);
-        // first id + header + 127 × 2 bits + count + position + 3 varint bytes
-        assert_eq!(cp.view().data().len(), 1 + 1 + 32 + 1 + 1 + 3);
-        // The same for frequencies: the tf = 1 ocean with three islands.
+        // first id + header + 127 × 2 bits + count + one position + one high
+        assert_eq!(cp.view().data().len(), 1 + 1 + 32 + 1 + 1 + 1);
+        // An outlier 18 bits above the rest is not patched at two bits: the
+        // width rises until its high part fits eight.
+        let wide = block(1_000_000);
+        let cp = CompressedPostings::from_sorted(&wide);
+        assert_eq!(ids_of(&cp), wide);
+        assert_eq!(encoded_width(&cp.view().data()[1..]), 12);
+        // The same for frequencies: the tf = 1 ocean with three islands, the
+        // three positions packed in three bytes, the highs in three more.
         let mut tfs = vec![1u32; BLOCK_SIZE];
-        (tfs[3], tfs[64], tfs[127]) = (2, 900, 70_000);
+        (tfs[3], tfs[64], tfs[127]) = (2, 9, 200);
         let cp = CompressedPostings::from_counted(&all, &tfs);
         let mut decoded = Vec::new();
         cp.view().decode_freqs_into(&mut decoded);
         assert_eq!(decoded, tfs);
-        assert_eq!(cp.view().freqs().len(), 1 + 1 + (1 + 1) + (1 + 2) + (1 + 3));
+        assert_eq!(cp.view().freqs().len(), 1 + 1 + 3 + 3);
+    }
+
+    #[test]
+    fn representative_blocks_encode_to_pinned_sizes() {
+        let size = |values: &[u32]| {
+            let mut encoded = Vec::new();
+            encode(values, &mut encoded);
+            let mut decoded = vec![0; values.len()];
+            decode(&encoded, &mut decoded);
+            assert_eq!(decoded, values);
+            encoded.len()
+        };
+        // Gaps of three bits, five of them one bit longer: width 3 and five
+        // exceptions — header, 127 × 3 bits, count, 5 × 7 bits, 5 × 1 bit.
+        let gaps: Vec<u32> =
+            (0..127u32).map(|i| if i % 25 == 10 { 8 + i % 8 } else { i % 8 }).collect();
+        assert_eq!(size(&gaps), 1 + 48 + 1 + 5 + 1);
+        // Frequencies less one, nearly all zero: width 0, nine exceptions of
+        // at most three bits — header, count, 9 × 7 bits, 9 × 3 bits.
+        let mut tfs = vec![0u32; BLOCK_SIZE];
+        for (at, tf) in [(0, 1), (9, 1), (20, 1), (33, 1), (50, 1), (64, 1), (90, 2), (91, 2)] {
+            tfs[at] = tf;
+        }
+        tfs[127] = 5;
+        assert_eq!(size(&tfs), 1 + 1 + 8 + 4);
+        // A single value: the header and its own bits, or its base.
+        assert_eq!(size(&[5]), 2);
+        assert_eq!(size(&[0]), 1);
+        // And a list of one id is that id's varint.
+        assert_eq!(CompressedPostings::from_sorted(&ids(&[300])).view().data(), [0xac, 0x02]);
+    }
+
+    #[test]
+    fn later_blocks_store_their_first_id_as_a_gap() {
+        // Blocks of 128 ids, each starting 10 past the block before's last.
+        let all: Vec<FileId> =
+            (0..300u32).map(|i| FileId(1_000_000 + i + 9 * (i / BLOCK_SIZE as u32))).collect();
+        let cp = CompressedPostings::from_sorted(&all);
+        let (data, skips) = (cp.view().data(), cp.view().skips());
+        assert_eq!(data[..3], [0xc0, 0x84, 0x3d], "the first block: its id, 1 000 000");
+        for skip in &skips[1..] {
+            assert_eq!(data[skip.offset as usize], 9, "a later block: 10 past, less one");
+        }
+        assert_eq!(ids_of(&cp), all);
     }
 
     #[test]
@@ -1046,6 +1175,69 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Blocks at the codec's limits — no, one, 32 and 33 values one to
+        /// nine bits longer than the rest, now and then all above a base —
+        /// round-trip; the patched layout at the rest's width is never beaten
+        /// by what the encoder picks when it is a candidate, and is never
+        /// picked when it is not.
+        #[test]
+        fn codec_round_trips_at_its_limits(
+            width in 1usize..=23,
+            outliers in 0usize..4,
+            high in 0usize..3,
+            noise in proptest::collection::vec(any::<u32>(), BLOCK_SIZE),
+            base in 0usize..3,
+        ) {
+            let (outliers, high) = ([0, 1, 32, 33][outliers], [1, 8, 9][high]);
+            let base = [0u32, 1, 1 << 20][base];
+            // The outliers stand anywhere but first: the positions in an
+            // order the noise decides.
+            let mut spots: Vec<usize> = (1..BLOCK_SIZE).collect();
+            spots.sort_unstable_by_key(|&spot| noise[spot].rotate_left(11));
+            // Every value is `width` bits long but the first, which is zero.
+            let mut values: Vec<u32> = noise
+                .iter()
+                .map(|&bits| (1 << (width - 1)) | (bits & ((1 << (width - 1)) - 1)))
+                .collect();
+            values[0] = 0;
+            let longer = width + high;
+            for &spot in &spots[..outliers] {
+                values[spot] = (1 << (longer - 1)) | (noise[spot] & ((1 << (longer - 1)) - 1));
+            }
+            values.iter_mut().for_each(|value| *value += base);
+            let mut encoded = Vec::new();
+            encode(&values, &mut encoded);
+            let mut decoded = vec![u32::MAX; values.len()];
+            decode(&encoded, &mut decoded);
+            prop_assert_eq!(&decoded, &values);
+            if base == 0 && outliers > 0 {
+                if outliers > MAX_EXCEPTIONS || high > MAX_HIGH_WIDTH {
+                    prop_assert!(encoded_width(&encoded) > width);
+                } else {
+                    let patched = 1
+                        + (BLOCK_SIZE * width).div_ceil(8)
+                        + 1
+                        + (outliers * POSITION_BITS).div_ceil(8)
+                        + (outliers * high).div_ceil(8);
+                    prop_assert!(encoded.len() <= patched);
+                }
+            }
+            // Width 32: every value but a zero is 32 bits long (so no base
+            // helps), and none is an exception.
+            let mut full: Vec<u32> = noise.iter().map(|&bits| bits | 1 << 31).collect();
+            full[0] = 0;
+            let mut encoded = Vec::new();
+            encode(&full, &mut encoded);
+            prop_assert_eq!((encoded_width(&encoded), encoded.len()), (32, 1 + BLOCK_SIZE * 4));
+            let mut decoded = vec![0; BLOCK_SIZE];
+            decode(&encoded, &mut decoded);
+            prop_assert_eq!(decoded, full);
+        }
+    }
+
+    proptest! {
         /// Any block round-trips, and patching never costs more than a
         /// header and one spare byte over packing at the widest value.
         #[test]
@@ -1062,8 +1254,11 @@ mod tests {
             }
         }
 
-        /// Hostile blocks — arbitrary bytes, and a valid block with one bit
-        /// flipped or cut at any byte — fill `out` and never panic.
+        /// Hostile blocks — arbitrary bytes, a valid block with one bit
+        /// flipped or cut at any byte, and exceptions whose positions run
+        /// past the block or whose bytes run past the payload — fill `out`
+        /// and never panic; exceptions read as the layout says, a position
+        /// outside the block dropped and bytes past the payload zero.
         #[test]
         fn codec_decodes_hostile_bytes_without_panicking(
             noise in proptest::collection::vec(any::<u8>(), 0..80),
@@ -1071,6 +1266,8 @@ mod tests {
             values in block_values(),
             at in any::<usize>(),
             bit in 0u8..8,
+            width in 0usize..=32,
+            count_byte in any::<u8>(),
         ) {
             let mut out = vec![7u32; count];
             decode(&noise, &mut out);
@@ -1081,6 +1278,31 @@ mod tests {
             decode(&encoded[..at], &mut out);
             encoded[at] ^= 1 << bit;
             decode(&encoded, &mut out);
+
+            // Low bits all zero, then the exceptions: `noise` is whatever
+            // of their positions and high parts there is.
+            let mut block = vec![width as u8 | HAS_EXCEPTIONS];
+            block.resize(1 + (count * width).div_ceil(8), 0);
+            block.push(count_byte);
+            block.extend_from_slice(&noise);
+            let mut out = vec![7u32; count];
+            decode(&block, &mut out);
+            let exceptions = usize::from(count_byte & 0x1f) + 1;
+            let high = usize::from(count_byte >> 5) + 1;
+            let bit_at =
+                |at: usize| noise.get(at / 8).map_or(0, |byte| u32::from(byte >> (at % 8)) & 1);
+            let field =
+                |from: usize, bits: usize| (0..bits).map(|k| bit_at(from + k) << k).sum::<u32>();
+            let highs_from = (exceptions * POSITION_BITS).div_ceil(8) * 8;
+            let mut expected = vec![0u32; count];
+            for k in 0..exceptions {
+                let position = field(k * POSITION_BITS, POSITION_BITS) as usize;
+                let patch = field(highs_from + k * high, high);
+                if let Some(slot) = expected.get_mut(position) {
+                    *slot |= patch.checked_shl(width as u32).unwrap_or(0);
+                }
+            }
+            prop_assert_eq!(out, expected);
         }
 
         /// Frequencies round-trip for arbitrary lists, and every decoded tf

@@ -218,7 +218,7 @@ impl std::ops::AddAssign for SectionBytes {
     }
 }
 
-/// Appends one term's entry in the segment encoding (version 6), and says
+/// Appends one term's entry in the segment encoding (version 7), and says
 /// how many bytes each part of it took:
 ///
 /// ```text
@@ -234,9 +234,11 @@ impl std::ops::AddAssign for SectionBytes {
 ///                                       its byte offset less the block
 ///                                       before's
 /// block payload                         length-prefixed bytes; per block the
-///                                       first id as a varint, then (when it
-///                                       holds more ids) one codec block of
-///                                       the gaps less one
+///                                       first id as a varint — for every
+///                                       block but the first, less the last
+///                                       id of the block before and one —
+///                                       then (when it holds more ids) one
+///                                       codec block of the gaps less one
 /// frequency payload                     length-prefixed bytes; per block one
 ///                                       codec block of the frequencies less
 ///                                       one (empty: every frequency is 1)
@@ -246,7 +248,8 @@ impl std::ops::AddAssign for SectionBytes {
 ///
 /// A codec block is the patched frame of reference of [`crate::block`]: a
 /// header byte (width, flags), an optional base, the packed low bits, the
-/// exceptions.  A block's first id is stored once, in the payload, and
+/// exceptions (a count byte, then their positions and their high bits, each
+/// bit-packed).  A block's first id is stored once, in the payload, and
 /// checked against the skip entries when the tables are laid over.
 ///
 /// The segment writer streams these; [`SealedShard::from_index`] collects
@@ -598,15 +601,21 @@ impl Tables {
                     data.len()
                 )));
             }
-            // A block's first id is the varint its offset points at: inside
-            // the payload, not past its own last id, behind the block before.
-            let mut previous_last: Option<FileId> = None;
+            // A block's first id is the varint its offset points at, inside
+            // the payload — for every block but the first, a gap less one
+            // from the last id of the block before — and not past its own
+            // last id.
+            let mut previous_last: Option<u32> = None;
             for (i, skip) in skips[blocks_at as usize..].iter().enumerate() {
-                let first = FileId(Reader::new(data, skip.offset as usize).u32()?);
-                if first > skip.last || previous_last.is_some_and(|prev| first <= prev) {
+                let stored = Reader::new(data, skip.offset as usize).u32()?;
+                let first = match previous_last {
+                    Some(before) => before.checked_add(stored).and_then(|id| id.checked_add(1)),
+                    None => Some(stored),
+                };
+                if first.is_none_or(|first| first > skip.last.as_u32()) {
                     return Err(corrupt(format!("skip entry {i} is out of order")));
                 }
-                previous_last = Some(skip.last);
+                previous_last = Some(skip.last.as_u32());
             }
 
             let freqs_len = reader.bytes(u64::MAX, "frequency payload")?.len();
@@ -1503,8 +1512,9 @@ mod tests {
             bound: &[0],
             tail: &[],
         };
-        // Two blocks: ids 0..=127 (first id 0, width-0 gaps) and id 200.
-        let big = Parts { len: n, skips: &[(127, 0), (200, 2)], data: &[0, 0, 200, 1], ..small };
+        // Two blocks: ids 0..=127 (first id 0, width-0 gaps) and id 200
+        // (first id 127 + 1 + 72).
+        let big = Parts { len: n, skips: &[(127, 0), (200, 2)], data: &[0, 0, 72], ..small };
         // The well-formed baselines load: first ids in the payload, last ids
         // and offsets in the skip table.
         load(small.encode(), 1).unwrap();
@@ -1515,9 +1525,13 @@ mod tests {
         let full = Parts { freqs: &[0x40, 1, 0, 0], freq_offsets: two, bound: &[200], ..big };
         let shard = load(full.encode(), 1).unwrap();
         assert_eq!(shard.postings(&t("a")).unwrap().bound(), 200);
+        // A first-id gap that reaches past `u32` from the block before.
+        let mut past_u32 = vec![0, 0];
+        write_varint(&mut past_u32, u64::from(u32::MAX - 127));
         let bad = [
             ("first > last", Parts { skips: &[(127, 0), (199, 2)], ..big }),
-            ("overlap", Parts { skips: &[(127, 0), (200, 2)], data: &[0, 0, 127, 0], ..big }),
+            ("first-id gap past its last", Parts { data: &[0, 0, 73], ..big }),
+            ("first-id gap past u32", Parts { data: &past_u32, ..big }),
             ("last backwards", Parts { skips: &[(127, 0), (100, 2)], ..big }),
             ("last past u32", Parts { skips: &[(u32::MAX, 0), (0, 2)], ..big }),
             ("offset past payload", Parts { skips: &[(127, 0), (200, 99)], ..big }),

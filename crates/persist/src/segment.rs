@@ -1,7 +1,7 @@
 //! The binary segment format.
 //!
 //! One segment stores one complete index (terms, block-compressed posting
-//! lists) together with its document table.  The version-6 layout is:
+//! lists) together with its document table.  The version-7 layout is:
 //!
 //! ```text
 //! magic   "DSG1"                            4 bytes
@@ -22,9 +22,11 @@
 //! ```
 //!
 //! The term entries are **exactly** what a [`SealedShard`] reads in place
-//! (the id and term-frequency blocks of one patched frame-of-reference codec,
-//! and one bound byte per list — the quantized largest `tf / (tf + norm)` of
-//! its postings, which holds no idf), so serving a segment is decode-free:
+//! (the id and term-frequency blocks of one patched frame-of-reference codec
+//! whose exceptions are bit-packed, every block's first id after a list's
+//! first stored as a gap from the block before, and one bound byte per list
+//! — the quantized largest `tf / (tf + norm)` of its postings, which holds
+//! no idf), so serving a segment is decode-free:
 //! the file's bytes become the shard's one buffer and ranked queries prune
 //! with the persisted bounds.  A shard scores against the
 //! documents with a recorded length, so a segment that holds part of a run —
@@ -60,12 +62,13 @@ use crate::error::PersistError;
 pub const SEGMENT_MAGIC: [u8; 4] = *b"DSG1";
 
 /// Current segment format version (patched frame-of-reference id and
-/// frequency blocks, delta-coded skip entries, a front-coded document table,
+/// frequency blocks with bit-packed exceptions, block first ids as gaps from
+/// the block before, delta-coded skip entries, a front-coded document table,
 /// document lengths under id gaps, one bound byte per list).
-pub const SEGMENT_VERSION: u32 = 6;
+pub const SEGMENT_VERSION: u32 = 7;
 
 /// Oldest version the readers still understand.
-pub const MIN_SEGMENT_VERSION: u32 = 6;
+pub const MIN_SEGMENT_VERSION: u32 = 7;
 
 /// Longest path (in bytes) a segment will accept when reading; protects
 /// against corrupt length prefixes.
@@ -511,7 +514,7 @@ mod tests {
 
     #[test]
     fn other_versions_are_a_clean_unsupported_version() {
-        for version in [1, 2, 3, 4, 5, SEGMENT_VERSION + 1] {
+        for version in [1, 2, 3, 4, 5, 6, SEGMENT_VERSION + 1] {
             // Under this version's checksum, and under one it would refuse
             // (a real file of versions 1–3 carries another function's): the
             // version decides first.

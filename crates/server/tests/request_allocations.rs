@@ -69,11 +69,11 @@ fn allocations_during<T>(work: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Most allocations a cache hit, executed and rendered, may make.
-const HIT_BUDGET: u64 = 16;
+const HIT_BUDGET: u64 = 14;
 /// Most allocations a miss, executed and rendered, may make.
-const MISS_BUDGET: u64 = 40;
+const MISS_BUDGET: u64 = 31;
 /// Most allocations `Query::parse` plus `evaluate` may make.
-const EVAL_BUDGET: u64 = 20;
+const EVAL_BUDGET: u64 = 18;
 
 /// `files` short documents over a Zipf vocabulary, through the real pipeline.
 fn zipf_engine(files: usize) -> (Arc<QueryEngine>, InMemoryIndex) {

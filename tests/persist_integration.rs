@@ -150,7 +150,7 @@ fn ranked_answers_do_not_depend_on_how_many_threads_indexed() {
 /// The writer as it was before it streamed: seal the whole index into a
 /// `SealedShard`, serialise the whole payload into one buffer, checksum it,
 /// then emit header and payload.  Kept as the reference the streaming
-/// `write_segment` must match byte for byte: the version-6 layout spelled out
+/// `write_segment` must match byte for byte: the version-7 layout spelled out
 /// a second time, part by part, over the parts a `CompressedView` hands out
 /// — and, stamped with another version, as the writer of the files this
 /// build no longer reads.
@@ -192,7 +192,8 @@ fn seal_then_serialise(
         assert!(compressed.bound() > 0);
         payload.push(compressed.bound());
         // Skip entries: last ids and offsets as deltas, the first offset (0)
-        // left out; a block's first id lives in the payload only.
+        // left out; a block's first id lives in the payload only, after the
+        // list's first block as a gap less one from the last id before it.
         let skips = compressed.skips();
         let mut ids = Vec::new();
         compressed.decode_into(&mut ids);
@@ -203,8 +204,10 @@ fn seal_then_serialise(
             if let Some(before) = before {
                 write_varint(&mut payload, u64::from(skip.offset - before.offset));
             }
+            let first_id = ids[i * BLOCK_SIZE].as_u32();
+            let stored = if before.is_some() { first_id - last_before - 1 } else { first_id };
             let mut first = Vec::new();
-            write_varint(&mut first, u64::from(ids[i * BLOCK_SIZE].as_u32()));
+            write_varint(&mut first, u64::from(stored));
             assert!(compressed.data()[skip.offset as usize..].starts_with(&first));
         }
         write_bytes(&mut payload, compressed.data());
@@ -250,15 +253,15 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                     written == seal_then_serialise(index, &docs, SEGMENT_VERSION, xxh64),
                     "{implementation:?} x{extractors}: streamed segment differs from the reference"
                 );
-                // There is one readable version: the same payload stamped 5
-                // or 4 (under this build's checksum) or 3 (under the FNV-1a
+                // There is one readable version: the same payload stamped 6,
+                // 5 or 4 (under this build's checksum) or 3 (under the FNV-1a
                 // of versions 1–3) is refused by its version, by both
                 // readers, before its checksum is looked at.
                 let fnv1a: fn(&[u8]) -> u64 = dsearch::text::fnv1a_64;
                 let xxh64: fn(&[u8]) -> u64 = xxh64;
-                for (version, checksum) in [(5, xxh64), (4, xxh64), (3, fnv1a)] {
+                for (version, checksum) in [(6, xxh64), (5, xxh64), (4, xxh64), (3, fnv1a)] {
                     let old = seal_then_serialise(index, &docs, version, checksum);
-                    assert_eq!((old[12], written[12]), (version as u8, 6));
+                    assert_eq!((old[12], written[12]), (version as u8, 7));
                     for err in [read_segment(&old[..]).err(), read_segment_sealed(&old[..]).err()] {
                         assert!(
                             matches!(err, Some(PersistError::UnsupportedVersion { found, .. }) if found == version),
