@@ -13,7 +13,6 @@ pub mod route;
 pub mod search;
 pub mod serve;
 pub mod tables;
-pub mod tune;
 
 /// The two memory lines closing a build command's output: `index heap
 /// <MB>`, the heap behind the in-memory index the command built

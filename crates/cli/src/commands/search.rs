@@ -27,7 +27,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let store = IndexStore::open(store_path).map_err(CliError::failed)?;
     if store.segment_count() == 0 {
         return Err(CliError::Failed(format!(
-            "index store {store_path} is empty; run `dsearch-cli index` first"
+            "index store {store_path} is empty; run `dsearch index` first"
         )));
     }
 

@@ -5,7 +5,6 @@ use dsearch::core::report::SequentialTimings;
 use dsearch::core::{Configuration, Implementation, IndexGenerator, SequentialRun};
 use dsearch::corpus::{materialize_to_memfs, CorpusManifest, CorpusSpec};
 use dsearch::sim::paper;
-use dsearch::sim::sweep::SweepRanges;
 use dsearch::sim::{
     best_configuration, estimate_run, sequential_stages, PlatformModel, WorkloadModel,
 };
@@ -138,14 +137,13 @@ fn table1(measured: &SequentialTimings) -> String {
 
 fn best_config_table(platform: &PlatformModel, table: &paper::BestConfigTable) -> String {
     let workload = WorkloadModel::paper();
-    let ranges = SweepRanges::for_platform(platform);
     let rows: Vec<Vec<String>> = table
         .rows
         .iter()
         .map(|row| {
             let at_paper =
                 estimate_run(platform, &workload, row.implementation, row.best_configuration);
-            let model_best = best_configuration(platform, &workload, row.implementation, ranges);
+            let model_best = best_configuration(platform, &workload, row.implementation);
             vec![
                 row.implementation.paper_name().to_owned(),
                 row.best_configuration.to_string(),
@@ -205,10 +203,9 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let winner_note = platforms
         .iter()
         .map(|p| {
-            let ranges = SweepRanges::for_platform(p);
             let best = Implementation::ALL
                 .into_iter()
-                .map(|i| (i, best_configuration(p, &workload, i, ranges).estimate.total_s))
+                .map(|i| (i, best_configuration(p, &workload, i).estimate.total_s))
                 .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
                 .map(|(i, _)| i.paper_name().to_owned())
                 .unwrap_or_default();

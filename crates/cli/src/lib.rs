@@ -10,6 +10,7 @@
 //! | `dlq list\|replay --store <path>` | inspect the dead-letter queue or re-run its quarantined files |
 //! | `search --store <path> <query…>` | run a boolean/prefix query against a persisted index |
 //! | `serve --store <path> [--tcp addr]` | run the concurrent query service (line protocol, snapshot reloads) |
+//! | `route --shard <addr>…` | run the scatter-gather coordinator over `serve` shard servers (partial answers when a shard fails) |
 //! | `loadgen --store <path>` | replay a derived query workload and report QPS + latency percentiles |
 //! | `corpus <dir> --scale 0.01` | materialise a synthetic benchmark corpus with the paper's shape |
 //! | `tables` | print the paper's Tables 1–4 from the calibrated platform models, with this host's measured run beside them |
@@ -58,10 +59,10 @@ impl CliError {
 /// The top-level usage text.
 #[must_use]
 pub fn usage() -> String {
-    "dsearch-cli — parallel desktop-search index generator (Meder & Tichy 2010 reproduction)
+    "dsearch — parallel desktop-search index generator (Meder & Tichy 2010 reproduction)
 
 USAGE:
-    dsearch-cli <command> [arguments]
+    dsearch <command> [arguments]
 
 COMMANDS:
     index <dir> --store <path> [--extractors N] [--updaters N] [--joiners N]
@@ -139,10 +140,6 @@ COMMANDS:
     curves [--platform 4|8|32] [--max-threads N]
         Print speed-up-vs-thread-count curves for the three implementations.
 
-    tune [--platform 4|8|32]
-        Search the (x, y, z) space with the exhaustive, hill-climbing and
-        random-search auto-tuners and compare what they find.
-
     help
         Show this message.
 "
@@ -174,9 +171,8 @@ where
         Some("corpus") => commands::corpus::run(&args),
         Some("tables") => commands::tables::run(&args),
         Some("curves") => commands::curves::run(&args),
-        Some("tune") => commands::tune::run(&args),
         Some(other) => Err(CliError::Usage(format!(
-            "unknown command {other:?}; run `dsearch-cli help` for the command list"
+            "unknown command {other:?}; run `dsearch help` for the command list"
         ))),
     }
 }
@@ -198,6 +194,10 @@ mod tests {
         let err = run(["frobnicate"]).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
         assert!(err.to_string().contains("frobnicate"));
+        assert!(err.to_string().contains("run `dsearch help`"), "{err}");
+        // `tune` is not a command: the sweep behind `tables` and `curves` is
+        // the one configuration search.
+        assert!(matches!(run(["tune"]).unwrap_err(), CliError::Usage(_)));
     }
 
     #[test]

@@ -514,3 +514,24 @@ fn tables_and_curves_commands_run_without_a_corpus() {
     let out = run(["curves", "--platform", "4", "--max-threads", "4"]).unwrap();
     assert!(out.contains("Implementation 3"));
 }
+
+#[test]
+fn the_models_printed_bests_are_pinned() {
+    // The 32-core curves' summary: peak speed-up and the x reaching 95 % of it.
+    let out = run(["curves", "--platform", "32"]).unwrap();
+    for line in [
+        "Implementation 1: peak 2.42x, 95% of peak reached at x = 3",
+        "Implementation 2: peak 3.03x, 95% of peak reached at x = 9",
+        "Implementation 3: peak 3.61x, 95% of peak reached at x = 10",
+    ] {
+        assert!(out.lines().any(|l| l == line), "missing {line:?} in {out}");
+    }
+    // Table 4's model-best column, one row per implementation in order.
+    let out = run(["tables", "--table", "4"]).unwrap();
+    let model_best: Vec<&str> = out
+        .lines()
+        .filter(|l| l.starts_with("Implementation "))
+        .map(|l| l.split("  ").last().unwrap_or_default())
+        .collect();
+    assert_eq!(model_best, ["(3, 1, 0) @ 37.2s", "(34, 0, 2) @ 29.7s", "(34, 0, 0) @ 24.9s"]);
+}

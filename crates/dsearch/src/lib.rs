@@ -15,7 +15,6 @@
 //! | [`obs`] | `dsearch-obs` | observability: metrics registry, query tracing, slow-query log |
 //! | [`server`] | `dsearch-server` | concurrent query serving: snapshots, worker pool, cache, load generator |
 //! | [`sim`] | `dsearch-sim` | calibrated models of the paper's 4-, 8- and 32-core platforms |
-//! | [`autotune`] | `dsearch-autotune` | configuration auto-tuner (exhaustive, hill-climbing, random) |
 //!
 //! # Quick start
 //!
@@ -103,11 +102,6 @@ pub mod sim {
     pub use dsearch_sim::*;
 }
 
-/// Configuration auto-tuner.
-pub mod autotune {
-    pub use dsearch_autotune::*;
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -124,6 +118,5 @@ mod tests {
         let _ = crate::obs::Stage::Parse.as_str();
         let _ = crate::server::EngineConfig::default();
         let _ = crate::sim::PlatformModel::four_core();
-        let _ = crate::autotune::ConfigSpace::for_cores(4);
     }
 }

@@ -10,23 +10,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use dsearch_core::{Configuration, Implementation};
+use dsearch_core::Implementation;
 
-use crate::model::{estimate_run, sequential_stages, RunEstimate};
+use crate::model::sequential_stages;
 use crate::platform::PlatformModel;
-use crate::sweep::SweepRanges;
+use crate::sweep::{fastest, sweep_implementation, SweepPoint};
 use crate::workload::WorkloadModel;
-
-/// One point of a speed-up curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CurvePoint {
-    /// Extraction threads (x) at this point.
-    pub extraction_threads: usize,
-    /// The best configuration found with that many extraction threads.
-    pub configuration: Configuration,
-    /// The model estimate of that configuration.
-    pub estimate: RunEstimate,
-}
 
 /// A speed-up-vs-threads series for one implementation on one platform.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -35,8 +24,8 @@ pub struct SpeedupCurve {
     pub implementation: Implementation,
     /// Platform name (for labelling output).
     pub platform: String,
-    /// One point per extraction-thread count, ascending.
-    pub points: Vec<CurvePoint>,
+    /// The fastest configuration at each extraction-thread count, ascending.
+    pub points: Vec<SweepPoint>,
 }
 
 impl SpeedupCurve {
@@ -51,13 +40,16 @@ impl SpeedupCurve {
     #[must_use]
     pub fn knee(&self, fraction: f64) -> Option<usize> {
         let target = self.peak_speedup() * fraction;
-        self.points.iter().find(|p| p.estimate.speedup >= target).map(|p| p.extraction_threads)
+        self.points
+            .iter()
+            .find(|p| p.estimate.speedup >= target)
+            .map(|p| p.configuration.extraction_threads)
     }
 }
 
 /// Computes the speed-up curve for one implementation: for every extraction
-/// thread count `x` in `1..=max_extraction`, the best `(y, z)` completion is
-/// chosen by brute force over the platform's sweep ranges.
+/// thread count `x` in `1..=max_extraction`, the fastest point of the sweep
+/// at that `x`.
 #[must_use]
 pub fn speedup_curve(
     platform: &PlatformModel,
@@ -65,31 +57,11 @@ pub fn speedup_curve(
     implementation: Implementation,
     max_extraction: usize,
 ) -> SpeedupCurve {
-    let ranges = SweepRanges::for_platform(platform);
-    let join_range: Vec<usize> =
-        if implementation.joins() { (0..=ranges.max_join).collect() } else { vec![0] };
-    let mut points = Vec::new();
-    for x in 1..=max_extraction.max(1) {
-        let mut best: Option<CurvePoint> = None;
-        for y in 0..=ranges.max_update {
-            for &z in &join_range {
-                let configuration = Configuration::new(x, y, z);
-                if configuration.validate(implementation).is_err() {
-                    continue;
-                }
-                let estimate = estimate_run(platform, workload, implementation, configuration);
-                let candidate = CurvePoint { extraction_threads: x, configuration, estimate };
-                let better = match &best {
-                    None => true,
-                    Some(current) => estimate.total_s < current.estimate.total_s,
-                };
-                if better {
-                    best = Some(candidate);
-                }
-            }
-        }
-        points.push(best.expect("at least one valid configuration per x"));
-    }
+    let sweep = sweep_implementation(platform, workload, implementation, max_extraction);
+    let points = sweep
+        .chunk_by(|a, b| a.configuration.extraction_threads == b.configuration.extraction_threads)
+        .map(|at_x| fastest(at_x.iter().copied()).expect("chunks are never empty"))
+        .collect();
     SpeedupCurve { implementation, platform: platform.name.clone(), points }
 }
 
@@ -139,7 +111,7 @@ mod tests {
             );
         }
         assert!(curve.peak_speedup() > 3.0);
-        assert_eq!(curve.points[0].extraction_threads, 1);
+        assert_eq!(curve.points[0].configuration.extraction_threads, 1);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //! * estimate the runtime of any `(implementation, (x, y, z))` combination on
 //!   any platform ([`model::estimate_run`]), which regenerates Tables 2–4 at
 //!   the paper's best configurations,
-//! * sweep the configuration space ([`sweep`]) the way the paper's auto-tuner
-//!   did.
+//! * search the configuration space ([`sweep`]) point by point for each
+//!   implementation's best configuration and its speed-up curve — on the
+//!   model a point costs microseconds, where the paper's auto-tuner saved
+//!   measured runs.
 //!
 //! # Example
 //!
@@ -43,13 +45,11 @@ pub mod curves;
 pub mod model;
 pub mod paper;
 pub mod platform;
-pub mod sensitivity;
 pub mod sweep;
 pub mod workload;
 
-pub use curves::{all_curves, amdahl_ceiling, speedup_curve, CurvePoint, SpeedupCurve};
+pub use curves::{all_curves, amdahl_ceiling, speedup_curve, SpeedupCurve};
 pub use model::{estimate_run, sequential_stages, RunEstimate, SequentialStageEstimate};
 pub use platform::PlatformModel;
-pub use sensitivity::{scaled_platform, sensitivity_sweep, SensitivityAxis, SensitivityPoint};
-pub use sweep::{best_configuration, sweep_implementation, BestConfiguration, SweepPoint};
+pub use sweep::{best_configuration, sweep_implementation, SweepPoint};
 pub use workload::WorkloadModel;

@@ -1,10 +1,13 @@
-//! Configuration-space sweeps.
+//! The one search over the configuration space.
 //!
 //! The paper explored thread allocations by brute force (five repetitions per
-//! point, partly steered by an auto-tuner).  [`sweep_implementation`]
-//! evaluates the cost model over a grid of `(x, y, z)` tuples and
-//! [`best_configuration`] returns the fastest point — the model-side
-//! counterpart of the paper's "best config." column.
+//! point, partly steered by an auto-tuner that saved measured runs).  On the
+//! model a point costs microseconds, so every point is evaluated:
+//! [`sweep_implementation`] is the only function that enumerates `(x, y, z)`
+//! tuples.  [`best_configuration`] is the fastest point of a sweep — the
+//! model-side counterpart of the paper's "best config." column — and
+//! [`speedup_curve`](crate::curves::speedup_curve) the fastest point at each
+//! x.  Both break ties by one rule: the lower total, then fewer threads.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,6 +16,9 @@ use dsearch_core::{Configuration, Implementation};
 use crate::model::{estimate_run, RunEstimate};
 use crate::platform::PlatformModel;
 use crate::workload::WorkloadModel;
+
+/// Join threads swept for an implementation that joins (z from 0 to this).
+const MAX_JOIN: usize = 2;
 
 /// One evaluated configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -23,60 +29,32 @@ pub struct SweepPoint {
     pub estimate: RunEstimate,
 }
 
-/// The best configuration found for one implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BestConfiguration {
-    /// The implementation.
-    pub implementation: Implementation,
-    /// The fastest configuration in the sweep.
-    pub configuration: Configuration,
-    /// Its estimate.
-    pub estimate: RunEstimate,
-}
-
-/// Ranges swept for each component of the configuration tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SweepRanges {
-    /// Maximum extraction threads (x is swept from 1 to this value).
-    pub max_extraction: usize,
-    /// Maximum dedicated update threads (y from 0 to this value).
-    pub max_update: usize,
-    /// Maximum join threads (z from 0 to this value; only used for
-    /// Implementation 2).
-    pub max_join: usize,
-}
-
-impl SweepRanges {
-    /// Ranges appropriate for a platform: up to `cores + 2` extractors,
-    /// `cores / 2` updaters and 2 joiners (the region the paper explored).
-    #[must_use]
-    pub fn for_platform(platform: &PlatformModel) -> Self {
-        SweepRanges {
-            max_extraction: platform.cores + 2,
-            max_update: (platform.cores / 2).max(1),
-            max_join: 2,
-        }
+impl SweepPoint {
+    /// Every thread the configuration starts: extractors, updaters, joiners.
+    fn threads(&self) -> usize {
+        self.configuration.worker_threads() + self.configuration.join_threads
     }
 }
 
-/// Evaluates every configuration in the ranges for one implementation.
+/// Evaluates every configuration of one implementation with up to
+/// `max_extraction` extraction threads, in `(x, y, z)` order: x from 1 to
+/// `max_extraction`, y from 0 to half the platform's cores (at least 1), and
+/// z from 0 to 2 where the implementation joins, 0 where it does not — the
+/// region the paper explored.
 #[must_use]
 pub fn sweep_implementation(
     platform: &PlatformModel,
     workload: &WorkloadModel,
     implementation: Implementation,
-    ranges: SweepRanges,
+    max_extraction: usize,
 ) -> Vec<SweepPoint> {
+    let max_update = (platform.cores / 2).max(1);
+    let max_join = if implementation.joins() { MAX_JOIN } else { 0 };
     let mut points = Vec::new();
-    let join_range: Vec<usize> =
-        if implementation.joins() { (0..=ranges.max_join).collect() } else { vec![0] };
-    for x in 1..=ranges.max_extraction.max(1) {
-        for y in 0..=ranges.max_update {
-            for &z in &join_range {
+    for x in 1..=max_extraction.max(1) {
+        for y in 0..=max_update {
+            for z in 0..=max_join {
                 let configuration = Configuration::new(x, y, z);
-                if configuration.validate(implementation).is_err() {
-                    continue;
-                }
                 let estimate = estimate_run(platform, workload, implementation, configuration);
                 points.push(SweepPoint { configuration, estimate });
             }
@@ -85,63 +63,79 @@ pub fn sweep_implementation(
     points
 }
 
-/// Finds the fastest configuration for one implementation.
-///
-/// Ties are broken towards fewer total threads (the paper reports the
-/// smallest configuration achieving the best time).
+/// The fastest of `points` by the sweep's one tie rule: the lower total,
+/// then fewer threads (the paper reports the smallest configuration
+/// achieving the best time), then the earlier point.
+pub(crate) fn fastest(points: impl IntoIterator<Item = SweepPoint>) -> Option<SweepPoint> {
+    points.into_iter().min_by(|a, b| {
+        a.estimate
+            .total_s
+            .total_cmp(&b.estimate.total_s)
+            .then_with(|| a.threads().cmp(&b.threads()))
+    })
+}
+
+/// The fastest configuration for one implementation over the platform's
+/// sweep, x running to `cores + 2`.
 #[must_use]
 pub fn best_configuration(
     platform: &PlatformModel,
     workload: &WorkloadModel,
     implementation: Implementation,
-    ranges: SweepRanges,
-) -> BestConfiguration {
-    let points = sweep_implementation(platform, workload, implementation, ranges);
-    let best = points
-        .into_iter()
-        .min_by(|a, b| {
-            a.estimate
-                .total_s
-                .partial_cmp(&b.estimate.total_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    (a.configuration.worker_threads() + a.configuration.join_threads)
-                        .cmp(&(b.configuration.worker_threads() + b.configuration.join_threads))
-                })
-        })
-        .expect("sweep ranges are non-empty");
-    BestConfiguration { implementation, configuration: best.configuration, estimate: best.estimate }
+) -> SweepPoint {
+    let sweep = sweep_implementation(platform, workload, implementation, platform.cores + 2);
+    fastest(sweep).expect("a sweep has at least one point")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every implementation's best point on `platform`, in paper order.
+    fn bests(platform: &PlatformModel) -> [SweepPoint; 3] {
+        let workload = WorkloadModel::paper();
+        Implementation::ALL.map(|i| best_configuration(platform, &workload, i))
+    }
+
+    /// Implementation 1's best time over Implementation 3's.
+    fn shared_vs_no_join_ratio(platform: &PlatformModel) -> f64 {
+        let [impl1, _, impl3] = bests(platform);
+        impl1.estimate.total_s / impl3.estimate.total_s
+    }
+
     #[test]
     fn sweep_covers_the_whole_grid() {
         let platform = PlatformModel::four_core();
         let workload = WorkloadModel::paper();
-        let ranges = SweepRanges { max_extraction: 4, max_update: 2, max_join: 1 };
-        let impl3 =
-            sweep_implementation(&platform, &workload, Implementation::ReplicateNoJoin, ranges);
+        let impl3 = sweep_implementation(&platform, &workload, Implementation::ReplicateNoJoin, 4);
         // x in 1..=4, y in 0..=2, z fixed at 0.
         assert_eq!(impl3.len(), 4 * 3);
-        let impl2 =
-            sweep_implementation(&platform, &workload, Implementation::ReplicateJoin, ranges);
-        assert_eq!(impl2.len(), 4 * 3 * 2);
+        let impl2 = sweep_implementation(&platform, &workload, Implementation::ReplicateJoin, 4);
+        assert_eq!(impl2.len(), 4 * 3 * 3);
+        for points in [&impl2, &impl3] {
+            for pair in points.windows(2) {
+                let key = |p: &SweepPoint| {
+                    let c = p.configuration;
+                    (c.extraction_threads, c.update_threads, c.join_threads)
+                };
+                assert!(key(&pair[0]) < key(&pair[1]), "points are in (x, y, z) order");
+            }
+        }
     }
 
     #[test]
     fn best_configuration_is_the_minimum_of_its_sweep() {
         let platform = PlatformModel::eight_core();
         let workload = WorkloadModel::paper();
-        let ranges = SweepRanges::for_platform(&platform);
         for implementation in Implementation::ALL {
-            let best = best_configuration(&platform, &workload, implementation, ranges);
-            let points = sweep_implementation(&platform, &workload, implementation, ranges);
+            let best = best_configuration(&platform, &workload, implementation);
+            let points =
+                sweep_implementation(&platform, &workload, implementation, platform.cores + 2);
             for p in points {
                 assert!(
-                    best.estimate.total_s <= p.estimate.total_s + 1e-9,
+                    best.estimate.total_s < p.estimate.total_s
+                        || (best.estimate.total_s == p.estimate.total_s
+                            && best.threads() <= p.threads()),
                     "{implementation}: {} beaten by {}",
                     best.configuration,
                     p.configuration
@@ -152,41 +146,24 @@ mod tests {
 
     #[test]
     fn model_best_configs_reproduce_the_papers_ordering_on_every_platform() {
-        let workload = WorkloadModel::paper();
         for platform in PlatformModel::paper_platforms() {
-            let ranges = SweepRanges::for_platform(&platform);
-            let impl1 =
-                best_configuration(&platform, &workload, Implementation::SharedLocked, ranges);
-            let impl2 =
-                best_configuration(&platform, &workload, Implementation::ReplicateJoin, ranges);
-            let impl3 =
-                best_configuration(&platform, &workload, Implementation::ReplicateNoJoin, ranges);
+            let [impl1, impl2, impl3] = bests(&platform).map(|p| p.estimate.total_s);
             // The paper's headline: the no-join design is the overall winner
             // on every platform (ties allowed on the 4-core machine, where all
             // three designs are equivalent).
-            assert!(impl3.estimate.total_s <= impl2.estimate.total_s + 1e-9, "{}", platform.name);
+            assert!(impl3 <= impl2 + 1e-9, "{}", platform.name);
             assert!(
-                impl3.estimate.total_s <= impl1.estimate.total_s * 1.05 + 1e-9,
-                "{}: impl3 {} vs impl1 {}",
-                platform.name,
-                impl3.estimate.total_s,
-                impl1.estimate.total_s
+                impl3 <= impl1 * 1.05 + 1e-9,
+                "{}: impl3 {impl3} vs impl1 {impl1}",
+                platform.name
             );
         }
     }
 
     #[test]
     fn gap_between_designs_grows_with_core_count() {
-        let workload = WorkloadModel::paper();
-        let mut ratios = Vec::new();
-        for platform in PlatformModel::paper_platforms() {
-            let ranges = SweepRanges::for_platform(&platform);
-            let impl1 =
-                best_configuration(&platform, &workload, Implementation::SharedLocked, ranges);
-            let impl3 =
-                best_configuration(&platform, &workload, Implementation::ReplicateNoJoin, ranges);
-            ratios.push(impl1.estimate.total_s / impl3.estimate.total_s);
-        }
+        let ratios: Vec<f64> =
+            PlatformModel::paper_platforms().iter().map(shared_vs_no_join_ratio).collect();
         // The paper's crossover: the advantage of replication over the shared
         // lock grows from essentially nothing on 4 cores to a large factor on
         // 32 cores.
@@ -197,10 +174,81 @@ mod tests {
 
     #[test]
     fn ranges_for_platform_scale_with_cores() {
-        let small = SweepRanges::for_platform(&PlatformModel::four_core());
-        let large = SweepRanges::for_platform(&PlatformModel::thirty_two_core());
-        assert!(large.max_extraction > small.max_extraction);
-        assert!(large.max_update > small.max_update);
-        assert_eq!(small.max_join, 2);
+        let workload = WorkloadModel::paper();
+        let bounds = |platform: &PlatformModel, implementation| {
+            let sweep =
+                sweep_implementation(platform, &workload, implementation, platform.cores + 2);
+            sweep.iter().fold((0, 0, 0), |(x, y, z), p| {
+                let c = p.configuration;
+                (x.max(c.extraction_threads), y.max(c.update_threads), z.max(c.join_threads))
+            })
+        };
+        let small = bounds(&PlatformModel::four_core(), Implementation::ReplicateJoin);
+        let large = bounds(&PlatformModel::thirty_two_core(), Implementation::ReplicateJoin);
+        assert_eq!(small, (6, 2, 2));
+        assert_eq!(large, (34, 16, 2));
+        let no_join = bounds(&PlatformModel::four_core(), Implementation::ReplicateNoJoin);
+        assert_eq!(no_join, (6, 2, 0));
+    }
+
+    #[test]
+    fn lock_penalty_drives_the_gap_between_impl1_and_impl3() {
+        let base = PlatformModel::thirty_two_core();
+        let mut ratios = Vec::new();
+        for factor in [0.25, 0.5, 1.0, 2.0] {
+            let mut platform = base.clone();
+            platform.lock_penalty_s_per_contender *= factor;
+            let [impl1, impl2, impl3] = bests(&platform).map(|p| p.estimate.total_s);
+            // At every factor the no-join design is at least as good as the
+            // lock, and the lock never wins.
+            assert!(impl3 <= impl1 + 1e-9, "factor {factor}");
+            assert!(impl2.min(impl3) < impl1, "factor {factor}");
+            ratios.push(impl1 / impl3);
+        }
+        // A more expensive lock widens the gap monotonically.
+        for pair in ratios.windows(2) {
+            assert!(pair[1] >= pair[0] - 1e-9, "ratios {ratios:?}");
+        }
+    }
+
+    #[test]
+    fn more_aggregate_bandwidth_raises_every_speedup() {
+        let base = PlatformModel::four_core();
+        let mut wider = base.clone();
+        wider.aggregate_bandwidth_mbps *= 4.0;
+        for (i, (before, after)) in bests(&base).into_iter().zip(bests(&wider)).enumerate() {
+            assert!(
+                after.estimate.speedup >= before.estimate.speedup - 1e-9,
+                "impl{} got slower with more bandwidth",
+                i + 1
+            );
+        }
+    }
+
+    #[test]
+    fn join_cost_only_affects_implementation_two() {
+        let base = PlatformModel::eight_core();
+        let mut dearer = base.clone();
+        dearer.join_s_single_thread *= 3.0;
+        let before = bests(&base).map(|p| p.estimate.total_s);
+        let after = bests(&dearer).map(|p| p.estimate.total_s);
+        // Implementations 1 and 3 never join, so their best times are flat.
+        assert!((before[0] - after[0]).abs() < 1e-9);
+        assert!((before[2] - after[2]).abs() < 1e-9);
+        // Implementation 2 pays for the more expensive join.
+        assert!(after[1] >= before[1]);
+    }
+
+    #[test]
+    fn core_axis_reproduces_the_papers_platform_trend() {
+        // Giving the 4-core machine eight times the cores (keeping its disk)
+        // grows the advantage of the no-join design, mirroring what the
+        // paper saw when moving to the bigger machines.
+        let base = PlatformModel::four_core();
+        let mut more_cores = base.clone();
+        more_cores.cores *= 8;
+        let gap_small = shared_vs_no_join_ratio(&base);
+        let gap_large = shared_vs_no_join_ratio(&more_cores);
+        assert!(gap_large >= gap_small - 1e-9, "gap {gap_small} -> {gap_large}");
     }
 }

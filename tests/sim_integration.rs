@@ -1,12 +1,11 @@
 //! Integration tests for the platform model: reproduction of the paper's
-//! tables and consistency between the model, the auto-tuner and the real
-//! pipeline's bookkeeping.
+//! tables, and the one configuration search (`sim::sweep`) behind both the
+//! best configurations and the speed-up curves.
 
-use dsearch::autotune::{ConfigSpace, ExhaustiveTuner, HillClimbTuner, Tuner};
-use dsearch::core::{Configuration, Implementation};
-use dsearch::sim::sweep::SweepRanges;
+use dsearch::core::Implementation;
 use dsearch::sim::{
-    best_configuration, estimate_run, paper, sequential_stages, PlatformModel, WorkloadModel,
+    best_configuration, estimate_run, paper, sequential_stages, speedup_curve,
+    sweep_implementation, PlatformModel, SweepPoint, WorkloadModel,
 };
 
 #[test]
@@ -87,43 +86,50 @@ fn the_papers_qualitative_ordering_holds_in_the_model() {
     assert!(impl3_over_impl1[1] > impl3_over_impl1[0], "the gap widens from 8 to 32 cores");
 }
 
+/// The fastest of `points` by the sweep's tie rule, written out again: the
+/// lower total, then fewer threads, then the earlier point.
+fn tie_ruled_minimum<'a>(points: impl IntoIterator<Item = &'a SweepPoint>) -> SweepPoint {
+    let threads = |p: &SweepPoint| {
+        let c = p.configuration;
+        c.extraction_threads + c.update_threads + c.join_threads
+    };
+    let mut best: Option<SweepPoint> = None;
+    for p in points {
+        let wins = best.is_none_or(|b| {
+            p.estimate.total_s < b.estimate.total_s
+                || (p.estimate.total_s == b.estimate.total_s && threads(p) < threads(&b))
+        });
+        if wins {
+            best = Some(*p);
+        }
+    }
+    best.expect("at least one point")
+}
+
 #[test]
-fn auto_tuner_finds_the_same_optimum_as_the_sweep() {
+fn curves_and_best_configurations_are_minima_of_the_one_sweep() {
     let workload = WorkloadModel::paper();
     for platform in PlatformModel::paper_platforms() {
+        let max_x = platform.cores + 2;
         for implementation in Implementation::ALL {
-            let ranges = SweepRanges::for_platform(&platform);
-            let sweep_best = best_configuration(&platform, &workload, implementation, ranges);
-
-            let space = ConfigSpace::for_cores(platform.cores);
-            let objective = |config: &Configuration| {
-                if config.validate(implementation).is_err() {
-                    return f64::INFINITY;
-                }
-                estimate_run(&platform, &workload, implementation, *config).total_s
-            };
-            let exhaustive = ExhaustiveTuner::new().tune(&space, objective);
-            assert!(
-                (exhaustive.best_cost - sweep_best.estimate.total_s).abs() < 1e-6,
-                "{} {}: tuner {:.3} vs sweep {:.3}",
-                platform.name,
-                implementation,
-                exhaustive.best_cost,
-                sweep_best.estimate.total_s
+            let sweep = sweep_implementation(&platform, &workload, implementation, max_x);
+            let curve = speedup_curve(&platform, &workload, implementation, max_x);
+            assert_eq!(curve.points.len(), max_x);
+            for (x, point) in (1..=max_x).zip(&curve.points) {
+                let at_x = sweep.iter().filter(|p| p.configuration.extraction_threads == x);
+                assert_eq!(
+                    *point,
+                    tie_ruled_minimum(at_x),
+                    "{} {implementation} at x = {x}",
+                    platform.name
+                );
+            }
+            assert_eq!(
+                best_configuration(&platform, &workload, implementation),
+                tie_ruled_minimum(&curve.points),
+                "{} {implementation}",
+                platform.name
             );
-
-            // Hill climbing reaches the same optimum on this near-unimodal
-            // surface with far fewer evaluations.
-            let climbed = HillClimbTuner::new(6, 11).tune(&space, objective);
-            assert!(
-                climbed.best_cost <= exhaustive.best_cost * 1.02 + 1e-9,
-                "{} {}: hill climb {:.3} vs exhaustive {:.3}",
-                platform.name,
-                implementation,
-                climbed.best_cost,
-                exhaustive.best_cost
-            );
-            assert!(climbed.evaluation_count() < exhaustive.evaluation_count());
         }
     }
 }
