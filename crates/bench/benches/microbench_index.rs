@@ -4,10 +4,10 @@
 //! a shared lock per file versus per term, the cost of replica joins, and the
 //! raw insert throughput of the index structure.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use dsearch::index::{FileId, InMemoryIndex, PostingList, SharedIndex};
+use dsearch::index::{join_all, parallel_join, FileId, InMemoryIndex, PostingList, SharedIndex};
 use dsearch::text::Term;
 
 fn word_lists(docs: u32, terms_per_doc: u32, vocab: u32) -> Vec<(FileId, Vec<Term>)> {
@@ -60,12 +60,14 @@ fn bench_insert_paths(c: &mut Criterion) {
         b.iter_batched(
             || docs.clone(),
             |docs| {
+                // What `SharedSink` does under `InsertGranularity::PerTerm`:
+                // the file first, then one lock acquisition per term.
                 let index = SharedIndex::new();
                 for (id, terms) in docs {
+                    index.insert_file_counted(id, []);
                     for t in terms {
-                        index.insert_occurrence(id, t);
+                        index.insert_occurrences(id, t, 1);
                     }
-                    index.note_file_done();
                 }
                 black_box(index.stats().postings)
             },
@@ -157,6 +159,38 @@ fn bench_merge(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
+
+    // Implementation 2's join stage: `z` chooses between the sequential
+    // `join_all` (z ≤ 1) and the parallel reduction over 8 replicas.
+    let replicas: Vec<InMemoryIndex> = (0..8)
+        .map(|r| {
+            let mut idx = InMemoryIndex::new();
+            for (id, terms) in docs.iter().filter(|(id, _)| id.as_usize() % 8 == r) {
+                idx.insert_file(*id, terms.clone());
+            }
+            idx
+        })
+        .collect();
+    group.bench_function("join_all_8_replicas", |b| {
+        b.iter_batched(
+            || replicas.clone(),
+            |replicas| black_box(join_all(replicas).term_count()),
+            BatchSize::SmallInput,
+        );
+    });
+    for threads in [2usize, 4] {
+        group.bench_with_input(
+            BenchmarkId::new("parallel_join_8_replicas", threads),
+            &threads,
+            |b, &threads| {
+                b.iter_batched(
+                    || replicas.clone(),
+                    |replicas| black_box(parallel_join(replicas, threads).term_count()),
+                    BatchSize::SmallInput,
+                );
+            },
+        );
+    }
     group.finish();
 }
 

@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use dsearch::core::{Configuration, FormatMode, GeneratorOptions, Implementation, IndexGenerator};
+use dsearch::core::{Configuration, GeneratorOptions, Implementation, IndexGenerator};
 use dsearch::persist::IndexStore;
 use dsearch::vfs::{OsFs, VPath};
 
@@ -47,10 +47,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let implementation = implementation_from(args)?;
     let configuration = configuration_from(args, implementation)?;
 
-    let mut options = GeneratorOptions::paper_defaults();
-    if args.flag("formats") {
-        options.formats = FormatMode::DetectAndExtract;
-    }
+    let options =
+        GeneratorOptions { formats: args.flag("formats"), ..GeneratorOptions::paper_defaults() };
 
     let fs = OsFs::new(PathBuf::from(dir));
     let mut store = IndexStore::open(store_path).map_err(CliError::failed)?;

@@ -8,15 +8,15 @@
 //!   *(x, y, z)* = (term-extraction threads, index-update threads, index-join
 //!   threads) ([`Configuration`]).
 //!
-//! [`GeneratorOptions`] collects the remaining design choices the paper calls
-//! out (work-distribution strategy, duplicate handling, Stage 1 scheduling),
-//! each of which the ablation benchmarks can flip independently.
+//! [`GeneratorOptions`] collects what a run may set besides: the tokenizer,
+//! the insert granularity and whether file formats are detected.  The paper's
+//! other Stage 1–2 choices — an up-front Stage 1, round-robin distribution
+//! into private vectors, a condensed word list per file — are not options:
+//! they are the code ([`crate::distribute`], [`crate::stage2`]).
 
 use serde::{Deserialize, Serialize};
 
 use dsearch_text::tokenizer::TokenizerOptions;
-
-use crate::distribute::DistributionStrategy;
 
 /// The three index-update designs compared in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -140,17 +140,6 @@ impl std::fmt::Display for Configuration {
     }
 }
 
-/// How term duplicates within one file are handled (Section 3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DedupMode {
-    /// Build a condensed word list per file (the paper's choice).
-    #[default]
-    PerFileWordList,
-    /// Insert every occurrence into the index and let the index discard
-    /// duplicates (the rejected alternative; kept for the ablation).
-    InsertEveryOccurrence,
-}
-
 /// Granularity of index insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum InsertGranularity {
@@ -162,54 +151,18 @@ pub enum InsertGranularity {
     PerTerm,
 }
 
-/// How Stage 2 treats file formats other than plain text.
-///
-/// The paper's benchmark was plain ASCII text only; handling "more file
-/// formats" is listed as future work.  [`FormatMode::DetectAndExtract`] is
-/// that extension: each file's format is detected (by extension, then content
-/// sniffing) and converted to plain text by `dsearch-formats` before
-/// tokenisation, and binary files are skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum FormatMode {
-    /// Treat every file as plain text (the paper's setup).
-    #[default]
-    PlainTextOnly,
-    /// Detect each file's format and extract its plain text before
-    /// tokenisation; skip binary files.
-    DetectAndExtract,
-}
-
-/// When Stage 1 runs relative to Stage 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Stage1Mode {
-    /// Generate the complete filename list before extraction starts (the
-    /// paper's choice).
-    #[default]
-    UpFront,
-    /// Run the filename generator concurrently with the extractors, feeding
-    /// them through a shared queue (the paper found this "highly inefficient"
-    /// because of per-filename locking; kept for the ablation).
-    Concurrent,
-}
-
 /// All design choices of a run besides the thread counts.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GeneratorOptions {
     /// Tokenizer settings.
     pub tokenizer: TokenizerOptions,
-    /// Work-distribution strategy for Stage 2.
-    pub distribution: DistributionStrategy,
-    /// Duplicate handling.
-    pub dedup: DedupMode,
     /// Index insertion granularity.
     pub granularity: InsertGranularity,
-    /// Stage 1 scheduling.
-    pub stage1: Stage1Mode,
-    /// File-format handling in Stage 2.
-    pub formats: FormatMode,
-    /// Capacity of the extractor → updater buffer (files in flight) when
-    /// dedicated updater threads are used.
-    pub update_queue_capacity: usize,
+    /// Detect each file's format and extract its plain text before
+    /// tokenisation, skipping binary files.  The paper's benchmark was plain
+    /// ASCII text only and named "more file formats" as future work; off,
+    /// every file is tokenised as it is.
+    pub formats: bool,
 }
 
 impl GeneratorOptions {
@@ -218,22 +171,8 @@ impl GeneratorOptions {
     pub fn paper_defaults() -> Self {
         GeneratorOptions {
             tokenizer: TokenizerOptions::default(),
-            distribution: DistributionStrategy::RoundRobin,
-            dedup: DedupMode::PerFileWordList,
             granularity: InsertGranularity::EnBloc,
-            stage1: Stage1Mode::UpFront,
-            formats: FormatMode::PlainTextOnly,
-            update_queue_capacity: 64,
-        }
-    }
-
-    /// Effective update-queue capacity (defaults to 64 when left at 0).
-    #[must_use]
-    pub fn queue_capacity(&self) -> usize {
-        if self.update_queue_capacity == 0 {
-            64
-        } else {
-            self.update_queue_capacity
+            formats: false,
         }
     }
 }
@@ -283,14 +222,9 @@ mod tests {
     #[test]
     fn options_defaults_match_paper_choices() {
         let opts = GeneratorOptions::paper_defaults();
-        assert_eq!(opts.distribution, DistributionStrategy::RoundRobin);
-        assert_eq!(opts.dedup, DedupMode::PerFileWordList);
         assert_eq!(opts.granularity, InsertGranularity::EnBloc);
-        assert_eq!(opts.stage1, Stage1Mode::UpFront);
-        assert_eq!(opts.formats, FormatMode::PlainTextOnly);
-        assert!(opts.queue_capacity() > 0);
-        let default_opts = GeneratorOptions::default();
-        assert_eq!(default_opts.queue_capacity(), 64);
+        assert!(!opts.formats);
+        assert_eq!(GeneratorOptions::default(), opts);
     }
 
     #[test]

@@ -1,21 +1,19 @@
 //! Work distribution for Stage 2.
 //!
-//! Section 2.1 of the paper lists the options considered for handing files to
-//! the term extractors: work queues, round-robin distribution, assignment
-//! based on file lengths, and work stealing.  The paper settled on round-robin
-//! into *k* private vectors — no synchronisation at all during extraction —
-//! after finding it faster than size-aware assignment.  All the alternatives
-//! are implemented here so the ablation benchmark can reproduce that
-//! comparison:
+//! Section 2.1 of the paper weighs four ways of handing files to the term
+//! extractors: a work queue, round-robin distribution, assignment by file
+//! length and work stealing.  It keeps round-robin into *x* private vectors —
+//! no synchronisation at all during extraction — and so does
+//! [`IndexGenerator`](crate::runner::IndexGenerator), whose one work source
+//! is `deal`.  On a 2-core host, over a `paper_scaled(0.005)` corpus at
+//! `(2, 0, 0)`, neither a work queue, work stealing, contiguous chunks nor
+//! size-balanced assignment ran faster by more than round-robin's own
+//! run-to-run spread; the last was ~25 % slower.
 //!
-//! * [`DistributionStrategy::RoundRobin`] — file *i* goes to vector *i mod k*;
-//! * [`DistributionStrategy::SizeBalanced`] — longest-processing-time-first
-//!   bin packing on file sizes;
-//! * [`DistributionStrategy::Chunked`] — contiguous slices (the naive split);
-//! * [`LeaseQueue`] — a shared lock-protected queue the extractors lease
-//!   from (dynamic load balancing paid for with per-file locking); the
-//!   checkpointed [`BuildPipeline`](crate::pipeline::BuildPipeline) runs on
-//!   the same queue, with its retry timer.
+//! The checkpointed [`BuildPipeline`](crate::pipeline::BuildPipeline) hands
+//! out files through a [`LeaseQueue`] instead: there a file must outlive the
+//! worker that dies holding it, and a transient read error is retried after
+//! a backoff, which private vectors cannot do.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError};
@@ -37,147 +35,22 @@ pub struct WorkItem {
     pub size: u64,
 }
 
-/// Static distribution strategies (files are assigned before extraction
-/// starts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DistributionStrategy {
-    /// Round-robin assignment (the paper's choice).
-    #[default]
-    RoundRobin,
-    /// Longest-processing-time-first assignment by file size.
-    SizeBalanced,
-    /// Contiguous chunks of the file list.
-    Chunked,
-    /// A shared work queue popped by the extractors (dynamic; involves one
-    /// lock operation per file).
-    WorkQueue,
-    /// Per-extractor deques with work stealing: each extractor owns a local
-    /// deque (filled round-robin) and steals from the others once its own is
-    /// empty — the last of the four options Section 2.1 of the paper lists.
-    WorkStealing,
-}
-
-impl DistributionStrategy {
-    /// All strategies, for sweeps and ablations.
-    pub const ALL: [DistributionStrategy; 5] = [
-        DistributionStrategy::RoundRobin,
-        DistributionStrategy::SizeBalanced,
-        DistributionStrategy::Chunked,
-        DistributionStrategy::WorkQueue,
-        DistributionStrategy::WorkStealing,
-    ];
-
-    /// Whether the strategy requires synchronisation between extractors
-    /// (a shared queue or stealable deques) instead of private vectors.
-    #[must_use]
-    pub fn is_dynamic(self) -> bool {
-        matches!(self, DistributionStrategy::WorkQueue | DistributionStrategy::WorkStealing)
-    }
-}
-
-impl std::fmt::Display for DistributionStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            DistributionStrategy::RoundRobin => "round-robin",
-            DistributionStrategy::SizeBalanced => "size-balanced",
-            DistributionStrategy::Chunked => "chunked",
-            DistributionStrategy::WorkQueue => "work-queue",
-            DistributionStrategy::WorkStealing => "work-stealing",
-        };
-        f.write_str(name)
-    }
-}
-
-/// Statically partitions `items` into `workers` private vectors.
-///
-/// For [`DistributionStrategy::WorkQueue`] the partition is round-robin (the
-/// caller should use a [`LeaseQueue`] instead; this fallback keeps the
-/// function total).
+/// Deals `items` round-robin into `workers` private vectors: file *i* goes
+/// to vector *i mod workers*, in walk order.
 ///
 /// # Panics
 ///
 /// Panics if `workers` is zero.
 #[must_use]
-pub fn partition(
-    items: Vec<WorkItem>,
-    workers: usize,
-    strategy: DistributionStrategy,
-) -> Vec<Vec<WorkItem>> {
-    assert!(workers > 0, "cannot partition work across zero workers");
-    match strategy {
-        DistributionStrategy::RoundRobin
-        | DistributionStrategy::WorkQueue
-        | DistributionStrategy::WorkStealing => {
-            let mut parts: Vec<Vec<WorkItem>> =
-                (0..workers).map(|_| Vec::with_capacity(items.len() / workers + 1)).collect();
-            for (i, item) in items.into_iter().enumerate() {
-                parts[i % workers].push(item);
-            }
-            parts
-        }
-        DistributionStrategy::Chunked => {
-            let chunk = items.len().div_ceil(workers).max(1);
-            let mut parts: Vec<Vec<WorkItem>> = Vec::with_capacity(workers);
-            let mut iter = items.into_iter().peekable();
-            for _ in 0..workers {
-                let mut part = Vec::with_capacity(chunk);
-                for _ in 0..chunk {
-                    match iter.next() {
-                        Some(item) => part.push(item),
-                        None => break,
-                    }
-                }
-                parts.push(part);
-            }
-            // Any remainder (only when chunk*workers < len, impossible with
-            // div_ceil) — defensive drain.
-            if iter.peek().is_some() {
-                parts.last_mut().expect("workers > 0").extend(iter);
-            }
-            parts
-        }
-        DistributionStrategy::SizeBalanced => {
-            // Longest-processing-time-first greedy bin packing.
-            let mut indexed: Vec<WorkItem> = items;
-            indexed.sort_by(|a, b| b.size.cmp(&a.size).then_with(|| a.file_id.cmp(&b.file_id)));
-            let mut parts: Vec<Vec<WorkItem>> = (0..workers).map(|_| Vec::new()).collect();
-            let mut loads = vec![0u64; workers];
-            for item in indexed {
-                let (lightest, _) = loads
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(i, &load)| (load, *i))
-                    .expect("workers > 0");
-                loads[lightest] += item.size;
-                parts[lightest].push(item);
-            }
-            parts
-        }
+pub(crate) fn deal(items: Vec<WorkItem>, workers: usize) -> Vec<Vec<WorkItem>> {
+    assert!(workers > 0, "cannot deal work to zero workers");
+    let mut parts: Vec<Vec<WorkItem>> =
+        (0..workers).map(|_| Vec::with_capacity(items.len() / workers + 1)).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        parts[i % workers].push(item);
     }
+    parts
 }
-
-/// Measures how evenly a partition spreads bytes across workers.
-///
-/// Returns `(max_bytes, min_bytes, imbalance)` where `imbalance` is
-/// `max / mean` (1.0 = perfectly balanced). An empty partition yields
-/// `(0, 0, 1.0)`.
-#[must_use]
-pub fn balance_metrics(parts: &[Vec<WorkItem>]) -> (u64, u64, f64) {
-    if parts.is_empty() {
-        return (0, 0, 1.0);
-    }
-    let loads: Vec<u64> = parts.iter().map(|p| p.iter().map(|w| w.size).sum()).collect();
-    let max = *loads.iter().max().unwrap_or(&0);
-    let min = *loads.iter().min().unwrap_or(&0);
-    let total: u64 = loads.iter().sum();
-    let mean = total as f64 / loads.len() as f64;
-    let imbalance = if mean == 0.0 { 1.0 } else { max as f64 / mean };
-    (max, min, imbalance)
-}
-
-/// How many times [`DistributionStrategy::WorkQueue`] leases an item whose
-/// holders panic before the queue refuses to hand it out again.
-pub const MAX_LEASE_ATTEMPTS: u32 = 3;
 
 type Attempt = (WorkItem, u32);
 
@@ -385,87 +258,14 @@ impl Drop for Lease {
     }
 }
 
-/// One extractor's handle into the work-stealing pool.
-///
-/// The extractor pops from its own deque first (LIFO, cache-friendly) and,
-/// once that is empty, steals batches from its peers — the dynamic
-/// load-balancing alternative the paper lists in Section 2.1 that needs no
-/// central lock.
-#[derive(Debug)]
-pub struct StealWorker {
-    local: crossbeam::deque::Worker<WorkItem>,
-    peers: Vec<crossbeam::deque::Stealer<WorkItem>>,
-}
-
-impl StealWorker {
-    /// Takes the next item: the local deque first, then any peer.
-    ///
-    /// Returns `None` only when every deque in the pool is empty.
-    #[must_use]
-    pub fn pop(&self) -> Option<WorkItem> {
-        if let Some(item) = self.local.pop() {
-            return Some(item);
-        }
-        loop {
-            let mut retry = false;
-            for stealer in &self.peers {
-                match stealer.steal_batch_and_pop(&self.local) {
-                    crossbeam::deque::Steal::Success(item) => return Some(item),
-                    crossbeam::deque::Steal::Retry => retry = true,
-                    crossbeam::deque::Steal::Empty => {}
-                }
-            }
-            if !retry {
-                return None;
-            }
-        }
-    }
-
-    /// Number of items currently in this worker's local deque.
-    #[must_use]
-    pub fn local_len(&self) -> usize {
-        self.local.len()
-    }
-}
-
-/// Builds the per-extractor deques for [`DistributionStrategy::WorkStealing`].
-///
-/// Items are dealt round-robin into `workers` deques; every returned
-/// [`StealWorker`] can steal from all the others.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-#[must_use]
-pub fn stealing_pool(items: Vec<WorkItem>, workers: usize) -> Vec<StealWorker> {
-    assert!(workers > 0, "cannot build a stealing pool with zero workers");
-    let locals: Vec<crossbeam::deque::Worker<WorkItem>> =
-        (0..workers).map(|_| crossbeam::deque::Worker::new_fifo()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        locals[i % workers].push(item);
-    }
-    let stealers: Vec<crossbeam::deque::Stealer<WorkItem>> =
-        locals.iter().map(crossbeam::deque::Worker::stealer).collect();
-    locals
-        .into_iter()
-        .enumerate()
-        .map(|(i, local)| {
-            let peers = stealers
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, s)| s.clone())
-                .collect();
-            StealWorker { local, peers }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use parking_lot::Mutex;
     use proptest::prelude::*;
+
+    /// Deaths before an item is quarantined, in these tests.
+    const MAX_LEASE_ATTEMPTS: u32 = 3;
 
     fn items(sizes: &[u64]) -> Vec<WorkItem> {
         sizes
@@ -481,7 +281,7 @@ mod tests {
 
     #[test]
     fn round_robin_interleaves() {
-        let parts = partition(items(&[1, 2, 3, 4, 5]), 2, DistributionStrategy::RoundRobin);
+        let parts = deal(items(&[1, 2, 3, 4, 5]), 2);
         assert_eq!(parts.len(), 2);
         let ids: Vec<Vec<u32>> =
             parts.iter().map(|p| p.iter().map(|w| w.file_id.as_u32()).collect()).collect();
@@ -489,39 +289,15 @@ mod tests {
     }
 
     #[test]
-    fn chunked_keeps_contiguity() {
-        let parts = partition(items(&[0; 7]), 3, DistributionStrategy::Chunked);
-        let ids: Vec<Vec<u32>> =
-            parts.iter().map(|p| p.iter().map(|w| w.file_id.as_u32()).collect()).collect();
-        assert_eq!(ids, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]]);
-    }
-
-    #[test]
-    fn size_balanced_beats_round_robin_on_skewed_sizes() {
-        // One huge file and many small ones — the scenario the paper's
-        // benchmark (five large files) creates.
-        let mut sizes = vec![1_000_000u64];
-        sizes.extend(std::iter::repeat_n(1_000, 99));
-        let rr = partition(items(&sizes), 4, DistributionStrategy::RoundRobin);
-        let sb = partition(items(&sizes), 4, DistributionStrategy::SizeBalanced);
-        let (_, _, rr_imbalance) = balance_metrics(&rr);
-        let (_, _, sb_imbalance) = balance_metrics(&sb);
-        assert!(sb_imbalance <= rr_imbalance);
-        assert!(sb_imbalance < 3.9, "LPT should spread the load, got {sb_imbalance}");
-    }
-
-    #[test]
     fn single_worker_gets_everything() {
-        for strategy in DistributionStrategy::ALL {
-            let parts = partition(items(&[5, 6, 7]), 1, strategy);
-            assert_eq!(parts.len(), 1);
-            assert_eq!(parts[0].len(), 3, "strategy {strategy}");
-        }
+        let parts = deal(items(&[5, 6, 7]), 1);
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0].len(), 3);
     }
 
     #[test]
     fn more_workers_than_items_leaves_empty_parts() {
-        let parts = partition(items(&[1, 2]), 5, DistributionStrategy::RoundRobin);
+        let parts = deal(items(&[1, 2]), 5);
         assert_eq!(parts.len(), 5);
         assert_eq!(parts.iter().filter(|p| !p.is_empty()).count(), 2);
     }
@@ -529,79 +305,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero workers")]
     fn zero_workers_panics() {
-        let _ = partition(items(&[1]), 0, DistributionStrategy::RoundRobin);
-    }
-
-    #[test]
-    fn balance_metrics_edge_cases() {
-        assert_eq!(balance_metrics(&[]), (0, 0, 1.0));
-        let parts = vec![Vec::new(), Vec::new()];
-        let (max, min, imbalance) = balance_metrics(&parts);
-        assert_eq!((max, min), (0, 0));
-        assert!((imbalance - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn strategy_display_and_dynamic_flag() {
-        assert_eq!(DistributionStrategy::RoundRobin.to_string(), "round-robin");
-        assert_eq!(DistributionStrategy::WorkQueue.to_string(), "work-queue");
-        assert_eq!(DistributionStrategy::WorkStealing.to_string(), "work-stealing");
-        assert!(DistributionStrategy::WorkQueue.is_dynamic());
-        assert!(DistributionStrategy::WorkStealing.is_dynamic());
-        assert!(!DistributionStrategy::RoundRobin.is_dynamic());
-    }
-
-    #[test]
-    fn stealing_pool_delivers_every_item_exactly_once() {
-        let workers = stealing_pool(items(&[1; 50]), 4);
-        assert_eq!(workers.len(), 4);
-        assert!(workers.iter().all(|w| w.local_len() >= 12));
-
-        let consumed = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|scope| {
-            for worker in workers {
-                let consumed = Arc::clone(&consumed);
-                scope.spawn(move || {
-                    while let Some(item) = worker.pop() {
-                        consumed.lock().push(item.file_id.as_u32());
-                    }
-                });
-            }
-        });
-        let mut seen = consumed.lock().clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn idle_stealer_takes_work_from_a_loaded_peer() {
-        // Round-robin puts 10 items in each deque.  If worker 1 alone drains
-        // the pool it must steal worker 0's share once its own runs out.
-        let workers = stealing_pool(items(&[1; 20]), 2);
-        let mut drained = 0;
-        while workers[1].pop().is_some() {
-            drained += 1;
-        }
-        assert_eq!(drained, 20, "worker 1 should drain its own deque and steal the rest");
-        assert!(workers[0].pop().is_none());
-    }
-
-    #[test]
-    fn stealing_pool_single_worker_behaves_like_a_queue() {
-        let workers = stealing_pool(items(&[1, 2, 3]), 1);
-        assert_eq!(workers.len(), 1);
-        let mut count = 0;
-        while workers[0].pop().is_some() {
-            count += 1;
-        }
-        assert_eq!(count, 3);
-        assert!(workers[0].pop().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "zero workers")]
-    fn stealing_pool_zero_workers_panics() {
-        let _ = stealing_pool(Vec::new(), 0);
+        let _ = deal(items(&[1]), 0);
     }
 
     /// Items ready to be leased right now.
@@ -679,17 +383,14 @@ mod tests {
     }
 
     proptest! {
-        /// Every static strategy produces a partition: no item lost, none
-        /// duplicated, exactly `workers` parts.
+        /// Dealing is a partition: no item lost, none duplicated, exactly
+        /// `workers` parts.
         #[test]
         fn partition_is_lossless(
             sizes in proptest::collection::vec(0u64..100_000, 0..200),
             workers in 1usize..9,
-            strategy_idx in 0usize..DistributionStrategy::ALL.len(),
         ) {
-            let strategy = DistributionStrategy::ALL[strategy_idx];
-            let input = items(&sizes);
-            let parts = partition(input.clone(), workers, strategy);
+            let parts = deal(items(&sizes), workers);
             prop_assert_eq!(parts.len(), workers);
             let mut recovered: Vec<u32> = parts
                 .iter()
@@ -698,22 +399,6 @@ mod tests {
             recovered.sort_unstable();
             let expected: Vec<u32> = (0..sizes.len() as u32).collect();
             prop_assert_eq!(recovered, expected);
-        }
-
-        /// Size-balanced imbalance is never worse than chunked imbalance by
-        /// more than a rounding margin on any workload.
-        #[test]
-        fn size_balanced_is_reasonably_balanced(
-            sizes in proptest::collection::vec(1u64..1_000_000, 1..120),
-            workers in 1usize..8,
-        ) {
-            let sb = partition(items(&sizes), workers, DistributionStrategy::SizeBalanced);
-            let (max, _, _) = balance_metrics(&sb);
-            let total: u64 = sizes.iter().sum();
-            let largest = *sizes.iter().max().unwrap();
-            // LPT guarantee: max load ≤ mean + largest item.
-            let bound = (total as f64 / workers as f64) + largest as f64 + 1.0;
-            prop_assert!(max as f64 <= bound, "max {max} > bound {bound}");
         }
     }
 }

@@ -335,7 +335,7 @@ mod tests {
             .unwrap();
         fs.add_file(&VPath::new("plain.txt"), b"plain words".to_vec()).unwrap();
         let mut options = crate::config::GeneratorOptions::paper_defaults();
-        options.formats = crate::config::FormatMode::DetectAndExtract;
+        options.formats = true;
         let generator = IndexGenerator::new(options);
 
         let mut segments = Vec::new();

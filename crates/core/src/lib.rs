@@ -8,9 +8,8 @@
 //!    directory tree and produces the complete list of files (the paper
 //!    measured this at 2–5 % of the runtime, so it is not parallelised).
 //! 2. **Term extraction** ([`stage2`]) — *x* extractor threads read their
-//!    private share of the files (round-robin distribution by default, see
-//!    [`distribute`]), tokenize them and build a de-duplicated word list per
-//!    file.
+//!    private share of the files (dealt round-robin, see [`distribute`]),
+//!    tokenize them and build a de-duplicated word list per file.
 //! 3. **Index update** ([`stage3`]) — the word lists are inserted into the
 //!    inverted index, either directly by the extractors or by *y* dedicated
 //!    updater threads fed through a bounded buffer.
@@ -61,7 +60,7 @@ pub mod stage2;
 pub mod stage3;
 pub mod timing;
 
-pub use config::{Configuration, FormatMode, GeneratorOptions, Implementation};
+pub use config::{Configuration, GeneratorOptions, Implementation};
 pub use error::PipelineError;
 pub use incremental::IncrementalRun;
 pub use pipeline::{

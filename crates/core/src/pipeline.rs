@@ -23,9 +23,10 @@
 //!   re-run through the same pipeline once the underlying fault is fixed;
 //!   recovered items leave the queue and join the index.
 //!
-//! The sealed partial segments are ordinary v2 segments, so a resumed build's
-//! store answers queries exactly like a batch build's — the equivalence the
-//! resume proptest in `tests/pipeline_resume.rs` pins down.
+//! The sealed partial segments are ordinary segments — v7, the one version
+//! the store reads — so a resumed build's store answers queries exactly like
+//! a batch build's: the equivalence the resume proptest in
+//! `tests/pipeline_resume.rs` pins down.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,10 +37,10 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use dsearch_formats::FormatRegistry;
 use dsearch_index::DocTable;
 use dsearch_index::InMemoryIndex;
 use dsearch_persist::{BuildCheckpoint, DeadLetter, DeadLetterQueue, IndexStore};
+use dsearch_text::tokenizer::Tokenizer;
 use dsearch_vfs::{FileSystem, VPath, VfsError};
 
 use crate::distribute::{Lease, LeaseQueue, WorkItem};
@@ -371,11 +372,7 @@ impl BuildPipeline {
     }
 
     fn extractor(&self) -> Extractor {
-        if self.options.formats {
-            Extractor::default().with_formats(FormatRegistry::with_builtins())
-        } else {
-            Extractor::default()
-        }
+        Extractor::new(Tokenizer::default()).with_formats(self.options.formats)
     }
 
     /// Runs a checkpointed build of the tree under `root` into the store at

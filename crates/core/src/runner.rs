@@ -7,7 +7,6 @@
 //! sequential baseline ([`IndexGenerator::run_sequential`]) whose per-stage
 //! times are the paper's Table 1.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -16,11 +15,8 @@ use dsearch_index::{join_all, parallel_join, InMemoryIndex, IndexSet, SharedInde
 use dsearch_text::tokenizer::Tokenizer;
 use dsearch_vfs::{FileSystem, VPath};
 
-use crate::config::{Configuration, FormatMode, GeneratorOptions, Implementation, Stage1Mode};
-use crate::distribute::{
-    partition, stealing_pool, DistributionStrategy, LeaseQueue, StealWorker, WorkItem,
-    MAX_LEASE_ATTEMPTS,
-};
+use crate::config::{Configuration, GeneratorOptions, Implementation};
+use crate::distribute::deal;
 use crate::error::PipelineError;
 use crate::report::{IndexOutcome, ParallelRun, SequentialRun, SequentialTimings};
 use crate::stage1::{generate_filenames, FilenameSet};
@@ -28,11 +24,16 @@ use crate::stage2::{Extractor, FileTerms, Stage2Stats};
 use crate::stage3::{ReplicaSink, SharedSink, UpdateSink};
 use crate::timing::StageTimings;
 
+/// Files in flight between the extractors and the dedicated updaters (when
+/// `y > 0`).
+const UPDATE_QUEUE_CAPACITY: usize = 64;
+
 /// The configurable index generator.
 ///
-/// The default instance uses the paper's reference choices
-/// ([`GeneratorOptions::paper_defaults`]): round-robin distribution, per-file
-/// condensed word lists, en-bloc insertion and an up-front Stage 1.
+/// Stage 1 runs up front; Stage 2 deals its files round-robin into one
+/// private vector per extractor and condenses each file's word list; the
+/// default instance inserts each list en bloc
+/// ([`GeneratorOptions::paper_defaults`]) — the paper's reference choices.
 #[derive(Debug, Clone)]
 pub struct IndexGenerator {
     options: GeneratorOptions,
@@ -42,18 +43,6 @@ impl Default for IndexGenerator {
     fn default() -> Self {
         IndexGenerator { options: GeneratorOptions::paper_defaults() }
     }
-}
-
-/// Where an extractor thread obtains its work.
-enum WorkSource {
-    /// A private, statically assigned vector (no synchronisation).
-    Static(Vec<WorkItem>),
-    /// The shared dynamic queue (one lock operation per file).
-    Queue(Arc<LeaseQueue>),
-    /// A private deque with work stealing from the other extractors.
-    Stealing(StealWorker),
-    /// A channel fed by the concurrent Stage 1 producer.
-    Channel(Receiver<WorkItem>),
 }
 
 impl IndexGenerator {
@@ -70,14 +59,8 @@ impl IndexGenerator {
     }
 
     fn extractor(&self) -> Extractor {
-        let extractor =
-            Extractor::new(Tokenizer::new(self.options.tokenizer.clone()), self.options.dedup);
-        match self.options.formats {
-            FormatMode::PlainTextOnly => extractor,
-            FormatMode::DetectAndExtract => {
-                extractor.with_formats(dsearch_formats::FormatRegistry::with_builtins())
-            }
-        }
+        Extractor::new(Tokenizer::new(self.options.tokenizer.clone()))
+            .with_formats(self.options.formats)
     }
 
     /// Runs the fully sequential, instrumented baseline.
@@ -182,47 +165,19 @@ impl IndexGenerator {
         let x = configuration.extraction_threads;
         let y = configuration.update_threads;
 
-        // Build the per-extractor work sources.
-        let mut queue_handle: Option<Arc<LeaseQueue>> = None;
-        let sources: Vec<WorkSource> = match (self.options.stage1, self.options.distribution) {
-            (Stage1Mode::Concurrent, _) => {
-                // The producer re-sends the already generated filenames one by
-                // one through a rendezvous-sized channel, modelling the
-                // per-filename hand-off the paper found inefficient.
-                let (tx, rx) = bounded::<WorkItem>(1);
-                let producer_items = items.clone();
-                std::thread::spawn(move || {
-                    for item in producer_items {
-                        if tx.send(item).is_err() {
-                            break;
-                        }
-                    }
-                });
-                (0..x).map(|_| WorkSource::Channel(rx.clone())).collect()
-            }
-            (Stage1Mode::UpFront, DistributionStrategy::WorkQueue) => {
-                let queue = LeaseQueue::new(items.clone(), MAX_LEASE_ATTEMPTS);
-                queue_handle = Some(queue.clone());
-                (0..x).map(|_| WorkSource::Queue(queue.clone())).collect()
-            }
-            (Stage1Mode::UpFront, DistributionStrategy::WorkStealing) => {
-                stealing_pool(items.clone(), x).into_iter().map(WorkSource::Stealing).collect()
-            }
-            (Stage1Mode::UpFront, strategy) => {
-                partition(items.clone(), x, strategy).into_iter().map(WorkSource::Static).collect()
-            }
-        };
+        // Round-robin into private vectors: no synchronisation between the
+        // extractors until their word lists reach the index.
+        let shares = deal(items, x);
 
         let shared_index =
             if implementation.uses_shared_index() { Some(SharedIndex::new()) } else { None };
 
         let extractor_template = self.extractor();
         let granularity = self.options.granularity;
-        let queue_capacity = self.options.queue_capacity();
 
         // Channel between extractors and dedicated updaters (when y > 0).
         let update_channel: Option<(Sender<FileTerms>, Receiver<FileTerms>)> =
-            (y > 0).then(|| bounded(queue_capacity));
+            (y > 0).then(|| bounded(UPDATE_QUEUE_CAPACITY));
 
         let mut extract_results: Vec<Result<Stage2Stats, PipelineError>> = Vec::new();
         let mut replicas: Vec<InMemoryIndex> = Vec::new();
@@ -257,100 +212,40 @@ impl IndexGenerator {
             };
 
             // Spawn extractor threads.
-            let extractor_handles: Vec<_> = sources
+            let extractor_handles: Vec<_> = shares
                 .into_iter()
-                .map(|source| {
+                .map(|work| {
                     let mut extractor = extractor_template.clone();
                     let shared = shared_index.clone();
                     let sender = update_channel.as_ref().map(|(tx, _)| tx.clone());
-                    scope.spawn(
-                        move || -> (Result<Stage2Stats, PipelineError>, Option<InMemoryIndex>) {
-                            // When there are no dedicated updaters the extractor
-                            // owns its own sink.
-                            let mut shared_sink = if sender.is_none() {
-                                shared.map(|s| SharedSink::new(s, granularity))
-                            } else {
-                                None
-                            };
-                            let mut replica_sink = if sender.is_none() && shared_sink.is_none() {
-                                Some(ReplicaSink::new(granularity))
-                            } else {
-                                None
-                            };
-
-                            let mut stats = Stage2Stats::default();
-                            let mut handle_file = |ft: FileTerms| {
-                                stats.files += 1;
-                                stats.bytes += ft.bytes;
-                                stats.occurrences += ft.occurrences;
-                                stats.terms_emitted += ft.terms.len() as u64;
-                                if let Some(tx) = &sender {
-                                    // The updaters exit when every sender is
-                                    // dropped; a send error can only happen if
-                                    // they already exited, which means we are
-                                    // shutting down.
-                                    let _ = tx.send(ft);
-                                } else if let Some(sink) = shared_sink.as_mut() {
-                                    sink.apply(ft);
-                                } else if let Some(sink) = replica_sink.as_mut() {
-                                    sink.apply(ft);
-                                }
-                            };
-
-                            let result: Result<(), PipelineError> = (|| {
-                                match source {
-                                    WorkSource::Static(work) => {
-                                        for item in &work {
-                                            let ft = extractor.extract_file(fs, item)?;
-                                            handle_file(ft);
-                                        }
-                                    }
-                                    WorkSource::Queue(queue) => {
-                                        // Lease/ack instead of pop: a panic
-                                        // unwinding out of the extractor
-                                        // reclaims the item for another
-                                        // worker instead of silently
-                                        // dropping the file.
-                                        while let Some(lease) = queue.pop() {
-                                            let extracted = std::panic::catch_unwind(
-                                                std::panic::AssertUnwindSafe(|| {
-                                                    extractor.extract_file(fs, lease.item())
-                                                }),
-                                            );
-                                            match extracted {
-                                                Ok(Ok(ft)) => {
-                                                    handle_file(ft);
-                                                    lease.ack();
-                                                }
-                                                Ok(Err(e)) => {
-                                                    lease.ack();
-                                                    return Err(e);
-                                                }
-                                                Err(_) => drop(lease),
-                                            }
-                                        }
-                                    }
-                                    WorkSource::Stealing(worker) => {
-                                        while let Some(item) = worker.pop() {
-                                            let ft = extractor.extract_file(fs, &item)?;
-                                            handle_file(ft);
-                                        }
-                                    }
-                                    WorkSource::Channel(rx) => {
-                                        for item in rx.iter() {
-                                            let ft = extractor.extract_file(fs, &item)?;
-                                            handle_file(ft);
-                                        }
-                                    }
-                                }
-                                Ok(())
-                            })(
-                            );
-
-                            let replica = replica_sink.map(ReplicaSink::into_index);
-                            (result.map(|()| stats), replica)
-                        },
-                    )
+                    scope.spawn(move || {
+                        // When there are no dedicated updaters the extractor
+                        // owns its own sink.
+                        let mut shared_sink = if sender.is_none() {
+                            shared.map(|s| SharedSink::new(s, granularity))
+                        } else {
+                            None
+                        };
+                        let mut replica_sink = if sender.is_none() && shared_sink.is_none() {
+                            Some(ReplicaSink::new(granularity))
+                        } else {
+                            None
+                        };
+                        let result = extractor.extract_all(fs, &work, |ft| {
+                            if let Some(tx) = &sender {
+                                // The updaters exit when every sender is
+                                // dropped; a send error can only happen if
+                                // they already exited, which means we are
+                                // shutting down.
+                                let _ = tx.send(ft);
+                            } else if let Some(sink) = shared_sink.as_mut() {
+                                sink.apply(ft);
+                            } else if let Some(sink) = replica_sink.as_mut() {
+                                sink.apply(ft);
+                            }
+                        });
+                        (result, replica_sink.map(ReplicaSink::into_index))
+                    })
                 })
                 .collect();
 
@@ -379,11 +274,6 @@ impl IndexGenerator {
             }
         });
 
-        // An item every lease holder panicked on is permanently lost work —
-        // surface it as the panic it is instead of an index missing a file.
-        if worker_panic.is_none() && queue_handle.is_some_and(|q| !q.take_fallen().is_empty()) {
-            worker_panic = Some("extraction");
-        }
         if let Some(stage) = worker_panic {
             return Err(PipelineError::WorkerPanicked(stage));
         }
@@ -430,7 +320,7 @@ impl IndexGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DedupMode, InsertGranularity};
+    use crate::config::InsertGranularity;
     use crate::testing::segment_bytes;
     use dsearch_corpus::{materialize_to_memfs, CorpusSpec};
     use dsearch_text::Term;
@@ -554,28 +444,15 @@ mod tests {
         let reference = IndexGenerator::default().run_sequential(&fs, &VPath::root()).unwrap();
         let reference_bytes = segment_bytes(&reference.index, &reference.docs);
 
-        // However a file's occurrences reach the index — condensed or one by
-        // one, en bloc or per term, whichever thread extracted it, one index
-        // or replicas — the joined index seals to the bytes of the sequential
-        // en-bloc build: same frequencies, same lengths, same list bounds.
-        let mut variations = Vec::new();
-        for dedup in [DedupMode::PerFileWordList, DedupMode::InsertEveryOccurrence] {
-            for granularity in [InsertGranularity::EnBloc, InsertGranularity::PerTerm] {
-                for distribution in DistributionStrategy::ALL {
-                    let mut options = GeneratorOptions::paper_defaults();
-                    (options.dedup, options.granularity) = (dedup, granularity);
-                    options.distribution = distribution;
-                    variations.push(options);
-                }
-            }
-        }
-        let mut concurrent = GeneratorOptions::paper_defaults();
-        concurrent.stage1 = Stage1Mode::Concurrent;
-        variations.push(concurrent);
-
-        for options in variations {
-            let generator = IndexGenerator::new(options.clone());
-            assert_eq!(generator.options().distribution, options.distribution);
+        // However a file's word list reaches the index — en bloc or per term,
+        // one index or replicas — the joined index seals to the bytes of the
+        // sequential en-bloc build: same frequencies, same lengths, same list
+        // bounds.
+        for granularity in [InsertGranularity::EnBloc, InsertGranularity::PerTerm] {
+            let mut options = GeneratorOptions::paper_defaults();
+            options.granularity = granularity;
+            let generator = IndexGenerator::new(options);
+            assert_eq!(generator.options().granularity, granularity);
             for implementation in Implementation::ALL {
                 let run = generator
                     .run(&fs, &VPath::root(), implementation, Configuration::new(2, 0, 0))
@@ -583,53 +460,41 @@ mod tests {
                 let (index, docs) = run.outcome.into_single_index();
                 assert!(
                     segment_bytes(&index, &docs) == reference_bytes,
-                    "{implementation} with {options:?} seals to other bytes"
+                    "{implementation} with {granularity:?} seals to other bytes"
                 );
             }
         }
     }
 
     #[test]
-    fn work_queue_survives_a_panicking_extractor_read() {
-        // Regression test for the lease/ack queue: a read that panics once
-        // must not lose its work item.  The dropped lease returns the file to
-        // the queue, another pop retries it, and the final index is complete.
-        let flaky = FlakyFs::new(hand_built());
-        flaky.panic_reads("d1/a.txt", 1);
-
-        let mut options = GeneratorOptions::paper_defaults();
-        options.distribution = DistributionStrategy::WorkQueue;
-        let generator = IndexGenerator::new(options);
-        let run = generator
-            .run(&flaky, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(3, 0, 0))
-            .unwrap();
-
-        assert_eq!(run.stage2.files, 4, "all four files extracted despite the panic");
-        assert_eq!(flaky.read_attempts("d1/a.txt"), 2, "panicked once, retried once");
-        let reference =
-            IndexGenerator::default().run_sequential(&hand_built(), &VPath::root()).unwrap();
-        let (index, docs) = run.outcome.into_single_index();
-        assert_eq!(index, reference.index);
-        assert_eq!(docs, reference.docs);
-    }
-
-    #[test]
-    fn work_queue_poisons_an_item_that_always_panics() {
-        // A file whose extraction panics on every attempt must not wedge the
-        // run: after MAX_LEASE_ATTEMPTS the queue quarantines it and the run
-        // reports the extraction-stage failure instead of hanging or silently
-        // dropping the file.
-        let flaky = FlakyFs::new(hand_built());
-        flaky.panic_reads("d1/a.txt", u32::MAX);
-
-        let mut options = GeneratorOptions::paper_defaults();
-        options.distribution = DistributionStrategy::WorkQueue;
-        let generator = IndexGenerator::new(options);
-        let err = generator
-            .run(&flaky, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(2, 0, 0))
-            .unwrap_err();
-        assert!(matches!(err, PipelineError::WorkerPanicked("extraction")), "{err}");
-        assert_eq!(flaky.read_attempts("d1/a.txt"), crate::distribute::MAX_LEASE_ATTEMPTS);
+    fn a_panicking_extractor_fails_the_run_without_hanging() {
+        // A read that panics kills its extractor thread.  The run reports the
+        // extraction-stage failure instead of unwinding into the caller, and
+        // with dedicated updaters (y = 1) they still drain and exit once the
+        // surviving extractors are done.
+        for implementation in Implementation::ALL {
+            for config in [Configuration::new(2, 0, 0), Configuration::new(2, 1, 0)] {
+                let (done, outcome) = std::sync::mpsc::channel();
+                let run = std::thread::spawn(move || {
+                    let flaky = FlakyFs::new(hand_built());
+                    flaky.panic_reads("d1/a.txt", 1);
+                    let result = IndexGenerator::default()
+                        .run(&flaky, &VPath::root(), implementation, config)
+                        .map(|_| ());
+                    let _ = done.send((result, flaky.read_attempts("d1/a.txt")));
+                });
+                let (result, attempts) = outcome
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|e| panic!("{implementation} {config}: no outcome ({e})"));
+                run.join().expect("the run returned its outcome, so its thread ends");
+                let err = result.unwrap_err();
+                assert!(
+                    matches!(err, PipelineError::WorkerPanicked("extraction")),
+                    "{implementation} {config}: {err}"
+                );
+                assert_eq!(attempts, 1, "{implementation} {config}");
+            }
+        }
     }
 
     #[test]
@@ -648,7 +513,7 @@ mod tests {
         fs.add_file(&VPath::new("bin/tool.exe"), vec![0u8, 1, 2, 3, 4]).unwrap();
 
         let mut options = GeneratorOptions::paper_defaults();
-        options.formats = crate::config::FormatMode::DetectAndExtract;
+        options.formats = true;
         let generator = IndexGenerator::new(options);
         let run = generator
             .run(&fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(2, 0, 0))

@@ -3,10 +3,11 @@
 //! A single thread traverses the directory hierarchy and produces the complete
 //! list of files to index, together with the [`DocTable`] that assigns each
 //! file its compact id.  The paper measured this stage at 5 seconds out of a
-//! 90–220 second run (2–5 %), which is why it stays sequential; running it
-//! concurrently with the extractors costs a pair of lock operations per
-//! filename and was "highly inefficient" (that variant is available through
-//! [`crate::config::Stage1Mode::Concurrent`] for the ablation benchmark).
+//! 90–220 second run (2–5 %), which is why it stays sequential and runs to
+//! completion before Stage 2 starts: running it concurrently with the
+//! extractors costs a pair of lock operations per filename and was "highly
+//! inefficient".  Measured here too: ~10 % slower on a 2-core host, over a
+//! `paper_scaled(0.005)` corpus at `(2, 0, 0)`.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,24 +1,21 @@
 //! Stage 2: term extraction.
 //!
 //! An extractor reads each file assigned to it, scans the bytes for terms and
-//! produces a [`FileTerms`] record per file.  With the paper's configuration
-//! the record holds the *condensed word list* (duplicates removed inside the
-//! file); the ablation mode keeps every occurrence so the index has to do the
-//! duplicate handling instead.
+//! produces a [`FileTerms`] record per file: the file's *condensed word list*
+//! — each distinct term once, with the number of times it occurred — as in
+//! Section 3 of the paper, so the index never sees a duplicate.
 //!
 //! # Allocation contract
 //!
 //! Each [`Extractor`] owns its scratch — a token buffer and a
 //! [`WordListBuilder`] that lives as long as the extractor — which is why
 //! [`Extractor::extract_file`] takes `&mut self` and every extractor thread
-//! works on its own clone.  Under [`DedupMode::PerFileWordList`] a file costs
-//! the buffer `FileSystem::read` returns, the two vectors of its
-//! [`FileTerms`], and one `Arc<str>` per word this extractor has never met
-//! before; a word seen in an earlier file costs a reference-count bump, a
-//! repeat occurrence one hash lookup.  Those `Arc<str>`s are handed to the
-//! index, so the replica's dictionary and the extractor's builder share one
-//! copy of the vocabulary.  Only the [`DedupMode::InsertEveryOccurrence`]
-//! ablation still materialises a [`Term`] per occurrence.
+//! works on its own clone.  A file costs the buffer `FileSystem::read`
+//! returns, the two vectors of its [`FileTerms`], and one `Arc<str>` per word
+//! this extractor has never met before; a word seen in an earlier file costs
+//! a reference-count bump, a repeat occurrence one hash lookup.  Those
+//! `Arc<str>`s are handed to the index, so the replica's dictionary and the
+//! extractor's builder share one copy of the vocabulary.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,7 +25,6 @@ use dsearch_text::tokenizer::{Term, Tokenizer};
 use dsearch_text::wordlist::WordListBuilder;
 use dsearch_vfs::FileSystem;
 
-use crate::config::DedupMode;
 use crate::distribute::WorkItem;
 use crate::error::PipelineError;
 
@@ -37,12 +33,12 @@ use crate::error::PipelineError;
 pub struct FileTerms {
     /// The file the terms came from.
     pub file_id: FileId,
-    /// The terms to insert (de-duplicated when
-    /// [`DedupMode::PerFileWordList`] is active).
+    /// The terms to insert: the file's distinct terms, in first-occurrence
+    /// order.
     pub terms: Vec<Term>,
-    /// Per-term occurrence counts, parallel to `terms`. Empty means "each
-    /// term occurred once" (the ablation mode emits raw occurrences, so the
-    /// counts carry no extra information there).
+    /// Per-term occurrence counts, parallel to `terms`.  The extractor always
+    /// fills it; a record built by hand may leave it empty, which means "each
+    /// term occurred once".
     pub counts: Vec<u32>,
     /// Raw term occurrences seen in the file (before de-duplication).
     pub occurrences: u64,
@@ -67,8 +63,7 @@ pub struct Stage2Stats {
     pub bytes: u64,
     /// Term occurrences seen.
     pub occurrences: u64,
-    /// Terms emitted to the update stage (distinct per file under the
-    /// condensed-word-list mode).
+    /// Terms emitted to the update stage (distinct per file).
     pub terms_emitted: u64,
 }
 
@@ -82,12 +77,11 @@ impl Stage2Stats {
     }
 }
 
-/// A term extractor bound to a tokenizer and duplicate-handling mode, plus
-/// the scratch it reuses from file to file.
+/// A term extractor bound to a tokenizer, plus the scratch it reuses from
+/// file to file.
 #[derive(Debug, Clone, Default)]
 pub struct Extractor {
     tokenizer: Tokenizer,
-    dedup: DedupMode,
     formats: Option<FormatRegistry>,
     /// The scanner's token buffer.
     token: String,
@@ -97,18 +91,21 @@ pub struct Extractor {
 }
 
 impl Extractor {
-    /// Creates an extractor.
+    /// Creates an extractor that tokenises every file as plain text.
     #[must_use]
-    pub fn new(tokenizer: Tokenizer, dedup: DedupMode) -> Self {
-        Extractor { tokenizer, dedup, formats: None, ..Extractor::default() }
+    pub fn new(tokenizer: Tokenizer) -> Self {
+        Extractor { tokenizer, ..Extractor::default() }
     }
 
-    /// Makes the extractor format-aware: each file's format is detected and
-    /// its plain text extracted through `registry` before tokenisation, and
-    /// binary files yield no terms.
+    /// With `formats`, makes the extractor format-aware: each file's format
+    /// is detected and its plain text extracted by the built-in
+    /// [`FormatRegistry`] before tokenisation, and binary files yield no
+    /// terms.  Without, the extractor is returned as it is.
     #[must_use]
-    pub fn with_formats(mut self, registry: FormatRegistry) -> Self {
-        self.formats = Some(registry);
+    pub fn with_formats(mut self, formats: bool) -> Self {
+        if formats {
+            self.formats = Some(FormatRegistry::with_builtins());
+        }
         self
     }
 
@@ -139,22 +136,13 @@ impl Extractor {
             Some(e) => e.text_bytes(),
             None => &data,
         };
-        let (terms, counts, occurrences) = match self.dedup {
-            DedupMode::PerFileWordList => {
-                let mut scanner = self.tokenizer.scan(text);
-                while let Some(token) = scanner.next_token(&mut self.token) {
-                    self.words.push_str(token);
-                }
-                let list = self.words.reset();
-                let occurrences = list.occurrences();
-                let (terms, counts) = list.into_parts();
-                (terms, counts, occurrences)
-            }
-            DedupMode::InsertEveryOccurrence => {
-                let (raw_terms, stats) = self.tokenizer.tokenize(text);
-                (raw_terms, Vec::new(), stats.terms_emitted)
-            }
-        };
+        let mut scanner = self.tokenizer.scan(text);
+        while let Some(token) = scanner.next_token(&mut self.token) {
+            self.words.push_str(token);
+        }
+        let list = self.words.reset();
+        let occurrences = list.occurrences();
+        let (terms, counts) = list.into_parts();
         Ok(FileTerms { file_id: item.file_id, terms, counts, occurrences, bytes })
     }
 
@@ -241,15 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_every_occurrence_keeps_duplicates() {
-        let (fs, items) = fixture();
-        let mut ex = Extractor::new(Tokenizer::default(), DedupMode::InsertEveryOccurrence);
-        let ft = ex.extract_file(&fs, &items[0]).unwrap();
-        assert_eq!(ft.terms.len(), 4);
-        assert_eq!(ft.occurrences, 4);
-    }
-
-    #[test]
     fn extract_all_accumulates_stats_and_calls_sink() {
         let (fs, items) = fixture();
         let mut ex = Extractor::default();
@@ -308,7 +287,7 @@ mod tests {
         let words: Vec<&str> = ft.terms.iter().map(|t| t.as_str()).collect();
         assert!(words.contains(&"html"), "raw mode indexes the markup itself");
 
-        let mut aware = Extractor::default().with_formats(FormatRegistry::with_builtins());
+        let mut aware = Extractor::default().with_formats(true);
         assert!(aware.is_format_aware());
         let ft = aware.extract_file(&fs, &items[0]).unwrap();
         let words: Vec<&str> = ft.terms.iter().map(|t| t.as_str()).collect();

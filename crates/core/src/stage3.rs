@@ -11,7 +11,7 @@
 //!
 //! Both sinks honour the configured [`InsertGranularity`]: en-bloc insertion
 //! (one call — and for the shared index one lock acquisition — per file) or
-//! per-term insertion (the ablation that floods the lock).
+//! per-term insertion (one lock acquisition per term for the shared index).
 
 use serde::{Deserialize, Serialize};
 

@@ -6,7 +6,6 @@
 //! feeding a fresh `WordListBuilder::push` — and to a model written here
 //! that shares no code with the scanner.
 
-use dsearch_core::config::DedupMode;
 use dsearch_core::distribute::WorkItem;
 use dsearch_core::stage2::Extractor;
 use dsearch_index::FileId;
@@ -85,7 +84,7 @@ proptest! {
         let options =
             TokenizerOptions { lowercase, include_digits, min_term_len, ..Default::default() };
         let tokenizer = Tokenizer::new(options.clone());
-        let mut extractor = Extractor::new(tokenizer.clone(), DedupMode::PerFileWordList);
+        let mut extractor = Extractor::new(tokenizer.clone());
         let fs = MemFs::new();
 
         for (i, pieces) in files.iter().enumerate() {

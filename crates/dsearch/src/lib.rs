@@ -74,8 +74,8 @@ pub mod persist {
     pub use dsearch_persist::*;
 }
 
-/// The parallel index generator (stages, distribution strategies, the three
-/// implementations, run reports).
+/// The parallel index generator (the three stages, the three implementations,
+/// run reports, the checkpointed build).
 pub mod core {
     pub use dsearch_core::*;
 }

@@ -64,8 +64,7 @@ impl InMemoryIndex {
     /// counts, recording the document length (total occurrences) for ranked
     /// retrieval — also for a file without terms.
     ///
-    /// An occurrence is an occurrence: a term listed again (the ablation that
-    /// disables the condensed word list passes every occurrence) adds to the
+    /// An occurrence is an occurrence: a term listed again adds to the
     /// frequency already stored for `(term, file)`, so the index comes out
     /// the same whether a file's occurrences arrive condensed or one by one.
     pub fn insert_file_counted<I>(&mut self, file: FileId, terms: I)
@@ -84,15 +83,6 @@ impl InMemoryIndex {
         let len = self.doc_lens.entry(file).or_insert(0);
         *len = len.saturating_add(u32::try_from(doc_len).unwrap_or(u32::MAX));
         self.files_indexed += 1;
-    }
-
-    /// Inserts a single occurrence of `term` in `file`.
-    ///
-    /// This is the *per-occurrence* update path used only by the ablation that
-    /// disables the condensed word list; a repeat adds to the stored
-    /// frequency.
-    pub fn insert_occurrence(&mut self, file: FileId, term: Term) {
-        self.insert_occurrences(file, term, 1);
     }
 
     /// Inserts `count` occurrences of `term` in `file` — the per-term update
@@ -135,8 +125,9 @@ impl InMemoryIndex {
         self.doc_lens.values().map(|&l| u64::from(l)).sum()
     }
 
-    /// Records that one file has been fully processed via
-    /// [`InMemoryIndex::insert_occurrence`] calls.
+    /// Counts one more file without recording a length for it — the segment
+    /// loader restores a segment's file count this way, next to the lengths
+    /// it restores through [`InMemoryIndex::note_doc_len`].
     pub fn note_file_done(&mut self) {
         self.files_indexed += 1;
     }
@@ -379,9 +370,9 @@ mod tests {
     #[test]
     fn per_occurrence_path_tolerates_duplicates() {
         let mut idx = InMemoryIndex::new();
-        idx.insert_occurrence(FileId(3), t("dup"));
-        idx.insert_occurrence(FileId(3), t("dup"));
-        idx.insert_occurrence(FileId(4), t("dup"));
+        idx.insert_occurrences(FileId(3), t("dup"), 1);
+        idx.insert_occurrences(FileId(3), t("dup"), 1);
+        idx.insert_occurrences(FileId(4), t("dup"), 1);
         idx.note_file_done();
         idx.note_file_done();
         assert_eq!(idx.posting_count(), 2);
@@ -395,8 +386,8 @@ mod tests {
     #[test]
     fn occurrences_build_the_index_of_the_condensed_list() {
         // The same file as a condensed word list, as raw occurrences en bloc,
-        // per term with counts and per occurrence: one index, frequencies
-        // and lengths included.
+        // per term with counts and one occurrence at a time: one index,
+        // frequencies and lengths included.
         let raw = ["b", "a", "b", "c", "b", "a"];
         let mut condensed = InMemoryIndex::new();
         condensed.insert_file_counted(FileId(7), [(t("b"), 3), (t("a"), 2), (t("c"), 1)]);
@@ -408,7 +399,9 @@ mod tests {
             per_term.insert_occurrences(FileId(7), t(term), count);
         }
         let mut per_occurrence = InMemoryIndex::new();
-        raw.map(t).into_iter().for_each(|term| per_occurrence.insert_occurrence(FileId(7), term));
+        for term in raw.map(t) {
+            per_occurrence.insert_occurrences(FileId(7), term, 1);
+        }
         per_occurrence.note_file_done();
         for other in [&en_bloc, &per_term, &per_occurrence] {
             assert_eq!(other.posting_count(), 3);

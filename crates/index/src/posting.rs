@@ -20,8 +20,8 @@
 //!
 //! # Out-of-order adds
 //!
-//! An id larger than every stored one is a few byte pushes.  Work stealing,
-//! dedicated updaters and reclaimed leases deliver ids a few files late, and
+//! An id larger than every stored one is a few byte pushes.  Implementation
+//! 1, dedicated updaters and reclaimed leases deliver ids a few files late, and
 //! a large straggler arrives hundreds of files late; such an add costs
 //! **O(distance from the end)**, never O(list).  LEB128 can be walked
 //! backwards — a byte below `0x80` ends a varint — so the add steps back from

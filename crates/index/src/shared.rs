@@ -79,23 +79,11 @@ impl SharedIndex {
         idx.insert_file_counted(file, terms);
     }
 
-    /// Inserts a single `(term, file)` occurrence under the lock (ablation
-    /// path: one lock acquisition per occurrence).
-    pub fn insert_occurrence(&self, file: FileId, term: Term) {
-        let mut idx = self.inner.lock();
-        idx.insert_occurrence(file, term);
-    }
-
     /// Inserts `count` occurrences of `term` in `file` under the lock (the
     /// per-term update over a condensed word list: one lock acquisition per
     /// term).
     pub fn insert_occurrences(&self, file: FileId, term: Term, count: u32) {
         self.inner.lock().insert_occurrences(file, term, count);
-    }
-
-    /// Records completion of a file processed via per-occurrence inserts.
-    pub fn note_file_done(&self) {
-        self.inner.lock().note_file_done();
     }
 
     /// The posting list for `term`, cloned out of the lock.
@@ -269,10 +257,11 @@ mod tests {
     #[test]
     fn shared_index_postings_and_occurrence_path() {
         let index = SharedIndex::with_capacity(16);
-        index.insert_occurrence(FileId(1), t("x"));
-        index.insert_occurrence(FileId(1), t("x"));
-        index.note_file_done();
+        index.insert_file_counted(FileId(1), []);
+        index.insert_occurrences(FileId(1), t("x"), 1);
+        index.insert_occurrences(FileId(1), t("x"), 1);
         assert_eq!(index.postings(&t("x")).unwrap().len(), 1);
+        assert_eq!(index.postings(&t("x")).unwrap().tf_of(FileId(1)), Some(2));
         assert!(index.postings(&t("missing")).is_none());
         assert!(index.handle_count() >= 1);
         let inner = index.into_inner();

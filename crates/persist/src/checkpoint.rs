@@ -17,8 +17,8 @@
 //!   queue; `dsearch dlq replay` re-runs the quarantined items.
 //!
 //! Both formats are versioned independently of the segment format; segments
-//! referenced by a checkpoint are ordinary v2 segments readable by every
-//! existing load path.
+//! referenced by a checkpoint are ordinary v7 segments — the one readable
+//! version — loaded like any other.
 
 use std::fs;
 use std::path::Path;

@@ -2,8 +2,8 @@
 //!
 //! Desktop-search engines commonly drop very frequent function words before
 //! indexing.  The paper's generator indexes everything, so the default
-//! configuration here is an *empty* stop list, but the filter is available for
-//! the ablation benchmarks and the query layer.
+//! configuration here is an *empty* stop list; the filter is here for callers
+//! that want one.
 
 use crate::hashtable::FnvHashSet;
 use crate::tokenizer::Term;

@@ -28,9 +28,9 @@ pub struct WalkStats {
 
 /// A discovered file: its path and size.
 ///
-/// File sizes are captured during the walk because two of the work
-/// distribution strategies (size-balanced and longest-processing-time) need
-/// them without re-querying the file system.
+/// File sizes are captured during the walk so that Stage 1's byte count and
+/// the checkpointed build's corpus fingerprint need not query the file
+/// system again.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FoundFile {
     /// Path of the file.

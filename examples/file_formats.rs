@@ -9,7 +9,7 @@
 //! cargo run --example file_formats
 //! ```
 
-use dsearch::core::{Configuration, FormatMode, GeneratorOptions, Implementation, IndexGenerator};
+use dsearch::core::{Configuration, GeneratorOptions, Implementation, IndexGenerator};
 use dsearch::formats::{detect_format, WpxWriter};
 use dsearch::query::{Query, Searcher};
 use dsearch::text::Term;
@@ -74,8 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (raw_index, _) = raw.outcome.into_single_index();
 
     // ... and once with format detection and extraction.
-    let mut options = GeneratorOptions::paper_defaults();
-    options.formats = FormatMode::DetectAndExtract;
+    let options = GeneratorOptions { formats: true, ..GeneratorOptions::paper_defaults() };
     let aware = IndexGenerator::new(options).run(
         &fs,
         &VPath::root(),

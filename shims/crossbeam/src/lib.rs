@@ -1,9 +1,8 @@
-//! Offline shim of `crossbeam`: the `channel` (bounded MPMC) and `deque`
-//! (work-stealing) APIs the pipeline uses, implemented over std mutexes and
-//! condvars.  Semantics match crossbeam where the workspace depends on them:
-//! cloneable senders *and* receivers, sends that fail once every receiver is
-//! gone, receivers that drain remaining messages after the last sender drops,
-//! and batch-stealing deques.
+//! Offline shim of `crossbeam`: the `channel` (bounded MPMC) API the
+//! pipeline uses, implemented over std mutexes and condvars.  Semantics match
+//! crossbeam where the workspace depends on them: cloneable senders *and*
+//! receivers, sends that fail once every receiver is gone, and receivers that
+//! drain remaining messages after the last sender drops.
 
 pub mod channel {
     //! Bounded multi-producer multi-consumer channel.
@@ -181,114 +180,9 @@ pub mod channel {
     }
 }
 
-pub mod deque {
-    //! Work-stealing deques (the subset the Stage 2 distributor uses).
-
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// Result of a steal attempt.
-    #[derive(Debug)]
-    pub enum Steal<T> {
-        /// One item was stolen.
-        Success(T),
-        /// The victim's deque was empty.
-        Empty,
-        /// The attempt lost a race and may be retried.
-        Retry,
-    }
-
-    /// The owner's handle to a deque.
-    #[derive(Debug)]
-    pub struct Worker<T> {
-        inner: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    /// A peer's stealing handle to a [`Worker`]'s deque.
-    #[derive(Debug)]
-    pub struct Stealer<T> {
-        inner: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Stealer { inner: Arc::clone(&self.inner) }
-        }
-    }
-
-    impl<T> Worker<T> {
-        /// Creates an empty FIFO deque.
-        #[must_use]
-        pub fn new_fifo() -> Self {
-            Worker { inner: Arc::new(Mutex::new(VecDeque::new())) }
-        }
-
-        /// Pushes an item onto the deque.
-        pub fn push(&self, item: T) {
-            self.inner.lock().unwrap_or_else(|e| e.into_inner()).push_back(item);
-        }
-
-        /// Pops the next item (FIFO order).
-        #[must_use]
-        pub fn pop(&self) -> Option<T> {
-            self.inner.lock().unwrap_or_else(|e| e.into_inner()).pop_front()
-        }
-
-        /// Number of items currently queued.
-        #[must_use]
-        pub fn len(&self) -> usize {
-            self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
-        }
-
-        /// Returns `true` when the deque holds no items.
-        #[must_use]
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        /// Creates a stealing handle to this deque.
-        #[must_use]
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer { inner: Arc::clone(&self.inner) }
-        }
-    }
-
-    impl<T> Stealer<T> {
-        /// Steals one item from the victim.
-        #[must_use]
-        pub fn steal(&self) -> Steal<T> {
-            match self.inner.lock().unwrap_or_else(|e| e.into_inner()).pop_front() {
-                Some(item) => Steal::Success(item),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Steals about half the victim's items into `dest`, returning one of
-        /// them.  The victim and destination locks are never held together,
-        /// so mutual steals cannot deadlock.
-        #[must_use]
-        pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            let batch: Vec<T> = {
-                let mut victim = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-                if victim.is_empty() {
-                    return Steal::Empty;
-                }
-                let take = victim.len().div_ceil(2);
-                victim.drain(..take).collect()
-            };
-            let mut iter = batch.into_iter();
-            let first = iter.next().expect("batch is non-empty");
-            let mut dest_queue = dest.inner.lock().unwrap_or_else(|e| e.into_inner());
-            dest_queue.extend(iter);
-            Steal::Success(first)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel::{bounded, RecvError};
-    use super::deque::{Steal, Worker};
 
     #[test]
     fn channel_delivers_in_order_and_ends_cleanly() {
@@ -339,28 +233,5 @@ mod tests {
         }
         drop(tx);
         assert_eq!(rx.iter().count(), 10_000);
-    }
-
-    #[test]
-    fn deque_steals_batches_without_losing_items() {
-        let victim = Worker::new_fifo();
-        for i in 0..10 {
-            victim.push(i);
-        }
-        let thief = Worker::new_fifo();
-        let stealer = victim.stealer();
-        let Steal::Success(first) = stealer.steal_batch_and_pop(&thief) else {
-            panic!("steal should succeed");
-        };
-        let mut seen = vec![first];
-        while let Some(i) = thief.pop() {
-            seen.push(i);
-        }
-        while let Some(i) = victim.pop() {
-            seen.push(i);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-        assert!(matches!(Worker::<u32>::new_fifo().stealer().steal(), Steal::Empty));
     }
 }

@@ -3,7 +3,7 @@
 //! index document *content* rather than markup, skip binary files, and stay
 //! consistent with the plain-text behaviour the paper's benchmark relies on.
 
-use dsearch::core::{Configuration, FormatMode, GeneratorOptions, Implementation, IndexGenerator};
+use dsearch::core::{Configuration, GeneratorOptions, Implementation, IndexGenerator};
 use dsearch::formats::{DocumentFormat, FormatRegistry, WpxWriter};
 use dsearch::query::{Query, Searcher};
 use dsearch::text::Term;
@@ -50,8 +50,7 @@ fn mixed_corpus() -> MemFs {
 }
 
 fn format_aware_generator() -> IndexGenerator {
-    let mut options = GeneratorOptions::paper_defaults();
-    options.formats = FormatMode::DetectAndExtract;
+    let options = GeneratorOptions { formats: true, ..GeneratorOptions::paper_defaults() };
     IndexGenerator::new(options)
 }
 

@@ -285,8 +285,9 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
 /// BM25's document count is the number of documents with a recorded length
 /// (README "Ranked retrieval").  An en-bloc insert records one for a file
 /// without terms, so every store `dsearch index` writes counts such files;
-/// the per-occurrence ablation path does not, and there the count falls
-/// below `file_count()` — consistently, in memory and across
+/// an index built one occurrence at a time, each file counted through
+/// `note_file_done`, does not, and there the count falls below
+/// `file_count()` — consistently, in memory and across
 /// `read_segment` → `write_segment`, so scores and bounds never drift.
 #[test]
 fn the_scored_document_count_survives_a_read_and_recommit() {
@@ -298,7 +299,9 @@ fn the_scored_document_count_survives_a_read_and_recommit() {
     let mut per_occurrence = InMemoryIndex::new();
     for (file, &id) in ids.iter().enumerate() {
         en_bloc.insert_file_counted(id, words(file).into_iter().map(|w| (Term::from(w), 2u32)));
-        words(file).into_iter().for_each(|w| per_occurrence.insert_occurrence(id, Term::from(w)));
+        for w in words(file) {
+            per_occurrence.insert_occurrences(id, Term::from(w), 1);
+        }
         per_occurrence.note_file_done();
     }
     assert_eq!((en_bloc.file_count(), per_occurrence.file_count()), (3, 3));

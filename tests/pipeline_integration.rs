@@ -1,8 +1,7 @@
 //! Integration tests spanning corpus generation, the full parallel pipeline
 //! and the resulting indices.
 
-use dsearch::core::config::{DedupMode, InsertGranularity, Stage1Mode};
-use dsearch::core::distribute::DistributionStrategy;
+use dsearch::core::config::InsertGranularity;
 use dsearch::core::{
     Configuration, GeneratorOptions, Implementation, IndexGenerator, IndexOutcome, PipelineError,
 };
@@ -93,36 +92,19 @@ fn all_option_combinations_produce_the_reference_index() {
     let reference = IndexGenerator::default().run_sequential(&fs, &VPath::root()).unwrap();
     let stored = persisted(std::slice::from_ref(&reference.index), &reference.docs);
 
-    for distribution in DistributionStrategy::ALL {
-        for (dedup, granularity) in [
-            (DedupMode::PerFileWordList, InsertGranularity::EnBloc),
-            (DedupMode::PerFileWordList, InsertGranularity::PerTerm),
-            (DedupMode::InsertEveryOccurrence, InsertGranularity::EnBloc),
-        ] {
-            for stage1 in [Stage1Mode::UpFront, Stage1Mode::Concurrent] {
-                let options = GeneratorOptions {
-                    distribution,
-                    dedup,
-                    granularity,
-                    stage1,
-                    ..GeneratorOptions::paper_defaults()
-                };
-                let generator = IndexGenerator::new(options);
-                let run = generator
-                    .run(
-                        &fs,
-                        &VPath::root(),
-                        Implementation::SharedLocked,
-                        Configuration::new(2, 1, 0),
-                    )
-                    .unwrap();
-                let what = format!(
-                    "distribution={distribution:?} dedup={dedup:?} granularity={granularity:?} stage1={stage1:?}"
-                );
-                assert!(persisted(run.outcome.replicas(), run.outcome.docs()) == stored, "{what}");
-                let (index, _) = run.outcome.into_single_index();
-                assert_eq!(index, reference.index, "{what}");
-            }
+    for granularity in [InsertGranularity::EnBloc, InsertGranularity::PerTerm] {
+        let generator = IndexGenerator::new(GeneratorOptions {
+            granularity,
+            ..GeneratorOptions::paper_defaults()
+        });
+        for implementation in Implementation::ALL {
+            let run = generator
+                .run(&fs, &VPath::root(), implementation, Configuration::new(2, 1, 0))
+                .unwrap();
+            let what = format!("{implementation} granularity={granularity:?}");
+            assert!(persisted(run.outcome.replicas(), run.outcome.docs()) == stored, "{what}");
+            let (index, _) = run.outcome.into_single_index();
+            assert_eq!(index, reference.index, "{what}");
         }
     }
 }
