@@ -1,9 +1,12 @@
 //! `dsearch-cli build` — the checkpointed, fault-tolerant index build.
 //!
-//! Unlike `index` (the paper's batch pipeline), `build` leases work items,
-//! retries transient failures with backoff, quarantines poison files in the
-//! dead-letter queue, and checkpoints progress so a killed build resumes
-//! with `--resume` instead of starting over.
+//! `build` runs the pipeline `index` runs — the files dealt round-robin to
+//! the extractors, one replica each — and on top of it retries transient
+//! failures with backoff, quarantines poison files in the dead-letter queue,
+//! and seals each replica into a checkpointed segment as it goes, so a
+//! killed build resumes with `--resume` instead of starting over.  With an
+//! interval longer than the build, its one segment is `index`'s, byte for
+//! byte.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -56,7 +59,7 @@ pub(crate) fn render_report(dir: &str, store: &str, report: &BuildReport) -> Str
         "build of {dir} -> {store}: {status}\n  \
          files {} (skipped {}) / {:.2} MB read in {:.3} s\n  \
          items_ok {}  items_retried {}  items_dead {}\n  \
-         checkpoint_writes {}  lease_reclaims {}\n  \
+         checkpoint_writes {}\n  \
          segments {}  dead_letters {}  corpus_fingerprint {:#018x}\n",
         report.files,
         report.skipped,
@@ -66,7 +69,6 @@ pub(crate) fn render_report(dir: &str, store: &str, report: &BuildReport) -> Str
         report.counters.items_retried,
         report.counters.items_dead,
         report.counters.checkpoint_writes,
-        report.counters.lease_reclaims,
         report.segments,
         report.dead_letters,
         report.corpus_fingerprint,
@@ -176,7 +178,6 @@ mod tests {
             "items_retried",
             "items_dead",
             "checkpoint_writes",
-            "lease_reclaims",
             "dead_letters",
             "complete",
         ] {

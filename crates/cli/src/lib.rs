@@ -6,7 +6,7 @@
 //! | command | purpose |
 //! |---|---|
 //! | `index <dir> --store <path>` | index a directory with one of the paper's three parallel implementations and persist the result |
-//! | `build <dir> --store <path>` | checkpointed fault-tolerant build: leased work items, retries with backoff, dead-letter queue, `--resume` |
+//! | `build <dir> --store <path>` | checkpointed fault-tolerant build: `index`'s pipeline plus retries with backoff, dead-letter queue, per-replica checkpoints, `--resume` |
 //! | `dlq list\|replay --store <path>` | inspect the dead-letter queue or re-run its quarantined files |
 //! | `search --store <path> <query…>` | run a boolean/prefix query against a persisted index |
 //! | `serve --store <path> [--tcp addr]` | run the concurrent query service (line protocol, snapshot reloads) |
@@ -75,13 +75,13 @@ COMMANDS:
 
     build <dir> --store <path> [--resume] [--extractors N] [--max-retries N]
           [--checkpoint-every SECS] [--throttle-ms N] [--formats]
-        Fault-tolerant, checkpointed build of <dir> into <path>.  Work items
-        are leased (a dead worker's lease is reclaimed), transient read
-        failures retry with exponential backoff, and files that keep failing
-        are quarantined in the dead-letter queue instead of failing the
-        build.  Progress checkpoints atomically every SECS seconds (0 =
-        after every file); a killed build rerun with --resume skips the
-        files already sealed into segments.
+        Fault-tolerant, checkpointed build of <dir> into <path>: the
+        pipeline `index` runs (Implementation 3), where each extractor
+        retries a transient read failure with exponential backoff, and
+        files that keep failing are quarantined in the dead-letter queue
+        instead of failing the build.  Each extractor seals its replica into
+        a checkpointed segment every SECS seconds (0 = after every file); a
+        killed build rerun with --resume skips the files already sealed.
 
     dlq list --store <path>
     dlq replay <dir> --store <path> [--extractors N] [--max-retries N]

@@ -64,8 +64,8 @@ pub use config::{Configuration, GeneratorOptions, Implementation};
 pub use error::PipelineError;
 pub use incremental::IncrementalRun;
 pub use pipeline::{
-    corpus_fingerprint, BuildCounters, BuildOptions, BuildPipeline, BuildReport, CancelToken,
-    CounterSnapshot, ReplayReport,
+    corpus_fingerprint, BuildOptions, BuildPipeline, BuildReport, CancelToken, CounterSnapshot,
+    ReplayReport,
 };
 pub use report::{IndexOutcome, ParallelRun, RunReport, SequentialRun};
 pub use runner::IndexGenerator;

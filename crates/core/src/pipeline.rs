@@ -1,52 +1,48 @@
 //! Checkpointed, fault-tolerant index builds.
 //!
-//! The paper's pipeline assumes a perfect run: every file reads cleanly, no
-//! worker dies, and a 90–220 second build that crashes at second 89 starts
-//! over from zero.  This module wraps the same Stage 1 → Stage 2 machinery in
-//! the reliability layer a deployed index generator needs:
+//! [`BuildPipeline`] runs the pipeline `index` runs — Implementation 3 at
+//! `(x, 0, 0)`: the files dealt round-robin, one replica per extractor, no
+//! shared work queue and no lock per file — and adds what a deployed
+//! generator needs:
 //!
-//! * **Leased work items** ([`LeaseQueue`]) — extractors *lease* a file
-//!   instead of popping it.  A lease is acknowledged on success; if the
-//!   holder panics or dies, the RAII guard returns the item to the queue, so
-//!   no file is ever silently dropped.
-//! * **Retry with backoff** — transient read failures reschedule the item
-//!   with exponential backoff and deterministic jitter (no worker ever
-//!   sleeps; delayed items sit in a timer set inside the queue).  Permanent
-//!   failures and items that exhaust their retry budget are quarantined in
-//!   the on-disk dead-letter queue instead of failing the build.
-//! * **Checkpointing** — completed files accumulate in a partial in-memory
-//!   index that is sealed into an ordinary store segment at a configurable
-//!   interval; the durable [`BuildCheckpoint`] is written (atomically) only
-//!   *after* its segment is on disk.  A build killed at any instant resumes
-//!   with `resume: true`, re-extracting only the unsealed tail.
-//! * **DLQ replay** ([`BuildPipeline::replay_dlq`]) — quarantined files are
-//!   re-run through the same pipeline once the underlying fault is fixed;
-//!   recovered items leave the queue and join the index.
-//!
-//! The sealed partial segments are ordinary segments — v7, the one version
-//! the store reads — so a resumed build's store answers queries exactly like
-//! a batch build's: the equivalence the resume proptest in
-//! `tests/pipeline_resume.rs` pins down.
+//! * **Retry with backoff** — a transient read failure or a caught panic
+//!   waits on its extractor's own delayed list and is retried between files
+//!   once due; permanent failures and files out of attempts go to the
+//!   on-disk dead-letter queue instead of failing the build.
+//! * **Checkpointing** — every `checkpoint_every`, an extractor seals its
+//!   replica into an ordinary segment and only then extends the durable
+//!   [`BuildCheckpoint`], so a killed build resumes re-extracting only the
+//!   unsealed tail.  An uninterrupted build seals the replicas' tails as one
+//!   segment, as `index` does: with an interval longer than the build its
+//!   store is `index`'s byte for byte.  Periodic seals cost up to *x*
+//!   segments per interval.
+//! * **DLQ replay** ([`BuildPipeline::replay_dlq`]) — a recovered file
+//!   leaves the queue in the seal that records it.
 
 use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex as StdMutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use dsearch_index::DocTable;
-use dsearch_index::InMemoryIndex;
+use dsearch_index::{DocTable, InMemoryIndex};
 use dsearch_persist::{BuildCheckpoint, DeadLetter, DeadLetterQueue, IndexStore};
-use dsearch_text::tokenizer::Tokenizer;
 use dsearch_vfs::{FileSystem, VPath, VfsError};
 
-use crate::distribute::{Lease, LeaseQueue, WorkItem};
+use crate::config::{Configuration, GeneratorOptions, Implementation};
+use crate::distribute::WorkItem;
 use crate::error::PipelineError;
-use crate::stage1::generate_filenames;
-use crate::stage2::Extractor;
+use crate::runner::{IndexGenerator, Supervisor};
+use crate::stage1::{generate_filenames, FilenameSet};
+use crate::stage3::ReplicaSink;
+
+/// Base delay of the exponential retry backoff.
+const RETRY_BASE: Duration = Duration::from_millis(10);
+
+/// Upper bound on a single retry delay.
+const RETRY_CAP: Duration = Duration::from_secs(1);
 
 /// Options of a checkpointed build.
 #[derive(Debug, Clone)]
@@ -55,9 +51,9 @@ pub struct BuildOptions {
     pub extractors: usize,
     /// Maximum extraction attempts per file before it is dead-lettered.
     pub max_retries: u32,
-    /// Minimum interval between checkpoint writes.  [`Duration::ZERO`]
-    /// checkpoints after every completed file (maximum durability, maximum
-    /// overhead — the bench measures the trade-off).
+    /// Minimum interval between an extractor's seals of its replica.
+    /// [`Duration::ZERO`] seals after every completed file (maximum
+    /// durability, maximum overhead — the bench measures the trade-off).
     pub checkpoint_every: Duration,
     /// Resume from an existing checkpoint instead of starting fresh.
     pub resume: bool,
@@ -66,10 +62,6 @@ pub struct BuildOptions {
     /// Artificial per-file delay, used by tests and the CI kill–resume smoke
     /// to make a SIGKILL land mid-corpus deterministically.
     pub throttle: Duration,
-    /// Base delay of the exponential retry backoff.
-    pub retry_base: Duration,
-    /// Upper bound on a single retry delay.
-    pub retry_cap: Duration,
     /// Stop the build (as if it crashed) after this many successful
     /// extractions — the hook the interruption tests and the resumed-build
     /// bench use.  `None` runs to completion.
@@ -85,55 +77,24 @@ impl Default for BuildOptions {
             resume: false,
             formats: false,
             throttle: Duration::ZERO,
-            retry_base: Duration::from_millis(10),
-            retry_cap: Duration::from_secs(1),
             stop_after: None,
         }
     }
 }
 
-/// Shared atomic counters of one build, exported into the run report and the
-/// metrics registry.
-#[derive(Debug, Default)]
-pub struct BuildCounters {
-    /// Files extracted and sealed (or pending seal).
-    pub items_ok: AtomicU64,
-    /// Retries scheduled after transient failures (including caught panics).
-    pub items_retried: AtomicU64,
-    /// Files quarantined in the dead-letter queue.
-    pub items_dead: AtomicU64,
-    /// Durable checkpoint writes.
-    pub checkpoint_writes: AtomicU64,
-    /// Leases returned by the RAII guard after a holder died.
-    pub lease_reclaims: AtomicU64,
-}
-
-impl BuildCounters {
-    /// A plain-data copy of the counters.
-    #[must_use]
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            items_ok: self.items_ok.load(Ordering::Relaxed),
-            items_retried: self.items_retried.load(Ordering::Relaxed),
-            items_dead: self.items_dead.load(Ordering::Relaxed),
-            checkpoint_writes: self.checkpoint_writes.load(Ordering::Relaxed),
-            lease_reclaims: self.lease_reclaims.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-data snapshot of [`BuildCounters`].
+/// The counter totals of one build.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
     /// Files extracted successfully.
     pub items_ok: u64,
-    /// Retries scheduled.
+    /// Retries scheduled after transient failures (including caught panics).
     pub items_retried: u64,
     /// Files dead-lettered.
     pub items_dead: u64,
     /// Checkpoints written.
     pub checkpoint_writes: u64,
-    /// Leases reclaimed from dead holders.
+    /// Always 0, kept because the repo benchmark reads it: no file is leased
+    /// from a shared queue any more, so none is reclaimed from a dead holder.
     pub lease_reclaims: u64,
 }
 
@@ -160,8 +121,8 @@ pub struct BuildReport {
     pub elapsed_seconds: f64,
     /// Fingerprint of the corpus file list the build ran over.
     pub corpus_fingerprint: u64,
-    /// The most heap the partial index held when it was sealed into a
-    /// segment ([`InMemoryIndex::heap_bytes`]).
+    /// The most heap the replicas held when they were sealed into a segment
+    /// ([`InMemoryIndex::heap_bytes`]).
     pub index_heap_bytes: u64,
 }
 
@@ -170,7 +131,7 @@ pub struct BuildReport {
 pub struct ReplayReport {
     /// Quarantined items matched against the current corpus and re-run.
     pub attempted: u64,
-    /// Items that extracted successfully and left the queue.
+    /// Items that extracted successfully, were sealed and left the queue.
     pub recovered: u64,
     /// Items still quarantined after the replay.
     pub still_dead: u64,
@@ -243,98 +204,133 @@ pub fn backoff_delay(base: Duration, cap: Duration, attempts: u32, file_id: u32)
     Duration::from_nanos(half + x % (exp - half + 1))
 }
 
-/// Everything the workers write to: the partial index, the store, the
-/// durable checkpoint and the DLQ, behind one lock.
-struct SinkState {
-    pending: InMemoryIndex,
-    pending_ids: Vec<u32>,
+/// The store, checkpoint and DLQ, and the counts of failures and seals:
+/// behind one lock, taken per seal or failed attempt, never per file.
+struct Durable {
     store: IndexStore,
     checkpoint: BuildCheckpoint,
     dlq: DeadLetterQueue,
-    last_seal: Instant,
-    ok_total: u64,
-    bytes: u64,
-    /// The most heap `pending` held at a seal.
-    index_heap_bytes: usize,
-}
-
-struct Sink {
-    state: parking_lot::Mutex<SinkState>,
+    /// The document table every segment of the run is sealed over.
     docs: DocTable,
-    counters: Arc<BuildCounters>,
-    checkpoint_every: Duration,
-    stop_after: Option<u64>,
+    /// All but `items_ok`, which the extractors count without the lock.
+    counters: CounterSnapshot,
+    /// The most heap the replicas held at a seal.
+    peak_heap: usize,
 }
 
-impl Sink {
-    /// Records one successful extraction; seals a segment and checkpoints
-    /// when the interval is due, and closes the queue at `stop_after`.
-    fn complete(
-        &self,
-        item: &WorkItem,
-        terms: crate::stage2::FileTerms,
-        queue: &LeaseQueue,
-    ) -> Result<(), PipelineError> {
-        let mut s = self.state.lock();
-        s.pending_ids.push(terms.file_id.as_u32());
-        s.bytes += terms.bytes;
-        s.pending.insert_file_counted(terms.file_id, terms.into_counted());
-        s.ok_total += 1;
-        self.counters.items_ok.fetch_add(1, Ordering::Relaxed);
-        // A replayed item that recovers leaves the quarantine.
-        let path = item.path.as_str();
-        if s.dlq.contains(path) {
-            s.dlq.entries.retain(|e| e.path != path);
-            let root = s.store.root().to_path_buf();
-            s.dlq.save(&root)?;
+impl Durable {
+    /// Seals `replicas` into one segment, then durably extends the
+    /// checkpoint with their files, then lets the quarantined ones among them
+    /// leave the DLQ.  Ordering matters: the checkpoint is written only after
+    /// its segment exists, so a crash between the two leaves an orphan
+    /// segment that `reconcile` drops on resume — never a checkpoint that
+    /// promises missing data; and a file leaves the DLQ only once the
+    /// checkpoint records it.
+    fn seal(&mut self, replicas: &[InMemoryIndex]) -> Result<(), PipelineError> {
+        let mut ids: Vec<u32> =
+            replicas.iter().flat_map(|r| r.doc_lens().map(|(id, _)| id.as_u32())).collect();
+        if ids.is_empty() {
+            return Ok(());
         }
-        if self.checkpoint_every.is_zero() || s.last_seal.elapsed() >= self.checkpoint_every {
-            self.seal_locked(&mut s)?;
-        }
-        if self.stop_after.is_some_and(|n| s.ok_total >= n) {
-            queue.close();
+        ids.sort_unstable();
+        self.peak_heap = self.peak_heap.max(replicas.iter().map(InMemoryIndex::heap_bytes).sum());
+        let (name, _info) = self.store.commit_named(replicas, &self.docs)?;
+        self.checkpoint.segments.push(name);
+        self.checkpoint.completed.extend_from_slice(&ids);
+        self.checkpoint.save(self.store.root())?;
+        self.counters.checkpoint_writes += 1;
+        // A replay runs over the corpus the checkpoint fingerprinted, so a
+        // quarantined file keeps the id its entry names.
+        let quarantined = self.dlq.len();
+        self.dlq.entries.retain(|e| ids.binary_search(&e.file_id).is_err());
+        if self.dlq.len() < quarantined {
+            self.dlq.save(self.store.root())?;
         }
         Ok(())
     }
 
     /// Quarantines an item with its final error.
-    fn dead(&self, item: &WorkItem, attempts: u32, error: String) -> Result<(), PipelineError> {
-        self.counters.items_dead.fetch_add(1, Ordering::Relaxed);
-        let mut s = self.state.lock();
+    fn dead(&mut self, item: &WorkItem, attempts: u32, error: String) -> Result<(), PipelineError> {
+        self.counters.items_dead += 1;
         let path = item.path.as_str().to_owned();
         let file_id = item.file_id.as_u32();
-        if let Some(existing) = s.dlq.entries.iter_mut().find(|e| e.path == path) {
+        if let Some(existing) = self.dlq.entries.iter_mut().find(|e| e.path == path) {
             existing.attempts = existing.attempts.max(attempts);
             existing.error = error;
             existing.file_id = file_id;
         } else {
-            s.dlq.entries.push(DeadLetter { path, file_id, attempts, error });
+            self.dlq.entries.push(DeadLetter { path, file_id, attempts, error });
         }
-        let root = s.store.root().to_path_buf();
-        s.dlq.save(&root)?;
+        self.dlq.save(self.store.root())?;
         Ok(())
     }
+}
 
-    /// Seals the pending partial index into a segment, then durably extends
-    /// the checkpoint.  Ordering matters: the checkpoint is written only
-    /// after its segment exists, so a crash between the two leaves an orphan
-    /// segment that `reconcile` drops on resume — never a checkpoint that
-    /// promises missing data.
-    fn seal_locked(&self, s: &mut SinkState) -> Result<(), PipelineError> {
-        if s.pending_ids.is_empty() {
-            s.last_seal = Instant::now();
-            return Ok(());
+/// One checkpointed run, as the extractor loop's [`Supervisor`].
+struct BuildRun<'a> {
+    options: &'a BuildOptions,
+    /// The caller's ([`BuildPipeline::cancel_token`]).
+    cancel: &'a CancelToken,
+    /// This run's: cancelled at `stop_after` or on a fatal error.
+    stop: CancelToken,
+    items_ok: AtomicU64,
+    durable: parking_lot::Mutex<Durable>,
+}
+
+impl Supervisor for BuildRun<'_> {
+    fn stopped(&self) -> bool {
+        self.stop.is_cancelled() || self.cancel.is_cancelled()
+    }
+
+    fn halt(&self) {
+        self.stop.cancel();
+    }
+
+    fn before_extract(&self) {
+        if !self.options.throttle.is_zero() {
+            std::thread::sleep(self.options.throttle);
         }
-        let index = std::mem::replace(&mut s.pending, InMemoryIndex::new());
-        s.index_heap_bytes = s.index_heap_bytes.max(index.heap_bytes());
-        let ids = std::mem::take(&mut s.pending_ids);
-        let (name, _info) = s.store.commit_named(&index, &self.docs)?;
-        s.checkpoint.segments.push(name);
-        s.checkpoint.completed.extend(ids);
-        let root = s.store.root().to_path_buf();
-        s.checkpoint.save(&root)?;
-        self.counters.checkpoint_writes.fetch_add(1, Ordering::Relaxed);
-        s.last_seal = Instant::now();
+    }
+
+    /// Retries with backoff while the budget and the error's nature allow;
+    /// dead-letters otherwise.
+    fn failed(
+        &self,
+        item: &WorkItem,
+        attempts: u32,
+        error: PipelineError,
+    ) -> Result<Option<Duration>, PipelineError> {
+        if is_permanent(&error) || attempts >= self.options.max_retries.max(1) {
+            let error = match error {
+                PipelineError::WorkerPanicked(_) => {
+                    format!("extraction panicked on {}", item.path)
+                }
+                error => error.to_string(),
+            };
+            self.durable.lock().dead(item, attempts, error)?;
+            Ok(None)
+        } else {
+            self.durable.lock().counters.items_retried += 1;
+            Ok(Some(backoff_delay(RETRY_BASE, RETRY_CAP, attempts, item.file_id.as_u32())))
+        }
+    }
+
+    /// Seals the extractor's replica once the interval has passed since its
+    /// last seal, and stops the run at `stop_after`.
+    fn extracted(
+        &self,
+        replica: &mut ReplicaSink,
+        sealed_at: &mut Instant,
+    ) -> Result<(), PipelineError> {
+        let ok = self.items_ok.fetch_add(1, Ordering::Relaxed) + 1;
+        if sealed_at.elapsed() >= self.options.checkpoint_every {
+            let index = replica.take_index();
+            self.durable.lock().seal(std::slice::from_ref(&index))?;
+            *sealed_at = Instant::now();
+        }
+        if self.options.stop_after.is_some_and(|n| ok >= n) {
+            self.stop.cancel();
+        }
         Ok(())
     }
 }
@@ -346,12 +342,6 @@ pub struct BuildPipeline {
     cancel: CancelToken,
 }
 
-impl Default for BuildPipeline {
-    fn default() -> Self {
-        BuildPipeline::new(BuildOptions::default())
-    }
-}
-
 impl BuildPipeline {
     /// Creates a pipeline with the given options.
     #[must_use]
@@ -359,20 +349,10 @@ impl BuildPipeline {
         BuildPipeline { options, cancel: CancelToken::new() }
     }
 
-    /// The pipeline's options.
-    #[must_use]
-    pub fn options(&self) -> &BuildOptions {
-        &self.options
-    }
-
     /// A handle that cancels a build running on another thread.
     #[must_use]
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
-    }
-
-    fn extractor(&self) -> Extractor {
-        Extractor::new(Tokenizer::default()).with_formats(self.options.formats)
     }
 
     /// Runs a checkpointed build of the tree under `root` into the store at
@@ -386,9 +366,10 @@ impl BuildPipeline {
     ///
     /// # Errors
     ///
-    /// Fails on Stage 1 walk errors, persistence failures, or a rejected
-    /// resume.  Per-file extraction failures do *not* fail the build — they
-    /// retry and then dead-letter.
+    /// Fails on Stage 1 walk errors, persistence failures, a rejected
+    /// resume, or an extractor that dies outside extraction.  Per-file
+    /// extraction failures do *not* fail the build — they retry and then
+    /// dead-letter.
     pub fn build<F>(
         &self,
         fs: &F,
@@ -398,45 +379,31 @@ impl BuildPipeline {
     where
         F: FileSystem + ?Sized,
     {
-        let set = generate_filenames(fs, root)?;
+        let mut set = generate_filenames(fs, root)?;
         let fingerprint = corpus_fingerprint(&set.items);
         let mut store = IndexStore::open(store_root)?;
         let files = set.items.len() as u64;
-
-        let (checkpoint, dlq, items, skipped) = if self.options.resume {
-            match BuildCheckpoint::load(store.root())? {
-                Some(mut existing) => {
-                    if existing.corpus_fingerprint != fingerprint {
-                        return Err(PipelineError::ResumeRejected(format!(
-                            "corpus changed since the checkpoint was written \
-                             (fingerprint {:#018x} != {fingerprint:#018x}); \
-                             run a fresh build",
-                            existing.corpus_fingerprint
-                        )));
-                    }
-                    existing.reconcile(&mut store)?;
-                    let dlq = DeadLetterQueue::load(store.root())?;
-                    let done: HashSet<u32> = existing.completed.iter().copied().collect();
-                    let total = set.items.len();
-                    let items: Vec<WorkItem> = set
-                        .items
-                        .into_iter()
-                        .filter(|i| {
-                            !done.contains(&i.file_id.as_u32()) && !dlq.contains(i.path.as_str())
-                        })
-                        .collect();
-                    let skipped = (total - items.len()) as u64;
-                    existing.complete = false;
-                    (existing, dlq, items, skipped)
-                }
-                // Resuming with no checkpoint on disk is a fresh build.
-                None => self.fresh_state(&mut store, fingerprint, set.items)?,
+        let resumed = if self.options.resume { resume(&mut store, fingerprint)? } else { None };
+        // Resuming with no checkpoint on disk is a fresh build.
+        let (checkpoint, dlq) = match resumed {
+            Some((mut checkpoint, dlq)) => {
+                let done: HashSet<u32> = checkpoint.completed.iter().copied().collect();
+                set.items.retain(|i| {
+                    !done.contains(&i.file_id.as_u32()) && !dlq.contains(i.path.as_str())
+                });
+                checkpoint.complete = false;
+                (checkpoint, dlq)
             }
-        } else {
-            self.fresh_state(&mut store, fingerprint, set.items)?
+            None => {
+                BuildCheckpoint::remove(store.root())?;
+                store.clear_segments()?;
+                let dlq = DeadLetterQueue::default();
+                dlq.save(store.root())?;
+                (BuildCheckpoint::new(fingerprint), dlq)
+            }
         };
-
-        self.run_items(fs, items, set.docs, store, checkpoint, dlq, files, skipped)
+        let skipped = files - set.items.len() as u64;
+        self.run(fs, set, store, checkpoint, dlq, skipped)
     }
 
     /// Re-runs the quarantined items of the store's DLQ through the
@@ -457,231 +424,112 @@ impl BuildPipeline {
     where
         F: FileSystem + ?Sized,
     {
-        let set = generate_filenames(fs, root)?;
+        let mut set = generate_filenames(fs, root)?;
         let fingerprint = corpus_fingerprint(&set.items);
         let mut store = IndexStore::open(store_root)?;
-        let Some(checkpoint) = BuildCheckpoint::load(store.root())? else {
+        let Some((checkpoint, dlq)) = resume(&mut store, fingerprint)? else {
             return Err(PipelineError::ResumeRejected(
                 "no checkpoint in the store; run `dsearch build` first".to_owned(),
             ));
         };
-        if checkpoint.corpus_fingerprint != fingerprint {
-            return Err(PipelineError::ResumeRejected(
-                "corpus changed since the checkpoint was written; run a fresh build".to_owned(),
-            ));
-        }
-        checkpoint.reconcile(&mut store)?;
-        let dlq = DeadLetterQueue::load(store.root())?;
         if dlq.is_empty() {
             return Ok(ReplayReport::default());
         }
         let quarantined = dlq.len() as u64;
-        let items: Vec<WorkItem> =
-            set.items.iter().filter(|i| dlq.contains(i.path.as_str())).cloned().collect();
-        let missing = quarantined - items.len() as u64;
-        let attempted = items.len() as u64;
-        let files = attempted;
+        set.items.retain(|i| dlq.contains(i.path.as_str()));
+        let attempted = set.items.len() as u64;
+        let missing = quarantined - attempted;
 
-        let report = self.run_items(fs, items, set.docs, store, checkpoint, dlq, files, 0)?;
-        Ok(ReplayReport {
-            attempted,
-            recovered: report.counters.items_ok,
-            still_dead: report.dead_letters as u64,
-            missing,
-        })
+        // A file leaves the queue only when a seal records it, and one that
+        // fails again keeps its entry.
+        let report = self.run(fs, set, store, checkpoint, dlq, 0)?;
+        let still_dead = report.dead_letters as u64;
+        Ok(ReplayReport { attempted, recovered: quarantined - still_dead, still_dead, missing })
     }
 
-    /// Resets the store for a build that starts from scratch.
-    fn fresh_state(
-        &self,
-        store: &mut IndexStore,
-        fingerprint: u64,
-        items: Vec<WorkItem>,
-    ) -> Result<(BuildCheckpoint, DeadLetterQueue, Vec<WorkItem>, u64), PipelineError> {
-        BuildCheckpoint::remove(store.root())?;
-        store.clear_segments()?;
-        let dlq = DeadLetterQueue::default();
-        dlq.save(store.root())?;
-        Ok((BuildCheckpoint::new(fingerprint), dlq, items, 0))
-    }
-
-    /// The worker pool over a prepared item list and sink state — shared by
-    /// `build` and `replay_dlq`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_items<F>(
+    /// The files of `set` through the one extractor loop, as Implementation
+    /// 3 at `(extractors, 0, 0)` — shared by `build` and `replay_dlq`.
+    fn run<F>(
         &self,
         fs: &F,
-        items: Vec<WorkItem>,
-        docs: DocTable,
+        set: FilenameSet,
         store: IndexStore,
         checkpoint: BuildCheckpoint,
         dlq: DeadLetterQueue,
-        files: u64,
         skipped: u64,
     ) -> Result<BuildReport, PipelineError>
     where
         F: FileSystem + ?Sized,
     {
-        if self.options.extractors == 0 {
-            return Err(PipelineError::InvalidConfiguration(
-                "a build needs at least one extractor".to_owned(),
-            ));
-        }
         let started = Instant::now();
-        let counters = Arc::new(BuildCounters::default());
-        let queue = LeaseQueue::new(items, self.options.max_retries);
-        let sink = Sink {
-            state: parking_lot::Mutex::new(SinkState {
-                pending: InMemoryIndex::new(),
-                pending_ids: Vec::new(),
-                store,
-                checkpoint,
-                dlq,
-                last_seal: Instant::now(),
-                ok_total: 0,
-                bytes: 0,
-                index_heap_bytes: 0,
-            }),
-            docs,
-            counters: Arc::clone(&counters),
-            checkpoint_every: self.options.checkpoint_every,
-            stop_after: self.options.stop_after,
+        let files = set.items.len() as u64 + skipped;
+        let docs = set.docs.clone();
+        let durable =
+            Durable { store, checkpoint, dlq, docs, counters: Default::default(), peak_heap: 0 };
+        let supervisor = BuildRun {
+            options: &self.options,
+            cancel: &self.cancel,
+            stop: CancelToken::new(),
+            items_ok: AtomicU64::new(0),
+            durable: parking_lot::Mutex::new(durable),
         };
-        let extractor = self.extractor();
-        let first_error: StdMutex<Option<PipelineError>> = StdMutex::new(None);
-        let fail = |e: PipelineError| {
-            let mut slot = first_error.lock().unwrap_or_else(PoisonError::into_inner);
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-            queue.close();
-        };
-
-        std::thread::scope(|scope| {
-            for _ in 0..self.options.extractors {
-                scope.spawn(|| {
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        self.worker_loop(fs, &extractor, &queue, &sink, &fail);
-                    }));
-                    if run.is_err() {
-                        fail(PipelineError::WorkerPanicked("build"));
-                    }
-                });
-            }
+        let generator = IndexGenerator::new(GeneratorOptions {
+            formats: self.options.formats,
+            ..GeneratorOptions::paper_defaults()
         });
+        let run = generator.run_supervised(
+            fs,
+            set,
+            Implementation::ReplicateNoJoin,
+            Configuration::new(self.options.extractors, 0, 0),
+            &supervisor,
+        )?;
 
-        // Items whose lease holders died repeatedly never reached the normal
-        // retry path; quarantine them now.
-        for (item, attempts) in queue.take_fallen() {
-            sink.dead(&item, attempts, "lease holder died during extraction".to_owned())?;
-        }
-        counters.lease_reclaims.store(queue.reclaims(), Ordering::Relaxed);
-
-        if let Some(e) = first_error.lock().unwrap_or_else(PoisonError::into_inner).take() {
-            return Err(e);
-        }
-
-        let interrupted = self.cancel.is_cancelled()
-            || self.options.stop_after.is_some_and(|_| queue.is_closed());
-        let mut s = sink.state.lock();
+        let interrupted = supervisor.stopped();
+        let BuildRun { items_ok, durable, .. } = supervisor;
+        let mut durable = durable.into_inner();
         if !interrupted {
-            // Seal the tail and mark the build done.  An interrupted build
-            // deliberately skips this: it must look exactly like a crash so
-            // resume paths get exercised honestly.
-            sink.seal_locked(&mut s)?;
-            s.checkpoint.complete = true;
-            let root = s.store.root().to_path_buf();
-            s.checkpoint.save(&root)?;
+            // Seal the replicas' tails as one segment, as `index` does, and
+            // mark the build done.  An interrupted build skips this: it must
+            // look exactly like a crash, so resume is exercised honestly.
+            durable.seal(run.outcome.replicas())?;
+            durable.checkpoint.complete = true;
+            durable.checkpoint.save(durable.store.root())?;
         }
         Ok(BuildReport {
             files,
             skipped,
-            bytes: s.bytes,
-            counters: counters.snapshot(),
-            segments: s.store.segment_count(),
-            dead_letters: s.dlq.len(),
+            bytes: run.stage2.bytes,
+            counters: CounterSnapshot { items_ok: items_ok.into_inner(), ..durable.counters },
+            segments: durable.store.segment_count(),
+            dead_letters: durable.dlq.len(),
             complete: !interrupted,
             interrupted,
             elapsed_seconds: started.elapsed().as_secs_f64(),
-            corpus_fingerprint: s.checkpoint.corpus_fingerprint,
-            index_heap_bytes: s.index_heap_bytes.max(s.pending.heap_bytes()) as u64,
+            corpus_fingerprint: durable.checkpoint.corpus_fingerprint,
+            index_heap_bytes: durable.peak_heap.max(run.outcome.heap_bytes()) as u64,
         })
     }
+}
 
-    fn worker_loop<F>(
-        &self,
-        fs: &F,
-        extractor: &Extractor,
-        queue: &Arc<LeaseQueue>,
-        sink: &Sink,
-        fail: &dyn Fn(PipelineError),
-    ) where
-        F: FileSystem + ?Sized,
-    {
-        // Each worker interns the vocabulary in its own scratch.
-        let mut extractor = extractor.clone();
-        while let Some(lease) = queue.pop() {
-            if self.cancel.is_cancelled() {
-                queue.close();
-                lease.release();
-                return;
-            }
-            if !self.options.throttle.is_zero() {
-                std::thread::sleep(self.options.throttle);
-            }
-            let outcome =
-                catch_unwind(AssertUnwindSafe(|| extractor.extract_file(fs, lease.item())));
-            match outcome {
-                Ok(Ok(terms)) => {
-                    let item = lease.ack();
-                    if let Err(e) = sink.complete(&item, terms, queue) {
-                        fail(e);
-                        return;
-                    }
-                }
-                Ok(Err(err)) => {
-                    let permanent = is_permanent(&err);
-                    if let Err(e) = self.handle_failure(lease, sink, permanent, err.to_string()) {
-                        fail(e);
-                        return;
-                    }
-                }
-                Err(_) => {
-                    let msg = format!("extraction panicked on {}", lease.item().path);
-                    if let Err(e) = self.handle_failure(lease, sink, false, msg) {
-                        fail(e);
-                        return;
-                    }
-                }
-            }
-        }
+/// The store's checkpoint, if any, and DLQ, orphan segments dropped — refused
+/// when the corpus is not the one the checkpoint fingerprinted.
+fn resume(
+    store: &mut IndexStore,
+    fingerprint: u64,
+) -> Result<Option<(BuildCheckpoint, DeadLetterQueue)>, PipelineError> {
+    let Some(checkpoint) = BuildCheckpoint::load(store.root())? else {
+        return Ok(None);
+    };
+    if checkpoint.corpus_fingerprint != fingerprint {
+        return Err(PipelineError::ResumeRejected(format!(
+            "corpus changed since the checkpoint was written \
+             (fingerprint {:#018x} != {fingerprint:#018x}); run a fresh build",
+            checkpoint.corpus_fingerprint
+        )));
     }
-
-    /// Routes one failed attempt: retry with backoff while the budget and
-    /// the error's nature allow, dead-letter otherwise.
-    fn handle_failure(
-        &self,
-        lease: Lease,
-        sink: &Sink,
-        permanent: bool,
-        error: String,
-    ) -> Result<(), PipelineError> {
-        let attempts = lease.attempts() + 1;
-        if permanent || attempts >= self.options.max_retries.max(1) {
-            let item = lease.ack();
-            sink.dead(&item, attempts, error)
-        } else {
-            sink.counters.items_retried.fetch_add(1, Ordering::Relaxed);
-            let delay = backoff_delay(
-                self.options.retry_base,
-                self.options.retry_cap,
-                attempts,
-                lease.item().file_id.as_u32(),
-            );
-            lease.retry_at(Instant::now() + delay);
-            Ok(())
-        }
-    }
+    checkpoint.reconcile(store)?;
+    Ok(Some((checkpoint, DeadLetterQueue::load(store.root())?)))
 }
 
 /// Whether an extraction error can never succeed on retry.
@@ -711,13 +559,7 @@ mod tests {
     }
 
     fn fast_options() -> BuildOptions {
-        BuildOptions {
-            extractors: 2,
-            retry_base: Duration::from_micros(100),
-            retry_cap: Duration::from_millis(2),
-            checkpoint_every: Duration::ZERO,
-            ..BuildOptions::default()
-        }
+        BuildOptions { extractors: 2, checkpoint_every: Duration::ZERO, ..BuildOptions::default() }
     }
 
     #[test]
@@ -835,6 +677,45 @@ mod tests {
     }
 
     #[test]
+    fn interrupted_replay_keeps_the_recovered_file_quarantined_until_it_is_sealed() {
+        let fs = FlakyFs::new(corpus());
+        fs.always_fail("d1/b.txt");
+        let dir = TempDir::new("replay-interrupted");
+        let options = BuildOptions {
+            extractors: 1,
+            checkpoint_every: Duration::from_secs(3600),
+            ..BuildOptions::default()
+        };
+        let report =
+            BuildPipeline::new(options.clone()).build(&fs, &VPath::root(), &dir.0).unwrap();
+        assert!(report.complete);
+        assert_eq!(report.dead_letters, 1);
+
+        // The healed file is extracted, then the replay stops before any
+        // seal: its postings are not durable, so it stays quarantined.
+        fs.heal("d1/b.txt");
+        let interrupted = BuildOptions { stop_after: Some(1), ..options.clone() };
+        let replay =
+            BuildPipeline::new(interrupted).replay_dlq(&fs, &VPath::root(), &dir.0).unwrap();
+        assert_eq!(replay.attempted, 1);
+        assert_eq!(replay.recovered, 0, "nothing was sealed");
+        assert_eq!(replay.still_dead, 1);
+        assert!(DeadLetterQueue::load(&dir.0).unwrap().contains("d1/b.txt"));
+
+        // So the next replay still finds it, and this time it is sealed.
+        let replay = BuildPipeline::new(options).replay_dlq(&fs, &VPath::root(), &dir.0).unwrap();
+        assert_eq!(replay.attempted, 1);
+        assert_eq!(replay.recovered, 1);
+        assert!(DeadLetterQueue::load(&dir.0).unwrap().is_empty());
+        let ckpt = BuildCheckpoint::load(&dir.0).unwrap().unwrap();
+        assert_eq!(ckpt.completed.len(), 4);
+        let (index, _) = stored(&dir.0);
+        let batch =
+            crate::runner::IndexGenerator::default().run_sequential(&fs, &VPath::root()).unwrap();
+        assert_eq!(index, batch.index);
+    }
+
+    #[test]
     fn interrupted_build_resumes_without_rework() {
         let fs = corpus();
         let dir = TempDir::new("resume");
@@ -903,6 +784,81 @@ mod tests {
         assert_eq!(report.counters.items_ok, 4);
         assert_eq!(report.counters.items_retried, 1);
         assert_eq!(report.counters.items_dead, 0);
+    }
+
+    #[test]
+    fn an_item_whose_every_attempt_panics_is_dead_lettered() {
+        let fs = FlakyFs::new(corpus());
+        let options = fast_options();
+        fs.panic_reads("d2/c.txt", options.max_retries + 2);
+        let dir = TempDir::new("panic-dead");
+        let report =
+            BuildPipeline::new(options.clone()).build(&fs, &VPath::root(), &dir.0).unwrap();
+        assert!(report.complete);
+        assert_eq!(report.counters.items_ok, 3);
+        assert_eq!(report.counters.items_dead, 1);
+        assert_eq!(fs.read_attempts("d2/c.txt"), options.max_retries);
+
+        let dlq = DeadLetterQueue::load(&dir.0).unwrap();
+        assert_eq!(dlq.len(), 1);
+        assert_eq!(dlq.entries[0].path, "d2/c.txt");
+        assert_eq!(dlq.entries[0].attempts, options.max_retries);
+        assert!(dlq.entries[0].error.contains("extraction panicked"), "{}", dlq.entries[0].error);
+
+        // Every other file is in the store.
+        let (index, docs) = stored(&dir.0);
+        let mut paths: Vec<&str> = index.doc_lens().map(|(id, _)| docs.path(id).unwrap()).collect();
+        paths.sort_unstable();
+        assert_eq!(paths, ["d1/a.txt", "d1/b.txt", "top.txt"]);
+    }
+
+    #[test]
+    fn an_uninterrupted_build_writes_the_segment_index_writes() {
+        use crate::config::{Configuration, Implementation};
+        use dsearch_corpus::{materialize_to_memfs, CorpusSpec};
+
+        // One file fails once: its extractor retries it, so it lands in the
+        // replica it was dealt to, as in `index`.
+        let (fs, _) = materialize_to_memfs(&CorpusSpec::tiny(), 5);
+        let first = generate_filenames(&fs, &VPath::root()).unwrap().items[0].path.clone();
+        let fs = FlakyFs::new(fs);
+        for extractors in 1..=4 {
+            fs.fail_reads(first.as_str(), fs.read_attempts(first.as_str()) + 1);
+            let built = TempDir::new(&format!("built-{extractors}"));
+            let options = BuildOptions {
+                extractors,
+                checkpoint_every: Duration::from_secs(3600),
+                ..BuildOptions::default()
+            };
+            let report = BuildPipeline::new(options).build(&fs, &VPath::root(), &built.0).unwrap();
+            assert!(report.complete);
+            assert_eq!(report.counters.items_retried, 1);
+            assert_eq!(report.segments, 1, "{extractors} extractors");
+
+            let indexed = TempDir::new(&format!("indexed-{extractors}"));
+            let run = crate::runner::IndexGenerator::default()
+                .run(
+                    fs.inner(),
+                    &VPath::root(),
+                    Implementation::ReplicateNoJoin,
+                    Configuration::new(extractors, 0, 0),
+                )
+                .unwrap();
+            let mut store = IndexStore::open(&indexed.0).unwrap();
+            store.replace_with(run.outcome.replicas(), run.outcome.docs()).unwrap();
+
+            let segment = |root: &Path| {
+                let store = IndexStore::open(root).unwrap();
+                let [only] = &store.manifest().segments[..] else {
+                    panic!("one segment in {}", root.display())
+                };
+                std::fs::read(root.join(&only.file_name)).unwrap()
+            };
+            assert!(
+                segment(&built.0) == segment(&indexed.0),
+                "{extractors} extractors: build and index seal other bytes"
+            );
+        }
     }
 
     #[test]

@@ -6,18 +6,23 @@
 //! the extractor → updater buffer).  It also provides the instrumented
 //! sequential baseline ([`IndexGenerator::run_sequential`]) whose per-stage
 //! times are the paper's Table 1.
+//!
+//! Its extractor loop is the one build loop, for `index` and for the
+//! checkpointed [`BuildPipeline`](crate::pipeline::BuildPipeline) alike.
 
-use std::time::Instant;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Sender};
 
 use dsearch_index::{join_all, parallel_join, InMemoryIndex, IndexSet, SharedIndex};
 use dsearch_text::tokenizer::Tokenizer;
 use dsearch_vfs::{FileSystem, VPath};
 
-use crate::config::{Configuration, GeneratorOptions, Implementation};
-use crate::distribute::deal;
+use crate::config::{Configuration, GeneratorOptions, Implementation, InsertGranularity};
+use crate::distribute::{deal, WorkItem};
 use crate::error::PipelineError;
+use crate::pipeline::CancelToken;
 use crate::report::{IndexOutcome, ParallelRun, SequentialRun, SequentialTimings};
 use crate::stage1::{generate_filenames, FilenameSet};
 use crate::stage2::{Extractor, FileTerms, Stage2Stats};
@@ -155,6 +160,23 @@ impl IndexGenerator {
         implementation: Implementation,
         configuration: Configuration,
     ) -> Result<ParallelRun, PipelineError> {
+        self.run_supervised(fs, set, implementation, configuration, &CancelToken::new())
+    }
+
+    /// [`run_items`](IndexGenerator::run_items) with `supervisor` deciding
+    /// what a failed file, a stop request and a grown replica mean.
+    pub(crate) fn run_supervised<F, S>(
+        &self,
+        fs: &F,
+        set: FilenameSet,
+        implementation: Implementation,
+        configuration: Configuration,
+        supervisor: &S,
+    ) -> Result<ParallelRun, PipelineError>
+    where
+        F: FileSystem + ?Sized,
+        S: Supervisor,
+    {
         configuration.validate(implementation).map_err(PipelineError::InvalidConfiguration)?;
 
         let total_sw = Instant::now();
@@ -176,8 +198,7 @@ impl IndexGenerator {
         let granularity = self.options.granularity;
 
         // Channel between extractors and dedicated updaters (when y > 0).
-        let update_channel: Option<(Sender<FileTerms>, Receiver<FileTerms>)> =
-            (y > 0).then(|| bounded(UPDATE_QUEUE_CAPACITY));
+        let update_channel = (y > 0).then(|| bounded::<FileTerms>(UPDATE_QUEUE_CAPACITY));
 
         let mut extract_results: Vec<Result<Stage2Stats, PipelineError>> = Vec::new();
         let mut replicas: Vec<InMemoryIndex> = Vec::new();
@@ -189,62 +210,35 @@ impl IndexGenerator {
                 Some((_, rx)) => (0..y)
                     .map(|_| {
                         let rx = rx.clone();
-                        let shared = shared_index.clone();
+                        let mut destination = Destination::index(&shared_index, granularity);
                         scope.spawn(move || {
-                            let mut shared_sink = shared.map(|s| SharedSink::new(s, granularity));
-                            let mut replica_sink = if shared_sink.is_none() {
-                                Some(ReplicaSink::new(granularity))
-                            } else {
-                                None
-                            };
                             for file_terms in rx.iter() {
-                                if let Some(sink) = shared_sink.as_mut() {
-                                    sink.apply(file_terms);
-                                } else if let Some(sink) = replica_sink.as_mut() {
-                                    sink.apply(file_terms);
-                                }
+                                destination.apply(file_terms);
                             }
-                            replica_sink.map(ReplicaSink::into_index)
+                            destination.into_replica()
                         })
                     })
                     .collect(),
                 None => Vec::new(),
             };
 
-            // Spawn extractor threads.
+            // Spawn extractor threads.  When there are no dedicated updaters
+            // an extractor owns its sink.
             let extractor_handles: Vec<_> = shares
                 .into_iter()
-                .map(|work| {
-                    let mut extractor = extractor_template.clone();
-                    let shared = shared_index.clone();
-                    let sender = update_channel.as_ref().map(|(tx, _)| tx.clone());
+                .map(|share| {
+                    let mut destination = match &update_channel {
+                        Some((tx, _)) => Destination::Updaters(tx.clone()),
+                        None => Destination::index(&shared_index, granularity),
+                    };
+                    let template = &extractor_template;
                     scope.spawn(move || {
-                        // When there are no dedicated updaters the extractor
-                        // owns its own sink.
-                        let mut shared_sink = if sender.is_none() {
-                            shared.map(|s| SharedSink::new(s, granularity))
-                        } else {
-                            None
-                        };
-                        let mut replica_sink = if sender.is_none() && shared_sink.is_none() {
-                            Some(ReplicaSink::new(granularity))
-                        } else {
-                            None
-                        };
-                        let result = extractor.extract_all(fs, &work, |ft| {
-                            if let Some(tx) = &sender {
-                                // The updaters exit when every sender is
-                                // dropped; a send error can only happen if
-                                // they already exited, which means we are
-                                // shutting down.
-                                let _ = tx.send(ft);
-                            } else if let Some(sink) = shared_sink.as_mut() {
-                                sink.apply(ft);
-                            } else if let Some(sink) = replica_sink.as_mut() {
-                                sink.apply(ft);
-                            }
-                        });
-                        (result, replica_sink.map(ReplicaSink::into_index))
+                        let result =
+                            extract_share(fs, template, share, &mut destination, supervisor);
+                        if result.is_err() {
+                            supervisor.halt();
+                        }
+                        (result, destination.into_replica())
                     })
                 })
                 .collect();
@@ -254,9 +248,7 @@ impl IndexGenerator {
                 match handle.join() {
                     Ok((result, replica)) => {
                         extract_results.push(result);
-                        if let Some(r) = replica {
-                            replicas.push(r);
-                        }
+                        replicas.extend(replica);
                     }
                     Err(_) => worker_panic = Some("extraction"),
                 }
@@ -267,8 +259,7 @@ impl IndexGenerator {
             drop(update_channel);
             for handle in updater_handles {
                 match handle.join() {
-                    Ok(Some(replica)) => replicas.push(replica),
-                    Ok(None) => {}
+                    Ok(replica) => replicas.extend(replica),
                     Err(_) => worker_panic = Some("index update"),
                 }
             }
@@ -317,10 +308,153 @@ impl IndexGenerator {
     }
 }
 
+/// What a run does with a failed file, a stop request and a growing replica.
+/// `index` fails on the first failed file (a bare [`CancelToken`]); the
+/// checkpointed build retries, dead-letters and seals.
+pub(crate) trait Supervisor: Sync {
+    /// Checked before every file: `true` ends the extractor's loop.
+    fn stopped(&self) -> bool;
+
+    /// Stops every extractor: one of them failed the run.
+    fn halt(&self);
+
+    /// Called before each extraction, outside any lock.
+    fn before_extract(&self) {}
+
+    /// The `attempts`-th failed extraction of `item` (a panic arrives as
+    /// [`PipelineError::WorkerPanicked`]): `Ok(Some(delay))` retries it once
+    /// `delay` has passed, `Ok(None)` gives it up, `Err` fails the run.
+    fn failed(
+        &self,
+        _item: &WorkItem,
+        _attempts: u32,
+        error: PipelineError,
+    ) -> Result<Option<Duration>, PipelineError> {
+        Err(error)
+    }
+
+    /// A file has reached `replica`, which this extractor last emptied at
+    /// `sealed_at` (or started with then).
+    fn extracted(
+        &self,
+        _replica: &mut ReplicaSink,
+        _sealed_at: &mut Instant,
+    ) -> Result<(), PipelineError> {
+        Ok(())
+    }
+}
+
+impl Supervisor for CancelToken {
+    fn stopped(&self) -> bool {
+        self.is_cancelled()
+    }
+
+    fn halt(&self) {
+        self.cancel();
+    }
+}
+
+/// Where a worker puts each file's word list.
+enum Destination {
+    /// To the dedicated updaters (an extractor, when `y > 0`).
+    Updaters(Sender<FileTerms>),
+    /// Into the one shared index (Implementation 1).
+    Shared(SharedSink),
+    /// Into its own replica (Implementations 2 and 3).
+    Replica(ReplicaSink),
+}
+
+impl Destination {
+    /// An updating worker's index: the shared one, if any, else its own.
+    fn index(shared: &Option<SharedIndex>, granularity: InsertGranularity) -> Self {
+        match shared {
+            Some(shared) => Destination::Shared(SharedSink::new(shared.clone(), granularity)),
+            None => Destination::Replica(ReplicaSink::new(granularity)),
+        }
+    }
+
+    fn apply(&mut self, terms: FileTerms) {
+        match self {
+            // The updaters exit when every sender is dropped; a send error
+            // can only happen if they already exited, which means we are
+            // shutting down.
+            Destination::Updaters(tx) => {
+                let _ = tx.send(terms);
+            }
+            Destination::Shared(sink) => sink.apply(terms),
+            Destination::Replica(sink) => sink.apply(terms),
+        }
+    }
+
+    fn into_replica(self) -> Option<InMemoryIndex> {
+        match self {
+            Destination::Replica(sink) => Some(sink.into_index()),
+            _ => None,
+        }
+    }
+}
+
+/// One extractor: its dealt share in order, each file under `catch_unwind`.
+/// A file to retry waits on the extractor's own delayed list until due; once
+/// the share is done, the extractor sleeps until the earliest is.
+fn extract_share<F, S>(
+    fs: &F,
+    template: &Extractor,
+    share: Vec<WorkItem>,
+    destination: &mut Destination,
+    supervisor: &S,
+) -> Result<Stage2Stats, PipelineError>
+where
+    F: FileSystem + ?Sized,
+    S: Supervisor,
+{
+    // Each extractor interns the vocabulary in its own scratch.
+    let mut extractor = template.clone();
+    let mut stats = Stage2Stats::default();
+    let mut sealed_at = Instant::now();
+    // `(due, item, failed attempts)`.
+    let mut delayed: Vec<(Instant, WorkItem, u32)> = Vec::new();
+    let mut fresh = share.into_iter();
+    while !supervisor.stopped() {
+        let now = Instant::now();
+        let (item, attempts) = if let Some(i) = delayed.iter().position(|(due, ..)| *due <= now) {
+            let (_, item, attempts) = delayed.swap_remove(i);
+            (item, attempts)
+        } else if let Some(item) = fresh.next() {
+            (item, 0)
+        } else if let Some(due) = delayed.iter().map(|(due, ..)| *due).min() {
+            std::thread::sleep(due.saturating_duration_since(now));
+            continue;
+        } else {
+            break;
+        };
+        supervisor.before_extract();
+        let error = match catch_unwind(AssertUnwindSafe(|| extractor.extract_file(fs, &item))) {
+            Ok(Ok(terms)) => {
+                stats.record(&terms);
+                destination.apply(terms);
+                if let Destination::Replica(sink) = destination {
+                    supervisor.extracted(sink, &mut sealed_at)?;
+                }
+                continue;
+            }
+            Ok(Err(error)) => error,
+            Err(_) => {
+                // The panic may have left the scratch half-filled.
+                extractor = template.clone();
+                PipelineError::WorkerPanicked("extraction")
+            }
+        };
+        if let Some(delay) = supervisor.failed(&item, attempts + 1, error)? {
+            delayed.push((Instant::now() + delay, item, attempts + 1));
+        }
+    }
+    Ok(stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::InsertGranularity;
     use crate::testing::segment_bytes;
     use dsearch_corpus::{materialize_to_memfs, CorpusSpec};
     use dsearch_text::Term;
@@ -493,6 +627,60 @@ mod tests {
                     "{implementation} {config}: {err}"
                 );
                 assert_eq!(attempts, 1, "{implementation} {config}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_failure_outside_extraction_fails_the_run_and_stops_the_others() {
+        // A supervisor that fails (or panics) on the second file it is told
+        // of: the run returns the error, never a run, and the other
+        // extractors are told to stop.
+        struct FailsOnSecond {
+            panics: bool,
+            seen: std::sync::atomic::AtomicU32,
+            stop: CancelToken,
+        }
+        impl Supervisor for FailsOnSecond {
+            fn stopped(&self) -> bool {
+                self.stop.is_cancelled()
+            }
+            fn halt(&self) {
+                self.stop.cancel();
+            }
+            fn extracted(
+                &self,
+                _replica: &mut ReplicaSink,
+                _sealed_at: &mut Instant,
+            ) -> Result<(), PipelineError> {
+                if self.seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 1 {
+                    assert!(!self.panics, "scripted panic outside extraction");
+                    return Err(PipelineError::ResumeRejected("scripted".into()));
+                }
+                Ok(())
+            }
+        }
+
+        let fs = corpus();
+        let generator = IndexGenerator::default();
+        for panics in [false, true] {
+            let supervisor =
+                FailsOnSecond { panics, seen: Default::default(), stop: CancelToken::new() };
+            let set = generate_filenames(&fs, &VPath::root()).unwrap();
+            let err = generator
+                .run_supervised(
+                    &fs,
+                    set,
+                    Implementation::ReplicateNoJoin,
+                    Configuration::new(2, 0, 0),
+                    &supervisor,
+                )
+                .unwrap_err();
+            if panics {
+                assert!(matches!(err, PipelineError::WorkerPanicked("extraction")), "{err}");
+            } else {
+                assert!(matches!(err, PipelineError::ResumeRejected(_)), "{err}");
+                assert!(supervisor.stopped(), "the failing extractor halts the run");
             }
         }
     }

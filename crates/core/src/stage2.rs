@@ -68,6 +68,14 @@ pub struct Stage2Stats {
 }
 
 impl Stage2Stats {
+    /// Counts one extracted file.
+    pub(crate) fn record(&mut self, file: &FileTerms) {
+        self.files += 1;
+        self.bytes += file.bytes;
+        self.occurrences += file.occurrences;
+        self.terms_emitted += file.terms.len() as u64;
+    }
+
     /// Merges another extractor's counters into this one.
     pub fn merge(&mut self, other: &Stage2Stats) {
         self.files += other.files;
@@ -166,10 +174,7 @@ impl Extractor {
         let mut stats = Stage2Stats::default();
         for item in work {
             let file_terms = self.extract_file(fs, item)?;
-            stats.files += 1;
-            stats.bytes += file_terms.bytes;
-            stats.occurrences += file_terms.occurrences;
-            stats.terms_emitted += file_terms.terms.len() as u64;
+            stats.record(&file_terms);
             sink(file_terms);
         }
         Ok(stats)

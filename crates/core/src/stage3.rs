@@ -115,6 +115,12 @@ impl ReplicaSink {
         self.index
     }
 
+    /// Takes the replica built so far, leaving the sink with an empty one
+    /// (its counters go on).
+    pub(crate) fn take_index(&mut self) -> InMemoryIndex {
+        std::mem::take(&mut self.index)
+    }
+
     /// Borrows the replica built so far.
     #[must_use]
     pub fn index(&self) -> &InMemoryIndex {

@@ -21,8 +21,8 @@
 //! # Out-of-order adds
 //!
 //! An id larger than every stored one is a few byte pushes.  Implementation
-//! 1, dedicated updaters and reclaimed leases deliver ids a few files late, and
-//! a large straggler arrives hundreds of files late; such an add costs
+//! 1, dedicated updaters and the checkpointed build's retried files deliver
+//! ids a few files late, and a large straggler arrives hundreds of files late; such an add costs
 //! **O(distance from the end)**, never O(list).  LEB128 can be walked
 //! backwards — a byte below `0x80` ends a varint — so the add steps back from
 //! the last posting until it finds its slot, splices its pair in and rewrites

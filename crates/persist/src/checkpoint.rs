@@ -328,10 +328,10 @@ mod tests {
         let dir = TempDir::new("reconcile");
         let mut store = IndexStore::open(dir.0.join("s")).unwrap();
         let (index, docs) = sample_index();
-        let (first, _) = store.commit_named(&index, &docs).unwrap();
+        let (first, _) = store.commit_named(std::slice::from_ref(&index), &docs).unwrap();
         // Simulate a crash after a second commit but before the checkpoint
         // write: the manifest has an orphan the checkpoint never recorded.
-        let (_orphan, _) = store.commit_named(&index, &docs).unwrap();
+        let (_orphan, _) = store.commit_named(std::slice::from_ref(&index), &docs).unwrap();
         assert_eq!(store.segment_count(), 2);
 
         let mut ckpt = BuildCheckpoint::new(1);

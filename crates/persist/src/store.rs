@@ -238,19 +238,20 @@ impl IndexStore {
         self.commit_all(std::slice::from_ref(index), docs)
     }
 
-    /// Commits `index` as a new segment and also returns the segment's file
-    /// name — the handle a build checkpoint records so crash recovery can
-    /// tell this build's segments from orphans.
+    /// Commits `replicas` as one new segment, like
+    /// [`commit_all`](IndexStore::commit_all), and also returns the segment's
+    /// file name — the handle a build checkpoint records so crash recovery
+    /// can tell this build's segments from orphans.
     ///
     /// # Errors
     ///
     /// Fails like [`commit_all`](IndexStore::commit_all).
     pub fn commit_named(
         &mut self,
-        index: &InMemoryIndex,
+        replicas: &[InMemoryIndex],
         docs: &DocTable,
     ) -> Result<(String, SegmentInfo), PersistError> {
-        self.publish(std::slice::from_ref(index), docs, false)
+        self.publish(replicas, docs, false)
     }
 
     /// Commits the un-joined replicas of one run as **one** new segment: the
