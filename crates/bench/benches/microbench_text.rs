@@ -1,14 +1,14 @@
 //! Micro-benchmarks of the text substrate: FNV hashing, the open-addressing
-//! containers, tokenisation and per-file duplicate elimination.
+//! map, tokenisation and per-file duplicate elimination.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use dsearch::corpus::{CorpusSpec, DocumentGenerator};
-use dsearch::text::hashtable::{FnvHashMap, FnvHashSet};
+use dsearch::text::fnv1a_64;
+use dsearch::text::hashtable::FnvHashMap;
 use dsearch::text::tokenizer::Tokenizer;
 use dsearch::text::wordlist::WordListBuilder;
-use dsearch::text::{fnv1_32, fnv1a_64};
 
 fn bench_fnv(c: &mut Criterion) {
     let mut group = c.benchmark_group("fnv");
@@ -17,9 +17,6 @@ fn bench_fnv(c: &mut Criterion) {
         group.throughput(Throughput::Bytes(input.len() as u64));
         group.bench_with_input(format!("fnv1a_64/{}B", input.len()), input, |b, input| {
             b.iter(|| black_box(fnv1a_64(input)));
-        });
-        group.bench_with_input(format!("fnv1_32/{}B", input.len()), input, |b, input| {
-            b.iter(|| black_box(fnv1_32(input)));
         });
     }
     group.finish();
@@ -49,14 +46,14 @@ fn bench_hashtable(c: &mut Criterion) {
             black_box(map.len())
         });
     });
-    group.bench_function("fnv_set_dedup_10k", |b| {
+    group.bench_function("fnv_map_dedup_10k", |b| {
         b.iter(|| {
-            let mut set: FnvHashSet<&str> = FnvHashSet::with_capacity(keys.len());
+            let mut seen: FnvHashMap<&str, ()> = FnvHashMap::with_capacity(keys.len());
             for k in &keys {
-                set.insert(k.as_str());
-                set.insert(k.as_str());
+                seen.insert(k.as_str(), ());
+                seen.insert(k.as_str(), ());
             }
-            black_box(set.len())
+            black_box(seen.len())
         });
     });
     group.finish();

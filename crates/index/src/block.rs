@@ -46,7 +46,7 @@
 //! evaluator walks and filters either the same way.
 
 use crate::doc_table::FileId;
-use crate::varint::{read_lenient, varint_len, write_varint};
+use crate::varint::{checked_u32, read_lenient, varint_len, varint_len_in, write_varint};
 
 /// Number of ids per compressed block (the classic inverted-index choice:
 /// big enough to amortise the skip entry, small enough that decoding one
@@ -540,6 +540,44 @@ pub fn decode(block: &[u8], out: &mut [u32]) {
     if base > 0 {
         out.iter_mut().for_each(|value| *value = value.wrapping_add(base));
     }
+}
+
+/// Where the codec block of `count` values (at most [`BLOCK_SIZE`]) that
+/// starts at `bytes[at]` ends.  A block says its own length — width, base,
+/// exception count and high width — so blocks lie back to back with no
+/// offsets between them, and finding where one ends checks its structure:
+/// `None` for a width above 32, a base past `u32`, or a block that runs past
+/// the bytes.
+#[inline(always)]
+pub(crate) fn block_end(bytes: &[u8], at: usize, count: usize) -> Option<usize> {
+    let &header = bytes.get(at)?;
+    let width = usize::from(header & WIDTH_BITS);
+    let has_base = header & HAS_BASE != 0;
+    // The flags are what a block walk cannot predict, so they weigh lengths
+    // rather than choose paths: the base's length is read off the
+    // continuation bits of the eight bytes behind the header, when they are
+    // there and it is short enough to fit `u32` whatever its bits.
+    let base = match bytes.get(at + 1..at + 9) {
+        Some(window) => {
+            let len = varint_len_in(u64::from_le_bytes(window.try_into().expect("eight bytes")));
+            if has_base & (len > 4) {
+                checked_u32(bytes, &mut (at + 1))?;
+            }
+            len * usize::from(has_base)
+        }
+        None if has_base => {
+            let mut end = at + 1;
+            checked_u32(bytes, &mut end)?;
+            end - at - 1
+        }
+        None => 0,
+    };
+    let mut end = at + 1 + base + (count * width).div_ceil(8);
+    let packed = bytes.get(end).copied().unwrap_or(0);
+    let (exceptions, high) = (usize::from(packed & 0x1f) + 1, usize::from(packed >> 5) + 1);
+    let patches = 1 + (exceptions * POSITION_BITS).div_ceil(8) + (exceptions * high).div_ceil(8);
+    end += patches * usize::from(header & HAS_EXCEPTIONS != 0);
+    (width <= 32 && end <= bytes.len()).then_some(end)
 }
 
 /// The `bits` (at most 8) from bit `at` of `fields` on, which holds eight
@@ -1247,6 +1285,8 @@ mod tests {
             let mut decoded = vec![u32::MAX; values.len()];
             decode(&encoded, &mut decoded);
             prop_assert_eq!(&decoded, &values);
+            // The block says its own length.
+            prop_assert_eq!(block_end(&encoded, 0, values.len()), Some(encoded.len()));
             let widest = values.iter().map(|&v| bits_needed(v)).max().unwrap() as usize;
             prop_assert!(encoded.len() <= (values.len() * widest).div_ceil(8) + 2);
             if values.iter().all(|&v| v == values[0]) {
@@ -1271,6 +1311,9 @@ mod tests {
         ) {
             let mut out = vec![7u32; count];
             decode(&noise, &mut out);
+            if let Some(end) = block_end(&noise, 0, count) {
+                prop_assert!(end <= noise.len());
+            }
             let mut encoded = Vec::new();
             encode(&values, &mut encoded);
             let at = at % encoded.len();

@@ -4,44 +4,51 @@
 //! posting vectors.  A [`SealedShard`] is what a serving snapshot actually
 //! reads: **one byte buffer** holding every term's encoded entry exactly as a
 //! segment stores it ([`encode_term`]), described by flat side tables — one
-//! fixed-size `TermEntry` per term (where its entry and its payloads sit in
-//! the buffer, where its skip entries sit in the skip table), one shard-wide
-//! skip table, one shard-wide frequency-offset table and a `u32`
-//! open-addressing table for exact-term lookups.  A shard loaded from disk *is* the segment
-//! file's bytes; a shard sealed in memory ([`SealedShard::from_index`]) is the
-//! same encoding written into a fresh buffer, so there is one representation
-//! and one reader.  That buys:
+//! fixed-size `TermEntry` per term (where its entry and its id and tf blocks
+//! sit in the buffer, where its skip entries sit in the skip table), one
+//! shard-wide skip table, one shard-wide frequency-offset table, a `u32`
+//! open-addressing table for exact-term lookups and a byte per term of
+//! the front coding's shared counts.  The entries store nothing
+//! the tables can derive: the terms are front-coded, and the blocks lie back
+//! to back, each saying its own length.  A shard loaded from disk *is* the
+//! segment file's bytes; a shard sealed in memory
+//! ([`SealedShard::from_index`]) is the same encoding written into a fresh
+//! buffer, so there is one representation and one reader.  That buys:
 //!
-//! * **memory** — the postings cost their on-disk bytes plus 12 bytes of
+//! * **memory** — the postings cost their on-disk bytes plus 17 bytes of
 //!   table per term, with a constant number of heap allocations per shard;
 //! * **prefix lookups** — `word*` resolves to a contiguous dictionary range
-//!   (one binary search, no hash-table scan);
+//!   (a binary search over the restart terms, then a walk of a few slots; no
+//!   hash-table scan);
 //! * **skip-aware evaluation** — every posting list is handed out as a
 //!   `Copy` [`CompressedView`] whose [`BlockCursor`](crate::block::BlockCursor)
 //!   hops the skip table, so skewed intersections never decode the blocks
 //!   they skip.
 //!
 //! Every structural property the readers rely on is checked once, when the
-//! tables are laid over the bytes: hostile bytes are a [`BlockFormatError`],
-//! never a panic and never an allocation sized by a count they declare.
+//! tables are laid over the bytes — every block's among them, since finding
+//! where the next one starts means reading its header: hostile bytes are a
+//! [`BlockFormatError`], never a panic and never an allocation sized by a
+//! count they declare.
 //!
 //! Ranked evaluation prunes with one bound per list and nothing finer: the
 //! byte a seal writes quantizes the largest saturation `tf / (tf + norm)`
 //! of the list's postings, and [`bm25_bound`] turns it into a score bound
 //! under whatever idf the query scores with.
 
+use std::cmp::Ordering;
 use std::sync::{Condvar, Mutex};
 
 use dsearch_text::fnv::fnv1a_64;
 use dsearch_text::Term;
 
 use crate::block::{
-    corrupt, BlockFormatError, CompressedPostings, CompressedView, SkipEntry, BLOCK_SIZE,
+    block_end, corrupt, BlockFormatError, CompressedPostings, CompressedView, SkipEntry, BLOCK_SIZE,
 };
 use crate::doc_table::FileId;
 use crate::memory_index::InMemoryIndex;
 use crate::posting::PostingList;
-use crate::varint::{read_lenient, write_bytes, write_varint, Reader};
+use crate::varint::{checked_u32, read_lenient, write_bytes, write_varint, Reader};
 
 /// BM25 term-frequency saturation constant.
 pub const BM25_K1: f32 = 1.2;
@@ -51,9 +58,14 @@ pub const BM25_B: f32 = 0.75;
 /// Longest term (in bytes) a shard accepts from encoded bytes.
 const MAX_TERM_LEN: u64 = 64 * 1024;
 
-/// Fewest bytes one encoded term entry occupies: a term length, a posting
-/// count, a bound byte and two payload lengths.
-const MIN_ENTRY_BYTES: usize = 5;
+/// Fewest bytes one encoded term entry occupies: the bytes its term shares
+/// with the one before, the length of the rest, a posting count and a bound
+/// byte.
+const MIN_ENTRY_BYTES: usize = 4;
+
+/// Every this many dictionary slots, one is a restart slot: it stores its
+/// whole term, so that a lookup walks at most this many slots from one.
+const RESTART_INTERVAL: usize = 16;
 
 /// What [`bm25_bound_byte`] raises a saturation by before quantizing it:
 /// more than the relative rounding error of an `f32` BM25 score (four
@@ -116,14 +128,18 @@ pub fn bm25_neutral_norm() -> f32 {
 
 /// Where one term's entry sits in the shard's buffer.  Only what cannot be
 /// read off the entry in a few varints is kept: the positions that lie
-/// behind a variable-length table.  Text, posting count, bound byte and
-/// payload lengths are re-read where they stand ([`SealedShard::view`]).
+/// behind a variable-length part.  Posting count and bound byte are re-read
+/// where they stand ([`SealedShard::view`]), the term is rebuilt from its
+/// restart slot on.
 #[derive(Debug, Clone, Copy)]
 struct TermEntry {
-    /// Start of the entry: the term's length prefix.
+    /// Start of the entry: its front-coded term.
     entry_at: u32,
-    /// The block payload's length prefix (behind the skip entries).
-    payloads_at: u32,
+    /// The first id block (behind the skip entries).
+    ids_at: u32,
+    /// The first tf block: where the id blocks end.  The tf blocks end where
+    /// the next entry starts.
+    tfs_at: u32,
     /// First index of a multi-block term in the skip and frequency-offset
     /// tables.
     blocks_at: u32,
@@ -155,6 +171,10 @@ pub struct SealedShard {
     /// FNV-1a of the term text.  A power-of-two table at most two-thirds
     /// full; `0` is empty, anything else a slot plus one.
     lookup: Vec<u32>,
+    /// Per slot, the bytes its term shares with the term before (255: that
+    /// many or more), so that checking a probed slot reads only the entries
+    /// whose bytes its term still holds.
+    shared: Vec<u8>,
     files: u64,
     posting_count: u64,
     /// Sum of [`CompressedView::byte_size`] (shards are immutable, so
@@ -184,15 +204,15 @@ impl Eq for SealedShard {}
 /// segments it wrote.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SectionBytes {
-    /// Block payloads: first ids and gaps.
+    /// Id blocks: first ids and gaps.
     pub ids: u64,
-    /// Frequency payloads and their block offsets.
+    /// Frequency blocks (no offsets: each block says its own length).
     pub tfs: u64,
-    /// Skip entries.
+    /// Skip entries: each block's last id, as a delta (no offsets).
     pub skips: u64,
     /// List bounds: one byte a term.
     pub scores: u64,
-    /// Term text and posting counts.
+    /// Front-coded term text and posting counts.
     pub dictionary: u64,
     /// What a segment holds before its first term entry — header, document
     /// table, document lengths, term count; [`encode_term`] leaves it zero.
@@ -218,69 +238,82 @@ impl std::ops::AddAssign for SectionBytes {
     }
 }
 
-/// Appends one term's entry in the segment encoding (version 7), and says
-/// how many bytes each part of it took:
+/// Appends the entry of dictionary slot `slot`, whose term follows
+/// `previous` (the term of the slot before; unread at a restart slot), in
+/// the segment encoding (version 8), and says how many bytes each part of it
+/// took:
 ///
 /// ```text
-/// term                                  length-prefixed bytes
-/// posting count                         varint
+/// term, front-coded                     the bytes shared with `previous`
+///                                       (varint; 0 at every 16th slot, a
+///                                       restart slot, which stores its whole
+///                                       term; elsewhere all they share),
+///                                       then the rest as length-prefixed
+///                                       bytes
+/// posting count                         varint, shifted left one bit: the
+///                                       low bit says "tf blocks follow"
 /// bound                                 one byte: `bm25_bound_byte` of the
 ///                                       postings' largest saturation, 0 when
 ///                                       the shard records no lengths
-/// skip entries (only when > 1 block):   per block: its last id less the
-///                                       block before's (the first block: its
-///                                       last id), then — not for the first
-///                                       block, which starts the payload —
-///                                       its byte offset less the block
-///                                       before's
-/// block payload                         length-prefixed bytes; per block the
-///                                       first id as a varint — for every
-///                                       block but the first, less the last
-///                                       id of the block before and one —
-///                                       then (when it holds more ids) one
-///                                       codec block of the gaps less one
-/// frequency payload                     length-prefixed bytes; per block one
-///                                       codec block of the frequencies less
-///                                       one (empty: every frequency is 1)
-/// frequency offsets (only when the      per block but the first: its byte
-///   frequency payload is non-empty)     offset less the block before's
+/// skip entries (only when > 1 block):   per block its last id less the block
+///                                       before's (the first block: its last
+///                                       id), as a varint
+/// id blocks                             back to back; per block the first id
+///                                       as a varint — for every block but
+///                                       the first, less the last id of the
+///                                       block before and one — then (when it
+///                                       holds more ids) one codec block of
+///                                       the gaps less one
+/// tf blocks (only when flagged)         back to back; per block one codec
+///                                       block of the frequencies less one
+///                                       (none at all: every frequency is 1)
 /// ```
 ///
 /// A codec block is the patched frame of reference of [`crate::block`]: a
 /// header byte (width, flags), an optional base, the packed low bits, the
 /// exceptions (a count byte, then their positions and their high bits, each
-/// bit-packed).  A block's first id is stored once, in the payload, and
-/// checked against the skip entries when the tables are laid over.
+/// bit-packed).  Its header says how long it is, so no length or offset is
+/// stored: the tables find every block's offset, and check its structure,
+/// when they are laid over the entry.  A block's first id is stored once,
+/// in its id block, and checked against the skip entries there too.
 ///
 /// The segment writer streams these; [`SealedShard::from_index`] collects
 /// them, and [`SealedShard::from_bytes`] lays its tables over them.
-pub fn encode_term(out: &mut Vec<u8>, term: &str, postings: CompressedView<'_>) -> SectionBytes {
+pub fn encode_term(
+    out: &mut Vec<u8>,
+    slot: usize,
+    previous: &str,
+    term: &str,
+    postings: CompressedView<'_>,
+) -> SectionBytes {
     let mut mark = out.len();
     let mut section = |end: usize| {
         let bytes = (end - mark) as u64;
         mark = end;
         bytes
     };
-    write_bytes(out, term.as_bytes());
-    write_varint(out, postings.len() as u64);
+    let (previous, term) = (previous.as_bytes(), term.as_bytes());
+    let shared = if slot.is_multiple_of(RESTART_INTERVAL) {
+        0
+    } else {
+        previous.iter().zip(term).take_while(|(a, b)| a == b).count()
+    };
+    write_varint(out, shared as u64);
+    write_bytes(out, &term[shared..]);
+    let freqs = postings.freqs();
+    write_varint(out, (postings.len() as u64) << 1 | u64::from(!freqs.is_empty()));
     let dictionary = section(out.len());
     out.push(postings.bound());
     let scores = section(out.len());
-    let (mut last, mut offset) = (0, 0);
-    for (i, skip) in postings.skips().iter().enumerate() {
+    let mut last = 0;
+    for skip in postings.skips() {
         write_varint(out, u64::from(skip.last.as_u32() - last));
-        if i > 0 {
-            write_varint(out, u64::from(skip.offset - offset));
-        }
-        (last, offset) = (skip.last.as_u32(), skip.offset);
+        last = skip.last.as_u32();
     }
     let skips = section(out.len());
-    write_bytes(out, postings.data());
+    out.extend_from_slice(postings.data());
     let ids = section(out.len());
-    write_bytes(out, postings.freqs());
-    for pair in postings.freq_offsets().windows(2) {
-        write_varint(out, u64::from(pair[1] - pair[0]));
-    }
+    out.extend_from_slice(freqs);
     let tfs = section(out.len());
     SectionBytes { ids, tfs, skips, scores, dictionary, docs: 0 }
 }
@@ -370,12 +403,12 @@ impl SealedShard {
         Ok(Tables::lay_over(&bytes, terms_at)?.into_shard(bytes, files, scoring))
     }
 
-    fn term_bytes(&self, slot: usize) -> &[u8] {
-        self.term_of(&self.terms[slot])
-    }
-
-    fn term_of(&self, entry: &TermEntry) -> &[u8] {
-        self.prefixed(&mut (entry.entry_at as usize))
+    /// The front-coded term of dictionary slot `slot`: how many bytes it
+    /// shares with the term before, and the rest.
+    fn front_coded(&self, slot: usize) -> (usize, &[u8]) {
+        let mut pos = self.terms[slot].entry_at as usize;
+        let shared = read_lenient(&self.bytes, &mut pos) as usize;
+        (shared, self.prefixed(&mut pos))
     }
 
     /// The length-prefixed bytes at `pos`, which moves past them.  Only for
@@ -387,16 +420,80 @@ impl SealedShard {
         bytes
     }
 
+    /// How the terms from restart slot `from` on compare with `wanted`.
+    fn walk<'s, 'w>(&'s self, from: usize, wanted: &'w [u8]) -> Walk<'s, 'w> {
+        debug_assert_eq!(from % RESTART_INTERVAL, 0, "walks start at a restart slot");
+        Walk { shard: self, wanted, slot: from, order: Ordering::Less, matched: 0 }
+    }
+
+    /// Whether dictionary slot `slot` holds `wanted`: the bytes the slot
+    /// stores itself decide most probes.  The bytes it shares are checked
+    /// back towards its restart slot (which shares none), against only the
+    /// entries that wrote them: a slot before that shares fewer bytes than
+    /// are still unchecked wrote the ones past its own shared count.
+    fn holds(&self, slot: usize, wanted: &[u8]) -> bool {
+        let (shared, rest) = self.front_coded(slot);
+        if shared + rest.len() != wanted.len() || wanted[shared..] != *rest {
+            return false;
+        }
+        let mut unchecked = shared;
+        let mut before = slot;
+        while unchecked > 0 {
+            before -= 1;
+            let shares = match self.shared[before] {
+                u8::MAX => self.front_coded(before).0,
+                shares => usize::from(shares),
+            };
+            if shares < unchecked {
+                let wrote = &self.front_coded(before).1;
+                if wrote.get(..unchecked - shares) != Some(&wanted[shares..unchecked]) {
+                    return false;
+                }
+                unchecked = shares;
+            }
+        }
+        true
+    }
+
+    /// The first slot a walk over `wanted` finds `past`, where `before`
+    /// holds for the restart terms in front of that slot's group and for no
+    /// others: a binary search over the restart terms, then a walk of at
+    /// most one group.
+    fn first_slot(
+        &self,
+        wanted: &[u8],
+        before: impl Fn(&[u8]) -> bool,
+        past: impl FnMut((Ordering, usize)) -> bool,
+    ) -> usize {
+        let (mut low, mut high) = (0, self.terms.len().div_ceil(RESTART_INTERVAL));
+        while low < high {
+            let group = low + (high - low) / 2;
+            if before(self.front_coded(group * RESTART_INTERVAL).1) {
+                low = group + 1;
+            } else {
+                high = group;
+            }
+        }
+        let Some(group) = low.checked_sub(1) else { return 0 };
+        let from = group * RESTART_INTERVAL;
+        let mut walk = self.walk(from, wanted).take(RESTART_INTERVAL);
+        match walk.position(past) {
+            Some(at) => from + at,
+            None => (from + RESTART_INTERVAL).min(self.terms.len()),
+        }
+    }
+
     /// The borrowed posting list of dictionary slot `slot`.
     fn view(&self, slot: usize) -> CompressedView<'_> {
         let entry = &self.terms[slot];
+        let end = self.terms.get(slot + 1).map_or(self.bytes.len(), |next| next.entry_at as usize);
         let mut pos = entry.entry_at as usize;
+        read_lenient(&self.bytes, &mut pos);
         self.prefixed(&mut pos);
-        let len = read_lenient(&self.bytes, &mut pos) as usize;
+        let len = read_lenient(&self.bytes, &mut pos) as usize >> 1;
         let bound = self.bytes[pos];
-        let mut pos = entry.payloads_at as usize;
-        let data = self.prefixed(&mut pos);
-        let freqs = self.prefixed(&mut pos);
+        let data = &self.bytes[entry.ids_at as usize..entry.tfs_at as usize];
+        let freqs = &self.bytes[entry.tfs_at as usize..end];
         let block_count = len.div_ceil(BLOCK_SIZE);
         let (skips, freq_offsets) = if block_count > 1 {
             let blocks = entry.blocks_at as usize..entry.blocks_at as usize + block_count;
@@ -440,8 +537,9 @@ impl SealedShard {
         self.files
     }
 
-    /// The compressed postings of one exact term (one hash, then text
-    /// comparisons against the probed slots only).
+    /// The compressed postings of one exact term: one hash, then the probed
+    /// slots' own bytes, and for the slot they match the few entries that
+    /// wrote the bytes it shares with the term before.  Allocates nothing.
     #[must_use]
     pub fn postings(&self, term: &Term) -> Option<CompressedView<'_>> {
         let wanted = term.as_str().as_bytes();
@@ -449,7 +547,7 @@ impl SealedShard {
         let mut probe = fnv1a_64(wanted) as usize & mask;
         loop {
             let slot = (self.lookup[probe] as usize).checked_sub(1)?;
-            if self.term_bytes(slot) == wanted {
+            if self.holds(slot, wanted) {
                 return Some(self.view(slot));
             }
             probe = (probe + 1) & mask;
@@ -457,24 +555,32 @@ impl SealedShard {
     }
 
     /// The compressed postings of every term starting with `prefix`, as one
-    /// contiguous dictionary range (one binary search, zero allocation).
+    /// contiguous dictionary range: where it starts and where it ends, each
+    /// one binary search over the restart terms and a walk of at most one
+    /// group.  Allocates nothing.
     pub fn prefix_postings(
         &self,
         prefix: &str,
     ) -> impl ExactSizeIterator<Item = CompressedView<'_>> + '_ {
         let prefix = prefix.as_bytes();
-        let start = self.terms.partition_point(|entry| self.term_of(entry) < prefix);
-        let count = (start..self.terms.len())
-            .take_while(|&s| self.term_bytes(s).starts_with(prefix))
-            .count();
-        (start..start + count).map(move |slot| self.view(slot))
+        let start = self.first_slot(prefix, |head| head < prefix, |(order, _)| order.is_ge());
+        let end = self.first_slot(
+            prefix,
+            |head| head < prefix || head.starts_with(prefix),
+            |(order, matched)| order.is_gt() && matched < prefix.len(),
+        );
+        (start..end.max(start)).map(move |slot| self.view(slot))
     }
 
-    /// Iterates `(term, compressed postings)` pairs in dictionary order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, CompressedView<'_>)> + '_ {
+    /// Iterates `(term, compressed postings)` pairs in dictionary order, each
+    /// term rebuilt from the one before.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (String, CompressedView<'_>)> + '_ {
+        let mut term = Vec::new();
         (0..self.terms.len()).map(move |slot| {
-            let term = std::str::from_utf8(self.term_bytes(slot)).expect(LAID_OVER);
-            (term, self.view(slot))
+            let (shared, rest) = self.front_coded(slot);
+            term.truncate(shared);
+            term.extend_from_slice(rest);
+            (String::from_utf8(term.clone()).expect(LAID_OVER), self.view(slot))
         })
     }
 
@@ -501,6 +607,7 @@ impl SealedShard {
             + self.terms.capacity() * size_of::<TermEntry>()
             + self.skips.capacity() * size_of::<SkipEntry>()
             + (self.freq_offsets.capacity() + self.lookup.capacity()) * size_of::<u32>()
+            + self.shared.capacity()
             + self.norms.capacity() * size_of::<f32>()
     }
 
@@ -528,6 +635,47 @@ impl SealedShard {
     }
 }
 
+/// How the terms from a restart slot on compare with a wanted byte string,
+/// slot by slot: each term's order against it and how many bytes they
+/// share.  Both carry over from the term before, as the front coding does:
+/// a term that shares fewer bytes with the term before than that one shared
+/// with the wanted bytes is past them (terms ascend, and share all they
+/// share); one that shares more compares as the term before did; only one
+/// that shares exactly as many reads its own bytes.
+struct Walk<'s, 'w> {
+    shard: &'s SealedShard,
+    wanted: &'w [u8],
+    slot: usize,
+    order: Ordering,
+    matched: usize,
+}
+
+impl Iterator for Walk<'_, '_> {
+    type Item = (Ordering, usize);
+
+    fn next(&mut self) -> Option<(Ordering, usize)> {
+        if self.slot >= self.shard.terms.len() {
+            return None;
+        }
+        let (shared, rest) = self.shard.front_coded(self.slot);
+        if self.slot.is_multiple_of(RESTART_INTERVAL) {
+            self.matched = 0;
+        }
+        match shared.cmp(&self.matched) {
+            Ordering::Less => (self.order, self.matched) = (Ordering::Greater, shared),
+            Ordering::Greater => {}
+            Ordering::Equal => {
+                let wanted = &self.wanted[shared..];
+                let common = rest.iter().zip(wanted).take_while(|(a, b)| a == b).count();
+                self.order = rest[common..].cmp(&wanted[common..]);
+                self.matched = shared + common;
+            }
+        }
+        self.slot += 1;
+        Some((self.order, self.matched))
+    }
+}
+
 /// A shard's term tables, laid over its bytes: everything of a
 /// [`SealedShard`] but the buffer and the scoring state.
 struct Tables {
@@ -535,6 +683,7 @@ struct Tables {
     skips: Vec<SkipEntry>,
     freq_offsets: Vec<u32>,
     lookup: Vec<u32>,
+    shared: Vec<u8>,
     posting_count: u64,
     posting_bytes: usize,
 }
@@ -542,8 +691,10 @@ struct Tables {
 impl Tables {
     /// Builds the tables over the term count and entries at
     /// `bytes[terms_at..]` in one pass, validating every structural property
-    /// the readers rely on and filling the exact-term lookup while each
-    /// term's bytes are at hand.
+    /// the readers rely on — every codec block's among them, since the walk
+    /// finds each block's end in its header — and hashing each term while its
+    /// bytes are at hand for the exact-term lookup, which is filled behind
+    /// the walk.
     fn lay_over(bytes: &[u8], terms_at: usize) -> Result<Self, BlockFormatError> {
         if terms_at > bytes.len() {
             return Err(corrupt("terms start past the end"));
@@ -554,94 +705,95 @@ impl Tables {
         let mut reader = Reader::new(bytes, terms_at);
         let term_count = reader.count(MIN_ENTRY_BYTES, "term")?;
         let mut terms: Vec<TermEntry> = Vec::with_capacity(term_count);
-        let mut lookup = vec![0u32; lookup_len(term_count)];
-        let mask = lookup.len().wrapping_sub(1);
         let mut skips: Vec<SkipEntry> = Vec::new();
         let mut freq_offsets: Vec<u32> = Vec::new();
         let mut posting_count = 0u64;
         let mut posting_bytes = 0usize;
-        let mut previous_term: &[u8] = &[];
+        let mut term: Vec<u8> = Vec::new();
+        let mut hashes: Vec<u32> = Vec::with_capacity(term_count);
+        let mut shared: Vec<u8> = Vec::with_capacity(term_count);
         for slot in 0..term_count {
             let entry_at = reader.pos() as u32;
-            let term = reader.bytes(MAX_TERM_LEN, "term")?;
-            // Most terms are ASCII, which is checked a word at a time.
-            if !term.is_ascii() && std::str::from_utf8(term).is_err() {
-                return Err(corrupt("term is not valid UTF-8"));
-            }
-            if slot > 0 && previous_term >= term {
-                return Err(corrupt("terms are not strictly ascending"));
-            }
-            previous_term = term;
-            let mut probe = fnv1a_64(term) as usize & mask;
-            while lookup[probe] != 0 {
-                probe = (probe + 1) & mask;
-            }
-            lookup[probe] = slot as u32 + 1;
+            let shares = next_term(&mut reader, slot, &mut term)?;
+            hashes.push(fnv1a_64(&term) as u32);
+            shared.push(u8::try_from(shares).unwrap_or(u8::MAX));
 
-            let len = reader.u32()?;
+            // The posting count, under its "tf blocks follow" bit, fits 32
+            // bits: a list holds fewer than 2³¹ postings.
+            let counted = reader.u32()?;
+            let (len, has_tfs) = (counted as usize >> 1, counted & 1 == 1);
             reader.take(1, "list bound")?;
-            let block_count = (len as usize).div_ceil(BLOCK_SIZE);
+            let block_count = len.div_ceil(BLOCK_SIZE);
             let multi_block = block_count > 1;
-            let blocks_at = skips.len() as u32;
-            let (mut last, mut offset) = (0u32, 0u32);
+            // Every block takes a byte at least (its first id), and in a
+            // list of several a skip entry's byte too.
+            if block_count * if multi_block { 2 } else { 1 } > reader.remaining() {
+                return Err(corrupt(format!(
+                    "{block_count} blocks cannot fit in the {} bytes left",
+                    reader.remaining()
+                )));
+            }
+            let blocks_at = skips.len();
+            let mut last = 0u32;
             for i in 0..if multi_block { block_count } else { 0 } {
                 let past_u32 = || corrupt(format!("skip entry {i} lies past the last id"));
                 last = last.checked_add(reader.u32()?).ok_or_else(past_u32)?;
-                if i > 0 {
-                    offset = offset.checked_add(reader.u32()?).ok_or_else(past_u32)?;
-                }
-                skips.push(SkipEntry { last: FileId(last), offset });
-            }
-            let payloads_at = reader.pos() as u32;
-            let data = reader.bytes(u64::MAX, "block payload")?;
-            // Every block opens with at least one byte (its first id).
-            if data.len() < block_count {
-                return Err(corrupt(format!(
-                    "{} payload bytes cannot hold {block_count} blocks",
-                    data.len()
-                )));
-            }
-            // A block's first id is the varint its offset points at, inside
-            // the payload — for every block but the first, a gap less one
-            // from the last id of the block before — and not past its own
-            // last id.
-            let mut previous_last: Option<u32> = None;
-            for (i, skip) in skips[blocks_at as usize..].iter().enumerate() {
-                let stored = Reader::new(data, skip.offset as usize).u32()?;
-                let first = match previous_last {
-                    Some(before) => before.checked_add(stored).and_then(|id| id.checked_add(1)),
-                    None => Some(stored),
-                };
-                if first.is_none_or(|first| first > skip.last.as_u32()) {
-                    return Err(corrupt(format!("skip entry {i} is out of order")));
-                }
-                previous_last = Some(skip.last.as_u32());
+                skips.push(SkipEntry { last: FileId(last), offset: 0 });
             }
 
-            let freqs_len = reader.bytes(u64::MAX, "frequency payload")?.len();
-            if freqs_len > 0 && block_count == 0 {
+            // The id blocks: each one's offset is where the block before
+            // ends.  A block's first id — for every block but the first, a
+            // gap less one from the last id of the block before — is not
+            // past its own last id.
+            let bad_block = |i| corrupt(format!("block {i} of term {slot} is malformed"));
+            let ids_at = reader.pos();
+            let mut at = ids_at;
+            let mut previous_last: Option<u32> = None;
+            for i in 0..block_count {
+                let offset = (at - ids_at) as u32;
+                let stored = checked_u32(bytes, &mut at).ok_or_else(|| bad_block(i))?;
+                if multi_block {
+                    let skip = &mut skips[blocks_at + i];
+                    skip.offset = offset;
+                    let first = match previous_last {
+                        Some(before) => before.checked_add(stored).and_then(|id| id.checked_add(1)),
+                        None => Some(stored),
+                    };
+                    if first.is_none_or(|first| first > skip.last.as_u32()) {
+                        return Err(corrupt(format!("skip entry {i} is out of order")));
+                    }
+                    previous_last = Some(skip.last.as_u32());
+                }
+                let ids = block_len(len, i);
+                if ids > 1 {
+                    at = block_end(bytes, at, ids - 1).ok_or_else(|| bad_block(i))?;
+                }
+            }
+
+            // The tf blocks, the same way, when the count says they follow.
+            let tfs_at = at;
+            if has_tfs && block_count == 0 {
                 return Err(corrupt("frequencies without postings"));
             }
-            let mut offset = 0u32;
-            for i in 0..if freqs_len > 0 { block_count } else { 0 } {
-                if i > 0 {
-                    offset = offset
-                        .checked_add(reader.u32()?)
-                        .filter(|&offset| (offset as usize) < freqs_len)
-                        .ok_or_else(|| {
-                            corrupt(format!("freq block {i} starts past the payload"))
-                        })?;
-                }
+            for i in 0..if has_tfs { block_count } else { 0 } {
                 if multi_block {
-                    freq_offsets.push(offset);
+                    freq_offsets.push((at - tfs_at) as u32);
                 }
+                at = block_end(bytes, at, block_len(len, i))
+                    .ok_or_else(|| corrupt(format!("tf block {i} of term {slot} is malformed")))?;
             }
+            reader.skip_to(at);
             freq_offsets.resize(skips.len(), 0);
 
-            posting_count += u64::from(len);
+            posting_count += len as u64;
             posting_bytes +=
-                data.len() + (skips.len() - blocks_at as usize) * std::mem::size_of::<SkipEntry>();
-            terms.push(TermEntry { entry_at, payloads_at, blocks_at });
+                tfs_at - ids_at + (skips.len() - blocks_at) * std::mem::size_of::<SkipEntry>();
+            terms.push(TermEntry {
+                entry_at,
+                ids_at: ids_at as u32,
+                tfs_at: tfs_at as u32,
+                blocks_at: blocks_at as u32,
+            });
         }
         if reader.remaining() != 0 {
             return Err(corrupt(format!(
@@ -649,9 +801,20 @@ impl Tables {
                 reader.remaining()
             )));
         }
+        // Probed once the walk is over, the table is not pushed out of the
+        // cache by the bytes streaming past.
+        let mut lookup = vec![0u32; lookup_len(term_count)];
+        let mask = lookup.len().wrapping_sub(1);
+        for (slot, &hash) in hashes.iter().enumerate() {
+            let mut probe = hash as usize & mask;
+            while lookup[probe] != 0 {
+                probe = (probe + 1) & mask;
+            }
+            lookup[probe] = slot as u32 + 1;
+        }
         skips.shrink_to_fit();
         freq_offsets.shrink_to_fit();
-        Ok(Tables { terms, skips, freq_offsets, lookup, posting_count, posting_bytes })
+        Ok(Tables { terms, skips, freq_offsets, lookup, shared, posting_count, posting_bytes })
     }
 
     /// The shard of these tables over the `bytes` they were laid over.
@@ -661,7 +824,8 @@ impl Tables {
         files: u64,
         scoring: Option<(u32, Vec<f32>)>,
     ) -> SealedShard {
-        let Tables { terms, skips, freq_offsets, lookup, posting_count, posting_bytes } = self;
+        let Tables { terms, skips, freq_offsets, lookup, shared, posting_count, posting_bytes } =
+            self;
         let (norm_base, norms) = scoring.unwrap_or_default();
         SealedShard {
             bytes,
@@ -669,6 +833,7 @@ impl Tables {
             skips,
             freq_offsets,
             lookup,
+            shared,
             files,
             posting_count,
             posting_bytes,
@@ -676,6 +841,57 @@ impl Tables {
             norms,
         }
     }
+}
+
+/// Reads the front-coded term of dictionary slot `slot` over `term`, the
+/// term of the slot before, and checks it: a restart slot shares nothing, any
+/// other slot all it shares, and no more bytes than the term before has; the
+/// term ascends strictly from the one before, is valid UTF-8 and is at most
+/// [`MAX_TERM_LEN`] bytes long.  Returns the count of bytes it shares.
+fn next_term(
+    reader: &mut Reader<'_>,
+    slot: usize,
+    term: &mut Vec<u8>,
+) -> Result<usize, BlockFormatError> {
+    let shared = reader.u64()?;
+    let restart = slot.is_multiple_of(RESTART_INTERVAL);
+    if (restart && shared > 0) || shared > term.len() as u64 {
+        let (kind, before) = if restart { ("restart ", 0) } else { ("", term.len()) };
+        return Err(corrupt(format!(
+            "{kind}term {slot} shares {shared} bytes with a term of {before}"
+        )));
+    }
+    let shared = shared as usize;
+    let rest = reader.bytes(MAX_TERM_LEN - shared as u64, "term")?;
+    let ascends = if restart {
+        slot == 0 || rest > &term[..]
+    } else {
+        match (rest.first(), term.get(shared)) {
+            (Some(&next), Some(&before)) if next == before => {
+                return Err(corrupt(format!(
+                    "term {slot} shares more than {shared} bytes with the term before"
+                )));
+            }
+            (Some(&next), before) => before.is_none_or(|&before| next > before),
+            (None, _) => false,
+        }
+    };
+    if !ascends {
+        return Err(corrupt("terms are not strictly ascending"));
+    }
+    term.truncate(shared);
+    term.extend_from_slice(rest);
+    // Most terms are ASCII, which is checked a word at a time.
+    if !term.is_ascii() && std::str::from_utf8(term).is_err() {
+        return Err(corrupt("term is not valid UTF-8"));
+    }
+    Ok(shared)
+}
+
+/// Ids in block `index` of a list of `len`: every block is full but the
+/// last.
+fn block_len(len: usize, index: usize) -> usize {
+    (len - index * BLOCK_SIZE).min(BLOCK_SIZE)
 }
 
 /// Slots of the exact-term lookup of `terms` terms: a power of two at least
@@ -940,28 +1156,30 @@ impl<'a> SealedTerms<'a> {
 
     /// Cuts the entries at term boundaries into stretches of about
     /// `chunk_weight` postings.
-    fn chunks(&self, chunk_weight: usize) -> Vec<&[Entry<'a>]> {
+    fn chunks(&self, chunk_weight: usize) -> Vec<Cut> {
         let mut chunks = Vec::new();
-        let (mut start, mut end, mut weight) = (0, 0, 0);
-        for run in runs(&self.entries) {
-            end += run.len();
+        let (mut cut, mut weight) = (Cut { from: 0, to: 0, slot: 0 }, 0);
+        for (slot, run) in runs(&self.entries).enumerate() {
+            cut.to += run.len();
             weight += TERM_WEIGHT + run.iter().map(|entry| entry.list.len()).sum::<usize>();
             if weight >= chunk_weight {
-                chunks.push(&self.entries[start..end]);
-                (start, weight) = (end, 0);
+                chunks.push(cut);
+                (cut, weight) = (Cut { from: cut.to, to: cut.to, slot: slot + 1 }, 0);
             }
         }
-        if start < end {
-            chunks.push(&self.entries[start..]);
+        if cut.from < cut.to {
+            chunks.push(cut);
         }
         chunks
     }
 
     /// Seals the terms of one chunk: each term's postings merged, compressed
-    /// and given their bound byte, then encoded.
-    fn encode_chunk(&self, chunk: &[Entry<'a>], scratch: &mut Scratch) -> SealedChunk {
+    /// and given their bound byte, then encoded behind the term before —
+    /// for the chunk's first, the last of the chunk before.
+    fn encode_chunk(&self, cut: Cut, scratch: &mut Scratch) -> SealedChunk {
         let mut sealed = SealedChunk::default();
-        for run in runs(chunk) {
+        let mut previous = cut.from.checked_sub(1).map_or("", |before| self.entries[before].term);
+        for (slot, run) in (cut.slot..).zip(runs(&self.entries[cut.from..cut.to])) {
             scratch.decode(run);
             let (ids, freqs) = (&scratch.ids, &scratch.freqs);
             let mut compressed = CompressedPostings::from_counted(ids, freqs);
@@ -973,10 +1191,22 @@ impl<'a> SealedTerms<'a> {
                 compressed.set_bound(bm25_bound_byte(saturations.fold(0.0, f64::max)));
             }
             sealed.postings += ids.len() as u64;
-            sealed.sections += encode_term(&mut sealed.bytes, run[0].term, compressed.view());
+            let term = run[0].term;
+            sealed.sections +=
+                encode_term(&mut sealed.bytes, slot, previous, term, compressed.view());
+            previous = term;
         }
         sealed
     }
+}
+
+/// A chunk of the seal: the entries `from..to`, whose first term is
+/// dictionary slot `slot`.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    from: usize,
+    to: usize,
+    slot: usize,
 }
 
 /// What [`in_order`]'s threads share: which items are taken, which results
@@ -1166,7 +1396,7 @@ mod tests {
         assert!(SealedShard::default().postings(&t("rust")).is_none());
 
         // Dictionary order.
-        let terms: Vec<&str> = shard.iter().map(|(term, _)| term).collect();
+        let terms: Vec<String> = shard.iter().map(|(term, _)| term).collect();
         assert_eq!(terms, ["index", "indexes", "into", "rust", "zebra"]);
     }
 
@@ -1455,15 +1685,21 @@ mod tests {
     /// One hand-built entry, part by part.
     #[derive(Clone, Copy)]
     struct Parts<'a> {
+        /// The bytes the term shares with the term before.
+        shared: u64,
+        /// The rest of the term.
         term: &'a [u8],
-        len: u64,
-        /// Per block `(last id, byte offset)`, as absolute values.
-        skips: &'a [(u32, u32)],
-        data: &'a [u8],
-        freqs: &'a [u8],
-        freq_offsets: &'a [u32],
+        /// The posting count's varint: the count shifted left one bit, the
+        /// low bit "tf blocks follow".
+        counted: u64,
         /// What stands where the bound byte goes.
         bound: &'a [u8],
+        /// Every block's last id, absolute (none for a single block).
+        lasts: &'a [u32],
+        /// The id blocks.
+        data: &'a [u8],
+        /// The tf blocks.
+        freqs: &'a [u8],
         /// What follows the entry.
         tail: &'a [u8],
     }
@@ -1471,22 +1707,17 @@ mod tests {
     impl Parts<'_> {
         fn encode(self) -> Vec<u8> {
             let mut out = Vec::new();
+            write_varint(&mut out, self.shared);
             write_bytes(&mut out, self.term);
-            write_varint(&mut out, self.len);
+            write_varint(&mut out, self.counted);
             out.extend_from_slice(self.bound);
-            let (mut last, mut offset) = (0, 0);
-            for (i, &skip) in self.skips.iter().enumerate() {
-                write_varint(&mut out, u64::from(skip.0.wrapping_sub(last)));
-                if i > 0 {
-                    write_varint(&mut out, u64::from(skip.1.wrapping_sub(offset)));
-                }
-                (last, offset) = skip;
+            let mut last = 0u32;
+            for &skip in self.lasts {
+                write_varint(&mut out, u64::from(skip.wrapping_sub(last)));
+                last = skip;
             }
-            write_bytes(&mut out, self.data);
-            write_bytes(&mut out, self.freqs);
-            for pair in self.freq_offsets.windows(2) {
-                write_varint(&mut out, u64::from(pair[1].wrapping_sub(pair[0])));
-            }
+            out.extend_from_slice(self.data);
+            out.extend_from_slice(self.freqs);
             out.extend_from_slice(self.tail);
             out
         }
@@ -1501,53 +1732,63 @@ mod tests {
     #[test]
     fn malformed_entries_are_errors_not_panics() {
         let n = BLOCK_SIZE as u64 + 1;
-        let (none, two): (&[u32], &[u32]) = (&[], &[0, 2]);
         let small = Parts {
+            shared: 0,
             term: b"a",
-            len: 2,
-            skips: &[],
+            counted: 2 << 1,
+            bound: &[0],
+            lasts: &[],
             data: &[0, 0],
             freqs: &[],
-            freq_offsets: none,
-            bound: &[0],
             tail: &[],
         };
-        // Two blocks: ids 0..=127 (first id 0, width-0 gaps) and id 200
-        // (first id 127 + 1 + 72).
-        let big = Parts { len: n, skips: &[(127, 0), (200, 2)], data: &[0, 0, 72], ..small };
-        // The well-formed baselines load: first ids in the payload, last ids
-        // and offsets in the skip table.
+        // Two blocks: ids 0..=127 (first id 0, width-0 gaps: one header
+        // byte) and id 200 (first id 127 + 1 + 72).
+        let big = Parts { counted: n << 1, lasts: &[127, 200], data: &[0, 0, 72], ..small };
+        // The well-formed baselines load: last ids in the skip table, first
+        // ids and offsets found in the blocks.
         load(small.encode(), 1).unwrap();
         let shard = load(big.encode(), 1).unwrap();
         let skips = shard.postings(&t("a")).unwrap().skips().to_vec();
         assert_eq!(skips.iter().map(|s| s.last).collect::<Vec<_>>(), [FileId(127), FileId(200)]);
         assert_eq!(skips.iter().map(|s| s.offset).collect::<Vec<_>>(), [0, 2]);
-        let full = Parts { freqs: &[0x40, 1, 0, 0], freq_offsets: two, bound: &[200], ..big };
+        // Frequencies: 2 for the first block (width 0 over a base of 1), 1
+        // for the second.
+        let full = Parts { counted: n << 1 | 1, freqs: &[0x40, 1, 0], bound: &[200], ..big };
         let shard = load(full.encode(), 1).unwrap();
-        assert_eq!(shard.postings(&t("a")).unwrap().bound(), 200);
+        let list = shard.postings(&t("a")).unwrap();
+        assert_eq!((list.bound(), list.freq_offsets()), (200, &[0, 2][..]));
+        assert_eq!(to_list(list).tf_of(FileId(0)), Some(2));
+        assert_eq!(to_list(list).tf_of(FileId(200)), Some(1));
         // A first-id gap that reaches past `u32` from the block before.
         let mut past_u32 = vec![0, 0];
         write_varint(&mut past_u32, u64::from(u32::MAX - 127));
         let bad = [
-            ("first > last", Parts { skips: &[(127, 0), (199, 2)], ..big }),
+            ("first > last", Parts { lasts: &[127, 199], ..big }),
             ("first-id gap past its last", Parts { data: &[0, 0, 73], ..big }),
             ("first-id gap past u32", Parts { data: &past_u32, ..big }),
-            ("last backwards", Parts { skips: &[(127, 0), (100, 2)], ..big }),
-            ("last past u32", Parts { skips: &[(u32::MAX, 0), (0, 2)], ..big }),
-            ("offset past payload", Parts { skips: &[(127, 0), (200, 99)], ..big }),
+            ("last backwards", Parts { lasts: &[127, 100], ..big }),
+            ("last past u32", Parts { lasts: &[u32::MAX, 0], ..big }),
             ("first id cut short", Parts { data: &[0, 0, 0x80], ..big }),
-            ("missing skip table", Parts { skips: &[], ..big }),
-            ("postings without payload", Parts { data: &[], ..small }),
-            ("fewer payload bytes than blocks", Parts { data: &[0], ..big }),
-            ("freq offsets short", Parts { freqs: &[0, 0], freq_offsets: &[0], ..big }),
-            ("freq offset past payload", Parts { freqs: &[0, 0], freq_offsets: two, ..big }),
-            ("frequencies without postings", Parts { len: 0, data: &[], freqs: &[0, 1], ..small }),
+            ("missing skip table", Parts { lasts: &[], ..big }),
+            ("postings without id blocks", Parts { data: &[], ..small }),
+            ("fewer id blocks than the count", Parts { data: &[0, 0], ..big }),
+            ("width 33", Parts { data: &[0, 33, 72], ..big }),
+            ("width 63", Parts { data: &[0, 63], ..small }),
+            ("exceptions past the payload", Parts { data: &[0, 0x80, 0x1f], ..small }),
+            ("base past u32", Parts { data: &[0, 0x40, 0xff, 0xff, 0xff, 0xff, 0x7f], ..small }),
+            ("tf flag without tf blocks", Parts { counted: n << 1 | 1, ..big }),
+            ("fewer tf blocks than the count", Parts { freqs: &[0x40, 1], ..full }),
+            ("tf block cut short", Parts { freqs: &[0x40], ..full }),
+            ("frequencies without postings", Parts { counted: 1, data: &[], freqs: &[0], ..small }),
             ("missing bound byte", Parts { bound: &[], ..small }),
             ("missing bound byte, multi-block", Parts { bound: &[], ..full }),
             ("term not UTF-8", Parts { term: &[0xff, 0xfe], ..small }),
+            ("restart slot sharing bytes", Parts { shared: 1, ..small }),
             ("trailing bytes", Parts { tail: &[7], ..small }),
             ("trailing bytes, multi-block", Parts { tail: &[200, 1], ..full }),
-            ("forged posting count", Parts { len: u64::MAX, data: &[0; 64], ..small }),
+            ("forged posting count", Parts { counted: u64::MAX, data: &[0; 64], ..small }),
+            ("more blocks than bytes", Parts { counted: u64::from(u32::MAX - 1), ..small }),
         ];
         for (what, parts) in bad {
             let err = load(parts.encode(), 1).expect_err(what);
@@ -1556,11 +1797,6 @@ mod tests {
         // A term count the bytes cannot hold never sizes the table.
         assert!(load(small.encode(), 2).is_err());
         assert!(load(small.encode(), u64::MAX).is_err());
-        // Terms out of order, and twice the same.
-        let named = |term| Parts { term, ..small }.encode();
-        assert!(load([named(b"alpha"), named(b"beta")].concat(), 2).is_ok());
-        assert!(load([named(b"beta"), named(b"alpha")].concat(), 2).is_err());
-        assert!(load([named(b"beta"), named(b"beta")].concat(), 2).is_err());
         // Every truncation of a valid shard is an error.
         let (bytes, _) = encode(&sample_index());
         for cut in 0..bytes.len() {
@@ -1572,6 +1808,94 @@ mod tests {
         assert!(SealedShard::from_bytes(bytes, usize::MAX, 0, &[]).is_err());
     }
 
+    #[test]
+    fn lists_at_the_block_edges_load_as_they_were_encoded_at_both_ends_of_the_ids() {
+        // Lists of 1, 127, 128, 129, 256 and 257 postings from id 0 and from
+        // `u32::MAX` less their length, every tf 1 and one tf above 1.
+        let mut owned = Vec::new();
+        for n in [1u32, 127, 128, 129, 256, 257] {
+            for first in [0, u32::MAX - n] {
+                let ids: Vec<FileId> = (first..first + n).map(FileId).collect();
+                let mut tfs = vec![1; ids.len()];
+                owned.push(CompressedPostings::from_counted(&ids, &tfs));
+                tfs[ids.len() - 1] = 7;
+                owned.push(CompressedPostings::from_counted(&ids, &tfs));
+            }
+        }
+        let mut bytes = Vec::new();
+        write_varint(&mut bytes, owned.len() as u64);
+        let terms: Vec<String> = (0..owned.len()).map(|i| format!("list{i:02}")).collect();
+        for (slot, list) in owned.iter().enumerate() {
+            let previous = slot.checked_sub(1).map_or("", |before| terms[before].as_str());
+            encode_term(&mut bytes, slot, previous, &terms[slot], list.view());
+        }
+        let shard = SealedShard::from_bytes(bytes, 0, 0, &[]).unwrap();
+        for (term, list) in terms.iter().zip(&owned) {
+            let found = shard.postings(&t(term)).unwrap();
+            assert_eq!(found, list.view(), "{term}");
+            assert_eq!(to_list(found), to_list(list.view()), "{term}");
+        }
+    }
+
+    #[test]
+    fn the_front_coding_is_canonical_and_ascends() {
+        // Terms of one posting each, front-coded by hand: `(shared, rest)`.
+        let dictionary = |entries: &[(u64, &str)]| {
+            let posting = Parts {
+                shared: 0,
+                term: b"",
+                counted: 1 << 1,
+                bound: &[0],
+                lasts: &[],
+                data: &[0],
+                freqs: &[],
+                tail: &[],
+            };
+            let bytes = entries.iter().flat_map(|&(shared, rest)| {
+                Parts { shared, term: rest.as_bytes(), ..posting }.encode()
+            });
+            load(bytes.collect(), entries.len() as u64)
+        };
+        let shard = dictionary(&[(0, "alpha"), (3, "ine"), (0, "beta")]).unwrap();
+        let terms: Vec<String> = shard.iter().map(|(term, _)| term).collect();
+        assert_eq!(terms, ["alpha", "alpine", "beta"]);
+        for (what, entries) in [
+            ("descending", &[(0, "beta"), (0, "alpha")][..]),
+            ("the same term twice", &[(0, "beta"), (4, "")]),
+            ("a prefix of the term before", &[(0, "alpha"), (2, "")]),
+            ("shared longer than the term before", &[(0, "alpha"), (6, "x")]),
+            ("shared shorter than all they share", &[(0, "alpha"), (0, "alpine")]),
+            ("shared shorter than all they share, inside", &[(0, "alpha"), (2, "pine")]),
+            ("shared at slot 0", &[(1, "alpha")]),
+        ] {
+            let err = dictionary(entries).expect_err(what);
+            assert!(err.to_string().contains("invalid compressed postings"), "{what}: {err}");
+        }
+        // Slot 16 is a restart slot: it stores its whole term, and shares
+        // nothing even with a term it has a prefix in common with.
+        let terms: Vec<String> = (0..17).map(|i| format!("a{i:02}")).collect();
+        let canonical: Vec<(u64, &str)> = (0..terms.len())
+            .map(|slot| {
+                let before = terms[slot.saturating_sub(1)].bytes();
+                let shared = if slot.is_multiple_of(RESTART_INTERVAL) {
+                    0
+                } else {
+                    before.zip(terms[slot].bytes()).take_while(|(a, b)| a == b).count()
+                };
+                (shared as u64, &terms[slot][shared..])
+            })
+            .collect();
+        assert_eq!(canonical[15..], [(2, "5"), (0, "a16")]);
+        let shard = dictionary(&canonical).unwrap();
+        for term in &terms {
+            assert!(shard.postings(&t(term)).is_some(), "{term}");
+        }
+        assert_eq!(shard.prefix_postings("a1").len(), 7);
+        let mut forged = canonical.clone();
+        forged[16] = (2, "6");
+        assert!(dictionary(&forged).is_err());
+    }
+
     proptest! {
         /// A sealed shard answers exactly what the source index answers, for
         /// every term and prefix.
@@ -1581,7 +1905,7 @@ mod tests {
                 (0u32..64, proptest::collection::vec("[a-c]{1,4}", 1..6)),
                 1..30,
             ),
-            probe in "[a-c]{0,3}",
+            probe in "[a-c]{0,4}",
         ) {
             let mut index = InMemoryIndex::new();
             for (file, words) in &docs {
@@ -1637,7 +1961,8 @@ mod tests {
             let mut bytes = Vec::new();
             write_varint(&mut bytes, owned.len() as u64);
             for (i, cp) in owned.iter().enumerate() {
-                encode_term(&mut bytes, &format!("t{i}"), cp.view());
+                let previous = i.checked_sub(1).map(|before| format!("t{before}")).unwrap_or_default();
+                encode_term(&mut bytes, i, &previous, &format!("t{i}"), cp.view());
             }
             let shard = SealedShard::from_bytes(bytes, 0, 0, &[]).unwrap();
             for (i, cp) in owned.iter().enumerate() {

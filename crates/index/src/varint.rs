@@ -45,6 +45,39 @@ pub(crate) fn read_lenient(data: &[u8], pos: &mut usize) -> u32 {
     value
 }
 
+/// The bytes of the varint that opens `word` (eight bytes, little-endian):
+/// one more than the index of its first byte without a continuation bit, 8
+/// when every byte has one.
+#[inline]
+pub(crate) fn varint_len_in(word: u64) -> usize {
+    ((!word & 0x8080_8080_8080_8080).trailing_zeros() as usize + 1) / 8
+}
+
+/// [`Reader::u32`] at `bytes[*at..]`, moving `at` past it; `None` where the
+/// reader fails.  For loops that read many values and report one error.
+#[inline(always)]
+pub(crate) fn checked_u32(bytes: &[u8], at: &mut usize) -> Option<u32> {
+    // With eight bytes at hand, a value of up to four bytes is found and
+    // assembled without a branch per byte.
+    if let Some(window) = bytes.get(*at..*at + 8) {
+        let word = u64::from_le_bytes(window.try_into().expect("eight bytes"));
+        let len = varint_len_in(word);
+        if len <= 4 {
+            let word = word & ((1u64 << (8 * len)) - 1);
+            let value = (word & 0x7f)
+                | ((word >> 1) & (0x7f << 7))
+                | ((word >> 2) & (0x7f << 14))
+                | ((word >> 3) & (0x7f << 21));
+            *at += len;
+            return Some(value as u32);
+        }
+    }
+    let mut reader = Reader::new(bytes, *at);
+    let value = reader.u32().ok()?;
+    *at = reader.pos();
+    Some(value)
+}
+
 /// A bounds-checked read position over untrusted bytes.
 #[derive(Debug, Clone)]
 pub struct Reader<'a> {
@@ -55,18 +88,21 @@ pub struct Reader<'a> {
 impl<'a> Reader<'a> {
     /// Starts reading `bytes` at `pos` (which must not lie past their end).
     #[must_use]
+    #[inline]
     pub fn new(bytes: &'a [u8], pos: usize) -> Self {
         Reader { bytes, pos }
     }
 
     /// The current position.
     #[must_use]
+    #[inline]
     pub fn pos(&self) -> usize {
         self.pos
     }
 
     /// Bytes left to read.
     #[must_use]
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
@@ -76,7 +112,13 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fails on truncated input and on encodings that overflow 64 bits.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, BlockFormatError> {
+        // Most values take one byte.
+        if let Some(&byte) = self.bytes.get(self.pos).filter(|&&byte| byte < 0x80) {
+            self.pos += 1;
+            return Ok(u64::from(byte));
+        }
         let mut value = 0u64;
         for shift in (0..64).step_by(7) {
             let byte = *self.bytes.get(self.pos).ok_or_else(|| corrupt("truncated varint"))?;
@@ -97,6 +139,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fails like [`Reader::u64`], and on larger values.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, BlockFormatError> {
         let value = self.u64()?;
         u32::try_from(value).map_err(|_| corrupt(format!("value {value} does not fit in u32")))
@@ -121,6 +164,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// Fails when fewer than `len` bytes are left.
+    #[inline]
     pub fn take(&mut self, len: u64, what: &str) -> Result<&'a [u8], BlockFormatError> {
         let left = self.remaining();
         let len = usize::try_from(len).ok().filter(|&len| len <= left).ok_or_else(|| {
@@ -131,11 +175,18 @@ impl<'a> Reader<'a> {
         Ok(taken)
     }
 
+    /// Moves on to `pos`, which must lie between here and the end.
+    pub(crate) fn skip_to(&mut self, pos: usize) {
+        debug_assert!((self.pos..=self.bytes.len()).contains(&pos));
+        self.pos = pos;
+    }
+
     /// A length-prefixed byte string of at most `max_len` bytes.
     ///
     /// # Errors
     ///
     /// Fails on a longer declared length, or like [`Reader::take`].
+    #[inline]
     pub fn bytes(&mut self, max_len: u64, what: &str) -> Result<&'a [u8], BlockFormatError> {
         let len = self.u64()?;
         if len > max_len {

@@ -185,10 +185,11 @@ fn a_sealed_posting_costs_what_its_values_need_not_what_the_widest_needs() {
     // What the frequency payloads take when every block is packed at the
     // width of its largest value (a block of equal values: two bytes).
     let mut at_the_widest = 0u64;
-    let (mut entry, mut tfs) = (Vec::new(), Vec::new());
-    for (term, list) in SealedShard::from_index(&index).iter() {
+    let (mut entry, mut tfs, mut previous) = (Vec::new(), Vec::new(), String::new());
+    for (slot, (term, list)) in SealedShard::from_index(&index).iter().enumerate() {
         entry.clear();
-        sealed += dsearch_index::encode_term(&mut entry, term, list);
+        sealed += dsearch_index::encode_term(&mut entry, slot, &previous, &term, list);
+        previous = term;
         list.decode_freqs_into(&mut tfs);
         for block in tfs.chunks(BLOCK_SIZE) {
             let (least, most) = (*block.iter().min().unwrap(), *block.iter().max().unwrap());

@@ -1,7 +1,7 @@
 //! The binary segment format.
 //!
 //! One segment stores one complete index (terms, block-compressed posting
-//! lists) together with its document table.  The version-7 layout is:
+//! lists) together with its document table.  The version-8 layout is:
 //!
 //! ```text
 //! magic   "DSG1"                            4 bytes
@@ -13,20 +13,26 @@
 //!                                           before (varint), then the rest
 //!                                           as length-prefixed bytes
 //!   doc-length count                        varint
-//!   per length (id ascending):              the file id less the one before
-//!                                           (the first: its id), then the
-//!                                           length, as varints
+//!   per length (id ascending):              when the count is the doc
+//!                                           count, the length (the ids are
+//!                                           0, 1, …); otherwise the file id
+//!                                           less the one before (the first:
+//!                                           its id), then the length, as
+//!                                           varints
 //!   term count                              varint
 //!   per term (sorted ascending):            one entry, see
 //!                                           `dsearch_index::encode_term`
 //! ```
 //!
-//! The term entries are **exactly** what a [`SealedShard`] reads in place
-//! (the id and term-frequency blocks of one patched frame-of-reference codec
-//! whose exceptions are bit-packed, every block's first id after a list's
-//! first stored as a gap from the block before, and one bound byte per list
-//! — the quantized largest `tf / (tf + norm)` of its postings, which holds
-//! no idf), so serving a segment is decode-free:
+//! Nothing is stored that the reader can derive.  The term entries are
+//! **exactly** what a [`SealedShard`] reads in place: front-coded terms (every
+//! 16th whole), the id and term-frequency blocks of one patched
+//! frame-of-reference codec whose exceptions are bit-packed, back to back
+//! with no lengths or offsets (each block's header says how long it is),
+//! every block's first id after a list's first stored as a gap from the
+//! block before, and one bound byte per list — the quantized largest
+//! `tf / (tf + norm)` of its postings, which holds no idf.  So serving a
+//! segment is decode-free:
 //! the file's bytes become the shard's one buffer and ranked queries prune
 //! with the persisted bounds.  A shard scores against the
 //! documents with a recorded length, so a segment that holds part of a run —
@@ -62,13 +68,15 @@ use crate::error::PersistError;
 pub const SEGMENT_MAGIC: [u8; 4] = *b"DSG1";
 
 /// Current segment format version (patched frame-of-reference id and
-/// frequency blocks with bit-packed exceptions, block first ids as gaps from
-/// the block before, delta-coded skip entries, a front-coded document table,
-/// document lengths under id gaps, one bound byte per list).
-pub const SEGMENT_VERSION: u32 = 7;
+/// frequency blocks with bit-packed exceptions, back to back with no offsets,
+/// block first ids as gaps from the block before, skip entries of last ids
+/// only, a front-coded dictionary, a front-coded document table, document
+/// lengths under id gaps only where they are not every document's, one
+/// bound byte per list).
+pub const SEGMENT_VERSION: u32 = 8;
 
 /// Oldest version the readers still understand.
-pub const MIN_SEGMENT_VERSION: u32 = 7;
+pub const MIN_SEGMENT_VERSION: u32 = 8;
 
 /// Longest path (in bytes) a segment will accept when reading; protects
 /// against corrupt length prefixes.
@@ -159,10 +167,16 @@ pub(crate) fn write_segment_tallied<W: Write + Seek>(
         write_bytes(&mut front, &path[shared..]);
         previous = path;
     }
-    write_varint(&mut front, sealed.doc_lens().len() as u64);
+    let doc_lens = sealed.doc_lens();
+    write_varint(&mut front, doc_lens.len() as u64);
+    // A length for every document: the ids are 0, 1, … and go unstored.
+    let dense = doc_lens.len() == docs.len();
+    debug_assert!(!dense || doc_lens.iter().enumerate().all(|(i, &(id, _))| id.as_usize() == i));
     let mut previous = 0;
-    for &(id, len) in sealed.doc_lens() {
-        write_varint(&mut front, u64::from(id.as_u32() - previous));
+    for &(id, len) in doc_lens {
+        if !dense {
+            write_varint(&mut front, u64::from(id.as_u32() - previous));
+        }
         write_varint(&mut front, u64::from(len));
         previous = id.as_u32();
     }
@@ -269,14 +283,17 @@ fn read_front_matter(bytes: &[u8], docs_at: usize) -> Result<FrontMatter, Persis
         reader.u64()?;
         reader.bytes(u64::MAX, "document path")?;
     }
-    let len_count = reader.count(2, "document length")?;
+    let len_count = reader.count(1, "document length")?;
     if len_count > doc_count {
         return Err(PersistError::Corrupt("more document lengths than documents".into()));
     }
+    // A length for every document is every document's, in id order.
+    let dense = len_count == doc_count;
     let mut doc_lens = Vec::with_capacity(len_count);
     let mut previous = 0u64;
     for i in 0..len_count {
-        let (gap, len) = (reader.u32()?, reader.u32()?);
+        let gap = if dense { u32::from(i > 0) } else { reader.u32()? };
+        let len = reader.u32()?;
         // Ids index the doc table (which also bounds the norm table the
         // shard sizes from them) and ascend strictly.
         let id = previous + u64::from(gap);
@@ -500,8 +517,10 @@ mod tests {
         .unwrap();
         assert_eq!((tallied, sections.total()), (info, info.bytes));
         assert_eq!(sections.scores, 4, "one bound byte per term");
-        assert_eq!(sections.dictionary, 4 * 2 + "alphabetagammadelta".len() as u64);
-        assert_eq!((sections.skips, sections.tfs), (0, 4), "single blocks, every tf 1");
+        // Per term a shared-byte count (nothing in common here), a length
+        // and a posting count, beside the text.
+        assert_eq!(sections.dictionary, 4 * 3 + "alphabetagammadelta".len() as u64);
+        assert_eq!((sections.skips, sections.tfs), (0, 0), "single blocks, every tf 1");
 
         let (restored, restored_docs) = read_segment(&buf[..]).unwrap();
         assert_eq!(restored, index);
@@ -514,7 +533,7 @@ mod tests {
 
     #[test]
     fn other_versions_are_a_clean_unsupported_version() {
-        for version in [1, 2, 3, 4, 5, 6, SEGMENT_VERSION + 1] {
+        for version in [1, 2, 3, 4, 5, 6, 7, SEGMENT_VERSION + 1] {
             // Under this version's checksum, and under one it would refuse
             // (a real file of versions 1–3 carries another function's): the
             // version decides first.
@@ -609,9 +628,9 @@ mod tests {
         let header = HEADER_LEN as usize;
         let at = |needle: &[u8]| good.windows(needle.len()).rposition(|w| w == needle).unwrap();
         // The first path shares bytes with a path before it, which it lacks;
-        // a length names a document past the table; a term is not UTF-8.
+        // there are more lengths than documents; a term is not UTF-8.
         let doc_table = (header + 2, 5);
-        let doc_lens = (at(&[3, 0, 2]) + 1, 7);
+        let doc_lens = (at(&[3, 2, 2, 3, 4]), 4);
         let term = (at(b"alpha"), 0xff);
         let damage = |flips: &[(usize, u8)]| {
             let mut bytes = good.clone();
@@ -620,7 +639,7 @@ mod tests {
         };
         for (flip, parse_error) in [
             (doc_table, "shares 5 bytes with one of 0"),
-            (doc_lens, "not strictly ascending ids"),
+            (doc_lens, "more document lengths than documents"),
             (term, "term is not valid UTF-8"),
         ] {
             let stale = damage(&[flip]);
@@ -635,7 +654,7 @@ mod tests {
         // as a reader front to back would meet them.
         let forged = |flips: &[(usize, u8)]| load_error(&forge(&damage(flips)[header..]));
         assert!(forged(&[doc_table, doc_lens, term]).contains("shares 5 bytes"));
-        assert!(forged(&[doc_lens, term]).contains("not strictly ascending ids"));
+        assert!(forged(&[doc_lens, term]).contains("more document lengths"));
     }
 
     /// A file of `bytes` in the temp directory, removed on drop.
@@ -763,27 +782,33 @@ mod tests {
     #[test]
     fn document_lengths_are_id_gaps_under_the_hostile_input_rules() {
         let version = u64::from(SEGMENT_VERSION);
-        // Three documents `a`, `b`, `c`; lengths for some of them as (gap,
-        // length) pairs; no terms.
-        let front = |lens: &[u64]| {
-            let mut values =
-                vec![version, 3, 0, 1, b'a'.into(), 0, 1, b'b'.into(), 0, 1, b'c'.into()];
-            values.push(lens.len() as u64 / 2);
-            values.extend_from_slice(lens);
-            values.push(0);
-            varints(&values)
+        // Three documents `a`, `b`, `c`; `count` lengths stored as `values`;
+        // no terms.
+        let front = |count: u64, values: &[u64]| {
+            let mut all =
+                vec![version, 3, 0, 1, b'a'.into(), 0, 1, b'b'.into(), 0, 1, b'c'.into(), count];
+            all.extend_from_slice(values);
+            all.push(0);
+            varints(&all)
         };
         let lens = |payload: &[u8]| -> Vec<(FileId, u32)> {
             let bytes = forge(payload);
             read_front_matter(&bytes, check_header(&bytes).unwrap()).unwrap().doc_lens
         };
-        assert_eq!(lens(&front(&[0, 5, 2, 7])), [(FileId(0), 5), (FileId(2), 7)]);
-        assert_eq!(lens(&front(&[1, 5, 1, 7])), [(FileId(1), 5), (FileId(2), 7)]);
+        // Some documents' lengths: (gap, length) pairs.
+        assert_eq!(lens(&front(2, &[0, 5, 2, 7])), [(FileId(0), 5), (FileId(2), 7)]);
+        assert_eq!(lens(&front(2, &[1, 5, 1, 7])), [(FileId(1), 5), (FileId(2), 7)]);
+        // Every document's: the lengths alone, in id order.
+        let every = [(FileId(0), 5), (FileId(1), 0), (FileId(2), 7)];
+        assert_eq!(lens(&front(3, &[5, 0, 7])), every);
         // A repeated id, and an id past the doc table.
-        assert_both_readers_reject(&front(&[1, 5, 0, 7]));
-        assert_both_readers_reject(&front(&[1, 5, 2, 7]));
-        assert_both_readers_reject(&front(&[3, 5]));
-        assert_both_readers_reject(&front(&[1, 5, u64::from(u32::MAX), 7]));
+        assert_both_readers_reject(&front(2, &[1, 5, 0, 7]));
+        assert_both_readers_reject(&front(2, &[1, 5, 2, 7]));
+        assert_both_readers_reject(&front(1, &[3, 5]));
+        assert_both_readers_reject(&front(2, &[1, 5, u64::from(u32::MAX), 7]));
+        // A dense table with more lengths than documents, and one cut short.
+        assert_both_readers_reject(&front(4, &[5, 6, 7, 8]));
+        assert_both_readers_reject(&front(3, &[5, 6]));
     }
 
     #[test]
@@ -820,6 +845,68 @@ mod tests {
         assert_eq!(&written[6..], &alone[..]);
     }
 
+    /// `index` over `docs` written and read back: the shard it loads as is
+    /// the shard it seals to, every term is found and every one- and
+    /// two-byte prefix range holds the lists a scan finds.
+    fn assert_round_trips(index: &InMemoryIndex, docs: &DocTable) {
+        let mut buf = Vec::new();
+        write_segment(index, docs, std::io::Cursor::new(&mut buf)).unwrap();
+        let (shard, _) = read_segment_sealed(&buf[..]).unwrap();
+        assert!(shard == SealedShard::from_index(index));
+        assert_eq!(read_segment(&buf[..]).unwrap().0, *index);
+        let terms: Vec<String> = shard.iter().map(|(term, _)| term).collect();
+        for (term, list) in index.iter() {
+            let found = shard.postings(term).unwrap();
+            let mut ids = Vec::new();
+            found.decode_into(&mut ids);
+            assert_eq!(ids, list.doc_ids(), "{term}");
+        }
+        let prefixes = terms.iter().flat_map(|term| {
+            [&term[..0], term.get(..1).unwrap_or(""), term.get(..2).unwrap_or("")]
+        });
+        for prefix in prefixes {
+            let scanned = terms.iter().filter(|term| term.starts_with(prefix)).count();
+            assert_eq!(shard.prefix_postings(prefix).len(), scanned, "{prefix:?}");
+        }
+    }
+
+    #[test]
+    fn v8_round_trips_at_the_edges() {
+        // Lists at the block edges, every tf 1, then one tf above 1 at the
+        // last posting of a full block.
+        let lengths = [1u32, 127, 128, 129, 256, 257];
+        let mut docs = DocTable::new();
+        let ids: Vec<FileId> = (0..300).map(|i| docs.insert(format!("d/{i:03}.txt"))).collect();
+        let mut index = InMemoryIndex::new();
+        let mut counted = InMemoryIndex::new();
+        for (i, &id) in ids.iter().enumerate() {
+            let terms = lengths.iter().filter(|&&n| n as usize > i).map(|n| format!("n{n}"));
+            index.insert_file(id, terms.clone().map(Term::from));
+            let tf = |term: &str| if i == 127 && term == "n257" { 9 } else { 1 };
+            counted
+                .insert_file_counted(id, terms.map(|term| (Term::from(term.as_str()), tf(&term))));
+        }
+        assert_round_trips(&index, &docs);
+        assert_round_trips(&counted, &docs);
+
+        // Dictionaries of 16 and 17 terms (the 17th is a restart slot): terms
+        // sharing nothing with the term before, all but one byte, and
+        // multi-byte characters — a two-byte one cut by the bytes two terms
+        // share, on either side of the restart.
+        let words = [
+            "a", "aé", "aê", "b", "bbbbbbbx", "bbbbbbby", "bbbbbbbz", "c", "dé", "dê", "x", "xü1",
+            "xü2", "xü3", "yé", "yê", "zz",
+        ];
+        for count in [16, 17] {
+            let mut docs = DocTable::new();
+            let mut index = InMemoryIndex::new();
+            for (i, word) in words[..count].iter().enumerate() {
+                index.insert_file(docs.insert(format!("w{i}")), [Term::from(*word)]);
+            }
+            assert_round_trips(&index, &docs);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -840,6 +927,85 @@ mod tests {
             }
             for threads in [1, 2, 5] {
                 prop_assert_eq!(&read_file(&file.open(), threads).unwrap(), &whole);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// Hostile v8 term sections behind a matching checksum — one byte
+        /// changed, the section cut short or extended — load as a shard or as
+        /// `Corrupt`, never a panic; and a shard that loads answers every
+        /// exact lookup, every one- and two-letter prefix range and a full
+        /// cursor walk of every list without one.
+        #[test]
+        fn hostile_term_sections_load_or_fail_cleanly(
+            files in proptest::collection::vec(
+                proptest::collection::vec(("[a-d]{1,3}", 1u32..5), 1..6),
+                1..200,
+            ),
+            at in any::<usize>(),
+            value in any::<u8>(),
+            how in 0u8..3,
+            extra in proptest::collection::vec(any::<u8>(), 1..8),
+        ) {
+            let mut docs = DocTable::new();
+            let mut index = InMemoryIndex::new();
+            for (i, words) in files.iter().enumerate() {
+                let id = docs.insert(format!("f{i}.txt"));
+                let mut uniq = words.clone();
+                uniq.sort();
+                uniq.dedup_by(|a, b| a.0 == b.0);
+                index.insert_file_counted(
+                    id,
+                    uniq.iter().map(|(w, tf)| (Term::from(w.as_str()), *tf)),
+                );
+            }
+            let mut buf = Vec::new();
+            write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
+            let terms_at = read_front_matter(&buf, check_header(&buf).unwrap()).unwrap().terms_at;
+            let mut payload = buf[HEADER_LEN as usize..].to_vec();
+            let section = terms_at - HEADER_LEN as usize..payload.len();
+            let at = section.start + at % section.len();
+            match how {
+                0 => payload[at] = value,
+                1 => payload.truncate(at),
+                _ => payload.extend_from_slice(&extra),
+            }
+            let shard = match read_segment_sealed(&forge(&payload)[..]) {
+                Ok((shard, _)) => shard,
+                Err(PersistError::Corrupt(_)) => return,
+                Err(other) => panic!("not `Corrupt`: {other}"),
+            };
+            let walk = |list: dsearch_index::CompressedView<'_>| {
+                let mut cursor = list.cursor();
+                while cursor.current().is_some() {
+                    let _ = cursor.current_tf();
+                    cursor.advance();
+                }
+            };
+            // Every word of one to three letters, and so every prefix of one
+            // or two.
+            let mut words = vec![String::new()];
+            for _ in 0..3 {
+                let longer: Vec<String> = words
+                    .iter()
+                    .filter(|word| word.len() == words.last().map_or(0, String::len))
+                    .flat_map(|word| ["a", "b", "c", "d"].map(|letter| format!("{word}{letter}")))
+                    .collect();
+                words.extend(longer);
+            }
+            for word in &words[1..] {
+                if let Some(list) = shard.postings(&Term::from(word.as_str())) {
+                    walk(list);
+                }
+                if word.len() <= 2 {
+                    shard.prefix_postings(word).for_each(walk);
+                }
+            }
+            for (_, list) in shard.iter() {
+                walk(list);
             }
         }
     }

@@ -109,23 +109,32 @@ pub trait LineHandler: Send + Sync + 'static {
 
     /// Serves one line-oriented connection (stdin, a socket, a test buffer)
     /// until EOF or `!quit`, reporting which of the two ended it.  Lines are
-    /// read into one buffer the session reuses; each response is one write.
+    /// read into one buffer the session reuses, which never holds more than
+    /// 128 KiB: a longer line is answered `ERR line too long` and skipped to
+    /// its newline unread.  Each response is one write.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures, and input that is not UTF-8.
+    /// Propagates I/O failures, and a line that is not UTF-8.
     fn serve_lines<R: BufRead, W: Write>(
         &self,
         mut input: R,
         mut output: W,
     ) -> io::Result<SessionEnd> {
-        let mut buffer = String::new();
+        let mut buffer = Vec::new();
         loop {
-            buffer.clear();
-            if input.read_line(&mut buffer)? == 0 {
-                return Ok(SessionEnd::Eof);
-            }
-            let line = buffer.strip_suffix('\n').unwrap_or(&buffer);
+            let line = match read_bounded_line(&mut input, &mut buffer)? {
+                LineRead::Eof => return Ok(SessionEnd::Eof),
+                LineRead::TooLong => {
+                    output.write_all(render_error_text("line too long").as_bytes())?;
+                    output.flush()?;
+                    continue;
+                }
+                LineRead::Line => std::str::from_utf8(&buffer).map_err(|_| {
+                    io::Error::new(io::ErrorKind::InvalidData, "request line is not UTF-8")
+                })?,
+            };
+            let line = line.strip_suffix('\n').unwrap_or(line);
             let line = line.strip_suffix('\r').unwrap_or(line);
             match self.handle(line) {
                 Handled::Respond(response) => {
@@ -135,6 +144,57 @@ pub trait LineHandler: Send + Sync + 'static {
                 Handled::Ignore => {}
                 Handled::Close => return Ok(SessionEnd::Quit),
             }
+        }
+    }
+}
+
+/// The most bytes a request line takes, its newline included: a query
+/// naming the longest term a shard holds (64 KiB) has room for as long again
+/// of operators, options and other terms.
+const MAX_LINE_BYTES: usize = 128 * 1024;
+
+/// What [`read_bounded_line`] found.
+enum LineRead {
+    /// The input ended before another byte.
+    Eof,
+    /// A line, in the buffer, with its newline unless the input ended first.
+    Line,
+    /// A line longer than [`MAX_LINE_BYTES`], read past and not kept.
+    TooLong,
+}
+
+/// Reads one line of `input` into `buffer` (cleared first), as `read_line`
+/// does but never holding more than [`MAX_LINE_BYTES`]: past them the line is
+/// consumed up to its newline a buffer of `input` at a time, and dropped.
+fn read_bounded_line<R: BufRead>(input: &mut R, buffer: &mut Vec<u8>) -> io::Result<LineRead> {
+    buffer.clear();
+    let mut too_long = false;
+    loop {
+        let available = match input.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(match (too_long, buffer.is_empty()) {
+                (true, _) => LineRead::TooLong,
+                (false, true) => LineRead::Eof,
+                (false, false) => LineRead::Line,
+            });
+        }
+        let newline = available.iter().position(|&byte| byte == b'\n');
+        let piece = &available[..newline.map_or(available.len(), |at| at + 1)];
+        if !too_long && buffer.len() + piece.len() > MAX_LINE_BYTES {
+            too_long = true;
+            buffer.clear();
+        }
+        if !too_long {
+            buffer.extend_from_slice(piece);
+        }
+        let used = piece.len();
+        input.consume(used);
+        if newline.is_some() {
+            return Ok(if too_long { LineRead::TooLong } else { LineRead::Line });
         }
     }
 }
@@ -565,6 +625,30 @@ mod tests {
         assert!(text.contains(&gauge(&service)), "{text}");
         service.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_line_past_the_cap_is_answered_and_skipped_unread() {
+        let service = service();
+        // One byte too many, a two-byte character cut by the cap; exactly
+        // the cap (which a query of trailing blanks fills); and a long line
+        // the input ends inside.
+        let mut over = vec![b'a'; MAX_LINE_BYTES - 1];
+        over.extend_from_slice("é\n".as_bytes());
+        let mut at_cap = b"rust".to_vec();
+        at_cap.resize(MAX_LINE_BYTES - 1, b' ');
+        at_cap.push(b'\n');
+        let input = [&over[..], b"rust\n", &at_cap, &vec![b'b'; 3 * MAX_LINE_BYTES]].concat();
+        let mut output = Vec::new();
+        let end = service.serve_lines(Cursor::new(input), &mut output).unwrap();
+        assert_eq!(end, SessionEnd::Eof);
+        let text = String::from_utf8(output).unwrap();
+        assert_eq!(text.matches("ERR line too long").count(), 2, "{text}");
+        assert_eq!(text.matches("OK 2 generation=1").count(), 2, "{text}");
+        assert!(text.starts_with("ERR line too long"), "{text}");
+        // A line under the cap that is not UTF-8 still ends the session.
+        let err = service.serve_lines(Cursor::new(b"\xff\n".to_vec()), Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

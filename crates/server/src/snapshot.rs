@@ -159,9 +159,9 @@ impl IndexSnapshot {
     /// Iterates `(term text, document frequency)` pairs across every shard.
     /// A term living in several shards appears once per shard; callers merge.
     pub fn terms(&self) -> impl Iterator<Item = (String, usize)> + '_ {
-        self.shards.iter().flat_map(|shard| {
-            shard.iter().map(|(term, postings)| (term.to_owned(), postings.len()))
-        })
+        self.shards
+            .iter()
+            .flat_map(|shard| shard.iter().map(|(term, postings)| (term, postings.len())))
     }
 
     /// The sealed shards, in manifest order: with [`docs`](Self::docs), what

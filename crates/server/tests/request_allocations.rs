@@ -15,45 +15,67 @@
 //!   as many (a miss within the same budget: it also grows the cache's
 //!   tables now and then): nothing scales with the length of a posting list.
 //!
-//! The counter is thread-local, and everything measured runs on the test's
+//! A session fed a request line with no end holds no more of it than the
+//! longest request a line may carry, and answers what follows it; and an
+//! exact or prefix lookup in a shard's front-coded dictionary allocates
+//! nothing.
+//!
+//! The counters are thread-local, and everything measured runs on the test's
 //! own thread (`execute` is a batch of one on its caller).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{BufReader, Cursor, Read};
 use std::sync::Arc;
 
 use dsearch_core::{Configuration, Implementation, IndexGenerator};
 use dsearch_corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch_index::InMemoryIndex;
+use dsearch_index::{DocTable, InMemoryIndex};
 use dsearch_query::{evaluate, Query, Scorer};
 use dsearch_server::protocol::render_response;
-use dsearch_server::{EngineConfig, IndexSnapshot, QueryEngine};
+use dsearch_server::{EngineConfig, IndexSnapshot, LineHandler, QueryEngine, Service};
+use dsearch_text::Term;
 use dsearch_vfs::VPath;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated on this thread less bytes freed on it, and the most
+    /// that ever was.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn live(delta: i64) {
+    let live = LIVE_BYTES.with(|live| {
+        live.set(live.get() + delta);
+        live.get()
+    });
+    PEAK_BYTES.with(|peak| peak.set(peak.get().max(live)));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a thread-local counter bump
-// that neither allocates (const-initialised `Cell`, no destructor) nor
-// unwinds.
+// `GlobalAlloc` contract; the only additions are thread-local counter bumps
+// that neither allocate (const-initialised `Cell`s, no destructor) nor
+// unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        live(layout.size() as i64);
         // SAFETY: `layout` is the caller's, passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         // SAFETY: `ptr` came from `System.alloc`/`realloc` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        live(new_size as i64 - layout.size() as i64);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -177,4 +199,78 @@ fn a_request_allocates_per_request_not_per_posting() {
         let larger = (larger_hit, larger_eval);
         assert_eq!((hit, eval), larger, "{shape}: the 4x corpus costs otherwise");
     }
+}
+
+#[test]
+fn term_lookups_in_a_front_coded_dictionary_allocate_nothing() {
+    let (engine, index) = zipf_engine(1_500);
+    let snapshot = engine.snapshot_cell().load();
+    let shard = &snapshot.shards()[0];
+    let terms: Vec<&Term> = index.iter().map(|(term, _)| term).collect();
+    let missing = Term::from("zzzz-not-a-term");
+    let (found, allocations) = allocations_during(|| {
+        terms.iter().filter(|term| shard.postings(term).is_some()).count()
+            + usize::from(shard.postings(&missing).is_some())
+    });
+    assert_eq!((found, allocations), (terms.len(), 0));
+    let prefixes: Vec<String> = terms.iter().map(|term| term.as_str()[..1].to_owned()).collect();
+    let (ranged, allocations) = allocations_during(|| {
+        prefixes.iter().map(|prefix| shard.prefix_postings(prefix).len()).sum::<usize>()
+    });
+    assert!(ranged >= terms.len(), "{ranged} lists under {} prefixes", prefixes.len());
+    assert_eq!(allocations, 0);
+}
+
+/// `len` bytes of `pattern` over and over, made as they are read.
+struct Repeating {
+    pattern: &'static [u8],
+    at: usize,
+    left: usize,
+}
+
+impl Read for Repeating {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.left);
+        for byte in &mut buf[..n] {
+            *byte = self.pattern[self.at % self.pattern.len()];
+            self.at += 1;
+        }
+        self.left -= n;
+        Ok(n)
+    }
+}
+
+#[test]
+fn a_line_without_end_is_answered_and_skipped_in_bounded_memory() {
+    let mut docs = DocTable::new();
+    let mut index = InMemoryIndex::new();
+    for (path, words) in [("a.txt", ["rust", "index"]), ("b.txt", ["rust", "serve"])] {
+        index.insert_file(docs.insert(path), words.map(Term::from));
+    }
+    let config = EngineConfig { workers: 1, ..EngineConfig::default() };
+    let engine = QueryEngine::new(IndexSnapshot::from_index(index, docs, 1), config).unwrap();
+    let service = Service::start(engine, None);
+    let mut output = Vec::new();
+    service.serve_lines(Cursor::new("rust\n"), &mut output).unwrap();
+
+    // 64 MiB of two-byte characters with no newline among them (wherever
+    // the cap falls, it may cut one), then a query, then a million empty
+    // lines: made as they are read, so the input holds none of it.
+    let endless = |pattern, left| Repeating { pattern, at: 0, left };
+    let input = endless("é".as_bytes(), 64 << 20)
+        .chain(Cursor::new("\nrust\n"))
+        .chain(endless(b"\n", 1_000_000));
+    output.clear();
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(before));
+    service.serve_lines(BufReader::new(input), &mut output).unwrap();
+    let held = PEAK_BYTES.with(Cell::get) - before;
+    let text = String::from_utf8(output).unwrap();
+    assert!(text.starts_with("ERR line too long\nEND\nOK 2 "), "{text}");
+    assert_eq!(
+        text.lines().filter(|line| line.starts_with("ERR") || line.starts_with("OK")).count(),
+        2
+    );
+    assert!(held < 1 << 20, "a session held {held} bytes at once");
+    service.shutdown();
 }

@@ -1,73 +1,28 @@
 //! Fowler–Noll–Vo hash functions.
 //!
-//! The paper's index and duplicate-elimination containers both use the FNV1
+//! The paper's index and duplicate-elimination containers both use the FNV
 //! hash function (Noll, <http://isthe.com/chongo/tech/comp/fnv/>). This module
-//! provides the classic FNV-1 and the FNV-1a variant in 32- and 64-bit widths,
-//! plus a [`std::hash::Hasher`] implementation so the containers in
-//! [`crate::hashtable`] and the standard collections can use them.
+//! provides its 64-bit FNV-1a variant, plus a [`std::hash::Hasher`]
+//! implementation so the containers in [`crate::hashtable`] and the standard
+//! collections can use it.
 //!
 //! # Example
 //!
 //! ```
-//! use dsearch_text::fnv::{fnv1a_64, fnv1_32};
+//! use dsearch_text::fnv::{fnv1a_64, FNV64_OFFSET};
 //!
-//! // Published FNV test vector: the empty string hashes to the offset basis.
-//! assert_eq!(fnv1_32(b""), 0x811c9dc5);
-//! // FNV-1a of "a".
-//! assert_eq!(fnv1a_64(b"a") , 0xaf63dc4c8601ec8c);
+//! // Published FNV test vectors: the empty string hashes to the offset
+//! // basis, and "a" to this.
+//! assert_eq!(fnv1a_64(b""), FNV64_OFFSET);
+//! assert_eq!(fnv1a_64(b"a"), 0xaf63dc4c8601ec8c);
 //! ```
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// 32-bit FNV offset basis.
-pub const FNV32_OFFSET: u32 = 0x811c9dc5;
-/// 32-bit FNV prime.
-pub const FNV32_PRIME: u32 = 0x0100_0193;
 /// 64-bit FNV offset basis.
 pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// 64-bit FNV prime.
 pub const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Computes the 32-bit FNV-1 hash of `bytes`.
-///
-/// FNV-1 multiplies by the prime *before* xoring in the next byte.
-#[inline]
-#[must_use]
-pub fn fnv1_32(bytes: &[u8]) -> u32 {
-    let mut hash = FNV32_OFFSET;
-    for &b in bytes {
-        hash = hash.wrapping_mul(FNV32_PRIME);
-        hash ^= u32::from(b);
-    }
-    hash
-}
-
-/// Computes the 32-bit FNV-1a hash of `bytes`.
-///
-/// FNV-1a xors in the next byte *before* multiplying by the prime; it has
-/// slightly better avalanche behaviour for short keys.
-#[inline]
-#[must_use]
-pub fn fnv1a_32(bytes: &[u8]) -> u32 {
-    let mut hash = FNV32_OFFSET;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(FNV32_PRIME);
-    }
-    hash
-}
-
-/// Computes the 64-bit FNV-1 hash of `bytes`.
-#[inline]
-#[must_use]
-pub fn fnv1_64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV64_OFFSET;
-    for &b in bytes {
-        hash = hash.wrapping_mul(FNV64_PRIME);
-        hash ^= u64::from(b);
-    }
-    hash
-}
 
 /// Computes the 64-bit FNV-1a hash of `bytes`.
 #[inline]
@@ -149,28 +104,6 @@ mod tests {
     use std::hash::BuildHasher;
 
     // Published test vectors from Landon Curt Noll's FNV pages.
-    #[test]
-    fn fnv1_32_vectors() {
-        assert_eq!(fnv1_32(b""), 0x811c9dc5);
-        assert_eq!(fnv1_32(b"a"), 0x050c5d7e);
-        assert_eq!(fnv1_32(b"b"), 0x050c5d7d);
-        assert_eq!(fnv1_32(b"foobar"), 0x31f0b262);
-    }
-
-    #[test]
-    fn fnv1a_32_vectors() {
-        assert_eq!(fnv1a_32(b""), 0x811c9dc5);
-        assert_eq!(fnv1a_32(b"a"), 0xe40c292c);
-        assert_eq!(fnv1a_32(b"foobar"), 0xbf9cf968);
-    }
-
-    #[test]
-    fn fnv1_64_vectors() {
-        assert_eq!(fnv1_64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1_64(b"a"), 0xaf63bd4c8601b7be);
-        assert_eq!(fnv1_64(b"foobar"), 0x340d8765a4dda9c2);
-    }
-
     #[test]
     fn fnv1a_64_vectors() {
         assert_eq!(fnv1a_64(b""), 0xcbf29ce484222325);

@@ -2,9 +2,9 @@
 //!
 //! The original C++ implementation used Boost's `unordered_map` for the index
 //! and `unordered_set` for per-file duplicate elimination, both configured
-//! with the FNV1 hash function.  This module provides the equivalent
-//! containers: [`FnvHashMap`] and [`FnvHashSet`], implemented from scratch
-//! with open addressing (linear probing) and tombstone deletion so that the
+//! with the FNV1 hash function.  This module provides the map, [`FnvHashMap`]
+//! (the index's term table and the per-file word list's seen set), implemented
+//! from scratch with open addressing (linear probing) and tombstone deletion so that the
 //! cost profile — one hash, a short probe sequence, no per-node allocation —
 //! mirrors the paper's containers.
 //!
@@ -374,110 +374,6 @@ impl<K: Hash + Eq, V> Extend<(K, V)> for FnvHashMap<K, V> {
     }
 }
 
-/// An open-addressing hash set over FNV-1a.
-///
-/// The extractor threads use this to build the per-file *condensed word list*:
-/// each term is inserted once per file, and duplicates are rejected in O(1)
-/// expected time.
-#[derive(Clone)]
-pub struct FnvHashSet<T> {
-    map: FnvHashMap<T, ()>,
-}
-
-impl<T: Hash + Eq> Default for FnvHashSet<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: fmt::Debug + Hash + Eq> fmt::Debug for FnvHashSet<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-impl<T: Hash + Eq> FnvHashSet<T> {
-    /// Creates an empty set.
-    #[must_use]
-    pub fn new() -> Self {
-        FnvHashSet { map: FnvHashMap::new() }
-    }
-
-    /// Creates an empty set sized for at least `capacity` elements.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        FnvHashSet { map: FnvHashMap::with_capacity(capacity) }
-    }
-
-    /// Number of elements in the set.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns `true` when the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Inserts `value`; returns `true` when it was not already present.
-    pub fn insert(&mut self, value: T) -> bool {
-        self.map.insert(value, ()).is_none()
-    }
-
-    /// Returns `true` when `value` is in the set.
-    pub fn contains<Q>(&self, value: &Q) -> bool
-    where
-        T: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.map.contains_key(value)
-    }
-
-    /// Removes `value`; returns `true` when it was present.
-    pub fn remove<Q>(&mut self, value: &Q) -> bool
-    where
-        T: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.map.remove(value).is_some()
-    }
-
-    /// Iterates over the elements in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.map.keys()
-    }
-
-    /// Consumes the set, yielding its elements.
-    pub fn into_iter_items(self) -> impl Iterator<Item = T> {
-        self.map.into_iter_pairs().map(|(k, ())| k)
-    }
-
-    /// Removes all elements but keeps the allocation.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-}
-
-impl<T: Hash + Eq> FromIterator<T> for FnvHashSet<T> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut set = FnvHashSet::new();
-        for item in iter {
-            set.insert(item);
-        }
-        set
-    }
-}
-
-impl<T: Hash + Eq> Extend<T> for FnvHashSet<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for item in iter {
-            self.insert(item);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,31 +501,11 @@ mod tests {
     }
 
     #[test]
-    fn set_insert_contains_remove() {
-        let mut set = FnvHashSet::new();
-        assert!(set.insert("term"));
-        assert!(!set.insert("term"));
-        assert!(set.contains("term"));
-        assert!(set.remove("term"));
-        assert!(!set.contains("term"));
-        assert!(set.is_empty());
-    }
-
-    #[test]
-    fn set_dedup_matches_expected_count() {
-        let words = ["a", "b", "a", "c", "b", "a"];
-        let set: FnvHashSet<&str> = words.iter().copied().collect();
-        assert_eq!(set.len(), 3);
-    }
-
-    #[test]
     fn debug_output_is_nonempty() {
         let mut map = FnvHashMap::new();
         map.insert("k", 1);
         let s = format!("{map:?}");
         assert!(s.contains('k'));
-        let set: FnvHashSet<u32> = [1u32].into_iter().collect();
-        assert!(!format!("{set:?}").is_empty());
     }
 
     proptest! {
@@ -655,20 +531,6 @@ mod tests {
             ours_pairs.sort_unstable();
             ref_pairs.sort_unstable();
             prop_assert_eq!(ours_pairs, ref_pairs);
-        }
-
-        /// A set built from any list of strings contains exactly the distinct
-        /// strings of that list.
-        #[test]
-        fn set_matches_sorted_dedup(words in proptest::collection::vec("[a-z]{1,8}", 0..200)) {
-            let set: FnvHashSet<String> = words.iter().cloned().collect();
-            let mut expected = words.clone();
-            expected.sort();
-            expected.dedup();
-            prop_assert_eq!(set.len(), expected.len());
-            for w in &expected {
-                prop_assert!(set.contains(w.as_str()));
-            }
         }
     }
 }

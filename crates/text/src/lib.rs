@@ -3,15 +3,14 @@
 //! This crate provides the low-level text machinery the paper's index
 //! generator is built on:
 //!
-//! * [`fnv`] — the FNV-1 and FNV-1a hash functions the paper uses for both the
-//!   shared index (Boost `unordered_map`) and the per-extractor duplicate
-//!   elimination (`unordered_set`);
-//! * [`hashtable`] — open-addressing hash map and hash set built on FNV,
-//!   mirroring the containers the original C++ implementation relied on;
+//! * [`fnv`] — the FNV hash function the paper uses for both the shared index
+//!   (Boost `unordered_map`) and the per-extractor duplicate elimination
+//!   (`unordered_set`), in its 64-bit FNV-1a variant;
+//! * [`hashtable`] — an open-addressing hash map built on FNV, mirroring the
+//!   containers the original C++ implementation relied on;
 //! * [`tokenizer`] — the term scanner that walks file contents byte by byte
 //!   and extracts index terms;
 //! * [`normalize`] — term normalisation (case folding, length limits);
-//! * [`stopwords`] — a small stop-word filter;
 //! * [`wordlist`] — the per-file *condensed word list* (terms de-duplicated
 //!   within one file) that extractor threads hand to the index *en bloc*.
 //!
@@ -39,13 +38,11 @@
 pub mod fnv;
 pub mod hashtable;
 pub mod normalize;
-pub mod stopwords;
 pub mod tokenizer;
 pub mod wordlist;
 
-pub use fnv::{fnv1_32, fnv1_64, fnv1a_32, fnv1a_64, FnvBuildHasher, FnvHasher};
-pub use hashtable::{FnvHashMap, FnvHashSet};
+pub use fnv::{fnv1a_64, FnvBuildHasher, FnvHasher};
+pub use hashtable::FnvHashMap;
 pub use normalize::{NormalizeOptions, Normalizer};
-pub use stopwords::StopWords;
 pub use tokenizer::{Term, TokenStats, Tokenizer, TokenizerOptions};
 pub use wordlist::{WordList, WordListBuilder};

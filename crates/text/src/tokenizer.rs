@@ -2,9 +2,8 @@
 //!
 //! The paper's term extractor reads each file and extracts *terms* —
 //! maximal runs of letters and digits — from plain ASCII text.  The
-//! [`Tokenizer`] here does the same: it walks a byte slice (or an
-//! [`std::io::Read`] stream) and yields terms, optionally lowercased and
-//! length-filtered via [`TokenizerOptions`].
+//! [`Tokenizer`] here does the same: it walks a byte slice and yields terms,
+//! optionally lowercased and length-filtered via [`TokenizerOptions`].
 //!
 //! # Allocation contract
 //!
@@ -20,8 +19,6 @@
 //! The scanner also keeps [`TokenStats`] so the pipeline can report how many
 //! bytes were scanned and how many raw terms were produced — these numbers
 //! feed the platform simulator's cost model.
-
-use std::io::{self, Read};
 
 use serde::{Deserialize, Serialize};
 
@@ -227,21 +224,6 @@ impl Tokenizer {
         std::iter::from_fn(move || scanner.next_token(&mut token).map(Term::from))
     }
 
-    /// Reads a stream to the end (byte-by-byte semantics, buffered I/O) and
-    /// tokenises its contents.
-    ///
-    /// This mirrors the paper's "empty scanner" experiment: the same read loop
-    /// is used both for the read-only baseline and for real extraction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error from the underlying reader.
-    pub fn tokenize_reader<R: Read>(&self, mut reader: R) -> io::Result<(Vec<Term>, TokenStats)> {
-        let mut buf = Vec::new();
-        reader.read_to_end(&mut buf)?;
-        Ok(self.tokenize(&buf))
-    }
-
     /// Scans a byte slice without extracting terms, returning only the number
     /// of bytes read.
     ///
@@ -392,15 +374,6 @@ mod tests {
         let (batch, _) = tok.tokenize(text);
         let streamed: Vec<Term> = tok.terms(text).collect();
         assert_eq!(batch, streamed);
-    }
-
-    #[test]
-    fn tokenize_reader_matches_slice() {
-        let tok = Tokenizer::default();
-        let text = b"read me from a stream".to_vec();
-        let (from_reader, _) = tok.tokenize_reader(&text[..]).unwrap();
-        let (from_slice, _) = tok.tokenize(&text);
-        assert_eq!(from_reader, from_slice);
     }
 
     #[test]

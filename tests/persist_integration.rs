@@ -150,7 +150,7 @@ fn ranked_answers_do_not_depend_on_how_many_threads_indexed() {
 /// The writer as it was before it streamed: seal the whole index into a
 /// `SealedShard`, serialise the whole payload into one buffer, checksum it,
 /// then emit header and payload.  Kept as the reference the streaming
-/// `write_segment` must match byte for byte: the version-7 layout spelled out
+/// `write_segment` must match byte for byte: the version-8 layout spelled out
 /// a second time, part by part, over the parts a `CompressedView` hands out
 /// — and, stamped with another version, as the writer of the files this
 /// build no longer reads.
@@ -177,44 +177,57 @@ fn seal_then_serialise(
     let mut doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
     doc_lens.sort_unstable_by_key(|&(id, _)| id);
     write_varint(&mut payload, doc_lens.len() as u64);
-    // Ids as gaps from the id before (the first from 0).
+    // Every document's length: the lengths alone.  Some documents': ids as
+    // gaps from the id before (the first from 0) beside them.
+    let every = doc_lens.len() == docs.len();
     let ids = doc_lens.iter().map(|&(id, _)| id.as_u32());
     for (&(id, len), before) in doc_lens.iter().zip(std::iter::once(0).chain(ids)) {
-        write_varint(&mut payload, u64::from(id.as_u32() - before));
+        if !every {
+            write_varint(&mut payload, u64::from(id.as_u32() - before));
+        }
         write_varint(&mut payload, u64::from(len));
     }
     let shard = SealedShard::from_index(index);
     write_varint(&mut payload, shard.term_count() as u64);
-    for (term, compressed) in shard.iter() {
-        write_bytes(&mut payload, term.as_bytes());
-        write_varint(&mut payload, compressed.len() as u64);
+    let mut previous = String::new();
+    for (slot, (term, compressed)) in shard.iter().enumerate() {
+        // Every 16th term whole; the others after the count of bytes they
+        // share with the term before.
+        let shared = match slot % 16 {
+            0 => 0,
+            _ => (0..=previous.len().min(term.len()))
+                .rev()
+                .find(|&n| previous.as_bytes()[..n] == term.as_bytes()[..n])
+                .unwrap(),
+        };
+        write_varint(&mut payload, shared as u64);
+        write_bytes(&mut payload, &term.as_bytes()[shared..]);
+        // The posting count, its low bit set when tf blocks follow.
+        let tracked = !compressed.freqs().is_empty();
+        write_varint(&mut payload, (compressed.len() as u64) << 1 | u64::from(tracked));
         // One bound byte a list, and no bounds per block.
         assert!(compressed.bound() > 0);
         payload.push(compressed.bound());
-        // Skip entries: last ids and offsets as deltas, the first offset (0)
-        // left out; a block's first id lives in the payload only, after the
-        // list's first block as a gap less one from the last id before it.
+        // Skip entries: last ids as deltas and nothing else; a block's first
+        // id lives in the id blocks only, after the list's first block as a
+        // gap less one from the last id before it.
         let skips = compressed.skips();
         let mut ids = Vec::new();
         compressed.decode_into(&mut ids);
         for (i, skip) in skips.iter().enumerate() {
-            let before = i.checked_sub(1).map(|i| skips[i]);
-            let last_before = before.map_or(0, |b| b.last.as_u32());
+            let last_before = i.checked_sub(1).map_or(0, |i| skips[i].last.as_u32());
             write_varint(&mut payload, u64::from(skip.last.as_u32() - last_before));
-            if let Some(before) = before {
-                write_varint(&mut payload, u64::from(skip.offset - before.offset));
-            }
             let first_id = ids[i * BLOCK_SIZE].as_u32();
-            let stored = if before.is_some() { first_id - last_before - 1 } else { first_id };
+            let stored = if i > 0 { first_id - last_before - 1 } else { first_id };
             let mut first = Vec::new();
             write_varint(&mut first, u64::from(stored));
             assert!(compressed.data()[skip.offset as usize..].starts_with(&first));
         }
-        write_bytes(&mut payload, compressed.data());
-        write_bytes(&mut payload, compressed.freqs());
-        for offset in compressed.freq_offsets().windows(2) {
-            write_varint(&mut payload, u64::from(offset[1] - offset[0]));
-        }
+        // The id blocks, then the tf blocks, back to back: no lengths, no
+        // offsets.
+        payload.extend_from_slice(compressed.data());
+        payload.extend_from_slice(compressed.freqs());
+        previous = term;
     }
     let mut bytes = SEGMENT_MAGIC.to_vec();
     bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
@@ -253,15 +266,16 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                     written == seal_then_serialise(index, &docs, SEGMENT_VERSION, xxh64),
                     "{implementation:?} x{extractors}: streamed segment differs from the reference"
                 );
-                // There is one readable version: the same payload stamped 6,
-                // 5 or 4 (under this build's checksum) or 3 (under the FNV-1a
-                // of versions 1–3) is refused by its version, by both
+                // There is one readable version: the same payload stamped 7,
+                // 6, 5 or 4 (under this build's checksum) or 3 (under the
+                // FNV-1a of versions 1–3) is refused by its version, by both
                 // readers, before its checksum is looked at.
                 let fnv1a: fn(&[u8]) -> u64 = dsearch::text::fnv1a_64;
                 let xxh64: fn(&[u8]) -> u64 = xxh64;
-                for (version, checksum) in [(6, xxh64), (5, xxh64), (4, xxh64), (3, fnv1a)] {
+                let old_versions = [(7, xxh64), (6, xxh64), (5, xxh64), (4, xxh64), (3, fnv1a)];
+                for (version, checksum) in old_versions {
                     let old = seal_then_serialise(index, &docs, version, checksum);
-                    assert_eq!((old[12], written[12]), (version as u8, 7));
+                    assert_eq!((old[12], written[12]), (version as u8, 8));
                     for err in [read_segment(&old[..]).err(), read_segment_sealed(&old[..]).err()] {
                         assert!(
                             matches!(err, Some(PersistError::UnsupportedVersion { found, .. }) if found == version),
