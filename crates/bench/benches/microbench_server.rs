@@ -12,16 +12,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use dsearch::index::{DocTable, InMemoryIndex};
 use dsearch::server::protocol::render_response;
-use dsearch::server::{
-    loadgen, BatchConfig, EngineConfig, IndexSnapshot, LoadConfig, LoadMode, Metric, QueryEngine,
-    WorkerPool, Workload,
-};
+use dsearch::server::{BatchConfig, EngineConfig, IndexSnapshot, Metric, QueryEngine, WorkerPool};
 use dsearch::text::Term;
 
 thread_local! {
@@ -91,17 +90,39 @@ fn engine_with(workers: usize, cache_capacity: usize) -> Arc<QueryEngine> {
 
 /// Warm workload: 16 distinct queries replayed; after the first pass every
 /// request is a cache hit.
-fn warm_workload() -> Workload {
-    Workload::from_queries((0..16).map(|i| format!("common w{} OR m{}", i % 10, i % 100)).collect())
+fn warm_workload() -> Vec<String> {
+    (0..16).map(|i| format!("common w{} OR m{}", i % 10, i % 100)).collect()
 }
 
 /// Cold workload: a large pool of distinct queries (far beyond the cache
 /// capacity used in the cold benchmark) so effectively every request misses.
-fn cold_workload() -> Workload {
-    Workload::from_queries((0..4096).map(|i| format!("m{} rare{}", i % 100, i % 2000)).collect())
+fn cold_workload() -> Vec<String> {
+    (0..4096).map(|i| format!("m{} rare{}", i % 100, i % 2000)).collect()
 }
 
 const REQUESTS_PER_ITER: usize = 512;
+
+/// A closed loop: `callers` threads each take the next of `requests`
+/// requests (cycling through `queries`) and wait for its answer through
+/// `Pool::execute` before taking another.  Panics if any request fails.
+fn closed_loop(pool: &WorkerPool, queries: &[String], requests: usize, callers: usize) {
+    let issued = AtomicUsize::new(0);
+    let failed = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..callers {
+            scope.spawn(|| loop {
+                let slot = issued.fetch_add(1, Ordering::Relaxed);
+                if slot >= requests {
+                    break;
+                }
+                if pool.execute(&queries[slot % queries.len()]).is_err() {
+                    failed.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+    });
+    assert_eq!(failed.into_inner(), 0, "bench requests must not fail");
+}
 
 fn bench_worker_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("server_throughput");
@@ -114,20 +135,7 @@ fn bench_worker_scaling(c: &mut Criterion) {
         let pool = WorkerPool::start(Arc::clone(&engine));
         let workload = warm_workload();
         group.bench_with_input(BenchmarkId::new("warm_cache", workers), &workers, |b, &workers| {
-            b.iter(|| {
-                let report = loadgen::run(
-                    &pool,
-                    &workload,
-                    &LoadConfig {
-                        requests: REQUESTS_PER_ITER,
-                        mode: LoadMode::Closed { clients: workers.max(2) },
-                        stage_report: false,
-                        deadline_ms: None,
-                    },
-                );
-                assert_eq!(report.errors, 0);
-                report.latency.p99
-            });
+            b.iter(|| closed_loop(&pool, &workload, REQUESTS_PER_ITER, workers.max(2)));
         });
         pool.shutdown();
 
@@ -136,20 +144,7 @@ fn bench_worker_scaling(c: &mut Criterion) {
         let pool = WorkerPool::start(Arc::clone(&engine));
         let workload = cold_workload();
         group.bench_with_input(BenchmarkId::new("cold_cache", workers), &workers, |b, &workers| {
-            b.iter(|| {
-                let report = loadgen::run(
-                    &pool,
-                    &workload,
-                    &LoadConfig {
-                        requests: REQUESTS_PER_ITER,
-                        mode: LoadMode::Closed { clients: workers.max(2) },
-                        stage_report: false,
-                        deadline_ms: None,
-                    },
-                );
-                assert_eq!(report.errors, 0);
-                report.latency.p99
-            });
+            b.iter(|| closed_loop(&pool, &workload, REQUESTS_PER_ITER, workers.max(2)));
         });
         pool.shutdown();
     }
@@ -167,37 +162,13 @@ fn bench_cache_effect(c: &mut Criterion) {
     let warm_pool = WorkerPool::start(Arc::clone(&warm_engine));
     let warm = warm_workload();
     group.bench_function("repeated_queries_warm", |b| {
-        b.iter(|| {
-            loadgen::run(
-                &warm_pool,
-                &warm,
-                &LoadConfig {
-                    requests: REQUESTS_PER_ITER,
-                    mode: LoadMode::Closed { clients: 4 },
-                    stage_report: false,
-                    deadline_ms: None,
-                },
-            )
-            .qps
-        });
+        b.iter(|| closed_loop(&warm_pool, &warm, REQUESTS_PER_ITER, 4));
     });
 
     let cold_engine = engine_with(4, 1);
     let cold_pool = WorkerPool::start(Arc::clone(&cold_engine));
     group.bench_function("repeated_queries_cold", |b| {
-        b.iter(|| {
-            loadgen::run(
-                &cold_pool,
-                &warm,
-                &LoadConfig {
-                    requests: REQUESTS_PER_ITER,
-                    mode: LoadMode::Closed { clients: 4 },
-                    stage_report: false,
-                    deadline_ms: None,
-                },
-            )
-            .qps
-        });
+        b.iter(|| closed_loop(&cold_pool, &warm, REQUESTS_PER_ITER, 4));
     });
 
     // Report the measured cache effect once, outside the timing loops.
@@ -235,8 +206,8 @@ fn batching_engine(max_batch: usize) -> Arc<QueryEngine> {
 /// all anchored on "common", cycling fast enough that a one-entry cache
 /// never helps two consecutive requests.  With 8 closed-loop clients a
 /// drained batch usually holds duplicates, which dedup evaluates once.
-fn shared_term_workload() -> Workload {
-    Workload::from_queries((0..64).map(|i| format!("common w{}", i % 4)).collect())
+fn shared_term_workload() -> Vec<String> {
+    (0..64).map(|i| format!("common w{}", i % 4)).collect()
 }
 
 fn bench_batching(c: &mut Criterion) {
@@ -247,21 +218,13 @@ fn bench_batching(c: &mut Criterion) {
     for (label, max_batch) in [("unbatched(max_batch=1)", 1), ("batched(max_batch=32)", 32)] {
         let engine = batching_engine(max_batch);
         let pool = WorkerPool::start(Arc::clone(&engine));
-        let report = loadgen::run(
-            &pool,
-            &shared_term_workload(),
-            &LoadConfig {
-                requests: 8192,
-                mode: LoadMode::Closed { clients: 8 },
-                stage_report: false,
-                deadline_ms: None,
-            },
-        );
+        let started = Instant::now();
+        closed_loop(&pool, &shared_term_workload(), 8192, 8);
+        let elapsed = started.elapsed();
         let stats = engine.stats();
         println!(
-            "{label}: qps {:.0}  p99 {:?}  batched {}  dedup_hits {}",
-            report.qps,
-            report.latency.p99,
+            "{label}: qps {:.0}  batched {}  dedup_hits {}",
+            8192.0 / elapsed.as_secs_f64(),
             stats.get(Metric::Batched),
             stats.get(Metric::DedupHits)
         );
@@ -277,20 +240,7 @@ fn bench_batching(c: &mut Criterion) {
         let pool = WorkerPool::start(Arc::clone(&engine));
         let workload = shared_term_workload();
         group.bench_function(BenchmarkId::new("shared_terms", name), |b| {
-            b.iter(|| {
-                let report = loadgen::run(
-                    &pool,
-                    &workload,
-                    &LoadConfig {
-                        requests: REQUESTS_PER_ITER,
-                        mode: LoadMode::Closed { clients: 8 },
-                        stage_report: false,
-                        deadline_ms: None,
-                    },
-                );
-                assert_eq!(report.errors, 0);
-                report.qps
-            });
+            b.iter(|| closed_loop(&pool, &workload, REQUESTS_PER_ITER, 8));
         });
         pool.shutdown();
     }
@@ -314,20 +264,7 @@ fn bench_pool_execute(c: &mut Criterion) {
         let engine = engine_with(WORKERS, 4096);
         let pool = WorkerPool::start(Arc::clone(&engine));
         group.bench_function(name, |b| {
-            b.iter(|| {
-                let report = loadgen::run(
-                    &pool,
-                    &workload,
-                    &LoadConfig {
-                        requests: REQUESTS_PER_ITER,
-                        mode: LoadMode::Closed { clients: callers },
-                        stage_report: false,
-                        deadline_ms: None,
-                    },
-                );
-                assert_eq!(report.errors, 0);
-                report.latency.p50
-            });
+            b.iter(|| closed_loop(&pool, &workload, REQUESTS_PER_ITER, callers));
         });
         let stats = engine.stats();
         println!(

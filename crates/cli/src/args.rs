@@ -26,7 +26,7 @@ const VALUE_OPTIONS: &[&str] = &[
     "platform",
     "max-threads",
     "table",
-    // serve / loadgen / route
+    // serve / route
     "tcp",
     "idle-timeout-secs",
     "max-conns",
@@ -34,11 +34,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "cache",
     "cache-shards",
     "cache-admission",
-    "requests",
-    "clients",
-    "rate",
-    "queries",
-    "mode",
     "max-batch",
     "queue-bound",
     "shard",
@@ -49,7 +44,6 @@ const VALUE_OPTIONS: &[&str] = &[
     "probe-ms",
     "default-deadline-ms",
     "retry-budget-pct",
-    "deadline-ms",
     // build / dlq
     "max-retries",
     "checkpoint-every",
@@ -57,7 +51,7 @@ const VALUE_OPTIONS: &[&str] = &[
 ];
 
 /// Boolean flags: option names that take no value.
-const FLAGS: &[&str] = &["incremental", "formats", "resume", "stage-report", "help"];
+const FLAGS: &[&str] = &["incremental", "formats", "resume", "help"];
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -8,7 +8,6 @@ pub mod corpus;
 pub mod curves;
 pub mod dlq;
 pub mod index;
-pub mod loadgen;
 pub mod route;
 pub mod search;
 pub mod serve;

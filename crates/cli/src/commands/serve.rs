@@ -17,7 +17,7 @@ use dsearch::server::{
 use crate::args::ParsedArgs;
 use crate::CliError;
 
-/// Where the options `serve`, `route` and `loadgen` share land in an
+/// Where the options `serve` and `route` share land in an
 /// [`EngineConfig`] or a [`RouterConfig`](dsearch::server::RouterConfig).
 pub(crate) struct SharedOptions<'a> {
     pub(crate) workers: &'a mut usize,
@@ -58,7 +58,7 @@ pub(crate) fn apply_shared_options(
     Ok(())
 }
 
-/// Builds the engine configuration from the shared serve/loadgen options.
+/// Builds the engine configuration from the options `serve` reads.
 /// Invalid combinations (zero workers, zero cache shards, empty batches) are
 /// usage errors here, before any store I/O happens.
 pub(crate) fn engine_config(args: &ParsedArgs) -> Result<EngineConfig, CliError> {
@@ -97,7 +97,7 @@ fn tcp_config(args: &ParsedArgs) -> Result<TcpServerConfig, CliError> {
 }
 
 /// Opens the store and loads generation 1.
-pub(crate) fn load_engine(args: &ParsedArgs) -> Result<(Arc<QueryEngine>, PathBuf), CliError> {
+fn load_engine(args: &ParsedArgs) -> Result<(Arc<QueryEngine>, PathBuf), CliError> {
     let store_path = args
         .value_of("store")
         .ok_or_else(|| CliError::Usage("this command requires --store <path>".into()))?;

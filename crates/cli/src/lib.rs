@@ -11,7 +11,6 @@
 //! | `search --store <path> <query…>` | run a boolean/prefix query against a persisted index |
 //! | `serve --store <path> [--tcp addr]` | run the concurrent query service (line protocol, snapshot reloads) |
 //! | `route --shard <addr>…` | run the scatter-gather coordinator over `serve` shard servers (partial answers when a shard fails) |
-//! | `loadgen --store <path>` | replay a derived query workload and report QPS + latency percentiles |
 //! | `corpus <dir> --scale 0.01` | materialise a synthetic benchmark corpus with the paper's shape |
 //! | `tables` | print the paper's Tables 1–4 from the calibrated platform models, with this host's measured run beside them |
 //! | `curves --platform 32` | print speed-up-vs-threads curves for the three implementations |
@@ -119,14 +118,9 @@ COMMANDS:
         prefix, or !trace / --trace-us for the slow-query log) carry one
         `# shard <addr> rtt= stages=` line per shard; !metrics exposes the
         per-shard round-trip histograms.
-
-    loadgen --store <path> [--requests N] [--queries N] [--seed N]
-            [--mode closed|open] [--clients N] [--rate QPS] [--workers N]
-            [--max-batch N] [--queue-bound N] [--stage-report]
-        Replay a query workload derived from the indexed terms and report QPS,
-        p50/p95/p99/p99.9 latency and shed/batched/dedup counts; with
-        --stage-report, also per-stage latency percentiles from the servers'
-        query traces.
+        A shard's reply holds at most --limit hits (and the trace lines of
+        a shard that is itself a router); a longer reply, or a line past
+        128 KiB, fails that shard and drops its connection.
 
     corpus <dir> [--scale F] [--seed N]
         Materialise a synthetic benchmark corpus with the paper's shape.
@@ -167,7 +161,6 @@ where
         Some("search") => commands::search::run(&args),
         Some("serve") => commands::serve::run(&args),
         Some("route") => commands::route::run(&args),
-        Some("loadgen") => commands::loadgen::run(&args),
         Some("corpus") => commands::corpus::run(&args),
         Some("tables") => commands::tables::run(&args),
         Some("curves") => commands::curves::run(&args),
@@ -198,6 +191,8 @@ mod tests {
         // `tune` is not a command: the sweep behind `tables` and `curves` is
         // the one configuration search.
         assert!(matches!(run(["tune"]).unwrap_err(), CliError::Usage(_)));
+        // Nor is `loadgen`: load is driven over the wire, from outside.
+        assert!(matches!(run(["loadgen"]).unwrap_err(), CliError::Usage(_)));
     }
 
     #[test]

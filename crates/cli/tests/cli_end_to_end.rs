@@ -444,58 +444,6 @@ fn a_full_index_retires_the_signatures_of_the_store_it_replaces() {
 }
 
 #[test]
-fn loadgen_reports_qps_and_percentiles() {
-    let dir = TempDir::new("loadgen");
-    let docs = dir.path().join("docs");
-    fs::create_dir_all(&docs).unwrap();
-    write_docs(&docs);
-    let store = dir.sub("store");
-
-    run([
-        "index".to_owned(),
-        docs.to_string_lossy().into_owned(),
-        "--store".to_owned(),
-        store.clone(),
-    ])
-    .unwrap();
-
-    let out = run([
-        "loadgen".to_owned(),
-        "--store".to_owned(),
-        store.clone(),
-        "--requests".to_owned(),
-        "200".to_owned(),
-        "--queries".to_owned(),
-        "16".to_owned(),
-        "--clients".to_owned(),
-        "2".to_owned(),
-        "--workers".to_owned(),
-        "2".to_owned(),
-    ])
-    .unwrap();
-    assert!(out.contains("qps"), "{out}");
-    assert!(out.contains("p50") && out.contains("p95") && out.contains("p99"), "{out}");
-    assert!(out.contains("errors 0"), "{out}");
-    assert!(out.contains("generations seen {1}"), "{out}");
-
-    // Open-loop mode works through the CLI too.
-    let out = run([
-        "loadgen".to_owned(),
-        "--store".to_owned(),
-        store,
-        "--requests".to_owned(),
-        "50".to_owned(),
-        "--mode".to_owned(),
-        "open".to_owned(),
-        "--rate".to_owned(),
-        "5000".to_owned(),
-    ])
-    .unwrap();
-    assert!(out.contains("open-loop"), "{out}");
-    assert!(out.contains("p99"), "{out}");
-}
-
-#[test]
 fn searching_an_empty_store_fails_cleanly() {
     let dir = TempDir::new("empty-store");
     let store = dir.sub("store");

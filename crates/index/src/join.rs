@@ -33,35 +33,6 @@ pub fn join_all(replicas: Vec<InMemoryIndex>) -> InMemoryIndex {
     acc
 }
 
-/// Describes how a parallel join will proceed (for reports and the
-/// simulator's cost model).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinPlan {
-    /// Number of replicas being joined.
-    pub replicas: usize,
-    /// Number of joiner threads requested (z).
-    pub threads: usize,
-    /// Number of pairwise merge rounds the tree reduction needs.
-    pub rounds: usize,
-}
-
-impl JoinPlan {
-    /// Computes the plan for joining `replicas` replicas with `threads`
-    /// joiner threads.
-    #[must_use]
-    pub fn new(replicas: usize, threads: usize) -> Self {
-        let rounds =
-            if replicas <= 1 { 0 } else { (usize::BITS - (replicas - 1).leading_zeros()) as usize };
-        JoinPlan { replicas, threads: threads.max(1), rounds }
-    }
-
-    /// Total pairwise merges performed across all rounds.
-    #[must_use]
-    pub fn total_merges(&self) -> usize {
-        self.replicas.saturating_sub(1)
-    }
-}
-
 /// Joins replicas with a parallel tree reduction using at most `threads`
 /// worker threads.
 ///
@@ -203,17 +174,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn join_plan_rounds_and_merges() {
-        assert_eq!(JoinPlan::new(0, 2).rounds, 0);
-        assert_eq!(JoinPlan::new(1, 2).rounds, 0);
-        assert_eq!(JoinPlan::new(2, 2).rounds, 1);
-        assert_eq!(JoinPlan::new(3, 2).rounds, 2);
-        assert_eq!(JoinPlan::new(8, 4).rounds, 3);
-        assert_eq!(JoinPlan::new(8, 4).total_merges(), 7);
-        assert_eq!(JoinPlan::new(1, 0).threads, 1);
     }
 
     proptest! {

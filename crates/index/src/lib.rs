@@ -61,7 +61,7 @@ pub use block::{
     SliceCursor, BLOCK_SIZE,
 };
 pub use doc_table::{DocTable, FileId};
-pub use join::{join_all, join_into, parallel_join, JoinPlan};
+pub use join::{join_all, join_into, parallel_join};
 pub use memory_index::InMemoryIndex;
 pub use posting::PostingList;
 pub use sealed::{

@@ -180,10 +180,9 @@ pub struct SealedShard {
     /// Sum of [`CompressedView::byte_size`] (shards are immutable, so
     /// `!stats` reporting need not re-sweep the vocabulary).
     posting_bytes: usize,
-    /// `norms[i]` is the BM25 length norm of `FileId(norm_base + i)`.
-    /// Empty ⇒ unscored shard (every norm reads as neutral).
-    norm_base: u32,
-    norms: Vec<f32>,
+    /// The BM25 length norms; empty ⇒ unscored shard (every norm reads as
+    /// neutral).
+    norms: Norms,
 }
 
 impl PartialEq for SealedShard {
@@ -192,7 +191,6 @@ impl PartialEq for SealedShard {
         // neither necessary (tables) nor sufficient (lengths) on their own.
         self.files == other.files
             && self.posting_count == other.posting_count
-            && self.norm_base == other.norm_base
             && self.norms == other.norms
             && self.iter().eq(other.iter())
     }
@@ -332,7 +330,7 @@ impl SealedShard {
             Ok::<(), std::convert::Infallible>(())
         });
         bytes.shrink_to_fit();
-        SealedShard::lay_over(bytes, 0, sealing.files, sealing.scoring)
+        SealedShard::lay_over(bytes, 0, sealing.files, sealing.norms)
             .expect("freshly encoded terms are well-formed")
     }
 
@@ -392,15 +390,14 @@ impl SealedShard {
     }
 
     /// Builds the term tables over `bytes[terms_at..]` and keeps the bytes
-    /// as the shard's buffer.  `scoring` is `(norm_base, norms)`, `None` for
-    /// an unscored shard.
+    /// as the shard's buffer, scored with `norms` (empty: unscored).
     fn lay_over(
         bytes: Vec<u8>,
         terms_at: usize,
         files: u64,
-        scoring: Option<(u32, Vec<f32>)>,
+        norms: Norms,
     ) -> Result<Self, BlockFormatError> {
-        Ok(Tables::lay_over(&bytes, terms_at)?.into_shard(bytes, files, scoring))
+        Ok(Tables::lay_over(&bytes, terms_at)?.into_shard(bytes, files, norms))
     }
 
     /// The front-coded term of dictionary slot `slot`: how many bytes it
@@ -608,7 +605,7 @@ impl SealedShard {
             + self.skips.capacity() * size_of::<SkipEntry>()
             + (self.freq_offsets.capacity() + self.lookup.capacity()) * size_of::<u32>()
             + self.shared.capacity()
-            + self.norms.capacity() * size_of::<f32>()
+            + self.norms.heap_bytes()
     }
 
     /// Whether the shard carries BM25 scoring state (document length norms
@@ -624,7 +621,7 @@ impl SealedShard {
     /// unscored shards.
     #[must_use]
     pub fn doc_norm(&self, file: FileId) -> f32 {
-        norm_at(self.norm_base, &self.norms, file)
+        self.norms.at(file)
     }
 
     /// The shard-local BM25 inverse document frequency of a term appearing
@@ -818,15 +815,9 @@ impl Tables {
     }
 
     /// The shard of these tables over the `bytes` they were laid over.
-    fn into_shard(
-        self,
-        bytes: Vec<u8>,
-        files: u64,
-        scoring: Option<(u32, Vec<f32>)>,
-    ) -> SealedShard {
+    fn into_shard(self, bytes: Vec<u8>, files: u64, norms: Norms) -> SealedShard {
         let Tables { terms, skips, freq_offsets, lookup, shared, posting_count, posting_bytes } =
             self;
-        let (norm_base, norms) = scoring.unwrap_or_default();
         SealedShard {
             bytes,
             terms,
@@ -837,7 +828,6 @@ impl Tables {
             files,
             posting_count,
             posting_bytes,
-            norm_base,
             norms,
         }
     }
@@ -997,8 +987,8 @@ pub struct SealedTerms<'a> {
     files: u64,
     /// Every recorded document length, id ascending.
     doc_lens: Vec<(FileId, u32)>,
-    /// `(norm_base, norms)`; `None` for an unscored index.
-    scoring: Option<(u32, Vec<f32>)>,
+    /// The length norms of `doc_lens`; empty for an unscored index.
+    norms: Norms,
 }
 
 /// A stretch of consecutive terms, sealed: what [`SealedTerms::encode`]
@@ -1099,7 +1089,7 @@ impl<'a> SealedTerms<'a> {
             entries,
             terms,
             files: scored_population(doc_lens.len(), counted),
-            scoring: build_norms(&doc_lens),
+            norms: build_norms(&doc_lens),
             doc_lens,
         }
     }
@@ -1183,11 +1173,9 @@ impl<'a> SealedTerms<'a> {
             scratch.decode(run);
             let (ids, freqs) = (&scratch.ids, &scratch.freqs);
             let mut compressed = CompressedPostings::from_counted(ids, freqs);
-            if let Some((base, norms)) = &self.scoring {
-                let saturations = ids
-                    .iter()
-                    .zip(freqs)
-                    .map(|(&id, &tf)| saturation(tf, norm_at(*base, norms, id)));
+            if !self.norms.is_empty() {
+                let saturations =
+                    ids.iter().zip(freqs).map(|(&id, &tf)| saturation(tf, self.norms.at(id)));
                 compressed.set_bound(bm25_bound_byte(saturations.fold(0.0, f64::max)));
             }
             sealed.postings += ids.len() as u64;
@@ -1318,32 +1306,82 @@ fn in_order<S: Default, T: Send, E>(
     })
 }
 
-/// Builds the dense BM25 norm table from `(file, document length)` pairs:
-/// `(norm_base, norms)`.  Returns `None` (unscored) when no
-/// lengths were recorded or they sum to zero.  Order-insensitive, so the
-/// seal path (hash-map iteration) and the segment-load path (sorted pairs)
-/// produce identical tables.  The table spans `[min_id ..= max_id]`; ids
-/// without a recorded length read as the neutral norm.
-fn build_norms(pairs: &[(FileId, u32)]) -> Option<(u32, Vec<f32>)> {
-    let total: u64 = pairs.iter().map(|&(_, len)| u64::from(len)).sum();
-    if total == 0 {
-        return None;
-    }
-    let avg = total as f64 / pairs.len() as f64;
-    let base = pairs.iter().map(|&(id, _)| id.as_u32()).min().expect("non-empty");
-    let top = pairs.iter().map(|&(id, _)| id.as_u32()).max().expect("non-empty");
-    let mut norms = vec![bm25_neutral_norm(); (top - base + 1) as usize];
-    for &(id, len) in pairs {
-        let scale = 1.0 - f64::from(BM25_B) + f64::from(BM25_B) * (f64::from(len) / avg);
-        norms[(id.as_u32() - base) as usize] = (f64::from(BM25_K1) * scale) as f32;
-    }
-    Some((base, norms))
+/// BM25 length norms by document id, in memory proportional to the lengths
+/// recorded, whatever the span of their ids: a dense table over
+/// `[base ..= highest id]` when the recorded ids fill at least a quarter of
+/// that span (every store a run writes: its ids are dense), else the
+/// recorded `(id, norm)` pairs, id ascending.  An id without a recorded
+/// length reads as the neutral norm; no table at all means unscored.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Norms {
+    base: u32,
+    dense: Vec<f32>,
+    sparse: Vec<(u32, f32)>,
 }
 
-/// Norm lookup against a dense table rooted at `base`; out-of-table ids
-/// (no recorded length) read as the neutral norm.
-fn norm_at(base: u32, norms: &[f32], id: FileId) -> f32 {
-    norms.get(id.as_u32().wrapping_sub(base) as usize).copied().unwrap_or_else(bm25_neutral_norm)
+impl Norms {
+    /// The norm of `id`: the dense table's slot when it has one — the
+    /// per-posting path, one bounds check as ever — else the sparse pairs'.
+    fn at(&self, id: FileId) -> f32 {
+        match self.dense.get(id.as_u32().wrapping_sub(self.base) as usize) {
+            Some(&norm) => norm,
+            None => self.sparse_at(id.as_u32()),
+        }
+    }
+
+    fn sparse_at(&self, id: u32) -> f32 {
+        match self.sparse.binary_search_by_key(&id, |&(id, _)| id) {
+            Ok(at) => self.sparse[at].1,
+            Err(_) => bm25_neutral_norm(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.dense.is_empty() && self.sparse.is_empty()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.dense.capacity() * std::mem::size_of::<f32>()
+            + self.sparse.capacity() * std::mem::size_of::<(u32, f32)>()
+    }
+}
+
+/// Builds the BM25 norm table from `(file, document length)` pairs; empty
+/// (unscored) when no lengths were recorded or they sum to zero.
+/// Order-insensitive, so the seal path and the segment-load path produce
+/// identical tables; where an id repeats, its last pair counts.
+fn build_norms(pairs: &[(FileId, u32)]) -> Norms {
+    let total: u64 = pairs.iter().map(|&(_, len)| u64::from(len)).sum();
+    if total == 0 {
+        return Norms::default();
+    }
+    let avg = total as f64 / pairs.len() as f64;
+    let norm = |len: u32| {
+        let scale = 1.0 - f64::from(BM25_B) + f64::from(BM25_B) * (f64::from(len) / avg);
+        (f64::from(BM25_K1) * scale) as f32
+    };
+    let base = pairs.iter().map(|&(id, _)| id.as_u32()).min().expect("non-empty");
+    let top = pairs.iter().map(|&(id, _)| id.as_u32()).max().expect("non-empty");
+    let span = u64::from(top - base) + 1;
+    if span <= 4 * pairs.len() as u64 {
+        let mut dense = vec![bm25_neutral_norm(); span as usize];
+        for &(id, len) in pairs {
+            dense[(id.as_u32() - base) as usize] = norm(len);
+        }
+        return Norms { base, dense, sparse: Vec::new() };
+    }
+    let mut sparse: Vec<(u32, f32)> =
+        pairs.iter().map(|&(id, len)| (id.as_u32(), norm(len))).collect();
+    // Stable: of an id's pairs, the last stays last, and is the one kept.
+    sparse.sort_by_key(|&(id, _)| id);
+    sparse.dedup_by(|later, kept| {
+        let same_file = later.0 == kept.0;
+        if same_file {
+            kept.1 = later.1;
+        }
+        same_file
+    });
+    Norms { base: 0, dense: Vec::new(), sparse }
 }
 
 #[cfg(test)]
@@ -1622,7 +1660,7 @@ mod tests {
             let mut bytes = Vec::new();
             write_varint(&mut bytes, sealing.term_count() as u64);
             bytes.extend_from_slice(&merged);
-            let shard = SealedShard::lay_over(bytes, 0, sealing.files, sealing.scoring).unwrap();
+            let shard = SealedShard::lay_over(bytes, 0, sealing.files, sealing.norms).unwrap();
             prop_assert_eq!(shard, SealedShard::from_index(&joined));
         }
     }

@@ -20,8 +20,15 @@
 //!   their join performs — and handed out a chunk at a time: what is in
 //!   flight is a small share of the encoded shard.
 //!
+//! * A document-length table costs what was recorded, not the span of the
+//!   ids it was recorded at: lengths at ids 0 and `u32::MAX − 257` seal
+//!   in a few kilobytes, where a dense norm table over that span took
+//!   16 GiB.
+//!
 //! The counters are thread-local, so the tests of this binary do not see
-//! each other's allocations.
+//! each other's allocations.  An allocation of more than 1 GiB is refused
+//! (the test aborts on it) rather than attempted: under overcommit it could
+//! succeed and then fill the machine's memory.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -44,12 +51,18 @@ fn note(calls: u64, bytes: i64) {
 
 struct Counting;
 
+/// The largest allocation the counting allocator passes on (1 GiB).
+const REFUSED_ABOVE: usize = 1 << 30;
+
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the only addition is two thread-local counter bumps
 // that neither allocate (const-initialised `Cell`s, no destructor) nor
 // unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() > REFUSED_ABOVE {
+            return std::ptr::null_mut();
+        }
         note(1, layout.size() as i64);
         // SAFETY: `layout` is the caller's, passed through as received.
         unsafe { System.alloc(layout) }
@@ -62,6 +75,9 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size > REFUSED_ABOVE {
+            return std::ptr::null_mut();
+        }
         note(1, new_size as i64 - layout.size() as i64);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -281,6 +297,40 @@ fn a_late_id_is_spliced_in_without_a_scratch() {
     assert!(ids.windows(2).all(|w| w[0] < w[1]));
     assert_eq!(list.tf_of(FileId(2 * (100_000 - 500) + 1)), Some(1));
     assert_eq!(list.tf_of(FileId(2 * (100_000 - 1_499) + 1)), Some(200));
+}
+
+#[test]
+fn lengths_at_both_ends_of_the_ids_seal_in_the_memory_they_record() {
+    // Three terms at id 0, one at `u32::MAX − 257`; the same lengths at
+    // ids 0 and 1 seal into a dense table, the reference.
+    let far = FileId(u32::MAX - 257);
+    let index_at = |second: FileId| {
+        let mut index = InMemoryIndex::new();
+        index.insert_file(FileId(0), ["alpha", "beta", "gamma"].map(Term::from));
+        index.insert_file(second, [Term::from("alpha")]);
+        index
+    };
+    let (sparse, dense) = (index_at(far), index_at(FileId(1)));
+
+    let live_before = LIVE_BYTES.with(Cell::get);
+    let terms = SealedTerms::new(std::slice::from_ref(&sparse));
+    let sealing = LIVE_BYTES.with(Cell::get) - live_before;
+    drop(terms);
+    assert!(sealing < 64 * 1024, "sealing two documents holds {sealing} bytes");
+
+    let shard = SealedShard::from_index(&sparse);
+    assert!(shard.resident_bytes() < 64 * 1024, "{} bytes", shard.resident_bytes());
+    assert!(shard.has_scoring());
+    let reference = SealedShard::from_index(&dense);
+    assert_eq!(shard.doc_norm(FileId(0)), reference.doc_norm(FileId(0)));
+    assert_eq!(shard.doc_norm(far), reference.doc_norm(FileId(1)));
+    assert_ne!(shard.doc_norm(FileId(0)), shard.doc_norm(far));
+    // Ids with no recorded length read as neutral, on both sides.
+    for id in [FileId(1), FileId(1 << 20), FileId(u32::MAX)] {
+        assert_eq!(shard.doc_norm(id), reference.doc_norm(FileId(7)), "{id:?}");
+    }
+    let bound = |shard: &SealedShard| shard.postings(&Term::from("alpha")).unwrap().bound();
+    assert_eq!(bound(&shard), bound(&reference), "list bounds come from the same norms");
 }
 
 fn allocations_during<T>(work: impl FnOnce() -> T) -> (T, u64) {

@@ -1,17 +1,19 @@
 //! Latency summaries: the one definition of "p99".
 //!
-//! [`LatencySummary`] is what every report prints — built exactly from
-//! samples ([`LatencySummary::from_samples`], the load generator) or within
-//! one bucket from a histogram (`Histogram::summary`, the server) — and
-//! [`percentile`] is the nearest-rank rule both agree on.
+//! [`LatencySummary`] is what every report prints — built within one bucket
+//! from a histogram (`Histogram::summary`, the server) or exactly from
+//! samples ([`LatencySummary::from_samples`], the reference the histogram is
+//! checked against) — and [`percentile`] is the nearest-rank rule both agree
+//! on.
 
 use std::time::Duration;
 
 /// Ready-made latency summary: the percentiles a serving system reports.
-/// Built exactly from samples ([`LatencySummary::from_samples`], the load
-/// generator) or within one bucket from a histogram
-/// ([`Histogram::summary`](crate::Histogram::summary), the server), so every
-/// report agrees on what "p99" means.
+/// Built within one bucket from a histogram
+/// ([`Histogram::summary`](crate::Histogram::summary), the server) or exactly
+/// from samples ([`LatencySummary::from_samples`], the reference the
+/// histogram is checked against), so every report agrees on what "p99"
+/// means.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Number of samples summarised.

@@ -171,14 +171,6 @@ impl QueryTrace {
         self.spans().find(|s| s.stage == stage).map(|s| s.dur)
     }
 
-    /// Sum of all top-level spans — the portion of a query's wall time the
-    /// trace can attribute to named stages.  Shard spans are excluded: their
-    /// RTTs run concurrently inside the scatter span.
-    #[must_use]
-    pub fn attributed(&self) -> Duration {
-        self.spans().fold(Duration::ZERO, |acc, s| acc.saturating_add(s.dur))
-    }
-
     /// Attaches one shard's timing block (router only).
     pub fn push_shard(&mut self, shard: ShardSpan) {
         self.shards.push(shard);
@@ -278,7 +270,6 @@ mod tests {
         trace.record(Stage::Postings, Duration::from_nanos(500)); // accumulates
         assert_eq!(trace.get(Stage::Postings), Some(Duration::from_nanos(1_500)));
         assert_eq!(trace.get(Stage::Merge), None);
-        assert_eq!(trace.attributed(), Duration::from_nanos(1_900));
         let stages: Vec<Stage> = trace.spans().map(|s| s.stage).collect();
         assert_eq!(stages, vec![Stage::Parse, Stage::Postings]);
     }
@@ -322,7 +313,6 @@ mod tests {
             stages: vec![Span { stage: Stage::Postings, dur: Duration::from_micros(4) }],
         });
         assert_eq!(trace.shards().len(), 1);
-        assert_eq!(trace.attributed(), Duration::from_micros(10));
     }
 
     #[test]

@@ -246,19 +246,15 @@ impl FrequencySketch {
 }
 
 /// One LRU shard: a key map plus a recency index ordered by a monotonically
-/// increasing tick, and (under TinyLFU) the shard's frequency sketch.
+/// increasing tick, the most entries it holds, and (under TinyLFU) the
+/// shard's frequency sketch.
 #[derive(Debug)]
 struct Shard<V> {
     entries: HashMap<CacheKey, (V, u64)>,
     recency: BTreeMap<u64, CacheKey>,
     tick: u64,
+    capacity: usize,
     sketch: Option<FrequencySketch>,
-}
-
-impl<V> Default for Shard<V> {
-    fn default() -> Self {
-        Shard { entries: HashMap::new(), recency: BTreeMap::new(), tick: 0, sketch: None }
-    }
 }
 
 impl<V: Clone> Shard<V> {
@@ -275,7 +271,7 @@ impl<V: Clone> Shard<V> {
         Some(value)
     }
 
-    fn insert(&mut self, key: CacheKey, value: V, capacity: usize) -> u64 {
+    fn insert(&mut self, key: CacheKey, value: V) -> u64 {
         let tick = self.tick;
         self.tick += 1;
         if let Some((_, old_tick)) = self.entries.remove(&key) {
@@ -284,7 +280,7 @@ impl<V: Clone> Shard<V> {
         self.entries.insert(key.clone(), (value, tick));
         self.recency.insert(tick, key);
         let mut evicted = 0;
-        while self.entries.len() > capacity {
+        while self.entries.len() > self.capacity {
             let (_, victim) = self.recency.pop_first().expect("recency tracks entries");
             self.entries.remove(&victim);
             evicted += 1;
@@ -298,7 +294,6 @@ impl<V: Clone> Shard<V> {
 #[derive(Debug)]
 pub struct QueryCache<V = Arc<SearchResults>> {
     shards: Vec<Mutex<Shard<V>>>,
-    capacity_per_shard: usize,
     admission: AdmissionPolicy,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -318,8 +313,9 @@ fn key_hash(key: CacheKeyRef<'_>) -> u64 {
 }
 
 impl<V: Clone> QueryCache<V> {
-    /// Creates a cache with `capacity` total entries spread over `shards`
-    /// locks, admitting every insert.  Both values are clamped to at least 1.
+    /// Creates a cache of at most `capacity` entries spread over `shards`
+    /// locks, admitting every insert.  A cache never has more shards than
+    /// entries (and has one, holding nothing, at capacity 0).
     #[must_use]
     pub fn new(capacity: usize, shards: usize) -> Self {
         QueryCache::with_admission(capacity, shards, AdmissionPolicy::AdmitAll)
@@ -330,19 +326,23 @@ impl<V: Clone> QueryCache<V> {
     /// sketch sized to its share of the capacity.
     #[must_use]
     pub fn with_admission(capacity: usize, shards: usize, admission: AdmissionPolicy) -> Self {
-        let shards = shards.max(1);
-        let capacity_per_shard = capacity.max(1).div_ceil(shards);
+        let shards = shards.min(capacity).max(1);
         QueryCache {
+            // The first `capacity % shards` shards hold one entry more, so the
+            // shards add up to `capacity` exactly.
             shards: (0..shards)
-                .map(|_| {
-                    let mut shard = Shard::default();
-                    if admission == AdmissionPolicy::TinyLfu {
-                        shard.sketch = Some(FrequencySketch::new(capacity_per_shard));
-                    }
-                    Mutex::new(shard)
+                .map(|i| {
+                    let capacity = capacity / shards + usize::from(i < capacity % shards);
+                    Mutex::new(Shard {
+                        entries: HashMap::new(),
+                        recency: BTreeMap::new(),
+                        tick: 0,
+                        capacity,
+                        sketch: (admission == AdmissionPolicy::TinyLfu)
+                            .then(|| FrequencySketch::new(capacity)),
+                    })
                 })
                 .collect(),
-            capacity_per_shard,
             admission,
             hits: Arc::default(),
             misses: Arc::default(),
@@ -396,16 +396,19 @@ impl<V: Clone> QueryCache<V> {
         result
     }
 
-    /// Inserts a result, evicting least-recently-used entries past capacity.
-    /// Under TinyLFU a new key offered to a full shard must out-score the
+    /// Inserts a result, evicting least-recently-used entries past capacity
+    /// (a cache of capacity 0 stores nothing).  Under TinyLFU a new key offered to a full shard must out-score the
     /// LRU victim in the frequency sketch or the insert is rejected (the
     /// victim stays).
     pub fn insert(&self, key: CacheKey, value: V) {
         let hash = key_hash((&key).into());
         let mut shard = self.shard_for(hash).lock();
+        if shard.capacity == 0 {
+            return;
+        }
         if let Some(sketch) = &shard.sketch {
             let challenging =
-                shard.entries.len() >= self.capacity_per_shard && !shard.entries.contains_key(&key);
+                shard.entries.len() >= shard.capacity && !shard.entries.contains_key(&key);
             if challenging {
                 if let Some((_, victim)) = shard.recency.first_key_value() {
                     if sketch.estimate(hash) <= sketch.estimate(key_hash(victim.into())) {
@@ -416,7 +419,7 @@ impl<V: Clone> QueryCache<V> {
                 }
             }
         }
-        let evicted = shard.insert(key, value, self.capacity_per_shard);
+        let evicted = shard.insert(key, value);
         drop(shard);
         self.insertions.inc();
         self.evictions.add(evicted);
@@ -523,6 +526,28 @@ mod tests {
         // An eviction takes the evicted entry's bytes with it.
         cache.insert(key("go", 1), results(1));
         assert_eq!(cache.resident_bytes(hits), 2 * (6 + 2) + 6 * hit);
+    }
+
+    #[test]
+    fn capacity_is_exact_whatever_the_shard_count() {
+        for capacity in [0, 1, 7, 4096] {
+            for admission in [AdmissionPolicy::AdmitAll, AdmissionPolicy::TinyLfu] {
+                let cache = QueryCache::with_admission(capacity, 8, admission);
+                assert_eq!(cache.shard_count(), capacity.clamp(1, 8), "{capacity}");
+                for i in 0..4 * capacity + 64 {
+                    cache.insert(key(&format!("q{i}"), 1), results(1));
+                    assert!(cache.len() <= capacity, "{capacity}: {} entries", cache.len());
+                }
+                if admission == AdmissionPolicy::AdmitAll {
+                    // Every shard saw more keys than it holds: all are full.
+                    assert_eq!(cache.len(), capacity, "{capacity}");
+                }
+            }
+        }
+        let off = QueryCache::new(0, 8);
+        off.insert(key("rust", 1), results(1));
+        assert!(off.get(&key("rust", 1)).is_none());
+        assert_eq!(off.counters().insertions, 0);
     }
 
     #[test]

@@ -24,6 +24,9 @@ use crate::protocol::{render_error_text, render_info, render_response};
 use crate::snapshot::{IndexSnapshot, SnapshotCell};
 use crate::stats::{DeadlineStage, Metric, ServerStats};
 
+/// Hits an answer holds by default (`--limit`), on a shard and on a router.
+pub(crate) const DEFAULT_RESULT_LIMIT: usize = 20;
+
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -53,7 +56,7 @@ impl Default for EngineConfig {
             cache_capacity: 4096,
             cache_shards: 8,
             cache_admission: AdmissionPolicy::default(),
-            result_limit: 20,
+            result_limit: DEFAULT_RESULT_LIMIT,
             batch: BatchConfig::default(),
             default_deadline: None,
         }

@@ -43,9 +43,7 @@
 //!   (closed → open → half-open probe with backoff), hedged requests
 //!   against the set's rolling round-trip p99, a token-bucket retry budget
 //!   that keeps hedges and failovers a bounded fraction of traffic, and the
-//!   one gather that runs scatter, hedge, failover and deadline;
-//! * [`loadgen`] — closed- and open-loop load generation behind
-//!   `dsearch loadgen`.
+//!   one gather that runs scatter, hedge, failover and deadline.
 //!
 //! # Example
 //!
@@ -76,7 +74,6 @@
 pub mod batch;
 pub mod cache;
 pub mod engine;
-pub mod loadgen;
 pub mod protocol;
 pub mod replica;
 pub mod route;
@@ -89,7 +86,6 @@ pub use cache::{AdmissionPolicy, CacheCounters, CacheKey, CacheKeyRef, QueryCach
 pub use engine::{
     ConfigError, EngineConfig, PendingResponse, QueryEngine, QueryResponse, ServerError, WorkerPool,
 };
-pub use loadgen::{LoadConfig, LoadMode, LoadReport, Workload};
 pub use protocol::{prefix_deadline_ms, split_request_meta, RequestMeta};
 pub use replica::{ReplicaSet, ReplicaSetConfig, ReplicaState};
 pub use route::{

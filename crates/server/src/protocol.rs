@@ -37,6 +37,7 @@
 //! `partial=true deadline=exceeded` with whatever shards answered in time.
 
 use std::fmt::Write;
+use std::io::{self, BufRead};
 use std::time::{Duration, Instant};
 
 use dsearch_obs::trace::{nanos, write_spans_compact};
@@ -439,6 +440,56 @@ impl ParsedResponse {
     #[must_use]
     pub fn shard_spans(&self) -> Vec<dsearch_obs::ShardSpan> {
         self.body.iter().filter_map(|line| parse_shard_line(line)).collect()
+    }
+}
+
+/// The most bytes a line of the protocol takes, its newline included — a
+/// request line or a line of a shard's reply: a query naming the longest
+/// term a shard holds (64 KiB) has room for as long again of operators,
+/// options and other terms.
+pub(crate) const MAX_LINE_BYTES: usize = 128 * 1024;
+
+/// What [`read_bounded_line`] found.
+pub(crate) enum LineRead {
+    /// The input ended before another byte.
+    Eof,
+    /// A line, in the buffer, with its newline unless the input ended first.
+    Line,
+    /// A line longer than [`MAX_LINE_BYTES`]: read up to the cap, not kept,
+    /// and the rest of it left in the input.
+    TooLong,
+}
+
+/// Reads one line of `input` into `buffer` (cleared first), as `read_line`
+/// does but never holding more than [`MAX_LINE_BYTES`]: a longer line is
+/// [`LineRead::TooLong`] as soon as it passes them.  The server then skips
+/// the rest of the line unread; the router drops the shard's connection.
+pub(crate) fn read_bounded_line<R: BufRead>(
+    input: &mut R,
+    buffer: &mut Vec<u8>,
+) -> io::Result<LineRead> {
+    buffer.clear();
+    loop {
+        let available = match input.fill_buf() {
+            Ok(available) => available,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if available.is_empty() {
+            return Ok(if buffer.is_empty() { LineRead::Eof } else { LineRead::Line });
+        }
+        let newline = available.iter().position(|&byte| byte == b'\n');
+        let piece = &available[..newline.map_or(available.len(), |at| at + 1)];
+        if buffer.len() + piece.len() > MAX_LINE_BYTES {
+            buffer.clear();
+            return Ok(LineRead::TooLong);
+        }
+        buffer.extend_from_slice(piece);
+        let used = piece.len();
+        input.consume(used);
+        if newline.is_some() {
+            return Ok(LineRead::Line);
+        }
     }
 }
 

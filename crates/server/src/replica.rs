@@ -73,7 +73,7 @@ use parking_lot::Mutex;
 
 use dsearch_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
-use crate::engine::ConfigError;
+use crate::engine::{ConfigError, DEFAULT_RESULT_LIMIT};
 use crate::route::{backend_panicked, Replies, ShardBackend, ShardError, ShardReply};
 use crate::stats::{Metric, SHARD_RTT_METRIC};
 
@@ -215,9 +215,9 @@ struct Health {
     backoff: Duration,
 }
 
-/// A batch as the worker threads share it: the canonical queries and one
-/// trace id per query (zero meaning untraced).
-type Batch = Arc<(Vec<String>, Vec<u64>)>;
+/// A batch as the worker threads share it: the canonical queries, one trace
+/// id per query (zero meaning untraced) and the router's result limit.
+type Batch = Arc<(Vec<String>, Vec<u64>, usize)>;
 
 /// What a worker thread sends back to a gather: `(shard, member, replies,
 /// when they were ready)`.
@@ -326,10 +326,11 @@ impl Member {
     /// a gather: a panicking backend fails the batch (`unavailable: …
     /// panicked`), never the thread.  Then one call less in flight, and the
     /// breaker's verdict on it.
-    fn call(&self, canonicals: &[String], ids: &[u64]) -> Replies {
+    fn call(&self, canonicals: &[String], ids: &[u64], limit: usize) -> Replies {
         let sent = Instant::now();
-        let replies = catch_unwind(AssertUnwindSafe(|| self.backend.search_batch(canonicals, ids)))
-            .unwrap_or_else(|_| vec![Err(backend_panicked()); canonicals.len()]);
+        let replies =
+            catch_unwind(AssertUnwindSafe(|| self.backend.search_batch(canonicals, ids, limit)))
+                .unwrap_or_else(|_| vec![Err(backend_panicked()); canonicals.len()]);
         let rtt = sent.elapsed();
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
         if answered(&replies) {
@@ -410,7 +411,7 @@ impl ReplicaSet {
                 let member = Arc::clone(member);
                 let thread = std::thread::spawn(move || {
                     while let Ok(Task { batch, respond }) = queue.recv() {
-                        let replies = member.call(&batch.0, &batch.1);
+                        let replies = member.call(&batch.0, &batch.1, batch.2);
                         if let Some((gather, shard)) = respond {
                             // The gather may have finished without it; fine.
                             let _ = gather.send((shard, index, replies, Instant::now()));
@@ -489,13 +490,20 @@ impl ReplicaSet {
         self.members.iter().map(|m| m.probes.value()).sum()
     }
 
-    /// Answers one canonical query: the gather over this set alone.
+    /// Answers one canonical query: the gather over this set alone, asked
+    /// as a router with the default `--limit` would ask it.
     ///
     /// # Errors
     ///
     /// Reports the last failure when every replica tried failed.
     pub fn search(&self, canonical: &str) -> Result<ShardReply, ShardError> {
-        let mut answer = gather(std::slice::from_ref(self), &[canonical.to_owned()], &[0], None);
+        let mut answer = gather(
+            std::slice::from_ref(self),
+            &[canonical.to_owned()],
+            &[0],
+            DEFAULT_RESULT_LIMIT,
+            None,
+        );
         let (mut replies, _) = answer.pop().flatten().expect("with no deadline every set answers");
         replies.pop().expect("one query in, one reply out")
     }
@@ -695,7 +703,8 @@ impl Call<'_> {
     }
 }
 
-/// Asks every set for `canonicals` (with their trace `ids`) at once: the one
+/// Asks every set for `canonicals` (with their trace `ids`, for at most
+/// `limit` hits each) at once: the one
 /// dispatcher behind the router's scatter and [`ReplicaSet::search`].
 ///
 /// Each set's primary goes to the first member in its pick order, all
@@ -715,12 +724,13 @@ pub(crate) fn gather(
     sets: &[ReplicaSet],
     canonicals: &[String],
     ids: &[u64],
+    limit: usize,
     deadline: Option<Instant>,
 ) -> Vec<Option<(Replies, Duration)>> {
     let started = Instant::now();
     // Copied for the worker threads only if a call leaves this one.
     let shared = OnceCell::new();
-    let batch = || shared.get_or_init(|| Arc::new((canonicals.to_vec(), ids.to_vec())));
+    let batch = || shared.get_or_init(|| Arc::new((canonicals.to_vec(), ids.to_vec(), limit)));
     let (respond, replies) = mpsc::channel();
     let inline = deadline.is_none() && sets.iter().all(|set| set.members.len() == 1);
     let mut calls: Vec<Call> = sets
@@ -749,7 +759,7 @@ pub(crate) fn gather(
     if let Some(call) = calls.first_mut().filter(|_| inline) {
         let member = &call.set.members[0];
         member.in_flight.fetch_add(1, Ordering::Relaxed);
-        let replies = member.call(canonicals, ids);
+        let replies = member.call(canonicals, ids, limit);
         call.finish(replies, started.elapsed());
     }
     let mut waiting = calls.iter().filter(|call| call.answer.is_none()).count();

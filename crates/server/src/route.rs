@@ -34,7 +34,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,10 +46,10 @@ use dsearch_query::{merge_ranked, RankedHit};
 
 use crate::batch::{Answer, BatchConfig, BatchFrame, Executor, Pending, Pool};
 use crate::cache::{CacheCounters, CacheKey, CacheKeyRef, QueryCache};
-use crate::engine::{ConfigError, QueryEngine, ServerError};
+use crate::engine::{ConfigError, QueryEngine, ServerError, DEFAULT_RESULT_LIMIT};
 use crate::protocol::{
-    parse_hit_line, prefix_deadline_ms, prefix_trace_id, read_response, render_error_text,
-    render_info_with_body, render_routed_response, split_request_meta,
+    parse_hit_line, prefix_deadline_ms, prefix_trace_id, read_bounded_line, read_response,
+    render_error_text, render_info_with_body, render_routed_response, split_request_meta, LineRead,
 };
 use crate::replica::{gather, ReplicaSet};
 use crate::stats::{DeadlineStage, Metric, ServerStats};
@@ -116,11 +116,14 @@ pub trait ShardBackend: Send + Sync {
     /// `ids[i]` is the trace id of `canonicals[i]`, zero meaning untraced,
     /// so a distributed trace can be joined across the router's and the
     /// shard's slow-query logs; backends that understand tracing also return
-    /// their stage breakdowns in the replies.  The default ignores the ids
-    /// and makes one call per query; local and remote shards override it to
-    /// answer the whole batch at once.
-    fn search_batch(&self, canonicals: &[String], ids: &[u64]) -> Replies {
-        let _ = ids;
+    /// their stage breakdowns in the replies.  `limit` is the router's own
+    /// result limit: no more of a shard's hits can reach its answer, and a
+    /// remote shard's reply holding more lines than that (and a trace block)
+    /// has failed.  The default ignores the ids and the limit and makes one
+    /// call per query; local and remote shards override it to answer the
+    /// whole batch at once.
+    fn search_batch(&self, canonicals: &[String], ids: &[u64], limit: usize) -> Replies {
+        let _ = (ids, limit);
         canonicals.iter().map(|c| self.search(c)).collect()
     }
 
@@ -205,7 +208,7 @@ impl ShardBackend for LocalShards {
         LocalShards::convert(self.engine.execute(canonical), false)
     }
 
-    fn search_batch(&self, canonicals: &[String], ids: &[u64]) -> Replies {
+    fn search_batch(&self, canonicals: &[String], ids: &[u64], _limit: usize) -> Replies {
         let lines = with_trace_ids(canonicals, ids);
         let traced = matches!(lines, Cow::Owned(_));
         let raws: Vec<&str> = lines.iter().map(String::as_str).collect();
@@ -255,6 +258,48 @@ impl Default for RemoteShardConfig {
             connect_timeout: Duration::from_millis(500),
             io_timeout: Duration::from_secs(2),
             max_pooled: 2,
+        }
+    }
+}
+
+/// Body lines a shard's reply may carry beyond its hits: the per-shard
+/// lines of a shard that is itself a router — the `# shard` block of a
+/// traced answer, or the body of its `!stats` — for up to this many shards
+/// behind it.
+const MAX_PER_SHARD_LINES: usize = 1024;
+
+/// The lines of one shard's replies, each read through
+/// [`read_bounded_line`] and none kept past the next: a line longer than
+/// [`MAX_LINE_BYTES`](crate::protocol::MAX_LINE_BYTES), or a reply of more
+/// than `left` lines, is an error, and nothing more is read.
+struct ReplyLines<R> {
+    input: R,
+    buffer: Vec<u8>,
+    /// Lines the reply being read may still hold.
+    left: usize,
+}
+
+impl<R: BufRead> Iterator for ReplyLines<R> {
+    type Item = io::Result<String>;
+
+    fn next(&mut self) -> Option<io::Result<String>> {
+        let refused = |what: &str| Some(Err(io::Error::new(io::ErrorKind::InvalidData, what)));
+        let Some(left) = self.left.checked_sub(1) else {
+            return refused("reply longer than a well-formed one");
+        };
+        self.left = left;
+        match read_bounded_line(&mut self.input, &mut self.buffer) {
+            Err(e) => Some(Err(e)),
+            Ok(LineRead::Eof) => None,
+            Ok(LineRead::TooLong) => refused("reply line too long"),
+            Ok(LineRead::Line) => {
+                let line = self.buffer.strip_suffix(b"\n").unwrap_or(&self.buffer);
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                match std::str::from_utf8(line) {
+                    Ok(line) => Some(Ok(line.to_owned())),
+                    Err(_) => refused("reply line is not UTF-8"),
+                }
+            }
         }
     }
 }
@@ -347,13 +392,15 @@ impl RemoteShard {
         }
     }
 
-    /// Sends `lines` down one connection and reads one response per line.
+    /// Sends `lines` down one connection and reads one response per line,
+    /// each of at most `body_lines` lines between its status and `END`.
     /// Lines carrying an `@d=<ms>` deadline prefix clamp the connect and io
     /// timeouts for the exchange to the tightest budget in the batch: a
     /// query whose caller gives up in 5ms must not hold a 2s socket timeout.
     fn exchange(
         &self,
         lines: &[String],
+        body_lines: usize,
     ) -> Result<Vec<crate::protocol::ParsedResponse>, ShardError> {
         let budget = lines
             .iter()
@@ -373,7 +420,7 @@ impl RemoteShard {
             }
             None => self.connect(budget)?,
         };
-        match self.exchange_on(stream, lines) {
+        match self.exchange_on(stream, lines, body_lines) {
             Ok(responses) => Ok(responses),
             // A pooled connection may have been closed server-side (idle
             // timeout, restart): that shows as a write failure or a clean
@@ -381,7 +428,7 @@ impl RemoteShard {
             // A *timeout* means a live shard still chewing on the request —
             // re-sending would double its load exactly when it is slow.
             Err(failure) if had_pooled && failure.stale_connection => {
-                self.exchange_on(self.connect(budget)?, lines).map_err(|f| f.error)
+                self.exchange_on(self.connect(budget)?, lines, body_lines).map_err(|f| f.error)
             }
             Err(failure) => Err(failure.error),
         }
@@ -391,6 +438,7 @@ impl RemoteShard {
         &self,
         mut stream: TcpStream,
         lines: &[String],
+        body_lines: usize,
     ) -> Result<Vec<crate::protocol::ParsedResponse>, ExchangeFailure> {
         let unavailable = |msg: String| ShardError::Unavailable(msg);
         let mut payload = String::new();
@@ -403,16 +451,17 @@ impl RemoteShard {
             // Nothing was delivered: retrying cannot duplicate work.
             stale_connection: true,
         })?;
-        let reader = BufReader::new(stream.try_clone().map_err(|e| ExchangeFailure {
-            error: unavailable(format!("{}: {e}", self.addr)),
-            stale_connection: false,
-        })?);
-        let mut line_iter = reader.lines();
+        let mut replies =
+            ReplyLines { input: BufReader::new(&stream), buffer: Vec::new(), left: 0 };
         let mut responses = Vec::with_capacity(lines.len());
         for _ in lines {
-            match read_response(&mut line_iter) {
+            // The status line, the body and `END`.
+            replies.left = body_lines.saturating_add(2);
+            match read_response(&mut replies) {
                 Some(Ok(response)) => responses.push(response),
                 Some(Err(e)) => {
+                    // The connection goes with the failure: what is left of
+                    // the reply is never read.
                     return Err(ExchangeFailure {
                         error: unavailable(format!("{}: read: {e}", self.addr)),
                         // Timeouts and resets mean the shard may be (or have
@@ -434,14 +483,17 @@ impl RemoteShard {
                 }
             }
         }
+        drop(replies);
         self.checkin(stream);
         Ok(responses)
     }
 
     /// Sends one control line (`!stats`, `!reload`) and returns its status.
     fn control(&self, line: &str) -> Result<String, ShardError> {
-        let response =
-            self.exchange(&[line.to_owned()])?.pop().expect("one request in, one response out");
+        let response = self
+            .exchange(&[line.to_owned()], MAX_PER_SHARD_LINES)?
+            .pop()
+            .expect("one request in, one response out");
         if response.ok {
             Ok(response.status)
         } else {
@@ -483,12 +535,16 @@ impl ShardBackend for RemoteShard {
         self.addr.clone()
     }
 
+    /// Asks the shard as a router with the default `--limit` would.
     fn search(&self, canonical: &str) -> Result<ShardReply, ShardError> {
-        self.search_batch(&[canonical.to_owned()], &[0]).pop().expect("one query in, one reply out")
+        self.search_batch(&[canonical.to_owned()], &[0], DEFAULT_RESULT_LIMIT)
+            .pop()
+            .expect("one query in, one reply out")
     }
 
-    fn search_batch(&self, canonicals: &[String], ids: &[u64]) -> Replies {
-        match self.exchange(&with_trace_ids(canonicals, ids)) {
+    fn search_batch(&self, canonicals: &[String], ids: &[u64], limit: usize) -> Replies {
+        let body_lines = limit.saturating_add(MAX_PER_SHARD_LINES);
+        match self.exchange(&with_trace_ids(canonicals, ids), body_lines) {
             Ok(responses) => responses.into_iter().map(|r| self.reply_from(r)).collect(),
             Err(e) => vec![Err(e); canonicals.len()],
         }
@@ -538,7 +594,7 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            result_limit: 20,
+            result_limit: DEFAULT_RESULT_LIMIT,
             workers: 4,
             batch: BatchConfig::default(),
             cache_capacity: 4096,
@@ -853,7 +909,13 @@ impl Executor for Router {
             // past the batch deadline.  A shard with no answer by then counts
             // as unavailable — the scatter degrades instead of hanging — and
             // its call finishes (and is discarded) on its member's thread.
-            let gathered = gather(&self.shards, &wire_lines, &shard_ids, batch_deadline);
+            let gathered = gather(
+                &self.shards,
+                &wire_lines,
+                &shard_ids,
+                self.config.result_limit,
+                batch_deadline,
+            );
             let scatter_done = Instant::now();
             frame.trace.record(Stage::Scatter, scatter_done.saturating_duration_since(parse_done));
             let scatter_expired = gathered.iter().any(Option::is_none);

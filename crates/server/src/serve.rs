@@ -25,7 +25,8 @@ use dsearch_obs::QueryTrace;
 use crate::batch::{Answer, Executor, Pool};
 use crate::engine::QueryEngine;
 use crate::protocol::{
-    parse_request, render_error, render_error_text, render_info, render_info_with_body, Request,
+    parse_request, read_bounded_line, render_error, render_error_text, render_info,
+    render_info_with_body, LineRead, Request,
 };
 use crate::route::Router;
 use crate::stats::{Metric, ServerStats};
@@ -126,6 +127,7 @@ pub trait LineHandler: Send + Sync + 'static {
             let line = match read_bounded_line(&mut input, &mut buffer)? {
                 LineRead::Eof => return Ok(SessionEnd::Eof),
                 LineRead::TooLong => {
+                    input.skip_until(b'\n')?;
                     output.write_all(render_error_text("line too long").as_bytes())?;
                     output.flush()?;
                     continue;
@@ -144,57 +146,6 @@ pub trait LineHandler: Send + Sync + 'static {
                 Handled::Ignore => {}
                 Handled::Close => return Ok(SessionEnd::Quit),
             }
-        }
-    }
-}
-
-/// The most bytes a request line takes, its newline included: a query
-/// naming the longest term a shard holds (64 KiB) has room for as long again
-/// of operators, options and other terms.
-const MAX_LINE_BYTES: usize = 128 * 1024;
-
-/// What [`read_bounded_line`] found.
-enum LineRead {
-    /// The input ended before another byte.
-    Eof,
-    /// A line, in the buffer, with its newline unless the input ended first.
-    Line,
-    /// A line longer than [`MAX_LINE_BYTES`], read past and not kept.
-    TooLong,
-}
-
-/// Reads one line of `input` into `buffer` (cleared first), as `read_line`
-/// does but never holding more than [`MAX_LINE_BYTES`]: past them the line is
-/// consumed up to its newline a buffer of `input` at a time, and dropped.
-fn read_bounded_line<R: BufRead>(input: &mut R, buffer: &mut Vec<u8>) -> io::Result<LineRead> {
-    buffer.clear();
-    let mut too_long = false;
-    loop {
-        let available = match input.fill_buf() {
-            Ok(available) => available,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            return Ok(match (too_long, buffer.is_empty()) {
-                (true, _) => LineRead::TooLong,
-                (false, true) => LineRead::Eof,
-                (false, false) => LineRead::Line,
-            });
-        }
-        let newline = available.iter().position(|&byte| byte == b'\n');
-        let piece = &available[..newline.map_or(available.len(), |at| at + 1)];
-        if !too_long && buffer.len() + piece.len() > MAX_LINE_BYTES {
-            too_long = true;
-            buffer.clear();
-        }
-        if !too_long {
-            buffer.extend_from_slice(piece);
-        }
-        let used = piece.len();
-        input.consume(used);
-        if newline.is_some() {
-            return Ok(if too_long { LineRead::TooLong } else { LineRead::Line });
         }
     }
 }
@@ -256,8 +207,9 @@ impl<E: Executor> LineService<E> {
         LineService { executor, pool, requests: AtomicU64::new(0) }
     }
 
-    /// The pool this service executes queries on (load generators can drive
-    /// it directly while `!stats` observes the same counters).
+    /// The pool this service executes queries on: a caller in process can
+    /// run queries on it through [`Pool::execute`] and read the same
+    /// counters `!stats` reports.
     #[must_use]
     pub fn pool(&self) -> &Pool<E> {
         &self.pool
@@ -536,6 +488,7 @@ fn serve_connection<S: LineHandler>(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::protocol::MAX_LINE_BYTES;
     use crate::snapshot::IndexSnapshot;
     use dsearch_index::{DocTable, InMemoryIndex};
     use dsearch_persist::IndexStore;

@@ -1,23 +1,23 @@
-//! Admission-control acceptance tests: open-loop load past a tiny queue
-//! bound must shed (and the shed count must be visible through the `!stats`
-//! protocol verb), while closed-loop load that stays under the bound must
-//! never shed.
+//! Admission-control acceptance tests: more closed-loop callers than a
+//! tiny queue bound can hold must shed (and the shed count must be visible
+//! through the `!stats` protocol verb), while callers that stay under the
+//! bound must never shed.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dsearch_index::{DocTable, InMemoryIndex};
 use dsearch_server::protocol::read_response;
 use dsearch_server::LineHandler;
 use dsearch_server::{
-    loadgen, BatchConfig, EngineConfig, Handled, IndexSnapshot, LoadConfig, LoadMode, QueryEngine,
-    Service, Workload,
+    BatchConfig, EngineConfig, Handled, IndexSnapshot, QueryEngine, ServerError, Service,
 };
 use dsearch_text::Term;
 
 /// A snapshot with a wide vocabulary so broad prefix queries cost real work
 /// (a `w*` query unions all 8 000 single-document posting lists through the
 /// k-way merge), keeping a single worker busy long enough for an open-loop
-/// generator to overrun a small queue.
+/// callers to overrun a small queue.
 fn wide_snapshot() -> IndexSnapshot {
     let mut docs = DocTable::new();
     let mut index = InMemoryIndex::new();
@@ -34,8 +34,39 @@ fn wide_snapshot() -> IndexSnapshot {
 /// none is answerable from the (tiny) cache.  The dictionary-backed prefix
 /// range made narrow prefixes cheap, so the sustained pressure this suite
 /// needs has to come from the merge itself, not the term scan.
-fn scan_workload(distinct: usize) -> Workload {
-    Workload::from_queries((0..distinct).map(|i| format!("w* OR w{:03}*", i % 1000)).collect())
+fn scan_queries(distinct: usize) -> Vec<String> {
+    (0..distinct).map(|i| format!("w* OR w{:03}*", i % 1000)).collect()
+}
+
+/// What `callers` closed-loop threads saw issuing `requests` of `queries`
+/// (cycled) through `service.pool().execute`.
+#[derive(Debug, Default)]
+struct Outcome {
+    served: usize,
+    shed: usize,
+    errors: usize,
+}
+
+fn run_callers(service: &Service, queries: &[String], requests: usize, callers: usize) -> Outcome {
+    let issued = AtomicUsize::new(0);
+    let [served, shed, errors] = [(); 3].map(|()| AtomicUsize::new(0));
+    std::thread::scope(|scope| {
+        for _ in 0..callers {
+            scope.spawn(|| loop {
+                let slot = issued.fetch_add(1, Ordering::Relaxed);
+                if slot >= requests {
+                    break;
+                }
+                let counter = match service.pool().execute(&queries[slot % queries.len()]) {
+                    Ok(_) => &served,
+                    Err(ServerError::Overloaded) => &shed,
+                    Err(_) => &errors,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+    });
+    Outcome { served: served.into_inner(), shed: shed.into_inner(), errors: errors.into_inner() }
 }
 
 fn bounded_engine(queue_bound: usize) -> Arc<QueryEngine> {
@@ -70,56 +101,38 @@ fn stats_field(service: &Service, name: &str) -> u64 {
 #[test]
 fn open_loop_overload_sheds_and_reports_via_stats() {
     let engine = bounded_engine(2);
-    let service = Arc::new(Service::start(Arc::clone(&engine), None));
+    let service = Service::start(Arc::clone(&engine), None);
 
-    // 500 submissions at 200k qps against one worker doing full-vocabulary
-    // merges behind a depth-2 queue: the generator must overrun the bound.
-    let report = loadgen::run(
-        service.pool(),
-        &scan_workload(500),
-        &LoadConfig {
-            requests: 500,
-            mode: LoadMode::Open { rate_qps: 200_000.0 },
-            stage_report: false,
-            deadline_ms: None,
-        },
-    );
+    // 500 requests from 16 callers against one execution slot doing
+    // full-vocabulary merges behind a depth-2 queue: the callers must
+    // overrun the bound.
+    let outcome = run_callers(&service, &scan_queries(500), 500, 16);
 
-    assert!(report.shed > 0, "an overrun bounded queue must shed: {report}");
-    assert_eq!(report.errors, 0, "shedding is not an error: {report}");
+    assert!(outcome.shed > 0, "an overrun bounded queue must shed: {outcome:?}");
+    assert_eq!(outcome.errors, 0, "shedding is not an error: {outcome:?}");
     assert_eq!(
-        report.shed + report.latency.samples,
+        outcome.shed + outcome.served,
         500,
-        "every request was either served or shed: {report}"
+        "every request was either served or shed: {outcome:?}"
     );
 
     // The shed count is visible to protocol clients via !stats.
-    let shed = stats_field(&service, "shed");
-    assert_eq!(shed, report.shed as u64);
-    assert_eq!(stats_field(&service, "queries") as usize, report.latency.samples);
+    assert_eq!(stats_field(&service, "shed"), outcome.shed as u64);
+    assert_eq!(stats_field(&service, "queries") as usize, outcome.served);
 }
 
 #[test]
 fn closed_loop_under_the_bound_sheds_nothing() {
     let engine = bounded_engine(4);
-    let service = Arc::new(Service::start(Arc::clone(&engine), None));
+    let service = Service::start(Arc::clone(&engine), None);
 
     // Two synchronous clients can keep at most two requests outstanding —
     // under a bound of four, admission control must never trigger.
-    let report = loadgen::run(
-        service.pool(),
-        &scan_workload(64),
-        &LoadConfig {
-            requests: 200,
-            mode: LoadMode::Closed { clients: 2 },
-            stage_report: false,
-            deadline_ms: None,
-        },
-    );
+    let outcome = run_callers(&service, &scan_queries(64), 200, 2);
 
-    assert_eq!(report.shed, 0, "closed-loop under the bound must not shed: {report}");
-    assert_eq!(report.errors, 0, "{report}");
-    assert_eq!(report.latency.samples, 200);
+    assert_eq!(outcome.shed, 0, "closed-loop under the bound must not shed: {outcome:?}");
+    assert_eq!(outcome.errors, 0, "{outcome:?}");
+    assert_eq!(outcome.served, 200);
     assert_eq!(stats_field(&service, "shed"), 0);
     assert_eq!(stats_field(&service, "queries"), 200);
 }

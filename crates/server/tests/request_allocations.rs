@@ -16,9 +16,11 @@
 //!   tables now and then): nothing scales with the length of a posting list.
 //!
 //! A session fed a request line with no end holds no more of it than the
-//! longest request a line may carry, and answers what follows it; and an
-//! exact or prefix lookup in a shard's front-coded dictionary allocates
-//! nothing.
+//! longest request a line may carry, and answers what follows it; a router
+//! whose shard replies with ten million hits, or with a line that never
+//! ends, reads no more of it than a well-formed reply holds and counts the
+//! shard failed; and an exact or prefix lookup in a shard's front-coded
+//! dictionary allocates nothing.
 //!
 //! The counters are thread-local, and everything measured runs on the test's
 //! own thread (`execute` is a batch of one on its caller).
@@ -26,14 +28,19 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{BufReader, Cursor, Read};
+use std::net::TcpListener;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use dsearch_core::{Configuration, Implementation, IndexGenerator};
 use dsearch_corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch_index::{DocTable, InMemoryIndex};
 use dsearch_query::{evaluate, Query, Scorer};
 use dsearch_server::protocol::render_response;
-use dsearch_server::{EngineConfig, IndexSnapshot, LineHandler, QueryEngine, Service};
+use dsearch_server::{
+    EngineConfig, IndexSnapshot, LineHandler, QueryEngine, RemoteShard, Service, ShardBackend,
+    ShardError,
+};
 use dsearch_text::Term;
 use dsearch_vfs::VPath;
 
@@ -273,4 +280,68 @@ fn a_line_without_end_is_answered_and_skipped_in_bounded_memory() {
     );
     assert!(held < 1 << 20, "a session held {held} bytes at once");
     service.shutdown();
+}
+
+/// A shard that answers the first request line it reads with `reply` —
+/// made as it is written — and writes until the router hangs up.
+fn hostile_shard(reply: impl Read + Send + 'static) -> (String, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let writer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut request = [0u8; 256];
+        let _ = conn.read(&mut request);
+        // Ends when the router drops the connection.
+        let _ = std::io::copy(&mut BufReader::new(reply), &mut conn);
+    });
+    (addr, writer)
+}
+
+/// What a router's remote shard makes of `reply`, and the most bytes it
+/// held at once while reading it.
+fn route_through(reply: impl Read + Send + 'static) -> (Result<usize, ShardError>, i64, String) {
+    let (addr, writer) = hostile_shard(reply);
+    let shard = RemoteShard::new(addr);
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(before));
+    let answer = shard.search_batch(&["rust".to_owned()], &[0], 20).pop().unwrap();
+    let held = PEAK_BYTES.with(Cell::get) - before;
+    let debug = format!("{shard:?}");
+    // A failed shard's connection is closed, which ends the writer.
+    drop(shard);
+    writer.join().unwrap();
+    (answer.map(|reply| reply.hits.len()), held, debug)
+}
+
+#[test]
+fn a_shard_reply_past_a_well_formed_one_fails_the_shard_in_bounded_memory() {
+    let status = Cursor::new("OK 10000000 generation=1 cached=false micros=1 stages=\n");
+    let hits =
+        Repeating { pattern: b"doc.txt (1 terms) score=1.5\n", at: 0, left: 10_000_000 * 28 };
+    let (answer, held, shard) = route_through(status.chain(hits));
+    let Err(ShardError::Unavailable(why)) = answer else {
+        panic!("ten million hit lines must fail the shard: {answer:?}");
+    };
+    assert!(why.contains("longer than a well-formed"), "{why}");
+    assert!(held < 1 << 20, "the router held {held} bytes at once");
+    assert!(shard.contains("pooled: 0"), "the connection is dropped: {shard}");
+
+    // 64 MiB with no newline, after a status line.
+    let status = Cursor::new("OK 1 generation=1 cached=false micros=1 stages=\n");
+    let endless = Repeating { pattern: "é".as_bytes(), at: 0, left: 64 << 20 };
+    let (answer, held, shard) = route_through(status.chain(endless));
+    let Err(ShardError::Unavailable(why)) = answer else {
+        panic!("a line that never ends must fail the shard: {answer:?}");
+    };
+    assert!(why.contains("line too long"), "{why}");
+    assert!(held < 1 << 20, "the router held {held} bytes at once");
+    assert!(shard.contains("pooled: 0"), "the connection is dropped: {shard}");
+
+    // A well-formed reply still answers, and its connection is kept.
+    let (answer, _, shard) = route_through(Cursor::new(
+        "OK 2 generation=1 cached=false micros=1 stages=\na.txt (1 terms) score=1.5\n\
+         b.txt (1 terms) score=0.5\nEND\n",
+    ));
+    assert_eq!(answer.unwrap(), 2);
+    assert!(shard.contains("pooled: 1"), "{shard}");
 }
