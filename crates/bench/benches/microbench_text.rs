@@ -1,14 +1,17 @@
-//! Micro-benchmarks of the text substrate: FNV hashing, the open-addressing
-//! map, tokenisation and per-file duplicate elimination.
+//! Micro-benchmarks of the text substrate as the build runs it: FNV hashing,
+//! the open-addressing map beside `std`'s map under the same FNV hasher, and
+//! Stage 2's scan + per-file duplicate elimination (`Scanner::next_token`
+//! feeding a warm `WordListBuilder::push_str`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use std::collections::HashMap;
 use std::hint::black_box;
 
 use dsearch::corpus::{CorpusSpec, DocumentGenerator};
-use dsearch::text::fnv1a_64;
 use dsearch::text::hashtable::FnvHashMap;
 use dsearch::text::tokenizer::Tokenizer;
 use dsearch::text::wordlist::WordListBuilder;
+use dsearch::text::{fnv1a_64, FnvBuildHasher};
 
 fn bench_fnv(c: &mut Criterion) {
     let mut group = c.benchmark_group("fnv");
@@ -27,6 +30,7 @@ fn bench_hashtable(c: &mut Criterion) {
     group.sample_size(20);
     let keys: Vec<String> = (0..10_000).map(|i| format!("term{i:05}")).collect();
 
+    // Both maps hash with FNV-1a 64, so the pairs compare the tables alone.
     group.bench_function("fnv_map_insert_10k", |b| {
         b.iter(|| {
             let mut map: FnvHashMap<&str, u32> = FnvHashMap::with_capacity(keys.len());
@@ -36,10 +40,10 @@ fn bench_hashtable(c: &mut Criterion) {
             black_box(map.len())
         });
     });
-    group.bench_function("std_map_insert_10k", |b| {
+    group.bench_function("std_fnv_map_insert_10k", |b| {
         b.iter(|| {
-            let mut map: std::collections::HashMap<&str, u32> =
-                std::collections::HashMap::with_capacity(keys.len());
+            let mut map: HashMap<&str, u32, FnvBuildHasher> =
+                HashMap::with_capacity_and_hasher(keys.len(), FnvBuildHasher::default());
             for (i, k) in keys.iter().enumerate() {
                 map.insert(k.as_str(), i as u32);
             }
@@ -49,6 +53,17 @@ fn bench_hashtable(c: &mut Criterion) {
     group.bench_function("fnv_map_dedup_10k", |b| {
         b.iter(|| {
             let mut seen: FnvHashMap<&str, ()> = FnvHashMap::with_capacity(keys.len());
+            for k in &keys {
+                seen.insert(k.as_str(), ());
+                seen.insert(k.as_str(), ());
+            }
+            black_box(seen.len())
+        });
+    });
+    group.bench_function("std_fnv_map_dedup_10k", |b| {
+        b.iter(|| {
+            let mut seen: HashMap<&str, (), FnvBuildHasher> =
+                HashMap::with_capacity_and_hasher(keys.len(), FnvBuildHasher::default());
             for k in &keys {
                 seen.insert(k.as_str(), ());
                 seen.insert(k.as_str(), ());
@@ -70,20 +85,28 @@ fn bench_tokenizer(c: &mut Criterion) {
     group.bench_function("scan_only_200kB", |b| {
         b.iter(|| black_box(tokenizer.scan_only(&doc)));
     });
-    group.bench_function("tokenize_200kB", |b| {
+    group.bench_function("scan_200kB", |b| {
+        let mut token = String::new();
         b.iter(|| {
-            let (terms, _) = tokenizer.tokenize(&doc);
-            black_box(terms.len())
+            let mut scanner = tokenizer.scan(&doc);
+            let mut tokens = 0usize;
+            while scanner.next_token(&mut token).is_some() {
+                tokens += 1;
+            }
+            black_box(tokens)
         });
     });
-    group.bench_function("tokenize_and_dedup_200kB", |b| {
+    // What one extractor does per file: the builder lives across files, so
+    // its table already interns the vocabulary (the steady state of a build).
+    group.bench_function("scan_and_push_str_200kB", |b| {
+        let mut token = String::new();
+        let mut words = WordListBuilder::new();
         b.iter(|| {
-            let (terms, _) = tokenizer.tokenize(&doc);
-            let mut builder = WordListBuilder::with_capacity(terms.len() / 2);
-            for t in terms {
-                builder.push(t);
+            let mut scanner = tokenizer.scan(&doc);
+            while let Some(t) = scanner.next_token(&mut token) {
+                words.push_str(t);
             }
-            black_box(builder.finish().len())
+            black_box(words.reset().len())
         });
     });
     group.finish();

@@ -230,6 +230,35 @@ fn served(store: &str, query: &str) -> Vec<String> {
     lines.take_while(|&line| line != "END").map(str::to_owned).collect()
 }
 
+/// `dsearch search` and `dsearch serve` read a query word as the build read
+/// the document: every word of a file finds it, and a word longer than the
+/// build's 64 bytes finds nothing.
+#[test]
+fn query_words_are_read_like_document_words() {
+    let dir = TempDir::new("query-words");
+    let docs = dir.path().join("docs");
+    fs::create_dir_all(&docs).unwrap();
+    fs::write(docs.join("mail.txt"), "Send an e-mail about report.pdf, a naive idea.").unwrap();
+    fs::write(docs.join("cafe.txt"), "A naïve café plan.").unwrap();
+    fs::write(docs.join("long.txt"), "w".repeat(64)).unwrap();
+    let store = dir.sub("store");
+    run(index_args(&docs, &store, &[])).unwrap();
+
+    for (word, parsed, file) in [
+        ("e-mail", "e AND mail", "mail.txt"),
+        ("report.pdf", "report AND pdf", "mail.txt"),
+        ("naïve", "na AND ve", "cafe.txt"),
+    ] {
+        let out = search(&store, word);
+        assert!(out.contains(&format!("query: {parsed}\n1 result(s)")), "{out}");
+        assert!(out.contains(file), "{out}");
+        assert!(served(&store, word)[0].starts_with(file), "{word}");
+    }
+    let long = "w".repeat(70);
+    assert!(search(&store, &long).contains("0 result(s)"));
+    assert!(served(&store, &format!("{long} idea")).is_empty());
+}
+
 /// A cached answer is rendered once and copied after that: on the wire the
 /// second asking of a query says `cached=true` and carries the very body the
 /// first did.

@@ -225,6 +225,10 @@ mod tests {
         assert_eq!(opts.granularity, InsertGranularity::EnBloc);
         assert!(!opts.formats);
         assert_eq!(GeneratorOptions::default(), opts);
+        // `Query::parse` reads query words under these options (with no
+        // length cap): a build under others would index terms a query word
+        // could not spell.
+        assert_eq!(opts.tokenizer, TokenizerOptions::default());
     }
 
     #[test]

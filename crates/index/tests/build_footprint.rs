@@ -25,6 +25,10 @@
 //!   in a few kilobytes, where a dense norm table over that span took
 //!   16 GiB.
 //!
+//! * The public build API takes any `FileId` a caller passes, across all of
+//!   `u32`: inserting, sealing and writing a segment each return (`Ok` or
+//!   `Err`), and none of them sizes an allocation by an id.
+//!
 //! The counters are thread-local, so the tests of this binary do not see
 //! each other's allocations.  An allocation of more than 1 GiB is refused
 //! (the test aborts on it) rather than attempted: under overcommit it could
@@ -33,10 +37,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use proptest::prelude::*;
+
 use dsearch_index::{
-    join_all, FileId, InMemoryIndex, PostingList, SealedShard, SealedTerms, SectionBytes,
+    join_all, DocTable, FileId, InMemoryIndex, PostingList, SealedShard, SealedTerms, SectionBytes,
     BLOCK_SIZE,
 };
+use dsearch_persist::segment::write_segment;
 use dsearch_text::Term;
 
 thread_local! {
@@ -331,6 +338,58 @@ fn lengths_at_both_ends_of_the_ids_seal_in_the_memory_they_record() {
     }
     let bound = |shard: &SealedShard| shard.postings(&Term::from("alpha")).unwrap().bound();
     assert_eq!(bound(&shard), bound(&reference), "list bounds come from the same norms");
+}
+
+/// A file id anywhere in `u32`, at either end of it one time in four each.
+fn any_file_id() -> impl Strategy<Value = FileId> {
+    (0u8..4, any::<u32>()).prop_map(|(end, id)| {
+        FileId(match end {
+            0 => id % 4,
+            1 => u32::MAX - id % 4,
+            _ => id,
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn any_file_ids_insert_seal_and_write_without_aborting(
+        inserts in proptest::collection::vec(
+            (any_file_id(), 0usize..4, 0u32..4, any::<bool>()),
+            1..24,
+        ),
+        documents in 0u32..6,
+    ) {
+        let words = ["alpha", "beta", "gamma", "delta"].map(Term::from);
+        let mut index = InMemoryIndex::new();
+        for (file, word, count, by_file) in inserts {
+            let term = words[word].clone();
+            if by_file {
+                index.insert_file_counted(file, [(term, count)]);
+            } else {
+                index.insert_occurrences(file, term, count);
+            }
+        }
+        let shard = SealedShard::from_index(&index);
+        prop_assert_eq!(shard.term_count(), index.term_count());
+        prop_assert_eq!(shard.posting_count(), index.posting_count());
+        for (term, list) in index.iter() {
+            let sealed = shard.postings(term).expect("every term is sealed");
+            prop_assert_eq!(sealed.len(), list.len());
+        }
+
+        let mut docs = DocTable::new();
+        for n in 0..documents {
+            docs.insert(format!("f{n}.txt"));
+        }
+        // A segment the doc table cannot describe may be refused; one it
+        // can is written.
+        let written = write_segment(&index, &docs, std::io::Cursor::new(Vec::new()));
+        let described = index.iter().all(|(_, list)| list.iter().all(|id| id.0 < documents));
+        prop_assert!(written.is_ok() || !described, "{:?}", written.err());
+    }
 }
 
 fn allocations_during<T>(work: impl FnOnce() -> T) -> (T, u64) {

@@ -11,12 +11,18 @@
 //! * a trailing `*` makes a word a prefix query: `index*` matches `index`,
 //!   `indexes`, `indexing`, ….
 //!
-//! Query words go through the same [`Normalizer`] as indexed terms so `"Rust"`
-//! finds documents containing `rust`.
+//! A query word is read by the build's own [`Scanner`](dsearch_text::tokenizer::Scanner)
+//! under the build's [`TokenizerOptions`], so its terms are exactly the
+//! terms the same text has in a document: `"Rust"` finds `rust`, `e-mail`
+//! is `e AND mail`, `report.pd*` is `report AND pd*` (the `*` applies to the
+//! word's last term; `-`/`NOT` to each of its terms), and a word with no
+//! term in it is skipped.  The one difference is the length filter: a term
+//! too long for the build is kept, so its group matches nothing — dropping
+//! it would widen the query, and cutting it would match another word.
 
 use serde::{Deserialize, Serialize};
 
-use dsearch_text::normalize::Normalizer;
+use dsearch_text::tokenizer::{Tokenizer, TokenizerOptions};
 use dsearch_text::Term;
 
 /// Errors from [`Query::parse`].
@@ -112,12 +118,16 @@ impl Query {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseError::Empty`] when no searchable terms remain after
-    /// normalisation, [`ParseError::DanglingOperator`] when `AND`/`OR`/`NOT`
-    /// has no operand, and [`ParseError::ExclusionOnly`] when a group has no
-    /// required term.
+    /// Returns [`ParseError::Empty`] when no word holds a term,
+    /// [`ParseError::DanglingOperator`] when `AND`/`OR`/`NOT` has no operand,
+    /// and [`ParseError::ExclusionOnly`] when a group has no required term.
     pub fn parse(raw: &str) -> Result<Self, ParseError> {
-        let normalizer = Normalizer::default();
+        let tokenizer = Tokenizer::new(TokenizerOptions {
+            max_term_len: usize::MAX,
+            ..TokenizerOptions::default()
+        });
+        // Holds a word's term only while it is being case-folded.
+        let mut folded = String::new();
         let mut groups: Vec<QueryGroup> = Vec::new();
         let mut current = QueryGroup::default();
         let mut pending_operator: Option<&'static str> = None;
@@ -168,14 +178,20 @@ impl Query {
                         text = rest;
                     }
                     let prefix = text.ends_with('*') && !negated;
-                    let text = text.trim_end_matches('*');
-                    let Some(term) = normalizer.normalize(text) else { continue };
-                    if negated {
-                        current.excluded.push(term);
-                    } else if prefix {
-                        current.required.push(QueryTerm::Prefix(term.into_string()));
-                    } else {
-                        current.required.push(QueryTerm::Exact(term));
+                    let mut scanner = tokenizer.scan(text.as_bytes());
+                    let mut next = scanner.next_token(&mut folded).map(Term::from);
+                    if next.is_none() {
+                        continue;
+                    }
+                    while let Some(term) = next {
+                        next = scanner.next_token(&mut folded).map(Term::from);
+                        if negated {
+                            current.excluded.push(term);
+                        } else if prefix && next.is_none() {
+                            current.required.push(QueryTerm::Prefix(term.into_string()));
+                        } else {
+                            current.required.push(QueryTerm::Exact(term));
+                        }
                     }
                     pending_operator = None;
                 }
@@ -324,6 +340,54 @@ mod tests {
     }
 
     #[test]
+    fn a_word_holds_the_terms_the_build_reads_in_it() {
+        let parsed = |raw: &str| Query::parse(raw).unwrap().to_string();
+        assert_eq!(parsed("e-mail"), "e AND mail");
+        assert_eq!(parsed("report.pdf"), "report AND pdf");
+        assert_eq!(parsed("Don't"), "don AND t");
+        assert_eq!(parsed("r2d2 ÉTÉ"), "r2d2 AND t");
+        // Non-ASCII bytes separate terms, as they do in a document.
+        assert_eq!(parsed("naïve"), "na AND ve");
+        // A word with no term is skipped, its operator still pending.
+        assert_eq!(parsed("idea ... -- *"), "idea");
+        assert_eq!(
+            Query::parse("idea NOT ...").unwrap_err(),
+            ParseError::DanglingOperator("NOT".into())
+        );
+    }
+
+    #[test]
+    fn not_and_dash_exclude_every_term_of_a_word() {
+        let q = Query::parse("idea -e-mail").unwrap();
+        assert_eq!(q.groups()[0].excluded(), &[Term::from("e"), Term::from("mail")]);
+        assert_eq!(q.to_string(), "idea AND NOT e AND NOT mail");
+        assert_eq!(Query::parse("idea NOT e-mail").unwrap(), q);
+        // A negated word is never a prefix: its terms are excluded whole.
+        assert_eq!(Query::parse("idea -mail*").unwrap().to_string(), "idea AND NOT mail");
+    }
+
+    #[test]
+    fn a_star_makes_the_last_term_of_a_word_a_prefix() {
+        let q = Query::parse("report.pd*").unwrap();
+        assert_eq!(
+            q.groups()[0].required(),
+            &[QueryTerm::Exact(Term::from("report")), QueryTerm::Prefix("pd".to_owned())]
+        );
+        assert_eq!(Query::parse("café*").unwrap().to_string(), "caf*");
+        assert_eq!(Query::parse("report.*").unwrap().to_string(), "report*");
+    }
+
+    #[test]
+    fn a_term_too_long_for_the_build_is_kept_whole() {
+        let long = "x".repeat(70);
+        let q = Query::parse(&format!("{long} idea")).unwrap();
+        assert_eq!(q.groups()[0].required()[0], QueryTerm::Exact(Term::from(long.as_str())));
+        assert_eq!(q.to_string(), format!("{long} AND idea"));
+        let q = Query::parse(&format!("{}*", long.to_uppercase())).unwrap();
+        assert_eq!(q.to_string(), format!("{long}*"));
+    }
+
+    #[test]
     fn not_keyword_and_dash_exclude_terms() {
         let q = Query::parse("rust NOT java").unwrap();
         assert_eq!(q.groups().len(), 1);
@@ -440,6 +504,22 @@ mod tests {
             Query::parse("rust NOT java NOT go OR py*").unwrap().to_string(),
             "rust AND NOT java AND NOT go OR py*"
         );
+    }
+
+    proptest::proptest! {
+        /// The canonical text is a query string that parses back to the
+        /// query it came from.
+        #[test]
+        fn canonical_text_parses_back_to_the_query(
+            words in proptest::collection::vec(
+                "(AND|OR|NOT|-?[a-zA-Z0-9.,'_/éï-]{1,10}[*]?)",
+                1..8,
+            ),
+        ) {
+            if let Ok(q) = Query::parse(&words.join(" ")) {
+                proptest::prop_assert_eq!(Query::parse(&q.canonical()), Ok(q));
+            }
+        }
     }
 
     #[test]

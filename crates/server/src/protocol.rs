@@ -495,10 +495,12 @@ pub(crate) fn read_bounded_line<R: BufRead>(
 
 /// Reads one full response (through `END`) from a line iterator.
 ///
-/// Returns `None` when the stream ends before a status line arrives.
-pub fn read_response<I, E>(lines: &mut I) -> Option<Result<ParsedResponse, E>>
+/// Returns `None` when the stream ends before a status line arrives, and an
+/// [`io::ErrorKind::UnexpectedEof`] error when it ends after the status line
+/// but before `END`: a reply cut short is a failure, never an answer.
+pub fn read_response<I>(lines: &mut I) -> Option<io::Result<ParsedResponse>>
 where
-    I: Iterator<Item = Result<String, E>>,
+    I: Iterator<Item = io::Result<String>>,
 {
     let status_line = match lines.next()? {
         Ok(line) => line,
@@ -521,8 +523,7 @@ where
             Err(e) => return Some(Err(e)),
         }
     }
-    // Stream ended before END: report what we have.
-    Some(Ok(ParsedResponse { ok, status, body }))
+    Some(Err(io::Error::new(io::ErrorKind::UnexpectedEof, "reply ended before END")))
 }
 
 #[cfg(test)]
@@ -531,6 +532,15 @@ mod tests {
     use dsearch_query::{Hit, SearchResults};
     use std::sync::Arc;
     use std::time::Duration;
+
+    #[test]
+    fn a_reply_cut_before_end_is_an_error_not_an_answer() {
+        let mut lines =
+            ["OK 3 generation=1", "a.txt (1 terms)"].into_iter().map(|l| Ok(l.to_owned()));
+        let cut = read_response(&mut lines).expect("a status line arrived");
+        assert_eq!(cut.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+        assert!(read_response(&mut lines).is_none());
+    }
 
     #[test]
     fn requests_parse() {

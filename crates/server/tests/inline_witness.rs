@@ -95,7 +95,8 @@ fn connections_within_the_slots_are_answered_where_they_arrive() {
                     let answer = client.ask(query);
                     let expected = reference.execute(query).unwrap();
                     let rendered = expected.render();
-                    let mut expected_lines = rendered.lines().map(|l| Ok::<_, ()>(l.to_owned()));
+                    let mut expected_lines =
+                        rendered.lines().map(|l| Ok::<_, std::io::Error>(l.to_owned()));
                     let expected = read_response(&mut expected_lines).unwrap().unwrap();
                     assert!(answer.ok, "{query}: {}", answer.status);
                     assert_eq!(answer.hit_count(), expected.hit_count(), "{query}");

@@ -166,7 +166,12 @@ proptest! {
     /// every line is exactly one of the request kinds.
     #[test]
     fn arbitrary_lines_never_panic_the_parsers(
-        lines in proptest::collection::vec(arbitrary_line(), 0..12),
+        lines in proptest::collection::vec(
+            // One line in four ends a reply.
+            (0u8..4, arbitrary_line())
+                .prop_map(|(pick, line)| if pick == 0 { "END".to_owned() } else { line }),
+            0..12,
+        ),
     ) {
         for line in &lines {
             match parse_request(line) {
@@ -184,11 +189,17 @@ proptest! {
             }
         }
         // The response reader consumes any line stream without panicking,
-        // and always makes progress (each call eats at least one line).
+        // always makes progress (each call eats at least one line), and
+        // returns a reply only once its `END` arrived: one cut short by the
+        // end of the stream is an error.
         let mut iter = lines.iter().cloned().map(Ok::<_, std::io::Error>);
         let mut responses = 0;
+        let mut left = iter.len();
         while let Some(result) = read_response(&mut iter) {
-            prop_assert!(result.is_ok());
+            let eaten = &lines[lines.len() - left..lines.len() - iter.len()];
+            left = iter.len();
+            let whole = eaten[1..].last().is_some_and(|line| line == "END");
+            prop_assert_eq!(result.is_ok(), whole, "reply {:?}", eaten);
             responses += 1;
             prop_assert!(responses <= lines.len(), "reader stopped making progress");
         }

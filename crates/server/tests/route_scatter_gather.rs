@@ -2,7 +2,8 @@
 //! (each a full [`Service`] + [`TcpServer`], exactly what `dsearch serve`
 //! runs) must merge per-shard rankings into the same answers a single
 //! snapshot over the union corpus produces, and must degrade to partial
-//! results — not errors — when a shard goes down mid-run.
+//! results — not errors — when a shard goes down mid-run or cuts a reply
+//! short.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -201,4 +202,52 @@ fn shard_going_down_mid_run_degrades_to_partial_results() {
     service.shutdown();
     server0.stop();
     server2.stop();
+}
+
+/// A shard that answers two connections one request each: the first with
+/// a reply that announces three hits, sends one and closes, the second
+/// well-formed, with one hit.
+fn cut_then_whole_shard() -> (String, std::thread::JoinHandle<()>) {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let shard = std::thread::spawn(move || {
+        let hit = "z.txt (1 terms) score=9\n";
+        for reply in [
+            format!("OK 3 generation=1 micros=5\n{hit}"),
+            format!("OK 1 generation=1 micros=5\n{hit}END\n"),
+        ] {
+            let (stream, _) = listener.accept().unwrap();
+            BufReader::new(&stream).read_line(&mut String::new()).unwrap();
+            (&stream).write_all(reply.as_bytes()).unwrap();
+        }
+    });
+    (addr, shard)
+}
+
+#[test]
+fn a_reply_cut_before_end_is_a_shard_failure_and_is_never_cached() {
+    let (first, _) = split_corpus();
+    let (_svc0, server0, addr0) = shard_server(&first);
+    let (cut, shard) = cut_then_whole_shard();
+    let router = Router::new(vec![remote(&addr0), remote(&cut)], RouterConfig::default()).unwrap();
+
+    let degraded = router.route("rust").unwrap();
+    assert!(degraded.partial(), "a cut reply is not an answer: {degraded:?}");
+    assert_eq!(degraded.shard_failures.len(), 1);
+    assert_eq!(degraded.shard_failures[0].0, cut);
+    assert!(degraded.hits.iter().all(|hit| &*hit.path != "z.txt"), "{:?}", degraded.hits);
+    assert_eq!(router.stats().get(Metric::ShardErrors), 1);
+    assert_eq!(router.cache_counters().insertions, 0);
+
+    // Once the shard answers well-formed, the same query scatters again (the
+    // degraded merge was not cached), is answered in full, and only that
+    // answer is cached.
+    let whole = router.route("rust").unwrap();
+    assert!(!whole.partial(), "{:?}", whole.shard_failures);
+    assert_eq!(whole.hits[0].path.as_ref(), "z.txt");
+    assert_eq!(router.stats().get(Metric::ShardErrors), 1);
+    assert_eq!(router.cache_counters().insertions, 1);
+    shard.join().unwrap();
+    server0.stop();
 }

@@ -9,8 +9,9 @@
 //! * [`hashtable`] — an open-addressing hash map built on FNV, mirroring the
 //!   containers the original C++ implementation relied on;
 //! * [`tokenizer`] — the term scanner that walks file contents byte by byte
-//!   and extracts index terms;
-//! * [`normalize`] — term normalisation (case folding, length limits);
+//!   and extracts index terms (lower-cased runs of ASCII letters and
+//!   digits); query words go through the same scanner, so a query term and
+//!   an indexed term are one definition;
 //! * [`wordlist`] — the per-file *condensed word list* (terms de-duplicated
 //!   within one file) that extractor threads hand to the index *en bloc*.
 //!
@@ -37,12 +38,10 @@
 
 pub mod fnv;
 pub mod hashtable;
-pub mod normalize;
 pub mod tokenizer;
 pub mod wordlist;
 
 pub use fnv::{fnv1a_64, FnvBuildHasher, FnvHasher};
 pub use hashtable::FnvHashMap;
-pub use normalize::{NormalizeOptions, Normalizer};
 pub use tokenizer::{Term, TokenStats, Tokenizer, TokenizerOptions};
 pub use wordlist::{WordList, WordListBuilder};

@@ -8,12 +8,13 @@
 //! # Allocation contract
 //!
 //! There is one scanning loop, [`Scanner::next_token`].  It yields each token
-//! as a `&str` borrowed from a caller-owned buffer that is overwritten by the
+//! as a `&str`: lent from the text itself when the token needs no case
+//! folding, else folded into a caller-owned buffer that is overwritten by the
 //! next call, so scanning a file allocates nothing beyond that buffer's
-//! growth to the longest token.  Whoever needs an owned [`Term`] pays for it:
-//! [`Tokenizer::tokenize`] and [`Tokenizer::terms`] are thin wrappers that
-//! allocate one `Arc<str>` per *occurrence*; the build path instead feeds the
-//! borrowed tokens to [`WordListBuilder::push_str`](crate::wordlist::WordListBuilder::push_str),
+//! growth to the longest folded token.  Whoever needs an owned [`Term`] pays
+//! for it: [`Tokenizer::tokenize`] and [`Tokenizer::terms`] are thin
+//! wrappers that allocate one `Arc<str>` per *occurrence*; the build path
+//! instead feeds the borrowed tokens to [`WordListBuilder::push_str`](crate::wordlist::WordListBuilder::push_str),
 //! which allocates per *distinct* term.
 //!
 //! The scanner also keeps [`TokenStats`] so the pipeline can report how many
@@ -34,14 +35,6 @@ use serde::{Deserialize, Serialize};
 pub struct Term(std::sync::Arc<str>);
 
 impl Term {
-    /// Wraps an already-normalised string as a term.
-    ///
-    /// Most code should obtain terms from the [`Tokenizer`] instead.
-    #[must_use]
-    pub fn new(s: impl Into<String>) -> Self {
-        Term(std::sync::Arc::from(s.into()))
-    }
-
     /// Borrows the term's text.
     #[must_use]
     pub fn as_str(&self) -> &str {
@@ -251,15 +244,20 @@ pub struct Scanner<'a> {
     stats: TokenStats,
 }
 
-impl Scanner<'_> {
-    /// The next term that passes the length filters, normalised into
-    /// `token` (cleared first) and borrowed from it; `None` at the end of
-    /// the text.
-    pub fn next_token<'b>(&mut self, token: &'b mut String) -> Option<&'b str> {
+impl<'a> Scanner<'a> {
+    /// The next term that passes the length filters; `None` at the end of
+    /// the text.  A term that needs no case folding is lent straight from
+    /// the text; one that does is folded into `token` (cleared first) and
+    /// borrowed from it.
+    pub fn next_token<'b>(&mut self, token: &'b mut String) -> Option<&'b str>
+    where
+        'a: 'b,
+    {
         let tokenizer = self.tokenizer;
         let options = &tokenizer.options;
         loop {
-            let rest = &self.text[self.pos..];
+            let text: &'a [u8] = self.text;
+            let rest = &text[self.pos..];
             let Some(skipped) = rest.iter().position(|&b| tokenizer.is_term_byte(b)) else {
                 self.pos = self.text.len();
                 return None;
@@ -272,12 +270,13 @@ impl Scanner<'_> {
                 continue;
             }
             let raw = std::str::from_utf8(&rest[..len]).expect("term bytes are ASCII");
+            self.stats.terms_emitted += 1;
+            if !options.lowercase || !raw.bytes().any(|b| b.is_ascii_uppercase()) {
+                return Some(raw);
+            }
             token.clear();
             token.push_str(raw);
-            if options.lowercase {
-                token.make_ascii_lowercase();
-            }
-            self.stats.terms_emitted += 1;
+            token.make_ascii_lowercase();
             return Some(token);
         }
     }
@@ -392,6 +391,19 @@ mod tests {
         assert!(terms.iter().all(|t| t.as_str().is_ascii()));
         assert!(terms.iter().any(|t| t.as_str() == "na"));
         assert!(terms.iter().any(|t| t.as_str() == "caf"));
+    }
+
+    #[test]
+    fn a_token_that_needs_no_folding_is_lent_from_the_text() {
+        let tok = Tokenizer::default();
+        let text = b"plain, Mixed";
+        let mut token = String::new();
+        let mut scanner = tok.scan(text);
+        let lent = scanner.next_token(&mut token).map(|t| (t.to_owned(), t.as_ptr()));
+        assert_eq!(lent, Some(("plain".to_owned(), text.as_ptr())));
+        assert_eq!(token.capacity(), 0, "nothing was copied");
+        assert_eq!(scanner.next_token(&mut token), Some("mixed"));
+        assert_eq!(token, "mixed");
     }
 
     #[test]

@@ -92,12 +92,6 @@ impl WordList {
         self.terms
     }
 
-    /// Consumes the list, returning `(term, occurrence count)` pairs.
-    #[must_use]
-    pub fn into_counted_terms(self) -> Vec<(Term, u32)> {
-        self.terms.into_iter().zip(self.counts).collect()
-    }
-
     /// Consumes the list, returning the distinct terms and their parallel
     /// occurrence counts without copying either.
     #[must_use]
@@ -228,12 +222,6 @@ impl WordListBuilder {
         true
     }
 
-    /// Number of distinct terms so far.
-    #[must_use]
-    pub fn distinct(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Total occurrences pushed so far.
     #[must_use]
     pub fn occurrences(&self) -> u64 {
@@ -286,9 +274,9 @@ mod tests {
         let list = WordList::from_terms(["x", "y", "x", "x"].map(Term::from));
         let pairs: Vec<(&str, u32)> = list.iter_counted().map(|(t, c)| (t.as_str(), c)).collect();
         assert_eq!(pairs, [("x", 3), ("y", 1)]);
-        let owned = list.into_counted_terms();
-        assert_eq!(owned.len(), 2);
-        assert_eq!(owned[0].1, 3);
+        let (terms, counts) = list.into_parts();
+        assert_eq!(terms.len(), 2);
+        assert_eq!(counts[0], 3);
     }
 
     #[test]
@@ -305,8 +293,8 @@ mod tests {
         assert!(b.push(Term::from("x")));
         assert!(!b.push(Term::from("x")));
         assert!(b.push(Term::from("y")));
-        assert_eq!(b.distinct(), 2);
         assert_eq!(b.occurrences(), 3);
+        assert_eq!(b.finish().len(), 2);
     }
 
     #[test]

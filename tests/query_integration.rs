@@ -2,9 +2,11 @@
 //! real pipeline: the joined index (Implementations 1/2) and the replica set
 //! (Implementation 3) must answer every query identically.
 
+use proptest::prelude::*;
+
 use dsearch::core::{Configuration, Implementation, IndexGenerator, IndexOutcome};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::query::{Query, Searcher};
+use dsearch::query::{ParseError, Query, Searcher};
 use dsearch::text::Term;
 use dsearch::vfs::{MemFs, VPath};
 
@@ -124,4 +126,75 @@ fn ranking_prefers_files_matching_more_terms() {
     assert_eq!(&*results.hits()[0].path, "both.txt");
     assert_eq!(results.hits()[0].matched_terms, 2);
     assert_eq!(&*results.hits()[1].path, "one.txt");
+}
+
+/// Indexes `files` (path, text) with the paper's defaults and returns a
+/// function from a query to the sorted paths it finds.
+fn store_of(files: &[(&str, &str)]) -> impl Fn(&str) -> Vec<String> {
+    let fs = MemFs::new();
+    for (path, text) in files {
+        fs.add_file(&VPath::new(path), text.as_bytes().to_vec()).unwrap();
+    }
+    let run = IndexGenerator::default()
+        .run(&fs, &VPath::root(), Implementation::SharedLocked, Configuration::new(1, 0, 0))
+        .unwrap();
+    let (index, docs) = run.outcome.into_single_index();
+    move |raw: &str| {
+        let searcher = Searcher::new([&index], &docs);
+        let query = Query::parse(raw).unwrap();
+        let mut paths: Vec<String> =
+            searcher.search(&query).hits().iter().map(|h| h.path.to_string()).collect();
+        paths.sort();
+        paths
+    }
+}
+
+#[test]
+fn query_words_read_like_document_words() {
+    let word64 = "w".repeat(64);
+    let word70 = "w".repeat(70);
+    let paths = store_of(&[
+        ("mail.txt", "Send an e-mail about report.pdf, a naive idea."),
+        ("cafe.txt", "A naïve café plan."),
+        ("long.txt", &format!("{word64} idea")),
+        ("quote.txt", "I don't know."),
+    ]);
+    assert_eq!(paths("e-mail"), ["mail.txt"]);
+    assert_eq!(paths("report.pdf"), ["mail.txt"]);
+    assert_eq!(paths("report.pd*"), ["mail.txt"]);
+    assert_eq!(paths("naïve"), ["cafe.txt"]);
+    assert_eq!(paths("café"), ["cafe.txt"]);
+    assert_eq!(paths("don't"), ["quote.txt"]);
+    assert_eq!(paths("idea -e-mail"), ["long.txt"]);
+    assert_eq!(paths(&word64), ["long.txt"]);
+    // A word too long for the build names no indexed term: cutting it to 64
+    // bytes would find long.txt, dropping it would find every "idea".
+    assert!(paths(&word70).is_empty());
+    assert!(paths(&format!("{word70} idea")).is_empty());
+    assert!(paths(&format!("idea AND {word70}")).is_empty());
+    assert_eq!(paths(&format!("{word70} OR plan")), ["cafe.txt"]);
+}
+
+proptest! {
+    /// Every word of a document finds it: a query word is read by the
+    /// scanner that read the document, so it names terms the document holds
+    /// — or, when it holds no term, it parses to none.
+    #[test]
+    fn each_word_of_a_document_finds_it(
+        words in proptest::collection::vec("[a-zA-Z0-9.,'_/éï-]{1,12}", 1..12),
+    ) {
+        let text = words.join(" ");
+        let paths = store_of(&[("doc.txt", &text)]);
+        for word in &words {
+            // A leading `-` is query syntax (exclusion), not part of a word.
+            let word = word.trim_start_matches('-');
+            if matches!(word, "AND" | "OR" | "NOT") {
+                continue;
+            }
+            match Query::parse(word) {
+                Ok(_) => prop_assert_eq!(paths(word), ["doc.txt"], "word {:?} of {:?}", word, text),
+                Err(e) => prop_assert_eq!(e, ParseError::Empty, "word {:?}", word),
+            }
+        }
+    }
 }
