@@ -2,10 +2,11 @@
 //! 1/4/8 workers, with a cold cache (every request distinct) versus a warm
 //! cache (small repeated workload), batched versus unbatched execution
 //! on a repeated/shared-term workload the cache cannot absorb, and the
-//! hand-off alone (`pool_execute`: cache hits through `Pool::execute` from one
-//! caller, who always finds an execution slot, versus twice as many callers as
-//! slots), and a cache hit with nothing around it (`hit_path`: execute and
-//! render on the bench's own thread, with the allocations it makes printed).
+//! hand-off (`pool_execute`: cache hits through `Pool::execute` from one
+//! caller, who always finds an execution slot, versus cache misses from four
+//! times as many callers as slots, which queue), and a cache hit with nothing
+//! around it (`hit_path`: execute and render on the bench's own thread, with
+//! the allocations it makes printed).
 //!
 //! Run with `cargo bench --bench microbench_server`.
 
@@ -75,8 +76,12 @@ fn build_snapshot(docs: usize) -> IndexSnapshot {
 }
 
 fn engine_with(workers: usize, cache_capacity: usize) -> Arc<QueryEngine> {
+    engine_over(build_snapshot(2000), workers, cache_capacity)
+}
+
+fn engine_over(snapshot: IndexSnapshot, workers: usize, cache_capacity: usize) -> Arc<QueryEngine> {
     QueryEngine::new(
-        build_snapshot(2000),
+        snapshot,
         EngineConfig {
             workers,
             cache_capacity,
@@ -247,31 +252,37 @@ fn bench_batching(c: &mut Criterion) {
     group.finish();
 }
 
-/// What getting a request to the engine and its answer back costs: every
-/// request is a cache hit (3 µs of engine work), so the rest of an iteration
-/// is `Pool::execute`.  `idle`: one closed-loop caller, granted a slot every
-/// time, runs on its own thread.  `contended`: `2 × workers` callers, so a
-/// request may find the slots taken, queue, and be handed to a worker and
-/// back; how many did not is printed (with hits this short and two cores,
-/// most still find a slot).
+/// What getting a request to the engine and its answer back costs.  `idle`:
+/// one closed-loop caller, every request a cache hit (3 µs of engine work),
+/// granted a slot every time, runs on its own thread — the rest of an
+/// iteration is `Pool::execute`.  `contended`: `4 × workers` callers, every
+/// request a miss (the cache is off) that holds its slot while a 20 000-
+/// document `OR` is evaluated, so callers that find both slots taken queue
+/// and are handed to a worker and back.  How many ran where they
+/// arrived and how many queued is printed, and `contended` must queue some:
+/// a contended run that never queues measures the idle path twice.
 fn bench_pool_execute(c: &mut Criterion) {
     const WORKERS: usize = 2;
     let mut group = c.benchmark_group("pool_execute");
     group.sample_size(10);
     group.throughput(Throughput::Elements(REQUESTS_PER_ITER as u64));
-    let workload = warm_workload();
-    for (name, callers) in [("idle", 1), ("contended", 2 * WORKERS)] {
-        let engine = engine_with(WORKERS, 4096);
+    let misses: Vec<String> =
+        (0..64).map(|i| format!("common OR w{} OR m{}", i % 10, i % 100)).collect();
+    for (name, callers, cache, docs, workload) in
+        [("idle", 1, 4096, 2000, warm_workload()), ("contended", 4 * WORKERS, 0, 20_000, misses)]
+    {
+        let engine = engine_over(build_snapshot(docs), WORKERS, cache);
         let pool = WorkerPool::start(Arc::clone(&engine));
         group.bench_function(name, |b| {
             b.iter(|| closed_loop(&pool, &workload, REQUESTS_PER_ITER, callers));
         });
         let stats = engine.stats();
+        let (queries, inline) = (stats.get(Metric::Queries), stats.get(Metric::Inline));
         println!(
-            "pool_execute/{name}: {} of {} queries ran where they arrived",
-            stats.get(Metric::Inline),
-            stats.get(Metric::Queries)
+            "pool_execute/{name}: {inline} of {queries} queries ran where they arrived, {} queued",
+            queries - inline
         );
+        assert!(name == "idle" || queries > inline, "pool_execute/{name} never queued");
         pool.shutdown();
     }
     group.finish();

@@ -28,8 +28,14 @@ pub(crate) struct SharedOptions<'a> {
     pub(crate) default_deadline: &'a mut Option<std::time::Duration>,
 }
 
-/// Applies `--workers`, `--limit`, `--cache`, `--cache-shards`, `--max-batch`,
-/// `--queue-bound` and `--default-deadline-ms` (0 disables the budget).
+/// The most entries `--cache` may ask for: the admission sketch and the
+/// cache's tables are sized from it, so a larger value is a usage error
+/// rather than an allocation the host cannot make.
+const MAX_CACHE_ENTRIES: usize = 1 << 24;
+
+/// Applies `--workers`, `--limit`, `--cache` (at most [`MAX_CACHE_ENTRIES`]),
+/// `--cache-shards`, `--max-batch`, `--queue-bound` and
+/// `--default-deadline-ms` (0 disables the budget).
 pub(crate) fn apply_shared_options(
     args: &ParsedArgs,
     config: SharedOptions<'_>,
@@ -41,6 +47,11 @@ pub(crate) fn apply_shared_options(
         *config.result_limit = limit;
     }
     if let Some(capacity) = args.number_of::<usize>("cache")? {
+        if capacity > MAX_CACHE_ENTRIES {
+            return Err(CliError::Usage(format!(
+                "option --cache: {capacity} entries is over the {MAX_CACHE_ENTRIES} allowed"
+            )));
+        }
         *config.cache_capacity = capacity;
     }
     if let Some(shards) = args.number_of::<usize>("cache-shards")? {
@@ -298,6 +309,21 @@ mod tests {
             assert!(
                 matches!(&err, CliError::Usage(msg) if msg.contains("invalid configuration")),
                 "{flags:?}: {err}"
+            );
+        }
+        // The largest cache is allowed; one entry more is a usage error, also
+        // where it would otherwise size an admission sketch.
+        let largest = MAX_CACHE_ENTRIES.to_string();
+        let args = ParsedArgs::parse(["serve", "--cache", &largest]).unwrap();
+        assert_eq!(engine_config(&args).unwrap().cache_capacity, MAX_CACHE_ENTRIES);
+        for oversized in [(MAX_CACHE_ENTRIES + 1).to_string(), "1000000000000".to_owned()] {
+            let args =
+                ParsedArgs::parse(["serve", "--cache", &oversized, "--cache-admission", "lfu"])
+                    .unwrap();
+            let err = engine_config(&args).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(msg) if msg.contains("option --cache")),
+                "{oversized}: {err}"
             );
         }
         let args = ParsedArgs::parse(["serve", "--cache-admission", "clairvoyant"]).unwrap();

@@ -104,7 +104,8 @@ COMMANDS:
         stdin stops everything.  Workers drain up to --max-batch queued queries
         per wakeup, whatever is queued, without waiting for more; with a
         nonzero --queue-bound, a request that finds the queue full is
-        rejected (ERR server overloaded).
+        rejected (ERR server overloaded).  --cache holds at most N answers
+        (0 turns the cache off; N is at most 16777216).
 
     route --shard HOST:PORT [--shard HOST:PORT …] [--tcp ADDR] [--limit N]
           [--workers N] [--max-batch N] [--queue-bound N]

@@ -323,6 +323,28 @@ fn a_closed_stdout_ends_a_command_quietly() {
     assert!(output.status.success(), "{:?}: {stderr}", output.status);
 }
 
+/// A cache larger than `serve` allows is a usage error (exit 1, the usage
+/// printed), not an admission sketch sized past the host's memory.
+#[test]
+fn an_oversized_cache_is_a_usage_error() {
+    use std::process::{Command, Stdio};
+    let dir = TempDir::new("oversized-cache");
+    let docs = dir.path().join("docs");
+    fs::create_dir_all(&docs).unwrap();
+    write_docs(&docs);
+    let store = dir.sub("store");
+    run(index_args(&docs, &store, &[])).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_dsearch"))
+        .args(["serve", "--store", &store, "--cache", "1000000000000", "--cache-admission", "lfu"])
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("option --cache: 1000000000000 entries"), "{stderr}");
+    assert!(stderr.contains("N is at most 16777216"), "the usage states the bound: {stderr}");
+}
+
 fn segment(store: &str) -> Vec<u8> {
     fs::read(Path::new(store).join("segment-000001.dsg")).unwrap()
 }

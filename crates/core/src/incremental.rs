@@ -33,7 +33,7 @@ use crate::distribute::WorkItem;
 use crate::error::PipelineError;
 use crate::report::{IndexOutcome, ParallelRun};
 use crate::runner::IndexGenerator;
-use crate::stage1::FilenameSet;
+use crate::stage1::{number_smallest_first, FilenameSet};
 
 /// Result of one incremental update.
 #[derive(Debug)]
@@ -120,8 +120,12 @@ impl IndexGenerator {
             stale.extend(known.get(path));
             signatures.forget(path);
         }
-        let mut items = Vec::with_capacity(changes.files_to_scan());
-        for (path, signature) in changes.added.iter().chain(&changes.modified) {
+        // A path the table knows keeps its id; the new ones are numbered
+        // after them, smallest first, as Stage 1 numbers a whole tree.
+        let mut scan: Vec<_> = changes.added.iter().chain(&changes.modified).collect();
+        number_smallest_first(&mut scan, |(path, signature)| (signature.size, path.as_str()));
+        let mut items = Vec::with_capacity(scan.len());
+        for (path, signature) in scan {
             let file_id = match known.get(path.as_str()) {
                 Some(&id) => {
                     stale.push(id);
@@ -316,6 +320,8 @@ mod tests {
     fn a_store_without_signatures_keeps_nothing_it_cannot_vouch_for() {
         let (fs, dir) = setup("unvouched");
         update(&fs, &dir);
+        let id = stored(&dir.0).1.find("docs/a.txt");
+        assert_eq!(id, Some(FileId(1)), "numbered after the smaller b.txt");
         // As after a full run into the store (or a crash between the segment
         // and its signatures), with one of the files gone since.
         std::fs::remove_file(dir.0.join(SIGNATURES_FILE)).unwrap();
@@ -325,7 +331,7 @@ mod tests {
         let (index, docs) = stored(&dir.0);
         assert_eq!(by_path(&index, &docs), rebuilt(&fs));
         // The path that stayed kept its id.
-        assert_eq!((docs.len(), docs.find("docs/a.txt").map(FileId::as_u32)), (2, Some(0)));
+        assert_eq!((docs.len(), docs.find("docs/a.txt")), (2, id));
     }
 
     #[test]

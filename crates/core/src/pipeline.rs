@@ -162,9 +162,10 @@ impl CancelToken {
     }
 }
 
-/// FNV-1a fingerprint of a corpus file list (paths and sizes, in walk
-/// order).  Stage 1 walks deterministically, so equal corpora produce equal
-/// fingerprints and stable file ids — the invariant resume depends on.
+/// FNV-1a fingerprint of a corpus file list (paths and sizes, in id order).
+/// Stage 1 walks and numbers deterministically, so equal corpora produce
+/// equal fingerprints and stable file ids — the invariant resume depends on
+/// — and a checkpoint taken under another numbering is refused.
 #[must_use]
 pub fn corpus_fingerprint(items: &[WorkItem]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -8,6 +8,16 @@
 //! extractors costs a pair of lock operations per filename and was "highly
 //! inefficient".  Measured here too: ~10 % slower on a 2-core host, over a
 //! `paper_scaled(0.005)` corpus at `(2, 0, 0)`.
+//!
+//! Since ids are given here and nowhere else, their order is free to choose,
+//! and Stage 1 numbers the files smallest first ([`number_smallest_first`]:
+//! by size, then path).  Short documents then share the small ids, so the
+//! gaps between the ids of a posting list and its term frequencies pack
+//! tighter (re-numbering documents to shrink an index: Silvestri, ECIR 2007)
+//! — 7 % of the benchmark store — and the documents BM25 scores highest come
+//! first, where a ranked query's threshold rises soonest.  Nothing an answer
+//! shows depends on the ids: hits tie-break by path before id, and a segment
+//! stores its doc table in path order.
 
 use serde::{Deserialize, Serialize};
 
@@ -20,7 +30,7 @@ use crate::error::PipelineError;
 /// Output of Stage 1.
 #[derive(Debug, Clone)]
 pub struct FilenameSet {
-    /// One work item per discovered file, in walk order.
+    /// One work item per discovered file, in id order.
     pub items: Vec<WorkItem>,
     /// The id → path table shared by the rest of the pipeline.
     pub docs: DocTable,
@@ -61,7 +71,8 @@ pub fn generate_filenames<F: FileSystem + ?Sized>(
     fs: &F,
     root: &VPath,
 ) -> Result<FilenameSet, PipelineError> {
-    let (found, walk_stats) = Walker::new().walk(fs, root).map_err(PipelineError::Walk)?;
+    let (mut found, walk_stats) = Walker::new().walk(fs, root).map_err(PipelineError::Walk)?;
+    number_smallest_first(&mut found, |file| (file.size, file.path.as_str()));
     let mut docs = DocTable::with_capacity(found.len());
     let mut items = Vec::with_capacity(found.len());
     for file in found {
@@ -69,6 +80,14 @@ pub fn generate_filenames<F: FileSystem + ?Sized>(
         items.push(WorkItem { file_id: id, path: file.path, size: file.size });
     }
     Ok(FilenameSet { items, docs, stats: walk_stats.into() })
+}
+
+/// Puts `files` in the order Stage 1 numbers them — ascending size, then
+/// path — given each one's `(size, path)`.  Every producer of ids orders the
+/// files it numbers through this, so a full run and an incremental one into
+/// an empty store give every path the same id.
+pub fn number_smallest_first<T>(files: &mut [T], size_and_path: impl Fn(&T) -> (u64, &str)) {
+    files.sort_unstable_by(|a, b| size_and_path(a).cmp(&size_and_path(b)));
 }
 
 #[cfg(test)]
@@ -97,6 +116,25 @@ mod tests {
         let mut ids: Vec<u32> = set.items.iter().map(|i| i.file_id.as_u32()).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn ids_follow_size_then_path() {
+        let fs = MemFs::new();
+        for (path, size) in [("z.txt", 5), ("b/big.txt", 40), ("a/y.txt", 5), ("m.txt", 0)] {
+            fs.add_file(&VPath::new(path), vec![b'x'; size]).unwrap();
+        }
+        let set = generate_filenames(&fs, &VPath::root()).unwrap();
+        let numbered: Vec<(u32, &str, u64)> = set
+            .items
+            .iter()
+            .map(|item| (item.file_id.as_u32(), item.path.as_str(), item.size))
+            .collect();
+        // Smallest first; the two of 5 bytes by path.
+        assert_eq!(
+            numbered,
+            [(0, "m.txt", 0), (1, "a/y.txt", 5), (2, "z.txt", 5), (3, "b/big.txt", 40)]
+        );
     }
 
     #[test]

@@ -97,9 +97,10 @@ impl DocTable {
 
     /// Every id's position in the table sorted by `(path, id)`: comparing
     /// two ids' ranks is comparing their paths, ids breaking ties — the order
-    /// search results take — without touching a string.  Computed once per
-    /// table (a sort that is linear when Stage 1 already inserted the paths
-    /// in order), on first use.
+    /// search results take — without touching a string.  A table read from
+    /// a segment comes with its ranks (the segment lists it in this order,
+    /// see [`PathOrderedDocs`]); any other table sorts its ids once, on first
+    /// use.
     #[must_use]
     pub fn path_ranks(&self) -> &[u32] {
         self.ranks.get_or_init(|| {
@@ -113,6 +114,18 @@ impl DocTable {
             }
             ranks
         })
+    }
+
+    /// The ids in the order of their `(path, id)` — the order a segment lists
+    /// the table in — from [`DocTable::path_ranks`], so a table written again
+    /// and again is sorted once.
+    #[must_use]
+    pub fn ids_by_path(&self) -> Vec<FileId> {
+        let mut order = vec![FileId(0); self.paths.len()];
+        for (id, &rank) in self.path_ranks().iter().enumerate() {
+            order[rank as usize] = FileId(id as u32);
+        }
+        order
     }
 
     /// Number of registered files.
@@ -148,6 +161,75 @@ impl DocTable {
     #[must_use]
     pub fn find(&self, path: &str) -> Option<FileId> {
         self.paths.iter().position(|p| &**p == path).map(|i| FileId(i as u32))
+    }
+}
+
+/// A [`DocTable`] rebuilt from its entries listed in `(path, id)` order — how
+/// a segment stores one — so that each entry's position is its id's
+/// [`DocTable::path_ranks`] and nothing is sorted.  Every entry is checked as
+/// it is placed: the entries must give each id below the table's length one
+/// path, and their `(path, id)` pairs must strictly ascend (a path listed
+/// twice, which [`DocTable::insert`] allows, comes with ascending ids).
+#[derive(Debug)]
+pub struct PathOrderedDocs {
+    paths: Vec<Option<Arc<str>>>,
+    ranks: Box<[u32]>,
+    /// Entries placed so far, and the id of the last one.
+    placed: usize,
+    last: usize,
+}
+
+impl PathOrderedDocs {
+    /// An empty table of `len` documents.  `len` sizes two allocations, so a
+    /// reader checks it against its input first.
+    #[must_use]
+    pub fn new(len: usize) -> Self {
+        PathOrderedDocs {
+            paths: vec![None; len],
+            ranks: vec![0; len].into_boxed_slice(),
+            placed: 0,
+            last: 0,
+        }
+    }
+
+    /// Places the next entry in path order: `path` under `id`.
+    ///
+    /// # Errors
+    ///
+    /// Says what is wrong when `id` is not below the table's length or
+    /// already has a path, or `(path, id)` is not above the entry placed
+    /// before.
+    pub fn place(&mut self, id: u64, path: &str) -> Result<(), &'static str> {
+        let slot = usize::try_from(id)
+            .ok()
+            .filter(|&slot| slot < self.paths.len())
+            .ok_or("document id past the end of the table")?;
+        if self.paths[slot].is_some() {
+            return Err("document id listed twice");
+        }
+        if self.placed > 0
+            && self.paths[self.last]
+                .as_deref()
+                .is_some_and(|last| (path, slot) <= (last, self.last))
+        {
+            return Err("document entries do not strictly ascend by path, then id");
+        }
+        self.paths[slot] = Some(Arc::from(path));
+        self.ranks[slot] = self.placed as u32;
+        self.placed += 1;
+        self.last = slot;
+        Ok(())
+    }
+
+    /// The table, once every id has its path.
+    ///
+    /// # Errors
+    ///
+    /// Fails when fewer entries were placed than the table has ids.
+    pub fn finish(self) -> Result<DocTable, &'static str> {
+        let paths: Option<Vec<Arc<str>>> = self.paths.into_iter().collect();
+        let paths = paths.ok_or("document ids missing from the table")?;
+        Ok(DocTable { paths, ranks: OnceLock::from(self.ranks) })
     }
 }
 
@@ -219,6 +301,33 @@ mod tests {
         assert_eq!(t.path_ranks(), [3, 2, 4, 0, 1]);
         assert!(Arc::ptr_eq(t.shared_path(again).unwrap(), t.shared_path(again).unwrap()));
         assert_eq!(t.shared_path(FileId(9)), None);
+    }
+
+    #[test]
+    fn a_table_placed_in_path_order_keeps_the_ranks_a_sort_gives() {
+        let t: DocTable = ["b", "a/x", "c", "a"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(t.ids_by_path(), [FileId(3), FileId(1), FileId(0), FileId(2)]);
+        let mut placed = PathOrderedDocs::new(t.len());
+        for id in t.ids_by_path() {
+            placed.place(id.as_u32().into(), t.path(id).unwrap()).unwrap();
+        }
+        let placed = placed.finish().unwrap();
+        assert_eq!(placed, t);
+        assert_eq!(placed.path_ranks(), t.path_ranks());
+        // Every misplaced entry is named; a table short of entries is refused.
+        let mut docs = PathOrderedDocs::new(2);
+        assert_eq!(docs.place(2, "a"), Err("document id past the end of the table"));
+        docs.place(1, "b").unwrap();
+        assert_eq!(docs.place(1, "c"), Err("document id listed twice"));
+        let not_ascending = Err("document entries do not strictly ascend by path, then id");
+        assert_eq!(docs.place(0, "b"), not_ascending);
+        assert_eq!(docs.place(0, "a"), not_ascending);
+        assert_eq!(docs.finish(), Err("document ids missing from the table"));
+        // A path listed twice, as `insert` allows, under ascending ids.
+        let mut docs = PathOrderedDocs::new(2);
+        docs.place(0, "b").unwrap();
+        docs.place(1, "b").unwrap();
+        assert_eq!(docs.finish().unwrap().path_ranks(), [0, 1]);
     }
 
     #[test]

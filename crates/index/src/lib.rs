@@ -60,7 +60,7 @@ pub use block::{
     BlockCursor, BlockFormatError, CompressedPostings, CompressedView, PostingCursor, SkipEntry,
     SliceCursor, BLOCK_SIZE,
 };
-pub use doc_table::{DocTable, FileId};
+pub use doc_table::{DocTable, FileId, PathOrderedDocs};
 pub use join::{join_all, join_into, parallel_join};
 pub use memory_index::InMemoryIndex;
 pub use posting::PostingList;

@@ -44,6 +44,7 @@ use dsearch_index::{
     BLOCK_SIZE,
 };
 use dsearch_persist::segment::write_segment;
+use dsearch_persist::IndexStore;
 use dsearch_text::Term;
 
 thread_local! {
@@ -338,6 +339,32 @@ fn lengths_at_both_ends_of_the_ids_seal_in_the_memory_they_record() {
     }
     let bound = |shard: &SealedShard| shard.postings(&Term::from("alpha")).unwrap().bound();
     assert_eq!(bound(&shard), bound(&reference), "list bounds come from the same norms");
+}
+
+#[test]
+fn a_segment_over_4_gib_is_refused_before_a_buffer_is_sized_by_it() {
+    // One byte over what a shard's `u32` offsets reach, as a sparse file:
+    // reading it whole would ask this binary's allocator for 4 GiB, and the
+    // test would abort.
+    let dir = std::env::temp_dir().join(format!("dsearch-oversized-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = IndexStore::open(&dir).unwrap();
+    let mut docs = DocTable::new();
+    let mut index = InMemoryIndex::new();
+    index.insert_file(docs.insert("a.txt"), [Term::from("alpha")]);
+    store.commit(&index, &docs).unwrap();
+    let segment = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .find(|path| path.extension().is_some_and(|ext| ext == "dsg"))
+        .unwrap();
+    std::fs::OpenOptions::new().write(true).open(&segment).unwrap().set_len((1 << 32) + 1).unwrap();
+    let refused = [store.load_all_sealed().err(), store.load_all().map(drop).err()];
+    let _ = std::fs::remove_dir_all(&dir);
+    for error in refused {
+        let error = error.expect("an oversized segment is an error").to_string();
+        assert!(error.contains("shards over 4 GiB are not supported"), "{error}");
+    }
 }
 
 /// A file id anywhere in `u32`, at either end of it one time in four each.

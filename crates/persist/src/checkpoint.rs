@@ -45,8 +45,9 @@ pub struct BuildCheckpoint {
     /// FNV fingerprint of the corpus file list (paths + sizes) the build ran
     /// over; a resume against a changed corpus is refused.
     pub corpus_fingerprint: u64,
-    /// File ids (Stage 1 walk order is deterministic, so ids are stable
-    /// across runs) whose terms are sealed in one of [`Self::segments`].
+    /// File ids (Stage 1's walk and numbering are deterministic, so ids are
+    /// stable across runs) whose terms are sealed in one of
+    /// [`Self::segments`].
     pub completed: Vec<u32>,
     /// Segment file names owned by this build, in seal order.
     pub segments: Vec<String>,

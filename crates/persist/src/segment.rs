@@ -1,7 +1,7 @@
 //! The binary segment format.
 //!
 //! One segment stores one complete index (terms, block-compressed posting
-//! lists) together with its document table.  The version-8 layout is:
+//! lists) together with its document table.  The version-9 layout is:
 //!
 //! ```text
 //! magic   "DSG1"                            4 bytes
@@ -9,9 +9,11 @@
 //! payload:
 //!   version                                 varint
 //!   doc count                               varint
-//!   per doc: path, front-coded              bytes shared with the path
-//!                                           before (varint), then the rest
-//!                                           as length-prefixed bytes
+//!   per doc (path ascending):               the path, front-coded — bytes
+//!                                           shared with the path before
+//!                                           (varint), then the rest as
+//!                                           length-prefixed bytes —, then
+//!                                           its file id (varint)
 //!   doc-length count                        varint
 //!   per length (id ascending):              when the count is the doc
 //!                                           count, the length (the ids are
@@ -24,7 +26,14 @@
 //!                                           `dsearch_index::encode_term`
 //! ```
 //!
-//! Nothing is stored that the reader can derive.  The term entries are
+//! Nothing is stored that the reader can derive.  The doc table is listed in
+//! path order, whatever order Stage 1 numbered the files in (smallest first,
+//! see `dsearch_core::stage1`): the paths front-code as well as they can, and
+//! an entry's position is its id's rank among the paths, which search results
+//! break ties by ([`DocTable::path_ranks`]) — so a load sorts nothing.  The
+//! loader puts each path at its id and refuses an id past the table, an id
+//! listed twice and an entry whose `(path, id)` is not above the one before
+//! (a path listed twice comes with ascending ids).  The term entries are
 //! **exactly** what a [`SealedShard`] reads in place: front-coded terms (every
 //! 16th whole), the id and term-frequency blocks of one patched
 //! frame-of-reference codec whose exceptions are bit-packed, back to back
@@ -57,7 +66,8 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 
 use dsearch_index::varint::{write_bytes, write_varint, Reader};
 use dsearch_index::{
-    DocTable, FileId, InMemoryIndex, PostingList, SealedShard, SealedTerms, SectionBytes,
+    DocTable, FileId, InMemoryIndex, PathOrderedDocs, PostingList, SealedShard, SealedTerms,
+    SectionBytes,
 };
 use dsearch_text::Term;
 
@@ -70,13 +80,16 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"DSG1";
 /// Current segment format version (patched frame-of-reference id and
 /// frequency blocks with bit-packed exceptions, back to back with no offsets,
 /// block first ids as gaps from the block before, skip entries of last ids
-/// only, a front-coded dictionary, a front-coded document table, document
-/// lengths under id gaps only where they are not every document's, one
-/// bound byte per list).
-pub const SEGMENT_VERSION: u32 = 8;
+/// only, a front-coded dictionary, a front-coded document table in path order
+/// with each path's id, document lengths under id gaps only where they are
+/// not every document's, one bound byte per list).
+pub const SEGMENT_VERSION: u32 = 9;
 
 /// Oldest version the readers still understand.
-pub const MIN_SEGMENT_VERSION: u32 = 8;
+pub const MIN_SEGMENT_VERSION: u32 = 9;
+
+/// The longest segment file a shard can lay over: its offsets are `u32`.
+const MAX_SEGMENT_BYTES: u64 = u32::MAX as u64;
 
 /// Longest path (in bytes) a segment will accept when reading; protects
 /// against corrupt length prefixes.
@@ -159,12 +172,14 @@ pub(crate) fn write_segment_tallied<W: Write + Seek>(
     let mut front = Vec::new();
     write_varint(&mut front, u64::from(SEGMENT_VERSION));
     write_varint(&mut front, docs.len() as u64);
+    // In `(path, id)` order, each path followed by its id.
     let mut previous: &[u8] = &[];
-    for (_, path) in docs.iter() {
-        let path = path.as_bytes();
+    for id in docs.ids_by_path() {
+        let path = docs.path(id).expect("an id of the table").as_bytes();
         let shared = previous.iter().zip(path).take_while(|(a, b)| a == b).count();
         write_varint(&mut front, shared as u64);
         write_bytes(&mut front, &path[shared..]);
+        write_varint(&mut front, u64::from(id.as_u32()));
         previous = path;
     }
     let doc_lens = sealed.doc_lens();
@@ -251,8 +266,9 @@ fn verify_and_read_docs(bytes: &[u8], docs_at: usize) -> Result<DocTable, Persis
         return Err(PersistError::Corrupt("segment checksum mismatch".into()));
     }
     let mut reader = Reader::new(bytes, docs_at);
-    let doc_count = reader.count(2, "document")?;
-    let mut docs = DocTable::with_capacity(doc_count);
+    let doc_count = reader.count(DOC_ENTRY_BYTES, "document")?;
+    let mut docs = PathOrderedDocs::new(doc_count);
+    let bad_table = |why: &str| PersistError::Corrupt(why.to_owned());
     // Front-coded: each path is the start of the one before and a suffix.
     let mut path: Vec<u8> = Vec::new();
     for _ in 0..doc_count {
@@ -265,23 +281,27 @@ fn verify_and_read_docs(bytes: &[u8], docs_at: usize) -> Result<DocTable, Persis
         }
         path.truncate(shared as usize);
         path.extend_from_slice(reader.bytes(MAX_STRING_LEN - shared, "document path")?);
-        docs.insert(
-            std::str::from_utf8(&path)
-                .map_err(|_| PersistError::Corrupt("document path is not valid UTF-8".into()))?,
-        );
+        let text = std::str::from_utf8(&path)
+            .map_err(|_| PersistError::Corrupt("document path is not valid UTF-8".into()))?;
+        docs.place(reader.u64()?, text).map_err(bad_table)?;
     }
-    Ok(docs)
+    docs.finish().map_err(bad_table)
 }
+
+/// The fewest bytes a document entry takes: a shared-byte count, a path
+/// length and an id, one byte each.
+const DOC_ENTRY_BYTES: usize = 3;
 
 /// Steps over the document table at `docs_at` — its paths are
 /// [`verify_and_read_docs`]'s, which fails wherever this does — and reads
 /// the document lengths behind it.
 fn read_front_matter(bytes: &[u8], docs_at: usize) -> Result<FrontMatter, PersistError> {
     let mut reader = Reader::new(bytes, docs_at);
-    let doc_count = reader.count(2, "document")?;
+    let doc_count = reader.count(DOC_ENTRY_BYTES, "document")?;
     for _ in 0..doc_count {
         reader.u64()?;
         reader.bytes(u64::MAX, "document path")?;
+        reader.u64()?;
     }
     let len_count = reader.count(1, "document length")?;
     if len_count > doc_count {
@@ -353,11 +373,16 @@ const PART: usize = 1 << 20;
 /// caller's among them) into one buffer sized from the file's length, so
 /// that the fresh buffer's page faults and the copy run on every thread.  A
 /// file that grew since is read on to its end; one that shrank is an error,
-/// never a short buffer.
-fn read_file(file: &File, threads: usize) -> std::io::Result<Vec<u8>> {
-    let len = usize::try_from(file.metadata()?.len())
-        .map_err(|_| std::io::Error::from(std::io::ErrorKind::OutOfMemory))?;
-    read_in_parts(file, len, PART, threads)
+/// never a short buffer.  A file longer than a shard can be is refused
+/// before anything is allocated for it.
+fn read_file(file: &File, threads: usize) -> Result<Vec<u8>, PersistError> {
+    let len = file.metadata()?.len();
+    if len > MAX_SEGMENT_BYTES {
+        return Err(PersistError::Corrupt(format!(
+            "a segment of {len} bytes: shards over 4 GiB are not supported"
+        )));
+    }
+    Ok(read_in_parts(file, len as usize, PART, threads)?)
 }
 
 /// [`read_file`] of a file `len` bytes long, cut into one part a thread, each
@@ -382,8 +407,9 @@ fn read_in_parts(
             read.and(other.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
         })
     })?;
+    // Grown since: read on, to one byte past what a shard can be at most.
     file.seek(SeekFrom::Start(len as u64))?;
-    file.read_to_end(&mut bytes)?;
+    file.take((MAX_SEGMENT_BYTES + 1).saturating_sub(len as u64)).read_to_end(&mut bytes)?;
     Ok(bytes)
 }
 
@@ -747,14 +773,14 @@ mod tests {
             // The doc count; the document-length count, behind an honest
             // one-document table; the term count, behind empty tables.
             assert_both_readers_reject(&varints(&[version, huge]));
-            assert_both_readers_reject(&varints(&[version, 1, 0, 1, b'a'.into(), huge]));
+            assert_both_readers_reject(&varints(&[version, 1, 0, 1, b'a'.into(), 0, huge]));
             assert_both_readers_reject(&varints(&[version, 0, 0, huge]));
             // The bytes a path claims to share with the one before it.
             assert_both_readers_reject(&varints(&[version, 1, huge, 0]));
         }
         // A count that fits the payload but not its entries: two documents
-        // declared, room for two two-byte entries, the entries truncated.
-        let buf = forge(&varints(&[version, 2, 0, 5, b'a'.into(), b'b'.into()]));
+        // declared, room for two three-byte entries, the entries truncated.
+        let buf = forge(&varints(&[version, 2, 0, 5, b'a'.into(), b'b'.into(), 0, 0]));
         assert!(read_segment(&buf[..]).is_err());
         assert!(read_segment_sealed(&buf[..]).is_err());
     }
@@ -762,21 +788,73 @@ mod tests {
     #[test]
     fn front_coded_paths_are_rebuilt_under_the_hostile_input_rules() {
         let version = u64::from(SEGMENT_VERSION);
-        // `ab`, then `a` + `c`: an honest table, no lengths, no terms.
-        let honest = [version, 2, 0, 2, b'a'.into(), b'b'.into(), 1, 1, b'c'.into(), 0, 0];
+        // `ab` (id 1), then `a` + `c` (id 0): an honest table, no lengths, no
+        // terms.
+        let honest = [version, 2, 0, 2, b'a'.into(), b'b'.into(), 1, 1, 1, b'c'.into(), 0, 0, 0];
         let (_, docs) = read_segment_sealed(&forge(&varints(&honest))[..]).unwrap();
-        assert_eq!(docs.iter().map(|(_, path)| path).collect::<Vec<_>>(), ["ab", "ac"]);
+        assert_eq!(docs.iter().map(|(_, path)| path).collect::<Vec<_>>(), ["ac", "ab"]);
+        assert_eq!(docs.path_ranks(), [1, 0]);
         // More shared bytes than the path before has (the first has none).
-        assert_both_readers_reject(&varints(&[version, 1, 1, 0, 0, 0]));
-        assert_both_readers_reject(&varints(&[version, 2, 0, 1, b'a'.into(), 2, 0, 0, 0]));
+        assert_both_readers_reject(&varints(&[version, 1, 1, 0, 0, 0, 0]));
+        assert_both_readers_reject(&varints(&[version, 2, 0, 1, b'a'.into(), 0, 2, 0, 1, 0, 0]));
         // Each half valid on its own terms, the rebuilt path not UTF-8: the
         // first byte of `é`, then `a`.
-        assert_both_readers_reject(&varints(&[version, 2, 0, 2, 0xc3, 0xa9, 1, 1, b'a'.into()]));
+        let split = [
+            varints(&[version, 2, 0, 2]),
+            "é".as_bytes().to_vec(),
+            varints(&[1, 1, 1, b'a'.into(), 0, 0, 0]),
+        ];
+        assert_both_readers_reject(&split.concat());
         // A rebuilt path over the limit, from two parts under it.
         let mut long = varints(&[version, 2, 0, MAX_STRING_LEN]);
         long.extend(std::iter::repeat_n(b'a', MAX_STRING_LEN as usize));
-        long.extend(varints(&[MAX_STRING_LEN, 1, b'a'.into(), 0, 0]));
+        long.extend(varints(&[0, MAX_STRING_LEN, 1, b'a'.into(), 1, 0, 0]));
         assert_both_readers_reject(&long);
+    }
+
+    #[test]
+    fn doc_table_entries_give_each_id_one_ascending_path() {
+        let version = u64::from(SEGMENT_VERSION);
+        // Documents `a`, `b`, `c` in path order under `ids`; no lengths, no
+        // terms.
+        let table = |paths: [u8; 3], ids: [u64; 3]| {
+            let mut all = vec![version, 3];
+            for (path, id) in paths.into_iter().zip(ids) {
+                all.extend([0, 1, path.into(), id]);
+            }
+            varints(&[all, vec![0, 0]].concat())
+        };
+        let (_, docs) = read_segment_sealed(&forge(&table(*b"abc", [2, 0, 1]))[..]).unwrap();
+        assert_eq!(docs.iter().map(|(_, path)| path).collect::<Vec<_>>(), ["b", "c", "a"]);
+        assert_eq!(docs.path_ranks(), [1, 2, 0]);
+        let error = |payload: &[u8]| load_error(&forge(payload));
+        for (ids, why) in [
+            ([2, 0, 2], "document id listed twice"),
+            ([0, 3, 1], "document id past the end of the table"),
+            ([0, 1, u64::MAX], "document id past the end of the table"),
+        ] {
+            assert!(error(&table(*b"abc", ids)).contains(why), "{ids:?}");
+        }
+        // A path equal to the one before under a lower id, and a path below
+        // the one before.
+        for (paths, ids) in [(*b"abb", [0, 2, 1]), (*b"acb", [0, 1, 2])] {
+            let refused = error(&table(paths, ids));
+            assert!(refused.contains("do not strictly ascend by path, then id"), "{refused}");
+        }
+        // A path listed twice, as `DocTable::insert` allows, under ascending
+        // ids; and such a table written and read back.
+        let (_, docs) = read_segment_sealed(&forge(&table(*b"abb", [0, 1, 2]))[..]).unwrap();
+        assert_eq!(docs.iter().map(|(_, path)| path).collect::<Vec<_>>(), ["a", "b", "b"]);
+        let mut twice = DocTable::new();
+        let mut index = InMemoryIndex::new();
+        for path in ["b.txt", "a.txt", "b.txt"] {
+            index.insert_file(twice.insert(path), [Term::from("alpha")]);
+        }
+        let mut buf = Vec::new();
+        write_segment(&index, &twice, std::io::Cursor::new(&mut buf)).unwrap();
+        let (_, loaded) = read_segment_sealed(&buf[..]).unwrap();
+        assert_eq!(loaded, twice);
+        assert_eq!(loaded.path_ranks(), [1, 0, 2]);
     }
 
     #[test]
@@ -785,8 +863,8 @@ mod tests {
         // Three documents `a`, `b`, `c`; `count` lengths stored as `values`;
         // no terms.
         let front = |count: u64, values: &[u64]| {
-            let mut all =
-                vec![version, 3, 0, 1, b'a'.into(), 0, 1, b'b'.into(), 0, 1, b'c'.into(), count];
+            let mut all = vec![version, 3];
+            all.extend([0, 1, b'a'.into(), 0, 0, 1, b'b'.into(), 1, 0, 1, b'c'.into(), 2, count]);
             all.extend_from_slice(values);
             all.push(0);
             varints(&all)
@@ -1007,6 +1085,96 @@ mod tests {
             for (_, list) in shard.iter() {
                 walk(list);
             }
+        }
+    }
+
+    /// An index of `paths`, numbered in the order given, each file holding
+    /// one term of its own and one shared by every third.
+    fn numbered(paths: &[String]) -> (InMemoryIndex, DocTable) {
+        let mut docs = DocTable::new();
+        let mut index = InMemoryIndex::new();
+        for (i, path) in paths.iter().enumerate() {
+            let id = docs.insert(path);
+            let shared = Term::from(format!("s{}", i % 3).as_str());
+            index.insert_file(id, [Term::from(format!("t{i}").as_str()), shared]);
+        }
+        (index, docs)
+    }
+
+    /// The paths of `keyed`, in the order of their keys.
+    fn numbering(keyed: std::collections::BTreeMap<String, u64>) -> Vec<String> {
+        let mut paths: Vec<(String, u64)> = keyed.into_iter().collect();
+        paths.sort_by_key(|&(_, key)| key);
+        paths.into_iter().map(|(path, _)| path).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// A doc table numbered in any order comes back as it was written,
+        /// with the path ranks a sort of its paths gives — read off the
+        /// table's path order, not sorted again.
+        #[test]
+        fn loaded_path_ranks_are_a_sort_of_the_paths(
+            paths in proptest::collection::btree_map("[a-c/]{0,6}", any::<u64>(), 0..40),
+        ) {
+            let paths = numbering(paths);
+            let (index, docs) = numbered(&paths);
+            let mut buf = Vec::new();
+            write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
+            let (_, loaded) = read_segment_sealed(&buf[..]).unwrap();
+            prop_assert_eq!(&loaded, &docs);
+            let sorted: DocTable = paths.iter().cloned().collect();
+            prop_assert_eq!(loaded.path_ranks(), sorted.path_ranks());
+        }
+
+        /// Hostile v9 doc tables behind a matching checksum — one byte
+        /// changed, the table cut short or bytes inserted into it — load or
+        /// fail as `Corrupt`, never a panic; and a table that loads gives
+        /// every id a path, in ranks a sort of its paths gives.
+        #[test]
+        fn hostile_doc_tables_load_or_fail_cleanly(
+            paths in proptest::collection::btree_map(
+                "[a-c]{1,3}(/[a-c]{1,3}){0,2}",
+                any::<u64>(),
+                1..60,
+            ),
+            at in any::<usize>(),
+            value in any::<u8>(),
+            how in 0u8..3,
+            extra in proptest::collection::vec(any::<u8>(), 1..8),
+        ) {
+            let (index, docs) = numbered(&numbering(paths));
+            let mut buf = Vec::new();
+            write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
+            let header = HEADER_LEN as usize;
+            let docs_at = check_header(&buf).unwrap();
+            let mut reader = Reader::new(&buf, docs_at);
+            for _ in 0..reader.count(DOC_ENTRY_BYTES, "document").unwrap() {
+                reader.u64().unwrap();
+                reader.bytes(u64::MAX, "document path").unwrap();
+                reader.u64().unwrap();
+            }
+            let section = docs_at - header..reader.pos() - header;
+            let mut payload = buf[header..].to_vec();
+            let at = section.start + at % section.len();
+            match how {
+                0 => payload[at] = value,
+                1 => payload.truncate(at),
+                _ => drop(payload.splice(at..at, extra)),
+            }
+            let forged = forge(&payload);
+            match read_segment(&forged[..]) {
+                Ok(_) | Err(PersistError::Corrupt(_)) => {}
+                Err(other) => panic!("not `Corrupt`: {other}"),
+            }
+            let loaded = match read_segment_sealed(&forged[..]) {
+                Ok((_, loaded)) => loaded,
+                Err(PersistError::Corrupt(_)) => return,
+                Err(other) => panic!("not `Corrupt`: {other}"),
+            };
+            let sorted: DocTable = loaded.iter().map(|(_, path)| path.to_owned()).collect();
+            prop_assert_eq!(loaded.path_ranks(), sorted.path_ranks());
         }
     }
 

@@ -185,15 +185,25 @@ struct FrequencySketch {
 }
 
 impl FrequencySketch {
+    /// The most nibbles a sketch holds (64 MiB): what 8 a cached entry come
+    /// to at 2^24 entries, the most `dsearch serve --cache` takes.
+    const MAX_NIBBLES: usize = 1 << 27;
+
     fn new(capacity: usize) -> Self {
         // 8 nibbles per cached entry keeps the 4 rows sparse enough that
-        // the min-estimate rarely collides into an over-count.
-        let nibbles = (capacity.max(1) * 8).next_power_of_two().max(64);
+        // the min-estimate rarely collides into an over-count; a capacity
+        // past what the sketch holds counts in the largest one.
+        let nibbles = capacity
+            .max(1)
+            .checked_mul(8)
+            .and_then(usize::checked_next_power_of_two)
+            .map_or(Self::MAX_NIBBLES, |nibbles| nibbles.min(Self::MAX_NIBBLES))
+            .max(64);
         FrequencySketch {
             table: vec![0; nibbles / 16],
             mask: nibbles - 1,
             additions: 0,
-            sample_size: capacity.max(1) as u64 * 16,
+            sample_size: (capacity.max(1) as u64).saturating_mul(16),
         }
     }
 
@@ -668,6 +678,18 @@ mod tests {
         // Unrelated keys stay (near) zero: the min-of-rows estimate only
         // over-counts when all four rows collide.
         assert!(sketch.estimate(7) <= before);
+    }
+
+    #[test]
+    fn a_sketch_past_the_largest_capacity_stays_the_largest() {
+        let largest = FrequencySketch::new(1 << 24);
+        assert_eq!(largest.table.len(), FrequencySketch::MAX_NIBBLES / 16);
+        // `capacity × 8` overflows here, and takes a power of two past the
+        // largest there: neither wraps, panics nor grows the table.
+        for capacity in [(1 << 24) + 1, usize::MAX / 8 + 1, usize::MAX] {
+            let sketch = FrequencySketch::new(capacity);
+            assert_eq!(sketch.table.len(), largest.table.len(), "{capacity}");
+        }
     }
 
     #[test]

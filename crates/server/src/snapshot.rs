@@ -85,9 +85,10 @@ impl IndexSnapshot {
     }
 
     /// Builds a snapshot from already-sealed shards.  The doc table's path
-    /// ranks, which every evaluation's result heap orders ties by, are
-    /// computed here rather than by the first query, so the image's
-    /// footprint is what it is before it serves.
+    /// ranks, which every evaluation's result heap orders ties by, are in
+    /// hand here — a table loaded from a segment brings them, any other is
+    /// sorted now rather than by the first query — so the image's footprint
+    /// is what it is before it serves.
     #[must_use]
     pub fn from_sealed(shards: Vec<SealedShard>, docs: DocTable, generation: u64) -> Self {
         let _ = docs.path_ranks();

@@ -150,7 +150,7 @@ fn ranked_answers_do_not_depend_on_how_many_threads_indexed() {
 /// The writer as it was before it streamed: seal the whole index into a
 /// `SealedShard`, serialise the whole payload into one buffer, checksum it,
 /// then emit header and payload.  Kept as the reference the streaming
-/// `write_segment` must match byte for byte: the version-8 layout spelled out
+/// `write_segment` must match byte for byte: the version-9 layout spelled out
 /// a second time, part by part, over the parts a `CompressedView` hands out
 /// — and, stamped with another version, as the writer of the files this
 /// build no longer reads.
@@ -163,15 +163,19 @@ fn seal_then_serialise(
     let mut payload: Vec<u8> = Vec::new();
     write_varint(&mut payload, u64::from(version));
     write_varint(&mut payload, docs.len() as u64);
-    // Front-coded paths: the bytes shared with the path before, then the rest.
+    // In path order, front-coded paths — the bytes shared with the path
+    // before, then the rest —, each followed by its id.
+    let mut by_path: Vec<(&str, FileId)> = docs.iter().map(|(id, path)| (path, id)).collect();
+    by_path.sort_unstable();
     let mut previous = "";
-    for (_, path) in docs.iter() {
+    for (path, id) in by_path {
         let shared = (0..=previous.len().min(path.len()))
             .rev()
             .find(|&n| previous.as_bytes()[..n] == path.as_bytes()[..n])
             .unwrap();
         write_varint(&mut payload, shared as u64);
         write_bytes(&mut payload, &path.as_bytes()[shared..]);
+        write_varint(&mut payload, u64::from(id.as_u32()));
         previous = path;
     }
     let mut doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
@@ -266,16 +270,17 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                     written == seal_then_serialise(index, &docs, SEGMENT_VERSION, xxh64),
                     "{implementation:?} x{extractors}: streamed segment differs from the reference"
                 );
-                // There is one readable version: the same payload stamped 7,
-                // 6, 5 or 4 (under this build's checksum) or 3 (under the
+                // There is one readable version: the same payload stamped 8,
+                // 7, 6, 5 or 4 (under this build's checksum) or 3 (under the
                 // FNV-1a of versions 1–3) is refused by its version, by both
                 // readers, before its checksum is looked at.
                 let fnv1a: fn(&[u8]) -> u64 = dsearch::text::fnv1a_64;
                 let xxh64: fn(&[u8]) -> u64 = xxh64;
-                let old_versions = [(7, xxh64), (6, xxh64), (5, xxh64), (4, xxh64), (3, fnv1a)];
+                let old_versions =
+                    [(8, xxh64), (7, xxh64), (6, xxh64), (5, xxh64), (4, xxh64), (3, fnv1a)];
                 for (version, checksum) in old_versions {
                     let old = seal_then_serialise(index, &docs, version, checksum);
-                    assert_eq!((old[12], written[12]), (version as u8, 8));
+                    assert_eq!((old[12], written[12]), (version as u8, 9));
                     for err in [read_segment(&old[..]).err(), read_segment_sealed(&old[..]).err()] {
                         assert!(
                             matches!(err, Some(PersistError::UnsupportedVersion { found, .. }) if found == version),

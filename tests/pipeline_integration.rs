@@ -144,11 +144,14 @@ fn generated_index_matches_corpus_ground_truth() {
         .unwrap();
     let (index, docs) = run.outcome.into_single_index();
 
+    // By path: Stage 1 numbers the files smallest first.
     let paths_for = |term: &str| -> Vec<String> {
-        index
+        let mut paths: Vec<String> = index
             .postings(&Term::from(term))
             .map(|p| p.iter().map(|id| docs.path(id).unwrap().to_string()).collect())
-            .unwrap_or_default()
+            .unwrap_or_default();
+        paths.sort_unstable();
+        paths
     };
     assert_eq!(paths_for("alpha"), vec!["a/letter.txt"]);
     assert_eq!(paths_for("beta"), vec!["a/letter.txt", "b/report.txt"]);
