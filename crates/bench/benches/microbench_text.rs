@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the text substrate as the build runs it: FNV hashing,
 //! the open-addressing map beside `std`'s map under the same FNV hasher, and
 //! Stage 2's scan + per-file duplicate elimination (`Scanner::next_token`
-//! feeding a warm `WordListBuilder::push_str`).
+//! feeding a warm `WordListBuilder::push_str`), and the scan of accented
+//! text, UTF-8 and Latin-1, that takes the scanner's folding path.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::collections::HashMap;
@@ -96,6 +97,22 @@ fn bench_tokenizer(c: &mut Criterion) {
             black_box(tokens)
         });
     });
+    // The same text with an accent on about one word in twenty, so the
+    // scanner's folding path has a number beside the ASCII one.
+    for (name, latin1) in [("scan_200kB_accented", false), ("scan_200kB_accented_latin1", true)] {
+        let text = accented(&doc, latin1);
+        group.bench_function(name, |b| {
+            let mut token = String::new();
+            b.iter(|| {
+                let mut scanner = tokenizer.scan(&text);
+                let mut tokens = 0usize;
+                while scanner.next_token(&mut token).is_some() {
+                    tokens += 1;
+                }
+                black_box(tokens)
+            });
+        });
+    }
     // What one extractor does per file: the builder lives across files, so
     // its table already interns the vocabulary (the steady state of a build).
     group.bench_function("scan_and_push_str_200kB", |b| {
@@ -110,6 +127,31 @@ fn bench_tokenizer(c: &mut Criterion) {
         });
     });
     group.finish();
+}
+
+/// `doc` with one `e` made `é` in the first word holding an `e` of every
+/// twenty words (about 5 % of them), in UTF-8 or, with `latin1`, as the
+/// single byte 0xE9, which makes the whole buffer Latin-1.
+fn accented(doc: &[u8], latin1: bool) -> Vec<u8> {
+    let accent: &[u8] = if latin1 { &[0xE9] } else { "é".as_bytes() };
+    let mut out = Vec::with_capacity(doc.len() + doc.len() / 50);
+    let mut due = false;
+    for (i, word) in doc.split(|&b| b == b' ').enumerate() {
+        if i > 0 {
+            out.push(b' ');
+        }
+        due |= i % 20 == 0;
+        match word.iter().position(|&b| b == b'e').filter(|_| due) {
+            Some(at) => {
+                out.extend_from_slice(&word[..at]);
+                out.extend_from_slice(accent);
+                out.extend_from_slice(&word[at + 1..]);
+                due = false;
+            }
+            None => out.extend_from_slice(word),
+        }
+    }
+    out
 }
 
 criterion_group!(benches, bench_fnv, bench_hashtable, bench_tokenizer);

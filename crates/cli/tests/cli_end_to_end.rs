@@ -231,8 +231,9 @@ fn served(store: &str, query: &str) -> Vec<String> {
 }
 
 /// `dsearch search` and `dsearch serve` read a query word as the build read
-/// the document: every word of a file finds it, and a word longer than the
-/// build's 64 bytes finds nothing.
+/// the document, with or without `--formats`: every word of a file finds
+/// it, accents fold on both sides, and a word longer than the build's 64
+/// bytes finds nothing.
 #[test]
 fn query_words_are_read_like_document_words() {
     let dir = TempDir::new("query-words");
@@ -241,22 +242,30 @@ fn query_words_are_read_like_document_words() {
     fs::write(docs.join("mail.txt"), "Send an e-mail about report.pdf, a naive idea.").unwrap();
     fs::write(docs.join("cafe.txt"), "A naïve café plan.").unwrap();
     fs::write(docs.join("long.txt"), "w".repeat(64)).unwrap();
-    let store = dir.sub("store");
-    run(index_args(&docs, &store, &[])).unwrap();
-
-    for (word, parsed, file) in [
-        ("e-mail", "e AND mail", "mail.txt"),
-        ("report.pdf", "report AND pdf", "mail.txt"),
-        ("naïve", "na AND ve", "cafe.txt"),
-    ] {
-        let out = search(&store, word);
-        assert!(out.contains(&format!("query: {parsed}\n1 result(s)")), "{out}");
-        assert!(out.contains(file), "{out}");
-        assert!(served(&store, word)[0].starts_with(file), "{word}");
+    for (name, flags) in [("store", &[][..]), ("formats", &["--formats"][..])] {
+        let store = dir.sub(name);
+        run(index_args(&docs, &store, flags)).unwrap();
+        for (word, parsed, files) in [
+            ("e-mail", "e AND mail", &["mail.txt"][..]),
+            ("report.pdf", "report AND pdf", &["mail.txt"]),
+            ("naïve", "naive", &["cafe.txt", "mail.txt"]),
+            ("naive", "naive", &["cafe.txt", "mail.txt"]),
+            ("café", "cafe", &["cafe.txt"]),
+        ] {
+            let out = search(&store, word);
+            let header = format!("query: {parsed}\n{} result(s)", files.len());
+            assert!(out.contains(&header), "{name}: {out}");
+            let mut hits: Vec<String> = served(&store, word)
+                .iter()
+                .map(|hit| hit.split_whitespace().next().unwrap().to_owned())
+                .collect();
+            hits.sort();
+            assert_eq!(hits, files, "{name}: {word}");
+        }
+        let long = "w".repeat(70);
+        assert!(search(&store, &long).contains("0 result(s)"));
+        assert!(served(&store, &format!("{long} idea")).is_empty());
     }
-    let long = "w".repeat(70);
-    assert!(search(&store, &long).contains("0 result(s)"));
-    assert!(served(&store, &format!("{long} idea")).is_empty());
 }
 
 /// A cached answer is rendered once and copied after that: on the wire the

@@ -4,18 +4,20 @@
 //! long-lived `WordListBuilder`.  These properties pin it, file after file on
 //! one warm extractor, to the two things it replaced — `Tokenizer::tokenize`
 //! feeding a fresh `WordListBuilder::push` — and to a model written here
-//! that shares no code with the scanner.
+//! that shares only the folding table, `decode::fold`, with the scanner.
 
 use dsearch_core::distribute::WorkItem;
 use dsearch_core::stage2::Extractor;
 use dsearch_index::FileId;
-use dsearch_text::tokenizer::{Term, Tokenizer, TokenizerOptions};
+use dsearch_text::decode::fold;
+use dsearch_text::tokenizer::{Term, Tokenizer};
 use dsearch_text::wordlist::WordListBuilder;
 use dsearch_vfs::{MemFs, VPath};
 use proptest::prelude::*;
 
 /// One piece of a generated file.  `kind` picks the shape, so every run
-/// mixes raw (often non-UTF-8) bytes with tokens of 0, 1, 64 and 65 bytes.
+/// mixes raw (often non-UTF-8) bytes with tokens of 0, 1, 64 and 65 bytes;
+/// `word` may hold accented letters.
 fn piece(kind: u8, word: &str, raw: &[u8]) -> Vec<u8> {
     let run = |len: usize| word.bytes().chain(std::iter::repeat(b'q')).take(len).collect();
     match kind {
@@ -29,31 +31,49 @@ fn piece(kind: u8, word: &str, raw: &[u8]) -> Vec<u8> {
     }
 }
 
-fn file_bytes(pieces: &[(u8, String, Vec<u8>, u8)]) -> Vec<u8> {
+/// A file of `pieces`.  Without `utf8`, half the separators are single
+/// bytes that are not ASCII (some of them Latin-1 letters), so the file
+/// reads as Latin-1; with it, raw pieces are left out and those separators
+/// are `→`, so it reads as UTF-8 unless a one-byte run cut a letter in two.
+fn file_bytes(pieces: &[(u8, String, Vec<u8>, u8)], utf8: bool) -> Vec<u8> {
     let mut bytes = Vec::new();
     for (kind, word, raw, separator) in pieces {
-        bytes.extend(piece(*kind, word, raw));
-        // Half the separators are not ASCII at all.
-        bytes.push(if separator % 2 == 0 { b' ' } else { 0x80 | separator });
+        if !(utf8 && *kind == 0) {
+            bytes.extend(piece(*kind, word, raw));
+        }
+        match (separator % 2 == 0, utf8) {
+            (true, _) => bytes.push(b' '),
+            (false, false) => bytes.push(0x80 | separator),
+            (false, true) => bytes.extend("→".as_bytes()),
+        }
     }
     bytes
 }
 
-/// The specification, by hand: maximal runs of term bytes, length-filtered,
-/// lower-cased, condensed in first-occurrence order.
-fn model(text: &[u8], options: &TokenizerOptions) -> (Vec<String>, Vec<u32>, u64) {
-    let is_term =
-        |b: &u8| b.is_ascii_alphabetic() || (options.include_digits && b.is_ascii_digit());
+/// The specification, by hand: the text read as UTF-8, else as Latin-1;
+/// maximal runs of ASCII letters, digits and letters `fold` spells, spelled
+/// in lower case; at most 64 bytes; condensed in first-occurrence order.
+fn model(text: &[u8]) -> (Vec<String>, Vec<u32>, u64) {
+    let chars: Vec<char> = match std::str::from_utf8(text) {
+        Ok(text) => text.chars().collect(),
+        Err(_) => text.iter().map(|&b| char::from(b)).collect(),
+    };
+    let mut runs: Vec<String> = vec![String::new()];
+    for c in chars {
+        if c.is_ascii_alphanumeric() {
+            runs.last_mut().unwrap().push(c.to_ascii_lowercase());
+        } else if let Some(letters) = fold(c) {
+            runs.last_mut().unwrap().push_str(letters);
+        } else {
+            runs.push(String::new());
+        }
+    }
     let mut terms: Vec<String> = Vec::new();
     let mut counts: Vec<u32> = Vec::new();
     let mut occurrences = 0;
-    for run in text.split(|b| !is_term(b)) {
-        if run.is_empty() || run.len() < options.min_term_len || run.len() > options.max_term_len {
+    for word in runs {
+        if word.is_empty() || word.len() > 64 {
             continue;
-        }
-        let mut word = String::from_utf8(run.to_vec()).unwrap();
-        if options.lowercase {
-            word.make_ascii_lowercase();
         }
         occurrences += 1;
         match terms.iter().position(|t| *t == word) {
@@ -72,23 +92,19 @@ proptest! {
     fn streaming_extraction_equals_tokenize_then_push(
         files in proptest::collection::vec(
             proptest::collection::vec(
-                (0u8..7, "[a-zA-Z0-9]{0,12}", proptest::collection::vec(any::<u8>(), 0..6), any::<u8>()),
+                (0u8..7, "[a-zA-Z0-9éÆßüŁ]{0,12}", proptest::collection::vec(any::<u8>(), 0..6), any::<u8>()),
                 0..60,
             ),
             1..5,
         ),
-        lowercase in any::<bool>(),
-        include_digits in any::<bool>(),
-        min_term_len in 0usize..3,
+        utf8 in any::<bool>(),
     ) {
-        let options =
-            TokenizerOptions { lowercase, include_digits, min_term_len, ..Default::default() };
-        let tokenizer = Tokenizer::new(options.clone());
+        let tokenizer = Tokenizer::default();
         let mut extractor = Extractor::new(tokenizer.clone());
         let fs = MemFs::new();
 
         for (i, pieces) in files.iter().enumerate() {
-            let bytes = file_bytes(pieces);
+            let bytes = file_bytes(pieces, utf8);
             let path = VPath::new(format!("f{i}.txt"));
             fs.add_file(&path, bytes.clone()).unwrap();
             let item = WorkItem { file_id: FileId(i as u32), path, size: bytes.len() as u64 };
@@ -107,7 +123,7 @@ proptest! {
             prop_assert_eq!(streamed.bytes, bytes.len() as u64);
             prop_assert_eq!(stats.bytes_scanned, bytes.len() as u64);
 
-            let (terms, counts, occurrences) = model(&bytes, &options);
+            let (terms, counts, occurrences) = model(&bytes);
             let streamed_words: Vec<&str> = streamed.terms.iter().map(Term::as_str).collect();
             prop_assert_eq!(streamed_words, terms);
             prop_assert_eq!(streamed.counts, counts);

@@ -7,7 +7,8 @@
 
 /// Extracts the searchable text of a CSV document.
 ///
-/// `separator` is usually `,` but `\t` handles TSV files.
+/// `separator` is usually `,` but `\t` handles TSV files; a byte that is not
+/// ASCII separates nothing, since it is only ever part of a character.
 ///
 /// # Example
 ///
@@ -38,7 +39,7 @@ pub fn extract_text(csv: &str, separator: u8) -> String {
                 in_quotes = !in_quotes;
                 i += 1;
             }
-            _ if b == separator && !in_quotes => {
+            _ if b == separator && b.is_ascii() && !in_quotes => {
                 out.push(' ');
                 i += 1;
             }
@@ -46,8 +47,9 @@ pub fn extract_text(csv: &str, separator: u8) -> String {
                 i += 1;
             }
             _ => {
-                out.push(b as char);
-                i += 1;
+                let c = csv[i..].chars().next().expect("i is on a character boundary");
+                out.push(c);
+                i += c.len_utf8();
             }
         }
     }
@@ -73,6 +75,8 @@ mod tests {
     fn separators_become_spaces() {
         let text = extract_text("a,b,c\n1,2,3\n", b',');
         assert_eq!(text, "a b c\n1 2 3\n");
+        // 0xA9 is the second byte of "é": it splits no character.
+        assert_eq!(extract_text("café,x", 0xA9), "café,x");
     }
 
     #[test]

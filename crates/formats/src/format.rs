@@ -36,20 +36,6 @@ impl DocumentFormat {
         DocumentFormat::Binary,
     ];
 
-    /// The canonical file extension for the format (without the dot).
-    #[must_use]
-    pub fn canonical_extension(self) -> &'static str {
-        match self {
-            DocumentFormat::PlainText => "txt",
-            DocumentFormat::Markdown => "md",
-            DocumentFormat::Html => "html",
-            DocumentFormat::Csv => "csv",
-            DocumentFormat::Wpx => "wpx",
-            DocumentFormat::SourceCode => "rs",
-            DocumentFormat::Binary => "bin",
-        }
-    }
-
     /// Maps a file extension (lowercase, without the dot) to a format.
     ///
     /// Returns `None` for extensions this crate has no special handling for;
@@ -107,12 +93,18 @@ mod tests {
 
     #[test]
     fn extension_round_trips_for_canonical_extensions() {
+        let canonical = [
+            ("txt", DocumentFormat::PlainText),
+            ("md", DocumentFormat::Markdown),
+            ("html", DocumentFormat::Html),
+            ("csv", DocumentFormat::Csv),
+            ("wpx", DocumentFormat::Wpx),
+            ("rs", DocumentFormat::SourceCode),
+            ("bin", DocumentFormat::Binary),
+        ];
         for format in DocumentFormat::ALL {
-            assert_eq!(
-                DocumentFormat::from_extension(format.canonical_extension()),
-                Some(format),
-                "canonical extension of {format} should map back to it"
-            );
+            let (ext, _) = canonical.iter().find(|(_, f)| *f == format).unwrap();
+            assert_eq!(DocumentFormat::from_extension(ext), Some(format), "{ext}");
         }
     }
 

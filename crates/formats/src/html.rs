@@ -99,9 +99,10 @@ pub fn extract_text(html: &str) -> String {
                 out.push('&');
                 i += 1;
             }
-            b => {
-                out.push(b as char);
-                i += 1;
+            _ => {
+                let c = rest.chars().next().expect("i is on a character boundary");
+                out.push(c);
+                i += c.len_utf8();
             }
         }
     }

@@ -5,9 +5,9 @@
 //! would have been too distracting at the time, even though it would be an
 //! interesting extension now") and lists *more file formats* as future work.
 //! This crate is that extension: it detects a file's format and converts the
-//! raw bytes into plain text that the unchanged ASCII tokenizer can scan, so
-//! the three-stage pipeline stays exactly as the paper describes while the
-//! term extractor becomes format-aware.
+//! raw bytes into the plain text the tokenizer scans, so the three-stage
+//! pipeline stays exactly as the paper describes while the term extractor
+//! becomes format-aware.
 //!
 //! Supported formats:
 //!
@@ -25,8 +25,10 @@
 //!   `camelCase` / `snake_case` identifiers split into their component words;
 //! * [`DocumentFormat::Binary`] — skipped entirely (no terms).
 //!
-//! Non-ASCII bytes are transliterated to their closest ASCII letters by
-//! [`decode`] so accented Latin-1/UTF-8 text still produces searchable terms.
+//! A file's bytes reach the extractors as UTF-8, or as Latin-1 when they are
+//! not valid UTF-8 ([`dsearch_text::utf8_or_latin1`]).  The extracted text
+//! keeps every character; folding accented letters is the tokenizer's one
+//! rule, the same with and without this crate.
 //!
 //! # Example
 //!
@@ -47,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod csv;
-pub mod decode;
 pub mod detect;
 pub mod format;
 pub mod html;
@@ -56,7 +57,6 @@ pub mod registry;
 pub mod source;
 pub mod wpx;
 
-pub use decode::{transliterate_to_ascii, DecodeStats};
 pub use detect::{detect_format, sniff_content, FormatHint};
 pub use format::DocumentFormat;
 pub use registry::{ExtractedText, FormatRegistry, TextExtractor};

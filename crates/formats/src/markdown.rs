@@ -109,9 +109,10 @@ fn strip_line(line: &str) -> String {
                     i += 1;
                 }
             }
-            b => {
-                out.push(b as char);
-                i += 1;
+            _ => {
+                let c = rest[i..].chars().next().expect("i is on a character boundary");
+                out.push(c);
+                i += c.len_utf8();
             }
         }
     }

@@ -1,16 +1,17 @@
 //! The format registry: one entry point mapping raw file bytes to plain text.
 //!
 //! [`FormatRegistry::extract`] is what a format-aware term extractor calls per
-//! file: it detects the format, runs the matching [`TextExtractor`], applies
-//! the ASCII transliteration pass and returns an [`ExtractedText`] ready for
-//! the tokenizer.  Custom extractors can be registered to override or extend
+//! file: it detects the format, reads the bytes as text, runs the matching
+//! [`TextExtractor`] and returns an [`ExtractedText`] ready for the
+//! tokenizer.  Custom extractors can be registered to override or extend
 //! the built-ins.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::decode::{transliterate_to_ascii, DecodeStats};
+use dsearch_text::utf8_or_latin1;
+
 use crate::detect::{detect_format, FormatHint};
 use crate::format::DocumentFormat;
 use crate::{csv, html, markdown, source, wpx};
@@ -44,8 +45,6 @@ pub struct ExtractedText {
     pub hint: FormatHint,
     /// The plain text to tokenize (empty for binary files).
     pub text: String,
-    /// Character-decoding statistics.
-    pub decode: DecodeStats,
 }
 
 impl ExtractedText {
@@ -55,7 +54,7 @@ impl ExtractedText {
         &self.text
     }
 
-    /// The extracted text as bytes, ready for the ASCII tokenizer.
+    /// The extracted text as bytes (UTF-8), ready for the tokenizer.
     #[must_use]
     pub fn text_bytes(&self) -> &[u8] {
         self.text.as_bytes()
@@ -220,19 +219,14 @@ impl FormatRegistry {
         bytes: &[u8],
     ) -> ExtractedText {
         if format == DocumentFormat::Binary {
-            return ExtractedText {
-                format,
-                hint,
-                text: String::new(),
-                decode: DecodeStats { bytes_in: bytes.len() as u64, ..DecodeStats::default() },
-            };
+            return ExtractedText { format, hint, text: String::new() };
         }
-        let (decoded, decode) = transliterate_to_ascii(bytes);
+        let decoded = utf8_or_latin1(bytes);
         let text = match self.extractors.get(&format) {
             Some(extractor) => extractor.extract(&decoded),
-            None => decoded,
+            None => decoded.into_owned(),
         };
-        ExtractedText { format, hint, text, decode }
+        ExtractedText { format, hint, text }
     }
 }
 
@@ -265,7 +259,6 @@ mod tests {
         let extracted = registry.extract("archive.zip", &[0u8, 1, 2, 3]);
         assert_eq!(extracted.format, DocumentFormat::Binary);
         assert!(extracted.is_empty());
-        assert_eq!(extracted.decode.bytes_in, 4);
     }
 
     #[test]
@@ -274,7 +267,10 @@ mod tests {
         let extracted = registry
             .extract("page.html", b"<html><body><p>caf\xc3\xa9 &amp; bar</p></body></html>");
         assert_eq!(extracted.format, DocumentFormat::Html);
-        assert!(extracted.text_str().contains("cafe & bar"));
+        assert!(extracted.text_str().contains("caf\u{e9} & bar"));
+        // Not UTF-8: the same page in Latin-1 extracts the same text.
+        let latin1 = registry.extract("page.html", b"<p>caf\xe9 &amp; bar</p>");
+        assert_eq!(latin1.text_str().trim(), "caf\u{e9} & bar");
     }
 
     #[test]

@@ -2,28 +2,38 @@
 //!
 //! The invariants that matter for the index generator:
 //!
-//! * extraction never panics, whatever bytes it is fed;
-//! * extracted text is always pure ASCII (the tokenizer's contract);
+//! * extraction never panics, whatever bytes it is fed, and the tokenizer
+//!   reads the extracted text into `[a-z0-9]` terms of at most 64 bytes;
 //! * markup characters never survive extraction for the markup formats;
 //! * binary detection is stable under prefixing with text.
 
 use proptest::prelude::*;
 
 use dsearch_formats::{detect_format, DocumentFormat, FormatRegistry};
+use dsearch_text::Tokenizer;
 
 proptest! {
-    /// Any byte soup can be run through the registry without panicking, and
-    /// the output is ASCII-only so the downstream tokenizer never sees bytes
-    /// it cannot classify.
+    /// Any byte soup, or accented text, can be run through the registry
+    /// without panicking, and what the scanner reads out of the extracted
+    /// text is ASCII: `[a-z0-9]` terms of at most 64 bytes.
     #[test]
     fn extraction_never_panics_and_is_ascii(
-        path in "[a-z]{1,8}(\\.[a-z]{1,4})?",
+        path in "[a-z]{1,8}(\\.(txt|html|md|csv|wpx|rs|[a-z]{1,4}))?",
         bytes in proptest::collection::vec(any::<u8>(), 0..2048),
+        accented in "[a-zA-Z <>&;/*_\\[\\]()!`|,\"\u{80}-\u{24f}→]{0,300}",
     ) {
         let registry = FormatRegistry::with_builtins();
-        let extracted = registry.extract(&path, &bytes);
-        prop_assert!(extracted.text_str().is_ascii());
-        prop_assert_eq!(extracted.decode.bytes_in, bytes.len() as u64);
+        let tokenizer = Tokenizer::default();
+        for input in [&bytes[..], accented.as_bytes()] {
+            let extracted = registry.extract(&path, input);
+            for term in tokenizer.terms(extracted.text_bytes()) {
+                prop_assert!(!term.is_empty() && term.len() <= 64, "{:?}", term);
+                prop_assert!(
+                    term.as_str().bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit()),
+                    "{:?}", term
+                );
+            }
+        }
     }
 
     /// Detection is deterministic: the same inputs give the same answer.

@@ -30,6 +30,9 @@ pub struct InMemoryIndex {
 }
 
 impl InMemoryIndex {
+    /// The most terms [`Self::with_capacity`] sizes the table for up front.
+    pub const MAX_PRESIZED_TERMS: usize = 1 << 16;
+
     /// Creates an empty index.
     #[must_use]
     pub fn new() -> Self {
@@ -37,11 +40,12 @@ impl InMemoryIndex {
     }
 
     /// Creates an empty index pre-sized for roughly `expected_terms` distinct
-    /// terms.
+    /// terms, but for no more than [`Self::MAX_PRESIZED_TERMS`]: the table
+    /// grows on demand, so a caller's number never sizes an allocation.
     #[must_use]
     pub fn with_capacity(expected_terms: usize) -> Self {
         InMemoryIndex {
-            terms: FnvHashMap::with_capacity(expected_terms),
+            terms: FnvHashMap::with_capacity(expected_terms.min(Self::MAX_PRESIZED_TERMS)),
             files_indexed: 0,
             postings: 0,
             doc_lens: std::collections::HashMap::new(),
@@ -531,6 +535,15 @@ mod tests {
         b.insert_file(FileId(0), [t("q"), t("p")]);
 
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn with_capacity_clamps_what_it_presizes() {
+        for expected in [usize::MAX, usize::MAX / 8, 1 << 40] {
+            let index = InMemoryIndex::with_capacity(expected);
+            assert!(index.is_empty());
+            assert_eq!(index, InMemoryIndex::new());
+        }
     }
 
     #[test]

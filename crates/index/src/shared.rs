@@ -49,12 +49,6 @@ impl SharedIndex {
         SharedIndex::default()
     }
 
-    /// Creates a shared index pre-sized for roughly `expected_terms` terms.
-    #[must_use]
-    pub fn with_capacity(expected_terms: usize) -> Self {
-        SharedIndex { inner: Arc::new(Mutex::new(InMemoryIndex::with_capacity(expected_terms))) }
-    }
-
     /// Inserts one file's de-duplicated terms under the lock.
     ///
     /// The whole word list is inserted while the lock is held (en-bloc
@@ -256,7 +250,7 @@ mod tests {
 
     #[test]
     fn shared_index_postings_and_occurrence_path() {
-        let index = SharedIndex::with_capacity(16);
+        let index = SharedIndex::new();
         index.insert_file_counted(FileId(1), []);
         index.insert_occurrences(FileId(1), t("x"), 1);
         index.insert_occurrences(FileId(1), t("x"), 1);

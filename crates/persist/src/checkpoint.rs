@@ -16,9 +16,10 @@
 //!   error instead of poisoning the build.  `dsearch dlq list` inspects the
 //!   queue; `dsearch dlq replay` re-runs the quarantined items.
 //!
-//! Both formats are versioned independently of the segment format; segments
-//! referenced by a checkpoint are ordinary v7 segments — the one readable
-//! version — loaded like any other.
+//! The DLQ is versioned on its own.  A checkpoint's version is the segment
+//! version its segments were written in, so a resume never extends a store
+//! of another version: the checkpoint is refused before anything is
+//! written.  Its segments are ordinary segments, loaded like any other.
 
 use std::fs;
 use std::path::Path;
@@ -26,6 +27,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use crate::error::PersistError;
+use crate::segment::SEGMENT_VERSION;
 use crate::store::{write_atomic, IndexStore};
 
 /// File name of the build checkpoint inside a store directory.
@@ -34,8 +36,9 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.json";
 /// File name of the dead-letter queue inside a store directory.
 pub const DLQ_FILE: &str = "dlq.json";
 
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version: the segment version, since a
+/// checkpoint is only as good as the segments it names.
+pub const CHECKPOINT_VERSION: u32 = SEGMENT_VERSION;
 
 /// The durable progress record of a checkpointed index build.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -290,12 +293,15 @@ mod tests {
         fs::write(dir.0.join(CHECKPOINT_FILE), "{ nope").unwrap();
         assert!(matches!(BuildCheckpoint::load(&dir.0), Err(PersistError::Corrupt(_))));
 
-        let bad = BuildCheckpoint { version: 99, ..BuildCheckpoint::new(1) };
-        fs::write(dir.0.join(CHECKPOINT_FILE), serde_json::to_string(&bad).unwrap()).unwrap();
-        assert!(matches!(
-            BuildCheckpoint::load(&dir.0),
-            Err(PersistError::UnsupportedVersion { found: 99, .. })
-        ));
+        // 1 was the version before it followed the segment version.
+        for version in [1, SEGMENT_VERSION - 1, 99] {
+            let bad = BuildCheckpoint { version, ..BuildCheckpoint::new(1) };
+            fs::write(dir.0.join(CHECKPOINT_FILE), serde_json::to_string(&bad).unwrap()).unwrap();
+            assert!(matches!(
+                BuildCheckpoint::load(&dir.0),
+                Err(PersistError::UnsupportedVersion { found, .. }) if found == version
+            ));
+        }
     }
 
     #[test]

@@ -82,11 +82,14 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"DSG1";
 /// block first ids as gaps from the block before, skip entries of last ids
 /// only, a front-coded dictionary, a front-coded document table in path order
 /// with each path's id, document lengths under id gaps only where they are
-/// not every document's, one bound byte per list).
-pub const SEGMENT_VERSION: u32 = 9;
+/// not every document's, one bound byte per list).  Version 10 has version
+/// 9's bytes; its terms were read with accented letters folded to ASCII
+/// (`dsearch_text::decode::fold`), which a version 9 store's were not,
+/// so such a store would answer accented words wrongly and is refused.
+pub const SEGMENT_VERSION: u32 = 10;
 
 /// Oldest version the readers still understand.
-pub const MIN_SEGMENT_VERSION: u32 = 9;
+pub const MIN_SEGMENT_VERSION: u32 = 10;
 
 /// The longest segment file a shard can lay over: its offsets are `u32`.
 const MAX_SEGMENT_BYTES: u64 = u32::MAX as u64;
@@ -559,7 +562,7 @@ mod tests {
 
     #[test]
     fn other_versions_are_a_clean_unsupported_version() {
-        for version in [1, 2, 3, 4, 5, 6, 7, SEGMENT_VERSION + 1] {
+        for version in [1, 2, 3, 4, 5, 6, 7, 8, 9, SEGMENT_VERSION + 1] {
             // Under this version's checksum, and under one it would refuse
             // (a real file of versions 1–3 carries another function's): the
             // version decides first.

@@ -2,14 +2,25 @@
 //!
 //! The paper's term extractor reads each file and extracts *terms* —
 //! maximal runs of letters and digits — from plain ASCII text.  The
-//! [`Tokenizer`] here does the same: it walks a byte slice and yields terms,
-//! optionally lowercased and length-filtered via [`TokenizerOptions`].
+//! [`Tokenizer`] here does the same, under one rule that the build and
+//! `Query::parse` share:
+//!
+//! * ASCII letters and digits are term characters, lower-cased;
+//! * an accented Latin letter is folded to ASCII by one table, [`fold`]
+//!   (`É` → `e`, `ß` → `ss`), so `naïve` is the term `naive`;
+//! * any other character separates terms;
+//! * a term longer than [`TokenizerOptions::max_term_len`] bytes is dropped.
+//!
+//! A buffer's non-ASCII bytes read as UTF-8 when the whole buffer is valid
+//! UTF-8 and as Latin-1 otherwise ([`utf8_or_latin1`](crate::decode::utf8_or_latin1)
+//! is the same rule for a whole buffer).  The scanner decides this once, at the first non-ASCII
+//! byte it meets, so an ASCII buffer never pays for the check.
 //!
 //! # Allocation contract
 //!
 //! There is one scanning loop, [`Scanner::next_token`].  It yields each token
-//! as a `&str`: lent from the text itself when the token needs no case
-//! folding, else folded into a caller-owned buffer that is overwritten by the
+//! as a `&str`: lent from the text itself when the token is ASCII and needs
+//! no case folding, else folded into a caller-owned buffer that is overwritten by the
 //! next call, so scanning a file allocates nothing beyond that buffer's
 //! growth to the longest folded token.  Whoever needs an owned [`Term`] pays
 //! for it: [`Tokenizer::tokenize`] and [`Tokenizer::terms`] are thin
@@ -22,6 +33,8 @@
 //! feed the platform simulator's cost model.
 
 use serde::{Deserialize, Serialize};
+
+use crate::decode::fold;
 
 /// A single extracted term.
 ///
@@ -113,24 +126,13 @@ impl std::borrow::Borrow<str> for Term {
 /// Options controlling term extraction.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TokenizerOptions {
-    /// Lowercase every term (`true` in the reference configuration).
-    pub lowercase: bool,
-    /// Discard terms shorter than this many bytes.
-    pub min_term_len: usize,
     /// Discard terms longer than this many bytes (guards against binary junk).
     pub max_term_len: usize,
-    /// Treat digits as term characters.
-    pub include_digits: bool,
 }
 
 impl Default for TokenizerOptions {
     fn default() -> Self {
-        TokenizerOptions {
-            lowercase: true,
-            min_term_len: 1,
-            max_term_len: 64,
-            include_digits: true,
-        }
+        TokenizerOptions { max_term_len: 64 }
     }
 }
 
@@ -186,16 +188,12 @@ impl Tokenizer {
         &self.options
     }
 
-    fn is_term_byte(&self, b: u8) -> bool {
-        b.is_ascii_alphabetic() || (self.options.include_digits && b.is_ascii_digit())
-    }
-
     /// Starts scanning `text`.  Tokens come out of
     /// [`Scanner::next_token`]; this is the allocation-free entry point every
     /// other method here wraps.
     #[must_use]
     pub fn scan<'a>(&'a self, text: &'a [u8]) -> Scanner<'a> {
-        Scanner { tokenizer: self, text, pos: 0, stats: TokenStats::default() }
+        Scanner { tokenizer: self, text, pos: 0, utf8: None, stats: TokenStats::default() }
     }
 
     /// Tokenises a byte slice, returning the terms and scan statistics.
@@ -235,49 +233,131 @@ impl Tokenizer {
     }
 }
 
+/// What each byte is to the scan's ASCII loop, looked up because that loop
+/// tests every byte of the text: [`TERM`] for an ASCII letter or digit,
+/// [`NON_ASCII`] for a byte that only the folding path reads, 0 for ASCII
+/// that separates terms.
+const CLASSES: [u8; 256] = {
+    let mut classes = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        if (b as u8).is_ascii_alphanumeric() {
+            classes[b] = TERM;
+        } else if b >= 128 {
+            classes[b] = NON_ASCII;
+        }
+        b += 1;
+    }
+    classes
+};
+const TERM: u8 = 1;
+const NON_ASCII: u8 = 2;
+
 /// A cursor over one byte slice, created by [`Tokenizer::scan`].
 #[derive(Debug, Clone)]
 pub struct Scanner<'a> {
     tokenizer: &'a Tokenizer,
     text: &'a [u8],
     pos: usize,
+    /// How the text's non-ASCII bytes read, decided at the first of them:
+    /// `Some(Some(text))` as that UTF-8 text, `Some(None)` as Latin-1.
+    utf8: Option<Option<&'a str>>,
     stats: TokenStats,
 }
 
 impl<'a> Scanner<'a> {
-    /// The next term that passes the length filters; `None` at the end of
-    /// the text.  A term that needs no case folding is lent straight from
-    /// the text; one that does is folded into `token` (cleared first) and
+    /// The next term that passes the length filter; `None` at the end of
+    /// the text.  An ASCII term that needs no case folding is lent straight
+    /// from the text; any other is folded into `token` (cleared first) and
     /// borrowed from it.
     pub fn next_token<'b>(&mut self, token: &'b mut String) -> Option<&'b str>
     where
         'a: 'b,
     {
-        let tokenizer = self.tokenizer;
-        let options = &tokenizer.options;
+        let max_term_len = self.tokenizer.options.max_term_len;
         loop {
             let text: &'a [u8] = self.text;
             let rest = &text[self.pos..];
-            let Some(skipped) = rest.iter().position(|&b| tokenizer.is_term_byte(b)) else {
-                self.pos = self.text.len();
+            let Some(skipped) = rest.iter().position(|&b| CLASSES[usize::from(b)] != 0) else {
+                self.pos = text.len();
                 return None;
             };
-            let rest = &rest[skipped..];
-            let len = rest.iter().position(|&b| !tokenizer.is_term_byte(b)).unwrap_or(rest.len());
-            self.pos += skipped + len;
-            if len < options.min_term_len || len > options.max_term_len {
+            let start = self.pos + skipped;
+            let rest = &text[start..];
+            let len =
+                rest.iter().position(|&b| CLASSES[usize::from(b)] != TERM).unwrap_or(rest.len());
+            if rest.get(len).is_some_and(|&b| CLASSES[usize::from(b)] == NON_ASCII) {
+                self.pos = self.fold_token(start, token);
+                if token.is_empty() {
+                    continue;
+                }
+                if token.len() > max_term_len {
+                    self.stats.terms_filtered += 1;
+                    continue;
+                }
+                self.stats.terms_emitted += 1;
+                return Some(token);
+            }
+            self.pos = start + len;
+            if len > max_term_len {
                 self.stats.terms_filtered += 1;
                 continue;
             }
             let raw = std::str::from_utf8(&rest[..len]).expect("term bytes are ASCII");
             self.stats.terms_emitted += 1;
-            if !options.lowercase || !raw.bytes().any(|b| b.is_ascii_uppercase()) {
+            if !raw.bytes().any(|b| b.is_ascii_uppercase()) {
                 return Some(raw);
             }
             token.clear();
             token.push_str(raw);
             token.make_ascii_lowercase();
             return Some(token);
+        }
+    }
+
+    /// Folds the term that starts at `start` and reaches a non-ASCII byte
+    /// into `token`, and returns where scanning goes on.  An unmapped
+    /// character ends the term and is consumed with it, so `token` is left
+    /// empty when the term begins with one.  Past `max_term_len` bytes the
+    /// term is read to its end but no longer copied.  Kept out of line so
+    /// that the ASCII loop of [`Self::next_token`] stays small.
+    #[inline(never)]
+    fn fold_token(&mut self, start: usize, token: &mut String) -> usize {
+        let max_term_len = self.tokenizer.options.max_term_len;
+        token.clear();
+        let mut pos = start;
+        while let Some(&b) = self.text.get(pos) {
+            if b.is_ascii() {
+                if !b.is_ascii_alphanumeric() {
+                    break;
+                }
+                if token.len() <= max_term_len {
+                    token.push(char::from(b.to_ascii_lowercase()));
+                }
+                pos += 1;
+                continue;
+            }
+            let (c, width) = self.char_at(pos);
+            pos += width;
+            let Some(letters) = fold(c) else { break };
+            if token.len() <= max_term_len {
+                token.push_str(letters);
+            }
+        }
+        pos
+    }
+
+    /// The character that starts with the non-ASCII byte at `pos`, and its
+    /// width in bytes.  The first call decides how the text reads.
+    fn char_at(&mut self, pos: usize) -> (char, usize) {
+        let text = self.text;
+        match *self.utf8.get_or_insert_with(|| std::str::from_utf8(text).ok()) {
+            // A scan only ever stops on a character boundary.
+            Some(utf8) => utf8
+                .get(pos..)
+                .and_then(|rest| rest.chars().next())
+                .map_or((' ', 1), |c| (c, c.len_utf8())),
+            None => (char::from(text[pos]), 1),
         }
     }
 
@@ -310,35 +390,19 @@ mod tests {
     }
 
     #[test]
-    fn preserves_case_when_disabled() {
-        let tok = Tokenizer::new(TokenizerOptions { lowercase: false, ..Default::default() });
-        let (terms, _) = tok.tokenize(b"MixedCase");
-        assert_eq!(terms[0].as_str(), "MixedCase");
-    }
-
-    #[test]
-    fn digits_follow_option() {
-        let with = Tokenizer::default();
-        let (terms, _) = with.tokenize(b"abc123 456");
+    fn digits_are_term_characters() {
+        let tok = Tokenizer::default();
+        let (terms, _) = tok.tokenize(b"abc123 456");
         assert_eq!(terms.iter().map(Term::as_str).collect::<Vec<_>>(), ["abc123", "456"]);
-
-        let without =
-            Tokenizer::new(TokenizerOptions { include_digits: false, ..Default::default() });
-        let (terms, _) = without.tokenize(b"abc123 456");
-        assert_eq!(terms.iter().map(Term::as_str).collect::<Vec<_>>(), ["abc"]);
     }
 
     #[test]
     fn length_filters_apply() {
-        let tok = Tokenizer::new(TokenizerOptions {
-            min_term_len: 3,
-            max_term_len: 5,
-            ..Default::default()
-        });
-        let (terms, stats) = tok.tokenize(b"a ab abc abcd abcde abcdef");
+        let tok = Tokenizer::new(TokenizerOptions { max_term_len: 5 });
+        let (terms, stats) = tok.tokenize("a abcde abcdef abcdé abcdeé".as_bytes());
         let words: Vec<&str> = terms.iter().map(Term::as_str).collect();
-        assert_eq!(words, ["abc", "abcd", "abcde"]);
-        assert_eq!(stats.terms_filtered, 3);
+        assert_eq!(words, ["a", "abcde", "abcde"]);
+        assert_eq!(stats.terms_filtered, 2);
         assert_eq!(stats.terms_emitted, 3);
     }
 
@@ -385,12 +449,11 @@ mod tests {
     #[test]
     fn non_ascii_bytes_are_separators() {
         let tok = Tokenizer::default();
-        let (terms, _) = tok.tokenize("naïve café".as_bytes());
-        // The UTF-8 continuation bytes split the words; every produced term is
-        // still pure ASCII.
-        assert!(terms.iter().all(|t| t.as_str().is_ascii()));
-        assert!(terms.iter().any(|t| t.as_str() == "na"));
-        assert!(terms.iter().any(|t| t.as_str() == "caf"));
+        let (terms, _) = tok.tokenize("naïve café → x漢y".as_bytes());
+        let words: Vec<&str> = terms.iter().map(Term::as_str).collect();
+        // A letter the table folds joins its term; any other character
+        // that is not ASCII separates terms, as punctuation does.
+        assert_eq!(words, ["naive", "cafe", "x", "y"]);
     }
 
     #[test]
@@ -427,17 +490,22 @@ mod tests {
     }
 
     proptest! {
-        /// Every term the tokenizer produces is non-empty, within the length
-        /// bounds, made only of term characters, and lowercase when requested.
+        /// Whatever the bytes, scanning never panics, reads every byte, and
+        /// yields only non-empty `[a-z0-9]` terms within the length bound.
         #[test]
-        fn produced_terms_respect_invariants(text in proptest::collection::vec(any::<u8>(), 0..2000)) {
+        fn produced_terms_respect_invariants(
+            soup in proptest::collection::vec(any::<u8>(), 0..2000),
+            accented in "[a-zA-Z0-9 .\u{80}-\u{24f}→漢]{0,300}",
+        ) {
             let tok = Tokenizer::default();
-            let (terms, stats) = tok.tokenize(&text);
-            prop_assert_eq!(stats.bytes_scanned, text.len() as u64);
-            for t in &terms {
-                prop_assert!(!t.is_empty());
-                prop_assert!(t.len() <= tok.options().max_term_len);
-                prop_assert!(t.as_str().bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit()));
+            for text in [&soup[..], accented.as_bytes()] {
+                let (terms, stats) = tok.tokenize(text);
+                prop_assert_eq!(stats.bytes_scanned, text.len() as u64);
+                for t in &terms {
+                    prop_assert!(!t.is_empty());
+                    prop_assert!(t.len() <= tok.options().max_term_len);
+                    prop_assert!(t.as_str().bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit()));
+                }
             }
         }
 

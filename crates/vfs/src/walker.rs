@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::VfsError;
 use crate::path::VPath;
-use crate::{FileMeta, FileSystem};
+use crate::FileSystem;
 
 /// Statistics of one directory walk.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -55,55 +55,16 @@ pub struct FoundFile {
 /// assert_eq!(stats.total_bytes, 8);
 /// ```
 #[derive(Debug, Clone, Default)]
-pub struct Walker {
-    /// Only include files whose extension is in this list (empty = all files).
-    extensions: Vec<String>,
-    /// Skip files larger than this many bytes (`None` = no limit).
-    max_file_size: Option<u64>,
-}
+pub struct Walker;
 
 impl Walker {
-    /// Creates a walker that accepts every file.
+    /// Creates a walker; it finds every file.
     #[must_use]
     pub fn new() -> Self {
-        Walker::default()
+        Walker
     }
 
-    /// Restricts the walk to files with one of the given extensions
-    /// (case-insensitive, without dots).
-    #[must_use]
-    pub fn with_extensions<I, S>(mut self, exts: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.extensions = exts.into_iter().map(|e| e.into().to_ascii_lowercase()).collect();
-        self
-    }
-
-    /// Skips files larger than `bytes`.
-    #[must_use]
-    pub fn with_max_file_size(mut self, bytes: u64) -> Self {
-        self.max_file_size = Some(bytes);
-        self
-    }
-
-    fn accepts(&self, path: &VPath, meta: &FileMeta) -> bool {
-        if let Some(limit) = self.max_file_size {
-            if meta.size > limit {
-                return false;
-            }
-        }
-        if self.extensions.is_empty() {
-            return true;
-        }
-        match path.extension() {
-            Some(ext) => self.extensions.iter().any(|e| e == &ext.to_ascii_lowercase()),
-            None => false,
-        }
-    }
-
-    /// Walks the tree under `root`, returning every accepted file in
+    /// Walks the tree under `root`, returning every file in
     /// deterministic depth-first sorted order together with walk statistics.
     ///
     /// # Errors
@@ -134,7 +95,7 @@ impl Walker {
         for entry in entries {
             if entry.meta.is_dir {
                 self.walk_dir(fs, &entry.path, depth + 1, files, stats)?;
-            } else if self.accepts(&entry.path, &entry.meta) {
+            } else {
                 stats.files += 1;
                 stats.total_bytes += entry.meta.size;
                 files.push(FoundFile { path: entry.path, size: entry.meta.size });
@@ -187,24 +148,6 @@ mod tests {
         assert_eq!(files.len(), 3);
         assert!(files.iter().all(|f| f.path.starts_with(&VPath::new("a"))));
         assert_eq!(stats.directories, 2);
-    }
-
-    #[test]
-    fn extension_filter_is_case_insensitive() {
-        let fs = tree();
-        let (files, _) = Walker::new().with_extensions(["txt"]).walk(&fs, &VPath::root()).unwrap();
-        assert_eq!(files.len(), 4);
-        assert!(files.iter().all(|f| f.path.extension().unwrap().eq_ignore_ascii_case("txt")));
-    }
-
-    #[test]
-    fn size_limit_filters_large_files() {
-        let fs = tree();
-        let (files, stats) =
-            Walker::new().with_max_file_size(20).walk(&fs, &VPath::root()).unwrap();
-        assert_eq!(files.len(), 3);
-        assert!(files.iter().all(|f| f.size <= 20));
-        assert_eq!(stats.total_bytes, 35);
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn mixed_corpus() -> MemFs {
     .unwrap();
     fs.add_file(
         &VPath::new("web/summary.html"),
-        b"<html><body><h2>Evaluation summary</h2><p>spe&#101;dup on thirtytwo cores</p>\
+        b"<html><body><h2>Evaluation summary</h2><p>spe&#101;dup on thirtytwo cores, caf&#233; break</p>\
           <script>var hidden = 'donotindexme';</script></body></html>"
             .to_vec(),
     )
@@ -94,6 +94,7 @@ fn content_is_indexed_and_markup_binary_and_scripts_are_not() {
         "generator",  // markdown body
         "evaluation", // html heading
         "speedup",    // html body with a numeric entity inside the word
+        "cafe",       // an entity for an accented letter, folded by the scanner
         "quadcore",   // csv field
         "seven",      // csv quoted field
         "forces",     // wpx paragraph
@@ -159,7 +160,7 @@ fn registry_detection_agrees_with_pipeline_results() {
             binary_files += 1;
             assert!(extracted.is_empty());
         } else {
-            assert!(extracted.text_str().is_ascii());
+            assert!(!extracted.is_empty(), "{path}");
         }
     }
     assert_eq!(binary_files, 1);

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 
-use dsearch::core::{Configuration, Implementation, IndexGenerator, IndexOutcome};
+use dsearch::core::{
+    Configuration, GeneratorOptions, Implementation, IndexGenerator, IndexOutcome,
+};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch::query::{ParseError, Query, Searcher};
 use dsearch::text::Term;
@@ -128,14 +130,16 @@ fn ranking_prefers_files_matching_more_terms() {
     assert_eq!(&*results.hits()[1].path, "one.txt");
 }
 
-/// Indexes `files` (path, text) with the paper's defaults and returns a
-/// function from a query to the sorted paths it finds.
-fn store_of(files: &[(&str, &str)]) -> impl Fn(&str) -> Vec<String> {
+/// Indexes `files` (path, bytes) with the paper's defaults, with or without
+/// `--formats`, and returns a function from a query to the sorted paths it
+/// finds.
+fn store_of(formats: bool, files: &[(&str, &[u8])]) -> impl Fn(&str) -> Vec<String> {
     let fs = MemFs::new();
-    for (path, text) in files {
-        fs.add_file(&VPath::new(path), text.as_bytes().to_vec()).unwrap();
+    for (path, bytes) in files {
+        fs.add_file(&VPath::new(path), bytes.to_vec()).unwrap();
     }
-    let run = IndexGenerator::default()
+    let options = GeneratorOptions { formats, ..GeneratorOptions::paper_defaults() };
+    let run = IndexGenerator::new(options)
         .run(&fs, &VPath::root(), Implementation::SharedLocked, Configuration::new(1, 0, 0))
         .unwrap();
     let (index, docs) = run.outcome.into_single_index();
@@ -153,38 +157,59 @@ fn store_of(files: &[(&str, &str)]) -> impl Fn(&str) -> Vec<String> {
 fn query_words_read_like_document_words() {
     let word64 = "w".repeat(64);
     let word70 = "w".repeat(70);
-    let paths = store_of(&[
-        ("mail.txt", "Send an e-mail about report.pdf, a naive idea."),
-        ("cafe.txt", "A naïve café plan."),
-        ("long.txt", &format!("{word64} idea")),
-        ("quote.txt", "I don't know."),
-    ]);
-    assert_eq!(paths("e-mail"), ["mail.txt"]);
-    assert_eq!(paths("report.pdf"), ["mail.txt"]);
-    assert_eq!(paths("report.pd*"), ["mail.txt"]);
-    assert_eq!(paths("naïve"), ["cafe.txt"]);
-    assert_eq!(paths("café"), ["cafe.txt"]);
-    assert_eq!(paths("don't"), ["quote.txt"]);
-    assert_eq!(paths("idea -e-mail"), ["long.txt"]);
-    assert_eq!(paths(&word64), ["long.txt"]);
-    // A word too long for the build names no indexed term: cutting it to 64
-    // bytes would find long.txt, dropping it would find every "idea".
-    assert!(paths(&word70).is_empty());
-    assert!(paths(&format!("{word70} idea")).is_empty());
-    assert!(paths(&format!("idea AND {word70}")).is_empty());
-    assert_eq!(paths(&format!("{word70} OR plan")), ["cafe.txt"]);
+    let long = format!("{word64} idea");
+    for formats in [false, true] {
+        let paths = store_of(
+            formats,
+            &[
+                ("mail.txt", b"Send an e-mail about report.pdf, a naive idea."),
+                ("cafe.txt", "A naïve café plan.".as_bytes()),
+                ("long.txt", long.as_bytes()),
+                ("quote.txt", b"I don't know."),
+                // "Grüße aus München" in Latin-1: 0xFC is ü, 0xDF is ß.
+                ("latin1.txt", b"Gr\xfc\xdfe aus M\xfcnchen"),
+            ],
+        );
+        assert_eq!(paths("e-mail"), ["mail.txt"]);
+        assert_eq!(paths("report.pdf"), ["mail.txt"]);
+        assert_eq!(paths("report.pd*"), ["mail.txt"]);
+        for word in ["naïve", "naive", "NAÏVE"] {
+            assert_eq!(paths(word), ["cafe.txt", "mail.txt"], "{word}, formats {formats}");
+        }
+        for word in ["café", "cafe", "CAFÉ"] {
+            assert_eq!(paths(word), ["cafe.txt"], "{word}, formats {formats}");
+        }
+        for word in ["Grüße", "grusse", "münchen", "munchen"] {
+            assert_eq!(paths(word), ["latin1.txt"], "{word}, formats {formats}");
+        }
+        assert_eq!(paths("don't"), ["quote.txt"]);
+        assert_eq!(paths("idea -e-mail"), ["long.txt"]);
+        assert_eq!(paths(&word64), ["long.txt"]);
+        // A word too long for the build names no indexed term: cutting it to
+        // 64 bytes would find long.txt, dropping it would find every "idea".
+        assert!(paths(&word70).is_empty());
+        assert!(paths(&format!("{word70} idea")).is_empty());
+        assert!(paths(&format!("idea AND {word70}")).is_empty());
+        assert_eq!(paths(&format!("{word70} OR plan")), ["cafe.txt"]);
+    }
 }
 
 proptest! {
     /// Every word of a document finds it: a query word is read by the
     /// scanner that read the document, so it names terms the document holds
-    /// — or, when it holds no term, it parses to none.
+    /// — or, when it holds no term, it parses to none.  The document is there
+    /// twice, in UTF-8 and in Latin-1, with and without `--formats`.
     #[test]
     fn each_word_of_a_document_finds_it(
-        words in proptest::collection::vec("[a-zA-Z0-9.,'_/éï-]{1,12}", 1..12),
+        words in proptest::collection::vec("[a-zA-Z0-9.,'_/éïßæÉñÆÿ-]{1,12}", 1..12),
+        formats in any::<bool>(),
     ) {
         let text = words.join(" ");
-        let paths = store_of(&[("doc.txt", &text)]);
+        // Every character drawn is at most U+00FF, so each is one Latin-1
+        // byte; and none of those bytes continues a UTF-8 sequence, so the
+        // file is not valid UTF-8 once it holds any of them.
+        let latin1: Vec<u8> = text.chars().map(|c| u8::try_from(u32::from(c)).unwrap()).collect();
+        let paths = store_of(formats, &[("doc.txt", text.as_bytes()), ("latin1.txt", &latin1)]);
         for word in &words {
             // A leading `-` is query syntax (exclusion), not part of a word.
             let word = word.trim_start_matches('-');
@@ -192,7 +217,11 @@ proptest! {
                 continue;
             }
             match Query::parse(word) {
-                Ok(_) => prop_assert_eq!(paths(word), ["doc.txt"], "word {:?} of {:?}", word, text),
+                Ok(_) => prop_assert_eq!(
+                    paths(word),
+                    ["doc.txt", "latin1.txt"],
+                    "word {:?} of {:?}, formats {}", word, text, formats
+                ),
                 Err(e) => prop_assert_eq!(e, ParseError::Empty, "word {:?}", word),
             }
         }
