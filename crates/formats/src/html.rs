@@ -6,6 +6,21 @@
 //! conforming HTML parser but the text a desktop-search user would expect to
 //! find terms from — exactly the trade-off real desktop indexers make.
 
+/// The HTML 4 names of the Latin-1 characters U+00A0 to U+00FF, in code
+/// point order: `&eacute;` is `é`, which the scanner reads as `e`.
+const LATIN1: [&str; 96] = [
+    "nbsp", "iexcl", "cent", "pound", "curren", "yen", "brvbar", "sect", "uml", "copy", "ordf",
+    "laquo", "not", "shy", "reg", "macr", "deg", "plusmn", "sup2", "sup3", "acute", "micro",
+    "para", "middot", "cedil", "sup1", "ordm", "raquo", "frac14", "frac12", "frac34", "iquest",
+    "Agrave", "Aacute", "Acirc", "Atilde", "Auml", "Aring", "AElig", "Ccedil", "Egrave", "Eacute",
+    "Ecirc", "Euml", "Igrave", "Iacute", "Icirc", "Iuml", "ETH", "Ntilde", "Ograve", "Oacute",
+    "Ocirc", "Otilde", "Ouml", "times", "Oslash", "Ugrave", "Uacute", "Ucirc", "Uuml", "Yacute",
+    "THORN", "szlig", "agrave", "aacute", "acirc", "atilde", "auml", "aring", "aelig", "ccedil",
+    "egrave", "eacute", "ecirc", "euml", "igrave", "iacute", "icirc", "iuml", "eth", "ntilde",
+    "ograve", "oacute", "ocirc", "otilde", "ouml", "divide", "oslash", "ugrave", "uacute", "ucirc",
+    "uuml", "yacute", "thorn", "yuml",
+];
+
 /// Decodes a character entity body (the part between `&` and `;`).
 fn decode_entity(entity: &str) -> Option<String> {
     let named = match entity {
@@ -21,6 +36,9 @@ fn decode_entity(entity: &str) -> Option<String> {
     };
     if !named.is_empty() {
         return Some(named.to_owned());
+    }
+    if let Some(at) = LATIN1.iter().position(|&name| name == entity) {
+        return char::from_u32(0xa0 + at as u32).map(|c| c.to_string());
     }
     if let Some(num) = entity.strip_prefix('#') {
         let code = if let Some(hex) = num.strip_prefix('x').or_else(|| num.strip_prefix('X')) {
@@ -164,6 +182,19 @@ mod tests {
         assert_eq!(extract_text("&quot;quoted&quot;").trim(), "\"quoted\"");
         assert_eq!(extract_text("caf&#233;").trim(), "café");
         assert_eq!(extract_text("caf&#xE9;").trim(), "café");
+        // The HTML 4 Latin-1 names, U+00A0 to U+00FF, case-sensitive.
+        assert_eq!(extract_text("caf&eacute; na&iuml;ve").trim(), "café naïve");
+        assert_eq!(extract_text("&Eacute;t&eacute; &ccedil;a &yuml;").trim(), "Été ça ÿ");
+        assert_eq!(extract_text("&iexcl;&szlig;&AElig;&thorn;").trim(), "¡ßÆþ");
+        assert_eq!(extract_text("a&nbsp;b").trim(), "a b");
+        assert_eq!(extract_text("&EACUTE;").trim(), "&EACUTE;");
+        for (at, name) in LATIN1.iter().enumerate() {
+            let decoded = decode_entity(name).unwrap();
+            assert_eq!(decoded.chars().count(), 1, "{name}");
+            assert!(
+                *name == "nbsp" || decoded == char::from_u32(0xa0 + at as u32).unwrap().to_string()
+            );
+        }
     }
 
     #[test]

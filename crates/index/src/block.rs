@@ -19,7 +19,10 @@
 //! exceptions   (only when flagged) for the e values that do not fit b bits,
 //!              1 ≤ e ≤ 32, whose bits above b fit h bits, 1 ≤ h ≤ 8:
 //!   count      1 byte: bits 0..=4 e − 1, bits 5..=7 h − 1
-//!   positions  each exception's index in the block, 7 bits: ⌈7e / 8⌉ bytes
+//!   positions  3 bits of gap width g (0..=7), then each exception's index
+//!              in the block as a g-bit gap — the first its index, every
+//!              later one its index less the one before less one:
+//!              ⌈(3 + g·e) / 8⌉ bytes
 //!   highs      each exception's bits above b, h bits:    ⌈h·e / 8⌉ bytes
 //! ```
 //!
@@ -29,8 +32,11 @@
 //! 0 — a header byte and at most a base.  Eight values of width `b` fill
 //! exactly `b` bytes, so [`decode`] unpacks them eight at a time with a
 //! kernel compiled for each width, in which every shift and offset is a
-//! constant.  The exceptions are bit-packed as NewPFD packs them (Yan, Ding
-//! & Suel, WWW 2009) and read one unaligned load a field.
+//! constant.  The exceptions' high parts are bit-packed as NewPFD packs them
+//! (Yan, Ding & Suel, WWW 2009); their positions are gaps at the width of the
+//! widest, so the many exceptions of a dense block take a bit or two each
+//! where a flat position takes seven.  Every field is read with one
+//! unaligned load.
 //!
 //! Each block carries a [`SkipEntry`] — `(last_id, byte offset)` — so a
 //! reader can decide whether a block can possibly contain a target id
@@ -64,10 +70,14 @@ const MAX_EXCEPTIONS: usize = 32;
 /// Widest part of an exception above the block's width: that width less one
 /// fills three bits.
 const MAX_HIGH_WIDTH: usize = 8;
-/// Bits an exception's position takes: a block holds 128 values.
+/// Bits the widest gap between exception positions takes: a block holds 128
+/// values.
 const POSITION_BITS: usize = 7;
+/// Bits the gap width takes in front of the gaps.
+const GAP_WIDTH_BITS: usize = 3;
 /// The most bytes a block's exception positions and high parts take.
-const EXCEPTION_BYTES: usize = (MAX_EXCEPTIONS * (POSITION_BITS + MAX_HIGH_WIDTH)).div_ceil(8);
+const EXCEPTION_BYTES: usize = (GAP_WIDTH_BITS + MAX_EXCEPTIONS * POSITION_BITS).div_ceil(8)
+    + (MAX_EXCEPTIONS * MAX_HIGH_WIDTH).div_ceil(8);
 
 /// Skip metadata for one block: enough to route a `seek` without decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -366,6 +376,26 @@ impl<'a> CompressedView<'a> {
         count
     }
 
+    /// The bytes the exception sections of the list's id blocks and of its
+    /// tf blocks take (the rest of each block is its first id, header, base
+    /// and packed values): where the census of a store splits its blocks.
+    #[must_use]
+    pub fn exception_bytes(&self) -> (usize, usize) {
+        let (mut ids, mut tfs) = (0, 0);
+        for index in 0..self.block_count() {
+            let count = self.block_len(index);
+            let mut at = self.block_offset(index);
+            read_lenient(self.data, &mut at);
+            if count > 1 {
+                ids += exception_bytes(self.data, at, count - 1);
+            }
+            if let Some(&offset) = self.freq_offsets.get(index) {
+                tfs += exception_bytes(self.freqs, offset as usize, count);
+            }
+        }
+        (ids, tfs)
+    }
+
     /// Decodes every per-posting frequency into `out` (cleared first),
     /// parallel to [`CompressedView::decode_into`]'s ids.
     pub fn decode_freqs_into(&self, out: &mut Vec<u32>) {
@@ -383,24 +413,33 @@ impl<'a> CompressedView<'a> {
 }
 
 /// How [`encode`] lays out one block: its `width`, the `high` width of its
-/// exceptions' bits above it, how many `exceptions` there are, and the
-/// `bytes` the packed and exception sections take.
+/// exceptions' bits above it, how many `exceptions` there are, the width of
+/// the `gaps` between their positions, and the `bytes` the packed and
+/// exception sections take.
 #[derive(Debug, Clone, Copy)]
 struct Layout {
     width: usize,
     high: usize,
     exceptions: usize,
+    gaps: usize,
     bytes: usize,
+}
+
+/// The bytes of an exception section: the count byte, `exceptions` gaps of
+/// `gaps` bits behind the gap width, and as many high parts of `high` bits.
+fn exception_section(exceptions: usize, gaps: usize, high: usize) -> usize {
+    1 + (GAP_WIDTH_BITS + exceptions * gaps).div_ceil(8) + (exceptions * high).div_ceil(8)
 }
 
 /// The layout in which `values`, each less `base`, encode smallest.  With
 /// the width `b` below the longest value's `L` bits, the values longer than
-/// `b` are exceptions: a count byte, seven bits of position each and `L − b`
-/// bits of high part each.  A width that leaves more than 32 of them or high
+/// `b` are exceptions: a count byte, a gap of position each and `L − b` bits
+/// of high part each.  A width that leaves more than 32 of them or high
 /// parts wider than 8 bits is no candidate; `L` itself, with none, always
-/// is.  From a histogram of bit lengths, summed from the top, a width is
-/// priced in a lookup: the cost is the block's length plus a constant, not
-/// their product.
+/// is.  From a histogram of bit lengths, summed from the top, a width's
+/// packed values and exception count are a lookup; its gaps come from the
+/// positions of the at most 32 values longer than the narrowest candidate,
+/// found in a second pass.  Two passes over the block, whatever the widths.
 fn cheapest_width(values: &[u32], base: u32) -> Layout {
     // `longer[w]`: how many values need more than `w` bits (none past 32).
     // Counted in four tables, one value in four each: neighbours are mostly
@@ -418,20 +457,47 @@ fn cheapest_width(values: &[u32], base: u32) -> Layout {
         above += std::mem::replace(&mut longer[bits], above);
     }
     let packed = |width: usize| (values.len() * width).div_ceil(8);
-    let mut best = Layout { width: longest, high: 0, exceptions: 0, bytes: packed(longest) };
-    for width in (longest.saturating_sub(MAX_HIGH_WIDTH)..longest).rev() {
-        // Narrower widths only leave more exceptions.
-        let exceptions = longer[width];
-        if exceptions > MAX_EXCEPTIONS {
-            break;
+    let mut best =
+        Layout { width: longest, high: 0, exceptions: 0, gaps: 0, bytes: packed(longest) };
+    // Narrower widths only leave more exceptions, so the candidates are the
+    // widths from the narrowest that leaves at most 32 up to `L`.
+    let candidates = longest.saturating_sub(MAX_HIGH_WIDTH)..longest;
+    let Some(narrowest) = candidates.clone().find(|&width| longer[width] <= MAX_EXCEPTIONS) else {
+        return best;
+    };
+    // Priced with gaps of no bits, a width that does not beat `L` never
+    // will: most blocks have no candidate worth finding the gaps of.
+    let floor = |width: usize| packed(width) + exception_section(longer[width], 0, longest - width);
+    if (narrowest..longest).all(|width| floor(width) >= best.bytes) {
+        return best;
+    }
+    // Where the values longer than the narrowest candidate stand, and how
+    // long they are: every candidate's exceptions are among them.  Each
+    // value is written to the next free slot, which only an outlier takes:
+    // no branch on where the outliers fall.
+    let mut outliers = [(0u8, 0u8); MAX_EXCEPTIONS + 1];
+    let mut found = 0;
+    for (position, &value) in values.iter().enumerate() {
+        let bits = bits_needed(value - base) as u8;
+        outliers[found] = (position as u8, bits);
+        found += usize::from(usize::from(bits) > narrowest);
+    }
+    for width in (narrowest..longest).rev() {
+        let (exceptions, high) = (longer[width], longest - width);
+        if floor(width) >= best.bytes {
+            continue;
         }
-        let high = longest - width;
-        let bytes = packed(width)
-            + 1
-            + (exceptions * POSITION_BITS).div_ceil(8)
-            + (exceptions * high).div_ceil(8);
+        // The gaps, ORed: the widest one's bit length is the OR's.
+        let (mut next, mut widest) = (0, 0);
+        for &(position, bits) in &outliers[..found] {
+            let gap = if usize::from(bits) > width { position - next } else { 0 };
+            widest |= gap;
+            next = if gap > 0 || usize::from(bits) > width { position + 1 } else { next };
+        }
+        let gaps = bits_needed(u32::from(widest)) as usize;
+        let bytes = packed(width) + exception_section(exceptions, gaps, high);
         if bytes < best.bytes {
-            best = Layout { width, high, exceptions, bytes };
+            best = Layout { width, high, exceptions, gaps, bytes };
         }
     }
     best
@@ -441,9 +507,21 @@ fn cheapest_width(values: &[u32], base: u32) -> Layout {
 /// accumulator `width` bits at a time, lowest bits first, and leave it as
 /// whole bytes — ⌈n·width / 8⌉ of them.
 fn pack(width: usize, values: impl Iterator<Item = u32>, out: &mut Vec<u8>) {
+    pack_behind(0, 0, width, values, out);
+}
+
+/// [`pack`] behind a `lead` of `lead_bits` bits (at most 32), which the
+/// values follow in the same bytes.
+fn pack_behind(
+    lead: u64,
+    lead_bits: usize,
+    width: usize,
+    values: impl Iterator<Item = u32>,
+    out: &mut Vec<u8>,
+) {
     let mask = (1u64 << width) - 1;
-    let mut acc = 0u64;
-    let mut acc_bits = 0;
+    let mut acc = lead;
+    let mut acc_bits = lead_bits;
     for value in values {
         acc |= (u64::from(value) & mask) << acc_bits;
         acc_bits += width;
@@ -468,7 +546,7 @@ pub fn encode(values: &[u32], out: &mut Vec<u8>) {
             (base, layout) = (least, rebased);
         }
     }
-    let Layout { width, high, exceptions, .. } = layout;
+    let Layout { width, high, exceptions, gaps, .. } = layout;
     let flags =
         if base > 0 { HAS_BASE } else { 0 } | if exceptions > 0 { HAS_EXCEPTIONS } else { 0 };
     out.push(width as u8 | flags);
@@ -479,14 +557,16 @@ pub fn encode(values: &[u32], out: &mut Vec<u8>) {
     if exceptions > 0 {
         // An exception's bits above the width are all it needs: `width` is
         // below 32 whenever there is one.
-        let (mut positions, mut highs) = ([0u32; MAX_EXCEPTIONS], [0u32; MAX_EXCEPTIONS]);
+        let (mut gap, mut highs) = ([0u32; MAX_EXCEPTIONS], [0u32; MAX_EXCEPTIONS]);
         let patched = values.iter().map(|&value| (value - base) >> width);
         let found = patched.enumerate().filter(|&(_, high)| high > 0);
+        let mut next = 0;
         for (slot, (position, high)) in found.enumerate() {
-            (positions[slot], highs[slot]) = (position as u32, high);
+            (gap[slot], highs[slot]) = ((position - next) as u32, high);
+            next = position + 1;
         }
         out.push((exceptions - 1) as u8 | ((high - 1) as u8) << 5);
-        pack(POSITION_BITS, positions[..exceptions].iter().copied(), out);
+        pack_behind(gaps as u64, GAP_WIDTH_BITS, gaps, gap[..exceptions].iter().copied(), out);
         pack(high, highs[..exceptions].iter().copied(), out);
     }
 }
@@ -528,13 +608,16 @@ pub fn decode(block: &[u8], out: &mut [u32]) {
                 &padded
             }
         };
-        let highs_at = (exceptions * POSITION_BITS).div_ceil(8) * 8;
+        let gaps = field(fields, 0, GAP_WIDTH_BITS) as usize;
+        let highs_at = (GAP_WIDTH_BITS + exceptions * gaps).div_ceil(8) * 8;
+        let mut position = 0;
         for k in 0..exceptions {
-            let position = field(fields, k * POSITION_BITS, POSITION_BITS);
+            position += field(fields, GAP_WIDTH_BITS + k * gaps, gaps) as usize;
             let patch = field(fields, highs_at + k * high, high);
-            if let Some(slot) = out.get_mut(position as usize) {
+            if let Some(slot) = out.get_mut(position) {
                 *slot |= patch.checked_shl(width as u32).unwrap_or(0);
             }
+            position += 1;
         }
     }
     if base > 0 {
@@ -544,10 +627,11 @@ pub fn decode(block: &[u8], out: &mut [u32]) {
 
 /// Where the codec block of `count` values (at most [`BLOCK_SIZE`]) that
 /// starts at `bytes[at]` ends.  A block says its own length — width, base,
-/// exception count and high width — so blocks lie back to back with no
-/// offsets between them, and finding where one ends checks its structure:
-/// `None` for a width above 32, a base past `u32`, or a block that runs past
-/// the bytes.
+/// exception count, high width and gap width — so blocks lie back to back
+/// with no offsets between them, and finding where one ends checks its
+/// structure: `None` for a width above 32, a base past `u32`, or a block
+/// that runs past the bytes.  (Gaps that lead past the block are not looked
+/// at here: [`decode`] drops those exceptions.)
 #[inline(always)]
 pub(crate) fn block_end(bytes: &[u8], at: usize, count: usize) -> Option<usize> {
     let &header = bytes.get(at)?;
@@ -575,9 +659,26 @@ pub(crate) fn block_end(bytes: &[u8], at: usize, count: usize) -> Option<usize> 
     let mut end = at + 1 + base + (count * width).div_ceil(8);
     let packed = bytes.get(end).copied().unwrap_or(0);
     let (exceptions, high) = (usize::from(packed & 0x1f) + 1, usize::from(packed >> 5) + 1);
-    let patches = 1 + (exceptions * POSITION_BITS).div_ceil(8) + (exceptions * high).div_ceil(8);
-    end += patches * usize::from(header & HAS_EXCEPTIONS != 0);
+    let gaps = usize::from(bytes.get(end + 1).copied().unwrap_or(0)) & ((1 << GAP_WIDTH_BITS) - 1);
+    end += exception_section(exceptions, gaps, high) * usize::from(header & HAS_EXCEPTIONS != 0);
     (width <= 32 && end <= bytes.len()).then_some(end)
+}
+
+/// The bytes the exception section of the codec block of `count` values at
+/// `bytes[at]` takes (none without exceptions): the part of the block that
+/// is not its header, base and packed values.  For a block [`block_end`]
+/// finds whole.
+fn exception_bytes(bytes: &[u8], at: usize, count: usize) -> usize {
+    let header = bytes.get(at).copied().unwrap_or(0);
+    if header & HAS_EXCEPTIONS == 0 {
+        return 0;
+    }
+    let mut packed_at = at + 1;
+    if header & HAS_BASE != 0 {
+        read_lenient(bytes, &mut packed_at);
+    }
+    packed_at += (count * encoded_width(&bytes[at..])).div_ceil(8);
+    block_end(bytes, at, count).map_or(0, |end| end.saturating_sub(packed_at))
 }
 
 /// The `bits` (at most 8) from bit `at` of `fields` on, which holds eight
@@ -1020,8 +1121,9 @@ mod tests {
         let all = block(1_000);
         let cp = CompressedPostings::from_sorted(&all);
         assert_eq!(ids_of(&cp), all);
-        // first id + header + 127 × 2 bits + count + one position + one high
-        assert_eq!(cp.view().data().len(), 1 + 1 + 32 + 1 + 1 + 1);
+        // first id + header + 127 × 2 bits + count + the gap width and one
+        // seven-bit gap + one high
+        assert_eq!(cp.view().data().len(), 1 + 1 + 32 + 1 + 2 + 1);
         // An outlier 18 bits above the rest is not patched at two bits: the
         // width rises until its high part fits eight.
         let wide = block(1_000_000);
@@ -1050,12 +1152,14 @@ mod tests {
             encoded.len()
         };
         // Gaps of three bits, five of them one bit longer: width 3 and five
-        // exceptions — header, 127 × 3 bits, count, 5 × 7 bits, 5 × 1 bit.
+        // exceptions at 10, 35, 60, 85, 110 — header, 127 × 3 bits, count,
+        // 3 bits of gap width and 5 × 5 bits of gap, 5 × 1 bit.
         let gaps: Vec<u32> =
             (0..127u32).map(|i| if i % 25 == 10 { 8 + i % 8 } else { i % 8 }).collect();
-        assert_eq!(size(&gaps), 1 + 48 + 1 + 5 + 1);
+        assert_eq!(size(&gaps), 1 + 48 + 1 + 4 + 1);
         // Frequencies less one, nearly all zero: width 0, nine exceptions of
-        // at most three bits — header, count, 9 × 7 bits, 9 × 3 bits.
+        // at most three bits — header, count, 3 + 9 × 6 bits of gaps (the
+        // widest is 35), 9 × 3 bits.
         let mut tfs = vec![0u32; BLOCK_SIZE];
         for (at, tf) in [(0, 1), (9, 1), (20, 1), (33, 1), (50, 1), (64, 1), (90, 2), (91, 2)] {
             tfs[at] = tf;
@@ -1067,6 +1171,73 @@ mod tests {
         assert_eq!(size(&[0]), 1);
         // And a list of one id is that id's varint.
         assert_eq!(CompressedPostings::from_sorted(&ids(&[300])).view().data(), [0xac, 0x02]);
+    }
+
+    #[test]
+    fn exception_positions_at_the_block_edges_round_trip_as_gaps() {
+        // 128 zeros with exceptions of eight bits: one at position 0 or
+        // 127, 32 from 0 on (every gap 0), 32 ending at 127, 32 spread from
+        // 0 to 127.  Width 0; the section is the count byte, the gap width
+        // and the gaps, and a byte a high part.
+        let spread: Vec<usize> = (0..32).map(|k| k * 127 / 31).collect();
+        for (positions, gaps) in [
+            (vec![0], 0),
+            (vec![127], 7),
+            ((0..32).collect(), 0),
+            ((96..128).collect(), 7),
+            (spread, 3),
+        ] {
+            let mut values = vec![0u32; BLOCK_SIZE];
+            positions.iter().for_each(|&at| values[at] = 255);
+            let mut encoded = Vec::new();
+            encode(&values, &mut encoded);
+            let exceptions = positions.len();
+            assert_eq!(encoded[0], HAS_EXCEPTIONS, "{positions:?}");
+            assert_eq!(usize::from(encoded[2]) & 7, gaps, "{positions:?}");
+            assert_eq!(encoded.len(), 1 + exception_section(exceptions, gaps, 8), "{positions:?}");
+            assert_eq!(exception_bytes(&encoded, 0, BLOCK_SIZE), encoded.len() - 1);
+            assert_eq!(block_end(&encoded, 0, BLOCK_SIZE), Some(encoded.len()));
+            let mut decoded = vec![u32::MAX; BLOCK_SIZE];
+            decode(&encoded, &mut decoded);
+            assert_eq!(decoded, values, "{positions:?}");
+        }
+    }
+
+    #[test]
+    fn hostile_gaps_are_dropped_past_the_block_and_never_panic() {
+        // Width 1, three exceptions of one high bit; the positions section
+        // is `gaps` bits of width and the three gaps.
+        let block = |count: usize, gaps: u64, each: u64| {
+            let mut block = vec![1 | HAS_EXCEPTIONS];
+            block.resize(1 + count / 8, 0);
+            block.push(2);
+            let bits = gaps | (each | each << gaps | each << (2 * gaps)) << GAP_WIDTH_BITS;
+            let len = (GAP_WIDTH_BITS + 3 * gaps as usize).div_ceil(8);
+            block.extend_from_slice(&bits.to_le_bytes()[..len]);
+            block.push(0b111);
+            block
+        };
+        let decoded = |block: &[u8], count: usize| -> Vec<usize> {
+            assert_eq!(block_end(block, 0, count), Some(block.len()));
+            let mut out = vec![7u32; count];
+            decode(block, &mut out);
+            out.iter().enumerate().filter(|&(_, &value)| value > 0).map(|(at, _)| at).collect()
+        };
+        // Gap width 0: positions 0, 1, 2.
+        assert_eq!(decoded(&block(BLOCK_SIZE, 0, 0), BLOCK_SIZE), [0, 1, 2]);
+        // Gap width 7, gaps of 100: positions 100, 201 and 302, the last two
+        // past the block and dropped; of 127, only the first stays.
+        assert_eq!(decoded(&block(BLOCK_SIZE, 7, 100), BLOCK_SIZE), [100]);
+        assert_eq!(decoded(&block(BLOCK_SIZE, 7, 127), BLOCK_SIZE), [127]);
+        // In a block of 64 values, even the first is past the end.
+        assert!(decoded(&block(64, 7, 100), 64).is_empty());
+        // Cut anywhere in the exception section, the block ends past the
+        // bytes and decodes without panicking.
+        let whole = block(BLOCK_SIZE, 7, 100);
+        for cut in BLOCK_SIZE / 8 + 1..whole.len() {
+            assert_eq!(block_end(&whole[..cut], 0, BLOCK_SIZE), None, "cut {cut}");
+            decode(&whole[..cut], &mut [0; BLOCK_SIZE]);
+        }
     }
 
     #[test]
@@ -1254,11 +1425,10 @@ mod tests {
                 if outliers > MAX_EXCEPTIONS || high > MAX_HIGH_WIDTH {
                     prop_assert!(encoded_width(&encoded) > width);
                 } else {
+                    // Gaps are at most seven bits wide.
                     let patched = 1
                         + (BLOCK_SIZE * width).div_ceil(8)
-                        + 1
-                        + (outliers * POSITION_BITS).div_ceil(8)
-                        + (outliers * high).div_ceil(8);
+                        + exception_section(outliers, POSITION_BITS, high);
                     prop_assert!(encoded.len() <= patched);
                 }
             }
@@ -1295,10 +1465,11 @@ mod tests {
         }
 
         /// Hostile blocks — arbitrary bytes, a valid block with one bit
-        /// flipped or cut at any byte, and exceptions whose positions run
-        /// past the block or whose bytes run past the payload — fill `out`
-        /// and never panic; exceptions read as the layout says, a position
-        /// outside the block dropped and bytes past the payload zero.
+        /// flipped or cut at any byte, and exceptions of any gap width whose
+        /// gaps run past the block or whose bytes run past the payload —
+        /// fill `out` and never panic; exceptions read as the layout says, a
+        /// position outside the block dropped and bytes past the payload
+        /// zero.
         #[test]
         fn codec_decodes_hostile_bytes_without_panicking(
             noise in proptest::collection::vec(any::<u8>(), 0..80),
@@ -1336,14 +1507,17 @@ mod tests {
                 |at: usize| noise.get(at / 8).map_or(0, |byte| u32::from(byte >> (at % 8)) & 1);
             let field =
                 |from: usize, bits: usize| (0..bits).map(|k| bit_at(from + k) << k).sum::<u32>();
-            let highs_from = (exceptions * POSITION_BITS).div_ceil(8) * 8;
+            let gaps = field(0, GAP_WIDTH_BITS) as usize;
+            let highs_from = (GAP_WIDTH_BITS + exceptions * gaps).div_ceil(8) * 8;
             let mut expected = vec![0u32; count];
+            let mut position = 0;
             for k in 0..exceptions {
-                let position = field(k * POSITION_BITS, POSITION_BITS) as usize;
+                position += field(GAP_WIDTH_BITS + k * gaps, gaps) as usize;
                 let patch = field(highs_from + k * high, high);
                 if let Some(slot) = expected.get_mut(position) {
                     *slot |= patch.checked_shl(width as u32).unwrap_or(0);
                 }
+                position += 1;
             }
             prop_assert_eq!(out, expected);
         }

@@ -48,7 +48,9 @@ use crate::block::{
 use crate::doc_table::FileId;
 use crate::memory_index::InMemoryIndex;
 use crate::posting::PostingList;
-use crate::varint::{checked_u32, read_lenient, write_bytes, write_varint, Reader};
+use crate::varint::{
+    checked_u32, read_head_lenient, read_lenient, write_head, write_varint, Reader,
+};
 
 /// BM25 term-frequency saturation constant.
 pub const BM25_K1: f32 = 1.2;
@@ -58,10 +60,10 @@ pub const BM25_B: f32 = 0.75;
 /// Longest term (in bytes) a shard accepts from encoded bytes.
 const MAX_TERM_LEN: u64 = 64 * 1024;
 
-/// Fewest bytes one encoded term entry occupies: the bytes its term shares
-/// with the one before, the length of the rest, a posting count and a bound
-/// byte.
-const MIN_ENTRY_BYTES: usize = 4;
+/// Fewest bytes one encoded term entry occupies: a head (the bytes its term
+/// shares with the one before, the length of the rest), a posting count and
+/// a bound byte.
+const MIN_ENTRY_BYTES: usize = 3;
 
 /// Every this many dictionary slots, one is a restart slot: it stores its
 /// whole term, so that a lookup walks at most this many slots from one.
@@ -204,8 +206,14 @@ impl Eq for SealedShard {}
 pub struct SectionBytes {
     /// Id blocks: first ids and gaps.
     pub ids: u64,
+    /// Of `ids`, the blocks' exception sections (count bytes, position gaps
+    /// and high parts); the rest is first ids, headers, bases and packed
+    /// values.
+    pub id_exceptions: u64,
     /// Frequency blocks (no offsets: each block says its own length).
     pub tfs: u64,
+    /// Of `tfs`, the blocks' exception sections.
+    pub tf_exceptions: u64,
     /// Skip entries: each block's last id, as a delta (no offsets).
     pub skips: u64,
     /// List bounds: one byte a term.
@@ -218,7 +226,8 @@ pub struct SectionBytes {
 }
 
 impl SectionBytes {
-    /// All sections together.
+    /// All sections together (the exception sections counted once, in
+    /// `ids` and `tfs`).
     #[must_use]
     pub fn total(&self) -> u64 {
         self.ids + self.tfs + self.skips + self.scores + self.dictionary + self.docs
@@ -228,7 +237,9 @@ impl SectionBytes {
 impl std::ops::AddAssign for SectionBytes {
     fn add_assign(&mut self, other: Self) {
         self.ids += other.ids;
+        self.id_exceptions += other.id_exceptions;
         self.tfs += other.tfs;
+        self.tf_exceptions += other.tf_exceptions;
         self.skips += other.skips;
         self.scores += other.scores;
         self.dictionary += other.dictionary;
@@ -238,16 +249,17 @@ impl std::ops::AddAssign for SectionBytes {
 
 /// Appends the entry of dictionary slot `slot`, whose term follows
 /// `previous` (the term of the slot before; unread at a restart slot), in
-/// the segment encoding (version 8), and says how many bytes each part of it
-/// took:
+/// the segment encoding (version 11), and says how many bytes each part of
+/// it took:
 ///
 /// ```text
-/// term, front-coded                     the bytes shared with `previous`
-///                                       (varint; 0 at every 16th slot, a
-///                                       restart slot, which stores its whole
-///                                       term; elsewhere all they share),
-///                                       then the rest as length-prefixed
-///                                       bytes
+/// term, front-coded                     a head (`varint::write_head`): the
+///                                       bytes shared with `previous` (0 at
+///                                       every 16th slot, a restart slot,
+///                                       which stores its whole term;
+///                                       elsewhere all they share) and the
+///                                       length of the rest, one byte when
+///                                       both are below 15; then the rest
 /// posting count                         varint, shifted left one bit: the
 ///                                       low bit says "tf blocks follow"
 /// bound                                 one byte: `bm25_bound_byte` of the
@@ -269,10 +281,10 @@ impl std::ops::AddAssign for SectionBytes {
 ///
 /// A codec block is the patched frame of reference of [`crate::block`]: a
 /// header byte (width, flags), an optional base, the packed low bits, the
-/// exceptions (a count byte, then their positions and their high bits, each
-/// bit-packed).  Its header says how long it is, so no length or offset is
-/// stored: the tables find every block's offset, and check its structure,
-/// when they are laid over the entry.  A block's first id is stored once,
+/// exceptions (a count byte, then their positions as gaps and their high
+/// bits, each bit-packed).  Its header says how long it is, so no length or
+/// offset is stored: the tables find every block's offset, and check its
+/// structure, when they are laid over the entry.  A block's first id is stored once,
 /// in its id block, and checked against the skip entries there too.
 ///
 /// The segment writer streams these; [`SealedShard::from_index`] collects
@@ -296,8 +308,8 @@ pub fn encode_term(
     } else {
         previous.iter().zip(term).take_while(|(a, b)| a == b).count()
     };
-    write_varint(out, shared as u64);
-    write_bytes(out, &term[shared..]);
+    write_head(out, shared as u64, (term.len() - shared) as u64);
+    out.extend_from_slice(&term[shared..]);
     let freqs = postings.freqs();
     write_varint(out, (postings.len() as u64) << 1 | u64::from(!freqs.is_empty()));
     let dictionary = section(out.len());
@@ -313,7 +325,17 @@ pub fn encode_term(
     let ids = section(out.len());
     out.extend_from_slice(freqs);
     let tfs = section(out.len());
-    SectionBytes { ids, tfs, skips, scores, dictionary, docs: 0 }
+    let (id_exceptions, tf_exceptions) = postings.exception_bytes();
+    SectionBytes {
+        ids,
+        id_exceptions: id_exceptions as u64,
+        tfs,
+        tf_exceptions: tf_exceptions as u64,
+        skips,
+        scores,
+        dictionary,
+        docs: 0,
+    }
 }
 
 impl SealedShard {
@@ -404,17 +426,8 @@ impl SealedShard {
     /// shares with the term before, and the rest.
     fn front_coded(&self, slot: usize) -> (usize, &[u8]) {
         let mut pos = self.terms[slot].entry_at as usize;
-        let shared = read_lenient(&self.bytes, &mut pos) as usize;
-        (shared, self.prefixed(&mut pos))
-    }
-
-    /// The length-prefixed bytes at `pos`, which moves past them.  Only for
-    /// positions the laying-over validated.
-    fn prefixed(&self, pos: &mut usize) -> &[u8] {
-        let len = read_lenient(&self.bytes, pos) as usize;
-        let bytes = &self.bytes[*pos..][..len];
-        *pos += len;
-        bytes
+        let (shared, len) = read_head_lenient(&self.bytes, &mut pos);
+        (shared, &self.bytes[pos..][..len])
     }
 
     /// How the terms from restart slot `from` on compare with `wanted`.
@@ -485,8 +498,8 @@ impl SealedShard {
         let entry = &self.terms[slot];
         let end = self.terms.get(slot + 1).map_or(self.bytes.len(), |next| next.entry_at as usize);
         let mut pos = entry.entry_at as usize;
-        read_lenient(&self.bytes, &mut pos);
-        self.prefixed(&mut pos);
+        let (_, rest) = read_head_lenient(&self.bytes, &mut pos);
+        pos += rest;
         let len = read_lenient(&self.bytes, &mut pos) as usize >> 1;
         let bound = self.bytes[pos];
         let data = &self.bytes[entry.ids_at as usize..entry.tfs_at as usize];
@@ -843,7 +856,7 @@ fn next_term(
     slot: usize,
     term: &mut Vec<u8>,
 ) -> Result<usize, BlockFormatError> {
-    let shared = reader.u64()?;
+    let (shared, len) = reader.head()?;
     let restart = slot.is_multiple_of(RESTART_INTERVAL);
     if (restart && shared > 0) || shared > term.len() as u64 {
         let (kind, before) = if restart { ("restart ", 0) } else { ("", term.len()) };
@@ -851,8 +864,14 @@ fn next_term(
             "{kind}term {slot} shares {shared} bytes with a term of {before}"
         )));
     }
+    if len > MAX_TERM_LEN - shared {
+        return Err(corrupt(format!(
+            "term of {} bytes exceeds the limit {MAX_TERM_LEN}",
+            shared.saturating_add(len)
+        )));
+    }
     let shared = shared as usize;
-    let rest = reader.bytes(MAX_TERM_LEN - shared as u64, "term")?;
+    let rest = reader.take(len, "term")?;
     let ascends = if restart {
         slot == 0 || rest > &term[..]
     } else {
@@ -1745,8 +1764,8 @@ mod tests {
     impl Parts<'_> {
         fn encode(self) -> Vec<u8> {
             let mut out = Vec::new();
-            write_varint(&mut out, self.shared);
-            write_bytes(&mut out, self.term);
+            write_head(&mut out, self.shared, self.term.len() as u64);
+            out.extend_from_slice(self.term);
             write_varint(&mut out, self.counted);
             out.extend_from_slice(self.bound);
             let mut last = 0u32;
@@ -1830,6 +1849,22 @@ mod tests {
         ];
         for (what, parts) in bad {
             let err = load(parts.encode(), 1).expect_err(what);
+            assert!(err.to_string().contains("invalid compressed postings"), "{what}: {err}");
+        }
+        // Heads: an escape whose varint is cut short, for the shared count
+        // and for the rest's length; a restart slot sharing 15 bytes; a rest
+        // longer than the bytes left; a term past the length limit.
+        let mut long = vec![0xf0];
+        write_varint(&mut long, MAX_TERM_LEN - 15 + 1);
+        long.extend_from_slice(&[0; 4]);
+        for (what, entries) in [
+            ("shared escape cut", vec![0x0f, 0x80, 0x80]),
+            ("length escape cut", vec![0xf0, 0x80, 0x80]),
+            ("restart slot sharing 15", vec![0x1f, 0, b'a', 2 << 1, 0, 0, 0]),
+            ("rest past the bytes", vec![0xe0, b'a', 2 << 1, 0, 0, 0]),
+            ("term past the limit", long),
+        ] {
+            let err = load(entries, 1).expect_err(what);
             assert!(err.to_string().contains("invalid compressed postings"), "{what}: {err}");
         }
         // A term count the bytes cannot hold never sizes the table.

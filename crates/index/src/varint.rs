@@ -1,5 +1,7 @@
 //! LEB128 varints: the one writer and the one checking reader behind every
-//! encoded form — posting blocks, sealed term entries, segment front matter.
+//! encoded form — posting blocks, sealed term entries, segment front matter
+//! — and the heads that pack two small counts of a front-coded term or path
+//! in one byte ([`write_head`]).
 //!
 //! [`Reader`] is for bytes that cross a trust boundary: truncated, over-long
 //! and out-of-range input is an error.  Block payloads a shard has already
@@ -17,10 +19,35 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
     out.push(value as u8);
 }
 
-/// Appends a length-prefixed byte string.
-pub fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    write_varint(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
+/// A head field's nibble that says "a varint follows": the field is 15 or
+/// more, and the varint holds it less 15.
+const ESCAPE: u64 = 15;
+
+/// Appends a head: two small counts in one byte, `low` in its low nibble and
+/// `high` in its high one, where each is below 15.  A nibble of 15 is an
+/// escape — that field is 15 plus a varint behind the byte (`low`'s first),
+/// so every value has one encoding.  Front coding writes one a dictionary
+/// term (bytes shared, bytes stored) and one a document path.
+pub fn write_head(out: &mut Vec<u8>, low: u64, high: u64) {
+    out.push((low.min(ESCAPE) | high.min(ESCAPE) << 4) as u8);
+    for field in [low, high] {
+        if field >= ESCAPE {
+            write_varint(out, field - ESCAPE);
+        }
+    }
+}
+
+/// [`Reader::head`] without failing, for a head a reader has already
+/// checked: truncated input yields what was read so far.
+pub(crate) fn read_head_lenient(data: &[u8], pos: &mut usize) -> (usize, usize) {
+    let byte = data.get(*pos).copied().unwrap_or(0);
+    *pos += 1;
+    let mut field = |nibble: u8| match u64::from(nibble) {
+        ESCAPE => ESCAPE as usize + read_lenient(data, pos) as usize,
+        small => small as usize,
+    };
+    let low = field(byte & 0xf);
+    (low, field(byte >> 4))
 }
 
 /// Bytes [`write_varint`] spends on `value`.
@@ -145,6 +172,23 @@ impl<'a> Reader<'a> {
         u32::try_from(value).map_err(|_| corrupt(format!("value {value} does not fit in u32")))
     }
 
+    /// A head as [`write_head`] writes it: its low field, then its high one.
+    ///
+    /// # Errors
+    ///
+    /// Fails on truncated input, and on an escaped field past `u64`.
+    #[inline]
+    pub fn head(&mut self) -> Result<(u64, u64), BlockFormatError> {
+        let byte = *self.bytes.get(self.pos).ok_or_else(|| corrupt("truncated head"))?;
+        self.pos += 1;
+        let mut field = |nibble: u8| match u64::from(nibble) {
+            ESCAPE => self.u64()?.checked_add(ESCAPE).ok_or_else(|| corrupt("head overflows u64")),
+            small => Ok(small),
+        };
+        let low = field(byte & 0xf)?;
+        Ok((low, field(byte >> 4)?))
+    }
+
     /// An element count, checked against the bytes left: every element costs
     /// at least `min_bytes`, so a larger count is corrupt and must never
     /// size an allocation.
@@ -179,20 +223,6 @@ impl<'a> Reader<'a> {
     pub(crate) fn skip_to(&mut self, pos: usize) {
         debug_assert!((self.pos..=self.bytes.len()).contains(&pos));
         self.pos = pos;
-    }
-
-    /// A length-prefixed byte string of at most `max_len` bytes.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a longer declared length, or like [`Reader::take`].
-    #[inline]
-    pub fn bytes(&mut self, max_len: u64, what: &str) -> Result<&'a [u8], BlockFormatError> {
-        let len = self.u64()?;
-        if len > max_len {
-            return Err(corrupt(format!("{what} of {len} bytes exceeds the limit {max_len}")));
-        }
-        self.take(len, what)
     }
 }
 
@@ -231,15 +261,41 @@ mod tests {
     }
 
     #[test]
-    fn byte_strings_enforce_limit_and_bounds() {
-        let mut buf = Vec::new();
-        write_bytes(&mut buf, b"hello world");
-        assert_eq!(Reader::new(&buf, 0).bytes(1024, "greeting").unwrap(), b"hello world");
-        assert!(Reader::new(&buf, 0).bytes(4, "greeting").is_err());
-        assert!(Reader::new(&buf[..5], 0).bytes(1024, "greeting").is_err());
+    fn heads_take_one_byte_below_fifteen_and_escape_above() {
+        let head = |low: u64, high: u64| {
+            let mut buf = Vec::new();
+            write_head(&mut buf, low, high);
+            buf
+        };
+        assert_eq!(head(0, 0), [0x00]);
+        assert_eq!(head(14, 3), [0x3e]);
+        assert_eq!(head(15, 14), [0xef, 0]);
+        assert_eq!(head(2, 15 + 300), [0xf2, 0xac, 0x02]);
+        assert_eq!(head(16, 17), [0xff, 1, 2]);
+        for (low, high) in [(0, 0), (14, 14), (15, 15), (u64::MAX, 7), (3, u64::MAX)] {
+            let buf = head(low, high);
+            let mut reader = Reader::new(&buf, 0);
+            assert_eq!(reader.head().unwrap(), (low, high));
+            assert_eq!(reader.remaining(), 0);
+        }
+        let mut pos = 0;
+        assert_eq!(read_head_lenient(&head(40, 2), &mut pos), (40, 2));
+        assert_eq!(pos, 2);
+        // The bytes a head says follow are taken whole or not at all.
+        let mut buf = head(0, 11);
+        buf.extend_from_slice(b"hello world");
         let mut reader = Reader::new(&buf, 0);
+        let (_, len) = reader.head().unwrap();
+        assert!(Reader::new(&buf[..5], 1).take(len, "greeting").is_err());
         assert!(reader.take(u64::MAX, "everything").is_err());
-        assert_eq!((reader.pos(), reader.remaining()), (0, buf.len()));
+        assert_eq!((reader.pos(), reader.remaining()), (1, len as usize));
+        assert_eq!(reader.take(len, "greeting").unwrap(), b"hello world");
+        // An escape with its varint missing or cut, a second escape without
+        // its own, and a field past `u64`.
+        let past = [&[0x0f][..], &encoded(u64::MAX - 14)].concat();
+        for hostile in [&[][..], &[0x0f], &[0xf0], &[0xf0, 0x80], &[0xff, 0], &past] {
+            assert!(Reader::new(hostile, 0).head().is_err(), "{hostile:?}");
+        }
     }
 
     proptest! {

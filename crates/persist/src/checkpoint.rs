@@ -78,22 +78,26 @@ impl BuildCheckpoint {
     /// # Errors
     ///
     /// Fails when the file exists but is unreadable, corrupt, or of an
-    /// unsupported version.
+    /// unsupported version: a [`PersistError::Checkpoint`], which names the
+    /// file and the way out.
     pub fn load(store_root: &Path) -> Result<Option<Self>, PersistError> {
         let path = store_root.join(CHECKPOINT_FILE);
         if !path.exists() {
             return Ok(None);
         }
-        let json = fs::read_to_string(&path)?;
-        let checkpoint: BuildCheckpoint = serde_json::from_str(&json)
-            .map_err(|e| PersistError::Corrupt(format!("checkpoint: {e}")))?;
-        if checkpoint.version != CHECKPOINT_VERSION {
-            return Err(PersistError::UnsupportedVersion {
-                found: checkpoint.version,
-                expected: CHECKPOINT_VERSION,
-            });
-        }
-        Ok(Some(checkpoint))
+        let read = || {
+            let json = fs::read_to_string(&path)?;
+            let checkpoint: BuildCheckpoint =
+                serde_json::from_str(&json).map_err(|e| PersistError::Corrupt(e.to_string()))?;
+            if checkpoint.version != CHECKPOINT_VERSION {
+                return Err(PersistError::UnsupportedVersion {
+                    found: checkpoint.version,
+                    expected: CHECKPOINT_VERSION,
+                });
+            }
+            Ok(checkpoint)
+        };
+        read().map(Some).map_err(|source| PersistError::Checkpoint(Box::new(source)))
     }
 
     /// Atomically writes the checkpoint into a store directory.
@@ -287,21 +291,46 @@ mod tests {
         BuildCheckpoint::remove(&dir.0).unwrap();
     }
 
+    /// Why a checkpoint was refused: the error inside the one that names
+    /// the file.
+    fn refused(dir: &Path) -> PersistError {
+        match BuildCheckpoint::load(dir) {
+            Err(PersistError::Checkpoint(source)) => *source,
+            other => panic!("not refused as a checkpoint: {other:?}"),
+        }
+    }
+
     #[test]
     fn corrupt_and_versioned_checkpoints_are_rejected() {
         let dir = TempDir::new("corrupt");
         fs::write(dir.0.join(CHECKPOINT_FILE), "{ nope").unwrap();
-        assert!(matches!(BuildCheckpoint::load(&dir.0), Err(PersistError::Corrupt(_))));
+        assert!(matches!(refused(&dir.0), PersistError::Corrupt(_)));
 
         // 1 was the version before it followed the segment version.
         for version in [1, SEGMENT_VERSION - 1, 99] {
             let bad = BuildCheckpoint { version, ..BuildCheckpoint::new(1) };
             fs::write(dir.0.join(CHECKPOINT_FILE), serde_json::to_string(&bad).unwrap()).unwrap();
             assert!(matches!(
-                BuildCheckpoint::load(&dir.0),
-                Err(PersistError::UnsupportedVersion { found, .. }) if found == version
+                refused(&dir.0),
+                PersistError::UnsupportedVersion { found, .. } if found == version
             ));
         }
+    }
+
+    #[test]
+    fn a_refused_checkpoint_names_its_file_and_the_way_out() {
+        let dir = TempDir::new("refused");
+        let old = BuildCheckpoint { version: 10, ..BuildCheckpoint::new(1) };
+        fs::write(dir.0.join(CHECKPOINT_FILE), serde_json::to_string(&old).unwrap()).unwrap();
+        let message = BuildCheckpoint::load(&dir.0).unwrap_err().to_string();
+        assert!(
+            message.starts_with("checkpoint.json: unsupported format version 10 (expected 11)"),
+            "{message}"
+        );
+        assert!(message.contains("a fresh `dsearch build` (without --resume)"), "{message}");
+        fs::write(dir.0.join(CHECKPOINT_FILE), "{ nope").unwrap();
+        let message = BuildCheckpoint::load(&dir.0).unwrap_err().to_string();
+        assert!(message.starts_with("checkpoint.json: corrupt persisted data: "), "{message}");
     }
 
     #[test]

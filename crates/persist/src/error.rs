@@ -19,6 +19,9 @@ pub enum PersistError {
     /// A failure reported by the virtual file system during incremental
     /// re-indexing.
     Vfs(dsearch_vfs::VfsError),
+    /// The store's build checkpoint could not be read (a resume is refused
+    /// before it writes anything).
+    Checkpoint(Box<PersistError>),
     /// One segment of a store could not be read.
     Segment {
         /// The segment's file name in the store directory.
@@ -37,6 +40,11 @@ impl fmt::Display for PersistError {
                 write!(f, "unsupported format version {found} (expected {expected})")
             }
             PersistError::Vfs(e) => write!(f, "file system error: {e}"),
+            PersistError::Checkpoint(source) => write!(
+                f,
+                "{}: {source}; a fresh `dsearch build` (without --resume) replaces it",
+                crate::checkpoint::CHECKPOINT_FILE
+            ),
             PersistError::Segment { file_name, source } => write!(f, "{file_name}: {source}"),
         }
     }
@@ -47,7 +55,7 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Io(e) => Some(e),
             PersistError::Vfs(e) => Some(e),
-            PersistError::Segment { source, .. } => Some(source),
+            PersistError::Checkpoint(source) | PersistError::Segment { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -102,6 +110,14 @@ mod tests {
             "segment-000002.dsg: corrupt persisted data: segment checksum mismatch"
         );
         assert!(segment.source().is_some());
+
+        let checkpoint = PersistError::Checkpoint(Box::new(version));
+        assert_eq!(
+            checkpoint.to_string(),
+            "checkpoint.json: unsupported format version 9 (expected 1); \
+             a fresh `dsearch build` (without --resume) replaces it"
+        );
+        assert!(checkpoint.source().is_some());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The binary segment format.
 //!
 //! One segment stores one complete index (terms, block-compressed posting
-//! lists) together with its document table.  The version-9 layout is:
+//! lists) together with its document table.  The version-11 layout is:
 //!
 //! ```text
 //! magic   "DSG1"                            4 bytes
@@ -9,18 +9,27 @@
 //! payload:
 //!   version                                 varint
 //!   doc count                               varint
-//!   per doc (path ascending):               the path, front-coded — bytes
-//!                                           shared with the path before
-//!                                           (varint), then the rest as
-//!                                           length-prefixed bytes —, then
-//!                                           its file id (varint)
+//!   per doc (path ascending):               the path, front- and
+//!                                           back-coded: the bytes it shares
+//!                                           with the path before at the
+//!                                           front (varint), a head
+//!                                           (`varint::write_head`) of the
+//!                                           bytes it shares with what is
+//!                                           left of that path at the back
+//!                                           and of the length of its middle,
+//!                                           one byte when both are below 15,
+//!                                           then the middle; then its file
+//!                                           id (varint)
 //!   doc-length count                        varint
 //!   per length (id ascending):              when the count is the doc
-//!                                           count, the length (the ids are
-//!                                           0, 1, …); otherwise the file id
-//!                                           less the one before (the first:
-//!                                           its id), then the length, as
-//!                                           varints
+//!                                           count, the length less the one
+//!                                           before (the first: less 0),
+//!                                           zigzag-coded (the ids are 0, 1,
+//!                                           …, numbered smallest file first,
+//!                                           so the lengths nearly ascend);
+//!                                           otherwise the file id less the
+//!                                           one before (the first: its id),
+//!                                           then the length, as varints
 //!   term count                              varint
 //!   per term (sorted ascending):            one entry, see
 //!                                           `dsearch_index::encode_term`
@@ -35,8 +44,9 @@
 //! listed twice and an entry whose `(path, id)` is not above the one before
 //! (a path listed twice comes with ascending ids).  The term entries are
 //! **exactly** what a [`SealedShard`] reads in place: front-coded terms (every
-//! 16th whole), the id and term-frequency blocks of one patched
-//! frame-of-reference codec whose exceptions are bit-packed, back to back
+//! 16th whole, each behind a one-byte head where it can), the id and
+//! term-frequency blocks of one patched frame-of-reference codec whose
+//! exceptions are bit-packed, their positions as gaps, back to back
 //! with no lengths or offsets (each block's header says how long it is),
 //! every block's first id after a list's first stored as a gap from the
 //! block before, and one bound byte per list — the quantized largest
@@ -64,7 +74,7 @@
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 
-use dsearch_index::varint::{write_bytes, write_varint, Reader};
+use dsearch_index::varint::{write_head, write_varint, Reader};
 use dsearch_index::{
     DocTable, FileId, InMemoryIndex, PathOrderedDocs, PostingList, SealedShard, SealedTerms,
     SectionBytes,
@@ -78,18 +88,18 @@ use crate::error::PersistError;
 pub const SEGMENT_MAGIC: [u8; 4] = *b"DSG1";
 
 /// Current segment format version (patched frame-of-reference id and
-/// frequency blocks with bit-packed exceptions, back to back with no offsets,
-/// block first ids as gaps from the block before, skip entries of last ids
-/// only, a front-coded dictionary, a front-coded document table in path order
-/// with each path's id, document lengths under id gaps only where they are
-/// not every document's, one bound byte per list).  Version 10 has version
-/// 9's bytes; its terms were read with accented letters folded to ASCII
-/// (`dsearch_text::decode::fold`), which a version 9 store's were not,
-/// so such a store would answer accented words wrongly and is refused.
-pub const SEGMENT_VERSION: u32 = 10;
+/// frequency blocks with bit-packed exceptions at gap-coded positions, back
+/// to back with no offsets, block first ids as gaps from the block before,
+/// skip entries of last ids only, a front-coded dictionary under one-byte
+/// heads, a document table in path order coded at both ends with each path's
+/// id, every document's lengths as zigzag deltas and some documents' under
+/// id gaps, one bound byte per list).  Version 10 had flat seven-bit
+/// exception positions, two varints a term and a path, and every length
+/// whole; its answers were this version's.
+pub const SEGMENT_VERSION: u32 = 11;
 
 /// Oldest version the readers still understand.
-pub const MIN_SEGMENT_VERSION: u32 = 10;
+pub const MIN_SEGMENT_VERSION: u32 = 11;
 
 /// The longest segment file a shard can lay over: its offsets are `u32`.
 const MAX_SEGMENT_BYTES: u64 = u32::MAX as u64;
@@ -179,24 +189,29 @@ pub(crate) fn write_segment_tallied<W: Write + Seek>(
     let mut previous: &[u8] = &[];
     for id in docs.ids_by_path() {
         let path = docs.path(id).expect("an id of the table").as_bytes();
-        let shared = previous.iter().zip(path).take_while(|(a, b)| a == b).count();
-        write_varint(&mut front, shared as u64);
-        write_bytes(&mut front, &path[shared..]);
+        let (at_front, at_back) = shared_ends(previous, path);
+        write_varint(&mut front, at_front as u64);
+        let middle = &path[at_front..path.len() - at_back];
+        write_head(&mut front, at_back as u64, middle.len() as u64);
+        front.extend_from_slice(middle);
         write_varint(&mut front, u64::from(id.as_u32()));
         previous = path;
     }
     let doc_lens = sealed.doc_lens();
     write_varint(&mut front, doc_lens.len() as u64);
-    // A length for every document: the ids are 0, 1, … and go unstored.
+    // A length for every document: the ids are 0, 1, … and go unstored, and
+    // each length is a step from the one before.
     let dense = doc_lens.len() == docs.len();
     debug_assert!(!dense || doc_lens.iter().enumerate().all(|(i, &(id, _))| id.as_usize() == i));
-    let mut previous = 0;
+    let (mut previous_id, mut previous_len) = (0, 0);
     for &(id, len) in doc_lens {
-        if !dense {
-            write_varint(&mut front, u64::from(id.as_u32() - previous));
+        if dense {
+            write_varint(&mut front, zigzag(i64::from(len) - i64::from(previous_len)));
+        } else {
+            write_varint(&mut front, u64::from(id.as_u32() - previous_id));
+            write_varint(&mut front, u64::from(len));
         }
-        write_varint(&mut front, u64::from(len));
-        previous = id.as_u32();
+        (previous_id, previous_len) = (id.as_u32(), len);
     }
     let term_count = sealed.term_count() as u64;
     write_varint(&mut front, term_count);
@@ -272,28 +287,86 @@ fn verify_and_read_docs(bytes: &[u8], docs_at: usize) -> Result<DocTable, Persis
     let doc_count = reader.count(DOC_ENTRY_BYTES, "document")?;
     let mut docs = PathOrderedDocs::new(doc_count);
     let bad_table = |why: &str| PersistError::Corrupt(why.to_owned());
-    // Front-coded: each path is the start of the one before and a suffix.
+    // Each path is the start of the one before, a middle, and the end of
+    // what is left of the one before.
     let mut path: Vec<u8> = Vec::new();
     for _ in 0..doc_count {
-        let shared = reader.u64()?;
-        if shared > path.len() as u64 {
+        let DocEntry { front, back, middle, id } = DocEntry::read(&mut reader)?;
+        let len = path.len() as u64;
+        if front > len {
             return Err(PersistError::Corrupt(format!(
-                "document path shares {shared} bytes with one of {}",
-                path.len()
+                "document path shares {front} bytes with one of {len}"
             )));
         }
-        path.truncate(shared as usize);
-        path.extend_from_slice(reader.bytes(MAX_STRING_LEN - shared, "document path")?);
+        if back > len - front {
+            return Err(PersistError::Corrupt(format!(
+                "document path shares {front} bytes at the front and {back} at the back with one of {len}"
+            )));
+        }
+        let (front, back) = (front as usize, back as usize);
+        if (front + back) as u64 + middle.len() as u64 > MAX_STRING_LEN {
+            return Err(PersistError::Corrupt(format!(
+                "document path of {} bytes exceeds the limit {MAX_STRING_LEN}",
+                front + middle.len() + back
+            )));
+        }
+        path.splice(front..path.len() - back, middle.iter().copied());
         let text = std::str::from_utf8(&path)
             .map_err(|_| PersistError::Corrupt("document path is not valid UTF-8".into()))?;
-        docs.place(reader.u64()?, text).map_err(bad_table)?;
+        docs.place(id, text).map_err(bad_table)?;
     }
     docs.finish().map_err(bad_table)
 }
 
-/// The fewest bytes a document entry takes: a shared-byte count, a path
-/// length and an id, one byte each.
+/// One entry of the document table, as stored.
+struct DocEntry<'a> {
+    /// Bytes the path shares with the path before, at the front.
+    front: u64,
+    /// Bytes it shares with the rest of the path before, at the back.
+    back: u64,
+    /// The bytes between.
+    middle: &'a [u8],
+    /// Its file id.
+    id: u64,
+}
+
+impl<'a> DocEntry<'a> {
+    /// The entry at the reader's position, which moves past it.
+    fn read(reader: &mut Reader<'a>) -> Result<Self, PersistError> {
+        let front = reader.u64()?;
+        let (back, len) = reader.head()?;
+        let middle = reader.take(len, "document path")?;
+        Ok(DocEntry { front, back, middle, id: reader.u64()? })
+    }
+}
+
+/// The fewest bytes a document entry takes: a front count, a head and an
+/// id, one byte each.
 const DOC_ENTRY_BYTES: usize = 3;
+
+/// How `path` codes after `previous`: the bytes they share at the front,
+/// then the bytes what is left of each shares at the back.
+fn shared_ends(previous: &[u8], path: &[u8]) -> (usize, usize) {
+    let front = previous.iter().zip(path).take_while(|(a, b)| a == b).count();
+    let back = previous[front..]
+        .iter()
+        .rev()
+        .zip(path[front..].iter().rev())
+        .take_while(|(a, b)| a == b)
+        .count();
+    (front, back)
+}
+
+/// A step between two lengths as a varint takes it: small steps either way
+/// small.
+fn zigzag(step: i64) -> u64 {
+    ((step << 1) ^ (step >> 63)) as u64
+}
+
+/// The step [`zigzag`] coded.
+fn unzigzag(coded: u64) -> i64 {
+    (coded >> 1) as i64 ^ -((coded & 1) as i64)
+}
 
 /// Steps over the document table at `docs_at` — its paths are
 /// [`verify_and_read_docs`]'s, which fails wherever this does — and reads
@@ -302,21 +375,32 @@ fn read_front_matter(bytes: &[u8], docs_at: usize) -> Result<FrontMatter, Persis
     let mut reader = Reader::new(bytes, docs_at);
     let doc_count = reader.count(DOC_ENTRY_BYTES, "document")?;
     for _ in 0..doc_count {
-        reader.u64()?;
-        reader.bytes(u64::MAX, "document path")?;
-        reader.u64()?;
+        DocEntry::read(&mut reader)?;
     }
     let len_count = reader.count(1, "document length")?;
     if len_count > doc_count {
         return Err(PersistError::Corrupt("more document lengths than documents".into()));
     }
-    // A length for every document is every document's, in id order.
+    // A length for every document is every document's, in id order, each a
+    // step from the one before.
     let dense = len_count == doc_count;
     let mut doc_lens = Vec::with_capacity(len_count);
-    let mut previous = 0u64;
+    let (mut previous, mut len) = (0u64, 0u32);
     for i in 0..len_count {
-        let gap = if dense { u32::from(i > 0) } else { reader.u32()? };
-        let len = reader.u32()?;
+        let gap = if dense {
+            let step = unzigzag(reader.u64()?);
+            len = i64::from(len)
+                .checked_add(step)
+                .and_then(|len| u32::try_from(len).ok())
+                .ok_or_else(|| {
+                    PersistError::Corrupt(format!("document length {len} steps {step} out of u32"))
+                })?;
+            u32::from(i > 0)
+        } else {
+            let gap = reader.u32()?;
+            len = reader.u32()?;
+            gap
+        };
         // Ids index the doc table (which also bounds the norm table the
         // shard sizes from them) and ascend strictly.
         let id = previous + u64::from(gap);
@@ -546,9 +630,9 @@ mod tests {
         .unwrap();
         assert_eq!((tallied, sections.total()), (info, info.bytes));
         assert_eq!(sections.scores, 4, "one bound byte per term");
-        // Per term a shared-byte count (nothing in common here), a length
-        // and a posting count, beside the text.
-        assert_eq!(sections.dictionary, 4 * 3 + "alphabetagammadelta".len() as u64);
+        // Per term a head (nothing in common here, a short rest) and a
+        // posting count, beside the text.
+        assert_eq!(sections.dictionary, 4 * 2 + "alphabetagammadelta".len() as u64);
         assert_eq!((sections.skips, sections.tfs), (0, 0), "single blocks, every tf 1");
 
         let (restored, restored_docs) = read_segment(&buf[..]).unwrap();
@@ -562,7 +646,7 @@ mod tests {
 
     #[test]
     fn other_versions_are_a_clean_unsupported_version() {
-        for version in [1, 2, 3, 4, 5, 6, 7, 8, 9, SEGMENT_VERSION + 1] {
+        for version in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, SEGMENT_VERSION + 1] {
             // Under this version's checksum, and under one it would refuse
             // (a real file of versions 1–3 carries another function's): the
             // version decides first.
@@ -657,9 +741,10 @@ mod tests {
         let header = HEADER_LEN as usize;
         let at = |needle: &[u8]| good.windows(needle.len()).rposition(|w| w == needle).unwrap();
         // The first path shares bytes with a path before it, which it lacks;
-        // there are more lengths than documents; a term is not UTF-8.
+        // there are more lengths than documents (three, stepping 2, 0 and
+        // +1, zigzag-coded); a term is not UTF-8.
         let doc_table = (header + 2, 5);
-        let doc_lens = (at(&[3, 2, 2, 3, 4]), 4);
+        let doc_lens = (at(&[3, 4, 0, 2, 4]), 4);
         let term = (at(b"alpha"), 0xff);
         let damage = |flips: &[(usize, u8)]| {
             let mut bytes = good.clone();
@@ -776,14 +861,17 @@ mod tests {
             // The doc count; the document-length count, behind an honest
             // one-document table; the term count, behind empty tables.
             assert_both_readers_reject(&varints(&[version, huge]));
-            assert_both_readers_reject(&varints(&[version, 1, 0, 1, b'a'.into(), 0, huge]));
+            assert_both_readers_reject(&varints(&[version, 1, 0, 0x10, b'a'.into(), 0, huge]));
             assert_both_readers_reject(&varints(&[version, 0, 0, huge]));
-            // The bytes a path claims to share with the one before it.
-            assert_both_readers_reject(&varints(&[version, 1, huge, 0]));
+            // The bytes a path claims to share with the one before it, at
+            // the front and at the back, and the length of its middle.
+            assert_both_readers_reject(&varints(&[version, 1, huge, 0, 0, 0, 0]));
+            assert_both_readers_reject(&varints(&[version, 1, 0, 0x0f, huge, 0, 0, 0]));
+            assert_both_readers_reject(&varints(&[version, 1, 0, 0xf0, huge, 0, 0, 0]));
         }
         // A count that fits the payload but not its entries: two documents
         // declared, room for two three-byte entries, the entries truncated.
-        let buf = forge(&varints(&[version, 2, 0, 5, b'a'.into(), b'b'.into(), 0, 0]));
+        let buf = forge(&varints(&[version, 2, 0, 0x50, b'a'.into(), b'b'.into(), 0, 0]));
         assert!(read_segment(&buf[..]).is_err());
         assert!(read_segment_sealed(&buf[..]).is_err());
     }
@@ -791,28 +879,58 @@ mod tests {
     #[test]
     fn front_coded_paths_are_rebuilt_under_the_hostile_input_rules() {
         let version = u64::from(SEGMENT_VERSION);
-        // `ab` (id 1), then `a` + `c` (id 0): an honest table, no lengths, no
-        // terms.
-        let honest = [version, 2, 0, 2, b'a'.into(), b'b'.into(), 1, 1, 1, b'c'.into(), 0, 0, 0];
-        let (_, docs) = read_segment_sealed(&forge(&varints(&honest))[..]).unwrap();
-        assert_eq!(docs.iter().map(|(_, path)| path).collect::<Vec<_>>(), ["ac", "ab"]);
-        assert_eq!(docs.path_ranks(), [1, 0]);
-        // More shared bytes than the path before has (the first has none).
-        assert_both_readers_reject(&varints(&[version, 1, 1, 0, 0, 0, 0]));
-        assert_both_readers_reject(&varints(&[version, 2, 0, 1, b'a'.into(), 0, 2, 0, 1, 0, 0]));
-        // Each half valid on its own terms, the rebuilt path not UTF-8: the
-        // first byte of `é`, then `a`.
-        let split = [
-            varints(&[version, 2, 0, 2]),
-            "é".as_bytes().to_vec(),
-            varints(&[1, 1, 1, b'a'.into(), 0, 0, 0]),
-        ];
-        assert_both_readers_reject(&split.concat());
-        // A rebuilt path over the limit, from two parts under it.
-        let mut long = varints(&[version, 2, 0, MAX_STRING_LEN]);
-        long.extend(std::iter::repeat_n(b'a', MAX_STRING_LEN as usize));
-        long.extend(varints(&[0, MAX_STRING_LEN, 1, b'a'.into(), 1, 0, 0]));
-        assert_both_readers_reject(&long);
+        // An entry: the bytes shared at the front, a head of the bytes
+        // shared at the back and the middle's length, the middle, the id.
+        let entry = |front: u64, back: u64, middle: &[u8], id: u64| {
+            let mut bytes = varints(&[front]);
+            write_head(&mut bytes, back, middle.len() as u64);
+            bytes.extend_from_slice(middle);
+            bytes.extend(varints(&[id]));
+            bytes
+        };
+        // A table of `entries`, no lengths, no terms.
+        let table = |entries: &[Vec<u8>]| {
+            [varints(&[version, entries.len() as u64]), entries.concat(), varints(&[0, 0])].concat()
+        };
+        let paths = |entries: &[Vec<u8>]| {
+            let (_, docs) = read_segment_sealed(&forge(&table(entries))[..]).unwrap();
+            (
+                docs.iter().map(|(_, path)| path.to_owned()).collect::<Vec<_>>(),
+                docs.path_ranks().to_vec(),
+            )
+        };
+        // `ab` (id 1), then `a` + `c` (id 0); `x.txt` (id 1), then `y` +
+        // `.txt` (id 0), and all of `y.txt` again (id 2).
+        let honest = [entry(0, 0, b"ab", 1), entry(1, 0, b"c", 0)];
+        assert_eq!(paths(&honest), (vec!["ac".to_owned(), "ab".to_owned()], vec![1, 0]));
+        let honest = [entry(0, 0, b"x.txt", 1), entry(0, 4, b"y", 0), entry(5, 0, b"", 2)];
+        assert_eq!(paths(&honest).0, ["y.txt", "x.txt", "y.txt"]);
+        // More shared bytes than the path before has (the first has none):
+        // at the front, at the back, and at both ends together, overlapping.
+        for hostile in [
+            vec![entry(1, 0, b"", 0)],
+            vec![entry(0, 1, b"", 0)],
+            vec![entry(0, 0, b"a", 0), entry(2, 0, b"", 1)],
+            vec![entry(0, 0, b"a", 0), entry(0, 2, b"b", 1)],
+            vec![entry(0, 0, b"ab", 0), entry(1, 2, b"", 1)],
+            vec![entry(0, 0, b"ab", 0), entry(2, 1, b"c", 1)],
+        ] {
+            assert_both_readers_reject(&table(&hostile));
+        }
+        // A head whose escape has no varint behind it, or a cut one.
+        assert_both_readers_reject(&varints(&[version, 1, 0, 0x0f]));
+        assert_both_readers_reject(&[varints(&[version, 1, 0, 0xf0]), vec![0x80]].concat());
+        // Each part valid on its own terms, the rebuilt path not UTF-8: the
+        // first byte of `é`, then `a`; the `a`, then the last byte of `é`.
+        let e = "é".as_bytes();
+        assert_both_readers_reject(&table(&[entry(0, 0, e, 1), entry(1, 0, b"a", 0)]));
+        assert_both_readers_reject(&table(&[entry(0, 0, e, 1), entry(0, 1, b"a", 0)]));
+        // A rebuilt path over the limit, from parts under it: the path
+        // before and one byte more, at the front and at the back.
+        let limit = vec![b'a'; MAX_STRING_LEN as usize];
+        for second in [entry(MAX_STRING_LEN, 0, b"a", 1), entry(0, MAX_STRING_LEN, b"a", 1)] {
+            assert_both_readers_reject(&table(&[entry(0, 0, &limit, 0), second]));
+        }
     }
 
     #[test]
@@ -823,7 +941,7 @@ mod tests {
         let table = |paths: [u8; 3], ids: [u64; 3]| {
             let mut all = vec![version, 3];
             for (path, id) in paths.into_iter().zip(ids) {
-                all.extend([0, 1, path.into(), id]);
+                all.extend([0, 0x10, path.into(), id]);
             }
             varints(&[all, vec![0, 0]].concat())
         };
@@ -867,7 +985,8 @@ mod tests {
         // no terms.
         let front = |count: u64, values: &[u64]| {
             let mut all = vec![version, 3];
-            all.extend([0, 1, b'a'.into(), 0, 0, 1, b'b'.into(), 1, 0, 1, b'c'.into(), 2, count]);
+            all.extend([0, 0x10, b'a'.into(), 0, 0, 0x10, b'b'.into(), 1]);
+            all.extend([0, 0x10, b'c'.into(), 2, count]);
             all.extend_from_slice(values);
             all.push(0);
             varints(&all)
@@ -879,9 +998,18 @@ mod tests {
         // Some documents' lengths: (gap, length) pairs.
         assert_eq!(lens(&front(2, &[0, 5, 2, 7])), [(FileId(0), 5), (FileId(2), 7)]);
         assert_eq!(lens(&front(2, &[1, 5, 1, 7])), [(FileId(1), 5), (FileId(2), 7)]);
-        // Every document's: the lengths alone, in id order.
+        // Every document's: the lengths alone, in id order, as zigzag steps
+        // from the one before (+5, −5, +7).
         let every = [(FileId(0), 5), (FileId(1), 0), (FileId(2), 7)];
-        assert_eq!(lens(&front(3, &[5, 0, 7])), every);
+        assert_eq!(lens(&front(3, &[10, 9, 14])), every);
+        let top = u64::from(u32::MAX);
+        assert_eq!(lens(&front(3, &[2 * top, 2 * top - 1, 0]))[2], (FileId(2), 0));
+        // A step below 0 or past `u32`, and one past `i64` either way.
+        assert_both_readers_reject(&front(3, &[10, 11, 0]));
+        assert_both_readers_reject(&front(3, &[2 * top, 2, 0]));
+        assert_both_readers_reject(&front(3, &[2 * top + 2, 0, 0]));
+        assert_both_readers_reject(&front(3, &[u64::MAX, 0, 0]));
+        assert_both_readers_reject(&front(3, &[u64::MAX - 1, 0, 0]));
         // A repeated id, and an id past the doc table.
         assert_both_readers_reject(&front(2, &[1, 5, 0, 7]));
         assert_both_readers_reject(&front(2, &[1, 5, 2, 7]));
@@ -1015,11 +1143,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-        /// Hostile v8 term sections behind a matching checksum — one byte
-        /// changed, the section cut short or extended — load as a shard or as
-        /// `Corrupt`, never a panic; and a shard that loads answers every
-        /// exact lookup, every one- and two-letter prefix range and a full
-        /// cursor walk of every list without one.
+        /// Hostile v11 term sections behind a matching checksum — one byte
+        /// changed, a term's head escaped or rewritten, the section cut
+        /// short or extended — load as a shard or as `Corrupt`, never a
+        /// panic; and a shard that loads answers every exact lookup, every
+        /// one- and two-letter prefix range and a full cursor walk of every
+        /// list without one.
         #[test]
         fn hostile_term_sections_load_or_fail_cleanly(
             files in proptest::collection::vec(
@@ -1028,7 +1157,7 @@ mod tests {
             ),
             at in any::<usize>(),
             value in any::<u8>(),
-            how in 0u8..3,
+            how in 0u8..4,
             extra in proptest::collection::vec(any::<u8>(), 1..8),
         ) {
             let mut docs = DocTable::new();
@@ -1046,13 +1175,39 @@ mod tests {
             let mut buf = Vec::new();
             write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
             let terms_at = read_front_matter(&buf, check_header(&buf).unwrap()).unwrap().terms_at;
-            let mut payload = buf[HEADER_LEN as usize..].to_vec();
-            let section = terms_at - HEADER_LEN as usize..payload.len();
+            let header = HEADER_LEN as usize;
+            // Where each term's head stands in the payload: behind the term
+            // count, each entry as long as it encodes.
+            let mut reader = Reader::new(&buf, terms_at);
+            reader.u64().unwrap();
+            let (mut entry_at, mut heads) = (reader.pos() - header, Vec::new());
+            let (mut previous, mut entry) = (String::new(), Vec::new());
+            for (slot, (term, list)) in read_segment_sealed(&buf[..]).unwrap().0.iter().enumerate() {
+                heads.push(entry_at);
+                entry_at += dsearch_index::encode_term(&mut entry, slot, &previous, &term, list)
+                    .total() as usize;
+                previous = term;
+            }
+            let mut payload = buf[header..].to_vec();
+            // Terms of one to three letters: fewer than three shared, one to
+            // three stored.
+            let short = |head: u8| head & 0x0f < 3 && (1..=3).contains(&(head >> 4));
+            prop_assert!(heads.iter().all(|&head| short(payload[head])));
+            let section = terms_at - header..payload.len();
             let at = section.start + at % section.len();
             match how {
                 0 => payload[at] = value,
                 1 => payload.truncate(at),
-                _ => payload.extend_from_slice(&extra),
+                2 => payload.extend_from_slice(&extra),
+                // An escape nibble before what follows, or any head.
+                _ => {
+                    let head = heads[at % heads.len()];
+                    payload[head] = match value % 3 {
+                        0 => payload[head] | 0x0f,
+                        1 => payload[head] | 0xf0,
+                        _ => value,
+                    };
+                }
             }
             let shard = match read_segment_sealed(&forge(&payload)[..]) {
                 Ok((shard, _)) => shard,
@@ -1131,7 +1286,7 @@ mod tests {
             prop_assert_eq!(loaded.path_ranks(), sorted.path_ranks());
         }
 
-        /// Hostile v9 doc tables behind a matching checksum — one byte
+        /// Hostile v11 doc tables behind a matching checksum — one byte
         /// changed, the table cut short or bytes inserted into it — load or
         /// fail as `Corrupt`, never a panic; and a table that loads gives
         /// every id a path, in ranks a sort of its paths gives.
@@ -1154,9 +1309,7 @@ mod tests {
             let docs_at = check_header(&buf).unwrap();
             let mut reader = Reader::new(&buf, docs_at);
             for _ in 0..reader.count(DOC_ENTRY_BYTES, "document").unwrap() {
-                reader.u64().unwrap();
-                reader.bytes(u64::MAX, "document path").unwrap();
-                reader.u64().unwrap();
+                DocEntry::read(&mut reader).unwrap();
             }
             let section = docs_at - header..reader.pos() - header;
             let mut payload = buf[header..].to_vec();

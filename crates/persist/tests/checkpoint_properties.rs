@@ -159,7 +159,10 @@ fn hostile_shapes_are_errors() {
             content
         );
         assert!(
-            matches!(BuildCheckpoint::load(&dir.0), Err(PersistError::Corrupt(_))),
+            matches!(
+                BuildCheckpoint::load(&dir.0),
+                Err(PersistError::Checkpoint(source)) if matches!(*source, PersistError::Corrupt(_))
+            ),
             "checkpoint accepted {:.40}",
             content
         );

@@ -115,6 +115,25 @@ fn content_is_indexed_and_markup_binary_and_scripts_are_not() {
 }
 
 #[test]
+fn latin1_named_entities_are_read_as_their_letters() {
+    let fs = MemFs::new();
+    fs.add_file(&VPath::new("menu.html"), b"<p>caf&eacute; na&iuml;ve</p>".to_vec()).unwrap();
+    fs.add_file(&VPath::new("other.txt"), b"plain words".to_vec()).unwrap();
+    let run = format_aware_generator()
+        .run(&fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(2, 0, 0))
+        .unwrap();
+    let (index, docs) = run.outcome.into_single_index();
+    let searcher = Searcher::new([&index], &docs);
+    let found = |query: &str| searcher.search(&Query::parse(query).unwrap()).paths().len();
+    for word in ["café", "cafe", "naïve", "naive", "CAFÉ"] {
+        assert_eq!(found(word), 1, "{word}");
+    }
+    for word in ["eacute", "caf", "iuml", "na"] {
+        assert_eq!(found(word), 0, "{word}");
+    }
+}
+
+#[test]
 fn queries_work_across_formats_and_replicas() {
     let fs = mixed_corpus();
     let run = format_aware_generator()

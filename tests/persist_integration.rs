@@ -13,7 +13,7 @@ use dsearch::core::{
     IndexOutcome,
 };
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
-use dsearch::index::varint::{write_bytes, write_varint};
+use dsearch::index::varint::write_varint;
 use dsearch::index::{DocTable, FileId, InMemoryIndex, SealedShard, BLOCK_SIZE};
 use dsearch::persist::checksum::xxh64;
 use dsearch::persist::segment::{
@@ -150,9 +150,9 @@ fn ranked_answers_do_not_depend_on_how_many_threads_indexed() {
 /// The writer as it was before it streamed: seal the whole index into a
 /// `SealedShard`, serialise the whole payload into one buffer, checksum it,
 /// then emit header and payload.  Kept as the reference the streaming
-/// `write_segment` must match byte for byte: the version-9 layout spelled out
-/// a second time, part by part, over the parts a `CompressedView` hands out
-/// — and, stamped with another version, as the writer of the files this
+/// `write_segment` must match byte for byte: the version-11 layout spelled
+/// out a second time, part by part, over the parts a `CompressedView` hands
+/// out — and, stamped with another version, as the writer of the files this
 /// build no longer reads.
 fn seal_then_serialise(
     index: &InMemoryIndex,
@@ -163,33 +163,52 @@ fn seal_then_serialise(
     let mut payload: Vec<u8> = Vec::new();
     write_varint(&mut payload, u64::from(version));
     write_varint(&mut payload, docs.len() as u64);
-    // In path order, front-coded paths — the bytes shared with the path
-    // before, then the rest —, each followed by its id.
+    // In path order, each path as the longest start it shares with the path
+    // before, then the longest end it shares with what is left of that one,
+    // then the middle — the two shared counts as a varint and a head, the
+    // head's nibbles the end's count and the middle's length (15: a varint
+    // of the rest follows) —, each followed by its id.
     let mut by_path: Vec<(&str, FileId)> = docs.iter().map(|(id, path)| (path, id)).collect();
     by_path.sort_unstable();
-    let mut previous = "";
+    let mut previous: &[u8] = b"";
     for (path, id) in by_path {
-        let shared = (0..=previous.len().min(path.len()))
+        let path = path.as_bytes();
+        let front = (0..=previous.len().min(path.len()))
             .rev()
-            .find(|&n| previous.as_bytes()[..n] == path.as_bytes()[..n])
+            .find(|&n| previous[..n] == path[..n])
             .unwrap();
-        write_varint(&mut payload, shared as u64);
-        write_bytes(&mut payload, &path.as_bytes()[shared..]);
+        let (rest_before, rest) = (&previous[front..], &path[front..]);
+        let back = (0..=rest_before.len().min(rest.len()))
+            .rev()
+            .find(|&n| rest_before[rest_before.len() - n..] == rest[rest.len() - n..])
+            .unwrap();
+        let middle = &rest[..rest.len() - back];
+        write_varint(&mut payload, front as u64);
+        head(&mut payload, back, middle.len());
+        payload.extend_from_slice(middle);
         write_varint(&mut payload, u64::from(id.as_u32()));
         previous = path;
     }
     let mut doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
     doc_lens.sort_unstable_by_key(|&(id, _)| id);
     write_varint(&mut payload, doc_lens.len() as u64);
-    // Every document's length: the lengths alone.  Some documents': ids as
-    // gaps from the id before (the first from 0) beside them.
+    // Every document's length: the lengths alone, each as its step from the
+    // one before (the first from 0), zigzag-coded (0, −1, 1, −2, … as 0, 1,
+    // 2, 3, …).  Some documents': ids as gaps from the id before (the first
+    // from 0) beside them, and the lengths whole.
     let every = doc_lens.len() == docs.len();
     let ids = doc_lens.iter().map(|&(id, _)| id.as_u32());
+    let mut length_before = 0i64;
     for (&(id, len), before) in doc_lens.iter().zip(std::iter::once(0).chain(ids)) {
-        if !every {
+        if every {
+            let step = i64::from(len) - length_before;
+            let zigzag = if step < 0 { 2 * step.unsigned_abs() - 1 } else { 2 * step as u64 };
+            write_varint(&mut payload, zigzag);
+            length_before = i64::from(len);
+        } else {
             write_varint(&mut payload, u64::from(id.as_u32() - before));
+            write_varint(&mut payload, u64::from(len));
         }
-        write_varint(&mut payload, u64::from(len));
     }
     let shard = SealedShard::from_index(index);
     write_varint(&mut payload, shard.term_count() as u64);
@@ -204,8 +223,8 @@ fn seal_then_serialise(
                 .find(|&n| previous.as_bytes()[..n] == term.as_bytes()[..n])
                 .unwrap(),
         };
-        write_varint(&mut payload, shared as u64);
-        write_bytes(&mut payload, &term.as_bytes()[shared..]);
+        head(&mut payload, shared, term.len() - shared);
+        payload.extend_from_slice(&term.as_bytes()[shared..]);
         // The posting count, its low bit set when tf blocks follow.
         let tracked = !compressed.freqs().is_empty();
         write_varint(&mut payload, (compressed.len() as u64) << 1 | u64::from(tracked));
@@ -239,6 +258,16 @@ fn seal_then_serialise(
     bytes
 }
 
+/// Two counts in one byte, `low` in its low nibble and `high` in its high
+/// one; a count of 15 or more writes 15 there, and 15 less than it as a
+/// varint behind the byte (`low`'s first).
+fn head(out: &mut Vec<u8>, low: usize, high: usize) {
+    out.push(low.min(15) as u8 | (high.min(15) as u8) << 4);
+    for count in [low, high].into_iter().filter(|&count| count >= 15) {
+        write_varint(out, (count - 15) as u64);
+    }
+}
+
 #[test]
 fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
     let (fs, _) = materialize_to_memfs(&CorpusSpec::tiny(), 13);
@@ -270,14 +299,16 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                     written == seal_then_serialise(index, &docs, SEGMENT_VERSION, xxh64),
                     "{implementation:?} x{extractors}: streamed segment differs from the reference"
                 );
-                // There is one readable version: the same payload stamped 9
-                // (the same bytes, read before accents folded), 8, 7, 6, 5
-                // or 4 (under this build's checksum) or 3 (under the FNV-1a
-                // of versions 1–3) is refused by its version, by both
-                // readers, before its checksum is looked at.
+                // There is one readable version: the same payload stamped 10
+                // (seven-bit exception positions, two varints a term and a
+                // path), 9 (read before accents folded), 8, 7, 6, 5 or 4
+                // (under this build's checksum) or 3 (under the FNV-1a of
+                // versions 1–3) is refused by its version, by both readers,
+                // before its checksum is looked at.
                 let fnv1a: fn(&[u8]) -> u64 = dsearch::text::fnv1a_64;
                 let xxh64: fn(&[u8]) -> u64 = xxh64;
                 let old_versions = [
+                    (10, xxh64),
                     (9, xxh64),
                     (8, xxh64),
                     (7, xxh64),
@@ -288,7 +319,7 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                 ];
                 for (version, checksum) in old_versions {
                     let old = seal_then_serialise(index, &docs, version, checksum);
-                    assert_eq!((old[12], written[12]), (version as u8, 10));
+                    assert_eq!((old[12], written[12]), (version as u8, 11));
                     for err in [read_segment(&old[..]).err(), read_segment_sealed(&old[..]).err()] {
                         assert!(
                             matches!(err, Some(PersistError::UnsupportedVersion { found, .. }) if found == version),
