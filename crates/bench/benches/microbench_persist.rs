@@ -31,7 +31,7 @@ fn built_index() -> (InMemoryIndex, DocTable) {
 fn bench_segment_roundtrip(c: &mut Criterion) {
     let (index, docs) = built_index();
     let mut encoded = Vec::new();
-    write_segment(&index, &docs, std::io::Cursor::new(&mut encoded)).unwrap();
+    write_segment(&index, docs.len(), std::io::Cursor::new(&mut encoded)).unwrap();
 
     let mut group = c.benchmark_group("persist_segment");
     group.sample_size(20);
@@ -39,7 +39,7 @@ fn bench_segment_roundtrip(c: &mut Criterion) {
     group.bench_function("write", |b| {
         b.iter(|| {
             let mut buf = Vec::with_capacity(encoded.len());
-            write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
+            write_segment(&index, docs.len(), std::io::Cursor::new(&mut buf)).unwrap();
             black_box(buf.len())
         });
     });
@@ -53,8 +53,8 @@ fn bench_segment_roundtrip(c: &mut Criterion) {
 }
 
 /// A two-replica Implementation 3 run, persisted apart (one segment a
-/// replica, as the store did before it merged) and merged; and the merged
-/// seal alone, on one thread and on all.
+/// replica over the run's doc file, as a checkpointed build seals them) and
+/// merged; and the merged seal alone, on one thread and on all.
 fn bench_run_of_two_replicas(c: &mut Criterion) {
     let (fs, _) = materialize_to_memfs(&CorpusSpec::paper_scaled(0.03), 31);
     let run = IndexGenerator::default()
@@ -64,8 +64,15 @@ fn bench_run_of_two_replicas(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("dsearch-bench-persist-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut store = IndexStore::open(&dir).expect("the store opens");
-    let apart = store.replace_with(&replicas[..1], docs).unwrap().bytes
-        + store.commit(&replicas[1], docs).unwrap().bytes;
+    let write_apart = |store: &mut IndexStore| {
+        store.start(docs).unwrap();
+        let names = replicas.chunks(1).map(|replica| store.append(replica, docs).unwrap());
+        names.collect::<Vec<_>>()
+    };
+    let apart: u64 = write_apart(&mut store)
+        .iter()
+        .map(|name| std::fs::metadata(dir.join(name)).unwrap().len())
+        .sum();
     let merged = store.replace_with(replicas, docs).unwrap();
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     println!(
@@ -75,12 +82,7 @@ fn bench_run_of_two_replicas(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("persist_run_of_two_replicas");
     group.sample_size(10);
-    group.bench_function("write_two_segments", |b| {
-        b.iter(|| {
-            store.replace_with(&replicas[..1], docs).unwrap();
-            black_box(store.commit(&replicas[1], docs).unwrap().bytes)
-        });
-    });
+    group.bench_function("write_two_segments", |b| b.iter(|| black_box(write_apart(&mut store))));
     group.bench_function("write_merged", |b| {
         b.iter(|| black_box(store.replace_with(replicas, docs).unwrap().bytes));
     });
@@ -99,9 +101,9 @@ fn bench_run_of_two_replicas(c: &mut Criterion) {
 }
 
 /// The boot's load alone: [`IndexStore::load_all_sealed`] of a one-segment
-/// store of the corpus above — the file read in parts, its checksum and doc
-/// table verified beside its term tables, on every core — printed as
-/// milliseconds per MB of segment.
+/// store of the corpus above — its doc file decoded beside the segment, the
+/// segment read in parts and its checksum verified beside its term tables,
+/// on every core — printed as milliseconds per MB of segment.
 fn bench_load_sealed(c: &mut Criterion) {
     let (fs, _) = materialize_to_memfs(&CorpusSpec::paper_scaled(0.03), 31);
     let run = IndexGenerator::default()
@@ -131,7 +133,7 @@ fn bench_load_sealed(c: &mut Criterion) {
     group.sample_size(20);
     group.throughput(Throughput::Bytes(info.bytes));
     group.bench_function("load_all_sealed", |b| {
-        b.iter(|| black_box(store.load_all_sealed().unwrap().len()));
+        b.iter(|| black_box(store.load_all_sealed().unwrap().0.len()));
     });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);

@@ -120,7 +120,7 @@ fn a_store_does_not_say_how_it_was_built() {
         let out = search(&store, "index");
         assert!(out.contains("result(s)"), "{out}");
         assert!(out.contains("todo.txt"), "{out}");
-        fs::read(Path::new(&store).join("segment-000001.dsg")).unwrap()
+        segment(&store)
     })
     .collect();
     assert!(segments[0] == segments[1] && segments[0] == segments[2]);
@@ -150,11 +150,12 @@ fn a_second_full_index_takes_the_store_over() {
     assert!(beta.contains("0.txt") && beta.contains("b.txt") && !beta.contains("a.txt"), "{beta}");
     assert!(search(&store, "alpha").contains("0 result(s)"));
     assert!(search(&store, "delta").contains("0.txt"));
-    let segments = fs::read_dir(&store)
-        .unwrap()
-        .filter(|entry| entry.as_ref().unwrap().file_name().to_string_lossy().ends_with(".dsg"))
-        .count();
-    assert_eq!(segments, 1);
+    for extension in [".dsg", ".dsd"] {
+        let files = fs::read_dir(&store).unwrap().filter(|entry| {
+            entry.as_ref().unwrap().file_name().to_string_lossy().ends_with(extension)
+        });
+        assert_eq!(files.count(), 1, "{extension}");
+    }
 }
 
 #[test]
@@ -354,8 +355,15 @@ fn an_oversized_cache_is_a_usage_error() {
     assert!(stderr.contains("N is at most 16777216"), "the usage states the bound: {stderr}");
 }
 
+/// The doc file and the segment of a store's first run, one after the other.
 fn segment(store: &str) -> Vec<u8> {
-    fs::read(Path::new(store).join("segment-000001.dsg")).unwrap()
+    files(store, 1)
+}
+
+/// The doc file and the segment numbered `number` in `store`.
+fn files(store: &str, number: u32) -> Vec<u8> {
+    let read = |name: String| fs::read(Path::new(store).join(name)).unwrap();
+    [read(format!("docs-{number:06}.dsd")), read(format!("segment-{number:06}.dsg"))].concat()
 }
 
 /// An incremental run is the paper's pipeline behind a filter: into an empty
@@ -443,7 +451,7 @@ fn an_incremental_run_honours_the_format_and_thread_flags() {
             assert!(second.contains("added 0 / modified 1 / removed 1 / unchanged 2"), "{second}");
             assert!(search(&store, "body").contains("0 result(s)"));
             assert!(search(&store, "inverted").contains("page.html"));
-            stores.push(fs::read(Path::new(&store).join("segment-000002.dsg")).unwrap());
+            stores.push(files(&store, 2));
         }
     }
     assert!(stores.windows(2).all(|pair| pair[0] == pair[1]));

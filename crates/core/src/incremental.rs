@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use dsearch_index::{DocTable, FileId, IndexSet};
+use dsearch_index::{FileId, IndexSet};
 use dsearch_persist::{ChangeSet, IndexStore, SegmentInfo, SignatureDb};
 use dsearch_vfs::{FileSystem, VPath};
 
@@ -94,16 +94,7 @@ impl IndexGenerator {
         configuration: Configuration,
     ) -> Result<IncrementalRun, PipelineError> {
         let sw = Instant::now();
-        // The segments of one build share a document table; where they do
-        // not (a build that was cut short), the longest knows every id.
-        let mut sources = Vec::with_capacity(store.segment_count());
-        let mut docs = DocTable::new();
-        for (index, segment_docs) in store.load_all()? {
-            sources.push(index);
-            if segment_docs.len() > docs.len() {
-                docs = segment_docs;
-            }
-        }
+        let (mut sources, mut docs) = store.load_all()?;
         let mut signatures = SignatureDb::load(store.root())?;
         if signatures.is_empty() {
             // Nothing vouches for what the store holds: every file found is

@@ -105,21 +105,23 @@ pub(crate) mod testing {
         }
     }
 
-    /// The segment `index` is written as — postings, frequencies, lengths and
-    /// list bounds, where `InMemoryIndex: PartialEq` sees id sets only.
+    /// The doc file `docs` is written as, then the segment `index` is —
+    /// paths, postings, frequencies, lengths and list bounds, where
+    /// `InMemoryIndex: PartialEq` sees id sets only.
     pub(crate) fn segment_bytes(index: &InMemoryIndex, docs: &DocTable) -> Vec<u8> {
         let mut bytes = Vec::new();
-        dsearch_persist::write_segment(index, docs, std::io::Cursor::new(&mut bytes))
+        dsearch_persist::write_docs(docs, &mut bytes).expect("writing to memory does not fail");
+        let mut cursor = std::io::Cursor::new(&mut bytes);
+        cursor.set_position(cursor.get_ref().len() as u64);
+        dsearch_persist::write_segment(index, docs.len(), cursor)
             .expect("writing to memory does not fail");
         bytes
     }
 
-    /// Everything the store at `root` holds, joined, over the document table
-    /// its segments share.
+    /// Everything the store at `root` holds, joined, over its document table.
     pub(crate) fn stored(root: &Path) -> (InMemoryIndex, DocTable) {
-        let (indexes, tables): (Vec<_>, Vec<DocTable>) =
-            IndexStore::open(root).unwrap().load_all().unwrap().into_iter().unzip();
-        (join_all(indexes), tables.into_iter().next().unwrap_or_default())
+        let (indexes, docs) = IndexStore::open(root).unwrap().load_all().unwrap();
+        (join_all(indexes), docs)
     }
 
     /// `(term, path) → tf` and `path → length`: what an index says, whatever

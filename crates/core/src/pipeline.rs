@@ -10,16 +10,15 @@
 //!   once due; permanent failures and files out of attempts go to the
 //!   on-disk dead-letter queue instead of failing the build.
 //! * **Checkpointing** — every `checkpoint_every`, an extractor seals its
-//!   replica into an ordinary segment and only then extends the durable
-//!   [`BuildCheckpoint`], so a killed build resumes re-extracting only the
-//!   unsealed tail.  An uninterrupted build seals the replicas' tails as one
-//!   segment, as `index` does: with an interval longer than the build its
-//!   store is `index`'s byte for byte.  Periodic seals cost up to *x*
-//!   segments per interval.
+//!   replica into a segment over the doc file the build began with and only
+//!   then extends the durable [`BuildCheckpoint`], so a killed build resumes
+//!   re-extracting only the unsealed tail.  An uninterrupted build seals the
+//!   replicas' tails as one segment, as `index` does: with an interval longer
+//!   than the build its store is `index`'s byte for byte.  Periodic seals
+//!   cost up to *x* segments per interval.
 //! * **DLQ replay** ([`BuildPipeline::replay_dlq`]) — a recovered file
 //!   leaves the queue in the seal that records it.
 
-use std::collections::HashSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -211,7 +210,7 @@ struct Durable {
     store: IndexStore,
     checkpoint: BuildCheckpoint,
     dlq: DeadLetterQueue,
-    /// The document table every segment of the run is sealed over.
+    /// The store's document table, which every segment of the run is over.
     docs: DocTable,
     /// All but `items_ok`, which the extractors count without the lock.
     counters: CounterSnapshot,
@@ -235,9 +234,9 @@ impl Durable {
         }
         ids.sort_unstable();
         self.peak_heap = self.peak_heap.max(replicas.iter().map(InMemoryIndex::heap_bytes).sum());
-        let (name, _info) = self.store.commit_named(replicas, &self.docs)?;
+        let name = self.store.append(replicas, &self.docs)?;
         self.checkpoint.segments.push(name);
-        self.checkpoint.completed.extend_from_slice(&ids);
+        self.checkpoint.record_completed(&ids);
         self.checkpoint.save(self.store.root())?;
         self.counters.checkpoint_writes += 1;
         // A replay runs over the corpus the checkpoint fingerprinted, so a
@@ -359,11 +358,11 @@ impl BuildPipeline {
     /// Runs a checkpointed build of the tree under `root` into the store at
     /// `store_root`.
     ///
-    /// A fresh build (the default) takes ownership of the store: previous
-    /// segments, checkpoint and DLQ are cleared.  With
-    /// [`BuildOptions::resume`] the build loads the existing checkpoint,
-    /// refuses a changed corpus, reconciles orphan segments, and extracts
-    /// only the files not yet sealed or quarantined.
+    /// A fresh build (the default) takes ownership of the store: Stage 1's
+    /// document table replaces its files, and the checkpoint and DLQ are
+    /// cleared.  With [`BuildOptions::resume`] the build loads the existing
+    /// checkpoint, refuses a changed corpus, reconciles orphan segments, and
+    /// extracts only the files not yet sealed or quarantined.
     ///
     /// # Errors
     ///
@@ -381,26 +380,24 @@ impl BuildPipeline {
         F: FileSystem + ?Sized,
     {
         let mut set = generate_filenames(fs, root)?;
-        let fingerprint = corpus_fingerprint(&set.items);
         let mut store = IndexStore::open(store_root)?;
         let files = set.items.len() as u64;
-        let resumed = if self.options.resume { resume(&mut store, fingerprint)? } else { None };
+        let resumed = if self.options.resume { resume(&mut store, &set)? } else { None };
         // Resuming with no checkpoint on disk is a fresh build.
         let (checkpoint, dlq) = match resumed {
             Some((mut checkpoint, dlq)) => {
-                let done: HashSet<u32> = checkpoint.completed.iter().copied().collect();
                 set.items.retain(|i| {
-                    !done.contains(&i.file_id.as_u32()) && !dlq.contains(i.path.as_str())
+                    !checkpoint.is_completed(i.file_id.as_u32()) && !dlq.contains(i.path.as_str())
                 });
                 checkpoint.complete = false;
                 (checkpoint, dlq)
             }
             None => {
                 BuildCheckpoint::remove(store.root())?;
-                store.clear_segments()?;
+                store.start(&set.docs)?;
                 let dlq = DeadLetterQueue::default();
                 dlq.save(store.root())?;
-                (BuildCheckpoint::new(fingerprint), dlq)
+                (BuildCheckpoint::new(corpus_fingerprint(&set.items)), dlq)
             }
         };
         let skipped = files - set.items.len() as u64;
@@ -426,9 +423,8 @@ impl BuildPipeline {
         F: FileSystem + ?Sized,
     {
         let mut set = generate_filenames(fs, root)?;
-        let fingerprint = corpus_fingerprint(&set.items);
         let mut store = IndexStore::open(store_root)?;
-        let Some((checkpoint, dlq)) = resume(&mut store, fingerprint)? else {
+        let Some((checkpoint, dlq)) = resume(&mut store, &set)? else {
             return Err(PipelineError::ResumeRejected(
                 "no checkpoint in the store; run `dsearch build` first".to_owned(),
             ));
@@ -514,23 +510,29 @@ impl BuildPipeline {
 }
 
 /// The store's checkpoint, if any, and DLQ, orphan segments dropped — refused
-/// when the corpus is not the one the checkpoint fingerprinted.
+/// when the walk `set` is not the corpus the checkpoint fingerprinted, or its
+/// document table not the store's, which the resume seals over.
 fn resume(
     store: &mut IndexStore,
-    fingerprint: u64,
+    set: &FilenameSet,
 ) -> Result<Option<(BuildCheckpoint, DeadLetterQueue)>, PipelineError> {
     let Some(checkpoint) = BuildCheckpoint::load(store.root())? else {
         return Ok(None);
     };
-    if checkpoint.corpus_fingerprint != fingerprint {
-        return Err(PipelineError::ResumeRejected(format!(
-            "corpus changed since the checkpoint was written \
-             (fingerprint {:#018x} != {fingerprint:#018x}); run a fresh build",
-            checkpoint.corpus_fingerprint
-        )));
-    }
-    checkpoint.reconcile(store)?;
-    Ok(Some((checkpoint, DeadLetterQueue::load(store.root())?)))
+    let (fingerprint, docs) = (corpus_fingerprint(&set.items), &set.docs);
+    let why = if checkpoint.corpus_fingerprint != fingerprint {
+        format!("fingerprint {:#018x} != {fingerprint:#018x}", checkpoint.corpus_fingerprint)
+    } else if store.load_docs()? != *docs {
+        "the stored document table is not the walk's".to_owned()
+    } else if checkpoint.completed.last().is_some_and(|&[_, end]| end as usize > docs.len()) {
+        format!("it records ids past the walk's {} files", docs.len())
+    } else {
+        checkpoint.reconcile(store)?;
+        return Ok(Some((checkpoint, DeadLetterQueue::load(store.root())?)));
+    };
+    Err(PipelineError::ResumeRejected(format!(
+        "corpus changed since the checkpoint was written ({why}); run a fresh build"
+    )))
 }
 
 /// Whether an extraction error can never succeed on retry.
@@ -616,7 +618,7 @@ mod tests {
         assert_eq!(docs.len(), batch.docs.len());
         let ckpt = BuildCheckpoint::load(&dir.0).unwrap().unwrap();
         assert!(ckpt.complete);
-        assert_eq!(ckpt.completed.len(), 4);
+        assert_eq!(ckpt.completed, [[0, 4]]);
     }
 
     #[test]
@@ -709,7 +711,7 @@ mod tests {
         assert_eq!(replay.recovered, 1);
         assert!(DeadLetterQueue::load(&dir.0).unwrap().is_empty());
         let ckpt = BuildCheckpoint::load(&dir.0).unwrap().unwrap();
-        assert_eq!(ckpt.completed.len(), 4);
+        assert_eq!(ckpt.completed, [[0, 4]]);
         let (index, _) = stored(&dir.0);
         let batch =
             crate::runner::IndexGenerator::default().run_sequential(&fs, &VPath::root()).unwrap();
@@ -734,7 +736,7 @@ mod tests {
         assert!(report.complete);
         let ckpt = BuildCheckpoint::load(&dir.0).unwrap().unwrap();
         assert!(ckpt.complete);
-        assert_eq!(ckpt.completed.len(), 4);
+        assert_eq!(ckpt.completed, [[0, 4]]);
         // Checkpointed items were genuinely skipped, not re-extracted.
         assert_eq!(report.skipped + report.counters.items_ok, 4);
         assert!(report.skipped >= 2);
@@ -759,6 +761,45 @@ mod tests {
         let err = BuildPipeline::new(options).build(&fs, &VPath::root(), &dir.0).unwrap_err();
         assert!(matches!(err, PipelineError::ResumeRejected(_)), "{err}");
         assert!(err.to_string().contains("corpus changed"));
+    }
+
+    #[test]
+    fn resume_refuses_a_stored_table_that_is_not_the_walks() {
+        let fs = corpus();
+        let dir = TempDir::new("other-table");
+        let stopped = BuildOptions { stop_after: Some(1), ..fast_options() };
+        BuildPipeline::new(stopped).build(&fs, &VPath::root(), &dir.0).unwrap();
+        let resumed = BuildOptions { resume: true, ..fast_options() };
+
+        // The same paths under other ids, behind a valid checksum: the
+        // fingerprint of the walk still matches, the table does not.
+        let store = IndexStore::open(&dir.0).unwrap();
+        let stored = store.load_docs().unwrap();
+        let mut other = DocTable::new();
+        let paths: Vec<&str> = stored.iter().map(|(_, path)| path).collect();
+        for path in paths.into_iter().rev() {
+            other.insert(path);
+        }
+        let doc_file = dir.0.join(store.manifest().docs.as_ref().unwrap());
+        let original = std::fs::read(&doc_file).unwrap();
+        dsearch_persist::write_docs(&other, std::fs::File::create(&doc_file).unwrap()).unwrap();
+        for err in [
+            BuildPipeline::new(resumed.clone()).build(&fs, &VPath::root(), &dir.0).unwrap_err(),
+            BuildPipeline::new(resumed.clone())
+                .replay_dlq(&fs, &VPath::root(), &dir.0)
+                .unwrap_err(),
+        ] {
+            assert!(matches!(err, PipelineError::ResumeRejected(_)), "{err}");
+            assert!(err.to_string().contains("stored document table"), "{err}");
+        }
+
+        // A checkpoint whose ids run past the corpus is refused too.
+        std::fs::write(&doc_file, original).unwrap();
+        let mut checkpoint = BuildCheckpoint::load(&dir.0).unwrap().unwrap();
+        checkpoint.record_completed(&[9]);
+        checkpoint.save(&dir.0).unwrap();
+        let err = BuildPipeline::new(resumed).build(&fs, &VPath::root(), &dir.0).unwrap_err();
+        assert!(err.to_string().contains("records ids past the walk's 4 files"), "{err}");
     }
 
     #[test]
@@ -848,16 +889,18 @@ mod tests {
             let mut store = IndexStore::open(&indexed.0).unwrap();
             store.replace_with(run.outcome.replicas(), run.outcome.docs()).unwrap();
 
-            let segment = |root: &Path| {
-                let store = IndexStore::open(root).unwrap();
-                let [only] = &store.manifest().segments[..] else {
+            // The doc file and the one segment, whatever their numbers.
+            let files = |root: &Path| {
+                let manifest = IndexStore::open(root).unwrap().manifest().clone();
+                let [only] = &manifest.segments[..] else {
                     panic!("one segment in {}", root.display())
                 };
-                std::fs::read(root.join(&only.file_name)).unwrap()
+                let docs = manifest.docs.expect("a doc file");
+                [docs, only.clone()].map(|name| std::fs::read(root.join(name)).unwrap())
             };
             assert!(
-                segment(&built.0) == segment(&indexed.0),
-                "{extractors} extractors: build and index seal other bytes"
+                files(&built.0) == files(&indexed.0),
+                "{extractors} extractors: build and index write other bytes"
             );
         }
     }

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use dsearch_core::pipeline::{BuildOptions, BuildPipeline};
 use dsearch_core::runner::IndexGenerator;
 use dsearch_index::{join_all, DocTable, InMemoryIndex};
-use dsearch_persist::{write_segment, BuildCheckpoint, IndexStore};
+use dsearch_persist::{write_docs, write_segment, BuildCheckpoint, IndexStore};
 use dsearch_vfs::{MemFs, VPath};
 
 struct TempDir(PathBuf);
@@ -42,11 +42,10 @@ impl Drop for TempDir {
     }
 }
 
-/// Everything the store holds, joined, over the document table its segments
-/// share.
+/// Everything the store holds, joined, over its document table.
 fn stored(store: &IndexStore) -> (InMemoryIndex, DocTable) {
-    let (indexes, tables): (Vec<_>, Vec<DocTable>) = store.load_all().unwrap().into_iter().unzip();
-    (join_all(indexes), tables.into_iter().next().unwrap_or_default())
+    let (indexes, docs) = store.load_all().unwrap();
+    (join_all(indexes), docs)
 }
 
 /// Deterministic synthetic corpus: `files` documents with word counts and
@@ -82,10 +81,14 @@ fn options(extractors: usize, checkpoint_every: Duration) -> BuildOptions {
     BuildOptions { extractors, checkpoint_every, ..BuildOptions::default() }
 }
 
-/// The segment the persist crate's writer seals `index` to.
+/// The doc file the persist crate's writer writes `docs` as, then the
+/// segment it seals `index` to.
 fn sealed(index: &InMemoryIndex, docs: &DocTable) -> Vec<u8> {
     let mut bytes = Vec::new();
-    write_segment(index, docs, std::io::Cursor::new(&mut bytes)).unwrap();
+    write_docs(docs, &mut bytes).unwrap();
+    let mut cursor = std::io::Cursor::new(&mut bytes);
+    cursor.set_position(cursor.get_ref().len() as u64);
+    write_segment(index, docs.len(), cursor).unwrap();
     bytes
 }
 
@@ -128,7 +131,7 @@ proptest! {
 
         let checkpoint = BuildCheckpoint::load(&dir.0).unwrap().unwrap();
         prop_assert!(checkpoint.complete);
-        prop_assert_eq!(checkpoint.completed.len(), files);
+        prop_assert_eq!(&checkpoint.completed, &[[0, files as u32]]);
 
         // Sealed bytes carry postings, frequencies, lengths, list bounds and
         // the document table, where `InMemoryIndex: PartialEq` sees id sets.

@@ -93,7 +93,7 @@ impl InMemoryIndex {
     /// path over a condensed word list.  The file itself is accounted apart:
     /// by an [`InMemoryIndex::insert_file_counted`] without terms, which also
     /// records a length for a file that turns out to have none, or by
-    /// [`InMemoryIndex::note_file_done`], which does not.
+    /// [`InMemoryIndex::note_files_done`], which does not.
     pub fn insert_occurrences(&mut self, file: FileId, term: Term, count: u32) {
         let count = count.max(1);
         let list = self.terms.entry_or_default(term);
@@ -129,11 +129,11 @@ impl InMemoryIndex {
         self.doc_lens.values().map(|&l| u64::from(l)).sum()
     }
 
-    /// Counts one more file without recording a length for it — the segment
-    /// loader restores a segment's file count this way, next to the lengths
-    /// it restores through [`InMemoryIndex::note_doc_len`].
-    pub fn note_file_done(&mut self) {
-        self.files_indexed += 1;
+    /// Counts `files` more files without recording a length for them — the
+    /// segment loader restores a segment's file count this way, next to the
+    /// lengths it restores through [`InMemoryIndex::note_doc_len`].
+    pub fn note_files_done(&mut self, files: u64) {
+        self.files_indexed += files;
     }
 
     /// Inserts one term's complete posting list in bulk, unioning with any
@@ -143,7 +143,7 @@ impl InMemoryIndex {
     /// restore: one map operation and one merge per term, instead of the
     /// per-id `add` loop those paths used to run (which degrades to O(n²)
     /// element shifts when ids arrive out of order).  The file counter is
-    /// not touched; callers restore it via [`InMemoryIndex::note_file_done`].
+    /// not touched; callers restore it via [`InMemoryIndex::note_files_done`].
     pub fn insert_term_list(&mut self, term: Term, list: PostingList) {
         if list.is_empty() {
             return;
@@ -377,8 +377,8 @@ mod tests {
         idx.insert_occurrences(FileId(3), t("dup"), 1);
         idx.insert_occurrences(FileId(3), t("dup"), 1);
         idx.insert_occurrences(FileId(4), t("dup"), 1);
-        idx.note_file_done();
-        idx.note_file_done();
+        idx.note_files_done(1);
+        idx.note_files_done(1);
         assert_eq!(idx.posting_count(), 2);
         assert_eq!(idx.file_count(), 2);
         assert_eq!(idx.postings(&t("dup")).unwrap().len(), 2);
@@ -406,7 +406,7 @@ mod tests {
         for term in raw.map(t) {
             per_occurrence.insert_occurrences(FileId(7), term, 1);
         }
-        per_occurrence.note_file_done();
+        per_occurrence.note_files_done(1);
         for other in [&en_bloc, &per_term, &per_occurrence] {
             assert_eq!(other.posting_count(), 3);
             assert_eq!(other.file_count(), 1);

@@ -288,7 +288,7 @@ impl std::ops::AddAssign for SectionBytes {
 /// in its id block, and checked against the skip entries there too.
 ///
 /// The segment writer streams these; [`SealedShard::from_index`] collects
-/// them, and [`SealedShard::from_bytes`] lays its tables over them.
+/// them, and [`SealedShard::from_bytes_beside`] lays its tables over them.
 pub fn encode_term(
     out: &mut Vec<u8>,
     slot: usize,
@@ -356,39 +356,23 @@ impl SealedShard {
             .expect("freshly encoded terms are well-formed")
     }
 
-    /// Lays a shard over encoded bytes (the load path from a persisted
-    /// segment, which hands over the file's bytes whole): `bytes[terms_at..]`
-    /// must be exactly a term count and that many entries as [`encode_term`]
-    /// writes them, sorted strictly ascending by term.  The buffer is kept as
-    /// it came, front matter and all — a loaded shard's buffer *is* its
-    /// segment file — and the tables are laid over it from `terms_at` on.
-    /// `doc_lens` holds each document's recorded length, from which the BM25
-    /// norms are rebuilt exactly as [`SealedShard::from_index`] computes
-    /// them; `doc_count` is the size of the segment's document table, the
-    /// shard's document count when no lengths were recorded.
+    /// Lays a shard over encoded bytes — the load path of a persisted
+    /// segment, which hands over the file's bytes whole — while `beside`
+    /// reads the same bytes (a segment load verifies the file's checksum
+    /// there): on a scoped helper thread when `helper` is set, on this one
+    /// after the tables otherwise; no shard exists before `beside` has
+    /// returned.  `bytes[terms_at..]` must be exactly a term count and that
+    /// many entries as [`encode_term`] writes them, sorted strictly ascending
+    /// by term.  The buffer is kept as it came, front matter and all — a
+    /// loaded shard's buffer *is* its segment file.  `doc_lens` holds each
+    /// document's recorded length, from which the BM25 norms are rebuilt
+    /// exactly as [`SealedShard::from_index`] computes them; `doc_count` is
+    /// the size of the document table the segment is over, the shard's
+    /// document count when no lengths were recorded.
     ///
     /// # Errors
     ///
-    /// Fails when the bytes cannot describe a well-formed shard.
-    pub fn from_bytes(
-        bytes: Vec<u8>,
-        terms_at: usize,
-        doc_count: u64,
-        doc_lens: &[(FileId, u32)],
-    ) -> Result<Self, BlockFormatError> {
-        SealedShard::from_bytes_beside(bytes, terms_at, doc_count, doc_lens, false, |_| ()).0
-    }
-
-    /// [`SealedShard::from_bytes`], while `beside` reads the same bytes — on
-    /// a scoped helper thread when `helper` is set, on this one after the
-    /// tables otherwise — and returns its result beside the shard's: no
-    /// shard exists before `beside` has returned.  A segment load verifies
-    /// the file's checksum and decodes its document table there while the
-    /// term tables are laid over the file.
-    ///
-    /// # Errors
-    ///
-    /// The shard fails like [`SealedShard::from_bytes`].
+    /// The shard fails when the bytes cannot describe a well-formed shard.
     pub fn from_bytes_beside<T: Send>(
         bytes: Vec<u8>,
         terms_at: usize,
@@ -915,8 +899,8 @@ fn lookup_len(terms: usize) -> usize {
 
 /// The document count BM25 scores against: the number of documents with a
 /// recorded length, so that a partial replica sealed in memory and the same
-/// replica loaded from its segment (whose document table is the whole
-/// run's) agree; `fallback` when no lengths were recorded at all.
+/// replica loaded from its segment (over the whole run's document table)
+/// agree; `fallback` when no lengths were recorded at all.
 fn scored_population(recorded_lens: usize, fallback: u64) -> u64 {
     if recorded_lens == 0 {
         fallback
@@ -1406,6 +1390,16 @@ fn build_norms(pairs: &[(FileId, u32)]) -> Norms {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The shard laid over `bytes`, nothing read beside it.
+    fn from_bytes(
+        bytes: Vec<u8>,
+        terms_at: usize,
+        doc_count: u64,
+        doc_lens: &[(FileId, u32)],
+    ) -> Result<SealedShard, BlockFormatError> {
+        SealedShard::from_bytes_beside(bytes, terms_at, doc_count, doc_lens, false, |_| ()).0
+    }
     use crate::block::PostingCursor;
     use proptest::prelude::*;
 
@@ -1691,18 +1685,18 @@ mod tests {
         index.insert_file_counted(FileId(5), [(t("b"), 7u32)]);
         let sealed = SealedShard::from_index(&index);
         let (entries, lens) = encode(&index);
-        // Front matter before the terms (a segment's header and doc table)
+        // Front matter before the terms (a segment's header and lengths)
         // stays in the buffer, unread; the doc table may cover more documents
         // than this index scored (a partial replica).
         let mut bytes = b"front matter".to_vec();
         bytes.extend_from_slice(&entries);
-        let restored = SealedShard::from_bytes(bytes, 12, 40, &lens).unwrap();
+        let restored = from_bytes(bytes, 12, 40, &lens).unwrap();
         assert_eq!(restored, sealed);
         assert_eq!(restored.file_count(), 2);
         assert!(restored.has_scoring());
         assert_eq!(restored.doc_norm(FileId(5)).to_bits(), sealed.doc_norm(FileId(5)).to_bits());
         // Without recorded lengths the doc table's size is the population.
-        let unscored = SealedShard::from_bytes(entries, 0, 40, &[]).unwrap();
+        let unscored = from_bytes(entries, 0, 40, &[]).unwrap();
         assert_eq!(unscored.file_count(), 40);
         assert!(!unscored.has_scoring());
     }
@@ -1783,7 +1777,7 @@ mod tests {
     fn load(entries: Vec<u8>, terms: u64) -> Result<SealedShard, BlockFormatError> {
         let mut bytes = Vec::new();
         write_varint(&mut bytes, terms);
-        SealedShard::from_bytes([bytes, entries].concat(), 0, 0, &[])
+        from_bytes([bytes, entries].concat(), 0, 0, &[])
     }
 
     #[test]
@@ -1873,12 +1867,9 @@ mod tests {
         // Every truncation of a valid shard is an error.
         let (bytes, _) = encode(&sample_index());
         for cut in 0..bytes.len() {
-            assert!(
-                SealedShard::from_bytes(bytes[..cut].to_vec(), 0, 0, &[]).is_err(),
-                "cut {cut}"
-            );
+            assert!(from_bytes(bytes[..cut].to_vec(), 0, 0, &[]).is_err(), "cut {cut}");
         }
-        assert!(SealedShard::from_bytes(bytes, usize::MAX, 0, &[]).is_err());
+        assert!(from_bytes(bytes, usize::MAX, 0, &[]).is_err());
     }
 
     #[test]
@@ -1902,7 +1893,7 @@ mod tests {
             let previous = slot.checked_sub(1).map_or("", |before| terms[before].as_str());
             encode_term(&mut bytes, slot, previous, &terms[slot], list.view());
         }
-        let shard = SealedShard::from_bytes(bytes, 0, 0, &[]).unwrap();
+        let shard = from_bytes(bytes, 0, 0, &[]).unwrap();
         for (term, list) in terms.iter().zip(&owned) {
             let found = shard.postings(&t(term)).unwrap();
             assert_eq!(found, list.view(), "{term}");
@@ -2037,7 +2028,7 @@ mod tests {
                 let previous = i.checked_sub(1).map(|before| format!("t{before}")).unwrap_or_default();
                 encode_term(&mut bytes, i, &previous, &format!("t{i}"), cp.view());
             }
-            let shard = SealedShard::from_bytes(bytes, 0, 0, &[]).unwrap();
+            let shard = from_bytes(bytes, 0, 0, &[]).unwrap();
             for (i, cp) in owned.iter().enumerate() {
                 let (own, found) = (cp.view(), shard.postings(&Term::from(format!("t{i}"))).unwrap());
                 prop_assert_eq!(found, own);

@@ -352,7 +352,7 @@ fn a_segment_over_4_gib_is_refused_before_a_buffer_is_sized_by_it() {
     let mut docs = DocTable::new();
     let mut index = InMemoryIndex::new();
     index.insert_file(docs.insert("a.txt"), [Term::from("alpha")]);
-    store.commit(&index, &docs).unwrap();
+    store.replace_with(std::slice::from_ref(&index), &docs).unwrap();
     let segment = std::fs::read_dir(&dir)
         .unwrap()
         .map(|entry| entry.unwrap().path())
@@ -413,7 +413,7 @@ proptest! {
         }
         // A segment the doc table cannot describe may be refused; one it
         // can is written.
-        let written = write_segment(&index, &docs, std::io::Cursor::new(Vec::new()));
+        let written = write_segment(&index, docs.len(), std::io::Cursor::new(Vec::new()));
         let described = index.iter().all(|(_, list)| list.iter().all(|id| id.0 < documents));
         prop_assert!(written.is_ok() || !described, "{:?}", written.err());
     }

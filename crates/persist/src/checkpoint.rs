@@ -4,8 +4,8 @@
 //! Two JSON files live next to the segments inside an index-store directory:
 //!
 //! * `checkpoint.json` ([`BuildCheckpoint`]) — the durable progress record of
-//!   a pipeline build: which files have been extracted and sealed into which
-//!   partial segments, plus a fingerprint of the corpus the build ran over.
+//!   a pipeline build: which files (ranges of ids) have been extracted and
+//!   sealed into which partial segments, plus a fingerprint of the corpus.
 //!   It is written atomically (write-then-rename) and only *after* the
 //!   segment it references is safely on disk, so at every instant the
 //!   checkpoint describes data that actually exists.  A crash between a
@@ -50,8 +50,8 @@ pub struct BuildCheckpoint {
     pub corpus_fingerprint: u64,
     /// File ids (Stage 1's walk and numbering are deterministic, so ids are
     /// stable across runs) whose terms are sealed in one of
-    /// [`Self::segments`].
-    pub completed: Vec<u32>,
+    /// [`Self::segments`], as sorted, disjoint `[start, end)` ranges.
+    pub completed: Vec<[u32; 2]>,
     /// Segment file names owned by this build, in seal order.
     pub segments: Vec<String>,
     /// `true` once every work item has been extracted or dead-lettered.
@@ -95,9 +95,33 @@ impl BuildCheckpoint {
                     expected: CHECKPOINT_VERSION,
                 });
             }
+            let ranges = &checkpoint.completed;
+            if ranges.iter().any(|r| r[0] >= r[1]) || ranges.windows(2).any(|w| w[0][1] > w[1][0]) {
+                return Err(PersistError::Corrupt("completed ids are not sorted ranges".into()));
+            }
             Ok(checkpoint)
         };
         read().map(Some).map_err(|source| PersistError::Checkpoint(Box::new(source)))
+    }
+
+    /// Records the ascending file ids `ids` as sealed.
+    pub fn record_completed(&mut self, ids: &[u32]) {
+        let mut ranges = std::mem::take(&mut self.completed);
+        ranges.extend(ids.iter().map(|&id| [id, id + 1]));
+        ranges.sort_unstable();
+        for [start, end] in ranges {
+            match self.completed.last_mut() {
+                Some(last) if start <= last[1] => last[1] = last[1].max(end),
+                _ => self.completed.push([start, end]),
+            }
+        }
+    }
+
+    /// Whether file `id` is sealed.
+    #[must_use]
+    pub fn is_completed(&self, id: u32) -> bool {
+        let after = self.completed.partition_point(|&[start, _]| start <= id);
+        after > 0 && id < self.completed[after - 1][1]
     }
 
     /// Atomically writes the checkpoint into a store directory.
@@ -136,10 +160,8 @@ impl BuildCheckpoint {
     /// lists one twice (store corruption), or the pruned manifest cannot be
     /// written.
     pub fn reconcile(&self, store: &mut IndexStore) -> Result<usize, PersistError> {
-        let live: Vec<String> =
-            store.manifest().segments.iter().map(|s| s.file_name.clone()).collect();
         for (position, name) in self.segments.iter().enumerate() {
-            if !live.iter().any(|l| l == name) {
+            if !store.manifest().segments.contains(name) {
                 return Err(PersistError::Corrupt(format!(
                     "checkpoint references segment {name} missing from the store manifest"
                 )));
@@ -150,12 +172,7 @@ impl BuildCheckpoint {
                 )));
             }
         }
-        // Distinct names, each of them live: no more than the manifest has.
-        let orphans = live.len() - self.segments.len();
-        if orphans > 0 {
-            store.retain_segments(|name| self.segments.iter().any(|s| s == name))?;
-        }
-        Ok(orphans)
+        store.retain_segments(|name| self.segments.iter().any(|s| s == name))
     }
 }
 
@@ -277,7 +294,8 @@ mod tests {
         assert_eq!(BuildCheckpoint::load(&dir.0).unwrap(), None);
 
         let mut ckpt = BuildCheckpoint::new(0xfeed);
-        ckpt.completed = vec![0, 2, 5];
+        ckpt.record_completed(&[0, 2, 5, 3]);
+        assert_eq!(ckpt.completed, [[0, 1], [2, 4], [5, 6]]);
         ckpt.segments = vec!["segment-000001.dsg".into()];
         ckpt.save(&dir.0).unwrap();
 
@@ -320,17 +338,52 @@ mod tests {
     #[test]
     fn a_refused_checkpoint_names_its_file_and_the_way_out() {
         let dir = TempDir::new("refused");
-        let old = BuildCheckpoint { version: 10, ..BuildCheckpoint::new(1) };
+        let old = BuildCheckpoint { version: 11, ..BuildCheckpoint::new(1) };
         fs::write(dir.0.join(CHECKPOINT_FILE), serde_json::to_string(&old).unwrap()).unwrap();
         let message = BuildCheckpoint::load(&dir.0).unwrap_err().to_string();
         assert!(
-            message.starts_with("checkpoint.json: unsupported format version 10 (expected 11)"),
+            message.starts_with("checkpoint.json: unsupported format version 11 (expected 12)"),
             "{message}"
         );
         assert!(message.contains("a fresh `dsearch build` (without --resume)"), "{message}");
         fs::write(dir.0.join(CHECKPOINT_FILE), "{ nope").unwrap();
         let message = BuildCheckpoint::load(&dir.0).unwrap_err().to_string();
         assert!(message.starts_with("checkpoint.json: corrupt persisted data: "), "{message}");
+    }
+
+    #[test]
+    fn completed_ranges_coalesce_and_hostile_ones_are_refused() {
+        let dir = TempDir::new("ranges");
+        let mut ckpt = BuildCheckpoint::new(7);
+        // Seals of two extractors, dealt round robin: one range in the end.
+        for ids in [[0, 2], [1, 3], [5, 7], [4, 6]] {
+            ckpt.record_completed(&ids);
+        }
+        assert_eq!(ckpt.completed, [[0, 8]]);
+        ckpt.record_completed(&[10, 11, 12, 20]);
+        assert_eq!(ckpt.completed, [[0, 8], [10, 13], [20, 21]]);
+        let sealed: Vec<u32> = (0..25).filter(|&id| ckpt.is_completed(id)).collect();
+        assert_eq!(sealed, [0, 1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 20]);
+        ckpt.save(&dir.0).unwrap();
+        assert_eq!(BuildCheckpoint::load(&dir.0).unwrap(), Some(ckpt.clone()));
+
+        // Overlapping, unsorted, empty and reversed ranges: an error, never
+        // a panic.
+        for hostile in [
+            vec![[0, 5], [4, 8]],
+            vec![[10, 13], [0, 8]],
+            vec![[3, 3]],
+            vec![[5, 2]],
+            vec![[0, 8], [8, 9], [7, 10]],
+        ] {
+            let bad = BuildCheckpoint { completed: hostile.clone(), ..ckpt.clone() };
+            fs::write(dir.0.join(CHECKPOINT_FILE), serde_json::to_string(&bad).unwrap()).unwrap();
+            assert!(matches!(refused(&dir.0), PersistError::Corrupt(_)), "{hostile:?}");
+        }
+        // Adjacent ranges are disjoint.
+        let adjacent = BuildCheckpoint { completed: vec![[0, 8], [8, 9]], ..ckpt };
+        adjacent.save(&dir.0).unwrap();
+        assert!(BuildCheckpoint::load(&dir.0).unwrap().unwrap().is_completed(8));
     }
 
     #[test]
@@ -364,17 +417,18 @@ mod tests {
         let dir = TempDir::new("reconcile");
         let mut store = IndexStore::open(dir.0.join("s")).unwrap();
         let (index, docs) = sample_index();
-        let (first, _) = store.commit_named(std::slice::from_ref(&index), &docs).unwrap();
+        store.start(&docs).unwrap();
+        let first = store.append(std::slice::from_ref(&index), &docs).unwrap();
         // Simulate a crash after a second commit but before the checkpoint
         // write: the manifest has an orphan the checkpoint never recorded.
-        let (_orphan, _) = store.commit_named(std::slice::from_ref(&index), &docs).unwrap();
+        store.append(std::slice::from_ref(&index), &docs).unwrap();
         assert_eq!(store.segment_count(), 2);
 
         let mut ckpt = BuildCheckpoint::new(1);
         ckpt.segments = vec![first.clone()];
         assert_eq!(ckpt.reconcile(&mut store).unwrap(), 1);
         assert_eq!(store.segment_count(), 1);
-        assert_eq!(store.manifest().segments[0].file_name, first);
+        assert_eq!(store.manifest().segments, std::slice::from_ref(&first));
 
         // A checkpoint referencing a segment the manifest lost is corruption.
         ckpt.segments = vec!["segment-999999.dsg".into()];

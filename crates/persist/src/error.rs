@@ -22,9 +22,9 @@ pub enum PersistError {
     /// The store's build checkpoint could not be read (a resume is refused
     /// before it writes anything).
     Checkpoint(Box<PersistError>),
-    /// One segment of a store could not be read.
-    Segment {
-        /// The segment's file name in the store directory.
+    /// One file of a store (its doc file or a segment) could not be read.
+    File {
+        /// The file's name in the store directory.
         file_name: String,
         /// What went wrong with it.
         source: Box<PersistError>,
@@ -45,7 +45,11 @@ impl fmt::Display for PersistError {
                 "{}: {source}; a fresh `dsearch build` (without --resume) replaces it",
                 crate::checkpoint::CHECKPOINT_FILE
             ),
-            PersistError::Segment { file_name, source } => write!(f, "{file_name}: {source}"),
+            PersistError::File { file_name, source } => {
+                let old = matches!(**source, PersistError::UnsupportedVersion { .. });
+                let way_out = "; a full `dsearch index` or a fresh `dsearch build` replaces it";
+                write!(f, "{file_name}: {source}{}", if old { way_out } else { "" })
+            }
         }
     }
 }
@@ -55,7 +59,7 @@ impl std::error::Error for PersistError {
         match self {
             PersistError::Io(e) => Some(e),
             PersistError::Vfs(e) => Some(e),
-            PersistError::Checkpoint(source) | PersistError::Segment { source, .. } => Some(source),
+            PersistError::Checkpoint(source) | PersistError::File { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -101,7 +105,7 @@ mod tests {
         assert!(vfs.to_string().contains("file system"));
         assert!(vfs.source().is_some());
 
-        let segment = PersistError::Segment {
+        let segment = PersistError::File {
             file_name: "segment-000002.dsg".into(),
             source: Box::new(PersistError::Corrupt("segment checksum mismatch".into())),
         };
@@ -110,6 +114,15 @@ mod tests {
             "segment-000002.dsg: corrupt persisted data: segment checksum mismatch"
         );
         assert!(segment.source().is_some());
+        let old = PersistError::File {
+            file_name: "segment-000001.dsg".into(),
+            source: Box::new(PersistError::UnsupportedVersion { found: 11, expected: 12 }),
+        };
+        assert_eq!(
+            old.to_string(),
+            "segment-000001.dsg: unsupported format version 11 (expected 12); \
+             a full `dsearch index` or a fresh `dsearch build` replaces it"
+        );
 
         let checkpoint = PersistError::Checkpoint(Box::new(version));
         assert_eq!(

@@ -8,7 +8,7 @@
 //! * **Persistence** ([`segment`], [`store`]) — a compact binary segment
 //!   format (delta-encoded, block-compressed posting lists under the
 //!   word-at-a-time [`checksum`]) and an [`store::IndexStore`] directory
-//!   layout that holds any number of segments plus a manifest.  The
+//!   of one doc file, term-only segments over it, and a manifest.  The
 //!   replicas Implementation 3 leaves un-joined are merged as they are
 //!   sealed and committed as one segment — the file their join would have
 //!   been written as, without the join — so a store does not say how many
@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use dsearch_index::{DocTable, InMemoryIndex};
-//! use dsearch_persist::segment::{read_segment, write_segment};
+//! use dsearch_persist::segment::{read_docs, read_segment, write_docs, write_segment};
 //! use dsearch_text::Term;
 //!
 //! # fn main() -> Result<(), dsearch_persist::PersistError> {
@@ -34,11 +34,11 @@
 //! let mut index = InMemoryIndex::new();
 //! index.insert_file(id, [Term::from("hello"), Term::from("world")]);
 //!
-//! let mut buffer = Vec::new();
-//! write_segment(&index, &docs, std::io::Cursor::new(&mut buffer))?;
-//! let (restored, restored_docs) = read_segment(&buffer[..])?;
-//! assert_eq!(restored, index);
-//! assert_eq!(restored_docs.len(), docs.len());
+//! let (mut segment, mut doc_file) = (Vec::new(), Vec::new());
+//! write_segment(&index, docs.len(), std::io::Cursor::new(&mut segment))?;
+//! write_docs(&docs, &mut doc_file)?;
+//! assert_eq!(read_segment(&segment[..])?, (index, 1));
+//! assert_eq!(read_docs(&doc_file[..])?, docs);
 //! # Ok(())
 //! # }
 //! ```
@@ -57,6 +57,7 @@ pub use checkpoint::{BuildCheckpoint, DeadLetter, DeadLetterQueue, CHECKPOINT_FI
 pub use error::PersistError;
 pub use incremental::{ChangeSet, FileSignature, SignatureDb, SIGNATURES_FILE};
 pub use segment::{
-    read_segment, read_segment_sealed, write_segment, write_segment_merged, SegmentInfo,
+    read_docs, read_segment, read_segment_sealed, write_docs, write_segment, write_segment_merged,
+    SegmentInfo,
 };
 pub use store::{IndexStore, StoreManifest};

@@ -1,39 +1,26 @@
-//! The binary segment format.
-//!
-//! One segment stores one complete index (terms, block-compressed posting
-//! lists) together with its document table.  The version-11 layout is:
+//! The binary formats of a store's files: term-only segments and the doc
+//! file every segment of the store is over ([`crate::store`]).  The
+//! version-12 layouts are:
 //!
 //! ```text
-//! magic   "DSG1"                            4 bytes
-//! checksum XXH64(payload), seed 0           8 bytes little-endian
-//! payload:
-//!   version                                 varint
-//!   doc count                               varint
-//!   per doc (path ascending):               the path, front- and
-//!                                           back-coded: the bytes it shares
-//!                                           with the path before at the
-//!                                           front (varint), a head
-//!                                           (`varint::write_head`) of the
-//!                                           bytes it shares with what is
-//!                                           left of that path at the back
-//!                                           and of the length of its middle,
-//!                                           one byte when both are below 15,
-//!                                           then the middle; then its file
-//!                                           id (varint)
-//!   doc-length count                        varint
-//!   per length (id ascending):              when the count is the doc
-//!                                           count, the length less the one
-//!                                           before (the first: less 0),
-//!                                           zigzag-coded (the ids are 0, 1,
-//!                                           …, numbered smallest file first,
-//!                                           so the lengths nearly ascend);
-//!                                           otherwise the file id less the
-//!                                           one before (the first: its id),
-//!                                           then the length, as varints
-//!   term count                              varint
-//!   per term (sorted ascending):            one entry, see
-//!                                           `dsearch_index::encode_term`
+//! segment                                   doc file
+//! magic   "DSG1"              4 bytes       magic   "DSD1"         4 bytes
+//! checksum XXH64(payload)     8 bytes LE    checksum XXH64(payload) 8 bytes LE
+//! payload:                                  payload:
+//!   version                   varint          version              varint
+//!   doc count                 varint          doc count            varint
+//!   doc-length count          varint          per doc (path ascending):
+//!   per length (id ascending)                   front, head, middle, id
+//!   term count                varint
+//!   per term (sorted ascending): one entry, see `dsearch_index::encode_term`
 //! ```
+//!
+//! With a length for every document, each is the step from the one before
+//! (zigzag; ids 0, 1, … go unstored, numbered smallest file first, so the
+//! lengths nearly ascend), else an id gap then the length.  A path is the
+//! bytes it shares with the path before at the front (varint), a head
+//! (`varint::write_head`) of the bytes it shares with what is left of that
+//! path at the back and of its middle's length, then the middle and its id.
 //!
 //! Nothing is stored that the reader can derive.  The doc table is listed in
 //! path order, whatever order Stage 1 numbered the files in (smallest first,
@@ -42,7 +29,9 @@
 //! break ties by ([`DocTable::path_ranks`]) — so a load sorts nothing.  The
 //! loader puts each path at its id and refuses an id past the table, an id
 //! listed twice and an entry whose `(path, id)` is not above the one before
-//! (a path listed twice comes with ascending ids).  The term entries are
+//! (a path listed twice comes with ascending ids).  A segment keeps its doc
+//! count, so that its ids and lengths are checked inside it; a store refuses
+//! a segment whose count is not its doc file's.  The term entries are
 //! **exactly** what a [`SealedShard`] reads in place: front-coded terms (every
 //! 16th whole, each behind a one-byte head where it can), the id and
 //! term-frequency blocks of one patched frame-of-reference codec whose
@@ -51,13 +40,12 @@
 //! every block's first id after a list's first stored as a gap from the
 //! block before, and one bound byte per list — the quantized largest
 //! `tf / (tf + norm)` of its postings, which holds no idf.  So serving a
-//! segment is decode-free:
-//! the file's bytes become the shard's one buffer and ranked queries prune
-//! with the persisted bounds.  A shard scores against the
-//! documents with a recorded length, so a segment that holds part of a run —
-//! what a resumable build seals between two checkpoints, under the whole
-//! run's doc table — loads as the shard its index seals to.  (The replicas of
-//! an Implementation 3 run are not such parts: [`write_segment_merged`] seals
+//! segment is decode-free: the file's bytes become the shard's one buffer
+//! and ranked queries prune with the persisted bounds.  A shard scores
+//! against the documents with a recorded length, so a segment that holds
+//! part of a run — what a resumable build seals between two checkpoints —
+//! loads as the shard its index seals to.  (The replicas of an
+//! Implementation 3 run are not such parts: [`write_segment_merged`] seals
 //! them into one segment, scored against the whole run.)
 //!
 //! There is one readable version.  The readers look at the version *before*
@@ -65,7 +53,7 @@
 //! with another function), so a file of any other version is a clean
 //! [`PersistError::UnsupportedVersion`] — re-indexing is the migration — and
 //! never a checksum mismatch.  The checksum makes a truncated, torn or
-//! bit-flipped segment a clean [`PersistError::Corrupt`] instead of a garbage
+//! bit-flipped file a clean [`PersistError::Corrupt`] instead of a garbage
 //! index.  It guards against accidents, not adversaries: whoever can write
 //! the file can recompute it, so everything behind it is still parsed as
 //! hostile input (every count is checked against the bytes left before it
@@ -87,31 +75,24 @@ use crate::error::PersistError;
 /// Magic bytes identifying a segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"DSG1";
 
-/// Current segment format version (patched frame-of-reference id and
-/// frequency blocks with bit-packed exceptions at gap-coded positions, back
-/// to back with no offsets, block first ids as gaps from the block before,
-/// skip entries of last ids only, a front-coded dictionary under one-byte
-/// heads, a document table in path order coded at both ends with each path's
-/// id, every document's lengths as zigzag deltas and some documents' under
-/// id gaps, one bound byte per list).  Version 10 had flat seven-bit
-/// exception positions, two varints a term and a path, and every length
-/// whole; its answers were this version's.
-pub const SEGMENT_VERSION: u32 = 11;
+/// Magic bytes identifying a doc file.
+pub const DOCS_MAGIC: [u8; 4] = *b"DSD1";
 
-/// Oldest version the readers still understand.
-pub const MIN_SEGMENT_VERSION: u32 = 11;
+/// Current format version of segments and doc files.  Version 11 held the
+/// doc table in every segment; its answers were this version's.
+pub const SEGMENT_VERSION: u32 = 12;
 
 /// The longest segment file a shard can lay over: its offsets are `u32`.
 const MAX_SEGMENT_BYTES: u64 = u32::MAX as u64;
 
-/// Longest path (in bytes) a segment will accept when reading; protects
+/// Longest path (in bytes) a doc file will accept when reading; protects
 /// against corrupt length prefixes.
 const MAX_STRING_LEN: u64 = 64 * 1024;
 
 /// Summary of a written segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentInfo {
-    /// Number of documents in the segment's doc table.
+    /// Number of documents in the doc table the segment is over.
     pub doc_count: u64,
     /// Number of distinct terms.
     pub term_count: u64,
@@ -121,24 +102,26 @@ pub struct SegmentInfo {
     pub bytes: u64,
 }
 
-/// Writes `index` and `docs` as one segment: [`write_segment_merged`] of one
-/// source.
+/// Writes `index`, over a doc table of `doc_count` documents, as one
+/// segment: [`write_segment_merged`] of one source.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures from `writer`.
 pub fn write_segment<W: Write + Seek>(
     index: &InMemoryIndex,
-    docs: &DocTable,
+    doc_count: usize,
     writer: W,
 ) -> Result<SegmentInfo, PersistError> {
-    write_segment_merged(std::slice::from_ref(index), docs, writer)
+    write_segment_merged(std::slice::from_ref(index), doc_count, writer).map(|(info, _)| info)
 }
 
 /// Writes `sources` — one index, or the un-joined replicas of one run over
-/// the document table `docs` — as **one** segment: the segment of their join
-/// ([`dsearch_index::join_all`]), byte for byte, merged in the seal
-/// ([`SealedTerms`]) without joining anything.
+/// a doc table of `doc_count` documents — as **one** segment: the segment of
+/// their join ([`dsearch_index::join_all`]), byte for byte, merged in the
+/// seal ([`SealedTerms`]) without joining anything.  Also says how many of
+/// the segment's bytes each section took (they add up to
+/// [`SegmentInfo::bytes`]).
 ///
 /// The payload streams out through a buffer one sealed chunk of terms at a
 /// time — neither a sealed copy of the index nor the encoded payload is ever
@@ -151,17 +134,7 @@ pub fn write_segment<W: Write + Seek>(
 /// Propagates I/O failures from `writer`.
 pub fn write_segment_merged<W: Write + Seek>(
     sources: &[InMemoryIndex],
-    docs: &DocTable,
-    writer: W,
-) -> Result<SegmentInfo, PersistError> {
-    write_segment_tallied(sources, docs, writer).map(|(info, _)| info)
-}
-
-/// [`write_segment_merged`], which also says how many of the segment's bytes
-/// each section took (they add up to [`SegmentInfo::bytes`]).
-pub(crate) fn write_segment_tallied<W: Write + Seek>(
-    sources: &[InMemoryIndex],
-    docs: &DocTable,
+    doc_count: usize,
     mut writer: W,
 ) -> Result<(SegmentInfo, SectionBytes), PersistError> {
     let start = writer.stream_position()?;
@@ -184,24 +157,12 @@ pub(crate) fn write_segment_tallied<W: Write + Seek>(
     let sealed = SealedTerms::new(sources);
     let mut front = Vec::new();
     write_varint(&mut front, u64::from(SEGMENT_VERSION));
-    write_varint(&mut front, docs.len() as u64);
-    // In `(path, id)` order, each path followed by its id.
-    let mut previous: &[u8] = &[];
-    for id in docs.ids_by_path() {
-        let path = docs.path(id).expect("an id of the table").as_bytes();
-        let (at_front, at_back) = shared_ends(previous, path);
-        write_varint(&mut front, at_front as u64);
-        let middle = &path[at_front..path.len() - at_back];
-        write_head(&mut front, at_back as u64, middle.len() as u64);
-        front.extend_from_slice(middle);
-        write_varint(&mut front, u64::from(id.as_u32()));
-        previous = path;
-    }
+    write_varint(&mut front, doc_count as u64);
     let doc_lens = sealed.doc_lens();
     write_varint(&mut front, doc_lens.len() as u64);
     // A length for every document: the ids are 0, 1, … and go unstored, and
     // each length is a step from the one before.
-    let dense = doc_lens.len() == docs.len();
+    let dense = doc_lens.len() == doc_count;
     debug_assert!(!dense || doc_lens.iter().enumerate().all(|(i, &(id, _))| id.as_usize() == i));
     let (mut previous_id, mut previous_len) = (0, 0);
     for &(id, len) in doc_lens {
@@ -232,7 +193,7 @@ pub(crate) fn write_segment_tallied<W: Write + Seek>(
     writer.seek(SeekFrom::Start(start + HEADER_LEN + payload_len))?;
 
     let info = SegmentInfo {
-        doc_count: docs.len() as u64,
+        doc_count: doc_count as u64,
         term_count,
         posting_count,
         bytes: HEADER_LEN + payload_len,
@@ -240,49 +201,81 @@ pub(crate) fn write_segment_tallied<W: Write + Seek>(
     Ok((info, sections))
 }
 
+/// Writes `docs` as a doc file; returns its length in bytes.
+///
+/// # Errors
+///
+/// Propagates I/O failures from `writer`.
+pub fn write_docs<W: Write>(docs: &DocTable, mut writer: W) -> Result<u64, PersistError> {
+    let mut payload = Vec::new();
+    write_varint(&mut payload, u64::from(SEGMENT_VERSION));
+    write_varint(&mut payload, docs.len() as u64);
+    // In `(path, id)` order, each path followed by its id.
+    let mut previous: &[u8] = &[];
+    for id in docs.ids_by_path() {
+        let path = docs.path(id).expect("an id of the table").as_bytes();
+        let (at_front, at_back) = shared_ends(previous, path);
+        write_varint(&mut payload, at_front as u64);
+        let middle = &path[at_front..path.len() - at_back];
+        write_head(&mut payload, at_back as u64, middle.len() as u64);
+        payload.extend_from_slice(middle);
+        write_varint(&mut payload, u64::from(id.as_u32()));
+        previous = path;
+    }
+    writer.write_all(&DOCS_MAGIC)?;
+    writer.write_all(&xxh64(&payload).to_le_bytes())?;
+    writer.write_all(&payload)?;
+    Ok(HEADER_LEN + payload.len() as u64)
+}
+
 /// Magic plus checksum.
 const HEADER_LEN: u64 = SEGMENT_MAGIC.len() as u64 + 8;
 
-/// What a segment file says before its terms, besides its documents' paths.
-struct FrontMatter {
-    /// Documents in the doc table.
-    doc_count: usize,
+/// What a segment file says before its terms.
+pub(crate) struct FrontMatter {
+    /// Documents in the doc table the segment is over.
+    pub(crate) doc_count: u64,
     /// Recorded document lengths, id ascending.
     doc_lens: Vec<(FileId, u32)>,
-    /// Where the term count, and behind it the term entries, start in the
-    /// file's bytes.
+    /// Where the term count and the entries behind it start.
     terms_at: usize,
 }
 
-/// Checks what a segment file must say before its checksum is believed —
-/// magic, then version — and returns where its document table starts.
-fn check_header(bytes: &[u8]) -> Result<usize, PersistError> {
+/// Checks what a `kind` of file must say before its checksum is believed —
+/// `magic`, then the version — and returns where the rest of it starts.
+fn check_header(bytes: &[u8], magic: [u8; 4], kind: &str) -> Result<usize, PersistError> {
     let header = HEADER_LEN as usize;
     if bytes.len() < header {
         return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
     }
-    if bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        return Err(PersistError::Corrupt("bad segment magic".into()));
+    if bytes[..magic.len()] != magic {
+        return Err(PersistError::Corrupt(format!("bad {kind} magic")));
     }
     // The version is read before the checksum is verified: older versions
     // were checksummed with another function, and theirs must read as an
     // unsupported version, not as corruption.
     let mut reader = Reader::new(bytes, header);
     let version = reader.u32()?;
-    if !(MIN_SEGMENT_VERSION..=SEGMENT_VERSION).contains(&version) {
+    if version != SEGMENT_VERSION {
         return Err(PersistError::UnsupportedVersion { found: version, expected: SEGMENT_VERSION });
     }
     Ok(reader.pos())
 }
 
-/// Verifies the checksum of a whole segment file held in `bytes`, then
-/// decodes the document table at `docs_at` under the hostile-input rules.
-fn verify_and_read_docs(bytes: &[u8], docs_at: usize) -> Result<DocTable, PersistError> {
+/// Verifies the checksum of a whole file of `kind` held in `bytes`.
+fn verify(bytes: &[u8], kind: &str) -> Result<(), PersistError> {
     let header = HEADER_LEN as usize;
     let expected = u64::from_le_bytes(bytes[SEGMENT_MAGIC.len()..header].try_into().expect("8"));
     if xxh64(&bytes[header..]) != expected {
-        return Err(PersistError::Corrupt("segment checksum mismatch".into()));
+        return Err(PersistError::Corrupt(format!("{kind} checksum mismatch")));
     }
+    Ok(())
+}
+
+/// Decodes a whole doc file held in `bytes` under the hostile-input rules.
+fn decode_docs(bytes: &[u8]) -> Result<DocTable, PersistError> {
+    let docs_at = check_header(bytes, DOCS_MAGIC, "doc file")?;
+    verify(bytes, "doc file")?;
     let mut reader = Reader::new(bytes, docs_at);
     let doc_count = reader.count(DOC_ENTRY_BYTES, "document")?;
     let mut docs = PathOrderedDocs::new(doc_count);
@@ -314,6 +307,9 @@ fn verify_and_read_docs(bytes: &[u8], docs_at: usize) -> Result<DocTable, Persis
         let text = std::str::from_utf8(&path)
             .map_err(|_| PersistError::Corrupt("document path is not valid UTF-8".into()))?;
         docs.place(id, text).map_err(bad_table)?;
+    }
+    if reader.remaining() > 0 {
+        return Err(PersistError::Corrupt("bytes after the last document".into()));
     }
     docs.finish().map_err(bad_table)
 }
@@ -368,22 +364,18 @@ fn unzigzag(coded: u64) -> i64 {
     (coded >> 1) as i64 ^ -((coded & 1) as i64)
 }
 
-/// Steps over the document table at `docs_at` — its paths are
-/// [`verify_and_read_docs`]'s, which fails wherever this does — and reads
-/// the document lengths behind it.
-fn read_front_matter(bytes: &[u8], docs_at: usize) -> Result<FrontMatter, PersistError> {
-    let mut reader = Reader::new(bytes, docs_at);
-    let doc_count = reader.count(DOC_ENTRY_BYTES, "document")?;
-    for _ in 0..doc_count {
-        DocEntry::read(&mut reader)?;
-    }
+/// Reads a segment's doc count and the document lengths behind it, from
+/// `at` on.
+fn read_front_matter(bytes: &[u8], at: usize) -> Result<FrontMatter, PersistError> {
+    let mut reader = Reader::new(bytes, at);
+    let doc_count = reader.u64()?;
     let len_count = reader.count(1, "document length")?;
-    if len_count > doc_count {
+    if len_count as u64 > doc_count {
         return Err(PersistError::Corrupt("more document lengths than documents".into()));
     }
     // A length for every document is every document's, in id order, each a
     // step from the one before.
-    let dense = len_count == doc_count;
+    let dense = len_count as u64 == doc_count;
     let mut doc_lens = Vec::with_capacity(len_count);
     let (mut previous, mut len) = (0u64, 0u32);
     for i in 0..len_count {
@@ -401,10 +393,9 @@ fn read_front_matter(bytes: &[u8], docs_at: usize) -> Result<FrontMatter, Persis
             len = reader.u32()?;
             gap
         };
-        // Ids index the doc table (which also bounds the norm table the
-        // shard sizes from them) and ascend strictly.
+        // Ids index the doc table and ascend strictly.
         let id = previous + u64::from(gap);
-        if id >= doc_count as u64 || (i > 0 && gap == 0) {
+        if id >= doc_count || id > u64::from(u32::MAX) || (i > 0 && gap == 0) {
             return Err(PersistError::Corrupt(
                 "document lengths are not strictly ascending ids of the doc table".into(),
             ));
@@ -415,36 +406,35 @@ fn read_front_matter(bytes: &[u8], docs_at: usize) -> Result<FrontMatter, Persis
     Ok(FrontMatter { doc_count, doc_lens, terms_at: reader.pos() })
 }
 
-/// The shard laid over a whole segment file's bytes, its doc table and its
-/// recorded document lengths.  With `helper`, the checksum and the doc table
-/// are verified and decoded on a helper thread while this one lays the term
-/// tables over the same bytes.  Errors come as a reader meets them front to
-/// back — magic, version, the checksum (which wins over any parse error),
-/// doc table, lengths, terms — and there is no shard before the checksum is
-/// in.
-fn load_segment(bytes: Vec<u8>, helper: bool) -> Result<Loaded, PersistError> {
-    let docs_at = check_header(&bytes)?;
-    let verify = |bytes: &[u8]| verify_and_read_docs(bytes, docs_at);
-    let front = match read_front_matter(&bytes, docs_at) {
-        Ok(front) => front,
-        Err(error) => {
-            verify(&bytes)?;
-            return Err(error);
-        }
+/// The shard laid over a whole segment file's bytes, and its front matter;
+/// and what `beside` returned.  With `helper`, the checksum is verified and
+/// `beside` run on a helper thread while this one lays the term tables over
+/// the same bytes.  Errors come as a reader meets them front to back —
+/// magic, version, the checksum (which wins over any parse error), lengths,
+/// terms — and there is no shard before the checksum is in.
+fn load_segment<X: Send>(
+    bytes: Vec<u8>,
+    helper: bool,
+    beside: impl FnOnce() -> X + Send,
+) -> (Result<(SealedShard, FrontMatter), PersistError>, X) {
+    let at = match check_header(&bytes, SEGMENT_MAGIC, "segment") {
+        Ok(at) => at,
+        Err(error) => return (Err(error), beside()),
     };
-    let (doc_count, terms_at) = (front.doc_count as u64, front.terms_at);
-    let (shard, docs) =
-        SealedShard::from_bytes_beside(bytes, terms_at, doc_count, &front.doc_lens, helper, verify);
-    let docs = docs?;
-    Ok(Loaded { shard: shard?, docs, doc_lens: front.doc_lens })
-}
-
-/// A segment file, loaded.
-struct Loaded {
-    shard: SealedShard,
-    docs: DocTable,
-    /// Recorded document lengths, id ascending.
-    doc_lens: Vec<(FileId, u32)>,
+    let front = match read_front_matter(&bytes, at) {
+        Ok(front) => front,
+        Err(error) => return (verify(&bytes, "segment").and(Err(error)), beside()),
+    };
+    let (doc_count, terms_at) = (front.doc_count, front.terms_at);
+    let (shard, (verified, beside)) = SealedShard::from_bytes_beside(
+        bytes,
+        terms_at,
+        doc_count,
+        &front.doc_lens,
+        helper,
+        |bytes| (verify(bytes, "segment"), beside()),
+    );
+    (verified.and_then(|()| Ok((shard?, front))), beside)
 }
 
 /// Threads this machine runs at once.
@@ -456,12 +446,12 @@ pub(crate) fn cores() -> usize {
 /// thread.
 const PART: usize = 1 << 20;
 
-/// A segment file's bytes, read by up to `threads` threads at once (the
-/// caller's among them) into one buffer sized from the file's length, so
-/// that the fresh buffer's page faults and the copy run on every thread.  A
-/// file that grew since is read on to its end; one that shrank is an error,
-/// never a short buffer.  A file longer than a shard can be is refused
-/// before anything is allocated for it.
+/// A file's bytes, read by up to `threads` threads at once (the caller's
+/// among them) into one buffer sized from the file's length, so that the
+/// fresh buffer's page faults and the copy run on every thread.  A file that
+/// grew since is read on to its end; one that shrank is an error, never a
+/// short buffer.  A file longer than a shard can be is refused before
+/// anything is allocated for it.
 fn read_file(file: &File, threads: usize) -> Result<Vec<u8>, PersistError> {
     let len = file.metadata()?.len();
     if len > MAX_SEGMENT_BYTES {
@@ -522,10 +512,10 @@ fn read_whole<R: Read>(mut reader: R) -> Result<Vec<u8>, PersistError> {
     Ok(bytes)
 }
 
-/// The mutable index of a loaded segment.
-fn into_index(
-    Loaded { shard, docs, doc_lens }: Loaded,
-) -> Result<(InMemoryIndex, DocTable), PersistError> {
+/// The mutable index of a loaded segment, and its doc count.
+pub(crate) fn into_index(
+    (shard, FrontMatter { doc_count, doc_lens, .. }): (SealedShard, FrontMatter),
+) -> Result<(InMemoryIndex, u64), PersistError> {
     let mut index = InMemoryIndex::with_capacity(shard.term_count());
     let (mut ids, mut tfs) = (Vec::new(), Vec::new());
     for (term, compressed) in shard.iter() {
@@ -543,55 +533,61 @@ fn into_index(
         index.note_doc_len(file, len);
     }
     // Restore the file counter the shard scores against.
-    for _ in 0..shard.file_count() {
-        index.note_file_done();
-    }
-    Ok((index, docs))
+    index.note_files_done(shard.file_count());
+    Ok((index, doc_count))
 }
 
-/// Reads one segment, reconstructing the mutable index and its document
-/// table (the incremental re-indexing path; serving should prefer
-/// [`read_segment_sealed`]).
+/// Reads one segment, reconstructing the mutable index, and the number of
+/// documents of the doc table it is over (the incremental re-indexing path;
+/// serving should prefer [`read_segment_sealed`]).
 ///
 /// # Errors
 ///
 /// Fails on I/O errors, a wrong magic number, a checksum mismatch, an
 /// unsupported version or any malformed length/delta.
-pub fn read_segment<R: Read>(reader: R) -> Result<(InMemoryIndex, DocTable), PersistError> {
-    into_index(load_segment(read_whole(reader)?, cores() > 1)?)
+pub fn read_segment<R: Read>(reader: R) -> Result<(InMemoryIndex, u64), PersistError> {
+    into_index(load_segment(read_whole(reader)?, cores() > 1, || ()).0?)
 }
 
-/// Reads one segment straight into a [`SealedShard`] — the serving load
-/// path: the file's bytes are read once and become the shard's one buffer;
-/// no posting is decoded and nothing is copied out but the doc table, which
-/// is decoded beside the term tables, on a helper thread where there is a
-/// second core.
+/// [`read_segment`] straight into a [`SealedShard`] — the serving load path:
+/// the file's bytes are read once and become the shard's one buffer, no
+/// posting is decoded, and the checksum is verified beside the term tables,
+/// on a helper thread where there is a second core.
 ///
 /// # Errors
 ///
 /// Fails like [`read_segment`].
-pub fn read_segment_sealed<R: Read>(reader: R) -> Result<(SealedShard, DocTable), PersistError> {
-    let Loaded { shard, docs, .. } = load_segment(read_whole(reader)?, cores() > 1)?;
-    Ok((shard, docs))
+pub fn read_segment_sealed<R: Read>(reader: R) -> Result<(SealedShard, u64), PersistError> {
+    let (shard, front) = load_segment(read_whole(reader)?, cores() > 1, || ()).0?;
+    Ok((shard, front.doc_count))
 }
 
-/// [`read_segment`] of a segment file, on `threads` threads: the file read
-/// in parts ([`read_file`]), verified beside the term tables.
+/// Reads a doc file.
+///
+/// # Errors
+///
+/// Fails on I/O errors, a wrong magic number, a checksum mismatch, an
+/// unsupported version or a malformed table.
+pub fn read_docs<R: Read>(reader: R) -> Result<DocTable, PersistError> {
+    decode_docs(&read_whole(reader)?)
+}
+
+/// A doc table a store's load decoded beside a segment's term tables, if it
+/// decoded one there.
+pub(crate) type Docs = Option<Result<DocTable, PersistError>>;
+
+/// [`load_segment`] of the segment file at `path`, read in parts on
+/// `threads` threads ([`read_file`]), and what `beside` returned: the store
+/// decodes its doc file there, beside the first segment's term tables.
 pub(crate) fn read_segment_file(
-    file: File,
+    path: &std::path::Path,
     threads: usize,
-) -> Result<(InMemoryIndex, DocTable), PersistError> {
-    into_index(load_segment(read_file(&file, threads)?, threads > 1)?)
-}
-
-/// [`read_segment_sealed`] of a segment file, on `threads` threads: the
-/// file read in parts ([`read_file`]), verified beside the term tables.
-pub(crate) fn read_sealed_file(
-    file: File,
-    threads: usize,
-) -> Result<(SealedShard, DocTable), PersistError> {
-    let Loaded { shard, docs, .. } = load_segment(read_file(&file, threads)?, threads > 1)?;
-    Ok((shard, docs))
+    beside: &(dyn Fn() -> Docs + Sync),
+) -> (Result<(SealedShard, FrontMatter), PersistError>, Docs) {
+    match File::open(path).map_err(PersistError::from).and_then(|file| read_file(&file, threads)) {
+        Ok(bytes) => load_segment(bytes, threads > 1, beside),
+        Err(error) => (Err(error), beside()),
+    }
 }
 
 #[cfg(test)]
@@ -612,19 +608,27 @@ mod tests {
         (index, docs)
     }
 
+    /// `docs` written as a doc file.
+    fn doc_file(docs: &DocTable) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let bytes = write_docs(docs, &mut buf).unwrap();
+        assert_eq!(bytes, buf.len() as u64);
+        buf
+    }
+
     #[test]
     fn round_trip_preserves_index_and_docs() {
         let (index, docs) = sample();
         let mut buf = Vec::new();
-        let info = write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
+        let info = write_segment(&index, docs.len(), std::io::Cursor::new(&mut buf)).unwrap();
         assert_eq!(info.doc_count, 3);
         assert_eq!(info.term_count, 4);
         assert_eq!(info.posting_count, 7);
         assert_eq!(info.bytes, buf.len() as u64);
         // The tally accounts for every byte, section by section.
-        let (tallied, sections) = write_segment_tallied(
+        let (tallied, sections) = write_segment_merged(
             std::slice::from_ref(&index),
-            &docs,
+            docs.len(),
             std::io::Cursor::new(Vec::new()),
         )
         .unwrap();
@@ -635,25 +639,35 @@ mod tests {
         assert_eq!(sections.dictionary, 4 * 2 + "alphabetagammadelta".len() as u64);
         assert_eq!((sections.skips, sections.tfs), (0, 0), "single blocks, every tf 1");
 
-        let (restored, restored_docs) = read_segment(&buf[..]).unwrap();
+        // The segment's front matter is its header, its doc count and its
+        // lengths: no path.
+        assert_eq!(sections.docs, HEADER_LEN + [12, 3, 3, 4, 0, 2, 4].len() as u64);
+        let (restored, doc_count) = read_segment(&buf[..]).unwrap();
         assert_eq!(restored, index);
-        assert_eq!(restored_docs.len(), docs.len());
+        assert_eq!(doc_count, 3);
+        assert_eq!(restored.file_count(), 3);
+        let restored_docs = read_docs(&doc_file(&docs)[..]).unwrap();
+        assert_eq!(restored_docs, docs);
         for (id, path) in docs.iter() {
             assert_eq!(restored_docs.path(id), Some(path));
         }
-        assert_eq!(restored.file_count(), 3);
     }
 
     #[test]
     fn other_versions_are_a_clean_unsupported_version() {
-        for version in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, SEGMENT_VERSION + 1] {
+        for version in (1..SEGMENT_VERSION).chain([SEGMENT_VERSION + 1]) {
             // Under this version's checksum, and under one it would refuse
             // (a real file of versions 1–3 carries another function's): the
-            // version decides first.
-            let payload = varints(&[u64::from(version), 0, 0]);
+            // version decides first, for a segment and for a doc file.
+            let payload = varints(&[u64::from(version), 0, 0, 0]);
             let foreign = [&SEGMENT_MAGIC[..], &[0u8; 8], &payload].concat();
             for buf in [forge(&payload), foreign] {
-                for err in [read_segment(&buf[..]).err(), read_segment_sealed(&buf[..]).err()] {
+                let doc_file = [&DOCS_MAGIC[..], &buf[SEGMENT_MAGIC.len()..]].concat();
+                for err in [
+                    read_segment(&buf[..]).err(),
+                    read_segment_sealed(&buf[..]).err(),
+                    read_docs(&doc_file[..]).err(),
+                ] {
                     assert!(
                         matches!(err, Some(PersistError::UnsupportedVersion { found, .. }) if found == version),
                         "version {version}: {err:?}"
@@ -666,7 +680,7 @@ mod tests {
     #[test]
     fn partial_replicas_load_as_the_shard_their_index_seals_to() {
         // A segment of part of a run (a resumable build's seal) indexes some
-        // of the files but carries the whole run's doc table.  Its norms and
+        // of the files but is over the whole run's doc table.  Its norms and
         // idfs come from the part's own lengths and document count, so the
         // loaded shard must score against that population too.
         let mut docs = DocTable::new();
@@ -675,11 +689,11 @@ mod tests {
         replica.insert_file_counted(ids[1], [(Term::from("alpha"), 3u32), (Term::from("beta"), 1)]);
         replica.insert_file_counted(ids[4], [(Term::from("alpha"), 1u32)]);
         let mut buf = Vec::new();
-        write_segment(&replica, &docs, std::io::Cursor::new(&mut buf)).unwrap();
+        write_segment(&replica, docs.len(), std::io::Cursor::new(&mut buf)).unwrap();
         // Sealed path: identical to sealing the source index, including the
         // persisted list bounds and rebuilt norms.
-        let (shard, loaded_docs) = read_segment_sealed(&buf[..]).unwrap();
-        assert_eq!(loaded_docs.len(), 6);
+        let (shard, doc_count) = read_segment_sealed(&buf[..]).unwrap();
+        assert_eq!(doc_count, 6);
         assert_eq!(shard.file_count(), 2);
         assert_eq!(shard, SealedShard::from_index(&replica));
         assert!(shard.has_scoring());
@@ -694,38 +708,46 @@ mod tests {
     #[test]
     fn empty_index_round_trips() {
         let mut buf = Vec::new();
-        let info =
-            write_segment(&InMemoryIndex::new(), &DocTable::new(), std::io::Cursor::new(&mut buf))
-                .unwrap();
+        let info = write_segment(&InMemoryIndex::new(), 0, std::io::Cursor::new(&mut buf)).unwrap();
         assert_eq!(info.term_count, 0);
-        let (restored, docs) = read_segment(&buf[..]).unwrap();
+        let (restored, doc_count) = read_segment(&buf[..]).unwrap();
         assert!(restored.is_empty());
-        assert!(docs.is_empty());
+        assert_eq!(doc_count, 0);
+        assert!(read_docs(&doc_file(&DocTable::new())[..]).unwrap().is_empty());
     }
 
     #[test]
     fn damaged_segments_are_rejected() {
         let (index, docs) = sample();
         let mut good = Vec::new();
-        write_segment(&index, &docs, std::io::Cursor::new(&mut good)).unwrap();
+        write_segment(&index, docs.len(), std::io::Cursor::new(&mut good)).unwrap();
         let read = |buf: &[u8]| (read_segment(buf).err(), read_segment_sealed(buf).is_err());
         // Bad magic, a flipped payload bit and appended bytes (which the
         // checksum covers) are corruption; a cut file is at least an error.
-        let (mut magic, mut flipped) = (good.clone(), good.clone());
-        magic[0] = b'X';
-        *flipped.last_mut().unwrap() ^= 0x40;
-        for buf in [magic, flipped, [&good[..], b"junk"].concat()] {
-            assert!(matches!(read(&buf), (Some(PersistError::Corrupt(_)), true)));
+        // So for a doc file; and neither reads as the other.
+        let good_docs = doc_file(&docs);
+        for (good, read) in [
+            (&good, &read as &dyn Fn(&[u8]) -> (Option<PersistError>, bool)),
+            (&good_docs, &|buf: &[u8]| (read_docs(buf).err(), true)),
+        ] {
+            let (mut magic, mut flipped) = (good.clone(), good.clone());
+            magic[0] = b'X';
+            *flipped.last_mut().unwrap() ^= 0x40;
+            for buf in [magic, flipped, [&good[..], b"junk"].concat()] {
+                assert!(matches!(read(&buf), (Some(PersistError::Corrupt(_)), true)));
+            }
+            for keep in [good.len() - 3, 6] {
+                assert!(matches!(read(&good[..keep]), (Some(_), true)));
+            }
         }
-        for keep in [good.len() - 3, 6] {
-            assert!(matches!(read(&good[..keep]), (Some(_), true)));
-        }
+        assert!(matches!(read(&good_docs), (Some(PersistError::Corrupt(_)), true)));
+        assert!(matches!(read_docs(&good[..]), Err(PersistError::Corrupt(_))));
     }
 
     /// The error of loading `bytes`, the same with a helper thread as without.
     fn load_error(bytes: &[u8]) -> String {
         let [beside, alone] =
-            [true, false].map(|helper| match load_segment(bytes.to_vec(), helper) {
+            [true, false].map(|helper| match load_segment(bytes.to_vec(), helper, || ()).0 {
                 Ok(_) => panic!("damaged bytes loaded"),
                 Err(error) => error.to_string(),
             });
@@ -737,13 +759,11 @@ mod tests {
     fn a_stale_checksum_wins_over_every_parse_error() {
         let (index, docs) = sample();
         let mut good = Vec::new();
-        write_segment(&index, &docs, std::io::Cursor::new(&mut good)).unwrap();
+        write_segment(&index, docs.len(), std::io::Cursor::new(&mut good)).unwrap();
         let header = HEADER_LEN as usize;
         let at = |needle: &[u8]| good.windows(needle.len()).rposition(|w| w == needle).unwrap();
-        // The first path shares bytes with a path before it, which it lacks;
-        // there are more lengths than documents (three, stepping 2, 0 and
+        // There are more lengths than documents (three, stepping 2, 0 and
         // +1, zigzag-coded); a term is not UTF-8.
-        let doc_table = (header + 2, 5);
         let doc_lens = (at(&[3, 4, 0, 2, 4]), 4);
         let term = (at(b"alpha"), 0xff);
         let damage = |flips: &[(usize, u8)]| {
@@ -751,11 +771,9 @@ mod tests {
             flips.iter().for_each(|&(at, value)| bytes[at] = value);
             bytes
         };
-        for (flip, parse_error) in [
-            (doc_table, "shares 5 bytes with one of 0"),
-            (doc_lens, "more document lengths than documents"),
-            (term, "term is not valid UTF-8"),
-        ] {
+        for (flip, parse_error) in
+            [(doc_lens, "more document lengths than documents"), (term, "term is not valid UTF-8")]
+        {
             let stale = damage(&[flip]);
             assert_eq!(load_error(&stale), "corrupt persisted data: segment checksum mismatch");
             assert!(matches!(read_segment_sealed(&stale[..]), Err(PersistError::Corrupt(_))));
@@ -767,8 +785,15 @@ mod tests {
         // Several parse errors: the first in the file is the one reported,
         // as a reader front to back would meet them.
         let forged = |flips: &[(usize, u8)]| load_error(&forge(&damage(flips)[header..]));
-        assert!(forged(&[doc_table, doc_lens, term]).contains("shares 5 bytes"));
         assert!(forged(&[doc_lens, term]).contains("more document lengths"));
+        // The same in a doc file: its first path shares bytes with a path
+        // before it, which it lacks.
+        let mut stale = doc_file(&docs);
+        stale[header + 2] = 5;
+        let refused = |bytes: &[u8]| read_docs(bytes).unwrap_err().to_string();
+        assert_eq!(refused(&stale), "corrupt persisted data: doc file checksum mismatch");
+        let forged = forge_docs(&stale[header..]);
+        assert!(refused(&forged).contains("shares 5 bytes with one of 0"), "{}", refused(&forged));
     }
 
     /// A file of `bytes` in the temp directory, removed on drop.
@@ -814,18 +839,25 @@ mod tests {
             }
         }
         assert_eq!(read_file(&file.open(), 4).unwrap(), bytes);
-        // Through the readers: a cut file is an error, not a short shard.
+        // Through the readers: a cut file is an error, not a short shard,
+        // and what runs beside the tables runs whatever the file holds.
         let (index, docs) = sample();
         let mut segment = Vec::new();
-        write_segment(&index, &docs, std::io::Cursor::new(&mut segment)).unwrap();
+        write_segment(&index, docs.len(), std::io::Cursor::new(&mut segment)).unwrap();
         let cut = TempFile::new(&segment[..segment.len() - 1]);
-        assert!(read_sealed_file(cut.open(), 2).is_err());
-        assert!(read_segment_file(cut.open(), 2).is_err());
+        let beside = || Some(Ok(docs.clone()));
+        for path in [&cut.0, &cut.0.with_extension("missing")] {
+            let (loaded, ran) = read_segment_file(path, 2, &beside);
+            assert!(loaded.is_err() && matches!(ran, Some(Ok(_))));
+        }
         let whole = TempFile::new(&segment);
-        assert_eq!(
-            read_sealed_file(whole.open(), 3).unwrap(),
-            read_segment_sealed(&segment[..]).unwrap()
-        );
+        let (loaded, ran) = read_segment_file(&whole.0, 3, &beside);
+        let Ok((shard, front)) = loaded else { panic!("the whole file loads") };
+        assert_eq!((shard, front.doc_count), read_segment_sealed(&segment[..]).unwrap());
+        assert_eq!(ran.unwrap().unwrap(), docs);
+        let docs_file = doc_file(&docs);
+        assert!(read_docs(TempFile::new(&docs_file[..docs_file.len() - 1]).open()).is_err());
+        assert_eq!(read_docs(TempFile::new(&docs_file).open()).unwrap(), docs);
     }
 
     /// Wraps a hand-built payload in a header whose checksum matches, so the
@@ -837,6 +869,11 @@ mod tests {
         buf
     }
 
+    /// [`forge`] of a doc file.
+    fn forge_docs(payload: &[u8]) -> Vec<u8> {
+        [&DOCS_MAGIC[..], &forge(payload)[SEGMENT_MAGIC.len()..]].concat()
+    }
+
     /// Both readers must refuse `payload` as corrupt.  A count that reached
     /// `with_capacity`/`reserve` unclamped would abort the test process (or
     /// panic on capacity overflow) instead of returning.
@@ -844,6 +881,11 @@ mod tests {
         let buf = forge(payload);
         assert!(matches!(read_segment(&buf[..]), Err(PersistError::Corrupt(_))));
         assert!(matches!(read_segment_sealed(&buf[..]), Err(PersistError::Corrupt(_))));
+    }
+
+    /// The doc file reader must refuse `payload` as corrupt, as above.
+    fn assert_docs_rejected(payload: &[u8]) {
+        assert!(matches!(read_docs(&forge_docs(payload)[..]), Err(PersistError::Corrupt(_))));
     }
 
     /// A hand-built payload of small numbers: its varints, in order (a byte
@@ -858,22 +900,26 @@ mod tests {
     fn forged_counts_are_rejected_before_they_size_an_allocation() {
         let version = u64::from(SEGMENT_VERSION);
         for huge in [1u64 << 40, u64::MAX] {
-            // The doc count; the document-length count, behind an honest
-            // one-document table; the term count, behind empty tables.
-            assert_both_readers_reject(&varints(&[version, huge]));
-            assert_both_readers_reject(&varints(&[version, 1, 0, 0x10, b'a'.into(), 0, huge]));
+            // The document-length count, over a one-document table; the term
+            // count, over an empty one.
+            assert_both_readers_reject(&varints(&[version, 1, huge]));
             assert_both_readers_reject(&varints(&[version, 0, 0, huge]));
-            // The bytes a path claims to share with the one before it, at
-            // the front and at the back, and the length of its middle.
-            assert_both_readers_reject(&varints(&[version, 1, huge, 0, 0, 0, 0]));
-            assert_both_readers_reject(&varints(&[version, 1, 0, 0x0f, huge, 0, 0, 0]));
-            assert_both_readers_reject(&varints(&[version, 1, 0, 0xf0, huge, 0, 0, 0]));
+            // A segment's doc count sizes nothing: it loads, and a store
+            // refuses it beside its doc file.
+            let (shard, doc_count) =
+                read_segment_sealed(&forge(&varints(&[version, huge, 0, 0]))[..]).unwrap();
+            assert_eq!((shard.term_count(), doc_count), (0, huge));
+            // A doc file's doc count; the bytes a path claims to share with
+            // the one before it, at the front and at the back, and the
+            // length of its middle.
+            assert_docs_rejected(&varints(&[version, huge]));
+            assert_docs_rejected(&varints(&[version, 1, huge, 0, 0, 0]));
+            assert_docs_rejected(&varints(&[version, 1, 0, 0x0f, huge, 0, 0]));
+            assert_docs_rejected(&varints(&[version, 1, 0, 0xf0, huge, 0, 0]));
         }
         // A count that fits the payload but not its entries: two documents
         // declared, room for two three-byte entries, the entries truncated.
-        let buf = forge(&varints(&[version, 2, 0, 0x50, b'a'.into(), b'b'.into(), 0, 0]));
-        assert!(read_segment(&buf[..]).is_err());
-        assert!(read_segment_sealed(&buf[..]).is_err());
+        assert!(read_docs(&forge_docs(&varints(&[version, 2, 0, 0x50, 97, 98]))[..]).is_err());
     }
 
     #[test]
@@ -888,12 +934,12 @@ mod tests {
             bytes.extend(varints(&[id]));
             bytes
         };
-        // A table of `entries`, no lengths, no terms.
+        // A table of `entries`.
         let table = |entries: &[Vec<u8>]| {
-            [varints(&[version, entries.len() as u64]), entries.concat(), varints(&[0, 0])].concat()
+            [varints(&[version, entries.len() as u64]), entries.concat()].concat()
         };
         let paths = |entries: &[Vec<u8>]| {
-            let (_, docs) = read_segment_sealed(&forge(&table(entries))[..]).unwrap();
+            let docs = read_docs(&forge_docs(&table(entries))[..]).unwrap();
             (
                 docs.iter().map(|(_, path)| path.to_owned()).collect::<Vec<_>>(),
                 docs.path_ranks().to_vec(),
@@ -915,40 +961,41 @@ mod tests {
             vec![entry(0, 0, b"ab", 0), entry(1, 2, b"", 1)],
             vec![entry(0, 0, b"ab", 0), entry(2, 1, b"c", 1)],
         ] {
-            assert_both_readers_reject(&table(&hostile));
+            assert_docs_rejected(&table(&hostile));
         }
-        // A head whose escape has no varint behind it, or a cut one.
-        assert_both_readers_reject(&varints(&[version, 1, 0, 0x0f]));
-        assert_both_readers_reject(&[varints(&[version, 1, 0, 0xf0]), vec![0x80]].concat());
+        // A head whose escape has no varint behind it, or a cut one; bytes
+        // after the last entry.
+        assert_docs_rejected(&varints(&[version, 1, 0, 0x0f]));
+        assert_docs_rejected(&[varints(&[version, 1, 0, 0xf0]), vec![0x80]].concat());
+        assert_docs_rejected(&[table(&[entry(0, 0, b"a", 0)]), vec![0]].concat());
         // Each part valid on its own terms, the rebuilt path not UTF-8: the
         // first byte of `é`, then `a`; the `a`, then the last byte of `é`.
         let e = "é".as_bytes();
-        assert_both_readers_reject(&table(&[entry(0, 0, e, 1), entry(1, 0, b"a", 0)]));
-        assert_both_readers_reject(&table(&[entry(0, 0, e, 1), entry(0, 1, b"a", 0)]));
+        assert_docs_rejected(&table(&[entry(0, 0, e, 1), entry(1, 0, b"a", 0)]));
+        assert_docs_rejected(&table(&[entry(0, 0, e, 1), entry(0, 1, b"a", 0)]));
         // A rebuilt path over the limit, from parts under it: the path
         // before and one byte more, at the front and at the back.
         let limit = vec![b'a'; MAX_STRING_LEN as usize];
         for second in [entry(MAX_STRING_LEN, 0, b"a", 1), entry(0, MAX_STRING_LEN, b"a", 1)] {
-            assert_both_readers_reject(&table(&[entry(0, 0, &limit, 0), second]));
+            assert_docs_rejected(&table(&[entry(0, 0, &limit, 0), second]));
         }
     }
 
     #[test]
     fn doc_table_entries_give_each_id_one_ascending_path() {
         let version = u64::from(SEGMENT_VERSION);
-        // Documents `a`, `b`, `c` in path order under `ids`; no lengths, no
-        // terms.
+        // Documents `a`, `b`, `c` in path order under `ids`.
         let table = |paths: [u8; 3], ids: [u64; 3]| {
             let mut all = vec![version, 3];
             for (path, id) in paths.into_iter().zip(ids) {
                 all.extend([0, 0x10, path.into(), id]);
             }
-            varints(&[all, vec![0, 0]].concat())
+            varints(&all)
         };
-        let (_, docs) = read_segment_sealed(&forge(&table(*b"abc", [2, 0, 1]))[..]).unwrap();
+        let docs = read_docs(&forge_docs(&table(*b"abc", [2, 0, 1]))[..]).unwrap();
         assert_eq!(docs.iter().map(|(_, path)| path).collect::<Vec<_>>(), ["b", "c", "a"]);
         assert_eq!(docs.path_ranks(), [1, 2, 0]);
-        let error = |payload: &[u8]| load_error(&forge(payload));
+        let error = |payload: &[u8]| read_docs(&forge_docs(payload)[..]).unwrap_err().to_string();
         for (ids, why) in [
             ([2, 0, 2], "document id listed twice"),
             ([0, 3, 1], "document id past the end of the table"),
@@ -964,16 +1011,13 @@ mod tests {
         }
         // A path listed twice, as `DocTable::insert` allows, under ascending
         // ids; and such a table written and read back.
-        let (_, docs) = read_segment_sealed(&forge(&table(*b"abb", [0, 1, 2]))[..]).unwrap();
+        let docs = read_docs(&forge_docs(&table(*b"abb", [0, 1, 2]))[..]).unwrap();
         assert_eq!(docs.iter().map(|(_, path)| path).collect::<Vec<_>>(), ["a", "b", "b"]);
         let mut twice = DocTable::new();
-        let mut index = InMemoryIndex::new();
         for path in ["b.txt", "a.txt", "b.txt"] {
-            index.insert_file(twice.insert(path), [Term::from("alpha")]);
+            twice.insert(path);
         }
-        let mut buf = Vec::new();
-        write_segment(&index, &twice, std::io::Cursor::new(&mut buf)).unwrap();
-        let (_, loaded) = read_segment_sealed(&buf[..]).unwrap();
+        let loaded = read_docs(&doc_file(&twice)[..]).unwrap();
         assert_eq!(loaded, twice);
         assert_eq!(loaded.path_ranks(), [1, 0, 2]);
     }
@@ -981,19 +1025,17 @@ mod tests {
     #[test]
     fn document_lengths_are_id_gaps_under_the_hostile_input_rules() {
         let version = u64::from(SEGMENT_VERSION);
-        // Three documents `a`, `b`, `c`; `count` lengths stored as `values`;
-        // no terms.
+        // Three documents; `count` lengths stored as `values`; no terms.
         let front = |count: u64, values: &[u64]| {
-            let mut all = vec![version, 3];
-            all.extend([0, 0x10, b'a'.into(), 0, 0, 0x10, b'b'.into(), 1]);
-            all.extend([0, 0x10, b'c'.into(), 2, count]);
+            let mut all = vec![version, 3, count];
             all.extend_from_slice(values);
             all.push(0);
             varints(&all)
         };
         let lens = |payload: &[u8]| -> Vec<(FileId, u32)> {
             let bytes = forge(payload);
-            read_front_matter(&bytes, check_header(&bytes).unwrap()).unwrap().doc_lens
+            let at = check_header(&bytes, SEGMENT_MAGIC, "segment").unwrap();
+            read_front_matter(&bytes, at).unwrap().doc_lens
         };
         // Some documents' lengths: (gap, length) pairs.
         assert_eq!(lens(&front(2, &[0, 5, 2, 7])), [(FileId(0), 5), (FileId(2), 7)]);
@@ -1032,7 +1074,7 @@ mod tests {
             index.insert_file(id, [Term::from("everywhere")]);
         }
         let mut buf = Vec::new();
-        let info = write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
+        let info = write_segment(&index, docs.len(), std::io::Cursor::new(&mut buf)).unwrap();
         assert!(info.posting_count > buf.len() as u64 / 10);
         let (shard, _) = read_segment_sealed(&buf[..]).unwrap();
         assert_eq!(shard, SealedShard::from_index(&index));
@@ -1043,11 +1085,11 @@ mod tests {
     fn streaming_writer_appends_at_the_writers_position_and_ends_after_the_segment() {
         let (index, docs) = sample();
         let mut alone = Vec::new();
-        write_segment(&index, &docs, std::io::Cursor::new(&mut alone)).unwrap();
+        write_segment(&index, docs.len(), std::io::Cursor::new(&mut alone)).unwrap();
 
         let mut cursor = std::io::Cursor::new(b"prefix".to_vec());
         cursor.set_position(6);
-        let info = write_segment(&index, &docs, &mut cursor).unwrap();
+        let info = write_segment(&index, docs.len(), &mut cursor).unwrap();
         assert_eq!(cursor.position(), 6 + info.bytes);
         let written = cursor.into_inner();
         assert_eq!(&written[..6], b"prefix");
@@ -1059,7 +1101,7 @@ mod tests {
     /// two-byte prefix range holds the lists a scan finds.
     fn assert_round_trips(index: &InMemoryIndex, docs: &DocTable) {
         let mut buf = Vec::new();
-        write_segment(index, docs, std::io::Cursor::new(&mut buf)).unwrap();
+        write_segment(index, docs.len(), std::io::Cursor::new(&mut buf)).unwrap();
         let (shard, _) = read_segment_sealed(&buf[..]).unwrap();
         assert!(shard == SealedShard::from_index(index));
         assert_eq!(read_segment(&buf[..]).unwrap().0, *index);
@@ -1173,8 +1215,9 @@ mod tests {
                 );
             }
             let mut buf = Vec::new();
-            write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
-            let terms_at = read_front_matter(&buf, check_header(&buf).unwrap()).unwrap().terms_at;
+            write_segment(&index, docs.len(), std::io::Cursor::new(&mut buf)).unwrap();
+            let at = check_header(&buf, SEGMENT_MAGIC, "segment").unwrap();
+            let terms_at = read_front_matter(&buf, at).unwrap().terms_at;
             let header = HEADER_LEN as usize;
             // Where each term's head stands in the payload: behind the term
             // count, each entry as long as it encodes.
@@ -1277,19 +1320,19 @@ mod tests {
             paths in proptest::collection::btree_map("[a-c/]{0,6}", any::<u64>(), 0..40),
         ) {
             let paths = numbering(paths);
-            let (index, docs) = numbered(&paths);
-            let mut buf = Vec::new();
-            write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
-            let (_, loaded) = read_segment_sealed(&buf[..]).unwrap();
+            let (_, docs) = numbered(&paths);
+            let loaded = read_docs(&doc_file(&docs)[..]).unwrap();
             prop_assert_eq!(&loaded, &docs);
             let sorted: DocTable = paths.iter().cloned().collect();
             prop_assert_eq!(loaded.path_ranks(), sorted.path_ranks());
         }
 
-        /// Hostile v11 doc tables behind a matching checksum — one byte
-        /// changed, the table cut short or bytes inserted into it — load or
-        /// fail as `Corrupt`, never a panic; and a table that loads gives
-        /// every id a path, in ranks a sort of its paths gives.
+        /// Hostile doc files — one byte changed, the file cut short, bytes
+        /// inserted into it or appended to it — are an error under the
+        /// checksum they were written with.  Behind a matching one they load
+        /// or fail as `Corrupt` (bytes appended always fail), never a panic
+        /// or an allocation sized by an unchecked count; and a table that
+        /// loads gives every id a path, in ranks a sort of its paths gives.
         #[test]
         fn hostile_doc_tables_load_or_fail_cleanly(
             paths in proptest::collection::btree_map(
@@ -1299,36 +1342,28 @@ mod tests {
             ),
             at in any::<usize>(),
             value in any::<u8>(),
-            how in 0u8..3,
+            how in 0u8..4,
             extra in proptest::collection::vec(any::<u8>(), 1..8),
         ) {
-            let (index, docs) = numbered(&numbering(paths));
-            let mut buf = Vec::new();
-            write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
+            let (_, docs) = numbered(&numbering(paths));
+            let buf = doc_file(&docs);
             let header = HEADER_LEN as usize;
-            let docs_at = check_header(&buf).unwrap();
-            let mut reader = Reader::new(&buf, docs_at);
-            for _ in 0..reader.count(DOC_ENTRY_BYTES, "document").unwrap() {
-                DocEntry::read(&mut reader).unwrap();
-            }
-            let section = docs_at - header..reader.pos() - header;
-            let mut payload = buf[header..].to_vec();
-            let at = section.start + at % section.len();
+            let mut damaged = buf.clone();
+            let at = header + at % (buf.len() - header);
             match how {
-                0 => payload[at] = value,
-                1 => payload.truncate(at),
-                _ => drop(payload.splice(at..at, extra)),
+                0 => damaged[at] = if damaged[at] == value { !value } else { value },
+                1 => damaged.truncate(at),
+                2 => drop(damaged.splice(at..at, extra)),
+                _ => damaged.extend_from_slice(&extra),
             }
-            let forged = forge(&payload);
-            match read_segment(&forged[..]) {
-                Ok(_) | Err(PersistError::Corrupt(_)) => {}
-                Err(other) => panic!("not `Corrupt`: {other}"),
-            }
-            let loaded = match read_segment_sealed(&forged[..]) {
-                Ok((_, loaded)) => loaded,
+            prop_assert!(read_docs(&damaged[..]).is_err());
+            let forged = forge_docs(&damaged[header..]);
+            let loaded = match read_docs(&forged[..]) {
+                Ok(loaded) => loaded,
                 Err(PersistError::Corrupt(_)) => return,
                 Err(other) => panic!("not `Corrupt`: {other}"),
             };
+            prop_assert!(how < 3, "bytes appended to a doc file loaded");
             let sorted: DocTable = loaded.iter().map(|(_, path)| path.to_owned()).collect();
             prop_assert_eq!(loaded.path_ranks(), sorted.path_ranks());
         }
@@ -1354,11 +1389,12 @@ mod tests {
                 index.insert_file(id, uniq.iter().map(|w| Term::from(w.as_str())));
             }
             let mut buf = Vec::new();
-            let info = write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
+            let info = write_segment(&index, docs.len(), std::io::Cursor::new(&mut buf)).unwrap();
             prop_assert_eq!(info.doc_count, docs.len() as u64);
-            let (restored, restored_docs) = read_segment(&buf[..]).unwrap();
+            let (restored, doc_count) = read_segment(&buf[..]).unwrap();
             prop_assert_eq!(&restored, &index);
-            prop_assert_eq!(restored_docs.len(), docs.len());
+            prop_assert_eq!(doc_count, docs.len() as u64);
+            prop_assert_eq!(&read_docs(&doc_file(&docs)[..]).unwrap(), &docs);
         }
 
         /// Hostile bytes behind a matching checksum: a truncated segment is
@@ -1386,7 +1422,7 @@ mod tests {
                 );
             }
             let mut buf = Vec::new();
-            write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
+            write_segment(&index, docs.len(), std::io::Cursor::new(&mut buf)).unwrap();
             let payload = &buf[HEADER_LEN as usize..];
             let at = at % payload.len();
 

@@ -1,32 +1,27 @@
 //! The on-disk index store.
 //!
-//! An [`IndexStore`] is a directory containing numbered segment files plus a
-//! JSON manifest:
+//! An [`IndexStore`] is a directory holding one document table, any number
+//! of segments over it, and a JSON manifest naming them:
 //!
 //! ```text
 //! index-store/
-//!   manifest.json
-//!   segment-000001.dsg
-//!   segment-000002.dsg
+//!   manifest.json         {version, next_segment, docs, segments: [names]}
+//!   docs-000001.dsd       the doc table: every path and its id
+//!   segment-000002.dsg    terms only, over that table
+//!   segment-000003.dsg
 //! ```
 //!
-//! Each commit writes one segment, and a run is one commit however it was
-//! built: Implementation 3 (replicate, never join) leaves one replica per
-//! extractor in memory, and [`IndexStore::commit_all`] merges them as they
-//! are sealed into the one segment their join would be written as — no hash
-//! table is joined, and the store does not say how many threads built it.
-//! [`IndexStore::commit`] is the same call with one source.  A full rebuild
-//! ([`IndexStore::replace_with`]) publishes its segment and retires every
-//! earlier one by the same manifest write.
-//!
-//! A segment is published whole or not at all: its file is sealed (over term
-//! ranges, on every core), written and synced, and only then named by **one**
-//! atomic manifest write.  The segments of a store — a resumable build seals
-//! one per checkpoint — are read, verified and laid out concurrently
-//! ([`IndexStore::load_all`], [`IndexStore::load_all_sealed`]), and the cores
-//! that fewer segments leave idle work inside them: each file is read in
-//! parts at once, and its checksum and doc table are verified beside its
-//! term tables.
+//! Stage 1 numbers every file before any is extracted, so a run's document
+//! table is whole before its first segment is sealed and is written once:
+//! with the run's one segment ([`IndexStore::replace_with`]), or alone when a
+//! checkpointed build starts ([`IndexStore::start`]) and seals segments over
+//! it later ([`IndexStore::append`]).  Each file is written under a name
+//! never used before, synced, and only then named by **one** atomic manifest
+//! write, which also retires the files a new doc table replaces.  A load
+//! reads the segments concurrently — each in parts, its checksum verified
+//! beside its terms, on the cores fewer segments leave idle — decodes the
+//! doc file beside the first one's terms, and refuses a segment over another
+//! count of documents.
 
 use std::fs;
 use std::io::Write;
@@ -40,49 +35,82 @@ use dsearch_index::{DocTable, InMemoryIndex, SealedShard, SectionBytes};
 use crate::error::PersistError;
 use crate::incremental::SignatureDb;
 use crate::segment::{
-    cores, read_sealed_file, read_segment_file, write_segment_tallied, SegmentInfo,
+    cores, into_index, read_docs, read_segment_file, write_docs, write_segment_merged, FrontMatter,
+    SegmentInfo,
 };
 
 /// Current manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+pub const MANIFEST_VERSION: u32 = 2;
 
-/// One segment's entry in the manifest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ManifestSegment {
-    /// File name of the segment, relative to the store directory.
-    pub file_name: String,
-    /// Size/shape summary captured at commit time.
-    pub info: SegmentInfo,
-}
-
-/// The store manifest: the list of live segments.
+/// The store manifest: the doc file and the live segments, by file name.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoreManifest {
     /// Manifest format version.
     pub version: u32,
-    /// Monotonic counter used to name the next segment.
+    /// Monotonic counter used to name the next file.
     pub next_segment: u64,
+    /// The doc file every segment is over; none before the store is first
+    /// written.
+    pub docs: Option<String>,
     /// Live segments in commit order.
-    pub segments: Vec<ManifestSegment>,
+    pub segments: Vec<String>,
 }
 
 impl Default for StoreManifest {
     fn default() -> Self {
-        StoreManifest { version: MANIFEST_VERSION, next_segment: 1, segments: Vec::new() }
+        StoreManifest {
+            version: MANIFEST_VERSION,
+            next_segment: 1,
+            docs: None,
+            segments: Vec::new(),
+        }
     }
 }
 
-impl StoreManifest {
-    /// Total postings across all live segments.
-    #[must_use]
-    pub fn total_postings(&self) -> u64 {
-        self.segments.iter().map(|s| s.info.posting_count).sum()
-    }
+/// A version-1 manifest (`version` alone, of any other): segments named
+/// beside summaries.  Its segments are of version 11, which a load refuses
+/// by name and a full run retires.
+#[derive(Deserialize)]
+struct ManifestV1 {
+    version: u32,
+    next_segment: Option<u64>,
+    segments: Option<Vec<NamedV1>>,
+}
 
-    /// Total documents across all live segments.
-    #[must_use]
-    pub fn total_docs(&self) -> u64 {
-        self.segments.iter().map(|s| s.info.doc_count).sum()
+#[derive(Deserialize)]
+struct NamedV1 {
+    file_name: String,
+}
+
+impl StoreManifest {
+    /// Parses a manifest; a version-1 one as its segment names, with no doc
+    /// file.
+    fn parse(json: &str) -> Result<Self, PersistError> {
+        let corrupt = |e: serde_json::Error| PersistError::Corrupt(format!("manifest: {e}"));
+        let manifest = match serde_json::from_str::<ManifestV1>(json) {
+            Ok(ManifestV1 {
+                version: 1,
+                next_segment: Some(next_segment),
+                segments: Some(old),
+            }) => {
+                let segments = old.into_iter().map(|s| s.file_name).collect();
+                StoreManifest { next_segment, segments, ..StoreManifest::default() }
+            }
+            Ok(ManifestV1 { version: MANIFEST_VERSION, .. }) | Err(_) => {
+                serde_json::from_str(json).map_err(corrupt)?
+            }
+            Ok(ManifestV1 { version: found, .. }) => {
+                return Err(PersistError::UnsupportedVersion { found, expected: MANIFEST_VERSION })
+            }
+        };
+        if let Some(hostile) =
+            manifest.docs.iter().chain(&manifest.segments).find(|name| !is_plain_file_name(name))
+        {
+            return Err(PersistError::Corrupt(format!(
+                "manifest: file name {hostile:?} is not a plain file name"
+            )));
+        }
+        Ok(manifest)
     }
 }
 
@@ -117,6 +145,10 @@ fn segment_file_name(number: u64) -> String {
     format!("segment-{number:06}.dsg")
 }
 
+fn docs_file_name(number: u64) -> String {
+    format!("docs-{number:06}.dsd")
+}
+
 /// Atomically replaces `dir/name` with `contents`: written to a temp file,
 /// synced, then renamed over the old file — so a crash can neither leave a
 /// truncated file behind nor publish an empty one over segments that were
@@ -134,7 +166,17 @@ pub(crate) fn write_atomic(dir: &Path, name: &str, contents: &str) -> Result<(),
     Ok(written?)
 }
 
-/// Whether a manifest's segment name is a plain file name.  Every loader and
+/// A loaded segment as a shard, and its doc count.
+fn sealed((shard, front): (SealedShard, FrontMatter)) -> Result<(SealedShard, u64), PersistError> {
+    Ok((shard, front.doc_count))
+}
+
+/// `source`, as an error of the store's file `name`.
+fn named(name: &str, source: PersistError) -> PersistError {
+    PersistError::File { file_name: name.to_owned(), source: Box::new(source) }
+}
+
+/// Whether a manifest's file name is a plain file name.  Every loader and
 /// every `remove_file` joins it to the store root, so a separator, `..` or
 /// an absolute path would reach outside the store.
 fn is_plain_file_name(name: &str) -> bool {
@@ -143,12 +185,12 @@ fn is_plain_file_name(name: &str) -> bool {
         && components.next().is_none()
 }
 
-/// A directory of index segments plus a manifest.
+/// A directory of index segments over one doc table, plus a manifest.
 #[derive(Debug)]
 pub struct IndexStore {
     root: PathBuf,
     manifest: StoreManifest,
-    /// The bytes of every segment written through this handle, by section.
+    /// The bytes of every file written through this handle, by section.
     written: SectionBytes,
 }
 
@@ -165,24 +207,7 @@ impl IndexStore {
         fs::create_dir_all(&root)?;
         let manifest_path = root.join("manifest.json");
         let manifest = if manifest_path.exists() {
-            let data = fs::read_to_string(&manifest_path)?;
-            let manifest: StoreManifest = serde_json::from_str(&data)
-                .map_err(|e| PersistError::Corrupt(format!("manifest: {e}")))?;
-            if manifest.version != MANIFEST_VERSION {
-                return Err(PersistError::UnsupportedVersion {
-                    found: manifest.version,
-                    expected: MANIFEST_VERSION,
-                });
-            }
-            if let Some(hostile) =
-                manifest.segments.iter().find(|s| !is_plain_file_name(&s.file_name))
-            {
-                return Err(PersistError::Corrupt(format!(
-                    "manifest: segment name {:?} is not a plain file name",
-                    hostile.file_name
-                )));
-            }
-            manifest
+            StoreManifest::parse(&fs::read_to_string(&manifest_path)?)?
         } else {
             StoreManifest::default()
         };
@@ -205,9 +230,9 @@ impl IndexStore {
         &self.manifest
     }
 
-    /// What the segments written through this handle are made of: their
-    /// bytes by section, summed (a census for the one who wrote them; the
-    /// manifest does not record it).
+    /// What the files written through this handle are made of: their bytes
+    /// by section, summed (a census for the one who wrote them; the manifest
+    /// does not record it).
     #[must_use]
     pub fn written(&self) -> SectionBytes {
         self.written
@@ -225,126 +250,134 @@ impl IndexStore {
         write_atomic(&self.root, "manifest.json", &json)
     }
 
-    /// Commits `index` (and its doc table) as a new segment.
+    /// [`replace_with`](IndexStore::replace_with) of one index (the
+    /// benchmark's staged build persists through it).
     ///
     /// # Errors
     ///
-    /// Fails like [`commit_all`](IndexStore::commit_all).
+    /// Fails like [`replace_with`](IndexStore::replace_with).
     pub fn commit(
         &mut self,
         index: &InMemoryIndex,
         docs: &DocTable,
     ) -> Result<SegmentInfo, PersistError> {
-        self.commit_all(std::slice::from_ref(index), docs)
+        self.replace_with(std::slice::from_ref(index), docs)
     }
 
-    /// Commits `replicas` as one new segment, like
-    /// [`commit_all`](IndexStore::commit_all), and also returns the segment's
-    /// file name — the handle a build checkpoint records so crash recovery
-    /// can tell this build's segments from orphans.
+    /// A run taking ownership of the store: `docs` becomes its doc file and
+    /// `replicas` its one segment, the segment of their join, merged as it is
+    /// sealed ([`write_segment_merged`]).
+    /// Every earlier file is retired by the **same** manifest write and
+    /// deleted after it is durable, the signatures that describe them first
+    /// ([`SignatureDb::retire`]; a caller whose new segment they describe
+    /// saves them again).  An incremental update passes the indexes it loaded,
+    /// the stale postings removed, then what it built.
     ///
     /// # Errors
     ///
-    /// Fails like [`commit_all`](IndexStore::commit_all).
-    pub fn commit_named(
-        &mut self,
-        replicas: &[InMemoryIndex],
-        docs: &DocTable,
-    ) -> Result<(String, SegmentInfo), PersistError> {
-        self.publish(replicas, docs, false)
-    }
-
-    /// Commits the un-joined replicas of one run as **one** new segment: the
-    /// segment of their join, merged as it is sealed
-    /// ([`write_segment_merged`](crate::segment::write_segment_merged)) —
-    /// so what a run stores does not say how many threads built it.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the segment or the manifest cannot be written.  The store
-    /// is then as it was: the manifest untouched, on disk and in memory, and
-    /// the file this call created removed.
-    pub fn commit_all(
-        &mut self,
-        replicas: &[InMemoryIndex],
-        docs: &DocTable,
-    ) -> Result<SegmentInfo, PersistError> {
-        self.publish(replicas, docs, false).map(|(_, info)| info)
-    }
-
-    /// A run taking ownership of the store: `replicas` become the one live
-    /// segment ([`commit_all`](IndexStore::commit_all)) and every earlier
-    /// segment is retired by the **same** manifest write; the old files are
-    /// deleted after it is durable.  A full run passes what it built; an
-    /// incremental update passes the indexes it loaded from this store, the
-    /// stale postings removed, followed by what it built — the seal merges
-    /// them all.  The signatures an `--incremental` run left describe the
-    /// segments that go, so they go too ([`SignatureDb::retire`]); a caller
-    /// whose new segment they describe saves them again afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Fails like [`commit_all`](IndexStore::commit_all); the old segments
-    /// are live and untouched in that case (the signatures are not restored:
-    /// the next `--incremental` run re-scans).
+    /// Fails when a file or the manifest cannot be written; the store is then
+    /// as it was, but for the signatures (the next `--incremental` re-scans).
     pub fn replace_with(
         &mut self,
         replicas: &[InMemoryIndex],
         docs: &DocTable,
     ) -> Result<SegmentInfo, PersistError> {
-        self.publish(replicas, docs, true).map(|(_, info)| info)
+        let (_, info) = self.publish(Some(docs), Some((replicas, docs.len())))?.expect("a segment");
+        Ok(info)
     }
 
-    /// Seals `sources` into one segment file under the next name, syncs it
-    /// and publishes it by one manifest write — beside the live segments,
-    /// or, with `alone`, in their place (their files are removed once the
-    /// manifest no longer names them; the signatures that describe them are
-    /// removed first).  Published whole or not at all: on failure the
-    /// manifest is as it was and the new file is removed.
+    /// A checkpointed build taking the store over before it extracts a file:
+    /// `docs`, Stage 1's table, becomes the doc file, with no segment; the
+    /// rest is retired as by [`replace_with`](IndexStore::replace_with).
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`replace_with`](IndexStore::replace_with).
+    pub fn start(&mut self, docs: &DocTable) -> Result<(), PersistError> {
+        self.publish(Some(docs), None).map(drop)
+    }
+
+    /// Seals `replicas` into one segment over `docs`, the store's table (a
+    /// load refuses a segment over another count of documents), beside the
+    /// live segments.  Returns its file name, which a build checkpoint
+    /// records so crash recovery can tell the build's segments from orphans.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the segment or the manifest cannot be written; the store
+    /// is then as it was.
+    pub fn append(
+        &mut self,
+        replicas: &[InMemoryIndex],
+        docs: &DocTable,
+    ) -> Result<String, PersistError> {
+        let (name, _) = self.publish(None, Some((replicas, docs.len())))?.expect("a segment");
+        Ok(name)
+    }
+
+    /// Writes a doc file of `docs`, which takes the store over, and a segment
+    /// of `sources` over so many documents, under the next number, and names
+    /// them by one manifest write.  Published whole or not at all: on failure
+    /// the manifest is as it was and the files of this number, which no
+    /// manifest has named, are removed.
     fn publish(
         &mut self,
-        sources: &[InMemoryIndex],
-        docs: &DocTable,
-        alone: bool,
-    ) -> Result<(String, SegmentInfo), PersistError> {
-        if alone {
+        docs: Option<&DocTable>,
+        segment: Option<(&[InMemoryIndex], usize)>,
+    ) -> Result<Option<(String, SegmentInfo)>, PersistError> {
+        if docs.is_some() {
             SignatureDb::retire(&self.root)?;
         }
-        let file_name = segment_file_name(self.manifest.next_segment);
-        let path = self.root.join(&file_name);
         let before = self.manifest.clone();
-        let published = fs::File::create(&path)
-            .map_err(PersistError::from)
-            .and_then(|mut file| {
-                let written = write_segment_tallied(sources, docs, &mut file)?;
-                file.sync_all()?;
-                Ok(written)
-            })
-            .and_then(|(info, sections)| {
-                if alone {
-                    self.manifest.segments.clear();
-                }
-                self.manifest.segments.push(ManifestSegment { file_name: file_name.clone(), info });
-                self.manifest.next_segment += 1;
-                self.write_manifest()?;
-                self.written += sections;
-                Ok(info)
-            });
-        match published {
-            Ok(info) => {
-                // Best effort: a file that cannot be removed is orphaned but
-                // harmless (the manifest no longer names it).
-                for retired in if alone { &before.segments[..] } else { &[] } {
-                    let _ = fs::remove_file(self.root.join(&retired.file_name));
-                }
-                Ok((file_name, info))
+        let names = [docs_file_name(before.next_segment), segment_file_name(before.next_segment)];
+        let published = self.write_files(&names, docs, segment).and_then(|written| {
+            if docs.is_some() {
+                self.manifest.docs = Some(names[0].clone());
+                self.manifest.segments.clear();
             }
+            self.manifest.segments.extend(written.1.map(|_| names[1].clone()));
+            self.manifest.next_segment += 1;
+            self.write_manifest().map(|()| written)
+        });
+        let (sections, info) = match published {
+            Ok(written) => written,
             Err(e) => {
                 self.manifest = before;
-                let _ = fs::remove_file(&path);
-                Err(e)
+                for name in names {
+                    let _ = fs::remove_file(self.root.join(name));
+                }
+                return Err(e);
             }
+        };
+        self.written += sections;
+        // Best effort: a file that cannot be removed is orphaned but
+        // harmless (the manifest no longer names it).
+        for retired in before.docs.iter().chain(&before.segments).filter(|_| docs.is_some()) {
+            let _ = fs::remove_file(self.root.join(retired));
         }
+        Ok(info.map(|info| (names[1].clone(), info)))
+    }
+
+    /// Creates, writes and syncs the files [`publish`](IndexStore::publish)
+    /// names `names`; returns what they are made of.
+    fn write_files(
+        &self,
+        names: &[String; 2],
+        docs: Option<&DocTable>,
+        segment: Option<(&[InMemoryIndex], usize)>,
+    ) -> Result<(SectionBytes, Option<SegmentInfo>), PersistError> {
+        let mut sections = SectionBytes::default();
+        if let Some(docs) = docs {
+            let mut file = fs::File::create(self.root.join(&names[0]))?;
+            sections.docs += write_docs(docs, &mut file)?;
+            file.sync_all()?;
+        }
+        let Some((sources, doc_count)) = segment else { return Ok((sections, None)) };
+        let mut file = fs::File::create(self.root.join(&names[1]))?;
+        let (info, tally) = write_segment_merged(sources, doc_count, &mut file)?;
+        file.sync_all()?;
+        sections += tally;
+        Ok((sections, Some(info)))
     }
 
     /// Keeps only the segments whose file name satisfies `keep`; the rest are
@@ -355,9 +388,8 @@ impl IndexStore {
     /// Fails when the pruned manifest cannot be written; the manifest is left
     /// unchanged in that case.
     pub fn retain_segments(&mut self, keep: impl Fn(&str) -> bool) -> Result<usize, PersistError> {
-        let (kept, dropped): (Vec<_>, Vec<_>) = std::mem::take(&mut self.manifest.segments)
-            .into_iter()
-            .partition(|s| keep(&s.file_name));
+        let (kept, dropped): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.manifest.segments).into_iter().partition(|name| keep(name));
         let removed = dropped.len();
         self.manifest.segments = kept;
         if removed > 0 {
@@ -365,107 +397,83 @@ impl IndexStore {
                 self.manifest.segments.extend(dropped);
                 return Err(e);
             }
-            for entry in dropped {
-                let _ = fs::remove_file(self.root.join(&entry.file_name));
+            for name in dropped {
+                let _ = fs::remove_file(self.root.join(name));
             }
         }
         Ok(removed)
     }
 
-    /// Removes every live segment (a fresh build taking ownership of the
-    /// store).
+    /// Loads the store's doc table alone (empty before the store is first
+    /// written).
     ///
     /// # Errors
     ///
-    /// Fails when the emptied manifest cannot be written.
-    pub fn clear_segments(&mut self) -> Result<usize, PersistError> {
-        self.retain_segments(|_| false)
+    /// Fails when the doc file is missing or corrupt, naming it.
+    pub fn load_docs(&self) -> Result<DocTable, PersistError> {
+        let Some(name) = &self.manifest.docs else { return Ok(DocTable::new()) };
+        let file = fs::File::open(self.root.join(name)).map_err(PersistError::from);
+        file.and_then(read_docs).map_err(|source| named(name, source))
     }
 
-    /// Reads the segment at `position` in the manifest with `read`, which
-    /// gets the open file (unbuffered: the readers take it whole, sized from
-    /// its length) and the threads it may run on.  A failure names the
-    /// segment's file.
-    fn read_at<T>(
-        &self,
-        position: usize,
-        threads: usize,
-        read: impl Fn(fs::File, usize) -> Result<T, PersistError>,
-    ) -> Result<T, PersistError> {
-        let entry = self.manifest.segments.get(position).ok_or_else(|| {
-            PersistError::Corrupt(format!(
-                "segment index {position} out of range ({} segments)",
-                self.manifest.segments.len()
-            ))
-        })?;
-        fs::File::open(self.root.join(&entry.file_name))
-            .map_err(PersistError::from)
-            .and_then(|file| read(file, threads))
-            .map_err(|source| PersistError::Segment {
-                file_name: entry.file_name.clone(),
-                source: Box::new(source),
-            })
-    }
-
-    /// Reads every live segment with `read` on `cores` threads in all: the
-    /// segments concurrently, one a thread, and each segment on its share of
-    /// the threads that leaves (none when there are as many segments as
-    /// threads).  The results come back in manifest order, or the first
-    /// failure in that order.
+    /// Reads every live segment, lifted by `lift`, on `cores` threads in all,
+    /// and the doc table: the segments concurrently, one a thread, each on
+    /// its share of the threads left, and the doc file beside the first
+    /// one's term tables.  The segments come back in manifest order beside
+    /// the table, or the first failure, the doc file's first; a segment over
+    /// another count of documents than the table's is one.
     fn read_all<T: Send>(
         &self,
         cores: usize,
-        read: impl Fn(fs::File, usize) -> Result<T, PersistError> + Sync,
-    ) -> Result<Vec<T>, PersistError> {
-        let positions: Vec<usize> = (0..self.segment_count()).collect();
-        let each = (cores / positions.len().max(1)).max(1);
-        fan_out(positions, cores, |position| self.read_at(position, each, &read))
-            .into_iter()
-            .collect()
+        lift: impl Fn((SealedShard, FrontMatter)) -> Result<(T, u64), PersistError> + Sync,
+    ) -> Result<(Vec<T>, DocTable), PersistError> {
+        let segments = &self.manifest.segments;
+        let each = (cores / segments.len().max(1)).max(1);
+        let load_docs = || Some(self.load_docs());
+        let parts = fan_out(segments.iter().enumerate().collect(), cores, |(position, name)| {
+            let path = self.root.join(name);
+            let (segment, docs) = match position {
+                0 => read_segment_file(&path, each, &load_docs),
+                _ => read_segment_file(&path, each, &|| None),
+            };
+            (segment.and_then(&lift).map_err(|source| named(name, source)), docs)
+        });
+        let (mut loaded, mut docs) = (Vec::with_capacity(segments.len()), None);
+        for ((segment, table), name) in parts.into_iter().zip(segments) {
+            if let Some(table) = table {
+                docs = Some(table?);
+            }
+            let table = docs.as_ref().expect("the first segment's load decodes the table");
+            let (segment, count) = segment?;
+            if count != table.len() as u64 {
+                let why = format!("over {count} documents, not the doc file's {}", table.len());
+                return Err(named(name, PersistError::Corrupt(why)));
+            }
+            loaded.push(segment);
+        }
+        Ok((loaded, docs.map_or_else(|| self.load_docs(), Ok)?))
     }
 
-    /// Loads one segment by its position in the manifest.
+    /// Loads every live segment, concurrently, in manifest order, and the
+    /// one doc table they are over.
     ///
     /// # Errors
     ///
-    /// Fails when `position` is out of range or the segment file is missing
-    /// or corrupt.
-    pub fn load_segment(&self, position: usize) -> Result<(InMemoryIndex, DocTable), PersistError> {
-        self.read_at(position, cores(), read_segment_file)
-    }
-
-    /// Loads every live segment, concurrently, in manifest order.
-    ///
-    /// # Errors
-    ///
-    /// Fails when any segment is missing or corrupt; the error is the first
-    /// in manifest order and names the segment's file.
-    pub fn load_all(&self) -> Result<Vec<(InMemoryIndex, DocTable)>, PersistError> {
-        self.read_all(cores(), read_segment_file)
+    /// Fails when the doc file or any segment is missing or corrupt, or a
+    /// segment is over another count of documents; the error is the first
+    /// in manifest order and names the file.
+    pub fn load_all(&self) -> Result<(Vec<InMemoryIndex>, DocTable), PersistError> {
+        self.read_all(cores(), into_index)
     }
 
     /// Loads every live segment straight into its sealed serving form,
-    /// concurrently, in manifest order.
+    /// concurrently, in manifest order, and the one doc table they are over.
     ///
     /// # Errors
     ///
     /// Fails like [`load_all`](IndexStore::load_all).
-    pub fn load_all_sealed(&self) -> Result<Vec<(SealedShard, DocTable)>, PersistError> {
-        self.read_all(cores(), read_sealed_file)
-    }
-
-    /// Loads one segment straight into its sealed (block-compressed) serving
-    /// form — no posting is decompressed on the way.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `position` is out of range or the segment file is missing
-    /// or corrupt.
-    pub fn load_segment_sealed(
-        &self,
-        position: usize,
-    ) -> Result<(SealedShard, DocTable), PersistError> {
-        self.read_at(position, cores(), read_sealed_file)
+    pub fn load_all_sealed(&self) -> Result<(Vec<SealedShard>, DocTable), PersistError> {
+        self.read_all(cores(), sealed)
     }
 }
 
@@ -509,11 +517,16 @@ mod tests {
         for i in 0..4u32 {
             let _ = docs.insert(format!("doc{}.txt", offset + i));
             index.insert_file(
-                FileId(offset + i),
+                FileId(i),
                 [Term::from(format!("word{}", i % 3)), Term::from("common")],
             );
         }
         (index, docs)
+    }
+
+    /// `index` as the store's whole content.
+    fn replace(store: &mut IndexStore, index: &InMemoryIndex, docs: &DocTable) -> SegmentInfo {
+        store.replace_with(std::slice::from_ref(index), docs).unwrap()
     }
 
     #[test]
@@ -524,7 +537,9 @@ mod tests {
         assert!(store_root.join("manifest.json").exists());
         assert_eq!(store.segment_count(), 0);
         assert_eq!(store.root(), store_root.as_path());
-        assert_eq!(store.manifest().total_docs(), 0);
+        assert_eq!(store.manifest().docs, None);
+        let (segments, docs) = store.load_all().unwrap();
+        assert!(segments.is_empty() && docs.is_empty());
     }
 
     #[test]
@@ -532,14 +547,19 @@ mod tests {
         let dir = TempDir::new("commit");
         let mut store = IndexStore::open(dir.path().join("s")).unwrap();
         let (index, docs) = sample(0);
-        let info = store.commit(&index, &docs).unwrap();
+        let info = replace(&mut store, &index, &docs);
         assert_eq!(info.doc_count, 4);
         assert_eq!(store.segment_count(), 1);
+        // The doc file and the segment share the publication's number.
+        let manifest = store.manifest();
+        assert_eq!(manifest.docs.as_deref(), Some("docs-000001.dsd"));
+        assert_eq!(manifest.segments, ["segment-000001.dsg"]);
+        assert_eq!(manifest.next_segment, 2);
 
-        let (loaded, loaded_docs) = store.load_segment(0).unwrap();
-        assert_eq!(loaded, index);
-        assert_eq!(loaded_docs.len(), docs.len());
-        assert!(store.load_segment(1).is_err());
+        let (loaded, loaded_docs) = store.load_all().unwrap();
+        assert_eq!(loaded, [index]);
+        assert_eq!(loaded_docs, docs);
+        assert_eq!(store.load_docs().unwrap(), docs);
     }
 
     #[test]
@@ -549,51 +569,41 @@ mod tests {
         {
             let mut store = IndexStore::open(&root).unwrap();
             let (index, docs) = sample(0);
-            store.commit(&index, &docs).unwrap();
+            replace(&mut store, &index, &docs);
         }
         let store = IndexStore::open(&root).unwrap();
         assert_eq!(store.segment_count(), 1);
-        assert_eq!(store.manifest().total_docs(), 4);
-        let (index, _) = store.load_segment(0).unwrap();
-        assert!(index.contains_term(&Term::from("common")));
+        let (indexes, docs) = store.load_all().unwrap();
+        assert_eq!(docs.len(), 4);
+        assert!(indexes[0].contains_term(&Term::from("common")));
     }
 
     #[test]
     fn multiple_segments_join_like_replicas() {
         let dir = TempDir::new("join");
         let mut store = IndexStore::open(dir.path().join("s")).unwrap();
-        // Two replicas that share one logical doc table (ids 0..8).
-        let mut docs = DocTable::new();
-        for i in 0..8 {
-            docs.insert(format!("doc{i}.txt"));
+        // Two replicas over one doc table (ids 0..8), appended one by one.
+        let (replicas, docs) = replicas(2, 8);
+        store.start(&docs).unwrap();
+        for replica in &replicas {
+            store.append(std::slice::from_ref(replica), &docs).unwrap();
         }
-        let mut replica_a = InMemoryIndex::new();
-        let mut replica_b = InMemoryIndex::new();
-        for i in 0..8u32 {
-            let target = if i % 2 == 0 { &mut replica_a } else { &mut replica_b };
-            target.insert_file(FileId(i), [Term::from("common"), Term::from(format!("w{i}"))]);
-        }
-        store.commit(&replica_a, &docs).unwrap();
-        store.commit(&replica_b, &docs).unwrap();
         assert_eq!(store.segment_count(), 2);
 
-        let joined =
-            join_all(store.load_all().unwrap().into_iter().map(|(index, _)| index).collect());
+        let (indexes, loaded_docs) = store.load_all().unwrap();
+        assert_eq!(loaded_docs, docs);
+        let joined = join_all(indexes);
         assert_eq!(joined.postings(&Term::from("common")).unwrap().len(), 8);
 
-        // The same replicas committed as one run are one segment: that join.
-        let info = store.replace_with(&[replica_a, replica_b], &docs).unwrap();
+        // The same replicas stored as one run are one segment: that join.
+        let info = store.replace_with(&replicas, &docs).unwrap();
         assert_eq!(store.segment_count(), 1);
         assert_eq!(info.doc_count, 8);
-        let (merged, _) = store.load_segment(0).unwrap();
-        assert_eq!(merged, joined);
-        // Old segment files are gone.
-        let remaining: Vec<_> = fs::read_dir(store.root())
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|n| n.ends_with(".dsg"))
-            .collect();
-        assert_eq!(remaining.len(), 1);
+        let (merged, _) = store.load_all().unwrap();
+        assert_eq!(merged, [joined]);
+        // The old files are gone: one doc file, one segment.
+        let names: Vec<String> = files_of(&store).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["docs-000004.dsd", "manifest.json", "segment-000004.dsg"]);
     }
 
     #[test]
@@ -601,11 +611,13 @@ mod tests {
         let dir = TempDir::new("replace");
         let mut store = IndexStore::open(dir.path().join("s")).unwrap();
         let (first, first_docs) = sample(0);
-        store.commit(&first, &first_docs).unwrap();
-        // Signatures describe the segments beside them: a commit beside them
-        // keeps them, a replacement retires them with what it replaces.
+        store.start(&first_docs).unwrap();
+        // Signatures describe the segments beside them: a segment appended
+        // beside them keeps them, a replacement retires them with what it
+        // replaces.
         SignatureDb::new().save(store.root()).unwrap();
-        store.commit(&first, &first_docs).unwrap();
+        store.append(std::slice::from_ref(&first), &first_docs).unwrap();
+        store.append(std::slice::from_ref(&first), &first_docs).unwrap();
         assert_eq!(store.segment_count(), 2);
         assert!(store.root().join(crate::SIGNATURES_FILE).exists());
 
@@ -613,30 +625,36 @@ mod tests {
         new_docs.insert("only.txt");
         let mut new_index = InMemoryIndex::new();
         new_index.insert_file(FileId(0), [Term::from("fresh")]);
-        let info = store.replace_with(std::slice::from_ref(&new_index), &new_docs).unwrap();
+        let info = replace(&mut store, &new_index, &new_docs);
         assert_eq!(info.doc_count, 1);
         assert_eq!(store.segment_count(), 1);
-        let (loaded, loaded_docs) = store.load_segment(0).unwrap();
-        assert_eq!(loaded, new_index);
-        assert_eq!(loaded_docs.len(), 1);
-        // Only one segment file remains on disk.
-        let remaining = fs::read_dir(store.root())
-            .unwrap()
-            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".dsg"))
-            .count();
-        assert_eq!(remaining, 1);
+        let (loaded, loaded_docs) = store.load_all().unwrap();
+        assert_eq!(loaded, [new_index]);
+        assert_eq!(loaded_docs, new_docs);
+        // One segment and one doc file remain on disk.
+        let names: Vec<String> = files_of(&store).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["docs-000004.dsd", "manifest.json", "segment-000004.dsg"]);
         assert!(!store.root().join(crate::SIGNATURES_FILE).exists());
+
+        // A build starting over takes the store over too: its table, no
+        // segment.
+        SignatureDb::new().save(store.root()).unwrap();
+        store.start(&first_docs).unwrap();
+        let names: Vec<String> = files_of(&store).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["docs-000005.dsd", "manifest.json"]);
+        assert_eq!(store.load_all().unwrap(), (Vec::new(), first_docs));
     }
 
-    /// Three replicas over one doc table of nine documents.
-    fn replicas() -> (Vec<InMemoryIndex>, DocTable) {
-        let mut docs = DocTable::new();
-        let mut replicas = vec![InMemoryIndex::new(); 3];
-        for i in 0..9usize {
-            let id = docs.insert(format!("doc{i}.txt"));
-            replicas[i % 3].insert_file(id, [Term::from("common"), Term::from(format!("w{i}"))]);
+    /// `count` replicas over one doc table of `docs` documents.
+    fn replicas(count: usize, docs: usize) -> (Vec<InMemoryIndex>, DocTable) {
+        let mut table = DocTable::new();
+        let mut replicas = vec![InMemoryIndex::new(); count];
+        for i in 0..docs {
+            let id = table.insert(format!("doc{i}.txt"));
+            replicas[i % count]
+                .insert_file(id, [Term::from("common"), Term::from(format!("w{i}"))]);
         }
-        (replicas, docs)
+        (replicas, table)
     }
 
     /// Everything in the store directory, by name.
@@ -656,24 +674,36 @@ mod tests {
     #[test]
     fn commit_all_leaves_what_committing_the_join_leaves() {
         let dir = TempDir::new("commit-all");
-        let (replicas, docs) = replicas();
-        // Behind an earlier segment, so the name is not the first.
+        let (replicas, docs) = replicas(3, 9);
+        // Behind an earlier run, so the names are not the first.
         let (earlier, earlier_docs) = sample(0);
         let mut joined = IndexStore::open(dir.path().join("a")).unwrap();
         let mut merged = IndexStore::open(dir.path().join("b")).unwrap();
-        joined.commit(&earlier, &earlier_docs).unwrap();
-        merged.commit(&earlier, &earlier_docs).unwrap();
+        replace(&mut joined, &earlier, &earlier_docs);
+        replace(&mut merged, &earlier, &earlier_docs);
 
-        let info = joined.commit(&join_all(replicas.clone()), &docs).unwrap();
-        assert_eq!(merged.commit_all(&replicas, &docs).unwrap(), info);
+        let info = replace(&mut joined, &join_all(replicas.clone()), &docs);
+        assert_eq!(merged.replace_with(&replicas, &docs).unwrap(), info);
         assert_eq!(merged.manifest(), joined.manifest());
         // Same names, same bytes, the manifest file included.
         assert_eq!(files_of(&merged), files_of(&joined));
         assert_eq!(files_of(&merged).len(), 3);
         assert_eq!(merged.written(), joined.written());
-        // A run without replicas is the empty index.
-        let empty = joined.commit(&InMemoryIndex::new(), &docs).unwrap();
-        assert_eq!(merged.commit_all(&[], &docs).unwrap(), empty);
+        // The census of a run is every byte of its doc file and segment.
+        let mut fresh = IndexStore::open(dir.path().join("c")).unwrap();
+        fresh.replace_with(&replicas, &docs).unwrap();
+        let files = files_of(&fresh);
+        let bytes = files.iter().filter(|(name, _)| name != "manifest.json");
+        assert_eq!(fresh.written().total(), bytes.map(|(_, bytes)| bytes.len() as u64).sum());
+        // A run without replicas is the empty index, and so is a segment
+        // appended without them.
+        let empty = replace(&mut joined, &InMemoryIndex::new(), &docs);
+        assert_eq!(merged.replace_with(&[], &docs).unwrap(), empty);
+        assert_eq!(files_of(&merged), files_of(&joined));
+        merged.start(&docs).unwrap();
+        joined.start(&docs).unwrap();
+        merged.append(&[], &docs).unwrap();
+        joined.append(std::slice::from_ref(&InMemoryIndex::new()), &docs).unwrap();
         assert_eq!(files_of(&merged), files_of(&joined));
     }
 
@@ -685,8 +715,8 @@ mod tests {
 
         /// However a run's files were dealt to its replicas — some replicas
         /// empty, a file in two of them with different frequencies — the
-        /// segment file `commit_all` writes is the one their join is
-        /// committed as, and the one a sequential build of the same files is.
+        /// segment file `replace_with` writes is the one their join is
+        /// stored as, and the one a sequential build of the same files is.
         #[test]
         fn a_run_is_stored_as_its_join_however_its_files_were_dealt(
             files in proptest::collection::vec(
@@ -698,7 +728,7 @@ mod tests {
             let dir = TempDir::new("dealt");
             let segment_of = |name: &str, sources: &[InMemoryIndex], docs: &DocTable| {
                 let mut store = IndexStore::open(dir.path().join(name)).unwrap();
-                store.commit_all(sources, docs).unwrap();
+                store.replace_with(sources, docs).unwrap();
                 fs::read(store.root().join(segment_file_name(1))).unwrap()
             };
             let counted = |words: &[(String, u32)], more: u32| {
@@ -732,68 +762,113 @@ mod tests {
 
     #[test]
     fn a_run_is_published_whole_or_not_at_all() {
-        let (replicas, docs) = replicas();
+        let (replicas, docs) = replicas(3, 9);
         let dir = TempDir::new("whole");
         let root = dir.path().join("s");
         let mut store = IndexStore::open(&root).unwrap();
         let (earlier, earlier_docs) = sample(0);
-        store.commit(&earlier, &earlier_docs).unwrap();
+        replace(&mut store, &earlier, &earlier_docs);
         let before = files_of(&store);
-        // The run's segment cannot be created: a directory is in its place.
+        // The next segment cannot be created: a directory is in its place.
         let blocked = root.join(segment_file_name(2));
         fs::create_dir(&blocked).unwrap();
 
-        // Beside the old segment or in its place, a run that fails leaves
-        // the manifest naming the old segment alone, in memory and for
-        // whoever opens the store next, and the old file where it was.
-        assert!(store.commit_all(&replicas, &docs).is_err());
+        // Beside the old segment or in its place, with its doc file or
+        // without, a write that fails leaves the manifest naming the old
+        // files alone, in memory and for whoever opens the store next, the
+        // old files where they were and no new one.
+        assert!(store.append(&replicas, &earlier_docs).is_err());
         assert!(store.replace_with(&replicas, &docs).is_err());
         assert_eq!(store.segment_count(), 1);
         assert_eq!(store.manifest(), IndexStore::open(&root).unwrap().manifest());
         fs::remove_dir(&blocked).unwrap();
         assert_eq!(files_of(&store), before);
+        // So is a doc file that cannot be created.
+        let blocked = root.join(docs_file_name(2));
+        fs::create_dir(&blocked).unwrap();
+        assert!(store.start(&docs).is_err());
+        assert!(store.replace_with(&replicas, &docs).is_err());
+        fs::remove_dir(&blocked).unwrap();
+        assert_eq!(files_of(&store), before);
 
         // With the obstacle gone the same call goes through, under the
         // name the failed one had reserved.
-        store.commit_all(&replicas, &docs).unwrap();
-        assert_eq!(store.segment_count(), 2);
-        assert_eq!(store.manifest().segments[1].file_name, "segment-000002.dsg");
-        // And a run that takes the store over leaves its one file.
+        store.append(&replicas, &earlier_docs).unwrap();
+        assert_eq!(store.manifest().segments, ["segment-000001.dsg", "segment-000002.dsg"]);
+        // And a run that takes the store over leaves its two files.
         store.replace_with(&replicas, &docs).unwrap();
         let names: Vec<String> = files_of(&store).into_iter().map(|(name, _)| name).collect();
-        assert_eq!(names, ["manifest.json", "segment-000003.dsg"]);
+        assert_eq!(names, ["docs-000003.dsd", "manifest.json", "segment-000003.dsg"]);
     }
 
     #[test]
     fn loads_run_in_manifest_order_and_name_the_segment_that_fails() {
         let dir = TempDir::new("load-all");
         let mut store = IndexStore::open(dir.path().join("s")).unwrap();
-        let (replicas, docs) = replicas();
+        let (replicas, docs) = replicas(3, 9);
+        store.start(&docs).unwrap();
         for replica in &replicas {
-            store.commit(replica, &docs).unwrap();
+            store.append(std::slice::from_ref(replica), &docs).unwrap();
         }
-        let loaded = store.load_all().unwrap();
-        assert_eq!(loaded.iter().map(|(index, _)| index.clone()).collect::<Vec<_>>(), replicas);
-        for (position, (shard, _)) in store.load_all_sealed().unwrap().iter().enumerate() {
+        let (loaded, _) = store.load_all().unwrap();
+        assert_eq!(loaded, replicas);
+        for (position, shard) in store.load_all_sealed().unwrap().0.iter().enumerate() {
             assert_eq!(shard, &SealedShard::from_index(&replicas[position]));
         }
 
-        // Cut the middle segment short: every load of it names it.
-        let victim = store.manifest().segments[1].file_name.clone();
-        let path = store.root().join(&victim);
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        for err in [
-            store.load_all().unwrap_err(),
-            store.load_all_sealed().unwrap_err(),
-            store.load_segment(1).unwrap_err(),
-        ] {
-            assert!(
-                matches!(&err, PersistError::Segment { file_name, .. } if *file_name == victim),
-                "{err}"
-            );
+        // Cut the middle segment short, then the doc file: every load names
+        // the file, the doc file first.
+        let victim = store.manifest().segments[1].clone();
+        let doc_file = store.manifest().docs.clone().unwrap();
+        for name in [&victim, &doc_file] {
+            let path = store.root().join(name);
+            let bytes = fs::read(&path).unwrap();
+            fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
+            for err in [
+                store.load_all().map(drop).unwrap_err(),
+                store.load_all_sealed().map(drop).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(&err, PersistError::File { file_name, .. } if file_name == name),
+                    "{err}"
+                );
+            }
         }
-        assert!(store.load_segment(0).is_ok());
+        assert!(store.load_docs().is_err());
+    }
+
+    #[test]
+    fn a_segment_over_another_doc_table_is_refused() {
+        let dir = TempDir::new("other-table");
+        let mut store = IndexStore::open(dir.path().join("s")).unwrap();
+        let (replicas, docs) = replicas(2, 6);
+        store.start(&docs).unwrap();
+        store.append(&replicas[..1], &docs).unwrap();
+        // A segment sealed over a table of another length: one document
+        // fewer, then one more.
+        let mut fewer = DocTable::new();
+        for (_, path) in docs.iter().take(5) {
+            fewer.insert(path);
+        }
+        let mut more = docs.clone();
+        more.insert("extra.txt");
+        for other in [&fewer, &more] {
+            let name = store.append(&replicas[..1], other).unwrap();
+            for err in [
+                store.load_all().map(drop).unwrap_err(),
+                store.load_all_sealed().map(drop).unwrap_err(),
+            ] {
+                assert!(matches!(&err, PersistError::File { file_name, .. } if *file_name == name));
+                let message = err.to_string();
+                assert!(
+                    message
+                        .contains(&format!("over {} documents, not the doc file's 6", other.len())),
+                    "{message}"
+                );
+            }
+            store.retain_segments(|segment| segment != name).unwrap();
+        }
+        assert_eq!(store.load_all().unwrap().0, replicas[..1]);
     }
 
     #[test]
@@ -808,25 +883,26 @@ mod tests {
         }
         let dir = TempDir::new("every-core");
         let mut one = IndexStore::open(dir.path().join("one")).unwrap();
-        one.commit_all(&replicas, &docs).unwrap();
+        one.replace_with(&replicas, &docs).unwrap();
         let mut four = IndexStore::open(dir.path().join("four")).unwrap();
+        four.start(&docs).unwrap();
         for replica in &replicas {
-            four.commit(replica, &docs).unwrap();
+            four.append(std::slice::from_ref(replica), &docs).unwrap();
         }
         for store in [&one, &four] {
-            let alone = store.read_all(1, read_sealed_file).unwrap();
-            assert_eq!(alone.len(), store.segment_count());
+            let alone = store.read_all(1, sealed).unwrap();
+            assert_eq!(alone.0.len(), store.segment_count());
+            assert_eq!(alone.1, docs);
             for cores in [2, 3, 8] {
-                assert_eq!(store.read_all(cores, read_sealed_file).unwrap(), alone);
+                assert_eq!(store.read_all(cores, sealed).unwrap(), alone);
             }
             assert_eq!(store.load_all_sealed().unwrap(), alone);
-            let alone = store.read_all(1, read_segment_file).unwrap();
-            assert_eq!(store.read_all(8, read_segment_file).unwrap(), alone);
+            let alone = store.read_all(1, into_index).unwrap();
+            assert_eq!(store.read_all(8, into_index).unwrap(), alone);
             assert_eq!(store.load_all().unwrap(), alone);
         }
-        let (shard, loaded_docs) = one.load_segment_sealed(0).unwrap();
-        assert_eq!(shard, SealedShard::from_index(&join_all(replicas)));
-        assert_eq!(loaded_docs, docs);
+        let (shards, _) = one.load_all_sealed().unwrap();
+        assert_eq!(shards, [SealedShard::from_index(&join_all(replicas))]);
     }
 
     #[test]
@@ -835,6 +911,13 @@ mod tests {
         let root = dir.path().join("s");
         IndexStore::open(&root).unwrap();
         fs::write(root.join("manifest.json"), b"{ not json").unwrap();
+        assert!(matches!(IndexStore::open(&root), Err(PersistError::Corrupt(_))));
+        // A version-2 manifest whose segments are version 1's summaries.
+        fs::write(
+            root.join("manifest.json"),
+            r#"{"version": 2, "next_segment": 2, "docs": null, "segments": [{"file_name": "segment-000001.dsg"}]}"#,
+        )
+        .unwrap();
         assert!(matches!(IndexStore::open(&root), Err(PersistError::Corrupt(_))));
     }
 
@@ -852,27 +935,73 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_store_is_refused_by_name_and_a_full_run_replaces_it() {
+        let dir = TempDir::new("v1");
+        let root = dir.path().join("s");
+        fs::create_dir_all(&root).unwrap();
+        // What a version-11 `dsearch build` left: two segments, each with
+        // its summary, and version 11 in the segment header.
+        let info = r#"{"doc_count": 4, "term_count": 2, "posting_count": 4, "bytes": 40}"#;
+        let names = ["segment-000003.dsg", "segment-000004.dsg"];
+        let segments: Vec<String> = names
+            .iter()
+            .map(|name| format!(r#"{{"file_name": "{name}", "info": {info}}}"#))
+            .collect();
+        let manifest =
+            format!(r#"{{"version": 1, "next_segment": 5, "segments": [{}]}}"#, segments.join(","));
+        fs::write(root.join("manifest.json"), manifest).unwrap();
+        for name in names {
+            let payload = [11u8, 0, 0, 0];
+            let file = [&crate::segment::SEGMENT_MAGIC[..], &[0; 8], &payload].concat();
+            fs::write(root.join(name), file).unwrap();
+        }
+        let mut store = IndexStore::open(&root).unwrap();
+        assert_eq!(store.manifest().segments, names);
+        let message = store.load_all_sealed().map(drop).unwrap_err().to_string();
+        assert!(
+            message.starts_with("segment-000003.dsg: unsupported format version 11 (expected 12)"),
+            "{message}"
+        );
+        assert!(message.contains("`dsearch index`"), "{message}");
+        // The way out: a full run takes the store over, old files and all,
+        // under names the old manifest never used.
+        let (index, docs) = sample(0);
+        replace(&mut store, &index, &docs);
+        let names: Vec<String> = files_of(&store).into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["docs-000005.dsd", "manifest.json", "segment-000005.dsg"]);
+        let reopened = IndexStore::open(&root).unwrap();
+        assert_eq!(reopened.manifest().version, MANIFEST_VERSION);
+        assert_eq!(reopened.load_all().unwrap(), (vec![index], docs));
+    }
+
+    #[test]
     fn a_manifest_naming_a_path_outside_the_store_is_refused() {
         let dir = TempDir::new("traversal");
         let root = dir.path().join("s");
         let mut store = IndexStore::open(&root).unwrap();
         let (index, docs) = sample(0);
-        store.commit(&index, &docs).unwrap();
-        // A victim beside the store, and a manifest whose segment name climbs
-        // out to it: `clear_segments` would `remove_file` it, every loader
-        // would read it.
+        replace(&mut store, &index, &docs);
+        // A victim beside the store, and a manifest whose segment or doc
+        // file name climbs out to it: a takeover would `remove_file` it,
+        // every loader would read it.
         let victim = dir.path().join("victim.dsg");
         fs::write(&victim, b"not yours").unwrap();
         for hostile in ["../victim.dsg", "", "..", ".", "/etc/passwd", "sub/segment.dsg", "x/"] {
-            let mut manifest = store.manifest().clone();
-            manifest.segments[0].file_name = hostile.to_owned();
-            fs::write(root.join("manifest.json"), serde_json::to_string(&manifest).unwrap())
-                .unwrap();
-            match IndexStore::open(&root) {
-                Err(PersistError::Corrupt(message)) => {
-                    assert!(message.contains("plain file name"), "{hostile:?}: {message}");
+            let mut segment = store.manifest().clone();
+            segment.segments[0] = hostile.to_owned();
+            let mut doc_file = store.manifest().clone();
+            doc_file.docs = Some(hostile.to_owned());
+            for manifest in [segment, doc_file] {
+                fs::write(root.join("manifest.json"), serde_json::to_string(&manifest).unwrap())
+                    .unwrap();
+                match IndexStore::open(&root) {
+                    Err(PersistError::Corrupt(message)) => {
+                        assert!(message.contains("plain file name"), "{hostile:?}: {message}");
+                    }
+                    other => {
+                        panic!("{hostile:?} was accepted: {:?}", other.map(|s| s.segment_count()))
+                    }
                 }
-                other => panic!("{hostile:?} was accepted: {:?}", other.map(|s| s.segment_count())),
             }
         }
         assert_eq!(fs::read(&victim).unwrap(), b"not yours");
@@ -889,11 +1018,12 @@ mod tests {
                 .filter(|n| n.ends_with(".tmp"))
                 .collect()
         };
-        // On success: the manifest writes of an open and two commits.
+        // On success: the manifest writes of an open and three writes.
         let mut store = IndexStore::open(dir.path().join("s")).unwrap();
         let (index, docs) = sample(0);
-        store.commit(&index, &docs).unwrap();
-        store.commit(&index, &docs).unwrap();
+        replace(&mut store, &index, &docs);
+        store.start(&docs).unwrap();
+        store.append(std::slice::from_ref(&index), &docs).unwrap();
         assert!(temp_files(store.root()).is_empty());
         write_atomic(dir.path(), "plain.json", "{}").unwrap();
         assert_eq!(fs::read_to_string(dir.path().join("plain.json")).unwrap(), "{}");
@@ -910,9 +1040,13 @@ mod tests {
         let dir = TempDir::new("missing");
         let mut store = IndexStore::open(dir.path().join("s")).unwrap();
         let (index, docs) = sample(0);
-        store.commit(&index, &docs).unwrap();
-        fs::remove_file(store.root().join(&store.manifest().segments[0].file_name)).unwrap();
-        assert!(store.load_segment(0).is_err());
+        replace(&mut store, &index, &docs);
+        fs::remove_file(store.root().join(&store.manifest().segments[0])).unwrap();
         assert!(store.load_all().is_err());
+        assert!(store.load_all_sealed().is_err());
+        replace(&mut store, &index, &docs);
+        fs::remove_file(store.root().join(store.manifest().docs.as_ref().unwrap())).unwrap();
+        assert!(store.load_all().is_err());
+        assert!(store.load_docs().is_err());
     }
 }

@@ -554,7 +554,7 @@ mod tests {
         let mut docs = DocTable::new();
         let mut index = InMemoryIndex::new();
         index.insert_file(docs.insert("a.txt"), [Term::from("rust")]);
-        store.commit(&index, &docs).unwrap();
+        store.replace_with(std::slice::from_ref(&index), &docs).unwrap();
         let engine =
             QueryEngine::new(IndexSnapshot::load(&store, 1).unwrap(), EngineConfig::default())
                 .unwrap();

@@ -9,14 +9,15 @@
 //! queries pick up the new one.
 //!
 //! A store of several segments — a resumable build seals one per checkpoint —
-//! is served segment-per-shard, the "search can work with multiple indices
-//! in parallel" future work the paper sketches.  `dsearch index` stores a run
-//! as one segment however many replicas built it, which loads as one shard.
+//! is served segment-per-shard over the store's one document table, the
+//! "search can work with multiple indices in parallel" future work the paper
+//! sketches.  `dsearch index` stores a run as one segment however many
+//! replicas built it, which loads as one shard.
 //!
 //! Shards are **sealed** ([`SealedShard`]): each is the bytes of its segment
 //! file — postings in fixed-size delta blocks, term by sorted term — plus
-//! flat tables locating every term in them.  Loading is decode-free and
-//! copies nothing out of the file but the doc table, and queries evaluate
+//! flat tables locating every term in them.  Loading decodes the store's doc
+//! table once and no posting, and queries evaluate
 //! through skip-aware cursors over the same bytes, so a reload costs I/O
 //! plus one validating pass, not a posting-by-posting rebuild — and the
 //! segments are independent, so a store's segments load concurrently, each
@@ -43,26 +44,17 @@ pub struct IndexSnapshot {
 }
 
 impl IndexSnapshot {
-    /// Loads every live segment of `store` as one sealed shard each — the
-    /// segments concurrently, the shards in manifest order — tagging the
-    /// image with `generation`.
+    /// Loads every live segment of `store` as one sealed shard each, over
+    /// the store's doc table — the files concurrently, the shards in manifest
+    /// order — tagging the image with `generation`.
     ///
     /// # Errors
     ///
-    /// Fails when a segment is missing or corrupt, naming its file; there is
-    /// no image then, not one of the segments that did load.
+    /// Fails when the doc file or a segment is missing or corrupt, naming it;
+    /// there is no image then, not one of the segments that did load.
     pub fn load(store: &IndexStore, generation: u64) -> Result<Self, PersistError> {
         let started = Instant::now();
-        let mut docs = DocTable::new();
-        let mut shards = Vec::with_capacity(store.segment_count());
-        for (shard, segment_docs) in store.load_all_sealed()? {
-            // Segments written from one run share a doc table; keep the most
-            // complete copy (mirrors the CLI's multi-segment search).
-            if segment_docs.len() > docs.len() {
-                docs = segment_docs;
-            }
-            shards.push(shard);
-        }
+        let (shards, docs) = store.load_all_sealed()?;
         let mut snapshot = IndexSnapshot::from_sealed(shards, docs, generation);
         snapshot.load_time = started.elapsed();
         Ok(snapshot)
@@ -391,7 +383,7 @@ mod tests {
         let id = docs.insert("a.txt");
         let mut index = InMemoryIndex::new();
         index.insert_file(id, [Term::from("alpha")]);
-        store.commit(&index, &docs).unwrap();
+        store.replace_with(std::slice::from_ref(&index), &docs).unwrap();
 
         let cell = SnapshotCell::new(IndexSnapshot::load(&store, 1).unwrap());
         let generations: Vec<u64> = std::thread::scope(|scope| {
@@ -430,7 +422,7 @@ mod tests {
         let id = docs.insert("first.txt");
         let mut index = InMemoryIndex::new();
         index.insert_file(id, [Term::from("alpha")]);
-        store.commit(&index, &docs).unwrap();
+        store.replace_with(std::slice::from_ref(&index), &docs).unwrap();
 
         let cell = SnapshotCell::new(IndexSnapshot::load(&store, 1).unwrap());
         assert_eq!(cell.load().search(&Query::parse("alpha").unwrap()).len(), 1);

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use dsearch_core::{Configuration, Implementation, IndexGenerator};
 use dsearch_corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch_index::{DocTable, InMemoryIndex};
-use dsearch_persist::segment::{read_segment, write_segment};
+use dsearch_persist::segment::{read_docs, read_segment, read_segment_sealed, write_segment};
 use dsearch_persist::IndexStore;
 use dsearch_query::Query;
 use dsearch_server::IndexSnapshot;
@@ -49,16 +49,16 @@ fn snapshot_from_store_matches_in_memory_searcher() {
 
     // write_segment → byte-exact read back.
     let mut buffer = Vec::new();
-    write_segment(&index, &docs, std::io::Cursor::new(&mut buffer)).unwrap();
-    let (restored, restored_docs) = read_segment(&buffer[..]).unwrap();
+    write_segment(&index, docs.len(), std::io::Cursor::new(&mut buffer)).unwrap();
+    let (restored, doc_count) = read_segment(&buffer[..]).unwrap();
     assert_eq!(restored, index);
-    assert_eq!(restored_docs.len(), docs.len());
+    assert_eq!(doc_count, docs.len() as u64);
 
     // Same bytes through the store layout, loaded as a serving snapshot.
     let dir = TempDir::new("match");
     let store_dir = dir.0.join("store");
     let mut store = IndexStore::open(&store_dir).unwrap();
-    store.commit(&index, &docs).unwrap();
+    store.replace_with(std::slice::from_ref(&index), &docs).unwrap();
     let store = IndexStore::open(&store_dir).unwrap();
     let snapshot = IndexSnapshot::load(&store, 1).unwrap();
     assert_eq!(snapshot.shard_count(), 1);
@@ -139,7 +139,7 @@ proptest! {
         }
         let dir = TempDir::new(&format!("prop-{seed}-{}", corpus.len()));
         let mut store = IndexStore::open(dir.0.join("store")).unwrap();
-        store.commit(&index, &docs).unwrap();
+        store.replace_with(std::slice::from_ref(&index), &docs).unwrap();
 
         let loaded = IndexSnapshot::load(&store, 1).unwrap();
         let in_memory = IndexSnapshot::from_index(index, docs, 1);
@@ -173,11 +173,12 @@ proptest! {
         victim in 0usize..6,
         seed in 0u32..1000,
     ) {
-        // Each segment is committed with the doc table as it stood then, so
-        // later segments carry longer tables (the image keeps the longest).
+        // Each segment holds files of its own, over the one doc table of
+        // them all: a resumable build's store.
         let dir = TempDir::new(&format!("concurrent-{seed}-{}", segments.len()));
         let mut store = IndexStore::open(dir.0.join("store")).unwrap();
         let mut docs = DocTable::new();
+        let mut indexes = Vec::new();
         for files in &segments {
             let mut index = InMemoryIndex::new();
             for words in files {
@@ -187,20 +188,22 @@ proptest! {
                 uniq.dedup();
                 index.insert_file(id, uniq.iter().map(|w| Term::from(w.as_str())));
             }
-            store.commit(&index, &docs).unwrap();
+            indexes.push(index);
+        }
+        store.start(&docs).unwrap();
+        for index in &indexes {
+            store.append(std::slice::from_ref(index), &docs).unwrap();
         }
 
         let loaded = IndexSnapshot::load(&store, 1).unwrap();
-        let mut reference_docs = DocTable::new();
-        let mut shards = Vec::new();
-        for position in 0..store.segment_count() {
-            let (shard, segment_docs) = store.load_segment_sealed(position).unwrap();
-            if segment_docs.len() > reference_docs.len() {
-                reference_docs = segment_docs;
-            }
-            shards.push(shard);
-        }
-        let reference = IndexSnapshot::from_sealed(shards, reference_docs, 1);
+        let open = |name: &String| fs::File::open(store.root().join(name)).unwrap();
+        let shards = store.manifest().segments.iter().map(|name| {
+            let (shard, doc_count) = read_segment_sealed(open(name)).unwrap();
+            assert_eq!(doc_count, docs.len() as u64);
+            shard
+        });
+        let reference_docs = read_docs(open(store.manifest().docs.as_ref().unwrap())).unwrap();
+        let reference = IndexSnapshot::from_sealed(shards.collect(), reference_docs, 1);
         prop_assert_eq!(loaded.shard_count(), segments.len());
         prop_assert_eq!(loaded.docs(), reference.docs());
         prop_assert_eq!(loaded.docs(), &docs);
@@ -216,12 +219,12 @@ proptest! {
             prop_assert_eq!(ranked(&loaded), ranked(&reference), "top-5 of {:?}", raw);
         }
 
-        let victim = &store.manifest().segments[victim % segments.len()].file_name;
+        let victim = &store.manifest().segments[victim % segments.len()];
         let path = store.root().join(victim);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
         match IndexSnapshot::load(&store, 2) {
-            Err(dsearch_persist::PersistError::Segment { file_name, .. }) => {
+            Err(dsearch_persist::PersistError::File { file_name, .. }) => {
                 prop_assert_eq!(&file_name, victim);
             }
             other => prop_assert!(false, "expected an error naming {}: {:?}", victim, other.err()),
@@ -256,8 +259,9 @@ proptest! {
         }
         let dir = TempDir::new(&format!("replicas-{seed}-{}", tfs.len()));
         let mut store = IndexStore::open(dir.0.join("store")).unwrap();
+        store.start(&docs).unwrap();
         for replica in &replicas {
-            store.commit(replica, &docs).unwrap();
+            store.append(std::slice::from_ref(replica), &docs).unwrap();
         }
         let loaded = IndexSnapshot::load(&store, 1).unwrap();
         prop_assert_eq!(loaded.shard_count(), 2);

@@ -69,7 +69,7 @@ fn queries_survive_a_concurrent_snapshot_reload() {
     build_v1(&mut docs, &mut index);
     {
         let mut store = IndexStore::open(&store_dir).unwrap();
-        store.commit(&index, &docs).unwrap();
+        store.replace_with(std::slice::from_ref(&index), &docs).unwrap();
     }
     let store = IndexStore::open(&store_dir).unwrap();
     let engine = QueryEngine::new(
@@ -187,8 +187,9 @@ fn multi_segment_store_serves_as_sharded_snapshot() {
         replicas[(i % 3) as usize].insert_file(id, words);
     }
     let mut store = IndexStore::open(&store_dir).unwrap();
+    store.start(&docs).unwrap();
     for replica in &replicas {
-        store.commit(replica, &docs).unwrap();
+        store.append(std::slice::from_ref(replica), &docs).unwrap();
     }
 
     let snapshot = IndexSnapshot::load(&store, 1).unwrap();

@@ -1,7 +1,8 @@
 //! The memory contract of the serving image, counted — no clock, no RSS.
 //!
-//! * Loading a segment allocates per *document* (the doc table's strings)
-//!   plus a constant — never per term — and the loaded image (segment bytes,
+//! * Loading a store allocates per *document* (the strings of its one doc
+//!   table, decoded once however many segments are over it) plus a constant
+//!   a segment — never per term — and the loaded image (segment bytes,
 //!   term and skip tables, lookup, norms, doc table) holds at most 4 bytes a
 //!   posting: less than the bare ids take uncompressed.  (Until segment
 //!   version 5 the bound was 1.5 bytes per byte of segment file, 4.07 bytes a
@@ -13,7 +14,8 @@
 //!   documents the query matched.
 //!
 //! A load runs on several threads — segments side by side, a file read in
-//! parts, its doc table decoded beside its terms — so the count is taken
+//! parts, its checksum verified and the doc file decoded beside its terms —
+//! so the count is taken
 //! over every thread a load starts as well as the caller's.  The two tests
 //! of this binary take turns, so that no thread of the other one starts
 //! while a load is counted.
@@ -120,12 +122,17 @@ impl Drop for TempDir {
     }
 }
 
-/// Everything a segment load allocates that is not one string per document:
-/// the file buffer, the doc table's vector, the length pairs, the norm
-/// table, the term table, the lookup table, the doubling growth (then the
-/// final shrink) of the shard-wide skip and frequency-offset tables, and the
-/// start of each thread the load runs on (about 55 in all on 2 cores).
+/// Everything a segment load allocates: the file buffer, the length pairs,
+/// the norm table, the term table, the lookup table, the doubling growth
+/// (then the final shrink) of the shard-wide skip and frequency-offset
+/// tables, and the start of each thread the load runs on (about 55 in all
+/// on 2 cores).
 const FIXED_ALLOCATIONS_PER_SEGMENT: u64 = 64;
+
+/// Everything a load allocates for the doc file that is not one string per
+/// document: the file buffer's growth, the table's two vectors, and the
+/// growth of the buffer its paths are rebuilt in.
+const FIXED_ALLOCATIONS_PER_DOC_FILE: u64 = 16;
 
 #[test]
 fn loading_allocates_per_document_and_holds_under_four_bytes_a_posting() {
@@ -155,24 +162,27 @@ fn loading_allocates_per_document_and_holds_under_four_bytes_a_posting() {
     // run as one segment: the segments load side by side in the first
     // store, the one segment's file on every core in the second.
     let mut apart = IndexStore::open(dir.0.join("apart")).unwrap();
+    apart.start(&docs).unwrap();
     for replica in &replicas {
-        apart.commit(replica, &docs).unwrap();
+        apart.append(std::slice::from_ref(replica), &docs).unwrap();
     }
     let mut merged = IndexStore::open(dir.0.join("merged")).unwrap();
-    merged.commit_all(&replicas, &docs).unwrap();
+    merged.replace_with(&replicas, &docs).unwrap();
     assert_eq!((apart.segment_count(), merged.segment_count()), (2, 1));
 
     for store in [&apart, &merged] {
         let segments = store.segment_count() as u64;
-        let postings = store.manifest().total_postings();
         let (snapshot, allocations) =
             allocations_during(|| IndexSnapshot::load(store, 1).expect("the store loads"));
+        let postings = snapshot.posting_count();
         let terms = snapshot.terms().count() as u64;
         // Entries are counted per shard: the two segments repeat most terms,
         // the one segment holds each once, at most the vocabulary.
         let floor = if segments == 2 { 20_000 } else { 15_000 };
         assert!(terms >= floor, "only {terms} term entries");
-        let budget = segments * (docs.len() as u64 + FIXED_ALLOCATIONS_PER_SEGMENT);
+        let budget = docs.len() as u64
+            + FIXED_ALLOCATIONS_PER_DOC_FILE
+            + segments * FIXED_ALLOCATIONS_PER_SEGMENT;
         eprintln!("{allocations} allocations to load {segments} segment(s) (budget {budget})");
         assert!(
             allocations <= budget,
@@ -181,7 +191,7 @@ fn loading_allocates_per_document_and_holds_under_four_bytes_a_posting() {
             docs.len()
         );
         // The doc table's strings are counted, wherever they were made.
-        assert!(allocations >= segments * docs.len() as u64, "{allocations} allocations");
+        assert!(allocations >= docs.len() as u64, "{allocations} allocations");
         let resident = snapshot.resident_bytes() as u64;
         assert!(
             resident <= postings * 4,
@@ -193,6 +203,51 @@ fn loading_allocates_per_document_and_holds_under_four_bytes_a_posting() {
         let prefix: String = term.chars().take(2).collect();
         assert!(snapshot.search(&Query::parse(&term).unwrap()).len() >= doc_freq);
         assert!(snapshot.search(&Query::parse(&format!("{prefix}*")).unwrap()).len() >= doc_freq);
+    }
+}
+
+/// Booting a store decodes its one doc table, whatever the number of
+/// segments over it: the allocations a load makes for `extra` more documents
+/// (which no segment indexes) are one string each, for one segment and for
+/// thirty alike — where a table decoded once per segment would cost thirty
+/// strings a document in the second store.  (Which thread takes which file
+/// moves a growing result vector's reallocations by a few either way.)
+#[test]
+fn a_boot_decodes_one_doc_table_however_many_segments() {
+    let _turn = ONE_TEST_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut replicas = vec![InMemoryIndex::new(); 30];
+    for i in 0..600u32 {
+        let terms = [(Term::from(format!("w{}", i % 37)), 1 + i % 4), (Term::from("common"), 1)];
+        replicas[i as usize % 30].insert_file_counted(dsearch_index::FileId(i), terms);
+    }
+    let dir = TempDir::new("one-table");
+    let extra = 200;
+    let attributable = |segments: usize| {
+        let [without, with] = [0, extra].map(|extra| {
+            let docs: DocTable =
+                (0..600 + extra).map(|i| format!("dir{}/doc{i:04}.txt", i % 7)).collect();
+            let root = dir.0.join(format!("s{segments}-{extra}"));
+            let mut store = IndexStore::open(&root).unwrap();
+            if segments == 1 {
+                store.replace_with(&replicas, &docs).unwrap();
+            } else {
+                store.start(&docs).unwrap();
+                for replica in &replicas {
+                    store.append(std::slice::from_ref(replica), &docs).unwrap();
+                }
+            }
+            assert_eq!(store.segment_count(), segments);
+            let (snapshot, allocations) =
+                allocations_during(|| IndexSnapshot::load(&store, 1).expect("the store loads"));
+            assert_eq!(snapshot.doc_count(), 600 + extra);
+            allocations
+        });
+        with - without
+    };
+    let (one, thirty) = (attributable(1), attributable(30));
+    eprintln!("{extra} more documents: {one} allocations (1 segment), {thirty} (30 segments)");
+    for attributed in [one, thirty] {
+        assert!(attributed.abs_diff(extra as u64) <= 4, "{attributed}: one string a document");
     }
 }
 

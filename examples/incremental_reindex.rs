@@ -82,8 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- the updated store answers queries about the new state -----------
-    let (index, docs) = store.load_segment(0)?;
-    let searcher = Searcher::new([&index], &docs);
+    let (indexes, docs) = store.load_all()?;
+    let searcher = Searcher::new(&indexes, &docs);
     for raw in ["replicated", "budget approved", "parallelize"] {
         let results = searcher.search(&Query::parse(raw)?);
         println!("query {raw:?} → {} hit(s)", results.len());

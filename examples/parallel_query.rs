@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Persist the joined index and load it back — the desktop-search engine
     // does this between indexing runs.
     let mut buffer = Vec::new();
-    write_segment(&joined, &docs, std::io::Cursor::new(&mut buffer))?;
+    write_segment(&joined, docs.len(), std::io::Cursor::new(&mut buffer))?;
     let (restored_index, _) = read_segment(&buffer[..])?;
     assert_eq!(restored_index, joined);
     println!(

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use dsearch::index::{join_all, SealedShard};
+use dsearch::index::join_all;
 use dsearch::persist::IndexStore;
 use dsearch::query::{evaluate, Query, Scorer};
 
@@ -50,8 +50,7 @@ pub struct Said {
 }
 
 pub fn said<Q: AsRef<str>>(store: &IndexStore, queries: &[Q]) -> Said {
-    let (indexes, tables): (Vec<_>, Vec<_>) = store.load_all().unwrap().into_iter().unzip();
-    let docs = tables.into_iter().max_by_key(|table| table.len()).unwrap_or_default();
+    let (indexes, docs) = store.load_all().unwrap();
     let index = join_all(indexes);
     let path = |id| docs.path(id).expect("every posting is of a known document").to_owned();
     let mut postings = BTreeMap::new();
@@ -62,8 +61,7 @@ pub fn said<Q: AsRef<str>>(store: &IndexStore, queries: &[Q]) -> Said {
     }
     let lengths = index.doc_lens().map(|(id, len)| (path(id), len)).collect();
 
-    let shards: Vec<SealedShard> =
-        store.load_all_sealed().unwrap().into_iter().map(|(shard, _)| shard).collect();
+    let (shards, _) = store.load_all_sealed().unwrap();
     let ranked = queries
         .iter()
         .map(|raw| {
@@ -78,7 +76,7 @@ pub fn said<Q: AsRef<str>>(store: &IndexStore, queries: &[Q]) -> Said {
 /// A few `OR` and `AND` queries over the most frequent terms of `store`:
 /// ones that rank many documents, with frequencies and lengths that differ.
 pub fn frequent_queries(store: &IndexStore) -> Vec<String> {
-    let index = join_all(store.load_all().unwrap().into_iter().map(|(index, _)| index).collect());
+    let index = join_all(store.load_all().unwrap().0);
     let mut by_length: Vec<(usize, &str)> =
         index.iter().map(|(term, list)| (list.len(), term.as_str())).collect();
     by_length.sort_unstable_by(|a, b| b.cmp(a));

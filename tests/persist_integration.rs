@@ -17,7 +17,8 @@ use dsearch::index::varint::write_varint;
 use dsearch::index::{DocTable, FileId, InMemoryIndex, SealedShard, BLOCK_SIZE};
 use dsearch::persist::checksum::xxh64;
 use dsearch::persist::segment::{
-    read_segment, read_segment_sealed, write_segment, SEGMENT_MAGIC, SEGMENT_VERSION,
+    read_segment, read_segment_sealed, write_docs, write_segment, DOCS_MAGIC, SEGMENT_MAGIC,
+    SEGMENT_VERSION,
 };
 use dsearch::persist::{IndexStore, PersistError, SignatureDb};
 use dsearch::query::{Query, Searcher};
@@ -35,18 +36,18 @@ fn pipeline_output_survives_a_store_round_trip() {
 
     let dir = TempDir::new("roundtrip");
     let mut store = IndexStore::open(dir.path().join("store")).unwrap();
-    let info = store.commit(&index, &docs).unwrap();
+    let info = store.replace_with(std::slice::from_ref(&index), &docs).unwrap();
     assert_eq!(info.doc_count, docs.len() as u64);
 
     // Re-open the store as a new process would and compare.
     let store = IndexStore::open(dir.path().join("store")).unwrap();
-    let (restored, restored_docs) = store.load_segment(0).unwrap();
-    assert_eq!(restored, index);
-    assert_eq!(restored_docs.len(), docs.len());
+    let (restored, restored_docs) = store.load_all().unwrap();
+    assert_eq!(restored, std::slice::from_ref(&index));
+    assert_eq!(restored_docs, docs);
 
     // Queries answered from the restored index match the in-memory one.
     let live = Searcher::new([&index], &docs);
-    let persisted = Searcher::new([&restored], &restored_docs);
+    let persisted = Searcher::new(&restored, &restored_docs);
     let mut checked = 0;
     for (term, _) in index.iter().take(20) {
         let q = Query::all_of([term.clone()]);
@@ -74,19 +75,21 @@ fn implementation3_replicas_stored_as_segments_join_to_the_same_index() {
         panic!("Implementation 3 must keep replicas");
     };
     assert_eq!(set.replica_count(), 4);
-    store.commit_all(set.replicas(), docs).unwrap();
+    store.replace_with(set.replicas(), docs).unwrap();
 
     // The replicas are merged as they are sealed: one segment, the index
-    // "Join Forces" would have built — and the file it would have stored.
+    // "Join Forces" would have built — and the files it would have stored.
     assert_eq!(store.segment_count(), 1);
-    let (merged, _) = store.load_segment(0).unwrap();
-    assert_eq!(merged, reference_index);
+    let (merged, _) = store.load_all().unwrap();
+    assert_eq!(merged, std::slice::from_ref(&reference_index));
     let mut joined = IndexStore::open(dir.path().join("joined")).unwrap();
-    joined.commit(&reference_index, &reference_docs).unwrap();
-    let segment = |store: &IndexStore| {
-        fs::read(store.root().join(&store.manifest().segments[0].file_name)).unwrap()
+    joined.replace_with(&[reference_index], &reference_docs).unwrap();
+    let files = |store: &IndexStore| {
+        let manifest = store.manifest();
+        let names = [manifest.docs.as_ref().unwrap(), &manifest.segments[0]];
+        names.map(|name| fs::read(store.root().join(name)).unwrap())
     };
-    assert_eq!(segment(&store), segment(&joined));
+    assert_eq!(files(&store), files(&joined));
 }
 
 /// Ranked answers — hits, order, scores to the bit — are the corpus's, not
@@ -117,8 +120,8 @@ fn ranked_answers_do_not_depend_on_how_many_threads_indexed() {
 
     // The most frequent terms alone, and each with its neighbour in an OR.
     let mut by_frequency: Vec<(usize, Term)> = {
-        let (index, _) = IndexStore::open(dir.path().join("x1")).unwrap().load_segment(0).unwrap();
-        index.iter().map(|(term, list)| (list.len(), term.clone())).collect()
+        let (indexes, _) = IndexStore::open(dir.path().join("x1")).unwrap().load_all().unwrap();
+        indexes[0].iter().map(|(term, list)| (list.len(), term.clone())).collect()
     };
     by_frequency.sort_by(|a, b| b.cmp(a));
     let terms: Vec<Term> = by_frequency.into_iter().take(12).map(|(_, term)| term).collect();
@@ -147,19 +150,9 @@ fn ranked_answers_do_not_depend_on_how_many_threads_indexed() {
     assert_eq!(ranked, 23);
 }
 
-/// The writer as it was before it streamed: seal the whole index into a
-/// `SealedShard`, serialise the whole payload into one buffer, checksum it,
-/// then emit header and payload.  Kept as the reference the streaming
-/// `write_segment` must match byte for byte: the version-11 layout spelled
-/// out a second time, part by part, over the parts a `CompressedView` hands
-/// out — and, stamped with another version, as the writer of the files this
-/// build no longer reads.
-fn seal_then_serialise(
-    index: &InMemoryIndex,
-    docs: &DocTable,
-    version: u32,
-    checksum: fn(&[u8]) -> u64,
-) -> Vec<u8> {
+/// The doc file of `docs`, spelled out a second time: the reference
+/// `write_docs` must match byte for byte.
+fn serialise_docs(docs: &DocTable, version: u32) -> Vec<u8> {
     let mut payload: Vec<u8> = Vec::new();
     write_varint(&mut payload, u64::from(version));
     write_varint(&mut payload, docs.len() as u64);
@@ -189,6 +182,28 @@ fn seal_then_serialise(
         write_varint(&mut payload, u64::from(id.as_u32()));
         previous = path;
     }
+    let mut bytes = DOCS_MAGIC.to_vec();
+    bytes.extend_from_slice(&xxh64(&payload).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes
+}
+
+/// The writer as it was before it streamed: seal the whole index into a
+/// `SealedShard`, serialise the whole payload into one buffer, checksum it,
+/// then emit header and payload.  Kept as the reference the streaming
+/// `write_segment` must match byte for byte: the version-12 layout spelled
+/// out a second time, part by part, over the parts a `CompressedView` hands
+/// out — and, stamped with another version, as the writer of the files this
+/// build no longer reads.
+fn seal_then_serialise(
+    index: &InMemoryIndex,
+    doc_count: usize,
+    version: u32,
+    checksum: fn(&[u8]) -> u64,
+) -> Vec<u8> {
+    let mut payload: Vec<u8> = Vec::new();
+    write_varint(&mut payload, u64::from(version));
+    write_varint(&mut payload, doc_count as u64);
     let mut doc_lens: Vec<(FileId, u32)> = index.doc_lens().collect();
     doc_lens.sort_unstable_by_key(|&(id, _)| id);
     write_varint(&mut payload, doc_lens.len() as u64);
@@ -196,7 +211,7 @@ fn seal_then_serialise(
     // one before (the first from 0), zigzag-coded (0, −1, 1, −2, … as 0, 1,
     // 2, 3, …).  Some documents': ids as gaps from the id before (the first
     // from 0) beside them, and the lengths whole.
-    let every = doc_lens.len() == docs.len();
+    let every = doc_lens.len() == doc_count;
     let ids = doc_lens.iter().map(|&(id, _)| id.as_u32());
     let mut length_before = 0i64;
     for (&(id, len), before) in doc_lens.iter().zip(std::iter::once(0).chain(ids)) {
@@ -290,24 +305,30 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                 }
             };
             assert!(indices.iter().any(|index| index.posting_count() > 0));
+            let mut doc_file = Vec::new();
+            write_docs(&docs, &mut doc_file).unwrap();
+            assert!(doc_file == serialise_docs(&docs, SEGMENT_VERSION));
             for index in &indices {
                 let mut written = Vec::new();
-                let info = write_segment(index, &docs, std::io::Cursor::new(&mut written)).unwrap();
+                let info =
+                    write_segment(index, docs.len(), std::io::Cursor::new(&mut written)).unwrap();
                 assert_eq!(info.bytes, written.len() as u64);
                 assert_eq!(info.posting_count, index.posting_count());
                 assert!(
-                    written == seal_then_serialise(index, &docs, SEGMENT_VERSION, xxh64),
+                    written == seal_then_serialise(index, docs.len(), SEGMENT_VERSION, xxh64),
                     "{implementation:?} x{extractors}: streamed segment differs from the reference"
                 );
-                // There is one readable version: the same payload stamped 10
-                // (seven-bit exception positions, two varints a term and a
-                // path), 9 (read before accents folded), 8, 7, 6, 5 or 4
-                // (under this build's checksum) or 3 (under the FNV-1a of
-                // versions 1–3) is refused by its version, by both readers,
-                // before its checksum is looked at.
+                // There is one readable version: the same payload stamped 11
+                // (a doc table in every segment), 10 (seven-bit exception
+                // positions, two varints a term and a path), 9 (read before
+                // accents folded), 8, 7, 6, 5 or 4 (under this build's
+                // checksum) or 3 (under the FNV-1a of versions 1–3) is
+                // refused by its version, by both readers, before its
+                // checksum is looked at.
                 let fnv1a: fn(&[u8]) -> u64 = dsearch::text::fnv1a_64;
                 let xxh64: fn(&[u8]) -> u64 = xxh64;
                 let old_versions = [
+                    (11, xxh64),
                     (10, xxh64),
                     (9, xxh64),
                     (8, xxh64),
@@ -318,8 +339,8 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                     (3, fnv1a),
                 ];
                 for (version, checksum) in old_versions {
-                    let old = seal_then_serialise(index, &docs, version, checksum);
-                    assert_eq!((old[12], written[12]), (version as u8, 11));
+                    let old = seal_then_serialise(index, docs.len(), version, checksum);
+                    assert_eq!((old[12], written[12]), (version as u8, 12));
                     for err in [read_segment(&old[..]).err(), read_segment_sealed(&old[..]).err()] {
                         assert!(
                             matches!(err, Some(PersistError::UnsupportedVersion { found, .. }) if found == version),
@@ -344,7 +365,7 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
 /// (README "Ranked retrieval").  An en-bloc insert records one for a file
 /// without terms, so every store `dsearch index` writes counts such files;
 /// an index built one occurrence at a time, each file counted through
-/// `note_file_done`, does not, and there the count falls below
+/// `note_files_done`, does not, and there the count falls below
 /// `file_count()` — consistently, in memory and across
 /// `read_segment` → `write_segment`, so scores and bounds never drift.
 #[test]
@@ -360,7 +381,7 @@ fn the_scored_document_count_survives_a_read_and_recommit() {
         for w in words(file) {
             per_occurrence.insert_occurrences(id, Term::from(w), 1);
         }
-        per_occurrence.note_file_done();
+        per_occurrence.note_files_done(1);
     }
     assert_eq!((en_bloc.file_count(), per_occurrence.file_count()), (3, 3));
 
@@ -368,14 +389,14 @@ fn the_scored_document_count_survives_a_read_and_recommit() {
         let sealed = SealedShard::from_index(index);
         assert_eq!(sealed.file_count(), scored);
         let mut written = Vec::new();
-        write_segment(index, &docs, std::io::Cursor::new(&mut written)).unwrap();
+        write_segment(index, docs.len(), std::io::Cursor::new(&mut written)).unwrap();
         assert!(read_segment_sealed(&written[..]).unwrap().0 == sealed);
         // Load mutably, commit again: the same bytes, so the same idf, the
         // same norms and the same list bounds.
-        let (restored, restored_docs) = read_segment(&written[..]).unwrap();
+        let (restored, doc_count) = read_segment(&written[..]).unwrap();
         assert_eq!(restored.file_count(), scored);
         let mut rewritten = Vec::new();
-        write_segment(&restored, &restored_docs, std::io::Cursor::new(&mut rewritten)).unwrap();
+        write_segment(&restored, doc_count as usize, std::io::Cursor::new(&mut rewritten)).unwrap();
         assert!(rewritten == written, "a recommit changed the segment");
     }
 }
@@ -520,8 +541,8 @@ fn signature_db_and_store_survive_process_restart_on_disk() {
     }
 
     let store = IndexStore::open(&store_dir).unwrap();
-    let (index, docs) = store.load_segment(0).unwrap();
-    let searcher = Searcher::new([&index], &docs);
+    let (indexes, docs) = store.load_all().unwrap();
+    let searcher = Searcher::new(&indexes, &docs);
     assert_eq!(searcher.search(&Query::parse("delta").unwrap()).len(), 1);
     assert!(searcher.search(&Query::parse("beta").unwrap()).len() == 1);
     let fs_view = dsearch::vfs::OsFs::new(&docs_dir);
@@ -543,6 +564,6 @@ fn empty_memfs_corpus_is_handled_gracefully() {
 
     let store = IndexStore::open(dir.path().join("store")).unwrap();
     assert_eq!(store.segment_count(), 1);
-    let (restored, _) = store.load_segment(0).unwrap();
-    assert!(restored.is_empty());
+    let (restored, docs) = store.load_all().unwrap();
+    assert!(restored[0].is_empty() && docs.is_empty());
 }

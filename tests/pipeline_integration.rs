@@ -7,7 +7,9 @@ use dsearch::core::{
 };
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch::index::{DocTable, InMemoryIndex};
-use dsearch::persist::segment::{read_segment, write_segment, write_segment_merged};
+use dsearch::persist::segment::{
+    read_docs, read_segment, write_docs, write_segment, write_segment_merged,
+};
 use dsearch::text::Term;
 use dsearch::vfs::{CountingFs, MemFs, VPath};
 
@@ -16,11 +18,14 @@ fn corpus() -> (MemFs, u64) {
     (fs, manifest.file_count())
 }
 
-/// The segment a store writes for what a run built: one index, or the
-/// un-joined replicas of Implementation 3.
+/// The doc file and the segment a store writes for what a run built: one
+/// index, or the un-joined replicas of Implementation 3.
 fn persisted(built: &[InMemoryIndex], docs: &DocTable) -> Vec<u8> {
     let mut bytes = Vec::new();
-    write_segment_merged(built, docs, std::io::Cursor::new(&mut bytes)).unwrap();
+    write_docs(docs, &mut bytes).unwrap();
+    let mut cursor = std::io::Cursor::new(&mut bytes);
+    cursor.set_position(cursor.get_ref().len() as u64);
+    write_segment_merged(built, docs.len(), cursor).unwrap();
     bytes
 }
 
@@ -169,11 +174,13 @@ fn snapshot_of_parallel_run_round_trips() {
         .run(&fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(3, 0, 2))
         .unwrap();
     let (index, docs) = run.outcome.into_single_index();
-    let mut buffer = Vec::new();
-    write_segment(&index, &docs, std::io::Cursor::new(&mut buffer)).unwrap();
-    let (restored, restored_docs) = read_segment(&buffer[..]).unwrap();
+    let (mut buffer, mut doc_file) = (Vec::new(), Vec::new());
+    write_segment(&index, docs.len(), std::io::Cursor::new(&mut buffer)).unwrap();
+    write_docs(&docs, &mut doc_file).unwrap();
+    let (restored, doc_count) = read_segment(&buffer[..]).unwrap();
     assert_eq!(restored, index);
-    assert_eq!(restored_docs, docs);
+    assert_eq!(doc_count, docs.len() as u64);
+    assert_eq!(read_docs(&doc_file[..]).unwrap(), docs);
 }
 
 #[test]

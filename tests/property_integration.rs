@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 use common::{said, TempDir};
 
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
-use dsearch::persist::segment::{read_segment, write_segment};
+use dsearch::persist::segment::{read_docs, read_segment, write_docs, write_segment};
 use dsearch::persist::IndexStore;
 use dsearch::query::{Query, Searcher};
 use dsearch::vfs::{MemFs, VPath};
@@ -148,10 +148,13 @@ proptest! {
             .run(&fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(2, 0, 0))
             .unwrap();
         let (index, docs) = run.outcome.into_single_index();
-        let mut buf = Vec::new();
-        write_segment(&index, &docs, std::io::Cursor::new(&mut buf)).unwrap();
-        let (restored, restored_docs) = read_segment(&buf[..]).unwrap();
+        let (mut buf, mut doc_file) = (Vec::new(), Vec::new());
+        write_segment(&index, docs.len(), std::io::Cursor::new(&mut buf)).unwrap();
+        write_docs(&docs, &mut doc_file).unwrap();
+        let (restored, doc_count) = read_segment(&buf[..]).unwrap();
+        let restored_docs = read_docs(&doc_file[..]).unwrap();
         prop_assert_eq!(&restored, &index);
+        prop_assert_eq!(doc_count, docs.len() as u64);
         prop_assert_eq!(restored_docs.len(), docs.len());
         for (id, path) in docs.iter() {
             prop_assert_eq!(restored_docs.path(id), Some(path));
