@@ -22,10 +22,14 @@
 //! and those walked through a window's slots.
 //!
 //! `block_decode` isolates the block codec's unpack kernel: every id-gap and
-//! frequency block of a `paper_scaled` store, encoded as a seal encodes it,
-//! decoded again — ns per value for each width that occurs, and in all —
-//! and prints beside the timings what the store's id and frequency payloads
-//! take a posting, so one run shows both sides of a codec trade.
+//! frequency block of a `paper_scaled` store's lists in blocks (fewer than 6
+//! or more than 128 postings), encoded as a seal encodes it, decoded again —
+//! ns per value for each width that occurs, and in all — and prints beside
+//! the timings what those lists' id and frequency payloads take a posting,
+//! so one run shows both sides of a codec trade.  `short_decode` does the
+//! same for the same store's short lists (6 to 128 postings, one stream
+//! each): their ids decoded whole, and ids and tfs as a cursor hands them
+//! out — ns per posting, and the bytes their streams take.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -34,7 +38,9 @@ use std::time::Instant;
 use dsearch::core::{Configuration, Implementation, IndexGenerator};
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch::index::block::{decode, encode, encoded_width};
-use dsearch::index::{DocTable, InMemoryIndex, SealedShard, BLOCK_SIZE};
+use dsearch::index::{
+    BlockCursor, CompressedPostings, DocTable, FileId, InMemoryIndex, SealedShard, BLOCK_SIZE,
+};
 use dsearch::query::{evaluate, Query, Scorer};
 use dsearch::vfs::VPath;
 
@@ -176,11 +182,12 @@ impl Blocks {
     }
 }
 
-/// Every block of `spec`'s store as the seal encodes it: per list, its id
-/// gaps less one (each block's first id is a varint of its own, outside the
-/// codec) and its frequencies less one — `[ids, tfs]`.  A list whose
-/// frequencies are all 1 stores none, and counts its postings at no bytes.
-fn store_blocks(spec: &CorpusSpec) -> [Blocks; 2] {
+/// Every block of `spec`'s store's lists in blocks as the seal encodes it:
+/// per list, its id gaps less one (each block's first id is a varint of its
+/// own, outside the codec) and its frequencies less one — `[ids, tfs]`.  A
+/// list whose frequencies are all 1 stores none, and counts its postings at
+/// no bytes.  Beside them, the store's short lists.
+fn store_blocks(spec: &CorpusSpec) -> ([Blocks; 2], Vec<CompressedPostings>) {
     let (fs, _) = materialize_to_memfs(spec, 0x5eed);
     let (index, _) = IndexGenerator::default()
         .run(&fs, &VPath::root(), Implementation::ReplicateJoin, Configuration::new(2, 0, 0))
@@ -190,9 +197,14 @@ fn store_blocks(spec: &CorpusSpec) -> [Blocks; 2] {
     let shard = SealedShard::from_index(&index);
     let (mut ids, mut tfs) = (Vec::new(), Vec::new());
     let mut kinds = [(); 2].map(|()| Blocks::default());
+    let mut short = Vec::new();
     for (_, list) in shard.iter() {
         list.decode_into(&mut ids);
         list.decode_freqs_into(&mut tfs);
+        if list.is_short() {
+            short.push(CompressedPostings::from_counted(&ids, &tfs, list.universe()));
+            continue;
+        }
         let gaps = ids.chunks(BLOCK_SIZE).flat_map(|block| block.windows(2));
         kinds[0].push_list(gaps.map(|pair| pair[1].0 - pair[0].0 - 1));
         if !tfs.is_empty() {
@@ -203,13 +215,31 @@ fn store_blocks(spec: &CorpusSpec) -> [Blocks; 2] {
             kind.postings += list.len();
         }
     }
-    kinds
+    (kinds, short)
+}
+
+/// Decodes every list of `short` once — its ids whole, or its ids and tfs as
+/// a cursor hands them out — and returns the postings decoded.
+fn decode_short(short: &[CompressedPostings], with_tfs: bool) -> usize {
+    let mut ids: Vec<FileId> = Vec::with_capacity(BLOCK_SIZE);
+    let mut postings = 0;
+    for list in short {
+        if with_tfs {
+            let mut cursor = BlockCursor::new(list.view());
+            black_box(cursor.block_tfs());
+        } else {
+            list.view().decode_into(&mut ids);
+            black_box(&ids);
+        }
+        postings += list.view().len();
+    }
+    postings
 }
 
 fn bench_block_decode(c: &mut Criterion) {
     let mut group = c.benchmark_group("block_decode");
     group.sample_size(10);
-    let [ids, tfs] = store_blocks(&CorpusSpec::paper_scaled(0.05));
+    let ([ids, tfs], short) = store_blocks(&CorpusSpec::paper_scaled(0.05));
     for (kind, blocks) in [("ids", ids), ("tfs", tfs)] {
         // Width by width, each timed over enough rounds to pass ~2 M values.
         let mut line = format!(
@@ -242,6 +272,31 @@ fn bench_block_decode(c: &mut Criterion) {
         let all = blocks.blocks.clone();
         group.bench_function(kind, |b| b.iter(|| blocks.decode(&all)));
     }
+    group.finish();
+
+    // The short lists, each decoded whole: ids alone, then ids and tfs.
+    let mut group = c.benchmark_group("short_decode");
+    group.sample_size(10);
+    let postings: usize = short.iter().map(|list| list.view().len()).sum();
+    let stored: usize = short.iter().map(|list| list.view().data().len()).sum();
+    let with_tfs = short.iter().filter(|list| !list.view().freqs().is_empty()).count();
+    let mut line = format!(
+        "short_decode: {} lists ({with_tfs} with tfs), {postings} postings in {stored} B, {:.2} \
+         bits a posting;",
+        short.len(),
+        8.0 * stored as f64 / postings.max(1) as f64
+    );
+    for (kind, tfs) in [("ids", false), ("ids+tfs", true)] {
+        let rounds = (2_000_000 / postings.max(1)).clamp(1, 10_000);
+        let started = Instant::now();
+        (0..rounds).for_each(|_| {
+            black_box(decode_short(&short, tfs));
+        });
+        let ns = started.elapsed().as_nanos() as f64 / (rounds * postings.max(1)) as f64;
+        line += &format!(" {kind}: {ns:.2} ns/posting;");
+        group.bench_function(kind, |b| b.iter(|| decode_short(&short, tfs)));
+    }
+    println!("{line}");
     group.finish();
 }
 

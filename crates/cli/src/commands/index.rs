@@ -102,8 +102,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         "  {} with configuration {}\n  \
          total {:.3} s (stage 1 {:.3} s, extraction {:.3} s, join {:.3} s, persist {:.3} s)\n  \
          store {store_path}: {} segment(s) (replaced {replaced})\n  \
-         bytes: ids {} (exceptions {}) tfs {} (exceptions {}) skips {} scores {} dictionary {} \
-         docs {}\n",
+         bytes: ids {} (exceptions {}, short {}) tfs {} (exceptions {}, short {}) skips {} \
+         scores {} dictionary {} docs {}\n",
         implementation.paper_name(),
         configuration,
         timings.total.as_secs_f64() + persist_seconds,
@@ -114,8 +114,10 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         store.segment_count(),
         bytes.ids,
         bytes.id_exceptions,
+        bytes.short_ids,
         bytes.tfs,
         bytes.tf_exceptions,
+        bytes.short_tfs,
         bytes.skips,
         bytes.scores,
         bytes.dictionary,

@@ -1,7 +1,11 @@
 //! Block-compressed posting lists with skip-aware cursors.
 //!
 //! A [`CompressedPostings`] stores a sorted, duplicate-free sequence of file
-//! ids in fixed [`BLOCK_SIZE`]-id blocks.  It is the *encoder's* output; every
+//! ids.  A list of [`SHORT_LIST_MIN`] to [`BLOCK_SIZE`] ids — most of a
+//! vocabulary — is one short list, coded close to its entropy over the id
+//! universe the reader knows ([`crate::interpolative`]: binary interpolative
+//! coding for the ids, the tfs above 1 as sparse exceptions); any other is
+//! stored in fixed [`BLOCK_SIZE`]-id blocks.  It is the *encoder's* output; every
 //! reader — cursors, decoders, the query evaluator — goes through the `Copy`
 //! borrowed [`CompressedView`], which a sealed shard also hands out straight
 //! over its segment bytes.  A block of ids is its first id and the gaps
@@ -52,12 +56,22 @@
 //! evaluator walks and filters either the same way.
 
 use crate::doc_table::FileId;
+use crate::interpolative;
 use crate::varint::{checked_u32, read_lenient, varint_len, varint_len_in, write_varint};
 
 /// Number of ids per compressed block (the classic inverted-index choice:
 /// big enough to amortise the skip entry, small enough that decoding one
 /// block on a seek stays cheap).
 pub const BLOCK_SIZE: usize = 128;
+
+/// Fewest ids a short list holds.  A list of fewer keeps one block of the
+/// codec: its entropy is a few bits, which a short list's length byte and
+/// padding outweigh, and a run of ids — common among the few documents
+/// that share a rare term, say a tree's largest pages — is a header byte in
+/// a block where interpolative coding spends bits on both its ends.  On
+/// nine real trees, lists of up to five in one block were the smallest of
+/// the floors from 0 to 16 (the benchmark's corpus has no such list).
+pub const SHORT_LIST_MIN: usize = 6;
 
 /// The bits of a block's header byte that hold its width.
 const WIDTH_BITS: u8 = 0x3f;
@@ -91,14 +105,16 @@ pub struct SkipEntry {
 /// A sorted, duplicate-free posting list in block-compressed form, as the
 /// encoder produces it.  Reading goes through [`CompressedPostings::view`].
 ///
-/// Every block of `data` opens with a varint of its first id — for the
-/// list's first block the id itself, for every later one its gap less one
-/// from the last id of the block before — followed (when it holds more ids)
-/// by the codec block of its gaps less one, so a block decodes from its own
-/// bytes and the skip entry before its own.  The skip table is only
-/// materialised for lists spanning more than one block: a singleton term
-/// (the long tail of every real vocabulary) costs one varint, typically 1–3
-/// bytes against 4 raw.
+/// A short list ([`SHORT_LIST_MIN`] to [`BLOCK_SIZE`] ids) is one stream in
+/// `data`: its ids and, when some tf is above 1, its tfs
+/// ([`crate::interpolative`]); `freqs` stays empty.  Any other list's every
+/// block of `data` opens with a varint of its first id — for the list's
+/// first block the id itself, for every later one its gap less one from the
+/// last id of the block before — followed (when it holds more ids) by the
+/// codec block of its gaps less one, so a block decodes from its own bytes
+/// and the skip entry before its own.  The skip table is only materialised
+/// for lists spanning more than one block: a singleton term costs one
+/// varint, typically 1–3 bytes against 4 raw.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompressedPostings {
     len: usize,
@@ -114,6 +130,10 @@ pub struct CompressedPostings {
     /// The list's score bound byte (`0`: none recorded); see
     /// [`CompressedView::bound`].
     bound: u8,
+    /// The ids a short list is coded over lie below this.
+    universe: u64,
+    /// Whether a short list's stream holds tfs.
+    short_tfs: bool,
 }
 
 /// Structural validation failure when a sealed shard is laid over externally
@@ -133,17 +153,28 @@ pub(crate) fn corrupt(what: impl Into<String>) -> BlockFormatError {
     BlockFormatError(what.into())
 }
 
+/// Whether a list of `len` postings is a short list.
+pub(crate) fn is_short(len: usize) -> bool {
+    (SHORT_LIST_MIN..=BLOCK_SIZE).contains(&len)
+}
+
 fn bits_needed(value: u32) -> u32 {
     32 - value.leading_zeros()
 }
 
 impl CompressedPostings {
-    /// Compresses a sorted, duplicate-free slice of ids.
+    /// Compresses a sorted, duplicate-free slice of ids, each below
+    /// `universe` — the bound a reader knows before it reads the list.
     ///
     /// The invariant is the same one [`PostingList`](crate::PostingList)
     /// maintains; it is checked in debug builds only.
     #[must_use]
-    pub fn from_sorted(ids: &[FileId]) -> Self {
+    pub fn from_sorted(ids: &[FileId], universe: u64) -> Self {
+        Self::from_counted(ids, &[], universe)
+    }
+
+    /// The blocks of a list that is not short.
+    fn from_blocks(ids: &[FileId], universe: u64) -> Self {
         debug_assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
             "compressed postings require sorted, duplicate-free ids"
@@ -176,17 +207,32 @@ impl CompressedPostings {
             freqs: Vec::new(),
             freq_offsets: Vec::new(),
             bound: 0,
+            universe,
+            short_tfs: false,
         }
     }
 
-    /// Compresses a sorted id slice together with its per-posting term
-    /// frequencies.  `tfs` must be parallel to `ids` or empty; an all-1
-    /// frequency vector is not materialised (the canonical empty form).
+    /// Compresses a sorted id slice, each below `universe`, together with
+    /// its per-posting term frequencies.  `tfs` must be parallel to `ids` or
+    /// empty; an all-1 frequency vector is not materialised (the canonical
+    /// empty form).
     #[must_use]
-    pub fn from_counted(ids: &[FileId], tfs: &[u32]) -> Self {
+    pub fn from_counted(ids: &[FileId], tfs: &[u32], universe: u64) -> Self {
         debug_assert!(tfs.is_empty() || tfs.len() == ids.len());
-        let mut cp = CompressedPostings::from_sorted(ids);
-        if tfs.is_empty() || tfs.iter().all(|&tf| tf <= 1) {
+        let tracked = tfs.iter().any(|&tf| tf > 1);
+        if is_short(ids.len()) {
+            let mut data = Vec::new();
+            interpolative::encode(ids, if tracked { tfs } else { &[] }, universe, &mut data);
+            return CompressedPostings {
+                len: ids.len(),
+                data,
+                universe,
+                short_tfs: tracked,
+                ..CompressedPostings::default()
+            };
+        }
+        let mut cp = CompressedPostings::from_blocks(ids, universe);
+        if !tracked {
             return cp;
         }
         let mut above_one = [0u32; BLOCK_SIZE];
@@ -211,9 +257,10 @@ impl CompressedPostings {
             len: self.len,
             skips: &self.skips,
             data: &self.data,
-            freqs: &self.freqs,
+            freqs: if self.short_tfs { &self.data } else { &self.freqs },
             freq_offsets: &self.freq_offsets,
             bound: self.bound,
+            universe: self.universe,
         }
     }
 }
@@ -221,6 +268,10 @@ impl CompressedPostings {
 /// A block-compressed posting list, borrowed: the parts of a
 /// [`CompressedPostings`], or the same parts found in place in a sealed
 /// shard's segment bytes.  `Copy`, so cursors carry it by value.
+///
+/// A short list's `data` is its stream, and its `freqs` the same stream
+/// when that holds tfs (empty otherwise); it has no skip entries and no
+/// frequency offsets.
 ///
 /// Decoding is defensive — a payload that ends early or a table that is too
 /// short yields zeros or an exhausted cursor, never a panic — so a view over
@@ -234,6 +285,7 @@ pub struct CompressedView<'a> {
     pub(crate) freqs: &'a [u8],
     pub(crate) freq_offsets: &'a [u32],
     pub(crate) bound: u8,
+    pub(crate) universe: u64,
 }
 
 impl<'a> CompressedView<'a> {
@@ -255,16 +307,31 @@ impl<'a> CompressedView<'a> {
         self.skips
     }
 
-    /// The concatenated encoded block payloads.
+    /// The concatenated encoded block payloads; a short list's stream.
     #[must_use]
     pub fn data(&self) -> &'a [u8] {
         self.data
     }
 
-    /// The encoded per-posting frequency payload (empty ⇒ every tf is 1).
+    /// The encoded per-posting frequency payload (empty ⇒ every tf is 1); a
+    /// short list's stream, when it holds tfs.
     #[must_use]
     pub fn freqs(&self) -> &'a [u8] {
         self.freqs
+    }
+
+    /// Whether the list is short — [`SHORT_LIST_MIN`] to [`BLOCK_SIZE`] ids,
+    /// coded as one stream ([`crate::interpolative`]) rather than in blocks.
+    #[must_use]
+    pub fn is_short(&self) -> bool {
+        is_short(self.len)
+    }
+
+    /// The bound every id of the list lies below, which a short list is
+    /// coded over.
+    #[must_use]
+    pub fn universe(&self) -> u64 {
+        self.universe
     }
 
     /// Byte offsets of the per-block frequency payloads.
@@ -352,11 +419,33 @@ impl<'a> CompressedView<'a> {
 
     /// Decodes the whole list onto the end of `out`.
     pub fn decode_append(&self, out: &mut Vec<FileId>) {
+        if self.is_short() {
+            let start = out.len();
+            out.resize(start + self.len, FileId(0));
+            interpolative::decode_ids(self.data, self.universe, &mut out[start..]);
+            return;
+        }
         out.reserve(self.len);
         let (mut gaps, mut ids) = ([0u32; BLOCK_SIZE], [FileId(0); BLOCK_SIZE]);
         for index in 0..self.block_count() {
             let count = self.block_ids(index, &mut gaps, &mut ids);
             out.extend_from_slice(&ids[..count]);
+        }
+    }
+
+    /// Decodes a short list's ids into `out[..len]`; returns the bit its
+    /// tfs start at.
+    fn short_ids(&self, out: &mut [FileId; BLOCK_SIZE]) -> usize {
+        interpolative::decode_ids(self.data, self.universe, &mut out[..self.len])
+    }
+
+    /// Decodes a short list's tfs, which start at bit `from` of its stream,
+    /// into `out` (its length); every one 1 for a list that stores none.
+    fn short_tfs(&self, from: usize, out: &mut [u32]) {
+        if self.freqs.is_empty() {
+            out.fill(1);
+        } else {
+            interpolative::decode_tfs(self.freqs, from, out);
         }
     }
 
@@ -379,8 +468,12 @@ impl<'a> CompressedView<'a> {
     /// The bytes the exception sections of the list's id blocks and of its
     /// tf blocks take (the rest of each block is its first id, header, base
     /// and packed values): where the census of a store splits its blocks.
+    /// None for a short list.
     #[must_use]
     pub fn exception_bytes(&self) -> (usize, usize) {
+        if self.is_short() {
+            return (0, 0);
+        }
         let (mut ids, mut tfs) = (0, 0);
         for index in 0..self.block_count() {
             let count = self.block_len(index);
@@ -396,6 +489,20 @@ impl<'a> CompressedView<'a> {
         (ids, tfs)
     }
 
+    /// How a short list's stream splits between its ids and its tfs: the
+    /// bytes up to the one its ids end in, and the rest.  `None` for a list
+    /// in blocks.
+    pub(crate) fn short_split(&self) -> Option<(usize, usize)> {
+        if !self.is_short() {
+            return None;
+        }
+        if self.freqs.is_empty() {
+            return Some((self.data.len(), 0));
+        }
+        let ids = self.short_ids(&mut [FileId(0); BLOCK_SIZE]).div_ceil(8).min(self.data.len());
+        Some((ids, self.data.len() - ids))
+    }
+
     /// Decodes every per-posting frequency into `out` (cleared first),
     /// parallel to [`CompressedView::decode_into`]'s ids.
     pub fn decode_freqs_into(&self, out: &mut Vec<u32>) {
@@ -405,6 +512,12 @@ impl<'a> CompressedView<'a> {
         }
         out.reserve(self.len);
         let mut scratch = [0u32; BLOCK_SIZE];
+        if self.is_short() {
+            let from = self.short_ids(&mut [FileId(0); BLOCK_SIZE]);
+            self.short_tfs(from, &mut scratch[..self.len]);
+            out.extend_from_slice(&scratch[..self.len]);
+            return;
+        }
         for index in 0..self.block_count() {
             let count = self.block_tfs(index, &mut scratch);
             out.extend_from_slice(&scratch[..count]);
@@ -871,6 +984,8 @@ pub struct BlockCursor<'a> {
     tfs: [u32; BLOCK_SIZE],
     /// Whether `tfs` holds the current block's frequencies.
     tfs_loaded: bool,
+    /// The bit a short list's tfs start at in its stream.
+    tfs_at: usize,
     /// Blocks this cursor has entered (and decoded);
     /// `blocks - blocks_visited()` is the number the skip table let
     /// it jump over entirely.
@@ -890,6 +1005,7 @@ impl<'a> BlockCursor<'a> {
             ids: [FileId(0); BLOCK_SIZE],
             tfs: [0; BLOCK_SIZE],
             tfs_loaded: false,
+            tfs_at: 0,
             visited: 0,
         };
         cursor.enter_block(0);
@@ -909,12 +1025,21 @@ impl<'a> BlockCursor<'a> {
             return;
         }
         self.visited += 1;
-        self.len_in_block = self.postings.block_ids(block, &mut self.tfs, &mut self.ids);
+        if self.postings.is_short() {
+            self.len_in_block = self.postings.len;
+            self.tfs_at = self.postings.short_ids(&mut self.ids);
+        } else {
+            self.len_in_block = self.postings.block_ids(block, &mut self.tfs, &mut self.ids);
+        }
     }
 
     fn load_tfs(&mut self) {
         if !self.tfs_loaded {
-            self.postings.block_tfs(self.block, &mut self.tfs);
+            if self.postings.is_short() {
+                self.postings.short_tfs(self.tfs_at, &mut self.tfs[..self.len_in_block]);
+            } else {
+                self.postings.block_tfs(self.block, &mut self.tfs);
+            }
             self.tfs_loaded = true;
         }
     }
@@ -1057,6 +1182,19 @@ mod tests {
         ids.into_iter().zip(tfs).collect()
     }
 
+    /// The universe of `ids`: one past the last.
+    fn universe_of(ids: &[FileId]) -> u64 {
+        ids.last().map_or(0, |last| u64::from(last.as_u32()) + 1)
+    }
+
+    fn compress(ids: &[FileId]) -> CompressedPostings {
+        CompressedPostings::from_sorted(ids, universe_of(ids))
+    }
+
+    fn compress_counted(ids: &[FileId], tfs: &[u32]) -> CompressedPostings {
+        CompressedPostings::from_counted(ids, tfs, universe_of(ids))
+    }
+
     fn ids_of(cp: &CompressedPostings) -> Vec<FileId> {
         let mut out = Vec::new();
         cp.view().decode_into(&mut out);
@@ -1065,7 +1203,7 @@ mod tests {
 
     #[test]
     fn empty_list_compresses_to_nothing() {
-        let cp = CompressedPostings::from_sorted(&[]);
+        let cp = compress(&[]);
         assert!(cp.view().is_empty());
         assert_eq!(cp.view().len(), 0);
         assert_eq!(cp.view().byte_size(), 0);
@@ -1080,7 +1218,7 @@ mod tests {
     #[test]
     fn dense_runs_bitpack_below_one_byte_per_id() {
         let dense: Vec<FileId> = (0..10_000).map(FileId).collect();
-        let cp = CompressedPostings::from_sorted(&dense);
+        let cp = compress(&dense);
         assert_eq!(ids_of(&cp), dense);
         // Consecutive ids pack at 1 bit each plus skip/header overhead.
         assert!(
@@ -1094,51 +1232,58 @@ mod tests {
     #[test]
     fn sparse_lists_stay_far_below_the_raw_form() {
         let sparse: Vec<FileId> = (0..500).map(|i| FileId(i * 100_003)).collect();
-        let cp = CompressedPostings::from_sorted(&sparse);
+        let cp = compress(&sparse);
         assert_eq!(ids_of(&cp), sparse);
         // A constant stride is a base and nothing else; an irregular one
         // still packs at the width of its gaps, 17 bits against 32 raw.
         assert!(cp.view().data().len() < 40, "{} bytes", cp.view().data().len());
         let jittered: Vec<FileId> = (0..500).map(|i| FileId(i * 100_003 + i % 7)).collect();
-        let cp = CompressedPostings::from_sorted(&jittered);
+        let cp = compress(&jittered);
         assert_eq!(ids_of(&cp), jittered);
         assert!(cp.view().byte_size() * 8 < jittered.len() * 20);
     }
 
     #[test]
     fn one_outlier_is_patched_not_paid_for_by_the_whole_block() {
-        // 127 gaps of 1..=4 and one of a thousand: two bits each, and the
-        // outlier's eight bits above them as an exception.
+        // In the first of two blocks, 127 gaps of 1..=4 and one of a
+        // thousand: two bits each, and the outlier's eight bits above them
+        // as an exception.  The second block is a run: its first id, 0
+        // past the block before's last, and a width-0 header.
         let block = |outlier: u32| -> Vec<FileId> {
             let mut id = 0u32;
-            (0..BLOCK_SIZE as u32)
+            (0..2 * BLOCK_SIZE as u32)
                 .map(|i| {
-                    id += if i == 77 { outlier } else { 1 + i % 4 };
+                    id += match i {
+                        77 => outlier,
+                        0..128 => 1 + i % 4,
+                        _ => 1,
+                    };
                     FileId(id)
                 })
                 .collect()
         };
         let all = block(1_000);
-        let cp = CompressedPostings::from_sorted(&all);
+        let cp = compress(&all);
         assert_eq!(ids_of(&cp), all);
         // first id + header + 127 × 2 bits + count + the gap width and one
         // seven-bit gap + one high
-        assert_eq!(cp.view().data().len(), 1 + 1 + 32 + 1 + 2 + 1);
+        assert_eq!(cp.view().data().len(), 1 + 1 + 32 + 1 + 2 + 1 + 2);
         // An outlier 18 bits above the rest is not patched at two bits: the
         // width rises until its high part fits eight.
         let wide = block(1_000_000);
-        let cp = CompressedPostings::from_sorted(&wide);
+        let cp = compress(&wide);
         assert_eq!(ids_of(&cp), wide);
         assert_eq!(encoded_width(&cp.view().data()[1..]), 12);
         // The same for frequencies: the tf = 1 ocean with three islands, the
-        // three positions packed in three bytes, the highs in three more.
-        let mut tfs = vec![1u32; BLOCK_SIZE];
+        // three positions packed in three bytes, the highs in three more;
+        // then a block of ones, its header alone.
+        let mut tfs = vec![1u32; 2 * BLOCK_SIZE];
         (tfs[3], tfs[64], tfs[127]) = (2, 9, 200);
-        let cp = CompressedPostings::from_counted(&all, &tfs);
+        let cp = compress_counted(&all, &tfs);
         let mut decoded = Vec::new();
         cp.view().decode_freqs_into(&mut decoded);
         assert_eq!(decoded, tfs);
-        assert_eq!(cp.view().freqs().len(), 1 + 1 + 3 + 3);
+        assert_eq!(cp.view().freqs().len(), 1 + 1 + 3 + 3 + 1);
     }
 
     #[test]
@@ -1170,7 +1315,7 @@ mod tests {
         assert_eq!(size(&[5]), 2);
         assert_eq!(size(&[0]), 1);
         // And a list of one id is that id's varint.
-        assert_eq!(CompressedPostings::from_sorted(&ids(&[300])).view().data(), [0xac, 0x02]);
+        assert_eq!(compress(&ids(&[300])).view().data(), [0xac, 0x02]);
     }
 
     #[test]
@@ -1245,7 +1390,7 @@ mod tests {
         // Blocks of 128 ids, each starting 10 past the block before's last.
         let all: Vec<FileId> =
             (0..300u32).map(|i| FileId(1_000_000 + i + 9 * (i / BLOCK_SIZE as u32))).collect();
-        let cp = CompressedPostings::from_sorted(&all);
+        let cp = compress(&all);
         let (data, skips) = (cp.view().data(), cp.view().skips());
         assert_eq!(data[..3], [0xc0, 0x84, 0x3d], "the first block: its id, 1 000 000");
         for skip in &skips[1..] {
@@ -1256,7 +1401,7 @@ mod tests {
 
     #[test]
     fn singleton_lists_cost_one_varint_and_no_skip_entry() {
-        let cp = CompressedPostings::from_sorted(&ids(&[42]));
+        let cp = compress(&ids(&[42]));
         assert_eq!(cp.view().data().len(), 1, "one varint byte for id 42");
         assert!(cp.view().skips().is_empty(), "single-block lists carry no skip table");
         assert_eq!(cp.view().byte_size(), 1);
@@ -1269,7 +1414,7 @@ mod tests {
     #[test]
     fn cursor_walks_and_seeks_across_blocks() {
         let all: Vec<FileId> = (0..1000).map(|i| FileId(i * 3)).collect();
-        let cp = CompressedPostings::from_sorted(&all);
+        let cp = compress(&all);
         assert_eq!(cp.view().skips().len(), 1000usize.div_ceil(BLOCK_SIZE));
 
         // Full walk equals decode.
@@ -1300,7 +1445,7 @@ mod tests {
     #[test]
     fn seek_to_block_boundaries() {
         let all: Vec<FileId> = (0..(BLOCK_SIZE as u32 * 3)).map(FileId).collect();
-        let cp = CompressedPostings::from_sorted(&all);
+        let cp = compress(&all);
         let mut cursor = cp.view().cursor();
         let boundary = FileId(BLOCK_SIZE as u32);
         assert_eq!(cursor.seek(boundary), Some(boundary));
@@ -1313,7 +1458,7 @@ mod tests {
     #[test]
     fn slice_cursor_matches_block_cursor() {
         let all: Vec<FileId> = (0..600).map(|i| FileId(i * 7 + i % 5)).collect();
-        let cp = CompressedPostings::from_sorted(&all);
+        let cp = compress(&all);
         let mut slice = SliceCursor::new(&all);
         let mut block = cp.view().cursor();
         assert_eq!(slice.len(), block.len());
@@ -1330,7 +1475,7 @@ mod tests {
     fn freqs_roundtrip_and_lazy_cursor_access() {
         let all: Vec<FileId> = (0..500).map(|i| FileId(i * 2)).collect();
         let tfs = (0..500).map(|i| 1 + (i % 7)).collect::<Vec<u32>>();
-        let cp = CompressedPostings::from_counted(&all, &tfs);
+        let cp = compress_counted(&all, &tfs);
         let mut decoded = Vec::new();
         cp.view().decode_freqs_into(&mut decoded);
         assert_eq!(decoded, tfs);
@@ -1344,11 +1489,20 @@ mod tests {
         assert_eq!(cursor.current_tf(), 1 + (130 % 7));
 
         // All-1 frequencies stay in canonical (absent) form.
-        let flat = CompressedPostings::from_counted(&all, &vec![1; 500]);
+        let flat = compress_counted(&all, &vec![1; 500]);
         assert!(flat.view().freqs().is_empty());
         assert!(flat.view().freq_offsets().is_empty());
         assert_eq!(flat.view().cursor().current_tf(), 1);
         assert_eq!(to_list(cp.view()).tf_of(FileId(2)), Some(2));
+        // A short list hands out its tfs beside its ids, whole — and ones
+        // when it stores none.
+        for (tfs, stored) in [(&tfs[..100], true), (&[1; 100][..], false)] {
+            let short = compress_counted(&all[..100], tfs);
+            assert_eq!(short.view().freqs().is_empty(), !stored);
+            let mut cursor = short.view().cursor();
+            cursor.advance_by(3);
+            assert_eq!(cursor.block_tfs(), (&all[3..100], &tfs[3..]));
+        }
     }
 
     #[test]
@@ -1356,7 +1510,7 @@ mod tests {
         let all: Vec<FileId> = (0..256).map(FileId).collect();
         let mut tfs = vec![3u32; 256];
         tfs[200] = 9; // second block is non-constant
-        let cp = CompressedPostings::from_counted(&all, &tfs);
+        let cp = compress_counted(&all, &tfs);
         let first_block_bytes =
             (cp.view().freq_offsets()[1] - cp.view().freq_offsets()[0]) as usize;
         assert_eq!(first_block_bytes, 2, "constant block: header + one varint");
@@ -1533,7 +1687,7 @@ mod tests {
             sorted.dedup_by_key(|&mut (id, _)| id);
             let all: Vec<FileId> = sorted.iter().map(|&(id, _)| FileId(id)).collect();
             let tfs = sorted.iter().map(|&(_, tf)| tf).collect::<Vec<u32>>();
-            let cp = CompressedPostings::from_counted(&all, &tfs);
+            let cp = compress_counted(&all, &tfs);
             let mut decoded = Vec::new();
             cp.view().decode_freqs_into(&mut decoded);
             let expect_tracked = tfs.iter().any(|&tf| tf > 1);
@@ -1561,7 +1715,7 @@ mod tests {
             sorted.sort_unstable();
             sorted.dedup();
             let all: Vec<FileId> = sorted.into_iter().map(FileId).collect();
-            let cp = CompressedPostings::from_sorted(&all);
+            let cp = compress(&all);
             prop_assert_eq!(cp.view().len(), all.len());
             prop_assert_eq!(ids_of(&cp), all.clone());
             prop_assert_eq!(to_list(cp.view()).doc_ids(), all.as_slice());
@@ -1578,7 +1732,7 @@ mod tests {
             sorted.sort_unstable();
             sorted.dedup();
             let all: Vec<FileId> = sorted.into_iter().map(FileId).collect();
-            let cp = CompressedPostings::from_sorted(&all);
+            let cp = compress(&all);
             let mut cursor = cp.view().cursor();
             let mut naive_pos = 0usize;
             for (advance, target) in ops {

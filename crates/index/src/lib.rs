@@ -20,6 +20,8 @@
 //!   128-id delta blocks with per-block skip metadata), the borrowed
 //!   [`CompressedView`] every reader takes, and the skip-aware
 //!   [`BlockCursor`]/[`SliceCursor`] cursors;
+//! * [`interpolative`] — the code of a list of 6 to 128 postings: its ids
+//!   by binary interpolative coding, its tfs above 1 as exceptions;
 //! * [`sealed`] — [`SealedShard`], the immutable serving form: the encoded
 //!   term entries of a segment in one buffer, indexed by flat tables;
 //! * [`varint`] — the LEB128 writer and checking reader every encoded form
@@ -48,6 +50,7 @@
 
 pub mod block;
 pub mod doc_table;
+pub mod interpolative;
 pub mod join;
 pub mod memory_index;
 pub mod posting;
@@ -58,7 +61,7 @@ pub mod varint;
 
 pub use block::{
     BlockCursor, BlockFormatError, CompressedPostings, CompressedView, PostingCursor, SkipEntry,
-    SliceCursor, BLOCK_SIZE,
+    SliceCursor, BLOCK_SIZE, SHORT_LIST_MIN,
 };
 pub use doc_table::{DocTable, FileId, PathOrderedDocs};
 pub use join::{join_all, join_into, parallel_join};

@@ -96,6 +96,11 @@ impl PostingList {
         self.len == 0
     }
 
+    /// The largest id, `None` while the list is empty.
+    pub(crate) fn last(&self) -> Option<FileId> {
+        (self.len > 0).then_some(FileId(self.last))
+    }
+
     /// Bytes of heap the list holds (its stream, slack included).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {

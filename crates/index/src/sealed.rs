@@ -5,12 +5,18 @@
 //! reads: **one byte buffer** holding every term's encoded entry exactly as a
 //! segment stores it ([`encode_term`]), described by flat side tables — one
 //! fixed-size `TermEntry` per term (where its entry and its id and tf blocks
-//! sit in the buffer, where its skip entries sit in the skip table), one
-//! shard-wide skip table, one shard-wide frequency-offset table, a `u32`
-//! open-addressing table for exact-term lookups and a byte per term of
-//! the front coding's shared counts.  The entries store nothing
-//! the tables can derive: the terms are front-coded, and the blocks lie back
-//! to back, each saying its own length.  A shard loaded from disk *is* the
+//! — or its short list's stream — sit in the buffer, where its skip entries
+//! sit in the skip table), one shard-wide skip table, one shard-wide
+//! frequency-offset table, a `u32` open-addressing table for exact-term
+//! lookups and a byte per term of the front coding's shared counts.  The
+//! entries store nothing the tables can derive: the terms are front-coded,
+//! the blocks lie back to back, each saying its own length, and a list of
+//! [`SHORT_LIST_MIN`](crate::SHORT_LIST_MIN) to [`BLOCK_SIZE`] postings is
+//! one stream behind its byte length, coded
+//! over the shard's id universe (the bound its ids lie below, which the
+//! term section states before its first entry): the ids by binary
+//! interpolative coding, the tfs above 1 as sparse exceptions
+//! ([`crate::interpolative`]).  A shard loaded from disk *is* the
 //! segment file's bytes; a shard sealed in memory
 //! ([`SealedShard::from_index`]) is the same encoding written into a fresh
 //! buffer, so there is one representation and one reader.  That buys:
@@ -27,9 +33,11 @@
 //!
 //! Every structural property the readers rely on is checked once, when the
 //! tables are laid over the bytes — every block's among them, since finding
-//! where the next one starts means reading its header: hostile bytes are a
-//! [`BlockFormatError`], never a panic and never an allocation sized by a
-//! count they declare.
+//! where the next one starts means reading its header; a short list is
+//! skipped by its length, undecoded, for it decodes to ascending ids below
+//! the universe whatever its bits, once its length fits the entry and its
+//! posting count the universe: hostile bytes are a [`BlockFormatError`],
+//! never a panic and never an allocation sized by a count they declare.
 //!
 //! Ranked evaluation prunes with one bound per list and nothing finer: the
 //! byte a seal writes quantizes the largest saturation `tf / (tf + norm)`
@@ -43,9 +51,11 @@ use dsearch_text::fnv::fnv1a_64;
 use dsearch_text::Term;
 
 use crate::block::{
-    block_end, corrupt, BlockFormatError, CompressedPostings, CompressedView, SkipEntry, BLOCK_SIZE,
+    block_end, corrupt, is_short, BlockFormatError, CompressedPostings, CompressedView, SkipEntry,
+    BLOCK_SIZE,
 };
 use crate::doc_table::FileId;
+use crate::interpolative::MAX_UNIVERSE;
 use crate::memory_index::InMemoryIndex;
 use crate::posting::PostingList;
 use crate::varint::{
@@ -137,10 +147,10 @@ pub fn bm25_neutral_norm() -> f32 {
 struct TermEntry {
     /// Start of the entry: its front-coded term.
     entry_at: u32,
-    /// The first id block (behind the skip entries).
+    /// The first id block (behind the skip entries); a short list's stream.
     ids_at: u32,
     /// The first tf block: where the id blocks end.  The tf blocks end where
-    /// the next entry starts.
+    /// the next entry starts.  Where a short list's stream ends.
     tfs_at: u32,
     /// First index of a multi-block term in the skip and frequency-offset
     /// tables.
@@ -178,6 +188,8 @@ pub struct SealedShard {
     /// whose bytes its term still holds.
     shared: Vec<u8>,
     files: u64,
+    /// Every id lies below this: what short lists are coded over.
+    universe: u64,
     posting_count: u64,
     /// Sum of [`CompressedView::byte_size`] (shards are immutable, so
     /// `!stats` reporting need not re-sweep the vocabulary).
@@ -204,16 +216,22 @@ impl Eq for SealedShard {}
 /// segments it wrote.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SectionBytes {
-    /// Id blocks: first ids and gaps.
+    /// Id blocks: first ids and gaps; and short lists' lengths and ids.
     pub ids: u64,
     /// Of `ids`, the blocks' exception sections (count bytes, position gaps
     /// and high parts); the rest is first ids, headers, bases and packed
     /// values.
     pub id_exceptions: u64,
-    /// Frequency blocks (no offsets: each block says its own length).
+    /// Of `ids`, the short lists' stream lengths and ids (up to the byte the
+    /// ids end in).
+    pub short_ids: u64,
+    /// Frequency blocks (no offsets: each block says its own length); and
+    /// the rest of the short lists' streams.
     pub tfs: u64,
     /// Of `tfs`, the blocks' exception sections.
     pub tf_exceptions: u64,
+    /// Of `tfs`, the short lists' tfs (from the byte after their ids end).
+    pub short_tfs: u64,
     /// Skip entries: each block's last id, as a delta (no offsets).
     pub skips: u64,
     /// List bounds: one byte a term.
@@ -226,8 +244,8 @@ pub struct SectionBytes {
 }
 
 impl SectionBytes {
-    /// All sections together (the exception sections counted once, in
-    /// `ids` and `tfs`).
+    /// All sections together (the exception sections and the short lists
+    /// counted once, in `ids` and `tfs`).
     #[must_use]
     pub fn total(&self) -> u64 {
         self.ids + self.tfs + self.skips + self.scores + self.dictionary + self.docs
@@ -238,8 +256,10 @@ impl std::ops::AddAssign for SectionBytes {
     fn add_assign(&mut self, other: Self) {
         self.ids += other.ids;
         self.id_exceptions += other.id_exceptions;
+        self.short_ids += other.short_ids;
         self.tfs += other.tfs;
         self.tf_exceptions += other.tf_exceptions;
+        self.short_tfs += other.short_tfs;
         self.skips += other.skips;
         self.scores += other.scores;
         self.dictionary += other.dictionary;
@@ -249,7 +269,7 @@ impl std::ops::AddAssign for SectionBytes {
 
 /// Appends the entry of dictionary slot `slot`, whose term follows
 /// `previous` (the term of the slot before; unread at a restart slot), in
-/// the segment encoding (version 11), and says how many bytes each part of
+/// the segment encoding (version 13), and says how many bytes each part of
 /// it took:
 ///
 /// ```text
@@ -265,6 +285,17 @@ impl std::ops::AddAssign for SectionBytes {
 /// bound                                 one byte: `bm25_bound_byte` of the
 ///                                       postings' largest saturation, 0 when
 ///                                       the shard records no lengths
+///
+/// a short list (6 to 128 postings):
+/// stream length                         varint, in bytes
+/// stream                                the ids by binary interpolative
+///                                       coding over the shard's universe;
+///                                       when flagged, the positions of the
+///                                       tfs above 1 the same way over the
+///                                       list and each one's tf − 1 in
+///                                       Elias-γ ([`crate::interpolative`])
+///
+/// any other list:
 /// skip entries (only when > 1 block):   per block its last id less the block
 ///                                       before's (the first block: its last
 ///                                       id), as a varint
@@ -284,8 +315,9 @@ impl std::ops::AddAssign for SectionBytes {
 /// exceptions (a count byte, then their positions as gaps and their high
 /// bits, each bit-packed).  Its header says how long it is, so no length or
 /// offset is stored: the tables find every block's offset, and check its
-/// structure, when they are laid over the entry.  A block's first id is stored once,
-/// in its id block, and checked against the skip entries there too.
+/// structure, when they are laid over the entry.  A block's first id is
+/// stored once, in its id block, and checked against the skip entries there
+/// too.  A short list's stream is skipped by its length, undecoded.
 ///
 /// The segment writer streams these; [`SealedShard::from_index`] collects
 /// them, and [`SealedShard::from_bytes_beside`] lays its tables over them.
@@ -315,6 +347,20 @@ pub fn encode_term(
     let dictionary = section(out.len());
     out.push(postings.bound());
     let scores = section(out.len());
+    if let Some((_, tfs)) = postings.short_split() {
+        write_varint(out, postings.data().len() as u64);
+        out.extend_from_slice(postings.data());
+        let ids = section(out.len()) - tfs as u64;
+        return SectionBytes {
+            ids,
+            short_ids: ids,
+            tfs: tfs as u64,
+            short_tfs: tfs as u64,
+            scores,
+            dictionary,
+            ..SectionBytes::default()
+        };
+    }
     let mut last = 0;
     for skip in postings.skips() {
         write_varint(out, u64::from(skip.last.as_u32() - last));
@@ -334,7 +380,7 @@ pub fn encode_term(
         skips,
         scores,
         dictionary,
-        docs: 0,
+        ..SectionBytes::default()
     }
 }
 
@@ -347,6 +393,7 @@ impl SealedShard {
         let sealing = SealedTerms::new(std::slice::from_ref(index));
         let mut bytes = Vec::new();
         write_varint(&mut bytes, sealing.term_count() as u64);
+        write_varint(&mut bytes, sealing.universe());
         let Ok(()) = sealing.encode(|chunk| {
             bytes.extend_from_slice(&chunk.bytes);
             Ok::<(), std::convert::Infallible>(())
@@ -361,18 +408,20 @@ impl SealedShard {
     /// reads the same bytes (a segment load verifies the file's checksum
     /// there): on a scoped helper thread when `helper` is set, on this one
     /// after the tables otherwise; no shard exists before `beside` has
-    /// returned.  `bytes[terms_at..]` must be exactly a term count and that
-    /// many entries as [`encode_term`] writes them, sorted strictly ascending
-    /// by term.  The buffer is kept as it came, front matter and all — a
-    /// loaded shard's buffer *is* its segment file.  `doc_lens` holds each
-    /// document's recorded length, from which the BM25 norms are rebuilt
-    /// exactly as [`SealedShard::from_index`] computes them; `doc_count` is
-    /// the size of the document table the segment is over, the shard's
-    /// document count when no lengths were recorded.
+    /// returned.  `bytes[terms_at..]` must be exactly a term count, the id
+    /// universe (every id lies below it) and that many entries as
+    /// [`encode_term`] writes them, sorted strictly ascending by term.  The
+    /// buffer is kept as it came, front matter and all — a loaded shard's
+    /// buffer *is* its segment file.  `doc_lens` holds each document's
+    /// recorded length, from which the BM25 norms are rebuilt exactly as
+    /// [`SealedShard::from_index`] computes them; `doc_count` is the size of
+    /// the document table the segment is over, the shard's document count
+    /// when no lengths were recorded, and the universe may not pass it.
     ///
     /// # Errors
     ///
-    /// The shard fails when the bytes cannot describe a well-formed shard.
+    /// The shard fails when the bytes cannot describe a well-formed shard
+    /// over a table of `doc_count` documents.
     pub fn from_bytes_beside<T: Send>(
         bytes: Vec<u8>,
         terms_at: usize,
@@ -391,6 +440,15 @@ impl SealedShard {
             (Tables::lay_over(&bytes, terms_at), beside(&bytes))
         };
         let files = scored_population(doc_lens.len(), doc_count);
+        let tables = tables.and_then(|tables| {
+            if tables.universe > doc_count {
+                let universe = tables.universe;
+                return Err(corrupt(format!(
+                    "ids up to {universe} past a doc table of {doc_count}"
+                )));
+            }
+            Ok(tables)
+        });
         let shard = tables.map(|tables| tables.into_shard(bytes, files, build_norms(doc_lens)));
         (shard, beside)
     }
@@ -484,25 +542,23 @@ impl SealedShard {
         let mut pos = entry.entry_at as usize;
         let (_, rest) = read_head_lenient(&self.bytes, &mut pos);
         pos += rest;
-        let len = read_lenient(&self.bytes, &mut pos) as usize >> 1;
+        let counted = read_lenient(&self.bytes, &mut pos) as usize;
+        let len = counted >> 1;
         let bound = self.bytes[pos];
         let data = &self.bytes[entry.ids_at as usize..entry.tfs_at as usize];
         let freqs = &self.bytes[entry.tfs_at as usize..end];
         let block_count = len.div_ceil(BLOCK_SIZE);
-        let (skips, freq_offsets) = if block_count > 1 {
+        let (skips, freqs, freq_offsets) = if is_short(len) {
+            (&[][..], if counted & 1 == 1 { data } else { &[][..] }, &[][..])
+        } else if block_count > 1 {
             let blocks = entry.blocks_at as usize..entry.blocks_at as usize + block_count;
-            (&self.skips[blocks.clone()], &self.freq_offsets[blocks])
+            let freq_offsets =
+                if freqs.is_empty() { &[][..] } else { &self.freq_offsets[blocks.clone()] };
+            (&self.skips[blocks], freqs, freq_offsets)
         } else {
-            (&[][..], FIRST_BLOCK)
+            (&[][..], freqs, if freqs.is_empty() { &[][..] } else { FIRST_BLOCK })
         };
-        CompressedView {
-            len,
-            skips,
-            data,
-            freqs,
-            freq_offsets: if freqs.is_empty() { &[] } else { freq_offsets },
-            bound,
-        }
+        CompressedView { len, skips, data, freqs, freq_offsets, bound, universe: self.universe }
     }
 
     /// Number of distinct terms.
@@ -673,6 +729,7 @@ impl Iterator for Walk<'_, '_> {
 /// A shard's term tables, laid over its bytes: everything of a
 /// [`SealedShard`] but the buffer and the scoring state.
 struct Tables {
+    universe: u64,
     terms: Vec<TermEntry>,
     skips: Vec<SkipEntry>,
     freq_offsets: Vec<u32>,
@@ -698,6 +755,10 @@ impl Tables {
         }
         let mut reader = Reader::new(bytes, terms_at);
         let term_count = reader.count(MIN_ENTRY_BYTES, "term")?;
+        let universe = reader.u64()?;
+        if universe > MAX_UNIVERSE {
+            return Err(corrupt(format!("an id universe of {universe} passes u32")));
+        }
         let mut terms: Vec<TermEntry> = Vec::with_capacity(term_count);
         let mut skips: Vec<SkipEntry> = Vec::new();
         let mut freq_offsets: Vec<u32> = Vec::new();
@@ -717,6 +778,33 @@ impl Tables {
             let counted = reader.u32()?;
             let (len, has_tfs) = (counted as usize >> 1, counted & 1 == 1);
             reader.take(1, "list bound")?;
+            if has_tfs && len == 0 {
+                return Err(corrupt("frequencies without postings"));
+            }
+            posting_count += len as u64;
+
+            // A short list: its stream, skipped by its length.  Whatever its
+            // bits, it decodes to `len` ascending ids below the universe, if
+            // the universe holds that many.
+            if is_short(len) {
+                if len as u64 > universe {
+                    return Err(corrupt(format!(
+                        "{len} postings of term {slot} in a universe of {universe}"
+                    )));
+                }
+                let stream = reader.u64()?;
+                let ids_at = reader.pos();
+                reader.take(stream, "short list")?;
+                posting_bytes += reader.pos() - ids_at;
+                terms.push(TermEntry {
+                    entry_at,
+                    ids_at: ids_at as u32,
+                    tfs_at: reader.pos() as u32,
+                    blocks_at: skips.len() as u32,
+                });
+                continue;
+            }
+
             let block_count = len.div_ceil(BLOCK_SIZE);
             let multi_block = block_count > 1;
             // Every block takes a byte at least (its first id), and in a
@@ -733,6 +821,9 @@ impl Tables {
                 let past_u32 = || corrupt(format!("skip entry {i} lies past the last id"));
                 last = last.checked_add(reader.u32()?).ok_or_else(past_u32)?;
                 skips.push(SkipEntry { last: FileId(last), offset: 0 });
+            }
+            if multi_block && u64::from(last) >= universe {
+                return Err(corrupt(format!("term {slot} has ids past its universe")));
             }
 
             // The id blocks: each one's offset is where the block before
@@ -766,9 +857,6 @@ impl Tables {
 
             // The tf blocks, the same way, when the count says they follow.
             let tfs_at = at;
-            if has_tfs && block_count == 0 {
-                return Err(corrupt("frequencies without postings"));
-            }
             for i in 0..if has_tfs { block_count } else { 0 } {
                 if multi_block {
                     freq_offsets.push((at - tfs_at) as u32);
@@ -779,7 +867,6 @@ impl Tables {
             reader.skip_to(at);
             freq_offsets.resize(skips.len(), 0);
 
-            posting_count += len as u64;
             posting_bytes +=
                 tfs_at - ids_at + (skips.len() - blocks_at) * std::mem::size_of::<SkipEntry>();
             terms.push(TermEntry {
@@ -808,15 +895,33 @@ impl Tables {
         }
         skips.shrink_to_fit();
         freq_offsets.shrink_to_fit();
-        Ok(Tables { terms, skips, freq_offsets, lookup, shared, posting_count, posting_bytes })
+        Ok(Tables {
+            universe,
+            terms,
+            skips,
+            freq_offsets,
+            lookup,
+            shared,
+            posting_count,
+            posting_bytes,
+        })
     }
 
     /// The shard of these tables over the `bytes` they were laid over.
     fn into_shard(self, bytes: Vec<u8>, files: u64, norms: Norms) -> SealedShard {
-        let Tables { terms, skips, freq_offsets, lookup, shared, posting_count, posting_bytes } =
-            self;
+        let Tables {
+            universe,
+            terms,
+            skips,
+            freq_offsets,
+            lookup,
+            shared,
+            posting_count,
+            posting_bytes,
+        } = self;
         SealedShard {
             bytes,
+            universe,
             terms,
             skips,
             freq_offsets,
@@ -988,6 +1093,9 @@ pub struct SealedTerms<'a> {
     /// Distinct terms: the runs of `entries`.
     terms: usize,
     files: u64,
+    /// One past the largest id of any source: what short lists are coded
+    /// over.
+    universe: u64,
     /// Every recorded document length, id ascending.
     doc_lens: Vec<(FileId, u32)>,
     /// The length norms of `doc_lens`; empty for an unscored index.
@@ -1088,10 +1196,12 @@ impl<'a> SealedTerms<'a> {
             same_file
         });
         let counted = sources.iter().map(InMemoryIndex::file_count).sum();
+        let last = entries.iter().filter_map(|entry| entry.list.last()).max();
         SealedTerms {
             entries,
             terms,
             files: scored_population(doc_lens.len(), counted),
+            universe: last.map_or(0, |last| u64::from(last.as_u32()) + 1),
             norms: build_norms(&doc_lens),
             doc_lens,
         }
@@ -1107,6 +1217,15 @@ impl<'a> SealedTerms<'a> {
     #[must_use]
     pub fn doc_lens(&self) -> &[(FileId, u32)] {
         &self.doc_lens
+    }
+
+    /// One past the largest id of any source (0 for none): the id universe
+    /// the term section states after its term count, which its short lists
+    /// are coded over.  It depends on the postings alone, so every way of
+    /// building one index seals to the same bytes.
+    #[must_use]
+    pub fn universe(&self) -> u64 {
+        self.universe
     }
 
     /// Seals every term and hands the encoded chunks to `sink` in term
@@ -1175,7 +1294,7 @@ impl<'a> SealedTerms<'a> {
         for (slot, run) in (cut.slot..).zip(runs(&self.entries[cut.from..cut.to])) {
             scratch.decode(run);
             let (ids, freqs) = (&scratch.ids, &scratch.freqs);
-            let mut compressed = CompressedPostings::from_counted(ids, freqs);
+            let mut compressed = CompressedPostings::from_counted(ids, freqs, self.universe);
             if !self.norms.is_empty() {
                 let saturations =
                     ids.iter().zip(freqs).map(|(&id, &tf)| saturation(tf, self.norms.at(id)));
@@ -1571,8 +1690,10 @@ mod tests {
                 assert_eq!(sealed_entries(sources, threads, weight), whole, "{chunks}/{threads}");
             }
         }
-        // And they are the shard's: what `from_index` collects.
-        assert_eq!(SealedShard::from_index(&index).bytes[2..], whole[..]);
+        // And they are the shard's: what `from_index` collects behind the
+        // term count (140: two bytes) and the universe (58: one).
+        assert_eq!(SealedTerms::new(sources).universe(), 58);
+        assert_eq!(SealedShard::from_index(&index).bytes[3..], whole[..]);
         // Nothing to seal is nothing handed out, on any number of threads.
         assert!(sealed_entries(&[], 3, 1).is_empty());
         assert!(sealed_entries(&[InMemoryIndex::new()], 0, 1).is_empty());
@@ -1672,6 +1793,7 @@ mod tests {
             prop_assert_eq!(sealing.term_count(), joined.term_count());
             let mut bytes = Vec::new();
             write_varint(&mut bytes, sealing.term_count() as u64);
+            write_varint(&mut bytes, sealing.universe());
             bytes.extend_from_slice(&merged);
             let shard = SealedShard::lay_over(bytes, 0, sealing.files, sealing.norms).unwrap();
             prop_assert_eq!(shard, SealedShard::from_index(&joined));
@@ -1747,7 +1869,7 @@ mod tests {
         bound: &'a [u8],
         /// Every block's last id, absolute (none for a single block).
         lasts: &'a [u32],
-        /// The id blocks.
+        /// The id blocks; a short list's stream length and stream.
         data: &'a [u8],
         /// The tf blocks.
         freqs: &'a [u8],
@@ -1774,10 +1896,25 @@ mod tests {
         }
     }
 
+    /// The universe hand-built entries are over.
+    const UNIVERSE: u64 = 300;
+
     fn load(entries: Vec<u8>, terms: u64) -> Result<SealedShard, BlockFormatError> {
+        load_over(entries, terms, UNIVERSE, UNIVERSE)
+    }
+
+    /// `entries` behind a count of `terms` and a `universe`, over a doc
+    /// table of `doc_count`.
+    fn load_over(
+        entries: Vec<u8>,
+        terms: u64,
+        universe: u64,
+        doc_count: u64,
+    ) -> Result<SealedShard, BlockFormatError> {
         let mut bytes = Vec::new();
         write_varint(&mut bytes, terms);
-        from_bytes([bytes, entries].concat(), 0, 0, &[])
+        write_varint(&mut bytes, universe);
+        from_bytes([bytes, entries].concat(), 0, doc_count, &[])
     }
 
     #[test]
@@ -1793,12 +1930,20 @@ mod tests {
             freqs: &[],
             tail: &[],
         };
+        // A short list: ids 0..6 over the universe, its stream behind its
+        // length.
+        let six: Vec<FileId> = (0..crate::SHORT_LIST_MIN as u32).map(FileId).collect();
+        let stream = CompressedPostings::from_sorted(&six, UNIVERSE).view().data().to_vec();
+        let short_data = [vec![stream.len() as u8], stream].concat();
+        let short = Parts { counted: (six.len() as u64) << 1, data: &short_data, ..small };
         // Two blocks: ids 0..=127 (first id 0, width-0 gaps: one header
         // byte) and id 200 (first id 127 + 1 + 72).
         let big = Parts { counted: n << 1, lasts: &[127, 200], data: &[0, 0, 72], ..small };
         // The well-formed baselines load: last ids in the skip table, first
         // ids and offsets found in the blocks.
         load(small.encode(), 1).unwrap();
+        let shard = load(short.encode(), 1).unwrap();
+        assert_eq!(to_list(shard.postings(&t("a")).unwrap()).doc_ids(), six);
         let shard = load(big.encode(), 1).unwrap();
         let skips = shard.postings(&t("a")).unwrap().skips().to_vec();
         assert_eq!(skips.iter().map(|s| s.last).collect::<Vec<_>>(), [FileId(127), FileId(200)]);
@@ -1823,6 +1968,9 @@ mod tests {
             ("first id cut short", Parts { data: &[0, 0, 0x80], ..big }),
             ("missing skip table", Parts { lasts: &[], ..big }),
             ("postings without id blocks", Parts { data: &[], ..small }),
+            ("a short list without its length", Parts { data: &[], ..short }),
+            ("a short list's length past the entry", Parts { data: &[0x7f, 0], ..short }),
+            ("a short list's length past u64", Parts { data: &[0xff; 11], ..short }),
             ("fewer id blocks than the count", Parts { data: &[0, 0], ..big }),
             ("width 33", Parts { data: &[0, 33, 72], ..big }),
             ("width 63", Parts { data: &[0, 63], ..small }),
@@ -1833,6 +1981,7 @@ mod tests {
             ("tf block cut short", Parts { freqs: &[0x40], ..full }),
             ("frequencies without postings", Parts { counted: 1, data: &[], freqs: &[0], ..small }),
             ("missing bound byte", Parts { bound: &[], ..small }),
+            ("missing bound byte, short", Parts { bound: &[], data: &[1], ..short }),
             ("missing bound byte, multi-block", Parts { bound: &[], ..full }),
             ("term not UTF-8", Parts { term: &[0xff, 0xfe], ..small }),
             ("restart slot sharing bytes", Parts { shared: 1, ..small }),
@@ -1845,6 +1994,30 @@ mod tests {
             let err = load(parts.encode(), 1).expect_err(what);
             assert!(err.to_string().contains("invalid compressed postings"), "{what}: {err}");
         }
+        // The universe: more postings than it holds, a list in blocks with
+        // an id at or past it, a universe past `u32`, and one past the doc
+        // table.
+        let in_universe = |parts: Parts<'_>, universe: u64, doc_count: u64| {
+            load_over(parts.encode(), 1, universe, doc_count).map(drop)
+        };
+        let six_ids = six.len() as u64;
+        assert!(in_universe(short, six_ids, six_ids).is_ok());
+        assert!(in_universe(short, six_ids - 1, six_ids - 1).is_err());
+        assert!(in_universe(big, 201, 201).is_ok());
+        assert!(in_universe(big, 200, 200).is_err());
+        assert!(in_universe(short, MAX_UNIVERSE, MAX_UNIVERSE).is_ok());
+        assert!(in_universe(short, MAX_UNIVERSE + 1, u64::MAX).is_err());
+        assert!(in_universe(short, UNIVERSE, UNIVERSE - 1).is_err());
+        // A stream cut short — its length says it ends sooner than its codes
+        // do — loads and reads as zeros: its ids ascending below the
+        // universe, its tfs at least 1.
+        let cut = Parts { counted: six_ids << 1 | 1, data: &[1, 0xff], ..small };
+        let shard = load(cut.encode(), 1).unwrap();
+        let decoded = to_list(shard.postings(&t("a")).unwrap());
+        assert_eq!(decoded.len(), six.len());
+        assert!(decoded
+            .iter_counted()
+            .all(|(id, tf)| u64::from(id.as_u32()) < UNIVERSE && tf >= 1));
         // Heads: an escape whose varint is cut short, for the shared count
         // and for the rest's length; a restart slot sharing 15 bytes; a rest
         // longer than the bytes left; a term past the length limit.
@@ -1874,26 +2047,27 @@ mod tests {
 
     #[test]
     fn lists_at_the_block_edges_load_as_they_were_encoded_at_both_ends_of_the_ids() {
-        // Lists of 1, 127, 128, 129, 256 and 257 postings from id 0 and from
-        // `u32::MAX` less their length, every tf 1 and one tf above 1.
+        // Lists of 1, 5, 6, 127, 128, 129, 256 and 257 postings from id 0
+        // and up to `u32::MAX`, every tf 1 and one tf above 1.
         let mut owned = Vec::new();
-        for n in [1u32, 127, 128, 129, 256, 257] {
-            for first in [0, u32::MAX - n] {
-                let ids: Vec<FileId> = (first..first + n).map(FileId).collect();
+        for n in [1u32, 5, 6, 127, 128, 129, 256, 257] {
+            for first in [0, u32::MAX - n + 1] {
+                let ids: Vec<FileId> = (first..=first + (n - 1)).map(FileId).collect();
                 let mut tfs = vec![1; ids.len()];
-                owned.push(CompressedPostings::from_counted(&ids, &tfs));
+                owned.push(CompressedPostings::from_counted(&ids, &tfs, MAX_UNIVERSE));
                 tfs[ids.len() - 1] = 7;
-                owned.push(CompressedPostings::from_counted(&ids, &tfs));
+                owned.push(CompressedPostings::from_counted(&ids, &tfs, MAX_UNIVERSE));
             }
         }
         let mut bytes = Vec::new();
         write_varint(&mut bytes, owned.len() as u64);
+        write_varint(&mut bytes, MAX_UNIVERSE);
         let terms: Vec<String> = (0..owned.len()).map(|i| format!("list{i:02}")).collect();
         for (slot, list) in owned.iter().enumerate() {
             let previous = slot.checked_sub(1).map_or("", |before| terms[before].as_str());
             encode_term(&mut bytes, slot, previous, &terms[slot], list.view());
         }
-        let shard = from_bytes(bytes, 0, 0, &[]).unwrap();
+        let shard = from_bytes(bytes, 0, MAX_UNIVERSE, &[]).unwrap();
         for (term, list) in terms.iter().zip(&owned) {
             let found = shard.postings(&t(term)).unwrap();
             assert_eq!(found, list.view(), "{term}");
@@ -2018,17 +2192,18 @@ mod tests {
                 raw.dedup_by_key(|&mut (id, _)| id);
                 let ids: Vec<FileId> = raw.iter().map(|&(id, _)| FileId(id)).collect();
                 let tfs = raw.iter().map(|&(_, tf)| tf).collect::<Vec<u32>>();
-                let mut cp = CompressedPostings::from_counted(&ids, &tfs);
+                let mut cp = CompressedPostings::from_counted(&ids, &tfs, 40_000);
                 cp.set_bound(bound);
                 cp
             }).collect();
             let mut bytes = Vec::new();
             write_varint(&mut bytes, owned.len() as u64);
+            write_varint(&mut bytes, 40_000);
             for (i, cp) in owned.iter().enumerate() {
                 let previous = i.checked_sub(1).map(|before| format!("t{before}")).unwrap_or_default();
                 encode_term(&mut bytes, i, &previous, &format!("t{i}"), cp.view());
             }
-            let shard = from_bytes(bytes, 0, 0, &[]).unwrap();
+            let shard = from_bytes(bytes, 0, 40_000, &[]).unwrap();
             for (i, cp) in owned.iter().enumerate() {
                 let (own, found) = (cp.view(), shard.postings(&Term::from(format!("t{i}"))).unwrap());
                 prop_assert_eq!(found, own);

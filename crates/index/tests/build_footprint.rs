@@ -342,6 +342,28 @@ fn lengths_at_both_ends_of_the_ids_seal_in_the_memory_they_record() {
 }
 
 #[test]
+fn short_lists_decode_without_allocating() {
+    let vocabulary = vocabulary();
+    let shard = SealedShard::from_index(&replica(&vocabulary));
+    let short: Vec<_> = shard.iter().map(|(_, list)| list).filter(|list| list.is_short()).collect();
+    assert!(short.len() > 1_000, "only {} short lists", short.len());
+    assert!(short.iter().any(|list| !list.freqs().is_empty()));
+    let mut ids = Vec::with_capacity(BLOCK_SIZE);
+    let (walked, allocations) = allocations_during(|| {
+        let mut walked = 0;
+        for list in &short {
+            list.decode_into(&mut ids);
+            let mut cursor = list.cursor();
+            let (from_cursor, tfs) = cursor.block_tfs();
+            assert_eq!((from_cursor, tfs.len()), (&ids[..], ids.len()));
+            walked += tfs.iter().map(|&tf| u64::from(tf)).sum::<u64>().min(1);
+        }
+        walked
+    });
+    assert_eq!((walked, allocations), (short.len() as u64, 0));
+}
+
+#[test]
 fn a_segment_over_4_gib_is_refused_before_a_buffer_is_sized_by_it() {
     // One byte over what a shard's `u32` offsets reach, as a sparse file:
     // reading it whole would ask this binary's allocator for 4 GiB, and the

@@ -338,11 +338,11 @@ mod tests {
     #[test]
     fn a_refused_checkpoint_names_its_file_and_the_way_out() {
         let dir = TempDir::new("refused");
-        let old = BuildCheckpoint { version: 11, ..BuildCheckpoint::new(1) };
+        let old = BuildCheckpoint { version: 12, ..BuildCheckpoint::new(1) };
         fs::write(dir.0.join(CHECKPOINT_FILE), serde_json::to_string(&old).unwrap()).unwrap();
         let message = BuildCheckpoint::load(&dir.0).unwrap_err().to_string();
         assert!(
-            message.starts_with("checkpoint.json: unsupported format version 11 (expected 12)"),
+            message.starts_with("checkpoint.json: unsupported format version 12 (expected 13)"),
             "{message}"
         );
         assert!(message.contains("a fresh `dsearch build` (without --resume)"), "{message}");

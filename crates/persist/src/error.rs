@@ -116,11 +116,11 @@ mod tests {
         assert!(segment.source().is_some());
         let old = PersistError::File {
             file_name: "segment-000001.dsg".into(),
-            source: Box::new(PersistError::UnsupportedVersion { found: 11, expected: 12 }),
+            source: Box::new(PersistError::UnsupportedVersion { found: 12, expected: 13 }),
         };
         assert_eq!(
             old.to_string(),
-            "segment-000001.dsg: unsupported format version 11 (expected 12); \
+            "segment-000001.dsg: unsupported format version 12 (expected 13); \
              a full `dsearch index` or a fresh `dsearch build` replaces it"
         );
 

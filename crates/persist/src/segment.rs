@@ -30,15 +30,19 @@
 //! loader puts each path at its id and refuses an id past the table, an id
 //! listed twice and an entry whose `(path, id)` is not above the one before
 //! (a path listed twice comes with ascending ids).  A segment keeps its doc
-//! count, so that its ids and lengths are checked inside it; a store refuses
-//! a segment whose count is not its doc file's.  The term entries are
-//! **exactly** what a [`SealedShard`] reads in place: front-coded terms (every
-//! 16th whole, each behind a one-byte head where it can), the id and
+//! count, so that its ids and lengths are checked inside it (its id universe
+//! — one past its largest posting id — may not pass it); a store refuses a
+//! segment whose count is not its doc file's.  The term entries are
+//! **exactly** what a [`SealedShard`] reads in place: front-coded terms
+//! (every 16th whole, each behind a one-byte head where it can); a list of
+//! 6 to 128 postings as one stream behind its byte length — its ids by
+//! binary interpolative coding over the id universe, its tfs above 1 as
+//! positions coded the same way and Elias-γ values; any other list's id and
 //! term-frequency blocks of one patched frame-of-reference codec whose
-//! exceptions are bit-packed, their positions as gaps, back to back
-//! with no lengths or offsets (each block's header says how long it is),
-//! every block's first id after a list's first stored as a gap from the
-//! block before, and one bound byte per list — the quantized largest
+//! exceptions are bit-packed, their positions as gaps, back to back with no
+//! lengths or offsets (each block's header says how long it is), every
+//! block's first id after a list's first stored as a gap from the block
+//! before; and one bound byte per list — the quantized largest
 //! `tf / (tf + norm)` of its postings, which holds no idf.  So serving a
 //! segment is decode-free: the file's bytes become the shard's one buffer
 //! and ranked queries prune with the persisted bounds.  A shard scores
@@ -78,9 +82,10 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"DSG1";
 /// Magic bytes identifying a doc file.
 pub const DOCS_MAGIC: [u8; 4] = *b"DSD1";
 
-/// Current format version of segments and doc files.  Version 11 held the
-/// doc table in every segment; its answers were this version's.
-pub const SEGMENT_VERSION: u32 = 12;
+/// Current format version of segments and doc files.  Version 12 coded
+/// every list in blocks, version 11 held the doc table in every segment;
+/// their answers were this version's.
+pub const SEGMENT_VERSION: u32 = 13;
 
 /// The longest segment file a shard can lay over: its offsets are `u32`.
 const MAX_SEGMENT_BYTES: u64 = u32::MAX as u64;
@@ -176,6 +181,7 @@ pub fn write_segment_merged<W: Write + Seek>(
     }
     let term_count = sealed.term_count() as u64;
     write_varint(&mut front, term_count);
+    write_varint(&mut front, sealed.universe());
     emit(&front)?;
 
     let mut sections = SectionBytes { docs: HEADER_LEN + front.len() as u64, ..Default::default() };
@@ -593,7 +599,7 @@ pub(crate) fn read_segment_file(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsearch_index::PostingCursor;
+    use dsearch_index::{PostingCursor, BLOCK_SIZE, SHORT_LIST_MIN};
     use proptest::prelude::*;
 
     fn sample() -> (InMemoryIndex, DocTable) {
@@ -639,9 +645,9 @@ mod tests {
         assert_eq!(sections.dictionary, 4 * 2 + "alphabetagammadelta".len() as u64);
         assert_eq!((sections.skips, sections.tfs), (0, 0), "single blocks, every tf 1");
 
-        // The segment's front matter is its header, its doc count and its
-        // lengths: no path.
-        assert_eq!(sections.docs, HEADER_LEN + [12, 3, 3, 4, 0, 2, 4].len() as u64);
+        // The segment's front matter is its header, version, doc count,
+        // lengths, term count and id universe: no path.
+        assert_eq!(sections.docs, HEADER_LEN + [13, 3, 3, 4, 0, 2, 4, 3].len() as u64);
         let (restored, doc_count) = read_segment(&buf[..]).unwrap();
         assert_eq!(restored, index);
         assert_eq!(doc_count, 3);
@@ -907,7 +913,7 @@ mod tests {
             // A segment's doc count sizes nothing: it loads, and a store
             // refuses it beside its doc file.
             let (shard, doc_count) =
-                read_segment_sealed(&forge(&varints(&[version, huge, 0, 0]))[..]).unwrap();
+                read_segment_sealed(&forge(&varints(&[version, huge, 0, 0, 0]))[..]).unwrap();
             assert_eq!((shard.term_count(), doc_count), (0, huge));
             // A doc file's doc count; the bytes a path claims to share with
             // the one before it, at the front and at the back, and the
@@ -1097,9 +1103,10 @@ mod tests {
     }
 
     /// `index` over `docs` written and read back: the shard it loads as is
-    /// the shard it seals to, every term is found and every one- and
-    /// two-byte prefix range holds the lists a scan finds.
-    fn assert_round_trips(index: &InMemoryIndex, docs: &DocTable) {
+    /// the shard it seals to, every term is found with its ids and tfs, and
+    /// every one- and two-byte prefix range holds the lists a scan finds.
+    /// Returns the shard.
+    fn assert_round_trips(index: &InMemoryIndex, docs: &DocTable) -> SealedShard {
         let mut buf = Vec::new();
         write_segment(index, docs.len(), std::io::Cursor::new(&mut buf)).unwrap();
         let (shard, _) = read_segment_sealed(&buf[..]).unwrap();
@@ -1108,9 +1115,17 @@ mod tests {
         let terms: Vec<String> = shard.iter().map(|(term, _)| term).collect();
         for (term, list) in index.iter() {
             let found = shard.postings(term).unwrap();
-            let mut ids = Vec::new();
+            let (mut ids, mut tfs) = (Vec::new(), Vec::new());
             found.decode_into(&mut ids);
             assert_eq!(ids, list.doc_ids(), "{term}");
+            found.decode_freqs_into(&mut tfs);
+            tfs.resize(ids.len(), 1);
+            assert!(tfs.iter().copied().eq(list.iter_counted().map(|(_, tf)| tf)), "{term}");
+            let mut cursor = found.cursor();
+            for (id, tf) in list.iter_counted() {
+                assert_eq!((cursor.current(), cursor.current_tf()), (Some(id), tf), "{term}");
+                cursor.advance();
+            }
         }
         let prefixes = terms.iter().flat_map(|term| {
             [&term[..0], term.get(..1).unwrap_or(""), term.get(..2).unwrap_or("")]
@@ -1119,26 +1134,66 @@ mod tests {
             let scanned = terms.iter().filter(|term| term.starts_with(prefix)).count();
             assert_eq!(shard.prefix_postings(prefix).len(), scanned, "{prefix:?}");
         }
+        shard
     }
 
     #[test]
-    fn v8_round_trips_at_the_edges() {
-        // Lists at the block edges, every tf 1, then one tf above 1 at the
-        // last posting of a full block.
-        let lengths = [1u32, 127, 128, 129, 256, 257];
+    fn v13_round_trips_at_the_edges() {
+        // Lists of 1, 2 and 5 postings (one block each), 6, 127 and 128
+        // (short: one stream each) and 129, 256 and 257 (in blocks), from id
+        // 0 on; one list at both ends of the universe (ids 0 and 299) and one
+        // at its last id alone.  Every tf 1; then the short lists' tfs all
+        // 1, one above 1 and all above 1, and one tf above 1 at the last
+        // posting of a full block.
+        let lengths = [1u32, 2, 5, 6, 127, 128, 129, 256, 257];
         let mut docs = DocTable::new();
         let ids: Vec<FileId> = (0..300).map(|i| docs.insert(format!("d/{i:03}.txt"))).collect();
         let mut index = InMemoryIndex::new();
         let mut counted = InMemoryIndex::new();
         for (i, &id) in ids.iter().enumerate() {
-            let terms = lengths.iter().filter(|&&n| n as usize > i).map(|n| format!("n{n}"));
-            index.insert_file(id, terms.clone().map(Term::from));
-            let tf = |term: &str| if i == 127 && term == "n257" { 9 } else { 1 };
-            counted
-                .insert_file_counted(id, terms.map(|term| (Term::from(term.as_str()), tf(&term))));
+            let mut terms: Vec<String> =
+                lengths.iter().filter(|&&n| n as usize > i).map(|n| format!("n{n}")).collect();
+            match i {
+                0 => terms.push("ends".into()),
+                299 => terms.extend(["ends".into(), "last".into()]),
+                _ => {}
+            }
+            index.insert_file(id, terms.iter().map(|term| Term::from(term.as_str())));
+            let tf = |term: &str| match term {
+                "n6" if i == 2 => 3,
+                "n127" if i == 126 => 3,
+                "n128" => 2 + i as u32 % 5,
+                "ends" => 1 + i as u32,
+                "n257" if i == 127 => 9,
+                _ => 1,
+            };
+            counted.insert_file_counted(
+                id,
+                terms.iter().map(|term| (Term::from(term.as_str()), tf(term))),
+            );
         }
-        assert_round_trips(&index, &docs);
-        assert_round_trips(&counted, &docs);
+        for index in [&index, &counted] {
+            let shard = assert_round_trips(index, &docs);
+            for (term, list) in shard.iter() {
+                let short = (SHORT_LIST_MIN..=BLOCK_SIZE).contains(&list.len());
+                let one_block = list.len() <= BLOCK_SIZE;
+                assert_eq!(
+                    (list.is_short(), list.skips().is_empty()),
+                    (short, one_block),
+                    "{term}"
+                );
+                assert_eq!(list.universe(), 300, "{term}");
+            }
+        }
+        // A short list holding every document of its universe takes no
+        // bits: its stream is empty.
+        let mut docs = DocTable::new();
+        let mut every = InMemoryIndex::new();
+        for i in 0..100 {
+            every.insert_file(docs.insert(format!("e{i:02}")), [Term::from("every")]);
+        }
+        let shard = assert_round_trips(&every, &docs);
+        assert!(shard.postings(&Term::from("every")).unwrap().data().is_empty());
 
         // Dictionaries of 16 and 17 terms (the 17th is a restart slot): terms
         // sharing nothing with the term before, all but one byte, and
@@ -1185,12 +1240,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-        /// Hostile v11 term sections behind a matching checksum — one byte
+        /// Hostile v13 term sections behind a matching checksum — one byte
         /// changed, a term's head escaped or rewritten, the section cut
-        /// short or extended — load as a shard or as `Corrupt`, never a
-        /// panic; and a shard that loads answers every exact lookup, every
-        /// one- and two-letter prefix range and a full cursor walk of every
-        /// list without one.
+        /// short or extended, a short list's length past the entry, its
+        /// posting count above the universe or its stream cut short — load
+        /// as a shard or as `Corrupt`, never a panic (the first two always
+        /// `Corrupt`, the third always a shard); a shard that loads reads
+        /// its short lists ascending below its universe, and answers every
+        /// exact lookup, every one- and two-letter prefix range and a full
+        /// cursor walk of every list without a panic.
         #[test]
         fn hostile_term_sections_load_or_fail_cleanly(
             files in proptest::collection::vec(
@@ -1199,7 +1257,7 @@ mod tests {
             ),
             at in any::<usize>(),
             value in any::<u8>(),
-            how in 0u8..4,
+            how in 0u8..7,
             extra in proptest::collection::vec(any::<u8>(), 1..8),
         ) {
             let mut docs = DocTable::new();
@@ -1220,9 +1278,10 @@ mod tests {
             let terms_at = read_front_matter(&buf, at).unwrap().terms_at;
             let header = HEADER_LEN as usize;
             // Where each term's head stands in the payload: behind the term
-            // count, each entry as long as it encodes.
+            // count and the universe, each entry as long as it encodes.
             let mut reader = Reader::new(&buf, terms_at);
             reader.u64().unwrap();
+            let universe = reader.u64().unwrap();
             let (mut entry_at, mut heads) = (reader.pos() - header, Vec::new());
             let (mut previous, mut entry) = (String::new(), Vec::new());
             for (slot, (term, list)) in read_segment_sealed(&buf[..]).unwrap().0.iter().enumerate() {
@@ -1238,25 +1297,81 @@ mod tests {
             prop_assert!(heads.iter().all(|&head| short(payload[head])));
             let section = terms_at - header..payload.len();
             let at = section.start + at % section.len();
+            // A term's posting count, flag and all, stands behind its head
+            // and rest; then its bound byte, and for a short list its
+            // stream's length and its stream (a word is in far fewer than
+            // 129 files here: no list is longer).
+            let counted_at = |head: usize| {
+                let count_at = head + 1 + usize::from(payload[head] >> 4);
+                let mut reader = Reader::new(&payload, count_at);
+                (count_at, reader.u64().unwrap(), reader.pos() + 1)
+            };
+            let shorts: Vec<usize> = heads
+                .iter()
+                .copied()
+                .filter(|&head| counted_at(head).1 >> 1 >= SHORT_LIST_MIN as u64)
+                .collect();
+            // The damage to a short list falls back to a changed byte where
+            // there is none.
+            let how = if shorts.is_empty() && how >= 4 { 0 } else { how };
+            let head = if how >= 4 { shorts[at % shorts.len()] } else { heads[at % heads.len()] };
+            let (count_at, counted, length_at) = counted_at(head);
+            let mut reader = Reader::new(&payload, length_at);
+            let length = reader.u64().unwrap();
+            let stream_at = reader.pos();
+            prop_assert!(counted >> 1 <= BLOCK_SIZE as u64);
+            let respell = |payload: &mut Vec<u8>, at: usize, old_end: usize, value: u64| {
+                drop(payload.splice(at..old_end, varints(&[value])));
+            };
             match how {
                 0 => payload[at] = value,
                 1 => payload.truncate(at),
                 2 => payload.extend_from_slice(&extra),
                 // An escape nibble before what follows, or any head.
-                _ => {
-                    let head = heads[at % heads.len()];
+                3 => {
                     payload[head] = match value % 3 {
                         0 => payload[head] | 0x0f,
                         1 => payload[head] | 0xf0,
                         _ => value,
                     };
                 }
+                // A length past the entry: past the payload, whatever
+                // follows.
+                4 => {
+                    let past = length + payload.len() as u64 + u64::from(value);
+                    respell(&mut payload, length_at, stream_at, past);
+                }
+                // A count above the universe (a short one, where the universe
+                // is below 128).
+                5 => {
+                    let above = (universe + 1) << 1 | (counted & 1);
+                    respell(&mut payload, count_at, length_at - 1, above);
+                }
+                // A stream cut short: its last byte gone, its length one less.
+                _ => {
+                    if length > 0 {
+                        payload.remove(stream_at + length as usize - 1);
+                        respell(&mut payload, length_at, stream_at, length - 1);
+                    }
+                }
             }
             let shard = match read_segment_sealed(&forge(&payload)[..]) {
                 Ok((shard, _)) => shard,
-                Err(PersistError::Corrupt(_)) => return,
+                Err(PersistError::Corrupt(_)) => {
+                    prop_assert!(how != 6, "a stream cut short is refused");
+                    return;
+                }
                 Err(other) => panic!("not `Corrupt`: {other}"),
             };
+            prop_assert!(how != 4 && how != 5, "a length past the entry or a count above the universe loads");
+            // Whatever their bits, short lists read ascending below the
+            // universe the shard loaded with.
+            for (_, list) in shard.iter().filter(|(_, list)| list.is_short()) {
+                let mut ids = Vec::new();
+                list.decode_into(&mut ids);
+                prop_assert!(ids.windows(2).all(|pair| pair[0] < pair[1]));
+                prop_assert!(ids.iter().all(|id| u64::from(id.as_u32()) < list.universe()));
+            }
             let walk = |list: dsearch_index::CompressedView<'_>| {
                 let mut cursor = list.cursor();
                 while cursor.current().is_some() {

@@ -959,7 +959,7 @@ mod tests {
         assert_eq!(store.manifest().segments, names);
         let message = store.load_all_sealed().map(drop).unwrap_err().to_string();
         assert!(
-            message.starts_with("segment-000003.dsg: unsupported format version 11 (expected 12)"),
+            message.starts_with("segment-000003.dsg: unsupported format version 11 (expected 13)"),
             "{message}"
         );
         assert!(message.contains("`dsearch index`"), "{message}");

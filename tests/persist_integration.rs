@@ -14,7 +14,7 @@ use dsearch::core::{
 };
 use dsearch::corpus::{materialize_to_memfs, CorpusSpec};
 use dsearch::index::varint::write_varint;
-use dsearch::index::{DocTable, FileId, InMemoryIndex, SealedShard, BLOCK_SIZE};
+use dsearch::index::{DocTable, FileId, InMemoryIndex, SealedShard, BLOCK_SIZE, SHORT_LIST_MIN};
 use dsearch::persist::checksum::xxh64;
 use dsearch::persist::segment::{
     read_segment, read_segment_sealed, write_docs, write_segment, DOCS_MAGIC, SEGMENT_MAGIC,
@@ -227,6 +227,9 @@ fn seal_then_serialise(
     }
     let shard = SealedShard::from_index(index);
     write_varint(&mut payload, shard.term_count() as u64);
+    // The id universe: one past the largest id of any list.
+    let universe = index.iter().flat_map(|(_, list)| list.iter()).max().map_or(0, |id| id.0 + 1);
+    write_varint(&mut payload, u64::from(universe));
     let mut previous = String::new();
     for (slot, (term, compressed)) in shard.iter().enumerate() {
         // Every 16th term whole; the others after the count of bytes they
@@ -246,12 +249,23 @@ fn seal_then_serialise(
         // One bound byte a list, and no bounds per block.
         assert!(compressed.bound() > 0);
         payload.push(compressed.bound());
+        let mut ids = Vec::new();
+        compressed.decode_into(&mut ids);
+        // A list of 6 to 128 postings: its stream's length, then the
+        // stream.
+        if (SHORT_LIST_MIN..=BLOCK_SIZE).contains(&ids.len()) {
+            let mut tfs = Vec::new();
+            compressed.decode_freqs_into(&mut tfs);
+            let stream = short_stream(&ids, &tfs, u64::from(universe));
+            write_varint(&mut payload, stream.len() as u64);
+            payload.extend_from_slice(&stream);
+            previous = term;
+            continue;
+        }
         // Skip entries: last ids as deltas and nothing else; a block's first
         // id lives in the id blocks only, after the list's first block as a
         // gap less one from the last id before it.
         let skips = compressed.skips();
-        let mut ids = Vec::new();
-        compressed.decode_into(&mut ids);
         for (i, skip) in skips.iter().enumerate() {
             let last_before = i.checked_sub(1).map_or(0, |i| skips[i].last.as_u32());
             write_varint(&mut payload, u64::from(skip.last.as_u32() - last_before));
@@ -271,6 +285,63 @@ fn seal_then_serialise(
     bytes.extend_from_slice(&checksum(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
     bytes
+}
+
+/// The stream of a list of 6 to 128 postings, written bit by bit: the
+/// ids by binary interpolative coding over `[0, universe)` — the middle id
+/// of a run as its offset in the range it can lie in, then the run left of
+/// it, then the run right of it; none for a run as long as its range — and,
+/// when `tfs` is not empty, the count less one of the tfs above 1 below
+/// the list's length, their positions coded as the ids are over the list,
+/// and each one's tf less one in Elias-γ.  A value below a range is a
+/// truncated binary code: `k = ⌊log₂ range⌋` bits, lowest first, for the
+/// `2^(k+1) − range` smallest; the others as that many more, in `k` bits of
+/// their top and one more.  Bits fill bytes lowest first.
+fn short_stream(ids: &[FileId], tfs: &[u32], universe: u64) -> Vec<u8> {
+    fn bits_of(bits: &mut Vec<bool>, value: u64, width: u32) {
+        bits.extend((0..width).map(|bit| value >> bit & 1 == 1));
+    }
+    fn below(bits: &mut Vec<bool>, value: u64, range: u64) {
+        if range > 1 {
+            let k = 63 - range.leading_zeros();
+            let short = (1 << (k + 1)) - range;
+            if value < short {
+                bits_of(bits, value, k);
+            } else {
+                bits_of(bits, (value + short) >> 1, k);
+                bits_of(bits, (value + short) & 1, 1);
+            }
+        }
+    }
+    fn run(bits: &mut Vec<bool>, values: &[u64], low: u64, end: u64) {
+        if values.is_empty() || end - low == values.len() as u64 {
+            return;
+        }
+        let middle = values.len() / 2;
+        let least = low + middle as u64;
+        let most = end - (values.len() - middle) as u64;
+        below(bits, values[middle] - least, most - least + 1);
+        run(bits, &values[..middle], low, values[middle]);
+        run(bits, &values[middle + 1..], values[middle] + 1, end);
+    }
+    let mut bits = Vec::new();
+    let values: Vec<u64> = ids.iter().map(|id| u64::from(id.0)).collect();
+    run(&mut bits, &values, 0, universe);
+    let above: Vec<u64> = (0..tfs.len() as u64).filter(|&at| tfs[at as usize] > 1).collect();
+    if !tfs.is_empty() {
+        below(&mut bits, above.len() as u64 - 1, tfs.len() as u64);
+        run(&mut bits, &above, 0, tfs.len() as u64);
+        for &at in &above {
+            let value = u64::from(tfs[at as usize] - 1);
+            let top = 63 - value.leading_zeros();
+            bits.extend((0..top).map(|_| false));
+            bits.push(true);
+            bits_of(&mut bits, value, top);
+        }
+    }
+    bits.chunks(8)
+        .map(|byte| byte.iter().rev().fold(0u8, |acc, &bit| acc << 1 | u8::from(bit)))
+        .collect()
 }
 
 /// Two counts in one byte, `low` in its low nibble and `high` in its high
@@ -318,16 +389,17 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                     written == seal_then_serialise(index, docs.len(), SEGMENT_VERSION, xxh64),
                     "{implementation:?} x{extractors}: streamed segment differs from the reference"
                 );
-                // There is one readable version: the same payload stamped 11
-                // (a doc table in every segment), 10 (seven-bit exception
-                // positions, two varints a term and a path), 9 (read before
-                // accents folded), 8, 7, 6, 5 or 4 (under this build's
-                // checksum) or 3 (under the FNV-1a of versions 1–3) is
-                // refused by its version, by both readers, before its
-                // checksum is looked at.
+                // There is one readable version: the same payload stamped 12
+                // (every list in blocks), 11 (a doc table in every segment),
+                // 10 (seven-bit exception positions, two varints a term and
+                // a path), 9 (read before accents folded), 8, 7, 6, 5 or 4
+                // (under this build's checksum) or 3 (under the FNV-1a of
+                // versions 1–3) is refused by its version, by both readers,
+                // before its checksum is looked at.
                 let fnv1a: fn(&[u8]) -> u64 = dsearch::text::fnv1a_64;
                 let xxh64: fn(&[u8]) -> u64 = xxh64;
                 let old_versions = [
+                    (12, xxh64),
                     (11, xxh64),
                     (10, xxh64),
                     (9, xxh64),
@@ -340,7 +412,7 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
                 ];
                 for (version, checksum) in old_versions {
                     let old = seal_then_serialise(index, docs.len(), version, checksum);
-                    assert_eq!((old[12], written[12]), (version as u8, 12));
+                    assert_eq!((old[12], written[12]), (version as u8, 13));
                     for err in [read_segment(&old[..]).err(), read_segment_sealed(&old[..]).err()] {
                         assert!(
                             matches!(err, Some(PersistError::UnsupportedVersion { found, .. }) if found == version),
@@ -359,6 +431,35 @@ fn streamed_segments_are_the_bytes_of_seal_then_serialise() {
             }
         }
     }
+}
+
+/// A store whose segment is stamped 12 — every list in blocks, its answers
+/// this version's — is refused by the segment's name, with the way out, and
+/// never read; a full run over it writes version 13.
+#[test]
+fn a_version_12_segment_is_refused_by_name_with_the_way_out() {
+    let (fs, _) = materialize_to_memfs(&CorpusSpec::tiny(), 13);
+    let (index, docs) = IndexGenerator::default()
+        .run(&fs, &VPath::root(), Implementation::SharedLocked, Configuration::new(2, 0, 0))
+        .unwrap()
+        .outcome
+        .into_single_index();
+    let dir = TempDir::new("v12");
+    let mut store = IndexStore::open(dir.path().join("store")).unwrap();
+    store.replace_with(std::slice::from_ref(&index), &docs).unwrap();
+    let segment = store.root().join(&store.manifest().segments[0]);
+    assert!(fs::read(&segment).unwrap() == seal_then_serialise(&index, docs.len(), 13, xxh64));
+    fs::write(&segment, seal_then_serialise(&index, docs.len(), 12, xxh64)).unwrap();
+    let message = store.load_all_sealed().map(drop).unwrap_err().to_string();
+    let name = store.manifest().segments[0].clone();
+    assert!(
+        message.starts_with(&format!("{name}: unsupported format version 12 (expected 13)")),
+        "{message}"
+    );
+    assert!(message.contains("a full `dsearch index` or a fresh `dsearch build`"), "{message}");
+    store.replace_with(std::slice::from_ref(&index), &docs).unwrap();
+    let (shards, _) = store.load_all_sealed().unwrap();
+    assert!(shards == [SealedShard::from_index(&index)]);
 }
 
 /// BM25's document count is the number of documents with a recorded length
