@@ -94,3 +94,9 @@ def hwm_kb(pid):
     """The peak resident set (`VmHWM`) of process `pid`, in kB."""
     with open(f"/proc/{pid}/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
+def threads(pid):
+    """The threads of process `pid` (`Threads:` in its status)."""
+    with open(f"/proc/{pid}/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("Threads:"))

@@ -1,10 +1,11 @@
-//! Server microbenchmarks: query throughput through the worker pool at
-//! 1/4/8 workers, with a cold cache (every request distinct) versus a warm
-//! cache (small repeated workload), batched versus unbatched execution
-//! on a repeated/shared-term workload the cache cannot absorb, and the
-//! hand-off (`pool_execute`: cache hits through `Pool::execute` from one
-//! caller, who always finds an execution slot, versus cache misses from four
-//! times as many callers as slots, which queue), and a cache hit with nothing
+//! Server microbenchmarks: query throughput through the pool at 1/4/8
+//! execution slots, with a cold cache (every request distinct) versus a warm
+//! cache (small repeated workload), batched versus unbatched execution on a
+//! repeated/shared-term workload the cache cannot absorb (with the contended
+//! tail — p50 and p99 request latency of 8 callers on 2 slots — printed),
+//! what `Pool::execute` costs (`pool_execute`: cache hits from one caller,
+//! who always finds an execution slot, versus cache misses from four times
+//! as many callers as slots, which queue), and a cache hit with nothing
 //! around it (`hit_path`: execute and render on the bench's own thread, with
 //! the allocations it makes printed).
 //!
@@ -14,8 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -129,6 +130,40 @@ fn closed_loop(pool: &WorkerPool, queries: &[String], requests: usize, callers: 
     assert_eq!(failed.into_inner(), 0, "bench requests must not fail");
 }
 
+/// [`closed_loop`], timing each request from its call to its answer: the
+/// latencies, sorted.  Kept apart so that the measured benches pay for no
+/// clock reads.
+fn timed_closed_loop(
+    pool: &WorkerPool,
+    queries: &[String],
+    requests: usize,
+    callers: usize,
+) -> Vec<Duration> {
+    let issued = AtomicUsize::new(0);
+    let latencies = Mutex::new(Vec::with_capacity(requests));
+    std::thread::scope(|scope| {
+        for _ in 0..callers {
+            scope.spawn(|| {
+                let mut own = Vec::new();
+                loop {
+                    let slot = issued.fetch_add(1, Ordering::Relaxed);
+                    if slot >= requests {
+                        break;
+                    }
+                    let started = Instant::now();
+                    pool.execute(&queries[slot % queries.len()])
+                        .expect("bench requests must not fail");
+                    own.push(started.elapsed());
+                }
+                latencies.lock().unwrap().extend(own);
+            });
+        }
+    });
+    let mut latencies = latencies.into_inner().unwrap();
+    latencies.sort_unstable();
+    latencies
+}
+
 fn bench_worker_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("server_throughput");
     group.sample_size(10);
@@ -217,19 +252,24 @@ fn shared_term_workload() -> Vec<String> {
 
 fn bench_batching(c: &mut Criterion) {
     // Out-of-band comparison for the batched-vs-unbatched acceptance check:
-    // one long run per configuration, reporting throughput and the batching
-    // counters.  8 closed-loop clients against 2 workers keep a backlog
-    // queued, which is where batching can group and deduplicate.
+    // one long run per configuration, reporting throughput, the contended
+    // tail and the batching counters.  8 zero-think closed-loop clients
+    // against 2 slots keep a backlog queued, which is where batching can
+    // group and deduplicate.
+    const REQUESTS: usize = 8192;
     for (label, max_batch) in [("unbatched(max_batch=1)", 1), ("batched(max_batch=32)", 32)] {
         let engine = batching_engine(max_batch);
         let pool = WorkerPool::start(Arc::clone(&engine));
         let started = Instant::now();
-        closed_loop(&pool, &shared_term_workload(), 8192, 8);
+        let latencies = timed_closed_loop(&pool, &shared_term_workload(), REQUESTS, 8);
         let elapsed = started.elapsed();
         let stats = engine.stats();
+        let ms = |quantile: usize| latencies[REQUESTS * quantile / 100].as_secs_f64() * 1e3;
         println!(
-            "{label}: qps {:.0}  batched {}  dedup_hits {}",
-            8192.0 / elapsed.as_secs_f64(),
+            "{label}: qps {:.0}  p50 {:.3} ms  p99 {:.3} ms  batched {}  dedup_hits {}",
+            REQUESTS as f64 / elapsed.as_secs_f64(),
+            ms(50),
+            ms(99),
             stats.get(Metric::Batched),
             stats.get(Metric::DedupHits)
         );
@@ -257,8 +297,9 @@ fn bench_batching(c: &mut Criterion) {
 /// granted a slot every time, runs on its own thread — the rest of an
 /// iteration is `Pool::execute`.  `contended`: `4 × workers` callers, every
 /// request a miss (the cache is off) that holds its slot while a 20 000-
-/// document `OR` is evaluated, so callers that find both slots taken queue
-/// and are handed to a worker and back.  How many ran where they
+/// document `OR` is evaluated, so callers that find both slots taken queue,
+/// and sleep until a batch led by the caller at the head of the queue
+/// answers them or a slot passes to them.  How many ran where they
 /// arrived and how many queued is printed, and `contended` must queue some:
 /// a contended run that never queues measures the idle path twice.
 fn bench_pool_execute(c: &mut Criterion) {

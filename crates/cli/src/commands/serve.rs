@@ -1,9 +1,10 @@
 //! `dsearch serve` — run the query service over a persisted index store.
 //!
 //! The service answers the line protocol on stdin; with `--tcp <addr>` it
-//! also listens on a socket, sharing one worker pool and cache between both
-//! front ends.  `!reload` re-reads the store and publishes the result as the
-//! next snapshot generation without interrupting in-flight queries.
+//! also listens on a socket, sharing one pool of execution slots and one
+//! cache between both front ends.  `!reload` re-reads the store and
+//! publishes the result as the next snapshot generation without
+//! interrupting in-flight queries.
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -101,11 +101,13 @@ COMMANDS:
         log (--trace-us arms it at boot), !slow dumps it, !reload republishes
         the store as a new snapshot generation, !quit disconnects.  With --tcp,
         closing stdin leaves the TCP listener serving (daemon mode); !quit on
-        stdin stops everything.  Workers drain up to --max-batch queued queries
-        per wakeup, whatever is queued, without waiting for more; with a
-        nonzero --queue-bound, a request that finds the queue full is
-        rejected (ERR server overloaded).  --cache holds at most N answers
-        (0 turns the cache off; N is at most 16777216).
+        stdin stops everything.  --workers queries run at once, each on the
+        thread that read it; a query that finds them all busy queues, and
+        when one finishes, the caller at the head of the queue runs up to
+        --max-batch queued queries as one batch, whatever is queued, without
+        waiting for more; with a nonzero --queue-bound, a request that finds
+        the queue full is rejected (ERR server overloaded).  --cache holds at
+        most N answers (0 turns the cache off; N is at most 16777216).
 
     route --shard HOST:PORT [--shard HOST:PORT …] [--tcp ADDR] [--limit N]
           [--workers N] [--max-batch N] [--queue-bound N]

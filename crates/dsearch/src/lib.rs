@@ -13,7 +13,7 @@
 //! | [`core`] | `dsearch-core` | the three-stage parallel index generator and its three implementations |
 //! | [`query`] | `dsearch-query` | boolean search over single or replicated indices |
 //! | [`obs`] | `dsearch-obs` | observability: metrics registry, query tracing, slow-query log |
-//! | [`server`] | `dsearch-server` | concurrent query serving: snapshots, worker pool, cache, load generator |
+//! | [`server`] | `dsearch-server` | concurrent query serving: snapshots, execution slots, cache, scatter-gather |
 //! | [`sim`] | `dsearch-sim` | calibrated models of the paper's 4-, 8- and 32-core platforms |
 //!
 //! # Quick start

@@ -24,8 +24,8 @@ pub const MAX_SPANS: usize = 12;
 pub enum Stage {
     /// Query-string parsing (and canonicalisation).
     Parse,
-    /// Time between submission to the admission queue and a worker draining
-    /// the job.
+    /// Time between submission to the admission queue and the batch that
+    /// drained the job starting.
     QueueWait,
     /// Acquiring the index snapshot for the batch.
     SnapshotLoad,

@@ -420,8 +420,9 @@ impl IndexStore {
     /// and the doc table: the segments concurrently, one a thread, each on
     /// its share of the threads left, and the doc file beside the first
     /// one's term tables.  The segments come back in manifest order beside
-    /// the table, or the first failure, the doc file's first; a segment over
-    /// another count of documents than the table's is one.
+    /// the table, or the first failure in manifest order, the first
+    /// segment's before the doc file's; a segment over another count of
+    /// documents than the table's is one.
     fn read_all<T: Send>(
         &self,
         cores: usize,
@@ -440,11 +441,13 @@ impl IndexStore {
         });
         let (mut loaded, mut docs) = (Vec::with_capacity(segments.len()), None);
         for ((segment, table), name) in parts.into_iter().zip(segments) {
+            // The segment's error before the doc file's: a store of another
+            // format version is refused by the file whose format changed.
+            let (segment, count) = segment?;
             if let Some(table) = table {
                 docs = Some(table?);
             }
             let table = docs.as_ref().expect("the first segment's load decodes the table");
-            let (segment, count) = segment?;
             if count != table.len() as u64 {
                 let why = format!("over {count} documents, not the doc file's {}", table.len());
                 return Err(named(name, PersistError::Corrupt(why)));
@@ -1033,6 +1036,42 @@ mod tests {
         // Nor can the temp file be created inside a directory that is missing.
         assert!(write_atomic(&dir.path().join("absent"), "x.json", "{}").is_err());
         assert!(temp_files(dir.path()).is_empty());
+    }
+
+    #[test]
+    fn a_whole_version_12_store_is_refused_by_its_segment() {
+        let dir = TempDir::new("v12");
+        let mut store = IndexStore::open(dir.path().join("s")).unwrap();
+        let (index, docs) = sample(0);
+        replace(&mut store, &index, &docs);
+        // Version 12 wrote both files under this header, stamped 12: the
+        // version follows the magic and the checksum.
+        let version_at = crate::segment::SEGMENT_MAGIC.len() + 8;
+        let doc_file = store.manifest().docs.clone().unwrap();
+        for name in [&doc_file, &store.manifest().segments[0]] {
+            let path = store.root().join(name);
+            let mut bytes = fs::read(&path).unwrap();
+            assert_eq!(bytes[version_at], 13);
+            bytes[version_at] = 12;
+            fs::write(&path, bytes).unwrap();
+        }
+        assert_eq!(store.manifest().segments, ["segment-000001.dsg"]);
+        for message in [
+            store.load_all().map(drop).unwrap_err().to_string(),
+            store.load_all_sealed().map(drop).unwrap_err().to_string(),
+        ] {
+            assert!(
+                message
+                    .starts_with("segment-000001.dsg: unsupported format version 12 (expected 13)"),
+                "{message}"
+            );
+            assert!(
+                message.contains("a full `dsearch index` or a fresh `dsearch build`"),
+                "{message}"
+            );
+        }
+        // The doc file alone still names itself.
+        assert!(store.load_docs().unwrap_err().to_string().starts_with(&doc_file));
     }
 
     #[test]

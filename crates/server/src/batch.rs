@@ -8,13 +8,14 @@
 //!   flight; a request that arrives while a slot is free and nothing is
 //!   queued is granted the slot and never enters the queue.  A submission
 //!   past the configurable depth bound is rejected, counted in
-//!   [`ServerStats`] and answered with [`ServerError::Overloaded`].  A worker
-//!   takes a slot and drains up to [`BatchConfig::max_batch`] queued jobs in
-//!   one go.
-//! * [`Pool`] — [`Pool::execute`] answers a request on the caller's thread
-//!   when it is granted a slot; the worker threads drain what had to queue
-//!   into [`Executor::run_batch`], and [`Pending`] is what a submitter waits
-//!   on.
+//!   [`ServerStats`] and answered with [`ServerError::Overloaded`].  A slot
+//!   given back while jobs are queued passes to the caller whose job heads
+//!   the queue, and that caller drains up to [`BatchConfig::max_batch`]
+//!   jobs, its own first, in one go.
+//! * [`Pool`] — [`Pool::execute`], the one way in: every query runs on the
+//!   thread of a caller, its own or that of the caller whose batch took it
+//!   (flat combining over the queue, Hendler et al., SPAA 2010).  The pool
+//!   spawns no threads.
 //! * `BatchFrame` — what every `run_batch` opens and closes with, so that
 //!   an executor writes only what is its own: cache probe and evaluation, or
 //!   cache probe, scatter and merge.
@@ -27,7 +28,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use dsearch_obs::{QueryTrace, Stage};
@@ -37,12 +38,12 @@ use crate::engine::ServerError;
 use crate::protocol::split_request_meta;
 use crate::stats::{DeadlineStage, Metric, ServerStats};
 
-/// Batching and admission-control parameters.  A worker drains what is
-/// queued, up to `max_batch`, the moment a slot is free: batches form from
+/// Batching and admission-control parameters.  A queued caller handed a
+/// slot drains what is queued, up to `max_batch`, at once: batches form from
 /// backlog alone, and an idle server adds no latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Most jobs one worker drains per batch (must be at least 1).
+    /// Most jobs one batch drains (must be at least 1).
     pub max_batch: usize,
     /// Queue-depth bound past which a new request is rejected; `0` disables
     /// admission control (unbounded queue).
@@ -68,8 +69,8 @@ pub trait Executor: Send + Sync + 'static {
     /// Batching and admission control for the pool's queue.
     fn batch_config(&self) -> BatchConfig;
 
-    /// Executions the pool lets run at once — on callers' threads and on its
-    /// own — which is also how many worker threads it spawns.
+    /// Executions the pool lets run at once (its execution slots), each on
+    /// the thread of the caller that holds the slot.
     fn workers(&self) -> usize;
 
     /// Deadline applied to queries that carry no `@d=<ms>` budget.
@@ -112,10 +113,18 @@ pub trait Answer: Clone + Send + 'static {
     fn render(&self) -> String;
 }
 
-/// A queued query plus the channel its answer travels back on.
+/// How a queued caller's wait ends: with its answer — from the batch of the
+/// caller that drained its job, or from the drain that shed it — or with the
+/// execution slot, to lead a batch of its own.
+enum Turn<R> {
+    Answered(Result<R, ServerError>),
+    Lead,
+}
+
+/// A queued query plus the channel its caller is woken on.
 pub(crate) struct Job<R> {
     raw: String,
-    respond: mpsc::Sender<Result<R, ServerError>>,
+    wake: mpsc::Sender<Turn<R>>,
     /// When the job entered the queue; served queries are timed from here so
     /// queueing delay shows up in the latency percentiles.
     submitted: Instant,
@@ -126,37 +135,6 @@ pub(crate) struct Job<R> {
     deadline: Option<Instant>,
 }
 
-impl<R> Job<R> {
-    fn new(raw: String, submitted: Instant, deadline: Option<Instant>) -> (Self, Pending<R>) {
-        let (respond, receiver) = mpsc::channel();
-        (Job { raw, respond, submitted, deadline }, Pending { receiver })
-    }
-}
-
-/// A submitted query waiting for its worker.
-pub struct Pending<R> {
-    receiver: mpsc::Receiver<Result<R, ServerError>>,
-}
-
-impl<R> Pending<R> {
-    /// Blocks until the worker answers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the worker's error; reports `ShuttingDown` when the pool
-    /// died before answering.
-    pub fn wait(self) -> Result<R, ServerError> {
-        self.receiver.recv().unwrap_or(Err(ServerError::ShuttingDown))
-    }
-}
-
-/// One drained batch and the execution slot it runs under.
-pub(crate) struct DrainedBatch<'a, R> {
-    /// The drained jobs, oldest first.
-    jobs: Vec<Job<R>>,
-    slot: Slot<'a, R>,
-}
-
 /// One of the governor's execution slots, held for as long as an execution is
 /// in flight and given back on drop, whichever way the execution ends.
 pub(crate) struct Slot<'a, R> {
@@ -164,15 +142,19 @@ pub(crate) struct Slot<'a, R> {
 }
 
 impl<R> Drop for Slot<'_, R> {
+    /// Given back while jobs are queued, the slot is not freed but passes to
+    /// the caller whose job heads the queue, and only that caller is woken:
+    /// a request arriving in between finds no slot and queues behind it.
     fn drop(&mut self) {
         let mut state = self.governor.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.running -= 1;
-        // Only a worker kept from a queued job by the slots is worth waking:
-        // on an empty queue (every uncontended request) this is no system call.
-        let wanted = !state.queue.is_empty();
-        drop(state);
-        if wanted {
-            self.governor.available.notify_all();
+        match state.queue.pop_front() {
+            Some(head) => {
+                drop(state);
+                // Its caller sleeps in `execute` until woken, so it is there
+                // to take the slot.
+                let _ = head.wake.send(Turn::Lead);
+            }
+            None => state.running -= 1,
         }
     }
 }
@@ -180,26 +162,22 @@ impl<R> Drop for Slot<'_, R> {
 struct GovernorState<R> {
     queue: VecDeque<Job<R>>,
     closed: bool,
-    /// Executions in flight, callers' inline runs and workers' batches alike;
-    /// never above the governor's `slots`.
+    /// Executions in flight; never above the governor's `slots`, and equal
+    /// to it whenever a job is queued.
     running: usize,
 }
 
-/// The execution slots, and the admission-controlled MPMC queue between
-/// submitters and workers for what finds no slot.
+/// The execution slots, and the admission-controlled FIFO queue of the
+/// requests that found none.
 ///
 /// Requests are `admit`ted: onto the caller's own thread under a [`Slot`], or
-/// into the queue, which workers drain in batches via `next_batch`, a slot
-/// per batch.  The governor enforces [`BatchConfig::queue_bound`] at
-/// admission time and records every shed request in the shared
-/// [`ServerStats`].  It is generic over what a job is answered with, so one
-/// scheduling layer serves every [`Executor`].
+/// into the queue, whose head's caller is handed the next slot given back and
+/// then `drain`s the jobs behind its own.  The governor enforces
+/// [`BatchConfig::queue_bound`] at admission time and records every shed
+/// request in the shared [`ServerStats`].  It is generic over what a job is
+/// answered with, so one scheduling layer serves every [`Executor`].
 pub(crate) struct QueueGovernor<R> {
     state: Mutex<GovernorState<R>>,
-    /// Waited on by workers with nothing to drain or no slot to drain under;
-    /// notified by every queued job, by a slot given back while jobs are
-    /// queued, and by `close`.
-    available: Condvar,
     config: BatchConfig,
     /// Most executions in flight at once.
     slots: usize,
@@ -211,7 +189,6 @@ impl<R> QueueGovernor<R> {
     pub(crate) fn new(config: BatchConfig, slots: usize) -> Self {
         QueueGovernor {
             state: Mutex::new(GovernorState { queue: VecDeque::new(), closed: false, running: 0 }),
-            available: Condvar::new(),
             config,
             slots,
         }
@@ -223,11 +200,10 @@ impl<R> QueueGovernor<R> {
     }
 
     /// Admits one request: the inline-or-queue decision, taken once, under
-    /// the lock.  A caller that can run the request itself (`inline`) is
-    /// granted an execution slot when nothing is queued — so it overtakes
-    /// nobody — and a slot is free; it gets the [`Slot`] back and `job` is
-    /// never called.  Otherwise `job()` is queued for the workers (`None`),
-    /// unless the queue is at its bound.
+    /// the lock.  The caller is granted an execution slot when nothing is
+    /// queued — so it overtakes nobody — and a slot is free; it gets the
+    /// [`Slot`] back and `job` is never called.  Otherwise `job()` is queued
+    /// (`None`), unless the queue is at its bound.
     ///
     /// # Errors
     ///
@@ -236,7 +212,6 @@ impl<R> QueueGovernor<R> {
     /// [`close`](QueueGovernor::close).
     pub(crate) fn admit(
         &self,
-        inline: bool,
         job: impl FnOnce() -> Job<R>,
         stats: &ServerStats,
     ) -> Result<Option<Slot<'_, R>>, ServerError> {
@@ -244,7 +219,7 @@ impl<R> QueueGovernor<R> {
         if state.closed {
             return Err(ServerError::ShuttingDown);
         }
-        if inline && state.queue.is_empty() && state.running < self.slots {
+        if state.queue.is_empty() && state.running < self.slots {
             state.running += 1;
             return Ok(Some(Slot { governor: self }));
         }
@@ -254,57 +229,32 @@ impl<R> QueueGovernor<R> {
             return Err(ServerError::Overloaded);
         }
         state.queue.push_back(job());
-        drop(state);
-        self.available.notify_one();
         Ok(None)
     }
 
-    /// Blocks until at least one job is queued and an execution slot is free
-    /// (or the governor closes), then takes the slot and drains up to
-    /// `max_batch` jobs under it — whatever is queued, without waiting for
-    /// more.
-    ///
-    /// Returns `None` only when the governor is closed *and* drained, so
-    /// shutdown never discards admitted work.
-    pub(crate) fn next_batch(&self, stats: &ServerStats) -> Option<DrainedBatch<'_, R>> {
+    /// Takes the jobs queued behind a batch's leader, as many as fit beside
+    /// its own job under [`BatchConfig::max_batch`] — whatever is queued,
+    /// without waiting for more.  An expired job is answered here instead.
+    pub(crate) fn drain(&self, now: Instant, stats: &ServerStats) -> Vec<Job<R>> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            // Inline runs may hold every slot: the queue then waits for one
-            // of them to finish, so executions never exceed `slots`.
-            while state.queue.is_empty() || state.running >= self.slots {
-                if state.closed && state.queue.is_empty() {
-                    return None;
-                }
-                state = self.available.wait(state).unwrap_or_else(|e| e.into_inner());
-            }
-            let now = Instant::now();
-            let take = self.config.max_batch.min(state.queue.len());
-            let mut batch: Vec<Job<R>> = Vec::with_capacity(take);
-            for job in state.queue.drain(..take) {
-                // Counted (in `live_at`) before it is answered: whoever waits
-                // on the answer may read the count next.  An expired job's
-                // waiter is answered at once, never left hanging (it may
-                // have given up; that is not an error).
-                if live_at(job.deadline, now, stats) {
-                    batch.push(job);
-                } else {
-                    let _ = job.respond.send(Err(ServerError::DeadlineExceeded));
-                }
-            }
-            // Everything drained may have expired already: then go back to
-            // waiting rather than hand a worker an empty batch.
-            if !batch.is_empty() {
-                state.running += 1;
-                return Some(DrainedBatch { jobs: batch, slot: Slot { governor: self } });
+        let take = (self.config.max_batch - 1).min(state.queue.len());
+        let mut batch = Vec::with_capacity(take);
+        for job in state.queue.drain(..take) {
+            // Counted (in `live_at`) before it is answered: whoever waits on
+            // the answer may read the count next.
+            if live_at(job.deadline, now, stats) {
+                batch.push(job);
+            } else {
+                let _ = job.wake.send(Turn::Answered(Err(ServerError::DeadlineExceeded)));
             }
         }
+        batch
     }
 
-    /// Closes the governor: subsequent submissions fail, workers drain what
-    /// is queued and then observe the end of the stream.
+    /// Closes the governor: subsequent submissions fail, and what is queued
+    /// is still served as slots come back.
     pub(crate) fn close(&self) {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.available.notify_all();
     }
 }
 
@@ -329,10 +279,9 @@ fn live_at(deadline: Option<Instant>, now: Instant, stats: &ServerStats) -> bool
 }
 
 /// Runs one batch on the calling thread.  A panicking executor must not take
-/// the thread with it — once every worker had gone that way, `submit` would
-/// keep admitting jobs nobody answers, and a connection thread would drop its
-/// client — so a panic is one `Panicked` answer per query, counted in
-/// `errors=`.
+/// the thread with it — a connection thread would drop its client, and a
+/// batch's leader would leave the other callers in it unanswered — so a panic
+/// is one `Panicked` answer per query, counted in `errors=`.
 fn run_guarded<E: Executor>(
     executor: &E,
     raws: &[&str],
@@ -373,13 +322,13 @@ fn unfinished_trace() -> Arc<QueryTrace> {
 /// The part of serving a batch that does not depend on who answers it.
 ///
 /// [`open`](BatchFrame::open) attributes everything between submission and
-/// execution — queueing plus the dispatch hop to this worker — to the
-/// `queue_wait` stage, so the recorded stages tile the measured latency
-/// without holes.  The `@<hex>` trace id and the `@d=<ms>` budget ride along
-/// per position, outside the canonical grouping; deadlines are anchored at
-/// the batch's earliest submission — conservative for later arrivals, and it
-/// keeps the whole batch on one clock.  Parse failures occupy their slot
-/// without failing the rest.
+/// execution — queueing plus the wake-up of the caller that leads the batch —
+/// to the `queue_wait` stage, so the recorded stages tile the measured
+/// latency without holes.  The `@<hex>` trace id and the `@d=<ms>` budget
+/// ride along per position, outside the canonical grouping; deadlines are
+/// anchored at the batch's earliest submission — conservative for later
+/// arrivals, and it keeps the whole batch on one clock.  Parse failures
+/// occupy their slot without failing the rest.
 pub(crate) struct BatchFrame<'a, R> {
     stats: &'a ServerStats,
     started: Instant,
@@ -539,63 +488,26 @@ impl<'a, R: Answer> BatchFrame<'a, R> {
 }
 
 /// The one way into an [`Executor`]: at most `executor.workers()` executions
-/// at once, a request run on the thread that brought it while one of those
-/// slots is free, and a fixed pool of worker threads draining what had to
-/// queue — so queries arriving on more connections than there are slots
-/// coalesce into batches, and a batch shares its work.
+/// at once, each on the thread of a caller of [`execute`](Pool::execute).  A
+/// request runs on the thread that brought it while one of those slots is
+/// free; beyond them it queues, and a slot given back passes to the caller
+/// whose job heads the queue, which runs the backlog behind it as one batch —
+/// so queries arriving on more connections than there are slots coalesce
+/// into batches, and a batch shares its work.  The pool spawns no threads.
 pub struct Pool<E: Executor> {
     executor: Arc<E>,
-    governor: Arc<QueueGovernor<E::Response>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    governor: QueueGovernor<E::Response>,
     /// Queries executed, inline and from the queue alike.
-    served: Arc<AtomicU64>,
+    served: AtomicU64,
 }
 
 impl<E: Executor> Pool<E> {
-    /// Spawns `executor.workers()` workers behind a `QueueGovernor` with as
-    /// many execution slots, configured from `executor.batch_config()`.
+    /// A `QueueGovernor` with `executor.workers()` execution slots,
+    /// configured from `executor.batch_config()`, in front of `executor`.
     #[must_use]
     pub fn start(executor: Arc<E>) -> Self {
-        let governor = Arc::new(QueueGovernor::new(executor.batch_config(), executor.workers()));
-        let served = Arc::new(AtomicU64::new(0));
-        let handles = (0..executor.workers())
-            .map(|_| {
-                let governor = Arc::clone(&governor);
-                let executor = Arc::clone(&executor);
-                let served = Arc::clone(&served);
-                std::thread::spawn(move || {
-                    while let Some(batch) = governor.next_batch(executor.stats()) {
-                        let DrainedBatch { jobs, slot } = batch;
-                        // Time the batch from its earliest submission, so
-                        // queueing delay lands in the recorded latency (and
-                        // in the trace, as the queue_wait stage).
-                        let started = jobs
-                            .iter()
-                            .map(|job| job.submitted)
-                            .min()
-                            .expect("batches are never empty");
-                        let raws: Vec<&str> = jobs.iter().map(|job| job.raw.as_str()).collect();
-                        let responses = run_guarded(&*executor, &raws, started);
-                        // Given back before anyone is answered: a client
-                        // that sends its next request the moment it reads
-                        // this answer finds the slot free.
-                        drop(slot);
-                        served.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-                        for (job, response) in jobs.iter().zip(responses) {
-                            // A client that gave up is not an error.
-                            let _ = job.respond.send(response);
-                        }
-                    }
-                })
-            })
-            .collect();
-        Pool { executor, governor, handles, served }
-    }
-
-    /// Number of worker threads, which is also the number of execution slots.
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.handles.len()
+        let governor = QueueGovernor::new(executor.batch_config(), executor.workers());
+        Pool { executor, governor, served: AtomicU64::new(0) }
     }
 
     /// Jobs currently waiting in the admission queue.
@@ -604,52 +516,40 @@ impl<E: Executor> Pool<E> {
         self.governor.depth()
     }
 
-    /// When `raw` was submitted (now) and the deadline it carries: parsed
-    /// here so the governor can shed the request without re-parsing the line.
-    fn submission(&self, raw: &str) -> (Instant, Option<Instant>) {
-        let submitted = Instant::now();
-        let deadline =
-            split_request_meta(raw).0.deadline(submitted, self.executor.default_deadline());
-        (submitted, deadline)
-    }
-
-    /// Enqueues a query for the workers; the result is collected through the
-    /// returned handle.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`ServerError::Overloaded`] when admission control rejects
-    /// the request, and [`ServerError::ShuttingDown`] when the pool is
-    /// stopping.
-    pub fn submit(&self, raw: impl Into<String>) -> Result<Pending<E::Response>, ServerError> {
-        let raw = raw.into();
-        let (submitted, deadline) = self.submission(&raw);
-        let (job, pending) = Job::new(raw, submitted, deadline);
-        self.governor.admit(false, || job, self.executor.stats())?;
-        Ok(pending)
-    }
-
     /// Answers one query, waiting for the answer: the closed-loop client
     /// path.  Granted an execution slot — nothing queued, fewer than
     /// `workers` executions in flight — the query runs here, on the caller's
     /// thread, as a batch of one under the admission accounting a dequeued
-    /// job gets; otherwise it queues behind what is already there and this
-    /// thread waits for a worker.
+    /// job gets.  Otherwise it queues behind what is already there, and this
+    /// thread sleeps until another caller's batch answers it or a slot is
+    /// handed to it to lead a batch of its own.
     ///
     /// # Errors
     ///
     /// Propagates admission and execution errors.
     pub fn execute(&self, raw: &str) -> Result<E::Response, ServerError> {
         let stats = self.executor.stats();
-        let (submitted, deadline) = self.submission(raw);
-        let mut pending = None;
+        let submitted = Instant::now();
+        // Parsed here so the governor can shed the request without re-parsing
+        // the line.
+        let deadline =
+            split_request_meta(raw).0.deadline(submitted, self.executor.default_deadline());
+        let mut waiting = None;
         let queued = || {
-            let (job, waiter) = Job::new(raw.to_owned(), submitted, deadline);
-            pending = Some(waiter);
-            job
+            let (wake, turn) = mpsc::channel();
+            waiting = Some(turn);
+            Job { raw: raw.to_owned(), wake, submitted, deadline }
         };
-        let Some(_slot) = self.governor.admit(true, queued, stats)? else {
-            return pending.expect("no slot granted: the job was queued").wait();
+        let Some(_slot) = self.governor.admit(queued, stats)? else {
+            let turn = waiting.expect("no slot granted: the job was queued");
+            return match turn.recv() {
+                Ok(Turn::Answered(result)) => result,
+                Ok(Turn::Lead) => {
+                    self.lead(raw, submitted, deadline, Slot { governor: &self.governor })
+                }
+                // Dropped unanswered: the leader that drained it died.
+                Err(_) => Err(ServerError::ShuttingDown),
+            };
         };
         // Admitted the instant it was submitted.
         if !live_at(deadline, submitted, stats) {
@@ -662,48 +562,103 @@ impl<E: Executor> Pool<E> {
             .expect("one query in, one response out")
     }
 
-    /// Drains the queue and joins every worker, returning the total number of
-    /// queries executed, on callers' threads and on the workers'.
-    pub fn shutdown(mut self) -> u64 {
-        self.stop();
-        self.served.load(Ordering::Relaxed)
-    }
-
-    fn stop(&mut self) {
-        self.governor.close();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
+    /// Runs a batch under the `slot` handed to a queued caller: its own
+    /// query first, then the jobs drained behind it; answers the other
+    /// callers and returns its own answer.
+    fn lead(
+        &self,
+        raw: &str,
+        submitted: Instant,
+        deadline: Option<Instant>,
+        slot: Slot<'_, E::Response>,
+    ) -> Result<E::Response, ServerError> {
+        let stats = self.executor.stats();
+        let now = Instant::now();
+        let own = live_at(deadline, now, stats);
+        let others = self.governor.drain(now, stats);
+        let mut raws = Vec::with_capacity(1 + others.len());
+        // Time the batch from its earliest submission, so queueing delay
+        // lands in the recorded latency (and in the trace, as the queue_wait
+        // stage).
+        let mut started = now;
+        if own {
+            raws.push(raw);
+            started = submitted;
         }
+        for job in &others {
+            raws.push(job.raw.as_str());
+            started = started.min(job.submitted);
+        }
+        // Everything it would have run had expired: the slot passes on.
+        if raws.is_empty() {
+            return Err(ServerError::DeadlineExceeded);
+        }
+        let mut responses = run_guarded(&*self.executor, &raws, started).into_iter();
+        // Given back before anyone is answered: a client that sends its next
+        // request the moment it reads this answer finds the slot free.
+        drop(slot);
+        self.served.fetch_add(raws.len() as u64, Ordering::Relaxed);
+        let answer = if own {
+            responses.next().expect("one response per query")
+        } else {
+            Err(ServerError::DeadlineExceeded)
+        };
+        for (job, response) in others.iter().zip(responses) {
+            // A client that gave up is not an error.
+            let _ = job.wake.send(Turn::Answered(response));
+        }
+        answer
     }
-}
 
-impl<E: Executor> Drop for Pool<E> {
-    fn drop(&mut self) {
-        self.stop();
+    /// Closes admission and returns the total number of queries executed.
+    pub fn shutdown(self) -> u64 {
+        self.governor.close();
+        self.served.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::ThreadId;
 
-    fn job(raw: &str) -> (Job<()>, Pending<()>) {
+    type Wait = mpsc::Receiver<Turn<()>>;
+
+    fn job(raw: &str) -> (Job<()>, Wait) {
         job_with_deadline(raw, None)
     }
 
-    fn job_with_deadline(raw: &str, deadline: Option<Instant>) -> (Job<()>, Pending<()>) {
-        Job::new(raw.to_owned(), Instant::now(), deadline)
+    fn job_with_deadline(raw: &str, deadline: Option<Instant>) -> (Job<()>, Wait) {
+        let (wake, turn) = mpsc::channel();
+        (Job { raw: raw.to_owned(), wake, submitted: Instant::now(), deadline }, turn)
     }
 
-    /// A governor with slots to spare: these tests drain by hand.
+    /// A governor with no slots: every admission queues, and these tests
+    /// drain by hand.
     fn governor(config: BatchConfig) -> (QueueGovernor<()>, ServerStats) {
-        (QueueGovernor::new(config, usize::MAX), ServerStats::new())
+        (QueueGovernor::new(config, 0), ServerStats::new())
     }
 
     impl<R> QueueGovernor<R> {
-        /// Queues `job`, as `Pool::submit` does.
+        /// Admits `job`, which queues when no slot can be granted.
         fn submit(&self, job: Job<R>, stats: &ServerStats) -> Result<(), ServerError> {
-            self.admit(false, || job, stats).map(|_| ())
+            self.admit(|| job, stats).map(|slot| assert!(slot.is_none(), "no slot to grant"))
+        }
+    }
+
+    impl<E: Executor> Pool<E> {
+        /// Takes a free execution slot, as an inline run does, and holds it
+        /// until the guard drops.
+        pub(crate) fn occupy(&self) -> Slot<'_, E::Response> {
+            let slot =
+                self.governor.admit(|| unreachable!("a slot is free"), self.executor.stats());
+            slot.unwrap().expect("granted, not queued")
+        }
+
+        /// Stops admission, as `shutdown` does, while callers may still hold
+        /// the pool.
+        pub(crate) fn close(&self) {
+            self.governor.close();
         }
     }
 
@@ -711,7 +666,7 @@ mod tests {
     fn unbounded_governor_admits_everything() {
         let (governor, stats) = governor(BatchConfig::default());
         for i in 0..100 {
-            let (j, _pending) = job(&format!("q{i}"));
+            let (j, _turn) = job(&format!("q{i}"));
             governor.submit(j, &stats).unwrap();
         }
         assert_eq!(governor.depth(), 100);
@@ -721,9 +676,9 @@ mod tests {
     #[test]
     fn reject_new_sheds_the_submission() {
         let (governor, stats) = governor(BatchConfig { queue_bound: 2, ..BatchConfig::default() });
-        let (a, _pa) = job("a");
-        let (b, _pb) = job("b");
-        let (c, _pc) = job("c");
+        let (a, _ta) = job("a");
+        let (b, _tb) = job("b");
+        let (c, _tc) = job("c");
         governor.submit(a, &stats).unwrap();
         governor.submit(b, &stats).unwrap();
         assert_eq!(governor.submit(c, &stats).unwrap_err(), ServerError::Overloaded);
@@ -734,75 +689,91 @@ mod tests {
     #[test]
     fn batches_drain_up_to_max_batch() {
         let (governor, stats) = governor(BatchConfig { max_batch: 3, ..BatchConfig::default() });
-        let mut pendings = Vec::new();
+        let mut turns = Vec::new();
         for i in 0..5 {
-            let (j, p) = job(&format!("q{i}"));
+            let (j, t) = job(&format!("q{i}"));
             governor.submit(j, &stats).unwrap();
-            pendings.push(p);
+            turns.push(t);
         }
-        let first = governor.next_batch(&stats).unwrap();
-        assert_eq!(first.jobs.len(), 3);
-        assert_eq!(governor.next_batch(&stats).unwrap().jobs.len(), 2);
-        governor.close();
-        assert!(governor.next_batch(&stats).is_none());
+        // A leader's own job is the first of its batch: two fit beside it.
+        let drain = || governor.drain(Instant::now(), &stats).len();
+        assert_eq!(drain(), 2);
+        assert_eq!(drain(), 2);
+        assert_eq!(drain(), 1);
+        assert_eq!(drain(), 0);
     }
 
     #[test]
     fn closed_governor_rejects_submissions_but_drains() {
         let (governor, stats) = governor(BatchConfig::default());
-        let (a, _pa) = job("a");
+        let (a, _ta) = job("a");
         governor.submit(a, &stats).unwrap();
         governor.close();
-        let (b, _pb) = job("b");
+        let (b, _tb) = job("b");
         assert_eq!(governor.submit(b, &stats).unwrap_err(), ServerError::ShuttingDown);
         // Admitted work survives the close.
-        assert_eq!(governor.next_batch(&stats).unwrap().jobs.len(), 1);
-        assert!(governor.next_batch(&stats).is_none());
+        assert_eq!(governor.drain(Instant::now(), &stats).len(), 1);
+        assert_eq!(governor.depth(), 0);
     }
 
     #[test]
     fn expired_jobs_are_shed_at_dequeue_with_a_distinct_count() {
         let (governor, stats) = governor(BatchConfig::default());
-        let (dead, dead_pending) = job_with_deadline("dead", Some(Instant::now()));
-        let (live, _live_pending) =
+        let (dead, dead_turn) = job_with_deadline("dead", Some(Instant::now()));
+        let (live, _live_turn) =
             job_with_deadline("live", Some(Instant::now() + Duration::from_secs(60)));
-        let (plain, _plain_pending) = job("plain");
+        let (plain, _plain_turn) = job("plain");
         governor.submit(dead, &stats).unwrap();
         governor.submit(live, &stats).unwrap();
         governor.submit(plain, &stats).unwrap();
-        let batch = governor.next_batch(&stats).unwrap();
-        let raws: Vec<&str> = batch.jobs.iter().map(|j| j.raw.as_str()).collect();
+        let batch = governor.drain(Instant::now(), &stats);
+        let raws: Vec<&str> = batch.iter().map(|j| j.raw.as_str()).collect();
         assert_eq!(raws, ["live", "plain"]);
-        // The expired job's waiter got a deadline answer, not a hang, and
+        // The expired job's caller got a deadline answer, not a hang, and
         // the shed was attributed to expiry.
-        assert_eq!(dead_pending.wait().unwrap_err(), ServerError::DeadlineExceeded);
+        assert!(matches!(
+            dead_turn.try_recv(),
+            Ok(Turn::Answered(Err(ServerError::DeadlineExceeded)))
+        ));
         assert_eq!(stats.deadline_exceeded(DeadlineStage::Queue), 1);
         assert_eq!(stats.get(Metric::Shed), 1);
     }
 
     #[test]
-    fn all_expired_batch_keeps_the_worker_waiting() {
-        let (governor, stats) = governor(BatchConfig::default());
-        let (dead, _p) = job_with_deadline("dead", Some(Instant::now()));
-        governor.submit(dead, &stats).unwrap();
-        governor.close();
-        // The only queued job expires at drain: the worker sees the closed
-        // end of the stream, never an empty batch.
-        assert!(governor.next_batch(&stats).is_none());
-        assert_eq!(stats.deadline_exceeded(DeadlineStage::Queue), 1);
+    fn a_slot_given_back_wakes_only_the_head_of_the_queue() {
+        let stats = ServerStats::new();
+        let governor = QueueGovernor::new(BatchConfig::default(), 1);
+        let inline = governor.admit(|| unreachable!("a slot is free"), &stats).unwrap();
+        let (first, first_turn) = job("first");
+        let (second, second_turn) = job("second");
+        governor.submit(first, &stats).unwrap();
+        governor.submit(second, &stats).unwrap();
+        drop(inline);
+        // The slot passed to the head's caller without being freed: a new
+        // request would still queue, and the second caller sleeps on.
+        assert!(matches!(first_turn.try_recv(), Ok(Turn::Lead)));
+        assert!(second_turn.try_recv().is_err());
+        assert_eq!(governor.depth(), 1);
+        assert_eq!(governor.state.lock().unwrap().running, 1);
+        drop(Slot { governor: &governor });
+        assert!(matches!(second_turn.try_recv(), Ok(Turn::Lead)));
+        // With nothing queued, the slot is free again.
+        drop(Slot { governor: &governor });
+        assert_eq!(governor.state.lock().unwrap().running, 0);
     }
 
     /// An executor that does what `inner` does, except that a batch holding
     /// the query `wedge` first reports in and waits to be released, and one
     /// holding `explode` panics.  It keeps the most batches it ever ran at
-    /// once and the order its queries finished in.
+    /// once and, in the order they finished, each batch's queries and the
+    /// thread it ran on.
     struct Scripted<E> {
         inner: Arc<E>,
         entered: Mutex<mpsc::Sender<()>>,
         release: Mutex<mpsc::Receiver<()>>,
         in_flight: AtomicU64,
         high_water: AtomicU64,
-        finished: Mutex<Vec<String>>,
+        batches: Mutex<Vec<(ThreadId, Vec<String>)>>,
     }
 
     impl<E: Executor> Executor for Scripted<E> {
@@ -837,7 +808,8 @@ mod tests {
                 self.release.lock().unwrap().recv().unwrap();
             }
             let responses = self.inner.run_batch(raws, started);
-            self.finished.lock().unwrap().extend(raws.iter().map(|raw| (*raw).to_owned()));
+            let raws = raws.iter().map(|raw| (*raw).to_owned()).collect();
+            self.batches.lock().unwrap().push((std::thread::current().id(), raws));
             self.in_flight.fetch_sub(1, Ordering::SeqCst);
             responses
         }
@@ -851,7 +823,7 @@ mod tests {
         }
     }
 
-    /// A scripted pool over `inner`, the receiver its wedged workers report
+    /// A scripted pool over `inner`, the receiver its wedged batches report
     /// on, and the sender that releases one of them per message.
     type ScriptedPool<E> = (Pool<Scripted<E>>, mpsc::Receiver<()>, mpsc::Sender<()>);
 
@@ -864,9 +836,15 @@ mod tests {
             release: Mutex::new(release),
             in_flight: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
-            finished: Mutex::new(Vec::new()),
+            batches: Mutex::new(Vec::new()),
         };
         (Pool::start(Arc::new(executor)), entered_rx, release_tx)
+    }
+
+    /// Every query the pool's executor finished, in order.
+    fn finished<E: Executor>(pool: &Pool<Scripted<E>>) -> Vec<String> {
+        let batches = pool.executor.batches.lock().unwrap();
+        batches.iter().flat_map(|(_, raws)| raws.iter().cloned()).collect()
     }
 
     fn slots_held<E: Executor>(pool: &Pool<E>) -> usize {
@@ -882,7 +860,9 @@ mod tests {
     }
 
     /// What a [`Pool`] promises whatever it runs; `make(workers, batch)`
-    /// builds a fresh executor that answers `rust` and `search`.
+    /// builds a fresh executor that answers `rust` and `search`.  Every
+    /// query is an `execute` call, those that must queue on threads of
+    /// their own.
     fn pool_contract<E: Executor>(make: impl Fn(usize, BatchConfig) -> Arc<E>) {
         // A request runs where it arrives while a slot is free, queues when
         // none is, and is then neither started early nor overtaken.
@@ -898,25 +878,25 @@ mod tests {
             }
             assert_eq!(inner.stats().get(Metric::Inline), workers as u64);
             assert_eq!(slots_held(&pool), workers);
-            // Every slot is held inline: a further `execute` queues, a
-            // submitted job behind it, an `execute` issued later behind both.
+            // Every slot is held inline: a further `execute` queues, and
+            // each issued later queues behind it.
             let third = scope.spawn(|| pool.execute("rust"));
             await_depth(&pool, 1);
-            let fourth = pool.submit("search").unwrap();
+            let fourth = scope.spawn(|| pool.execute("search"));
+            await_depth(&pool, 2);
             let fifth = scope.spawn(|| pool.execute("rust search"));
             await_depth(&pool, 3);
-            // No worker started any of them, though both are idle.
+            // None of them started.
             assert_eq!(slots_held(&pool), workers);
             assert_eq!(pool.executor.in_flight.load(Ordering::SeqCst), workers as u64);
-            assert!(pool.executor.finished.lock().unwrap().is_empty());
+            assert!(finished(&pool).is_empty());
             assert!(!third.is_finished());
             // One slot comes back: the queue drains through it, in order.
             release.send(()).unwrap();
             assert!(third.join().unwrap().is_ok());
-            assert!(fourth.wait().is_ok());
+            assert!(fourth.join().unwrap().is_ok());
             assert!(fifth.join().unwrap().is_ok());
-            let finished = pool.executor.finished.lock().unwrap().clone();
-            assert_eq!(finished, ["wedge", "rust", "search", "rust search"]);
+            assert_eq!(finished(&pool), ["wedge", "rust", "search", "rust search"]);
             release.send(()).unwrap();
             for wedge in wedged {
                 assert!(wedge.join().unwrap().is_ok());
@@ -931,24 +911,34 @@ mod tests {
 
         // A backlog drains as one batch, with no timer: the jobs that queued
         // behind the wedged slot are all there when it comes back, and each
-        // distinct query in them is worked once.
+        // distinct query in them is worked once — on the thread of the
+        // caller whose job headed the queue.
         let inner = make(1, BatchConfig { max_batch: 8, ..BatchConfig::default() });
         let (pool, entered, release) = scripted(Arc::clone(&inner));
-        let wedged = pool.submit("wedge").unwrap();
-        entered.recv().unwrap();
-        let backlog: Vec<_> = ["rust", "search", "rust", "rust search", "search", "rust"]
-            .map(|raw| pool.submit(raw).unwrap())
-            .into();
-        release.send(()).unwrap();
-        assert!(wedged.wait().is_ok());
-        for pending in backlog {
-            assert!(pending.wait().is_ok());
-        }
-        assert_eq!(
-            inner.stats().get(Metric::Batches),
-            1,
-            "the wedge ran alone, the backlog as one"
-        );
+        std::thread::scope(|scope| {
+            let pool = &pool;
+            let wedged = scope.spawn(|| pool.execute("wedge"));
+            entered.recv().unwrap();
+            let backlog: Vec<_> = ["rust", "search", "rust", "rust search", "search", "rust"]
+                .into_iter()
+                .enumerate()
+                .map(|(i, raw)| {
+                    let caller = scope.spawn(move || pool.execute(raw));
+                    await_depth(pool, i + 1);
+                    caller
+                })
+                .collect();
+            let head = backlog[0].thread().id();
+            release.send(()).unwrap();
+            assert!(wedged.join().unwrap().is_ok());
+            for caller in backlog {
+                assert!(caller.join().unwrap().is_ok());
+            }
+            let batches = pool.executor.batches.lock().unwrap();
+            assert_eq!(batches.len(), 2, "the wedge ran alone, the backlog as one");
+            assert_eq!(batches[1].0, head);
+        });
+        assert_eq!(inner.stats().get(Metric::Batches), 1);
         assert_eq!(inner.stats().get(Metric::DedupHits), 6 - 3);
         assert_eq!(inner.stats().get(Metric::Batched), 6);
         assert_eq!(pool.shutdown(), 7);
@@ -957,15 +947,17 @@ mod tests {
         // admitted is served.
         let inner = make(1, BatchConfig { max_batch: 1, queue_bound: 1 });
         let (pool, entered, release) = scripted(Arc::clone(&inner));
-        let wedged = pool.submit("wedge").unwrap();
-        entered.recv().unwrap();
-        // The one worker is busy and the queue empty: one job fits.
-        let first = pool.submit("rust").unwrap();
-        assert_eq!(pool.queue_depth(), 1);
-        assert_eq!(pool.submit("search").err(), Some(ServerError::Overloaded));
-        release.send(()).unwrap();
-        assert!(first.wait().is_ok());
-        assert!(wedged.wait().is_ok());
+        std::thread::scope(|scope| {
+            let wedged = scope.spawn(|| pool.execute("wedge"));
+            entered.recv().unwrap();
+            // The one slot is held and the queue empty: one job fits.
+            let first = scope.spawn(|| pool.execute("rust"));
+            await_depth(&pool, 1);
+            assert_eq!(pool.execute("search").err(), Some(ServerError::Overloaded));
+            release.send(()).unwrap();
+            assert!(first.join().unwrap().is_ok());
+            assert!(wedged.join().unwrap().is_ok());
+        });
         assert_eq!(inner.stats().get(Metric::Shed), 1);
         assert_eq!(pool.shutdown(), 2, "the wedge and the job that stayed");
 
@@ -978,28 +970,38 @@ mod tests {
         assert_eq!(inner.stats().get(Metric::Batches), 0);
         assert_eq!(inner.stats().get(Metric::Errors), 0);
         assert_eq!(inner.stats().get(Metric::Inline), 0);
-        assert!(pool.executor.finished.lock().unwrap().is_empty());
+        assert!(finished(&pool).is_empty());
         assert_eq!(slots_held(&pool), 0);
 
         // Closing stops admission, not service: what was admitted before is
-        // drained, and `shutdown` reports all of it.
-        let wedged = pool.submit("wedge").unwrap();
-        entered.recv().unwrap();
-        let queued: Vec<_> = ["rust", "search", "rust"].map(|raw| pool.submit(raw).unwrap()).into();
-        pool.governor.close();
-        assert_eq!(pool.submit("rust").err(), Some(ServerError::ShuttingDown));
-        assert_eq!(pool.execute("rust").err(), Some(ServerError::ShuttingDown));
-        release.send(()).unwrap();
-        assert!(wedged.wait().is_ok());
-        for pending in queued {
-            assert!(pending.wait().is_ok());
-        }
+        // served, and `shutdown` reports all of it.
+        std::thread::scope(|scope| {
+            let pool = &pool;
+            let wedged = scope.spawn(|| pool.execute("wedge"));
+            entered.recv().unwrap();
+            let queued: Vec<_> = ["rust", "search", "rust"]
+                .into_iter()
+                .enumerate()
+                .map(|(i, raw)| {
+                    let caller = scope.spawn(move || pool.execute(raw));
+                    await_depth(pool, i + 1);
+                    caller
+                })
+                .collect();
+            pool.close();
+            assert_eq!(pool.execute("rust").err(), Some(ServerError::ShuttingDown));
+            release.send(()).unwrap();
+            assert!(wedged.join().unwrap().is_ok());
+            for caller in queued {
+                assert!(caller.join().unwrap().is_ok());
+            }
+        });
         assert_eq!(pool.shutdown(), 4);
 
         // A batch whose executor panics is answered, counted as an error,
-        // and costs no thread.
+        // and gives its slot back — run inline or led from the queue.
         for workers in [1, 2] {
-            // One job per batch, so that two wedges take two threads.
+            // One job per batch, so that two wedges hold two slots.
             let inner = make(workers, BatchConfig { max_batch: 1, ..BatchConfig::default() });
             let (pool, entered, release) = scripted(Arc::clone(&inner));
             for _ in 0..=workers {
@@ -1009,21 +1011,29 @@ mod tests {
             assert_eq!(inner.stats().get(Metric::Errors), workers as u64 + 1);
             // Each found the slot the one before it gave back.
             assert_eq!(inner.stats().get(Metric::Inline), workers as u64 + 1);
-            // Every worker is still there to be wedged at the same time.
-            let wedged: Vec<_> = (0..workers).map(|_| pool.submit("wedge").unwrap()).collect();
-            for _ in 0..workers {
-                entered.recv().unwrap();
-            }
-            // Released all at once: which worker takes which release is not
-            // the order the jobs were submitted in.
-            for _ in 0..workers {
-                release.send(()).unwrap();
-            }
-            for pending in wedged {
-                assert!(pending.wait().is_ok());
-            }
+            std::thread::scope(|scope| {
+                // Every slot is still there to be wedged at the same time.
+                let wedged: Vec<_> =
+                    (0..workers).map(|_| scope.spawn(|| pool.execute("wedge"))).collect();
+                for _ in 0..workers {
+                    entered.recv().unwrap();
+                }
+                let queued = scope.spawn(|| pool.execute("explode"));
+                await_depth(&pool, 1);
+                // Released all at once: which wedge takes which release is
+                // not the order they were issued in.
+                for _ in 0..workers {
+                    release.send(()).unwrap();
+                }
+                for wedge in wedged {
+                    assert!(wedge.join().unwrap().is_ok());
+                }
+                assert_eq!(queued.join().unwrap().err(), Some(ServerError::Panicked));
+            });
+            assert_eq!(slots_held(&pool), 0);
+            assert_eq!(inner.stats().get(Metric::Errors), workers as u64 + 2);
             assert!(pool.execute("rust").is_ok());
-            assert_eq!(pool.shutdown(), 2 * workers as u64 + 2);
+            assert_eq!(pool.shutdown(), 2 * workers as u64 + 3);
         }
     }
 
@@ -1056,5 +1066,37 @@ mod tests {
             )
             .unwrap()
         });
+    }
+
+    /// A queued caller handed a slot when its own job and everything behind
+    /// it have expired runs no batch, and passes the slot on.
+    #[test]
+    fn an_all_expired_batch_runs_nothing_and_passes_the_slot_on() {
+        let inner = small_engine(crate::engine::EngineConfig { workers: 1, ..Default::default() });
+        let (pool, entered, release) = scripted(Arc::clone(&inner));
+        std::thread::scope(|scope| {
+            let pool = &pool;
+            let wedged = scope.spawn(|| pool.execute("wedge"));
+            entered.recv().unwrap();
+            let queued: Vec<_> = ["@d=0 rust", "@d=0 search"]
+                .into_iter()
+                .enumerate()
+                .map(|(i, raw)| {
+                    let caller = scope.spawn(move || pool.execute(raw));
+                    await_depth(pool, i + 1);
+                    caller
+                })
+                .collect();
+            release.send(()).unwrap();
+            assert!(wedged.join().unwrap().is_ok());
+            for caller in queued {
+                assert_eq!(caller.join().unwrap().err(), Some(ServerError::DeadlineExceeded));
+            }
+        });
+        assert_eq!(finished(&pool), ["wedge"]);
+        assert_eq!(inner.stats().deadline_exceeded(DeadlineStage::Queue), 2);
+        assert_eq!(inner.stats().get(Metric::Shed), 2);
+        assert_eq!(slots_held(&pool), 0);
+        assert_eq!(pool.shutdown(), 1);
     }
 }

@@ -3,8 +3,8 @@
 //! Keys are `(normalised query, snapshot generation)`, so a snapshot swap
 //! naturally invalidates the whole cache without any flush: entries for the
 //! old generation stop being requested and age out through normal LRU
-//! eviction.  Sharding by key hash keeps lock contention low when many worker
-//! threads hit the cache at once.
+//! eviction.  Sharding by key hash keeps lock contention low when many
+//! execution slots hit the cache at once.
 //!
 //! Under [`AdmissionPolicy::TinyLfu`] each shard keeps a 4-bit count-min
 //! frequency sketch fed by every lookup.  When the shard is full, a new key

@@ -5,10 +5,11 @@
 //! `BatchFrame` around cache probe → evaluation); [`QueryEngine::execute`]
 //! is the batch-of-one convenience.  [`WorkerPool`] is the shared [`Pool`]
 //! over an engine: a query that finds an execution slot free runs on the
-//! thread that brought it; each worker drains up to `max_batch` of the
-//! queries that had to queue at a time, so a backlog turns into shared work
-//! (one snapshot load, one evaluation per distinct canonical query) instead
-//! of per-request overhead.
+//! thread that brought it; a slot that comes back while queries are queued
+//! passes to the caller at the head of the queue, which drains up to
+//! `max_batch` of them at a time, so a backlog turns into shared work (one
+//! snapshot load, one evaluation per distinct canonical query) instead of
+//! per-request overhead.
 
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -18,7 +19,7 @@ use dsearch_obs::{QueryTrace, Stage};
 use dsearch_persist::{IndexStore, PersistError};
 use dsearch_query::{evaluate, ParseError, Scorer, SearchResults};
 
-use crate::batch::{Answer, BatchConfig, BatchFrame, Executor, Pending, Pool};
+use crate::batch::{Answer, BatchConfig, BatchFrame, Executor, Pool};
 use crate::cache::{AdmissionPolicy, CacheCounters, CacheKey, CacheKeyRef, QueryCache};
 use crate::protocol::{render_error_text, render_info, render_response};
 use crate::snapshot::{IndexSnapshot, SnapshotCell};
@@ -31,7 +32,7 @@ pub(crate) const DEFAULT_RESULT_LIMIT: usize = 20;
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Queries (or batches) the pool executes at once — its execution slots,
-    /// and the worker threads it spawns for what has to queue.
+    /// each run on the thread of the caller holding it.
     pub workers: usize,
     /// Total cached query results across all shards.
     pub cache_capacity: usize,
@@ -42,7 +43,7 @@ pub struct EngineConfig {
     pub cache_admission: AdmissionPolicy,
     /// Cap on hits kept per response (and per cache entry).
     pub result_limit: usize,
-    /// Batching and admission-control parameters for the worker pool.
+    /// Batching and admission-control parameters for the pool's queue.
     pub batch: BatchConfig,
     /// Deadline applied to queries that carry no `@d=<ms>` budget of their
     /// own (`--default-deadline-ms`).  `None`: no implicit deadline.
@@ -67,11 +68,11 @@ impl Default for EngineConfig {
 /// producing a pool that can never make progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `workers == 0`: no thread would ever drain the queue.
+    /// `workers == 0`: no query would ever be granted a slot to run under.
     NoWorkers,
     /// `cache_shards == 0`: the cache would have no shard to store into.
     NoCacheShards,
-    /// `batch.max_batch == 0`: a worker would drain nothing per wakeup.
+    /// `batch.max_batch == 0`: a batch would hold no query.
     EmptyBatch,
     /// A router was built with no shard backends to scatter to.
     NoShards,
@@ -118,7 +119,7 @@ pub enum ServerError {
     Parse(ParseError),
     /// The request was shed by admission control.
     Overloaded,
-    /// The worker pool is shutting down.
+    /// The pool has stopped admitting queries.
     ShuttingDown,
     /// Every shard failed for a scatter-gathered query: there is no partial
     /// result left to serve.
@@ -127,8 +128,8 @@ pub enum ServerError {
     /// Reported distinctly from errors: the server was healthy, the caller's
     /// time budget was not.
     DeadlineExceeded,
-    /// Answering the query's batch panicked.  The worker caught it and lives
-    /// on; the failure is counted in `errors=`.
+    /// Answering the query's batch panicked.  The thread running it caught
+    /// it and lives on; the failure is counted in `errors=`.
     Panicked,
 }
 
@@ -441,9 +442,6 @@ impl Answer for QueryResponse {
 /// The shared [`Pool`] over a [`QueryEngine`].
 pub type WorkerPool = Pool<QueryEngine>;
 
-/// A query submitted to a [`WorkerPool`], waiting for its worker.
-pub type PendingResponse = Pending<QueryResponse>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,7 +679,6 @@ mod tests {
     fn worker_pool_serves_concurrent_clients() {
         let engine = engine(EngineConfig { workers: 4, ..EngineConfig::default() });
         let pool = Arc::new(WorkerPool::start(Arc::clone(&engine)));
-        assert_eq!(pool.worker_count(), 4);
 
         let mut clients = Vec::new();
         for t in 0..6 {
@@ -706,15 +703,15 @@ mod tests {
         let counters = engine.cache_counters();
         assert_eq!(counters.hits + counters.misses + engine.stats().get(Metric::DedupHits), 300);
         // 2 distinct queries × 1 generation: only the first evaluations can
-        // miss (racing workers may each miss once).
+        // miss (racing slots may each miss once).
         assert!(counters.misses >= 2, "{counters:?}");
         assert!(counters.misses <= 2 * engine.config().workers as u64, "{counters:?}");
     }
 
     #[test]
     fn bounded_pool_sheds_when_overfilled() {
-        // One worker, queue bound 1, reject-new: with the worker wedged on a
-        // first query, at most 1 more fits; further submissions shed.
+        // One slot, queue bound 1: with the slot held, one query queues and
+        // the next is shed.
         let engine = engine(EngineConfig {
             workers: 1,
             cache_capacity: 1,
@@ -722,34 +719,29 @@ mod tests {
             ..EngineConfig::default()
         });
         let pool = WorkerPool::start(Arc::clone(&engine));
-        // Saturate: submit faster than the single worker can possibly drain
-        // by never waiting, with every query distinct so none is a cheap
-        // cache hit.  At least one submission must shed once the queue holds
-        // `queue_bound` jobs.
-        let mut pendings = Vec::new();
-        let mut shed = 0;
-        for i in 0..200 {
-            match pool.submit(format!("par* OR rust q{i}")) {
-                Ok(pending) => pendings.push(pending),
-                Err(ServerError::Overloaded) => shed += 1,
-                Err(e) => panic!("unexpected error {e}"),
+        std::thread::scope(|scope| {
+            let held = pool.occupy();
+            let queued = scope.spawn(|| pool.execute("par* OR rust"));
+            while pool.queue_depth() < 1 {
+                std::thread::yield_now();
             }
-        }
-        assert!(shed > 0, "200 instant submissions through a depth-1 queue never shed");
-        assert_eq!(engine.stats().get(Metric::Shed), shed);
-        for pending in pendings {
-            pending.wait().unwrap();
-        }
-        pool.shutdown();
+            assert_eq!(pool.execute("rust").unwrap_err(), ServerError::Overloaded);
+            assert_eq!(engine.stats().get(Metric::Shed), 1);
+            // The slot given back passes to the queued caller, which runs
+            // its own query.
+            drop(held);
+            assert!(!queued.join().unwrap().unwrap().results.is_empty());
+        });
+        assert_eq!(pool.shutdown(), 1);
     }
 
     #[test]
     fn submitting_after_shutdown_fails_cleanly() {
         let engine = engine(EngineConfig { workers: 1, ..EngineConfig::default() });
         let pool = WorkerPool::start(engine);
-        let pending = pool.submit("rust").unwrap();
-        assert!(pending.wait().is_ok());
-        let served = pool.shutdown();
-        assert_eq!(served, 1);
+        assert!(pool.execute("rust").is_ok());
+        pool.close();
+        assert_eq!(pool.execute("rust").unwrap_err(), ServerError::ShuttingDown);
+        assert_eq!(pool.shutdown(), 1);
     }
 }

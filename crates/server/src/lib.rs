@@ -11,10 +11,11 @@
 //!   [`SnapshotCell`] swaps generations atomically so a background re-index
 //!   never blocks or corrupts in-flight queries;
 //! * [`batch`] — the serving skeleton, written once: the [`Executor`] trait
-//!   (stats, batch config, worker count, default deadline, `run_batch`, and
+//!   (stats, batch config, execution slots, default deadline, `run_batch`, and
 //!   the `!stats` / `!reload` / render answers), the admission-controlled
-//!   queue that bounds depth and rejects what finds it full, the [`Pool`] of
-//!   workers draining whatever is queued in batches, and the frame around a
+//!   queue that bounds depth and rejects what finds it full, the [`Pool`] that
+//!   runs each query on a caller's thread — a backlog as one batch, on the
+//!   thread of the caller whose query headed the queue — and the frame around a
 //!   batch (prefixes, deadlines, one parse per line, identical canonical
 //!   queries grouped; then accounting and per-client trace ids);
 //! * [`engine`] — [`QueryEngine`], the executor of `dsearch serve`: cache
@@ -81,16 +82,14 @@ pub mod serve;
 pub mod snapshot;
 pub mod stats;
 
-pub use batch::{Answer, BatchConfig, Executor, Pending, Pool};
+pub use batch::{Answer, BatchConfig, Executor, Pool};
 pub use cache::{AdmissionPolicy, CacheCounters, CacheKey, CacheKeyRef, QueryCache};
-pub use engine::{
-    ConfigError, EngineConfig, PendingResponse, QueryEngine, QueryResponse, ServerError, WorkerPool,
-};
+pub use engine::{ConfigError, EngineConfig, QueryEngine, QueryResponse, ServerError, WorkerPool};
 pub use protocol::{prefix_deadline_ms, split_request_meta, RequestMeta};
 pub use replica::{ReplicaSet, ReplicaSetConfig, ReplicaState};
 pub use route::{
-    LocalShards, PendingRoutedResponse, RemoteShard, RemoteShardConfig, RoutedResponse, Router,
-    RouterConfig, RouterPool, ShardBackend, ShardError, ShardReply,
+    LocalShards, RemoteShard, RemoteShardConfig, RoutedResponse, Router, RouterConfig, RouterPool,
+    ShardBackend, ShardError, ShardReply,
 };
 pub use serve::{
     Handled, LineHandler, LineService, RouteService, Service, SessionEnd, TcpServer,

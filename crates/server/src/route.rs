@@ -44,7 +44,7 @@ use parking_lot::Mutex;
 use dsearch_obs::{next_trace_id, QueryTrace, ShardSpan, Span, Stage};
 use dsearch_query::{merge_ranked, RankedHit};
 
-use crate::batch::{Answer, BatchConfig, BatchFrame, Executor, Pending, Pool};
+use crate::batch::{Answer, BatchConfig, BatchFrame, Executor, Pool};
 use crate::cache::{CacheCounters, CacheKey, CacheKeyRef, QueryCache};
 use crate::engine::{ConfigError, QueryEngine, ServerError, DEFAULT_RESULT_LIMIT};
 use crate::protocol::{
@@ -573,8 +573,8 @@ impl std::fmt::Debug for RemoteShard {
 pub struct RouterConfig {
     /// Cap on merged hits kept per response.
     pub result_limit: usize,
-    /// Scatters the router's pool runs at once — its execution slots, and
-    /// the worker threads draining the admission queue.
+    /// Scatters the router's pool runs at once — its execution slots, each
+    /// on the thread of the caller holding it.
     pub workers: usize,
     /// Batching and admission control for the router's queue (the same
     /// knobs `dsearch serve` exposes).
@@ -787,9 +787,6 @@ impl std::fmt::Debug for Router {
 /// The shared [`Pool`] over a [`Router`]: each batch costs one scatter per
 /// backend instead of one per query.
 pub type RouterPool = Pool<Router>;
-
-/// A query submitted to a [`RouterPool`], waiting for its worker.
-pub type PendingRoutedResponse = Pending<RoutedResponse>;
 
 /// The stats-line fields summed across shards into the router's `!stats`
 /// report.

@@ -158,7 +158,7 @@ pub struct LineService<E: Executor> {
     requests: AtomicU64,
 }
 
-/// `dsearch serve`: a single store behind its worker pool.
+/// `dsearch serve`: a single store behind its pool.
 pub type Service = LineService<QueryEngine>;
 
 /// `dsearch route`: the scatter-gather coordinator behind its router pool, so
@@ -221,14 +221,16 @@ impl<E: Executor> LineService<E> {
         self.requests.load(Ordering::Relaxed)
     }
 
-    /// Shuts the pool down, returning how many queries the workers served.
+    /// Shuts the pool down, returning how many queries it executed, on
+    /// whichever callers' threads they ran.
     pub fn shutdown(self) -> u64 {
         self.pool.shutdown()
     }
 }
 
 impl Service {
-    /// Starts the worker pool for `engine`; `!reload` re-reads `store_path`
+    /// Puts `engine` behind a pool of `workers` execution slots, which
+    /// spawns no threads; `!reload` re-reads `store_path`
     /// (`None` disables reloads).
     #[must_use]
     pub fn start(engine: Arc<QueryEngine>, store_path: Option<PathBuf>) -> Self {
@@ -314,7 +316,8 @@ impl TcpServer {
     }
 
     /// Binds `addr` and starts accepting under `config`.  Each connection is
-    /// served on its own thread; queries run on the shared worker pool.
+    /// served on its own thread, and its queries run there, under the shared
+    /// pool's execution slots.
     /// Idle connections are disconnected after `config.idle_timeout`, and
     /// connections past `config.max_conns` are refused at accept time with
     /// `ERR too many connections`; both outcomes show up in `!stats`

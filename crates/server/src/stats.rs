@@ -30,7 +30,7 @@ pub const SHARD_RTT_METRIC: &str = "dsearch_shard_rtt_ns";
 /// where in the request lifecycle the budget ran out).
 pub const DEADLINE_EXCEEDED_METRIC: &str = "dsearch_deadline_exceeded_total";
 /// Metric name of the remaining-budget-at-dequeue histogram: how much of its
-/// deadline a query still had when a worker picked it up.
+/// deadline a query still had when its batch started.
 pub const REMAINING_BUDGET_METRIC: &str = "dsearch_remaining_budget_ns";
 
 /// Where in the request lifecycle a deadline was exceeded (the `stage` label
@@ -202,7 +202,7 @@ fn ratio(numerator: u64, denominator: u64, when_empty: f64) -> f64 {
     }
 }
 
-/// Live serving metrics, updated by every worker.
+/// Live serving metrics, updated by every execution.
 ///
 /// All mutation paths are lock-free (relaxed atomics on handles held by
 /// index); the registry's mutex is only taken at construction, when a
@@ -396,7 +396,7 @@ impl ServerStats {
     }
 
     /// The remaining-budget-at-dequeue histogram: how much of its budget a
-    /// deadline-carrying job still had when a worker picked it up.
+    /// deadline-carrying job still had when its batch started.
     #[must_use]
     pub fn remaining_budget_histogram(&self) -> &Histogram {
         &self.remaining_budget
